@@ -44,7 +44,7 @@ use dataflow::api::Environment;
 use dataflow::config::{DispatchMode, EnvConfig};
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
-use dataflow::exec::ExecContext;
+use dataflow::exec::{par_map, ExecContext};
 use dataflow::iterate::{BulkIteration, ConvergenceMeasure};
 use dataflow::partition::PartitionId;
 use dataflow::plan::DynOp;
@@ -55,6 +55,7 @@ use recovery::OptimisticBulkHandler;
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
 use telemetry::{JournalEvent, SinkHandle};
 
+use crate::exchange::{bucket_by_pid, merge_runs};
 use crate::placement::{PartitionMap, Rebalancer};
 use crate::program::{lookup, partition_rows, ClusterProgram};
 use crate::protocol::{
@@ -420,7 +421,7 @@ struct StepResult {
 
 /// Where a superstep's partition work actually runs: in-process (the
 /// baseline) or on worker processes over TCP. Inbox bookkeeping, message
-/// routing, and sort-for-determinism live *above* this trait, so both
+/// routing, and merge-for-determinism live *above* this trait, so both
 /// backends execute bit-identical supersteps in failure-free runs.
 ///
 /// `Send` because the engine may dispatch the step operator onto its
@@ -431,6 +432,7 @@ trait StepBackend: Send {
         superstep: u32,
         step: u64,
         jobs: Vec<StepJob>,
+        ctx: &ExecContext,
     ) -> Result<Vec<StepResult>>;
 
     /// Ship one persisted async-snapshot chunk to the partition's owning
@@ -442,7 +444,8 @@ trait StepBackend: Send {
 }
 
 /// In-process execution of the same named program — the single-process
-/// baseline that cluster results are diffed against.
+/// baseline that cluster results are diffed against. Partitions step in
+/// parallel on the engine's worker pool.
 struct LocalBackend {
     program: Arc<dyn ClusterProgram>,
     adjacency: Arc<Vec<AdjRows>>,
@@ -455,27 +458,21 @@ impl StepBackend for LocalBackend {
         _superstep: u32,
         step: u64,
         jobs: Vec<StepJob>,
+        ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
-        Ok(jobs
-            .into_iter()
-            .map(|job| {
-                let out = self.program.step(
-                    step,
-                    &job.state,
-                    &job.inbound,
-                    &self.adjacency[job.pid],
-                    self.n,
-                );
-                let shuffled = out.outbound.len() as u64;
-                StepResult {
-                    pid: job.pid,
-                    state: out.state,
-                    outbound: out.outbound,
-                    changed: out.changed,
-                    shuffled,
-                }
-            })
-            .collect())
+        let work = jobs.iter().map(|job| job.state.len() + job.inbound.len()).sum();
+        par_map(jobs, ctx, work, |_, job| {
+            let out =
+                self.program.step(step, &job.state, &job.inbound, &self.adjacency[job.pid], self.n);
+            let shuffled = out.outbound.len() as u64;
+            StepResult {
+                pid: job.pid,
+                state: out.state,
+                outbound: out.outbound,
+                changed: out.changed,
+                shuffled,
+            }
+        })
     }
 }
 
@@ -499,6 +496,7 @@ impl WorkerHandle {
         let _ = self.child.kill();
         let _ = self.child.wait();
         if let Some(thread) = self.hb_thread.take() {
+            thread.thread().unpark();
             let _ = thread.join();
         }
     }
@@ -691,6 +689,7 @@ impl ClusterBackend {
             )?;
             expect_welcome(&mut stream, &self.bytes_in)?;
             let (hb_stream, _) = connect_with_backoff(&addr, &self.cfg)?;
+            hb_stream.set_nodelay(true).ok();
             hb_stream.set_read_timeout(Some(self.cfg.heartbeat_timeout))?;
             Ok((stream, hb_stream, port, attempts))
         })();
@@ -1388,6 +1387,7 @@ impl StepBackend for ClusterBackend {
         superstep: u32,
         step: u64,
         jobs: Vec<StepJob>,
+        _ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
         self.ensure_workers(superstep)?;
         self.apply_scale_events(superstep)?;
@@ -1532,7 +1532,16 @@ fn heartbeat_loop(
             }
             _ => break,
         }
-        thread::sleep(interval);
+        // Wait out the interval parked rather than asleep, so teardown's
+        // unpark ends the wait at once; a spurious wake-up re-parks for the
+        // remainder.
+        let next_probe = Instant::now() + interval;
+        while !stop.load(Ordering::SeqCst) {
+            match next_probe.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => thread::park_timeout(left),
+                _ => break,
+            }
+        }
     }
     // A probe failure during normal operation flags the worker; during
     // coordinator-initiated teardown (stop already set) it is expected.
@@ -1590,32 +1599,34 @@ impl DynOp for ClusterStepOp {
         };
 
         let step = self.shared.steps_committed.load(Ordering::SeqCst);
-        let results = self.backend.lock().run_step(superstep, step, jobs)?;
+        let results = self.backend.lock().run_step(superstep, step, jobs, ctx)?;
 
         // Commit: new state, rebuilt inboxes, published convergence count.
         let mut parts: Vec<Vec<Record>> = vec![Vec::new(); parallelism];
-        let mut inboxes: Vec<Vec<Msg>> = vec![Vec::new(); parallelism];
+        let mut outbound: Vec<Vec<Msg>> = Vec::with_capacity(results.len());
         let mut changed_total = 0u64;
         let mut shuffled = 0u64;
         for result in results {
             changed_total += result.changed;
             shuffled += result.shuffled;
-            for msg in result.outbound {
-                inboxes[(msg.1 as usize) % parallelism].push(msg);
-            }
             parts[result.pid] = result.state;
+            outbound.push(result.outbound);
         }
-        // Sorting at commit fixes the fold order of floating-point sums,
+        // Every partition's outbound is born sorted, so routing it by
+        // destination yields one sorted run per (source, destination) pair
+        // and merging a destination's runs *is* sorting its inbox. The
+        // canonical order fixes the fold order of floating-point sums,
         // making every superstep bitwise deterministic regardless of which
-        // worker answered first — and it happens once per inbox lifetime
-        // instead of once per dispatch.
-        let inboxes: Vec<Arc<Vec<Msg>>> = inboxes
-            .into_iter()
-            .map(|mut inbox| {
-                inbox.sort_unstable();
-                Arc::new(inbox)
-            })
-            .collect();
+        // worker answered first — and it is established once per inbox
+        // lifetime instead of once per dispatch.
+        let routed = outbound.iter().map(Vec::len).sum();
+        let buckets: Vec<Vec<Vec<Msg>>> =
+            par_map(outbound, ctx, routed, |_, msgs| bucket_by_pid(&msgs, parallelism))?;
+        let inboxes: Vec<Arc<Vec<Msg>>> =
+            par_map((0..parallelism).collect(), ctx, routed, |_, pid: usize| {
+                let runs: Vec<&[Msg]> = buckets.iter().map(|from| from[pid].as_slice()).collect();
+                Arc::new(merge_runs(&runs, 1).pop().unwrap_or_default())
+            })?;
         *self.shared.inboxes.lock() = inboxes;
         self.shared.steps_committed.fetch_add(1, Ordering::SeqCst);
         self.changed.store(changed_total, Ordering::SeqCst);
@@ -1885,22 +1896,21 @@ pub fn run_cluster(
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
     let adjacency = Arc::new(partition_rows(graph, cfg.parallelism));
-    let parallelism = cfg.parallelism;
+    let env = EnvConfig::new(cfg.parallelism)
+        .with_dispatch(DispatchMode::Cluster)
+        .with_telemetry(telemetry.clone());
     let max_iterations = cfg.max_iterations;
     let strategy = cfg.strategy;
     let initial_state = cfg.initial_state.take();
-    let backend =
-        ClusterBackend::start(cfg, program_name, n, adjacency.clone(), telemetry.clone())?;
+    let backend = ClusterBackend::start(cfg, program_name, n, adjacency.clone(), telemetry)?;
     run_with_backend(
         program,
         Box::new(backend),
         adjacency,
         n,
-        parallelism,
         max_iterations,
-        DispatchMode::Cluster,
+        env,
         strategy,
-        telemetry,
         initial_state,
     )
 }
@@ -1928,20 +1938,31 @@ pub fn run_local_warm(
     telemetry: SinkHandle,
     initial_state: Option<Vec<Record>>,
 ) -> Result<ClusterRun> {
+    let env = EnvConfig::new(parallelism).with_telemetry(telemetry);
+    run_local_in(program_name, graph, max_iterations, env, initial_state)
+}
+
+/// [`run_local_warm`] under an explicit engine configuration (pooled or
+/// inline partition work, pool size).
+fn run_local_in(
+    program_name: &str,
+    graph: &Graph,
+    max_iterations: u32,
+    env: EnvConfig,
+    initial_state: Option<Vec<Record>>,
+) -> Result<ClusterRun> {
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
-    let adjacency = Arc::new(partition_rows(graph, parallelism));
+    let adjacency = Arc::new(partition_rows(graph, env.parallelism));
     let backend = LocalBackend { program: program.clone(), adjacency: adjacency.clone(), n };
     run_with_backend(
         program,
         Box::new(backend),
         adjacency,
         n,
-        parallelism,
         max_iterations,
-        DispatchMode::Pool,
+        env,
         ClusterStrategy::Optimistic,
-        telemetry,
         initial_state,
     )
 }
@@ -1961,15 +1982,13 @@ fn run_with_backend(
     backend: Box<dyn StepBackend>,
     adjacency: Arc<Vec<AdjRows>>,
     n: u64,
-    parallelism: usize,
     max_iterations: u32,
-    dispatch: DispatchMode,
+    config: EnvConfig,
     strategy: ClusterStrategy,
-    telemetry: SinkHandle,
     initial_state: Option<Vec<Record>>,
 ) -> Result<ClusterRun> {
-    let config =
-        EnvConfig::new(parallelism).with_dispatch(dispatch).with_telemetry(telemetry.clone());
+    let parallelism = config.parallelism;
+    let telemetry = config.telemetry.clone();
     let env = Environment::with_config(config);
     let initial_parts = match initial_state {
         Some(state) => {
@@ -2111,6 +2130,21 @@ mod tests {
         let a = run_local("pagerank", &graph, 4, 300, SinkHandle::disabled()).unwrap();
         let b = run_local("pagerank", &graph, 4, 300, SinkHandle::disabled()).unwrap();
         assert_eq!(a.values, b.values, "identical runs must produce identical bits");
+    }
+
+    #[test]
+    fn local_pagerank_is_bitwise_identical_inline_and_pooled() {
+        // Large enough that the pooled run really dispatches (the engine
+        // keeps work under its thread threshold inline).
+        let graph = graphs::generators::preferential_attachment(3_000, 3, 17);
+        let run = |env: EnvConfig| run_local_in("pagerank", &graph, 200, env, None).unwrap();
+        let inline = run(EnvConfig::new(4).with_threaded(false));
+        let pooled = run(EnvConfig::new(4));
+        let one_thread = run(EnvConfig::new(4).with_worker_threads(1));
+        assert!(inline.stats.converged);
+        assert_eq!(inline.values, pooled.values);
+        assert_eq!(inline.values, one_thread.values);
+        assert_eq!(inline.stats.supersteps(), pooled.stats.supersteps());
     }
 
     #[test]

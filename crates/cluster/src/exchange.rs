@@ -18,15 +18,125 @@
 //! survivor's inbox, no matter how late its frames surface.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::iter::Peekable;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::protocol::Msg;
 
+/// Sort the concatenation of `chunks` into canonical `(src, dst, bits)`
+/// order and route the result into per-partition inboxes by
+/// `dst % parallelism` — the one step-assembly sort, shared by the
+/// coordinator's commit, [`DataPlane::take_inboxes`] and the program tests.
+///
+/// Every partition's outbound is born sorted (see DESIGN.md, "Step
+/// assembly"), so the input is a handful of long ascending runs: they are
+/// detected in one scan and merged four at a time, `O(n log runs)` — a
+/// single pass when runs are few. Arbitrary input only means more runs; each
+/// inbox always holds what `sort_unstable` would produce, since equal `Msg`s
+/// are identical.
+pub fn merge_runs(chunks: &[&[Msg]], parallelism: usize) -> Vec<Vec<Msg>> {
+    let pid_of = |msg: &Msg| match parallelism {
+        1 => 0,
+        _ => (msg.1 % parallelism as u64) as usize,
+    };
+    // One scan finds the runs and sizes the inboxes, so each is allocated
+    // once: regrowing a multi-megabyte vector costs more than the merge.
+    let mut runs: Vec<&[Msg]> = Vec::new();
+    let mut sizes = vec![0usize; parallelism];
+    for chunk in chunks {
+        let mut start = 0;
+        for (i, msg) in chunk.iter().enumerate() {
+            sizes[pid_of(msg)] += 1;
+            if i > start && *msg < chunk[i - 1] {
+                runs.push(&chunk[start..i]);
+                start = i;
+            }
+        }
+        if start < chunk.len() {
+            runs.push(&chunk[start..]);
+        }
+    }
+    // More than four runs: merge them down four at a time, ping-ponging
+    // between two scratch buffers, until one four-way pass is left.
+    let total: usize = sizes.iter().sum();
+    let (mut merged, mut spare): (Vec<Msg>, Vec<Msg>) = (Vec::new(), Vec::new());
+    while runs.len() > 4 {
+        spare.clear();
+        spare.reserve(total);
+        let ends: Vec<usize> = runs
+            .chunks(4)
+            .map(|quad| {
+                spare.extend(merge4(quad));
+                spare.len()
+            })
+            .collect();
+        std::mem::swap(&mut merged, &mut spare);
+        let mut start = 0;
+        runs = ends.iter().map(|&end| &merged[std::mem::replace(&mut start, end)..end]).collect();
+    }
+    let mut inboxes: Vec<Vec<Msg>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for msg in merge4(&runs) {
+        inboxes[pid_of(&msg)].push(msg);
+    }
+    inboxes
+}
+
+/// The ascending merge of up to four ascending runs.
+fn merge4<'a>(runs: &[&'a [Msg]]) -> impl Iterator<Item = Msg> + 'a {
+    let run = |i: usize| runs.get(i).copied().unwrap_or_default().iter().copied();
+    Merge2::of(Merge2::of(run(0), run(1)), Merge2::of(run(2), run(3)))
+}
+
+/// The ascending merge of two ascending streams.
+struct Merge2<A: Iterator<Item = Msg>, B: Iterator<Item = Msg>> {
+    left: Peekable<A>,
+    right: Peekable<B>,
+}
+
+impl<A: Iterator<Item = Msg>, B: Iterator<Item = Msg>> Merge2<A, B> {
+    fn of(left: A, right: B) -> Self {
+        Merge2 { left: left.peekable(), right: right.peekable() }
+    }
+}
+
+impl<A: Iterator<Item = Msg>, B: Iterator<Item = Msg>> Iterator for Merge2<A, B> {
+    type Item = Msg;
+
+    fn next(&mut self) -> Option<Msg> {
+        match (self.left.peek(), self.right.peek()) {
+            (Some(l), Some(r)) => {
+                if r < l {
+                    self.right.next()
+                } else {
+                    self.left.next()
+                }
+            }
+            (Some(_), None) => self.left.next(),
+            (None, _) => self.right.next(),
+        }
+    }
+}
+
+/// Route `msgs` into per-partition buckets by `dst % parallelism`. A bucket
+/// is a subsequence of `msgs`, so sorted input yields sorted buckets.
+pub fn bucket_by_pid(msgs: &[Msg], parallelism: usize) -> Vec<Vec<Msg>> {
+    // Destinations spread evenly over partitions (`v % P`), so a little
+    // headroom over the mean spares the buckets a regrowth copy — which, at
+    // megabytes per bucket, costs more than the routing itself.
+    let expected = msgs.len() / parallelism;
+    let mut buckets: Vec<Vec<Msg>> =
+        (0..parallelism).map(|_| Vec::with_capacity(expected + expected / 8)).collect();
+    for msg in msgs {
+        buckets[(msg.1 % parallelism as u64) as usize].push(*msg);
+    }
+    buckets
+}
+
 /// One superstep's worth of collected peer messages.
 #[derive(Debug, Default)]
 struct Slot {
-    /// Deposited messages, in arrival order (sorted by the consumer).
+    /// Deposited messages, in arrival order (merged by the consumer).
     msgs: Vec<Msg>,
     /// Members whose [`crate::protocol::Message::ShuffleFlush`] arrived.
     flushed: BTreeSet<u64>,
@@ -158,20 +268,27 @@ impl DataPlane {
         }
     }
 
-    /// Take `superstep`'s collected messages sorted by `(src, dst, bits)` —
-    /// the same canonical order the coordinator funnel produces, so direct
-    /// and routed runs are bitwise-comparable — and garbage-collect every
-    /// *older* slot. The consumed slot itself is retained intact so a
-    /// post-failure retry under optimistic recovery can re-consume it.
-    pub fn take_sorted(&self, superstep: u32) -> Vec<Msg> {
+    /// Take `superstep`'s collected messages as per-partition inboxes
+    /// (indexed by `dst % parallelism`), each in canonical `(src, dst, bits)`
+    /// order — the same order the coordinator funnel produces, so direct and
+    /// routed runs are bitwise-comparable — and garbage-collect every *older*
+    /// slot. The slot is read in place, once, and merged straight into the
+    /// inboxes; the inbox lock is held meanwhile, which only makes a peer
+    /// thread depositing the *next* superstep's frames wait its turn. The
+    /// consumed slot itself is retained intact so a post-failure retry under
+    /// optimistic recovery can re-consume it.
+    pub fn take_inboxes(&self, superstep: u32, parallelism: usize) -> Vec<Vec<Msg>> {
         let mut inbox = self.inbox.lock().unwrap();
         inbox.floor = superstep;
         inbox.slots.retain(|&s, _| s >= superstep);
-        let mut msgs =
-            inbox.slots.get(&superstep).map(|slot| slot.msgs.clone()).unwrap_or_default();
-        drop(inbox);
-        msgs.sort_unstable();
-        msgs
+        let msgs = inbox.slots.get(&superstep).map_or(&[][..], |slot| &slot.msgs);
+        merge_runs(&[msgs], parallelism)
+    }
+
+    /// [`Self::take_inboxes`] for a single partition: the whole slot in
+    /// canonical order.
+    pub fn take_sorted(&self, superstep: u32) -> Vec<Msg> {
+        self.take_inboxes(superstep, 1).pop().unwrap_or_default()
     }
 
     /// Current membership epoch (what outgoing frames must be tagged with).
@@ -188,6 +305,67 @@ impl DataPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Cut `msgs` into deposits at `cuts` (any order, repeats make empty
+    /// deposits) and shape them: `0` leaves them as generated (many short
+    /// runs), `1` sorts each deposit (a few born-sorted runs), `2` sorts
+    /// across deposits (one run).
+    fn deposits(mut msgs: Vec<Msg>, mut cuts: Vec<usize>, shape: u8) -> Vec<Vec<Msg>> {
+        if shape == 2 {
+            msgs.sort_unstable();
+        }
+        cuts.iter_mut().for_each(|cut| *cut = (*cut).min(msgs.len()));
+        cuts.extend([0, msgs.len()]);
+        cuts.sort_unstable();
+        let mut chunks: Vec<Vec<Msg>> =
+            cuts.windows(2).map(|cut| msgs[cut[0]..cut[1]].to_vec()).collect();
+        if shape == 1 {
+            chunks.iter_mut().for_each(|chunk| chunk.sort_unstable());
+        }
+        chunks
+    }
+
+    proptest! {
+        #[test]
+        fn merge_runs_equals_sort_unstable_on_arbitrary_deposits(
+            msgs in prop::collection::vec((0u64..24, 0u64..24, 0u64..3), 0..300),
+            cuts in prop::collection::vec(0usize..300, 0..10),
+            shape in 0u8..3,
+            parallelism in 1usize..6,
+        ) {
+            let chunks = deposits(msgs.clone(), cuts, shape);
+            let mut sorted = msgs;
+            sorted.sort_unstable();
+            let expected: Vec<Vec<Msg>> = (0..parallelism as u64)
+                .map(|pid| {
+                    sorted.iter().copied().filter(|msg| msg.1 % parallelism as u64 == pid).collect()
+                })
+                .collect();
+
+            let slices: Vec<&[Msg]> = chunks.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(&merge_runs(&slices, parallelism), &expected);
+            let routed: Vec<Vec<Msg>> = (0..parallelism)
+                .map(|pid| {
+                    let runs: Vec<Vec<Msg>> = chunks
+                        .iter()
+                        .map(|chunk| bucket_by_pid(chunk, parallelism).swap_remove(pid))
+                        .collect();
+                    let runs: Vec<&[Msg]> = runs.iter().map(Vec::as_slice).collect();
+                    merge_runs(&runs, 1).pop().unwrap()
+                })
+                .collect();
+            prop_assert_eq!(&routed, &expected);
+
+            let plane = DataPlane::default();
+            plane.install_membership(1, [0]);
+            for chunk in &chunks {
+                plane.deposit(1, 7, chunk);
+            }
+            prop_assert_eq!(&plane.take_inboxes(7, parallelism), &expected);
+            prop_assert_eq!(plane.take_sorted(7), sorted);
+        }
+    }
 
     #[test]
     fn slot_completes_when_every_member_flushes() {

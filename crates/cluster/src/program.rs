@@ -16,7 +16,6 @@
 //! stopped changing long ago, and unconditional sending guarantees that the
 //! only fixed point of the iteration is the true one.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use graphs::Graph;
@@ -44,10 +43,19 @@ pub struct StepOutput {
 
 /// A distributed iterative vertex program.
 ///
-/// Invariant shared by all methods: a partition's state vector is aligned
-/// 1:1 with its adjacency rows — `state[i].0 == rows[i].0`. [`Self::init_partition`]
-/// establishes the invariant, [`Self::step`] and [`Self::compensate_partition`]
-/// preserve it.
+/// Invariants shared by all methods:
+///
+/// * **Alignment** — a partition's state vector is aligned 1:1 with its
+///   adjacency rows: `state[i].0 == rows[i].0`.
+/// * **Strided slots** — a partition holds every `P`-th vertex in ascending
+///   order (`state[i].0 == state[0].0 + i * P`, the `v % P` layout
+///   [`partition_rows`] produces), so the slot of a destination vertex is
+///   plain arithmetic and a superstep folds its inbound into a vector
+///   aligned with `state` — no per-superstep hash map.
+///
+/// [`Self::init_partition`] establishes both, [`Self::step`] asserts the
+/// layout once per call, and [`Self::step`] and
+/// [`Self::compensate_partition`] preserve it.
 pub trait ClusterProgram: Send + Sync {
     /// Registry name, also used in telemetry (`"cc"`, `"pagerank"`).
     fn name(&self) -> &'static str;
@@ -68,7 +76,15 @@ pub trait ClusterProgram: Send + Sync {
     /// `step` is the *logical* step index — the number of previously
     /// committed supersteps — and is `0` exactly once even across failure
     /// retries. `inbound` arrives sorted by `(src, dst, bits)` so floating
-    /// point folds are deterministic.
+    /// point folds are deterministic; messages addressed to a vertex the
+    /// partition does not hold are ignored. The returned `outbound` is born
+    /// sorted the same way — state is walked in ascending vertex order and
+    /// neighbour lists are sorted and duplicate-free — which is what lets
+    /// step assembly merge runs instead of sorting
+    /// ([`crate::exchange::merge_runs`]).
+    ///
+    /// # Panics
+    /// Panics if `state` is not in the strided-slot layout.
     fn step(
         &self,
         step: u64,
@@ -77,6 +93,47 @@ pub trait ClusterProgram: Send + Sync {
         rows: &[(u64, Vec<u64>)],
         n: u64,
     ) -> StepOutput;
+}
+
+/// Slot arithmetic over one partition's strided state (see
+/// [`ClusterProgram`]): vertex `first + i * stride` lives in slot `i`.
+struct Slots {
+    first: u64,
+    stride: u64,
+    len: usize,
+}
+
+impl Slots {
+    /// Derive the layout from `state` and assert, once per step, that every
+    /// record sits in the slot the arithmetic will resolve it to.
+    fn of(state: &[Record], rows: &[(u64, Vec<u64>)]) -> Self {
+        assert_eq!(state.len(), rows.len(), "partition state is not aligned with its rows");
+        let first = state.first().map_or(0, |record| record.0);
+        let stride = state.get(1).map_or(1, |record| record.0.wrapping_sub(first)).max(1);
+        let slots = Slots { first, stride, len: state.len() };
+        assert!(
+            state.iter().enumerate().all(|(i, record)| slots.of_vertex(record.0) == Some(i)),
+            "partition state is not in the strided `v % P` layout (first {first}, stride {stride})"
+        );
+        slots
+    }
+
+    /// The slot holding vertex `v`, if this partition holds it.
+    fn of_vertex(&self, v: u64) -> Option<usize> {
+        let offset = v.checked_sub(self.first)?;
+        let slot = (offset / self.stride) as usize;
+        (offset % self.stride == 0 && slot < self.len).then_some(slot)
+    }
+}
+
+/// An empty [`StepOutput`] sized for one partition: `outbound` is allocated
+/// once for the messages the rows will emit.
+fn sized_output(rows: &[(u64, Vec<u64>)]) -> StepOutput {
+    StepOutput {
+        state: Vec::with_capacity(rows.len()),
+        outbound: Vec::with_capacity(rows.iter().map(|(_, targets)| targets.len()).sum()),
+        changed: 0,
+    }
 }
 
 /// Connected Components by min-label propagation.
@@ -104,14 +161,16 @@ impl ClusterProgram for CcProgram {
         rows: &[(u64, Vec<u64>)],
         _n: u64,
     ) -> StepOutput {
-        let mut best: HashMap<u64, u64> = HashMap::with_capacity(state.len());
+        let slots = Slots::of(state, rows);
+        let mut best: Vec<u64> = state.iter().map(|&(_, label)| label).collect();
         for &(_, dst, bits) in inbound {
-            best.entry(dst).and_modify(|b| *b = (*b).min(bits)).or_insert(bits);
+            if let Some(slot) = slots.of_vertex(dst) {
+                best[slot] = best[slot].min(bits);
+            }
         }
-        let mut out =
-            StepOutput { state: Vec::with_capacity(state.len()), outbound: Vec::new(), changed: 0 };
+        let mut out = sized_output(rows);
         for (i, &(v, label)) in state.iter().enumerate() {
-            let new = best.get(&v).map_or(label, |&b| b.min(label));
+            let new = best[i];
             if new != label {
                 out.changed += 1;
             }
@@ -161,13 +220,15 @@ impl ClusterProgram for PageRankProgram {
         // Accumulate per destination in slice order: inbound is sorted by
         // (src, dst, bits), so each vertex's float sum folds in a fixed
         // order and the result is bitwise deterministic.
-        let mut sums: HashMap<u64, f64> = HashMap::with_capacity(state.len());
+        let slots = Slots::of(state, rows);
+        let mut sums: Vec<f64> = vec![0.0; state.len()];
         for &(_, dst, bits) in inbound {
-            *sums.entry(dst).or_insert(0.0) += f64::from_bits(bits);
+            if let Some(slot) = slots.of_vertex(dst) {
+                sums[slot] += f64::from_bits(bits);
+            }
         }
         let teleport = (1.0 - PAGERANK_DAMPING) / n as f64;
-        let mut out =
-            StepOutput { state: Vec::with_capacity(state.len()), outbound: Vec::new(), changed: 0 };
+        let mut out = sized_output(rows);
         for (i, &(v, bits)) in state.iter().enumerate() {
             let old = f64::from_bits(bits);
             let new = if step == 0 {
@@ -175,7 +236,7 @@ impl ClusterProgram for PageRankProgram {
                 // message flow from the initial ranks.
                 old
             } else {
-                teleport + PAGERANK_DAMPING * sums.get(&v).copied().unwrap_or(0.0)
+                teleport + PAGERANK_DAMPING * sums[i]
             };
             if step == 0 || (new - old).abs() > PAGERANK_EPSILON {
                 out.changed += 1;
@@ -225,10 +286,10 @@ pub fn partition_rows(graph: &Graph, parallelism: usize) -> Vec<AdjRows> {
 mod tests {
     use super::*;
     use graphs::GraphBuilder;
+    use std::collections::BTreeMap;
 
-    fn sorted_inbound(mut msgs: Vec<Msg>) -> Vec<Msg> {
-        msgs.sort_unstable();
-        msgs
+    fn sorted_inbound(msgs: Vec<Msg>) -> Vec<Msg> {
+        crate::exchange::merge_runs(&[&msgs], 1).pop().unwrap()
     }
 
     /// Drive a program to convergence in-process, single partition.
@@ -308,6 +369,147 @@ mod tests {
         for (v, (a, b)) in ours.iter().zip(&exact).enumerate() {
             assert!((a - b).abs() < 1e-6, "vertex {v}: {a} vs reference {b}");
         }
+    }
+
+    /// `CcProgram::step` as it was before slots were indexed — a
+    /// per-superstep map keyed by destination vertex — kept as the reference
+    /// the slot-indexed fold must match bit for bit.
+    fn cc_map_fold_step(
+        step: u64,
+        state: &[Record],
+        inbound: &[Msg],
+        rows: &[(u64, Vec<u64>)],
+    ) -> StepOutput {
+        let mut best: BTreeMap<u64, u64> = BTreeMap::new();
+        for &(_, dst, bits) in inbound {
+            best.entry(dst).and_modify(|b| *b = (*b).min(bits)).or_insert(bits);
+        }
+        let mut out = StepOutput { state: Vec::new(), outbound: Vec::new(), changed: 0 };
+        for (i, &(v, label)) in state.iter().enumerate() {
+            let new = best.get(&v).map_or(label, |&b| b.min(label));
+            if new != label {
+                out.changed += 1;
+            }
+            out.state.push((v, new));
+            for &u in &rows[i].1 {
+                out.outbound.push((v, u, new));
+            }
+        }
+        if step == 0 {
+            out.changed = state.len() as u64;
+        }
+        out
+    }
+
+    /// `PageRankProgram::step` before slots were indexed; see
+    /// [`cc_map_fold_step`].
+    fn pagerank_map_fold_step(
+        step: u64,
+        state: &[Record],
+        inbound: &[Msg],
+        rows: &[(u64, Vec<u64>)],
+        n: u64,
+    ) -> StepOutput {
+        let mut sums: BTreeMap<u64, f64> = BTreeMap::new();
+        for &(_, dst, bits) in inbound {
+            *sums.entry(dst).or_insert(0.0) += f64::from_bits(bits);
+        }
+        let teleport = (1.0 - PAGERANK_DAMPING) / n as f64;
+        let mut out = StepOutput { state: Vec::new(), outbound: Vec::new(), changed: 0 };
+        for (i, &(v, bits)) in state.iter().enumerate() {
+            let old = f64::from_bits(bits);
+            let new = if step == 0 {
+                old
+            } else {
+                teleport + PAGERANK_DAMPING * sums.get(&v).copied().unwrap_or(0.0)
+            };
+            if step == 0 || (new - old).abs() > PAGERANK_EPSILON {
+                out.changed += 1;
+            }
+            out.state.push((v, new.to_bits()));
+            let targets = &rows[i].1;
+            if !targets.is_empty() {
+                let share = (new / targets.len() as f64).to_bits();
+                for &u in targets {
+                    out.outbound.push((v, u, share));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn slot_indexed_fold_matches_the_map_fold_bit_for_bit() {
+        let graph = graphs::generators::preferential_attachment(300, 3, 11);
+        let n = graph.num_vertices() as u64;
+        for name in program_names() {
+            let program = lookup(name).unwrap();
+            for parallelism in [1, 3, 4] {
+                let rows = partition_rows(&graph, parallelism);
+                let mut state: Vec<Vec<Record>> =
+                    rows.iter().map(|r| program.init_partition(r, n)).collect();
+                let mut inbound: Vec<Vec<Msg>> = vec![Vec::new(); parallelism];
+                for step in 0..8 {
+                    if step == 4 {
+                        // A compensated partition, and (for P > 1) one whose
+                        // first vertex is not 0.
+                        let lost = parallelism - 1;
+                        state[lost] = program.compensate_partition(&rows[lost], n);
+                    }
+                    let outs: Vec<StepOutput> = (0..parallelism)
+                        .map(|pid| {
+                            let out = program.step(step, &state[pid], &inbound[pid], &rows[pid], n);
+                            let (state, inbound, rows) = (&state[pid], &inbound[pid], &rows[pid]);
+                            let reference = match *name {
+                                "cc" => cc_map_fold_step(step, state, inbound, rows),
+                                _ => pagerank_map_fold_step(step, state, inbound, rows, n),
+                            };
+                            assert_eq!(
+                                out, reference,
+                                "{name} P={parallelism} step {step} pid {pid}"
+                            );
+                            out
+                        })
+                        .collect();
+                    let outbound: Vec<&[Msg]> =
+                        outs.iter().map(|o| o.outbound.as_slice()).collect();
+                    inbound = crate::exchange::merge_runs(&outbound, parallelism);
+                    state = outs.into_iter().map(|out| out.state).collect();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn outbound_is_born_sorted() {
+        let graph = graphs::generators::preferential_attachment(200, 3, 5);
+        let rows = partition_rows(&graph, 3);
+        for name in program_names() {
+            let program = lookup(name).unwrap();
+            for part in &rows {
+                let state = program.init_partition(part, 200);
+                let out = program.step(0, &state, &[], part, 200);
+                assert!(out.outbound.windows(2).all(|w| w[0] <= w[1]), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn messages_to_vertices_outside_the_partition_are_ignored() {
+        // Partition 1 of 3 over a 7-ring holds vertices 1 and 4.
+        let graph = graphs::generators::ring(7);
+        let rows = partition_rows(&graph, 3).remove(1);
+        let state = CcProgram.init_partition(&rows, 7);
+        let stray = [(9, 0, 0), (9, 2, 0), (9, 3, 0), (9, 7, 0), (9, 10, 0)];
+        let out = CcProgram.step(1, &state, &stray, &rows, 7);
+        assert_eq!(out.state, state);
+    }
+
+    #[test]
+    #[should_panic(expected = "strided")]
+    fn a_state_that_is_not_strided_is_a_bug() {
+        let rows: AdjRows = vec![(0, vec![]), (2, vec![]), (5, vec![])];
+        CcProgram.step(0, &CcProgram.init_partition(&rows, 6), &[], &rows, 6);
     }
 
     #[test]

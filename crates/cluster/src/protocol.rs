@@ -67,6 +67,10 @@ pub const NO_INBOUND: u32 = u32::MAX;
 /// treated as stream corruption rather than an allocation request.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
+/// Payloads up to this size (heartbeats, acks, step dispatches, flushes) are
+/// copied behind their length prefix and leave in a single write.
+const SMALL_FRAME_BYTES: usize = 1020;
+
 /// A protocol message. Tags are part of the wire format — append new
 /// variants, never renumber.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -599,8 +603,17 @@ pub fn write_encoded_frame(
 ) -> io::Result<()> {
     let len = checked_frame_len(payload.len())
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    if payload.len() <= SMALL_FRAME_BYTES {
+        // Length and payload in one write: as two segments on a socket, the
+        // second waits out the receiver's delayed ACK.
+        let mut frame = [0u8; 4 + SMALL_FRAME_BYTES];
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..4 + payload.len()].copy_from_slice(payload);
+        w.write_all(&frame[..4 + payload.len()])?;
+    } else {
+        w.write_all(&len.to_le_bytes())?;
+        w.write_all(payload)?;
+    }
     w.flush()?;
     if let Some(counter) = bytes_out {
         counter.add(4 + payload.len() as u64);

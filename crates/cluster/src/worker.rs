@@ -127,7 +127,6 @@ struct DirectCtx {
 /// whose `StepDone` the coordinator already counted).
 struct StepOutcome {
     pid: u64,
-    state: Vec<Record>,
     outbound: Vec<Msg>,
     changed: u64,
     shuffled: u64,
@@ -227,6 +226,12 @@ fn serve(
                     let my = worker.ok_or_else(|| {
                         io::Error::new(io::ErrorKind::InvalidData, "Membership before Hello")
                     })?;
+                    if parallelism == 0 {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "Membership with zero partitions",
+                        ));
+                    }
                     let mut links = Vec::new();
                     for &(peer, port) in &peers {
                         if peer == my {
@@ -325,13 +330,12 @@ fn serve(
                         wlog(worker, Some(superstep), "step_go", &format!("pids={pids:?}"));
                     }
                     let inbound = if inbound_superstep == NO_INBOUND {
-                        HashMap::new()
+                        Vec::new()
                     } else {
                         match plane.wait_complete(inbound_superstep, direct.data_timeout) {
-                            Ok(()) => bucket_by_pid(
-                                plane.take_sorted(inbound_superstep),
-                                direct.parallelism,
-                            ),
+                            Ok(()) => {
+                                plane.take_inboxes(inbound_superstep, direct.parallelism as usize)
+                            }
                             Err(waiting_on) => {
                                 // Compute nothing: the coordinator treats the
                                 // missing peer as lost and resolves the
@@ -396,10 +400,19 @@ fn serve(
                     for (pid, records) in parts {
                         direct.state.insert(pid, records);
                     }
-                    let inbound: HashMap<u64, Vec<Msg>> = if use_wire_inbound != 0 {
-                        inboxes.into_iter().collect()
+                    let inbound: Vec<Vec<Msg>> = if use_wire_inbound != 0 {
+                        let mut by_pid = vec![Vec::new(); direct.parallelism as usize];
+                        for (pid, msgs) in inboxes {
+                            *by_pid.get_mut(pid as usize).ok_or_else(|| {
+                                io::Error::new(
+                                    io::ErrorKind::InvalidData,
+                                    format!("StepReset inbox for unknown partition {pid}"),
+                                )
+                            })? = msgs;
+                        }
+                        by_pid
                     } else if inbound_superstep == NO_INBOUND {
-                        HashMap::new()
+                        Vec::new()
                     } else {
                         // Optimistic retry: the named slot is the committed
                         // superstep, complete on survivors modulo in-flight
@@ -413,7 +426,7 @@ fn serve(
                                 &format!("inbound_superstep={inbound_superstep}"),
                             );
                         }
-                        bucket_by_pid(plane.take_sorted(inbound_superstep), direct.parallelism)
+                        plane.take_inboxes(inbound_superstep, direct.parallelism as usize)
                     };
                     run_direct_step(
                         &mut stream,
@@ -555,18 +568,6 @@ fn connect_peer(port: u64) -> io::Result<TcpStream> {
     TcpStream::connect(&addr)
 }
 
-/// Split a sorted message vector into per-partition inboxes by
-/// `dst % parallelism`. Splitting preserves the global `(src, dst, bits)`
-/// order inside each bucket, so per-partition inbound matches what the
-/// coordinator funnel would have produced byte for byte.
-fn bucket_by_pid(msgs: Vec<Msg>, parallelism: u64) -> HashMap<u64, Vec<Msg>> {
-    let mut buckets: HashMap<u64, Vec<Msg>> = HashMap::new();
-    for msg in msgs {
-        buckets.entry(msg.1 % parallelism).or_default().push(msg);
-    }
-    buckets
-}
-
 /// Encode and write one [`Message::ShuffleFrame`] to `peer`, clearing
 /// `batch` and accounting the wire bytes. A write failure is soft: the peer
 /// is presumed dead, the link is dropped, and the coordinator's failure
@@ -621,7 +622,7 @@ fn run_direct_step(
     plane: &DataPlane,
     superstep: u32,
     step: u64,
-    inbound: HashMap<u64, Vec<Msg>>,
+    inbound: Vec<Vec<Msg>>,
     pids: &[u64],
     seq: &mut u64,
 ) -> io::Result<()> {
@@ -651,7 +652,7 @@ fn run_direct_step(
                 format!("step for partition {pid} with no cached state"),
             )
         })?;
-        let inb = inbound.get(&pid).unwrap_or(&empty);
+        let inb = inbound.get(pid as usize).unwrap_or(&empty);
         let compute_start = Instant::now();
         let out = program.step(step, state, inb, &rows, n);
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
@@ -679,10 +680,9 @@ fn run_direct_step(
             }
         }
         let exchange_ns = exchange_start.elapsed().as_nanos() as u64;
-        ctx.state.insert(pid, out.state.clone());
+        ctx.state.insert(pid, out.state);
         outcomes.push(StepOutcome {
             pid,
-            state: out.state,
             outbound: if ctx.ship_outbound { out.outbound } else { Vec::new() },
             changed: out.changed,
             shuffled,
@@ -726,13 +726,18 @@ fn run_direct_step(
 
     let last = outcomes.len().saturating_sub(1);
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let StepOutcome { pid, state, outbound, changed, shuffled, compute_ns, exchange_ns } =
-            outcome;
+        let StepOutcome { pid, outbound, changed, shuffled, compute_ns, exchange_ns } = outcome;
+        // The cached state is the only copy: lend it to the reply for
+        // encoding, then put it back for the next superstep.
+        let state = ctx.state.remove(&pid).unwrap_or_default();
         let records = state.len() as u64 + shuffled;
         let reply = Message::StepDone { pid, superstep, state, outbound, changed, shuffled };
         let shuffle_start = Instant::now();
         let payload = encode_to_vec(&reply);
         let shuffle_ns = shuffle_start.elapsed().as_nanos() as u64;
+        if let Message::StepDone { state, .. } = reply {
+            ctx.state.insert(pid, state);
+        }
         let mut spans: Vec<SpanRow> = vec![
             (pid, SPAN_PHASE_COMPUTE, records, compute_ns),
             (pid, SPAN_PHASE_SHUFFLE, records, shuffle_ns),

@@ -77,6 +77,33 @@ fn failure_free_cluster_pagerank_is_bitwise_identical_to_local() {
 }
 
 #[test]
+fn pooled_local_pagerank_is_bitwise_identical_to_a_two_worker_cluster() {
+    // Past the engine's thread threshold, so `run_local` steps, buckets and
+    // merges on the worker pool while the cluster merges in its workers'
+    // exchange inboxes: three assembly paths, one canonical order.
+    let graph = graphs::generators::preferential_attachment(3_000, 3, 17);
+    let local = run_local("pagerank", &graph, 4, 200, SinkHandle::disabled()).unwrap();
+    let cluster =
+        run_cluster("pagerank", &graph, test_config(2, 4, 200), SinkHandle::disabled()).unwrap();
+    assert!(local.stats.converged);
+    assert_eq!(cluster.values, local.values);
+    assert_eq!(cluster.stats.supersteps(), local.stats.supersteps());
+}
+
+#[test]
+fn teardown_does_not_wait_out_a_heartbeat_interval() {
+    // The heartbeat thread parks between probes; dropping the backend must
+    // wake it, not join it after the interval. With a 20 s interval the
+    // whole run (spawn, 2 workers, teardown) still finishes in a fraction.
+    let mut cfg = test_config(2, 4, 60);
+    cfg.heartbeat_interval = Duration::from_secs(20);
+    let started = std::time::Instant::now();
+    let run = run_cluster("cc", &cc_graph(), cfg, SinkHandle::disabled()).unwrap();
+    assert!(run.stats.converged);
+    assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
+}
+
+#[test]
 fn sigkilled_worker_mid_iteration_recovers_via_compensation() {
     let graph = cc_graph();
     let sink = Arc::new(MemorySink::new());
