@@ -59,8 +59,9 @@ use crate::exchange::{bucket_by_pid, merge_runs};
 use crate::placement::{PartitionMap, Rebalancer};
 use crate::program::{lookup, partition_rows, ClusterProgram};
 use crate::protocol::{
-    read_frame, write_frame, AdjRows, Message, Msg, Record, SpanRow, NO_INBOUND,
-    SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
+    encode_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
+    AdjRows, Message, Msg, Record, SpanRow, NO_INBOUND, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
+    SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 use crate::worker::LISTENING_MARKER;
 
@@ -397,13 +398,15 @@ pub struct ClusterRun {
     pub stats: RunStats,
 }
 
-/// One partition's input to a superstep. The inbound messages are a shared
-/// snapshot of the committed inbox — an `Arc` clone, not a deep copy — so
-/// building a superstep's jobs holds the inbox lock for O(partitions)
+/// One partition's input to a superstep. The state is borrowed from the
+/// driver's dataset — a steady-state [`Message::StepGo`] never ships it, so
+/// only a dispatch that does copies it — and the inbound messages are a
+/// shared snapshot of the committed inbox — an `Arc` clone, not a deep copy —
+/// so building a superstep's jobs holds the inbox lock for O(partitions)
 /// pointer bumps instead of cloning every message in the system.
-struct StepJob {
+struct StepJob<'a> {
     pid: usize,
-    state: Vec<Record>,
+    state: &'a [Record],
     inbound: Arc<Vec<Msg>>,
 }
 
@@ -431,7 +434,7 @@ trait StepBackend: Send {
         &mut self,
         superstep: u32,
         step: u64,
-        jobs: Vec<StepJob>,
+        jobs: Vec<StepJob<'_>>,
         ctx: &ExecContext,
     ) -> Result<Vec<StepResult>>;
 
@@ -457,13 +460,13 @@ impl StepBackend for LocalBackend {
         &mut self,
         _superstep: u32,
         step: u64,
-        jobs: Vec<StepJob>,
+        jobs: Vec<StepJob<'_>>,
         ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
         let work = jobs.iter().map(|job| job.state.len() + job.inbound.len()).sum();
         par_map(jobs, ctx, work, |_, job| {
             let out =
-                self.program.step(step, &job.state, &job.inbound, &self.adjacency[job.pid], self.n);
+                self.program.step(step, job.state, &job.inbound, &self.adjacency[job.pid], self.n);
             let shuffled = out.outbound.len() as u64;
             StepResult {
                 pid: job.pid,
@@ -476,11 +479,48 @@ impl StepBackend for LocalBackend {
     }
 }
 
-/// A live worker process: child handle, control connection, and the
-/// heartbeat monitor flagging it dead on probe timeout.
-struct WorkerHandle {
-    child: Child,
+/// A worker OS process, hard-stopped and reaped when dropped — on every
+/// path, including a bring-up that fails half way.
+struct WorkerProcess(Child);
+
+impl WorkerProcess {
+    /// SIGKILL the process without waiting for it.
+    fn signal(&mut self) {
+        let _ = self.0.kill();
+    }
+
+    /// Wait for the (signalled) process to exit.
+    fn reap(&mut self) {
+        let _ = self.0.wait();
+    }
+}
+
+impl Drop for WorkerProcess {
+    fn drop(&mut self) {
+        self.signal();
+        self.reap();
+    }
+}
+
+/// A worker whose process is up and whose [`Message::LoadProgram`] is on the
+/// wire but not yet acknowledged.
+struct LoadingWorker {
     stream: TcpStream,
+    port: u16,
+    /// Connect attempts the control connection needed.
+    attempts: u32,
+}
+
+/// A live worker process: child handle, control connection, and the
+/// heartbeat monitor flagging it dead on probe timeout. Dropping it
+/// hard-stops the process, reaps it and joins the heartbeat thread.
+struct WorkerHandle {
+    child: WorkerProcess,
+    stream: TcpStream,
+    /// Receive buffer of the control connection, kept across frames: a
+    /// `StepDone` carries a partition's whole state (and, for rollback
+    /// strategies, its outbound) every superstep.
+    payload: Vec<u8>,
     /// Loopback port the worker listens on — published to peers in
     /// [`Message::Membership`] so they can open data-plane links.
     port: u16,
@@ -490,11 +530,18 @@ struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Hard-stop the process and reap it; joins the heartbeat thread.
-    fn destroy(mut self) {
+    /// Tell the heartbeat monitor to stand down and SIGKILL the process,
+    /// waiting for neither.
+    fn signal(&mut self) {
         self.hb_stop.store(true, Ordering::SeqCst);
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        self.child.signal();
+    }
+}
+
+impl Drop for WorkerHandle {
+    fn drop(&mut self) {
+        self.signal();
+        self.child.reap();
         if let Some(thread) = self.hb_thread.take() {
             thread.thread().unpark();
             let _ = thread.join();
@@ -625,9 +672,9 @@ impl ClusterBackend {
             adjacency,
             telemetry,
         };
-        for worker in 0..backend.cfg.workers {
-            let (handle, _attempts) = backend.spawn_and_load(worker)?;
-            backend.slots[worker].handle = Some(handle);
+        let workers: Vec<usize> = (0..backend.cfg.workers).collect();
+        for (worker, (handle, _attempts)) in workers.iter().zip(backend.bring_up(&workers)?) {
+            backend.slots[*worker].handle = Some(handle);
         }
         Ok(backend)
     }
@@ -637,73 +684,97 @@ impl ClusterBackend {
         self.map.pids_of(worker)
     }
 
-    /// Spawn a worker process, wait for its port announcement, connect
-    /// (control + heartbeat) with exponential backoff, and ship the program
-    /// and this worker's adjacency. Returns the handle and the number of
-    /// connect attempts the control connection needed.
-    fn spawn_and_load(&mut self, worker: usize) -> Result<(WorkerHandle, u32)> {
+    /// Bring `workers` up together. Every process is spawned before any is
+    /// waited for, and every [`Message::LoadProgram`] is on the wire before
+    /// any acknowledgement is awaited, so one worker decodes its partitions
+    /// while the next one's are being encoded. Returns each worker's handle
+    /// with the number of connect attempts its control connection needed; on
+    /// failure every process spawned here is killed and reaped.
+    fn bring_up(&self, workers: &[usize]) -> Result<Vec<(WorkerHandle, u32)>> {
+        let failed = |worker: usize, e: io::Error| {
+            EngineError::Io(io::Error::other(format!("failed to bring up worker {worker}: {e}")))
+        };
+        let mut processes = Vec::with_capacity(workers.len());
+        for &worker in workers {
+            processes.push(self.spawn_process().map_err(|e| failed(worker, e))?);
+        }
+        let mut loading = Vec::with_capacity(workers.len());
+        for (&worker, process) in workers.iter().zip(&mut processes) {
+            loading.push(self.connect_and_ship(worker, process).map_err(|e| failed(worker, e))?);
+        }
+        let mut handles = Vec::with_capacity(workers.len());
+        for ((&worker, process), loading) in workers.iter().zip(processes).zip(loading) {
+            let attempts = loading.attempts;
+            let handle = self.finish_load(process, loading).map_err(|e| failed(worker, e))?;
+            handles.push((handle, attempts));
+        }
+        Ok(handles)
+    }
+
+    /// [`Self::bring_up`] for one worker: the respawn and the join path.
+    fn spawn_and_load(&self, worker: usize) -> Result<(WorkerHandle, u32)> {
+        Ok(self.bring_up(&[worker])?.remove(0))
+    }
+
+    fn spawn_process(&self) -> io::Result<WorkerProcess> {
         let cmd = &self.cfg.worker_cmd;
-        let mut child = Command::new(&cmd[0])
+        Command::new(&cmd[0])
             .args(&cmd[1..])
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .spawn()
-            .map_err(EngineError::Io)?;
+            .map(WorkerProcess)
+    }
 
-        let setup = (|| -> io::Result<(TcpStream, TcpStream, u16, u32)> {
-            let stdout = child.stdout.take().ok_or_else(|| io::Error::other("no stdout pipe"))?;
-            let mut lines = BufReader::new(stdout);
-            let port = loop {
-                let mut line = String::new();
-                if lines.read_line(&mut line)? == 0 {
-                    return Err(io::Error::other("worker exited before announcing its port"));
-                }
-                if let Some(rest) = line.trim().strip_prefix(LISTENING_MARKER) {
-                    break rest.trim().parse::<u16>().map_err(|e| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("bad port announcement: {e}"),
-                        )
-                    })?;
-                }
-            };
-            let addr = format!("127.0.0.1:{port}");
-            let (mut stream, attempts) = connect_with_backoff(&addr, &self.cfg)?;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(self.cfg.step_timeout))?;
-            write_frame(
-                &mut stream,
-                &Message::Hello { worker: worker as u64 },
-                Some(&self.bytes_out),
-            )?;
-            expect_welcome(&mut stream, &self.bytes_in)?;
-            let adjacency = self
-                .pids_of(worker)
-                .into_iter()
-                .map(|pid| (pid as u64, self.adjacency[pid].clone()))
-                .collect();
-            write_frame(
-                &mut stream,
-                &Message::LoadProgram { program: self.program_name.clone(), n: self.n, adjacency },
-                Some(&self.bytes_out),
-            )?;
-            expect_welcome(&mut stream, &self.bytes_in)?;
-            let (hb_stream, _) = connect_with_backoff(&addr, &self.cfg)?;
-            hb_stream.set_nodelay(true).ok();
-            hb_stream.set_read_timeout(Some(self.cfg.heartbeat_timeout))?;
-            Ok((stream, hb_stream, port, attempts))
-        })();
-
-        let (stream, hb_stream, port, attempts) = match setup {
-            Ok(parts) => parts,
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(EngineError::Io(io::Error::other(format!(
-                    "failed to bring up worker {worker}: {e}"
-                ))));
+    /// Wait for the process's port announcement, connect the control
+    /// connection with exponential backoff, greet, and send the program and
+    /// this worker's adjacency without waiting for the acknowledgement.
+    fn connect_and_ship(
+        &self,
+        worker: usize,
+        process: &mut WorkerProcess,
+    ) -> io::Result<LoadingWorker> {
+        let stdout = process.0.stdout.take().ok_or_else(|| io::Error::other("no stdout pipe"))?;
+        let mut lines = BufReader::new(stdout);
+        let port = loop {
+            let mut line = String::new();
+            if lines.read_line(&mut line)? == 0 {
+                return Err(io::Error::other("worker exited before announcing its port"));
+            }
+            if let Some(rest) = line.trim().strip_prefix(LISTENING_MARKER) {
+                break rest.trim().parse::<u16>().map_err(|e| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("bad port announcement: {e}"),
+                    )
+                })?;
             }
         };
+        let (mut stream, attempts) = connect_with_backoff(&loopback(port), &self.cfg)?;
+        stream.set_nodelay(true).ok();
+        stream.set_read_timeout(Some(self.cfg.step_timeout))?;
+        write_frame(&mut stream, &Message::Hello { worker: worker as u64 }, Some(&self.bytes_out))?;
+        expect_welcome(&mut stream, &self.bytes_in)?;
+        write_encoded_frame(
+            &mut stream,
+            &self.load_program_payload(worker),
+            Some(&self.bytes_out),
+        )?;
+        Ok(LoadingWorker { stream, port, attempts })
+    }
+
+    /// Await the [`Message::LoadProgram`] acknowledgement, open the
+    /// heartbeat connection and start its monitor.
+    fn finish_load(
+        &self,
+        process: WorkerProcess,
+        loading: LoadingWorker,
+    ) -> io::Result<WorkerHandle> {
+        let LoadingWorker { mut stream, port, .. } = loading;
+        expect_welcome(&mut stream, &self.bytes_in)?;
+        let (hb_stream, _) = connect_with_backoff(&loopback(port), &self.cfg)?;
+        hb_stream.set_nodelay(true).ok();
+        hb_stream.set_read_timeout(Some(self.cfg.heartbeat_timeout))?;
 
         let dead = Arc::new(AtomicBool::new(false));
         let hb_stop = Arc::new(AtomicBool::new(false));
@@ -718,10 +789,29 @@ impl ClusterBackend {
                 heartbeat_loop(hb_stream, stop, dead, interval, rtt, bytes_out, bytes_in)
             })
         };
-        Ok((
-            WorkerHandle { child, stream, port, dead, hb_stop, hb_thread: Some(hb_thread) },
-            attempts,
-        ))
+        Ok(WorkerHandle {
+            child: process,
+            stream,
+            payload: Vec::new(),
+            port,
+            dead,
+            hb_stop,
+            hb_thread: Some(hb_thread),
+        })
+    }
+
+    /// The [`Message::LoadProgram`] payload for `worker`: the program name
+    /// and the adjacency of the partitions the placement map gives it,
+    /// encoded from the rows the coordinator keeps.
+    fn load_program_payload(&self, worker: usize) -> Vec<u8> {
+        let adjacency: Vec<(u64, &AdjRows)> = self
+            .pids_of(worker)
+            .into_iter()
+            .map(|pid| (pid as u64, &self.adjacency[pid]))
+            .collect();
+        let mut payload = Vec::new();
+        encode_load_program(&mut payload, &self.program_name, self.n, &adjacency);
+        payload
     }
 
     /// Bring every slot to a live worker: newly detected deaths become
@@ -856,9 +946,7 @@ impl ClusterBackend {
                     // nothing it owned survives the rebalance anyway.
                     let _ = drained;
                 }
-                if let Some(handle) = self.slots[worker].handle.take() {
-                    handle.destroy();
-                }
+                self.slots[worker].handle = None;
             }
             self.slots.truncate(target);
             self.respawned_since_commit.truncate(target);
@@ -919,14 +1007,9 @@ impl ClusterBackend {
     /// exact `LoadProgram` frame a respawned replacement gets, so moved
     /// partitions ride the same reship path recovery uses.
     fn reload_worker(&mut self, worker: usize, superstep: u32) -> Result<()> {
-        let adjacency = self
-            .pids_of(worker)
-            .into_iter()
-            .map(|pid| (pid as u64, self.adjacency[pid].clone()))
-            .collect();
-        let msg = Message::LoadProgram { program: self.program_name.clone(), n: self.n, adjacency };
+        let payload = self.load_program_payload(worker);
         let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-        if let Err(e) = write_frame(&mut handle.stream, &msg, Some(&self.bytes_out)) {
+        if let Err(e) = write_encoded_frame(&mut handle.stream, &payload, Some(&self.bytes_out)) {
             return Err(self.fail(worker, superstep, format!("rebalance reship failed: {e}")));
         }
         let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
@@ -940,10 +1023,8 @@ impl ClusterBackend {
     /// the eventual [`JournalEvent::RecoveryCost`] bill, and build the
     /// error the driver's recovery arm consumes.
     fn fail(&mut self, worker: usize, superstep: u32, message: String) -> EngineError {
-        if let Some(handle) = self.slots[worker].handle.take() {
-            handle.destroy();
-        }
-        // Declared lost ⇒ actually dead: destroy() above SIGKILLs even a
+        self.slots[worker].handle = None;
+        // Declared lost ⇒ actually dead: dropping the handle SIGKILLs even a
         // merely-slow worker, so its late data-plane frames stop at the
         // epoch check and its late control frames at the superstep echo.
         // The retry must re-push authoritative state (survivor caches hold
@@ -1023,9 +1104,8 @@ impl ClusterBackend {
     /// an unplanned crash.
     fn kill_worker(&mut self, worker: usize) {
         if let Some(handle) = self.slots[worker].handle.as_mut() {
-            handle.hb_stop.store(true, Ordering::SeqCst);
-            let _ = handle.child.kill();
-            let _ = handle.child.wait();
+            handle.signal();
+            handle.child.reap();
         }
     }
 
@@ -1185,7 +1265,7 @@ impl ClusterBackend {
         &mut self,
         superstep: u32,
         step: u64,
-        jobs: Vec<StepJob>,
+        jobs: Vec<StepJob<'_>>,
         send_delay: &[Option<Duration>],
     ) -> Result<()> {
         for job in jobs {
@@ -1197,7 +1277,7 @@ impl ClusterBackend {
                 pid: job.pid as u64,
                 superstep,
                 step,
-                state: job.state,
+                state: job.state.to_vec(),
                 inbound: (*job.inbound).clone(),
             };
             let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
@@ -1218,12 +1298,12 @@ impl ClusterBackend {
         &mut self,
         superstep: u32,
         step: u64,
-        jobs: Vec<StepJob>,
+        jobs: Vec<StepJob<'_>>,
         send_delay: &[Option<Duration>],
     ) -> Result<()> {
         self.ensure_membership(superstep)?;
         let workers = self.slots.len();
-        let mut per_worker: Vec<Vec<StepJob>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut per_worker: Vec<Vec<StepJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
         for job in jobs {
             per_worker[self.map.worker_of(job.pid)].push(job);
         }
@@ -1258,7 +1338,7 @@ impl ClusterBackend {
                     } else {
                         Vec::new()
                     },
-                    parts: wjobs.into_iter().map(|job| (job.pid as u64, job.state)).collect(),
+                    parts: wjobs.iter().map(|job| (job.pid as u64, job.state.to_vec())).collect(),
                 }
             } else {
                 Message::StepGo {
@@ -1305,7 +1385,11 @@ impl ClusterBackend {
             }
             loop {
                 let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-                match read_frame(&mut handle.stream, Some(&self.bytes_in)) {
+                match read_frame_buffered(
+                    &mut handle.stream,
+                    &mut handle.payload,
+                    Some(&self.bytes_in),
+                ) {
                     Ok(Message::StepDone {
                         pid: rpid,
                         superstep: rss,
@@ -1386,7 +1470,7 @@ impl StepBackend for ClusterBackend {
         &mut self,
         superstep: u32,
         step: u64,
-        jobs: Vec<StepJob>,
+        jobs: Vec<StepJob<'_>>,
         _ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
         self.ensure_workers(superstep)?;
@@ -1454,12 +1538,13 @@ impl StepBackend for ClusterBackend {
 
 impl Drop for ClusterBackend {
     fn drop(&mut self) {
-        for slot in &mut self.slots {
-            if let Some(mut handle) = slot.handle.take() {
-                let _ = write_frame(&mut handle.stream, &Message::Shutdown, None);
-                handle.destroy();
-            }
+        // Every worker is told to go before any is waited for, so the
+        // processes exit side by side; dropping the handles then reaps them.
+        for handle in self.slots.iter_mut().filter_map(|slot| slot.handle.as_mut()) {
+            let _ = write_frame(&mut handle.stream, &Message::Shutdown, None);
+            handle.signal();
         }
+        self.slots.clear();
     }
 }
 
@@ -1494,6 +1579,11 @@ fn expect_welcome_skipping_stale(stream: &mut TcpStream, bytes_in: &Counter) -> 
             }
         }
     }
+}
+
+/// A worker's listener address: workers are loopback processes.
+fn loopback(port: u16) -> String {
+    format!("127.0.0.1:{port}")
 }
 
 fn connect_with_backoff(addr: &str, cfg: &ClusterConfig) -> io::Result<(TcpStream, u32)> {
@@ -1579,7 +1669,7 @@ struct ClusterStepOp {
 impl DynOp for ClusterStepOp {
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
         let superstep = ctx.superstep().unwrap_or(0);
-        let state: Partitions<Record> = inputs[0].clone().take("ClusterStep(state)")?;
+        let state: &Partitions<Record> = inputs[0].downcast("ClusterStep(state)")?;
 
         let (jobs, parallelism) = {
             // Satellite fix: the old code deep-cloned (and re-sorted) every
@@ -1589,11 +1679,7 @@ impl DynOp for ClusterStepOp {
             let inboxes = self.shared.inboxes.lock();
             let jobs: Vec<StepJob> = state
                 .iter()
-                .map(|(pid, records)| StepJob {
-                    pid,
-                    state: records.to_vec(),
-                    inbound: inboxes[pid].clone(),
-                })
+                .map(|(pid, state)| StepJob { pid, state, inbound: inboxes[pid].clone() })
                 .collect();
             (jobs, inboxes.len())
         };

@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::iter::Peekable;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::protocol::Msg;
@@ -136,8 +136,10 @@ pub fn bucket_by_pid(msgs: &[Msg], parallelism: usize) -> Vec<Vec<Msg>> {
 /// One superstep's worth of collected peer messages.
 #[derive(Debug, Default)]
 struct Slot {
-    /// Deposited messages, in arrival order (merged by the consumer).
-    msgs: Vec<Msg>,
+    /// Deposited runs, in arrival order (merged by the consumer). Each is
+    /// the decoded frame or self-delivered vector itself, moved in; the
+    /// handle is shared so a consumer merges it outside the inbox lock.
+    runs: Vec<Arc<Vec<Msg>>>,
     /// Members whose [`crate::protocol::Message::ShuffleFlush`] arrived.
     flushed: BTreeSet<u64>,
 }
@@ -213,16 +215,25 @@ impl DataPlane {
         self.complete.notify_all();
     }
 
-    /// Deposit one peer frame's messages into `superstep`'s slot. Frames
-    /// from a stale epoch or below the GC floor are dropped (counted, not
-    /// stored) — this is the satellite-3 double-delivery guard.
-    pub fn deposit(&self, epoch: u64, superstep: u32, msgs: &[Msg]) {
+    /// Deposit one peer frame's messages into `superstep`'s slot as a run:
+    /// the vector is moved in, not copied. Frames from a stale epoch or below
+    /// the GC floor are dropped (counted, not stored) — this is the
+    /// satellite-3 double-delivery guard.
+    pub fn deposit_run(&self, epoch: u64, superstep: u32, run: Vec<Msg>) {
         let mut inbox = self.inbox.lock().unwrap();
         if epoch != inbox.epoch || superstep < inbox.floor {
             inbox.dropped += 1;
             return;
         }
-        inbox.slots.entry(superstep).or_default().msgs.extend_from_slice(msgs);
+        let slot = inbox.slots.entry(superstep).or_default();
+        if !run.is_empty() {
+            slot.runs.push(Arc::new(run));
+        }
+    }
+
+    /// [`Self::deposit_run`] for a caller that keeps its messages.
+    pub fn deposit(&self, epoch: u64, superstep: u32, msgs: &[Msg]) {
+        self.deposit_run(epoch, superstep, msgs.to_vec());
     }
 
     /// Record a member's end-of-superstep flush. Stale-epoch / below-floor
@@ -272,17 +283,25 @@ impl DataPlane {
     /// (indexed by `dst % parallelism`), each in canonical `(src, dst, bits)`
     /// order — the same order the coordinator funnel produces, so direct and
     /// routed runs are bitwise-comparable — and garbage-collect every *older*
-    /// slot. The slot is read in place, once, and merged straight into the
-    /// inboxes; the inbox lock is held meanwhile, which only makes a peer
-    /// thread depositing the *next* superstep's frames wait its turn. The
+    /// slot. The inbox lock is held only to take handles on the slot's runs;
+    /// they are merged straight into the inboxes outside it, so a peer thread
+    /// depositing the *next* superstep's frames never waits on a merge. The
     /// consumed slot itself is retained intact so a post-failure retry under
     /// optimistic recovery can re-consume it.
     pub fn take_inboxes(&self, superstep: u32, parallelism: usize) -> Vec<Vec<Msg>> {
-        let mut inbox = self.inbox.lock().unwrap();
-        inbox.floor = superstep;
-        inbox.slots.retain(|&s, _| s >= superstep);
-        let msgs = inbox.slots.get(&superstep).map_or(&[][..], |slot| &slot.msgs);
-        merge_runs(&[msgs], parallelism)
+        let (runs, collected) = {
+            let mut inbox = self.inbox.lock().unwrap();
+            inbox.floor = superstep;
+            let kept = inbox.slots.split_off(&superstep);
+            let collected = std::mem::replace(&mut inbox.slots, kept);
+            let runs =
+                inbox.slots.get(&superstep).map(|slot| slot.runs.clone()).unwrap_or_default();
+            (runs, collected)
+        };
+        // Megabytes of older runs are freed here, not under the lock.
+        drop(collected);
+        let runs: Vec<&[Msg]> = runs.iter().map(|run| run.as_slice()).collect();
+        merge_runs(&runs, parallelism)
     }
 
     /// [`Self::take_inboxes`] for a single partition: the whole slot in
@@ -364,6 +383,82 @@ mod tests {
             }
             prop_assert_eq!(&plane.take_inboxes(7, parallelism), &expected);
             prop_assert_eq!(plane.take_sorted(7), sorted);
+        }
+    }
+
+    /// The inbox as it was before slots held runs: every deposit appended to
+    /// one vector per slot, which a take scanned for runs and merged.
+    #[derive(Default)]
+    struct ConcatInbox {
+        floor: u32,
+        slots: BTreeMap<u32, Vec<Msg>>,
+        dropped: u64,
+    }
+
+    impl ConcatInbox {
+        fn deposit(&mut self, epoch: u64, superstep: u32, msgs: &[Msg]) {
+            if epoch != 1 || superstep < self.floor {
+                self.dropped += 1;
+            } else {
+                self.slots.entry(superstep).or_default().extend_from_slice(msgs);
+            }
+        }
+
+        fn take_inboxes(&mut self, superstep: u32, parallelism: usize) -> Vec<Vec<Msg>> {
+            self.floor = superstep;
+            self.slots.retain(|&s, _| s >= superstep);
+            let msgs = self.slots.get(&superstep).map_or(&[][..], Vec::as_slice);
+            merge_runs(&[msgs], parallelism)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn slots_of_runs_equal_the_concatenated_inbox_under_any_interleaving(
+            // ((source, superstep offset), (stale epoch?, take first?), messages)
+            deposits in prop::collection::vec(
+                (
+                    (0u64..3, 0u32..3),
+                    (0u8..8, 0u8..6),
+                    prop::collection::vec((0u64..20, 0u64..20, 0u64..3), 0..30),
+                ),
+                0..24,
+            ),
+            parallelism in 1usize..5,
+        ) {
+            let plane = DataPlane::default();
+            plane.install_membership(1, [0, 1, 2]);
+            let mut model = ConcatInbox::default();
+            for (i, ((source, offset), (stale, take), mut msgs)) in
+                deposits.into_iter().enumerate()
+            {
+                // A consume racing the peers' deposits, at most one slot back.
+                if take == 0 {
+                    let superstep = 5 + offset;
+                    prop_assert_eq!(
+                        plane.take_inboxes(superstep, parallelism),
+                        model.take_inboxes(superstep, parallelism)
+                    );
+                }
+                // Each source's frames are born sorted; sources interleave.
+                msgs.iter_mut().for_each(|msg| msg.0 = msg.0 * 3 + source);
+                msgs.sort_unstable();
+                let (epoch, superstep) = (if stale == 0 { 2 } else { 1 }, 5 + offset);
+                model.deposit(epoch, superstep, &msgs);
+                if i % 2 == 0 {
+                    plane.deposit(epoch, superstep, &msgs);
+                } else {
+                    plane.deposit_run(epoch, superstep, msgs);
+                }
+            }
+            prop_assert_eq!(plane.dropped(), model.dropped);
+            for superstep in 5..8 {
+                let expected = model.take_inboxes(superstep, parallelism);
+                prop_assert_eq!(&plane.take_inboxes(superstep, parallelism), &expected);
+                // The consumed slot is still there for an optimistic retry.
+                prop_assert_eq!(&plane.take_inboxes(superstep, parallelism), &expected);
+            }
+            prop_assert_eq!(plane.dropped(), model.dropped);
         }
     }
 

@@ -20,7 +20,7 @@
 
 use std::io::{self, Read, Write};
 
-use dataflow::codec::{decode_exact, encode_to_vec, Codec};
+use dataflow::codec::{decode_exact, encode_slice, encode_str, encode_to_vec, Codec};
 use dataflow::error::{EngineError, Result};
 use telemetry::metrics::Counter;
 
@@ -347,10 +347,9 @@ impl Codec for Message {
             }
             Message::Welcome => out.push(1),
             Message::LoadProgram { program, n, adjacency } => {
-                out.push(2);
-                program.encode(out);
-                n.encode(out);
-                adjacency.encode(out);
+                let parts: Vec<(u64, &AdjRows)> =
+                    adjacency.iter().map(|(pid, rows)| (*pid, rows)).collect();
+                encode_load_program(out, program, *n, &parts);
             }
             Message::RunStep { pid, superstep, step, state, inbound } => {
                 out.push(3);
@@ -411,7 +410,7 @@ impl Codec for Message {
                 epoch.encode(out);
             }
             Message::ShuffleFrame { from_worker, epoch, superstep, msgs } => {
-                out.push(13);
+                out.push(SHUFFLE_FRAME_TAG);
                 from_worker.encode(out);
                 epoch.encode(out);
                 superstep.encode(out);
@@ -525,7 +524,7 @@ impl Codec for Message {
             12 => {
                 Message::PeerHello { from_worker: u64::decode(input)?, epoch: u64::decode(input)? }
             }
-            13 => Message::ShuffleFrame {
+            SHUFFLE_FRAME_TAG => Message::ShuffleFrame {
                 from_worker: u64::decode(input)?,
                 epoch: u64::decode(input)?,
                 superstep: u32::decode(input)?,
@@ -569,6 +568,97 @@ impl Codec for Message {
                 return Err(EngineError::Codec(format!("unknown cluster message tag {other}")))
             }
         })
+    }
+}
+
+/// Encode a [`Message::LoadProgram`] from adjacency rows the caller keeps:
+/// the bytes [`Codec::encode`] produces for the owned message (it calls
+/// this), without first cloning every partition's rows into one.
+pub fn encode_load_program(
+    out: &mut Vec<u8>,
+    program: &str,
+    n: u64,
+    adjacency: &[(u64, &AdjRows)],
+) {
+    out.push(2);
+    encode_str(program, out);
+    n.encode(out);
+    (adjacency.len() as u64).encode(out);
+    for (pid, rows) in adjacency {
+        pid.encode(out);
+        encode_slice(rows, out);
+    }
+}
+
+/// Wire tag of [`Message::ShuffleFrame`].
+const SHUFFLE_FRAME_TAG: u8 = 13;
+
+/// Bytes of a [`Message::ShuffleFrame`] ahead of its messages: the frame's
+/// length prefix, the tag, `from_worker`, `epoch`, `superstep` and the
+/// message count.
+const SHUFFLE_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 4 + 8;
+
+/// Encoded size of one [`Msg`].
+const MSG_BYTES: usize = match <Msg as Codec>::WIDTH {
+    Some(width) => width,
+    None => panic!("Msg is a tuple of fixed-width scalars"),
+};
+
+/// A [`Message::ShuffleFrame`] under construction, as the bytes that go to
+/// the socket, length prefix included. The sender encodes each routed
+/// message straight into it — the only copy a cross-worker message gets on
+/// the sending side — and keeps the buffer, and with it the allocation,
+/// from one frame to the next.
+#[derive(Debug)]
+pub struct ShuffleFrameBuf {
+    bytes: Vec<u8>,
+}
+
+impl Default for ShuffleFrameBuf {
+    fn default() -> Self {
+        ShuffleFrameBuf { bytes: vec![0; SHUFFLE_HEADER_BYTES] }
+    }
+}
+
+impl ShuffleFrameBuf {
+    /// Append one message.
+    #[inline]
+    pub fn push(&mut self, msg: &Msg) {
+        let mut encoded = [0u8; MSG_BYTES];
+        msg.write_fixed(&mut encoded);
+        self.bytes.extend_from_slice(&encoded);
+    }
+
+    /// Messages appended since the last [`Self::clear`].
+    pub fn len(&self) -> usize {
+        (self.bytes.len() - SHUFFLE_HEADER_BYTES) / MSG_BYTES
+    }
+
+    /// Whether no message was appended since the last [`Self::clear`].
+    pub fn is_empty(&self) -> bool {
+        self.bytes.len() == SHUFFLE_HEADER_BYTES
+    }
+
+    /// Fill in the header and return the complete frame: what
+    /// [`write_frame`] would write for the equivalent
+    /// [`Message::ShuffleFrame`]. Fails like it on a payload beyond
+    /// [`MAX_FRAME_BYTES`].
+    pub fn finish(&mut self, from_worker: u64, epoch: u64, superstep: u32) -> Result<&[u8]> {
+        let payload_len = checked_frame_len(self.bytes.len() - 4)?;
+        let count = self.len() as u64;
+        let header = &mut self.bytes[..SHUFFLE_HEADER_BYTES];
+        header[..4].copy_from_slice(&payload_len.to_le_bytes());
+        header[4] = SHUFFLE_FRAME_TAG;
+        header[5..13].copy_from_slice(&from_worker.to_le_bytes());
+        header[13..21].copy_from_slice(&epoch.to_le_bytes());
+        header[21..25].copy_from_slice(&superstep.to_le_bytes());
+        header[25..].copy_from_slice(&count.to_le_bytes());
+        Ok(&self.bytes)
+    }
+
+    /// Drop the messages, keep the allocation.
+    pub fn clear(&mut self) {
+        self.bytes.truncate(SHUFFLE_HEADER_BYTES);
     }
 }
 
@@ -623,9 +713,21 @@ pub fn write_encoded_frame(
 
 /// Read one frame, counting the bytes into `bytes_in`. Decode failures and
 /// oversized length prefixes surface as [`io::ErrorKind::InvalidData`]; a
-/// clean EOF before the length prefix surfaces as
+/// clean EOF before the length prefix, or a payload cut short, surfaces as
 /// [`io::ErrorKind::UnexpectedEof`].
 pub fn read_frame(r: &mut impl Read, bytes_in: Option<&Counter>) -> io::Result<Message> {
+    read_frame_buffered(r, &mut Vec::new(), bytes_in)
+}
+
+/// [`read_frame`] through a payload buffer the caller keeps per connection,
+/// so a stream of multi-megabyte frames is read into one allocation instead
+/// of a freshly zero-filled one per frame. The buffer grows with the bytes
+/// that actually arrive, never with what a length prefix merely claims.
+pub fn read_frame_buffered(
+    r: &mut impl Read,
+    payload: &mut Vec<u8>,
+    bytes_in: Option<&Counter>,
+) -> io::Result<Message> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
@@ -635,18 +737,25 @@ pub fn read_frame(r: &mut impl Read, bytes_in: Option<&Counter>) -> io::Result<M
             format!("frame length prefix {len} exceeds MAX_FRAME_BYTES (corrupt stream?)"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    payload.clear();
+    r.by_ref().take(u64::from(len)).read_to_end(payload)?;
+    if payload.len() < len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame payload ended after {} of {len} bytes", payload.len()),
+        ));
+    }
     if let Some(counter) = bytes_in {
         counter.add(4 + u64::from(len));
     }
-    decode_exact::<Message>(&payload)
+    decode_exact::<Message>(payload)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip(msg: Message) {
         let mut buf = Vec::new();
@@ -784,5 +893,127 @@ mod tests {
         let err = read_frame(&mut buf.as_slice(), None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("unknown cluster message tag"), "{err}");
+    }
+
+    fn frame_of(msg: &Message) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, msg, None).unwrap();
+        frame
+    }
+
+    #[test]
+    fn load_program_from_borrowed_rows_is_the_owned_message() {
+        let adjacency: Vec<(u64, AdjRows)> =
+            vec![(1, vec![(1, vec![0, 2, 5]), (3, vec![]), (5, vec![1])]), (3, vec![])];
+        let owned =
+            Message::LoadProgram { program: "cc".into(), n: 6, adjacency: adjacency.clone() };
+        let borrowed: Vec<(u64, &AdjRows)> =
+            adjacency.iter().map(|(pid, rows)| (*pid, rows)).collect();
+        let mut payload = Vec::new();
+        encode_load_program(&mut payload, "cc", 6, &borrowed);
+        assert_eq!(payload, encode_to_vec(&owned));
+        // ... which is the tag and then the fields as the generic tuple and
+        // `Vec` codec lay them out: the format every earlier worker decodes.
+        let mut fields = vec![2u8];
+        (String::from("cc"), 6u64, adjacency).encode(&mut fields);
+        assert_eq!(payload, fields);
+        assert_eq!(decode_exact::<Message>(&payload).unwrap(), owned);
+    }
+
+    /// Frames with a `Vec` of fixed-width elements, and the offset of that
+    /// `Vec`'s element count inside the frame.
+    fn counted_frames(msgs: Vec<Msg>) -> Vec<(Vec<u8>, usize)> {
+        let records: Vec<Record> = msgs.iter().map(|&(v, _, bits)| (v, bits)).collect();
+        let spans: Vec<SpanRow> = msgs.iter().map(|&(a, b, c)| (a, b, c, a ^ b)).collect();
+        let pids: Vec<u64> = msgs.iter().map(|msg| msg.1).collect();
+        let mut fused = ShuffleFrameBuf::default();
+        msgs.iter().for_each(|msg| fused.push(msg));
+        vec![
+            (fused.finish(1, 3, 9).unwrap().to_vec(), SHUFFLE_HEADER_BYTES - 8),
+            (
+                frame_of(&Message::StepDone {
+                    pid: 2,
+                    superstep: 9,
+                    state: records,
+                    outbound: msgs,
+                    changed: 1,
+                    shuffled: 4,
+                }),
+                4 + 1 + 8 + 4,
+            ),
+            (
+                frame_of(&Message::TelemetryFrame { worker: 1, superstep: 9, seq: 0, spans }),
+                4 + 1 + 8 + 4 + 8,
+            ),
+            (
+                frame_of(&Message::StepGo { superstep: 9, step: 8, inbound_superstep: 8, pids }),
+                4 + 1 + 4 + 8 + 4,
+            ),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn the_frame_decoder_rejects_hostile_input_without_panicking(
+            noise in prop::collection::vec(any::<u8>(), 0..200),
+            msgs in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..12),
+            prefix in any::<u32>(),
+            count in any::<u64>(),
+        ) {
+            // Arbitrary bytes: an error, or — when they happen to spell a
+            // frame — exactly that frame. Never a panic.
+            if let Ok(msg) = read_frame(&mut noise.as_slice(), None) {
+                let frame = frame_of(&msg);
+                prop_assert_eq!(&noise[..frame.len()], frame.as_slice());
+            }
+            for (frame, count_at) in counted_frames(msgs) {
+                prop_assert!(read_frame(&mut frame.as_slice(), None).is_ok());
+                for cut in 0..frame.len() {
+                    prop_assert!(read_frame(&mut &frame[..cut], None).is_err(), "cut at {}", cut);
+                }
+                if prefix.to_le_bytes() != frame[..4] {
+                    let mut corrupt = frame.clone();
+                    corrupt[..4].copy_from_slice(&prefix.to_le_bytes());
+                    prop_assert!(read_frame(&mut corrupt.as_slice(), None).is_err());
+                }
+                if count.to_le_bytes() != frame[count_at..count_at + 8] {
+                    let mut corrupt = frame.clone();
+                    corrupt[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+                    prop_assert!(read_frame(&mut corrupt.as_slice(), None).is_err());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hostile_length_prefix_allocates_for_the_bytes_present_only() {
+        // The largest prefix the format admits, and ten bytes behind it.
+        let mut stream = MAX_FRAME_BYTES.to_le_bytes().to_vec();
+        stream.extend_from_slice(&[7u8; 10]);
+        let mut payload = Vec::new();
+        let err = read_frame_buffered(&mut stream.as_slice(), &mut payload, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(payload.capacity() < 4096, "allocated {} bytes", payload.capacity());
+    }
+
+    #[test]
+    fn a_kept_receive_buffer_is_reused_across_frames() {
+        let big = Message::ShuffleFrame {
+            from_worker: 0,
+            epoch: 1,
+            superstep: 2,
+            msgs: (0..500).map(|i| (i, i + 1, i + 2)).collect(),
+        };
+        let mut stream = frame_of(&big);
+        stream.extend(frame_of(&Message::Welcome));
+        stream.extend(frame_of(&big));
+        let mut reader = stream.as_slice();
+        let mut payload = Vec::new();
+        assert_eq!(read_frame_buffered(&mut reader, &mut payload, None).unwrap(), big);
+        let (buffer, capacity) = (payload.as_ptr(), payload.capacity());
+        assert_eq!(read_frame_buffered(&mut reader, &mut payload, None).unwrap(), Message::Welcome);
+        assert_eq!(read_frame_buffered(&mut reader, &mut payload, None).unwrap(), big);
+        assert_eq!((payload.as_ptr(), payload.capacity()), (buffer, capacity));
+        assert!(reader.is_empty());
     }
 }

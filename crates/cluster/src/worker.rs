@@ -15,8 +15,12 @@
 //! connection installs peer links from [`Message::Membership`], then runs
 //! whole supersteps from [`Message::StepGo`] / [`Message::StepReset`]
 //! against cached partition state, shipping outbound messages directly to
-//! peers (batched, overlapped with the remaining partitions' compute)
-//! instead of funnelling them through the coordinator.
+//! peers (one frame per partition and peer, overlapped with the remaining
+//! partitions' compute) instead of funnelling them through the coordinator.
+//! A cross-worker message is copied once on each side: encoded from the
+//! step's outbound into the frame buffer the socket write reads, and decoded
+//! from the connection's receive buffer into the vector the inbox keeps as a
+//! run (DESIGN.md, "Shuffle path").
 //!
 //! Workers are deliberately crash-only: `Shutdown` exits the process, and
 //! every other termination path is an abrupt connection loss that the
@@ -31,32 +35,37 @@
 //! `optirec-worker worker=<id> …` lines so a kill-storm is debuggable from
 //! the process logs alone.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dataflow::codec::encode_to_vec;
+use dataflow::codec::{encode_to_vec, Codec};
 use parking_lot::Mutex;
 
 use crate::exchange::DataPlane;
 use crate::program::{lookup, ClusterProgram};
 use crate::protocol::{
-    read_frame, write_encoded_frame, write_frame, AdjRows, Message, Msg, Record, SpanRow,
-    NO_INBOUND, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
+    read_frame_buffered, write_encoded_frame, write_frame, AdjRows, Message, Msg, Record,
+    ShuffleFrameBuf, SpanRow, NO_INBOUND, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
+    SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 
 /// Marker line a worker prints to stdout once its listener is bound; the
 /// rest of the line is the decimal port number.
 pub const LISTENING_MARKER: &str = "OPTIREC_WORKER_LISTENING";
 
-/// Messages accumulated for one peer before the batch is shipped as a
-/// [`Message::ShuffleFrame`] mid-superstep. Small enough to keep frames
-/// well under [`crate::protocol::MAX_FRAME_BYTES`], large enough that
-/// framing overhead is noise; full batches ship between partition computes,
-/// overlapping this superstep's shuffle with its remaining compute.
+/// The fewest messages worth a [`Message::ShuffleFrame`] of their own
+/// mid-superstep. A peer's frame is checked against it *between* partition
+/// computes, never inside one, so it is a floor, not a frame size: a frame
+/// holds one partition's whole share for that peer (150k messages on the
+/// benchmark graph) — or, below the floor, the shares of several small
+/// partitions, shipped together at the end of the superstep. Shipping between
+/// computes overlaps this superstep's shuffle with its remaining compute,
+/// and keeps every frame a single born-sorted run per source partition, so
+/// the receiver's merge never sees more runs than partitions.
 pub const SHUFFLE_BATCH_MSGS: usize = 8192;
 
 /// Structured worker-side stderr log line: `optirec-worker worker=<id>
@@ -110,16 +119,134 @@ struct DirectCtx {
     /// `pid % members` (the initial assignment the coordinator's placement
     /// map starts from).
     members: u64,
-    /// Partition → worker assignment installed by [`Message::MapUpdate`];
-    /// empty until one arrives for the current epoch. Routing consults this
-    /// first — it is what lets partitions live anywhere after a rebalance.
-    assignment: Vec<u64>,
-    /// Outgoing data-plane links: `(peer worker, stream)`. A write failure
-    /// drops the link; the coordinator's failure detector owns the rest.
-    links: Vec<(u64, TcpStream)>,
+    /// Outgoing data-plane links, one per peer in membership order.
+    links: Vec<PeerLink>,
+    /// Destination of every partition's messages, indexed by `pid`: built
+    /// once per [`Message::Membership`] and again from the
+    /// [`Message::MapUpdate`] that follows it — which is what lets
+    /// partitions live anywhere after a rebalance — so routing a message is
+    /// one table read.
+    routes: Vec<Route>,
     /// Cached per-partition state, carried across supersteps so steady-state
     /// dispatches ([`Message::StepGo`]) need not re-ship state down.
     state: HashMap<u64, Vec<Record>>,
+    /// Encode buffer of the [`Message::StepDone`] replies, kept across
+    /// supersteps.
+    reply: Vec<u8>,
+}
+
+/// Where the messages addressed to one partition go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// This worker owns the partition: self-delivery through the local
+    /// inbox.
+    Own,
+    /// The partition's owner is `links[i]`.
+    Link(usize),
+    /// The partition's owner is no member this worker holds a link to; its
+    /// messages have nowhere to go.
+    Unlinked,
+}
+
+impl DirectCtx {
+    /// Rebuild [`Self::routes`] for `worker` from a placement `assignment`
+    /// (`assignment[pid]` = owner), falling back to `pid % members` for any
+    /// partition it does not name.
+    fn install_routes(&mut self, worker: u64, assignment: &[u64]) {
+        self.routes = (0..self.parallelism)
+            .map(|pid| {
+                let owner = assignment.get(pid as usize).copied().unwrap_or(pid % self.members);
+                if owner == worker {
+                    Route::Own
+                } else {
+                    self.links
+                        .iter()
+                        .position(|link| link.peer == owner)
+                        .map_or(Route::Unlinked, Route::Link)
+                }
+            })
+            .collect();
+    }
+
+    /// Route one partition's outbound: messages for peers are encoded
+    /// straight into the frame they leave in, the rest are returned as the
+    /// self-delivered run. Both keep `outbound`'s order, so a born-sorted
+    /// outbound yields born-sorted frames and a born-sorted run.
+    fn route(&mut self, outbound: &[Msg]) -> Vec<Msg> {
+        let mut own = Vec::with_capacity(outbound.len());
+        for msg in outbound {
+            match self.routes[(msg.1 % self.parallelism) as usize] {
+                Route::Own => own.push(*msg),
+                Route::Link(i) => self.links[i].frame.push(msg),
+                Route::Unlinked => {}
+            }
+        }
+        own
+    }
+}
+
+/// One outgoing data-plane link and the frame being filled for it.
+struct PeerLink {
+    peer: u64,
+    /// `None` once a write failed: the peer is presumed dead, its frames are
+    /// discarded, and the coordinator's failure detector owns the rest.
+    stream: Option<TcpStream>,
+    /// The next [`Message::ShuffleFrame`] for this peer, kept across frames
+    /// and supersteps.
+    frame: ShuffleFrameBuf,
+    /// Wire bytes (length prefixes included) shipped this superstep.
+    bytes: u64,
+    /// Data frames shipped this superstep.
+    frames: u64,
+}
+
+impl PeerLink {
+    /// Write the pending frame, if it holds any message, and start the next.
+    fn ship(&mut self, worker: u64, epoch: u64, superstep: u32) {
+        if self.frame.is_empty() {
+            return;
+        }
+        if let Some(stream) = &mut self.stream {
+            let sent = self
+                .frame
+                .finish(worker, epoch, superstep)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
+                .and_then(|frame| stream.write_all(frame).map(|()| frame.len() as u64));
+            match sent {
+                Ok(bytes) => {
+                    self.bytes += bytes;
+                    self.frames += 1;
+                }
+                Err(e) => self.lost(worker, superstep, &e),
+            }
+        }
+        self.frame.clear();
+    }
+
+    /// Write the end-of-superstep marker.
+    fn flush(&mut self, worker: u64, epoch: u64, superstep: u32) {
+        let Some(stream) = &mut self.stream else { return };
+        let flush = Message::ShuffleFlush {
+            from_worker: worker,
+            epoch,
+            superstep,
+            frames: self.frames,
+            bytes: self.bytes,
+        };
+        if let Err(e) = write_frame(stream, &flush, None) {
+            self.lost(worker, superstep, &e);
+        }
+    }
+
+    fn lost(&mut self, worker: u64, superstep: u32, error: &io::Error) {
+        wlog(
+            Some(worker),
+            Some(superstep),
+            "peer_link_lost",
+            &format!("peer={} error={error}", self.peer),
+        );
+        self.stream = None;
+    }
 }
 
 /// One partition's outcome inside a direct-mode superstep, held back until
@@ -175,9 +302,12 @@ fn serve(
     // Set once this connection identifies itself as a peer data-plane link
     // (via `PeerHello`), so teardown can tell the inbox the peer is gone.
     let mut peer_identity: Option<(u64, u64)> = None;
+    // One receive buffer per connection: every frame's payload is read into
+    // it and decoded from it.
+    let mut payload = Vec::new();
     let result = (|| -> io::Result<()> {
         loop {
-            let msg = match read_frame(&mut stream, None) {
+            let msg = match read_frame_buffered(&mut stream, &mut payload, None) {
                 Ok(msg) => msg,
                 // Peer hung up between frames: a normal connection end.
                 Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
@@ -244,7 +374,13 @@ fn serve(
                             &Message::PeerHello { from_worker: my, epoch },
                             None,
                         )?;
-                        links.push((peer, link));
+                        links.push(PeerLink {
+                            peer,
+                            stream: Some(link),
+                            frame: ShuffleFrameBuf::default(),
+                            bytes: 0,
+                            frames: 0,
+                        });
                     }
                     plane.install_membership(epoch, peers.iter().map(|&(w, _)| w));
                     wlog(
@@ -263,23 +399,29 @@ fn serve(
                     // moved under the new epoch, so routing falls back to
                     // `pid % members` until the MapUpdate that follows every
                     // Membership broadcast re-installs it.
-                    let state = ctx.take().map(|c| c.state).unwrap_or_default();
-                    ctx = Some(DirectCtx {
+                    let (state, reply) = ctx.take().map(|c| (c.state, c.reply)).unwrap_or_default();
+                    let mut direct = DirectCtx {
                         epoch,
                         parallelism,
                         ship_outbound: ship_outbound != 0,
                         data_timeout: Duration::from_millis(data_timeout_ms),
                         members: peers.len() as u64,
-                        assignment: Vec::new(),
                         links,
+                        routes: Vec::new(),
                         state,
-                    });
+                        reply,
+                    };
+                    direct.install_routes(my, &[]);
+                    ctx = Some(direct);
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
                 Message::MapUpdate { epoch, version, assignment } => {
-                    let direct = ctx.as_mut().ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "MapUpdate before Membership")
-                    })?;
+                    let (Some(my), Some(direct)) = (worker, ctx.as_mut()) else {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "MapUpdate before Membership",
+                        ));
+                    };
                     if epoch == direct.epoch {
                         wlog(
                             worker,
@@ -287,7 +429,7 @@ fn serve(
                             "map_update",
                             &format!("epoch={epoch} version={version} pids={}", assignment.len()),
                         );
-                        direct.assignment = assignment;
+                        direct.install_routes(my, &assignment);
                     } else {
                         // A stale map (raced with a newer Membership) must
                         // not overwrite routing, but the coordinator still
@@ -446,7 +588,7 @@ fn serve(
                     wlog(worker, None, "peer_hello", &format!("from={from_worker} epoch={epoch}"));
                 }
                 Message::ShuffleFrame { from_worker: _, epoch, superstep, msgs } => {
-                    plane.deposit(epoch, superstep, &msgs);
+                    plane.deposit_run(epoch, superstep, msgs);
                 }
                 Message::ShuffleFlush { from_worker, epoch, superstep, .. } => {
                     plane.flush(epoch, superstep, from_worker);
@@ -568,49 +710,12 @@ fn connect_peer(port: u64) -> io::Result<TcpStream> {
     TcpStream::connect(&addr)
 }
 
-/// Encode and write one [`Message::ShuffleFrame`] to `peer`, clearing
-/// `batch` and accounting the wire bytes. A write failure is soft: the peer
-/// is presumed dead, the link is dropped, and the coordinator's failure
-/// detector owns the consequences.
-fn ship_batch(
-    links: &mut Vec<(u64, TcpStream)>,
-    shipped: &mut BTreeMap<u64, (u64, u64)>,
-    worker: u64,
-    epoch: u64,
-    superstep: u32,
-    peer: u64,
-    batch: &mut Vec<Msg>,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    let msgs = std::mem::take(batch);
-    let frame = Message::ShuffleFrame { from_worker: worker, epoch, superstep, msgs };
-    let payload = encode_to_vec(&frame);
-    let Some(idx) = links.iter().position(|&(p, _)| p == peer) else { return };
-    match write_encoded_frame(&mut links[idx].1, &payload, None) {
-        Ok(()) => {
-            let entry = shipped.entry(peer).or_default();
-            entry.0 += 4 + payload.len() as u64;
-            entry.1 += 1;
-        }
-        Err(e) => {
-            wlog(
-                Some(worker),
-                Some(superstep),
-                "peer_link_lost",
-                &format!("peer={peer} error={e}"),
-            );
-            links.remove(idx);
-        }
-    }
-}
-
 /// Run one whole superstep over this worker's partitions in direct mode:
-/// compute each partition against its resolved inbound, route outbound
-/// messages into per-peer batches (full batches ship mid-superstep,
-/// overlapping the remaining compute), flush every peer, deposit
-/// self-destined messages locally, and only then report per-partition
+/// compute each partition against its resolved inbound, route its outbound
+/// through the destination table — peers' messages straight into the frames
+/// they leave in, this worker's own into a run moved into the local inbox —
+/// ship every frame worth shipping (overlapping the remaining compute),
+/// flush every peer, and only then report per-partition
 /// [`Message::StepDone`]s — so by the time the coordinator can commit the
 /// superstep, every data-plane flush is already written.
 #[allow(clippy::too_many_arguments)]
@@ -633,10 +738,9 @@ fn run_direct_step(
         })?;
         (program, state.n)
     };
-    let mut self_msgs: Vec<Msg> = Vec::new();
-    let mut batches: BTreeMap<u64, Vec<Msg>> =
-        ctx.links.iter().map(|&(peer, _)| (peer, Vec::new())).collect();
-    let mut shipped: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    for link in &mut ctx.links {
+        (link.bytes, link.frames) = (0, 0);
+    }
     let mut outcomes = Vec::with_capacity(pids.len());
     let empty: Vec<Msg> = Vec::new();
     for &pid in pids {
@@ -659,24 +763,14 @@ fn run_direct_step(
 
         let exchange_start = Instant::now();
         let shuffled = out.outbound.len() as u64;
-        for &msg in &out.outbound {
-            let dest_pid = msg.1 % ctx.parallelism;
-            // Ownership comes from the coordinator's placement map when one
-            // was shipped for this epoch; the modulo fallback matches the
-            // map's initial assignment.
-            let dest =
-                ctx.assignment.get(dest_pid as usize).copied().unwrap_or(dest_pid % ctx.members);
-            if dest == worker {
-                self_msgs.push(msg);
-            } else {
-                batches.entry(dest).or_default().push(msg);
-            }
-        }
-        // Pipelining: full batches ship now, overlapping the remaining
-        // partitions' compute with this superstep's shuffle.
-        for (&peer, batch) in batches.iter_mut() {
-            if batch.len() >= SHUFFLE_BATCH_MSGS {
-                ship_batch(&mut ctx.links, &mut shipped, worker, ctx.epoch, superstep, peer, batch);
+        // Self-delivery participates in the same completeness protocol.
+        let own = ctx.route(&out.outbound);
+        plane.deposit_run(ctx.epoch, superstep, own);
+        // Pipelining: frames worth shipping go now, overlapping the
+        // remaining partitions' compute with this superstep's shuffle.
+        for link in &mut ctx.links {
+            if link.frame.len() >= SHUFFLE_BATCH_MSGS {
+                link.ship(worker, ctx.epoch, superstep);
             }
         }
         let exchange_ns = exchange_start.elapsed().as_nanos() as u64;
@@ -691,37 +785,15 @@ fn run_direct_step(
         });
     }
 
-    // Final flush: drain remaining batches, then the end-of-superstep
-    // marker to every peer — before any StepDone, so a committed superstep
-    // implies every flush is already written to the peer sockets.
-    let peers: Vec<u64> = batches.keys().copied().collect();
-    for &peer in &peers {
-        let mut batch = batches.remove(&peer).unwrap_or_default();
-        ship_batch(&mut ctx.links, &mut shipped, worker, ctx.epoch, superstep, peer, &mut batch);
+    // Final flush: ship what is left, then the end-of-superstep marker to
+    // every peer — before any StepDone, so a committed superstep implies
+    // every flush is already written to the peer sockets.
+    for link in &mut ctx.links {
+        link.ship(worker, ctx.epoch, superstep);
     }
-    for &peer in &peers {
-        let (bytes, frames) = shipped.get(&peer).copied().unwrap_or_default();
-        let flush = Message::ShuffleFlush {
-            from_worker: worker,
-            epoch: ctx.epoch,
-            superstep,
-            frames,
-            bytes,
-        };
-        if let Some(idx) = ctx.links.iter().position(|&(p, _)| p == peer) {
-            if let Err(e) = write_frame(&mut ctx.links[idx].1, &flush, None) {
-                wlog(
-                    Some(worker),
-                    Some(superstep),
-                    "peer_link_lost",
-                    &format!("peer={peer} error={e}"),
-                );
-                ctx.links.remove(idx);
-            }
-        }
+    for link in &mut ctx.links {
+        link.flush(worker, ctx.epoch, superstep);
     }
-    // Self-delivery participates in the same completeness protocol.
-    plane.deposit(ctx.epoch, superstep, &self_msgs);
     plane.flush(ctx.epoch, superstep, worker);
 
     let last = outcomes.len().saturating_sub(1);
@@ -733,7 +805,8 @@ fn run_direct_step(
         let records = state.len() as u64 + shuffled;
         let reply = Message::StepDone { pid, superstep, state, outbound, changed, shuffled };
         let shuffle_start = Instant::now();
-        let payload = encode_to_vec(&reply);
+        ctx.reply.clear();
+        reply.encode(&mut ctx.reply);
         let shuffle_ns = shuffle_start.elapsed().as_nanos() as u64;
         if let Message::StepDone { state, .. } = reply {
             ctx.state.insert(pid, state);
@@ -746,8 +819,8 @@ fn run_direct_step(
         if i == last {
             // Per-peer data-plane byte accounting rides the last partition's
             // telemetry frame, once per superstep.
-            for (&peer, &(bytes, frames)) in &shipped {
-                spans.push((peer, SPAN_PHASE_PEER_BYTES, bytes, frames));
+            for link in ctx.links.iter().filter(|link| link.frames > 0) {
+                spans.push((link.peer, SPAN_PHASE_PEER_BYTES, link.bytes, link.frames));
             }
         }
         write_frame(
@@ -756,7 +829,7 @@ fn run_direct_step(
             None,
         )?;
         *seq += 1;
-        write_encoded_frame(stream, &payload, None)?;
+        write_encoded_frame(stream, &ctx.reply, None)?;
     }
     Ok(())
 }
@@ -764,6 +837,78 @@ fn run_direct_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::read_frame;
+    use proptest::prelude::*;
+
+    /// A direct-mode context for `members` workers with one unconnected link
+    /// per peer: enough to route and fill frames, which is all that happens
+    /// before a frame is written.
+    fn routing_ctx(worker: u64, members: u64, parallelism: u64, assignment: &[u64]) -> DirectCtx {
+        let links = (0..members)
+            .filter(|&peer| peer != worker)
+            .map(|peer| PeerLink {
+                peer,
+                stream: None,
+                frame: ShuffleFrameBuf::default(),
+                bytes: 0,
+                frames: 0,
+            })
+            .collect();
+        let mut ctx = DirectCtx {
+            epoch: 4,
+            parallelism,
+            ship_outbound: false,
+            data_timeout: Duration::ZERO,
+            members,
+            links,
+            routes: Vec::new(),
+            state: HashMap::new(),
+            reply: Vec::new(),
+        };
+        ctx.install_routes(worker, assignment);
+        ctx
+    }
+
+    proptest! {
+        #[test]
+        fn fused_route_and_encode_equals_batching_then_encoding_the_message(
+            outbound in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..80),
+            shape in (1u64..5, 1u64..7),
+            worker in 0u64..4,
+            assignment in prop::collection::vec(0u64..6, 0..7),
+        ) {
+            // Owners named by a placement map may be absent from the
+            // membership (index >= members): their messages go nowhere.
+            let (members, parallelism) = shape;
+            let worker = worker % members;
+            let mut ctx = routing_ctx(worker, members, parallelism, &assignment);
+            let owner_of = |msg: &Msg| {
+                let pid = msg.1 % parallelism;
+                assignment.get(pid as usize).copied().unwrap_or(pid % members)
+            };
+
+            // Twice through the same context: the second pass runs on the
+            // buffers the first one left behind.
+            for superstep in [7u32, 8] {
+                let own = ctx.route(&outbound);
+                let expected: Vec<Msg> =
+                    outbound.iter().copied().filter(|msg| owner_of(msg) == worker).collect();
+                prop_assert_eq!(own, expected);
+                for link in &mut ctx.links {
+                    let msgs: Vec<Msg> =
+                        outbound.iter().copied().filter(|msg| owner_of(msg) == link.peer).collect();
+                    prop_assert_eq!(link.frame.len(), msgs.len());
+                    let frame =
+                        Message::ShuffleFrame { from_worker: worker, epoch: 4, superstep, msgs };
+                    let mut expected = Vec::new();
+                    write_frame(&mut expected, &frame, None).unwrap();
+                    prop_assert_eq!(link.frame.finish(worker, 4, superstep).unwrap(), &expected[..]);
+                    link.frame.clear();
+                    prop_assert!(link.frame.is_empty());
+                }
+            }
+        }
+    }
 
     /// Serve a single in-process worker on an ephemeral port (tests only —
     /// production workers are separate OS processes).

@@ -7,15 +7,39 @@
 //! `String`, `Option`, `Vec`, and tuples up to arity six — enough to cover
 //! the record types of every algorithm in this repository, and custom
 //! structs implement the two-method [`Codec`] trait by composing these.
+//!
+//! A `Vec` whose element type has a fixed encoded width ([`Codec::WIDTH`]:
+//! the integer and float scalars and tuples of them) takes a bulk path — one
+//! exact reservation and a loop over `chunks_exact` with no per-element
+//! length or capacity check — that produces and accepts the same bytes as
+//! the per-element loop every other element type keeps.
 
 use crate::error::{EngineError, Result};
 
 /// Types that can be written to / read from a byte stream.
 pub trait Codec: Sized {
+    /// `Some(w)`, `w > 0`, when every value of the type encodes to exactly
+    /// `w` bytes and every `w`-byte string decodes to a value: the integer
+    /// and float scalars and tuples of them. A `Vec` of such a type takes
+    /// the bulk path of [`encode_slice`] and `Vec::decode`; a type that
+    /// declares a width must also provide [`Self::write_fixed`] and
+    /// [`Self::read_fixed`], producing and accepting the same bytes as
+    /// [`Self::encode`] and [`Self::decode`].
+    const WIDTH: Option<usize> = None;
     /// Append the encoded representation to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Decode one value from the front of `input`, advancing it.
     fn decode(input: &mut &[u8]) -> Result<Self>;
+    /// Write the encoded representation into `dst`, which is exactly
+    /// [`Self::WIDTH`] bytes long. Only called when a width is declared.
+    fn write_fixed(&self, _dst: &mut [u8]) {
+        unreachable!("write_fixed on a type that declares no WIDTH")
+    }
+    /// Decode a value from `src`, which is exactly [`Self::WIDTH`] bytes
+    /// long. Only called when a width is declared.
+    fn read_fixed(_src: &[u8]) -> Self {
+        unreachable!("read_fixed on a type that declares no WIDTH")
+    }
 }
 
 fn short_input(what: &str) -> EngineError {
@@ -37,11 +61,20 @@ fn take<const N: usize>(input: &mut &[u8], what: &str) -> Result<[u8; N]> {
 macro_rules! impl_scalar_codec {
     ($($ty:ty),*) => {$(
         impl Codec for $ty {
+            const WIDTH: Option<usize> = Some(std::mem::size_of::<$ty>());
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
             fn decode(input: &mut &[u8]) -> Result<Self> {
                 Ok(<$ty>::from_le_bytes(take(input, stringify!($ty))?))
+            }
+            #[inline]
+            fn write_fixed(&self, dst: &mut [u8]) {
+                dst.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn read_fixed(src: &[u8]) -> Self {
+                <$ty>::from_le_bytes(src.try_into().expect("src is WIDTH bytes"))
             }
         }
     )*};
@@ -50,11 +83,20 @@ macro_rules! impl_scalar_codec {
 impl_scalar_codec!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
 
 impl Codec for usize {
+    const WIDTH: Option<usize> = u64::WIDTH;
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self> {
         Ok(u64::decode(input)? as usize)
+    }
+    #[inline]
+    fn write_fixed(&self, dst: &mut [u8]) {
+        (*self as u64).write_fixed(dst);
+    }
+    #[inline]
+    fn read_fixed(src: &[u8]) -> Self {
+        u64::read_fixed(src) as usize
     }
 }
 
@@ -89,10 +131,15 @@ impl Codec for () {
     }
 }
 
+/// Encode `s` as a `String` would be: a `u64` byte count, then the bytes.
+pub fn encode_str(s: &str, out: &mut Vec<u8>) {
+    (s.len() as u64).encode(out);
+    out.extend_from_slice(s.as_bytes());
+}
+
 impl Codec for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self> {
         let len = u64::decode(input)? as usize;
@@ -127,15 +174,49 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
+/// Encode `items` as a `Vec` would be: a `u64` element count, then the
+/// elements. Fixed-width element types ([`Codec::WIDTH`]) are written with
+/// one exact reservation and no per-element capacity check.
+pub fn encode_slice<T: Codec>(items: &[T], out: &mut Vec<u8>) {
+    match T::WIDTH {
+        Some(width) => {
+            out.reserve(8 + items.len() * width);
+            (items.len() as u64).encode(out);
+            let start = out.len();
+            out.resize(start + items.len() * width, 0);
+            for (item, dst) in items.iter().zip(out[start..].chunks_exact_mut(width)) {
+                item.write_fixed(dst);
+            }
+        }
+        None => {
+            (items.len() as u64).encode(out);
+            for item in items {
+                item.encode(out);
+            }
+        }
+    }
+}
+
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        for v in self {
-            v.encode(out);
-        }
+        encode_slice(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self> {
         let len = u64::decode(input)? as usize;
+        if let Some(width) = T::WIDTH {
+            // The count is checked against the bytes present before anything
+            // is allocated, so a corrupt count cannot over-allocate.
+            let bytes =
+                len.checked_mul(width).filter(|&bytes| bytes <= input.len()).ok_or_else(|| {
+                    EngineError::Codec(format!(
+                        "Vec length prefix {len} of {width}-byte elements exceeds remaining input {}",
+                        input.len()
+                    ))
+                })?;
+            let (head, rest) = input.split_at(bytes);
+            *input = rest;
+            return Ok(head.chunks_exact(width).map(T::read_fixed).collect());
+        }
         // Guard against corrupt length prefixes: each element takes >= 1 byte
         // except zero-sized ones, for which a conservative cap still applies.
         if len > input.len() && std::mem::size_of::<T>() > 0 {
@@ -155,11 +236,35 @@ impl<T: Codec> Codec for Vec<T> {
 macro_rules! impl_tuple_codec {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Codec),+> Codec for ($($name,)+) {
+            const WIDTH: Option<usize> = {
+                let mut total = Some(0);
+                $(total = match (total, $name::WIDTH) {
+                    (Some(total), Some(width)) => Some(total + width),
+                    _ => None,
+                };)+
+                total
+            };
             fn encode(&self, out: &mut Vec<u8>) {
                 $(self.$idx.encode(out);)+
             }
             fn decode(input: &mut &[u8]) -> Result<Self> {
                 Ok(($($name::decode(input)?,)+))
+            }
+            fn write_fixed(&self, dst: &mut [u8]) {
+                let mut end = 0;
+                $(
+                    let start = end;
+                    end += $name::WIDTH.expect("a fixed-width tuple has fixed-width fields");
+                    self.$idx.write_fixed(&mut dst[start..end]);
+                )+
+            }
+            fn read_fixed(src: &[u8]) -> Self {
+                let mut end = 0;
+                ($({
+                    let start = end;
+                    end += $name::WIDTH.expect("a fixed-width tuple has fixed-width fields");
+                    $name::read_fixed(&src[start..end])
+                },)+)
             }
         }
     )*};
@@ -193,6 +298,100 @@ pub fn decode_exact<T: Codec>(mut input: &[u8]) -> Result<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-element encoding every `Vec` had before the bulk path.
+    fn encode_per_element<T: Codec>(items: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        (items.len() as u64).encode(&mut out);
+        items.iter().for_each(|item| item.encode(&mut out));
+        out
+    }
+
+    /// The per-element decoding every `Vec` had before the bulk path.
+    fn decode_per_element<T: Codec>(mut input: &[u8]) -> Result<Vec<T>> {
+        let len = u64::decode(&mut input)?;
+        let items = (0..len).map(|_| T::decode(&mut input)).collect::<Result<Vec<T>>>()?;
+        if input.is_empty() {
+            Ok(items)
+        } else {
+            Err(short_input("trailing bytes"))
+        }
+    }
+
+    /// Bulk and per-element paths agree on `items`, on every truncation of
+    /// their encoding, and on an element count that claims one more or one
+    /// fewer than the bytes hold.
+    fn assert_bulk_matches_per_element<T>(items: Vec<T>)
+    where
+        T: Codec + PartialEq + std::fmt::Debug,
+    {
+        let bytes = encode_to_vec(&items);
+        assert_eq!(bytes, encode_per_element(&items));
+        assert_eq!(decode_exact::<Vec<T>>(&bytes).unwrap(), items);
+        assert_eq!(decode_per_element::<T>(&bytes).unwrap(), items);
+        for cut in 0..bytes.len() {
+            assert!(decode_exact::<Vec<T>>(&bytes[..cut]).is_err(), "truncated at {cut}");
+        }
+        for count in [items.len() as u64 + 1, (items.len() as u64).wrapping_sub(1)] {
+            let mut corrupt = bytes.clone();
+            corrupt[..8].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                decode_exact::<Vec<T>>(&corrupt).ok(),
+                decode_per_element::<T>(&corrupt).ok(),
+                "count {count} over {} elements",
+                items.len()
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn bulk_vec_codec_equals_the_per_element_loop(
+            scalars in prop::collection::vec(any::<u64>(), 0..40),
+            records in prop::collection::vec((any::<u64>(), any::<u64>()), 0..40),
+            msgs in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..40),
+            spans in prop::collection::vec(
+                (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 0..20),
+            rows in prop::collection::vec(
+                (any::<u64>(), prop::collection::vec(any::<u64>(), 0..5)), 0..10),
+        ) {
+            assert_bulk_matches_per_element(scalars);
+            assert_bulk_matches_per_element(records);
+            assert_bulk_matches_per_element(msgs);
+            assert_bulk_matches_per_element(spans);
+            // Variable-width elements stay on the per-element default.
+            assert_bulk_matches_per_element(rows);
+        }
+    }
+
+    #[test]
+    fn only_scalars_and_tuples_of_them_have_a_width() {
+        assert_eq!(<(u64, u64, u64)>::WIDTH, Some(24));
+        assert_eq!(<(u8, u16, (u32, f64))>::WIDTH, Some(15));
+        assert_eq!(usize::WIDTH, Some(8));
+        assert_eq!(<(u64, Vec<u64>)>::WIDTH, None);
+        assert_eq!(<(u64, String)>::WIDTH, None);
+        // Not every byte is a `bool`, not every `u32` a `char`.
+        assert_eq!(bool::WIDTH, None);
+        assert_eq!(char::WIDTH, None);
+    }
+
+    #[test]
+    fn mixed_width_tuples_take_the_bulk_path_in_field_order() {
+        assert_bulk_matches_per_element(vec![(1u8, -2i16, 3.5f32, u128::MAX), (9, 8, -0.0, 7)]);
+        assert_bulk_matches_per_element(vec![((1u64, 2u32), 3usize), ((4, 5), 6)]);
+    }
+
+    #[test]
+    fn a_hostile_element_count_allocates_nothing() {
+        // 2^40 twenty-four-byte elements "follow" in sixteen bytes of input:
+        // the count is checked against the bytes present, not trusted.
+        let mut bytes = encode_to_vec(&(1u64 << 40));
+        bytes.extend_from_slice(&[0u8; 16]);
+        let err = decode_exact::<Vec<(u64, u64, u64)>>(&bytes).unwrap_err();
+        assert!(err.to_string().contains("exceeds remaining input"), "{err}");
+    }
 
     fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode_to_vec(&v);
