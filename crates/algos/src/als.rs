@@ -22,7 +22,7 @@ use dataflow::prelude::BulkIteration;
 use dataflow::stats::RunStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recovery::compensation::{lost_keys, BulkCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -193,7 +193,7 @@ impl FixFactors {
     }
 }
 
-impl BulkCompensation<FactorRow> for FixFactors {
+impl Compensation<Partitions<FactorRow>> for FixFactors {
     fn compensate(
         &mut self,
         state: &mut Partitions<FactorRow>,

@@ -6,18 +6,16 @@ use std::hash::Hash;
 use dataflow::codec::Codec;
 use dataflow::dataset::{Data, Partitions};
 use dataflow::error::Result;
-use dataflow::ft::{BulkFaultHandler, DeltaFaultHandler, RestartHandler, SolutionSets};
+use dataflow::ft::{DeltaState, FaultHandler, RestartHandler, Snapshot, SolutionSets};
 use dataflow::hash::FxHashMap;
 use dataflow::iterate::ConvergenceMeasure;
 use dataflow::partition::hash_partition;
-use recovery::async_snapshot::{AsyncSnapshotBulkHandler, AsyncSnapshotDeltaHandler};
-use recovery::checkpoint::{
-    CheckpointBulkHandler, CheckpointDeltaHandler, CostModel, DiskStore, MemoryStore,
-};
-use recovery::compensation::{BulkCompensation, DeltaCompensation};
+use recovery::async_snapshot::AsyncSnapshotHandler;
+use recovery::checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
+use recovery::compensation::Compensation;
 use recovery::ignore::IgnoreHandler;
 use recovery::incremental::IncrementalDeltaHandler;
-use recovery::optimistic::{OptimisticBulkHandler, OptimisticDeltaHandler};
+use recovery::optimistic::OptimisticHandler;
 use recovery::scenario::FailureScenario;
 use recovery::strategy::Strategy;
 use telemetry::SinkHandle;
@@ -36,10 +34,6 @@ pub struct FtConfig {
     /// Telemetry sink shared by the engine and the recovery handlers (the
     /// disabled no-op handle by default).
     pub telemetry: SinkHandle,
-    /// How threaded partition work is dispatched: the persistent worker
-    /// pool (the engine default) or per-invocation scoped threads (the
-    /// `worker_pool_guard` benchmark's comparison baseline).
-    pub dispatch: dataflow::config::DispatchMode,
 }
 
 impl Default for FtConfig {
@@ -50,7 +44,6 @@ impl Default for FtConfig {
             checkpoint_cost: CostModel::instant(),
             checkpoint_on_disk: false,
             telemetry: SinkHandle::disabled(),
-            dispatch: dataflow::config::DispatchMode::Pool,
         }
     }
 }
@@ -96,12 +89,6 @@ impl FtConfig {
         self
     }
 
-    /// Builder-style dispatch-mode override for the engine environment.
-    pub fn with_dispatch(mut self, dispatch: dataflow::config::DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// Combined label for reports, e.g. `"optimistic/fail@3[1]"`.
     pub fn label(&self) -> String {
         format!("{}/{}", self.strategy.label(), self.scenario.label())
@@ -113,62 +100,65 @@ impl FtConfig {
 /// events land in the same sink as the recovery handlers' detail events.
 pub fn environment(parallelism: usize, ft: &FtConfig) -> dataflow::api::Environment {
     dataflow::api::Environment::with_config(
-        dataflow::config::EnvConfig::new(parallelism)
-            .with_telemetry(ft.telemetry.clone())
-            .with_dispatch(ft.dispatch),
+        dataflow::config::EnvConfig::new(parallelism).with_telemetry(ft.telemetry.clone()),
     )
+}
+
+/// A handler of the configured strategy over the iteration state `S`.
+type Handler<S> = Box<dyn FaultHandler<S>>;
+
+/// The stable store the configuration asks for.
+fn stable_store(ft: &FtConfig) -> Result<Box<dyn StableStore>> {
+    Ok(if ft.checkpoint_on_disk {
+        Box::new(DiskStore::temp()?.with_cost_model(ft.checkpoint_cost))
+    } else {
+        Box::new(MemoryStore::with_cost_model(ft.checkpoint_cost))
+    })
+}
+
+/// The strategy → handler table, for either iteration state. `incremental`
+/// builds the one strategy that is not generic over the state.
+fn handler<S, C>(
+    ft: &FtConfig,
+    compensation: C,
+    incremental: impl FnOnce(Box<dyn StableStore>, u32) -> Result<Handler<S>>,
+) -> Result<Handler<S>>
+where
+    S: Snapshot + 'static,
+    C: Compensation<S> + 'static,
+{
+    let telemetry = ft.telemetry.clone();
+    Ok(match ft.strategy {
+        Strategy::Optimistic => {
+            Box::new(OptimisticHandler::new(compensation).with_telemetry(telemetry))
+        }
+        Strategy::Checkpoint { interval } => {
+            Box::new(CheckpointHandler::new(stable_store(ft)?, interval)?.with_telemetry(telemetry))
+        }
+        Strategy::IncrementalCheckpoint { full_interval } => {
+            incremental(stable_store(ft)?, full_interval)?
+        }
+        Strategy::AsyncSnapshot { interval } => Box::new(
+            AsyncSnapshotHandler::new(stable_store(ft)?, interval)?.with_telemetry(telemetry),
+        ),
+        Strategy::Restart => Box::new(RestartHandler),
+        Strategy::Ignore => Box::new(IgnoreHandler),
+    })
 }
 
 /// Build the bulk-iteration fault handler for a strategy, wiring in the
 /// algorithm's compensation function where the strategy calls for one.
-pub fn bulk_handler<T, C>(ft: &FtConfig, compensation: C) -> Result<Box<dyn BulkFaultHandler<T>>>
+pub fn bulk_handler<T, C>(ft: &FtConfig, compensation: C) -> Result<Handler<Partitions<T>>>
 where
     T: Data + Codec,
-    C: BulkCompensation<T> + 'static,
+    C: Compensation<Partitions<T>> + 'static,
 {
-    Ok(match ft.strategy {
-        Strategy::Optimistic => {
-            Box::new(OptimisticBulkHandler::new(compensation).with_telemetry(ft.telemetry.clone()))
-        }
-        Strategy::Checkpoint { interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    CheckpointBulkHandler::<T, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    CheckpointBulkHandler::<T, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
-        }
-        Strategy::IncrementalCheckpoint { .. } => {
-            return Err(dataflow::error::EngineError::Recovery(
-                "incremental checkpointing requires a delta iteration; use a bulk-capable \
-                 strategy (optimistic / checkpoint / restart) here"
-                    .into(),
-            ))
-        }
-        Strategy::AsyncSnapshot { interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    AsyncSnapshotBulkHandler::<T, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    AsyncSnapshotBulkHandler::<T, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
-        }
-        Strategy::Restart => Box::new(RestartHandler),
-        Strategy::Ignore => Box::new(IgnoreHandler),
+    handler(ft, compensation, |_, _| {
+        Err(dataflow::error::EngineError::Recovery(
+            "incremental checkpointing requires a delta iteration; use a bulk-capable \
+             strategy (optimistic / checkpoint / restart) here"
+                .into(),
+        ))
     })
 }
 
@@ -176,64 +166,16 @@ where
 pub fn delta_handler<K, V, W, C>(
     ft: &FtConfig,
     compensation: C,
-) -> Result<Box<dyn DeltaFaultHandler<K, V, W>>>
+) -> Result<Handler<DeltaState<K, V, W>>>
 where
     K: Data + Codec + std::hash::Hash + Eq,
     V: Data + Codec + PartialEq,
     W: Data + Codec,
-    C: DeltaCompensation<K, V, W> + 'static,
+    C: Compensation<DeltaState<K, V, W>> + 'static,
 {
-    Ok(match ft.strategy {
-        Strategy::Optimistic => {
-            Box::new(OptimisticDeltaHandler::new(compensation).with_telemetry(ft.telemetry.clone()))
-        }
-        Strategy::Checkpoint { interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    CheckpointDeltaHandler::<K, V, W, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    CheckpointDeltaHandler::<K, V, W, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
-        }
-        Strategy::IncrementalCheckpoint { full_interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    IncrementalDeltaHandler::<K, V, W, _>::new(store, full_interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    IncrementalDeltaHandler::<K, V, W, _>::new(store, full_interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
-        }
-        Strategy::AsyncSnapshot { interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    AsyncSnapshotDeltaHandler::<K, V, W, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    AsyncSnapshotDeltaHandler::<K, V, W, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
-        }
-        Strategy::Restart => Box::new(RestartHandler),
-        Strategy::Ignore => Box::new(IgnoreHandler),
+    handler(ft, compensation, |store, full_interval| {
+        let handler = IncrementalDeltaHandler::<K, V, W, _>::new(store, full_interval)?;
+        Ok(Box::new(handler.with_telemetry(ft.telemetry.clone())))
     })
 }
 
@@ -318,7 +260,7 @@ pub const RANK_SUM: &str = "rank_sum";
 mod tests {
     use super::*;
     use dataflow::dataset::Partitions;
-    use dataflow::ft::BulkRecoveryAction;
+    use dataflow::ft::RecoveryAction;
 
     fn noop_comp(_s: &mut Partitions<u64>, _l: &[usize], _i: u32) {}
 
@@ -328,18 +270,15 @@ mod tests {
 
         let ft = FtConfig::optimistic(FailureScenario::none());
         let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
-        assert!(matches!(
-            h.on_failure(0, &[0], &mut state).unwrap(),
-            BulkRecoveryAction::Compensated
-        ));
+        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), RecoveryAction::Compensated));
 
         let ft = FtConfig::restart(FailureScenario::none());
         let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
-        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), BulkRecoveryAction::Restart));
+        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), RecoveryAction::Restart));
 
         let ft = FtConfig::ignore(FailureScenario::none());
         let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
-        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), BulkRecoveryAction::Ignore));
+        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), RecoveryAction::Ignore));
 
         let ft = FtConfig::checkpoint(2, FailureScenario::none());
         let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
@@ -347,7 +286,7 @@ mod tests {
         assert!(h.after_superstep(1, &state).unwrap().is_none());
         assert!(matches!(
             h.on_failure(1, &[0], &mut state).unwrap(),
-            BulkRecoveryAction::Restored { iteration: 0, .. }
+            RecoveryAction::Restored { iteration: 0, .. }
         ));
 
         // Async snapshots spread chunk writes: with 2 partitions the epoch
@@ -361,7 +300,7 @@ mod tests {
         assert!(h.after_superstep(1, &state).unwrap().is_some());
         assert!(matches!(
             h.on_failure(2, &[0], &mut state).unwrap(),
-            BulkRecoveryAction::Restored { iteration: 0, .. }
+            RecoveryAction::Restored { iteration: 0, .. }
         ));
     }
 
@@ -374,7 +313,7 @@ mod tests {
         let mut broken = state.clone();
         broken.clear_partition(1);
         match h.on_failure(1, &[1], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { state: restored, .. } => assert_eq!(restored, state),
+            RecoveryAction::Restored { state: restored, .. } => assert_eq!(restored, state),
             _ => panic!("expected rollback"),
         }
     }

@@ -24,13 +24,13 @@ use std::sync::Arc;
 use dataflow::api::Environment;
 use dataflow::dataset::Partitions;
 use dataflow::error::Result;
-use dataflow::ft::SolutionSets;
+use dataflow::ft::{DeltaState, SolutionSets};
 use dataflow::hash::FxHashSet;
 use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
 use graphs::{exact_components, Graph, VertexId};
-use recovery::compensation::{lost_keys, DeltaCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -119,14 +119,14 @@ impl FixComponents {
     }
 }
 
-impl DeltaCompensation<VertexId, VertexId, Label> for FixComponents {
+impl Compensation<DeltaState<VertexId, VertexId, Label>> for FixComponents {
     fn compensate(
         &mut self,
-        solution: &mut SolutionSets<VertexId, VertexId>,
-        workset: &mut Partitions<Label>,
+        state: &mut DeltaState<VertexId, VertexId, Label>,
         lost: &[PartitionId],
         _iteration: u32,
     ) {
+        let DeltaState { solution, workset } = state;
         let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
         // Surviving neighbours of lost vertices: they hold correct labels
         // but stopped propagating, so they must re-enter the working set.

@@ -15,7 +15,7 @@ use dataflow::prelude::BulkIteration;
 use dataflow::stats::RunStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recovery::compensation::{lost_keys, BulkCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -147,7 +147,7 @@ impl FixSolution {
     }
 }
 
-impl BulkCompensation<Entry> for FixSolution {
+impl Compensation<Partitions<Entry>> for FixSolution {
     fn compensate(&mut self, state: &mut Partitions<Entry>, lost: &[PartitionId], _iteration: u32) {
         for (i, pid) in lost_keys(self.dimension as u64, self.parallelism, lost) {
             state.partition_mut(pid).push((i, 0.0));

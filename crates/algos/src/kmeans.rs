@@ -20,7 +20,7 @@ use dataflow::prelude::BulkIteration;
 use dataflow::stats::RunStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recovery::compensation::{lost_keys, BulkCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -125,7 +125,7 @@ impl FixCentroids {
     }
 }
 
-impl BulkCompensation<Centroid> for FixCentroids {
+impl Compensation<Partitions<Centroid>> for FixCentroids {
     fn compensate(
         &mut self,
         state: &mut Partitions<Centroid>,

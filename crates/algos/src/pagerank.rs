@@ -27,7 +27,7 @@ use dataflow::partition::PartitionId;
 use dataflow::prelude::BulkIteration;
 use dataflow::stats::RunStats;
 use graphs::{exact_pagerank, Graph, PageRankParams, VertexId};
-use recovery::compensation::{lost_keys, BulkCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -111,7 +111,7 @@ impl FixRanks {
     }
 }
 
-impl BulkCompensation<Rank> for FixRanks {
+impl Compensation<Partitions<Rank>> for FixRanks {
     fn compensate(&mut self, state: &mut Partitions<Rank>, lost: &[PartitionId], _iteration: u32) {
         // Ranks always sum to one; whatever the survivors don't hold was
         // destroyed with the failed partitions.

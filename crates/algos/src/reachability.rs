@@ -10,15 +10,14 @@
 
 use std::sync::Arc;
 
-use dataflow::dataset::Partitions;
 use dataflow::error::Result;
-use dataflow::ft::SolutionSets;
+use dataflow::ft::{DeltaState, SolutionSets};
 use dataflow::hash::FxHashSet;
 use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
 use graphs::{Graph, VertexId};
-use recovery::compensation::{lost_keys, DeltaCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -102,14 +101,14 @@ impl FixReachability {
     }
 }
 
-impl DeltaCompensation<VertexId, bool, Reach> for FixReachability {
+impl Compensation<DeltaState<VertexId, bool, Reach>> for FixReachability {
     fn compensate(
         &mut self,
-        solution: &mut SolutionSets<VertexId, bool>,
-        workset: &mut Partitions<Reach>,
+        state: &mut DeltaState<VertexId, bool, Reach>,
         lost: &[PartitionId],
         _iteration: u32,
     ) {
+        let DeltaState { solution, workset } = state;
         let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
         let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
         for (v, pid) in lost_keys(self.adjacency.len() as u64, self.parallelism, lost) {

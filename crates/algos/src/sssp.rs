@@ -10,15 +10,14 @@
 
 use std::sync::Arc;
 
-use dataflow::dataset::Partitions;
 use dataflow::error::Result;
-use dataflow::ft::SolutionSets;
+use dataflow::ft::{DeltaState, SolutionSets};
 use dataflow::hash::FxHashSet;
 use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
 use graphs::{Graph, VertexId};
-use recovery::compensation::{lost_keys, DeltaCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -105,14 +104,14 @@ impl FixDistances {
     }
 }
 
-impl DeltaCompensation<VertexId, u64, Distance> for FixDistances {
+impl Compensation<DeltaState<VertexId, u64, Distance>> for FixDistances {
     fn compensate(
         &mut self,
-        solution: &mut SolutionSets<VertexId, u64>,
-        workset: &mut Partitions<Distance>,
+        state: &mut DeltaState<VertexId, u64, Distance>,
         lost: &[PartitionId],
         _iteration: u32,
     ) {
+        let DeltaState { solution, workset } = state;
         let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
         let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
         for (v, pid) in lost_keys(self.adjacency.len() as u64, self.parallelism, lost) {

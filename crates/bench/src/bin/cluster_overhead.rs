@@ -31,10 +31,10 @@ use telemetry::SinkHandle;
 /// Maximum tolerated cluster/local slowdown. The bound started life at
 /// 200x when the cluster backend was new, ratcheted to 30x once measured
 /// ratios settled in the low double digits, and is ratcheted again to 8x
-/// now that the direct worker-to-worker data plane took the coordinator
-/// funnel (and its duplicate serialize/deserialize hop) off the shuffle
-/// path — still above spawn+TCP overhead, still well below any quadratic
-/// serialization or reconnect-loop pathology.
+/// now that shuffled messages travel worker to worker and no longer pay a
+/// serialize/deserialize hop through the coordinator — still above
+/// spawn+TCP overhead, still well below any quadratic serialization or
+/// reconnect-loop pathology.
 const THRESHOLD: f64 = 8.0;
 /// Runs per arm; the fastest is kept.
 const REPS: usize = 3;
@@ -50,9 +50,8 @@ fn run_local_once(graph: &graphs::Graph) -> Duration {
     start.elapsed()
 }
 
-fn run_cluster_once(graph: &graphs::Graph, mode: cluster::DataPlaneMode) -> Duration {
-    let cfg =
-        cluster::ClusterConfig::new(WORKERS, PARALLELISM, MAX_ITERATIONS).with_data_plane(mode);
+fn run_cluster_once(graph: &graphs::Graph) -> Duration {
+    let cfg = cluster::ClusterConfig::new(WORKERS, PARALLELISM, MAX_ITERATIONS);
     let start = Instant::now();
     let run = cluster::run_cluster("cc", graph, cfg, SinkHandle::disabled()).expect("cluster run");
     assert!(run.stats.converged);
@@ -79,22 +78,15 @@ fn main() {
 
     // Warm-up both arms (binary page-in, first TCP accept path).
     let _ = run_local_once(&graph);
-    let _ = run_cluster_once(&graph, cluster::DataPlaneMode::Direct);
+    let _ = run_cluster_once(&graph);
 
     let local = (0..REPS).map(|_| run_local_once(&graph)).min().unwrap();
-    let clustered =
-        (0..REPS).map(|_| run_cluster_once(&graph, cluster::DataPlaneMode::Direct)).min().unwrap();
-    // One funneled rep for the report: the pre-direct baseline, where every
-    // shuffled message pays an extra serialize/route/deserialize hop
-    // through the coordinator. Not part of the guard.
-    let funneled = run_cluster_once(&graph, cluster::DataPlaneMode::Coordinator);
+    let clustered = (0..REPS).map(|_| run_cluster_once(&graph)).min().unwrap();
     let ratio = clustered.as_secs_f64() / local.as_secs_f64();
-    let funnel_ratio = funneled.as_secs_f64() / local.as_secs_f64();
 
     println!("\nin-process (fastest):        {:.2} ms", local.as_secs_f64() * 1e3);
     println!("worker processes (fastest):   {:.2} ms", clustered.as_secs_f64() * 1e3);
-    println!("coordinator funnel (1 rep):   {:.2} ms", funneled.as_secs_f64() * 1e3);
-    println!("cluster/local ratio:          {ratio:.1}x  (funnel: {funnel_ratio:.1}x)");
+    println!("cluster/local ratio:          {ratio:.1}x");
 
     std::fs::create_dir_all(&results).expect("create results dir");
     let json = Obj::new()
@@ -105,9 +97,7 @@ fn main() {
         .u64("parallelism", PARALLELISM as u64)
         .u64("local_ns", local.as_nanos() as u64)
         .u64("cluster_ns", clustered.as_nanos() as u64)
-        .u64("funnel_ns", funneled.as_nanos() as u64)
         .f64("cluster_over_local_ratio", ratio)
-        .f64("funnel_over_local_ratio", funnel_ratio)
         .f64("threshold", THRESHOLD)
         .bool("within_threshold", ratio < THRESHOLD)
         .finish();

@@ -7,19 +7,15 @@
 //!   telemetry sink, and — crucially for recovery — the authoritative copy
 //!   of the iteration state and the per-partition message inboxes.
 //! * Workers own the loop-invariant adjacency for their partitions and
-//!   execute [`crate::program::ClusterProgram::step`]. Under the default
-//!   [`DataPlaneMode::Direct`] the coordinator is a pure control plane:
-//!   it broadcasts membership (peer addresses + epoch), dispatches
-//!   supersteps as thin `StepGo` frames, and receives state + convergence
-//!   counts in `StepDone`s — while the shuffled messages flow directly
-//!   between workers as batched peer frames, never touching the
-//!   coordinator. [`DataPlaneMode::Coordinator`] keeps the original
-//!   funnel (`RunStep` carries state *and* inbound messages down,
-//!   `StepDone` carries outbound back up) as the routed baseline.
-//! * Failure is detected at the network level either way, and recovery
-//!   authority never moves: state flows up in every `StepDone`, so the
-//!   coordinator can compensate/rollback and re-push authoritative state
-//!   in a `StepReset` regardless of which plane carried the messages.
+//!   execute [`crate::program::ClusterProgram::step`]. The coordinator is
+//!   a pure control plane: it broadcasts membership (peer addresses +
+//!   epoch), dispatches supersteps as thin `StepGo` frames, and receives
+//!   state + convergence counts in `StepDone`s — while the shuffled
+//!   messages flow directly between workers as batched peer frames, never
+//!   touching the coordinator.
+//! * Recovery authority never moves: state flows up in every `StepDone`,
+//!   so the coordinator can compensate/rollback and re-push authoritative
+//!   state in a `StepReset` although the messages travelled peer to peer.
 //! * Failure is detected at the network level: a dead worker surfaces as a
 //!   connection reset / EOF / read timeout on the control connection, or as
 //!   a heartbeat timeout on the dedicated heartbeat connection. Either
@@ -41,17 +37,21 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dataflow::api::Environment;
-use dataflow::config::{DispatchMode, EnvConfig};
+use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
 use dataflow::exec::{par_map, ExecContext};
+use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, RestartHandler};
 use dataflow::iterate::{BulkIteration, ConvergenceMeasure};
 use dataflow::partition::PartitionId;
 use dataflow::plan::DynOp;
 use dataflow::stats::RunStats;
 use graphs::Graph;
 use recovery::compensation::Named;
-use recovery::OptimisticBulkHandler;
+use recovery::{
+    AsyncSnapshotHandler, BarrierEvent, BarrierProbe, CheckpointHandler, MemoryStore,
+    OptimisticHandler,
+};
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
 use telemetry::{JournalEvent, SinkHandle};
 
@@ -218,24 +218,11 @@ pub enum ClusterStrategy {
 impl ClusterStrategy {
     /// Whether recovery rolls back to captured inboxes (checkpoint /
     /// async-snapshot) rather than recomputing forward. Rollback strategies
-    /// need the coordinator's inbox copy kept authoritative, so direct-mode
-    /// workers piggyback their outbound messages in `StepDone` for them.
+    /// need the coordinator's inbox copy kept authoritative, so workers
+    /// piggyback their outbound messages in `StepDone` for them.
     fn is_rollback(self) -> bool {
         matches!(self, ClusterStrategy::Checkpoint { .. } | ClusterStrategy::AsyncSnapshot { .. })
     }
-}
-
-/// Which plane carries the shuffled messages of a cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlaneMode {
-    /// Workers exchange messages directly over peer-to-peer connections
-    /// (batched frames, shuffle overlapped with compute). The default.
-    #[default]
-    Direct,
-    /// Every message is funnelled through the coordinator: `RunStep` ships
-    /// state + inbound down, `StepDone` ships outbound back up. The routed
-    /// baseline direct-mode runs are diffed against.
-    Coordinator,
 }
 
 /// Configuration of a cluster run.
@@ -260,8 +247,6 @@ pub struct ClusterConfig {
     pub scale: Vec<ScaleEvent>,
     /// How the run recovers from worker loss.
     pub strategy: ClusterStrategy,
-    /// Which plane carries the shuffled messages.
-    pub data_plane: DataPlaneMode,
     /// Delay between heartbeat probes.
     pub heartbeat_interval: Duration,
     /// Read timeout on the heartbeat connection; exceeding it marks the
@@ -292,7 +277,6 @@ impl ClusterConfig {
             chaos: ChaosPlan::default(),
             scale: Vec::new(),
             strategy: ClusterStrategy::Optimistic,
-            data_plane: DataPlaneMode::default(),
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_secs(3),
             connect_attempts: 10,
@@ -319,12 +303,6 @@ impl ClusterConfig {
     /// Override the recovery strategy.
     pub fn with_strategy(mut self, strategy: ClusterStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Override which plane carries the shuffled messages.
-    pub fn with_data_plane(mut self, data_plane: DataPlaneMode) -> Self {
-        self.data_plane = data_plane;
         self
     }
 
@@ -416,9 +394,9 @@ struct StepResult {
     state: Vec<Record>,
     outbound: Vec<Msg>,
     changed: u64,
-    /// Messages the partition produced, counted *before* routing: in direct
-    /// mode with optimistic recovery `outbound` stays empty (the messages
-    /// went peer-to-peer), but the shuffle statistic must still be right.
+    /// Messages the partition produced, counted *before* routing: under
+    /// optimistic recovery `outbound` stays empty (the messages went
+    /// peer-to-peer), but the shuffle statistic must still be right.
     shuffled: u64,
 }
 
@@ -430,6 +408,13 @@ struct StepResult {
 /// `Send` because the engine may dispatch the step operator onto its
 /// worker pool; the `Arc<Mutex<…>>` wrapper then crosses threads.
 trait StepBackend: Send {
+    /// Acquire what the backend runs on. Called once, after the run's
+    /// recovery handler has been built — a plan that is rejected there has
+    /// spawned nothing. Default: nothing to acquire.
+    fn start(&mut self) -> Result<()> {
+        Ok(())
+    }
+
     fn run_step(
         &mut self,
         superstep: u32,
@@ -598,17 +583,16 @@ struct ClusterBackend {
     step_started: Option<Instant>,
     /// Losses detected but not yet re-billed against a respawn.
     pending_recovery: Vec<PendingRecovery>,
-    /// Direct-mode membership epoch: bumped on every broadcast, so workers
+    /// Membership epoch: bumped on every broadcast, so workers
     /// can reject data-plane frames from replaced incarnations.
     epoch: u64,
     /// Whether every live worker holds the current membership. Cleared by a
-    /// respawn; the next direct-mode superstep rebroadcasts before
-    /// dispatching.
+    /// respawn; the next superstep rebroadcasts before dispatching.
     membership_current: bool,
     /// Chronological superstep of the last committed superstep — the slot
     /// name steady-state `StepGo` dispatches tell workers to consume.
     last_committed: Option<u32>,
-    /// Whether the next direct-mode dispatch must push authoritative state
+    /// Whether the next dispatch must push authoritative state
     /// (`StepReset`): set initially and after every failure or rollback,
     /// cleared on commit.
     push_state: bool,
@@ -616,8 +600,8 @@ struct ClusterBackend {
     /// slots, so an optimistic retry hands them `NO_INBOUND` (compensation
     /// absorbs the gap) while survivors re-consume the committed slot.
     respawned_since_commit: Vec<bool>,
-    /// Set by a failure, consumed by the next commit: under the direct data
-    /// plane with optimistic recovery, compensated partitions recompute from
+    /// Set by a failure, consumed by the next commit: under a non-rollback
+    /// strategy, compensated partitions recompute from
     /// an *empty* inbound, which can report `changed == 0` on a converged
     /// graph and terminate the run before their broadcasts repair the
     /// labels. The first post-failure commit therefore forces at least one
@@ -627,20 +611,22 @@ struct ClusterBackend {
 }
 
 impl ClusterBackend {
-    fn start(
+    /// A backend with every worker slot empty; [`StepBackend::start`]
+    /// brings the processes up.
+    fn new(
         cfg: ClusterConfig,
         program_name: &str,
         n: u64,
         adjacency: Arc<Vec<AdjRows>>,
         telemetry: SinkHandle,
-    ) -> Result<Self> {
+    ) -> Self {
         let metrics = telemetry.metrics();
         // Per-worker instruments are sized for the largest membership the
         // scale plan can reach, not the starting count — a track must exist
         // for every worker index that can ever report.
         let max_workers =
             cfg.scale.iter().map(|event| event.workers).chain([cfg.workers]).max().unwrap_or(1);
-        let mut backend = ClusterBackend {
+        ClusterBackend {
             slots: (0..cfg.workers).map(|_| WorkerSlot { handle: None }).collect(),
             chaos: cfg.chaos.clone(),
             scale: cfg.scale.clone(),
@@ -671,12 +657,7 @@ impl ClusterBackend {
             n,
             adjacency,
             telemetry,
-        };
-        let workers: Vec<usize> = (0..backend.cfg.workers).collect();
-        for (worker, (handle, _attempts)) in workers.iter().zip(backend.bring_up(&workers)?) {
-            backend.slots[*worker].handle = Some(handle);
         }
-        Ok(backend)
     }
 
     /// Partitions owned by `worker`, per the placement map.
@@ -835,7 +816,7 @@ impl ClusterBackend {
                 self.slots[worker].handle = Some(handle);
                 // The replacement listens on a fresh port and holds no
                 // data-plane state: the whole cluster needs a new membership
-                // epoch before the next direct-mode dispatch.
+                // epoch before the next dispatch.
                 self.membership_current = false;
                 self.respawned_since_commit[worker] = true;
                 self.reconnects.inc();
@@ -973,7 +954,7 @@ impl ClusterBackend {
         // non-rollback strategies (`respawned_since_commit` forces
         // `NO_INBOUND` per worker), with `force_changed` buying the one
         // superstep the unconditional rebroadcasts need to repair it.
-        // Rollback strategies and the funnel push exact inboxes instead.
+        // Rollback strategies push exact inboxes instead.
         self.membership_current = false;
         self.push_state = true;
         self.force_changed = true;
@@ -1065,7 +1046,7 @@ impl ClusterBackend {
                     SPAN_PHASE_SHUFFLE => ("shuffle", &self.worker_shuffle),
                     SPAN_PHASE_EXCHANGE => ("exchange", &self.worker_exchange),
                     SPAN_PHASE_PEER_BYTES => {
-                        // Direct-mode byte accounting: `pid` is the peer the
+                        // Data-plane byte accounting: `pid` is the peer the
                         // bytes went to, `records` the bytes, `duration_ns`
                         // the frame count. Billed to the *sending* worker
                         // (the connection the row arrived on) and kept out
@@ -1191,7 +1172,7 @@ impl ClusterBackend {
         (send_delay, recv_delay)
     }
 
-    /// Direct mode: make sure every worker holds the current membership —
+    /// Make sure every worker holds the current membership —
     /// peer addresses, epoch, and data-plane policy. A no-op while current;
     /// after any respawn the epoch is bumped and rebroadcast, which is what
     /// retires the dead incarnation's in-flight frames cluster-wide.
@@ -1259,42 +1240,13 @@ impl ClusterBackend {
         Ok(())
     }
 
-    /// The original funnel dispatch: `RunStep` ships state + inbound down to
-    /// each partition's worker.
-    fn dispatch_funnel(
-        &mut self,
-        superstep: u32,
-        step: u64,
-        jobs: Vec<StepJob<'_>>,
-        send_delay: &[Option<Duration>],
-    ) -> Result<()> {
-        for job in jobs {
-            let worker = self.map.worker_of(job.pid);
-            if let Some(delay) = send_delay[worker] {
-                thread::sleep(delay);
-            }
-            let msg = Message::RunStep {
-                pid: job.pid as u64,
-                superstep,
-                step,
-                state: job.state.to_vec(),
-                inbound: (*job.inbound).clone(),
-            };
-            let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-            if let Err(e) = write_frame(&mut handle.stream, &msg, Some(&self.bytes_out)) {
-                return Err(self.fail(worker, superstep, format!("sending RunStep failed: {e}")));
-            }
-        }
-        Ok(())
-    }
-
-    /// The direct-mode dispatch: one thin frame per *worker*. Steady state
+    /// The dispatch: one thin frame per *worker*. Steady state
     /// is `StepGo` (compute the named pids from cached state, consuming the
     /// last committed superstep's data-plane slot); after a failure,
     /// rollback, or at the start it is `StepReset`, which pushes
     /// authoritative state — and, for rollback strategies, the restored
     /// inboxes — down the control connection.
-    fn dispatch_direct(
+    fn dispatch(
         &mut self,
         superstep: u32,
         step: u64,
@@ -1360,7 +1312,7 @@ impl ClusterBackend {
         Ok(())
     }
 
-    /// Receive phase, shared by both dispatch modes. Replies on one
+    /// Receive phase. Replies on one
     /// connection arrive in send order; frames tagged with an older
     /// superstep are leftovers of a superstep that failed after this worker
     /// had already answered — skip them. Workers write each telemetry frame
@@ -1466,6 +1418,14 @@ impl ClusterBackend {
 }
 
 impl StepBackend for ClusterBackend {
+    fn start(&mut self) -> Result<()> {
+        let workers: Vec<usize> = (0..self.cfg.workers).collect();
+        for (worker, (handle, _attempts)) in workers.iter().zip(self.bring_up(&workers)?) {
+            self.slots[*worker].handle = Some(handle);
+        }
+        Ok(())
+    }
+
     fn run_step(
         &mut self,
         superstep: u32,
@@ -1481,19 +1441,13 @@ impl StepBackend for ClusterBackend {
 
         // Send phase: every frame goes out before any reply is awaited, so
         // workers compute their partitions concurrently.
-        match self.cfg.data_plane {
-            DataPlaneMode::Coordinator => {
-                self.dispatch_funnel(superstep, step, jobs, &send_delay)?
-            }
-            DataPlaneMode::Direct => self.dispatch_direct(superstep, step, jobs, &send_delay)?,
-        }
+        self.dispatch(superstep, step, jobs, &send_delay)?;
         let mut results = self.collect_step_results(superstep, &order, recv_delay)?;
 
         // Returning `Ok` *is* the commit: nothing in the step operator can
         // fail past this point, so the bookkeeping that distinguishes a
         // steady-state dispatch from a recovery dispatch settles here.
         if std::mem::take(&mut self.force_changed)
-            && self.cfg.data_plane == DataPlaneMode::Direct
             && !self.cfg.strategy.is_rollback()
             && results.iter().all(|result| result.changed == 0)
         {
@@ -1725,76 +1679,75 @@ impl DynOp for ClusterStepOp {
     }
 }
 
-/// The coordinator-side channel half of an asynchronous snapshot: the
-/// inboxes (and the step counter) captured when a barrier fired, staged
-/// until the epoch completes. State after superstep `E` plus the messages
-/// produced *by* superstep `E` form the consistent cut — the superstep
-/// boundary plays the role of Chandy–Lamport's channel drain.
 /// One captured channel cut: `(epoch, inbox snapshots, committed steps)`.
 type ChannelCapture = (u32, Vec<Arc<Vec<Msg>>>, u64);
 
+/// The coordinator-side channel half of a snapshot: the inboxes (and the
+/// step counter) captured when a barrier fired, staged until the epoch
+/// completes. State after superstep `E` plus the messages produced *by*
+/// superstep `E` form the consistent cut — the superstep boundary plays the
+/// role of Chandy–Lamport's channel drain.
 #[derive(Default)]
 struct StagedChannels {
     in_flight: Option<ChannelCapture>,
     complete: Option<ChannelCapture>,
 }
 
-/// [`recovery::AsyncSnapshotBulkHandler`] wrapped with the cluster's extra
-/// restore obligations: on rollback the shared inboxes and step counter are
-/// rewound to the restored epoch's staged capture (or cleared on restart),
+/// A recovery handler wrapped with the cluster's extra restore obligations:
+/// whatever the inner strategy does to the partition state, the shared
+/// inboxes and the step counter follow. The wrapper watches the inner
+/// handler's barriers — an asynchronous snapshot's, or a synchronous
+/// checkpoint's, which starts and completes within one call — to stage the
+/// channel state when one starts and promote it when it completes; a
+/// rollback rewinds to the promoted capture, a restart clears the channels,
 /// and every persisted chunk is shipped to its owning worker through the
 /// backend.
-struct ClusterSnapshotHandler {
-    inner: recovery::AsyncSnapshotBulkHandler<Record, recovery::MemoryStore>,
+struct ChannelCut<H> {
+    inner: H,
     shared: Arc<SharedStepState>,
     staged: Arc<parking_lot::Mutex<StagedChannels>>,
 }
 
-impl ClusterSnapshotHandler {
+impl<H> ChannelCut<H> {
+    /// Wrap the handler `build` makes around the probe that keeps the cut
+    /// of the run's channel state, shipping chunks through its backend.
     fn new(
-        interval: u32,
-        backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
         shared: Arc<SharedStepState>,
-        telemetry: SinkHandle,
-    ) -> Self {
+        backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
+        build: impl FnOnce(BarrierProbe) -> Result<H>,
+    ) -> Result<Self> {
         let staged: Arc<parking_lot::Mutex<StagedChannels>> = Arc::default();
         let probe = {
             let staged = staged.clone();
             let shared = shared.clone();
-            Box::new(move |event: recovery::BarrierEvent<'_>| match event {
-                recovery::BarrierEvent::Started { epoch, .. } => {
+            Box::new(move |event: BarrierEvent<'_>| match event {
+                BarrierEvent::Started { epoch, .. } => {
                     let inboxes = shared.inboxes.lock().clone();
                     let step = shared.steps_committed.load(Ordering::SeqCst);
                     staged.lock().in_flight = Some((epoch, inboxes, step));
                 }
-                recovery::BarrierEvent::ChunkPersisted { epoch, pid, chunk } => {
+                BarrierEvent::ChunkPersisted { epoch, pid, chunk } => {
                     backend.lock().stage_snapshot(epoch, pid, chunk);
                 }
-                recovery::BarrierEvent::Completed { epoch } => {
+                BarrierEvent::Completed { epoch } => {
                     let mut staged = staged.lock();
                     if let Some(capture) = staged.in_flight.take_if(|c| c.0 == epoch) {
                         staged.complete = Some(capture);
                     }
                 }
-                recovery::BarrierEvent::Aborted { .. } => staged.lock().in_flight = None,
+                BarrierEvent::Aborted { .. } => staged.lock().in_flight = None,
             })
         };
-        ClusterSnapshotHandler {
-            inner: recovery::AsyncSnapshotBulkHandler::new(recovery::MemoryStore::new(), interval)
-                .with_telemetry(telemetry)
-                .with_probe(probe),
-            shared,
-            staged,
-        }
+        Ok(ChannelCut { inner: build(probe)?, shared, staged })
     }
 }
 
-impl dataflow::ft::BulkFaultHandler<Record> for ClusterSnapshotHandler {
+impl<H: FaultHandler<Partitions<Record>>> FaultHandler<Partitions<Record>> for ChannelCut<H> {
     fn after_superstep(
         &mut self,
         iteration: u32,
         state: &Partitions<Record>,
-    ) -> Result<Option<dataflow::ft::CheckpointCost>> {
+    ) -> Result<Option<CheckpointCost>> {
         self.inner.after_superstep(iteration, state)
     }
 
@@ -1803,117 +1756,29 @@ impl dataflow::ft::BulkFaultHandler<Record> for ClusterSnapshotHandler {
         iteration: u32,
         lost: &[PartitionId],
         state: &mut Partitions<Record>,
-    ) -> Result<dataflow::ft::BulkRecoveryAction<Record>> {
+    ) -> Result<RecoveryAction<Partitions<Record>>> {
         let action = self.inner.on_failure(iteration, lost, state)?;
         match &action {
-            dataflow::ft::BulkRecoveryAction::Restored { iteration: epoch, .. } => {
+            RecoveryAction::Restored { iteration: epoch, .. } => {
                 let staged = self.staged.lock();
                 let (_, inboxes, step) =
                     staged.complete.as_ref().filter(|c| c.0 == *epoch).ok_or_else(|| {
                         EngineError::Recovery(format!(
-                            "async snapshot epoch {epoch} has no staged channel capture"
+                            "snapshot of iteration {epoch} has no captured channel state"
                         ))
                     })?;
                 *self.shared.inboxes.lock() = inboxes.clone();
                 self.shared.steps_committed.store(*step, Ordering::SeqCst);
             }
-            dataflow::ft::BulkRecoveryAction::Restart => {
+            RecoveryAction::Restart => {
                 let mut inboxes = self.shared.inboxes.lock();
                 let parallelism = inboxes.len();
                 *inboxes = empty_inboxes(parallelism);
                 self.shared.steps_committed.store(0, Ordering::SeqCst);
             }
-            _ => {}
+            RecoveryAction::Compensated | RecoveryAction::Ignore => {}
         }
         Ok(action)
-    }
-}
-
-/// [`recovery::CheckpointBulkHandler`] wrapped with the cluster's extra
-/// capture/restore obligations: every synchronous checkpoint also captures
-/// the shared inboxes and the step counter (pointer clones of the committed
-/// snapshots), and a rollback rewinds all three together.
-struct ClusterCheckpointHandler {
-    inner: recovery::CheckpointBulkHandler<Record, recovery::MemoryStore>,
-    shared: Arc<SharedStepState>,
-    captured: Option<ChannelCapture>,
-}
-
-impl ClusterCheckpointHandler {
-    fn new(interval: u32, shared: Arc<SharedStepState>, telemetry: SinkHandle) -> Self {
-        ClusterCheckpointHandler {
-            inner: recovery::CheckpointBulkHandler::new(recovery::MemoryStore::new(), interval)
-                .with_telemetry(telemetry),
-            shared,
-            captured: None,
-        }
-    }
-}
-
-impl dataflow::ft::BulkFaultHandler<Record> for ClusterCheckpointHandler {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<Record>,
-    ) -> Result<Option<dataflow::ft::CheckpointCost>> {
-        let cost = self.inner.after_superstep(iteration, state)?;
-        if cost.is_some() {
-            let inboxes = self.shared.inboxes.lock().clone();
-            let step = self.shared.steps_committed.load(Ordering::SeqCst);
-            self.captured = Some((iteration, inboxes, step));
-        }
-        Ok(cost)
-    }
-
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        state: &mut Partitions<Record>,
-    ) -> Result<dataflow::ft::BulkRecoveryAction<Record>> {
-        let action = self.inner.on_failure(iteration, lost, state)?;
-        match &action {
-            dataflow::ft::BulkRecoveryAction::Restored { iteration: ckpt, .. } => {
-                let (_, inboxes, step) =
-                    self.captured.as_ref().filter(|c| c.0 == *ckpt).ok_or_else(|| {
-                        EngineError::Recovery(format!(
-                            "checkpoint {ckpt} has no captured channel state"
-                        ))
-                    })?;
-                *self.shared.inboxes.lock() = inboxes.clone();
-                self.shared.steps_committed.store(*step, Ordering::SeqCst);
-            }
-            dataflow::ft::BulkRecoveryAction::Restart => {
-                let mut inboxes = self.shared.inboxes.lock();
-                let parallelism = inboxes.len();
-                *inboxes = empty_inboxes(parallelism);
-                self.shared.steps_committed.store(0, Ordering::SeqCst);
-            }
-            _ => {}
-        }
-        Ok(action)
-    }
-}
-
-/// The lineage baseline as a cluster strategy: any failure clears the
-/// shared inboxes and the step counter and tells the driver to restart
-/// from the initial input.
-struct ClusterRestartHandler {
-    shared: Arc<SharedStepState>,
-}
-
-impl dataflow::ft::BulkFaultHandler<Record> for ClusterRestartHandler {
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _state: &mut Partitions<Record>,
-    ) -> Result<dataflow::ft::BulkRecoveryAction<Record>> {
-        let mut inboxes = self.shared.inboxes.lock();
-        let parallelism = inboxes.len();
-        *inboxes = empty_inboxes(parallelism);
-        self.shared.steps_committed.store(0, Ordering::SeqCst);
-        Ok(dataflow::ft::BulkRecoveryAction::Restart)
     }
 }
 
@@ -1969,26 +1834,14 @@ pub fn run_cluster(
             "chaos plan targets worker {worker}, but the cluster never has more than {max_workers} workers"
         )));
     }
-    if let ClusterStrategy::AsyncSnapshot { interval: 0 } = cfg.strategy {
-        return Err(EngineError::Plan(
-            "async-snapshot needs an interval of at least 1 superstep".into(),
-        ));
-    }
-    if let ClusterStrategy::Checkpoint { interval: 0 } = cfg.strategy {
-        return Err(EngineError::Plan(
-            "checkpoint needs an interval of at least 1 superstep".into(),
-        ));
-    }
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
     let adjacency = Arc::new(partition_rows(graph, cfg.parallelism));
-    let env = EnvConfig::new(cfg.parallelism)
-        .with_dispatch(DispatchMode::Cluster)
-        .with_telemetry(telemetry.clone());
+    let env = EnvConfig::new(cfg.parallelism).with_telemetry(telemetry.clone());
     let max_iterations = cfg.max_iterations;
     let strategy = cfg.strategy;
     let initial_state = cfg.initial_state.take();
-    let backend = ClusterBackend::start(cfg, program_name, n, adjacency.clone(), telemetry)?;
+    let backend = ClusterBackend::new(cfg, program_name, n, adjacency.clone(), telemetry);
     run_with_backend(
         program,
         Box::new(backend),
@@ -2103,11 +1956,13 @@ fn run_with_backend(
     });
 
     let mut iteration = BulkIteration::new(&initial, max_iterations);
+    // Rollback and restart rewind the channels with the state; optimistic
+    // recovery recomputes forward and needs no cut. A zero interval is
+    // rejected here, by the handlers' constructors.
     match strategy {
         ClusterStrategy::Optimistic => {
-            // Optimistic recovery: the program's compensation function
-            // rebuilds each lost partition from the (loop-invariant)
-            // adjacency.
+            // The program's compensation function rebuilds each lost
+            // partition from the (loop-invariant) adjacency.
             let program = program.clone();
             let adjacency = adjacency.clone();
             let compensation = Named::new(
@@ -2119,28 +1974,28 @@ fn run_with_backend(
                     }
                 },
             );
-            iteration.set_fault_handler(
-                OptimisticBulkHandler::new(compensation).with_telemetry(telemetry),
-            );
+            iteration
+                .set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
         }
-        ClusterStrategy::Checkpoint { interval } => {
-            iteration.set_fault_handler(ClusterCheckpointHandler::new(
-                interval,
-                shared.clone(),
-                telemetry,
-            ));
-        }
-        ClusterStrategy::AsyncSnapshot { interval } => {
-            iteration.set_fault_handler(ClusterSnapshotHandler::new(
-                interval,
-                backend.clone(),
-                shared.clone(),
-                telemetry,
-            ));
-        }
-        ClusterStrategy::Restart => {
-            iteration.set_fault_handler(ClusterRestartHandler { shared: shared.clone() });
-        }
+        ClusterStrategy::Checkpoint { interval } => iteration.set_fault_handler(ChannelCut::new(
+            shared.clone(),
+            backend.clone(),
+            |probe| {
+                let handler = CheckpointHandler::new(MemoryStore::new(), interval)?;
+                Ok(handler.with_telemetry(telemetry).with_probe(probe))
+            },
+        )?),
+        ClusterStrategy::AsyncSnapshot { interval } => iteration.set_fault_handler(
+            ChannelCut::new(shared.clone(), backend.clone(), |probe| {
+                let handler = AsyncSnapshotHandler::new(MemoryStore::new(), interval)?;
+                Ok(handler.with_telemetry(telemetry).with_probe(probe))
+            })?,
+        ),
+        ClusterStrategy::Restart => iteration.set_fault_handler(ChannelCut::new(
+            shared.clone(),
+            backend.clone(),
+            |_probe| Ok(RestartHandler),
+        )?),
     }
     iteration.set_convergence_probe(|prev: &Partitions<Record>, next: &Partitions<Record>| {
         let changed_per_partition = prev
@@ -2164,7 +2019,7 @@ fn run_with_backend(
     let step = body.custom_node::<Record>(
         "cluster-step",
         vec![state.node_id()],
-        Box::new(ClusterStepOp { backend, shared, changed: changed.clone() }),
+        Box::new(ClusterStepOp { backend: backend.clone(), shared, changed: changed.clone() }),
     );
     let probe = body.custom_node::<u8>(
         "changed-probe",
@@ -2173,6 +2028,7 @@ fn run_with_backend(
     );
 
     let (result, stats) = iteration.close_with_termination(step, probe);
+    backend.lock().start()?;
     let mut values = result.collect()?;
     values.sort_unstable_by_key(|record| record.0);
     let stats = stats
@@ -2366,14 +2222,6 @@ mod tests {
             ClusterConfig::new(2, 4, 10).with_strategy(ClusterStrategy::Checkpoint { interval: 0 });
         let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
         assert!(err.to_string().contains("interval"), "{err}");
-    }
-
-    #[test]
-    fn direct_data_plane_is_the_default_and_the_builder_overrides_it() {
-        let cfg = ClusterConfig::new(2, 4, 10);
-        assert_eq!(cfg.data_plane, DataPlaneMode::Direct);
-        let cfg = cfg.with_data_plane(DataPlaneMode::Coordinator);
-        assert_eq!(cfg.data_plane, DataPlaneMode::Coordinator);
     }
 
     #[test]

@@ -281,9 +281,9 @@ impl DataPlane {
 
     /// Take `superstep`'s collected messages as per-partition inboxes
     /// (indexed by `dst % parallelism`), each in canonical `(src, dst, bits)`
-    /// order — the same order the coordinator funnel produces, so direct and
-    /// routed runs are bitwise-comparable — and garbage-collect every *older*
-    /// slot. The inbox lock is held only to take handles on the slot's runs;
+    /// order — the same order the coordinator's own step assembly produces,
+    /// so cluster and local runs are bitwise-comparable — and garbage-collect
+    /// every *older* slot. The inbox lock is held only to take handles on the slot's runs;
     /// they are merged straight into the inboxes outside it, so a peer thread
     /// depositing the *next* superstep's frames never waits on a merge. The
     /// consumed slot itself is retained intact so a post-failure retry under

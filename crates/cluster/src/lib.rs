@@ -11,7 +11,7 @@
 //! timeout. Detection converts into
 //! [`dataflow::error::EngineError::WorkerLost`], which flows through the
 //! *unchanged* bulk-iteration recovery machinery: the installed
-//! [`recovery::OptimisticBulkHandler`] compensates the lost partitions and
+//! [`recovery::OptimisticHandler`] compensates the lost partitions and
 //! the superstep is redone, while the coordinator re-spawns the worker and
 //! re-ships its partitions in the background.
 //!
@@ -30,8 +30,9 @@
 //!   loop, plus the direct data plane (peer links, batched shuffle,
 //!   superstep execution from cached state).
 //! * [`coordinator`] — worker lifecycle (spawn / heartbeat / kill /
-//!   respawn-with-backoff), the distributed superstep operator in both
-//!   data-plane modes, and the [`coordinator::run_cluster`] /
+//!   respawn-with-backoff), the distributed superstep operator, the
+//!   channel-cut wrapper around the recovery handlers, and the
+//!   [`coordinator::run_cluster`] /
 //!   [`coordinator::run_local`] entry points.
 
 #![warn(missing_docs)]
@@ -45,7 +46,7 @@ pub mod worker;
 
 pub use coordinator::{
     default_worker_cmd, run_cluster, run_local, run_local_warm, ChaosPlan, ClusterConfig,
-    ClusterRun, ClusterStrategy, DataPlaneMode, KillPlan, LinkPlan, ScaleEvent, StragglerPlan,
+    ClusterRun, ClusterStrategy, KillPlan, LinkPlan, ScaleEvent, StragglerPlan,
 };
 pub use placement::{PartitionMap, Rebalance, Rebalancer};
 pub use program::{lookup, program_names, ClusterProgram, StepOutput};

@@ -20,8 +20,7 @@
 /// `version` starts at 0 for the initial assignment and is bumped by every
 /// [`Rebalancer::rebalance`]; the coordinator broadcasts the map under the
 /// current membership epoch (as a
-/// [`MapUpdate`](crate::protocol::Message::MapUpdate) frame in direct mode)
-/// so workers route outbound messages by the same truth the coordinator
+/// [`MapUpdate`](crate::protocol::Message::MapUpdate) frame) so workers route outbound messages by the same truth the coordinator
 /// dispatches by.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {

@@ -94,24 +94,8 @@ pub enum Message {
         /// Adjacency rows per owned partition: `(pid, rows)`.
         adjacency: Vec<(u64, AdjRows)>,
     },
-    /// Coordinator → worker: run one partition's share of a superstep.
-    RunStep {
-        /// Partition to step.
-        pid: u64,
-        /// Chronological superstep (strictly increasing across retries; used
-        /// to discard stale replies after a failed superstep).
-        superstep: u32,
-        /// Logical step index: the number of *committed* supersteps so far.
-        /// Programs use it to special-case the first step; unlike the
-        /// chronological superstep it does not advance on failed attempts.
-        step: u64,
-        /// The partition's current state.
-        state: Vec<Record>,
-        /// Inbound messages for this partition, sorted by `(src, dst, bits)`.
-        inbound: Vec<Msg>,
-    },
-    /// Worker → coordinator: the result of one [`Message::RunStep`] or of
-    /// one partition inside a [`Message::StepGo`] / [`Message::StepReset`].
+    /// Worker → coordinator: the result of one partition inside a
+    /// [`Message::StepGo`] / [`Message::StepReset`].
     StepDone {
         /// Partition that was stepped.
         pid: u64,
@@ -145,7 +129,7 @@ pub enum Message {
     /// Coordinator → worker: exit cleanly.
     Shutdown,
     /// Worker → coordinator: the worker-side telemetry batch for one
-    /// [`Message::RunStep`], written on the control connection immediately
+    /// superstep, written on the control connection immediately
     /// *before* the matching [`Message::StepDone`] — so once the
     /// coordinator has collected every `StepDone` of a superstep, TCP
     /// ordering guarantees it has already seen every telemetry frame, and
@@ -323,7 +307,7 @@ pub enum Message {
     },
     /// Coordinator → worker: the current partition → worker assignment,
     /// broadcast immediately after [`Message::Membership`] under the same
-    /// epoch in direct mode. Workers route outbound messages by this table
+    /// epoch. Workers route outbound messages by this table
     /// (`assignment[dst % parallelism]`) instead of assuming `pid % members`,
     /// which is what lets partitions move between workers mid-run. Acked
     /// with [`Message::Welcome`]; a frame whose `epoch` is not the worker's
@@ -350,14 +334,6 @@ impl Codec for Message {
                 let parts: Vec<(u64, &AdjRows)> =
                     adjacency.iter().map(|(pid, rows)| (*pid, rows)).collect();
                 encode_load_program(out, program, *n, &parts);
-            }
-            Message::RunStep { pid, superstep, step, state, inbound } => {
-                out.push(3);
-                pid.encode(out);
-                superstep.encode(out);
-                step.encode(out);
-                state.encode(out);
-                inbound.encode(out);
             }
             Message::StepDone { pid, superstep, state, outbound, changed, shuffled } => {
                 out.push(4);
@@ -480,13 +456,8 @@ impl Codec for Message {
                 n: u64::decode(input)?,
                 adjacency: Vec::decode(input)?,
             },
-            3 => Message::RunStep {
-                pid: u64::decode(input)?,
-                superstep: u32::decode(input)?,
-                step: u64::decode(input)?,
-                state: Vec::decode(input)?,
-                inbound: Vec::decode(input)?,
-            },
+            // Tag 3 carried the coordinator-routed dispatch and is retired: it
+            // decodes to the unknown-tag error below and is not reused.
             4 => Message::StepDone {
                 pid: u64::decode(input)?,
                 superstep: u32::decode(input)?,
@@ -773,13 +744,6 @@ mod tests {
             n: 10,
             adjacency: vec![(0, vec![(0, vec![1, 2]), (2, vec![0])]), (1, vec![(1, vec![0])])],
         });
-        round_trip(Message::RunStep {
-            pid: 1,
-            superstep: 4,
-            step: 3,
-            state: vec![(1, 1), (3, 0)],
-            inbound: vec![(0, 1, 0), (2, 3, 7)],
-        });
         round_trip(Message::StepDone {
             pid: 1,
             superstep: 4,
@@ -886,13 +850,15 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tag_is_a_decode_error() {
-        let payload = vec![99u8];
-        let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
-        buf.extend_from_slice(&payload);
-        let err = read_frame(&mut buf.as_slice(), None).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("unknown cluster message tag"), "{err}");
+    fn unknown_and_retired_tags_are_decode_errors() {
+        for tag in [99u8, 3] {
+            let payload = vec![tag];
+            let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
+            buf.extend_from_slice(&payload);
+            let err = read_frame(&mut buf.as_slice(), None).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("unknown cluster message tag"), "{err}");
+        }
     }
 
     fn frame_of(msg: &Message) -> Vec<u8> {

@@ -9,14 +9,14 @@
 //! superstep is being computed on the control connection.
 //!
 //! The same listener serves both planes: the coordinator's control
-//! connection, and — under the direct data plane — incoming peer
-//! connections carrying [`Message::ShuffleFrame`]s, which a connection
-//! thread deposits into the process-wide [`DataPlane`] inbox. The control
+//! connection, and incoming peer connections carrying
+//! [`Message::ShuffleFrame`]s, which a connection thread deposits into the
+//! process-wide [`DataPlane`] inbox. The control
 //! connection installs peer links from [`Message::Membership`], then runs
 //! whole supersteps from [`Message::StepGo`] / [`Message::StepReset`]
 //! against cached partition state, shipping outbound messages directly to
 //! peers (one frame per partition and peer, overlapped with the remaining
-//! partitions' compute) instead of funnelling them through the coordinator.
+//! partitions' compute); they never pass through the coordinator.
 //! A cross-worker message is copied once on each side: encoded from the
 //! step's outbound into the frame buffer the socket write reads, and decoded
 //! from the connection's receive buffer into the vector the inbox keeps as a
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dataflow::codec::{encode_to_vec, Codec};
+use dataflow::codec::Codec;
 use parking_lot::Mutex;
 
 use crate::exchange::DataPlane;
@@ -249,7 +249,7 @@ impl PeerLink {
     }
 }
 
-/// One partition's outcome inside a direct-mode superstep, held back until
+/// One partition's outcome inside a superstep, held back until
 /// all data-plane flushes are written (peers must never wait on a partition
 /// whose `StepDone` the coordinator already counted).
 struct StepOutcome {
@@ -593,60 +593,6 @@ fn serve(
                 Message::ShuffleFlush { from_worker, epoch, superstep, .. } => {
                     plane.flush(epoch, superstep, from_worker);
                 }
-                Message::RunStep { pid, superstep, step, state, inbound } => {
-                    let (program, rows, n) = {
-                        let shared = shared.lock();
-                        let program = shared.program.clone().ok_or_else(|| {
-                            io::Error::new(io::ErrorKind::InvalidData, "RunStep before LoadProgram")
-                        })?;
-                        let rows = shared.adjacency.get(&pid).cloned().ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("RunStep for partition {pid} not owned by this worker"),
-                            )
-                        })?;
-                        (program, rows, shared.n)
-                    };
-                    if superstep != telemetry_superstep {
-                        telemetry_superstep = superstep;
-                        seq = 0;
-                        wlog(worker, Some(superstep), "run_step", &format!("first_pid={pid}"));
-                    }
-                    let compute_start = Instant::now();
-                    let out = program.step(step, &state, &inbound, &rows, n);
-                    let compute_ns = compute_start.elapsed().as_nanos() as u64;
-                    let records = (out.state.len() + out.outbound.len()) as u64;
-                    let shuffled = out.outbound.len() as u64;
-                    let reply = Message::StepDone {
-                        pid,
-                        superstep,
-                        state: out.state,
-                        outbound: out.outbound,
-                        changed: out.changed,
-                        shuffled,
-                    };
-                    let shuffle_start = Instant::now();
-                    let payload = encode_to_vec(&reply);
-                    let shuffle_ns = shuffle_start.elapsed().as_nanos() as u64;
-                    // Telemetry first, then the pre-encoded reply: TCP
-                    // ordering makes the frame visible to the coordinator no
-                    // later than the StepDone it describes.
-                    write_frame(
-                        &mut stream,
-                        &Message::TelemetryFrame {
-                            worker: worker.unwrap_or(0),
-                            superstep,
-                            seq,
-                            spans: vec![
-                                (pid, SPAN_PHASE_COMPUTE, records, compute_ns),
-                                (pid, SPAN_PHASE_SHUFFLE, records, shuffle_ns),
-                            ],
-                        },
-                        None,
-                    )?;
-                    seq += 1;
-                    write_encoded_frame(&mut stream, &payload, None)?;
-                }
                 Message::SnapshotBarrier { epoch, pid, chunk } => {
                     let bytes = chunk.len() as u64;
                     shared.lock().snapshots.entry(epoch).or_default().insert(pid, chunk);
@@ -710,7 +656,7 @@ fn connect_peer(port: u64) -> io::Result<TcpStream> {
     TcpStream::connect(&addr)
 }
 
-/// Run one whole superstep over this worker's partitions in direct mode:
+/// Run one whole superstep over this worker's partitions:
 /// compute each partition against its resolved inbound, route its outbound
 /// through the destination table — peers' messages straight into the frames
 /// they leave in, this worker's own into a run moved into the local inbox —
@@ -840,7 +786,7 @@ mod tests {
     use crate::protocol::read_frame;
     use proptest::prelude::*;
 
-    /// A direct-mode context for `members` workers with one unconnected link
+    /// A data-plane context for `members` workers with one unconnected link
     /// per peer: enough to route and fill frames, which is all that happens
     /// before a frame is written.
     fn routing_ctx(worker: u64, members: u64, parallelism: u64, assignment: &[u64]) -> DirectCtx {
@@ -938,59 +884,6 @@ mod tests {
                 }
                 other => panic!("expected StepDone, got {other:?}"),
             }
-        }
-    }
-
-    #[test]
-    fn worker_loads_a_program_and_steps_a_partition() {
-        let addr = spawn_local_worker();
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write_frame(&mut conn, &Message::Hello { worker: 0 }, None).unwrap();
-        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
-
-        // Partition 0 of a 2-vertex path graph, single partition.
-        write_frame(
-            &mut conn,
-            &Message::LoadProgram {
-                program: "cc".into(),
-                n: 2,
-                adjacency: vec![(0, vec![(0, vec![1]), (1, vec![0])])],
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
-
-        write_frame(
-            &mut conn,
-            &Message::RunStep {
-                pid: 0,
-                superstep: 1,
-                step: 1,
-                state: vec![(0, 0), (1, 1)],
-                inbound: vec![(0, 1, 0)],
-            },
-            None,
-        )
-        .unwrap();
-        // The telemetry frame precedes the reply it describes.
-        match read_frame(&mut conn, None).unwrap() {
-            Message::TelemetryFrame { worker, superstep, seq, spans } => {
-                assert_eq!((worker, superstep, seq), (0, 1, 0));
-                let phases: Vec<u64> = spans.iter().map(|&(_, phase, _, _)| phase).collect();
-                assert_eq!(phases, vec![SPAN_PHASE_COMPUTE, SPAN_PHASE_SHUFFLE]);
-                assert!(spans.iter().all(|&(pid, _, records, _)| pid == 0 && records > 0));
-            }
-            other => panic!("expected TelemetryFrame, got {other:?}"),
-        }
-        match read_frame(&mut conn, None).unwrap() {
-            Message::StepDone { pid, superstep, state, changed, shuffled, .. } => {
-                assert_eq!((pid, superstep), (0, 1));
-                assert_eq!(state, vec![(0, 0), (1, 0)], "label 0 propagates to vertex 1");
-                assert_eq!(changed, 1);
-                assert_eq!(shuffled, 2, "both vertices broadcast to their neighbour");
-            }
-            other => panic!("expected StepDone, got {other:?}"),
         }
     }
 
@@ -1105,7 +998,12 @@ mod tests {
         let mut conn = TcpStream::connect(addr).unwrap();
         write_frame(
             &mut conn,
-            &Message::RunStep { pid: 0, superstep: 0, step: 0, state: vec![], inbound: vec![] },
+            &Message::StepGo {
+                superstep: 0,
+                step: 0,
+                inbound_superstep: NO_INBOUND,
+                pids: vec![0],
+            },
             None,
         )
         .unwrap();

@@ -6,8 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cluster::{
-    run_cluster, run_local, ClusterConfig, ClusterStrategy, DataPlaneMode, KillPlan, LinkPlan,
-    StragglerPlan,
+    run_cluster, run_local, ClusterConfig, ClusterStrategy, KillPlan, LinkPlan, StragglerPlan,
 };
 use graphs::GraphBuilder;
 use telemetry::{MemorySink, SinkHandle};
@@ -305,46 +304,18 @@ fn network_metrics_are_recorded() {
 }
 
 #[test]
-fn the_coordinator_funnel_ships_no_peer_traffic() {
-    let graph = cc_graph();
-    let telemetry = SinkHandle::new(Arc::new(MemorySink::new()));
-    let mut cfg = test_config(2, 4, 60);
-    cfg = cfg.with_data_plane(DataPlaneMode::Coordinator);
-    run_cluster("cc", &graph, cfg, telemetry.clone()).unwrap();
-
-    let metrics = telemetry.metrics();
-    assert!(metrics.counter("net/bytes_out").get() > 0, "the funnel still moves frames");
-    assert_eq!(
-        metrics.counter("net/data_bytes_out").get(),
-        0,
-        "funnel mode must not open a data plane"
-    );
-}
-
-#[test]
-fn direct_and_funneled_data_planes_agree_bitwise_when_failure_free() {
+fn cluster_and_local_agree_bitwise_when_failure_free() {
     for program in ["cc", "pagerank"] {
         let graph = if program == "cc" { cc_graph() } else { pagerank_graph() };
-        let direct = run_cluster(
-            program,
-            &graph,
-            test_config(2, 4, 300).with_data_plane(DataPlaneMode::Direct),
-            SinkHandle::disabled(),
-        )
-        .unwrap();
-        let funnel = run_cluster(
-            program,
-            &graph,
-            test_config(2, 4, 300).with_data_plane(DataPlaneMode::Coordinator),
-            SinkHandle::disabled(),
-        )
-        .unwrap();
-        // Workers bucket and sort shuffled messages into the same canonical
-        // order the funnel produced, so the data planes agree down to the
-        // bit pattern — and in the same number of supersteps.
-        assert_eq!(direct.values, funnel.values, "{program}: data planes diverged");
-        assert_eq!(direct.stats.supersteps(), funnel.stats.supersteps(), "{program}");
-        assert!(direct.stats.converged && funnel.stats.converged, "{program}");
+        let cluster =
+            run_cluster(program, &graph, test_config(2, 4, 300), SinkHandle::disabled()).unwrap();
+        let local = run_local(program, &graph, 4, 300, SinkHandle::disabled()).unwrap();
+        // Workers bucket and merge shuffled messages into the same canonical
+        // order the in-process step assembly produces, so the two agree down
+        // to the bit pattern — and in the same number of supersteps.
+        assert_eq!(cluster.values, local.values, "{program}: cluster diverged from local");
+        assert_eq!(cluster.stats.supersteps(), local.stats.supersteps(), "{program}");
+        assert!(cluster.stats.converged && local.stats.converged, "{program}");
     }
 }
 

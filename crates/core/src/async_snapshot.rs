@@ -9,9 +9,11 @@
 //! stable-storage writes happen in the background while the computation
 //! keeps running.
 //!
-//! This module reproduces that cost structure on the superstep loop. When a
-//! barrier fires at iteration `E` the handler encodes every partition's
-//! state locally (the cheap, aligned capture — the superstep boundary *is*
+//! This module reproduces that cost structure on the superstep loop, once
+//! for every iteration state: like the Flink protocol, the bookkeeping
+//! handles per-task state as opaque bytes and leaves the encoding of one
+//! partition to [`Snapshot`]. When a barrier fires at iteration `E` the
+//! handler encodes every partition's state locally (the cheap, aligned capture — the superstep boundary *is*
 //! the consistent cut, so no channel draining is needed), then persists
 //! **one partition chunk per subsequent superstep**: with parallelism `P`
 //! the snapshot of epoch `E` reaches stable storage at iteration `E+P-1`,
@@ -29,17 +31,12 @@
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use dataflow::codec::Codec;
-use dataflow::dataset::{Data, Partitions};
 use dataflow::error::{EngineError, Result};
-use dataflow::ft::{
-    BulkFaultHandler, BulkRecoveryAction, CheckpointCost, DeltaFaultHandler, DeltaRecoveryAction,
-    SolutionSets,
-};
+use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, Snapshot};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
-use crate::checkpoint::StableStore;
+use crate::checkpoint::{positive_interval, StableStore};
 
 /// Barrier life-cycle notification delivered to a [`BarrierProbe`].
 #[derive(Debug)]
@@ -91,15 +88,17 @@ struct Complete {
     partitions: usize,
 }
 
-fn chunk_key(prefix: &str, epoch: u32, pid: usize) -> String {
-    format!("{prefix}-{epoch}-p{pid}")
+fn chunk_key(kind: &str, epoch: u32, pid: usize) -> String {
+    format!("async-{kind}-{epoch}-p{pid}")
 }
 
-/// Shared barrier bookkeeping of the bulk and delta handlers.
+/// The barrier bookkeeping, independent of the state's shape: it sees
+/// partitions only as opaque encoded chunks.
 struct BarrierCore<S> {
     store: S,
     interval: u32,
-    prefix: &'static str,
+    /// [`Snapshot::KIND`] of the state, part of every chunk's store key.
+    kind: &'static str,
     telemetry: SinkHandle,
     probe: Option<BarrierProbe>,
     in_flight: Option<InFlight>,
@@ -107,17 +106,16 @@ struct BarrierCore<S> {
 }
 
 impl<S: StableStore> BarrierCore<S> {
-    fn new(store: S, interval: u32, prefix: &'static str) -> Self {
-        assert!(interval > 0, "snapshot interval must be at least 1");
-        BarrierCore {
+    fn new(store: S, interval: u32, kind: &'static str) -> Result<Self> {
+        Ok(BarrierCore {
             store,
-            interval,
-            prefix,
+            interval: positive_interval("async-snapshot", interval)?,
+            kind,
             telemetry: SinkHandle::disabled(),
             probe: None,
             in_flight: None,
             complete: None,
-        }
+        })
     }
 
     fn notify(&mut self, event: BarrierEvent<'_>) {
@@ -145,7 +143,7 @@ impl<S: StableStore> BarrierCore<S> {
                 in_flight.next += 1;
                 (in_flight.epoch, pid, chunk, in_flight.next == in_flight.chunks.len())
             };
-            self.store.put(&chunk_key(self.prefix, epoch, pid), &chunk)?;
+            self.store.put(&chunk_key(self.kind, epoch, pid), &chunk)?;
             persisted += chunk.len() as u64;
             self.notify(BarrierEvent::ChunkPersisted { epoch, pid, chunk: &chunk });
             self.in_flight.as_mut().expect("in-flight barrier present").chunks[pid] = chunk;
@@ -156,7 +154,7 @@ impl<S: StableStore> BarrierCore<S> {
                 // The new restore point supersedes the previous epoch.
                 if let Some(old) = self.complete.replace(Complete { epoch, partitions: count }) {
                     for old_pid in 0..old.partitions {
-                        self.store.remove(&chunk_key(self.prefix, old.epoch, old_pid))?;
+                        self.store.remove(&chunk_key(self.kind, old.epoch, old_pid))?;
                     }
                 }
                 self.telemetry.emit(|| JournalEvent::SnapshotBarrierCompleted {
@@ -177,7 +175,7 @@ impl<S: StableStore> BarrierCore<S> {
                 .emit(|| JournalEvent::SnapshotBarrierStarted { epoch: iteration, partitions });
             self.notify(BarrierEvent::Started { epoch: iteration, partitions });
             let first = &chunks[0];
-            self.store.put(&chunk_key(self.prefix, iteration, 0), first)?;
+            self.store.put(&chunk_key(self.kind, iteration, 0), first)?;
             persisted += first.len() as u64;
             self.notify(BarrierEvent::ChunkPersisted { epoch: iteration, pid: 0, chunk: first });
             if partitions == 1 {
@@ -186,7 +184,7 @@ impl<S: StableStore> BarrierCore<S> {
                 if let Some(old) = self.complete.replace(Complete { epoch: iteration, partitions })
                 {
                     for old_pid in 0..old.partitions {
-                        self.store.remove(&chunk_key(self.prefix, old.epoch, old_pid))?;
+                        self.store.remove(&chunk_key(self.kind, old.epoch, old_pid))?;
                     }
                 }
                 self.telemetry.emit(|| JournalEvent::SnapshotBarrierCompleted {
@@ -210,7 +208,7 @@ impl<S: StableStore> BarrierCore<S> {
     fn abort_in_flight(&mut self) -> Result<()> {
         if let Some(in_flight) = self.in_flight.take() {
             for pid in 0..in_flight.next {
-                self.store.remove(&chunk_key(self.prefix, in_flight.epoch, pid))?;
+                self.store.remove(&chunk_key(self.kind, in_flight.epoch, pid))?;
             }
             self.notify(BarrierEvent::Aborted { epoch: in_flight.epoch });
         }
@@ -222,7 +220,7 @@ impl<S: StableStore> BarrierCore<S> {
         let Some(complete) = self.complete else { return Ok(None) };
         let mut chunks = Vec::with_capacity(complete.partitions);
         for pid in 0..complete.partitions {
-            let key = chunk_key(self.prefix, complete.epoch, pid);
+            let key = chunk_key(self.kind, complete.epoch, pid);
             let chunk = self.store.get(&key)?.ok_or_else(|| {
                 EngineError::Recovery(format!("snapshot chunk {key} vanished from stable storage"))
             })?;
@@ -232,28 +230,28 @@ impl<S: StableStore> BarrierCore<S> {
     }
 }
 
-/// Asynchronous-barrier-snapshot handler for bulk iterations.
+/// Asynchronous-barrier-snapshot handler, for either iteration kind (a delta
+/// iteration's partition chunk carries that partition's solution set and
+/// workset).
 ///
 /// See the [module docs](self) for the mechanism. Restores carry the last
 /// complete epoch's state; before the first epoch completes, failures
 /// degrade to a restart (exactly like [`crate::checkpoint`] before its
 /// first snapshot).
-pub struct AsyncSnapshotBulkHandler<T, S> {
-    core: BarrierCore<S>,
-    _records: PhantomData<fn(T)>,
+pub struct AsyncSnapshotHandler<S, Store> {
+    core: BarrierCore<Store>,
+    _state: PhantomData<fn(S)>,
 }
 
-impl<T, S: StableStore> AsyncSnapshotBulkHandler<T, S> {
+impl<S: Snapshot, Store: StableStore> AsyncSnapshotHandler<S, Store> {
     /// Fire a barrier at iterations `0, interval, 2·interval, ...` (skipping
-    /// multiples that land while a snapshot is still in flight).
-    ///
-    /// # Panics
-    /// Panics when `interval` is zero.
-    pub fn new(store: S, interval: u32) -> Self {
-        AsyncSnapshotBulkHandler {
-            core: BarrierCore::new(store, interval, "async-bulk"),
-            _records: PhantomData,
-        }
+    /// multiples that land while a snapshot is still in flight). An
+    /// `interval` of zero is an [`EngineError::Plan`].
+    pub fn new(store: Store, interval: u32) -> Result<Self> {
+        Ok(AsyncSnapshotHandler {
+            core: BarrierCore::new(store, interval, S::KIND)?,
+            _state: PhantomData,
+        })
     }
 
     /// Report barrier starts/completions and restores to the given sink.
@@ -280,21 +278,16 @@ impl<T, S: StableStore> AsyncSnapshotBulkHandler<T, S> {
     }
 
     /// Borrow the underlying store (e.g. for byte accounting).
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &Store {
         &self.core.store
     }
 }
 
-impl<T: Data + Codec, S: StableStore> BulkFaultHandler<T> for AsyncSnapshotBulkHandler<T, S> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
-        let parts = state.as_parts();
-        self.core.advance(iteration, parts.len(), |pid| {
+impl<S: Snapshot, Store: StableStore> FaultHandler<S> for AsyncSnapshotHandler<S, Store> {
+    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
+        self.core.advance(iteration, state.num_partitions(), |pid| {
             let mut out = Vec::new();
-            parts[pid].encode(&mut out);
+            state.encode_partition(pid, &mut out);
             out
         })
     }
@@ -303,134 +296,15 @@ impl<T: Data + Codec, S: StableStore> BulkFaultHandler<T> for AsyncSnapshotBulkH
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
+        _state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
         self.core.abort_in_flight()?;
-        match self.core.complete_chunks()? {
-            None => Ok(BulkRecoveryAction::Restart),
-            Some((epoch, chunks)) => {
-                let mut parts = Vec::with_capacity(chunks.len());
-                for chunk in &chunks {
-                    parts.push(dataflow::codec::decode_exact::<Vec<T>>(chunk)?);
-                }
-                self.core.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration: epoch });
-                Ok(BulkRecoveryAction::Restored {
-                    iteration: epoch,
-                    state: Partitions::from_parts(parts),
-                })
-            }
-        }
-    }
-}
-
-/// Asynchronous-barrier-snapshot handler for delta iterations: each
-/// partition chunk carries that partition's solution set and workset.
-pub struct AsyncSnapshotDeltaHandler<K, V, W, S> {
-    core: BarrierCore<S>,
-    _records: PhantomData<fn(K, V, W)>,
-}
-
-impl<K, V, W, S: StableStore> AsyncSnapshotDeltaHandler<K, V, W, S> {
-    /// Fire a barrier at iterations `0, interval, 2·interval, ...` (skipping
-    /// multiples that land while a snapshot is still in flight).
-    ///
-    /// # Panics
-    /// Panics when `interval` is zero.
-    pub fn new(store: S, interval: u32) -> Self {
-        AsyncSnapshotDeltaHandler {
-            core: BarrierCore::new(store, interval, "async-delta"),
-            _records: PhantomData,
-        }
-    }
-
-    /// Report barrier starts/completions and restores to the given sink.
-    pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
-        self.core.telemetry = telemetry;
-        self
-    }
-
-    /// Observe barrier life-cycle points.
-    pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
-        self.core.probe = Some(probe);
-        self
-    }
-
-    /// The epoch of the last complete (restorable) snapshot, if any.
-    pub fn latest_complete(&self) -> Option<u32> {
-        self.core.complete.map(|c| c.epoch)
-    }
-
-    /// The epoch of the snapshot currently being written, if any.
-    pub fn in_flight_epoch(&self) -> Option<u32> {
-        self.core.in_flight.as_ref().map(|f| f.epoch)
-    }
-
-    /// Borrow the underlying store.
-    pub fn store(&self) -> &S {
-        &self.core.store
-    }
-}
-
-impl<K, V, W, S> DeltaFaultHandler<K, V, W> for AsyncSnapshotDeltaHandler<K, V, W, S>
-where
-    K: Data + Codec + std::hash::Hash + Eq,
-    V: Data + Codec,
-    W: Data + Codec,
-    S: StableStore,
-{
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
-        debug_assert_eq!(solution.len(), workset.num_partitions());
-        let worksets = workset.as_parts();
-        self.core.advance(iteration, solution.len(), |pid| {
-            let mut out = Vec::new();
-            let entries: Vec<(K, V)> =
-                solution[pid].iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            entries.encode(&mut out);
-            worksets[pid].encode(&mut out);
-            out
-        })
-    }
-
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        self.core.abort_in_flight()?;
-        match self.core.complete_chunks()? {
-            None => Ok(DeltaRecoveryAction::Restart),
-            Some((epoch, chunks)) => {
-                let mut solution: SolutionSets<K, V> = Vec::with_capacity(chunks.len());
-                let mut worksets = Vec::with_capacity(chunks.len());
-                for chunk in &chunks {
-                    let mut input = chunk.as_slice();
-                    let entries = Vec::<(K, V)>::decode(&mut input)?;
-                    let part = Vec::<W>::decode(&mut input)?;
-                    if !input.is_empty() {
-                        return Err(EngineError::Codec(
-                            "trailing bytes in async snapshot chunk".into(),
-                        ));
-                    }
-                    let mut set = dataflow::hash::FxHashMap::default();
-                    set.extend(entries);
-                    solution.push(set);
-                    worksets.push(part);
-                }
-                self.core.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration: epoch });
-                Ok(DeltaRecoveryAction::Restored {
-                    iteration: epoch,
-                    solution,
-                    workset: Partitions::from_parts(worksets),
-                })
-            }
-        }
+        let Some((epoch, chunks)) = self.core.complete_chunks()? else {
+            return Ok(RecoveryAction::Restart);
+        };
+        let state = S::from_chunks(&chunks)?;
+        self.core.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration: epoch });
+        Ok(RecoveryAction::Restored { iteration: epoch, state })
     }
 }
 
@@ -441,100 +315,111 @@ mod tests {
 
     use super::*;
     use crate::checkpoint::MemoryStore;
+    use crate::test_states::{bulk, delta, same_delta};
+    use dataflow::dataset::Partitions;
 
-    fn state(round: u64) -> Partitions<u64> {
-        Partitions::round_robin((0..8).map(|v| v + 100 * round).collect(), 4)
+    type Handler<S> = AsyncSnapshotHandler<S, MemoryStore>;
+
+    /// A handler that saw `after_superstep` for iterations `0..supersteps`.
+    fn advanced<S: Snapshot>(
+        interval: u32,
+        supersteps: u32,
+        states: &impl Fn(u32) -> S,
+    ) -> Handler<S> {
+        let mut handler = Handler::new(MemoryStore::new(), interval).unwrap();
+        for iteration in 0..supersteps {
+            handler.after_superstep(iteration, &states(iteration)).unwrap();
+        }
+        handler
     }
 
-    #[test]
-    fn snapshot_writes_spread_over_supersteps() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4);
-        // Barrier fires at iteration 0; with 4 partitions one chunk lands
-        // per superstep, so the epoch completes at iteration 3.
-        assert!(handler.after_superstep(0, &state(0)).unwrap().is_some());
-        assert_eq!(handler.in_flight_epoch(), Some(0));
-        assert_eq!(handler.latest_complete(), None);
-        assert_eq!(handler.store().len(), 1);
-        assert!(handler.after_superstep(1, &state(1)).unwrap().is_some());
-        assert!(handler.after_superstep(2, &state(2)).unwrap().is_some());
-        assert_eq!(handler.store().len(), 3);
-        assert!(handler.after_superstep(3, &state(3)).unwrap().is_some());
+    /// Fail partition 0 at `iteration` and return what the handler restored:
+    /// `None` for a restart.
+    fn fail<S: Snapshot>(
+        handler: &mut Handler<S>,
+        iteration: u32,
+        states: &impl Fn(u32) -> S,
+    ) -> Option<(u32, S)> {
+        let mut broken = states(iteration);
+        broken.clear_partition(0);
+        match handler.on_failure(iteration, &[0], &mut broken).unwrap() {
+            RecoveryAction::Restored { iteration, state } => Some((iteration, state)),
+            RecoveryAction::Restart => None,
+            _ => panic!("a snapshot handler restores or restarts"),
+        }
+    }
+
+    /// The contract's barrier life cycle over one state shape with
+    /// `partitions` partitions: `states` yields the state as of an
+    /// iteration, `same` compares two states.
+    fn barrier_life_cycle<S: Snapshot>(
+        partitions: u32,
+        states: impl Fn(u32) -> S,
+        same: impl Fn(&S, &S) -> bool,
+    ) {
+        let interval = partitions;
+        // Writes spread over supersteps: the barrier at iteration 0 persists
+        // one chunk per superstep, so the epoch completes at `partitions-1`.
+        let mut handler = Handler::<S>::new(MemoryStore::new(), interval).unwrap();
+        for iteration in 0..partitions {
+            assert_eq!(handler.latest_complete(), None);
+            assert!(handler.after_superstep(iteration, &states(iteration)).unwrap().is_some());
+            assert_eq!(handler.store().len(), iteration as usize + 1);
+        }
         assert_eq!(handler.in_flight_epoch(), None);
         assert_eq!(handler.latest_complete(), Some(0));
-        assert_eq!(handler.store().len(), 4);
-
+        let key = format!("async-{}-0-p0", S::KIND);
+        assert!(handler.store().get(&key).unwrap().is_some(), "chunk keys are {key}-shaped");
         // A complete epoch restores the state as of the barrier iteration.
-        let mut broken = state(4);
-        broken.clear_partition(1);
-        match handler.on_failure(4, &[1], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { iteration, state: restored } => {
-                assert_eq!(iteration, 0);
-                assert_eq!(restored, state(0));
-            }
-            _ => panic!("expected a restore from the complete epoch"),
-        }
-    }
+        let (epoch, restored) = fail(&mut handler, partitions, &states).expect("a restore");
+        assert_eq!(epoch, 0);
+        assert!(same(&restored, &states(0)));
 
-    #[test]
-    fn completed_epochs_supersede_and_garbage_collect_older_ones() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4);
-        // Epoch 0 completes at iteration 3; epoch 4 completes at 7.
-        for iteration in 0..8 {
-            handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
-        }
-        assert_eq!(handler.latest_complete(), Some(4));
-        assert_eq!(handler.store().len(), 4, "epoch 0's chunks were garbage collected");
-        let mut broken = state(8);
-        broken.clear_partition(0);
-        match handler.on_failure(8, &[0], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { iteration, state: restored } => {
-                assert_eq!(iteration, 4);
-                assert_eq!(restored, state(4));
-            }
-            _ => panic!("expected a restore from epoch 4"),
-        }
-    }
-
-    #[test]
-    fn never_restores_from_a_partial_snapshot() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4);
-        // Two chunks of epoch 0 are durable, two are not: the failure must
-        // degrade to a restart, never restore the partial epoch.
-        handler.after_superstep(0, &state(0)).unwrap();
-        handler.after_superstep(1, &state(1)).unwrap();
-        let mut broken = state(2);
-        broken.clear_partition(2);
-        match handler.on_failure(2, &[2], &mut broken).unwrap() {
-            BulkRecoveryAction::Restart => {}
-            _ => panic!("a partial snapshot must never be restored"),
-        }
+        // Restart before the first snapshot completes — and never restore a
+        // partial one: its persisted chunks are discarded.
+        let mut handler = advanced(interval, partitions - 1, &states);
+        assert!(fail(&mut handler, partitions - 1, &states).is_none());
         assert_eq!(handler.store().len(), 0, "partial chunks were discarded");
         assert_eq!(handler.in_flight_epoch(), None);
+
+        // A completed epoch supersedes and garbage-collects the older one.
+        let mut handler = advanced(interval, 2 * partitions, &states);
+        assert_eq!(handler.latest_complete(), Some(partitions));
+        assert_eq!(handler.store().len(), partitions as usize, "epoch 0's chunks are gone");
+        let (epoch, restored) = fail(&mut handler, 2 * partitions, &states).expect("a restore");
+        assert_eq!(epoch, partitions);
+        assert!(same(&restored, &states(partitions)));
+
+        // A failure mid-flight falls back to the previous complete epoch.
+        let mut handler = advanced(interval, partitions + 1, &states);
+        assert_eq!(handler.latest_complete(), Some(0));
+        assert_eq!(handler.in_flight_epoch(), Some(partitions));
+        let (epoch, restored) = fail(&mut handler, partitions + 1, &states).expect("a restore");
+        assert_eq!(epoch, 0, "the in-flight epoch must be skipped");
+        assert!(same(&restored, &states(0)));
+        assert_eq!(handler.store().len(), partitions as usize, "its partial chunk is gone");
     }
 
     #[test]
-    fn failure_mid_flight_falls_back_to_the_previous_complete_epoch() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4);
-        for iteration in 0..6 {
-            handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
-        }
-        // Epoch 0 is complete; epoch 4 has persisted chunks 0 and 1 only.
-        assert_eq!(handler.latest_complete(), Some(0));
-        assert_eq!(handler.in_flight_epoch(), Some(4));
-        let mut broken = state(6);
-        broken.clear_partition(3);
-        match handler.on_failure(6, &[3], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { iteration, state: restored } => {
-                assert_eq!(iteration, 0, "the in-flight epoch 4 must be skipped");
-                assert_eq!(restored, state(0));
-            }
-            _ => panic!("expected a restore from epoch 0"),
-        }
-        assert_eq!(handler.store().len(), 4, "epoch 4's partial chunks were discarded");
+    fn barrier_life_cycle_holds_for_both_state_shapes() {
+        barrier_life_cycle(4, bulk, |a, b| a == b);
+        barrier_life_cycle(2, delta, same_delta);
+    }
+
+    /// Bytes each of five supersteps over an unchanging `state` persists.
+    fn chunk_sizes<S: Snapshot>(state: S) -> Vec<Option<u64>> {
+        let mut handler = Handler::new(MemoryStore::new(), 8).unwrap();
+        (0..5)
+            .map(|iteration| handler.after_superstep(iteration, &state).unwrap().map(|c| c.bytes))
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_chunk_sizes_are_the_parents() {
+        // Measured at the commit before the handlers were unified: a chunk
+        // per superstep, then nothing once the epoch is complete.
+        assert_eq!(chunk_sizes(bulk(0)), [Some(24), Some(24), Some(24), Some(24), None]);
+        assert_eq!(chunk_sizes(delta(0)), [Some(64), Some(64), None, None, None]);
     }
 
     #[test]
@@ -542,44 +427,44 @@ mod tests {
         // interval 2 < parallelism 4: the barrier at iteration 2 lands while
         // epoch 0 is still persisting and is skipped; the next barrier fires
         // at iteration 4 (the first multiple after completion).
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 2);
-        for iteration in 0..4 {
-            handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
-        }
+        let mut handler = advanced(2, 4, &bulk);
         assert_eq!(handler.latest_complete(), Some(0));
         assert_eq!(handler.in_flight_epoch(), None);
-        handler.after_superstep(4, &state(4)).unwrap();
+        handler.after_superstep(4, &bulk(4)).unwrap();
         assert_eq!(handler.in_flight_epoch(), Some(4));
+    }
+
+    /// The probe's view of five supersteps and a failure at interval =
+    /// partition count.
+    fn probe_log<S: Snapshot>(partitions: u32, states: impl Fn(u32) -> S) -> Vec<String> {
+        let seen: Rc<RefCell<Vec<String>>> = Rc::default();
+        let log = seen.clone();
+        let mut handler = Handler::<S>::new(MemoryStore::new(), partitions).unwrap().with_probe(
+            Box::new(move |event| {
+                log.borrow_mut().push(match event {
+                    BarrierEvent::Started { epoch, partitions } => {
+                        format!("start:{epoch}:{partitions}")
+                    }
+                    BarrierEvent::ChunkPersisted { epoch, pid, .. } => {
+                        format!("chunk:{epoch}:{pid}")
+                    }
+                    BarrierEvent::Completed { epoch } => format!("done:{epoch}"),
+                    BarrierEvent::Aborted { epoch } => format!("abort:{epoch}"),
+                });
+            }),
+        );
+        for iteration in 0..=partitions {
+            handler.after_superstep(iteration, &states(iteration)).unwrap();
+        }
+        fail(&mut handler, partitions + 1, &states);
+        let log = seen.borrow().clone();
+        log
     }
 
     #[test]
     fn probe_sees_the_barrier_life_cycle_in_order() {
-        let seen: Rc<RefCell<Vec<String>>> = Rc::default();
-        let log = seen.clone();
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4).with_probe(Box::new(
-                move |event| {
-                    log.borrow_mut().push(match event {
-                        BarrierEvent::Started { epoch, partitions } => {
-                            format!("start:{epoch}:{partitions}")
-                        }
-                        BarrierEvent::ChunkPersisted { epoch, pid, .. } => {
-                            format!("chunk:{epoch}:{pid}")
-                        }
-                        BarrierEvent::Completed { epoch } => format!("done:{epoch}"),
-                        BarrierEvent::Aborted { epoch } => format!("abort:{epoch}"),
-                    });
-                },
-            ));
-        for iteration in 0..5 {
-            handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
-        }
-        let mut broken = state(5);
-        broken.clear_partition(0);
-        handler.on_failure(5, &[0], &mut broken).unwrap();
         assert_eq!(
-            *seen.borrow(),
+            probe_log(4, bulk),
             vec![
                 "start:0:4",
                 "chunk:0:0",
@@ -593,12 +478,23 @@ mod tests {
             ],
             "every chunk is reported, completion after the final chunk, partials via Aborted"
         );
+        assert_eq!(
+            probe_log(2, delta),
+            vec![
+                "start:0:2",
+                "chunk:0:0",
+                "chunk:0:1",
+                "done:0",
+                "start:2:2",
+                "chunk:2:0",
+                "abort:2"
+            ]
+        );
     }
 
     #[test]
     fn single_partition_snapshots_complete_immediately() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 3);
+        let mut handler = Handler::new(MemoryStore::new(), 3).unwrap();
         let state = Partitions::round_robin(vec![7u64, 8, 9], 1);
         handler.after_superstep(0, &state).unwrap();
         assert_eq!(handler.latest_complete(), Some(0));
@@ -606,52 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn delta_chunks_roundtrip_solution_and_workset() {
-        let mut handler: AsyncSnapshotDeltaHandler<u64, u64, (u64, u64), _> =
-            AsyncSnapshotDeltaHandler::new(MemoryStore::new(), 2);
-        let mut solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
-        solution[0].insert(2, 20);
-        solution[1].insert(1, 10);
-        let workset = Partitions::from_parts(vec![vec![(2u64, 20u64)], vec![(1u64, 10u64)]]);
-        // Two partitions: the epoch at iteration 0 completes at iteration 1.
-        handler.after_superstep(0, &solution, &workset).unwrap();
-        assert_eq!(handler.latest_complete(), None);
-        handler.after_superstep(1, &solution, &workset).unwrap();
-        assert_eq!(handler.latest_complete(), Some(0));
-
-        let mut broken_solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
-        let mut broken_workset = Partitions::empty(2);
-        match handler.on_failure(2, &[0], &mut broken_solution, &mut broken_workset).unwrap() {
-            DeltaRecoveryAction::Restored { iteration, solution: s, workset: w } => {
-                assert_eq!(iteration, 0);
-                assert_eq!(s[0].get(&2), Some(&20));
-                assert_eq!(s[1].get(&1), Some(&10));
-                assert_eq!(w.partition(0), &[(2, 20)]);
-                assert_eq!(w.partition(1), &[(1, 10)]);
-            }
-            _ => panic!("expected a restore"),
-        }
-    }
-
-    #[test]
-    fn delta_partial_snapshots_restart() {
-        let mut handler: AsyncSnapshotDeltaHandler<u64, u64, u64, _> =
-            AsyncSnapshotDeltaHandler::new(MemoryStore::new(), 1);
-        let solution: SolutionSets<u64, u64> = vec![Default::default(); 3];
-        let workset: Partitions<u64> = Partitions::empty(3);
-        handler.after_superstep(0, &solution, &workset).unwrap();
-        let mut broken_solution: SolutionSets<u64, u64> = vec![Default::default(); 3];
-        let mut broken_workset: Partitions<u64> = Partitions::empty(3);
-        match handler.on_failure(1, &[1], &mut broken_solution, &mut broken_workset).unwrap() {
-            DeltaRecoveryAction::Restart => {}
-            _ => panic!("no complete epoch yet: must restart"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_interval_is_rejected() {
-        let _: AsyncSnapshotBulkHandler<u64, MemoryStore> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 0);
+    fn a_zero_interval_is_a_plan_error_not_a_panic() {
+        let err = Handler::<Partitions<u64>>::new(MemoryStore::new(), 0).err();
+        assert!(matches!(err, Some(EngineError::Plan(message)) if message.contains("interval")));
     }
 }

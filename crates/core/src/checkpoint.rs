@@ -11,16 +11,13 @@ use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use dataflow::codec::Codec;
-use dataflow::dataset::{Data, Partitions};
+use dataflow::codec::{decode_exact, encode_to_vec};
 use dataflow::error::{EngineError, Result};
-use dataflow::ft::{
-    BulkFaultHandler, BulkRecoveryAction, CheckpointCost, DeltaFaultHandler, DeltaRecoveryAction,
-    SolutionSets,
-};
-use dataflow::hash::FxHashMap;
+use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, Snapshot};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
+
+use crate::async_snapshot::{BarrierEvent, BarrierProbe};
 
 /// Latency/throughput model of the stable storage behind a checkpoint store.
 ///
@@ -85,6 +82,25 @@ pub trait StableStore {
 
     /// Total bytes written over the store's lifetime.
     fn bytes_written(&self) -> u64;
+}
+
+// Boxed stores forward, so a handler's store can be picked at runtime.
+impl StableStore for Box<dyn StableStore> {
+    fn put(&mut self, key: &str, bytes: &[u8]) -> Result<()> {
+        (**self).put(key, bytes)
+    }
+
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        (**self).get(key)
+    }
+
+    fn remove(&mut self, key: &str) -> Result<()> {
+        (**self).remove(key)
+    }
+
+    fn bytes_written(&self) -> u64 {
+        (**self).bytes_written()
+    }
 }
 
 /// In-memory store with a stable-storage cost model.
@@ -232,98 +248,53 @@ impl StableStore for DiskStore {
     }
 }
 
-/// Encode per-partition solution sets as `Vec<Vec<(K, V)>>` (deterministic
-/// container layout shared by the full and incremental delta handlers).
-pub(crate) fn encode_solution_sets<K, V>(solution: &SolutionSets<K, V>, out: &mut Vec<u8>)
-where
-    K: Data + Codec,
-    V: Data + Codec,
-{
-    (solution.len() as u64).encode(out);
-    for set in solution {
-        let entries: Vec<(K, V)> = set.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        entries.encode(out);
+/// Reject a snapshot interval of zero: "every 0 iterations" is not a
+/// schedule. Shared by the interval-driven handlers' constructors.
+pub(crate) fn positive_interval(strategy: &str, interval: u32) -> Result<u32> {
+    if interval == 0 {
+        return Err(EngineError::Plan(format!(
+            "{strategy} needs an interval of at least 1 iteration"
+        )));
     }
+    Ok(interval)
 }
 
-/// Decode solution sets written by [`encode_solution_sets`].
-pub(crate) fn decode_solution_sets<K, V>(input: &mut &[u8]) -> Result<SolutionSets<K, V>>
-where
-    K: Data + Codec + std::hash::Hash + Eq,
-    V: Data + Codec,
-{
-    let num_sets = u64::decode(input)? as usize;
-    let mut solution: SolutionSets<K, V> = Vec::with_capacity(num_sets);
-    for _ in 0..num_sets {
-        let entries = Vec::<(K, V)>::decode(input)?;
-        let mut set = FxHashMap::default();
-        set.extend(entries);
-        solution.push(set);
-    }
-    Ok(solution)
-}
-
-/// Encode a partitioned working set (partition-count prefix + per-partition
-/// vectors).
-pub(crate) fn encode_workset<W: Codec>(workset: &Partitions<W>, out: &mut Vec<u8>) {
-    (workset.num_partitions() as u64).encode(out);
-    for part in workset.as_parts() {
-        part.encode(out);
-    }
-}
-
-/// Decode a working set written by [`encode_workset`].
-pub(crate) fn decode_workset<W: Codec>(input: &mut &[u8]) -> Result<Partitions<W>> {
-    let num_parts = u64::decode(input)? as usize;
-    let mut parts = Vec::with_capacity(num_parts);
-    for _ in 0..num_parts {
-        parts.push(Vec::<W>::decode(input)?);
-    }
-    Ok(Partitions::from_parts(parts))
-}
-
-fn encode_nested<T: Codec>(parts: &[Vec<T>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    (parts.len() as u64).encode(&mut out);
-    for part in parts {
-        part.encode(&mut out);
-    }
-    out
-}
-
-fn decode_nested<T: Codec>(bytes: &[u8]) -> Result<Vec<Vec<T>>> {
-    dataflow::codec::decode_exact::<Vec<Vec<T>>>(bytes)
-}
-
-/// Rollback-recovery handler for bulk iterations: checkpoint the state
-/// every `interval` iterations, restore the latest snapshot on failure.
-pub struct CheckpointBulkHandler<T, S> {
-    store: S,
+/// Rollback-recovery handler: checkpoint the iteration state (for a delta
+/// iteration, solution sets and working set together) every `interval`
+/// iterations, restore the latest snapshot on failure.
+pub struct CheckpointHandler<S, Store> {
+    store: Store,
     interval: u32,
     latest: Option<(u32, String)>,
     telemetry: SinkHandle,
-    _records: PhantomData<fn(T)>,
+    probe: Option<BarrierProbe>,
+    _state: PhantomData<fn(S)>,
 }
 
-impl<T, S: StableStore> CheckpointBulkHandler<T, S> {
+impl<S, Store: StableStore> CheckpointHandler<S, Store> {
     /// Checkpoint into `store` at iterations `0, interval, 2·interval, ...`.
-    ///
-    /// # Panics
-    /// Panics when `interval` is zero.
-    pub fn new(store: S, interval: u32) -> Self {
-        assert!(interval > 0, "checkpoint interval must be at least 1");
-        CheckpointBulkHandler {
+    /// An `interval` of zero is an [`EngineError::Plan`].
+    pub fn new(store: Store, interval: u32) -> Result<Self> {
+        Ok(CheckpointHandler {
             store,
-            interval,
+            interval: positive_interval("checkpoint", interval)?,
             latest: None,
             telemetry: SinkHandle::disabled(),
-            _records: PhantomData,
-        }
+            probe: None,
+            _state: PhantomData,
+        })
     }
 
     /// Report checkpoint restores to the given telemetry sink.
     pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
         self.telemetry = telemetry;
+        self
+    }
+
+    /// Observe checkpoints as barriers that start and complete within one
+    /// call (the cluster coordinator captures its channel state from here).
+    pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
+        self.probe = Some(probe);
         self
     }
 
@@ -333,153 +304,55 @@ impl<T, S: StableStore> CheckpointBulkHandler<T, S> {
     }
 
     /// Borrow the underlying store (e.g. for byte accounting).
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &Store {
         &self.store
+    }
+
+    fn notify(&mut self, event: BarrierEvent<'_>) {
+        if let Some(probe) = &mut self.probe {
+            probe(event);
+        }
     }
 }
 
-impl<T: Data + Codec, S: StableStore> BulkFaultHandler<T> for CheckpointBulkHandler<T, S> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
+impl<S: Snapshot, Store: StableStore> FaultHandler<S> for CheckpointHandler<S, Store> {
+    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
         if !iteration.is_multiple_of(self.interval) {
             return Ok(None);
         }
         let start = Instant::now();
-        let bytes = encode_nested(state.as_parts());
-        let size = bytes.len() as u64;
-        let key = format!("bulk-{iteration}");
+        let bytes = encode_to_vec(state);
+        let key = format!("{}-{iteration}", S::KIND);
+        self.notify(BarrierEvent::Started { epoch: iteration, partitions: state.num_partitions() });
         self.store.put(&key, &bytes)?;
         if let Some((_, old_key)) = self.latest.replace((iteration, key)) {
             self.store.remove(&old_key)?;
         }
-        Ok(Some(CheckpointCost { bytes: size, duration: start.elapsed() }))
+        self.notify(BarrierEvent::Completed { epoch: iteration });
+        Ok(Some(CheckpointCost { bytes: bytes.len() as u64, duration: start.elapsed() }))
     }
 
     fn on_failure(
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
-        match &self.latest {
-            None => Ok(BulkRecoveryAction::Restart),
-            Some((iteration, key)) => {
-                let bytes = self.store.get(key)?.ok_or_else(|| {
-                    EngineError::Recovery(format!("checkpoint {key} vanished from stable storage"))
-                })?;
-                let parts = decode_nested::<T>(&bytes)?;
-                let iteration = *iteration;
-                self.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration });
-                Ok(BulkRecoveryAction::Restored { iteration, state: Partitions::from_parts(parts) })
-            }
-        }
-    }
-}
-
-/// Rollback-recovery handler for delta iterations: snapshots both the
-/// solution sets and the working set.
-pub struct CheckpointDeltaHandler<K, V, W, S> {
-    store: S,
-    interval: u32,
-    latest: Option<(u32, String)>,
-    telemetry: SinkHandle,
-    _records: PhantomData<fn(K, V, W)>,
-}
-
-impl<K, V, W, S: StableStore> CheckpointDeltaHandler<K, V, W, S> {
-    /// Checkpoint into `store` at iterations `0, interval, 2·interval, ...`.
-    ///
-    /// # Panics
-    /// Panics when `interval` is zero.
-    pub fn new(store: S, interval: u32) -> Self {
-        assert!(interval > 0, "checkpoint interval must be at least 1");
-        CheckpointDeltaHandler {
-            store,
-            interval,
-            latest: None,
-            telemetry: SinkHandle::disabled(),
-            _records: PhantomData,
-        }
-    }
-
-    /// Report checkpoint restores to the given telemetry sink.
-    pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The iteration of the most recent snapshot, if any.
-    pub fn latest_checkpoint(&self) -> Option<u32> {
-        self.latest.as_ref().map(|(iteration, _)| *iteration)
-    }
-
-    /// Borrow the underlying store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-}
-
-impl<K, V, W, S> DeltaFaultHandler<K, V, W> for CheckpointDeltaHandler<K, V, W, S>
-where
-    K: Data + Codec + std::hash::Hash + Eq,
-    V: Data + Codec,
-    W: Data + Codec,
-    S: StableStore,
-{
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
-        if !iteration.is_multiple_of(self.interval) {
-            return Ok(None);
-        }
-        let start = Instant::now();
-        let mut bytes = Vec::new();
-        encode_solution_sets(solution, &mut bytes);
-        encode_workset(workset, &mut bytes);
-        let size = bytes.len() as u64;
-        let key = format!("delta-{iteration}");
-        self.store.put(&key, &bytes)?;
-        if let Some((_, old_key)) = self.latest.replace((iteration, key)) {
-            self.store.remove(&old_key)?;
-        }
-        Ok(Some(CheckpointCost { bytes: size, duration: start.elapsed() }))
-    }
-
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        let (iteration, key) = match &self.latest {
-            None => return Ok(DeltaRecoveryAction::Restart),
-            Some(latest) => latest,
-        };
-        let blob = self.store.get(key)?.ok_or_else(|| {
+        _state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
+        let Some((iteration, key)) = &self.latest else { return Ok(RecoveryAction::Restart) };
+        let bytes = self.store.get(key)?.ok_or_else(|| {
             EngineError::Recovery(format!("checkpoint {key} vanished from stable storage"))
         })?;
-        let mut input = blob.as_slice();
-        let solution = decode_solution_sets::<K, V>(&mut input)?;
-        let workset = decode_workset::<W>(&mut input)?;
-        if !input.is_empty() {
-            return Err(EngineError::Codec("trailing bytes in delta checkpoint".into()));
-        }
+        let state = decode_exact::<S>(&bytes)?;
         let iteration = *iteration;
         self.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration });
-        Ok(DeltaRecoveryAction::Restored { iteration, solution, workset })
+        Ok(RecoveryAction::Restored { iteration, state })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::dataset::Partitions;
 
     #[test]
     fn cost_model_delay_scales_with_bytes() {
@@ -525,85 +398,85 @@ mod tests {
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
-    #[test]
-    fn bulk_handler_checkpoints_on_interval_and_restores() {
-        let mut handler: CheckpointBulkHandler<u64, _> =
-            CheckpointBulkHandler::new(MemoryStore::new(), 2);
-        let state0 = Partitions::round_robin(vec![1u64, 2, 3, 4], 2);
-        // Iteration 0: checkpointed. Iteration 1: skipped. Iteration 2: checkpointed.
-        assert!(handler.after_superstep(0, &state0).unwrap().is_some());
-        assert!(handler.after_superstep(1, &state0).unwrap().is_none());
-        let state2 = Partitions::round_robin(vec![10u64, 20, 30, 40], 2);
-        let cost = handler.after_superstep(2, &state2).unwrap().unwrap();
+    /// The contract's checkpoint life cycle over one state shape: `states`
+    /// yields the state as of an iteration, `same` compares two states.
+    fn checkpoint_life_cycle<S: Snapshot>(
+        states: impl Fn(u32) -> S,
+        same: impl Fn(&S, &S) -> bool,
+    ) {
+        // Before the first snapshot a failure can only restart.
+        let mut handler = CheckpointHandler::<S, _>::new(MemoryStore::new(), 5).unwrap();
+        let mut broken = states(0);
+        broken.clear_partition(0);
+        assert!(matches!(
+            handler.on_failure(0, &[0], &mut broken).unwrap(),
+            RecoveryAction::Restart
+        ));
+
+        // Interval 2: iteration 0 checkpointed, 1 skipped, 2 checkpointed.
+        let mut handler = CheckpointHandler::<S, _>::new(MemoryStore::new(), 2).unwrap();
+        assert!(handler.after_superstep(0, &states(0)).unwrap().is_some());
+        assert!(handler.after_superstep(1, &states(1)).unwrap().is_none());
+        let cost = handler.after_superstep(2, &states(2)).unwrap().unwrap();
         assert!(cost.bytes > 0);
         assert_eq!(handler.latest_checkpoint(), Some(2));
+        assert_eq!(handler.store().len(), 1, "only the latest snapshot is kept");
+        assert!(handler.store().get(&format!("{}-2", S::KIND)).unwrap().is_some());
 
-        let mut broken = state2.clone();
+        let mut broken = states(3);
         broken.clear_partition(0);
         match handler.on_failure(3, &[0], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { iteration, state } => {
+            RecoveryAction::Restored { iteration, state } => {
                 assert_eq!(iteration, 2);
-                assert_eq!(state, state2);
+                assert!(same(&state, &states(2)), "the restored state is the snapshot's");
             }
             _ => panic!("expected a rollback"),
         }
     }
 
     #[test]
-    fn bulk_handler_restarts_before_first_checkpoint() {
-        let mut handler: CheckpointBulkHandler<u64, _> =
-            CheckpointBulkHandler::new(MemoryStore::new(), 5);
-        let mut state = Partitions::round_robin(vec![1u64], 1);
-        match handler.on_failure(0, &[0], &mut state).unwrap() {
-            BulkRecoveryAction::Restart => {}
-            _ => panic!("no checkpoint yet: must restart"),
-        }
+    fn checkpoints_on_interval_restores_and_garbage_collects() {
+        checkpoint_life_cycle(crate::test_states::bulk, |a, b| a == b);
+        checkpoint_life_cycle(crate::test_states::delta, crate::test_states::same_delta);
     }
 
     #[test]
-    fn old_checkpoints_are_garbage_collected() {
-        let mut handler: CheckpointBulkHandler<u64, _> =
-            CheckpointBulkHandler::new(MemoryStore::new(), 1);
-        let state = Partitions::round_robin(vec![1u64, 2], 2);
-        for iteration in 0..5 {
-            handler.after_superstep(iteration, &state).unwrap();
-        }
-        assert_eq!(handler.store().len(), 1, "only the latest snapshot is kept");
+    fn checkpoint_sizes_are_the_parents() {
+        // Measured at the commit before the handlers were unified: these are
+        // the bytes `CheckpointWritten` journals and the ledger's
+        // `recovery.checkpoint_bytes` sums.
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 1).unwrap();
+        let cost = handler.after_superstep(0, &crate::test_states::bulk(0)).unwrap().unwrap();
+        assert_eq!(cost.bytes, 104);
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 1).unwrap();
+        let cost = handler.after_superstep(0, &crate::test_states::delta(0)).unwrap().unwrap();
+        assert_eq!(cost.bytes, 144);
     }
 
     #[test]
-    fn delta_handler_roundtrips_solution_and_workset() {
-        let mut handler: CheckpointDeltaHandler<u64, u64, (u64, u64), _> =
-            CheckpointDeltaHandler::new(MemoryStore::new(), 1);
-        let mut solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
-        solution[0].insert(2, 20);
-        solution[1].insert(1, 10);
-        let workset = Partitions::from_parts(vec![vec![(2u64, 20u64)], vec![]]);
-        let cost = handler.after_superstep(4, &solution, &workset).unwrap().unwrap();
-        assert!(cost.bytes > 0);
-
-        let mut broken_solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
-        let mut broken_workset = Partitions::empty(2);
-        match handler.on_failure(5, &[0], &mut broken_solution, &mut broken_workset).unwrap() {
-            DeltaRecoveryAction::Restored { iteration, solution: s, workset: w } => {
-                assert_eq!(iteration, 4);
-                assert_eq!(s[0].get(&2), Some(&20));
-                assert_eq!(s[1].get(&1), Some(&10));
-                assert_eq!(w.partition(0), &[(2, 20)]);
-            }
-            _ => panic!("expected a rollback"),
+    fn a_checkpoint_is_a_barrier_that_starts_and_completes_in_one_call() {
+        let seen: std::rc::Rc<std::cell::RefCell<Vec<String>>> = Default::default();
+        let log = seen.clone();
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 2)
+            .unwrap()
+            .with_probe(Box::new(move |event| log.borrow_mut().push(format!("{event:?}"))));
+        for iteration in 0..3 {
+            handler.after_superstep(iteration, &crate::test_states::bulk(iteration)).unwrap();
         }
+        assert_eq!(
+            *seen.borrow(),
+            vec![
+                "Started { epoch: 0, partitions: 4 }",
+                "Completed { epoch: 0 }",
+                "Started { epoch: 2, partitions: 4 }",
+                "Completed { epoch: 2 }",
+            ]
+        );
     }
 
     #[test]
-    fn delta_handler_restarts_before_first_checkpoint() {
-        let mut handler: CheckpointDeltaHandler<u64, u64, u64, _> =
-            CheckpointDeltaHandler::new(MemoryStore::new(), 3);
-        let mut solution: SolutionSets<u64, u64> = vec![Default::default()];
-        let mut workset: Partitions<u64> = Partitions::empty(1);
-        match handler.on_failure(1, &[0], &mut solution, &mut workset).unwrap() {
-            DeltaRecoveryAction::Restart => {}
-            _ => panic!("no checkpoint yet: must restart"),
-        }
+    fn a_zero_interval_is_a_plan_error_not_a_panic() {
+        let err = CheckpointHandler::<Partitions<u64>, _>::new(MemoryStore::new(), 0).err();
+        assert!(matches!(err, Some(EngineError::Plan(message)) if message.contains("interval")));
     }
 }

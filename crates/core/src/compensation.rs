@@ -7,18 +7,22 @@
 //! the (re-computable) initial input, and may adjust surviving partitions to
 //! restore a global invariant (e.g. "all ranks sum to one").
 
-use dataflow::dataset::{Data, Partitions};
-use dataflow::ft::SolutionSets;
 use dataflow::partition::{hash_partition, PartitionId};
 
-/// Compensation for bulk iterations: repair the partitioned state in place.
+/// A compensation function over the iteration state `S`: repair the
+/// partitioned state in place.
 ///
 /// `lost` lists the partitions that were cleared; all other partitions hold
 /// their pre-failure content and may be read (and adjusted) to restore
-/// global invariants.
-pub trait BulkCompensation<T: Data> {
+/// global invariants. For a delta iteration (`S` is a
+/// [`dataflow::ft::DeltaState`]) both the solution-set and the workset
+/// partitions of the lost workers were cleared, and the compensation must
+/// also seed the working set so that restored keys re-participate — while
+/// respecting the hash partitioning: a key `k` belongs into
+/// `solution[hash_partition(&k, solution.len())]`.
+pub trait Compensation<S> {
     /// Restore a consistent state.
-    fn compensate(&mut self, state: &mut Partitions<T>, lost: &[PartitionId], iteration: u32);
+    fn compensate(&mut self, state: &mut S, lost: &[PartitionId], iteration: u32);
 
     /// Short human-readable name, used in plan rendering and reports
     /// (e.g. `"FixRanks"`).
@@ -27,50 +31,12 @@ pub trait BulkCompensation<T: Data> {
     }
 }
 
-impl<T: Data, F> BulkCompensation<T> for F
+impl<S, F> Compensation<S> for F
 where
-    F: FnMut(&mut Partitions<T>, &[PartitionId], u32),
+    F: FnMut(&mut S, &[PartitionId], u32),
 {
-    fn compensate(&mut self, state: &mut Partitions<T>, lost: &[PartitionId], iteration: u32) {
+    fn compensate(&mut self, state: &mut S, lost: &[PartitionId], iteration: u32) {
         self(state, lost, iteration)
-    }
-}
-
-/// Compensation for delta iterations: repair the solution sets *and* seed
-/// the working set so that restored keys re-participate.
-///
-/// Both the solution-set partitions and the workset partitions of the lost
-/// workers were cleared. The compensation must respect the hash
-/// partitioning: a key `k` belongs into
-/// `solution[dataflow::partition::hash_partition(&k, solution.len())]`.
-pub trait DeltaCompensation<K: Data, V: Data, W: Data> {
-    /// Restore a consistent solution set and re-seed the working set.
-    fn compensate(
-        &mut self,
-        solution: &mut SolutionSets<K, V>,
-        workset: &mut Partitions<W>,
-        lost: &[PartitionId],
-        iteration: u32,
-    );
-
-    /// Short human-readable name (e.g. `"FixComponents"`).
-    fn name(&self) -> &str {
-        "compensation"
-    }
-}
-
-impl<K: Data, V: Data, W: Data, F> DeltaCompensation<K, V, W> for F
-where
-    F: FnMut(&mut SolutionSets<K, V>, &mut Partitions<W>, &[PartitionId], u32),
-{
-    fn compensate(
-        &mut self,
-        solution: &mut SolutionSets<K, V>,
-        workset: &mut Partitions<W>,
-        lost: &[PartitionId],
-        iteration: u32,
-    ) {
-        self(solution, workset, lost, iteration)
     }
 }
 
@@ -107,27 +73,9 @@ impl<C> Named<C> {
     }
 }
 
-impl<T: Data, C: BulkCompensation<T>> BulkCompensation<T> for Named<C> {
-    fn compensate(&mut self, state: &mut Partitions<T>, lost: &[PartitionId], iteration: u32) {
+impl<S, C: Compensation<S>> Compensation<S> for Named<C> {
+    fn compensate(&mut self, state: &mut S, lost: &[PartitionId], iteration: u32) {
         self.inner.compensate(state, lost, iteration)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl<K: Data, V: Data, W: Data, C: DeltaCompensation<K, V, W>> DeltaCompensation<K, V, W>
-    for Named<C>
-{
-    fn compensate(
-        &mut self,
-        solution: &mut SolutionSets<K, V>,
-        workset: &mut Partitions<W>,
-        lost: &[PartitionId],
-        iteration: u32,
-    ) {
-        self.inner.compensate(solution, workset, lost, iteration)
     }
 
     fn name(&self) -> &str {
@@ -138,6 +86,8 @@ impl<K: Data, V: Data, W: Data, C: DeltaCompensation<K, V, W>> DeltaCompensation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::dataset::Partitions;
+    use dataflow::ft::DeltaState;
 
     #[test]
     fn closures_are_bulk_compensations() {
@@ -161,26 +111,26 @@ mod tests {
     fn named_wrapper_reports_its_name() {
         let comp =
             Named::new("FixRanks", |_s: &mut Partitions<f64>, _l: &[PartitionId], _i: u32| {});
-        assert_eq!(BulkCompensation::<f64>::name(&comp), "FixRanks");
+        assert_eq!(Compensation::<Partitions<f64>>::name(&comp), "FixRanks");
     }
 
     #[test]
     fn closures_are_delta_compensations() {
-        let mut comp = |solution: &mut SolutionSets<u64, u64>,
-                        workset: &mut Partitions<(u64, u64)>,
-                        lost: &[PartitionId],
-                        _iter: u32| {
-            for &pid in lost {
-                solution[pid].insert(7, 7);
-                workset.partition_mut(pid).push((7, 7));
-            }
+        let mut comp =
+            |state: &mut DeltaState<u64, u64, (u64, u64)>, lost: &[PartitionId], _iter: u32| {
+                for &pid in lost {
+                    state.solution[pid].insert(7, 7);
+                    state.workset.partition_mut(pid).push((7, 7));
+                }
+            };
+        let mut state = DeltaState {
+            solution: vec![Default::default(), Default::default()],
+            workset: Partitions::empty(2),
         };
-        let mut solution: SolutionSets<u64, u64> = vec![Default::default(), Default::default()];
-        let mut workset = Partitions::empty(2);
-        comp.compensate(&mut solution, &mut workset, &[0], 1);
-        assert_eq!(solution[0].get(&7), Some(&7));
-        assert_eq!(workset.partition(0), &[(7, 7)]);
-        assert!(solution[1].is_empty());
+        comp.compensate(&mut state, &[0], 1);
+        assert_eq!(state.solution[0].get(&7), Some(&7));
+        assert_eq!(state.workset.partition(0), &[(7, 7)]);
+        assert!(state.solution[1].is_empty());
     }
 
     #[test]

@@ -6,52 +6,41 @@
 //! that no longer form a distribution. Experiment A1 uses this handler to
 //! show why optimistic recovery needs the compensation function at all.
 
-use dataflow::dataset::{Data, Partitions};
 use dataflow::error::Result;
-use dataflow::ft::{
-    BulkFaultHandler, BulkRecoveryAction, DeltaFaultHandler, DeltaRecoveryAction, SolutionSets,
-};
+use dataflow::ft::{FaultHandler, RecoveryAction};
 use dataflow::partition::PartitionId;
 
 /// Leaves lost partitions empty and lets the iteration continue.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IgnoreHandler;
 
-impl<T: Data> BulkFaultHandler<T> for IgnoreHandler {
+impl<S> FaultHandler<S> for IgnoreHandler {
     fn on_failure(
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
-        Ok(BulkRecoveryAction::Ignore)
-    }
-}
-
-impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for IgnoreHandler {
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        Ok(DeltaRecoveryAction::Ignore)
+        _state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
+        Ok(RecoveryAction::Ignore)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::ft::IterationState;
 
-    #[test]
-    fn ignore_leaves_state_untouched() {
-        let mut handler = IgnoreHandler;
-        let mut state = Partitions::round_robin(vec![1u64, 2, 3, 4], 2);
+    fn ignore_leaves<S: IterationState>(mut state: S, unchanged: impl Fn(&S, &S) -> bool) {
         state.clear_partition(0);
         let before = state.clone();
-        let action = BulkFaultHandler::on_failure(&mut handler, 2, &[0], &mut state).unwrap();
-        assert!(matches!(action, BulkRecoveryAction::Ignore));
-        assert_eq!(state, before);
+        let action = IgnoreHandler.on_failure(2, &[0], &mut state).unwrap();
+        assert!(matches!(action, RecoveryAction::Ignore));
+        assert!(unchanged(&before, &state), "ignore must leave the state as the failure left it");
+    }
+
+    #[test]
+    fn ignore_leaves_both_state_shapes_untouched() {
+        ignore_leaves(crate::test_states::bulk(0), |a, b| a == b);
+        ignore_leaves(crate::test_states::delta(0), crate::test_states::same_delta);
     }
 }

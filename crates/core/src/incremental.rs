@@ -21,13 +21,11 @@ use std::time::Instant;
 use dataflow::codec::Codec;
 use dataflow::dataset::{Data, Partitions};
 use dataflow::error::{EngineError, Result};
-use dataflow::ft::{CheckpointCost, DeltaFaultHandler, DeltaRecoveryAction, SolutionSets};
+use dataflow::ft::{CheckpointCost, DeltaState, FaultHandler, RecoveryAction, SolutionSets};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
-use crate::checkpoint::{
-    decode_solution_sets, decode_workset, encode_solution_sets, encode_workset, StableStore,
-};
+use crate::checkpoint::{positive_interval, StableStore};
 
 /// Incremental rollback recovery for delta iterations.
 pub struct IncrementalDeltaHandler<K, V, W, S> {
@@ -48,22 +46,19 @@ pub struct IncrementalDeltaHandler<K, V, W, S> {
 
 impl<K, V, W, S: StableStore> IncrementalDeltaHandler<K, V, W, S> {
     /// Handler writing full snapshots every `full_interval` supersteps and
-    /// diffs in between.
-    ///
-    /// # Panics
-    /// Panics when `full_interval` is zero.
-    pub fn new(store: S, full_interval: u32) -> Self {
-        assert!(full_interval > 0, "full-snapshot interval must be at least 1");
-        IncrementalDeltaHandler {
+    /// diffs in between. A `full_interval` of zero is an
+    /// [`EngineError::Plan`].
+    pub fn new(store: S, full_interval: u32) -> Result<Self> {
+        Ok(IncrementalDeltaHandler {
             store,
-            full_interval,
+            full_interval: positive_interval("incremental", full_interval)?,
             base: None,
             diff_chain: Vec::new(),
             shadow: Vec::new(),
             sequence: 0,
             telemetry: SinkHandle::disabled(),
             _records: PhantomData,
-        }
+        })
     }
 
     /// Report restores and diff-chain replays to the given telemetry sink.
@@ -83,7 +78,7 @@ impl<K, V, W, S: StableStore> IncrementalDeltaHandler<K, V, W, S> {
     }
 }
 
-impl<K, V, W, S> DeltaFaultHandler<K, V, W> for IncrementalDeltaHandler<K, V, W, S>
+impl<K, V, W, S> FaultHandler<DeltaState<K, V, W>> for IncrementalDeltaHandler<K, V, W, S>
 where
     K: Data + Codec + std::hash::Hash + Eq,
     V: Data + Codec + PartialEq,
@@ -93,17 +88,16 @@ where
     fn after_superstep(
         &mut self,
         iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
+        state: &DeltaState<K, V, W>,
     ) -> Result<Option<CheckpointCost>> {
+        let DeltaState { solution, workset } = state;
         let start = Instant::now();
         self.sequence += 1;
         let take_full = self.base.is_none() || iteration.is_multiple_of(self.full_interval);
         let mut bytes = Vec::new();
         if take_full {
             // Full base snapshot: solution + workset.
-            encode_solution_sets(solution, &mut bytes);
-            encode_workset(workset, &mut bytes);
+            state.encode(&mut bytes);
             let key = format!("base-{iteration}-{}", self.sequence);
             self.store.put(&key, &bytes)?;
             // Drop the superseded chain from stable storage.
@@ -130,7 +124,7 @@ where
             for part in &upserts {
                 part.encode(&mut bytes);
             }
-            encode_workset(workset, &mut bytes);
+            workset.encode(&mut bytes);
             let key = format!("diff-{iteration}-{}", self.sequence);
             self.store.put(&key, &bytes)?;
             self.diff_chain.push(key);
@@ -143,19 +137,16 @@ where
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
+        _state: &mut DeltaState<K, V, W>,
+    ) -> Result<RecoveryAction<DeltaState<K, V, W>>> {
         let (base_iteration, base_key) = match &self.base {
-            None => return Ok(DeltaRecoveryAction::Restart),
+            None => return Ok(RecoveryAction::Restart),
             Some(base) => base.clone(),
         };
         let blob = self.store.get(&base_key)?.ok_or_else(|| {
             EngineError::Recovery(format!("base snapshot {base_key} vanished from stable storage"))
         })?;
-        let mut input = blob.as_slice();
-        let mut solution = decode_solution_sets::<K, V>(&mut input)?;
-        let mut workset = decode_workset::<W>(&mut input)?;
+        let DeltaState { mut solution, mut workset } = DeltaState::decode(&mut blob.as_slice())?;
         let mut iteration = base_iteration;
 
         // Replay the diff chain on top of the base.
@@ -175,7 +166,7 @@ where
                 let upserts = Vec::<(K, V)>::decode(&mut input)?;
                 set.extend(upserts);
             }
-            workset = decode_workset::<W>(&mut input)?;
+            workset = Partitions::decode(&mut input)?;
             iteration += 1;
         }
         self.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration: base_iteration });
@@ -186,7 +177,7 @@ where
             });
         }
         // The restored state is exactly the latest checkpointed superstep.
-        Ok(DeltaRecoveryAction::Restored { iteration, solution, workset })
+        Ok(RecoveryAction::Restored { iteration, state: DeltaState { solution, workset } })
     }
 }
 
@@ -196,57 +187,54 @@ mod tests {
     use crate::checkpoint::MemoryStore;
     use dataflow::hash::FxHashMap;
 
+    type State = DeltaState<u64, u64, (u64, u64)>;
     type Handler = IncrementalDeltaHandler<u64, u64, (u64, u64), MemoryStore>;
 
-    fn solution_of(entries: &[(usize, u64, u64)], parallelism: usize) -> SolutionSets<u64, u64> {
-        let mut sets: SolutionSets<u64, u64> = vec![FxHashMap::default(); parallelism];
+    /// Two partitions: `(pid, key, value)` solution entries plus a workset.
+    fn state_of(entries: &[(usize, u64, u64)], workset: Vec<Vec<(u64, u64)>>) -> State {
+        let mut solution: SolutionSets<u64, u64> = vec![FxHashMap::default(); 2];
         for &(pid, k, v) in entries {
-            sets[pid].insert(k, v);
+            solution[pid].insert(k, v);
         }
-        sets
+        DeltaState { solution, workset: Partitions::from_parts(workset) }
     }
 
     #[test]
     fn diffs_are_smaller_than_full_snapshots() {
-        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 100);
+        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 100).unwrap();
         let mut entries: Vec<(usize, u64, u64)> =
             (0..200).map(|k| ((k % 2) as usize, k, k)).collect();
-        let workset = Partitions::from_parts(vec![vec![(0u64, 0u64)], vec![]]);
+        let workset = vec![vec![(0u64, 0u64)], vec![]];
 
         let full =
-            handler.after_superstep(0, &solution_of(&entries, 2), &workset).unwrap().unwrap();
+            handler.after_superstep(0, &state_of(&entries, workset.clone())).unwrap().unwrap();
         // One entry changes: the diff must be far smaller than the base.
         entries[7].2 = 999;
-        let diff =
-            handler.after_superstep(1, &solution_of(&entries, 2), &workset).unwrap().unwrap();
+        let diff = handler.after_superstep(1, &state_of(&entries, workset)).unwrap().unwrap();
         assert!(diff.bytes * 10 < full.bytes, "diff {} vs full {}", diff.bytes, full.bytes);
         assert_eq!(handler.chain_length(), 1);
     }
 
     #[test]
     fn replay_restores_the_latest_state() {
-        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 100);
+        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 100).unwrap();
         let mut entries: Vec<(usize, u64, u64)> = (0..10).map(|k| (0usize, k, k)).collect();
-        let ws0 = Partitions::from_parts(vec![vec![(1u64, 1u64)], vec![]]);
-        handler.after_superstep(0, &solution_of(&entries, 2), &ws0).unwrap();
+        handler.after_superstep(0, &state_of(&entries, vec![vec![(1, 1)], vec![]])).unwrap();
 
         entries[3].2 = 42;
-        let ws1 = Partitions::from_parts(vec![vec![], vec![(2u64, 2u64)]]);
-        handler.after_superstep(1, &solution_of(&entries, 2), &ws1).unwrap();
+        handler.after_superstep(1, &state_of(&entries, vec![vec![], vec![(2, 2)]])).unwrap();
 
         entries.push((1usize, 77, 78)); // new key appears in partition 1
-        let ws2 = Partitions::from_parts(vec![vec![(3u64, 3u64)], vec![]]);
-        handler.after_superstep(2, &solution_of(&entries, 2), &ws2).unwrap();
+        handler.after_superstep(2, &state_of(&entries, vec![vec![(3, 3)], vec![]])).unwrap();
 
-        let mut broken_solution: SolutionSets<u64, u64> = vec![FxHashMap::default(); 2];
-        let mut broken_ws: Partitions<(u64, u64)> = Partitions::empty(2);
-        match handler.on_failure(3, &[0], &mut broken_solution, &mut broken_ws).unwrap() {
-            DeltaRecoveryAction::Restored { iteration, solution, workset } => {
+        let mut broken = state_of(&[], vec![vec![], vec![]]);
+        match handler.on_failure(3, &[0], &mut broken).unwrap() {
+            RecoveryAction::Restored { iteration, state } => {
                 assert_eq!(iteration, 2);
-                assert_eq!(solution[0].get(&3), Some(&42));
-                assert_eq!(solution[1].get(&77), Some(&78));
-                assert_eq!(solution[0].len(), 10);
-                assert_eq!(workset.partition(0), &[(3, 3)]);
+                assert_eq!(state.solution[0].get(&3), Some(&42));
+                assert_eq!(state.solution[1].get(&77), Some(&78));
+                assert_eq!(state.solution[0].len(), 10);
+                assert_eq!(state.workset.partition(0), &[(3, 3)]);
             }
             _ => panic!("expected restore"),
         }
@@ -254,14 +242,13 @@ mod tests {
 
     #[test]
     fn full_interval_resets_the_chain() {
-        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 2);
+        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 2).unwrap();
         let entries: Vec<(usize, u64, u64)> = (0..5).map(|k| (0usize, k, k)).collect();
-        let ws = Partitions::from_parts(vec![vec![], vec![]]);
-        let solution = solution_of(&entries, 2);
-        handler.after_superstep(0, &solution, &ws).unwrap(); // full (0 % 2 == 0)
-        handler.after_superstep(1, &solution, &ws).unwrap(); // diff
+        let state = state_of(&entries, vec![vec![], vec![]]);
+        handler.after_superstep(0, &state).unwrap(); // full (0 % 2 == 0)
+        handler.after_superstep(1, &state).unwrap(); // diff
         assert_eq!(handler.chain_length(), 1);
-        handler.after_superstep(2, &solution, &ws).unwrap(); // full again
+        handler.after_superstep(2, &state).unwrap(); // full again
         assert_eq!(handler.chain_length(), 0);
         // Stable storage holds only the latest base.
         assert_eq!(handler.store().len(), 1);
@@ -269,23 +256,27 @@ mod tests {
 
     #[test]
     fn restart_before_first_snapshot() {
-        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 3);
-        let mut solution: SolutionSets<u64, u64> = vec![FxHashMap::default()];
-        let mut ws: Partitions<(u64, u64)> = Partitions::empty(1);
-        match handler.on_failure(0, &[0], &mut solution, &mut ws).unwrap() {
-            DeltaRecoveryAction::Restart => {}
-            _ => panic!("expected restart"),
-        }
+        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 3).unwrap();
+        let mut state = state_of(&[], vec![vec![], vec![]]);
+        assert!(matches!(
+            handler.on_failure(0, &[0], &mut state).unwrap(),
+            RecoveryAction::Restart
+        ));
     }
 
     #[test]
     fn unchanged_state_produces_empty_diffs() {
-        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 100);
+        let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 100).unwrap();
         let entries: Vec<(usize, u64, u64)> = (0..50).map(|k| (0usize, k, k)).collect();
-        let ws: Partitions<(u64, u64)> = Partitions::empty(2);
-        let solution = solution_of(&entries, 2);
-        let full = handler.after_superstep(0, &solution, &ws).unwrap().unwrap();
-        let diff = handler.after_superstep(1, &solution, &ws).unwrap().unwrap();
+        let state = state_of(&entries, vec![vec![], vec![]]);
+        let full = handler.after_superstep(0, &state).unwrap().unwrap();
+        let diff = handler.after_superstep(1, &state).unwrap().unwrap();
         assert!(diff.bytes < full.bytes / 10, "empty diff must be tiny ({})", diff.bytes);
+    }
+
+    #[test]
+    fn a_zero_interval_is_a_plan_error_not_a_panic() {
+        let err = Handler::new(MemoryStore::new(), 0).err();
+        assert!(matches!(err, Some(EngineError::Plan(message)) if message.contains("interval")));
     }
 }

@@ -20,12 +20,15 @@
 //!
 //! Failure-free runs proceed with **zero** fault-tolerance overhead.
 //!
-//! This crate implements, on top of the `dataflow` engine's fault hooks:
+//! This crate implements the strategies on top of the `dataflow` engine's
+//! one recovery contract, [`dataflow::ft::FaultHandler`], which is generic
+//! over the iteration state — so every strategy below is a single type that
+//! serves bulk iterations, delta iterations and (wrapped with the
+//! coordinator's channel cut) the cluster:
 //!
-//! * [`compensation`] — the compensation-function traits with closure
-//!   adapters.
-//! * [`optimistic`] — the optimistic fault handlers for bulk and delta
-//!   iterations.
+//! * [`compensation`] — the compensation-function trait with its closure
+//!   adapter.
+//! * [`optimistic`] — the optimistic fault handler.
 //! * [`checkpoint`] — the rollback baseline: interval checkpointing into a
 //!   [`checkpoint::StableStore`] (in-memory or on-disk) with a configurable
 //!   stable-storage cost model.
@@ -33,8 +36,9 @@
 //!   (Chandy–Lamport / Flink style): barriers capture a consistent cut
 //!   without a global pause and the stable-storage writes spread over the
 //!   following supersteps; recovery restores the last *complete* epoch.
-//! * [`incremental`] — an optimised rollback variant for delta iterations
-//!   that logs solution-set diffs between full snapshots.
+//! * [`incremental`] — an optimised rollback variant that logs solution-set
+//!   diffs between full snapshots; the one handler that only makes sense
+//!   for delta iterations.
 //! * [`ignore`] — the do-nothing "handler" used by the ablation study.
 //! * [`scenario`] — failure schedules (deterministic and random/MTBF).
 //! * [`strategy`] — experiment-facing strategy descriptors.
@@ -50,15 +54,42 @@ pub mod optimistic;
 pub mod scenario;
 pub mod strategy;
 
-pub use async_snapshot::{
-    AsyncSnapshotBulkHandler, AsyncSnapshotDeltaHandler, BarrierEvent, BarrierProbe,
-};
-pub use checkpoint::{
-    CheckpointBulkHandler, CheckpointDeltaHandler, CostModel, DiskStore, MemoryStore, StableStore,
-};
-pub use compensation::{BulkCompensation, DeltaCompensation};
+pub use async_snapshot::{AsyncSnapshotHandler, BarrierEvent, BarrierProbe};
+pub use checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
+pub use compensation::Compensation;
 pub use ignore::IgnoreHandler;
 pub use incremental::IncrementalDeltaHandler;
-pub use optimistic::{OptimisticBulkHandler, OptimisticDeltaHandler};
+pub use optimistic::OptimisticHandler;
 pub use scenario::{FailureScenario, RandomFailures};
 pub use strategy::Strategy;
+
+/// One fixed state per shape, as of an iteration: the inputs the strategy
+/// tests run the contract over.
+#[cfg(test)]
+pub(crate) mod test_states {
+    use dataflow::dataset::Partitions;
+    use dataflow::ft::DeltaState;
+
+    pub(crate) type Delta = DeltaState<u64, u64, (u64, u64)>;
+
+    /// Four partitions of two records.
+    pub(crate) fn bulk(iteration: u32) -> Partitions<u64> {
+        Partitions::round_robin((0..8).map(|v| v + 100 * u64::from(iteration)).collect(), 4)
+    }
+
+    /// Two partitions: three solution entries and three workset records.
+    pub(crate) fn delta(iteration: u32) -> Delta {
+        let shift = u64::from(iteration);
+        let mut solution = vec![dataflow::hash::FxHashMap::default(); 2];
+        solution[0].insert(2, 20 + shift);
+        solution[0].insert(4, 40 + shift);
+        solution[1].insert(1, 10 + shift);
+        let workset =
+            Partitions::from_parts(vec![vec![(2, 20 + shift)], vec![(1, 10 + shift), (3, 30)]]);
+        DeltaState { solution, workset }
+    }
+
+    pub(crate) fn same_delta(a: &Delta, b: &Delta) -> bool {
+        a.solution == b.solution && a.workset == b.workset
+    }
+}

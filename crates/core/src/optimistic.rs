@@ -1,32 +1,30 @@
-//! The optimistic fault handlers: no checkpoints, no lineage — on failure,
+//! The optimistic fault handler: no checkpoints, no lineage — on failure,
 //! invoke the compensation function and keep iterating (paper §2.2).
 
-use dataflow::dataset::{Data, Partitions};
 use dataflow::error::Result;
-use dataflow::ft::{
-    BulkFaultHandler, BulkRecoveryAction, CheckpointCost, DeltaFaultHandler, DeltaRecoveryAction,
-    SolutionSets,
-};
+use dataflow::ft::{FaultHandler, RecoveryAction};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
-use crate::compensation::{BulkCompensation, DeltaCompensation};
+use crate::compensation::Compensation;
 
-/// Optimistic recovery for bulk iterations.
+/// Optimistic recovery, for either iteration kind.
 ///
 /// `after_superstep` does nothing — this is where the "optimal failure-free
 /// performance" of the paper comes from: the handler adds zero work to a
-/// failure-free run.
-pub struct OptimisticBulkHandler<C> {
+/// failure-free run. Under a delta iteration the compensation re-initialises
+/// the lost solution-set partitions *and* seeds workset records so the
+/// restored keys (and, typically, their neighbours) re-propagate.
+pub struct OptimisticHandler<C> {
     compensation: C,
     recoveries: u32,
     telemetry: SinkHandle,
 }
 
-impl<C> OptimisticBulkHandler<C> {
+impl<C> OptimisticHandler<C> {
     /// Handler around the given compensation function.
     pub fn new(compensation: C) -> Self {
-        OptimisticBulkHandler { compensation, recoveries: 0, telemetry: SinkHandle::disabled() }
+        OptimisticHandler { compensation, recoveries: 0, telemetry: SinkHandle::disabled() }
     }
 
     /// Report compensation invocations to the given telemetry sink.
@@ -41,137 +39,79 @@ impl<C> OptimisticBulkHandler<C> {
     }
 }
 
-impl<T: Data, C: BulkCompensation<T>> BulkFaultHandler<T> for OptimisticBulkHandler<C> {
-    fn after_superstep(
-        &mut self,
-        _iteration: u32,
-        _state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
-        // Deliberately empty: no checkpoint, no lineage tracking.
-        Ok(None)
-    }
-
+// `after_superstep` is the trait's default: no checkpoint, no lineage
+// tracking.
+impl<S, C: Compensation<S>> FaultHandler<S> for OptimisticHandler<C> {
     fn on_failure(
         &mut self,
         iteration: u32,
         lost: &[PartitionId],
-        state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
+        state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
         self.compensation.compensate(state, lost, iteration);
         self.recoveries += 1;
         self.telemetry.emit(|| JournalEvent::CompensationInvoked {
             name: self.compensation.name().to_owned(),
             iteration,
         });
-        Ok(BulkRecoveryAction::Compensated)
-    }
-}
-
-/// Optimistic recovery for delta iterations: the compensation re-initialises
-/// the lost solution-set partitions *and* seeds workset records so the
-/// restored keys (and, typically, their neighbours) re-propagate.
-pub struct OptimisticDeltaHandler<C> {
-    compensation: C,
-    recoveries: u32,
-    telemetry: SinkHandle,
-}
-
-impl<C> OptimisticDeltaHandler<C> {
-    /// Handler around the given compensation function.
-    pub fn new(compensation: C) -> Self {
-        OptimisticDeltaHandler { compensation, recoveries: 0, telemetry: SinkHandle::disabled() }
-    }
-
-    /// Report compensation invocations to the given telemetry sink.
-    pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Number of failures compensated so far.
-    pub fn recoveries(&self) -> u32 {
-        self.recoveries
-    }
-}
-
-impl<K: Data, V: Data, W: Data, C: DeltaCompensation<K, V, W>> DeltaFaultHandler<K, V, W>
-    for OptimisticDeltaHandler<C>
-{
-    fn after_superstep(
-        &mut self,
-        _iteration: u32,
-        _solution: &SolutionSets<K, V>,
-        _workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
-        Ok(None)
-    }
-
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        solution: &mut SolutionSets<K, V>,
-        workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        self.compensation.compensate(solution, workset, lost, iteration);
-        self.recoveries += 1;
-        self.telemetry.emit(|| JournalEvent::CompensationInvoked {
-            name: self.compensation.name().to_owned(),
-            iteration,
-        });
-        Ok(DeltaRecoveryAction::Compensated)
+        Ok(RecoveryAction::Compensated)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::dataset::Partitions;
+    use dataflow::ft::{DeltaState, IterationState};
+
+    /// Lose partition 1 of `state`, let the handler compensate it and
+    /// return the repaired state.
+    fn compensates_in_place<S: IterationState>(
+        mut state: S,
+        compensation: impl FnMut(&mut S, &[PartitionId], u32),
+    ) -> S {
+        let mut handler = OptimisticHandler::new(compensation);
+        assert!(handler.after_superstep(0, &state).unwrap().is_none());
+        state.clear_partition(1);
+        let action = handler.on_failure(1, &[1], &mut state).unwrap();
+        assert!(matches!(action, RecoveryAction::Compensated));
+        assert_eq!(handler.recoveries(), 1);
+        state
+    }
 
     #[test]
-    fn bulk_handler_compensates_in_place() {
-        let mut handler = OptimisticBulkHandler::new(
+    fn compensates_both_state_shapes_in_place() {
+        let bulk = compensates_in_place(
+            Partitions::round_robin(vec![5u64, 6, 7, 8], 2),
             |state: &mut Partitions<u64>, lost: &[PartitionId], _iter: u32| {
                 for &pid in lost {
                     *state.partition_mut(pid) = vec![0];
                 }
             },
         );
-        let mut state = Partitions::round_robin(vec![5u64, 6, 7, 8], 2);
-        assert!(handler.after_superstep(0, &state).unwrap().is_none());
-        state.clear_partition(0);
-        match handler.on_failure(1, &[0], &mut state).unwrap() {
-            BulkRecoveryAction::Compensated => {}
-            _ => panic!("optimistic recovery must compensate"),
-        }
-        assert_eq!(state.partition(0), &[0]);
-        assert_eq!(handler.recoveries(), 1);
-    }
+        assert_eq!(bulk.partition(1), &[0]);
+        assert_eq!(bulk.partition(0), &[5, 7], "survivors are untouched");
 
-    #[test]
-    fn delta_handler_seeds_workset() {
-        let mut handler = OptimisticDeltaHandler::new(
-            |solution: &mut SolutionSets<u64, u64>,
-             workset: &mut Partitions<(u64, u64)>,
-             lost: &[PartitionId],
-             _iter: u32| {
+        let delta = compensates_in_place(
+            DeltaState::<u64, u64, (u64, u64)> {
+                solution: vec![Default::default(); 2],
+                workset: Partitions::empty(2),
+            },
+            |state: &mut DeltaState<u64, u64, (u64, u64)>, lost: &[PartitionId], _iter: u32| {
                 for &pid in lost {
-                    solution[pid].insert(pid as u64, 0);
-                    workset.partition_mut(pid).push((pid as u64, 0));
+                    state.solution[pid].insert(pid as u64, 0);
+                    state.workset.partition_mut(pid).push((pid as u64, 0));
                 }
             },
         );
-        let mut solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
-        let mut workset: Partitions<(u64, u64)> = Partitions::empty(2);
-        let action = handler.on_failure(3, &[1], &mut solution, &mut workset).unwrap();
-        assert!(matches!(action, DeltaRecoveryAction::Compensated));
-        assert!(solution[1].contains_key(&1));
-        assert_eq!(workset.total_len(), 1);
+        assert!(delta.solution[1].contains_key(&1));
+        assert_eq!(delta.workset.total_len(), 1, "the restored key re-enters the workset");
     }
 
     #[test]
     fn failure_free_run_does_no_work() {
         let mut handler =
-            OptimisticBulkHandler::new(|_s: &mut Partitions<u64>, _l: &[PartitionId], _i: u32| {
+            OptimisticHandler::new(|_s: &mut Partitions<u64>, _l: &[PartitionId], _i: u32| {
                 panic!("compensation must not run without a failure")
             });
         let state = Partitions::round_robin(vec![1u64], 1);

@@ -4,27 +4,6 @@ use telemetry::SinkHandle;
 
 use crate::pool::PoolHandle;
 
-/// How threaded partition work is dispatched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Run partition tasks on the environment's persistent worker pool
-    /// (the default): `worker_threads` long-lived workers with stable
-    /// partition→worker affinity, spawned lazily on first use.
-    Pool,
-    /// Spawn fresh scoped threads per operator invocation — the seed
-    /// engine's dispatch strategy, kept as the comparison baseline for the
-    /// `worker_pool_guard` benchmark and as a debugging fallback.
-    ScopedThreads,
-    /// Multi-process cluster execution: iteration state lives in separate
-    /// `optirec worker` OS processes that exchange shuffle frames over TCP
-    /// (see the `cluster` crate). Generic closure operators still run on the
-    /// coordinator's worker pool — closures cannot cross process boundaries
-    /// — so this mode dispatches local partition work exactly like
-    /// [`DispatchMode::Pool`]; the distributed step itself is driven by a
-    /// cluster-aware operator injected into the iteration body.
-    Cluster,
-}
-
 /// Configuration of an [`crate::api::Environment`].
 #[derive(Debug, Clone)]
 pub struct EnvConfig {
@@ -52,9 +31,6 @@ pub struct EnvConfig {
     /// force the threaded path, raise it to keep small intermediate datasets
     /// inline in otherwise large runs.
     pub thread_threshold: usize,
-    /// How threaded work is dispatched: the persistent worker pool (the
-    /// default) or fresh scoped threads per invocation.
-    pub dispatch: DispatchMode,
     /// Worker threads in the persistent pool; `None` (the default) sizes the
     /// pool to [`EnvConfig::parallelism`], giving every partition its own
     /// pinned worker. Smaller pools oversubscribe workers (partitions keep
@@ -87,7 +63,6 @@ impl EnvConfig {
             parallelism,
             threaded: true,
             thread_threshold: 4096,
-            dispatch: DispatchMode::Pool,
             worker_threads: None,
             loop_invariant_caching: true,
             telemetry: SinkHandle::disabled(),
@@ -104,12 +79,6 @@ impl EnvConfig {
     /// Builder-style override of the threading threshold.
     pub fn with_thread_threshold(mut self, threshold: usize) -> Self {
         self.thread_threshold = threshold;
-        self
-    }
-
-    /// Builder-style choice of dispatch strategy.
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -159,13 +128,11 @@ mod tests {
             .with_threaded(false)
             .with_thread_threshold(10)
             .with_loop_invariant_caching(false)
-            .with_dispatch(DispatchMode::ScopedThreads)
             .with_worker_threads(3);
         assert_eq!(c.parallelism, 8);
         assert!(!c.threaded);
         assert_eq!(c.thread_threshold, 10);
         assert!(!c.loop_invariant_caching);
-        assert_eq!(c.dispatch, DispatchMode::ScopedThreads);
         assert_eq!(c.pool_size(), 3);
     }
 
@@ -186,7 +153,6 @@ mod tests {
         assert_eq!(EnvConfig::default().parallelism, 4);
         assert!(EnvConfig::default().threaded);
         assert!(EnvConfig::default().loop_invariant_caching);
-        assert_eq!(EnvConfig::default().dispatch, DispatchMode::Pool);
         assert_eq!(EnvConfig::default().pool_size(), 4);
     }
 

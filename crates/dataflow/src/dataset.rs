@@ -13,7 +13,7 @@ use crate::error::{EngineError, Result};
 /// Marker trait for record types the engine can process.
 ///
 /// Blanket-implemented: anything `Clone + Send + Sync + 'static` qualifies.
-/// `Send + Sync` is required because partition work runs on scoped threads;
+/// `Send + Sync` is required because partition work runs on pool threads;
 /// `Clone` because checkpoints, compensation functions and multi-consumer
 /// plan edges duplicate records.
 pub trait Data: Clone + Send + Sync + 'static {}

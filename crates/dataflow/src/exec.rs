@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use telemetry::metrics::{Histogram, PartitionedHistogram};
 
-use crate::config::{DispatchMode, EnvConfig};
+use crate::config::EnvConfig;
 use crate::dataset::Erased;
 use crate::error::{EngineError, Result};
 use crate::partition::Shuffled;
@@ -64,10 +64,8 @@ impl ExecContext {
                 .metrics()
                 .partitioned_histogram("partition_shuffle_ns", config.parallelism)
         });
-        let queue_hist = (config.telemetry.enabled()
-            && config.threaded
-            && matches!(config.dispatch, DispatchMode::Pool | DispatchMode::Cluster))
-        .then(|| config.telemetry.metrics().histogram("pool/queue_depth"));
+        let queue_hist = (config.telemetry.enabled() && config.threaded)
+            .then(|| config.telemetry.metrics().histogram("pool/queue_depth"));
         ExecContext {
             config,
             counters: Mutex::new(BTreeMap::new()),
@@ -256,64 +254,37 @@ where
     Ok(out)
 }
 
-/// Threaded dispatch: the persistent worker pool (default) or fresh scoped
-/// threads (the seed strategy, kept as a benchmark baseline).
+/// Threaded dispatch onto the environment's persistent worker pool. A
+/// cluster run dispatches here too: generic closure operators cannot cross
+/// process boundaries, so their partition work stays on the coordinator's
+/// pool while the iteration *step* is distributed by a dedicated operator.
 fn run_threaded<I, U, F>(items: Vec<I>, ctx: &ExecContext, f: &F) -> Result<Vec<U>>
 where
     I: Send,
     U: Send,
     F: Fn(usize, I) -> U + Sync,
 {
-    match ctx.config.dispatch {
-        // Cluster mode distributes the iteration *step* through a dedicated
-        // operator; generic closure operators cannot cross process
-        // boundaries, so their partition work runs on the coordinator's
-        // local pool exactly like `Pool` dispatch.
-        DispatchMode::Pool | DispatchMode::Cluster => {
-            let pool = ctx.config.pool.get_or_spawn(ctx.config.pool_size(), &ctx.config.telemetry);
-            if let Some(hist) = &ctx.queue_hist {
-                hist.observe(pool.queued() as u64);
-            }
-            let slots: Vec<Mutex<Option<TaskResult<U>>>> =
-                items.iter().map(|_| Mutex::new(None)).collect();
-            let tasks: Vec<(usize, Box<dyn FnOnce() + Send + '_>)> = items
-                .into_iter()
-                .enumerate()
-                .map(|(pid, item)| {
-                    let slot = &slots[pid];
-                    let task = move || {
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            ctx.time_partition_task(pid, || f(pid, item))
-                        }));
-                        *slot.lock() = Some(outcome);
-                    };
-                    (pid, Box::new(task) as Box<dyn FnOnce() + Send + '_>)
-                })
-                .collect();
-            pool.run(tasks);
-            assemble(slots.into_iter().map(Mutex::into_inner).collect(), ctx)
-        }
-        DispatchMode::ScopedThreads => {
-            let outcomes: Vec<TaskResult<U>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = items
-                    .into_iter()
-                    .enumerate()
-                    .map(|(pid, item)| {
-                        scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                ctx.time_partition_task(pid, || f(pid, item))
-                            }))
-                        })
-                    })
-                    .collect();
-                // The spawned closure cannot unwind (the task runs under
-                // `catch_unwind`), so an outer join error is the captured
-                // payload of a double panic at worst — fold it in.
-                handles.into_iter().map(|h| h.join().unwrap_or_else(Err)).collect()
-            });
-            assemble(outcomes.into_iter().map(Some).collect(), ctx)
-        }
+    let pool = ctx.config.pool.get_or_spawn(ctx.config.pool_size(), &ctx.config.telemetry);
+    if let Some(hist) = &ctx.queue_hist {
+        hist.observe(pool.queued() as u64);
     }
+    let slots: Vec<Mutex<Option<TaskResult<U>>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let tasks: Vec<(usize, Box<dyn FnOnce() + Send + '_>)> = items
+        .into_iter()
+        .enumerate()
+        .map(|(pid, item)| {
+            let slot = &slots[pid];
+            let task = move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    ctx.time_partition_task(pid, || f(pid, item))
+                }));
+                *slot.lock() = Some(outcome);
+            };
+            (pid, Box::new(task) as Box<dyn FnOnce() + Send + '_>)
+        })
+        .collect();
+    pool.run(tasks);
+    assemble(slots.into_iter().map(Mutex::into_inner).collect(), ctx)
 }
 
 /// Run one task per partition item, in parallel when the configuration
@@ -467,14 +438,9 @@ mod tests {
         assert_eq!(shuffled, 0);
     }
 
-    /// Every dispatch configuration the executor supports: inline, pool,
-    /// and seed-style scoped threads.
+    /// Every dispatch configuration the executor supports: inline and pool.
     fn dispatch_configs() -> Vec<EnvConfig> {
-        vec![
-            EnvConfig::new(4).with_threaded(false),
-            EnvConfig::new(4).with_thread_threshold(0),
-            EnvConfig::new(4).with_thread_threshold(0).with_dispatch(DispatchMode::ScopedThreads),
-        ]
+        vec![EnvConfig::new(4).with_threaded(false), EnvConfig::new(4).with_thread_threshold(0)]
     }
 
     #[test]

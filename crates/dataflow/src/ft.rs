@@ -1,19 +1,24 @@
-//! Fault-tolerance hooks: failure injection and recovery handler traits.
+//! Fault-tolerance hooks: failure injection and the one recovery contract.
 //!
 //! The engine itself is policy-free. At every superstep boundary of an
-//! iteration it (1) offers the fresh state to the configured fault handler
-//! (which may checkpoint it), (2) asks the [`FailureSource`] whether a
-//! failure strikes, and if so drops the affected partitions and (3) asks the
-//! handler to recover. The `recovery` crate implements the paper's policies
-//! on top of these traits; the engine ships only [`RestartHandler`], the
-//! trivially correct restart-from-scratch baseline.
+//! iteration it (1) offers the fresh state to the configured
+//! [`FaultHandler`] (which may checkpoint it), (2) asks the
+//! [`FailureSource`] whether a failure strikes, and if so drops the affected
+//! partitions and (3) asks the handler to recover. The contract is generic
+//! over the [`IterationState`] — [`Partitions`] for bulk iterations,
+//! [`DeltaState`] for delta iterations — so a strategy is one type that runs
+//! under either driver (and, wrapped, on the cluster). The `recovery` crate
+//! implements the paper's policies on top of it; the engine ships only
+//! [`RestartHandler`], the trivially correct restart-from-scratch baseline.
 
 use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::codec::{decode_exact, encode_slice, Codec};
 use crate::dataset::{Data, Partitions};
 use crate::error::Result;
 use crate::hash::FxHashMap;
@@ -186,10 +191,153 @@ pub struct CheckpointCost {
     pub duration: Duration,
 }
 
-/// How a bulk-iteration fault handler recovered.
-pub enum BulkRecoveryAction<T> {
+/// Partitioned iteration state: the thing a failure destroys part of and a
+/// [`FaultHandler`] repairs. Implemented for the two state shapes the engine
+/// iterates over — [`Partitions`] (bulk) and [`DeltaState`] (delta) — so the
+/// drivers' recovery step and every recovery strategy are written once.
+pub trait IterationState: Clone {
+    /// Number of partitions the state is split into.
+    fn num_partitions(&self) -> usize;
+
+    /// Destroy partition `pid`, returning the number of records lost.
+    fn clear_partition(&mut self, pid: PartitionId) -> u64;
+}
+
+/// An [`IterationState`] that can be written to stable storage. The whole
+/// state's blob is its [`Codec`] encoding (what a synchronous checkpoint
+/// writes); this trait adds the per-partition chunks an asynchronous barrier
+/// snapshot persists one at a time.
+pub trait Snapshot: IterationState + Codec {
+    /// Stem of the keys snapshots of this state shape are stored under.
+    const KIND: &'static str;
+
+    /// Append the encoded chunk of partition `pid` to `out`.
+    fn encode_partition(&self, pid: PartitionId, out: &mut Vec<u8>);
+
+    /// Rebuild the state from one [`Self::encode_partition`] chunk per
+    /// partition, in partition order.
+    fn from_chunks(chunks: &[Vec<u8>]) -> Result<Self>;
+}
+
+impl<T: Data> IterationState for Partitions<T> {
+    fn num_partitions(&self) -> usize {
+        Partitions::num_partitions(self)
+    }
+
+    fn clear_partition(&mut self, pid: PartitionId) -> u64 {
+        Partitions::clear_partition(self, pid) as u64
+    }
+}
+
+/// Same bytes as the `Vec<Vec<T>>` of the partitions.
+impl<T: Codec> Codec for Partitions<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.num_partitions() as u64).encode(out);
+        for part in self.as_parts() {
+            part.encode(out);
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self> {
+        Ok(Partitions::from_parts(Vec::<Vec<T>>::decode(input)?))
+    }
+}
+
+impl<T: Data + Codec> Snapshot for Partitions<T> {
+    const KIND: &'static str = "bulk";
+
+    fn encode_partition(&self, pid: PartitionId, out: &mut Vec<u8>) {
+        encode_slice(self.partition(pid), out)
+    }
+
+    fn from_chunks(chunks: &[Vec<u8>]) -> Result<Self> {
+        let parts = chunks.iter().map(|chunk| decode_exact::<Vec<T>>(chunk));
+        Ok(Partitions::from_parts(parts.collect::<Result<_>>()?))
+    }
+}
+
+/// Per-partition solution sets of a delta iteration: one keyed map per
+/// partition, holding the current value for every key of that partition.
+pub type SolutionSets<K, V> = Vec<FxHashMap<K, V>>;
+
+/// The state of a delta iteration: the keyed solution sets plus the working
+/// set entering the next superstep. A failure destroys both the solution-set
+/// partition and the workset partition of the lost workers.
+#[derive(Debug, Clone)]
+pub struct DeltaState<K, V, W> {
+    /// Solution sets, hash-partitioned by key.
+    pub solution: SolutionSets<K, V>,
+    /// The working set, partitioned like the solution sets.
+    pub workset: Partitions<W>,
+}
+
+impl<K: Data, V: Data, W: Data> IterationState for DeltaState<K, V, W> {
+    fn num_partitions(&self) -> usize {
+        self.solution.len()
+    }
+
+    fn clear_partition(&mut self, pid: PartitionId) -> u64 {
+        let entries = std::mem::take(&mut self.solution[pid]).len();
+        (entries + self.workset.clear_partition(pid)) as u64
+    }
+}
+
+fn solution_entries<K: Clone, V: Clone>(set: &FxHashMap<K, V>) -> Vec<(K, V)> {
+    set.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+}
+
+/// All solution sets (a count, then each set as a `Vec<(K, V)>`), then the
+/// working set.
+impl<K, V, W> Codec for DeltaState<K, V, W>
+where
+    K: Codec + Clone + Hash + Eq,
+    V: Codec + Clone,
+    W: Codec,
+{
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.solution.len() as u64).encode(out);
+        for set in &self.solution {
+            solution_entries(set).encode(out);
+        }
+        self.workset.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self> {
+        let sets = Vec::<Vec<(K, V)>>::decode(input)?;
+        let solution = sets.into_iter().map(|entries| entries.into_iter().collect()).collect();
+        Ok(DeltaState { solution, workset: Partitions::decode(input)? })
+    }
+}
+
+impl<K, V, W> Snapshot for DeltaState<K, V, W>
+where
+    K: Data + Codec + Hash + Eq,
+    V: Data + Codec,
+    W: Data + Codec,
+{
+    const KIND: &'static str = "delta";
+
+    fn encode_partition(&self, pid: PartitionId, out: &mut Vec<u8>) {
+        solution_entries(&self.solution[pid]).encode(out);
+        encode_slice(self.workset.partition(pid), out);
+    }
+
+    fn from_chunks(chunks: &[Vec<u8>]) -> Result<Self> {
+        let mut solution: SolutionSets<K, V> = Vec::with_capacity(chunks.len());
+        let mut worksets = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            let (entries, part) = decode_exact::<(Vec<(K, V)>, Vec<W>)>(chunk)?;
+            solution.push(entries.into_iter().collect());
+            worksets.push(part);
+        }
+        Ok(DeltaState { solution, workset: Partitions::from_parts(worksets) })
+    }
+}
+
+/// How a fault handler recovered.
+pub enum RecoveryAction<S> {
     /// Lost partitions were re-initialised in place (optimistic recovery);
-    /// execution continues with the next logical iteration.
+    /// execution continues.
     Compensated,
     /// State restored from a checkpoint of the given logical iteration;
     /// execution resumes at `iteration + 1`.
@@ -197,7 +345,7 @@ pub enum BulkRecoveryAction<T> {
         /// Logical iteration the restored snapshot belongs to.
         iteration: u32,
         /// The restored state.
-        state: Partitions<T>,
+        state: S,
     },
     /// Recompute everything: the engine resets to the initial input and
     /// logical iteration 0.
@@ -207,15 +355,12 @@ pub enum BulkRecoveryAction<T> {
     Ignore,
 }
 
-/// Fault handler for bulk iterations over state records of type `T`.
-pub trait BulkFaultHandler<T: Data> {
+/// The recovery contract, generic over the iteration state `S`: the drivers
+/// call it with [`Partitions`] (bulk) or [`DeltaState`] (delta).
+pub trait FaultHandler<S> {
     /// Called after every completed superstep with the fresh state. Return
     /// the cost of a checkpoint if one was taken.
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
+    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
         let _ = (iteration, state);
         Ok(None)
     }
@@ -226,56 +371,8 @@ pub trait BulkFaultHandler<T: Data> {
         &mut self,
         iteration: u32,
         lost: &[PartitionId],
-        state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>>;
-}
-
-/// Per-partition solution sets of a delta iteration: one keyed map per
-/// partition, holding the current value for every key of that partition.
-pub type SolutionSets<K, V> = Vec<FxHashMap<K, V>>;
-
-/// How a delta-iteration fault handler recovered.
-pub enum DeltaRecoveryAction<K, V, W> {
-    /// Lost solution-set partitions were re-initialised and replacement
-    /// workset records seeded (optimistic recovery).
-    Compensated,
-    /// Solution sets and workset restored from a checkpoint.
-    Restored {
-        /// Logical iteration the snapshot belongs to.
-        iteration: u32,
-        /// Restored solution sets.
-        solution: SolutionSets<K, V>,
-        /// Restored workset.
-        workset: Partitions<W>,
-    },
-    /// Recompute from the initial solution set and workset.
-    Restart,
-    /// Continue with the lost partitions empty (ablation only).
-    Ignore,
-}
-
-/// Fault handler for delta iterations.
-pub trait DeltaFaultHandler<K: Data, V: Data, W: Data> {
-    /// Called after every completed superstep (post delta application).
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
-        let _ = (iteration, solution, workset);
-        Ok(None)
-    }
-
-    /// Called when partitions `lost` have had both their solution set and
-    /// workset cleared by a failure.
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        solution: &mut SolutionSets<K, V>,
-        workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>>;
+        state: &mut S,
+    ) -> Result<RecoveryAction<S>>;
 }
 
 // Boxed trait objects forward, so callers can pick handlers at runtime
@@ -286,12 +383,8 @@ impl FailureSource for Box<dyn FailureSource> {
     }
 }
 
-impl<T: Data> BulkFaultHandler<T> for Box<dyn BulkFaultHandler<T>> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
+impl<S> FaultHandler<S> for Box<dyn FaultHandler<S>> {
+    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
         (**self).after_superstep(iteration, state)
     }
 
@@ -299,30 +392,9 @@ impl<T: Data> BulkFaultHandler<T> for Box<dyn BulkFaultHandler<T>> {
         &mut self,
         iteration: u32,
         lost: &[PartitionId],
-        state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
+        state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
         (**self).on_failure(iteration, lost, state)
-    }
-}
-
-impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for Box<dyn DeltaFaultHandler<K, V, W>> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
-        (**self).after_superstep(iteration, solution, workset)
-    }
-
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        solution: &mut SolutionSets<K, V>,
-        workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        (**self).on_failure(iteration, lost, solution, workset)
     }
 }
 
@@ -333,26 +405,14 @@ impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for Box<dyn DeltaFaul
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RestartHandler;
 
-impl<T: Data> BulkFaultHandler<T> for RestartHandler {
+impl<S> FaultHandler<S> for RestartHandler {
     fn on_failure(
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
-        Ok(BulkRecoveryAction::Restart)
-    }
-}
-
-impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for RestartHandler {
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        Ok(DeltaRecoveryAction::Restart)
+        _state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
+        Ok(RecoveryAction::Restart)
     }
 }
 
@@ -475,9 +535,6 @@ mod tests {
     fn restart_handler_always_restarts() {
         let mut h = RestartHandler;
         let mut state = Partitions::round_robin(vec![1u64, 2, 3], 2);
-        match BulkFaultHandler::on_failure(&mut h, 5, &[0], &mut state).unwrap() {
-            BulkRecoveryAction::Restart => {}
-            _ => panic!("expected restart"),
-        }
+        assert!(matches!(h.on_failure(5, &[0], &mut state).unwrap(), RecoveryAction::Restart));
     }
 }

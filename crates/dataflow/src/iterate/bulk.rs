@@ -8,11 +8,11 @@ use crate::api::{DataSet, Environment};
 use crate::dataset::{Data, Erased, Partitions};
 use crate::error::{EngineError, Result};
 use crate::exec::{self, ExecContext, PlanCache};
-use crate::ft::{BulkFaultHandler, BulkRecoveryAction, FailureSource, NoFailures, RestartHandler};
-use crate::iterate::{ConvergenceMeasure, StatsHandle};
+use crate::ft::{FailureSource, FaultHandler, NoFailures, RestartHandler};
+use crate::iterate::{ConvergenceMeasure, Failure, Recovery, StatsHandle};
 use crate::operators::{InjectedSource, SourceSlot};
 use crate::plan::{DynOp, NodeId};
-use crate::stats::{FailureRecord, IterationStats, RecoveryKind, RunStats};
+use crate::stats::{IterationStats, RunStats};
 
 /// Observer callback invoked after every superstep with the (possibly
 /// recovered) state; may record gauges/counters into the superstep's stats.
@@ -59,7 +59,7 @@ pub struct BulkIteration<T: Data> {
     import_slots: Vec<SourceSlot>,
     max_iterations: u32,
     superstep_limit: u32,
-    handler: Box<dyn BulkFaultHandler<T>>,
+    handler: Box<dyn FaultHandler<Partitions<T>>>,
     failures: Box<dyn FailureSource>,
     observer: Option<BulkObserverFn<T>>,
     convergence: Option<BulkConvergenceProbe<T>>,
@@ -128,7 +128,7 @@ impl<T: Data> BulkIteration<T> {
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
-    pub fn set_fault_handler(&mut self, handler: impl BulkFaultHandler<T> + 'static) {
+    pub fn set_fault_handler(&mut self, handler: impl FaultHandler<Partitions<T>> + 'static) {
         self.handler = Box::new(handler);
     }
 
@@ -228,7 +228,7 @@ struct IterateBulkOp<T: Data> {
     termination: Option<TerminationProbe>,
     max_iterations: u32,
     superstep_limit: u32,
-    handler: Box<dyn BulkFaultHandler<T>>,
+    handler: Box<dyn FaultHandler<Partitions<T>>>,
     failures: Box<dyn FailureSource>,
     observer: Option<BulkObserverFn<T>>,
     convergence: Option<BulkConvergenceProbe<T>>,
@@ -267,6 +267,7 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
             max_iterations: self.max_iterations,
         });
         let run_timer = telemetry.timer(SpanKind::Run, None, None);
+        let recovery = Recovery { telemetry: &telemetry, initial: &initial };
 
         while iteration < self.max_iterations {
             if superstep >= self.superstep_limit {
@@ -303,9 +304,7 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
             };
             let outputs = match body_result {
                 Ok(outputs) => outputs,
-                Err(
-                    failure @ (EngineError::PartitionPanic { .. } | EngineError::WorkerLost { .. }),
-                ) => {
+                Err(error) => {
                     // A UDF panicked — or a cluster worker process died —
                     // mid-superstep: the step's outputs never materialised,
                     // so recover the pre-superstep state from the injection
@@ -314,6 +313,7 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
                     // Partial counters and shuffle bookkeeping of the
                     // aborted step are discarded — no SuperstepCompleted
                     // entry exists for it.
+                    let failure = Failure::of_aborted_step(error)?;
                     let duration = compute_timer.finish();
                     let _ = step_ctx.drain();
                     let _ = step_ctx.take_shuffle_time();
@@ -326,87 +326,19 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
                             )
                         })?
                         .take("BulkIteration(panic recovery)")?;
-                    let lost: Vec<usize> = match &failure {
-                        EngineError::PartitionPanic { pid, .. } => vec![*pid],
-                        EngineError::WorkerLost { pids, .. } => pids.clone(),
-                        _ => unreachable!("arm matches only panic/worker-loss"),
-                    };
-                    let mut lost_records = 0u64;
-                    for &pid in &lost {
-                        lost_records += recovered.clear_partition(pid) as u64;
-                    }
-                    match &failure {
-                        EngineError::PartitionPanic { pid, .. } => {
-                            let pid = *pid;
-                            telemetry.emit(|| JournalEvent::PartitionPanicked {
-                                superstep,
-                                iteration,
-                                pid,
-                            });
-                        }
-                        EngineError::WorkerLost { worker, .. } => {
-                            let worker = *worker;
-                            telemetry.emit(|| JournalEvent::WorkerLost {
-                                superstep,
-                                iteration,
-                                worker,
-                                lost_partitions: lost.clone(),
-                            });
-                        }
-                        _ => unreachable!("arm matches only panic/worker-loss"),
-                    }
-                    telemetry.emit(|| JournalEvent::FailureInjected {
-                        superstep,
+                    let (failure, next_iteration) = recovery.run(
+                        &mut *self.handler,
+                        (superstep, iteration),
+                        failure,
+                        &mut recovered,
                         iteration,
-                        lost_partitions: lost.clone(),
-                        lost_records,
-                    });
-                    let recovery_timer =
-                        telemetry.timer(SpanKind::Recovery, Some(superstep), Some(iteration));
-                    let action = self.handler.on_failure(iteration, &lost, &mut recovered)?;
-                    // Unlike an injected failure (which destroys the step's
-                    // *output*), a panic leaves no output at all, so the
-                    // surviving logical iteration is the one that must be
-                    // redone: compensation and ignore re-run `iteration`
-                    // itself, a restored checkpoint resumes after its own
-                    // iteration, restart goes back to zero.
-                    let next_iteration;
-                    let recovery = match action {
-                        BulkRecoveryAction::Compensated => {
-                            next_iteration = iteration;
-                            RecoveryKind::Compensated
-                        }
-                        BulkRecoveryAction::Restored {
-                            iteration: restored,
-                            state: restored_state,
-                        } => {
-                            recovered = restored_state;
-                            next_iteration = restored + 1;
-                            RecoveryKind::RolledBack { to_iteration: restored }
-                        }
-                        BulkRecoveryAction::Restart => {
-                            recovered = initial.clone();
-                            next_iteration = 0;
-                            RecoveryKind::Restarted
-                        }
-                        BulkRecoveryAction::Ignore => {
-                            next_iteration = iteration;
-                            RecoveryKind::Ignored
-                        }
-                    };
-                    let recovery_duration = recovery_timer.finish();
-                    telemetry.emit(|| JournalEvent::from_recovery(&recovery, iteration));
+                    )?;
                     let mut istats = IterationStats {
                         superstep,
                         iteration,
                         duration,
                         records_shuffled: 0,
-                        failure: Some(FailureRecord {
-                            lost_partitions: lost,
-                            lost_records,
-                            recovery,
-                            recovery_duration,
-                        }),
+                        failure: Some(failure),
                         ..Default::default()
                     };
                     if let Some(observer) = &mut self.observer {
@@ -419,7 +351,6 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
                     iteration = next_iteration;
                     continue;
                 }
-                Err(other) => return Err(other),
             };
             let mut next: Partitions<T> = outputs[0].clone().take("BulkIteration(next)")?;
             let duration = compute_timer.finish();
@@ -493,48 +424,18 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
             // 4. Failure injection and recovery.
             let mut failed = false;
             let mut next_iteration = iteration + 1;
-            if let Some(lost) = self.failures.poll(superstep, parallelism) {
-                if !lost.is_empty() {
-                    failed = true;
-                    let mut lost_records = 0u64;
-                    for &pid in &lost {
-                        lost_records += next.clear_partition(pid) as u64;
-                    }
-                    telemetry.emit(|| JournalEvent::FailureInjected {
-                        superstep,
-                        iteration,
-                        lost_partitions: lost.clone(),
-                        lost_records,
-                    });
-                    let recovery_timer =
-                        telemetry.timer(SpanKind::Recovery, Some(superstep), Some(iteration));
-                    let action = self.handler.on_failure(iteration, &lost, &mut next)?;
-                    let recovery = match action {
-                        BulkRecoveryAction::Compensated => RecoveryKind::Compensated,
-                        BulkRecoveryAction::Restored {
-                            iteration: restored,
-                            state: restored_state,
-                        } => {
-                            next = restored_state;
-                            next_iteration = restored + 1;
-                            RecoveryKind::RolledBack { to_iteration: restored }
-                        }
-                        BulkRecoveryAction::Restart => {
-                            next = initial.clone();
-                            next_iteration = 0;
-                            RecoveryKind::Restarted
-                        }
-                        BulkRecoveryAction::Ignore => RecoveryKind::Ignored,
-                    };
-                    let recovery_duration = recovery_timer.finish();
-                    telemetry.emit(|| JournalEvent::from_recovery(&recovery, iteration));
-                    istats.failure = Some(FailureRecord {
-                        lost_partitions: lost,
-                        lost_records,
-                        recovery,
-                        recovery_duration,
-                    });
-                }
+            let lost = self.failures.poll(superstep, parallelism).filter(|lost| !lost.is_empty());
+            if let Some(lost) = lost {
+                failed = true;
+                let (failure, resumed) = recovery.run(
+                    &mut *self.handler,
+                    (superstep, iteration),
+                    Failure::injected(lost),
+                    &mut next,
+                    iteration + 1,
+                )?;
+                next_iteration = resumed;
+                istats.failure = Some(failure);
             }
 
             // 5. Observe, record, decide termination.
@@ -582,6 +483,7 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
 mod tests {
     use super::*;
     use crate::ft::DeterministicFailures;
+    use crate::stats::RecoveryKind;
 
     /// Fixpoint toy: state records move towards zero by one per iteration.
     fn countdown_env() -> (Environment, DataSet<u64>) {

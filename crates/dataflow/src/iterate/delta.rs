@@ -11,14 +11,14 @@ use crate::dataset::{Data, Erased, Partitions};
 use crate::error::{EngineError, Result};
 use crate::exec::{self, ExecContext, PlanCache};
 use crate::ft::{
-    DeltaFaultHandler, DeltaRecoveryAction, FailureSource, NoFailures, RestartHandler, SolutionSets,
+    DeltaState, FailureSource, FaultHandler, NoFailures, RestartHandler, SolutionSets,
 };
 use crate::hash::{fx_hash, FxHashMap};
-use crate::iterate::StatsHandle;
+use crate::iterate::{Failure, Recovery, StatsHandle};
 use crate::operators::{InjectedSource, SourceSlot};
 use crate::partition::hash_partition;
 use crate::plan::{DynOp, NodeId};
-use crate::stats::{FailureRecord, IterationStats, RecoveryKind, RunStats};
+use crate::stats::{IterationStats, RunStats};
 
 /// Observer callback for delta iterations: sees the solution sets and the
 /// working set entering the next iteration.
@@ -85,7 +85,7 @@ pub struct DeltaIteration<K: SolutionKey, V: Data, W: Data> {
     import_slots: Vec<SourceSlot>,
     max_iterations: u32,
     superstep_limit: u32,
-    handler: Box<dyn DeltaFaultHandler<K, V, W>>,
+    handler: Box<dyn FaultHandler<DeltaState<K, V, W>>>,
     failures: Box<dyn FailureSource>,
     observer: Option<DeltaObserverFn<K, V, W>>,
     norm_probe: Option<DeltaNormProbe<K, V>>,
@@ -172,7 +172,7 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
-    pub fn set_fault_handler(&mut self, handler: impl DeltaFaultHandler<K, V, W> + 'static) {
+    pub fn set_fault_handler(&mut self, handler: impl FaultHandler<DeltaState<K, V, W>> + 'static) {
         self.handler = Box::new(handler);
     }
 
@@ -257,7 +257,7 @@ struct IterateDeltaOp<K: SolutionKey, V: Data, W: Data> {
     next_workset_id: NodeId,
     max_iterations: u32,
     superstep_limit: u32,
-    handler: Box<dyn DeltaFaultHandler<K, V, W>>,
+    handler: Box<dyn FaultHandler<DeltaState<K, V, W>>>,
     failures: Box<dyn FailureSource>,
     observer: Option<DeltaObserverFn<K, V, W>>,
     norm_probe: Option<DeltaNormProbe<K, V>>,
@@ -319,9 +319,11 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
         };
         let mut invariant_cache = PlanCache::new();
 
-        let initial_sets = build_solution_sets(&initial_solution, parallelism);
-        let mut solution = initial_sets.clone();
-        let mut workset = initial_workset.clone();
+        let initial = DeltaState {
+            solution: build_solution_sets(&initial_solution, parallelism),
+            workset: initial_workset,
+        };
+        let mut state = initial.clone();
 
         let mut run = RunStats::default();
         let mut iteration: u32 = 0;
@@ -334,9 +336,10 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
             max_iterations: self.max_iterations,
         });
         let run_timer = telemetry.timer(SpanKind::Run, None, None);
+        let recovery = Recovery { telemetry: &telemetry, initial: &initial };
 
         loop {
-            if workset.is_empty() {
+            if state.workset.is_empty() {
                 converged = true;
                 break;
             }
@@ -351,10 +354,12 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                 )));
             }
 
-            // 1. Execute the loop body over solution view + workset.
+            // 1. Execute the loop body over solution view + workset. The
+            // workset moves into its injection slot for the step.
             let step_timer = telemetry.timer(SpanKind::Superstep, Some(superstep), Some(iteration));
             let step_ctx = ExecContext::new(ctx.config.clone()).at_superstep(superstep);
-            self.solution_slot.fill(Erased::new(materialize_solution(&solution)));
+            self.solution_slot.fill(Erased::new(materialize_solution(&state.solution)));
+            let workset = std::mem::replace(&mut state.workset, Partitions::empty(parallelism));
             self.workset_slot.fill(Erased::new(workset));
             let compute_timer =
                 telemetry.timer(SpanKind::Compute, Some(superstep), Some(iteration));
@@ -370,9 +375,7 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
             };
             let outputs = match body_result {
                 Ok(outputs) => outputs,
-                Err(
-                    failure @ (EngineError::PartitionPanic { .. } | EngineError::WorkerLost { .. }),
-                ) => {
+                Err(error) => {
                     // A UDF panicked — or a cluster worker process died —
                     // mid-superstep: neither the delta nor the next workset
                     // materialised, and the solution sets have not been
@@ -383,10 +386,11 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                     // redo the logical iteration. Partial counters of the
                     // aborted step are discarded — no SuperstepCompleted
                     // entry exists for it.
+                    let failure = Failure::of_aborted_step(error)?;
                     let duration = compute_timer.finish();
                     let _ = step_ctx.drain();
                     let _ = step_ctx.take_shuffle_time();
-                    let mut recovered: Partitions<W> = self
+                    state.workset = self
                         .workset_slot
                         .get()
                         .ok_or_else(|| {
@@ -395,116 +399,41 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                             )
                         })?
                         .take("DeltaIteration(panic recovery)")?;
-                    let lost: Vec<usize> = match &failure {
-                        EngineError::PartitionPanic { pid, .. } => vec![*pid],
-                        EngineError::WorkerLost { pids, .. } => pids.clone(),
-                        _ => unreachable!("arm matches only panic/worker-loss"),
-                    };
-                    let mut lost_records = 0u64;
-                    for &pid in &lost {
-                        lost_records += solution[pid].len() as u64;
-                        solution[pid] = FxHashMap::default();
-                        lost_records += recovered.clear_partition(pid) as u64;
-                    }
-                    match &failure {
-                        EngineError::PartitionPanic { pid, .. } => {
-                            let pid = *pid;
-                            telemetry.emit(|| JournalEvent::PartitionPanicked {
-                                superstep,
-                                iteration,
-                                pid,
-                            });
-                        }
-                        EngineError::WorkerLost { worker, .. } => {
-                            let worker = *worker;
-                            telemetry.emit(|| JournalEvent::WorkerLost {
-                                superstep,
-                                iteration,
-                                worker,
-                                lost_partitions: lost.clone(),
-                            });
-                        }
-                        _ => unreachable!("arm matches only panic/worker-loss"),
-                    }
-                    telemetry.emit(|| JournalEvent::FailureInjected {
-                        superstep,
+                    let (failure, next_iteration) = recovery.run(
+                        &mut *self.handler,
+                        (superstep, iteration),
+                        failure,
+                        &mut state,
                         iteration,
-                        lost_partitions: lost.clone(),
-                        lost_records,
-                    });
-                    let recovery_timer =
-                        telemetry.timer(SpanKind::Recovery, Some(superstep), Some(iteration));
-                    let action =
-                        self.handler.on_failure(iteration, &lost, &mut solution, &mut recovered)?;
-                    // A panic leaves no superstep output, so compensation and
-                    // ignore re-run the current logical iteration instead of
-                    // advancing past it (injected failures destroy the
-                    // *output* and continue at `iteration + 1`).
-                    let next_iteration;
-                    let recovery = match action {
-                        DeltaRecoveryAction::Compensated => {
-                            next_iteration = iteration;
-                            RecoveryKind::Compensated
-                        }
-                        DeltaRecoveryAction::Restored {
-                            iteration: restored,
-                            solution: restored_solution,
-                            workset: restored_workset,
-                        } => {
-                            solution = restored_solution;
-                            recovered = restored_workset;
-                            next_iteration = restored + 1;
-                            RecoveryKind::RolledBack { to_iteration: restored }
-                        }
-                        DeltaRecoveryAction::Restart => {
-                            solution = initial_sets.clone();
-                            recovered = initial_workset.clone();
-                            next_iteration = 0;
-                            RecoveryKind::Restarted
-                        }
-                        DeltaRecoveryAction::Ignore => {
-                            next_iteration = iteration;
-                            RecoveryKind::Ignored
-                        }
-                    };
-                    let recovery_duration = recovery_timer.finish();
-                    telemetry.emit(|| JournalEvent::from_recovery(&recovery, iteration));
+                    )?;
                     let mut istats = IterationStats {
                         superstep,
                         iteration,
                         duration,
                         records_shuffled: 0,
-                        workset_size: Some(recovered.total_len() as u64),
-                        failure: Some(FailureRecord {
-                            lost_partitions: lost,
-                            lost_records,
-                            recovery,
-                            recovery_duration,
-                        }),
+                        workset_size: Some(state.workset.total_len() as u64),
+                        failure: Some(failure),
                         ..Default::default()
                     };
                     if let Some(observer) = &mut self.observer {
-                        observer(iteration, &solution, &recovered, &mut istats);
+                        observer(iteration, &state.solution, &state.workset, &mut istats);
                     }
                     run.iterations.push(istats);
                     let _ = step_timer.finish();
                     superstep += 1;
-                    workset = recovered;
                     iteration = next_iteration;
                     continue;
                 }
-                Err(other) => return Err(other),
             };
             let delta: Partitions<(K, V)> = outputs[0].clone().take("DeltaIteration(delta)")?;
-            let mut next_workset: Partitions<W> =
-                outputs[1].clone().take("DeltaIteration(next workset)")?;
+            state.workset = outputs[1].clone().take("DeltaIteration(next workset)")?;
 
             // 2. Apply the delta: upsert each entry into its key's partition.
             // The norm probe must observe the solution *before* the apply
             // loop consumes the delta.
             let delta_size = delta.total_len() as u64;
             let delta_norm = if telemetry.enabled() {
-                self.norm_probe.as_mut().and_then(|probe| probe(&solution, &delta))
+                self.norm_probe.as_mut().and_then(|probe| probe(&state.solution, &delta))
             } else {
                 None
             };
@@ -512,7 +441,7 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
             for (k, v) in delta.into_vec() {
                 let pid = hash_partition(&k, parallelism);
                 changed_per_partition[pid] += 1;
-                solution[pid].insert(k, v);
+                state.solution[pid].insert(k, v);
             }
             let duration = compute_timer.finish();
 
@@ -531,11 +460,11 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                 superstep,
                 iteration,
                 records_shuffled: shuffled,
-                workset_size: Some(next_workset.total_len() as u64),
+                workset_size: Some(state.workset.total_len() as u64),
             });
             if telemetry.enabled() {
                 let workset_per_partition: Vec<u64> =
-                    next_workset.partition_sizes().iter().map(|&n| n as u64).collect();
+                    state.workset.partition_sizes().iter().map(|&n| n as u64).collect();
                 telemetry.emit(|| JournalEvent::ConvergenceSample {
                     superstep,
                     iteration,
@@ -551,13 +480,13 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                 duration,
                 counters,
                 records_shuffled: shuffled,
-                workset_size: Some(next_workset.total_len() as u64),
+                workset_size: Some(state.workset.total_len() as u64),
                 ..Default::default()
             };
             istats.counters.insert("delta_updates".into(), delta_size);
 
             // 4. Fault-tolerance hook (checkpointing).
-            if let Some(cost) = self.handler.after_superstep(iteration, &solution, &next_workset)? {
+            if let Some(cost) = self.handler.after_superstep(iteration, &state)? {
                 telemetry.emit(|| JournalEvent::CheckpointWritten { iteration, bytes: cost.bytes });
                 telemetry.span(&SpanRecord {
                     kind: SpanKind::Checkpoint,
@@ -569,72 +498,29 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                 istats.checkpoint_duration = Some(cost.duration);
             }
 
-            // 5. Failure injection and recovery. A failure destroys both the
-            // solution-set partition and the workset partition of the lost
-            // workers.
+            // 5. Failure injection and recovery.
             let mut next_iteration = iteration + 1;
-            if let Some(lost) = self.failures.poll(superstep, parallelism) {
-                if !lost.is_empty() {
-                    let mut lost_records = 0u64;
-                    for &pid in &lost {
-                        lost_records += solution[pid].len() as u64;
-                        solution[pid] = FxHashMap::default();
-                        lost_records += next_workset.clear_partition(pid) as u64;
-                    }
-                    telemetry.emit(|| JournalEvent::FailureInjected {
-                        superstep,
-                        iteration,
-                        lost_partitions: lost.clone(),
-                        lost_records,
-                    });
-                    let recovery_timer =
-                        telemetry.timer(SpanKind::Recovery, Some(superstep), Some(iteration));
-                    let action = self.handler.on_failure(
-                        iteration,
-                        &lost,
-                        &mut solution,
-                        &mut next_workset,
-                    )?;
-                    let recovery = match action {
-                        DeltaRecoveryAction::Compensated => RecoveryKind::Compensated,
-                        DeltaRecoveryAction::Restored {
-                            iteration: restored,
-                            solution: restored_solution,
-                            workset: restored_workset,
-                        } => {
-                            solution = restored_solution;
-                            next_workset = restored_workset;
-                            next_iteration = restored + 1;
-                            RecoveryKind::RolledBack { to_iteration: restored }
-                        }
-                        DeltaRecoveryAction::Restart => {
-                            solution = initial_sets.clone();
-                            next_workset = initial_workset.clone();
-                            next_iteration = 0;
-                            RecoveryKind::Restarted
-                        }
-                        DeltaRecoveryAction::Ignore => RecoveryKind::Ignored,
-                    };
-                    let recovery_duration = recovery_timer.finish();
-                    telemetry.emit(|| JournalEvent::from_recovery(&recovery, iteration));
-                    istats.workset_size = Some(next_workset.total_len() as u64);
-                    istats.failure = Some(FailureRecord {
-                        lost_partitions: lost,
-                        lost_records,
-                        recovery,
-                        recovery_duration,
-                    });
-                }
+            let lost = self.failures.poll(superstep, parallelism).filter(|lost| !lost.is_empty());
+            if let Some(lost) = lost {
+                let (failure, resumed) = recovery.run(
+                    &mut *self.handler,
+                    (superstep, iteration),
+                    Failure::injected(lost),
+                    &mut state,
+                    iteration + 1,
+                )?;
+                next_iteration = resumed;
+                istats.workset_size = Some(state.workset.total_len() as u64);
+                istats.failure = Some(failure);
             }
 
             // 6. Observe and record.
             if let Some(observer) = &mut self.observer {
-                observer(iteration, &solution, &next_workset, &mut istats);
+                observer(iteration, &state.solution, &state.workset, &mut istats);
             }
             run.iterations.push(istats);
             let _ = step_timer.finish();
             superstep += 1;
-            workset = next_workset;
             iteration = next_iteration;
         }
 
@@ -646,7 +532,7 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
             converged: run.converged,
         });
         self.stats.set(run);
-        Ok(Erased::new(materialize_solution(&solution)))
+        Ok(Erased::new(materialize_solution(&state.solution)))
     }
 
     fn kind(&self) -> &'static str {
@@ -667,6 +553,7 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
 mod tests {
     use super::*;
     use crate::ft::DeterministicFailures;
+    use crate::stats::RecoveryKind;
 
     type Label = (u64, u64);
 
@@ -768,15 +655,14 @@ mod tests {
     #[test]
     fn ignore_handler_converges_to_wrong_labels() {
         struct IgnoreAll;
-        impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for IgnoreAll {
+        impl<S> FaultHandler<S> for IgnoreAll {
             fn on_failure(
                 &mut self,
                 _i: u32,
                 _l: &[usize],
-                _s: &mut SolutionSets<K, V>,
-                _w: &mut Partitions<W>,
-            ) -> Result<DeltaRecoveryAction<K, V, W>> {
-                Ok(DeltaRecoveryAction::Ignore)
+                _s: &mut S,
+            ) -> Result<crate::ft::RecoveryAction<S>> {
+                Ok(crate::ft::RecoveryAction::Ignore)
             }
         }
         let (labels, stats) = min_label_run(16, 4, |it| {

@@ -23,11 +23,11 @@
 //!   working set is empty.
 //! * **Fault-tolerance hooks** ([`ft`]) — failures are injected at superstep
 //!   boundaries by a [`ft::FailureSource`] (partitions of the iteration state
-//!   are dropped) and handled by a pluggable [`ft::BulkFaultHandler`] /
-//!   [`ft::DeltaFaultHandler`]. The `recovery` crate implements the paper's
-//!   strategies (optimistic compensation, checkpoint rollback, restart) on
-//!   top of these hooks; the engine itself ships only the trivial
-//!   restart-from-scratch handler.
+//!   are dropped) and handled by a pluggable [`ft::FaultHandler`], one
+//!   contract generic over the iteration state (bulk or delta). The
+//!   `recovery` crate implements the paper's strategies (optimistic
+//!   compensation, checkpoint rollback, restart) on top of it; the engine
+//!   itself ships only the trivial restart-from-scratch handler.
 //! * **Run statistics** ([`stats`]) — per-superstep durations, named record
 //!   counters (e.g. the paper's "messages per iteration"), shuffled-record
 //!   counts, checkpoint costs and failure/recovery events.
@@ -67,13 +67,12 @@ pub mod stats;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::api::{DataSet, Environment};
-    pub use crate::config::DispatchMode;
     pub use crate::config::EnvConfig;
     pub use crate::dataset::{Data, Partitions};
     pub use crate::error::{EngineError, Result};
     pub use crate::ft::{
-        BulkFaultHandler, BulkRecoveryAction, DeltaFaultHandler, DeltaRecoveryAction,
-        DeterministicFailures, FailureSource, MtbfFailures, NoFailures, RestartHandler,
+        DeltaState, DeterministicFailures, FailureSource, FaultHandler, IterationState,
+        MtbfFailures, NoFailures, RecoveryAction, RestartHandler,
     };
     pub use crate::hash::{FxHashMap, FxHashSet};
     pub use crate::iterate::{BulkIteration, ConvergenceMeasure, DeltaIteration, StatsHandle};

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use dataflow::codec::{decode_exact, encode_to_vec};
-use dataflow::config::{DispatchMode, EnvConfig};
+use dataflow::config::EnvConfig;
 use dataflow::partition::{hash_partition, shuffle_by_key};
 use dataflow::prelude::*;
 use dataflow::stats::RunStats;
@@ -18,21 +18,11 @@ fn env(parallelism: usize, threaded: bool) -> Environment {
     )
 }
 
-/// The three execution configurations that must be observationally
-/// equivalent: inline, the persistent worker pool, and per-invocation
-/// scoped threads (threshold 0 forces dispatch on the threaded ones).
+/// The two execution configurations that must be observationally
+/// equivalent: inline (the reference) and the persistent worker pool
+/// (threshold 0 forces dispatch).
 fn dispatch_envs(parallelism: usize) -> Vec<Environment> {
-    vec![
-        env(parallelism, false),
-        Environment::with_config(
-            EnvConfig::new(parallelism).with_thread_threshold(0).with_dispatch(DispatchMode::Pool),
-        ),
-        Environment::with_config(
-            EnvConfig::new(parallelism)
-                .with_thread_threshold(0)
-                .with_dispatch(DispatchMode::ScopedThreads),
-        ),
-    ]
+    vec![env(parallelism, false), env(parallelism, true)]
 }
 
 /// One superstep of the fingerprint: (superstep, iteration,
@@ -278,8 +268,8 @@ proptest! {
         parallelism in 1usize..5,
     ) {
         // Countdown-to-zero with a termination criterion: results AND the
-        // deterministic RunStats projection must match between inline, pool
-        // and scoped-thread execution.
+        // deterministic RunStats projection must match between inline and
+        // pool execution.
         let runs: Vec<(Vec<u64>, StatsFingerprint)> = dispatch_envs(parallelism)
             .into_iter()
             .map(|environment| {
@@ -295,7 +285,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&runs[0], &runs[1], "inline vs pool");
-        prop_assert_eq!(&runs[0], &runs[2], "inline vs scoped threads");
     }
 
     #[test]
@@ -334,7 +323,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&runs[0], &runs[1], "inline vs pool");
-        prop_assert_eq!(&runs[0], &runs[2], "inline vs scoped threads");
     }
 
     #[test]

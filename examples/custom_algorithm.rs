@@ -20,7 +20,7 @@
 use dataflow::partition::hash_partition;
 use dataflow::prelude::*;
 use optimistic_recovery::journal::JournalCapture;
-use recovery::optimistic::OptimisticBulkHandler;
+use recovery::optimistic::OptimisticHandler;
 use recovery::scenario::FailureScenario;
 
 type Heat = (u64, f64);
@@ -78,9 +78,12 @@ fn main() {
         |h: &Heat| h.0,
         |a, b| (a.0, a.1 + b.1),
     );
-    // 3. Fault tolerance: a closure is a full compensation function.
+    // 3. Fault tolerance: a closure over the iteration state is a full
+    //    compensation function, and `OptimisticHandler` is the one optimistic
+    //    strategy for bulk and delta iterations alike (a delta iteration's
+    //    closure takes a `&mut DeltaState` instead of these `Partitions`).
     //    Restore the conservation invariant exactly like FixRanks.
-    let mut handler = OptimisticBulkHandler::new(
+    let mut handler = OptimisticHandler::new(
         move |state: &mut Partitions<Heat>, lost: &[usize], _iteration: u32| {
             let surviving: f64 = state.iter_records().map(|&(_, h)| h).sum();
             let lost_vertices: Vec<u64> =

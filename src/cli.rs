@@ -144,9 +144,6 @@ pub struct Invocation {
     pub heartbeat_timeout_ms: Option<u64>,
     /// With `--cluster`: per-superstep control read timeout in milliseconds.
     pub step_timeout_ms: Option<u64>,
-    /// With `--cluster`: which data plane ships shuffle traffic. `None`
-    /// keeps the cluster default (direct worker-to-worker exchange).
-    pub data_plane: Option<cluster::DataPlaneMode>,
 }
 
 /// Default barrier interval of a bare `--strategy async-snapshot`.
@@ -161,25 +158,23 @@ pub fn parse_strategy(raw: &str) -> Result<Strategy, String> {
         "ignore" => Ok(Strategy::Ignore),
         "async-snapshot" => Ok(Strategy::AsyncSnapshot { interval: DEFAULT_SNAPSHOT_INTERVAL }),
         other => {
-            if let Some(k) = other.strip_prefix("checkpoint:") {
-                return k
-                    .parse()
-                    .map(|interval| Strategy::Checkpoint { interval })
-                    .map_err(|_| format!("invalid checkpoint interval {k:?}"));
+            // `NAME:K` with a positive K; "every 0 iterations" is no schedule.
+            let interval = |name: &str| {
+                other.strip_prefix(name).and_then(|k| k.strip_prefix(':')).map(|k| {
+                    k.parse()
+                        .ok()
+                        .filter(|&interval: &u32| interval > 0)
+                        .ok_or_else(|| format!("invalid {name} interval {k:?}"))
+                })
+            };
+            if let Some(interval) = interval("checkpoint") {
+                return Ok(Strategy::Checkpoint { interval: interval? });
             }
-            if let Some(k) = other.strip_prefix("incremental:") {
-                return k
-                    .parse()
-                    .map(|full_interval| Strategy::IncrementalCheckpoint { full_interval })
-                    .map_err(|_| format!("invalid incremental interval {k:?}"));
+            if let Some(full_interval) = interval("incremental") {
+                return Ok(Strategy::IncrementalCheckpoint { full_interval: full_interval? });
             }
-            if let Some(k) = other.strip_prefix("async-snapshot:") {
-                return k
-                    .parse()
-                    .ok()
-                    .filter(|&interval| interval > 0)
-                    .map(|interval| Strategy::AsyncSnapshot { interval })
-                    .ok_or_else(|| format!("invalid async-snapshot interval {k:?}"));
+            if let Some(interval) = interval("async-snapshot") {
+                return Ok(Strategy::AsyncSnapshot { interval: interval? });
             }
             Err(format!(
                 "unknown strategy {other:?}; expected optimistic | checkpoint:K | incremental:K | async-snapshot[:K] | restart | ignore"
@@ -370,7 +365,6 @@ pub const RUN_FLAGS: &[&str] = &[
     "--heartbeat-interval-ms",
     "--heartbeat-timeout-ms",
     "--step-timeout-ms",
-    "--data-plane",
 ];
 
 /// Usage text.
@@ -399,10 +393,6 @@ OPTIONS:
                           plus spans and report sidecars (inspect reads them)
     --cluster <N>         run on N real worker processes over loopback TCP
                           (cc and pagerank only; spawns `optirec worker`)
-    --data-plane <MODE>   with --cluster: direct (workers shuffle peer to
-                          peer over their own connections) or coordinator
-                          (all traffic funnels through the coordinator, the
-                          pre-direct baseline)   [direct]
     --kill <S:W>          with --cluster: SIGKILL worker W while superstep S
                           is in flight (repeatable; composes with --chaos)
     --scale <S:N>         with --cluster: planned rescale to N workers at
@@ -653,7 +643,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
         heartbeat_interval_ms: None,
         heartbeat_timeout_ms: None,
         step_timeout_ms: None,
-        data_plane: None,
     };
     while let Some(flag) = iter.next() {
         let mut value = || iter.next().ok_or_else(|| format!("flag {flag} needs a value")).cloned();
@@ -700,17 +689,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
                 invocation.step_timeout_ms =
                     Some(value()?.parse().map_err(|_| "invalid step timeout".to_string())?);
             }
-            "--data-plane" => {
-                invocation.data_plane = Some(match value()?.as_str() {
-                    "direct" => cluster::DataPlaneMode::Direct,
-                    "coordinator" => cluster::DataPlaneMode::Coordinator,
-                    other => {
-                        return Err(format!(
-                            "unknown data plane {other:?}; expected direct | coordinator"
-                        ))
-                    }
-                });
-            }
             other => return Err(format!("{}\n\n{}", unknown_flag(other, RUN_FLAGS), usage())),
         }
     }
@@ -723,10 +701,9 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     if invocation.cluster.is_none()
         && (invocation.heartbeat_interval_ms.is_some()
             || invocation.heartbeat_timeout_ms.is_some()
-            || invocation.step_timeout_ms.is_some()
-            || invocation.data_plane.is_some())
+            || invocation.step_timeout_ms.is_some())
     {
-        return Err("heartbeat/step timeouts and --data-plane only apply to --cluster runs".into());
+        return Err("heartbeat/step timeouts only apply to --cluster runs".into());
     }
     if let Some(workers) = invocation.cluster {
         match invocation.strategy {
@@ -1082,9 +1059,6 @@ pub fn cluster_config(invocation: &Invocation, workers: usize) -> cluster::Clust
         Strategy::Restart => cfg.strategy = cluster::ClusterStrategy::Restart,
         _ => {}
     }
-    if let Some(mode) = invocation.data_plane {
-        cfg = cfg.with_data_plane(mode);
-    }
     cfg
 }
 
@@ -1171,6 +1145,15 @@ mod tests {
         );
         assert_eq!(parse_strategy("restart").unwrap(), Strategy::Restart);
         assert!(parse_strategy("checkpoint:x").is_err());
+    }
+
+    #[test]
+    fn zero_intervals_are_parse_errors() {
+        for name in ["checkpoint", "incremental", "async-snapshot"] {
+            let err = parse_strategy(&format!("{name}:0")).unwrap_err();
+            assert_eq!(err, format!("invalid {name} interval \"0\""));
+            assert!(parse_strategy(&format!("{name}:1")).is_ok());
+        }
     }
 
     #[test]
@@ -1464,30 +1447,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--min-workers 4 exceeds --max-workers 2"), "{err}");
-    }
-
-    #[test]
-    fn data_plane_flag_parses_and_cross_validates() {
-        // The direct data plane is the default; the flag can pin either mode.
-        let invocation = parse_args(&args(&["cc", "--cluster", "2"])).unwrap();
-        assert_eq!(invocation.data_plane, None);
-        assert_eq!(cluster_config(&invocation, 2).data_plane, cluster::DataPlaneMode::Direct);
-
-        let invocation =
-            parse_args(&args(&["cc", "--cluster", "2", "--data-plane", "coordinator"])).unwrap();
-        assert_eq!(invocation.data_plane, Some(cluster::DataPlaneMode::Coordinator));
-        assert_eq!(cluster_config(&invocation, 2).data_plane, cluster::DataPlaneMode::Coordinator);
-
-        let invocation =
-            parse_args(&args(&["cc", "--cluster", "2", "--data-plane", "direct"])).unwrap();
-        assert_eq!(cluster_config(&invocation, 2).data_plane, cluster::DataPlaneMode::Direct);
-
-        // Nonsense modes and --data-plane without --cluster are rejected.
-        let err = parse_args(&args(&["cc", "--cluster", "2", "--data-plane", "carrier-pigeon"]))
-            .unwrap_err();
-        assert!(err.contains("direct | coordinator"), "{err}");
-        let err = parse_args(&args(&["cc", "--data-plane", "direct"])).unwrap_err();
-        assert!(err.contains("--cluster"), "{err}");
     }
 
     #[test]

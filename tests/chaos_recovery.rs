@@ -16,13 +16,13 @@ use algos::connected_components::{self, CcConfig};
 use algos::pagerank::{self, PrConfig};
 use algos::FtConfig;
 use dataflow::dataset::Partitions;
-use dataflow::ft::{BulkFaultHandler, BulkRecoveryAction};
+use dataflow::ft::{FaultHandler, RecoveryAction};
 use graphs::{Graph, GraphBuilder};
 use proptest::prelude::*;
 use recovery::checkpoint::{MemoryStore, StableStore};
 use recovery::scenario::FailureScenario;
 use recovery::strategy::Strategy as RecoveryStrategy;
-use recovery::AsyncSnapshotBulkHandler;
+use recovery::AsyncSnapshotHandler;
 
 /// Arbitrary undirected graph: vertex count and edge list.
 fn arb_graph(max_vertices: u64) -> impl Strategy<Value = Graph> {
@@ -157,16 +157,16 @@ proptest! {
     }
 }
 
-// ---- direct vs coordinator-routed data plane, multi-process ------------
+// ---- multi-process cluster vs the single-process run --------------------
 //
-// The same seeded kill plan drives one run per data-plane mode per
-// strategy, on real `optirec worker` processes. Whatever the chaos does,
-// the two data planes must land on the same answer: bitwise for connected
-// components, 1e-6 for PageRank (optimistic compensation legitimately
-// takes a different trajectory per mode, but both terminate within the
+// A seeded kill plan drives one run per strategy on real `optirec worker`
+// processes. Whatever the chaos does, the cluster must land on the answer
+// of the failure-free single-process run of the same program: bitwise for
+// connected components, 1e-6 for PageRank (optimistic compensation
+// legitimately takes a different trajectory, but terminates within the
 // 1e-9 epsilon of the unique fixed point).
 
-use cluster::{run_cluster, ClusterConfig, ClusterStrategy, DataPlaneMode, KillPlan};
+use cluster::{run_cluster, run_local, ClusterConfig, ClusterStrategy, KillPlan};
 use telemetry::SinkHandle;
 
 fn cluster_strategies(interval: u32) -> Vec<ClusterStrategy> {
@@ -178,16 +178,8 @@ fn cluster_strategies(interval: u32) -> Vec<ClusterStrategy> {
     ]
 }
 
-fn cluster_cfg(
-    strategy: ClusterStrategy,
-    mode: DataPlaneMode,
-    kill: KillPlan,
-    max_iterations: u32,
-) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(2, 4, max_iterations)
-        .with_strategy(strategy)
-        .with_data_plane(mode)
-        .with_kill(kill);
+fn cluster_cfg(strategy: ClusterStrategy, kill: KillPlan, max_iterations: u32) -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(2, 4, max_iterations).with_strategy(strategy).with_kill(kill);
     cfg.worker_cmd = vec![env!("CARGO_BIN_EXE_optirec").to_string(), "worker".to_string()];
     cfg.heartbeat_interval = std::time::Duration::from_millis(20);
     cfg.heartbeat_timeout = std::time::Duration::from_millis(500);
@@ -217,70 +209,60 @@ fn cluster_pagerank_graph() -> Graph {
 }
 
 proptest! {
-    // Each case spawns 16 worker processes (4 strategies x 2 modes x 2
-    // workers); keep the case count low.
+    // Each case spawns 8 worker processes (4 strategies x 2 workers); keep
+    // the case count low.
     #![proptest_config(ProptestConfig { cases: 2, .. ProptestConfig::default() })]
 
     #[test]
-    fn direct_and_funneled_cluster_cc_agree_bitwise_under_seeded_kills(
+    fn cluster_and_local_cc_agree_bitwise_under_seeded_kills(
         superstep in 1u32..5,
         worker in 0usize..2,
         interval in 1u32..3,
     ) {
         let graph = cluster_cc_graph();
         let kill = KillPlan { superstep, worker };
+        let local = run_local("cc", &graph, 4, 60, SinkHandle::disabled()).unwrap();
+        prop_assert!(local.stats.converged, "local did not converge");
         for strategy in cluster_strategies(interval) {
-            let direct = run_cluster(
+            let cluster = run_cluster(
                 "cc",
                 &graph,
-                cluster_cfg(strategy, DataPlaneMode::Direct, kill, 60),
+                cluster_cfg(strategy, kill, 60),
                 SinkHandle::disabled(),
             ).unwrap();
-            let funnel = run_cluster(
-                "cc",
-                &graph,
-                cluster_cfg(strategy, DataPlaneMode::Coordinator, kill, 60),
-                SinkHandle::disabled(),
-            ).unwrap();
-            prop_assert!(direct.stats.converged, "{strategy:?}: direct did not converge");
-            prop_assert!(funnel.stats.converged, "{strategy:?}: funnel did not converge");
+            prop_assert!(cluster.stats.converged, "{strategy:?}: cluster did not converge");
             prop_assert_eq!(
-                &direct.values,
-                &funnel.values,
-                "{:?}: data planes diverged under kill@{}:{}",
+                &cluster.values,
+                &local.values,
+                "{:?}: cluster diverged from local under kill@{}:{}",
                 strategy, superstep, worker
             );
         }
     }
 
     #[test]
-    fn direct_and_funneled_cluster_pagerank_agree_under_seeded_kills(
+    fn cluster_and_local_pagerank_agree_under_seeded_kills(
         superstep in 1u32..5,
         worker in 0usize..2,
         interval in 1u32..3,
     ) {
         let graph = cluster_pagerank_graph();
         let kill = KillPlan { superstep, worker };
+        let local = run_local("pagerank", &graph, 4, 300, SinkHandle::disabled()).unwrap();
+        prop_assert!(local.stats.converged, "local did not converge");
         for strategy in cluster_strategies(interval) {
-            let direct = run_cluster(
+            let cluster = run_cluster(
                 "pagerank",
                 &graph,
-                cluster_cfg(strategy, DataPlaneMode::Direct, kill, 300),
+                cluster_cfg(strategy, kill, 300),
                 SinkHandle::disabled(),
             ).unwrap();
-            let funnel = run_cluster(
-                "pagerank",
-                &graph,
-                cluster_cfg(strategy, DataPlaneMode::Coordinator, kill, 300),
-                SinkHandle::disabled(),
-            ).unwrap();
-            prop_assert!(direct.stats.converged, "{strategy:?}: direct did not converge");
-            prop_assert!(funnel.stats.converged, "{strategy:?}: funnel did not converge");
-            for (&(v, a), &(_, b)) in direct.values.iter().zip(&funnel.values) {
+            prop_assert!(cluster.stats.converged, "{strategy:?}: cluster did not converge");
+            for (&(v, a), &(_, b)) in cluster.values.iter().zip(&local.values) {
                 let (a, b) = (f64::from_bits(a), f64::from_bits(b));
                 prop_assert!(
                     (a - b).abs() < 1e-6,
-                    "{:?}: vertex {} rank {} (direct) vs {} (funnel)",
+                    "{:?}: vertex {} rank {} (cluster) vs {} (local)",
                     strategy, v, a, b
                 );
             }
@@ -299,7 +281,8 @@ fn async_snapshot_never_restores_a_partial_epoch() {
     // first chunk during iteration 2 and would complete at iteration 3. Fail
     // at iteration 3 — mid-flight — and recovery must fall back to epoch 0
     // (complete since iteration 1), never the half-persisted epoch 2.
-    let mut handler = AsyncSnapshotBulkHandler::<u64, _>::new(MemoryStore::new(), 2);
+    let mut handler =
+        AsyncSnapshotHandler::<Partitions<u64>, _>::new(MemoryStore::new(), 2).unwrap();
     for iteration in 0..3u32 {
         handler.after_superstep(iteration, &state_at(u64::from(iteration))).unwrap();
     }
@@ -309,7 +292,7 @@ fn async_snapshot_never_restores_a_partial_epoch() {
     let mut state = state_at(99);
     let action = handler.on_failure(3, &[1], &mut state).unwrap();
     match action {
-        BulkRecoveryAction::Restored { iteration, state } => {
+        RecoveryAction::Restored { iteration, state } => {
             assert_eq!(iteration, 0, "must restore the last complete epoch");
             assert_eq!(state.into_parts(), state_at(0).into_parts());
         }
@@ -327,13 +310,14 @@ fn async_snapshot_restarts_when_no_epoch_ever_completed() {
     // Fail before the very first epoch finishes persisting: with no
     // complete restore point the handler must order a restart, not hand
     // back half an epoch.
-    let mut handler = AsyncSnapshotBulkHandler::<u64, _>::new(MemoryStore::new(), 4);
+    let mut handler =
+        AsyncSnapshotHandler::<Partitions<u64>, _>::new(MemoryStore::new(), 4).unwrap();
     handler.after_superstep(0, &state_at(0)).unwrap();
     assert_eq!(handler.latest_complete(), None);
     assert_eq!(handler.in_flight_epoch(), Some(0));
 
     let mut state = state_at(99);
     let action = handler.on_failure(0, &[0], &mut state).unwrap();
-    assert!(matches!(action, BulkRecoveryAction::Restart), "no complete epoch: restart");
+    assert!(matches!(action, RecoveryAction::Restart), "no complete epoch: restart");
     assert_eq!(handler.store().get("async-bulk-0-p0").unwrap(), None, "partial chunk dropped");
 }

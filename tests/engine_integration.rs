@@ -4,8 +4,8 @@
 
 use dataflow::partition::hash_partition;
 use dataflow::prelude::*;
-use recovery::checkpoint::{CheckpointBulkHandler, MemoryStore};
-use recovery::optimistic::OptimisticBulkHandler;
+use recovery::checkpoint::{CheckpointHandler, MemoryStore};
+use recovery::optimistic::OptimisticHandler;
 use recovery::scenario::FailureScenario;
 
 #[test]
@@ -56,7 +56,7 @@ fn iterative_job_with_custom_compensation_converges() {
     let moving = next.filter("not-done", |&(k, x)| x > k);
 
     let start = initial.clone();
-    iteration.set_fault_handler(OptimisticBulkHandler::new(
+    iteration.set_fault_handler(OptimisticHandler::new(
         move |state: &mut Partitions<(u64, u64)>, lost: &[usize], _i: u32| {
             for &(k, x0) in &start {
                 let pid = hash_partition(&k, parallelism);
@@ -86,7 +86,7 @@ fn checkpoint_handler_with_engine_iteration_rolls_back() {
     let mut iteration = BulkIteration::new(&state0, 10);
     let state = iteration.state();
     let next = state.map("inc", |&(k, x): &(u64, u64)| (k, x + 1));
-    iteration.set_fault_handler(CheckpointBulkHandler::<(u64, u64), _>::new(MemoryStore::new(), 2));
+    iteration.set_fault_handler(CheckpointHandler::new(MemoryStore::new(), 2).unwrap());
     iteration.set_failure_source(FailureScenario::none().fail_at(5, &[0]).to_source());
     let (result, stats) = iteration.close(next);
     let mut out = result.collect().unwrap();

@@ -7,20 +7,19 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use dataflow::config::{DispatchMode, EnvConfig};
+use dataflow::config::EnvConfig;
 use dataflow::partition::hash_partition;
 use dataflow::prelude::*;
-use recovery::optimistic::{OptimisticBulkHandler, OptimisticDeltaHandler};
+use recovery::optimistic::OptimisticHandler;
 use telemetry::{JournalEvent, MemorySink, SinkHandle};
 
 type KV = (u64, u64);
 
 /// Threaded environment (threshold 0 forces dispatch) with a capturing sink.
-fn telemetry_env(parallelism: usize, dispatch: DispatchMode) -> (Environment, Arc<MemorySink>) {
+fn telemetry_env(parallelism: usize) -> (Environment, Arc<MemorySink>) {
     let sink = Arc::new(MemorySink::new());
     let config = EnvConfig::new(parallelism)
         .with_thread_threshold(0)
-        .with_dispatch(dispatch)
         .with_telemetry(SinkHandle::new(sink.clone()));
     (Environment::with_config(config), sink)
 }
@@ -36,9 +35,10 @@ fn panic_once_on(trigger: u64) -> impl Fn(&KV) -> KV + Clone {
     }
 }
 
-fn bulk_countdown_survives_a_panic(dispatch: DispatchMode) {
+#[test]
+fn bulk_iteration_survives_a_udf_panic_on_the_pool() {
     let parallelism = 4;
-    let (env, sink) = telemetry_env(parallelism, dispatch);
+    let (env, sink) = telemetry_env(parallelism);
     let n: u64 = 32;
     let initial: Vec<KV> = (0..n).map(|k| (k, 8 + k % 4)).collect();
     let state0 = env.from_keyed_vec(initial.clone(), |r| r.0);
@@ -48,7 +48,7 @@ fn bulk_countdown_survives_a_panic(dispatch: DispatchMode) {
     // determines the partition the panic is attributed to.
     let trigger = 5u64;
     let start = initial.clone();
-    iteration.set_fault_handler(OptimisticBulkHandler::new(
+    iteration.set_fault_handler(OptimisticHandler::new(
         move |state: &mut Partitions<KV>, lost: &[usize], _i: u32| {
             for &(k, v) in &start {
                 if lost.contains(&hash_partition(&k, parallelism)) {
@@ -105,23 +105,13 @@ fn bulk_countdown_survives_a_panic(dispatch: DispatchMode) {
 }
 
 #[test]
-fn bulk_iteration_survives_a_udf_panic_on_the_pool() {
-    bulk_countdown_survives_a_panic(DispatchMode::Pool);
-}
-
-#[test]
-fn bulk_iteration_survives_a_udf_panic_on_scoped_threads() {
-    bulk_countdown_survives_a_panic(DispatchMode::ScopedThreads);
-}
-
-#[test]
 fn delta_iteration_survives_a_udf_panic() {
     // Min-label propagation over a path graph, with a workset-side UDF that
     // panics once mid-run. The compensation restores the lost solution
     // partition to initial labels and reseeds its workset records.
     let parallelism = 4;
     let n: u64 = 16;
-    let (env, sink) = telemetry_env(parallelism, DispatchMode::Pool);
+    let (env, sink) = telemetry_env(parallelism);
     let labels: Vec<KV> = (0..n).map(|v| (v, v)).collect();
     let solution = env.from_keyed_vec(labels.clone(), |r| r.0);
     let workset = env.from_keyed_vec(labels.clone(), |r| r.0);
@@ -134,11 +124,9 @@ fn delta_iteration_survives_a_udf_panic() {
 
     let mut it = DeltaIteration::new(&solution, &workset, 200);
     let start = labels.clone();
-    it.set_fault_handler(OptimisticDeltaHandler::new(
-        move |sets: &mut dataflow::ft::SolutionSets<u64, u64>,
-              workset: &mut Partitions<KV>,
-              lost: &[usize],
-              _i: u32| {
+    it.set_fault_handler(OptimisticHandler::new(
+        move |state: &mut DeltaState<u64, u64, KV>, lost: &[usize], _i: u32| {
+            let DeltaState { solution: sets, workset } = state;
             // Restore lost vertices to their initial labels and let them
             // propagate again; surviving path-neighbours must also re-send
             // their (correct) labels, exactly like the paper's
@@ -218,7 +206,7 @@ fn inline_execution_survives_a_udf_panic_too() {
 
     let mut iteration = BulkIteration::new(&state0, 50);
     let start = initial.clone();
-    iteration.set_fault_handler(OptimisticBulkHandler::new(
+    iteration.set_fault_handler(OptimisticHandler::new(
         move |state: &mut Partitions<KV>, lost: &[usize], _i: u32| {
             for &(k, v) in &start {
                 if lost.contains(&hash_partition(&k, parallelism)) {

@@ -8,6 +8,13 @@ use std::sync::Arc;
 use algos::connected_components::{self, CcConfig};
 use algos::pagerank::{self, PrConfig};
 use algos::FtConfig;
+use dataflow::dataset::Erased;
+use dataflow::error::EngineError;
+use dataflow::exec::ExecContext;
+use dataflow::plan::DynOp;
+use dataflow::prelude::*;
+use recovery::compensation::Named;
+use recovery::optimistic::OptimisticHandler;
 use recovery::scenario::FailureScenario;
 use telemetry::{JournalEvent, MemorySink, RunReport, SinkHandle, SpanKind};
 
@@ -149,4 +156,143 @@ fn spans_cover_the_superstep_hierarchy() {
     let hist =
         snapshot.histograms.get("partition_task_ns").expect("partition task histogram recorded");
     assert!(hist.count > 0);
+}
+
+/// How the countdown run below loses partition 1 at superstep 2.
+#[derive(Clone, Copy, PartialEq)]
+enum Cause {
+    Injected,
+    UdfPanic,
+    WorkerLoss,
+}
+
+/// Passes its input through, except once at superstep 2, where it reports
+/// the loss of the worker owning partition 1 — what the cluster backend does
+/// when a worker process dies.
+struct LoseWorkerOnce(bool);
+
+impl DynOp for LoseWorkerOnce {
+    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> dataflow::error::Result<Erased> {
+        if ctx.superstep() == Some(2) && !std::mem::replace(&mut self.0, true) {
+            return Err(EngineError::WorkerLost {
+                worker: 1,
+                pids: vec![1],
+                superstep: ctx.superstep(),
+                message: "connection reset".into(),
+            });
+        }
+        Ok(inputs[0].clone())
+    }
+
+    fn kind(&self) -> &'static str {
+        "LoseWorkerOnce"
+    }
+}
+
+/// The journal lines from the cause of the failure at superstep 2 through
+/// the engine's verdict on it.
+fn recovery_window(cause: Cause) -> Vec<String> {
+    let sink = Arc::new(MemorySink::new());
+    let telemetry = SinkHandle::new(sink.clone());
+    let env = Environment::with_config(
+        dataflow::config::EnvConfig::new(2).with_telemetry(telemetry.clone()),
+    );
+    // Partition 1 holds 110, 130, 150 and 170.
+    let initial = env.from_vec((10u64..18).map(|v| v * 10).collect());
+    let mut iteration = BulkIteration::new(&initial, 400);
+    let compensation = Named::new(
+        "FixComponents",
+        |state: &mut Partitions<u64>, lost: &[usize], _iteration: u32| {
+            for &pid in lost {
+                *state.partition_mut(pid) = vec![9; 4];
+            }
+        },
+    );
+    iteration.set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
+    if cause == Cause::Injected {
+        iteration.set_failure_source(FailureScenario::none().fail_at(2, &[1]).to_source());
+    }
+    let fired = std::sync::atomic::AtomicBool::new(cause != Cause::UdfPanic);
+    let state = iteration.state();
+    let stepped = if cause == Cause::WorkerLoss {
+        iteration.body_environment().custom_node::<u64>(
+            "lose-worker",
+            vec![state.node_id()],
+            Box::new(LoseWorkerOnce(false)),
+        )
+    } else {
+        state
+    };
+    let next = stepped.map("dec", move |&n: &u64| {
+        // Only 110 ever becomes 108, as superstep 2 starts.
+        if n == 108 && !fired.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            panic!("injected UDF panic");
+        }
+        n.saturating_sub(1)
+    });
+    let moving = next.filter("positive", |&n| n > 0);
+    let (result, _stats) = iteration.close_with_termination(next, moving);
+    assert!(result.collect().expect("the run recovers").iter().all(|&n| n == 0));
+
+    let lines: Vec<String> = sink.events().iter().map(JournalEvent::to_json).collect();
+    let end = lines.iter().position(|l| l.contains("\"CompensationApplied\"")).expect("verdict");
+    let start = (0..end)
+        .rev()
+        .take_while(|&i| !lines[i].contains("\"ConvergenceSample\""))
+        .last()
+        .expect("a failure precedes the verdict");
+    lines[start..=end].to_vec()
+}
+
+fn event_kinds(lines: &[String]) -> Vec<String> {
+    lines
+        .iter()
+        .map(|line| {
+            let event = flowscope::jsonv::parse(line).expect("a journal line is JSON");
+            event.get("event").and_then(|kind| kind.as_str()).expect("event kind").to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn every_failure_cause_journals_the_baseline_recovery_sequence() {
+    // The sequence an injected failure leaves in the checked-in journal of
+    // the figure-3 run, which predates the shared recovery routine.
+    let baseline = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/results/figure3_cc_small_journal.jsonl"
+    ))
+    .expect("checked-in baseline journal");
+    let baseline: Vec<String> = baseline
+        .lines()
+        .skip_while(|l| !l.contains("\"FailureInjected\""))
+        .take(3)
+        .map(str::to_string)
+        .collect();
+    let sequence = event_kinds(&baseline);
+    assert_eq!(sequence, ["FailureInjected", "CompensationInvoked", "CompensationApplied"]);
+
+    // An injected failure destroys the step's output: four records.
+    let injected = recovery_window(Cause::Injected);
+    assert_eq!(
+        injected,
+        [
+            r#"{"event":"FailureInjected","superstep":2,"iteration":2,"lost_partitions":[1],"lost_records":4}"#,
+            r#"{"event":"CompensationInvoked","name":"FixComponents","iteration":2}"#,
+            r#"{"event":"CompensationApplied","iteration":2}"#,
+        ]
+    );
+    // An aborted step names its cause first, then journals the same three.
+    for (cause, first) in [
+        (Cause::UdfPanic, r#"{"event":"PartitionPanicked","superstep":2,"iteration":2,"pid":1}"#),
+        (
+            Cause::WorkerLoss,
+            r#"{"event":"WorkerLost","superstep":2,"iteration":2,"worker":1,"lost_partitions":[1]}"#,
+        ),
+    ] {
+        let window = recovery_window(cause);
+        assert_eq!(window[0], first);
+        assert_eq!(event_kinds(&window[1..]), sequence);
+        assert_eq!(window[1], injected[0], "the same loss is journaled");
+    }
 }
