@@ -6,13 +6,13 @@
 //! slowdown stays under a documented — deliberately generous — bound.
 //!
 //! The bound is generous on purpose: the cluster arm pays process spawn,
-//! TCP connection setup, and full per-superstep state/message
-//! serialization, and the workload is kept small so the guard runs in
-//! seconds, which means that fixed overhead dominates compute. The guard
-//! is not a claim that distribution is cheap; it exists to catch
-//! pathological regressions — accidental quadratic serialization, a stuck
-//! reconnect loop, a heartbeat storm — which blow far past any constant
-//! multiple.
+//! TCP connection setup, and per-superstep state/message serialization,
+//! and the workload is kept small so the guard runs in seconds, which
+//! means that fixed overhead dominates compute, the more so the faster a
+//! superstep gets (see `THRESHOLD`). The guard is not a claim that
+//! distribution is cheap; it exists to catch pathological regressions —
+//! accidental quadratic serialization, a stuck reconnect loop, a heartbeat
+//! storm — which blow far past any constant multiple.
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin cluster_overhead
@@ -30,12 +30,15 @@ use telemetry::SinkHandle;
 
 /// Maximum tolerated cluster/local slowdown. The bound started life at
 /// 200x when the cluster backend was new, ratcheted to 30x once measured
-/// ratios settled in the low double digits, and is ratcheted again to 8x
-/// now that shuffled messages travel worker to worker and no longer pay a
-/// serialize/deserialize hop through the coordinator — still above
-/// spawn+TCP overhead, still well below any quadratic serialization or
+/// ratios settled in the low double digits, to 8x when shuffled messages
+/// started travelling worker to worker instead of through the coordinator,
+/// and to 4x with change-driven CC. That last change made *both* arms about
+/// twice as fast, so the ratio it is measured by went **up**, not down: the
+/// cluster arm's fixed cost — spawn, connect, load — did not shrink with
+/// the messages, and is now a larger share of a shorter run. 4x is still
+/// above that fixed cost and far below any quadratic serialization or
 /// reconnect-loop pathology.
-const THRESHOLD: f64 = 8.0;
+const THRESHOLD: f64 = 4.0;
 /// Runs per arm; the fastest is kept.
 const REPS: usize = 3;
 const WORKERS: usize = 2;

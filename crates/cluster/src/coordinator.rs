@@ -262,7 +262,9 @@ pub struct ClusterConfig {
     /// Optional warm-start state, sorted or not: `(vertex, value-bits)`
     /// records that replace the program's `init_partition` output. Used by
     /// serving mode to re-converge from the previous epoch's fixpoint
-    /// instead of from scratch.
+    /// instead of from scratch. The records must satisfy the program's
+    /// state invariant (CC: `label <= vertex`, which its send rule relies
+    /// on).
     pub initial_state: Option<Vec<Record>>,
 }
 
@@ -438,6 +440,12 @@ struct LocalBackend {
     program: Arc<dyn ClusterProgram>,
     adjacency: Arc<Vec<AdjRows>>,
     n: u64,
+    /// Whether the previous attempt failed (a partition panicked), so this
+    /// one runs on compensated state: the local counterpart of
+    /// [`ClusterBackend::push_state`], with the same two consequences — the
+    /// retry is a full-send superstep, and its commit may not terminate the
+    /// run (see [`ClusterBackend::force_changed`]).
+    retrying: bool,
 }
 
 impl StepBackend for LocalBackend {
@@ -448,10 +456,16 @@ impl StepBackend for LocalBackend {
         jobs: Vec<StepJob<'_>>,
         ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
+        // Stays set if this attempt fails too.
+        let retrying = std::mem::replace(&mut self.retrying, true);
         let work = jobs.iter().map(|job| job.state.len() + job.inbound.len()).sum();
-        par_map(jobs, ctx, work, |_, job| {
-            let out =
-                self.program.step(step, job.state, &job.inbound, &self.adjacency[job.pid], self.n);
+        let mut results = par_map(jobs, ctx, work, |_, job| {
+            let rows = &self.adjacency[job.pid];
+            let out = if retrying {
+                self.program.full_send_step(step, job.state, &job.inbound, rows, self.n)
+            } else {
+                self.program.step(step, job.state, &job.inbound, rows, self.n)
+            };
             let shuffled = out.outbound.len() as u64;
             StepResult {
                 pid: job.pid,
@@ -460,7 +474,23 @@ impl StepBackend for LocalBackend {
                 changed: out.changed,
                 shuffled,
             }
-        })
+        })?;
+        self.retrying = false;
+        if retrying {
+            keep_running(&mut results);
+        }
+        Ok(results)
+    }
+}
+
+/// Make sure the superstep that produced `results` is not the run's last:
+/// what a full-send superstep sent is only folded in by the next one, so its
+/// own `changed == 0` says nothing about convergence.
+fn keep_running(results: &mut [StepResult]) {
+    if results.iter().all(|result| result.changed == 0) {
+        if let Some(first) = results.first_mut() {
+            first.changed = 1;
+        }
     }
 }
 
@@ -593,20 +623,25 @@ struct ClusterBackend {
     /// name steady-state `StepGo` dispatches tell workers to consume.
     last_committed: Option<u32>,
     /// Whether the next dispatch must push authoritative state
-    /// (`StepReset`): set initially and after every failure or rollback,
-    /// cleared on commit.
+    /// (`StepReset`): set initially, after every failure or rollback and by
+    /// a rescale, cleared on commit. These are exactly the supersteps whose
+    /// inbound history is not exact, so a worker runs a `StepReset` as a
+    /// full-send superstep ([`ClusterProgram::full_send_step`]) — the
+    /// dispatch kind carries the rule, no frame field does.
     push_state: bool,
     /// Workers respawned since the last commit: their data plane holds no
     /// slots, so an optimistic retry hands them `NO_INBOUND` (compensation
     /// absorbs the gap) while survivors re-consume the committed slot.
     respawned_since_commit: Vec<bool>,
-    /// Set by a failure, consumed by the next commit: under a non-rollback
-    /// strategy, compensated partitions recompute from
-    /// an *empty* inbound, which can report `changed == 0` on a converged
-    /// graph and terminate the run before their broadcasts repair the
+    /// Set by a failure or a rescale, consumed by the next commit: under a
+    /// non-rollback strategy, compensated partitions recompute from an
+    /// *empty* inbound and survivors from messages they have already folded
+    /// in, so the full-send retry can report `changed == 0` on a converged
+    /// graph and terminate the run before what it re-sent repairs the reset
     /// labels. The first post-failure commit therefore forces at least one
-    /// changed record, buying the one extra superstep the (unconditional,
-    /// every-superstep) broadcasts need to flow back in.
+    /// changed record, buying the one superstep that consumes the full
+    /// send; from there change-only sending is exact again and
+    /// `changed == 0` means converged.
     force_changed: bool,
 }
 
@@ -952,9 +987,11 @@ impl ClusterBackend {
         // messages live in old owners' data-plane slots — every worker
         // computes the post-scale superstep from an empty inbound under
         // non-rollback strategies (`respawned_since_commit` forces
-        // `NO_INBOUND` per worker), with `force_changed` buying the one
-        // superstep the unconditional rebroadcasts need to repair it.
-        // Rollback strategies push exact inboxes instead.
+        // `NO_INBOUND` per worker). Those messages are lost, which is why
+        // the post-scale superstep — a `StepReset` dispatch — is a full-send
+        // one: every vertex re-sends its label, and `force_changed` buys the
+        // superstep that folds the re-sent labels in. Rollback strategies
+        // push exact inboxes instead.
         self.membership_current = false;
         self.push_state = true;
         self.force_changed = true;
@@ -1447,15 +1484,8 @@ impl StepBackend for ClusterBackend {
         // Returning `Ok` *is* the commit: nothing in the step operator can
         // fail past this point, so the bookkeeping that distinguishes a
         // steady-state dispatch from a recovery dispatch settles here.
-        if std::mem::take(&mut self.force_changed)
-            && !self.cfg.strategy.is_rollback()
-            && results.iter().all(|result| result.changed == 0)
-        {
-            // See `force_changed`: compensated partitions recomputed from an
-            // empty inbound; give their broadcasts one superstep to land.
-            if let Some(first) = results.first_mut() {
-                first.changed = 1;
-            }
+        if std::mem::take(&mut self.force_changed) && !self.cfg.strategy.is_rollback() {
+            keep_running(&mut results);
         }
         self.last_committed = Some(superstep);
         self.push_state = false;
@@ -1893,7 +1923,8 @@ fn run_local_in(
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
     let adjacency = Arc::new(partition_rows(graph, env.parallelism));
-    let backend = LocalBackend { program: program.clone(), adjacency: adjacency.clone(), n };
+    let backend =
+        LocalBackend { program: program.clone(), adjacency: adjacency.clone(), n, retrying: false };
     run_with_backend(
         program,
         Box::new(backend),
@@ -2087,6 +2118,86 @@ mod tests {
         assert_eq!(inline.values, pooled.values);
         assert_eq!(inline.values, one_thread.values);
         assert_eq!(inline.stats.supersteps(), pooled.stats.supersteps());
+    }
+
+    /// CC whose partition 1 panics the first time it is stepped at logical
+    /// step `at`: the one failure the in-process backend can meet.
+    struct PanicsOnce {
+        at: u64,
+        fired: AtomicBool,
+    }
+
+    impl ClusterProgram for PanicsOnce {
+        fn name(&self) -> &'static str {
+            "cc"
+        }
+
+        fn init_partition(&self, rows: &[(u64, Vec<u64>)], n: u64) -> Vec<Record> {
+            crate::program::CcProgram.init_partition(rows, n)
+        }
+
+        fn step(
+            &self,
+            step: u64,
+            state: &[Record],
+            inbound: &[Msg],
+            rows: &[(u64, Vec<u64>)],
+            n: u64,
+        ) -> crate::StepOutput {
+            let hit = step == self.at && state.first().is_some_and(|record| record.0 == 1);
+            if hit && !self.fired.swap(true, Ordering::SeqCst) {
+                panic!("injected partition panic at step {step}");
+            }
+            crate::program::CcProgram.step(step, state, inbound, rows, n)
+        }
+
+        fn full_send_step(
+            &self,
+            step: u64,
+            state: &[Record],
+            inbound: &[Msg],
+            rows: &[(u64, Vec<u64>)],
+            n: u64,
+        ) -> crate::StepOutput {
+            crate::program::CcProgram.full_send_step(step, state, inbound, rows, n)
+        }
+    }
+
+    #[test]
+    fn a_local_partition_panic_is_repaired_by_a_full_send_retry() {
+        // Compensation resets the panicked partition; its neighbours stopped
+        // sending supersteps ago, so only a retry in which every vertex
+        // re-sends — and which may not end the run — reaches the true labels.
+        let graph = graphs::generators::demo_components();
+        let n = graph.num_vertices() as u64;
+        let exact = graphs::exact_components(&graph);
+        let failure_free = run_local("cc", &graph, 4, 50, SinkHandle::disabled()).unwrap();
+        let last = u64::from(failure_free.stats.supersteps()) - 1;
+        for at in [2, last] {
+            let program: Arc<dyn ClusterProgram> =
+                Arc::new(PanicsOnce { at, fired: AtomicBool::new(false) });
+            let adjacency = Arc::new(partition_rows(&graph, 4));
+            let backend = LocalBackend {
+                program: program.clone(),
+                adjacency: adjacency.clone(),
+                n,
+                retrying: false,
+            };
+            let run = run_with_backend(
+                program,
+                Box::new(backend),
+                adjacency,
+                n,
+                50,
+                EnvConfig::new(4),
+                ClusterStrategy::Optimistic,
+                None,
+            )
+            .unwrap();
+            assert_eq!(run.stats.failures().count(), 1, "panic at step {at}");
+            let labels: Vec<u64> = run.values.iter().map(|&(_, l)| l).collect();
+            assert_eq!(labels, exact, "panic at step {at}");
+        }
     }
 
     #[test]

@@ -10,11 +10,19 @@
 //!
 //! Programs are deliberately Pregel-shaped — per-partition state plus
 //! messages — because that is the granularity the wire protocol ships.
-//! Every vertex sends to all its neighbours every superstep (no change-only
-//! sending): after optimistic compensation resets a partition, its vertices
-//! must re-receive their neighbours' current values even if those neighbours
-//! stopped changing long ago, and unconditional sending guarantees that the
-//! only fixed point of the iteration is the true one.
+//!
+//! A program may be *change-driven*: [`CcProgram`] sends a vertex's label
+//! only in the superstep that changed it, so messages shrink with the set of
+//! vertices still moving. That is exact as long as every vertex has received
+//! every value its neighbours ever sent, and no longer once a partition was
+//! compensated or a message was lost: a reset vertex must re-receive the
+//! values of neighbours that stopped changing long ago. Hence the one rule
+//! the drivers keep — **a superstep whose inbound history is not exact is a
+//! full-send superstep** ([`ClusterProgram::full_send_step`]: every vertex
+//! re-sends, changed or not), the message-passing form of the paper's
+//! fix-components re-seeding the workset with the lost vertices and their
+//! neighbours. After it every vertex has again been sent all its neighbours'
+//! current values, and change-only sending is exact from there on.
 
 use std::sync::Arc;
 
@@ -93,6 +101,27 @@ pub trait ClusterProgram: Send + Sync {
         rows: &[(u64, Vec<u64>)],
         n: u64,
     ) -> StepOutput;
+
+    /// [`Self::step`] with every vertex re-sending its value, whether or not
+    /// this superstep changed it: same `state` and `changed`, and an
+    /// `outbound` that contains [`Self::step`]'s. The drivers run it on every
+    /// superstep whose inbound history is not exact — the retry after a
+    /// failure, the superstep after a rescale — because a change-driven
+    /// program converges to a wrong fixpoint from there otherwise. What was
+    /// sent is only *consumed* one superstep later, so such a superstep must
+    /// not be the last even when it reports `changed == 0`; the drivers see
+    /// to that as well. The default suits a program whose `step` already
+    /// sends everything every time (PageRank).
+    fn full_send_step(
+        &self,
+        step: u64,
+        state: &[Record],
+        inbound: &[Msg],
+        rows: &[(u64, Vec<u64>)],
+        n: u64,
+    ) -> StepOutput {
+        self.step(step, state, inbound, rows, n)
+    }
 }
 
 /// Slot arithmetic over one partition's strided state (see
@@ -126,8 +155,8 @@ impl Slots {
     }
 }
 
-/// An empty [`StepOutput`] sized for one partition: `outbound` is allocated
-/// once for the messages the rows will emit.
+/// An empty [`StepOutput`] for a partition that sends along every edge
+/// every superstep: `outbound` is allocated once, for exactly that.
 fn sized_output(rows: &[(u64, Vec<u64>)]) -> StepOutput {
     StepOutput {
         state: Vec::with_capacity(rows.len()),
@@ -136,13 +165,84 @@ fn sized_output(rows: &[(u64, Vec<u64>)]) -> StepOutput {
     }
 }
 
-/// Connected Components by min-label propagation.
+/// Connected Components by change-driven min-label propagation.
 ///
-/// State: `(v, label)` with the invariant `label <= v` (labels only ever
-/// decrease, and compensation resets to `label = v`). Termination at
-/// `changed == 0` therefore implies every label equals the minimum vertex id
-/// of its component — even after an arbitrary number of compensations.
+/// State: `(v, label)` with the invariant `label <= v`: labels only ever
+/// decrease, compensation resets to `label = v`, and a warm start
+/// ([`crate::ClusterConfig::initial_state`]) must respect it too.
+///
+/// **Send rule.** A vertex sends its label only in a superstep that changed
+/// it — at logical step 0 and in a full-send superstep, every vertex does —
+/// and then only where the label can still matter:
+///
+/// * never to a neighbour `u` with `label >= u`: `u` holds `label(u) <= u`
+///   already, so the message cannot lower it;
+/// * outside full-send supersteps, never back to the source the new label
+///   was adopted from: that source held it when it sent it, labels only
+///   decrease, and a source reset since then is repaired by the full-send
+///   superstep that follows every reset.
+///
+/// State and `changed` per superstep are those of sending everything every
+/// time (the oracle of the tests below); only messages that could not have
+/// changed a label are gone. Every neighbour's last-sent label has been
+/// folded into each vertex, so `changed == 0` implies labels are equal
+/// along every edge, i.e. the minimum vertex id of each component — even
+/// after an arbitrary number of compensations, given the full-send rule of
+/// the module doc.
 pub struct CcProgram;
+
+impl CcProgram {
+    fn fold_and_send(
+        full_send: bool,
+        step: u64,
+        state: &[Record],
+        inbound: &[Msg],
+        rows: &[(u64, Vec<u64>)],
+    ) -> StepOutput {
+        // No messages have flowed before the first step: everything sends.
+        let full_send = full_send || step == 0;
+        let slots = Slots::of(state, rows);
+        let mut best: Vec<u64> = state.iter().map(|&(_, label)| label).collect();
+        // The source each lowered label was adopted from; unread elsewhere.
+        let mut adopted_from = vec![0u64; state.len()];
+        for &(src, dst, bits) in inbound {
+            if let Some(slot) = slots.of_vertex(dst) {
+                if bits < best[slot] {
+                    best[slot] = bits;
+                    adopted_from[slot] = src;
+                }
+            }
+        }
+        let sends = |slot: usize| full_send || best[slot] != state[slot].1;
+        // Reserve for what the senders can send (the two prunes are the only
+        // slack): degrees are read from the row headers, so sizing costs no
+        // second walk over the neighbour lists.
+        let senders = (0..state.len()).filter(|&slot| sends(slot));
+        let mut outbound = Vec::with_capacity(senders.map(|slot| rows[slot].1.len()).sum());
+        let mut next = Vec::with_capacity(state.len());
+        let mut changed = 0;
+        for (slot, &(v, label)) in state.iter().enumerate() {
+            let new = best[slot];
+            debug_assert!(new <= v, "vertex {v} holds label {new}, above its own id");
+            next.push((v, new));
+            changed += u64::from(new != label);
+            if sends(slot) {
+                let skip = (!full_send).then_some(adopted_from[slot]);
+                for &u in &rows[slot].1 {
+                    if new < u && Some(u) != skip {
+                        outbound.push((v, u, new));
+                    }
+                }
+            }
+        }
+        if step == 0 {
+            // Force at least one more superstep so neighbours see each
+            // other's labels before termination.
+            changed = state.len() as u64;
+        }
+        StepOutput { state: next, outbound, changed }
+    }
+}
 
 impl ClusterProgram for CcProgram {
     fn name(&self) -> &'static str {
@@ -161,30 +261,18 @@ impl ClusterProgram for CcProgram {
         rows: &[(u64, Vec<u64>)],
         _n: u64,
     ) -> StepOutput {
-        let slots = Slots::of(state, rows);
-        let mut best: Vec<u64> = state.iter().map(|&(_, label)| label).collect();
-        for &(_, dst, bits) in inbound {
-            if let Some(slot) = slots.of_vertex(dst) {
-                best[slot] = best[slot].min(bits);
-            }
-        }
-        let mut out = sized_output(rows);
-        for (i, &(v, label)) in state.iter().enumerate() {
-            let new = best[i];
-            if new != label {
-                out.changed += 1;
-            }
-            out.state.push((v, new));
-            for &u in &rows[i].1 {
-                out.outbound.push((v, u, new));
-            }
-        }
-        if step == 0 {
-            // No messages have flowed yet; force at least one more superstep
-            // so neighbours see each other's labels before termination.
-            out.changed = state.len() as u64;
-        }
-        out
+        Self::fold_and_send(false, step, state, inbound, rows)
+    }
+
+    fn full_send_step(
+        &self,
+        step: u64,
+        state: &[Record],
+        inbound: &[Msg],
+        rows: &[(u64, Vec<u64>)],
+        _n: u64,
+    ) -> StepOutput {
+        Self::fold_and_send(true, step, state, inbound, rows)
     }
 }
 
@@ -286,6 +374,7 @@ pub fn partition_rows(graph: &Graph, parallelism: usize) -> Vec<AdjRows> {
 mod tests {
     use super::*;
     use graphs::GraphBuilder;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn sorted_inbound(msgs: Vec<Msg>) -> Vec<Msg> {
@@ -324,8 +413,11 @@ mod tests {
 
     #[test]
     fn cc_recovers_after_a_compensation_reset() {
-        // A converged vertex must keep broadcasting: reset part of the state
-        // mid-run and check the fixed point is still the true labels.
+        // A converged vertex has stopped sending: reset part of the state
+        // mid-run, make that superstep a full-send one, and check the fixed
+        // point is still the true labels. (Under `step` alone vertex 3 adopts
+        // 0 from vertex 2's last message, never answers its source, and the
+        // run ends at [0, 0, 2, 0].)
         let mut b = GraphBuilder::undirected(4);
         b.add_edge(0, 1).add_edge(1, 2).add_edge(2, 3);
         let graph = b.build();
@@ -335,18 +427,22 @@ mod tests {
         let mut state = program.init_partition(&rows, n);
         let mut inbound: Vec<Msg> = Vec::new();
         for step in 0..50 {
-            if step == 3 {
+            let reset = step == 3;
+            let out = if reset {
                 // "Lose" vertices 2 and 3: reset their labels to vertex ids.
                 for record in state.iter_mut() {
                     if record.0 >= 2 {
                         record.1 = record.0;
                     }
                 }
-            }
-            let out = program.step(step, &state, &sorted_inbound(inbound), &rows, n);
+                program.full_send_step(step, &state, &sorted_inbound(inbound), &rows, n)
+            } else {
+                program.step(step, &state, &sorted_inbound(inbound), &rows, n)
+            };
             state = out.state;
             inbound = out.outbound;
-            if step > 0 && out.changed == 0 {
+            // What the full send re-sent is folded in one superstep later.
+            if out.changed == 0 && !reset {
                 break;
             }
         }
@@ -371,9 +467,11 @@ mod tests {
         }
     }
 
-    /// `CcProgram::step` as it was before slots were indexed — a
-    /// per-superstep map keyed by destination vertex — kept as the reference
-    /// the slot-indexed fold must match bit for bit.
+    /// The bulk CC superstep — a per-superstep map keyed by destination
+    /// vertex, every vertex sending its label along every edge — kept as the
+    /// oracle of the change-driven one: same state and `changed` from the
+    /// same inputs, a superset of its messages, and failure-free the same
+    /// number of supersteps.
     fn cc_map_fold_step(
         step: u64,
         state: &[Record],
@@ -450,24 +548,39 @@ mod tests {
                     rows.iter().map(|r| program.init_partition(r, n)).collect();
                 let mut inbound: Vec<Vec<Msg>> = vec![Vec::new(); parallelism];
                 for step in 0..8 {
-                    if step == 4 {
-                        // A compensated partition, and (for P > 1) one whose
-                        // first vertex is not 0.
+                    // A compensated partition (for P > 1, one whose first
+                    // vertex is not 0) makes step 4 a full-send superstep.
+                    let full_send = step == 4;
+                    if full_send {
                         let lost = parallelism - 1;
                         state[lost] = program.compensate_partition(&rows[lost], n);
                     }
                     let outs: Vec<StepOutput> = (0..parallelism)
                         .map(|pid| {
-                            let out = program.step(step, &state[pid], &inbound[pid], &rows[pid], n);
                             let (state, inbound, rows) = (&state[pid], &inbound[pid], &rows[pid]);
-                            let reference = match *name {
-                                "cc" => cc_map_fold_step(step, state, inbound, rows),
-                                _ => pagerank_map_fold_step(step, state, inbound, rows, n),
+                            let out = if full_send {
+                                program.full_send_step(step, state, inbound, rows, n)
+                            } else {
+                                program.step(step, state, inbound, rows, n)
                             };
-                            assert_eq!(
-                                out, reference,
-                                "{name} P={parallelism} step {step} pid {pid}"
-                            );
+                            let at = format!("{name} P={parallelism} step {step} pid {pid}");
+                            if *name == "cc" {
+                                let oracle = cc_map_fold_step(step, state, inbound, rows);
+                                assert_eq!(out.state, oracle.state, "{at}");
+                                assert_eq!(out.changed, oracle.changed, "{at}");
+                                assert!(out.outbound.windows(2).all(|w| w[0] < w[1]), "{at}");
+                                assert!(
+                                    out.outbound
+                                        .iter()
+                                        .all(|msg| oracle.outbound.binary_search(msg).is_ok()),
+                                    "{at}: a message the bulk step would not send"
+                                );
+                                assert!(out.outbound.len() < oracle.outbound.len(), "{at}");
+                            } else {
+                                let reference =
+                                    pagerank_map_fold_step(step, state, inbound, rows, n);
+                                assert_eq!(out, reference, "{at}");
+                            }
                             out
                         })
                         .collect();
@@ -476,6 +589,91 @@ mod tests {
                     inbound = crate::exchange::merge_runs(&outbound, parallelism);
                     state = outs.into_iter().map(|out| out.state).collect();
                 }
+            }
+        }
+    }
+
+    /// A CC run over `parallelism` partitions, driven the way the drivers do:
+    /// `lost = (step, pid)` compensates that partition before that step and
+    /// makes the step a full-send one, which is never the run's last.
+    struct CcRun {
+        labels: Vec<u64>,
+        supersteps: u64,
+        sent: Vec<Msg>,
+    }
+
+    fn drive_cc(
+        graph: &Graph,
+        parallelism: usize,
+        lost: Option<(u64, usize)>,
+        superstep: impl Fn(bool, u64, &[Record], &[Msg], &[(u64, Vec<u64>)]) -> StepOutput,
+    ) -> CcRun {
+        let n = graph.num_vertices() as u64;
+        let rows = partition_rows(graph, parallelism);
+        let mut state: Vec<Vec<Record>> =
+            rows.iter().map(|r| CcProgram.init_partition(r, n)).collect();
+        let mut inbound: Vec<Vec<Msg>> = vec![Vec::new(); parallelism];
+        let mut sent = Vec::new();
+        for step in 0..1_000 {
+            let full_send = lost.is_some_and(|(at, _)| at == step);
+            if let Some((_, pid)) = lost.filter(|_| full_send) {
+                state[pid] = CcProgram.compensate_partition(&rows[pid], n);
+            }
+            let outs: Vec<StepOutput> = (0..parallelism)
+                .map(|pid| superstep(full_send, step, &state[pid], &inbound[pid], &rows[pid]))
+                .collect();
+            let changed: u64 = outs.iter().map(|out| out.changed).sum();
+            let outbound: Vec<&[Msg]> = outs.iter().map(|o| o.outbound.as_slice()).collect();
+            inbound = crate::exchange::merge_runs(&outbound, parallelism);
+            sent.extend(outbound.concat());
+            state = outs.into_iter().map(|out| out.state).collect();
+            if changed == 0 && !full_send {
+                let mut records = state.concat();
+                records.sort_unstable();
+                let labels = records.into_iter().map(|(_, label)| label).collect();
+                return CcRun { labels, supersteps: step + 1, sent };
+            }
+        }
+        panic!("CC did not converge within 1000 supersteps");
+    }
+
+    proptest! {
+        #[test]
+        fn change_driven_cc_reaches_the_exact_components_with_and_without_a_reset(
+            shape in (0u8..3, 2usize..60, any::<u64>()),
+            parallelism in 0usize..3,
+            lost in (0u64..8, 0usize..4),
+        ) {
+            let (kind, size, seed) = shape;
+            let parallelism = [1, 3, 4][parallelism];
+            let graph = match kind {
+                0 => graphs::generators::ring(size + 1),
+                1 => graphs::generators::random_components(1 + size % 5, 1..12, 0.2, seed),
+                _ => graphs::generators::preferential_attachment(size + 3, 3, seed),
+            };
+            let exact = graphs::exact_components(&graph);
+            let change_driven = |full_send: bool, step, state: &_, inbound: &_, rows: &_| {
+                if full_send {
+                    CcProgram.full_send_step(step, state, inbound, rows, 0)
+                } else {
+                    CcProgram.step(step, state, inbound, rows, 0)
+                }
+            };
+            let bulk = |_, step, state: &_, inbound: &_, rows: &_| {
+                cc_map_fold_step(step, state, inbound, rows)
+            };
+
+            let failure_free = drive_cc(&graph, parallelism, None, change_driven);
+            let oracle = drive_cc(&graph, parallelism, None, bulk);
+            prop_assert_eq!(&failure_free.labels, &exact);
+            prop_assert_eq!(failure_free.supersteps, oracle.supersteps);
+            prop_assert!(failure_free.sent.len() <= oracle.sent.len());
+
+            let lost = (lost.0, lost.1 % parallelism);
+            let recovered = drive_cc(&graph, parallelism, Some(lost), change_driven);
+            prop_assert_eq!(&recovered.labels, &exact, "lost {:?}", lost);
+            for (_, dst, bits) in failure_free.sent.iter().chain(&recovered.sent) {
+                prop_assert!(bits < dst, "label {} cannot lower vertex {}", bits, dst);
             }
         }
     }

@@ -249,7 +249,10 @@ pub enum Message {
     },
     /// Coordinator → worker: like [`Message::StepGo`], but pushes
     /// authoritative partition state first — the recovery/retry dispatch
-    /// (first superstep, post-failure retries, rollback restores).
+    /// (first superstep, post-failure retries, rollback restores, the
+    /// superstep after a rescale). These are the supersteps whose inbound
+    /// history is not exact, so the worker runs them as full-send supersteps
+    /// ([`crate::program::ClusterProgram::full_send_step`]).
     StepReset {
         /// Chronological superstep.
         superstep: u32,

@@ -173,7 +173,10 @@ impl DirectCtx {
     /// self-delivered run. Both keep `outbound`'s order, so a born-sorted
     /// outbound yields born-sorted frames and a born-sorted run.
     fn route(&mut self, outbound: &[Msg]) -> Vec<Msg> {
-        let mut own = Vec::with_capacity(outbound.len());
+        // Destinations spread evenly over partitions (`v % P`), so the run
+        // that stays here is about this worker's share of them.
+        let owned = self.routes.iter().filter(|route| **route == Route::Own).count();
+        let mut own = Vec::with_capacity((outbound.len() * owned).div_ceil(self.routes.len()));
         for msg in outbound {
             match self.routes[(msg.1 % self.parallelism) as usize] {
                 Route::Own => own.push(*msg),
@@ -505,6 +508,7 @@ fn serve(
                         &plane,
                         superstep,
                         step,
+                        false,
                         inbound,
                         &pids,
                         &mut seq,
@@ -570,6 +574,8 @@ fn serve(
                         }
                         plane.take_inboxes(inbound_superstep, direct.parallelism as usize)
                     };
+                    // A reset marks an inbound history that is not exact:
+                    // its superstep is a full-send one.
                     run_direct_step(
                         &mut stream,
                         my,
@@ -578,6 +584,7 @@ fn serve(
                         &plane,
                         superstep,
                         step,
+                        true,
                         inbound,
                         &pids,
                         &mut seq,
@@ -657,7 +664,8 @@ fn connect_peer(port: u64) -> io::Result<TcpStream> {
 }
 
 /// Run one whole superstep over this worker's partitions:
-/// compute each partition against its resolved inbound, route its outbound
+/// compute each partition against its resolved inbound (with
+/// [`ClusterProgram::full_send_step`] when `full_send`), route its outbound
 /// through the destination table — peers' messages straight into the frames
 /// they leave in, this worker's own into a run moved into the local inbox —
 /// ship every frame worth shipping (overlapping the remaining compute),
@@ -673,6 +681,7 @@ fn run_direct_step(
     plane: &DataPlane,
     superstep: u32,
     step: u64,
+    full_send: bool,
     inbound: Vec<Vec<Msg>>,
     pids: &[u64],
     seq: &mut u64,
@@ -704,7 +713,11 @@ fn run_direct_step(
         })?;
         let inb = inbound.get(pid as usize).unwrap_or(&empty);
         let compute_start = Instant::now();
-        let out = program.step(step, state, inb, &rows, n);
+        let out = if full_send {
+            program.full_send_step(step, state, inb, &rows, n)
+        } else {
+            program.step(step, state, inb, &rows, n)
+        };
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
 
         let exchange_start = Instant::now();

@@ -6,7 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cluster::{
-    run_cluster, run_local, ClusterConfig, ClusterStrategy, KillPlan, LinkPlan, StragglerPlan,
+    run_cluster, run_local, ClusterConfig, ClusterStrategy, KillPlan, LinkPlan, ScaleEvent,
+    StragglerPlan,
 };
 use graphs::GraphBuilder;
 use telemetry::{MemorySink, SinkHandle};
@@ -130,6 +131,68 @@ fn sigkilled_worker_mid_iteration_recovers_via_compensation() {
     assert!(journal.contains("\"lost_partitions\":[1,3]"), "journal:\n{journal}");
     assert!(journal.contains("\"event\":\"WorkerRejoined\""), "journal:\n{journal}");
     assert!(journal.contains("\"event\":\"CompensationInvoked\""), "journal:\n{journal}");
+}
+
+fn labels(run: &cluster::ClusterRun) -> Vec<u64> {
+    run.values.iter().map(|&(_, label)| label).collect()
+}
+
+#[test]
+fn a_kill_at_the_final_converged_superstep_still_ends_at_the_exact_components() {
+    // The failure-free run's last superstep changes nothing and sends
+    // nothing. Killed there, worker 1's partitions are reset to their vertex
+    // ids while every surviving neighbour stopped sending supersteps ago:
+    // the retry reports `changed == 0` on both sides, and only because it is
+    // a full-send superstep that may not end the run are the labels repaired.
+    let graph = cc_graph();
+    let failure_free =
+        run_cluster("cc", &graph, test_config(2, 4, 60), SinkHandle::disabled()).unwrap();
+    let last = failure_free.stats.supersteps() - 1;
+    assert_eq!(failure_free.stats.iterations[last as usize].records_shuffled, 0);
+
+    let cfg = test_config(2, 4, 60).with_kill(KillPlan { superstep: last, worker: 1 });
+    let killed = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap();
+    assert!(killed.stats.converged);
+    let failures: Vec<u32> = killed.stats.failures().map(|(superstep, _)| superstep).collect();
+    assert_eq!(failures, vec![last], "the kill must land on the converged superstep");
+    assert_eq!(labels(&killed), graphs::exact_components(&graph));
+}
+
+#[test]
+fn a_kill_right_after_a_scale_event_still_ends_at_the_exact_components() {
+    // Superstep 2 rescales 2 → 3 workers: everybody computes from an empty
+    // inbound, so the messages of superstep 1 are lost and superstep 2 is a
+    // full-send one. The kill lands on superstep 3, the first to consume
+    // what that full send re-sent, and makes its retry a full-send too.
+    let graph = cc_graph();
+    let cfg = test_config(2, 6, 60)
+        .with_scale_event(ScaleEvent { superstep: 2, workers: 3 })
+        .with_kill(KillPlan { superstep: 3, worker: 2 });
+    let run = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap();
+    assert!(run.stats.converged);
+    assert_eq!(run.stats.failures().count(), 1, "exactly the injected kill");
+    assert_eq!(labels(&run), graphs::exact_components(&graph));
+}
+
+#[test]
+fn failure_free_cc_sends_with_the_set_of_vertices_still_changing() {
+    // Bulk CC sends 2|E| messages every superstep. Change-driven CC sends
+    // |E| at step 0 (a label never travels to a smaller vertex id) and from
+    // then on only from vertices whose label just changed.
+    let graph = graphs::generators::preferential_attachment(2_000, 3, 7);
+    let run = run_cluster("cc", &graph, test_config(2, 4, 60), SinkHandle::disabled()).unwrap();
+    assert_eq!(labels(&run), graphs::exact_components(&graph));
+
+    let series: Vec<u64> = run.stats.iterations.iter().map(|it| it.records_shuffled).collect();
+    let bulk = series.len() as u64 * graph.num_directed_edges() as u64;
+    let total: u64 = series.iter().sum();
+    assert!(2 * total <= bulk, "{total} messages sent, bulk sends {bulk}: {series:?}");
+    let peak = series.iter().position(|&sent| Some(&sent) == series.iter().max()).unwrap();
+    assert!(
+        series[peak..].windows(2).all(|w| w[0] >= w[1]),
+        "messages must fall with the changing set once past their peak: {series:?}"
+    );
+    assert_eq!(series.last(), Some(&0), "a converged superstep sends nothing: {series:?}");
 }
 
 #[test]
