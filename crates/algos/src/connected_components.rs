@@ -21,11 +21,13 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use dataflow::api::Environment;
+use dataflow::api::{DataSet, Environment};
 use dataflow::dataset::Partitions;
 use dataflow::error::Result;
-use dataflow::ft::{DeltaState, SolutionSets};
+use dataflow::ft::{solution_sets, DeltaState, SolutionSets};
 use dataflow::hash::FxHashSet;
+use dataflow::index::KeyedIndex;
+use dataflow::iterate::ResidentRun;
 use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
@@ -74,16 +76,34 @@ impl Default for CcConfig {
     }
 }
 
-/// Warm-start state for an incremental CC run: the previous fixpoint labels
-/// (with mutation-affected vertices already reset) as the initial solution
-/// set, and only the affected vertices as the initial workset — the delta
-/// driver then propagates from those seeds instead of from every vertex.
-#[derive(Debug, Clone, Default)]
-pub struct CcSeed {
-    /// Initial `(vertex, label)` solution entries — one per vertex.
-    pub solution: Vec<Label>,
-    /// Initial workset records: the vertices whose labels must propagate.
-    pub workset: Vec<Label>,
+/// Out-neighbours by vertex (ascending; both directions of every
+/// undirected edge): the build side of the *label-to-neighbors* join and
+/// what [`FixComponents`] walks — one index, shared by both.
+pub type Adjacency = KeyedIndex<VertexId, VertexId>;
+
+/// The adjacency index of `graph`; isolated vertices have no row.
+pub fn adjacency_of(graph: &Graph) -> Adjacency {
+    graph
+        .vertices()
+        .filter(|&v| graph.degree(v) > 0)
+        .map(|v| (v, graph.neighbors(v).to_vec()))
+        .collect()
+}
+
+/// The state of a CC delta iteration: per-partition `vertex -> label` maps
+/// plus the workset of labels still to propagate. A caller that keeps it
+/// between runs ([`run_resident`]) re-converges from where the last run
+/// stopped instead of from every vertex.
+pub type CcState = DeltaState<VertexId, VertexId, Label>;
+
+/// The state a cold run starts from: every vertex labelled with its own id,
+/// every vertex in the workset.
+pub fn initial_state(num_vertices: usize, parallelism: usize) -> CcState {
+    let labels = || (0..num_vertices as VertexId).map(|v| (v, v));
+    CcState {
+        solution: solution_sets(labels(), parallelism),
+        workset: Partitions::keyed(labels().collect(), parallelism, |l| l.0),
+    }
 }
 
 /// Result of a Connected Components run.
@@ -105,17 +125,16 @@ pub struct CcResult {
 
 /// The paper's `FixComponents` compensation function.
 pub struct FixComponents {
-    adjacency: Arc<Vec<Vec<VertexId>>>,
+    adjacency: Arc<Adjacency>,
+    num_vertices: u64,
     parallelism: usize,
 }
 
 impl FixComponents {
-    /// Compensation over the given graph.
-    pub fn new(graph: &Graph, parallelism: usize) -> Self {
-        FixComponents {
-            adjacency: Arc::new(graph.adjacency_rows().into_iter().map(|(_, ns)| ns).collect()),
-            parallelism,
-        }
+    /// Compensation over a graph of `num_vertices` vertices with the given
+    /// adjacency index (shared with the iteration's join, not copied).
+    pub fn new(adjacency: Arc<Adjacency>, num_vertices: usize, parallelism: usize) -> Self {
+        FixComponents { adjacency, num_vertices: num_vertices as u64, parallelism }
     }
 }
 
@@ -131,12 +150,12 @@ impl Compensation<DeltaState<VertexId, VertexId, Label>> for FixComponents {
         // Surviving neighbours of lost vertices: they hold correct labels
         // but stopped propagating, so they must re-enter the working set.
         let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
-        for (v, pid) in lost_keys(self.adjacency.len() as u64, self.parallelism, lost) {
+        for (v, pid) in lost_keys(self.num_vertices, self.parallelism, lost) {
             // Re-initialise the lost vertex to its initial (unique) label...
             solution[pid].insert(v, v);
             // ...and let it propagate again.
             workset.partition_mut(pid).push((v, v));
-            for &u in &self.adjacency[v as usize] {
+            for &u in self.adjacency.get(&v) {
                 if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
                     resenders.insert(u);
                 }
@@ -195,35 +214,63 @@ pub struct BuiltCc {
 /// Build the CC dataflow inside `env` without executing it. Exposed so
 /// callers can inspect or `explain()` the plan (Figure 1a).
 pub fn build(env: &Environment, graph: &Graph, config: &CcConfig) -> Result<BuiltCc> {
-    build_seeded(env, graph, config, None)
+    let initial: Vec<Label> = graph.vertices().map(|v| (v, v)).collect();
+    let solution = env.from_keyed_vec(initial.clone(), |r| r.0);
+    let workset = env.from_keyed_vec(initial, |r| r.0);
+    let iteration = DeltaIteration::new(&solution, &workset, config.max_iterations);
+    let truth = config.track_truth.then(|| exact_components(graph));
+    let adjacency = Arc::new(adjacency_of(graph));
+    let Plan { iteration, updates, history } =
+        plan(iteration, env, &adjacency, graph.num_vertices(), truth, config)?;
+    let (result, stats) = iteration.close(updates.clone(), updates);
+    Ok(BuiltCc { result, stats, history })
 }
 
-/// [`build`] with an optional warm start: a cold run initialises both the
-/// solution set and the workset to `(v, v)` for every vertex; a seeded run
-/// starts from the previous fixpoint and propagates only from the seeds —
-/// the serving engine's incremental re-convergence.
-pub fn build_seeded(
-    env: &Environment,
-    graph: &Graph,
+/// Run the CC dataflow from `state`, which the caller keeps between runs,
+/// over an adjacency index it keeps too: the serving engine's incremental
+/// re-convergence, and — from [`initial_state`] — its bootstrap. The same
+/// plan as [`build`], closed over resident state instead of datasets:
+/// nothing of the size of the graph is built, copied or sorted except the
+/// driver's one copy of `state` (its restart origin). The final state comes
+/// back with the vertices whose labels the run changed. `state` must hold a
+/// label for every vertex below `num_vertices`;
+/// [`CcConfig::track_truth`] has no graph to compare against here and is
+/// ignored.
+pub fn run_resident(
+    adjacency: &Arc<Adjacency>,
+    num_vertices: usize,
+    state: &CcState,
     config: &CcConfig,
-    seed: Option<&CcSeed>,
-) -> Result<BuiltCc> {
-    let (initial, seeds): (Vec<Label>, Vec<Label>) = match seed {
-        Some(seed) => (seed.solution.clone(), seed.workset.clone()),
-        None => {
-            let initial: Vec<Label> = graph.vertices().map(|v| (v, v)).collect();
-            (initial.clone(), initial)
-        }
-    };
-    let solution = env.from_keyed_vec(initial, |r| r.0);
-    let workset = env.from_keyed_vec(seeds, |r| r.0);
-    let edges: Vec<(VertexId, VertexId)> = graph.directed_edges().collect();
-    let edges_ds = env.from_keyed_vec(edges, |e| e.0);
+) -> Result<ResidentRun<VertexId, VertexId, Label>> {
+    let env = crate::common::environment(config.parallelism, &config.ft);
+    let iteration = DeltaIteration::over(&env, config.max_iterations);
+    let Plan { iteration, updates, .. } =
+        plan(iteration, &env, adjacency, num_vertices, None, config)?;
+    iteration.run_from(updates.clone(), updates, state)
+}
 
-    let mut iteration = DeltaIteration::new(&solution, &workset, config.max_iterations);
+/// A configured iteration with its loop body, ready to be closed.
+struct Plan {
+    iteration: DeltaIteration<VertexId, VertexId, Label>,
+    /// Both the delta and the next workset.
+    updates: DataSet<Label>,
+    history: Option<Rc<RefCell<Vec<Vec<Label>>>>>,
+}
+
+/// The one constructor of the CC plan (Figure 1a): recovery strategy,
+/// failure source, probes and the loop body, over whichever iteration —
+/// dataset-fed or resident — the caller opened.
+fn plan(
+    mut iteration: DeltaIteration<VertexId, VertexId, Label>,
+    env: &Environment,
+    adjacency: &Arc<Adjacency>,
+    num_vertices: usize,
+    truth: Option<Vec<VertexId>>,
+    config: &CcConfig,
+) -> Result<Plan> {
     iteration.set_fault_handler(common::delta_handler(
         &config.ft,
-        FixComponents::new(graph, config.parallelism),
+        FixComponents::new(adjacency.clone(), num_vertices, config.parallelism),
     )?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: total label decrease per superstep (labels only
@@ -232,7 +279,6 @@ pub fn build_seeded(
         old.map_or(0.0, |&o| o.saturating_sub(*new) as f64)
     }));
 
-    let truth = if config.track_truth { Some(exact_components(graph)) } else { None };
     let history: Option<Rc<RefCell<Vec<Vec<Label>>>>> =
         if config.capture_history { Some(Rc::new(RefCell::new(Vec::new()))) } else { None };
     let history_sink = history.clone();
@@ -270,7 +316,7 @@ pub fn build_seeded(
         );
     }
 
-    let edges_in = iteration.import(&edges_ds);
+    let neighbours = iteration.import_shared(&env.from_index(adjacency.clone()));
     let workset_in = iteration.workset();
     let workset_in = match (config.panic_at, superstep_cell) {
         (Some(target), Some(cell)) => {
@@ -286,22 +332,20 @@ pub fn build_seeded(
     };
     // Updated vertices send their label to every neighbour...
     let candidates = workset_in
-        .join("label-to-neighbors", &edges_in, |w: &Label| w.0, |e| e.0, |w, e| (e.1, w.1))
+        .join_index("label-to-neighbors", &neighbours, |w: &Label| w.0, |w, &u| (u, w.1))
         .measured(common::MESSAGES)
         // ...each vertex keeps the smallest incoming candidate...
         .reduce_by_key("candidate-label", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
     // ...and updates its solution entry when the candidate improves on it.
     let updates = candidates
-        .join(
+        .join_solution(
             "label-update",
-            &iteration.solution(),
+            &iteration.solution_set(),
             |c| c.0,
-            |s: &Label| s.0,
-            |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+            |c, label: &VertexId| if c.1 < *label { Some((c.0, c.1)) } else { None },
         )
         .flat_map("updated-labels", |u: &Option<Label>| u.iter().copied().collect());
-    let (result, stats) = iteration.close(updates.clone(), updates);
-    Ok(BuiltCc { result, stats, history })
+    Ok(Plan { iteration, updates, history })
 }
 
 /// Textual rendering of the Figure 1a dataflow, compensation included.
@@ -557,21 +601,28 @@ mod tests {
 
         // Fixpoint before the mutation: label 0 on 0..=15, label 16 on the
         // second path. Only the bridge endpoints need to propagate.
-        let solution: Vec<Label> = (0..32).map(|v| (v, if v <= 15 { 0 } else { 16 })).collect();
-        let seed = CcSeed { solution, workset: vec![(15, 0), (16, 16)] };
-        let env = common::environment(config.parallelism, &config.ft);
-        let built = build_seeded(&env, &mutated, &config, Some(&seed)).unwrap();
-        let mut labels = built.result.collect().unwrap();
+        let fixpoint = (0..32u64).map(|v| (v, if v <= 15 { 0 } else { 16 }));
+        let state = CcState {
+            solution: solution_sets(fixpoint, config.parallelism),
+            workset: Partitions::keyed(vec![(15, 0), (16, 16)], config.parallelism, |w| w.0),
+        };
+        let adjacency = Arc::new(adjacency_of(&mutated));
+        let warm = run_resident(&adjacency, 32, &state, &config).unwrap();
+        let mut labels: Vec<Label> =
+            warm.state.solution.iter().flatten().map(|(&v, &l)| (v, l)).collect();
         labels.sort_unstable();
         assert_eq!(labels, cold.labels, "warm start must reach the cold fixpoint");
-        let stats = built.stats.take().unwrap();
-        assert!(stats.converged);
+        assert!(warm.stats.converged);
         assert!(
-            stats.supersteps() < cold.stats.supersteps(),
+            warm.stats.supersteps() < cold.stats.supersteps(),
             "seeded: {} supersteps, cold: {}",
-            stats.supersteps(),
+            warm.stats.supersteps(),
             cold.stats.supersteps()
         );
+        let mut changed = warm.upserted;
+        changed.sort_unstable();
+        changed.dedup();
+        assert_eq!(changed, (16..32).collect::<Vec<_>>(), "only the second path was relabelled");
     }
 
     #[test]

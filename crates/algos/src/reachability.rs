@@ -187,12 +187,11 @@ pub fn run(graph: &Graph, config: &ReachConfig) -> Result<ReachResult> {
         .distinct_by("dedupe-notifications", |c: &Reach| c.0);
     // ...and a vertex flips exactly once, from unreached to reached.
     let updates = candidates
-        .join(
+        .join_solution(
             "reach-update",
-            &iteration.solution(),
+            &iteration.solution_set(),
             |c| c.0,
-            |s: &Reach| s.0,
-            |c, s| if !s.1 { Some((c.0, true)) } else { None },
+            |c, reached: &bool| if !*reached { Some((c.0, true)) } else { None },
         )
         .flat_map("newly-reached", |u: &Option<Reach>| u.iter().copied().collect());
     let (result, handle) = iteration.close(updates.clone(), updates);

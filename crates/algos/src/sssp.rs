@@ -198,12 +198,11 @@ pub fn run(graph: &Graph, config: &SsspConfig) -> Result<SsspResult> {
         .measured(common::MESSAGES)
         .reduce_by_key("candidate-distance", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
     let updates = candidates
-        .join(
+        .join_solution(
             "distance-update",
-            &iteration.solution(),
+            &iteration.solution_set(),
             |c| c.0,
-            |s: &Distance| s.0,
-            |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+            |c, known: &u64| if c.1 < *known { Some((c.0, c.1)) } else { None },
         )
         .flat_map("updated-distances", |u: &Option<Distance>| u.iter().copied().collect());
     let (result, handle) = iteration.close(updates.clone(), updates);

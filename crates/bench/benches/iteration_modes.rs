@@ -34,12 +34,11 @@ fn cc_delta(graph: &Graph, parallelism: usize) -> usize {
         .join("to-neighbors", &edges_in, |w: &Label| w.0, |e| e.0, |w, e| (e.1, w.1))
         .reduce_by_key("min", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
     let updates = candidates
-        .join(
+        .join_solution(
             "update",
-            &iteration.solution(),
+            &iteration.solution_set(),
             |c| c.0,
-            |s: &Label| s.0,
-            |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+            |c, label: &VertexId| if c.1 < *label { Some((c.0, c.1)) } else { None },
         )
         .flat_map("updated", |u: &Option<Label>| u.iter().copied().collect());
     let (result, _) = iteration.close(updates.clone(), updates);

@@ -8,15 +8,18 @@ use std::cell::RefCell;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::config::EnvConfig;
-use crate::dataset::{Data, Partitions};
+use crate::dataset::{Data, Erased, Partitions};
 use crate::error::Result;
 use crate::exec::{self, ExecContext};
+use crate::ft::SolutionSets;
+use crate::index::KeyedIndex;
 use crate::operators::{
     BroadcastMapOp, CoGroupOp, CountOp, CrossOp, DistinctByOp, FilterOp, FlatMapOp, GlobalFoldOp,
-    JoinOp, MapOp, MapPartitionOp, MeasuredOp, PartitionByOp, ReduceByKeyOp, TopNOp, UnionOp,
-    VecSource,
+    IndexJoinOp, JoinOp, MapOp, MapPartitionOp, MeasuredOp, PartitionByOp, ReduceByKeyOp,
+    SolutionJoinOp, TopNOp, UnionOp, VecSource,
 };
 use crate::plan::{DynOp, NodeId, PlanGraph};
 
@@ -90,6 +93,19 @@ impl Environment {
         self.add_node("source", vec![], Box::new(VecSource::new(parts)))
     }
 
+    /// Source over a keyed index the caller already maintains, to be the
+    /// build side of [`DataSet::join_index`]. The index is shared, not
+    /// copied.
+    pub fn from_index<K, R>(&self, index: Arc<KeyedIndex<K, R>>) -> IndexHandle<K, R>
+    where
+        K: Data,
+        R: Data,
+    {
+        let op = Box::new(VecSource::erased(Erased::of(index)));
+        let id = self.inner.borrow_mut().graph.add("index", vec![], op);
+        Shared::new(self.clone(), id)
+    }
+
     pub(crate) fn add_node<T: Data>(
         &self,
         name: impl Into<String>,
@@ -132,6 +148,45 @@ impl Environment {
     /// Render the dataflow feeding `ds` as an indented operator tree.
     pub fn explain<T>(&self, ds: &DataSet<T>) -> String {
         self.inner.borrow().graph.explain(ds.id)
+    }
+}
+
+/// A typed handle onto a plan node whose output is one shared value of type
+/// `T` rather than a partitioned dataset: a keyed index, or the solution
+/// sets a delta iteration lends its loop body. Such a value can only be
+/// joined against; it has no records to map or collect.
+pub struct Shared<T> {
+    env: Environment,
+    id: NodeId,
+    _type: PhantomData<fn() -> T>,
+}
+
+/// Handle onto a [`KeyedIndex`] in the plan (see [`Environment::from_index`]).
+pub type IndexHandle<K, R> = Shared<Arc<KeyedIndex<K, R>>>;
+
+/// Handle onto the solution sets of a delta iteration, inside its loop body
+/// (see [`crate::iterate::DeltaIteration::solution_set`]).
+pub type SolutionHandle<K, V> = Shared<SolutionSets<K, V>>;
+
+impl<T> Shared<T> {
+    pub(crate) fn new(env: Environment, id: NodeId) -> Self {
+        Shared { env, id, _type: PhantomData }
+    }
+
+    /// The node id inside the plan (exposed for iteration plumbing).
+    pub fn node_id(&self) -> NodeId {
+        self.id
+    }
+
+    /// The environment this value belongs to.
+    pub fn environment(&self) -> Environment {
+        self.env.clone()
+    }
+}
+
+impl<T> Clone for Shared<T> {
+    fn clone(&self) -> Self {
+        Shared::new(self.env.clone(), self.id)
     }
 }
 
@@ -260,6 +315,50 @@ impl<T: Data> DataSet<T> {
         F: Fn(&T, &R) -> O + Send + Sync + 'static,
     {
         self.binary(name, other.id, Box::new(JoinOp::new(key_left, key_right, f)))
+    }
+
+    /// Equi-join with an already-built index as the build side: `f` runs
+    /// for every record of this dataset paired with every record the index
+    /// holds under the same key, in this dataset's (routed) order. Nothing
+    /// is built and the index is not copied.
+    pub fn join_index<R, K, KL, O, F>(
+        &self,
+        name: impl Into<String>,
+        index: &IndexHandle<K, R>,
+        key_left: KL,
+        f: F,
+    ) -> DataSet<O>
+    where
+        R: Data,
+        K: Data + Hash + Eq,
+        KL: Fn(&T) -> K + Send + Sync + 'static,
+        O: Data,
+        F: Fn(&T, &R) -> O + Send + Sync + 'static,
+    {
+        self.binary(name, index.id, Box::new(IndexJoinOp::<T, R, K, KL, O, F>::new(key_left, f)))
+    }
+
+    /// Join with the solution set of the enclosing delta iteration: `f`
+    /// runs for every record of this dataset whose key has a solution
+    /// entry, with that entry's current value. The entry is looked up in
+    /// the iteration's own maps, so a superstep pays for the records that
+    /// arrive here, not for the size of the solution.
+    pub fn join_solution<K, V, KL, O, F>(
+        &self,
+        name: impl Into<String>,
+        solution: &SolutionHandle<K, V>,
+        key_left: KL,
+        f: F,
+    ) -> DataSet<O>
+    where
+        K: Data + Hash + Eq,
+        V: Data,
+        KL: Fn(&T) -> K + Send + Sync + 'static,
+        O: Data,
+        F: Fn(&T, &V) -> O + Send + Sync + 'static,
+    {
+        let op = SolutionJoinOp::<T, K, V, KL, O, F>::new(key_left, f);
+        self.binary(name, solution.id, Box::new(op))
     }
 
     /// Group both sides by key and hand `f` the two groups for every key

@@ -6,7 +6,7 @@
 //! graph itself is untyped while the fluent API stays fully typed.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use crate::error::{EngineError, Result};
 
@@ -44,6 +44,17 @@ impl<T> Partitions<T> {
         let mut parts = Partitions::empty(p);
         for (i, record) in data.into_iter().enumerate() {
             parts.parts[i % p].push(record);
+        }
+        parts
+    }
+
+    /// Distribute `data` over `p` partitions by the hash partition of each
+    /// record's key, so keyed operators on the same key shuffle nothing.
+    pub fn keyed<K: std::hash::Hash>(data: Vec<T>, p: usize, key_of: impl Fn(&T) -> K) -> Self {
+        let mut parts = Partitions::empty(p);
+        for record in data {
+            let pid = crate::partition::hash_partition(&key_of(&record), p);
+            parts.parts[pid].push(record);
         }
         parts
     }
@@ -130,7 +141,10 @@ impl<T> IntoIterator for Partitions<T> {
     }
 }
 
-/// A type-erased, cheaply clonable handle to a [`Partitions<T>`].
+/// A type-erased, cheaply clonable handle to a [`Partitions<T>`] — or, for
+/// the few plan edges that carry something else (the solution sets a delta
+/// iteration lends its body, a [`crate::index::KeyedIndex`]), to any
+/// shareable value ([`Erased::of`]).
 ///
 /// Plan edges may fan out to several consumers, so executor results are
 /// shared behind an `Arc`. Downcasting back to the concrete record type is
@@ -160,6 +174,52 @@ impl Erased {
             EngineError::TypeMismatch { at: at.to_string(), expected: std::any::type_name::<T>() }
         })?;
         Ok(Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
+    }
+}
+
+impl Erased {
+    /// Erase a value that is not a partitioned dataset.
+    pub fn of<T: Any + Send + Sync>(value: T) -> Self {
+        Erased { inner: Arc::new(value) }
+    }
+
+    /// Borrow a value erased with [`Erased::of`] back.
+    pub fn downcast_ref<T: Any>(&self, at: &str) -> Result<&T> {
+        self.inner.downcast_ref::<T>().ok_or_else(|| EngineError::TypeMismatch {
+            at: at.to_string(),
+            expected: std::any::type_name::<T>(),
+        })
+    }
+
+    /// Recover a value erased with [`Erased::of`], cloning only if the
+    /// handle is shared.
+    pub fn into_inner<T: Any + Send + Sync + Clone>(self, at: &str) -> Result<T> {
+        let arc = self.inner.downcast::<T>().map_err(|_| EngineError::TypeMismatch {
+            at: at.to_string(),
+            expected: std::any::type_name::<T>(),
+        })?;
+        Ok(Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
+    }
+
+    /// The identity of the allocation behind this handle, to recognise the
+    /// same value arriving again (see [`ErasedId`]).
+    pub fn id(&self) -> ErasedId {
+        ErasedId(Arc::downgrade(&self.inner))
+    }
+}
+
+/// Remembers which allocation an [`Erased`] handle pointed at without
+/// keeping the value alive. The weak reference pins the address, so a later
+/// handle matches only if it is a clone of the remembered one — never a new
+/// value that happens to reuse the memory.
+#[derive(Debug, Clone)]
+pub struct ErasedId(Weak<dyn Any + Send + Sync>);
+
+impl ErasedId {
+    /// True when `handle` is a clone of the handle this identity was taken
+    /// from.
+    pub fn is(&self, handle: &Erased) -> bool {
+        Weak::ptr_eq(&self.0, &Arc::downgrade(&handle.inner))
     }
 }
 
@@ -221,6 +281,22 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("join[7]"), "{msg}");
         assert!(msg.contains("String"), "{msg}");
+    }
+
+    #[test]
+    fn erased_values_roundtrip_and_keep_their_identity() {
+        let e = Erased::of(vec![1u64, 2, 3]);
+        assert_eq!(e.downcast_ref::<Vec<u64>>("t").unwrap(), &[1, 2, 3]);
+        assert!(e.downcast_ref::<String>("t").is_err());
+        assert!(e.downcast::<u64>("t").is_err(), "not a partitioned dataset");
+        let id = e.id();
+        assert!(id.is(&e.clone()));
+        assert!(!id.is(&Erased::of(vec![1u64, 2, 3])), "equal value, other allocation");
+        let addr = e.downcast_ref::<Vec<u64>>("t").unwrap().as_ptr();
+        let back = e.into_inner::<Vec<u64>>("t").unwrap();
+        assert_eq!(back.as_ptr(), addr, "a unique handle gives its value back unmoved");
+        // The value is gone; the identity still refuses every other handle.
+        assert!(!id.is(&Erased::of(back)));
     }
 
     #[test]

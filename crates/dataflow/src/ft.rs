@@ -22,7 +22,7 @@ use crate::codec::{decode_exact, encode_slice, Codec};
 use crate::dataset::{Data, Partitions};
 use crate::error::Result;
 use crate::hash::FxHashMap;
-use crate::partition::PartitionId;
+use crate::partition::{hash_partition, PartitionId};
 
 /// Decides when failures strike and which partitions they destroy.
 ///
@@ -259,6 +259,19 @@ impl<T: Data + Codec> Snapshot for Partitions<T> {
 /// Per-partition solution sets of a delta iteration: one keyed map per
 /// partition, holding the current value for every key of that partition.
 pub type SolutionSets<K, V> = Vec<FxHashMap<K, V>>;
+
+/// Build solution sets from `(key, value)` entries, routing each entry to
+/// its key's partition (a later entry for a key replaces an earlier one).
+pub fn solution_sets<K: Hash + Eq, V>(
+    entries: impl IntoIterator<Item = (K, V)>,
+    parallelism: usize,
+) -> SolutionSets<K, V> {
+    let mut sets: SolutionSets<K, V> = (0..parallelism).map(|_| FxHashMap::default()).collect();
+    for (k, v) in entries {
+        sets[hash_partition(&k, parallelism)].insert(k, v);
+    }
+    sets
+}
 
 /// The state of a delta iteration: the keyed solution sets plus the working
 /// set entering the next superstep. A failure destroys both the solution-set

@@ -6,14 +6,15 @@ use std::rc::Rc;
 
 use telemetry::{IterationMode, JournalEvent, Norm, SpanKind, SpanRecord};
 
-use crate::api::{DataSet, Environment};
+use crate::api::{DataSet, Environment, Shared, SolutionHandle};
 use crate::dataset::{Data, Erased, Partitions};
 use crate::error::{EngineError, Result};
 use crate::exec::{self, ExecContext, PlanCache};
 use crate::ft::{
-    DeltaState, FailureSource, FaultHandler, NoFailures, RestartHandler, SolutionSets,
+    solution_sets, DeltaState, FailureSource, FaultHandler, NoFailures, RestartHandler,
+    SolutionSets,
 };
-use crate::hash::{fx_hash, FxHashMap};
+use crate::hash::fx_hash;
 use crate::iterate::{Failure, Recovery, StatsHandle};
 use crate::operators::{InjectedSource, SourceSlot};
 use crate::partition::hash_partition;
@@ -44,6 +45,12 @@ impl<K: Data + Hash + Eq> SolutionKey for K {}
 /// entries to upsert) and the next working set. The iteration terminates
 /// once the working set is empty.
 ///
+/// The body never sees the solution set as records: the driver lends it its
+/// own per-partition maps for the step and [`DataSet::join_solution`] looks
+/// keys up in place, so a superstep costs what the working set touches, not
+/// the size of the solution. The solution is materialised as a dataset
+/// once, for the final result.
+///
 /// ```
 /// use dataflow::prelude::*;
 ///
@@ -58,12 +65,11 @@ impl<K: Data + Hash + Eq> SolutionKey for K {}
 ///     .workset()
 ///     .join("to-neighbors", &edges_in, |w: &(u64, u64)| w.0, |e| e.0, |w, e| (e.1, w.1))
 ///     .reduce_by_key("min-label", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
-/// let updates = candidates.join(
+/// let updates = candidates.join_solution(
 ///     "label-update",
-///     &iteration.solution(),
+///     &iteration.solution_set(),
 ///     |c| c.0,
-///     |s: &(u64, u64)| s.0,
-///     |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+///     |c, label: &u64| if c.1 < *label { Some((c.0, c.1)) } else { None },
 /// ).flat_map("updated-only", |u| u.iter().copied().collect());
 /// let (result, stats) = iteration.close(updates.clone(), updates);
 /// let labels = result.collect().unwrap();
@@ -73,14 +79,13 @@ impl<K: Data + Hash + Eq> SolutionKey for K {}
 pub struct DeltaIteration<K: SolutionKey, V: Data, W: Data> {
     outer: Environment,
     body: Environment,
-    initial_solution_id: NodeId,
-    initial_workset_id: NodeId,
+    /// The plan nodes of the initial solution set and workset; `None` for
+    /// an iteration that runs from state the caller keeps ([`Self::over`]).
+    initial: Option<(NodeId, NodeId)>,
     solution_slot: SourceSlot,
     workset_slot: SourceSlot,
-    solution_head: DataSet<(K, V)>,
+    solution_head: SolutionHandle<K, V>,
     workset_head: DataSet<W>,
-    solution_head_id: NodeId,
-    workset_head_id: NodeId,
     import_ids: Vec<NodeId>,
     import_slots: Vec<SourceSlot>,
     max_iterations: u32,
@@ -102,35 +107,44 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         initial_workset: &DataSet<W>,
         max_iterations: u32,
     ) -> Self {
-        assert!(max_iterations > 0, "an iteration needs at least one iteration");
         let outer = initial_solution.environment();
         assert!(
             Rc::ptr_eq(&initial_workset.environment().inner, &outer.inner),
             "solution set and workset must come from the same environment"
         );
+        let mut iteration = Self::over(&outer, max_iterations);
+        iteration.initial = Some((initial_solution.node_id(), initial_workset.node_id()));
+        iteration
+    }
+
+    /// Start building a delta iteration over state the caller keeps: it has
+    /// no initial datasets, is closed with [`Self::run_from`] and hands its
+    /// state back instead of materialising it. `env` is where imports come
+    /// from and whose configuration the run uses.
+    ///
+    /// # Panics
+    /// Panics when `max_iterations` is zero.
+    pub fn over(env: &Environment, max_iterations: u32) -> Self {
+        assert!(max_iterations > 0, "an iteration needs at least one iteration");
+        let outer = env.clone();
         let body = Environment::with_config(outer.config());
         let solution_slot = SourceSlot::new();
         let workset_slot = SourceSlot::new();
-        let solution_head = body.add_node(
+        let solution_head_id = body.inner.borrow_mut().graph.add(
             "solution-set",
             vec![],
             Box::new(InjectedSource::new(solution_slot.clone())),
         );
         let workset_head =
             body.add_node("workset", vec![], Box::new(InjectedSource::new(workset_slot.clone())));
-        let solution_head_id = solution_head.node_id();
-        let workset_head_id = workset_head.node_id();
         DeltaIteration {
+            solution_head: Shared::new(body.clone(), solution_head_id),
             outer,
             body,
-            initial_solution_id: initial_solution.node_id(),
-            initial_workset_id: initial_workset.node_id(),
+            initial: None,
             solution_slot,
             workset_slot,
-            solution_head,
             workset_head,
-            solution_head_id,
-            workset_head_id,
             import_ids: Vec::new(),
             import_slots: Vec::new(),
             max_iterations,
@@ -142,8 +156,9 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         }
     }
 
-    /// Loop-body view of the current solution set.
-    pub fn solution(&self) -> DataSet<(K, V)> {
+    /// Loop-body handle onto the current solution set, to be joined against
+    /// with [`DataSet::join_solution`].
+    pub fn solution_set(&self) -> SolutionHandle<K, V> {
         self.solution_head.clone()
     }
 
@@ -159,16 +174,30 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
 
     /// Make an outer dataset visible inside the loop body.
     pub fn import<A: Data>(&mut self, outer: &DataSet<A>) -> DataSet<A> {
+        let slot = self.import_slot(&outer.environment(), outer.node_id());
+        self.body.add_node("import", vec![], Box::new(InjectedSource::new(slot)))
+    }
+
+    /// Make an outer shared value (a keyed index) visible inside the loop
+    /// body.
+    pub fn import_shared<T>(&mut self, outer: &Shared<T>) -> Shared<T> {
+        let slot = self.import_slot(&outer.environment(), outer.node_id());
+        let head = Box::new(InjectedSource::new(slot));
+        let id = self.body.inner.borrow_mut().graph.add("import", vec![], head);
+        Shared::new(self.body.clone(), id)
+    }
+
+    /// Register outer node `id` as an import; the returned slot receives
+    /// its output when the iteration runs.
+    fn import_slot(&mut self, from: &Environment, id: NodeId) -> SourceSlot {
         assert!(
-            Rc::ptr_eq(&outer.environment().inner, &self.outer.inner),
+            Rc::ptr_eq(&from.inner, &self.outer.inner),
             "import source must come from the enclosing environment"
         );
         let slot = SourceSlot::new();
-        let inner =
-            self.body.add_node("import", vec![], Box::new(InjectedSource::new(slot.clone())));
-        self.import_ids.push(outer.node_id());
-        self.import_slots.push(slot);
-        inner
+        self.import_ids.push(id);
+        self.import_slots.push(slot.clone());
+        slot
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
@@ -208,11 +237,55 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
 
     /// Close the loop. `delta` contains solution-set upserts; `next_workset`
     /// feeds the next iteration. Returns the final solution set.
+    ///
+    /// # Panics
+    /// Panics on an iteration built with [`Self::over`], which has no
+    /// initial datasets to start from (close it with [`Self::run_from`]).
     pub fn close(
         self,
         delta: DataSet<(K, V)>,
         next_workset: DataSet<W>,
     ) -> (DataSet<(K, V)>, StatsHandle) {
+        let (initial_solution_id, initial_workset_id) = self
+            .initial
+            .expect("an iteration over caller-kept state is closed with run_from, not close");
+        let outer = self.outer.clone();
+        let (op, import_ids) = self.into_op(delta, next_workset);
+        let stats = op.stats.clone();
+        let mut inputs = vec![initial_solution_id, initial_workset_id];
+        inputs.extend(import_ids);
+        let result = outer.add_node("delta-iteration", inputs, Box::new(op));
+        (result, stats)
+    }
+
+    /// Close the loop and run it now from `initial`, state the caller keeps
+    /// resident between runs. The final state comes back as it is — solution
+    /// maps and (empty, if converged) workset, nothing materialised — with
+    /// the keys the run upserted, so the caller can patch whatever it
+    /// derived from the previous state. `initial` is only read: it is the
+    /// restart origin during the run and still the caller's when the run
+    /// fails.
+    pub fn run_from(
+        self,
+        delta: DataSet<(K, V)>,
+        next_workset: DataSet<W>,
+        initial: &DeltaState<K, V, W>,
+    ) -> Result<ResidentRun<K, V, W>> {
+        let outer = self.outer.clone();
+        let (mut op, import_ids) = self.into_op(delta, next_workset);
+        let ctx = ExecContext::new(outer.config());
+        let imports = exec::execute(&mut outer.inner.borrow_mut().graph, &import_ids, &ctx)?;
+        let mut upserted = Vec::new();
+        let state = op.run(initial, &imports, &ctx, Some(&mut upserted))?;
+        let stats = op.stats.take().expect("a finished run publishes its statistics");
+        Ok(ResidentRun { state, upserted, stats })
+    }
+
+    fn into_op(
+        self,
+        delta: DataSet<(K, V)>,
+        next_workset: DataSet<W>,
+    ) -> (IterateDeltaOp<K, V, W>, Vec<NodeId>) {
         assert!(
             Rc::ptr_eq(&delta.environment().inner, &self.body.inner),
             "delta must be built inside the loop body"
@@ -221,11 +294,10 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
             Rc::ptr_eq(&next_workset.environment().inner, &self.body.inner),
             "next workset must be built inside the loop body"
         );
-        let stats = StatsHandle::new();
         let op = IterateDeltaOp {
             body: self.body,
-            solution_head_id: self.solution_head_id,
-            workset_head_id: self.workset_head_id,
+            solution_head_id: self.solution_head.node_id(),
+            workset_head_id: self.workset_head.node_id(),
             solution_slot: self.solution_slot,
             workset_slot: self.workset_slot,
             import_slots: self.import_slots,
@@ -237,13 +309,23 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
             failures: self.failures,
             observer: self.observer,
             norm_probe: self.norm_probe,
-            stats: stats.clone(),
+            stats: StatsHandle::new(),
         };
-        let mut inputs = vec![self.initial_solution_id, self.initial_workset_id];
-        inputs.extend(&self.import_ids);
-        let result = self.outer.add_node("delta-iteration", inputs, Box::new(op));
-        (result, stats)
+        (op, self.import_ids)
     }
+}
+
+/// What [`DeltaIteration::run_from`] hands back.
+pub struct ResidentRun<K, V, W> {
+    /// The final state: the solution maps, and the workset left when the run
+    /// stopped (empty if it converged).
+    pub state: DeltaState<K, V, W>,
+    /// Every key a delta upserted during the run, in application order,
+    /// repeats included. A run without failures changed no other entry; a
+    /// compensation writes entries that are not listed here.
+    pub upserted: Vec<K>,
+    /// Per-superstep statistics of the run.
+    pub stats: RunStats,
 }
 
 struct IterateDeltaOp<K: SolutionKey, V: Data, W: Data> {
@@ -264,27 +346,10 @@ struct IterateDeltaOp<K: SolutionKey, V: Data, W: Data> {
     stats: StatsHandle,
 }
 
-/// Build per-partition solution maps from `(K, V)` records, routing each
-/// entry to its key's partition.
-fn build_solution_sets<K: SolutionKey, V: Data>(
-    records: &Partitions<(K, V)>,
-    parallelism: usize,
-) -> SolutionSets<K, V> {
-    let mut sets: SolutionSets<K, V> = (0..parallelism).map(|_| FxHashMap::default()).collect();
-    for (k, v) in records.iter_records() {
-        let pid = hash_partition(k, parallelism);
-        sets[pid].insert(k.clone(), v.clone());
-    }
-    sets
-}
-
 /// Materialise the solution sets as a partitioned dataset, in a
-/// deterministic per-partition order.
-///
-/// The per-superstep clone + sort keeps runs bit-reproducible (hash maps
-/// iterate in arbitrary order); at the scales this simulator targets the
-/// cost is dominated by the body's joins. An index-probed solution-set
-/// join (Flink's optimisation) would remove it and is a natural extension.
+/// deterministic per-partition order (hash maps iterate in arbitrary order;
+/// the sort keeps results bit-reproducible). Runs once per iteration, for
+/// the result dataset: supersteps probe the maps in place.
 fn materialize_solution<K: SolutionKey, V: Data>(sets: &SolutionSets<K, V>) -> Partitions<(K, V)> {
     let parts = sets
         .iter()
@@ -298,13 +363,27 @@ fn materialize_solution<K: SolutionKey, V: Data>(sets: &SolutionSets<K, V>) -> P
     Partitions::from_parts(parts)
 }
 
-impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+impl<K: SolutionKey, V: Data, W: Data> IterateDeltaOp<K, V, W> {
+    /// The state lent to the body for a step, back out of its slot. The
+    /// body's node outputs are dropped by now, so the slot holds the only
+    /// handle and nothing is copied.
+    fn reclaim<T: Clone + Send + Sync + 'static>(slot: &SourceSlot, what: &str) -> Result<T> {
+        slot.take()
+            .ok_or_else(|| EngineError::Iteration(format!("{what} lent to the loop body lost")))?
+            .into_inner(what)
+    }
+
+    /// Run the loop from `initial` to its final state. `upserted`, when
+    /// asked for, collects the key of every applied delta entry.
+    fn run(
+        &mut self,
+        initial: &DeltaState<K, V, W>,
+        imports: &[Erased],
+        ctx: &ExecContext,
+        mut upserted: Option<&mut Vec<K>>,
+    ) -> Result<DeltaState<K, V, W>> {
         let parallelism = ctx.config.parallelism;
-        let initial_solution: Partitions<(K, V)> =
-            inputs[0].clone().take("DeltaIteration(solution)")?;
-        let initial_workset: Partitions<W> = inputs[1].clone().take("DeltaIteration(workset)")?;
-        for (slot, input) in self.import_slots.iter().zip(&inputs[2..]) {
+        for (slot, input) in self.import_slots.iter().zip(imports) {
             slot.fill(input.clone());
         }
 
@@ -319,10 +398,6 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
         };
         let mut invariant_cache = PlanCache::new();
 
-        let initial = DeltaState {
-            solution: build_solution_sets(&initial_solution, parallelism),
-            workset: initial_workset,
-        };
         let mut state = initial.clone();
 
         let mut run = RunStats::default();
@@ -336,7 +411,7 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
             max_iterations: self.max_iterations,
         });
         let run_timer = telemetry.timer(SpanKind::Run, None, None);
-        let recovery = Recovery { telemetry: &telemetry, initial: &initial };
+        let recovery = Recovery { telemetry: &telemetry, initial };
 
         loop {
             if state.workset.is_empty() {
@@ -354,11 +429,12 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                 )));
             }
 
-            // 1. Execute the loop body over solution view + workset. The
-            // workset moves into its injection slot for the step.
+            // 1. Execute the loop body over solution sets + workset. Both
+            // move into their injection slots for the step and come back
+            // out of them right after it, whatever became of the step.
             let step_timer = telemetry.timer(SpanKind::Superstep, Some(superstep), Some(iteration));
             let step_ctx = ExecContext::new(ctx.config.clone()).at_superstep(superstep);
-            self.solution_slot.fill(Erased::new(materialize_solution(&state.solution)));
+            self.solution_slot.fill(Erased::of(std::mem::take(&mut state.solution)));
             let workset = std::mem::replace(&mut state.workset, Partitions::empty(parallelism));
             self.workset_slot.fill(Erased::new(workset));
             let compute_timer =
@@ -373,32 +449,31 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                     &mut invariant_cache,
                 )
             };
+            state.solution = Self::reclaim(&self.solution_slot, "DeltaIteration(solution sets)")?;
             let outputs = match body_result {
-                Ok(outputs) => outputs,
+                Ok(outputs) => {
+                    self.workset_slot.take();
+                    outputs
+                }
                 Err(error) => {
                     // A UDF panicked — or a cluster worker process died —
                     // mid-superstep: neither the delta nor the next workset
                     // materialised, and the solution sets have not been
-                    // touched yet (upserts happen after the body). Recover
-                    // the pre-superstep workset from the injection slot,
-                    // treat the affected partitions as failed workers
-                    // (losing their solution and workset partitions), and
-                    // redo the logical iteration. Partial counters of the
-                    // aborted step are discarded — no SuperstepCompleted
-                    // entry exists for it.
+                    // touched (the body only reads them; upserts happen
+                    // after it). Recover the pre-superstep workset from its
+                    // slot as well, treat the affected partitions as failed
+                    // workers (losing their solution and workset
+                    // partitions), and redo the logical iteration. Partial
+                    // counters of the aborted step are discarded — no
+                    // SuperstepCompleted entry exists for it.
                     let failure = Failure::of_aborted_step(error)?;
                     let duration = compute_timer.finish();
                     let _ = step_ctx.drain();
                     let _ = step_ctx.take_shuffle_time();
-                    state.workset = self
-                        .workset_slot
-                        .get()
-                        .ok_or_else(|| {
-                            EngineError::Iteration(
-                                "pre-superstep workset lost after partition panic".into(),
-                            )
-                        })?
-                        .take("DeltaIteration(panic recovery)")?;
+                    state.workset = Self::reclaim::<Partitions<W>>(
+                        &self.workset_slot,
+                        "DeltaIteration(pre-superstep workset)",
+                    )?;
                     let (failure, next_iteration) = recovery.run(
                         &mut *self.handler,
                         (superstep, iteration),
@@ -425,8 +500,16 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
                     continue;
                 }
             };
-            let delta: Partitions<(K, V)> = outputs[0].clone().take("DeltaIteration(delta)")?;
-            state.workset = outputs[1].clone().take("DeltaIteration(next workset)")?;
+            // Taken one after the other so that each handle is the last one
+            // when its turn comes: a body that closes one dataset as both
+            // delta and next workset pays one copy, not two.
+            let mut outputs = outputs.into_iter();
+            let (delta, next_workset) = match (outputs.next(), outputs.next()) {
+                (Some(delta), Some(next_workset)) => (delta, next_workset),
+                _ => unreachable!("two targets requested"),
+            };
+            let delta: Partitions<(K, V)> = delta.take("DeltaIteration(delta)")?;
+            state.workset = next_workset.take("DeltaIteration(next workset)")?;
 
             // 2. Apply the delta: upsert each entry into its key's partition.
             // The norm probe must observe the solution *before* the apply
@@ -441,6 +524,9 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
             for (k, v) in delta.into_vec() {
                 let pid = hash_partition(&k, parallelism);
                 changed_per_partition[pid] += 1;
+                if let Some(keys) = upserted.as_deref_mut() {
+                    keys.push(k.clone());
+                }
                 state.solution[pid].insert(k, v);
             }
             let duration = compute_timer.finish();
@@ -532,6 +618,18 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
             converged: run.converged,
         });
         self.stats.set(run);
+        Ok(state)
+    }
+}
+
+impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
+    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+        let solution = inputs[0].downcast::<(K, V)>("DeltaIteration(solution)")?;
+        let initial = DeltaState {
+            solution: solution_sets(solution.iter_records().cloned(), ctx.config.parallelism),
+            workset: inputs[1].clone().take("DeltaIteration(workset)")?,
+        };
+        let state = self.run(&initial, &inputs[2..], ctx, None)?;
         Ok(Erased::new(materialize_solution(&state.solution)))
     }
 
@@ -584,18 +682,147 @@ mod tests {
             .measured("messages")
             .reduce_by_key("min-candidate", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
         let updates = candidates
-            .join(
+            .join_solution(
                 "label-update",
-                &it.solution(),
+                &it.solution_set(),
                 |c| c.0,
-                |s: &Label| s.0,
-                |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+                |c, label: &u64| if c.1 < *label { Some((c.0, c.1)) } else { None },
             )
             .flat_map("updated-only", |u: &Option<Label>| u.iter().copied().collect());
         let (result, stats) = it.close(updates.clone(), updates);
         let mut labels = result.collect().unwrap();
         labels.sort_unstable();
         (labels, stats.take().unwrap())
+    }
+
+    /// The min-label body over `workset` (the iteration's own, or something
+    /// derived from it), its edges a kept index over the path 0-1-...-n-1;
+    /// returns what `close` or `run_from` take.
+    fn min_label_body(
+        it: &mut DeltaIteration<u64, u64, Label>,
+        env: &Environment,
+        n: u64,
+        workset: DataSet<Label>,
+    ) -> DataSet<Label> {
+        let rows = (0..n).map(|v| {
+            let neighbours = [v.checked_sub(1), (v + 1 < n).then_some(v + 1)];
+            (v, neighbours.into_iter().flatten().collect::<Vec<u64>>())
+        });
+        let edges = it.import_shared(&env.from_index(std::sync::Arc::new(rows.collect())));
+        workset
+            .join_index("to-neighbors", &edges, |w: &Label| w.0, |w, &u| (u, w.1))
+            .reduce_by_key("min-candidate", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b })
+            .join_solution(
+                "label-update",
+                &it.solution_set(),
+                |c| c.0,
+                |c, label: &u64| (c.1 < *label).then_some((c.0, c.1)),
+            )
+            .flat_map("updated-only", |u: &Option<Label>| u.iter().copied().collect())
+    }
+
+    fn resident_state(labels: &[Label], seeds: &[Label], p: usize) -> DeltaState<u64, u64, Label> {
+        DeltaState {
+            solution: solution_sets(labels.iter().copied(), p),
+            workset: Partitions::keyed(seeds.to_vec(), p, |w| w.0),
+        }
+    }
+
+    #[test]
+    fn a_run_from_resident_state_hands_the_state_and_its_upserts_back() {
+        // Two converged paths 0..8 and 8..16 joined by the edge (7, 8): only
+        // the second path's labels fall, from 8 to 0.
+        let n = 16u64;
+        let env = Environment::new(3);
+        let labels: Vec<Label> = (0..n).map(|v| (v, if v < 8 { 0 } else { 8 })).collect();
+        let initial = resident_state(&labels, &[(7, 0), (8, 8)], 3);
+        let mut it = DeltaIteration::over(&env, 100);
+        let workset = it.workset();
+        let updates = min_label_body(&mut it, &env, n, workset);
+        let run = it.run_from(updates.clone(), updates, &initial).unwrap();
+
+        assert!(run.stats.converged);
+        assert!(run.state.workset.is_empty());
+        let mut after: Vec<Label> =
+            run.state.solution.iter().flatten().map(|(&v, &l)| (v, l)).collect();
+        after.sort_unstable();
+        assert_eq!(after, (0..n).map(|v| (v, 0)).collect::<Vec<_>>());
+        let mut upserted = run.upserted;
+        upserted.sort_unstable();
+        assert_eq!(upserted, (8..n).collect::<Vec<_>>(), "exactly the entries that changed");
+        // The caller's state was only read.
+        assert_eq!(initial.solution.iter().map(|set| set.len()).sum::<usize>(), n as usize);
+        assert_eq!(initial.workset.total_len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_from, not close")]
+    fn an_iteration_over_kept_state_cannot_be_closed_into_a_dataset() {
+        let env = Environment::new(2);
+        let mut it = DeltaIteration::over(&env, 10);
+        let workset = it.workset();
+        let updates = min_label_body(&mut it, &env, 4, workset);
+        let _ = it.close(updates.clone(), updates);
+    }
+
+    #[test]
+    fn a_body_panic_gives_the_solution_maps_back_untouched() {
+        use std::cell::RefCell;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+
+        struct IgnoreAll;
+        impl<S> FaultHandler<S> for IgnoreAll {
+            fn on_failure(
+                &mut self,
+                _i: u32,
+                _l: &[usize],
+                _s: &mut S,
+            ) -> Result<crate::ft::RecoveryAction<S>> {
+                Ok(crate::ft::RecoveryAction::Ignore)
+            }
+        }
+
+        let n = 24u64;
+        let env = Environment::new(3);
+        let labels: Vec<Label> = (0..n).map(|v| (v, v)).collect();
+        let initial = resident_state(&labels, &labels, 3);
+        let mut it = DeltaIteration::over(&env, 200);
+        it.set_fault_handler(IgnoreAll);
+        // Every superstep's view of the solution sets, as the observer gets
+        // it: after the step's upserts, or after the failed partitions were
+        // cleared.
+        let seen: Rc<RefCell<Vec<SolutionSets<u64, u64>>>> = Rc::default();
+        let sink = seen.clone();
+        it.set_observer(move |_, solution, _, _| sink.borrow_mut().push(solution.clone()));
+        // Panic in the third body execution, in whichever partition runs
+        // the poisoned record first.
+        let executions = Arc::new(AtomicU32::new(0));
+        let counter = executions.clone();
+        let ticking = it.workset().map_partition("tick", move |pid, ws: &[Label]| {
+            if pid == 0 {
+                counter.fetch_add(1, Ordering::SeqCst);
+            }
+            ws.to_vec()
+        });
+        let armed = executions.clone();
+        let poisoned = ticking.map_partition("boom", move |pid, ws: &[Label]| {
+            assert!(!(pid == 1 && armed.load(Ordering::SeqCst) == 3), "injected body panic");
+            ws.to_vec()
+        });
+        let updates = min_label_body(&mut it, &env, n, poisoned);
+        let run = it.run_from(updates.clone(), updates, &initial).unwrap();
+
+        let failed: Vec<u32> = run.stats.failures().map(|(s, _)| s).collect();
+        assert_eq!(failed, vec![2], "the third body execution panicked");
+        let seen = seen.borrow();
+        // The aborted step lent the maps out and got them back as they were
+        // after superstep 1 — minus partition 1, which the failure cleared.
+        for pid in [0, 2] {
+            assert_eq!(seen[2][pid], seen[1][pid], "partition {pid} came back changed");
+        }
+        assert!(seen[2][1].is_empty());
+        assert!(!seen[1][1].is_empty());
     }
 
     #[test]

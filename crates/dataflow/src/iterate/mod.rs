@@ -21,7 +21,7 @@ mod bulk;
 mod delta;
 
 pub use bulk::BulkIteration;
-pub use delta::DeltaIteration;
+pub use delta::{DeltaIteration, ResidentRun};
 
 use std::cell::RefCell;
 use std::rc::Rc;

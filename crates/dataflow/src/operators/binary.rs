@@ -1,23 +1,92 @@
-//! Two-input operators: join, co-group, cross, union, broadcast-map.
+//! Two-input operators: join (rebuilt, against a kept index, against the
+//! solution set), co-group, cross, union, broadcast-map.
 
+use std::hash::Hash;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::dataset::{Data, Erased, Partitions};
+use crate::dataset::{Data, Erased, ErasedId, Partitions};
 use crate::error::Result;
 use crate::exec::{par_map, ExecContext};
+use crate::ft::SolutionSets;
 use crate::hash::FxHashMap;
+use crate::index::KeyedIndex;
 use crate::operators::keyed::KeyData;
-use crate::partition::{broadcast, shuffle_by_key};
+use crate::partition::{broadcast, hash_partition, shuffle_by_key, Shuffled};
 use crate::plan::DynOp;
+
+/// Route `input` to its keys' partitions by reference: the same placement
+/// and traffic count as [`shuffle_by_key`], without copying a record.
+fn route_by_key<T, K: Hash>(input: &Partitions<T>, key_of: impl Fn(&T) -> K) -> Shuffled<&T> {
+    let p = input.num_partitions();
+    let mut out: Vec<Vec<&T>> = (0..p).map(|_| Vec::new()).collect();
+    let mut moved = 0u64;
+    for (source_pid, records) in input.iter() {
+        for record in records {
+            let target = hash_partition(&key_of(record), p);
+            if target != source_pid {
+                moved += 1;
+            }
+            out[target].push(record);
+        }
+    }
+    Shuffled { parts: Partitions::from_parts(out), moved }
+}
+
+/// The probe half of a hash join: route `left` to its keys' partitions,
+/// then let `emit(pid, record, key, out)` look the key up in whatever holds
+/// the build side. Output order is the routed probe side's order, so it
+/// does not depend on how (or when) the build side was indexed.
+/// `build_moved` is the build side's share of the shuffle traffic.
+fn probe<L, K, O>(
+    left: &Partitions<L>,
+    key_left: &(impl Fn(&L) -> K + Sync),
+    ctx: &ExecContext,
+    build_moved: u64,
+    emit: impl Fn(usize, &L, &K, &mut Vec<O>) + Sync,
+) -> Result<Erased>
+where
+    L: Data,
+    K: KeyData,
+    O: Data,
+{
+    let routed = ctx.time_shuffle(|| route_by_key(left, key_left));
+    ctx.add_shuffled(routed.moved + build_moved);
+    let work = routed.parts.total_len();
+    let out = par_map(routed.parts.into_parts(), ctx, work, |pid, lefts| {
+        let mut out = Vec::new();
+        for l in lefts {
+            emit(pid, l, &key_left(l), &mut out);
+        }
+        out
+    })?;
+    Ok(Erased::new(Partitions::from_parts(out)))
+}
+
+/// A join's indexed build side, remembered with the input it was built
+/// from and the traffic building it stood for.
+struct BuildSide<K, R> {
+    source: ErasedId,
+    index: KeyedIndex<K, R>,
+    moved: u64,
+}
 
 /// Equi-join: apply `f` to every pair of left/right records with equal keys
 /// (the paper's `Join` higher-order function).
+///
+/// The right input is the build side. Its hash index is kept for as long as
+/// the input is the *same allocation* as last time — inside an iteration,
+/// loop-invariant nodes hand out one `Arc` superstep after superstep — so a
+/// superstep pays for the probe side only. Every execution still accounts
+/// the build side's shuffle traffic, as if it had been re-shuffled.
+/// [`crate::config::EnvConfig::loop_invariant_caching`] switched off
+/// rebuilds the index every time.
 pub struct JoinOp<L, R, K, KL, KR, O, F> {
     key_left: Arc<KL>,
     key_right: Arc<KR>,
     f: Arc<F>,
-    _types: PhantomData<fn(L, R, K) -> O>,
+    build: Option<BuildSide<K, R>>,
+    _types: PhantomData<fn(L) -> O>,
 }
 
 impl<L, R, K, KL, KR, O, F> JoinOp<L, R, K, KL, KR, O, F> {
@@ -27,6 +96,7 @@ impl<L, R, K, KL, KR, O, F> JoinOp<L, R, K, KL, KR, O, F> {
             key_left: Arc::new(key_left),
             key_right: Arc::new(key_right),
             f: Arc::new(f),
+            build: None,
             _types: PhantomData,
         }
     }
@@ -43,38 +113,117 @@ where
     F: Fn(&L, &R) -> O + Send + Sync + 'static,
 {
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let left = inputs[0].clone().take::<L>("Join(left)")?;
-        let right = inputs[1].clone().take::<R>("Join(right)")?;
-        let shuffled_left = ctx.time_shuffle(|| shuffle_by_key(left, &*self.key_left));
-        let shuffled_right = ctx.time_shuffle(|| shuffle_by_key(right, &*self.key_right));
-        ctx.add_shuffled(shuffled_left.moved + shuffled_right.moved);
-
-        let key_left = &*self.key_left;
-        let key_right = &*self.key_right;
-        let f = &*self.f;
-        let work = shuffled_left.parts.total_len() + shuffled_right.parts.total_len();
-        let zipped: Vec<(Vec<L>, Vec<R>)> = shuffled_left
-            .parts
-            .into_parts()
-            .into_iter()
-            .zip(shuffled_right.parts.into_parts())
-            .collect();
-        let out = par_map(zipped, ctx, work, |_, (lefts, rights)| {
-            let mut table: FxHashMap<K, Vec<R>> = FxHashMap::default();
-            for r in rights {
-                table.entry(key_right(&r)).or_default().push(r);
-            }
-            let mut out = Vec::new();
-            for l in &lefts {
-                if let Some(matches) = table.get(&key_left(l)) {
-                    for r in matches {
-                        out.push(f(l, r));
-                    }
+        let left = inputs[0].downcast::<L>("Join(left)")?;
+        let kept = ctx.config.loop_invariant_caching
+            && self.build.as_ref().is_some_and(|build| build.source.is(&inputs[1]));
+        if !kept {
+            self.build = None;
+            let right = inputs[1].downcast::<R>("Join(right)")?;
+            let key_right = &*self.key_right;
+            let routed = ctx.time_shuffle(|| route_by_key(right, key_right));
+            let work = routed.parts.total_len();
+            let shards = par_map(routed.parts.into_parts(), ctx, work, |_, rights| {
+                let mut table: FxHashMap<K, Vec<R>> = FxHashMap::default();
+                for r in rights {
+                    table.entry(key_right(r)).or_default().push(r.clone());
                 }
-            }
-            out
-        })?;
-        Ok(Erased::new(Partitions::from_parts(out)))
+                table
+            })?;
+            self.build = Some(BuildSide {
+                source: inputs[1].id(),
+                index: KeyedIndex::from_shards(shards),
+                moved: routed.moved,
+            });
+        }
+        let build = self.build.as_ref().expect("the build side was indexed above");
+        let parallelism = left.num_partitions();
+        let f = &*self.f;
+        probe(left, &*self.key_left, ctx, build.moved, |pid, l, key, out| {
+            out.extend(build.index.get_in(pid, parallelism, key).iter().map(|r| f(l, r)));
+        })
+    }
+
+    fn kind(&self) -> &'static str {
+        "Join"
+    }
+}
+
+/// Equi-join against a build side that is already a [`KeyedIndex`] (second
+/// input: an `Arc<KeyedIndex<K, R>>` from
+/// [`crate::api::Environment::from_index`]): the probe of [`JoinOp`] with
+/// nothing to build. An index is in place by construction, so it accounts
+/// no shuffle traffic.
+pub struct IndexJoinOp<L, R, K, KL, O, F> {
+    key_left: Arc<KL>,
+    f: Arc<F>,
+    _types: PhantomData<fn(L, R, K) -> O>,
+}
+
+impl<L, R, K, KL, O, F> IndexJoinOp<L, R, K, KL, O, F> {
+    /// Operator over the given user function(s).
+    pub fn new(key_left: KL, f: F) -> Self {
+        IndexJoinOp { key_left: Arc::new(key_left), f: Arc::new(f), _types: PhantomData }
+    }
+}
+
+impl<L, R, K, KL, O, F> DynOp for IndexJoinOp<L, R, K, KL, O, F>
+where
+    L: Data,
+    R: Data,
+    K: KeyData,
+    KL: Fn(&L) -> K + Send + Sync + 'static,
+    O: Data,
+    F: Fn(&L, &R) -> O + Send + Sync + 'static,
+{
+    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+        let left = inputs[0].downcast::<L>("Join(left)")?;
+        let index = inputs[1].downcast_ref::<Arc<KeyedIndex<K, R>>>("Join(index)")?;
+        let parallelism = left.num_partitions();
+        let f = &*self.f;
+        probe(left, &*self.key_left, ctx, 0, |pid, l, key, out| {
+            out.extend(index.get_in(pid, parallelism, key).iter().map(|r| f(l, r)));
+        })
+    }
+
+    fn kind(&self) -> &'static str {
+        "Join"
+    }
+}
+
+/// The solution-set join of a delta iteration (second input: the
+/// [`SolutionSets`] the driver lends the loop body): every left record
+/// whose key has a solution entry meets that entry's value, looked up in
+/// place. The sets are partitioned by key already, so only the probe side
+/// is routed.
+pub struct SolutionJoinOp<L, K, V, KL, O, F> {
+    key_left: Arc<KL>,
+    f: Arc<F>,
+    _types: PhantomData<fn(L, K, V) -> O>,
+}
+
+impl<L, K, V, KL, O, F> SolutionJoinOp<L, K, V, KL, O, F> {
+    /// Operator over the given user function(s).
+    pub fn new(key_left: KL, f: F) -> Self {
+        SolutionJoinOp { key_left: Arc::new(key_left), f: Arc::new(f), _types: PhantomData }
+    }
+}
+
+impl<L, K, V, KL, O, F> DynOp for SolutionJoinOp<L, K, V, KL, O, F>
+where
+    L: Data,
+    K: KeyData,
+    V: Data,
+    KL: Fn(&L) -> K + Send + Sync + 'static,
+    O: Data,
+    F: Fn(&L, &V) -> O + Send + Sync + 'static,
+{
+    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+        let left = inputs[0].downcast::<L>("Join(left)")?;
+        let sets = inputs[1].downcast_ref::<SolutionSets<K, V>>("Join(solution set)")?;
+        let f = &*self.f;
+        probe(left, &*self.key_left, ctx, 0, |pid, l, key, out| {
+            out.extend(sets[pid].get(key).map(|v| f(l, v)));
+        })
     }
 
     fn kind(&self) -> &'static str {
@@ -311,6 +460,107 @@ mod tests {
             .into_vec();
         v.sort_unstable();
         assert_eq!(v, vec![(1, 'a', 10), (1, 'a', 11), (3, 'c', 30)]);
+    }
+
+    /// A join whose right key function counts its calls: the build side is
+    /// indexed exactly when that count moves (by two per build record, once
+    /// to route it and once to file it; the probe never calls it).
+    #[allow(clippy::type_complexity)]
+    fn counting_join() -> (
+        JoinOp<
+            (u64, char),
+            (u64, u64),
+            u64,
+            impl Fn(&(u64, char)) -> u64 + Send + Sync + 'static,
+            impl Fn(&(u64, u64)) -> u64 + Send + Sync + 'static,
+            (u64, char, u64),
+            impl Fn(&(u64, char), &(u64, u64)) -> (u64, char, u64) + Send + Sync + 'static,
+        >,
+        Arc<std::sync::atomic::AtomicUsize>,
+    ) {
+        let built = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = built.clone();
+        let op = JoinOp::new(
+            |l: &(u64, char)| l.0,
+            move |r: &(u64, u64)| {
+                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                r.0
+            },
+            |l: &(u64, char), r: &(u64, u64)| (l.0, l.1, r.1),
+        );
+        (op, built)
+    }
+
+    fn joined(op: &mut impl DynOp, left: &Erased, right: &Erased, c: &ExecContext) -> Vec<u64> {
+        let out = op.execute(&[left.clone(), right.clone()], c).unwrap();
+        let mut v: Vec<u64> =
+            out.downcast::<(u64, char, u64)>("t").unwrap().iter_records().map(|r| r.2).collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn join_keeps_its_index_while_the_build_input_is_the_same_allocation() {
+        let built =
+            |c: &Arc<std::sync::atomic::AtomicUsize>| c.load(std::sync::atomic::Ordering::SeqCst);
+        let c = ctx();
+        let left = erased(vec![(1u64, 'a'), (3, 'c')], 4);
+        let right = erased(vec![(1u64, 10u64), (1, 11), (3, 30)], 4);
+        let (mut op, count) = counting_join();
+        assert_eq!(joined(&mut op, &left, &right, &c), vec![10, 11, 30]);
+        assert_eq!(built(&count), 6);
+        let (_, first_shuffled) = c.drain();
+        // Same handle again, and a probe side that changed: nothing is
+        // rebuilt, and the build side's traffic is accounted all the same.
+        assert_eq!(joined(&mut op, &left, &right, &c), vec![10, 11, 30]);
+        assert_eq!(built(&count), 6, "the index was kept");
+        assert_eq!(c.drain().1, first_shuffled, "records_shuffled must not notice the reuse");
+        let other_left = erased(vec![(3u64, 'z')], 4);
+        assert_eq!(joined(&mut op, &other_left, &right, &c), vec![30]);
+        assert_eq!(built(&count), 6);
+
+        // An equal build input in another allocation is a different input.
+        let same_records = erased(vec![(1u64, 10u64), (1, 11), (3, 30)], 4);
+        assert_eq!(joined(&mut op, &left, &same_records, &c), vec![10, 11, 30]);
+        assert_eq!(built(&count), 12, "a new allocation rebuilds the index");
+        let changed = erased(vec![(1u64, 99u64)], 4);
+        assert_eq!(joined(&mut op, &left, &changed, &c), vec![99]);
+        assert_eq!(built(&count), 14);
+    }
+
+    #[test]
+    fn join_rebuilds_every_time_without_loop_invariant_caching() {
+        let config = EnvConfig::new(4).with_thread_threshold(0).with_loop_invariant_caching(false);
+        let c = ExecContext::new(config);
+        let left = erased(vec![(1u64, 'a')], 4);
+        let right = erased(vec![(1u64, 10u64), (2, 20)], 4);
+        let (mut op, count) = counting_join();
+        for round in 1..=3 {
+            assert_eq!(joined(&mut op, &left, &right, &c), vec![10]);
+            assert_eq!(count.load(std::sync::atomic::Ordering::SeqCst), 4 * round);
+        }
+    }
+
+    #[test]
+    fn index_and_solution_joins_probe_in_place() {
+        let c = ctx();
+        let left = erased(vec![(1u64, 'a'), (2, 'b'), (3, 'c')], 4);
+        let index: KeyedIndex<u64, u64> =
+            [(1u64, vec![10u64, 11]), (3, vec![30])].into_iter().collect();
+        let mut op =
+            IndexJoinOp::new(|l: &(u64, char)| l.0, |l: &(u64, char), r: &u64| (l.0, l.1, *r));
+        let index = Erased::of(Arc::new(index));
+        assert_eq!(joined(&mut op, &left, &index, &c), vec![10, 11, 30]);
+
+        let sets = crate::ft::solution_sets([(1u64, 100u64), (2, 200)], 4);
+        let mut op =
+            SolutionJoinOp::new(|l: &(u64, char)| l.0, |l: &(u64, char), v: &u64| (l.0, l.1, *v));
+        assert_eq!(joined(&mut op, &left, &Erased::of(sets), &c), vec![100, 200]);
+        // Neither accounts build-side traffic: both moved the probe side's
+        // records and nothing else.
+        let (_, shuffled) = c.drain();
+        assert_eq!(shuffled % 2, 0);
+        assert!(shuffled <= 6);
     }
 
     #[test]

@@ -14,7 +14,9 @@ pub mod source;
 pub mod topn;
 
 pub use aggregate::{CountOp, GlobalFoldOp};
-pub use binary::{BroadcastMapOp, CoGroupOp, CrossOp, JoinOp, UnionOp};
+pub use binary::{
+    BroadcastMapOp, CoGroupOp, CrossOp, IndexJoinOp, JoinOp, SolutionJoinOp, UnionOp,
+};
 pub use elementwise::{FilterOp, FlatMapOp, MapOp, MapPartitionOp, MeasuredOp};
 pub use keyed::{DistinctByOp, PartitionByOp, ReduceByKeyOp};
 pub use source::{InjectedSource, SourceSlot, VecSource};

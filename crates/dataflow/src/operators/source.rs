@@ -22,6 +22,12 @@ impl VecSource {
     pub fn new<T: Data>(parts: Partitions<T>) -> Self {
         VecSource { data: Erased::new(parts) }
     }
+
+    /// Source over an already-erased value (e.g. a shared
+    /// [`crate::index::KeyedIndex`]).
+    pub fn erased(data: Erased) -> Self {
+        VecSource { data }
+    }
 }
 
 impl DynOp for VecSource {
@@ -59,6 +65,12 @@ impl SourceSlot {
     /// Read the current dataset (cheap `Arc` clone).
     pub fn get(&self) -> Option<Erased> {
         self.value.borrow().clone()
+    }
+
+    /// Empty the slot, handing back what it held: the way an iteration
+    /// recovers state it lent to its body without copying it.
+    pub fn take(&self) -> Option<Erased> {
+        self.value.borrow_mut().take()
     }
 }
 
@@ -112,6 +124,17 @@ mod tests {
         slot.fill(Erased::new(Partitions::round_robin(vec![7u8], 1)));
         let out = head.execute(&[], &ctx).unwrap();
         assert_eq!(out.downcast::<u8>("t").unwrap().total_len(), 1);
+    }
+
+    #[test]
+    fn slot_take_hands_the_value_back_unshared() {
+        let slot = SourceSlot::new();
+        let lent = vec![1u64, 2, 3];
+        let addr = lent.as_ptr();
+        slot.fill(Erased::of(lent));
+        let back = slot.take().unwrap().into_inner::<Vec<u64>>("t").unwrap();
+        assert_eq!(back.as_ptr(), addr, "nothing else held the value, so nothing was copied");
+        assert!(slot.get().is_none());
     }
 
     #[test]

@@ -312,8 +312,8 @@ proptest! {
                     .measured("messages")
                     .reduce_by_key("min", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
                 let updates = candidates
-                    .join("u", &it.solution(), |c| c.0, |s: &(u64, u64)| s.0, |c, s| {
-                        if c.1 < s.1 { Some((c.0, c.1)) } else { None }
+                    .join_solution("u", &it.solution_set(), |c| c.0, |c, label: &u64| {
+                        if c.1 < *label { Some((c.0, c.1)) } else { None }
                     })
                     .flat_map("flat", |u: &Option<(u64, u64)>| u.iter().copied().collect());
                 let (result, stats) = it.close(updates.clone(), updates);
@@ -349,8 +349,8 @@ proptest! {
             .join("n", &edges_in, |w: &(u64, u64)| w.0, |e| e.0, |w, e| (e.1, w.1))
             .reduce_by_key("min", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
         let updates = candidates
-            .join("u", &it.solution(), |c| c.0, |s: &(u64, u64)| s.0, |c, s| {
-                if c.1 < s.1 { Some((c.0, c.1)) } else { None }
+            .join_solution("u", &it.solution_set(), |c| c.0, |c, label: &u64| {
+                if c.1 < *label { Some((c.0, c.1)) } else { None }
             })
             .flat_map("flat", |u: &Option<(u64, u64)>| u.iter().copied().collect());
         let (result, _) = it.close(updates.clone(), updates);

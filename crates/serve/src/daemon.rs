@@ -102,21 +102,19 @@ pub fn apply_command(engine: &mut ServeEngine, command: &Command) -> (String, bo
         }
         Command::Top(n) => {
             engine.telemetry().metrics().counter("serve/queries").inc();
-            let algorithm = engine_algorithm(engine);
-            (format!("ok {}", format_top(algorithm, &engine.top(*n))), false)
+            (format!("ok {}", format_top(engine.algorithm(), &engine.top(*n))), false)
         }
         Command::Scale(n) => match engine.set_scale_target(*n) {
             Ok(target) => (format!("ok scale target {target}"), false),
             Err(message) => (format!("err {message}"), false),
         },
         Command::Stats => {
-            let algorithm = engine_algorithm(engine);
             let queries = engine.telemetry().metrics().counter("serve/queries").get();
             (
                 format_stats(
-                    algorithm,
+                    engine.algorithm(),
                     engine.epoch(),
-                    engine.snapshot().vertices(),
+                    engine.vertices(),
                     engine.staged(),
                     queries,
                 ),
@@ -124,13 +122,6 @@ pub fn apply_command(engine: &mut ServeEngine, command: &Command) -> (String, bo
             )
         }
         Command::Quit => ("ok bye".to_string(), true),
-    }
-}
-
-fn engine_algorithm(engine: &ServeEngine) -> ServeAlgorithm {
-    match engine.snapshot().solution {
-        crate::engine::Solution::Components(_) => ServeAlgorithm::ConnectedComponents,
-        crate::engine::Solution::Ranks(_) => ServeAlgorithm::PageRank,
     }
 }
 
@@ -203,7 +194,7 @@ pub fn spawn(engine: ServeEngine, listen: &str) -> std::io::Result<DaemonHandle>
     let listener = TcpListener::bind(listen)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let algorithm = engine_algorithm(&engine);
+    let algorithm = engine.algorithm();
     let shared = Arc::new(Shared {
         snapshot: RwLock::new(engine.snapshot()),
         telemetry: engine.telemetry().clone(),

@@ -2,13 +2,18 @@
 //! between-convergence recovery.
 //!
 //! An engine converges once at bootstrap (epoch 0), then alternates between
-//! accepting staged edge mutations and `commit`s. Each commit opens a new
-//! epoch: the graph is rebuilt from the live edge set and the iteration is
-//! re-run *incrementally* — Connected Components seeds the delta driver's
-//! workset from the mutated vertices (with delete-touched components reset
-//! to their initial labels, mirroring `FixComponents`), PageRank warm-starts
-//! the power iteration from the previous fixpoint renormalised over the new
-//! vertex set. Both re-converge in far fewer supersteps than a cold run.
+//! accepting staged edge mutations and `commit`s. Staging applies a mutation
+//! to the live graph at once; each commit opens a new epoch and re-runs the
+//! iteration *incrementally*. Connected Components keeps its iteration
+//! state resident: the solution maps the last epoch handed back are seeded
+//! in place (delete-touched components reset to their initial labels,
+//! mirroring `FixComponents`; the workset is the mutated vertices), the one
+//! CC plan runs over the live graph's own adjacency index, and the served
+//! vector is patched at the entries the run changed — so an insert commit
+//! costs what its workset touches, not what the graph holds. PageRank
+//! rebuilds the graph and warm-starts the power iteration from the previous
+//! fixpoint renormalised over the new vertex set. Both re-converge in far
+//! fewer supersteps than a cold run.
 //!
 //! Failures between convergences reuse the batch machinery unchanged: the
 //! UDF-panic, deterministic-loss, and MTBF injectors run inside the epoch's
@@ -23,9 +28,12 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use algos::common::FtConfig;
-use algos::connected_components::{self as cc, CcConfig, CcSeed, Label};
+use algos::connected_components::{self as cc, CcConfig, CcState, Label};
 use algos::pagerank::{self as pr, PrConfig, Rank};
 use cluster::{ClusterConfig, KillPlan, ScaleEvent};
+use dataflow::dataset::Partitions;
+use dataflow::ft::{solution_sets, SolutionSets};
+use dataflow::partition::hash_partition;
 use dataflow::stats::RunStats;
 use graphs::{Graph, VertexId};
 use recovery::scenario::FailureScenario;
@@ -327,8 +335,14 @@ pub struct EpochReport {
 pub struct ServeEngine {
     config: ServeConfig,
     live: LiveGraph,
-    epoch: u32,
-    solution: Solution,
+    /// The last committed epoch and its solution, sorted by vertex: what
+    /// queries read and [`ServeEngine::snapshot`] copies out.
+    served: Snapshot,
+    /// CC only: the iteration's own solution maps, kept between epochs so a
+    /// commit resumes from them. `None` when they have to be rebuilt from
+    /// `served` first: after an epoch that ran on the cluster, and after one
+    /// that failed (its maps were seeded for a batch that did not commit).
+    resident: Option<SolutionSets<VertexId, VertexId>>,
     staged_inserts: Vec<(VertexId, VertexId)>,
     staged_deletes: Vec<(VertexId, VertexId)>,
     /// Present iff `config.elastic` is: sizes every cluster-backed epoch.
@@ -363,22 +377,24 @@ impl ServeEngine {
             }
             None => None,
         };
-        let live = LiveGraph::from_graph(graph);
+        let solution = match config.algorithm {
+            ServeAlgorithm::ConnectedComponents => Solution::Components(Vec::new()),
+            ServeAlgorithm::PageRank => Solution::Ranks(Vec::new()),
+        };
         let mut engine = ServeEngine {
             config,
-            live,
-            epoch: 0,
-            solution: Solution::Components(Vec::new()),
+            live: LiveGraph::from_graph(graph),
+            served: Snapshot { epoch: 0, solution },
+            resident: None,
             staged_inserts: Vec::new(),
             staged_deletes: Vec::new(),
             elastic,
         };
         let started = Instant::now();
-        let (solution, stats) = engine.converge(graph, None)?;
+        let stats = engine.converge(None, 0)?;
         if let Some(controller) = &mut engine.elastic {
             controller.observe(started.elapsed().as_millis() as u64);
         }
-        engine.solution = solution;
         let report = EpochReport {
             epoch: 0,
             inserts: 0,
@@ -400,9 +416,19 @@ impl ServeEngine {
         &self.config.telemetry
     }
 
+    /// The maintained algorithm.
+    pub fn algorithm(&self) -> ServeAlgorithm {
+        self.config.algorithm
+    }
+
     /// The current epoch (0 until the first commit).
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.served.epoch
+    }
+
+    /// Vertices in the maintained solution.
+    pub fn vertices(&self) -> usize {
+        self.served.vertices()
     }
 
     /// Number of staged (uncommitted) mutations.
@@ -434,9 +460,10 @@ impl ServeEngine {
         }
     }
 
-    /// An immutable view of the maintained solution.
+    /// An immutable copy of the maintained solution, for readers that
+    /// outlive the next commit (the daemon publishes one per epoch).
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot { epoch: self.epoch, solution: self.solution.clone() }
+        self.served.clone()
     }
 
     /// Stage an edge insert. Returns `false` (and stages nothing) when the
@@ -469,9 +496,9 @@ impl ServeEngine {
 
     /// Point query against the maintained solution (journalled).
     pub fn point(&self, v: VertexId) -> Option<PointAnswer> {
-        let answer = self.snapshot().point(v);
+        let answer = self.served.point(v);
         self.config.telemetry.emit(|| JournalEvent::Query {
-            epoch: self.epoch,
+            epoch: self.served.epoch,
             kind: "point".to_string(),
             results: answer.is_some() as u64,
         });
@@ -480,53 +507,61 @@ impl ServeEngine {
 
     /// Top-N query against the maintained solution (journalled).
     pub fn top(&self, n: usize) -> Vec<TopEntry> {
-        let entries = self.snapshot().top(n);
+        let entries = self.served.top(n);
         self.config.telemetry.emit(|| JournalEvent::Query {
-            epoch: self.epoch,
+            epoch: self.served.epoch,
             kind: "top".to_string(),
             results: entries.len() as u64,
         });
         entries
     }
 
-    /// Apply the staged batch: open a new epoch, rebuild the graph, and
-    /// incrementally re-converge from the previous fixpoint. The previous
-    /// solution set is replaced only when the run succeeds.
+    /// Apply the staged batch: open a new epoch and incrementally
+    /// re-converge from the previous fixpoint. The live graph already holds
+    /// the batch's edges (staging applies them); a CC epoch seeds the
+    /// resident solution maps in place and runs over the live adjacency, so
+    /// an insert-only commit costs what its workset touches plus one copy
+    /// of the maps (the run's restart origin). The served solution is
+    /// replaced — patched, for CC — only when the run succeeds.
     ///
-    /// On a convergence error the engine is left exactly as it was before
-    /// the call — the batch stays staged and the epoch is not advanced —
-    /// so a retried `commit` re-processes the whole batch (whose edges the
-    /// live graph already holds) instead of silently serving the stale
-    /// pre-batch fixpoint over a mutated graph. The failed attempt leaves
-    /// a `MutationBatch` event with no matching `Reconverge` in the
-    /// journal; the retry re-journals the batch under the same epoch.
+    /// On a convergence error the engine serves what it served before the
+    /// call — the batch stays staged and the epoch is not advanced — so a
+    /// retried `commit` re-processes the whole batch (whose edges the live
+    /// graph already holds) instead of silently serving the stale pre-batch
+    /// fixpoint over a mutated graph. The failed attempt leaves a
+    /// `MutationBatch` event with no matching `Reconverge` in the journal;
+    /// the retry re-journals the batch under the same epoch.
     pub fn commit(&mut self) -> Result<EpochReport, String> {
-        let epoch = self.epoch + 1;
-        let graph = self.live.build();
-        let (seed, seeded) = self.seed_for(&graph, &self.staged_inserts, &self.staged_deletes);
+        let epoch = self.served.epoch + 1;
         let inserts = self.staged_inserts.len() as u64;
         let deletes = self.staged_deletes.len() as u64;
-        self.config.telemetry.emit(|| JournalEvent::MutationBatch {
-            epoch,
-            inserts,
-            deletes,
-            seeded,
-        });
-
         // A pending `scale N` makes even an empty commit run its epoch: the
         // rescale fires at the epoch's first barrier, so committing is how
         // an operator forces the resize through.
         let pending_rescale = self.elastic.as_ref().is_some_and(|c| c.plan().1.is_some());
         let report = if inserts == 0 && deletes == 0 && !pending_rescale {
-            // Nothing changed: the previous fixpoint is still the fixpoint.
+            // Nothing changed: the previous fixpoint is still the fixpoint,
+            // and nothing is built or seeded to find that out.
+            self.config.telemetry.emit(|| JournalEvent::MutationBatch {
+                epoch,
+                inserts: 0,
+                deletes: 0,
+                seeded: 0,
+            });
             EpochReport { epoch, inserts: 0, deletes: 0, seeded: 0, supersteps: 0, converged: true }
         } else {
+            let (seed, seeded) = self.seed();
+            self.config.telemetry.emit(|| JournalEvent::MutationBatch {
+                epoch,
+                inserts,
+                deletes,
+                seeded,
+            });
             let started = Instant::now();
-            let (solution, stats) = self.converge_at(&graph, Some(&seed), epoch)?;
+            let stats = self.converge(Some(seed), epoch)?;
             if let Some(controller) = &mut self.elastic {
                 controller.observe(started.elapsed().as_millis() as u64);
             }
-            self.solution = solution;
             EpochReport {
                 epoch,
                 inserts,
@@ -538,7 +573,7 @@ impl ServeEngine {
         };
         self.staged_inserts.clear();
         self.staged_deletes.clear();
-        self.epoch = epoch;
+        self.served.epoch = epoch;
         self.config.telemetry.emit(|| JournalEvent::Reconverge {
             epoch,
             supersteps: report.supersteps,
@@ -547,51 +582,45 @@ impl ServeEngine {
         Ok(report)
     }
 
-    /// Compute the incremental seed for the next epoch over `graph`.
+    /// Compute the incremental seed of the staged batch against the served
+    /// fixpoint, and how many vertices it seeds.
     ///
     /// CC mirrors `FixComponents` between convergences: every vertex of a
     /// component touched by a delete is reset to its initial `(v, v)` label,
     /// and the workset is seeded with the reset vertices, their surviving
     /// neighbours (which hold correct labels but stopped propagating), and
-    /// the endpoints of inserted edges. PageRank renormalises the previous
-    /// fixpoint over the new vertex set.
-    fn seed_for(
-        &self,
-        graph: &Graph,
-        inserts: &[(VertexId, VertexId)],
-        deletes: &[(VertexId, VertexId)],
-    ) -> (EpochSeed, u64) {
-        let n = graph.num_vertices();
-        match &self.solution {
+    /// the endpoints of inserted edges. Without deletes that is the insert
+    /// endpoints and nothing else — no pass over the vertices. PageRank
+    /// renormalises the previous fixpoint over the new vertex set.
+    fn seed(&self) -> (EpochSeed, u64) {
+        let n = self.live.num_vertices();
+        match &self.served.solution {
             Solution::Components(prev) => {
-                // Previous labels, extended with (v, v) for new vertices.
-                let mut labels: Vec<VertexId> = (0..n as VertexId).collect();
-                for &(v, label) in prev {
-                    labels[v as usize] = label;
-                }
-                let affected: BTreeSet<VertexId> = deletes
-                    .iter()
-                    .flat_map(|&(u, v)| [labels[u as usize], labels[v as usize]])
-                    .collect();
-                let reset: Vec<VertexId> = (0..n as VertexId)
-                    .filter(|&v| affected.contains(&labels[v as usize]))
-                    .collect();
+                // Served labels, with (v, v) for vertices the batch named.
+                let label = |v: VertexId| prev.get(v as usize).map_or(v, |&(_, label)| label);
+                let affected: BTreeSet<VertexId> =
+                    self.staged_deletes.iter().flat_map(|&(u, v)| [label(u), label(v)]).collect();
+                let reset: BTreeSet<VertexId> = if affected.is_empty() {
+                    BTreeSet::new()
+                } else {
+                    (0..n as VertexId).filter(|&v| affected.contains(&label(v))).collect()
+                };
+                let mut seeds = reset.clone();
                 for &v in &reset {
-                    labels[v as usize] = v;
+                    seeds.extend(self.live.neighbors(v));
                 }
-                let mut seeds: BTreeSet<VertexId> = reset.iter().copied().collect();
-                for &v in &reset {
-                    seeds.extend(graph.neighbors(v).iter().copied());
-                }
-                for &(u, v) in inserts {
+                for &(u, v) in &self.staged_inserts {
                     seeds.insert(u);
                     seeds.insert(v);
                 }
-                let workset: Vec<Label> = seeds.iter().map(|&v| (v, labels[v as usize])).collect();
-                let solution: Vec<Label> =
-                    (0..n as VertexId).map(|v| (v, labels[v as usize])).collect();
-                let seeded = workset.len() as u64;
-                (EpochSeed::Cc(CcSeed { solution, workset }), seeded)
+                let seeded = |v: VertexId| (v, if reset.contains(&v) { v } else { label(v) });
+                let workset: Vec<Label> = seeds.iter().map(|&v| seeded(v)).collect();
+                let patch: Vec<Label> = (prev.len() as VertexId..n as VertexId)
+                    .chain(reset.iter().copied())
+                    .map(|v| (v, v))
+                    .collect();
+                let count = workset.len() as u64;
+                (EpochSeed::Cc { patch, workset }, count)
             }
             Solution::Ranks(prev) => {
                 let uniform = 1.0 / n as f64;
@@ -606,30 +635,23 @@ impl ServeEngine {
                 let warm: Vec<Rank> = (0..n as VertexId).map(|v| (v, dist[v as usize])).collect();
                 // Informational: mutated endpoints plus freshly named
                 // vertices — the state the warm start actually perturbs.
-                let mut touched: BTreeSet<VertexId> =
-                    inserts.iter().chain(deletes).flat_map(|&(u, v)| [u, v]).collect();
+                let mut touched: BTreeSet<VertexId> = self
+                    .staged_inserts
+                    .iter()
+                    .chain(&self.staged_deletes)
+                    .flat_map(|&(u, v)| [u, v])
+                    .collect();
                 touched.extend(prev.len() as VertexId..n as VertexId);
                 (EpochSeed::Pr(warm), touched.len() as u64)
             }
         }
     }
 
-    fn converge(
-        &self,
-        graph: &Graph,
-        seed: Option<&EpochSeed>,
-    ) -> Result<(Solution, RunStats), String> {
-        self.converge_at(graph, seed, 0)
-    }
-
-    /// Run one epoch's (re-)convergence, applying the configured failure
-    /// injection when `epoch` matches.
-    fn converge_at(
-        &self,
-        graph: &Graph,
-        seed: Option<&EpochSeed>,
-        epoch: u32,
-    ) -> Result<(Solution, RunStats), String> {
+    /// Run one epoch's (re-)convergence — cold when `seed` is `None` —
+    /// applying the configured failure injection when `epoch` matches, and
+    /// install its solution as the served one. On an error nothing served
+    /// has changed.
+    fn converge(&mut self, seed: Option<EpochSeed>, epoch: u32) -> Result<RunStats, String> {
         let inject = self.config.inject.as_ref().filter(|i| i.epoch == epoch).map(|i| &i.kind);
         let mut scenario = FailureScenario::none();
         let mut panic_at = None;
@@ -654,10 +676,10 @@ impl ServeEngine {
             // count is ignored, its kill plan rides along).
             let (workers, rescale_to) = controller.plan();
             let kill = cluster_kill.map(|(_, kill)| kill);
-            return self.converge_on_cluster(graph, seed, workers, kill, rescale_to);
+            return self.converge_on_cluster(seed, workers, kill, rescale_to);
         }
         if let Some((workers, kill)) = cluster_kill {
-            return self.converge_on_cluster(graph, seed, workers, Some(kill), None);
+            return self.converge_on_cluster(seed, workers, Some(kill), None);
         }
 
         let ft =
@@ -672,18 +694,7 @@ impl ServeEngine {
                     capture_history: false,
                     panic_at,
                 };
-                let cc_seed = match seed {
-                    Some(EpochSeed::Cc(s)) => Some(s),
-                    Some(EpochSeed::Pr(_)) => unreachable!("CC engine builds CC seeds"),
-                    None => None,
-                };
-                let env = algos::common::environment(config.parallelism, &config.ft);
-                let built =
-                    cc::build_seeded(&env, graph, &config, cc_seed).map_err(|e| e.to_string())?;
-                let mut labels = built.result.collect().map_err(|e| e.to_string())?;
-                labels.sort_unstable();
-                let stats = built.stats.take().ok_or("cc run produced no statistics")?;
-                Ok((Solution::Components(labels), stats))
+                self.converge_cc(seed, &config)
             }
             ServeAlgorithm::PageRank => {
                 let config = PrConfig {
@@ -696,35 +707,90 @@ impl ServeEngine {
                     panic_at,
                     ..Default::default()
                 };
-                let warm = match seed {
+                let warm = match &seed {
                     Some(EpochSeed::Pr(w)) => Some(w.as_slice()),
-                    Some(EpochSeed::Cc(_)) => unreachable!("PR engine builds PR seeds"),
+                    Some(EpochSeed::Cc { .. }) => unreachable!("PR engine builds PR seeds"),
                     None => None,
                 };
                 let env = algos::common::environment(config.parallelism, &config.ft);
-                let built =
-                    pr::build_warm(&env, graph, &config, warm).map_err(|e| e.to_string())?;
+                let built = pr::build_warm(&env, &self.live.build(), &config, warm)
+                    .map_err(|e| e.to_string())?;
                 let mut ranks = built.result.collect().map_err(|e| e.to_string())?;
                 ranks.sort_by_key(|r| r.0);
                 let stats = built.stats.take().ok_or("pagerank run produced no statistics")?;
-                Ok((Solution::Ranks(ranks), stats))
+                self.served.solution = Solution::Ranks(ranks);
+                Ok(stats)
             }
         }
+    }
+
+    /// The in-process CC epoch: the one CC plan, run from the resident
+    /// solution maps over the live adjacency index. The seed is applied to
+    /// the maps in place, the run hands the maps back, and the served
+    /// vector is patched at the seeded and upserted vertices only — unless
+    /// a failure fired, whose compensation rewrote entries no delta lists,
+    /// or the run was cold: then it is re-materialised whole.
+    fn converge_cc(
+        &mut self,
+        seed: Option<EpochSeed>,
+        config: &CcConfig,
+    ) -> Result<RunStats, String> {
+        let p = config.parallelism;
+        let n = self.live.num_vertices();
+        let Solution::Components(served) = &mut self.served.solution else {
+            unreachable!("a CC engine serves components")
+        };
+        let (state, patch) = match seed {
+            None => (cc::initial_state(n, p), None),
+            Some(EpochSeed::Cc { patch, workset }) => {
+                let mut solution = self
+                    .resident
+                    .take()
+                    .unwrap_or_else(|| solution_sets(served.iter().copied(), p));
+                for &(v, label) in &patch {
+                    solution[hash_partition(&v, p)].insert(v, label);
+                }
+                let workset = Partitions::keyed(workset, p, |w| w.0);
+                (CcState { solution, workset }, Some(patch))
+            }
+            Some(EpochSeed::Pr(_)) => unreachable!("CC engine builds CC seeds"),
+        };
+        // An error leaves `resident` empty: these maps were seeded for a
+        // batch that did not commit, so the retry starts from `served`.
+        let run = cc::run_resident(self.live.adjacency(), n, &state, config)
+            .map_err(|e| e.to_string())?;
+        let label_of = |v: VertexId| run.state.solution[hash_partition(&v, p)][&v];
+        match patch {
+            Some(patch) if run.stats.failures().next().is_none() => {
+                served.extend((served.len() as VertexId..n as VertexId).map(|v| (v, v)));
+                for v in patch.iter().map(|&(v, _)| v).chain(run.upserted) {
+                    debug_assert_eq!(served[v as usize].0, v, "served labels are dense by vertex");
+                    served[v as usize].1 = label_of(v);
+                }
+            }
+            _ => {
+                *served = run.state.solution.iter().flatten().map(|(&v, &l)| (v, l)).collect();
+                served.sort_unstable();
+            }
+        }
+        self.resident = Some(run.state.solution);
+        Ok(run.stats)
     }
 
     /// The cluster epoch path: run the epoch on real worker processes,
     /// warm-started from the seed. Used by the SIGKILL injector (the
     /// coordinator's network-level detection plus the optimistic handler
     /// absorb the kill) and by elastic engines, whose planned rescale — if
-    /// any — fires at the epoch's first superstep barrier.
+    /// any — fires at the epoch's first superstep barrier. The workers own
+    /// the state of such an epoch, so the resident maps are dropped and the
+    /// next in-process epoch reloads them from the served result.
     fn converge_on_cluster(
-        &self,
-        graph: &Graph,
-        seed: Option<&EpochSeed>,
+        &mut self,
+        seed: Option<EpochSeed>,
         workers: usize,
         kill: Option<KillPlan>,
         rescale_to: Option<usize>,
-    ) -> Result<(Solution, RunStats), String> {
+    ) -> Result<RunStats, String> {
         let mut cfg =
             ClusterConfig::new(workers, self.config.parallelism, self.config.max_iterations)
                 .with_env_timing();
@@ -738,30 +804,47 @@ impl ServeEngine {
             ServeAlgorithm::ConnectedComponents => "cc",
             ServeAlgorithm::PageRank => "pagerank",
         };
-        if let Some(seed) = seed {
-            let records: Vec<(u64, u64)> = match seed {
-                EpochSeed::Cc(s) => s.solution.iter().map(|&(v, l)| (v, l)).collect(),
-                EpochSeed::Pr(warm) => warm.iter().map(|&(v, r)| (v, r.to_bits())).collect(),
-            };
-            cfg = cfg.with_initial_state(records);
-        }
-        let run = cluster::run_cluster(program, graph, cfg, self.config.telemetry.clone())
-            .map_err(|e| e.to_string())?;
-        let solution = match self.config.algorithm {
-            ServeAlgorithm::ConnectedComponents => {
-                Solution::Components(run.values.iter().map(|&(v, bits)| (v, bits)).collect())
+        match (seed, &self.served.solution) {
+            (Some(EpochSeed::Cc { patch, .. }), Solution::Components(served)) => {
+                let mut records: Vec<(u64, u64)> = served.clone();
+                for (v, label) in patch {
+                    match records.get_mut(v as usize) {
+                        Some(record) => record.1 = label,
+                        // New vertices lead the patch, in ascending order.
+                        None => records.push((v, label)),
+                    }
+                }
+                cfg = cfg.with_initial_state(records);
             }
+            (Some(EpochSeed::Pr(warm)), _) => {
+                cfg = cfg.with_initial_state(warm.iter().map(|&(v, r)| (v, r.to_bits())).collect());
+            }
+            (Some(EpochSeed::Cc { .. }), Solution::Ranks(_)) => {
+                unreachable!("CC seeds come from served components")
+            }
+            (None, _) => {}
+        }
+        let graph = self.live.build();
+        let run = cluster::run_cluster(program, &graph, cfg, self.config.telemetry.clone())
+            .map_err(|e| e.to_string())?;
+        self.served.solution = match self.config.algorithm {
+            ServeAlgorithm::ConnectedComponents => Solution::Components(run.values),
             ServeAlgorithm::PageRank => Solution::Ranks(
                 run.values.iter().map(|&(v, bits)| (v, f64::from_bits(bits))).collect(),
             ),
         };
-        Ok((solution, run.stats))
+        self.resident = None;
+        Ok(run.stats)
     }
 }
 
 /// The per-epoch warm-start payload.
 enum EpochSeed {
-    Cc(CcSeed),
+    /// CC: the served entries to overwrite (vertices the batch named, then
+    /// vertices a delete resets, each to its own id) and the workset to
+    /// propagate from.
+    Cc { patch: Vec<Label>, workset: Vec<Label> },
+    /// PageRank: the previous fixpoint renormalised over the new vertex set.
     Pr(Vec<Rank>),
 }
 
@@ -933,6 +1016,50 @@ mod tests {
             }
         }
         assert_eq!(labels_of(&engine), cold_cc(&expected.build()));
+    }
+
+    #[test]
+    fn a_retry_after_a_failed_commit_takes_the_grown_batch_from_the_served_fixpoint() {
+        let graph = graphs::generators::path(12);
+        let config = ServeConfig {
+            inject: Some(EpochInjection {
+                epoch: 1,
+                kind: InjectionKind::ClusterKill { workers: 0, superstep: 0, worker: 0 },
+            }),
+            ..Default::default()
+        };
+        let (mut engine, _) = ServeEngine::bootstrap(config, &graph).unwrap();
+        let before = labels_of(&engine);
+        // A batch that cuts the path and names a new vertex fails to commit.
+        assert!(engine.stage_delete(5, 6));
+        assert!(engine.stage_insert(2, 12));
+        engine.commit().unwrap_err();
+        assert_eq!((engine.staged(), engine.epoch(), engine.vertices()), (2, 0, 12));
+        assert_eq!(labels_of(&engine), before);
+        assert_eq!(engine.point(12), None, "the new vertex is not served yet");
+
+        // More mutations arrive before the retry; it commits all of them.
+        assert!(engine.stage_insert(12, 13));
+        assert!(engine.stage_delete(8, 9));
+        engine.config.inject = None;
+        let report = engine.commit().unwrap();
+        assert_eq!((report.epoch, report.inserts, report.deletes), (1, 2, 2));
+        let mut live = LiveGraph::from_graph(&graph);
+        for (u, v) in [(5, 6), (8, 9)] {
+            live.remove(u, v);
+        }
+        for (u, v) in [(2, 12), (12, 13)] {
+            live.insert(u, v);
+        }
+        assert_eq!(labels_of(&engine), cold_cc(&live.build()));
+        assert_eq!(engine.vertices(), 14);
+
+        // The next epoch resumes from the state that commit left resident.
+        assert!(engine.stage_insert(13, 11));
+        live.insert(13, 11);
+        assert!(engine.commit().unwrap().converged);
+        assert_eq!(labels_of(&engine), cold_cc(&live.build()));
+        assert_eq!(engine.algorithm(), ServeAlgorithm::ConnectedComponents);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`mutation`] — the line protocol (`+ u v`, `- u v`, `commit`,
 //!   `get v`, `top n`, `quit`), shared verbatim between TCP sessions and
 //!   replay files.
-//! * [`live_graph`] — the mutable edge set; immutable [`graphs::Graph`]s
-//!   are rebuilt from it per epoch.
+//! * [`live_graph`] — the mutable adjacency index CC epochs iterate over
+//!   in place; immutable [`graphs::Graph`]s are rebuilt from it only for
+//!   PageRank and cluster-backed epochs.
 //! * [`engine`] — epoch lifecycle: bootstrap convergence, workset-seeded
 //!   (CC) / warm-started (PageRank) re-convergence per committed batch,
 //!   and the failure injectors (UDF panic, deterministic loss, MTBF,

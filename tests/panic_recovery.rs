@@ -163,12 +163,11 @@ fn delta_iteration_survives_a_udf_panic() {
         .join("to-neighbors", &edges_in, |w: &KV| w.0, |e| e.0, |w, e| (e.1, w.1))
         .reduce_by_key("min-candidate", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
     let updates = candidates
-        .join(
+        .join_solution(
             "label-update",
-            &it.solution(),
+            &it.solution_set(),
             |c| c.0,
-            |s: &KV| s.0,
-            |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+            |c, label: &u64| if c.1 < *label { Some((c.0, c.1)) } else { None },
         )
         .flat_map("updated-only", |u: &Option<KV>| u.iter().copied().collect());
     let (result, stats) = it.close(updates.clone(), updates);
