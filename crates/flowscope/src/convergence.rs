@@ -157,22 +157,13 @@ fn csv_rows(model: &RunModel) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// The first line of the convergence CSV.
+const CSV_HEADER: &str =
+    "superstep,iteration,changed,delta_norm,workset_size,records_shuffled,failure,recovery";
+
 /// Export the per-superstep convergence table as CSV.
 pub fn write_convergence_csv(model: &RunModel, path: &Path) -> std::io::Result<()> {
-    write_table_csv(
-        &[
-            "superstep",
-            "iteration",
-            "changed",
-            "delta_norm",
-            "workset_size",
-            "records_shuffled",
-            "failure",
-            "recovery",
-        ],
-        &csv_rows(model),
-        path,
-    )
+    write_table_csv(&CSV_HEADER.split(',').collect::<Vec<_>>(), &csv_rows(model), path)
 }
 
 fn svg_polyline(series: &[f64], color: &str, width: f64, height: f64) -> String {
@@ -266,8 +257,8 @@ pub fn write_convergence_html(model: &RunModel, path: &Path) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ConvergencePoint, FailureMark, RecoveryAction, SuperstepRow};
-    use telemetry::IterationMode;
+    use crate::model::{ConvergencePoint, RecoveryAction, SuperstepRow};
+    use telemetry::{IterationMode, JournalEvent};
 
     fn sample_model() -> RunModel {
         let mut model = RunModel {
@@ -292,7 +283,12 @@ mod tests {
                 ..Default::default()
             });
         }
-        model.rows[1].failure = Some(FailureMark { lost_partitions: vec![0], lost_records: 3 });
+        model.rows[1].failure = Some(JournalEvent::FailureInjected {
+            superstep: 1,
+            iteration: 1,
+            lost_partitions: vec![0],
+            lost_records: 3,
+        });
         model.rows[1].recovery = vec![RecoveryAction::Compensation { name: Some("Fix".into()) }];
         model
     }

@@ -8,7 +8,9 @@
 //! returned [`DiffReport`], so the CLI can turn regressions into a nonzero
 //! exit code and CI can gate on it.
 
-use crate::load::{Journal, ReportSummary};
+use telemetry::{JournalEvent, RunReport, SpanKind};
+
+use crate::load::Journal;
 use crate::model::RunModel;
 
 /// Comparable facts about one run.
@@ -52,44 +54,47 @@ impl RunFacts {
     /// Facts from a loaded journal.
     pub fn from_journal(journal: &Journal) -> RunFacts {
         let model = RunModel::from_events(&journal.events);
-        let costs: Vec<_> = model.rows.iter().flat_map(|row| row.recovery_costs.iter()).collect();
-        let completed: Vec<(u64, u64)> = model
-            .rows
-            .iter()
-            .flat_map(|row| row.snapshots.iter())
-            .filter_map(|s| match s {
-                crate::model::SnapshotMark::Completed { bytes, .. } => Some((1u64, *bytes)),
-                _ => None,
-            })
-            .collect();
-        RunFacts {
+        let mut facts = RunFacts {
             supersteps: model.rows.len() as u32,
             logical_iterations: model.logical_iterations,
             converged: model.converged,
             failures: model.failure_supersteps().len() as u64,
             redundant_supersteps: model.redundant_supersteps(),
-            wall_ns: None,
-            recovery_ns: None,
-            worker_outages: costs.len() as u64,
-            detect_ns: costs.iter().map(|c| c.detect_ns).sum(),
-            respawn_ns: costs.iter().map(|c| c.respawn_ns).sum(),
-            reshipped_bytes: costs.iter().map(|c| c.reshipped_bytes).sum(),
             chaos_injections: model.chaos_injections() as u64,
-            snapshot_epochs: completed.iter().map(|&(n, _)| n).sum(),
-            snapshot_bytes: completed.iter().map(|&(_, b)| b).sum(),
             event_lines: journal.events.iter().map(|e| e.to_json()).collect(),
+            ..Default::default()
+        };
+        for event in
+            model.rows.iter().flat_map(|row| row.recovery_costs.iter().chain(&row.snapshots))
+        {
+            match event {
+                JournalEvent::RecoveryCost { detect_ns, respawn_ns, reshipped_bytes, .. } => {
+                    facts.worker_outages += 1;
+                    facts.detect_ns += detect_ns;
+                    facts.respawn_ns += respawn_ns;
+                    facts.reshipped_bytes += reshipped_bytes;
+                }
+                JournalEvent::SnapshotBarrierCompleted { bytes, .. } => {
+                    facts.snapshot_epochs += 1;
+                    facts.snapshot_bytes += bytes;
+                }
+                _ => {}
+            }
         }
+        facts
     }
 
     /// Merge wall-clock facts from a report.
-    pub fn with_report(mut self, report: &ReportSummary) -> RunFacts {
-        self.wall_ns = report.span_totals_ns.get("run").copied();
-        self.recovery_ns = report.span_totals_ns.get("recovery").copied();
+    pub fn with_report(mut self, report: &RunReport) -> RunFacts {
+        let total =
+            |kind: SpanKind| report.span_totals.get(kind.label()).map(|t| t.as_nanos() as u64);
+        self.wall_ns = total(SpanKind::Run);
+        self.recovery_ns = total(SpanKind::Recovery);
         self
     }
 
     /// Facts from a report alone (no journal).
-    pub fn from_report(report: &ReportSummary) -> RunFacts {
+    pub fn from_report(report: &RunReport) -> RunFacts {
         RunFacts {
             supersteps: report.supersteps,
             logical_iterations: report.logical_iterations,

@@ -15,17 +15,19 @@
 //! - [`recovery`] — what each failure cost: detection latency, respawn
 //!   time, re-shipped bytes, and recomputed supersteps per worker outage.
 //!
-//! Everything is file-driven (`inspect` runs long after the run finished)
-//! and serde-free: [`jsonv`] parses exactly the JSON dialect
-//! `telemetry::json` writes, and [`load::parse_journal`] round-trips
-//! journals byte-identically.
+//! Everything is file-driven (`inspect` runs long after the run finished),
+//! and nothing here knows the file format: the journal, span and report
+//! types, their JSON keys and their readers all live in `telemetry`, beside
+//! the writers. [`load`] adds file I/O, line-numbered errors and the count
+//! of what a newer writer added; [`model`] groups the journal's own events
+//! by superstep; the views consume those. [`load::parse_journal`]
+//! round-trips journals byte-identically.
 
 #![warn(missing_docs)]
 
 pub mod capture;
 pub mod convergence;
 pub mod diff;
-pub mod jsonv;
 pub mod load;
 pub mod model;
 pub mod profile;
@@ -35,7 +37,7 @@ pub mod timeline;
 pub use capture::{capture_paths, save_run, CapturePaths};
 pub use convergence::{render_convergence, write_convergence_csv, write_convergence_html};
 pub use diff::{diff_runs, render_diff, DiffOptions, DiffReport, RunFacts};
-pub use load::{load_journal, load_report, load_spans, Journal, LoadError, ReportSummary};
+pub use load::{load_journal, load_report, load_spans, Journal, LoadError};
 pub use model::RunModel;
 pub use profile::{build_profile, render_metrics_top, render_profile, Profile};
 pub use recovery::{build_recovery_report, render_recovery, RecoveryBill, RecoveryReport};

@@ -1,21 +1,22 @@
-//! Loaders: JSONL journals, span sidecars, and run reports, parsed back
-//! into structured form.
+//! Loaders: JSONL journals, span sidecars, and run reports, read back into
+//! the telemetry crate's own types.
 //!
-//! The journal loader is the inverse of [`telemetry::JournalEvent::to_json`]
-//! and round-trips byte-identically (asserted by tests), which is what lets
-//! `inspect diff` compare a fresh run against a checked-in baseline without
-//! worrying about formatting drift. Unknown event kinds are tolerated and
-//! counted, so journals written by future versions still load.
+//! What a line means is `telemetry`'s business — every reader used here is
+//! generated from, or written beside, the writer that produced the file, so
+//! the two cannot drift. This module adds what a file adds: I/O, the line
+//! loop, line-numbered error context, and the count of what a newer writer
+//! put there that this build does not know. A journal round-trips
+//! byte-identically (asserted by tests), which is what lets `inspect diff`
+//! compare a fresh run against a checked-in baseline.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use telemetry::{IterationMode, JournalEvent, Norm};
+use telemetry::json::{self, Fields, ReadError};
+use telemetry::metrics::MetricsSnapshot;
+use telemetry::{JournalEvent, RunReport, SpanRecord};
 
-use crate::jsonv::{self, Value};
-
-/// A loading failure: IO, JSON syntax, or an event that fails validation.
+/// A loading failure: IO, JSON syntax, or a line that fails validation.
 #[derive(Debug)]
 pub struct LoadError(pub String);
 
@@ -27,438 +28,152 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-impl From<std::io::Error> for LoadError {
-    fn from(e: std::io::Error) -> Self {
-        LoadError(e.to_string())
-    }
-}
-
 /// Result alias for loaders.
 pub type Result<T> = std::result::Result<T, LoadError>;
 
-/// A parsed journal: the recognized events plus a count of skipped lines
-/// (unknown event kinds from newer writers).
+fn read_file(path: &Path) -> Result<String> {
+    std::fs::read_to_string(path).map_err(|e| LoadError(format!("{}: {e}", path.display())))
+}
+
+/// Run `read` over every non-blank line, naming the file kind and the line
+/// number in any error.
+fn each_line(
+    what: &str,
+    text: &str,
+    mut read: impl FnMut(&str) -> std::result::Result<(), ReadError>,
+) -> Result<()> {
+    for (lineno, line) in text.lines().enumerate() {
+        if !line.trim().is_empty() {
+            read(line).map_err(|e| LoadError(format!("{what} line {}: {e}", lineno + 1)))?;
+        }
+    }
+    Ok(())
+}
+
+/// A parsed journal: the recognized events plus a count of what was skipped.
 #[derive(Debug, Clone)]
 pub struct Journal {
     /// Events in journal order.
     pub events: Vec<JournalEvent>,
-    /// Lines whose `event` kind was not recognized.
+    /// What a newer writer wrote that this build does not declare: lines of
+    /// an unknown `event` kind, plus unknown extra keys on known kinds.
     pub skipped: usize,
 }
 
 /// Parse a JSONL journal from text.
 pub fn parse_journal(text: &str) -> Result<Journal> {
-    let mut events = Vec::new();
-    let mut skipped = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    let mut journal = Journal { events: Vec::new(), skipped: 0 };
+    each_line("journal", text, |line| {
+        let value = json::parse(line)?;
+        let mut fields = Fields::of(&value)?;
+        match JournalEvent::read(&mut fields)? {
+            Some(event) => {
+                journal.events.push(event);
+                journal.skipped += fields.unread();
+            }
+            None => journal.skipped += 1,
         }
-        let value = jsonv::parse(line)
-            .map_err(|e| LoadError(format!("journal line {}: {e}", lineno + 1)))?;
-        match parse_event(&value) {
-            Ok(Some(event)) => events.push(event),
-            Ok(None) => skipped += 1,
-            Err(msg) => return Err(LoadError(format!("journal line {}: {msg}", lineno + 1))),
-        }
-    }
-    Ok(Journal { events, skipped })
+        Ok(())
+    })?;
+    Ok(journal)
 }
 
 /// Load a JSONL journal from disk.
 pub fn load_journal(path: &Path) -> Result<Journal> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| LoadError(format!("{}: {e}", path.display())))?;
-    parse_journal(&text)
+    parse_journal(&read_file(path)?)
 }
 
-fn u64_field(v: &Value, key: &str) -> std::result::Result<u64, String> {
-    v.get(key).and_then(Value::as_u64).ok_or_else(|| format!("missing u64 field {key:?}"))
-}
-
-fn u32_field(v: &Value, key: &str) -> std::result::Result<u32, String> {
-    u64_field(v, key)?.try_into().map_err(|_| format!("field {key:?} out of u32 range"))
-}
-
-fn u64_array_field(v: &Value, key: &str) -> std::result::Result<Vec<u64>, String> {
-    let arr = v.get(key).and_then(Value::as_arr).ok_or_else(|| format!("missing array {key:?}"))?;
-    arr.iter()
-        .map(|item| item.as_u64().ok_or_else(|| format!("non-integer entry in {key:?}")))
-        .collect()
-}
-
-/// Parse one journal line into an event; `Ok(None)` marks an unknown kind.
-fn parse_event(v: &Value) -> std::result::Result<Option<JournalEvent>, String> {
-    let kind = v.get("event").and_then(Value::as_str).ok_or("missing \"event\" field")?;
-    let event = match kind {
-        "RunStarted" => JournalEvent::RunStarted {
-            mode: match v.get("mode").and_then(Value::as_str) {
-                Some("bulk") => IterationMode::Bulk,
-                Some("delta") => IterationMode::Delta,
-                other => return Err(format!("bad mode {other:?}")),
-            },
-            parallelism: u64_field(v, "parallelism")? as usize,
-            max_iterations: u32_field(v, "max_iterations")?,
-        },
-        "SuperstepCompleted" => JournalEvent::SuperstepCompleted {
-            superstep: u32_field(v, "superstep")?,
-            iteration: u32_field(v, "iteration")?,
-            records_shuffled: u64_field(v, "records_shuffled")?,
-            workset_size: v.get("workset_size").and_then(Value::as_u64),
-        },
-        "ConvergenceSample" => JournalEvent::ConvergenceSample {
-            superstep: u32_field(v, "superstep")?,
-            iteration: u32_field(v, "iteration")?,
-            changed: u64_field(v, "changed")?,
-            changed_per_partition: u64_array_field(v, "changed_per_partition")?,
-            delta_norm: v.get("delta_norm").and_then(Value::as_f64).map(Norm),
-            workset_per_partition: match v.get("workset_per_partition") {
-                Some(_) => Some(u64_array_field(v, "workset_per_partition")?),
-                None => None,
-            },
-        },
-        "CheckpointWritten" => JournalEvent::CheckpointWritten {
-            iteration: u32_field(v, "iteration")?,
-            bytes: u64_field(v, "bytes")?,
-        },
-        "SnapshotBarrierStarted" => JournalEvent::SnapshotBarrierStarted {
-            epoch: u32_field(v, "epoch")?,
-            partitions: u64_field(v, "partitions")? as usize,
-        },
-        "SnapshotBarrierCompleted" => JournalEvent::SnapshotBarrierCompleted {
-            epoch: u32_field(v, "epoch")?,
-            partitions: u64_field(v, "partitions")? as usize,
-            bytes: u64_field(v, "bytes")?,
-        },
-        "ChaosInjected" => JournalEvent::ChaosInjected {
-            superstep: u32_field(v, "superstep")?,
-            worker: u64_field(v, "worker")? as usize,
-            kind: v.get("kind").and_then(Value::as_str).ok_or("missing kind")?.to_string(),
-            param: u64_field(v, "param")?,
-        },
-        "PartitionPanicked" => JournalEvent::PartitionPanicked {
-            superstep: u32_field(v, "superstep")?,
-            iteration: u32_field(v, "iteration")?,
-            pid: u64_field(v, "pid")? as usize,
-        },
-        "WorkerLost" => JournalEvent::WorkerLost {
-            superstep: u32_field(v, "superstep")?,
-            iteration: u32_field(v, "iteration")?,
-            worker: u64_field(v, "worker")? as usize,
-            lost_partitions: u64_array_field(v, "lost_partitions")?
-                .into_iter()
-                .map(|p| p as usize)
-                .collect(),
-        },
-        "WorkerSpan" => JournalEvent::WorkerSpan {
-            superstep: u32_field(v, "superstep")?,
-            worker: u64_field(v, "worker")? as usize,
-            seq: u64_field(v, "seq")?,
-            pid: u64_field(v, "pid")? as usize,
-            span: v.get("span").and_then(Value::as_str).ok_or("missing span")?.to_string(),
-            records: u64_field(v, "records")?,
-            duration_ns: u64_field(v, "duration_ns")?,
-        },
-        "WorkerRejoined" => JournalEvent::WorkerRejoined {
-            superstep: u32_field(v, "superstep")?,
-            worker: u64_field(v, "worker")? as usize,
-            reconnect_attempts: u32_field(v, "reconnect_attempts")?,
-        },
-        "WorkerJoined" => JournalEvent::WorkerJoined {
-            superstep: u32_field(v, "superstep")?,
-            worker: u64_field(v, "worker")? as usize,
-        },
-        "RebalanceStarted" => JournalEvent::RebalanceStarted {
-            superstep: u32_field(v, "superstep")?,
-            from_workers: u64_field(v, "from_workers")? as usize,
-            to_workers: u64_field(v, "to_workers")? as usize,
-        },
-        "RebalanceCompleted" => JournalEvent::RebalanceCompleted {
-            superstep: u32_field(v, "superstep")?,
-            moved_partitions: u64_field(v, "moved_partitions")? as usize,
-            reshipped_bytes: u64_field(v, "reshipped_bytes")?,
-        },
-        "RecoveryCost" => JournalEvent::RecoveryCost {
-            superstep: u32_field(v, "superstep")?,
-            worker: u64_field(v, "worker")? as usize,
-            detection: v
-                .get("detection")
-                .and_then(Value::as_str)
-                .ok_or("missing detection")?
-                .to_string(),
-            detect_ns: u64_field(v, "detect_ns")?,
-            respawn_ns: u64_field(v, "respawn_ns")?,
-            reshipped_bytes: u64_field(v, "reshipped_bytes")?,
-        },
-        "FailureInjected" => JournalEvent::FailureInjected {
-            superstep: u32_field(v, "superstep")?,
-            iteration: u32_field(v, "iteration")?,
-            lost_partitions: u64_array_field(v, "lost_partitions")?
-                .into_iter()
-                .map(|p| p as usize)
-                .collect(),
-            lost_records: u64_field(v, "lost_records")?,
-        },
-        "CompensationApplied" => {
-            JournalEvent::CompensationApplied { iteration: u32_field(v, "iteration")? }
-        }
-        "CompensationInvoked" => JournalEvent::CompensationInvoked {
-            name: v.get("name").and_then(Value::as_str).ok_or("missing name")?.to_string(),
-            iteration: u32_field(v, "iteration")?,
-        },
-        "RolledBack" => JournalEvent::RolledBack { to_iteration: u32_field(v, "to_iteration")? },
-        "CheckpointRestored" => {
-            JournalEvent::CheckpointRestored { iteration: u32_field(v, "iteration")? }
-        }
-        "DiffChainReplayed" => JournalEvent::DiffChainReplayed {
-            base_iteration: u32_field(v, "base_iteration")?,
-            diffs: u32_field(v, "diffs")?,
-        },
-        "Restarted" => JournalEvent::Restarted,
-        "FailureIgnored" => JournalEvent::FailureIgnored { iteration: u32_field(v, "iteration")? },
-        "RunCompleted" => JournalEvent::RunCompleted {
-            supersteps: u32_field(v, "supersteps")?,
-            iterations: u32_field(v, "iterations")?,
-            converged: v.get("converged").and_then(Value::as_bool).ok_or("missing converged")?,
-        },
-        "MutationBatch" => JournalEvent::MutationBatch {
-            epoch: u32_field(v, "epoch")?,
-            inserts: u64_field(v, "inserts")?,
-            deletes: u64_field(v, "deletes")?,
-            seeded: u64_field(v, "seeded")?,
-        },
-        "Reconverge" => JournalEvent::Reconverge {
-            epoch: u32_field(v, "epoch")?,
-            supersteps: u32_field(v, "supersteps")?,
-            converged: v.get("converged").and_then(Value::as_bool).ok_or("missing converged")?,
-        },
-        "Query" => JournalEvent::Query {
-            epoch: u32_field(v, "epoch")?,
-            kind: v.get("kind").and_then(Value::as_str).ok_or("missing kind")?.to_string(),
-            results: u64_field(v, "results")?,
-        },
-        _ => return Ok(None),
-    };
-    Ok(Some(event))
-}
-
-/// One line of a `*.spans.jsonl` sidecar.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEntry {
-    /// Span kind label (`run`, `superstep`, `compute`, ...).
-    pub kind: String,
-    /// Chronological superstep, absent for run-level spans.
-    pub superstep: Option<u32>,
-    /// Logical iteration, absent for run-level spans.
-    pub iteration: Option<u32>,
-    /// Wall-clock duration in nanoseconds.
-    pub duration_ns: u64,
-}
-
-/// Parse a span sidecar from text.
-pub fn parse_spans(text: &str) -> Result<Vec<SpanEntry>> {
+/// Parse a span sidecar from text. Spans of a kind this build does not
+/// declare are skipped.
+pub fn parse_spans(text: &str) -> Result<Vec<SpanRecord>> {
     let mut spans = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v =
-            jsonv::parse(line).map_err(|e| LoadError(format!("spans line {}: {e}", lineno + 1)))?;
-        let kind = v
-            .get("span")
-            .and_then(Value::as_str)
-            .ok_or_else(|| LoadError(format!("spans line {}: missing \"span\"", lineno + 1)))?;
-        spans.push(SpanEntry {
-            kind: kind.to_string(),
-            superstep: v.get("superstep").and_then(Value::as_u64).map(|s| s as u32),
-            iteration: v.get("iteration").and_then(Value::as_u64).map(|s| s as u32),
-            duration_ns: v.get("duration_ns").and_then(Value::as_u64).unwrap_or(0),
-        });
-    }
+    each_line("spans", text, |line| {
+        spans.extend(SpanRecord::from_json(line)?);
+        Ok(())
+    })?;
     Ok(spans)
 }
 
 /// Load a span sidecar from disk.
-pub fn load_spans(path: &Path) -> Result<Vec<SpanEntry>> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| LoadError(format!("{}: {e}", path.display())))?;
-    parse_spans(&text)
+pub fn load_spans(path: &Path) -> Result<Vec<SpanRecord>> {
+    parse_spans(&read_file(path)?)
 }
 
-/// Summary statistics of one named histogram from a metrics snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HistogramStats {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Mean observation.
-    pub mean: f64,
-    /// Estimated 99th percentile.
-    pub p99: u64,
-    /// Largest observation.
-    pub max: u64,
-}
-
-/// A parsed run report (the `*_report.json` the figure bins write), either
-/// the bare report object or the `{"report":…,"metrics":…}` wrapper.
-#[derive(Debug, Clone, Default)]
-pub struct ReportSummary {
-    /// Supersteps actually executed.
-    pub supersteps: u32,
-    /// Highest logical iteration reached plus one.
-    pub logical_iterations: u32,
-    /// Whether the run converged.
-    pub converged: bool,
-    /// Records moved across partitions.
-    pub records_shuffled: u64,
-    /// Failures injected.
-    pub failures: u64,
-    /// Compensation recoveries.
-    pub compensations: u64,
-    /// Rollback recoveries.
-    pub rollbacks: u64,
-    /// Restart recoveries.
-    pub restarts: u64,
-    /// Checkpoints written.
-    pub checkpoints: u64,
-    /// Wall-clock totals per span label, in nanoseconds.
-    pub span_totals_ns: BTreeMap<String, u64>,
-    /// Histogram summaries from the metrics snapshot (empty for bare
-    /// reports without metrics).
-    pub histograms: BTreeMap<String, HistogramStats>,
-    /// Counters from the metrics snapshot.
-    pub counters: BTreeMap<String, u64>,
-}
-
-/// Parse a report JSON document (bare or metrics-wrapped).
-pub fn parse_report(text: &str) -> Result<ReportSummary> {
-    let root = jsonv::parse(text).map_err(|e| LoadError(format!("report: {e}")))?;
-    let (report, metrics) = match root.get("report") {
-        Some(inner) => (inner, root.get("metrics")),
-        None => (&root, None),
-    };
-    let get = |key: &str| report.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let mut summary = ReportSummary {
-        supersteps: get("supersteps") as u32,
-        logical_iterations: get("logical_iterations") as u32,
-        converged: report.get("converged").and_then(Value::as_bool).unwrap_or(false),
-        records_shuffled: get("records_shuffled"),
-        failures: get("failures"),
-        compensations: get("compensations"),
-        rollbacks: get("rollbacks"),
-        restarts: get("restarts"),
-        checkpoints: get("checkpoints"),
-        ..Default::default()
-    };
-    if let Some(fields) = report.get("span_totals").and_then(Value::as_obj) {
-        for (name, v) in fields {
-            if let (Some(label), Some(ns)) = (name.strip_suffix("_ns"), v.as_u64()) {
-                summary.span_totals_ns.insert(label.to_string(), ns);
-            }
-        }
-    }
-    if let Some(metrics) = metrics {
-        if let Some(fields) = metrics.get("histograms").and_then(Value::as_obj) {
-            for (name, h) in fields {
-                summary.histograms.insert(
-                    name.clone(),
-                    HistogramStats {
-                        count: h.get("count").and_then(Value::as_u64).unwrap_or(0),
-                        sum: h.get("sum").and_then(Value::as_u64).unwrap_or(0),
-                        mean: h.get("mean").and_then(Value::as_f64).unwrap_or(0.0),
-                        p99: h.get("p99").and_then(Value::as_u64).unwrap_or(0),
-                        max: h.get("max").and_then(Value::as_u64).unwrap_or(0),
-                    },
-                );
-            }
-        }
-        if let Some(fields) = metrics.get("counters").and_then(Value::as_obj) {
-            for (name, v) in fields {
-                if let Some(n) = v.as_u64() {
-                    summary.counters.insert(name.clone(), n);
-                }
-            }
-        }
-    }
-    Ok(summary)
+/// Parse a run report (the `*_report.json` the capture helpers write),
+/// either the bare report object or the `{"report":…,"metrics":…}` wrapper;
+/// a bare report comes with an empty metrics snapshot.
+pub fn parse_report(text: &str) -> Result<(RunReport, MetricsSnapshot)> {
+    RunReport::from_json_with_metrics(text).map_err(|e| LoadError(format!("report: {e}")))
 }
 
 /// Load a report from disk.
-pub fn load_report(path: &Path) -> Result<ReportSummary> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| LoadError(format!("{}: {e}", path.display())))?;
-    parse_report(&text)
+pub fn load_report(path: &Path) -> Result<(RunReport, MetricsSnapshot)> {
+    parse_report(&read_file(path)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const SAMPLE: &str = concat!(
-        "{\"event\":\"RunStarted\",\"mode\":\"delta\",\"parallelism\":2,\"max_iterations\":9}\n",
-        "{\"event\":\"SuperstepCompleted\",\"superstep\":0,\"iteration\":0,",
-        "\"records_shuffled\":5,\"workset_size\":3}\n",
-        "{\"event\":\"ConvergenceSample\",\"superstep\":0,\"iteration\":0,\"changed\":4,",
-        "\"changed_per_partition\":[1,3],\"delta_norm\":2.5,\"workset_per_partition\":[2,1]}\n",
-        "{\"event\":\"SnapshotBarrierStarted\",\"epoch\":0,\"partitions\":2}\n",
-        "{\"event\":\"SnapshotBarrierCompleted\",\"epoch\":0,\"partitions\":2,\"bytes\":96}\n",
-        "{\"event\":\"ChaosInjected\",\"superstep\":0,\"worker\":1,\"kind\":\"kill\",\"param\":0}\n",
-        "{\"event\":\"PartitionPanicked\",\"superstep\":0,\"iteration\":0,\"pid\":1}\n",
-        "{\"event\":\"WorkerLost\",\"superstep\":0,\"iteration\":0,",
-        "\"worker\":1,\"lost_partitions\":[1,3]}\n",
-        "{\"event\":\"FailureInjected\",\"superstep\":0,\"iteration\":0,",
-        "\"lost_partitions\":[1],\"lost_records\":2}\n",
-        "{\"event\":\"CompensationInvoked\",\"name\":\"Fix\",\"iteration\":0}\n",
-        "{\"event\":\"CompensationApplied\",\"iteration\":0}\n",
-        "{\"event\":\"WorkerSpan\",\"superstep\":0,\"worker\":0,\"seq\":0,\"pid\":0,",
-        "\"span\":\"compute\",\"records\":4,\"duration_ns\":1500}\n",
-        "{\"event\":\"WorkerRejoined\",\"superstep\":1,\"worker\":1,\"reconnect_attempts\":2}\n",
-        "{\"event\":\"RebalanceStarted\",\"superstep\":1,\"from_workers\":2,\"to_workers\":4}\n",
-        "{\"event\":\"WorkerJoined\",\"superstep\":1,\"worker\":2}\n",
-        "{\"event\":\"WorkerJoined\",\"superstep\":1,\"worker\":3}\n",
-        "{\"event\":\"RebalanceCompleted\",\"superstep\":1,\"moved_partitions\":2,",
-        "\"reshipped_bytes\":2048}\n",
-        "{\"event\":\"RecoveryCost\",\"superstep\":1,\"worker\":1,\"detection\":\"heartbeat\",",
-        "\"detect_ns\":500000,\"respawn_ns\":2000000,\"reshipped_bytes\":4096}\n",
-        "{\"event\":\"RunCompleted\",\"supersteps\":1,\"iterations\":1,\"converged\":true}\n",
-        "{\"event\":\"MutationBatch\",\"epoch\":1,\"inserts\":2,\"deletes\":1,\"seeded\":4}\n",
-        "{\"event\":\"Reconverge\",\"epoch\":1,\"supersteps\":3,\"converged\":true}\n",
-        "{\"event\":\"Query\",\"epoch\":1,\"kind\":\"point\",\"results\":1}\n",
-    );
-
     #[test]
     fn journal_roundtrips_byte_identically() {
-        let journal = parse_journal(SAMPLE).unwrap();
-        assert_eq!(journal.skipped, 0);
-        let rewritten: String = journal.events.iter().map(|e| e.to_json() + "\n").collect();
-        assert_eq!(rewritten, SAMPLE);
-    }
-
-    #[test]
-    fn unknown_event_kinds_are_skipped_not_fatal() {
-        let text = "{\"event\":\"SomethingNew\",\"x\":1}\n{\"event\":\"Restarted\"}\n";
+        let text = "{\"event\":\"RunStarted\",\"mode\":\"delta\",\"parallelism\":2,\
+                    \"max_iterations\":9}\n\n\
+                    {\"event\":\"CheckpointWritten\",\"iteration\":1,\
+                    \"bytes\":18446744073709551614}\n";
         let journal = parse_journal(text).unwrap();
-        assert_eq!(journal.skipped, 1);
-        assert_eq!(journal.events, vec![JournalEvent::Restarted]);
+        assert_eq!(journal.skipped, 0);
+        assert_eq!(journal.events.len(), 2, "the blank line is not an event");
+        // Above 2^53 an `f64` detour would have rounded this to ...615.
+        assert_eq!(
+            journal.events[1],
+            JournalEvent::CheckpointWritten { iteration: 1, bytes: u64::MAX - 1 }
+        );
+        let rewritten: String = journal.events.iter().map(|e| e.to_json() + "\n").collect();
+        assert_eq!(rewritten, text.replace("\n\n", "\n"));
     }
 
     #[test]
-    fn malformed_lines_are_errors() {
-        assert!(parse_journal("{\"event\":\"RunCompleted\"}\n").is_err());
-        assert!(parse_journal("not json\n").is_err());
+    fn what_a_newer_writer_added_is_counted_not_fatal() {
+        let text = "{\"event\":\"SomethingNew\",\"x\":1}\n\
+                    {\"event\":\"Restarted\",\"since\":3}\n\
+                    {\"event\":\"Restarted\"}\n";
+        let journal = parse_journal(text).unwrap();
+        assert_eq!(journal.skipped, 2, "one unknown kind, one unknown key");
+        assert_eq!(journal.events, vec![JournalEvent::Restarted, JournalEvent::Restarted]);
+    }
+
+    #[test]
+    fn malformed_lines_are_errors_naming_line_and_key() {
+        let err = |text: &str| parse_journal(text).unwrap_err().0;
+        assert_eq!(
+            err("{\"event\":\"Restarted\"}\n{\"event\":\"RunCompleted\"}\n"),
+            "journal line 2: missing required key \"supersteps\""
+        );
+        assert_eq!(
+            err("{\"event\":\"CheckpointWritten\",\"iteration\":\"one\",\"bytes\":1}\n"),
+            "journal line 1: key \"iteration\": expected u32"
+        );
+        assert!(err("not json\n").starts_with("journal line 1: "));
+        // A hostile line is an error, not a stack overflow.
+        assert_eq!(err(&"[".repeat(200_000)), "journal line 1: nesting too deep at byte 16");
     }
 
     #[test]
     fn spans_parse_with_optional_coordinates() {
         let text = "{\"span\":\"run\",\"duration_ns\":500}\n\
+                    {\"span\":\"from_the_future\",\"duration_ns\":1}\n\
                     {\"span\":\"compute\",\"superstep\":1,\"iteration\":1,\"duration_ns\":120}\n";
         let spans = parse_spans(text).unwrap();
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].kind, "run");
+        assert_eq!(spans[0].kind, telemetry::SpanKind::Run);
         assert_eq!(spans[0].superstep, None);
         assert_eq!(spans[1].superstep, Some(1));
-        assert_eq!(spans[1].duration_ns, 120);
+        assert_eq!(spans[1].duration.as_nanos(), 120);
+        assert_eq!(
+            parse_spans("{\"span\":\"run\"}\n").unwrap_err().0,
+            "spans line 1: missing required key \"duration_ns\""
+        );
     }
 
     #[test]
@@ -468,21 +183,27 @@ mod tests {
                     \"compensations\":2,\"rollbacks\":0,\"restarts\":0,\"ignored\":0,\
                     \"checkpoints\":0,\"checkpoint_bytes\":0,\"event_counts\":{},\
                     \"span_totals\":{\"run_ns\":1000,\"compute_ns\":700}}";
-        let summary = parse_report(bare).unwrap();
-        assert_eq!(summary.supersteps, 7);
-        assert_eq!(summary.span_totals_ns.get("run"), Some(&1000));
-        assert!(summary.histograms.is_empty());
+        let (report, metrics) = parse_report(bare).unwrap();
+        assert_eq!(report.supersteps, 7);
+        assert_eq!(report.span_total(telemetry::SpanKind::Run).as_nanos(), 1000);
+        assert!(metrics.histograms.is_empty());
 
         let wrapped = format!(
             "{{\"report\":{bare},\"metrics\":{{\"counters\":{{\"c\":4}},\"gauges\":{{}},\
              \"histograms\":{{\"partition_task_ns/p0\":{{\"count\":3,\"sum\":900,\
              \"mean\":300.0,\"p99\":512,\"max\":400}}}}}}}}"
         );
-        let summary = parse_report(&wrapped).unwrap();
-        assert_eq!(summary.failures, 2);
-        assert_eq!(summary.counters.get("c"), Some(&4));
-        let h = summary.histograms.get("partition_task_ns/p0").unwrap();
+        let (report, metrics) = parse_report(&wrapped).unwrap();
+        assert_eq!(report.failures, 2);
+        assert_eq!(metrics.counters.get("c"), Some(&4));
+        let h = metrics.histograms.get("partition_task_ns/p0").unwrap();
         assert_eq!(h.sum, 900);
         assert_eq!(h.mean, 300.0);
+
+        // `{}` used to load as an all-zero report that `inspect diff` compared.
+        assert_eq!(
+            parse_report("{}").unwrap_err().0,
+            "report: missing required key \"supersteps\""
+        );
     }
 }

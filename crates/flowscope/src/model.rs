@@ -8,9 +8,14 @@
 //! `SuperstepCompleted(N)` and `SuperstepCompleted(N+1)` belong to row N —
 //! failures strike after a superstep's body finishes, and recovery runs
 //! before the next superstep starts, so this matches the engine's actual
-//! sequencing.
+//! sequencing. The kinds journaled *before* the superstep they belong to
+//! (chaos injections, rescales, worker spans) attach forward instead; the
+//! per-kind table is `placement`. Rows hold the journal's own events, not
+//! copies of their fields.
 
-use telemetry::{IterationMode, JournalEvent, PartitionId};
+use telemetry::{IterationMode, JournalEvent};
+
+use crate::timeline::format_ns;
 
 /// A recovery action taken after a failure, in journal terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,241 +49,59 @@ impl RecoveryAction {
     }
 }
 
-/// A failure observed after one superstep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailureMark {
-    /// Partitions whose state was lost.
-    pub lost_partitions: Vec<PartitionId>,
-    /// Records destroyed.
-    pub lost_records: u64,
-}
-
-/// One worker-side span merged into the coordinator journal (cluster runs
-/// only): a timed phase of one partition's step on one worker process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerSpanMark {
-    /// Index of the worker process that reported the span.
-    pub worker: usize,
-    /// Per-(worker, superstep) frame sequence number — the deterministic
-    /// merge key, not a wall-clock order.
-    pub seq: u64,
-    /// Partition the span timed.
-    pub pid: PartitionId,
-    /// Phase label (`compute`, `shuffle`, `exchange`), or `peer_bytes` for
-    /// direct-data-plane traffic rows (`pid` = destination worker,
-    /// `records` = bytes shipped).
-    pub span: String,
-    /// Records the phase touched.
-    pub records: u64,
-    /// Wall-clock duration measured on the worker.
-    pub duration_ns: u64,
-}
-
-/// The coordinator's per-failure recovery bill (cluster runs only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryCostMark {
-    /// Worker process the bill covers.
-    pub worker: usize,
-    /// How the loss was detected (`heartbeat` or `read_error`).
-    pub detection: String,
-    /// Dispatch-to-detection latency.
-    pub detect_ns: u64,
-    /// Respawn + reload wall time.
-    pub respawn_ns: u64,
-    /// Bytes re-shipped to the replacement worker.
-    pub reshipped_bytes: u64,
-}
-
-/// An asynchronous-snapshot barrier milestone (async-snapshot runs only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotMark {
-    /// A barrier was injected: the epoch's chunks were captured and began
-    /// persisting in the background.
-    Started {
-        /// Logical iteration the snapshot captures.
-        epoch: u32,
-        /// Partition chunks the barrier captured.
-        partitions: usize,
-    },
-    /// Every chunk of the epoch reached stable storage; the epoch is now
-    /// the restore point.
-    Completed {
-        /// The completed epoch.
-        epoch: u32,
-        /// Partition chunks persisted.
-        partitions: usize,
-        /// Total serialized size of the epoch.
-        bytes: u64,
-    },
-}
-
-impl SnapshotMark {
-    /// Short label for timeline annotations.
-    pub fn label(&self) -> String {
-        match self {
-            SnapshotMark::Started { epoch, partitions } => {
-                format!("barrier e{epoch} started ({partitions} chunks)")
-            }
-            SnapshotMark::Completed { epoch, bytes, .. } => {
-                format!("barrier e{epoch} complete ({bytes}B)")
-            }
+/// Annotation text for the journal events a timeline row displays; `None`
+/// for kinds that are folded into the row itself or not shown.
+pub fn label(event: &JournalEvent) -> Option<String> {
+    use JournalEvent as E;
+    Some(match event {
+        E::FailureInjected { lost_partitions, lost_records, .. } => {
+            format!("FAIL p{lost_partitions:?} (-{lost_records} records)")
         }
-    }
-}
-
-/// One chaos-plane injection (cluster runs driven with `--kill`/`--chaos`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosMark {
-    /// Chronological superstep the injection targeted.
-    pub superstep: u32,
-    /// Worker process the injection targeted.
-    pub worker: usize,
-    /// Injection kind (`kill`, `link_delay`, `link_drop`, `straggler`).
-    pub kind: String,
-    /// Kind-specific parameter (delay in milliseconds, else 0).
-    pub param: u64,
-}
-
-impl ChaosMark {
-    /// Short label for timeline annotations.
-    pub fn label(&self) -> String {
-        if self.param > 0 {
-            format!("chaos {} w{} +{}ms", self.kind, self.worker, self.param)
-        } else {
-            format!("chaos {} w{}", self.kind, self.worker)
+        E::WorkerLost { worker, lost_partitions, .. } => {
+            format!("worker {worker} LOST p{lost_partitions:?}")
         }
-    }
-}
-
-/// A worker-process transport event (multi-process cluster runs only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkerEvent {
-    /// A worker process died (SIGKILL, crash, or heartbeat timeout); the
-    /// partitions it owned were lost.
-    Lost {
-        /// Index of the dead worker process.
-        worker: usize,
-        /// Partitions it owned.
-        lost_partitions: Vec<PartitionId>,
-    },
-    /// A replacement worker process reconnected and took the lost
-    /// partitions back.
-    Rejoined {
-        /// Index of the rejoined worker process.
-        worker: usize,
-        /// Connection attempts the backoff loop needed.
-        reconnect_attempts: u32,
-    },
-    /// A worker process joined at a superstep barrier because of a planned
-    /// elastic scale-up (vs. `Rejoined`, the unplanned-loss replacement).
-    Joined {
-        /// Index of the worker process that joined.
-        worker: usize,
-    },
-}
-
-impl WorkerEvent {
-    /// Short label for timeline annotations.
-    pub fn label(&self) -> String {
-        match self {
-            WorkerEvent::Lost { worker, lost_partitions } => {
-                format!("worker {worker} LOST p{lost_partitions:?}")
-            }
-            WorkerEvent::Rejoined { worker, reconnect_attempts } => {
-                format!("worker {worker} rejoined ({reconnect_attempts} attempts)")
-            }
-            WorkerEvent::Joined { worker } => format!("worker {worker} joined (scale-up)"),
+        E::WorkerRejoined { worker, reconnect_attempts, .. } => {
+            format!("worker {worker} rejoined ({reconnect_attempts} attempts)")
         }
-    }
-}
-
-/// An elastic-rescale milestone (elastic cluster runs only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RebalanceMark {
-    /// The placement subsystem began rewriting the partition map.
-    Started {
-        /// Worker count before the rescale.
-        from_workers: usize,
-        /// Worker count after the rescale.
-        to_workers: usize,
-    },
-    /// The new map is installed and every moved partition was re-shipped.
-    Completed {
-        /// Partitions whose owner changed.
-        moved_partitions: usize,
-        /// Bytes the planned reship moved.
-        reshipped_bytes: u64,
-    },
-}
-
-impl RebalanceMark {
-    /// Short label for timeline annotations.
-    pub fn label(&self) -> String {
-        match self {
-            RebalanceMark::Started { from_workers, to_workers } => {
-                format!("rescale {from_workers}->{to_workers} workers")
-            }
-            RebalanceMark::Completed { moved_partitions, reshipped_bytes } => {
-                format!("rebalanced: {moved_partitions} moved, {reshipped_bytes}B reshipped")
-            }
+        E::WorkerJoined { worker, .. } => format!("worker {worker} joined (scale-up)"),
+        E::RebalanceStarted { from_workers, to_workers, .. } => {
+            format!("rescale {from_workers}->{to_workers} workers")
         }
-    }
-}
-
-/// A serving-engine epoch event (mutation batches, re-convergence
-/// summaries, queries) attached to the superstep after which it happened.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeEvent {
-    /// A batch of live graph mutations was applied, opening a new epoch.
-    MutationBatch {
-        /// Serving epoch the batch opens.
-        epoch: u32,
-        /// Edge insertions in the batch.
-        inserts: u64,
-        /// Edge deletions in the batch.
-        deletes: u64,
-        /// Vertices seeded into the incremental re-convergence.
-        seeded: u64,
-    },
-    /// An epoch's incremental re-convergence finished.
-    Reconverge {
-        /// Serving epoch that re-converged.
-        epoch: u32,
-        /// Supersteps the incremental run needed.
-        supersteps: u32,
-        /// Whether the run converged.
-        converged: bool,
-    },
-    /// A query was answered from the maintained solution set.
-    Query {
-        /// Serving epoch whose solution answered the query.
-        epoch: u32,
-        /// Query kind (`point` or `top`).
-        kind: String,
-        /// Result rows returned.
-        results: u64,
-    },
-}
-
-impl ServeEvent {
-    /// Short label for timeline annotations.
-    pub fn label(&self) -> String {
-        match self {
-            ServeEvent::MutationBatch { epoch, inserts, deletes, seeded } => {
-                format!("epoch {epoch}: +{inserts}/-{deletes} edges, {seeded} seeded")
-            }
-            ServeEvent::Reconverge { epoch, supersteps, converged } => {
-                let status = if *converged { "converged" } else { "capped" };
-                format!("epoch {epoch} reconverged in {supersteps} supersteps ({status})")
-            }
-            ServeEvent::Query { epoch, kind, results } => {
-                format!("epoch {epoch} query[{kind}] -> {results}")
-            }
+        E::RebalanceCompleted { moved_partitions, reshipped_bytes, .. } => {
+            format!("rebalanced: {moved_partitions} moved, {reshipped_bytes}B reshipped")
         }
-    }
+        E::MutationBatch { epoch, inserts, deletes, seeded } => {
+            format!("epoch {epoch}: +{inserts}/-{deletes} edges, {seeded} seeded")
+        }
+        E::Reconverge { epoch, supersteps, converged } => {
+            let status = if *converged { "converged" } else { "capped" };
+            format!("epoch {epoch} reconverged in {supersteps} supersteps ({status})")
+        }
+        E::Query { epoch, kind, results } => format!("epoch {epoch} query[{kind}] -> {results}"),
+        E::SnapshotBarrierStarted { epoch, partitions } => {
+            format!("barrier e{epoch} started ({partitions} chunks)")
+        }
+        E::SnapshotBarrierCompleted { epoch, bytes, .. } => {
+            format!("barrier e{epoch} complete ({bytes}B)")
+        }
+        E::ChaosInjected { worker, kind, param, .. } if *param > 0 => {
+            format!("chaos {kind} w{worker} +{param}ms")
+        }
+        E::ChaosInjected { worker, kind, .. } => format!("chaos {kind} w{worker}"),
+        E::RecoveryCost { worker, detection, detect_ns, respawn_ns, reshipped_bytes, .. } => {
+            format!(
+                "bill[w{worker} {detection}: detect {} respawn {} reship {reshipped_bytes}B]",
+                format_ns(*detect_ns),
+                format_ns(*respawn_ns),
+            )
+        }
+        _ => return None,
+    })
 }
 
-/// Everything the journal says about one chronological superstep.
+/// Everything the journal says about one chronological superstep. Apart
+/// from the row's own coordinates the journal's events are kept as they
+/// are, grouped into the lists below by the per-kind `placement` rule.
 #[derive(Debug, Clone, Default)]
 pub struct SuperstepRow {
     /// Chronological superstep index.
@@ -291,38 +114,74 @@ pub struct SuperstepRow {
     pub workset_size: Option<u64>,
     /// Convergence sample for the step, when the run recorded one.
     pub sample: Option<ConvergencePoint>,
-    /// Failure injected after this superstep, if any.
-    pub failure: Option<FailureMark>,
+    /// The `FailureInjected` event after this superstep, if any (the last
+    /// one when a failure struck again before the next superstep completed).
+    pub failure: Option<JournalEvent>,
     /// Recovery actions that ran before the next superstep.
     pub recovery: Vec<RecoveryAction>,
-    /// Worker processes lost or rejoined before the next superstep
-    /// completed (cluster runs only).
-    pub worker_events: Vec<WorkerEvent>,
-    /// Worker-side spans for this superstep, in merge order (cluster runs
-    /// only). These precede the row's `SuperstepCompleted` in the journal,
-    /// so they are buffered and attached when the row is created.
-    pub worker_spans: Vec<WorkerSpanMark>,
-    /// Recovery bills charged to this superstep's failures (cluster runs
-    /// only).
-    pub recovery_costs: Vec<RecoveryCostMark>,
-    /// Elastic-rescale milestones fired at the barrier before this
-    /// superstep's dispatch (elastic cluster runs only). Like chaos marks,
-    /// they precede the row's `SuperstepCompleted` in the journal, so they
-    /// are buffered and attached when the row is created.
-    pub rebalances: Vec<RebalanceMark>,
-    /// Serving-engine epoch events (mutation batches, re-convergence
-    /// summaries, queries) that happened after this superstep (serve runs
-    /// only).
-    pub serve_events: Vec<ServeEvent>,
-    /// Asynchronous-snapshot barrier milestones after this superstep
-    /// (async-snapshot runs only).
-    pub snapshots: Vec<SnapshotMark>,
-    /// Chaos injections fired during this superstep (chaos-plane runs
-    /// only). These precede the row's `SuperstepCompleted` in the journal,
-    /// so they are buffered and attached when the row is created.
-    pub chaos: Vec<ChaosMark>,
+    /// `WorkerLost` / `WorkerRejoined` before the next superstep completed,
+    /// and the `WorkerJoined` of a scale-up that preceded this superstep's
+    /// dispatch (cluster runs only).
+    pub worker_events: Vec<JournalEvent>,
+    /// `WorkerSpan`s for this superstep, in merge order (cluster runs only).
+    pub worker_spans: Vec<JournalEvent>,
+    /// `RecoveryCost` bills charged to this superstep's failures (cluster
+    /// runs only).
+    pub recovery_costs: Vec<JournalEvent>,
+    /// `RebalanceStarted` / `RebalanceCompleted` fired at the barrier before
+    /// this superstep's dispatch (elastic cluster runs only).
+    pub rebalances: Vec<JournalEvent>,
+    /// `MutationBatch` / `Reconverge` / `Query` after this superstep (serve
+    /// runs only).
+    pub serve_events: Vec<JournalEvent>,
+    /// `SnapshotBarrierStarted` / `SnapshotBarrierCompleted` after this
+    /// superstep (async-snapshot runs only).
+    pub snapshots: Vec<JournalEvent>,
+    /// `ChaosInjected` during this superstep (chaos-plane runs only).
+    pub chaos: Vec<JournalEvent>,
     /// Bytes checkpointed after this superstep (0 = no checkpoint).
     pub checkpoint_bytes: Option<u64>,
+}
+
+/// Which row an event belongs to.
+enum Attach {
+    /// The last completed row: failures strike after a superstep's body
+    /// finishes and recovery runs before the next one starts.
+    Last,
+    /// The next row to complete: chaos injections fire while their
+    /// superstep is still open, and rescales (with the joins they cause)
+    /// fire at the barrier before a superstep's dispatch.
+    Next,
+    /// The row of the named superstep: worker spans are journaled before
+    /// the `SuperstepCompleted` they describe, and those of a superstep
+    /// that never completes (a mid-step failure) are dropped.
+    Named(u32),
+}
+
+/// One of a row's event lists.
+type ListOf = fn(&mut SuperstepRow) -> &mut Vec<JournalEvent>;
+
+/// The attribution rule, per event kind: which row, and which of its lists.
+/// `None` for kinds the fold handles itself or ignores.
+fn placement(event: &JournalEvent) -> Option<(Attach, ListOf)> {
+    use JournalEvent as E;
+    Some(match event {
+        E::WorkerLost { .. } | E::WorkerRejoined { .. } => (Attach::Last, |r| &mut r.worker_events),
+        E::WorkerJoined { .. } => (Attach::Next, |r| &mut r.worker_events),
+        E::WorkerSpan { superstep, .. } => (Attach::Named(*superstep), |r| &mut r.worker_spans),
+        E::RecoveryCost { .. } => (Attach::Last, |r| &mut r.recovery_costs),
+        E::RebalanceStarted { .. } | E::RebalanceCompleted { .. } => {
+            (Attach::Next, |r| &mut r.rebalances)
+        }
+        E::MutationBatch { .. } | E::Reconverge { .. } | E::Query { .. } => {
+            (Attach::Last, |r| &mut r.serve_events)
+        }
+        E::SnapshotBarrierStarted { .. } | E::SnapshotBarrierCompleted { .. } => {
+            (Attach::Last, |r| &mut r.snapshots)
+        }
+        E::ChaosInjected { .. } => (Attach::Next, |r| &mut r.chaos),
+        _ => return None,
+    })
 }
 
 /// The convergence measurements of one superstep.
@@ -355,258 +214,111 @@ pub struct RunModel {
     /// Highest serving epoch seen (0 for plain batch journals). A serve
     /// journal concatenates one `RunStarted`..`RunCompleted` sequence per
     /// epoch; rows keep journal order, with epoch boundaries marked by
-    /// [`ServeEvent::MutationBatch`] entries on the preceding row.
+    /// `MutationBatch` events on the preceding row.
     pub epochs: u32,
+}
+
+impl SuperstepRow {
+    /// Fold in an event that changes what the row *is* rather than adding
+    /// to one of its lists.
+    fn absorb(&mut self, event: &JournalEvent) {
+        use JournalEvent as E;
+        match event {
+            E::ConvergenceSample {
+                changed,
+                changed_per_partition,
+                delta_norm,
+                workset_per_partition,
+                ..
+            } => {
+                self.sample = Some(ConvergencePoint {
+                    changed: *changed,
+                    changed_per_partition: changed_per_partition.clone(),
+                    delta_norm: delta_norm.map(|n| n.0),
+                    workset_per_partition: workset_per_partition.clone(),
+                });
+            }
+            E::CheckpointWritten { bytes, .. } => self.checkpoint_bytes = Some(*bytes),
+            E::FailureInjected { .. } => self.failure = Some(event.clone()),
+            E::CompensationInvoked { name, .. } => {
+                // Upgrade the engine's anonymous CompensationApplied
+                // (if already attached) with the strategy's name.
+                match self.recovery.last_mut() {
+                    Some(RecoveryAction::Compensation { name: slot @ None }) => {
+                        *slot = Some(name.clone());
+                    }
+                    _ => self
+                        .recovery
+                        .push(RecoveryAction::Compensation { name: Some(name.clone()) }),
+                }
+            }
+            // The strategy layer may have already recorded the named
+            // invocation; don't double-count.
+            E::CompensationApplied { .. }
+                if !matches!(self.recovery.last(), Some(RecoveryAction::Compensation { .. })) =>
+            {
+                self.recovery.push(RecoveryAction::Compensation { name: None });
+            }
+            E::RolledBack { to_iteration } => {
+                self.recovery.push(RecoveryAction::Rollback { to_iteration: *to_iteration });
+            }
+            E::Restarted => self.recovery.push(RecoveryAction::Restart),
+            E::FailureIgnored { .. } => self.recovery.push(RecoveryAction::Ignored),
+            // CheckpointRestored / DiffChainReplayed are mechanics of a
+            // rollback already represented by RolledBack.
+            _ => {}
+        }
+    }
 }
 
 impl RunModel {
     /// Fold a journal into per-superstep rows.
     pub fn from_events(events: &[JournalEvent]) -> RunModel {
+        use JournalEvent as E;
         let mut model = RunModel::default();
-        // Worker spans are journaled *before* the `SuperstepCompleted` they
-        // describe (the coordinator merges telemetry frames while the
-        // superstep is still open), so they can't use the last-row
-        // attribution rule. Buffer them keyed by superstep and attach them
-        // when the matching row appears; spans of a superstep that never
-        // completes (a mid-step failure) are dropped with the buffer.
-        let mut pending_spans: Vec<(u32, WorkerSpanMark)> = Vec::new();
-        // Chaos injections likewise fire while their superstep is still
-        // open, so they attach to the next row to complete — the superstep
-        // they actually disturbed (or its redo).
-        let mut pending_chaos: Vec<ChaosMark> = Vec::new();
-        // Rescales fire at the barrier before a superstep's dispatch, so
-        // their marks (and the joins they caused) attach forward to the
-        // first post-scale row.
-        let mut pending_rebalances: Vec<RebalanceMark> = Vec::new();
-        let mut pending_joins: Vec<WorkerEvent> = Vec::new();
+        // Events waiting for a row that has not completed yet.
+        let mut pending: Vec<(Attach, ListOf, &JournalEvent)> = Vec::new();
         for event in events {
+            if let E::MutationBatch { epoch, .. } | E::Reconverge { epoch, .. } = event {
+                model.epochs = model.epochs.max(*epoch);
+            }
             match event {
-                JournalEvent::RunStarted { mode, parallelism, .. } => {
+                E::RunStarted { mode, parallelism, .. } => {
                     model.mode = Some(*mode);
                     model.parallelism = *parallelism;
                 }
-                JournalEvent::SuperstepCompleted {
-                    superstep,
-                    iteration,
-                    records_shuffled,
-                    workset_size,
-                } => {
-                    let worker_spans = pending_spans
-                        .iter()
-                        .filter(|(s, _)| s == superstep)
-                        .map(|(_, span)| span.clone())
-                        .collect();
-                    pending_spans.clear();
-                    model.rows.push(SuperstepRow {
+                E::RunCompleted { iterations, converged, .. } => {
+                    model.converged = *converged;
+                    model.logical_iterations = *iterations;
+                }
+                E::SuperstepCompleted { superstep, iteration, records_shuffled, workset_size } => {
+                    let mut row = SuperstepRow {
                         superstep: *superstep,
                         iteration: *iteration,
                         records_shuffled: *records_shuffled,
                         workset_size: *workset_size,
-                        worker_spans,
-                        chaos: std::mem::take(&mut pending_chaos),
-                        rebalances: std::mem::take(&mut pending_rebalances),
-                        worker_events: std::mem::take(&mut pending_joins),
                         ..Default::default()
-                    });
-                }
-                JournalEvent::ConvergenceSample {
-                    changed,
-                    changed_per_partition,
-                    delta_norm,
-                    workset_per_partition,
-                    ..
-                } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.sample = Some(ConvergencePoint {
-                            changed: *changed,
-                            changed_per_partition: changed_per_partition.clone(),
-                            delta_norm: delta_norm.map(|n| n.0),
-                            workset_per_partition: workset_per_partition.clone(),
-                        });
-                    }
-                }
-                JournalEvent::CheckpointWritten { bytes, .. } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.checkpoint_bytes = Some(*bytes);
-                    }
-                }
-                JournalEvent::WorkerLost { worker, lost_partitions, .. } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.worker_events.push(WorkerEvent::Lost {
-                            worker: *worker,
-                            lost_partitions: lost_partitions.clone(),
-                        });
-                    }
-                }
-                JournalEvent::WorkerRejoined { worker, reconnect_attempts, .. } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.worker_events.push(WorkerEvent::Rejoined {
-                            worker: *worker,
-                            reconnect_attempts: *reconnect_attempts,
-                        });
-                    }
-                }
-                JournalEvent::WorkerJoined { worker, .. } => {
-                    pending_joins.push(WorkerEvent::Joined { worker: *worker });
-                }
-                JournalEvent::RebalanceStarted { from_workers, to_workers, .. } => {
-                    pending_rebalances.push(RebalanceMark::Started {
-                        from_workers: *from_workers,
-                        to_workers: *to_workers,
-                    });
-                }
-                JournalEvent::RebalanceCompleted { moved_partitions, reshipped_bytes, .. } => {
-                    pending_rebalances.push(RebalanceMark::Completed {
-                        moved_partitions: *moved_partitions,
-                        reshipped_bytes: *reshipped_bytes,
-                    });
-                }
-                JournalEvent::WorkerSpan {
-                    superstep,
-                    worker,
-                    seq,
-                    pid,
-                    span,
-                    records,
-                    duration_ns,
-                } => {
-                    pending_spans.push((
-                        *superstep,
-                        WorkerSpanMark {
-                            worker: *worker,
-                            seq: *seq,
-                            pid: *pid,
-                            span: span.clone(),
-                            records: *records,
-                            duration_ns: *duration_ns,
-                        },
-                    ));
-                }
-                JournalEvent::RecoveryCost {
-                    worker,
-                    detection,
-                    detect_ns,
-                    respawn_ns,
-                    reshipped_bytes,
-                    ..
-                } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.recovery_costs.push(RecoveryCostMark {
-                            worker: *worker,
-                            detection: detection.clone(),
-                            detect_ns: *detect_ns,
-                            respawn_ns: *respawn_ns,
-                            reshipped_bytes: *reshipped_bytes,
-                        });
-                    }
-                }
-                JournalEvent::SnapshotBarrierStarted { epoch, partitions } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.snapshots
-                            .push(SnapshotMark::Started { epoch: *epoch, partitions: *partitions });
-                    }
-                }
-                JournalEvent::SnapshotBarrierCompleted { epoch, partitions, bytes } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.snapshots.push(SnapshotMark::Completed {
-                            epoch: *epoch,
-                            partitions: *partitions,
-                            bytes: *bytes,
-                        });
-                    }
-                }
-                JournalEvent::ChaosInjected { superstep, worker, kind, param } => {
-                    pending_chaos.push(ChaosMark {
-                        superstep: *superstep,
-                        worker: *worker,
-                        kind: kind.clone(),
-                        param: *param,
-                    });
-                }
-                JournalEvent::FailureInjected { lost_partitions, lost_records, .. } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.failure = Some(FailureMark {
-                            lost_partitions: lost_partitions.clone(),
-                            lost_records: *lost_records,
-                        });
-                    }
-                }
-                JournalEvent::CompensationInvoked { name, .. } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        // Upgrade the engine's anonymous CompensationApplied
-                        // (if already attached) with the strategy's name.
-                        match row.recovery.last_mut() {
-                            Some(RecoveryAction::Compensation { name: slot @ None }) => {
-                                *slot = Some(name.clone());
-                            }
-                            _ => row
-                                .recovery
-                                .push(RecoveryAction::Compensation { name: Some(name.clone()) }),
+                    };
+                    for (attach, list, waiting) in pending.drain(..) {
+                        if !matches!(attach, Attach::Named(named) if named != *superstep) {
+                            list(&mut row).push(waiting.clone());
                         }
                     }
+                    model.rows.push(row);
                 }
-                JournalEvent::CompensationApplied { .. } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        // The strategy layer may have already recorded the
-                        // named invocation; don't double-count.
-                        if !matches!(row.recovery.last(), Some(RecoveryAction::Compensation { .. }))
-                        {
-                            row.recovery.push(RecoveryAction::Compensation { name: None });
+                _ => match placement(event) {
+                    Some((Attach::Last, list)) => {
+                        if let Some(row) = model.rows.last_mut() {
+                            list(row).push(event.clone());
                         }
                     }
-                }
-                JournalEvent::RolledBack { to_iteration } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.recovery.push(RecoveryAction::Rollback { to_iteration: *to_iteration });
+                    Some((attach, list)) => pending.push((attach, list, event)),
+                    None => {
+                        if let Some(row) = model.rows.last_mut() {
+                            row.absorb(event);
+                        }
                     }
-                }
-                JournalEvent::Restarted => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.recovery.push(RecoveryAction::Restart);
-                    }
-                }
-                JournalEvent::FailureIgnored { .. } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.recovery.push(RecoveryAction::Ignored);
-                    }
-                }
-                JournalEvent::RunCompleted { iterations, converged, .. } => {
-                    model.converged = *converged;
-                    model.logical_iterations = *iterations;
-                }
-                JournalEvent::MutationBatch { epoch, inserts, deletes, seeded } => {
-                    model.epochs = model.epochs.max(*epoch);
-                    if let Some(row) = model.rows.last_mut() {
-                        row.serve_events.push(ServeEvent::MutationBatch {
-                            epoch: *epoch,
-                            inserts: *inserts,
-                            deletes: *deletes,
-                            seeded: *seeded,
-                        });
-                    }
-                }
-                JournalEvent::Reconverge { epoch, supersteps, converged } => {
-                    model.epochs = model.epochs.max(*epoch);
-                    if let Some(row) = model.rows.last_mut() {
-                        row.serve_events.push(ServeEvent::Reconverge {
-                            epoch: *epoch,
-                            supersteps: *supersteps,
-                            converged: *converged,
-                        });
-                    }
-                }
-                JournalEvent::Query { epoch, kind, results } => {
-                    if let Some(row) = model.rows.last_mut() {
-                        row.serve_events.push(ServeEvent::Query {
-                            epoch: *epoch,
-                            kind: kind.clone(),
-                            results: *results,
-                        });
-                    }
-                }
-                // CheckpointRestored / DiffChainReplayed are mechanics of a
-                // rollback already represented by RolledBack.
-                _ => {}
+                },
             }
         }
         model
@@ -643,7 +355,11 @@ impl RunModel {
     pub fn snapshot_supersteps(&self) -> Vec<u32> {
         self.rows
             .iter()
-            .filter(|r| r.snapshots.iter().any(|s| matches!(s, SnapshotMark::Completed { .. })))
+            .filter(|r| {
+                r.snapshots
+                    .iter()
+                    .any(|s| matches!(s, JournalEvent::SnapshotBarrierCompleted { .. }))
+            })
             .map(|r| r.superstep)
             .collect()
     }
@@ -657,7 +373,9 @@ impl RunModel {
     pub fn rebalance_supersteps(&self) -> Vec<u32> {
         self.rows
             .iter()
-            .filter(|r| r.rebalances.iter().any(|m| matches!(m, RebalanceMark::Completed { .. })))
+            .filter(|r| {
+                r.rebalances.iter().any(|m| matches!(m, JournalEvent::RebalanceCompleted { .. }))
+            })
             .map(|r| r.superstep)
             .collect()
     }
@@ -665,8 +383,15 @@ impl RunModel {
     /// Distinct worker ids that reported spans, ascending (cluster runs
     /// only — empty for single-process journals).
     pub fn span_workers(&self) -> Vec<usize> {
-        let mut workers: Vec<usize> =
-            self.rows.iter().flat_map(|r| r.worker_spans.iter().map(|s| s.worker)).collect();
+        let mut workers: Vec<usize> = self
+            .rows
+            .iter()
+            .flat_map(|r| &r.worker_spans)
+            .filter_map(|span| match span {
+                JournalEvent::WorkerSpan { worker, .. } => Some(*worker),
+                _ => None,
+            })
+            .collect();
         workers.sort_unstable();
         workers.dedup();
         workers
@@ -684,6 +409,10 @@ impl RunModel {
 mod tests {
     use super::*;
     use telemetry::Norm;
+
+    fn labels(events: &[JournalEvent]) -> Vec<String> {
+        events.iter().map(|e| label(e).expect("an annotated kind")).collect()
+    }
 
     fn step(superstep: u32, iteration: u32) -> JournalEvent {
         JournalEvent::SuperstepCompleted {
@@ -720,7 +449,10 @@ mod tests {
         assert_eq!(model.parallelism, 4);
         assert!(model.converged);
         let failed = &model.rows[1];
-        assert_eq!(failed.failure.as_ref().unwrap().lost_records, 7);
+        assert!(matches!(
+            failed.failure,
+            Some(JournalEvent::FailureInjected { lost_records: 7, .. })
+        ));
         assert_eq!(
             failed.recovery,
             vec![RecoveryAction::Compensation { name: Some("Fix".into()) }]
@@ -754,14 +486,17 @@ mod tests {
 
     #[test]
     fn worker_events_attach_to_the_interrupted_superstep() {
+        let lost = JournalEvent::WorkerLost {
+            superstep: 1,
+            iteration: 1,
+            worker: 1,
+            lost_partitions: vec![1, 3],
+        };
+        let rejoined =
+            JournalEvent::WorkerRejoined { superstep: 2, worker: 1, reconnect_attempts: 3 };
         let events = vec![
             step(0, 0),
-            JournalEvent::WorkerLost {
-                superstep: 1,
-                iteration: 1,
-                worker: 1,
-                lost_partitions: vec![1, 3],
-            },
+            lost.clone(),
             JournalEvent::FailureInjected {
                 superstep: 1,
                 iteration: 1,
@@ -769,54 +504,49 @@ mod tests {
                 lost_records: 6,
             },
             JournalEvent::CompensationApplied { iteration: 1 },
-            JournalEvent::WorkerRejoined { superstep: 2, worker: 1, reconnect_attempts: 3 },
+            rejoined.clone(),
             step(1, 1),
             JournalEvent::RunCompleted { supersteps: 2, iterations: 2, converged: true },
         ];
         let model = RunModel::from_events(&events);
-        assert_eq!(
-            model.rows[0].worker_events,
-            vec![
-                WorkerEvent::Lost { worker: 1, lost_partitions: vec![1, 3] },
-                WorkerEvent::Rejoined { worker: 1, reconnect_attempts: 3 },
-            ]
-        );
+        assert_eq!(model.rows[0].worker_events, vec![lost, rejoined]);
         assert!(model.rows[1].worker_events.is_empty());
-        assert_eq!(model.rows[0].worker_events[0].label(), "worker 1 LOST p[1, 3]");
-        assert_eq!(model.rows[0].worker_events[1].label(), "worker 1 rejoined (3 attempts)");
+        assert_eq!(labels(&model.rows[0].worker_events)[0], "worker 1 LOST p[1, 3]");
+        assert_eq!(labels(&model.rows[0].worker_events)[1], "worker 1 rejoined (3 attempts)");
+        assert_eq!(
+            label(model.rows[0].failure.as_ref().unwrap()).unwrap(),
+            "FAIL p[1, 3] (-6 records)"
+        );
     }
 
     #[test]
     fn rebalance_marks_attach_to_the_first_post_scale_row() {
+        let started =
+            JournalEvent::RebalanceStarted { superstep: 1, from_workers: 2, to_workers: 4 };
+        let joined = |worker| JournalEvent::WorkerJoined { superstep: 1, worker };
+        let completed = JournalEvent::RebalanceCompleted {
+            superstep: 1,
+            moved_partitions: 2,
+            reshipped_bytes: 512,
+        };
         let events = vec![
             step(0, 0),
-            JournalEvent::RebalanceStarted { superstep: 1, from_workers: 2, to_workers: 4 },
-            JournalEvent::WorkerJoined { superstep: 1, worker: 2 },
-            JournalEvent::WorkerJoined { superstep: 1, worker: 3 },
-            JournalEvent::RebalanceCompleted {
-                superstep: 1,
-                moved_partitions: 2,
-                reshipped_bytes: 512,
-            },
+            started.clone(),
+            joined(2),
+            joined(3),
+            completed.clone(),
             step(1, 1),
             JournalEvent::RunCompleted { supersteps: 2, iterations: 2, converged: true },
         ];
         let model = RunModel::from_events(&events);
         assert!(model.rows[0].rebalances.is_empty());
+        assert_eq!(model.rows[1].rebalances, vec![started, completed]);
+        assert_eq!(model.rows[1].worker_events, vec![joined(2), joined(3)]);
         assert_eq!(
-            model.rows[1].rebalances,
-            vec![
-                RebalanceMark::Started { from_workers: 2, to_workers: 4 },
-                RebalanceMark::Completed { moved_partitions: 2, reshipped_bytes: 512 },
-            ]
+            labels(&model.rows[1].rebalances),
+            ["rescale 2->4 workers", "rebalanced: 2 moved, 512B reshipped"]
         );
-        assert_eq!(
-            model.rows[1].worker_events,
-            vec![WorkerEvent::Joined { worker: 2 }, WorkerEvent::Joined { worker: 3 }]
-        );
-        assert_eq!(model.rows[1].rebalances[0].label(), "rescale 2->4 workers");
-        assert_eq!(model.rows[1].rebalances[1].label(), "rebalanced: 2 moved, 512B reshipped");
-        assert_eq!(model.rows[1].worker_events[0].label(), "worker 2 joined (scale-up)");
+        assert_eq!(labels(&model.rows[1].worker_events)[0], "worker 2 joined (scale-up)");
         assert_eq!(model.rebalance_supersteps(), vec![1]);
     }
 
@@ -847,20 +577,22 @@ mod tests {
         assert_eq!(
             model.rows[0].serve_events,
             vec![
-                ServeEvent::Query { epoch: 0, kind: "point".into(), results: 1 },
-                ServeEvent::MutationBatch { epoch: 1, inserts: 2, deletes: 0, seeded: 4 },
+                JournalEvent::Query { epoch: 0, kind: "point".into(), results: 1 },
+                JournalEvent::MutationBatch { epoch: 1, inserts: 2, deletes: 0, seeded: 4 },
             ]
         );
         assert_eq!(
             model.rows[1].serve_events,
-            vec![ServeEvent::Reconverge { epoch: 1, supersteps: 1, converged: true }]
+            vec![JournalEvent::Reconverge { epoch: 1, supersteps: 1, converged: true }]
         );
-        assert_eq!(model.rows[0].serve_events[1].label(), "epoch 1: +2/-0 edges, 4 seeded");
         assert_eq!(
-            model.rows[1].serve_events[0].label(),
-            "epoch 1 reconverged in 1 supersteps (converged)"
+            labels(&model.rows[0].serve_events),
+            ["epoch 0 query[point] -> 1", "epoch 1: +2/-0 edges, 4 seeded"]
         );
-        assert_eq!(model.rows[0].serve_events[0].label(), "epoch 0 query[point] -> 1");
+        assert_eq!(
+            labels(&model.rows[1].serve_events),
+            ["epoch 1 reconverged in 1 supersteps (converged)"]
+        );
     }
 
     fn span(superstep: u32, worker: usize, seq: u64, label: &str) -> JournalEvent {
@@ -898,55 +630,53 @@ mod tests {
             step(2, 2),
         ];
         let model = RunModel::from_events(&events);
-        assert_eq!(model.rows[0].worker_spans.len(), 2);
-        assert_eq!(model.rows[0].worker_spans[1].worker, 1);
         assert_eq!(
-            model.rows[1].worker_spans.iter().map(|s| s.span.as_str()).collect::<Vec<_>>(),
-            vec!["compute", "shuffle"]
+            model.rows[0].worker_spans,
+            vec![span(0, 0, 0, "compute"), span(0, 1, 0, "compute")]
+        );
+        assert_eq!(
+            model.rows[1].worker_spans,
+            vec![span(1, 0, 0, "compute"), span(1, 0, 1, "shuffle")]
         );
         // The superstep-9 span belongs to no completed row: dropped.
         assert!(model.rows[2].worker_spans.is_empty());
-        assert_eq!(model.rows[1].recovery_costs.len(), 1);
-        assert_eq!(model.rows[1].recovery_costs[0].detection, "heartbeat");
-        assert_eq!(model.rows[1].recovery_costs[0].reshipped_bytes, 64);
+        assert_eq!(
+            labels(&model.rows[1].recovery_costs),
+            ["bill[w1 heartbeat: detect 500ns respawn 2.0us reship 64B]"]
+        );
         assert_eq!(model.span_workers(), vec![0, 1]);
     }
 
     #[test]
     fn snapshot_and_chaos_marks_attach_to_the_right_rows() {
+        let straggler = JournalEvent::ChaosInjected {
+            superstep: 0,
+            worker: 1,
+            kind: "straggler".into(),
+            param: 50,
+        };
+        let barrier = JournalEvent::SnapshotBarrierStarted { epoch: 0, partitions: 2 };
+        let persisted =
+            JournalEvent::SnapshotBarrierCompleted { epoch: 0, partitions: 2, bytes: 128 };
         let events = vec![
             // Chaos fires while superstep 0 is open, before its completion.
-            JournalEvent::ChaosInjected {
-                superstep: 0,
-                worker: 1,
-                kind: "straggler".into(),
-                param: 50,
-            },
+            straggler.clone(),
             step(0, 0),
-            JournalEvent::SnapshotBarrierStarted { epoch: 0, partitions: 2 },
+            barrier.clone(),
             step(1, 1),
-            JournalEvent::SnapshotBarrierCompleted { epoch: 0, partitions: 2, bytes: 128 },
+            persisted.clone(),
             JournalEvent::ChaosInjected { superstep: 2, worker: 0, kind: "kill".into(), param: 0 },
             step(2, 2),
             JournalEvent::RunCompleted { supersteps: 3, iterations: 3, converged: true },
         ];
         let model = RunModel::from_events(&events);
-        assert_eq!(
-            model.rows[0].chaos,
-            vec![ChaosMark { superstep: 0, worker: 1, kind: "straggler".into(), param: 50 }]
-        );
-        assert_eq!(model.rows[0].chaos[0].label(), "chaos straggler w1 +50ms");
-        assert_eq!(
-            model.rows[0].snapshots,
-            vec![SnapshotMark::Started { epoch: 0, partitions: 2 }]
-        );
-        assert_eq!(model.rows[0].snapshots[0].label(), "barrier e0 started (2 chunks)");
-        assert_eq!(
-            model.rows[1].snapshots,
-            vec![SnapshotMark::Completed { epoch: 0, partitions: 2, bytes: 128 }]
-        );
-        assert_eq!(model.rows[1].snapshots[0].label(), "barrier e0 complete (128B)");
-        assert_eq!(model.rows[2].chaos[0].label(), "chaos kill w0");
+        assert_eq!(model.rows[0].chaos, vec![straggler]);
+        assert_eq!(labels(&model.rows[0].chaos), ["chaos straggler w1 +50ms"]);
+        assert_eq!(model.rows[0].snapshots, vec![barrier]);
+        assert_eq!(labels(&model.rows[0].snapshots), ["barrier e0 started (2 chunks)"]);
+        assert_eq!(model.rows[1].snapshots, vec![persisted]);
+        assert_eq!(labels(&model.rows[1].snapshots), ["barrier e0 complete (128B)"]);
+        assert_eq!(labels(&model.rows[2].chaos), ["chaos kill w0"]);
         assert_eq!(model.snapshot_supersteps(), vec![1]);
         assert_eq!(model.chaos_injections(), 2);
     }

@@ -11,7 +11,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::load::ReportSummary;
+use telemetry::metrics::MetricsSnapshot;
+use telemetry::{RunReport, SpanKind};
+
 use crate::timeline::format_ns;
 
 /// Time attribution for one partition.
@@ -62,13 +64,18 @@ fn partition_track(name: &str, prefix: &str) -> Option<usize> {
     name.strip_prefix(prefix)?.strip_prefix("/p")?.parse().ok()
 }
 
-/// Build a profile from a loaded report. `straggler_factor` is the multiple
-/// of the median partition total beyond which a partition is flagged.
-pub fn build_profile(report: &ReportSummary, straggler_factor: f64) -> Profile {
+/// Build a profile from a loaded report and the metrics snapshot written
+/// with it. `straggler_factor` is the multiple of the median partition
+/// total beyond which a partition is flagged.
+pub fn build_profile(
+    report: &RunReport,
+    metrics: &MetricsSnapshot,
+    straggler_factor: f64,
+) -> Profile {
     let mut partitions: BTreeMap<usize, PartitionProfile> = BTreeMap::new();
     let mut workers: BTreeMap<usize, PartitionProfile> = BTreeMap::new();
     let mut operators: BTreeMap<String, u64> = BTreeMap::new();
-    for (name, stats) in &report.histograms {
+    for (name, stats) in &metrics.histograms {
         if let Some(pid) = partition_track(name, "partition_task_ns") {
             let slot = partitions
                 .entry(pid)
@@ -116,7 +123,7 @@ pub fn build_profile(report: &ReportSummary, straggler_factor: f64) -> Profile {
     operators.sort_by_key(|o| std::cmp::Reverse(o.1));
 
     let mut phases: Vec<(String, u64)> =
-        report.span_totals_ns.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        report.span_totals.iter().map(|(k, v)| (k.clone(), v.as_nanos() as u64)).collect();
     phases.sort_by_key(|p| std::cmp::Reverse(p.1));
 
     Profile {
@@ -223,7 +230,7 @@ pub fn render_profile(profile: &Profile) -> String {
     let run_ns = profile
         .phases
         .iter()
-        .find(|(k, _)| k == "run")
+        .find(|(k, _)| k == SpanKind::Run.label())
         .map(|(_, ns)| *ns)
         .unwrap_or_else(|| profile.phases.iter().map(|(_, ns)| ns).sum());
     for (phase, ns) in &profile.phases {
@@ -241,7 +248,7 @@ pub fn render_profile(profile: &Profile) -> String {
 /// one run-summary line, then spans, counters, and histograms, with every
 /// `*_ns` value in human-readable units. This is what `optirec top --once`
 /// prints for a saved report sidecar.
-pub fn render_metrics_top(summary: &ReportSummary) -> String {
+pub fn render_metrics_top(summary: &RunReport, metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "run: {} supersteps, {} iterations, {}; failures {} \
@@ -254,21 +261,21 @@ pub fn render_metrics_top(summary: &ReportSummary) -> String {
         summary.rollbacks,
         summary.restarts,
     ));
-    if !summary.span_totals_ns.is_empty() {
+    if !summary.span_totals.is_empty() {
         out.push_str("spans:\n");
-        for (name, ns) in &summary.span_totals_ns {
-            out.push_str(&format!("  {:<28} {:>10}\n", name, format_ns(*ns)));
+        for (name, total) in &summary.span_totals {
+            out.push_str(&format!("  {:<28} {:>10}\n", name, format_ns(total.as_nanos() as u64)));
         }
     }
-    if !summary.counters.is_empty() {
+    if !metrics.counters.is_empty() {
         out.push_str("counters:\n");
-        for (name, value) in &summary.counters {
+        for (name, value) in &metrics.counters {
             out.push_str(&format!("  {:<28} {value:>10}\n", name));
         }
     }
-    if !summary.histograms.is_empty() {
+    if !metrics.histograms.is_empty() {
         out.push_str("histograms:\n");
-        for (name, stats) in &summary.histograms {
+        for (name, stats) in &metrics.histograms {
             // Nanosecond tracks (`x_ns`, `x_ns/p0`) get human units; other
             // histograms keep raw values.
             if name.ends_with("_ns") || name.contains("_ns/") {
@@ -294,14 +301,15 @@ pub fn render_metrics_top(summary: &ReportSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::load::HistogramStats;
+    use std::time::Duration;
+    use telemetry::metrics::HistogramSummary;
 
-    fn hist(sum: u64) -> HistogramStats {
-        HistogramStats { count: 1, sum, mean: sum as f64, p99: sum, max: sum }
+    fn hist(sum: u64) -> HistogramSummary {
+        HistogramSummary { count: 1, sum, mean: sum as f64, p99: sum, max: sum }
     }
 
-    fn report_with_skew() -> ReportSummary {
-        let mut report = ReportSummary::default();
+    fn report_with_skew() -> (RunReport, MetricsSnapshot) {
+        let (mut report, mut metrics) = (RunReport::default(), MetricsSnapshot::default());
         for (name, sum) in [
             ("partition_task_ns/p0", 100u64),
             ("partition_task_ns/p1", 110),
@@ -311,17 +319,18 @@ mod tests {
             ("op/reduce_ns", 400),
             ("op/join_ns", 300),
         ] {
-            report.histograms.insert(name.to_string(), hist(sum));
+            metrics.histograms.insert(name.to_string(), hist(sum));
         }
-        report.span_totals_ns.insert("run".into(), 1000);
-        report.span_totals_ns.insert("compute".into(), 700);
-        report.span_totals_ns.insert("recovery".into(), 50);
-        report
+        for (label, ns) in [("run", 1000), ("compute", 700), ("recovery", 50)] {
+            report.span_totals.insert(label.into(), Duration::from_nanos(ns));
+        }
+        (report, metrics)
     }
 
     #[test]
     fn stragglers_are_flagged_against_the_median() {
-        let profile = build_profile(&report_with_skew(), 2.0);
+        let (report, metrics) = report_with_skew();
+        let profile = build_profile(&report, &metrics, 2.0);
         assert_eq!(profile.partitions.len(), 3);
         assert!(!profile.partitions[0].straggler);
         assert!(!profile.partitions[1].straggler);
@@ -333,7 +342,8 @@ mod tests {
 
     #[test]
     fn render_mentions_stragglers_and_phases() {
-        let profile = build_profile(&report_with_skew(), 2.0);
+        let (report, metrics) = report_with_skew();
+        let profile = build_profile(&report, &metrics, 2.0);
         let text = render_profile(&profile);
         assert!(text.contains("STRAGGLER"), "{text}");
         assert!(text.contains("reduce"), "{text}");
@@ -347,13 +357,13 @@ mod tests {
 
     #[test]
     fn worker_tracks_get_their_own_section_with_human_units() {
-        let mut report = report_with_skew();
-        report.histograms.insert("worker_compute_ns/p0".into(), hist(1_500_000));
-        report.histograms.insert("worker_compute_ns/p1".into(), hist(2_500_000));
-        report.histograms.insert("worker_shuffle_ns/p1".into(), hist(40_000));
-        report.histograms.insert("worker_exchange_ns/p1".into(), hist(60_000));
-        report.histograms.insert("net/peer_bytes/p1".into(), hist(8_192));
-        let profile = build_profile(&report, 2.0);
+        let (report, mut metrics) = report_with_skew();
+        metrics.histograms.insert("worker_compute_ns/p0".into(), hist(1_500_000));
+        metrics.histograms.insert("worker_compute_ns/p1".into(), hist(2_500_000));
+        metrics.histograms.insert("worker_shuffle_ns/p1".into(), hist(40_000));
+        metrics.histograms.insert("worker_exchange_ns/p1".into(), hist(60_000));
+        metrics.histograms.insert("net/peer_bytes/p1".into(), hist(8_192));
+        let profile = build_profile(&report, &metrics, 2.0);
         assert_eq!(profile.workers.len(), 2);
         assert_eq!(profile.workers[1].total_ns(), 2_600_000);
         let text = render_profile(&profile);
@@ -370,13 +380,13 @@ mod tests {
 
     #[test]
     fn metrics_top_renders_counters_and_human_units() {
-        let mut report = report_with_skew();
+        let (mut report, mut metrics) = report_with_skew();
         report.supersteps = 7;
         report.logical_iterations = 7;
         report.converged = true;
-        report.counters.insert("recovery/reshipped_bytes".into(), 4096);
-        report.histograms.insert("recovery/detect_ns".into(), hist(2_000_000));
-        let text = render_metrics_top(&report);
+        metrics.counters.insert("recovery/reshipped_bytes".into(), 4096);
+        metrics.histograms.insert("recovery/detect_ns".into(), hist(2_000_000));
+        let text = render_metrics_top(&report, &metrics);
         assert!(text.contains("run: 7 supersteps, 7 iterations, converged"), "{text}");
         assert!(text.contains("recovery/reshipped_bytes"), "{text}");
         assert!(text.contains("4096"), "{text}");
@@ -386,7 +396,7 @@ mod tests {
 
     #[test]
     fn empty_reports_render_placeholders() {
-        let profile = build_profile(&ReportSummary::default(), 2.0);
+        let profile = build_profile(&RunReport::default(), &MetricsSnapshot::default(), 2.0);
         let text = render_profile(&profile);
         assert!(text.contains("no per-partition histograms"), "{text}");
     }

@@ -12,10 +12,9 @@
 //! totals and the recovery wall-clock from the spans sidecar when one is
 //! available.
 
-use telemetry::PartitionId;
+use telemetry::{JournalEvent, PartitionId, RunReport, SpanKind};
 
-use crate::load::ReportSummary;
-use crate::model::{ChaosMark, RebalanceMark, RecoveryAction, RunModel, SnapshotMark, WorkerEvent};
+use crate::model::{label, RecoveryAction, RunModel};
 use crate::timeline::format_ns;
 
 /// The cost of one worker outage, attributed to the superstep it
@@ -77,9 +76,9 @@ pub struct RecoveryReport {
     /// Wall-clock spent in the `recovery` span, when a spans sidecar or
     /// report was available.
     pub recovery_wall_ns: Option<u64>,
-    /// Chaos-plane injections, in journal order: the faults the run was
-    /// billed for absorbing.
-    pub chaos: Vec<ChaosMark>,
+    /// Chaos-plane injections (`ChaosInjected` events), in journal order:
+    /// the faults the run was billed for absorbing.
+    pub chaos: Vec<JournalEvent>,
     /// Async-snapshot epochs that reached stable storage.
     pub snapshot_epochs: u32,
     /// Total bytes the completed snapshot epochs persisted.
@@ -137,11 +136,12 @@ fn recomputed_for(row: &crate::model::SuperstepRow) -> u32 {
 
 /// Build the recovery report from a folded journal, plus the report
 /// sidecar (for the `recovery` span total) when available.
-pub fn build_recovery_report(model: &RunModel, report: Option<&ReportSummary>) -> RecoveryReport {
+pub fn build_recovery_report(model: &RunModel, report: Option<&RunReport>) -> RecoveryReport {
+    let recovery_wall = report.and_then(|r| r.span_totals.get(SpanKind::Recovery.label()));
     let mut out = RecoveryReport {
         failures: model.failure_supersteps().len() as u32,
         redundant_supersteps: model.redundant_supersteps(),
-        recovery_wall_ns: report.and_then(|r| r.span_totals_ns.get("recovery").copied()),
+        recovery_wall_ns: recovery_wall.map(|total| total.as_nanos() as u64),
         ..Default::default()
     };
     for row in &model.rows {
@@ -152,10 +152,10 @@ pub fn build_recovery_report(model: &RunModel, report: Option<&ReportSummary>) -
         let mut pending_scale: Option<(usize, usize)> = None;
         for mark in &row.rebalances {
             match mark {
-                RebalanceMark::Started { from_workers, to_workers } => {
+                JournalEvent::RebalanceStarted { from_workers, to_workers, .. } => {
                     pending_scale = Some((*from_workers, *to_workers));
                 }
-                RebalanceMark::Completed { moved_partitions, reshipped_bytes } => {
+                JournalEvent::RebalanceCompleted { moved_partitions, reshipped_bytes, .. } => {
                     let (from_workers, to_workers) = pending_scale.take().unwrap_or((0, 0));
                     out.rebalances.push(RebalanceBill {
                         superstep: row.superstep,
@@ -165,20 +165,34 @@ pub fn build_recovery_report(model: &RunModel, report: Option<&ReportSummary>) -
                         reshipped_bytes: *reshipped_bytes,
                     });
                 }
+                _ => {}
             }
         }
         for snapshot in &row.snapshots {
-            if let SnapshotMark::Completed { bytes, .. } = snapshot {
+            if let JournalEvent::SnapshotBarrierCompleted { bytes, .. } = snapshot {
                 out.snapshot_epochs += 1;
                 out.snapshot_bytes += bytes;
             }
         }
         for cost in &row.recovery_costs {
+            let JournalEvent::RecoveryCost {
+                worker,
+                detection,
+                detect_ns,
+                respawn_ns,
+                reshipped_bytes,
+                ..
+            } = cost
+            else {
+                continue;
+            };
             let lost_partitions = row
                 .worker_events
                 .iter()
                 .find_map(|event| match event {
-                    WorkerEvent::Lost { worker, lost_partitions } if *worker == cost.worker => {
+                    JournalEvent::WorkerLost { worker: lost, lost_partitions, .. }
+                        if lost == worker =>
+                    {
                         Some(lost_partitions.clone())
                     }
                     _ => None,
@@ -186,11 +200,11 @@ pub fn build_recovery_report(model: &RunModel, report: Option<&ReportSummary>) -
                 .unwrap_or_default();
             out.bills.push(RecoveryBill {
                 superstep: row.superstep,
-                worker: cost.worker,
-                detection: cost.detection.clone(),
-                detect_ns: cost.detect_ns,
-                respawn_ns: cost.respawn_ns,
-                reshipped_bytes: cost.reshipped_bytes,
+                worker: *worker,
+                detection: detection.clone(),
+                detect_ns: *detect_ns,
+                respawn_ns: *respawn_ns,
+                reshipped_bytes: *reshipped_bytes,
                 supersteps_recomputed: recomputed_for(row),
                 lost_partitions,
             });
@@ -210,7 +224,10 @@ pub fn render_recovery(report: &RecoveryReport) -> String {
     if !report.chaos.is_empty() {
         out.push_str(&format!("chaos plane: {} injection(s)\n", report.chaos.len()));
         for mark in &report.chaos {
-            out.push_str(&format!("  s{:>3} {}\n", mark.superstep, mark.label()));
+            if let (JournalEvent::ChaosInjected { superstep, .. }, Some(text)) = (mark, label(mark))
+            {
+                out.push_str(&format!("  s{superstep:>3} {text}\n"));
+            }
         }
     }
     if report.snapshot_epochs > 0 {
@@ -279,7 +296,8 @@ pub fn render_recovery(report: &RecoveryReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FailureMark, RecoveryCostMark, SuperstepRow};
+    use crate::model::SuperstepRow;
+    use std::time::Duration;
 
     fn cluster_model() -> RunModel {
         let mut model = RunModel { parallelism: 4, converged: true, ..Default::default() };
@@ -287,13 +305,24 @@ mod tests {
         model.rows.push(SuperstepRow {
             superstep: 1,
             iteration: 1,
-            failure: Some(FailureMark { lost_partitions: vec![1, 3], lost_records: 9 }),
+            failure: Some(JournalEvent::FailureInjected {
+                superstep: 2,
+                iteration: 2,
+                lost_partitions: vec![1, 3],
+                lost_records: 9,
+            }),
             recovery: vec![RecoveryAction::Compensation { name: Some("Fix".into()) }],
             worker_events: vec![
-                WorkerEvent::Lost { worker: 1, lost_partitions: vec![1, 3] },
-                WorkerEvent::Rejoined { worker: 1, reconnect_attempts: 2 },
+                JournalEvent::WorkerLost {
+                    superstep: 2,
+                    iteration: 2,
+                    worker: 1,
+                    lost_partitions: vec![1, 3],
+                },
+                JournalEvent::WorkerRejoined { superstep: 2, worker: 1, reconnect_attempts: 2 },
             ],
-            recovery_costs: vec![RecoveryCostMark {
+            recovery_costs: vec![JournalEvent::RecoveryCost {
+                superstep: 2,
                 worker: 1,
                 detection: "read_error".into(),
                 detect_ns: 1_500_000,
@@ -332,8 +361,8 @@ mod tests {
 
     #[test]
     fn render_shows_bills_totals_and_wall_clock() {
-        let mut summary = ReportSummary::default();
-        summary.span_totals_ns.insert("recovery".into(), 6_000_000);
+        let mut summary = RunReport::default();
+        summary.span_totals.insert("recovery".into(), Duration::from_millis(6));
         let report = build_recovery_report(&cluster_model(), Some(&summary));
         let text = render_recovery(&report);
         assert!(text.contains("1 failure(s), 1 worker outage(s)"), "{text}");
@@ -346,11 +375,16 @@ mod tests {
     #[test]
     fn chaos_and_snapshot_accounting_reach_the_report() {
         let mut model = cluster_model();
-        model.rows[1].chaos =
-            vec![ChaosMark { superstep: 1, worker: 1, kind: "kill".into(), param: 0 }];
-        model.rows[0].snapshots = vec![SnapshotMark::Started { epoch: 0, partitions: 4 }];
+        model.rows[1].chaos = vec![JournalEvent::ChaosInjected {
+            superstep: 1,
+            worker: 1,
+            kind: "kill".into(),
+            param: 0,
+        }];
+        model.rows[0].snapshots =
+            vec![JournalEvent::SnapshotBarrierStarted { epoch: 0, partitions: 4 }];
         model.rows[2].snapshots =
-            vec![SnapshotMark::Completed { epoch: 0, partitions: 4, bytes: 512 }];
+            vec![JournalEvent::SnapshotBarrierCompleted { epoch: 0, partitions: 4, bytes: 512 }];
         let report = build_recovery_report(&model, None);
         assert_eq!(report.chaos.len(), 1);
         assert_eq!(report.snapshot_epochs, 1);
@@ -365,8 +399,12 @@ mod tests {
     fn planned_rescales_bill_separately_from_outages() {
         let mut model = cluster_model();
         model.rows[2].rebalances = vec![
-            RebalanceMark::Started { from_workers: 2, to_workers: 4 },
-            RebalanceMark::Completed { moved_partitions: 2, reshipped_bytes: 1024 },
+            JournalEvent::RebalanceStarted { superstep: 2, from_workers: 2, to_workers: 4 },
+            JournalEvent::RebalanceCompleted {
+                superstep: 2,
+                moved_partitions: 2,
+                reshipped_bytes: 1024,
+            },
         ];
         let report = build_recovery_report(&model, None);
         assert_eq!(
@@ -393,8 +431,12 @@ mod tests {
         model.rows.push(SuperstepRow {
             superstep: 0,
             rebalances: vec![
-                RebalanceMark::Started { from_workers: 2, to_workers: 3 },
-                RebalanceMark::Completed { moved_partitions: 1, reshipped_bytes: 64 },
+                JournalEvent::RebalanceStarted { superstep: 0, from_workers: 2, to_workers: 3 },
+                JournalEvent::RebalanceCompleted {
+                    superstep: 0,
+                    moved_partitions: 1,
+                    reshipped_bytes: 64,
+                },
             ],
             ..Default::default()
         });

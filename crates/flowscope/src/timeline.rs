@@ -8,8 +8,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::load::SpanEntry;
-use crate::model::{RunModel, SuperstepRow};
+use telemetry::{JournalEvent, SpanKind, SpanRecord};
+
+use crate::model::{label, RunModel, SuperstepRow};
 
 /// Bar glyphs: compute, shuffle-dominated remainder, checkpoint, recovery,
 /// and (worker lanes only) time blocked waiting on the peer exchange.
@@ -36,18 +37,19 @@ impl StepTiming {
     }
 }
 
-fn timings_from_spans(spans: &[SpanEntry]) -> BTreeMap<u32, StepTiming> {
+fn timings_from_spans(spans: &[SpanRecord]) -> BTreeMap<u32, StepTiming> {
     let mut by_step: BTreeMap<u32, StepTiming> = BTreeMap::new();
     for span in spans {
         let Some(superstep) = span.superstep else { continue };
         let slot = by_step.entry(superstep).or_default();
-        match span.kind.as_str() {
-            "compute" => slot.compute_ns += span.duration_ns,
-            "shuffle" => slot.shuffle_ns += span.duration_ns,
-            "checkpoint" => slot.checkpoint_ns += span.duration_ns,
-            "recovery" => slot.recovery_ns += span.duration_ns,
-            // "superstep" envelopes double-count their children; skip.
-            _ => {}
+        let ns = span.duration.as_nanos() as u64;
+        match span.kind {
+            SpanKind::Compute => slot.compute_ns += ns,
+            SpanKind::Shuffle => slot.shuffle_ns += ns,
+            SpanKind::Checkpoint => slot.checkpoint_ns += ns,
+            SpanKind::Recovery => slot.recovery_ns += ns,
+            // Superstep envelopes double-count their children; skip.
+            SpanKind::Run | SpanKind::Superstep => {}
         }
     }
     by_step
@@ -69,40 +71,18 @@ pub fn format_ns(ns: u64) -> String {
 }
 
 fn annotations(row: &SuperstepRow) -> String {
-    let mut notes = Vec::new();
-    if let Some(failure) = &row.failure {
-        notes.push(format!(
-            "FAIL p{:?} (-{} records)",
-            failure.lost_partitions, failure.lost_records
-        ));
-    }
-    for action in &row.recovery {
-        notes.push(action.label());
-    }
-    for event in &row.worker_events {
-        notes.push(event.label());
-    }
-    for event in &row.serve_events {
-        notes.push(event.label());
-    }
-    for mark in &row.rebalances {
-        notes.push(mark.label());
-    }
-    for mark in &row.chaos {
-        notes.push(mark.label());
-    }
-    for mark in &row.snapshots {
-        notes.push(mark.label());
-    }
-    for cost in &row.recovery_costs {
-        notes.push(format!(
-            "bill[w{} {}: detect {} respawn {} reship {}B]",
-            cost.worker,
-            cost.detection,
-            format_ns(cost.detect_ns),
-            format_ns(cost.respawn_ns),
-            cost.reshipped_bytes,
-        ));
+    let events = |list: &[JournalEvent]| list.iter().filter_map(label).collect::<Vec<_>>();
+    let mut notes = events(row.failure.as_slice());
+    notes.extend(row.recovery.iter().map(|action| action.label()));
+    for list in [
+        &row.worker_events,
+        &row.serve_events,
+        &row.rebalances,
+        &row.chaos,
+        &row.snapshots,
+        &row.recovery_costs,
+    ] {
+        notes.extend(events(list));
     }
     if let Some(bytes) = row.checkpoint_bytes {
         notes.push(format!("ckpt {bytes}B"));
@@ -129,23 +109,26 @@ impl WorkerLane {
 /// Per-worker aggregation of one row's spans, in ascending worker order.
 fn worker_lanes(row: &SuperstepRow) -> Vec<(usize, WorkerLane)> {
     let mut lanes: BTreeMap<usize, WorkerLane> = BTreeMap::new();
-    for span in &row.worker_spans {
-        let lane = lanes.entry(span.worker).or_default();
-        match span.span.as_str() {
-            "compute" => lane.compute_ns += span.duration_ns,
-            "shuffle" => lane.shuffle_ns += span.duration_ns,
-            "exchange" => lane.exchange_ns += span.duration_ns,
+    for event in &row.worker_spans {
+        let JournalEvent::WorkerSpan { worker, pid, span, records, duration_ns, .. } = event else {
+            continue;
+        };
+        let lane = lanes.entry(*worker).or_default();
+        match span.as_str() {
+            "compute" => lane.compute_ns += duration_ns,
+            "shuffle" => lane.shuffle_ns += duration_ns,
+            "exchange" => lane.exchange_ns += duration_ns,
             // peer_bytes rows reuse `pid` for the destination worker and
             // `records` for the byte count: traffic accounting, not a timed
             // partition phase — keep them out of the partition list.
             "peer_bytes" => {
-                lane.peer_bytes += span.records;
+                lane.peer_bytes += records;
                 continue;
             }
             _ => {}
         }
-        if !lane.pids.contains(&span.pid) {
-            lane.pids.push(span.pid);
+        if !lane.pids.contains(pid) {
+            lane.pids.push(*pid);
         }
     }
     lanes.into_iter().collect()
@@ -153,7 +136,7 @@ fn worker_lanes(row: &SuperstepRow) -> Vec<(usize, WorkerLane)> {
 
 /// Render the Gantt timeline. Pass the spans sidecar when available; without
 /// it bar lengths fall back to records-shuffled as a work proxy.
-pub fn render_timeline(model: &RunModel, spans: Option<&[SpanEntry]>) -> String {
+pub fn render_timeline(model: &RunModel, spans: Option<&[SpanRecord]>) -> String {
     let timings = spans.map(timings_from_spans);
     let mut out = String::new();
     let mode = model.mode.map_or("?", |m| m.label());
@@ -285,7 +268,24 @@ pub fn render_timeline(model: &RunModel, spans: Option<&[SpanEntry]>) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{FailureMark, RecoveryAction, WorkerEvent};
+    use crate::model::RecoveryAction;
+    use std::time::Duration;
+
+    fn lost(worker: usize) -> JournalEvent {
+        JournalEvent::WorkerLost { superstep: 2, iteration: 2, worker, lost_partitions: vec![1] }
+    }
+
+    fn worker_span(worker: usize, pid: usize, span: &str, records: u64, ns: u64) -> JournalEvent {
+        JournalEvent::WorkerSpan {
+            superstep: 0,
+            worker,
+            seq: 0,
+            pid,
+            span: span.into(),
+            records,
+            duration_ns: ns,
+        }
+    }
 
     fn model_with_failure() -> RunModel {
         let mut model = RunModel { parallelism: 2, converged: true, ..Default::default() };
@@ -299,11 +299,16 @@ mod tests {
             superstep: 1,
             iteration: 1,
             records_shuffled: 20,
-            failure: Some(FailureMark { lost_partitions: vec![1], lost_records: 9 }),
+            failure: Some(JournalEvent::FailureInjected {
+                superstep: 1,
+                iteration: 1,
+                lost_partitions: vec![1],
+                lost_records: 9,
+            }),
             recovery: vec![RecoveryAction::Compensation { name: Some("Fix".into()) }],
             worker_events: vec![
-                WorkerEvent::Lost { worker: 1, lost_partitions: vec![1] },
-                WorkerEvent::Rejoined { worker: 1, reconnect_attempts: 2 },
+                lost(1),
+                JournalEvent::WorkerRejoined { superstep: 2, worker: 1, reconnect_attempts: 2 },
             ],
             ..Default::default()
         });
@@ -326,13 +331,16 @@ mod tests {
 
     #[test]
     fn rescale_markers_render_inline() {
-        use crate::model::RebalanceMark;
         let mut model = model_with_failure();
         model.rows[1].rebalances = vec![
-            RebalanceMark::Started { from_workers: 2, to_workers: 4 },
-            RebalanceMark::Completed { moved_partitions: 2, reshipped_bytes: 1024 },
+            JournalEvent::RebalanceStarted { superstep: 1, from_workers: 2, to_workers: 4 },
+            JournalEvent::RebalanceCompleted {
+                superstep: 1,
+                moved_partitions: 2,
+                reshipped_bytes: 1024,
+            },
         ];
-        model.rows[1].worker_events.push(WorkerEvent::Joined { worker: 2 });
+        model.rows[1].worker_events.push(JournalEvent::WorkerJoined { superstep: 1, worker: 2 });
         let text = render_timeline(&model, None);
         assert!(text.contains("rescale 2->4 workers"), "{text}");
         assert!(text.contains("rebalanced: 2 moved, 1024B reshipped"), "{text}");
@@ -341,21 +349,20 @@ mod tests {
 
     #[test]
     fn serve_epoch_markers_render_inline() {
-        use crate::model::ServeEvent;
         let mut model = model_with_failure();
         model.epochs = 1;
-        model.rows[0].serve_events.push(ServeEvent::MutationBatch {
+        model.rows[0].serve_events.push(JournalEvent::MutationBatch {
             epoch: 1,
             inserts: 3,
             deletes: 1,
             seeded: 5,
         });
-        model.rows[1].serve_events.push(ServeEvent::Reconverge {
+        model.rows[1].serve_events.push(JournalEvent::Reconverge {
             epoch: 1,
             supersteps: 2,
             converged: true,
         });
-        model.rows[1].serve_events.push(ServeEvent::Query {
+        model.rows[1].serve_events.push(JournalEvent::Query {
             epoch: 1,
             kind: "top".into(),
             results: 3,
@@ -369,23 +376,16 @@ mod tests {
 
     #[test]
     fn worker_lanes_render_under_their_superstep() {
-        use crate::model::{RecoveryCostMark, WorkerSpanMark};
         let mut model = model_with_failure();
         for (worker, pid, label, ns) in [
             (0usize, 0usize, "compute", 40_000u64),
             (0, 0, "shuffle", 2_000),
             (1, 1, "compute", 80_000),
         ] {
-            model.rows[0].worker_spans.push(WorkerSpanMark {
-                worker,
-                seq: 0,
-                pid,
-                span: label.into(),
-                records: 5,
-                duration_ns: ns,
-            });
+            model.rows[0].worker_spans.push(worker_span(worker, pid, label, 5, ns));
         }
-        model.rows[1].recovery_costs.push(RecoveryCostMark {
+        model.rows[1].recovery_costs.push(JournalEvent::RecoveryCost {
+            superstep: 2,
             worker: 1,
             detection: "heartbeat".into(),
             detect_ns: 1_200_000,
@@ -405,7 +405,6 @@ mod tests {
 
     #[test]
     fn exchange_and_peer_traffic_render_without_polluting_partitions() {
-        use crate::model::WorkerSpanMark;
         let mut model = model_with_failure();
         for (pid, span, records, ns) in [
             (0usize, "compute", 5u64, 40_000u64),
@@ -413,14 +412,7 @@ mod tests {
             // Traffic rows: pid is the *destination worker*, records = bytes.
             (1, "peer_bytes", 4096, 2),
         ] {
-            model.rows[0].worker_spans.push(WorkerSpanMark {
-                worker: 0,
-                seq: 0,
-                pid,
-                span: span.into(),
-                records,
-                duration_ns: ns,
-            });
+            model.rows[0].worker_spans.push(worker_span(0, pid, span, records, ns));
         }
         let text = render_timeline(&model, None);
         assert!(text.contains("exchange 10.0us"), "{text}");
@@ -433,23 +425,23 @@ mod tests {
     #[test]
     fn span_timeline_draws_phase_segments() {
         let spans = vec![
-            SpanEntry {
-                kind: "compute".into(),
+            SpanRecord {
+                kind: SpanKind::Compute,
                 superstep: Some(0),
                 iteration: Some(0),
-                duration_ns: 3_000,
+                duration: Duration::from_nanos(3_000),
             },
-            SpanEntry {
-                kind: "shuffle".into(),
+            SpanRecord {
+                kind: SpanKind::Shuffle,
                 superstep: Some(0),
                 iteration: Some(0),
-                duration_ns: 1_000,
+                duration: Duration::from_nanos(1_000),
             },
-            SpanEntry {
-                kind: "recovery".into(),
+            SpanRecord {
+                kind: SpanKind::Recovery,
                 superstep: Some(1),
                 iteration: Some(1),
-                duration_ns: 2_000,
+                duration: Duration::from_nanos(2_000),
             },
         ];
         let text = render_timeline(&model_with_failure(), Some(&spans));

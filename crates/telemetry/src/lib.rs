@@ -24,6 +24,14 @@
 //! the engine threads through its configuration. [`report::RunReport`]
 //! aggregates a finished run's journal and spans into the totals the bench
 //! binaries serialize.
+//!
+//! This crate is also the single owner of the on-disk dialect, in both
+//! directions. [`json`] holds the writer, the reader, and the one
+//! `write`/`read` pair per field type; every journal event is declared once,
+//! in the table in [`event`], from which the enum, its writer and its
+//! reader are generated; reports are declared the same way and a span keeps
+//! its `to_json`/`from_json` side by side. `flowscope` (the `optirec
+//! inspect` views) reads files through these and has no schema of its own.
 
 #![warn(missing_docs)]
 
@@ -35,7 +43,7 @@ pub mod sink;
 pub mod span;
 
 pub use event::{FailureRecord, IterationMode, JournalEvent, Norm, PartitionId, RecoveryKind};
-pub use metrics::MetricRegistry;
+pub use metrics::{MetricRegistry, MetricsSnapshot};
 pub use report::RunReport;
 pub use sink::{JsonlSink, MemorySink, NoopSink, SinkHandle, TelemetrySink};
 pub use span::{SpanKind, SpanRecord, SpanTimer};

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::Obj;
+use crate::json::json_record;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -174,31 +174,35 @@ impl PartitionedHistogram {
     }
 }
 
-/// Point-in-time snapshot of every instrument in a registry, with
-/// deterministic (sorted-by-name) ordering.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries by name: `(count, sum, mean, p99, max)`.
-    pub histograms: BTreeMap<String, HistogramSummary>,
+json_record! {
+    /// Point-in-time snapshot of every instrument in a registry, with
+    /// deterministic (sorted-by-name) ordering.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct MetricsSnapshot {
+        /// Counter values by name.
+        pub counters: BTreeMap<String, u64>,
+        /// Gauge values by name.
+        pub gauges: BTreeMap<String, f64>,
+        /// Histogram summaries by name.
+        pub histograms: BTreeMap<String, HistogramSummary>,
+    }
 }
 
-/// Summary statistics of one histogram at snapshot time.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HistogramSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Mean observation.
-    pub mean: f64,
-    /// Estimated 99th percentile (bucket upper bound).
-    pub p99: u64,
-    /// Largest observation.
-    pub max: u64,
+json_record! {
+    /// Summary statistics of one histogram at snapshot time.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct HistogramSummary {
+        /// Number of observations.
+        pub count: u64,
+        /// Sum of observations.
+        pub sum: u64,
+        /// Mean observation.
+        pub mean: f64,
+        /// Estimated 99th percentile (bucket upper bound).
+        pub p99: u64,
+        /// Largest observation.
+        pub max: u64,
+    }
 }
 
 impl HistogramSummary {
@@ -210,38 +214,6 @@ impl HistogramSummary {
             p99: h.quantile(0.99),
             max: h.max(),
         }
-    }
-}
-
-impl MetricsSnapshot {
-    /// Serialize the snapshot as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut counters = Obj::new();
-        for (name, value) in &self.counters {
-            counters = counters.u64(name, *value);
-        }
-        let mut gauges = Obj::new();
-        for (name, value) in &self.gauges {
-            gauges = gauges.f64(name, *value);
-        }
-        let mut histograms = Obj::new();
-        for (name, h) in &self.histograms {
-            histograms = histograms.raw(
-                name,
-                &Obj::new()
-                    .u64("count", h.count)
-                    .u64("sum", h.sum)
-                    .f64("mean", h.mean)
-                    .u64("p99", h.p99)
-                    .u64("max", h.max)
-                    .finish(),
-            );
-        }
-        Obj::new()
-            .raw("counters", &counters.finish())
-            .raw("gauges", &gauges.finish())
-            .raw("histograms", &histograms.finish())
-            .finish()
     }
 }
 

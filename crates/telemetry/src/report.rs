@@ -4,46 +4,48 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::event::JournalEvent;
-use crate::json::Obj;
+use crate::json::{self, json_record, Fields, Json, Obj, ReadError};
 use crate::metrics::MetricsSnapshot;
 use crate::sink::MemorySink;
 use crate::span::{SpanKind, SpanRecord};
 
-/// Totals of one iterative run, derived from its event journal and spans.
-///
-/// The report intentionally overlaps with the engine's legacy `RunStats`:
-/// tests reconcile the two, proving the journal faithfully describes the
-/// run it came from.
-#[derive(Debug, Clone, Default)]
-pub struct RunReport {
-    /// Supersteps actually executed (rollbacks re-execute).
-    pub supersteps: u32,
-    /// Highest logical iteration reached plus one.
-    pub logical_iterations: u32,
-    /// Whether the run converged (from `RunCompleted`).
-    pub converged: bool,
-    /// Total records shuffled across partitions, summed over supersteps.
-    pub records_shuffled: u64,
-    /// Failures injected.
-    pub failures: u64,
-    /// Records destroyed by failures.
-    pub lost_records: u64,
-    /// Failures answered by compensation (optimistic recovery).
-    pub compensations: u64,
-    /// Failures answered by checkpoint rollback.
-    pub rollbacks: u64,
-    /// Failures answered by full restart.
-    pub restarts: u64,
-    /// Failures deliberately ignored.
-    pub ignored: u64,
-    /// Checkpoints written.
-    pub checkpoints: u64,
-    /// Total bytes written by checkpoints.
-    pub checkpoint_bytes: u64,
-    /// Count of every event kind seen, by kind name.
-    pub event_counts: BTreeMap<String, u64>,
-    /// Total wall-clock per span kind (label → duration).
-    pub span_totals: BTreeMap<String, Duration>,
+json_record! {
+    /// Totals of one iterative run, derived from its event journal and spans.
+    ///
+    /// The report intentionally overlaps with the engine's legacy `RunStats`:
+    /// tests reconcile the two, proving the journal faithfully describes the
+    /// run it came from.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct RunReport {
+        /// Supersteps actually executed (rollbacks re-execute).
+        pub supersteps: u32,
+        /// Highest logical iteration reached plus one.
+        pub logical_iterations: u32,
+        /// Whether the run converged (from `RunCompleted`).
+        pub converged: bool,
+        /// Total records shuffled across partitions, summed over supersteps.
+        pub records_shuffled: u64,
+        /// Failures injected.
+        pub failures: u64,
+        /// Records destroyed by failures.
+        pub lost_records: u64,
+        /// Failures answered by compensation (optimistic recovery).
+        pub compensations: u64,
+        /// Failures answered by checkpoint rollback.
+        pub rollbacks: u64,
+        /// Failures answered by full restart.
+        pub restarts: u64,
+        /// Failures deliberately ignored.
+        pub ignored: u64,
+        /// Checkpoints written.
+        pub checkpoints: u64,
+        /// Total bytes written by checkpoints.
+        pub checkpoint_bytes: u64,
+        /// Count of every event kind seen, by kind name.
+        pub event_counts: BTreeMap<String, u64>,
+        /// Total wall-clock per span kind (label → duration).
+        pub span_totals: BTreeMap<String, Duration>,
+    }
 }
 
 impl RunReport {
@@ -93,37 +95,21 @@ impl RunReport {
         self.span_totals.get(kind.label()).copied().unwrap_or(Duration::ZERO)
     }
 
-    /// Serialize as a JSON object (durations in integer nanoseconds).
-    pub fn to_json(&self) -> String {
-        let mut event_counts = Obj::new();
-        for (kind, count) in &self.event_counts {
-            event_counts = event_counts.u64(kind, *count);
-        }
-        let mut span_totals = Obj::new();
-        for (label, duration) in &self.span_totals {
-            span_totals = span_totals.u64(&format!("{label}_ns"), duration.as_nanos() as u64);
-        }
-        Obj::new()
-            .u64("supersteps", u64::from(self.supersteps))
-            .u64("logical_iterations", u64::from(self.logical_iterations))
-            .bool("converged", self.converged)
-            .u64("records_shuffled", self.records_shuffled)
-            .u64("failures", self.failures)
-            .u64("lost_records", self.lost_records)
-            .u64("compensations", self.compensations)
-            .u64("rollbacks", self.rollbacks)
-            .u64("restarts", self.restarts)
-            .u64("ignored", self.ignored)
-            .u64("checkpoints", self.checkpoints)
-            .u64("checkpoint_bytes", self.checkpoint_bytes)
-            .raw("event_counts", &event_counts.finish())
-            .raw("span_totals", &span_totals.finish())
-            .finish()
+    /// Serialize the report together with a metrics snapshot: the
+    /// `*_report.json` sidecar.
+    pub fn to_json_with_metrics(&self, metrics: &MetricsSnapshot) -> String {
+        Obj::new().field("report", self).field("metrics", metrics).finish()
     }
 
-    /// Serialize the report together with a metrics snapshot.
-    pub fn to_json_with_metrics(&self, metrics: &MetricsSnapshot) -> String {
-        Obj::new().raw("report", &self.to_json()).raw("metrics", &metrics.to_json()).finish()
+    /// Read a `*_report.json` sidecar back. A bare report object (no
+    /// `report`/`metrics` wrapper) is accepted with an empty snapshot.
+    pub fn from_json_with_metrics(text: &str) -> Result<(Self, MetricsSnapshot), ReadError> {
+        let root = json::parse(text)?;
+        let mut fields = Fields::of(&root)?;
+        match fields.take::<Option<RunReport>>("report")? {
+            Some(report) => Ok((report, fields.take("metrics")?)),
+            None => Ok((RunReport::read(&root)?, MetricsSnapshot::default())),
+        }
     }
 }
 
@@ -131,6 +117,8 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::event::IterationMode;
+    use crate::json::arb::{from_fn, Arb};
+    use proptest::prelude::*;
 
     fn sample_events() -> Vec<JournalEvent> {
         vec![
@@ -220,5 +208,59 @@ mod tests {
         assert!(json.starts_with("{\"supersteps\":3,"));
         assert!(json.contains("\"event_counts\":{"));
         assert!(json.contains("\"RolledBack\":1"));
+    }
+
+    proptest! {
+        /// Both sidecar shapes, over every field the two records declare.
+        /// Compared through `{:?}`, which is bit-exact for floats (−0.0 and
+        /// NaN included) where `==` is not.
+        #[test]
+        fn reports_survive_the_round_trip(
+            report in from_fn(RunReport::arb),
+            metrics in from_fn(MetricsSnapshot::arb),
+        ) {
+            let bare = report.to_json();
+            let back = RunReport::from_json(&bare).expect(&bare);
+            prop_assert_eq!(&back, &report, "{}", bare);
+            prop_assert_eq!(back.to_json(), bare);
+
+            let snapshot = metrics.to_json();
+            let back = MetricsSnapshot::from_json(&snapshot).expect(&snapshot);
+            prop_assert_eq!(format!("{back:?}"), format!("{metrics:?}"), "{}", snapshot);
+            prop_assert_eq!(back.to_json(), snapshot);
+
+            let wrapped = report.to_json_with_metrics(&metrics);
+            let (r, m) = RunReport::from_json_with_metrics(&wrapped).expect(&wrapped);
+            prop_assert_eq!(r.to_json_with_metrics(&m), wrapped);
+            let (r, m) = RunReport::from_json_with_metrics(&bare).expect(&bare);
+            prop_assert_eq!((r, m), (report, MetricsSnapshot::default()));
+        }
+    }
+
+    #[test]
+    fn a_report_with_a_missing_or_mistyped_counter_is_an_error() {
+        let good = RunReport::from_journal(&sample_events(), &[]).to_json();
+        assert!(RunReport::from_json(&good).is_ok());
+        let err = |text: &str| RunReport::from_json_with_metrics(text).unwrap_err().0;
+        // `{}` used to be a valid all-zero report.
+        assert_eq!(err("{}"), "missing required key \"supersteps\"");
+        assert_eq!(err(&good.replace("\"failures\":1,", "")), "missing required key \"failures\"");
+        // ... and an oversized superstep count used to be truncated.
+        assert_eq!(
+            err(&good.replace("\"supersteps\":3", "\"supersteps\":4294967299")),
+            "key \"supersteps\": expected u32"
+        );
+        assert_eq!(
+            err(&good.replace("\"converged\":true", "\"converged\":1")),
+            "key \"converged\": expected a bool"
+        );
+        assert_eq!(err(&format!("{{\"report\":{good}}}")), "missing required key \"metrics\"");
+        assert_eq!(
+            err(&format!(
+                "{{\"report\":{good},\"metrics\":{{\"counters\":{{}},\"gauges\":{{}},\
+                 \"histograms\":{{\"task_ns\":{{\"count\":1,\"sum\":2,\"mean\":2.0,\"max\":2}}}}}}}}"
+            )),
+            "key \"metrics\": key \"histograms\": key \"task_ns\": missing required key \"p99\""
+        );
     }
 }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::json::Obj;
+use crate::json::{self, Fields, Obj, ReadError};
 use crate::sink::TelemetrySink;
 
 /// The phase of the run a span covers.
@@ -78,10 +78,27 @@ impl SpanRecord {
     pub fn to_json(&self) -> String {
         Obj::new()
             .str("span", self.kind.label())
-            .opt_u64("superstep", self.superstep.map(u64::from))
-            .opt_u64("iteration", self.iteration.map(u64::from))
-            .u64("duration_ns", self.duration.as_nanos() as u64)
+            .field("superstep", &self.superstep)
+            .field("iteration", &self.iteration)
+            .field("duration_ns", &(self.duration.as_nanos() as u64))
             .finish()
+    }
+
+    /// Read one sidecar line back. `Ok(None)` is a well-formed line whose
+    /// span kind this build does not declare (a newer writer).
+    pub fn from_json(line: &str) -> Result<Option<SpanRecord>, ReadError> {
+        let value = json::parse(line)?;
+        let mut fields = Fields::of(&value)?;
+        let label: String = fields.take("span")?;
+        let Some(kind) = SpanKind::ALL.into_iter().find(|kind| kind.label() == label) else {
+            return Ok(None);
+        };
+        Ok(Some(SpanRecord {
+            kind,
+            superstep: fields.take("superstep")?,
+            iteration: fields.take("iteration")?,
+            duration: Duration::from_nanos(fields.take("duration_ns")?),
+        }))
     }
 }
 
@@ -125,7 +142,9 @@ impl SpanTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::arb::{below, from_fn, Arb};
     use crate::sink::MemorySink;
+    use proptest::prelude::*;
 
     #[test]
     fn finished_timers_report_their_coordinates() {
@@ -170,6 +189,49 @@ mod tests {
             duration: Duration::from_nanos(10),
         };
         assert_eq!(run.to_json(), "{\"span\":\"run\",\"duration_ns\":10}");
+    }
+
+    impl Arb for SpanKind {
+        fn arb(runner: &mut proptest::test_runner::TestRunner) -> Self {
+            SpanKind::ALL[below(runner, SpanKind::ALL.len())]
+        }
+    }
+
+    impl Arb for SpanRecord {
+        fn arb(runner: &mut proptest::test_runner::TestRunner) -> Self {
+            SpanRecord {
+                kind: Arb::arb(runner),
+                superstep: Arb::arb(runner),
+                iteration: Arb::arb(runner),
+                duration: Arb::arb(runner),
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn span_lines_survive_the_round_trip(span in from_fn(SpanRecord::arb)) {
+            let line = span.to_json();
+            let back = SpanRecord::from_json(&line).expect(&line).expect("a declared kind");
+            prop_assert_eq!(&back, &span, "{}", line);
+            prop_assert_eq!(back.to_json(), line, "stable on the second pass");
+        }
+    }
+
+    #[test]
+    fn a_newer_span_kind_is_skipped_and_a_broken_line_is_an_error() {
+        assert_eq!(
+            SpanRecord::from_json("{\"span\":\"barrier_idle\",\"duration_ns\":5}"),
+            Ok(None)
+        );
+        let err = |line: &str| SpanRecord::from_json(line).unwrap_err().0;
+        // A missing duration used to load as zero.
+        assert_eq!(err("{\"span\":\"run\"}"), "missing required key \"duration_ns\"");
+        assert_eq!(
+            err("{\"span\":\"compute\",\"superstep\":4294967296,\"duration_ns\":5}"),
+            "key \"superstep\": expected u32"
+        );
+        assert_eq!(err("{\"duration_ns\":5}"), "missing required key \"span\"");
     }
 
     #[test]

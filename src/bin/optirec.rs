@@ -104,12 +104,15 @@ fn derived_report(journal: &Path) -> Option<PathBuf> {
 }
 
 fn inspect(command: &InspectCommand) -> Result<i32, String> {
-    let load_model = |journal: &Path| -> Result<flowscope::RunModel, String> {
+    let load = |journal: &Path| -> Result<flowscope::Journal, String> {
         let loaded = flowscope::load_journal(journal).map_err(|e| e.to_string())?;
         if loaded.skipped > 0 {
-            eprintln!("note: skipped {} unknown journal lines", loaded.skipped);
+            eprintln!("note: skipped {} unknown journal lines or keys", loaded.skipped);
         }
-        Ok(flowscope::RunModel::from_events(&loaded.events))
+        Ok(loaded)
+    };
+    let load_model = |journal: &Path| -> Result<flowscope::RunModel, String> {
+        Ok(flowscope::RunModel::from_events(&load(journal)?.events))
     };
     match command {
         InspectCommand::Timeline { journal, spans } => {
@@ -123,8 +126,8 @@ fn inspect(command: &InspectCommand) -> Result<i32, String> {
             Ok(0)
         }
         InspectCommand::Profile { report, straggler_factor } => {
-            let summary = flowscope::load_report(report).map_err(|e| e.to_string())?;
-            let profile = flowscope::build_profile(&summary, *straggler_factor);
+            let (summary, metrics) = flowscope::load_report(report).map_err(|e| e.to_string())?;
+            let profile = flowscope::build_profile(&summary, &metrics, *straggler_factor);
             print!("{}", flowscope::render_profile(&profile));
             Ok(0)
         }
@@ -144,7 +147,7 @@ fn inspect(command: &InspectCommand) -> Result<i32, String> {
         InspectCommand::Recovery { journal, report } => {
             let model = load_model(journal)?;
             let summary = match report.clone().or_else(|| derived_report(journal)) {
-                Some(path) => Some(flowscope::load_report(&path).map_err(|e| e.to_string())?),
+                Some(path) => Some(flowscope::load_report(&path).map_err(|e| e.to_string())?.0),
                 None => None,
             };
             let recovery = flowscope::build_recovery_report(&model, summary.as_ref());
@@ -153,10 +156,9 @@ fn inspect(command: &InspectCommand) -> Result<i32, String> {
         }
         InspectCommand::Diff { baseline, journal, baseline_report, report, options } => {
             let facts = |journal: &Path, report: &Option<PathBuf>| -> Result<_, String> {
-                let loaded = flowscope::load_journal(journal).map_err(|e| e.to_string())?;
-                let mut facts = flowscope::RunFacts::from_journal(&loaded);
+                let mut facts = flowscope::RunFacts::from_journal(&load(journal)?);
                 if let Some(path) = report.clone().or_else(|| derived_report(journal)) {
-                    let summary = flowscope::load_report(&path).map_err(|e| e.to_string())?;
+                    let (summary, _) = flowscope::load_report(&path).map_err(|e| e.to_string())?;
                     facts = facts.with_report(&summary);
                 }
                 Ok(facts)
@@ -196,8 +198,8 @@ fn run_top(invocation: &cli::TopInvocation) -> Result<(), String> {
     if let Some(report) = &invocation.report {
         // Report snapshots are static; polling one would print the same
         // text forever, so --report always behaves like --once.
-        let summary = flowscope::load_report(report).map_err(|e| e.to_string())?;
-        print!("{}", flowscope::render_metrics_top(&summary));
+        let (summary, metrics) = flowscope::load_report(report).map_err(|e| e.to_string())?;
+        print!("{}", flowscope::render_metrics_top(&summary, &metrics));
         return Ok(());
     }
     let addr = invocation.connect.as_deref().expect("parse_top guarantees a source");

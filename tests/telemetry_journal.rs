@@ -248,8 +248,8 @@ fn event_kinds(lines: &[String]) -> Vec<String> {
     lines
         .iter()
         .map(|line| {
-            let event = flowscope::jsonv::parse(line).expect("a journal line is JSON");
-            event.get("event").and_then(|kind| kind.as_str()).expect("event kind").to_string()
+            let event = JournalEvent::from_json(line).expect("a journal line").expect("known kind");
+            event.kind().to_string()
         })
         .collect()
 }
