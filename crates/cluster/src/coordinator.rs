@@ -16,6 +16,11 @@
 //! * Recovery authority never moves: state flows up in every `StepDone`,
 //!   so the coordinator can compensate/rollback and re-push authoritative
 //!   state in a `StepReset` although the messages travelled peer to peer.
+//!   A rollback strategy also needs the messages in flight at its cuts:
+//!   the supersteps it cuts after — and only those — are dispatched with
+//!   `stage_outbound`, their `StepDone`s carry the outbound, and the
+//!   coordinator keeps those runs as they arrived until a restore reads
+//!   them (DESIGN.md, "Where a cut's channel state lives").
 //! * Failure is detected at the network level: a dead worker surfaces as a
 //!   connection reset / EOF / read timeout on the control connection, or as
 //!   a heartbeat timeout on the dedicated heartbeat connection. Either
@@ -40,7 +45,7 @@ use dataflow::api::Environment;
 use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
-use dataflow::exec::{par_map, ExecContext};
+use dataflow::exec::{map_partition_refs, par_map, ExecContext};
 use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, RestartHandler};
 use dataflow::iterate::{BulkIteration, ConvergenceMeasure};
 use dataflow::partition::PartitionId;
@@ -49,7 +54,7 @@ use dataflow::stats::RunStats;
 use graphs::Graph;
 use recovery::compensation::Named;
 use recovery::{
-    AsyncSnapshotHandler, BarrierEvent, BarrierProbe, CheckpointHandler, MemoryStore,
+    cut_due, AsyncSnapshotHandler, BarrierEvent, BarrierProbe, CheckpointHandler, MemoryStore,
     OptimisticHandler,
 };
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
@@ -60,8 +65,8 @@ use crate::placement::{PartitionMap, Rebalancer};
 use crate::program::{lookup, partition_rows, ClusterProgram};
 use crate::protocol::{
     encode_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
-    AdjRows, Message, Msg, Record, SpanRow, NO_INBOUND, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
-    SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
+    AdjRows, Message, Msg, Record, SpanRow, MSG_BYTES, NO_INBOUND, SPAN_PHASE_COMPUTE,
+    SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 use crate::worker::LISTENING_MARKER;
 
@@ -216,12 +221,23 @@ pub enum ClusterStrategy {
 }
 
 impl ClusterStrategy {
-    /// Whether recovery rolls back to captured inboxes (checkpoint /
-    /// async-snapshot) rather than recomputing forward. Rollback strategies
-    /// need the coordinator's inbox copy kept authoritative, so workers
-    /// piggyback their outbound messages in `StepDone` for them.
+    /// Whether recovery rolls back to a captured cut (checkpoint /
+    /// async-snapshot) rather than recomputing forward: a restore pushes the
+    /// cut's inboxes down with its state.
     fn is_rollback(self) -> bool {
         matches!(self, ClusterStrategy::Checkpoint { .. } | ClusterStrategy::AsyncSnapshot { .. })
+    }
+
+    /// Whether the strategy's handler may cut after logical iteration
+    /// `iteration` — the handlers' own schedule ([`recovery::cut_due`]). The
+    /// superstep of such an iteration is dispatched with `stage_outbound`,
+    /// so the cut finds the messages in flight at its barrier.
+    fn cuts_after(self, iteration: u32) -> bool {
+        match self {
+            ClusterStrategy::Checkpoint { interval }
+            | ClusterStrategy::AsyncSnapshot { interval } => cut_due(interval, iteration),
+            ClusterStrategy::Optimistic | ClusterStrategy::Restart => false,
+        }
     }
 }
 
@@ -380,32 +396,71 @@ pub struct ClusterRun {
 
 /// One partition's input to a superstep. The state is borrowed from the
 /// driver's dataset — a steady-state [`Message::StepGo`] never ships it, so
-/// only a dispatch that does copies it — and the inbound messages are a
-/// shared snapshot of the committed inbox — an `Arc` clone, not a deep copy —
-/// so building a superstep's jobs holds the inbox lock for O(partitions)
-/// pointer bumps instead of cloning every message in the system.
+/// only a dispatch that does copies it. The inbound messages are not part of
+/// the job: a backend that needs them assembles them from the [`Channel`].
 struct StepJob<'a> {
     pid: usize,
     state: &'a [Record],
-    inbound: Arc<Vec<Msg>>,
 }
 
 /// One partition's output from a superstep.
 struct StepResult {
     pid: usize,
     state: Vec<Record>,
-    outbound: Vec<Msg>,
+    /// The partition's outbound, born sorted — `None` when the superstep was
+    /// not staged: the messages went peer to peer and nowhere else.
+    outbound: Option<Vec<Msg>>,
     changed: u64,
-    /// Messages the partition produced, counted *before* routing: under
-    /// optimistic recovery `outbound` stays empty (the messages went
-    /// peer-to-peer), but the shuffle statistic must still be right.
+    /// Messages the partition produced, counted *before* routing, so the
+    /// shuffle statistic is right whether or not `outbound` came along.
     shuffled: u64,
 }
 
+/// The messages in flight at a superstep barrier: the outbound of the last
+/// committed superstep, one born-sorted run per source partition, kept as
+/// the runs arrived — nothing is routed or merged until something reads an
+/// inbox ([`assemble_inboxes`]). `None` when that superstep was not staged:
+/// its messages exist in the workers' data plane only, and nothing at the
+/// coordinator may read or capture them.
+type Channel = Option<Arc<Vec<Vec<Msg>>>>;
+
+/// The runs of a staged channel; reading an unstaged one is a recovery
+/// error, never an empty inbox.
+fn staged_runs(channel: &Channel) -> Result<&[Vec<Msg>]> {
+    channel.as_deref().map(Vec::as_slice).ok_or_else(|| {
+        EngineError::Recovery(
+            "the messages of the last committed superstep were not staged at the coordinator"
+                .into(),
+        )
+    })
+}
+
+/// Route and merge a channel's runs into per-partition inboxes, each in
+/// canonical `(src, dst, bits)` order. Every run is born sorted, so routing
+/// it by destination yields one sorted run per (source, destination) pair
+/// and merging a destination's runs *is* sorting its inbox. The canonical
+/// order fixes the fold order of floating-point sums, making every superstep
+/// bitwise deterministic regardless of which worker answered first.
+fn assemble_inboxes(
+    runs: &[Vec<Msg>],
+    parallelism: usize,
+    ctx: &ExecContext,
+) -> Result<Vec<Vec<Msg>>> {
+    let routed = runs.iter().map(Vec::len).sum();
+    let buckets: Vec<Vec<Vec<Msg>>> =
+        map_partition_refs(runs, ctx, |_, msgs| bucket_by_pid(msgs, parallelism))?;
+    par_map((0..parallelism).collect(), ctx, routed, |_, pid: usize| {
+        let runs: Vec<&[Msg]> = buckets.iter().map(|from| from[pid].as_slice()).collect();
+        merge_runs(&runs, 1).pop().unwrap_or_default()
+    })
+}
+
 /// Where a superstep's partition work actually runs: in-process (the
-/// baseline) or on worker processes over TCP. Inbox bookkeeping, message
-/// routing, and merge-for-determinism live *above* this trait, so both
-/// backends execute bit-identical supersteps in failure-free runs.
+/// baseline) or on worker processes over TCP. The channel bookkeeping lives
+/// *above* this trait, and whichever backend hands a partition its inbound
+/// routes and merges it with the same [`assemble_inboxes`] (the workers'
+/// data plane with the same `merge_runs`), so both backends execute
+/// bit-identical supersteps in failure-free runs.
 ///
 /// `Send` because the engine may dispatch the step operator onto its
 /// worker pool; the `Arc<Mutex<…>>` wrapper then crosses threads.
@@ -417,11 +472,15 @@ trait StepBackend: Send {
         Ok(())
     }
 
+    /// Run one superstep over `jobs`. `channel` holds what the last
+    /// committed superstep sent; a backend reads it only when it has to hand
+    /// a partition its inbound itself.
     fn run_step(
         &mut self,
         superstep: u32,
         step: u64,
         jobs: Vec<StepJob<'_>>,
+        channel: &Channel,
         ctx: &ExecContext,
     ) -> Result<Vec<StepResult>>;
 
@@ -454,23 +513,27 @@ impl StepBackend for LocalBackend {
         _superstep: u32,
         step: u64,
         jobs: Vec<StepJob<'_>>,
+        channel: &Channel,
         ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
         // Stays set if this attempt fails too.
         let retrying = std::mem::replace(&mut self.retrying, true);
-        let work = jobs.iter().map(|job| job.state.len() + job.inbound.len()).sum();
+        // The partitions step in this process, so every superstep reads
+        // every inbox.
+        let inboxes = assemble_inboxes(staged_runs(channel)?, self.adjacency.len(), ctx)?;
+        let work = jobs.iter().map(|job| job.state.len() + inboxes[job.pid].len()).sum();
         let mut results = par_map(jobs, ctx, work, |_, job| {
-            let rows = &self.adjacency[job.pid];
+            let (rows, inbound) = (&self.adjacency[job.pid], &inboxes[job.pid]);
             let out = if retrying {
-                self.program.full_send_step(step, job.state, &job.inbound, rows, self.n)
+                self.program.full_send_step(step, job.state, inbound, rows, self.n)
             } else {
-                self.program.step(step, job.state, &job.inbound, rows, self.n)
+                self.program.step(step, job.state, inbound, rows, self.n)
             };
             let shuffled = out.outbound.len() as u64;
             StepResult {
                 pid: job.pid,
                 state: out.state,
-                outbound: out.outbound,
+                outbound: Some(out.outbound),
                 changed: out.changed,
                 shuffled,
             }
@@ -533,8 +596,8 @@ struct WorkerHandle {
     child: WorkerProcess,
     stream: TcpStream,
     /// Receive buffer of the control connection, kept across frames: a
-    /// `StepDone` carries a partition's whole state (and, for rollback
-    /// strategies, its outbound) every superstep.
+    /// `StepDone` carries a partition's whole state (and, on a staged
+    /// superstep, its outbound).
     payload: Vec<u8>,
     /// Loopback port the worker listens on — published to peers in
     /// [`Message::Membership`] so they can open data-plane links.
@@ -624,10 +687,11 @@ struct ClusterBackend {
     last_committed: Option<u32>,
     /// Whether the next dispatch must push authoritative state
     /// (`StepReset`): set initially, after every failure or rollback and by
-    /// a rescale, cleared on commit. These are exactly the supersteps whose
-    /// inbound history is not exact, so a worker runs a `StepReset` as a
-    /// full-send superstep ([`ClusterProgram::full_send_step`]) — the
-    /// dispatch kind carries the rule, no frame field does.
+    /// a rescale, cleared on commit. Under a non-rollback strategy these are
+    /// exactly the supersteps whose inbound history is not exact, so a
+    /// worker runs such a `StepReset` as a full-send superstep
+    /// ([`ClusterProgram::full_send_step`]); a rollback strategy pushes the
+    /// cut's inboxes along, which makes the history exact again.
     push_state: bool,
     /// Workers respawned since the last commit: their data plane holds no
     /// slots, so an optimistic retry hands them `NO_INBOUND` (compensation
@@ -991,7 +1055,8 @@ impl ClusterBackend {
         // the post-scale superstep — a `StepReset` dispatch — is a full-send
         // one: every vertex re-sends its label, and `force_changed` buys the
         // superstep that folds the re-sent labels in. Rollback strategies
-        // push exact inboxes instead.
+        // push exact inboxes instead: the superstep before a due scale event
+        // is always a staged one (see `run_step`).
         self.membership_current = false;
         self.push_state = true;
         self.force_changed = true;
@@ -1210,7 +1275,7 @@ impl ClusterBackend {
     }
 
     /// Make sure every worker holds the current membership —
-    /// peer addresses, epoch, and data-plane policy. A no-op while current;
+    /// peer addresses and epoch. A no-op while current;
     /// after any respawn the epoch is bumped and rebroadcast, which is what
     /// retires the dead incarnation's in-flight frames cluster-wide.
     fn ensure_membership(&mut self, superstep: u32) -> Result<()> {
@@ -1230,7 +1295,6 @@ impl ClusterBackend {
         let msg = Message::Membership {
             epoch: self.epoch,
             parallelism: self.cfg.parallelism as u64,
-            ship_outbound: u64::from(self.cfg.strategy.is_rollback()),
             // Half the control read timeout: a worker that gives up waiting
             // for peer data still gets its StepFailed out well before the
             // coordinator's own read deadline.
@@ -1281,13 +1345,15 @@ impl ClusterBackend {
     /// is `StepGo` (compute the named pids from cached state, consuming the
     /// last committed superstep's data-plane slot); after a failure,
     /// rollback, or at the start it is `StepReset`, which pushes
-    /// authoritative state — and, for rollback strategies, the restored
-    /// inboxes — down the control connection.
+    /// authoritative state — and, for rollback strategies, `inboxes`, the
+    /// inbound of the cut — down the control connection.
     fn dispatch(
         &mut self,
         superstep: u32,
         step: u64,
+        stage_outbound: bool,
         jobs: Vec<StepJob<'_>>,
+        mut inboxes: Vec<Vec<Msg>>,
         send_delay: &[Option<Duration>],
     ) -> Result<()> {
         self.ensure_membership(superstep)?;
@@ -1322,8 +1388,12 @@ impl ClusterBackend {
                     step,
                     inbound_superstep,
                     use_wire_inbound: u64::from(use_wire_inbound),
+                    stage_outbound,
                     inboxes: if use_wire_inbound {
-                        wjobs.iter().map(|job| (job.pid as u64, (*job.inbound).clone())).collect()
+                        wjobs
+                            .iter()
+                            .map(|job| (job.pid as u64, std::mem::take(&mut inboxes[job.pid])))
+                            .collect()
                     } else {
                         Vec::new()
                     },
@@ -1334,6 +1404,7 @@ impl ClusterBackend {
                     superstep,
                     step,
                     inbound_superstep: inbound_name,
+                    stage_outbound,
                     pids: wjobs.iter().map(|job| job.pid as u64).collect(),
                 }
             };
@@ -1360,6 +1431,7 @@ impl ClusterBackend {
     fn collect_step_results(
         &mut self,
         superstep: u32,
+        staged: bool,
         order: &[usize],
         mut recv_delay: Vec<Option<Duration>>,
     ) -> Result<Vec<StepResult>> {
@@ -1391,6 +1463,7 @@ impl ClusterBackend {
                             continue;
                         }
                         if rss == superstep && rpid == pid as u64 {
+                            let outbound = staged.then_some(outbound);
                             results.push(StepResult { pid, state, outbound, changed, shuffled });
                             break;
                         }
@@ -1468,7 +1541,8 @@ impl StepBackend for ClusterBackend {
         superstep: u32,
         step: u64,
         jobs: Vec<StepJob<'_>>,
-        _ctx: &ExecContext,
+        channel: &Channel,
+        ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
         self.ensure_workers(superstep)?;
         self.apply_scale_events(superstep)?;
@@ -1476,10 +1550,43 @@ impl StepBackend for ClusterBackend {
         let order: Vec<usize> = jobs.iter().map(|job| job.pid).collect();
         self.step_started = Some(Instant::now());
 
+        // A rollback strategy pays for a cut only at the cut: the workers
+        // ship their outbound up on the supersteps whose messages a restore
+        // can ever read — the ones the handler cuts after, and the one before
+        // a planned rescale, which pushes inboxes like a restore does. Every
+        // other superstep is dispatched, answered and committed exactly like
+        // an optimistic one.
+        let strategy = self.cfg.strategy;
+        let stage = strategy.is_rollback()
+            && (strategy.cuts_after(step as u32)
+                || self.scale.iter().any(|event| event.superstep <= superstep + 1));
+
+        // The one place a cluster run assembles inboxes: a dispatch that
+        // pushes state under a rollback strategy pushes the cut's inbound
+        // with it.
+        let inboxes = if self.push_state && strategy.is_rollback() {
+            assemble_inboxes(staged_runs(channel)?, self.cfg.parallelism, ctx)?
+        } else {
+            Vec::new()
+        };
+
         // Send phase: every frame goes out before any reply is awaited, so
         // workers compute their partitions concurrently.
-        self.dispatch(superstep, step, jobs, &send_delay)?;
-        let mut results = self.collect_step_results(superstep, &order, recv_delay)?;
+        self.dispatch(superstep, step, stage, jobs, inboxes, &send_delay)?;
+        let mut results = self.collect_step_results(superstep, stage, &order, recv_delay)?;
+        if stage {
+            let msgs: u64 = results
+                .iter()
+                .flat_map(|result| &result.outbound)
+                .map(|run| run.len() as u64)
+                .sum();
+            self.telemetry.emit(|| JournalEvent::ChannelStaged {
+                superstep,
+                iteration: step as u32,
+                msgs,
+                bytes: msgs * MSG_BYTES as u64,
+            });
+        }
 
         // Returning `Ok` *is* the commit: nothing in the step operator can
         // fail past this point, so the bookkeeping that distinguishes a
@@ -1626,21 +1733,23 @@ fn heartbeat_loop(
 
 /// The superstep context shared between the step operator and the recovery
 /// handler: a restore must rewind not just the partition state (which the
-/// driver hands back) but also the message inboxes and the logical step
+/// driver hands back) but also the messages in flight and the logical step
 /// counter — the parts of the cut the driver does not manage.
 struct SharedStepState {
-    /// Per-partition message inboxes with snapshot/commit semantics:
-    /// inboxes are only replaced when a superstep *commits*, so the re-run
-    /// after a failed attempt re-reads the exact same inbound messages.
-    /// Each inbox is an immutable `Arc` snapshot, sorted at commit time —
-    /// dispatch and snapshot captures clone pointers, never messages.
-    inboxes: parking_lot::Mutex<Vec<Arc<Vec<Msg>>>>,
+    /// What the last committed superstep sent, with snapshot/commit
+    /// semantics: it is only replaced when a superstep *commits*, so the
+    /// re-run after a failed attempt reads the exact same messages. The runs
+    /// are immutable behind their `Arc` — a snapshot capture clones the
+    /// pointer, never a message.
+    channel: parking_lot::Mutex<Channel>,
     /// Logical step index: the number of committed supersteps.
     steps_committed: AtomicU64,
 }
 
-fn empty_inboxes(parallelism: usize) -> Vec<Arc<Vec<Msg>>> {
-    (0..parallelism).map(|_| Arc::new(Vec::new())).collect()
+/// The channel before the first superstep and after a restart: staged, with
+/// nothing in flight.
+fn empty_channel() -> Channel {
+    Some(Arc::new(Vec::new()))
 }
 
 /// The distributed-superstep operator injected into the iteration body.
@@ -1655,49 +1764,25 @@ impl DynOp for ClusterStepOp {
         let superstep = ctx.superstep().unwrap_or(0);
         let state: &Partitions<Record> = inputs[0].downcast("ClusterStep(state)")?;
 
-        let (jobs, parallelism) = {
-            // Satellite fix: the old code deep-cloned (and re-sorted) every
-            // partition's full inbox under this lock every superstep. The
-            // inboxes are immutable snapshots now, sorted once at commit, so
-            // the lock covers O(partitions) `Arc` clones.
-            let inboxes = self.shared.inboxes.lock();
-            let jobs: Vec<StepJob> = state
-                .iter()
-                .map(|(pid, state)| StepJob { pid, state, inbound: inboxes[pid].clone() })
-                .collect();
-            (jobs, inboxes.len())
-        };
-
+        let jobs: Vec<StepJob> = state.iter().map(|(pid, state)| StepJob { pid, state }).collect();
+        let channel = self.shared.channel.lock().clone();
         let step = self.shared.steps_committed.load(Ordering::SeqCst);
-        let results = self.backend.lock().run_step(superstep, step, jobs, ctx)?;
+        let results = self.backend.lock().run_step(superstep, step, jobs, &channel, ctx)?;
 
-        // Commit: new state, rebuilt inboxes, published convergence count.
-        let mut parts: Vec<Vec<Record>> = vec![Vec::new(); parallelism];
-        let mut outbound: Vec<Vec<Msg>> = Vec::with_capacity(results.len());
+        // Commit: new state, the runs in flight, published convergence count.
+        let mut parts: Vec<Vec<Record>> = vec![Vec::new(); state.num_partitions()];
+        let mut runs: Vec<Option<Vec<Msg>>> = Vec::with_capacity(results.len());
         let mut changed_total = 0u64;
         let mut shuffled = 0u64;
         for result in results {
             changed_total += result.changed;
             shuffled += result.shuffled;
             parts[result.pid] = result.state;
-            outbound.push(result.outbound);
+            runs.push(result.outbound);
         }
-        // Every partition's outbound is born sorted, so routing it by
-        // destination yields one sorted run per (source, destination) pair
-        // and merging a destination's runs *is* sorting its inbox. The
-        // canonical order fixes the fold order of floating-point sums,
-        // making every superstep bitwise deterministic regardless of which
-        // worker answered first — and it is established once per inbox
-        // lifetime instead of once per dispatch.
-        let routed = outbound.iter().map(Vec::len).sum();
-        let buckets: Vec<Vec<Vec<Msg>>> =
-            par_map(outbound, ctx, routed, |_, msgs| bucket_by_pid(&msgs, parallelism))?;
-        let inboxes: Vec<Arc<Vec<Msg>>> =
-            par_map((0..parallelism).collect(), ctx, routed, |_, pid: usize| {
-                let runs: Vec<&[Msg]> = buckets.iter().map(|from| from[pid].as_slice()).collect();
-                Arc::new(merge_runs(&runs, 1).pop().unwrap_or_default())
-            })?;
-        *self.shared.inboxes.lock() = inboxes;
+        // The runs stay as they arrived; one partition without its outbound
+        // makes the whole superstep an unstaged one.
+        *self.shared.channel.lock() = runs.into_iter().collect::<Option<Vec<_>>>().map(Arc::new);
         self.shared.steps_committed.fetch_add(1, Ordering::SeqCst);
         self.changed.store(changed_total, Ordering::SeqCst);
         ctx.add_shuffled(shuffled);
@@ -1709,11 +1794,11 @@ impl DynOp for ClusterStepOp {
     }
 }
 
-/// One captured channel cut: `(epoch, inbox snapshots, committed steps)`.
-type ChannelCapture = (u32, Vec<Arc<Vec<Msg>>>, u64);
+/// One captured channel cut: `(epoch, the runs in flight, committed steps)`.
+type ChannelCapture = (u32, Arc<Vec<Vec<Msg>>>, u64);
 
-/// The coordinator-side channel half of a snapshot: the inboxes (and the
-/// step counter) captured when a barrier fired, staged until the epoch
+/// The coordinator-side channel half of a snapshot: the runs in flight (and
+/// the step counter) captured when a barrier fired, held until the epoch
 /// completes. State after superstep `E` plus the messages produced *by*
 /// superstep `E` form the consistent cut — the superstep boundary plays the
 /// role of Chandy–Lamport's channel drain.
@@ -1721,17 +1806,22 @@ type ChannelCapture = (u32, Vec<Arc<Vec<Msg>>>, u64);
 struct StagedChannels {
     in_flight: Option<ChannelCapture>,
     complete: Option<ChannelCapture>,
+    /// The epoch of a barrier that fired on a superstep whose channel was
+    /// not staged: [`ChannelCut::after_superstep`] fails the run with it.
+    unstaged: Option<u32>,
 }
 
 /// A recovery handler wrapped with the cluster's extra restore obligations:
 /// whatever the inner strategy does to the partition state, the shared
-/// inboxes and the step counter follow. The wrapper watches the inner
+/// channel state and the step counter follow. The wrapper watches the inner
 /// handler's barriers — an asynchronous snapshot's, or a synchronous
-/// checkpoint's, which starts and completes within one call — to stage the
+/// checkpoint's, which starts and completes within one call — to capture the
 /// channel state when one starts and promote it when it completes; a
 /// rollback rewinds to the promoted capture, a restart clears the channels,
 /// and every persisted chunk is shipped to its owning worker through the
-/// backend.
+/// backend. A capture is a handle on the runs the cut superstep staged; a
+/// barrier that fires on an unstaged superstep is an
+/// [`EngineError::Recovery`], never a capture of nothing.
 struct ChannelCut<H> {
     inner: H,
     shared: Arc<SharedStepState>,
@@ -1752,9 +1842,12 @@ impl<H> ChannelCut<H> {
             let shared = shared.clone();
             Box::new(move |event: BarrierEvent<'_>| match event {
                 BarrierEvent::Started { epoch, .. } => {
-                    let inboxes = shared.inboxes.lock().clone();
                     let step = shared.steps_committed.load(Ordering::SeqCst);
-                    staged.lock().in_flight = Some((epoch, inboxes, step));
+                    let mut staged = staged.lock();
+                    match shared.channel.lock().clone() {
+                        Some(runs) => staged.in_flight = Some((epoch, runs, step)),
+                        None => staged.unstaged = Some(epoch),
+                    }
                 }
                 BarrierEvent::ChunkPersisted { epoch, pid, chunk } => {
                     backend.lock().stage_snapshot(epoch, pid, chunk);
@@ -1778,7 +1871,13 @@ impl<H: FaultHandler<Partitions<Record>>> FaultHandler<Partitions<Record>> for C
         iteration: u32,
         state: &Partitions<Record>,
     ) -> Result<Option<CheckpointCost>> {
-        self.inner.after_superstep(iteration, state)
+        let cost = self.inner.after_superstep(iteration, state)?;
+        if let Some(epoch) = self.staged.lock().unstaged.take() {
+            return Err(EngineError::Recovery(format!(
+                "iteration {epoch} was cut, but the channel state of its superstep was not staged"
+            )));
+        }
+        Ok(cost)
     }
 
     fn on_failure(
@@ -1791,19 +1890,17 @@ impl<H: FaultHandler<Partitions<Record>>> FaultHandler<Partitions<Record>> for C
         match &action {
             RecoveryAction::Restored { iteration: epoch, .. } => {
                 let staged = self.staged.lock();
-                let (_, inboxes, step) =
+                let (_, runs, step) =
                     staged.complete.as_ref().filter(|c| c.0 == *epoch).ok_or_else(|| {
                         EngineError::Recovery(format!(
                             "snapshot of iteration {epoch} has no captured channel state"
                         ))
                     })?;
-                *self.shared.inboxes.lock() = inboxes.clone();
+                *self.shared.channel.lock() = Some(runs.clone());
                 self.shared.steps_committed.store(*step, Ordering::SeqCst);
             }
             RecoveryAction::Restart => {
-                let mut inboxes = self.shared.inboxes.lock();
-                let parallelism = inboxes.len();
-                *inboxes = empty_inboxes(parallelism);
+                *self.shared.channel.lock() = empty_channel();
                 self.shared.steps_committed.store(0, Ordering::SeqCst);
             }
             RecoveryAction::Compensated | RecoveryAction::Ignore => {}
@@ -1982,7 +2079,7 @@ fn run_with_backend(
     let backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>> =
         Arc::new(parking_lot::Mutex::new(backend));
     let shared = Arc::new(SharedStepState {
-        inboxes: parking_lot::Mutex::new(empty_inboxes(parallelism)),
+        channel: parking_lot::Mutex::new(empty_channel()),
         steps_committed: AtomicU64::new(0),
     });
 
@@ -2060,12 +2157,29 @@ fn run_with_backend(
 
     let (result, stats) = iteration.close_with_termination(step, probe);
     backend.lock().start()?;
-    let mut values = result.collect()?;
-    values.sort_unstable_by_key(|record| record.0);
+    let values = merge_by_vertex(result.collect_partitions()?.as_parts());
     let stats = stats
         .take()
         .ok_or_else(|| EngineError::Iteration("cluster run produced no statistics".into()))?;
     Ok(ClusterRun { values, stats })
+}
+
+/// The run's result: the partitions' states, each ascending by vertex (a
+/// program keeps its partition's vertex order, warm starts are sorted per
+/// partition), merged into one vector ascending by vertex.
+fn merge_by_vertex(parts: &[Vec<Record>]) -> Vec<Record> {
+    debug_assert!(parts.iter().all(|part| part.is_sorted_by_key(|record| record.0)));
+    let mut merged = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    let mut cursors = vec![0usize; parts.len()];
+    // A handful of partitions: the smallest head is found by looking at all.
+    while let Some(pid) = (0..parts.len())
+        .filter(|&pid| cursors[pid] < parts[pid].len())
+        .min_by_key(|&pid| parts[pid][cursors[pid]].0)
+    {
+        merged.push(parts[pid][cursors[pid]]);
+        cursors[pid] += 1;
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -2336,11 +2450,150 @@ mod tests {
     }
 
     #[test]
-    fn rollback_strategies_ship_outbound_through_the_coordinator() {
+    fn rollback_strategies_stage_outbound_on_their_cut_supersteps_only() {
         assert!(!ClusterStrategy::Optimistic.is_rollback());
         assert!(!ClusterStrategy::Restart.is_rollback());
         assert!(ClusterStrategy::Checkpoint { interval: 2 }.is_rollback());
         assert!(ClusterStrategy::AsyncSnapshot { interval: 2 }.is_rollback());
+        let cuts = |strategy: ClusterStrategy| -> Vec<u32> {
+            (0..7).filter(|&iteration| strategy.cuts_after(iteration)).collect()
+        };
+        assert_eq!(cuts(ClusterStrategy::Optimistic), Vec::<u32>::new());
+        assert_eq!(cuts(ClusterStrategy::Restart), Vec::<u32>::new());
+        assert_eq!(cuts(ClusterStrategy::Checkpoint { interval: 1 }), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(cuts(ClusterStrategy::Checkpoint { interval: 2 }), vec![0, 2, 4, 6]);
+        assert_eq!(cuts(ClusterStrategy::Checkpoint { interval: 3 }), vec![0, 3, 6]);
+        assert_eq!(cuts(ClusterStrategy::AsyncSnapshot { interval: 2 }), vec![0, 2, 4, 6]);
+    }
+
+    /// A channel cut around a checkpoint-every-iteration handler, over
+    /// `shared`; nothing is ever shipped through its backend.
+    fn checkpoint_cut(
+        shared: &Arc<SharedStepState>,
+    ) -> ChannelCut<CheckpointHandler<Partitions<Record>, MemoryStore>> {
+        let backend: Box<dyn StepBackend> = Box::new(LocalBackend {
+            program: resolve("cc").unwrap(),
+            adjacency: Arc::new(Vec::new()),
+            n: 0,
+            retrying: false,
+        });
+        let backend = Arc::new(parking_lot::Mutex::new(backend));
+        ChannelCut::new(shared.clone(), backend, |probe| {
+            Ok(CheckpointHandler::new(MemoryStore::new(), 1)?.with_probe(probe))
+        })
+        .unwrap()
+    }
+
+    fn shared_state(channel: Channel, steps_committed: u64) -> Arc<SharedStepState> {
+        Arc::new(SharedStepState {
+            channel: parking_lot::Mutex::new(channel),
+            steps_committed: AtomicU64::new(steps_committed),
+        })
+    }
+
+    #[test]
+    fn a_cut_of_an_unstaged_superstep_is_a_recovery_error_not_an_empty_channel() {
+        let state = Partitions::from_parts(vec![vec![(0u64, 0u64)], vec![(1, 1)]]);
+        let shared = shared_state(None, 1);
+        let err = checkpoint_cut(&shared).after_superstep(0, &state).unwrap_err();
+        assert!(matches!(&err, EngineError::Recovery(m) if m.contains("not staged")), "{err}");
+        // Nor can anything read inboxes out of it.
+        let err = staged_runs(&None).unwrap_err();
+        assert!(matches!(&err, EngineError::Recovery(m) if m.contains("not staged")), "{err}");
+
+        // The same cut over a staged superstep — even one that sent nothing —
+        // is taken and restored.
+        let shared = shared_state(empty_channel(), 1);
+        let mut cut = checkpoint_cut(&shared);
+        cut.after_superstep(0, &state).unwrap();
+        *shared.channel.lock() = None;
+        let mut broken = state.clone();
+        let action = cut.on_failure(1, &[1], &mut broken).unwrap();
+        assert!(matches!(action, RecoveryAction::Restored { iteration: 0, .. }));
+        assert_eq!(staged_runs(&shared.channel.lock()).unwrap().len(), 0);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn born_sorted_runs() -> impl Strategy<Value = Vec<Vec<Msg>>> {
+            let run =
+                prop::collection::vec((0u64..24, 0u64..24, 0u64..3), 0..40).prop_map(|mut run| {
+                    run.sort_unstable();
+                    run
+                });
+            prop::collection::vec(run, 0..5)
+        }
+
+        proptest! {
+            #[test]
+            fn assembly_on_read_equals_the_eager_commit_whenever_the_capture_was_taken(
+                runs in born_sorted_runs(),
+                parallelism in (0usize..3).prop_map(|i| [1, 3, 4][i]),
+                capture_first in any::<bool>(),
+            ) {
+                // What every commit used to do: bucket each partition's
+                // outbound, merge every destination's buckets.
+                let eager: Vec<Vec<Msg>> = (0..parallelism)
+                    .map(|pid| {
+                        let buckets: Vec<Vec<Msg>> = runs
+                            .iter()
+                            .map(|run| bucket_by_pid(run, parallelism).swap_remove(pid))
+                            .collect();
+                        let buckets: Vec<&[Msg]> = buckets.iter().map(Vec::as_slice).collect();
+                        merge_runs(&buckets, 1).pop().unwrap()
+                    })
+                    .collect();
+                let ctx = ExecContext::new(EnvConfig::new(parallelism));
+                let read = |channel: &Channel| {
+                    assemble_inboxes(staged_runs(channel).unwrap(), parallelism, &ctx).unwrap()
+                };
+
+                let shared = shared_state(Some(Arc::new(runs)), 3);
+                let mut cut = checkpoint_cut(&shared);
+                let state = Partitions::from_parts(vec![vec![(0u64, 0u64)]; parallelism]);
+                if !capture_first {
+                    prop_assert_eq!(&read(&shared.channel.lock()), &eager);
+                }
+                cut.after_superstep(2, &state).unwrap();
+                if capture_first {
+                    prop_assert_eq!(&read(&shared.channel.lock()), &eager);
+                }
+
+                // The run moves on over unstaged supersteps, then fails: the
+                // restore reads the cut's inboxes out of the capture.
+                *shared.channel.lock() = None;
+                shared.steps_committed.store(5, Ordering::SeqCst);
+                let mut broken = state.clone();
+                let action = cut.on_failure(4, &[0], &mut broken).unwrap();
+                prop_assert!(matches!(action, RecoveryAction::Restored { iteration: 2, .. }));
+                prop_assert_eq!(shared.steps_committed.load(Ordering::SeqCst), 3);
+                prop_assert_eq!(&read(&shared.channel.lock()), &eager);
+            }
+
+            #[test]
+            fn merging_the_partitions_equals_sorting_the_result(
+                vertices in prop::collection::vec(0u64..200, 0..60),
+                parallelism in (0usize..3).prop_map(|i| [1, 3, 4][i]),
+                strided in any::<bool>(),
+            ) {
+                // A cold state holds every vertex of its stride; a warm
+                // start, whatever vertices the previous fixpoint had.
+                let vertices: std::collections::BTreeSet<u64> = if strided {
+                    (0..vertices.len() as u64).collect()
+                } else {
+                    vertices.into_iter().collect()
+                };
+                let mut parts = vec![Vec::new(); parallelism];
+                for v in vertices {
+                    parts[(v % parallelism as u64) as usize].push((v, v.wrapping_mul(31)));
+                }
+                let mut sorted: Vec<Record> = parts.concat();
+                sorted.sort_unstable_by_key(|record| record.0);
+                prop_assert_eq!(merge_by_vertex(&parts), sorted);
+            }
+        }
     }
 
     #[test]

@@ -103,11 +103,12 @@ pub enum Message {
         superstep: u32,
         /// The partition's new state, same vertex order as the request.
         state: Vec<Record>,
-        /// Messages produced for the *next* superstep (any destination).
-        /// Under the direct data plane this is empty unless the membership
-        /// frame set `ship_outbound` (rollback strategies keep the
-        /// coordinator's inbox copy authoritative); the messages themselves
-        /// travel peer-to-peer as [`Message::ShuffleFrame`]s.
+        /// Messages produced for the *next* superstep (any destination), in
+        /// the order the step produced them — empty unless the dispatch set
+        /// `stage_outbound` (a rollback strategy is about to cut after this
+        /// superstep and stages its channel state at the coordinator). The
+        /// messages themselves always travel peer-to-peer as
+        /// [`Message::ShuffleFrame`]s.
         outbound: Vec<Msg>,
         /// Records considered changed by the program's convergence test.
         changed: u64,
@@ -182,11 +183,6 @@ pub enum Message {
         epoch: u64,
         /// Number of partitions (destination routing: `dst % parallelism`).
         parallelism: u64,
-        /// Non-zero when workers must piggyback their outbound messages in
-        /// [`Message::StepDone`] so the coordinator's inbox copy stays
-        /// authoritative (required by rollback strategies' channel
-        /// captures).
-        ship_outbound: u64,
         /// How long a worker waits for data-plane completeness before
         /// reporting [`Message::StepFailed`], in milliseconds.
         data_timeout_ms: u64,
@@ -243,6 +239,11 @@ pub enum Message {
         /// Chronological superstep whose data-plane output to consume, or
         /// [`NO_INBOUND`] for an empty inbound.
         inbound_superstep: u32,
+        /// Whether every [`Message::StepDone`] of this superstep carries the
+        /// partition's outbound: set on the supersteps a rollback strategy
+        /// cuts after (and the one before a planned rescale), never
+        /// otherwise.
+        stage_outbound: bool,
         /// The worker's partitions, ascending; replies come back in this
         /// order.
         pids: Vec<u64>,
@@ -250,9 +251,11 @@ pub enum Message {
     /// Coordinator → worker: like [`Message::StepGo`], but pushes
     /// authoritative partition state first — the recovery/retry dispatch
     /// (first superstep, post-failure retries, rollback restores, the
-    /// superstep after a rescale). These are the supersteps whose inbound
-    /// history is not exact, so the worker runs them as full-send supersteps
-    /// ([`crate::program::ClusterProgram::full_send_step`]).
+    /// superstep after a rescale). Without pushed inboxes the inbound
+    /// history is not exact, so the worker runs the superstep as a full-send
+    /// one ([`crate::program::ClusterProgram::full_send_step`]); with them
+    /// (`use_wire_inbound`) state and inbound are an exact cut and the
+    /// superstep is change-driven like any other, logical step 0 excepted.
     StepReset {
         /// Chronological superstep.
         superstep: u32,
@@ -267,6 +270,8 @@ pub enum Message {
         /// respawned worker's empty slot is compensated for by the
         /// algorithm).
         use_wire_inbound: u64,
+        /// As in [`Message::StepGo`].
+        stage_outbound: bool,
         /// Authoritative state per owned partition: `(pid, records)`.
         parts: Vec<(u64, Vec<Record>)>,
         /// Pushed inbound messages per owned partition: `(pid, msgs)`;
@@ -375,11 +380,10 @@ impl Codec for Message {
                 pid.encode(out);
                 bytes.encode(out);
             }
-            Message::Membership { epoch, parallelism, ship_outbound, data_timeout_ms, peers } => {
+            Message::Membership { epoch, parallelism, data_timeout_ms, peers } => {
                 out.push(11);
                 epoch.encode(out);
                 parallelism.encode(out);
-                ship_outbound.encode(out);
                 data_timeout_ms.encode(out);
                 peers.encode(out);
             }
@@ -403,11 +407,12 @@ impl Codec for Message {
                 frames.encode(out);
                 bytes.encode(out);
             }
-            Message::StepGo { superstep, step, inbound_superstep, pids } => {
+            Message::StepGo { superstep, step, inbound_superstep, stage_outbound, pids } => {
                 out.push(15);
                 superstep.encode(out);
                 step.encode(out);
                 inbound_superstep.encode(out);
+                stage_outbound.encode(out);
                 pids.encode(out);
             }
             Message::StepReset {
@@ -415,6 +420,7 @@ impl Codec for Message {
                 step,
                 inbound_superstep,
                 use_wire_inbound,
+                stage_outbound,
                 parts,
                 inboxes,
             } => {
@@ -423,6 +429,7 @@ impl Codec for Message {
                 step.encode(out);
                 inbound_superstep.encode(out);
                 use_wire_inbound.encode(out);
+                stage_outbound.encode(out);
                 parts.encode(out);
                 inboxes.encode(out);
             }
@@ -491,7 +498,6 @@ impl Codec for Message {
             11 => Message::Membership {
                 epoch: u64::decode(input)?,
                 parallelism: u64::decode(input)?,
-                ship_outbound: u64::decode(input)?,
                 data_timeout_ms: u64::decode(input)?,
                 peers: Vec::decode(input)?,
             },
@@ -515,6 +521,7 @@ impl Codec for Message {
                 superstep: u32::decode(input)?,
                 step: u64::decode(input)?,
                 inbound_superstep: u32::decode(input)?,
+                stage_outbound: bool::decode(input)?,
                 pids: Vec::decode(input)?,
             },
             16 => Message::StepReset {
@@ -522,6 +529,7 @@ impl Codec for Message {
                 step: u64::decode(input)?,
                 inbound_superstep: u32::decode(input)?,
                 use_wire_inbound: u64::decode(input)?,
+                stage_outbound: bool::decode(input)?,
                 parts: Vec::decode(input)?,
                 inboxes: Vec::decode(input)?,
             },
@@ -573,7 +581,7 @@ const SHUFFLE_FRAME_TAG: u8 = 13;
 const SHUFFLE_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 4 + 8;
 
 /// Encoded size of one [`Msg`].
-const MSG_BYTES: usize = match <Msg as Codec>::WIDTH {
+pub(crate) const MSG_BYTES: usize = match <Msg as Codec>::WIDTH {
     Some(width) => width,
     None => panic!("Msg is a tuple of fixed-width scalars"),
 };
@@ -769,7 +777,6 @@ mod tests {
         round_trip(Message::Membership {
             epoch: 3,
             parallelism: 8,
-            ship_outbound: 1,
             data_timeout_ms: 2_500,
             peers: vec![(0, 40_001), (1, 40_002), (2, 40_003)],
         });
@@ -787,20 +794,24 @@ mod tests {
             frames: 2,
             bytes: 96,
         });
-        round_trip(Message::StepGo {
-            superstep: 9,
-            step: 8,
-            inbound_superstep: 8,
-            pids: vec![1, 3],
-        });
-        round_trip(Message::StepReset {
-            superstep: 10,
-            step: 8,
-            inbound_superstep: NO_INBOUND,
-            use_wire_inbound: 1,
-            parts: vec![(1, vec![(1, 1), (5, 1)]), (3, vec![(3, 3)])],
-            inboxes: vec![(1, vec![(1, 1, 0)]), (3, vec![])],
-        });
+        for stage_outbound in [false, true] {
+            round_trip(Message::StepGo {
+                superstep: 9,
+                step: 8,
+                inbound_superstep: 8,
+                stage_outbound,
+                pids: vec![1, 3],
+            });
+            round_trip(Message::StepReset {
+                superstep: 10,
+                step: 8,
+                inbound_superstep: NO_INBOUND,
+                use_wire_inbound: 1,
+                stage_outbound,
+                parts: vec![(1, vec![(1, 1), (5, 1)]), (3, vec![(3, 3)])],
+                inboxes: vec![(1, vec![(1, 1, 0)]), (3, vec![])],
+            });
+        }
         round_trip(Message::StepFailed { superstep: 10, waiting_on: vec![0, 2] });
         round_trip(Message::WorkerJoin { worker: 2, superstep: 11 });
         round_trip(Message::Drain { superstep: 11 });
@@ -864,6 +875,61 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_staging_flag_is_one_strict_byte_ahead_of_the_partitions() {
+        let go = Message::StepGo {
+            superstep: 9,
+            step: 8,
+            inbound_superstep: 7,
+            stage_outbound: true,
+            pids: vec![1, 3],
+        };
+        let mut expected = vec![15u8];
+        (9u32, 8u64, 7u32, true, vec![1u64, 3]).encode(&mut expected);
+        assert_eq!(encode_to_vec(&go), expected);
+        let reset = Message::StepReset {
+            superstep: 9,
+            step: 8,
+            inbound_superstep: NO_INBOUND,
+            use_wire_inbound: 1,
+            stage_outbound: false,
+            parts: vec![(1, vec![(1, 1)])],
+            inboxes: vec![(1, vec![(0, 1, 0)])],
+        };
+        let mut expected = vec![16u8];
+        (9u32, 8u64, NO_INBOUND, 1u64, false).encode(&mut expected);
+        (vec![(1u64, vec![(1u64, 1u64)])], vec![(1u64, vec![(0u64, 1u64, 0u64)])])
+            .encode(&mut expected);
+        assert_eq!(encode_to_vec(&reset), expected);
+        // A flag byte that is neither 0 nor 1 is corruption, not "true".
+        for (msg, flag_at) in [(go, 1 + 4 + 8 + 4), (reset, 1 + 4 + 8 + 4 + 8)] {
+            let mut payload = encode_to_vec(&msg);
+            payload[flag_at] = 2;
+            let err = decode_exact::<Message>(&payload).unwrap_err();
+            assert!(err.to_string().contains("invalid bool"), "{err}");
+        }
+    }
+
+    #[test]
+    fn membership_carries_no_staging_policy() {
+        // Staging is a per-superstep decision of the dispatch; the membership
+        // is the epoch, the shape of the cluster and nothing else.
+        let membership = Message::Membership {
+            epoch: 3,
+            parallelism: 8,
+            data_timeout_ms: 2_500,
+            peers: vec![(0, 40_001), (1, 40_002)],
+        };
+        let mut expected = vec![11u8];
+        (3u64, 8u64, 2_500u64, vec![(0u64, 40_001u64), (1, 40_002)]).encode(&mut expected);
+        assert_eq!(encode_to_vec(&membership), expected);
+        // The frame of a coordinator that still sends the retired
+        // `ship_outbound` word does not decode as a membership of this build.
+        let mut old = vec![11u8];
+        (3u64, 8u64, 1u64, 2_500u64, vec![(0u64, 40_001u64), (1, 40_002)]).encode(&mut old);
+        assert!(decode_exact::<Message>(&old).is_err());
+    }
+
     fn frame_of(msg: &Message) -> Vec<u8> {
         let mut frame = Vec::new();
         write_frame(&mut frame, msg, None).unwrap();
@@ -889,12 +955,14 @@ mod tests {
         assert_eq!(decode_exact::<Message>(&payload).unwrap(), owned);
     }
 
-    /// Frames with a `Vec` of fixed-width elements, and the offset of that
-    /// `Vec`'s element count inside the frame.
+    /// Frames with a counted `Vec` (of fixed-width elements, or — the
+    /// `StepReset` — of partitions), and the offset of that `Vec`'s element
+    /// count inside the frame.
     fn counted_frames(msgs: Vec<Msg>) -> Vec<(Vec<u8>, usize)> {
         let records: Vec<Record> = msgs.iter().map(|&(v, _, bits)| (v, bits)).collect();
         let spans: Vec<SpanRow> = msgs.iter().map(|&(a, b, c)| (a, b, c, a ^ b)).collect();
         let pids: Vec<u64> = msgs.iter().map(|msg| msg.1).collect();
+        let (state, inbox) = (records.clone(), msgs.clone());
         let mut fused = ShuffleFrameBuf::default();
         msgs.iter().for_each(|msg| fused.push(msg));
         vec![
@@ -915,8 +983,35 @@ mod tests {
                 4 + 1 + 8 + 4 + 8,
             ),
             (
-                frame_of(&Message::StepGo { superstep: 9, step: 8, inbound_superstep: 8, pids }),
-                4 + 1 + 4 + 8 + 4,
+                frame_of(&Message::StepGo {
+                    superstep: 9,
+                    step: 8,
+                    inbound_superstep: 8,
+                    stage_outbound: true,
+                    pids: pids.clone(),
+                }),
+                4 + 1 + 4 + 8 + 4 + 1,
+            ),
+            (
+                frame_of(&Message::StepReset {
+                    superstep: 9,
+                    step: 8,
+                    inbound_superstep: NO_INBOUND,
+                    use_wire_inbound: 1,
+                    stage_outbound: true,
+                    parts: vec![(2, state.clone())],
+                    inboxes: vec![(2, inbox)],
+                }),
+                4 + 1 + 4 + 8 + 4 + 8 + 1,
+            ),
+            (
+                frame_of(&Message::Membership {
+                    epoch: 3,
+                    parallelism: 8,
+                    data_timeout_ms: 2_500,
+                    peers: pids.iter().map(|&pid| (pid, pid ^ 1)).collect(),
+                }),
+                4 + 1 + 8 + 8 + 8,
             ),
         ]
     }

@@ -108,9 +108,6 @@ struct DirectCtx {
     epoch: u64,
     /// Partition count (message routing: `dst % parallelism`).
     parallelism: u64,
-    /// Piggyback outbound messages in `StepDone` so the coordinator's inbox
-    /// copy stays authoritative (rollback strategies).
-    ship_outbound: bool,
     /// How long to wait for data-plane completeness before reporting
     /// [`Message::StepFailed`].
     data_timeout: Duration,
@@ -349,13 +346,7 @@ fn serve(
                     drop(state);
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
-                Message::Membership {
-                    epoch,
-                    parallelism,
-                    ship_outbound,
-                    data_timeout_ms,
-                    peers,
-                } => {
+                Message::Membership { epoch, parallelism, data_timeout_ms, peers } => {
                     let my = worker.ok_or_else(|| {
                         io::Error::new(io::ErrorKind::InvalidData, "Membership before Hello")
                     })?;
@@ -390,10 +381,7 @@ fn serve(
                         worker,
                         None,
                         "membership",
-                        &format!(
-                            "epoch={epoch} members={} ship_outbound={ship_outbound}",
-                            peers.len()
-                        ),
+                        &format!("epoch={epoch} members={}", peers.len()),
                     );
                     // Survivors keep their cached state across a membership
                     // change; the coordinator pushes authoritative state in
@@ -406,7 +394,6 @@ fn serve(
                     let mut direct = DirectCtx {
                         epoch,
                         parallelism,
-                        ship_outbound: ship_outbound != 0,
                         data_timeout: Duration::from_millis(data_timeout_ms),
                         members: peers.len() as u64,
                         links,
@@ -462,7 +449,7 @@ fn serve(
                     wlog(worker, Some(superstep), "drain", "");
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
-                Message::StepGo { superstep, step, inbound_superstep, pids } => {
+                Message::StepGo { superstep, step, inbound_superstep, stage_outbound, pids } => {
                     let my = worker.ok_or_else(|| {
                         io::Error::new(io::ErrorKind::InvalidData, "StepGo before Hello")
                     })?;
@@ -472,7 +459,12 @@ fn serve(
                     if superstep != telemetry_superstep {
                         telemetry_superstep = superstep;
                         seq = 0;
-                        wlog(worker, Some(superstep), "step_go", &format!("pids={pids:?}"));
+                        wlog(
+                            worker,
+                            Some(superstep),
+                            "step_go",
+                            &format!("pids={pids:?} stage_outbound={stage_outbound}"),
+                        );
                     }
                     let inbound = if inbound_superstep == NO_INBOUND {
                         Vec::new()
@@ -508,7 +500,7 @@ fn serve(
                         &plane,
                         superstep,
                         step,
-                        false,
+                        StepMode { full_send: false, stage_outbound },
                         inbound,
                         &pids,
                         &mut seq,
@@ -519,6 +511,7 @@ fn serve(
                     step,
                     inbound_superstep,
                     use_wire_inbound,
+                    stage_outbound,
                     parts,
                     inboxes,
                 } => {
@@ -538,7 +531,7 @@ fn serve(
                         "step_reset",
                         &format!(
                             "parts={} use_wire_inbound={use_wire_inbound} \
-                             inbound_superstep={inbound_superstep}",
+                             inbound_superstep={inbound_superstep} stage_outbound={stage_outbound}",
                             parts.len()
                         ),
                     );
@@ -574,8 +567,11 @@ fn serve(
                         }
                         plane.take_inboxes(inbound_superstep, direct.parallelism as usize)
                     };
-                    // A reset marks an inbound history that is not exact:
-                    // its superstep is a full-send one.
+                    // A reset without pushed inboxes marks an inbound history
+                    // that is not exact: its superstep is a full-send one.
+                    // Pushed state and inboxes are an exact cut, so their
+                    // superstep sends what any other would.
+                    let full_send = use_wire_inbound == 0 || step == 0;
                     run_direct_step(
                         &mut stream,
                         my,
@@ -584,7 +580,7 @@ fn serve(
                         &plane,
                         superstep,
                         step,
-                        true,
+                        StepMode { full_send, stage_outbound },
                         inbound,
                         &pids,
                         &mut seq,
@@ -663,9 +659,20 @@ fn connect_peer(port: u64) -> io::Result<TcpStream> {
     TcpStream::connect(&addr)
 }
 
+/// How a dispatch wants its superstep run.
+#[derive(Debug, Clone, Copy)]
+struct StepMode {
+    /// Every vertex re-sends ([`ClusterProgram::full_send_step`]): the
+    /// inbound history is not exact.
+    full_send: bool,
+    /// Every `StepDone` carries its partition's outbound: the coordinator
+    /// stages this superstep's channel state for a cut.
+    stage_outbound: bool,
+}
+
 /// Run one whole superstep over this worker's partitions:
 /// compute each partition against its resolved inbound (with
-/// [`ClusterProgram::full_send_step`] when `full_send`), route its outbound
+/// [`ClusterProgram::full_send_step`] when `mode.full_send`), route its outbound
 /// through the destination table — peers' messages straight into the frames
 /// they leave in, this worker's own into a run moved into the local inbox —
 /// ship every frame worth shipping (overlapping the remaining compute),
@@ -681,7 +688,7 @@ fn run_direct_step(
     plane: &DataPlane,
     superstep: u32,
     step: u64,
-    full_send: bool,
+    mode: StepMode,
     inbound: Vec<Vec<Msg>>,
     pids: &[u64],
     seq: &mut u64,
@@ -713,7 +720,7 @@ fn run_direct_step(
         })?;
         let inb = inbound.get(pid as usize).unwrap_or(&empty);
         let compute_start = Instant::now();
-        let out = if full_send {
+        let out = if mode.full_send {
             program.full_send_step(step, state, inb, &rows, n)
         } else {
             program.step(step, state, inb, &rows, n)
@@ -736,7 +743,7 @@ fn run_direct_step(
         ctx.state.insert(pid, out.state);
         outcomes.push(StepOutcome {
             pid,
-            outbound: if ctx.ship_outbound { out.outbound } else { Vec::new() },
+            outbound: if mode.stage_outbound { out.outbound } else { Vec::new() },
             changed: out.changed,
             shuffled,
             compute_ns,
@@ -816,7 +823,6 @@ mod tests {
         let mut ctx = DirectCtx {
             epoch: 4,
             parallelism,
-            ship_outbound: false,
             data_timeout: Duration::ZERO,
             members,
             links,
@@ -888,24 +894,36 @@ mod tests {
         addr
     }
 
-    fn expect_step_done(conn: &mut TcpStream) -> (u64, u32, Vec<Record>, u64) {
+    /// The next `StepDone` on `conn`, telemetry frames skipped.
+    fn next_step_done(conn: &mut TcpStream) -> Message {
         loop {
             match read_frame(conn, None).unwrap() {
                 Message::TelemetryFrame { .. } => continue,
-                Message::StepDone { pid, superstep, state, changed, .. } => {
-                    return (pid, superstep, state, changed)
-                }
+                done @ Message::StepDone { .. } => return done,
                 other => panic!("expected StepDone, got {other:?}"),
             }
         }
     }
 
-    #[test]
-    fn direct_mode_runs_supersteps_from_cached_state_and_self_delivery() {
-        // Single-member direct data plane: the worker owns both partitions
-        // of a 2-vertex path graph, so every shuffle message is a
-        // self-delivery through the local inbox — the full StepReset →
-        // StepGo cycle without a second process.
+    fn expect_step_done(conn: &mut TcpStream) -> (u64, u32, Vec<Record>, u64) {
+        match next_step_done(conn) {
+            Message::StepDone { pid, superstep, state, changed, .. } => {
+                (pid, superstep, state, changed)
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    /// A control connection to a fresh single-member worker that owns both
+    /// partitions of the `n`-vertex path graph under "cc": every shuffle
+    /// message is a self-delivery through the local inbox, so the full
+    /// StepReset → StepGo cycle runs without a second process.
+    fn single_member_cc_worker(n: u64) -> TcpStream {
+        let neighbours =
+            |v: u64| (v.saturating_sub(1)..=(v + 1).min(n - 1)).filter(move |&u| u != v);
+        let rows = |pid: u64| -> AdjRows {
+            (pid..n).step_by(2).map(|v| (v, neighbours(v).collect())).collect()
+        };
         let addr = spawn_local_worker();
         let mut conn = TcpStream::connect(addr).unwrap();
         write_frame(&mut conn, &Message::Hello { worker: 0 }, None).unwrap();
@@ -914,8 +932,8 @@ mod tests {
             &mut conn,
             &Message::LoadProgram {
                 program: "cc".into(),
-                n: 2,
-                adjacency: vec![(0, vec![(0, vec![1])]), (1, vec![(1, vec![0])])],
+                n,
+                adjacency: vec![(0, rows(0)), (1, rows(1))],
             },
             None,
         )
@@ -926,7 +944,6 @@ mod tests {
             &Message::Membership {
                 epoch: 1,
                 parallelism: 2,
-                ship_outbound: 0,
                 data_timeout_ms: 2_000,
                 peers: vec![(0, u64::from(addr.port()))],
             },
@@ -934,21 +951,30 @@ mod tests {
         )
         .unwrap();
         assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        conn
+    }
+
+    /// The first superstep of the `n`-vertex path graph: every vertex's
+    /// state pushed as its own label, logical step 0.
+    fn first_superstep(n: u64, superstep: u32, stage_outbound: bool) -> Message {
+        let part = |pid: u64| (pid, (pid..n).step_by(2).map(|v| (v, v)).collect());
+        Message::StepReset {
+            superstep,
+            step: 0,
+            inbound_superstep: NO_INBOUND,
+            use_wire_inbound: 0,
+            stage_outbound,
+            parts: vec![part(0), part(1)],
+            inboxes: vec![],
+        }
+    }
+
+    #[test]
+    fn direct_mode_runs_supersteps_from_cached_state_and_self_delivery() {
+        let mut conn = single_member_cc_worker(2);
 
         // Superstep 1 seeds state and message flow (step 0 semantics).
-        write_frame(
-            &mut conn,
-            &Message::StepReset {
-                superstep: 1,
-                step: 0,
-                inbound_superstep: NO_INBOUND,
-                use_wire_inbound: 0,
-                parts: vec![(0, vec![(0, 0)]), (1, vec![(1, 1)])],
-                inboxes: vec![],
-            },
-            None,
-        )
-        .unwrap();
+        write_frame(&mut conn, &first_superstep(2, 1, false), None).unwrap();
         let (pid, superstep, state, _) = expect_step_done(&mut conn);
         assert_eq!((pid, superstep, state), (0, 1, vec![(0, 0)]));
         let (pid, _, state, _) = expect_step_done(&mut conn);
@@ -958,7 +984,13 @@ mod tests {
         // 0 reaches vertex 1 without any state travelling down the wire.
         write_frame(
             &mut conn,
-            &Message::StepGo { superstep: 2, step: 1, inbound_superstep: 1, pids: vec![0, 1] },
+            &Message::StepGo {
+                superstep: 2,
+                step: 1,
+                inbound_superstep: 1,
+                stage_outbound: false,
+                pids: vec![0, 1],
+            },
             None,
         )
         .unwrap();
@@ -966,6 +998,58 @@ mod tests {
         assert_eq!((pid, state, changed), (0, vec![(0, 0)], 0));
         let (pid, _, state, changed) = expect_step_done(&mut conn);
         assert_eq!((pid, state, changed), (1, vec![(1, 0)], 1), "label propagated via data plane");
+    }
+
+    /// Every `StepDone`'s `(pid, outbound, shuffled)` of one dispatch over
+    /// both partitions.
+    fn outbound_of(conn: &mut TcpStream, dispatch: &Message) -> Vec<(u64, Vec<Msg>, u64)> {
+        write_frame(conn, dispatch, None).unwrap();
+        let reply = |conn: &mut TcpStream| match next_step_done(conn) {
+            Message::StepDone { pid, outbound, shuffled, .. } => (pid, outbound, shuffled),
+            _ => unreachable!(),
+        };
+        vec![reply(conn), reply(conn)]
+    }
+
+    #[test]
+    fn a_step_done_carries_its_outbound_only_when_the_dispatch_stages_it() {
+        // The path 0-1-2-3-4-5 over two partitions (even and odd vertices).
+        // At logical step 0 every label travels to the larger neighbour;
+        // at step 1 the labels just adopted travel on, never back.
+        let sent = [
+            vec![
+                (0, vec![(0u64, 1u64, 0u64), (2, 3, 2), (4, 5, 4)]),
+                (1, vec![(1, 2, 1), (3, 4, 3)]),
+            ],
+            vec![(0, vec![(2, 3, 1), (4, 5, 3)]), (1, vec![(1, 2, 0), (3, 4, 2)])],
+        ];
+        for stage_first in [false, true] {
+            let mut conn = single_member_cc_worker(6);
+            let go = Message::StepGo {
+                superstep: 2,
+                step: 1,
+                inbound_superstep: 1,
+                // The flag is per dispatch, whichever kind: each superstep
+                // decides anew, and the messages are delivered either way.
+                stage_outbound: !stage_first,
+                pids: vec![0, 1],
+            };
+            let dispatches =
+                [(first_superstep(6, 1, stage_first), stage_first), (go, !stage_first)];
+            for ((dispatch, staged), sent) in dispatches.iter().zip(&sent) {
+                let replies = outbound_of(&mut conn, dispatch);
+                for ((pid, outbound, shuffled), (sent_pid, sent)) in replies.iter().zip(sent) {
+                    assert_eq!(pid, sent_pid);
+                    assert_eq!(*shuffled, sent.len() as u64, "counted whether staged or not");
+                    if *staged {
+                        assert_eq!(outbound, sent, "the whole outbound, in the order it was born");
+                        assert!(outbound.is_sorted());
+                    } else {
+                        assert!(outbound.is_empty(), "an unstaged superstep ships no messages up");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1015,6 +1099,7 @@ mod tests {
                 superstep: 0,
                 step: 0,
                 inbound_superstep: NO_INBOUND,
+                stage_outbound: false,
                 pids: vec![0],
             },
             None,

@@ -10,7 +10,7 @@ use cluster::{
     StragglerPlan,
 };
 use graphs::GraphBuilder;
-use telemetry::{MemorySink, SinkHandle};
+use telemetry::{JournalEvent, MemorySink, SinkHandle};
 
 /// Cluster configuration pointed at this crate's test worker binary, with
 /// timings tightened for test latency.
@@ -465,4 +465,142 @@ fn frames_delivered_by_a_worker_declared_dead_do_not_double_deliver() {
     assert!(journal.contains("\"kind\":\"straggler\""), "journal:\n{journal}");
     assert!(journal.contains("\"event\":\"WorkerLost\""), "journal:\n{journal}");
     assert!(journal.contains("\"event\":\"CompensationInvoked\""), "journal:\n{journal}");
+}
+
+/// The journal's `ChannelStaged` entries as `(iteration, bytes)`.
+fn staged_cuts(sink: &MemorySink) -> Vec<(u32, u64)> {
+    sink.events()
+        .iter()
+        .filter_map(|event| match event {
+            JournalEvent::ChannelStaged { iteration, bytes, .. } => Some((*iteration, *bytes)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_kill_at_any_superstep_under_any_rollback_strategy_redoes_what_the_parent_redid() {
+    // Supersteps beyond the failure-free run's, by the superstep the kill
+    // lands on (0..=7), measured at the commit before channel state was
+    // staged on cut supersteps only — the same for both programs. A kill
+    // redoes the failed superstep and whatever lies between it and the last
+    // cut; `AsyncSnapshot{2}` over 4 partitions completes an epoch four
+    // supersteps after its barrier, so its kills fall back further. A kill at
+    // superstep 0 lands before the first membership broadcast: the survivor
+    // cannot link to its dead peer and is lost in turn, twice over.
+    let table = [
+        (ClusterStrategy::Checkpoint { interval: 1 }, [4, 1, 1, 1, 1, 1, 1, 1]),
+        (ClusterStrategy::Checkpoint { interval: 2 }, [4, 1, 2, 1, 2, 1, 2, 1]),
+        (ClusterStrategy::Checkpoint { interval: 3 }, [4, 1, 2, 3, 1, 2, 3, 1]),
+        (ClusterStrategy::AsyncSnapshot { interval: 2 }, [4, 2, 3, 4, 4, 5, 6, 7]),
+    ];
+    for program in ["cc", "pagerank"] {
+        let graph = if program == "cc" { cc_graph() } else { pagerank_graph() };
+        let baseline = run_local(program, &graph, 4, 300, SinkHandle::disabled()).unwrap();
+        for (strategy, extra) in table {
+            for (kill, extra) in (0u32..).zip(extra) {
+                let cfg = test_config(2, 4, 300)
+                    .with_strategy(strategy)
+                    .with_kill(KillPlan { superstep: kill, worker: 1 });
+                let run = run_cluster(program, &graph, cfg, SinkHandle::disabled()).unwrap();
+                let case = format!("{program} under {strategy:?}, killed at superstep {kill}");
+                assert!(run.stats.converged, "{case}");
+                assert_eq!(run.stats.supersteps(), baseline.stats.supersteps() + extra, "{case}");
+                if program == "cc" {
+                    assert_eq!(run.values, baseline.values, "{case}");
+                } else {
+                    for (&(v, a), &(_, b)) in run.values.iter().zip(&baseline.values) {
+                        let (a, b) = (f64::from_bits(a), f64::from_bits(b));
+                        assert!((a - b).abs() < 1e-6, "{case}: vertex {v}: {a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn the_retry_of_a_restored_cut_sends_what_the_failure_free_superstep_sent() {
+    // Killed at superstep 3 under `Checkpoint{2}`, the run restores the cut
+    // after iteration 2 — state and the messages in flight, both exact — so
+    // the retry of iteration 3 is an ordinary change-driven superstep, not a
+    // full-send one.
+    let graph = graphs::generators::preferential_attachment(2_000, 3, 7);
+    let strategy = ClusterStrategy::Checkpoint { interval: 2 };
+    let failure_free = run_cluster(
+        "cc",
+        &graph,
+        test_config(2, 4, 60).with_strategy(strategy),
+        SinkHandle::disabled(),
+    )
+    .unwrap();
+    let cfg = test_config(2, 4, 60)
+        .with_strategy(strategy)
+        .with_kill(KillPlan { superstep: 3, worker: 1 });
+    let killed = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap();
+    assert_eq!(labels(&killed), graphs::exact_components(&graph));
+    assert_eq!(killed.values, failure_free.values);
+
+    let sent = |run: &cluster::ClusterRun, iteration: u32| -> Vec<u64> {
+        let of_iteration = run.stats.iterations.iter().filter(|it| it.iteration == iteration);
+        of_iteration.filter(|it| it.failure.is_none()).map(|it| it.records_shuffled).collect()
+    };
+    assert_eq!(killed.stats.supersteps(), failure_free.stats.supersteps() + 1);
+    assert!(sent(&failure_free, 3)[0] > 0, "iteration 3 still moves labels on this graph");
+    for iteration in 0..failure_free.stats.logical_iterations() {
+        assert_eq!(
+            sent(&killed, iteration),
+            sent(&failure_free, iteration),
+            "iteration {iteration}"
+        );
+    }
+}
+
+#[test]
+fn a_rollback_strategy_stages_its_cut_supersteps_and_ships_nothing_up_on_the_others() {
+    // One heartbeat probe per worker (the first, at connect time), so the
+    // control connections carry the same bytes in every run of a strategy.
+    let quiet = |strategy: ClusterStrategy| {
+        let mut cfg = test_config(2, 4, 60).with_strategy(strategy);
+        cfg.heartbeat_interval = Duration::from_secs(20);
+        cfg
+    };
+    let graph = graphs::generators::preferential_attachment(2_000, 3, 7);
+    let traced = |strategy: ClusterStrategy| {
+        let sink = Arc::new(MemorySink::new());
+        let telemetry = SinkHandle::new(sink.clone());
+        let run = run_cluster("cc", &graph, quiet(strategy), telemetry.clone()).unwrap();
+        let metrics = telemetry.metrics();
+        let bytes = (metrics.counter("net/bytes_in").get(), metrics.counter("net/bytes_out").get());
+        (run, sink, bytes)
+    };
+    let (optimistic, journal, (optimistic_in, optimistic_out)) =
+        traced(ClusterStrategy::Optimistic);
+    assert_eq!(staged_cuts(&journal), vec![], "optimistic recovery stages nothing");
+
+    let (checkpointed, journal, (bytes_in, bytes_out)) =
+        traced(ClusterStrategy::Checkpoint { interval: 2 });
+    assert_eq!(checkpointed.values, optimistic.values);
+    assert_eq!(checkpointed.stats.supersteps(), optimistic.stats.supersteps());
+    let cuts = staged_cuts(&journal);
+    let cut_iterations: Vec<u32> = cuts.iter().map(|&(iteration, _)| iteration).collect();
+    let even: Vec<u32> = (0..checkpointed.stats.logical_iterations()).step_by(2).collect();
+    assert_eq!(cut_iterations, even, "staged on the cut iterations, and on those only");
+    // What the workers sent up beyond an optimistic run's bytes is the staged
+    // messages, to the byte: on every other superstep a `StepDone` is what
+    // it is under optimistic recovery. The dispatches are the same size but
+    // for the first, which names an (empty) inbox for each of 4 partitions.
+    let staged: u64 = cuts.iter().map(|&(_, bytes)| bytes).sum();
+    assert!(staged > 0);
+    assert_eq!(bytes_in - optimistic_in, staged);
+    assert_eq!(bytes_out - optimistic_out, 4 * (8 + 8));
+    // ... and the staged messages are the ones those supersteps shuffled.
+    let shuffled: u64 = checkpointed
+        .stats
+        .iterations
+        .iter()
+        .filter(|it| it.iteration % 2 == 0)
+        .map(|it| it.records_shuffled)
+        .sum();
+    assert_eq!(staged, shuffled * 24);
 }

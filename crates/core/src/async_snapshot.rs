@@ -36,7 +36,7 @@ use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, Snapshot};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
-use crate::checkpoint::{positive_interval, StableStore};
+use crate::checkpoint::{cut_due, positive_interval, StableStore};
 
 /// Barrier life-cycle notification delivered to a [`BarrierProbe`].
 #[derive(Debug)]
@@ -169,7 +169,7 @@ impl<S: StableStore> BarrierCore<S> {
         // multiple of `interval` after completion fires instead) — one
         // snapshot at a time, like Flink's default concurrent-checkpoint
         // limit of 1.
-        if self.in_flight.is_none() && iteration.is_multiple_of(self.interval) {
+        if self.in_flight.is_none() && cut_due(self.interval, iteration) {
             let chunks: Vec<Vec<u8>> = (0..partitions).map(&capture).collect();
             self.telemetry
                 .emit(|| JournalEvent::SnapshotBarrierStarted { epoch: iteration, partitions });
@@ -432,6 +432,25 @@ mod tests {
         assert_eq!(handler.in_flight_epoch(), None);
         handler.after_superstep(4, &bulk(4)).unwrap();
         assert_eq!(handler.in_flight_epoch(), Some(4));
+    }
+
+    #[test]
+    fn barriers_fire_only_where_the_cut_schedule_says_one_is_due() {
+        // Four partitions, interval 2: barriers fire at 0, 4, 8 — a subset of
+        // the due iterations 0, 2, 4, 6, 8, never an iteration outside them.
+        let fired: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let log = fired.clone();
+        let mut handler =
+            Handler::new(MemoryStore::new(), 2).unwrap().with_probe(Box::new(move |event| {
+                if let BarrierEvent::Started { epoch, .. } = event {
+                    log.borrow_mut().push(epoch);
+                }
+            }));
+        for iteration in 0..10 {
+            handler.after_superstep(iteration, &bulk(iteration)).unwrap();
+        }
+        assert_eq!(*fired.borrow(), vec![0, 4, 8]);
+        assert!(fired.borrow().iter().all(|&epoch| cut_due(2, epoch)));
     }
 
     /// The probe's view of five supersteps and a failure at interval =

@@ -259,6 +259,17 @@ pub(crate) fn positive_interval(strategy: &str, interval: u32) -> Result<u32> {
     Ok(interval)
 }
 
+/// The cut schedule of the interval-driven handlers: whether a handler built
+/// with `interval` cuts after logical iteration `iteration` — iterations
+/// `0, interval, 2·interval, ...`. [`CheckpointHandler`] cuts at exactly
+/// these; [`crate::AsyncSnapshotHandler`] at these unless an earlier epoch is
+/// still in flight. Whoever has to prepare a cut before it happens (the
+/// cluster coordinator stages the channel state of a cut superstep) asks here
+/// — preparing for a cut that is then skipped is safe, missing one is not.
+pub fn cut_due(interval: u32, iteration: u32) -> bool {
+    iteration.is_multiple_of(interval)
+}
+
 /// Rollback-recovery handler: checkpoint the iteration state (for a delta
 /// iteration, solution sets and working set together) every `interval`
 /// iterations, restore the latest snapshot on failure.
@@ -317,7 +328,7 @@ impl<S, Store: StableStore> CheckpointHandler<S, Store> {
 
 impl<S: Snapshot, Store: StableStore> FaultHandler<S> for CheckpointHandler<S, Store> {
     fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
-        if !iteration.is_multiple_of(self.interval) {
+        if !cut_due(self.interval, iteration) {
             return Ok(None);
         }
         let start = Instant::now();
@@ -438,6 +449,18 @@ mod tests {
     fn checkpoints_on_interval_restores_and_garbage_collects() {
         checkpoint_life_cycle(crate::test_states::bulk, |a, b| a == b);
         checkpoint_life_cycle(crate::test_states::delta, crate::test_states::same_delta);
+    }
+
+    #[test]
+    fn the_cut_schedule_is_the_rule_the_handler_applies() {
+        for interval in 1..4 {
+            let mut handler = CheckpointHandler::new(MemoryStore::new(), interval).unwrap();
+            for iteration in 0..8 {
+                let state = crate::test_states::bulk(iteration);
+                let cut = handler.after_superstep(iteration, &state).unwrap().is_some();
+                assert_eq!(cut, cut_due(interval, iteration), "interval {interval} at {iteration}");
+            }
+        }
     }
 
     #[test]

@@ -302,7 +302,7 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
                     &mut invariant_cache,
                 )
             };
-            let outputs = match body_result {
+            let mut outputs = match body_result {
                 Ok(outputs) => outputs,
                 Err(error) => {
                     // A UDF panicked — or a cluster worker process died —
@@ -352,12 +352,17 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
                     continue;
                 }
             };
-            let mut next: Partitions<T> = outputs[0].clone().take("BulkIteration(next)")?;
-            let duration = compute_timer.finish();
             let term_empty = match &self.termination {
                 Some((_, probe)) => probe(&outputs[1])? == 0,
                 None => false,
             };
+            // The next state is moved out of the outputs and the rest of them
+            // dropped, so the one handle left gives the partitions back
+            // without copying them.
+            let next = outputs.swap_remove(0);
+            drop(outputs);
+            let mut next: Partitions<T> = next.take("BulkIteration(next)")?;
+            let duration = compute_timer.finish();
 
             // 2. Superstep statistics.
             let (counters, shuffled) = step_ctx.drain();
@@ -638,6 +643,36 @@ mod tests {
         let stats = stats.take().unwrap();
         assert!(stats.converged);
         assert!(stats.supersteps() > 1);
+    }
+
+    #[test]
+    fn a_superstep_clones_no_record_of_the_state_it_is_handed() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        static CLONES: AtomicU64 = AtomicU64::new(0);
+        struct Counted(u64);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Ordering::Relaxed);
+                Counted(self.0)
+            }
+        }
+
+        // Telemetry is off (the convergence probe's copy of the previous
+        // state is its own, journaled cost). What a run clones then — the
+        // initial dataset, the result — does not depend on its length.
+        let clones_of = |iterations: u32| {
+            let before = CLONES.load(Ordering::Relaxed);
+            let env = Environment::new(2);
+            let initial = env.from_vec((0..8).map(Counted).collect());
+            let it = BulkIteration::new(&initial, iterations);
+            let next = it.state().map("inc", |c: &Counted| Counted(c.0 + 1));
+            let (result, _) = it.close(next);
+            let out = result.collect().unwrap();
+            assert_eq!(out.iter().map(|c| c.0).sum::<u64>(), 28 + 8 * u64::from(iterations));
+            CLONES.load(Ordering::Relaxed) - before
+        };
+        assert_eq!(clones_of(9), clones_of(3), "six more supersteps, not one more clone");
     }
 
     #[test]

@@ -83,6 +83,26 @@ pub struct RecoveryReport {
     pub snapshot_epochs: u32,
     /// Total bytes the completed snapshot epochs persisted.
     pub snapshot_bytes: u64,
+    /// What rollback cost the failure-free path: state writes and, on a
+    /// cluster, the channel state staged for the cuts.
+    pub cuts: CutCosts,
+}
+
+/// The failure-free cost of a rollback strategy, summed over a run: the
+/// `CheckpointWritten` entries beside the `ChannelStaged` ones.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CutCosts {
+    /// State writes to stable storage (whole checkpoints, or the chunks of
+    /// asynchronous snapshots).
+    pub writes: u32,
+    /// Bytes of state those writes persisted.
+    pub written_bytes: u64,
+    /// Supersteps whose channel state was staged at the coordinator.
+    pub staged_supersteps: u32,
+    /// Messages staged across them.
+    pub staged_msgs: u64,
+    /// Their bytes on the control connections.
+    pub staged_bytes: u64,
 }
 
 impl RecoveryReport {
@@ -168,6 +188,17 @@ pub fn build_recovery_report(model: &RunModel, report: Option<&RunReport>) -> Re
                 _ => {}
             }
         }
+        if let Some(bytes) = row.checkpoint_bytes {
+            out.cuts.writes += 1;
+            out.cuts.written_bytes += bytes;
+        }
+        for staged in &row.staged {
+            if let JournalEvent::ChannelStaged { msgs, bytes, .. } = staged {
+                out.cuts.staged_supersteps += 1;
+                out.cuts.staged_msgs += msgs;
+                out.cuts.staged_bytes += bytes;
+            }
+        }
         for snapshot in &row.snapshots {
             if let JournalEvent::SnapshotBarrierCompleted { bytes, .. } = snapshot {
                 out.snapshot_epochs += 1;
@@ -234,6 +265,18 @@ pub fn render_recovery(report: &RecoveryReport) -> String {
         out.push_str(&format!(
             "async snapshots: {} epoch(s) completed, {}B persisted\n",
             report.snapshot_epochs, report.snapshot_bytes,
+        ));
+    }
+    if report.cuts != CutCosts::default() {
+        let cuts = &report.cuts;
+        out.push_str(&format!(
+            "rollback cuts: {} state write(s), {}B written; channel state staged on {} \
+             superstep(s), {} msgs, {}B\n",
+            cuts.writes,
+            cuts.written_bytes,
+            cuts.staged_supersteps,
+            cuts.staged_msgs,
+            cuts.staged_bytes,
         ));
     }
     if !report.rebalances.is_empty() {
@@ -393,6 +436,42 @@ mod tests {
         assert!(text.contains("chaos plane: 1 injection(s)"), "{text}");
         assert!(text.contains("chaos kill w1"), "{text}");
         assert!(text.contains("async snapshots: 1 epoch(s) completed, 512B persisted"), "{text}");
+    }
+
+    #[test]
+    fn state_writes_and_staged_channels_are_listed_side_by_side() {
+        let mut model = cluster_model();
+        for (row, msgs) in [(0usize, 600u64), (2, 40)] {
+            model.rows[row].checkpoint_bytes = Some(296);
+            model.rows[row].staged = vec![JournalEvent::ChannelStaged {
+                superstep: row as u32,
+                iteration: row as u32,
+                msgs,
+                bytes: msgs * 24,
+            }];
+        }
+        let report = build_recovery_report(&model, None);
+        assert_eq!(
+            report.cuts,
+            CutCosts {
+                writes: 2,
+                written_bytes: 592,
+                staged_supersteps: 2,
+                staged_msgs: 640,
+                staged_bytes: 15_360,
+            }
+        );
+        let text = render_recovery(&report);
+        assert!(
+            text.contains(
+                "rollback cuts: 2 state write(s), 592B written; channel state staged on 2 \
+                 superstep(s), 640 msgs, 15360B"
+            ),
+            "{text}"
+        );
+        // An optimistic run pays neither and says nothing about them.
+        let text = render_recovery(&build_recovery_report(&cluster_model(), None));
+        assert!(!text.contains("rollback cuts"), "{text}");
     }
 
     #[test]

@@ -80,6 +80,7 @@ fn annotations(row: &SuperstepRow) -> String {
         &row.rebalances,
         &row.chaos,
         &row.snapshots,
+        &row.staged,
         &row.recovery_costs,
     ] {
         notes.extend(events(list));
