@@ -8,8 +8,9 @@
 //!   of the iteration state and the per-partition message inboxes.
 //! * Workers own the loop-invariant adjacency for their partitions and
 //!   execute [`crate::program::ClusterProgram::step`]. The coordinator is
-//!   a pure control plane: it broadcasts membership (peer addresses +
-//!   epoch), dispatches supersteps as thin `StepGo` frames, and receives
+//!   a pure control plane: it sends every worker the membership (epoch,
+//!   peer addresses, placement), dispatches supersteps as thin `StepGo`
+//!   frames, and receives
 //!   state + convergence counts in `StepDone`s — while the shuffled
 //!   messages flow directly between workers as batched peer frames, never
 //!   touching the coordinator.
@@ -42,6 +43,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dataflow::api::Environment;
+use dataflow::codec::encode_to_vec;
 use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
@@ -65,7 +67,7 @@ use crate::placement::{PartitionMap, Rebalancer};
 use crate::program::{lookup, partition_rows, ClusterProgram};
 use crate::protocol::{
     encode_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
-    AdjRows, Message, Msg, Record, SpanRow, MSG_BYTES, NO_INBOUND, SPAN_PHASE_COMPUTE,
+    AdjRows, Inbound, Message, Msg, Record, SpanRow, MSG_BYTES, SPAN_PHASE_COMPUTE,
     SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 use crate::worker::LISTENING_MARKER;
@@ -73,8 +75,9 @@ use crate::worker::LISTENING_MARKER;
 /// A planned membership change: at chronological superstep `superstep` the
 /// cluster rescales to `workers` worker processes. Scale-down is a
 /// [`EngineError::WorkerLost`] we scheduled ourselves — the retiring workers
-/// get a graceful [`Message::Drain`] instead of a SIGKILL, and their
-/// partitions are re-shipped over the same `LoadProgram` path recovery uses.
+/// are told to [`Message::Shutdown`] at a barrier, when nothing of theirs is
+/// in flight, and their partitions are re-shipped over the same
+/// `LoadProgram` path recovery uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleEvent {
     /// Chronological superstep at which the rescale happens (fires at the
@@ -485,10 +488,10 @@ trait StepBackend: Send {
     ) -> Result<Vec<StepResult>>;
 
     /// Ship one persisted async-snapshot chunk to the partition's owning
-    /// worker (the barrier marker crossing the wire). Best-effort: shipping
-    /// to a dead worker is silently skipped — the coordinator's stable
-    /// store holds the authoritative copy. Default: no-op (local baseline
-    /// has no workers to ship to).
+    /// worker (the barrier marker crossing the wire). Best-effort: the
+    /// coordinator's stable store holds the authoritative copy, so a worker
+    /// that cannot be shipped to costs the snapshot nothing. Default: no-op
+    /// (local baseline has no workers to ship to).
     fn stage_snapshot(&mut self, _epoch: u32, _pid: usize, _chunk: &[u8]) {}
 }
 
@@ -614,6 +617,13 @@ impl WorkerHandle {
         self.hb_stop.store(true, Ordering::SeqCst);
         self.child.signal();
     }
+
+    /// Tell the worker to exit, then [`Self::signal`]: how a run, and a
+    /// scale-down, part with a worker whose work is done.
+    fn dismiss(&mut self, bytes_out: Option<&Counter>) {
+        let _ = write_frame(&mut self.stream, &Message::Shutdown, bytes_out);
+        self.signal();
+    }
 }
 
 impl Drop for WorkerHandle {
@@ -625,10 +635,6 @@ impl Drop for WorkerHandle {
             let _ = thread.join();
         }
     }
-}
-
-struct WorkerSlot {
-    handle: Option<WorkerHandle>,
 }
 
 /// Detection facts about a worker loss, held until the replacement rejoins
@@ -646,7 +652,9 @@ struct ClusterBackend {
     program_name: String,
     n: u64,
     adjacency: Arc<Vec<AdjRows>>,
-    slots: Vec<WorkerSlot>,
+    /// The live worker processes by coordinator-side index; `None` between
+    /// a worker's loss and its respawn.
+    slots: Vec<Option<WorkerHandle>>,
     telemetry: SinkHandle,
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
@@ -676,11 +684,17 @@ struct ClusterBackend {
     step_started: Option<Instant>,
     /// Losses detected but not yet re-billed against a respawn.
     pending_recovery: Vec<PendingRecovery>,
-    /// Membership epoch: bumped on every broadcast, so workers
-    /// can reject data-plane frames from replaced incarnations.
+    /// A loss found between supersteps, shipping a snapshot chunk: the
+    /// driver hears of a failure only from a superstep, so the next one
+    /// reports it before doing anything else.
+    lost_between_supersteps: Option<EngineError>,
+    /// Membership epoch: bumped every time the membership is sent out, so
+    /// workers can reject data-plane frames from replaced incarnations and
+    /// from before a placement change.
     epoch: u64,
-    /// Whether every live worker holds the current membership. Cleared by a
-    /// respawn; the next superstep rebroadcasts before dispatching.
+    /// Whether every live worker holds the current membership and placement.
+    /// Cleared by a respawn and a rescale; the next superstep sends them
+    /// again before dispatching.
     membership_current: bool,
     /// Chronological superstep of the last committed superstep — the slot
     /// name steady-state `StepGo` dispatches tell workers to consume.
@@ -694,8 +708,9 @@ struct ClusterBackend {
     /// cut's inboxes along, which makes the history exact again.
     push_state: bool,
     /// Workers respawned since the last commit: their data plane holds no
-    /// slots, so an optimistic retry hands them `NO_INBOUND` (compensation
-    /// absorbs the gap) while survivors re-consume the committed slot.
+    /// slots, so an optimistic retry hands them [`Inbound::Empty`]
+    /// (compensation absorbs the gap) while survivors re-consume the
+    /// committed slot.
     respawned_since_commit: Vec<bool>,
     /// Set by a failure or a rescale, consumed by the next commit: under a
     /// non-rollback strategy, compensated partitions recompute from an
@@ -726,7 +741,7 @@ impl ClusterBackend {
         let max_workers =
             cfg.scale.iter().map(|event| event.workers).chain([cfg.workers]).max().unwrap_or(1);
         ClusterBackend {
-            slots: (0..cfg.workers).map(|_| WorkerSlot { handle: None }).collect(),
+            slots: (0..cfg.workers).map(|_| None).collect(),
             chaos: cfg.chaos.clone(),
             scale: cfg.scale.clone(),
             map: PartitionMap::initial(cfg.parallelism, cfg.workers),
@@ -745,6 +760,7 @@ impl ClusterBackend {
             rebalance_reshipped_bytes: metrics.counter("rebalance/reshipped_bytes"),
             step_started: None,
             pending_recovery: Vec::new(),
+            lost_between_supersteps: None,
             epoch: 0,
             membership_current: false,
             last_committed: None,
@@ -791,7 +807,7 @@ impl ClusterBackend {
         Ok(handles)
     }
 
-    /// [`Self::bring_up`] for one worker: the respawn and the join path.
+    /// [`Self::bring_up`] for one worker: the respawn path.
     fn spawn_and_load(&self, worker: usize) -> Result<(WorkerHandle, u32)> {
         Ok(self.bring_up(&[worker])?.remove(0))
     }
@@ -807,8 +823,9 @@ impl ClusterBackend {
     }
 
     /// Wait for the process's port announcement, connect the control
-    /// connection with exponential backoff, greet, and send the program and
-    /// this worker's adjacency without waiting for the acknowledgement.
+    /// connection with exponential backoff, and send the greeting, the
+    /// program and this worker's adjacency without waiting for the one
+    /// acknowledgement that covers them.
     fn connect_and_ship(
         &self,
         worker: usize,
@@ -834,7 +851,6 @@ impl ClusterBackend {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(self.cfg.step_timeout))?;
         write_frame(&mut stream, &Message::Hello { worker: worker as u64 }, Some(&self.bytes_out))?;
-        expect_welcome(&mut stream, &self.bytes_in)?;
         write_encoded_frame(
             &mut stream,
             &self.load_program_payload(worker),
@@ -851,7 +867,7 @@ impl ClusterBackend {
         loading: LoadingWorker,
     ) -> io::Result<WorkerHandle> {
         let LoadingWorker { mut stream, port, .. } = loading;
-        expect_welcome(&mut stream, &self.bytes_in)?;
+        read_ack(&mut stream, &self.bytes_in, welcome)?;
         let (hb_stream, _) = connect_with_backoff(&loopback(port), &self.cfg)?;
         hb_stream.set_nodelay(true).ok();
         hb_stream.set_read_timeout(Some(self.cfg.heartbeat_timeout))?;
@@ -902,17 +918,17 @@ impl ClusterBackend {
     fn ensure_workers(&mut self, superstep: u32) -> Result<()> {
         for worker in 0..self.slots.len() {
             let flagged_dead =
-                self.slots[worker].handle.as_ref().is_some_and(|h| h.dead.load(Ordering::SeqCst));
+                self.slots[worker].as_ref().is_some_and(|h| h.dead.load(Ordering::SeqCst));
             if flagged_dead {
                 return Err(self.fail(worker, superstep, "heartbeat timed out".to_string()));
             }
-            if self.slots[worker].handle.is_none() {
+            if self.slots[worker].is_none() {
                 let bytes_before = self.bytes_out.get();
                 let respawn_started = Instant::now();
                 let (handle, attempts) = self.spawn_and_load(worker)?;
                 let respawn_ns = respawn_started.elapsed().as_nanos() as u64;
                 let reshipped = self.bytes_out.get().saturating_sub(bytes_before);
-                self.slots[worker].handle = Some(handle);
+                self.slots[worker] = Some(handle);
                 // The replacement listens on a fresh port and holds no
                 // data-plane state: the whole cluster needs a new membership
                 // epoch before the next dispatch.
@@ -969,16 +985,16 @@ impl ClusterBackend {
 
     /// Rescale the live cluster to `target` workers at a superstep barrier.
     ///
-    /// This is recovery's reship path, scheduled instead of suffered:
-    /// the [`Rebalancer`] computes a minimal-move map, joining workers are
-    /// spawned and loaded exactly like respawned replacements
-    /// ([`Message::WorkerJoin`] instead of a `WorkerRejoined` bill),
-    /// retiring workers get a graceful [`Message::Drain`] + `Shutdown`
-    /// instead of a SIGKILL, and survivors that gained partitions receive
-    /// their full new set over the same `LoadProgram` frame a rejoin uses.
-    /// The membership (and the new map) is re-broadcast under a bumped
-    /// epoch before the next dispatch, so any in-flight frames addressed by
-    /// the old ownership stay dropped.
+    /// This is recovery's reship path, scheduled instead of suffered: the
+    /// [`Rebalancer`] computes a minimal-move map, joining workers are
+    /// brought up exactly like respawned replacements (journaled as
+    /// `WorkerJoined` instead of billed as `WorkerRejoined`) and learn where
+    /// the run stands from their first [`Message::StepReset`], retiring
+    /// workers are told to [`Message::Shutdown`], and survivors that gained
+    /// partitions receive their full new set over the same `LoadProgram`
+    /// frame a rejoin uses. The membership — and with it the new map — goes
+    /// out under a bumped epoch before the next dispatch, so any in-flight
+    /// frames addressed by the old ownership stay dropped.
     fn rescale(&mut self, superstep: u32, target: usize) -> Result<()> {
         let current = self.slots.len();
         if target == current {
@@ -993,47 +1009,23 @@ impl ClusterBackend {
         let outcome = Rebalancer::rebalance(&self.map, target);
         let moved = outcome.moved;
         self.map = outcome.map;
-        if target > current {
-            // Scale-up: spawn the joiners with the new map already
-            // installed, so spawn_and_load ships each exactly the
-            // partitions the rebalance gave it.
-            for worker in current..target {
-                self.slots.push(WorkerSlot { handle: None });
-                self.respawned_since_commit.push(true);
-                let (handle, _attempts) = self.spawn_and_load(worker)?;
-                self.slots[worker].handle = Some(handle);
-                self.join_worker(worker, superstep)?;
-                self.telemetry.emit(|| JournalEvent::WorkerJoined { superstep, worker });
-            }
-        } else {
-            // Scale-down: planned WorkerLost. Drain the retiring workers
-            // gracefully — best-effort, since their partitions are already
-            // reassigned and the coordinator holds the authoritative state.
-            for worker in target..current {
-                if let Some(handle) = self.slots[worker].handle.as_mut() {
-                    let drained = write_frame(
-                        &mut handle.stream,
-                        &Message::Drain { superstep },
-                        Some(&self.bytes_out),
-                    )
-                    .and_then(|()| {
-                        expect_welcome_skipping_stale(&mut handle.stream, &self.bytes_in)
-                    })
-                    .and_then(|()| {
-                        write_frame(&mut handle.stream, &Message::Shutdown, Some(&self.bytes_out))
-                    });
-                    // A worker dying during its own drain is not a loss:
-                    // nothing it owned survives the rebalance anyway.
-                    let _ = drained;
-                }
-                self.slots[worker].handle = None;
-            }
-            self.slots.truncate(target);
-            self.respawned_since_commit.truncate(target);
-            // A pending loss bill for a retired index can never pair with a
-            // respawn now.
-            self.pending_recovery.retain(|pending| pending.worker < target);
+        // Scale-up: the joiners come up with the new map already installed,
+        // so each is shipped exactly the partitions the rebalance gave it.
+        let joiners: Vec<usize> = (current..target).collect();
+        for (worker, (handle, _attempts)) in joiners.iter().zip(self.bring_up(&joiners)?) {
+            self.slots.push(Some(handle));
+            self.telemetry.emit(|| JournalEvent::WorkerJoined { superstep, worker: *worker });
         }
+        // Scale-down: a planned WorkerLost. At a barrier nothing a leaver
+        // sent is still in flight, its partitions are already reassigned and
+        // the coordinator holds the authoritative state, so it is told to go
+        // and reaped — a leaver that dies first is not a loss.
+        for mut leaver in self.slots.drain(target..).flatten() {
+            leaver.dismiss(Some(&self.bytes_out));
+        }
+        // A pending loss bill for a retired index can never pair with a
+        // respawn now.
+        self.pending_recovery.retain(|pending| pending.worker < target);
         // Survivors that gained partitions get their full new set re-shipped
         // over the recovery path (LoadProgram replaces the worker's whole
         // assignment). On scale-up the rebalancer only moves partitions to
@@ -1043,24 +1035,26 @@ impl ClusterBackend {
         gainers.sort_unstable();
         gainers.dedup();
         for worker in gainers {
-            self.reload_worker(worker, superstep)?;
+            let payload = self.load_program_payload(worker);
+            self.send_to(worker, superstep, "rebalance reship", &payload)?;
+            self.await_ack(worker, superstep, "rebalance reship", welcome)?;
         }
-        // The epilogue mirrors an unplanned loss: membership (and the new
-        // map) rebroadcast under a bumped epoch, authoritative state pushed
-        // in the next dispatch, and — because moved partitions' in-flight
-        // messages live in old owners' data-plane slots — every worker
-        // computes the post-scale superstep from an empty inbound under
-        // non-rollback strategies (`respawned_since_commit` forces
-        // `NO_INBOUND` per worker). Those messages are lost, which is why
-        // the post-scale superstep — a `StepReset` dispatch — is a full-send
-        // one: every vertex re-sends its label, and `force_changed` buys the
-        // superstep that folds the re-sent labels in. Rollback strategies
-        // push exact inboxes instead: the superstep before a due scale event
-        // is always a staged one (see `run_step`).
+        // The epilogue mirrors an unplanned loss: the membership, new map
+        // included, goes out under a bumped epoch, authoritative state is
+        // pushed in the next dispatch, and — because moved partitions'
+        // in-flight messages live in old owners' data-plane slots — every
+        // worker computes the post-scale superstep from an empty inbound
+        // under non-rollback strategies (`respawned_since_commit` forces
+        // [`Inbound::Empty`] per worker). Those messages are lost, which is
+        // why the post-scale superstep — a `StepReset` dispatch — is a
+        // full-send one: every vertex re-sends its label, and
+        // `force_changed` buys the superstep that folds the re-sent labels
+        // in. Rollback strategies push exact inboxes instead: the superstep
+        // before a due scale event is always a staged one (see `run_step`).
         self.membership_current = false;
         self.push_state = true;
         self.force_changed = true;
-        self.respawned_since_commit.iter_mut().for_each(|flag| *flag = true);
+        self.respawned_since_commit = vec![true; target];
         let reshipped = self.bytes_out.get().saturating_sub(bytes_before);
         self.rebalance_reshipped_bytes.add(reshipped);
         let moved_partitions = moved.len();
@@ -1072,41 +1066,40 @@ impl ClusterBackend {
         Ok(())
     }
 
-    /// Tell a freshly spawned joiner which superstep it is joining at.
-    fn join_worker(&mut self, worker: usize, superstep: u32) -> Result<()> {
-        let msg = Message::WorkerJoin { worker: worker as u64, superstep };
-        let handle = self.slots[worker].handle.as_mut().expect("joiner just spawned");
-        if let Err(e) = write_frame(&mut handle.stream, &msg, Some(&self.bytes_out)) {
-            return Err(self.fail(worker, superstep, format!("sending WorkerJoin failed: {e}")));
-        }
-        let handle = self.slots[worker].handle.as_mut().expect("joiner just spawned");
-        if let Err(e) = expect_welcome(&mut handle.stream, &self.bytes_in) {
-            return Err(self.fail(worker, superstep, format!("WorkerJoin ack failed: {e}")));
-        }
-        Ok(())
+    /// Write one encoded frame to `worker`'s control connection. With
+    /// [`Self::await_ack`], the one way the coordinator talks to a member:
+    /// the two own the slot lookup, the byte counters and the conversion of
+    /// whatever goes wrong into the loss of that worker.
+    fn send_to(&mut self, worker: usize, superstep: u32, what: &str, frame: &[u8]) -> Result<()> {
+        handle_of(&mut self.slots, worker)
+            .and_then(|handle| {
+                write_encoded_frame(&mut handle.stream, frame, Some(&self.bytes_out))
+            })
+            .map_err(|e| self.fail(worker, superstep, format!("sending {what} failed: {e}")))
     }
 
-    /// Re-ship a surviving worker's full post-rebalance partition set — the
-    /// exact `LoadProgram` frame a respawned replacement gets, so moved
-    /// partitions ride the same reship path recovery uses.
-    fn reload_worker(&mut self, worker: usize, superstep: u32) -> Result<()> {
-        let payload = self.load_program_payload(worker);
-        let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-        if let Err(e) = write_encoded_frame(&mut handle.stream, &payload, Some(&self.bytes_out)) {
-            return Err(self.fail(worker, superstep, format!("rebalance reship failed: {e}")));
-        }
-        let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-        if let Err(e) = expect_welcome_skipping_stale(&mut handle.stream, &self.bytes_in) {
-            return Err(self.fail(worker, superstep, format!("rebalance reship ack failed: {e}")));
-        }
-        Ok(())
+    /// Read `worker`'s control connection up to the acknowledgement
+    /// `accepts` recognises: the effect the coordinator has to wait for has
+    /// happened ([`read_ack`] says what may precede it).
+    fn await_ack(
+        &mut self,
+        worker: usize,
+        superstep: u32,
+        what: &str,
+        accepts: impl Fn(&Message) -> bool,
+    ) -> Result<()> {
+        handle_of(&mut self.slots, worker)
+            .and_then(|handle| read_ack(&mut handle.stream, &self.bytes_in, accepts))
+            .map_err(|e| self.fail(worker, superstep, format!("{what} ack failed: {e}")))
     }
 
     /// Tear the worker's slot down, record the loss's detection facts for
     /// the eventual [`JournalEvent::RecoveryCost`] bill, and build the
     /// error the driver's recovery arm consumes.
     fn fail(&mut self, worker: usize, superstep: u32, message: String) -> EngineError {
-        self.slots[worker].handle = None;
+        if let Some(slot) = self.slots.get_mut(worker) {
+            *slot = None;
+        }
         // Declared lost ⇒ actually dead: dropping the handle SIGKILLs even a
         // merely-slow worker, so its late data-plane frames stop at the
         // epoch check and its late control frames at the superstep echo.
@@ -1186,7 +1179,7 @@ impl ClusterBackend {
     /// slot: the loss must be *discovered* through network I/O, exactly like
     /// an unplanned crash.
     fn kill_worker(&mut self, worker: usize) {
-        if let Some(handle) = self.slots[worker].handle.as_mut() {
+        if let Some(handle) = self.slots[worker].as_mut() {
             handle.signal();
             handle.child.reap();
         }
@@ -1247,7 +1240,7 @@ impl ClusterBackend {
                 // it fails and flows through the ordinary WorkerLost path —
                 // a lossy link is indistinguishable from a crash until the
                 // respawned connection proves otherwise.
-                if let Some(handle) = self.slots[link.worker].handle.as_ref() {
+                if let Some(handle) = self.slots[link.worker].as_ref() {
                     let _ = handle.stream.shutdown(std::net::Shutdown::Both);
                 }
                 self.telemetry.emit(|| JournalEvent::ChaosInjected {
@@ -1274,68 +1267,37 @@ impl ClusterBackend {
         (send_delay, recv_delay)
     }
 
-    /// Make sure every worker holds the current membership —
-    /// peer addresses and epoch. A no-op while current;
-    /// after any respawn the epoch is bumped and rebroadcast, which is what
-    /// retires the dead incarnation's in-flight frames cluster-wide.
+    /// Make sure every worker holds the current membership: the epoch, every
+    /// member's address and the placement map, one frame. A no-op while
+    /// current; after any respawn or rescale the epoch is bumped and the
+    /// frame sent again, which is what retires the dead incarnation's — and
+    /// the old ownership's — in-flight frames cluster-wide. One worker at a
+    /// time, each acknowledged before the next is told: a send that fails
+    /// half way leaves no acknowledgement unread on another connection.
     fn ensure_membership(&mut self, superstep: u32) -> Result<()> {
         if self.membership_current {
             return Ok(());
         }
         self.epoch += 1;
-        let peers: Vec<(u64, u64)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(worker, slot)| {
-                let handle = slot.handle.as_ref().expect("ensure_workers ran");
-                (worker as u64, u64::from(handle.port))
-            })
-            .collect();
-        let msg = Message::Membership {
+        let mut peers = Vec::with_capacity(self.slots.len());
+        for worker in 0..self.slots.len() {
+            match handle_of(&mut self.slots, worker) {
+                Ok(handle) => peers.push((worker as u64, u64::from(handle.port))),
+                Err(e) => return Err(self.fail(worker, superstep, e.to_string())),
+            }
+        }
+        let frame = encode_to_vec(&Message::Membership {
             epoch: self.epoch,
-            parallelism: self.cfg.parallelism as u64,
             // Half the control read timeout: a worker that gives up waiting
             // for peer data still gets its StepFailed out well before the
             // coordinator's own read deadline.
             data_timeout_ms: (self.cfg.step_timeout / 2).as_millis() as u64,
             peers,
-        };
-        for worker in 0..self.slots.len() {
-            let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-            if let Err(e) = write_frame(&mut handle.stream, &msg, Some(&self.bytes_out)) {
-                return Err(self.fail(
-                    worker,
-                    superstep,
-                    format!("sending Membership failed: {e}"),
-                ));
-            }
-        }
-        for worker in 0..self.slots.len() {
-            let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-            if let Err(e) = expect_welcome_skipping_stale(&mut handle.stream, &self.bytes_in) {
-                return Err(self.fail(worker, superstep, format!("Membership ack failed: {e}")));
-            }
-        }
-        // The map rides every membership broadcast under the same epoch:
-        // workers route outbound messages by it, so ownership changes land
-        // atomically with the epoch that retires the old routing's frames.
-        let map_msg = Message::MapUpdate {
-            epoch: self.epoch,
-            version: self.map.version(),
             assignment: self.map.assignment().iter().map(|&w| w as u64).collect(),
-        };
+        });
         for worker in 0..self.slots.len() {
-            let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-            if let Err(e) = write_frame(&mut handle.stream, &map_msg, Some(&self.bytes_out)) {
-                return Err(self.fail(worker, superstep, format!("sending MapUpdate failed: {e}")));
-            }
-        }
-        for worker in 0..self.slots.len() {
-            let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-            if let Err(e) = expect_welcome_skipping_stale(&mut handle.stream, &self.bytes_in) {
-                return Err(self.fail(worker, superstep, format!("MapUpdate ack failed: {e}")));
-            }
+            self.send_to(worker, superstep, "Membership", &frame)?;
+            self.await_ack(worker, superstep, "Membership", welcome)?;
         }
         self.membership_current = true;
         Ok(())
@@ -1345,8 +1307,8 @@ impl ClusterBackend {
     /// is `StepGo` (compute the named pids from cached state, consuming the
     /// last committed superstep's data-plane slot); after a failure,
     /// rollback, or at the start it is `StepReset`, which pushes
-    /// authoritative state — and, for rollback strategies, `inboxes`, the
-    /// inbound of the cut — down the control connection.
+    /// authoritative state — and, for rollback strategies, the inboxes of
+    /// the cut — down the control connection.
     fn dispatch(
         &mut self,
         superstep: u32,
@@ -1364,58 +1326,32 @@ impl ClusterBackend {
         }
         // The slot steady-state dispatches consume: the messages produced by
         // the last committed superstep. The logical first step has none.
-        let inbound_name = match self.last_committed {
-            Some(s) if step > 0 => s,
-            _ => NO_INBOUND,
-        };
-        let use_wire_inbound = self.cfg.strategy.is_rollback();
+        let committed = self.last_committed.filter(|_| step > 0);
+        let rollback = self.cfg.strategy.is_rollback();
         for (worker, wjobs) in per_worker.into_iter().enumerate() {
             if let Some(delay) = send_delay[worker] {
                 thread::sleep(delay);
             }
+            let pids = wjobs.iter().map(|job| job.pid as u64);
             let msg = if self.push_state {
-                // A worker respawned since the last commit holds no
-                // data-plane slots: under optimistic recovery it computes
-                // from an empty inbound (compensation absorbs the gap)
-                // instead of stalling on a slot it can never complete.
-                let inbound_superstep = if use_wire_inbound || self.respawned_since_commit[worker] {
-                    NO_INBOUND
-                } else {
-                    inbound_name
+                let inbound = match (rollback, self.respawned_since_commit[worker], committed) {
+                    (true, _, _) => Inbound::Cut(
+                        pids.map(|pid| (pid, std::mem::take(&mut inboxes[pid as usize]))).collect(),
+                    ),
+                    (false, false, Some(slot)) => Inbound::Slot(slot),
+                    // A worker respawned since the last commit holds no
+                    // data-plane slots: under optimistic recovery it computes
+                    // from an empty inbound (compensation absorbs the gap)
+                    // instead of stalling on a slot it can never complete.
+                    (false, true, _) | (false, false, None) => Inbound::Empty,
                 };
-                Message::StepReset {
-                    superstep,
-                    step,
-                    inbound_superstep,
-                    use_wire_inbound: u64::from(use_wire_inbound),
-                    stage_outbound,
-                    inboxes: if use_wire_inbound {
-                        wjobs
-                            .iter()
-                            .map(|job| (job.pid as u64, std::mem::take(&mut inboxes[job.pid])))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    },
-                    parts: wjobs.iter().map(|job| (job.pid as u64, job.state.to_vec())).collect(),
-                }
+                let parts = wjobs.iter().map(|job| (job.pid as u64, job.state.to_vec())).collect();
+                Message::StepReset { superstep, step, stage_outbound, parts, inbound }
             } else {
-                Message::StepGo {
-                    superstep,
-                    step,
-                    inbound_superstep: inbound_name,
-                    stage_outbound,
-                    pids: wjobs.iter().map(|job| job.pid as u64).collect(),
-                }
+                let (inbound, pids) = (committed, pids.collect());
+                Message::StepGo { superstep, step, stage_outbound, inbound, pids }
             };
-            let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-            if let Err(e) = write_frame(&mut handle.stream, &msg, Some(&self.bytes_out)) {
-                return Err(self.fail(
-                    worker,
-                    superstep,
-                    format!("sending step dispatch failed: {e}"),
-                ));
-            }
+            self.send_to(worker, superstep, "step dispatch", &encode_to_vec(&msg))?;
         }
         Ok(())
     }
@@ -1445,12 +1381,14 @@ impl ClusterBackend {
                 thread::sleep(delay);
             }
             loop {
-                let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-                match read_frame_buffered(
-                    &mut handle.stream,
-                    &mut handle.payload,
-                    Some(&self.bytes_in),
-                ) {
+                let frame = handle_of(&mut self.slots, worker).and_then(|handle| {
+                    read_frame_buffered(
+                        &mut handle.stream,
+                        &mut handle.payload,
+                        Some(&self.bytes_in),
+                    )
+                });
+                match frame {
                     Ok(Message::StepDone {
                         pid: rpid,
                         superstep: rss,
@@ -1490,7 +1428,7 @@ impl ClusterBackend {
                         // `fail`), so a slow-but-alive straggler cannot leak
                         // frames into the retry either.
                         // A blamed peer index can be stale after a scale-down
-                        // (the worker waited on a member that since drained);
+                        // (the worker waited on a member that since left);
                         // out-of-range blame falls back to the reporter.
                         let lost = waiting_on
                             .first()
@@ -1531,7 +1469,7 @@ impl StepBackend for ClusterBackend {
     fn start(&mut self) -> Result<()> {
         let workers: Vec<usize> = (0..self.cfg.workers).collect();
         for (worker, (handle, _attempts)) in workers.iter().zip(self.bring_up(&workers)?) {
-            self.slots[*worker].handle = Some(handle);
+            self.slots[*worker] = Some(handle);
         }
         Ok(())
     }
@@ -1544,6 +1482,9 @@ impl StepBackend for ClusterBackend {
         channel: &Channel,
         ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
+        if let Some(lost) = self.lost_between_supersteps.take() {
+            return Err(lost);
+        }
         self.ensure_workers(superstep)?;
         self.apply_scale_events(superstep)?;
         let (send_delay, recv_delay) = self.inject_chaos(superstep);
@@ -1601,28 +1542,20 @@ impl StepBackend for ClusterBackend {
     }
 
     fn stage_snapshot(&mut self, epoch: u32, pid: usize, chunk: &[u8]) {
-        // Satellite fix: this used to route by `pid % self.slots.len()`
-        // while every other site used `cfg.workers` — two sources of truth
-        // that could disagree during a membership change. The map is the
-        // only truth now.
         let worker = self.map.worker_of(pid);
-        let Some(handle) = self.slots[worker].handle.as_mut() else { return };
-        let msg = Message::SnapshotBarrier { epoch, pid: pid as u64, chunk: chunk.to_vec() };
-        if write_frame(&mut handle.stream, &msg, Some(&self.bytes_out)).is_err() {
-            // A dead link is discovered (and billed) by the step loop; the
-            // coordinator's stable store keeps the authoritative chunk.
-            return;
-        }
+        let superstep = self.last_committed.unwrap_or(0);
+        let pid = pid as u64;
+        let ack = Message::SnapshotAck { epoch, pid, bytes: chunk.len() as u64 };
+        let frame = encode_to_vec(&Message::SnapshotBarrier { epoch, pid, chunk: chunk.to_vec() });
         // Await the ack so epoch completion implies worker-side durability.
-        // Frames tagged with an older superstep are leftovers of a failed
-        // attempt — stage_snapshot runs between supersteps, after every
-        // current StepDone was consumed, so anything else here is stale.
-        loop {
-            match read_frame(&mut handle.stream, Some(&self.bytes_in)) {
-                Ok(Message::SnapshotAck { .. }) => return,
-                Ok(_stale) => continue,
-                Err(_) => return,
-            }
+        let staged = self
+            .send_to(worker, superstep, "SnapshotBarrier", &frame)
+            .and_then(|()| self.await_ack(worker, superstep, "SnapshotBarrier", |msg| *msg == ack));
+        // The coordinator's stable store keeps the authoritative chunk, so a
+        // worker found dead here costs the snapshot nothing; its loss is the
+        // next superstep's to report.
+        if let Err(lost) = staged {
+            self.lost_between_supersteps.get_or_insert(lost);
         }
     }
 }
@@ -1631,33 +1564,38 @@ impl Drop for ClusterBackend {
     fn drop(&mut self) {
         // Every worker is told to go before any is waited for, so the
         // processes exit side by side; dropping the handles then reaps them.
-        for handle in self.slots.iter_mut().filter_map(|slot| slot.handle.as_mut()) {
-            let _ = write_frame(&mut handle.stream, &Message::Shutdown, None);
-            handle.signal();
-        }
+        self.slots.iter_mut().flatten().for_each(|handle| handle.dismiss(None));
         self.slots.clear();
     }
 }
 
-fn expect_welcome(stream: &mut TcpStream, bytes_in: &Counter) -> io::Result<()> {
-    match read_frame(stream, Some(bytes_in))? {
-        Message::Welcome => Ok(()),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected Welcome, got {other:?}"),
-        )),
-    }
+/// The live handle in `worker`'s slot. [`ClusterBackend::ensure_workers`]
+/// fills every slot before a superstep's I/O starts; one found empty all the
+/// same fails that I/O the way a dead connection would, not with a panic.
+fn handle_of(slots: &mut [Option<WorkerHandle>], worker: usize) -> io::Result<&mut WorkerHandle> {
+    let empty = || io::Error::other("no live process in the worker's slot");
+    slots.get_mut(worker).and_then(Option::as_mut).ok_or_else(empty)
 }
 
-/// Like [`expect_welcome`], but tolerant of leftovers from a failed
-/// superstep: a membership broadcast happens right after a failure, while
-/// survivors may still be pushing the dead superstep's `StepDone` /
-/// `TelemetryFrame` / `StepFailed` frames (or a `SnapshotAck` the barrier
-/// path never drained) up the control connection.
-fn expect_welcome_skipping_stale(stream: &mut TcpStream, bytes_in: &Counter) -> io::Result<()> {
+/// [`read_ack`]'s `accepts` for the frames acknowledged with a bare
+/// [`Message::Welcome`]: `LoadProgram` and `Membership`.
+fn welcome(msg: &Message) -> bool {
+    matches!(msg, Message::Welcome)
+}
+
+/// The one reader of acknowledgements: consume `stream` up to the frame
+/// `accepts` recognises. What a worker may still be pushing up the control
+/// connection from a superstep that failed — its `StepDone`s,
+/// `TelemetryFrame`s and `StepFailed`, or the `SnapshotAck` of a barrier
+/// nobody waited out — is skipped; any other frame is a protocol violation.
+fn read_ack(
+    stream: &mut TcpStream,
+    bytes_in: &Counter,
+    accepts: impl Fn(&Message) -> bool,
+) -> io::Result<()> {
     loop {
         match read_frame(stream, Some(bytes_in))? {
-            Message::Welcome => return Ok(()),
+            msg if accepts(&msg) => return Ok(()),
             Message::StepDone { .. }
             | Message::TelemetryFrame { .. }
             | Message::StepFailed { .. }
@@ -1665,7 +1603,7 @@ fn expect_welcome_skipping_stale(stream: &mut TcpStream, bytes_in: &Counter) -> 
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("expected Welcome, got {other:?}"),
+                    format!("expected an acknowledgement, got {other:?}"),
                 ))
             }
         }

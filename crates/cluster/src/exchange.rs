@@ -185,6 +185,10 @@ pub struct DataPlane {
     complete: Condvar,
 }
 
+// The `unwrap`s below are all on the inbox lock (and the condvar that hands
+// it back): a poisoned lock means a connection thread panicked while holding
+// the inbox, and passing that panic on is the one thing left to do with it.
+#[allow(clippy::unwrap_used)]
 impl DataPlane {
     /// Install a new membership epoch. Existing slots are *retained*:
     /// chronological supersteps are never reused across epochs, so data

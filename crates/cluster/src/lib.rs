@@ -36,6 +36,9 @@
 //!   [`coordinator::run_local`] entry points.
 
 #![warn(missing_docs)]
+// No panicking lookup on the cluster's paths: a slot, a frame or a peer that
+// is not what it should be is a typed error. CI's clippy step denies warnings.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod coordinator;
 pub mod exchange;

@@ -18,10 +18,11 @@
 /// Versioned partition → worker assignment.
 ///
 /// `version` starts at 0 for the initial assignment and is bumped by every
-/// [`Rebalancer::rebalance`]; the coordinator broadcasts the map under the
-/// current membership epoch (as a
-/// [`MapUpdate`](crate::protocol::Message::MapUpdate) frame) so workers route outbound messages by the same truth the coordinator
-/// dispatches by.
+/// [`Rebalancer::rebalance`]; the assignment travels to the workers inside
+/// every [`Membership`](crate::protocol::Message::Membership) frame, under
+/// that frame's epoch, so workers route outbound messages by the same truth
+/// the coordinator dispatches by. The version itself stays at the
+/// coordinator: every map change already bumps the epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {
     /// Monotonic map version; bumped on every rebalance.
@@ -152,12 +153,14 @@ impl Rebalancer {
             let under_quota = |worker: usize| {
                 kept[worker] < PartitionMap::quota(parallelism, target_workers, worker)
             };
+            // The quotas sum to the partition count, so while a pid is
+            // homeless some worker is under quota and the search finds it.
             let home = pid % target_workers;
-            let worker = if under_quota(home) {
-                home
-            } else {
-                (0..target_workers).find(|&w| under_quota(w)).expect("quotas sum to parallelism")
-            };
+            let worker = [home]
+                .into_iter()
+                .chain(0..target_workers)
+                .find(|&w| under_quota(w))
+                .unwrap_or(home);
             kept[worker] += 1;
             moved.push(Move { pid, from: assignment[pid], to: worker });
             assignment[pid] = worker;

@@ -57,12 +57,6 @@ pub const SPAN_PHASE_EXCHANGE: u64 = 2;
 /// `(peer_worker, phase, bytes_sent, frames_sent)`.
 pub const SPAN_PHASE_PEER_BYTES: u64 = 3;
 
-/// Sentinel for [`Message::StepGo::inbound_superstep`] /
-/// [`Message::StepReset::inbound_superstep`]: the step consumes no
-/// data-plane inbox slot (the initial superstep, or a restart from
-/// scratch).
-pub const NO_INBOUND: u32 = u32::MAX;
-
 /// Upper bound on a single frame's payload; a length prefix beyond this is
 /// treated as stream corruption rather than an allocation request.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
@@ -71,16 +65,64 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 /// copied behind their length prefix and leave in a single write.
 const SMALL_FRAME_BYTES: usize = 1020;
 
+/// What a [`Message::StepReset`] computes its superstep from. One strict
+/// tag byte (`0`, `1`, `2`) ahead of the variant's field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Inbound {
+    /// Nothing: the logical first step, a restart from scratch, or a worker
+    /// respawned since the last commit, whose data plane holds no slot
+    /// (compensation absorbs the gap).
+    Empty,
+    /// Whatever the worker's data-plane slot of this chronological superstep
+    /// holds: an optimistic retry on a survivor.
+    Slot(u32),
+    /// The pushed inboxes of a cut, `(pid, msgs)` per owned partition: with
+    /// the pushed state an exact capture, so the superstep is change-driven
+    /// like any other.
+    Cut(Vec<(u64, Vec<Msg>)>),
+}
+
+impl Codec for Inbound {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Inbound::Empty => out.push(0),
+            Inbound::Slot(superstep) => {
+                out.push(1);
+                superstep.encode(out);
+            }
+            Inbound::Cut(inboxes) => {
+                out.push(2);
+                inboxes.encode(out);
+            }
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self> {
+        match u8::decode(input)? {
+            0 => Ok(Inbound::Empty),
+            1 => Ok(Inbound::Slot(u32::decode(input)?)),
+            2 => Ok(Inbound::Cut(Vec::decode(input)?)),
+            other => Err(EngineError::Codec(format!("invalid Inbound tag {other}"))),
+        }
+    }
+}
+
 /// A protocol message. Tags are part of the wire format — append new
-/// variants, never renumber.
+/// variants, never renumber. A frame is acknowledged only where the
+/// coordinator has to wait for its effect: [`Message::LoadProgram`]
+/// (installed) and [`Message::Membership`] (peer links up) with
+/// [`Message::Welcome`], [`Message::SnapshotBarrier`] (chunk staged) with
+/// [`Message::SnapshotAck`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Coordinator → worker: first frame on the control connection.
+    /// Coordinator → worker: first frame on the control connection. Not
+    /// acknowledged — the [`Message::LoadProgram`] behind it is.
     Hello {
         /// Coordinator-side index of the worker being greeted.
         worker: u64,
     },
-    /// Worker → coordinator: generic acknowledgement (`Hello`, `LoadProgram`).
+    /// Worker → coordinator: the effect of a [`Message::LoadProgram`] or a
+    /// [`Message::Membership`] has happened.
     Welcome,
     /// Coordinator → worker: install a named [`crate::program::ClusterProgram`]
     /// together with the loop-invariant adjacency of the partitions this
@@ -171,23 +213,26 @@ pub enum Message {
         /// Bytes staged for this chunk.
         bytes: u64,
     },
-    /// Coordinator → worker: the cluster's current membership, enabling the
-    /// direct data plane. Re-broadcast with a bumped `epoch` after every
-    /// respawn; each worker (re)connects its outgoing peer links and drops
-    /// data-plane frames tagged with any other epoch. Acked with
-    /// [`Message::Welcome`] once the worker's peer links are up. Never sent
-    /// in coordinator-routed mode, which is how workers know which mode a
-    /// run uses.
+    /// Coordinator → worker: the cluster's current membership and placement
+    /// — who is in it, where they listen and who owns which partition, one
+    /// fact under one epoch. Sent again with a bumped `epoch` after every
+    /// respawn and rescale; each worker (re)connects its outgoing peer
+    /// links, routes by the new assignment and drops data-plane frames
+    /// tagged with any other epoch. Acked with [`Message::Welcome`] once the
+    /// worker's peer links are up; a peer it cannot reach is a lost link,
+    /// not a reason to withhold the ack.
     Membership {
-        /// Membership epoch; bumped on every (re)broadcast.
+        /// Membership epoch; bumped on every send, so on every map change.
         epoch: u64,
-        /// Number of partitions (destination routing: `dst % parallelism`).
-        parallelism: u64,
         /// How long a worker waits for data-plane completeness before
         /// reporting [`Message::StepFailed`], in milliseconds.
         data_timeout_ms: u64,
         /// Listener address of every member: `(worker, port)`, loopback.
         peers: Vec<(u64, u64)>,
+        /// `assignment[pid]` = owning worker, one entry per partition: a
+        /// message for vertex `dst` goes to
+        /// `assignment[dst % assignment.len()]`. Every owner is a member.
+        assignment: Vec<u64>,
     },
     /// Worker → worker: the first frame on an outgoing peer connection,
     /// identifying the sender and its membership epoch.
@@ -228,22 +273,22 @@ pub enum Message {
         bytes: u64,
     },
     /// Coordinator → worker: run one superstep over all of the worker's
-    /// partitions from its cached state, consuming the data-plane inbox slot
-    /// named by `inbound_superstep`. The cheap steady-state dispatch of the
-    /// direct data plane — state travels down only in [`Message::StepReset`].
+    /// partitions from its cached state. The cheap steady-state dispatch of
+    /// the direct data plane — state travels down only in
+    /// [`Message::StepReset`].
     StepGo {
         /// Chronological superstep.
         superstep: u32,
         /// Logical step index (committed supersteps so far).
         step: u64,
-        /// Chronological superstep whose data-plane output to consume, or
-        /// [`NO_INBOUND`] for an empty inbound.
-        inbound_superstep: u32,
         /// Whether every [`Message::StepDone`] of this superstep carries the
         /// partition's outbound: set on the supersteps a rollback strategy
         /// cuts after (and the one before a planned rescale), never
         /// otherwise.
         stage_outbound: bool,
+        /// Chronological superstep whose complete data-plane slot to
+        /// consume; `None` for an empty inbound.
+        inbound: Option<u32>,
         /// The worker's partitions, ascending; replies come back in this
         /// order.
         pids: Vec<u64>,
@@ -251,32 +296,22 @@ pub enum Message {
     /// Coordinator → worker: like [`Message::StepGo`], but pushes
     /// authoritative partition state first — the recovery/retry dispatch
     /// (first superstep, post-failure retries, rollback restores, the
-    /// superstep after a rescale). Without pushed inboxes the inbound
+    /// superstep after a rescale, and with it what tells a joiner where the
+    /// run stands). Unless `inbound` is an [`Inbound::Cut`] the inbound
     /// history is not exact, so the worker runs the superstep as a full-send
-    /// one ([`crate::program::ClusterProgram::full_send_step`]); with them
-    /// (`use_wire_inbound`) state and inbound are an exact cut and the
+    /// one ([`crate::program::ClusterProgram::full_send_step`]); a cut's
     /// superstep is change-driven like any other, logical step 0 excepted.
     StepReset {
         /// Chronological superstep.
         superstep: u32,
         /// Logical step index.
         step: u64,
-        /// Chronological superstep whose data-plane output to consume when
-        /// `use_wire_inbound` is zero, or [`NO_INBOUND`].
-        inbound_superstep: u32,
-        /// Non-zero: compute from the pushed `inboxes` (rollback restores
-        /// an exact channel capture). Zero: compute from whatever the
-        /// retained data-plane slot holds (optimistic recovery — a
-        /// respawned worker's empty slot is compensated for by the
-        /// algorithm).
-        use_wire_inbound: u64,
         /// As in [`Message::StepGo`].
         stage_outbound: bool,
         /// Authoritative state per owned partition: `(pid, records)`.
         parts: Vec<(u64, Vec<Record>)>,
-        /// Pushed inbound messages per owned partition: `(pid, msgs)`;
-        /// meaningful only when `use_wire_inbound` is non-zero.
-        inboxes: Vec<(u64, Vec<Msg>)>,
+        /// What the superstep computes from.
+        inbound: Inbound,
     },
     /// Worker → coordinator: the worker timed out waiting for data-plane
     /// completeness and computed nothing for `superstep`. The coordinator
@@ -286,47 +321,6 @@ pub enum Message {
         superstep: u32,
         /// Members whose [`Message::ShuffleFlush`] never arrived.
         waiting_on: Vec<u64>,
-    },
-    /// Coordinator → worker: this worker is joining a computation already in
-    /// progress (a scale-up at a superstep barrier). Purely informational —
-    /// the partitions themselves arrive via the usual
-    /// [`Message::LoadProgram`] reship and state via
-    /// [`Message::StepReset`] — but it tells the worker which superstep the
-    /// cluster is at so its logs and telemetry line up. Acked with
-    /// [`Message::Welcome`].
-    WorkerJoin {
-        /// The joining worker's coordinator-side index.
-        worker: u64,
-        /// Chronological superstep the cluster will run next.
-        superstep: u32,
-    },
-    /// Coordinator → worker: this worker is leaving the computation at a
-    /// superstep barrier (a scale-down — a planned
-    /// [`WorkerLost`](dataflow::error::EngineError::WorkerLost) with a
-    /// graceful drain instead of a kill). The worker acknowledges with
-    /// [`Message::Welcome`] once it has flushed any in-flight data-plane
-    /// output, then waits for the [`Message::Shutdown`] that follows. Its
-    /// partitions have already been reassigned under a new map version; any
-    /// straggling frames it emits afterwards carry the old epoch and are
-    /// dropped by peers.
-    Drain {
-        /// Chronological superstep at which the drain was scheduled.
-        superstep: u32,
-    },
-    /// Coordinator → worker: the current partition → worker assignment,
-    /// broadcast immediately after [`Message::Membership`] under the same
-    /// epoch. Workers route outbound messages by this table
-    /// (`assignment[dst % parallelism]`) instead of assuming `pid % members`,
-    /// which is what lets partitions move between workers mid-run. Acked
-    /// with [`Message::Welcome`]; a frame whose `epoch` is not the worker's
-    /// current membership epoch is ignored (stale).
-    MapUpdate {
-        /// Membership epoch this map was broadcast under.
-        epoch: u64,
-        /// Placement map version (see `placement::PartitionMap`).
-        version: u64,
-        /// `assignment[pid]` = owning worker index.
-        assignment: Vec<u64>,
     },
 }
 
@@ -380,12 +374,12 @@ impl Codec for Message {
                 pid.encode(out);
                 bytes.encode(out);
             }
-            Message::Membership { epoch, parallelism, data_timeout_ms, peers } => {
+            Message::Membership { epoch, data_timeout_ms, peers, assignment } => {
                 out.push(11);
                 epoch.encode(out);
-                parallelism.encode(out);
                 data_timeout_ms.encode(out);
                 peers.encode(out);
+                assignment.encode(out);
             }
             Message::PeerHello { from_worker, epoch } => {
                 out.push(12);
@@ -407,51 +401,26 @@ impl Codec for Message {
                 frames.encode(out);
                 bytes.encode(out);
             }
-            Message::StepGo { superstep, step, inbound_superstep, stage_outbound, pids } => {
+            Message::StepGo { superstep, step, stage_outbound, inbound, pids } => {
                 out.push(15);
                 superstep.encode(out);
                 step.encode(out);
-                inbound_superstep.encode(out);
                 stage_outbound.encode(out);
+                inbound.encode(out);
                 pids.encode(out);
             }
-            Message::StepReset {
-                superstep,
-                step,
-                inbound_superstep,
-                use_wire_inbound,
-                stage_outbound,
-                parts,
-                inboxes,
-            } => {
+            Message::StepReset { superstep, step, stage_outbound, parts, inbound } => {
                 out.push(16);
                 superstep.encode(out);
                 step.encode(out);
-                inbound_superstep.encode(out);
-                use_wire_inbound.encode(out);
                 stage_outbound.encode(out);
                 parts.encode(out);
-                inboxes.encode(out);
+                inbound.encode(out);
             }
             Message::StepFailed { superstep, waiting_on } => {
                 out.push(17);
                 superstep.encode(out);
                 waiting_on.encode(out);
-            }
-            Message::WorkerJoin { worker, superstep } => {
-                out.push(18);
-                worker.encode(out);
-                superstep.encode(out);
-            }
-            Message::Drain { superstep } => {
-                out.push(19);
-                superstep.encode(out);
-            }
-            Message::MapUpdate { epoch, version, assignment } => {
-                out.push(20);
-                epoch.encode(out);
-                version.encode(out);
-                assignment.encode(out);
             }
         }
     }
@@ -466,8 +435,9 @@ impl Codec for Message {
                 n: u64::decode(input)?,
                 adjacency: Vec::decode(input)?,
             },
-            // Tag 3 carried the coordinator-routed dispatch and is retired: it
-            // decodes to the unknown-tag error below and is not reused.
+            // Retired tags — 3 (the coordinator-routed dispatch), 18
+            // (`WorkerJoin`), 19 (`Drain`) and 20 (`MapUpdate`) — decode to
+            // the unknown-tag error below and are not reused.
             4 => Message::StepDone {
                 pid: u64::decode(input)?,
                 superstep: u32::decode(input)?,
@@ -497,9 +467,9 @@ impl Codec for Message {
             },
             11 => Message::Membership {
                 epoch: u64::decode(input)?,
-                parallelism: u64::decode(input)?,
                 data_timeout_ms: u64::decode(input)?,
                 peers: Vec::decode(input)?,
+                assignment: Vec::decode(input)?,
             },
             12 => {
                 Message::PeerHello { from_worker: u64::decode(input)?, epoch: u64::decode(input)? }
@@ -520,31 +490,20 @@ impl Codec for Message {
             15 => Message::StepGo {
                 superstep: u32::decode(input)?,
                 step: u64::decode(input)?,
-                inbound_superstep: u32::decode(input)?,
                 stage_outbound: bool::decode(input)?,
+                inbound: Option::decode(input)?,
                 pids: Vec::decode(input)?,
             },
             16 => Message::StepReset {
                 superstep: u32::decode(input)?,
                 step: u64::decode(input)?,
-                inbound_superstep: u32::decode(input)?,
-                use_wire_inbound: u64::decode(input)?,
                 stage_outbound: bool::decode(input)?,
                 parts: Vec::decode(input)?,
-                inboxes: Vec::decode(input)?,
+                inbound: Inbound::decode(input)?,
             },
             17 => Message::StepFailed {
                 superstep: u32::decode(input)?,
                 waiting_on: Vec::decode(input)?,
-            },
-            18 => {
-                Message::WorkerJoin { worker: u64::decode(input)?, superstep: u32::decode(input)? }
-            }
-            19 => Message::Drain { superstep: u32::decode(input)? },
-            20 => Message::MapUpdate {
-                epoch: u64::decode(input)?,
-                version: u64::decode(input)?,
-                assignment: Vec::decode(input)?,
             },
             other => {
                 return Err(EngineError::Codec(format!("unknown cluster message tag {other}")))
@@ -776,9 +735,9 @@ mod tests {
         round_trip(Message::SnapshotAck { epoch: 6, pid: 2, bytes: 4 });
         round_trip(Message::Membership {
             epoch: 3,
-            parallelism: 8,
             data_timeout_ms: 2_500,
             peers: vec![(0, 40_001), (1, 40_002), (2, 40_003)],
+            assignment: vec![0, 1, 2, 0, 0, 1, 2, 1],
         });
         round_trip(Message::PeerHello { from_worker: 2, epoch: 3 });
         round_trip(Message::ShuffleFrame {
@@ -795,27 +754,27 @@ mod tests {
             bytes: 96,
         });
         for stage_outbound in [false, true] {
-            round_trip(Message::StepGo {
-                superstep: 9,
-                step: 8,
-                inbound_superstep: 8,
-                stage_outbound,
-                pids: vec![1, 3],
-            });
-            round_trip(Message::StepReset {
-                superstep: 10,
-                step: 8,
-                inbound_superstep: NO_INBOUND,
-                use_wire_inbound: 1,
-                stage_outbound,
-                parts: vec![(1, vec![(1, 1), (5, 1)]), (3, vec![(3, 3)])],
-                inboxes: vec![(1, vec![(1, 1, 0)]), (3, vec![])],
-            });
+            for inbound in [None, Some(8)] {
+                round_trip(Message::StepGo {
+                    superstep: 9,
+                    step: 8,
+                    stage_outbound,
+                    inbound,
+                    pids: vec![1, 3],
+                });
+            }
+            let cut = Inbound::Cut(vec![(1, vec![(1, 1, 0)]), (3, vec![])]);
+            for inbound in [Inbound::Empty, Inbound::Slot(8), cut] {
+                round_trip(Message::StepReset {
+                    superstep: 10,
+                    step: 8,
+                    stage_outbound,
+                    parts: vec![(1, vec![(1, 1), (5, 1)]), (3, vec![(3, 3)])],
+                    inbound,
+                });
+            }
         }
         round_trip(Message::StepFailed { superstep: 10, waiting_on: vec![0, 2] });
-        round_trip(Message::WorkerJoin { worker: 2, superstep: 11 });
-        round_trip(Message::Drain { superstep: 11 });
-        round_trip(Message::MapUpdate { epoch: 4, version: 2, assignment: vec![0, 1, 2, 0] });
     }
 
     #[test]
@@ -865,8 +824,11 @@ mod tests {
 
     #[test]
     fn unknown_and_retired_tags_are_decode_errors() {
-        for tag in [99u8, 3] {
-            let payload = vec![tag];
+        // Retired: 3 (coordinator-routed dispatch), 18 (`WorkerJoin`), 19
+        // (`Drain`), 20 (`MapUpdate`) — with the fields they used to carry.
+        for tag in [99u8, 3, 18, 19, 20] {
+            let mut payload = vec![tag];
+            (2u64, 11u32).encode(&mut payload);
             let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
             buf.extend_from_slice(&payload);
             let err = read_frame(&mut buf.as_slice(), None).unwrap_err();
@@ -876,57 +838,70 @@ mod tests {
     }
 
     #[test]
-    fn the_staging_flag_is_one_strict_byte_ahead_of_the_partitions() {
+    fn a_dispatch_is_its_superstep_the_staging_flag_and_one_typed_inbound() {
         let go = Message::StepGo {
             superstep: 9,
             step: 8,
-            inbound_superstep: 7,
             stage_outbound: true,
+            inbound: Some(7),
             pids: vec![1, 3],
         };
         let mut expected = vec![15u8];
-        (9u32, 8u64, 7u32, true, vec![1u64, 3]).encode(&mut expected);
+        (9u32, 8u64, true, 1u8, 7u32, vec![1u64, 3]).encode(&mut expected);
         assert_eq!(encode_to_vec(&go), expected);
-        let reset = Message::StepReset {
+        let reset = |inbound: Inbound| Message::StepReset {
             superstep: 9,
             step: 8,
-            inbound_superstep: NO_INBOUND,
-            use_wire_inbound: 1,
             stage_outbound: false,
             parts: vec![(1, vec![(1, 1)])],
-            inboxes: vec![(1, vec![(0, 1, 0)])],
+            inbound,
         };
-        let mut expected = vec![16u8];
-        (9u32, 8u64, NO_INBOUND, 1u64, false).encode(&mut expected);
-        (vec![(1u64, vec![(1u64, 1u64)])], vec![(1u64, vec![(0u64, 1u64, 0u64)])])
-            .encode(&mut expected);
-        assert_eq!(encode_to_vec(&reset), expected);
-        // A flag byte that is neither 0 nor 1 is corruption, not "true".
-        for (msg, flag_at) in [(go, 1 + 4 + 8 + 4), (reset, 1 + 4 + 8 + 4 + 8)] {
-            let mut payload = encode_to_vec(&msg);
-            payload[flag_at] = 2;
+        let mut head = vec![16u8];
+        (9u32, 8u64, false, vec![(1u64, vec![(1u64, 1u64)])]).encode(&mut head);
+        let tail = |tag: u8, field: Vec<u8>| [head.clone(), vec![tag], field].concat();
+        assert_eq!(encode_to_vec(&reset(Inbound::Empty)), tail(0, vec![]));
+        assert_eq!(encode_to_vec(&reset(Inbound::Slot(7))), tail(1, encode_to_vec(&7u32)));
+        let inboxes = vec![(1u64, vec![(0u64, 1u64, 0u64)])];
+        let cut = encode_to_vec(&reset(Inbound::Cut(inboxes.clone())));
+        assert_eq!(cut, tail(2, encode_to_vec(&inboxes)));
+        // A flag or tag byte outside its range is corruption, not "true" or
+        // "some inbound": both dispatches keep the flag at one offset.
+        let flag_at = 1 + 4 + 8;
+        for (payload, at, complaint) in [
+            (encode_to_vec(&go), flag_at, "invalid bool"),
+            (cut.clone(), flag_at, "invalid bool"),
+            (encode_to_vec(&go), flag_at + 1, "invalid Option tag"),
+            (cut, head.len(), "invalid Inbound tag"),
+        ] {
+            let mut payload = payload;
+            payload[at] = 3;
             let err = decode_exact::<Message>(&payload).unwrap_err();
-            assert!(err.to_string().contains("invalid bool"), "{err}");
+            assert!(err.to_string().contains(complaint), "{err}");
         }
     }
 
     #[test]
-    fn membership_carries_no_staging_policy() {
-        // Staging is a per-superstep decision of the dispatch; the membership
-        // is the epoch, the shape of the cluster and nothing else.
+    fn membership_is_the_epoch_the_members_and_the_placement() {
+        // No partition count (it is the assignment's length), no map version
+        // (every map change bumps the epoch), no staging policy (a
+        // per-superstep decision of the dispatch).
+        let peers = vec![(0u64, 40_001u64), (1, 40_002)];
         let membership = Message::Membership {
             epoch: 3,
-            parallelism: 8,
             data_timeout_ms: 2_500,
-            peers: vec![(0, 40_001), (1, 40_002)],
+            peers: peers.clone(),
+            assignment: vec![0, 1, 0, 1],
         };
         let mut expected = vec![11u8];
-        (3u64, 8u64, 2_500u64, vec![(0u64, 40_001u64), (1, 40_002)]).encode(&mut expected);
+        (3u64, 2_500u64, peers.clone(), vec![0u64, 1, 0, 1]).encode(&mut expected);
         assert_eq!(encode_to_vec(&membership), expected);
-        // The frame of a coordinator that still sends the retired
-        // `ship_outbound` word does not decode as a membership of this build.
+        // Neither the frame the previous layout spelled the same membership
+        // with, nor that layout's `MapUpdate` fields behind it, decodes as a
+        // membership of this build.
         let mut old = vec![11u8];
-        (3u64, 8u64, 1u64, 2_500u64, vec![(0u64, 40_001u64), (1, 40_002)]).encode(&mut old);
+        (3u64, 4u64, 2_500u64, peers.clone()).encode(&mut old);
+        assert!(decode_exact::<Message>(&old).is_err());
+        (3u64, 0u64, vec![0u64, 1, 0, 1]).encode(&mut old);
         assert!(decode_exact::<Message>(&old).is_err());
     }
 
@@ -962,7 +937,20 @@ mod tests {
         let records: Vec<Record> = msgs.iter().map(|&(v, _, bits)| (v, bits)).collect();
         let spans: Vec<SpanRow> = msgs.iter().map(|&(a, b, c)| (a, b, c, a ^ b)).collect();
         let pids: Vec<u64> = msgs.iter().map(|msg| msg.1).collect();
-        let (state, inbox) = (records.clone(), msgs.clone());
+        let state = records.clone();
+        let reset = frame_of(&Message::StepReset {
+            superstep: 9,
+            step: 8,
+            stage_outbound: true,
+            parts: vec![(2, state.clone())],
+            inbound: Inbound::Cut(vec![(2, msgs.clone())]),
+        });
+        let membership = frame_of(&Message::Membership {
+            epoch: 3,
+            data_timeout_ms: 2_500,
+            peers: pids.iter().map(|&pid| (pid, pid ^ 1)).collect(),
+            assignment: pids.clone(),
+        });
         let mut fused = ShuffleFrameBuf::default();
         msgs.iter().for_each(|msg| fused.push(msg));
         vec![
@@ -986,35 +974,25 @@ mod tests {
                 frame_of(&Message::StepGo {
                     superstep: 9,
                     step: 8,
-                    inbound_superstep: 8,
                     stage_outbound: true,
+                    inbound: Some(8),
                     pids: pids.clone(),
                 }),
-                4 + 1 + 4 + 8 + 4 + 1,
+                DISPATCH_HEAD + 1 + 4,
             ),
-            (
-                frame_of(&Message::StepReset {
-                    superstep: 9,
-                    step: 8,
-                    inbound_superstep: NO_INBOUND,
-                    use_wire_inbound: 1,
-                    stage_outbound: true,
-                    parts: vec![(2, state.clone())],
-                    inboxes: vec![(2, inbox)],
-                }),
-                4 + 1 + 4 + 8 + 4 + 8 + 1,
-            ),
-            (
-                frame_of(&Message::Membership {
-                    epoch: 3,
-                    parallelism: 8,
-                    data_timeout_ms: 2_500,
-                    peers: pids.iter().map(|&pid| (pid, pid ^ 1)).collect(),
-                }),
-                4 + 1 + 8 + 8 + 8,
-            ),
+            (reset.clone(), DISPATCH_HEAD),
+            // ... and the count of the cut's inboxes, behind the one
+            // partition's state and the inbound's tag.
+            (reset, DISPATCH_HEAD + 8 + 8 + 8 + state.len() * 16 + 1),
+            (membership.clone(), 4 + 1 + 8 + 8),
+            // ... and the assignment's, behind the peers.
+            (membership, 4 + 1 + 8 + 8 + 8 + pids.len() * 16),
         ]
     }
+
+    /// Bytes of a dispatch frame ahead of what follows its staging flag: the
+    /// length prefix, the tag, `superstep`, `step` and the flag.
+    const DISPATCH_HEAD: usize = 4 + 1 + 4 + 8 + 1;
 
     proptest! {
         #[test]

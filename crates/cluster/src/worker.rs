@@ -12,8 +12,9 @@
 //! connection, and incoming peer connections carrying
 //! [`Message::ShuffleFrame`]s, which a connection thread deposits into the
 //! process-wide [`DataPlane`] inbox. The control
-//! connection installs peer links from [`Message::Membership`], then runs
-//! whole supersteps from [`Message::StepGo`] / [`Message::StepReset`]
+//! connection installs peer links and routes from [`Message::Membership`]
+//! — the only frame besides [`Message::LoadProgram`] it acknowledges —
+//! then runs whole supersteps from [`Message::StepGo`] / [`Message::StepReset`]
 //! against cached partition state, shipping outbound messages directly to
 //! peers (one frame per partition and peer, overlapped with the remaining
 //! partitions' compute); they never pass through the coordinator.
@@ -48,9 +49,9 @@ use parking_lot::Mutex;
 use crate::exchange::DataPlane;
 use crate::program::{lookup, ClusterProgram};
 use crate::protocol::{
-    read_frame_buffered, write_encoded_frame, write_frame, AdjRows, Message, Msg, Record,
-    ShuffleFrameBuf, SpanRow, NO_INBOUND, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
-    SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
+    read_frame_buffered, write_encoded_frame, write_frame, AdjRows, Inbound, Message, Msg, Record,
+    ShuffleFrameBuf, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES,
+    SPAN_PHASE_SHUFFLE,
 };
 
 /// Marker line a worker prints to stdout once its listener is bound; the
@@ -104,25 +105,19 @@ struct WorkerState {
 /// Direct-data-plane context of the control connection, rebuilt from every
 /// [`Message::Membership`] frame.
 struct DirectCtx {
+    /// This worker's coordinator-side index (from [`Message::Hello`]).
+    worker: u64,
     /// Current membership epoch; tags every outgoing data-plane frame.
     epoch: u64,
-    /// Partition count (message routing: `dst % parallelism`).
-    parallelism: u64,
     /// How long to wait for data-plane completeness before reporting
     /// [`Message::StepFailed`].
     data_timeout: Duration,
-    /// Total cluster members. Fallback partition → worker routing when no
-    /// [`Message::MapUpdate`] has arrived for the current epoch:
-    /// `pid % members` (the initial assignment the coordinator's placement
-    /// map starts from).
-    members: u64,
     /// Outgoing data-plane links, one per peer in membership order.
     links: Vec<PeerLink>,
-    /// Destination of every partition's messages, indexed by `pid`: built
-    /// once per [`Message::Membership`] and again from the
-    /// [`Message::MapUpdate`] that follows it — which is what lets
-    /// partitions live anywhere after a rebalance — so routing a message is
-    /// one table read.
+    /// Destination of every partition's messages, indexed by `pid`: the
+    /// membership's placement assignment resolved against [`Self::links`],
+    /// so routing a message is one table read. Its length is the partition
+    /// count.
     routes: Vec<Route>,
     /// Cached per-partition state, carried across supersteps so steady-state
     /// dispatches ([`Message::StepGo`]) need not re-ship state down.
@@ -140,31 +135,38 @@ enum Route {
     Own,
     /// The partition's owner is `links[i]`.
     Link(usize),
-    /// The partition's owner is no member this worker holds a link to; its
-    /// messages have nowhere to go.
-    Unlinked,
+}
+
+/// Resolve a placement `assignment` (`assignment[pid]` = owner) for `worker`
+/// against `linked`, the `(peer, port)` of every other member in the order
+/// of the links. A placement with no partition, or one that names an owner
+/// outside the membership, is a broken frame: its messages would have
+/// nowhere to go.
+fn resolve_routes(
+    worker: u64,
+    linked: &[(u64, u64)],
+    assignment: &[u64],
+) -> io::Result<Vec<Route>> {
+    if assignment.is_empty() {
+        return Err(invalid("Membership assigns no partition"));
+    }
+    let route =
+        |&owner: &u64| {
+            if owner == worker {
+                return Ok(Route::Own);
+            }
+            linked.iter().position(|&(peer, _)| peer == owner).map(Route::Link).ok_or_else(|| {
+                invalid(format!("Membership assigns a partition to non-member {owner}"))
+            })
+        };
+    assignment.iter().map(route).collect()
+}
+
+fn invalid(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.into())
 }
 
 impl DirectCtx {
-    /// Rebuild [`Self::routes`] for `worker` from a placement `assignment`
-    /// (`assignment[pid]` = owner), falling back to `pid % members` for any
-    /// partition it does not name.
-    fn install_routes(&mut self, worker: u64, assignment: &[u64]) {
-        self.routes = (0..self.parallelism)
-            .map(|pid| {
-                let owner = assignment.get(pid as usize).copied().unwrap_or(pid % self.members);
-                if owner == worker {
-                    Route::Own
-                } else {
-                    self.links
-                        .iter()
-                        .position(|link| link.peer == owner)
-                        .map_or(Route::Unlinked, Route::Link)
-                }
-            })
-            .collect();
-    }
-
     /// Route one partition's outbound: messages for peers are encoded
     /// straight into the frame they leave in, the rest are returned as the
     /// self-delivered run. Both keep `outbound`'s order, so a born-sorted
@@ -175,10 +177,9 @@ impl DirectCtx {
         let owned = self.routes.iter().filter(|route| **route == Route::Own).count();
         let mut own = Vec::with_capacity((outbound.len() * owned).div_ceil(self.routes.len()));
         for msg in outbound {
-            match self.routes[(msg.1 % self.parallelism) as usize] {
+            match self.routes[(msg.1 % self.routes.len() as u64) as usize] {
                 Route::Own => own.push(*msg),
                 Route::Link(i) => self.links[i].frame.push(msg),
-                Route::Unlinked => {}
             }
         }
         own
@@ -201,6 +202,25 @@ struct PeerLink {
 }
 
 impl PeerLink {
+    /// Open the link to `peer`: connect and say who is calling. A peer that
+    /// cannot be reached is a lost link from the start — the state a failed
+    /// write produces — and not this worker's failure: the coordinator,
+    /// reading the peer's own acknowledgement, is the one to declare it dead.
+    fn open(worker: u64, epoch: u64, peer: u64, port: u64) -> PeerLink {
+        let mut link =
+            PeerLink { peer, stream: None, frame: ShuffleFrameBuf::default(), bytes: 0, frames: 0 };
+        let connected = connect_peer(port).and_then(|mut stream| {
+            stream.set_nodelay(true).ok();
+            write_frame(&mut stream, &Message::PeerHello { from_worker: worker, epoch }, None)?;
+            Ok(stream)
+        });
+        match connected {
+            Ok(stream) => link.stream = Some(stream),
+            Err(e) => link.lost(worker, None, &e),
+        }
+        link
+    }
+
     /// Write the pending frame, if it holds any message, and start the next.
     fn ship(&mut self, worker: u64, epoch: u64, superstep: u32) {
         if self.frame.is_empty() {
@@ -217,7 +237,7 @@ impl PeerLink {
                     self.bytes += bytes;
                     self.frames += 1;
                 }
-                Err(e) => self.lost(worker, superstep, &e),
+                Err(e) => self.lost(worker, Some(superstep), &e),
             }
         }
         self.frame.clear();
@@ -234,14 +254,14 @@ impl PeerLink {
             bytes: self.bytes,
         };
         if let Err(e) = write_frame(stream, &flush, None) {
-            self.lost(worker, superstep, &e);
+            self.lost(worker, Some(superstep), &e);
         }
     }
 
-    fn lost(&mut self, worker: u64, superstep: u32, error: &io::Error) {
+    fn lost(&mut self, worker: u64, superstep: Option<u32>, error: &io::Error) {
         wlog(
             Some(worker),
-            Some(superstep),
+            superstep,
             "peer_link_lost",
             &format!("peer={} error={error}", self.peer),
         );
@@ -317,15 +337,10 @@ fn serve(
                 Message::Hello { worker: id } => {
                     worker = Some(id);
                     wlog(worker, None, "hello", "");
-                    write_frame(&mut stream, &Message::Welcome, None)?
                 }
                 Message::LoadProgram { program, n, adjacency } => {
-                    let resolved = lookup(&program).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unknown cluster program `{program}`"),
-                        )
-                    })?;
+                    let resolved = lookup(&program)
+                        .ok_or_else(|| invalid(format!("unknown cluster program `{program}`")))?;
                     wlog(
                         worker,
                         None,
@@ -346,116 +361,39 @@ fn serve(
                     drop(state);
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
-                Message::Membership { epoch, parallelism, data_timeout_ms, peers } => {
-                    let my = worker.ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "Membership before Hello")
-                    })?;
-                    if parallelism == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "Membership with zero partitions",
-                        ));
-                    }
-                    let mut links = Vec::new();
-                    for &(peer, port) in &peers {
-                        if peer == my {
-                            continue;
-                        }
-                        let mut link = connect_peer(port)?;
-                        link.set_nodelay(true).ok();
-                        write_frame(
-                            &mut link,
-                            &Message::PeerHello { from_worker: my, epoch },
-                            None,
-                        )?;
-                        links.push(PeerLink {
-                            peer,
-                            stream: Some(link),
-                            frame: ShuffleFrameBuf::default(),
-                            bytes: 0,
-                            frames: 0,
-                        });
-                    }
+                Message::Membership { epoch, data_timeout_ms, peers, assignment } => {
+                    let my = worker.ok_or_else(|| invalid("Membership before Hello"))?;
+                    let linked: Vec<(u64, u64)> =
+                        peers.iter().copied().filter(|&(peer, _)| peer != my).collect();
+                    let routes = resolve_routes(my, &linked, &assignment)?;
+                    let links = linked
+                        .iter()
+                        .map(|&(peer, port)| PeerLink::open(my, epoch, peer, port))
+                        .collect();
                     plane.install_membership(epoch, peers.iter().map(|&(w, _)| w));
                     wlog(
                         worker,
                         None,
                         "membership",
-                        &format!("epoch={epoch} members={}", peers.len()),
+                        &format!("epoch={epoch} members={} pids={}", peers.len(), assignment.len()),
                     );
                     // Survivors keep their cached state across a membership
                     // change; the coordinator pushes authoritative state in
-                    // the StepReset that follows a failure anyway. The
-                    // placement assignment is NOT kept: ownership may have
-                    // moved under the new epoch, so routing falls back to
-                    // `pid % members` until the MapUpdate that follows every
-                    // Membership broadcast re-installs it.
+                    // the StepReset that follows one anyway.
                     let (state, reply) = ctx.take().map(|c| (c.state, c.reply)).unwrap_or_default();
-                    let mut direct = DirectCtx {
+                    ctx = Some(DirectCtx {
+                        worker: my,
                         epoch,
-                        parallelism,
                         data_timeout: Duration::from_millis(data_timeout_ms),
-                        members: peers.len() as u64,
                         links,
-                        routes: Vec::new(),
+                        routes,
                         state,
                         reply,
-                    };
-                    direct.install_routes(my, &[]);
-                    ctx = Some(direct);
+                    });
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
-                Message::MapUpdate { epoch, version, assignment } => {
-                    let (Some(my), Some(direct)) = (worker, ctx.as_mut()) else {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "MapUpdate before Membership",
-                        ));
-                    };
-                    if epoch == direct.epoch {
-                        wlog(
-                            worker,
-                            None,
-                            "map_update",
-                            &format!("epoch={epoch} version={version} pids={}", assignment.len()),
-                        );
-                        direct.install_routes(my, &assignment);
-                    } else {
-                        // A stale map (raced with a newer Membership) must
-                        // not overwrite routing, but the coordinator still
-                        // waits for the ack.
-                        wlog(
-                            worker,
-                            None,
-                            "map_update_stale",
-                            &format!("epoch={epoch} current={}", direct.epoch),
-                        );
-                    }
-                    write_frame(&mut stream, &Message::Welcome, None)?;
-                }
-                Message::WorkerJoin { worker: id, superstep } => {
-                    // Informational: this worker was spawned into a
-                    // computation already at `superstep`. Partitions arrive
-                    // via LoadProgram, state via StepReset.
-                    wlog(Some(id), Some(superstep), "worker_join", "");
-                    write_frame(&mut stream, &Message::Welcome, None)?;
-                }
-                Message::Drain { superstep } => {
-                    // Planned departure at a superstep barrier. All
-                    // data-plane output of the last superstep was flushed
-                    // before its StepDones were written, so there is nothing
-                    // left in flight: acknowledge and wait for the Shutdown
-                    // that follows.
-                    wlog(worker, Some(superstep), "drain", "");
-                    write_frame(&mut stream, &Message::Welcome, None)?;
-                }
-                Message::StepGo { superstep, step, inbound_superstep, stage_outbound, pids } => {
-                    let my = worker.ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "StepGo before Hello")
-                    })?;
-                    let direct = ctx.as_mut().ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "StepGo before Membership")
-                    })?;
+                Message::StepGo { superstep, step, stage_outbound, inbound, pids } => {
+                    let direct = ctx.as_mut().ok_or_else(|| invalid("StepGo before Membership"))?;
                     if superstep != telemetry_superstep {
                         telemetry_superstep = superstep;
                         seq = 0;
@@ -466,13 +404,10 @@ fn serve(
                             &format!("pids={pids:?} stage_outbound={stage_outbound}"),
                         );
                     }
-                    let inbound = if inbound_superstep == NO_INBOUND {
-                        Vec::new()
-                    } else {
-                        match plane.wait_complete(inbound_superstep, direct.data_timeout) {
-                            Ok(()) => {
-                                plane.take_inboxes(inbound_superstep, direct.parallelism as usize)
-                            }
+                    let inbound = match inbound {
+                        None => Vec::new(),
+                        Some(slot) => match plane.wait_complete(slot, direct.data_timeout) {
+                            Ok(()) => plane.take_inboxes(slot, direct.routes.len()),
                             Err(waiting_on) => {
                                 // Compute nothing: the coordinator treats the
                                 // missing peer as lost and resolves the
@@ -490,48 +425,40 @@ fn serve(
                                 )?;
                                 continue;
                             }
-                        }
+                        },
                     };
+                    let mode = StepMode { full_send: false, stage_outbound };
                     run_direct_step(
                         &mut stream,
-                        my,
                         direct,
                         &shared,
                         &plane,
                         superstep,
                         step,
-                        StepMode { full_send: false, stage_outbound },
+                        mode,
                         inbound,
                         &pids,
                         &mut seq,
                     )?;
                 }
-                Message::StepReset {
-                    superstep,
-                    step,
-                    inbound_superstep,
-                    use_wire_inbound,
-                    stage_outbound,
-                    parts,
-                    inboxes,
-                } => {
-                    let my = worker.ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "StepReset before Hello")
-                    })?;
-                    let direct = ctx.as_mut().ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "StepReset before Membership")
-                    })?;
+                Message::StepReset { superstep, step, stage_outbound, parts, inbound } => {
+                    let direct =
+                        ctx.as_mut().ok_or_else(|| invalid("StepReset before Membership"))?;
                     if superstep != telemetry_superstep {
                         telemetry_superstep = superstep;
                         seq = 0;
                     }
+                    let described = match &inbound {
+                        Inbound::Empty => "empty".to_string(),
+                        Inbound::Slot(slot) => format!("slot:{slot}"),
+                        Inbound::Cut(inboxes) => format!("cut:{}", inboxes.len()),
+                    };
                     wlog(
                         worker,
                         Some(superstep),
                         "step_reset",
                         &format!(
-                            "parts={} use_wire_inbound={use_wire_inbound} \
-                             inbound_superstep={inbound_superstep} stage_outbound={stage_outbound}",
+                            "parts={} inbound={described} stage_outbound={stage_outbound}",
                             parts.len()
                         ),
                     );
@@ -539,48 +466,47 @@ fn serve(
                     for (pid, records) in parts {
                         direct.state.insert(pid, records);
                     }
-                    let inbound: Vec<Vec<Msg>> = if use_wire_inbound != 0 {
-                        let mut by_pid = vec![Vec::new(); direct.parallelism as usize];
-                        for (pid, msgs) in inboxes {
-                            *by_pid.get_mut(pid as usize).ok_or_else(|| {
-                                io::Error::new(
-                                    io::ErrorKind::InvalidData,
-                                    format!("StepReset inbox for unknown partition {pid}"),
-                                )
-                            })? = msgs;
-                        }
-                        by_pid
-                    } else if inbound_superstep == NO_INBOUND {
-                        Vec::new()
-                    } else {
-                        // Optimistic retry: the named slot is the committed
-                        // superstep, complete on survivors modulo in-flight
-                        // flushes. Wait briefly, then proceed with whatever
-                        // arrived — compensation absorbs any shortfall.
-                        if plane.wait_complete(inbound_superstep, direct.data_timeout).is_err() {
-                            wlog(
-                                worker,
-                                Some(superstep),
-                                "reset_slot_incomplete",
-                                &format!("inbound_superstep={inbound_superstep}"),
-                            );
-                        }
-                        plane.take_inboxes(inbound_superstep, direct.parallelism as usize)
-                    };
-                    // A reset without pushed inboxes marks an inbound history
+                    // Anything but pushed inboxes marks an inbound history
                     // that is not exact: its superstep is a full-send one.
                     // Pushed state and inboxes are an exact cut, so their
                     // superstep sends what any other would.
-                    let full_send = use_wire_inbound == 0 || step == 0;
+                    let full_send = !matches!(inbound, Inbound::Cut(_)) || step == 0;
+                    let inbound: Vec<Vec<Msg>> = match inbound {
+                        Inbound::Empty => Vec::new(),
+                        Inbound::Slot(slot) => {
+                            // Optimistic retry: the named slot is the committed
+                            // superstep, complete on survivors modulo in-flight
+                            // flushes. Wait briefly, then proceed with whatever
+                            // arrived — compensation absorbs any shortfall.
+                            if plane.wait_complete(slot, direct.data_timeout).is_err() {
+                                wlog(
+                                    worker,
+                                    Some(superstep),
+                                    "reset_slot_incomplete",
+                                    &format!("inbound_superstep={slot}"),
+                                );
+                            }
+                            plane.take_inboxes(slot, direct.routes.len())
+                        }
+                        Inbound::Cut(inboxes) => {
+                            let mut by_pid = vec![Vec::new(); direct.routes.len()];
+                            for (pid, msgs) in inboxes {
+                                *by_pid.get_mut(pid as usize).ok_or_else(|| {
+                                    invalid(format!("StepReset inbox for unknown partition {pid}"))
+                                })? = msgs;
+                            }
+                            by_pid
+                        }
+                    };
+                    let mode = StepMode { full_send, stage_outbound };
                     run_direct_step(
                         &mut stream,
-                        my,
                         direct,
                         &shared,
                         &plane,
                         superstep,
                         step,
-                        StepMode { full_send, stage_outbound },
+                        mode,
                         inbound,
                         &pids,
                         &mut seq,
@@ -620,10 +546,9 @@ fn serve(
                 | Message::HeartbeatAck { .. }
                 | Message::TelemetryFrame { .. }
                 | Message::SnapshotAck { .. }) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("coordinator sent a worker-only message: {unexpected:?}"),
-                    ));
+                    return Err(invalid(format!(
+                        "coordinator sent a worker-only message: {unexpected:?}"
+                    )));
                 }
             }
         }
@@ -642,18 +567,20 @@ fn serve(
 }
 
 /// Connect to a peer worker's loopback listener, retrying briefly: the
-/// coordinator only broadcasts membership once every member is listening,
-/// so failures here are transient accept-queue pressure, not absence.
+/// coordinator only sends a membership once every member is listening, so
+/// most failures here are transient accept-queue pressure. A refused
+/// connection is not — a worker binds before it announces its port, so
+/// nobody listening there means the peer is gone.
 fn connect_peer(port: u64) -> io::Result<TcpStream> {
     let addr = format!("127.0.0.1:{port}");
     let mut delay = Duration::from_millis(10);
     for _ in 0..6 {
         match TcpStream::connect(&addr) {
-            Ok(stream) => return Ok(stream),
-            Err(_) => {
+            Err(e) if e.kind() != io::ErrorKind::ConnectionRefused => {
                 thread::sleep(delay);
                 delay = (delay * 2).min(Duration::from_millis(100));
             }
+            connected => return connected,
         }
     }
     TcpStream::connect(&addr)
@@ -682,7 +609,6 @@ struct StepMode {
 #[allow(clippy::too_many_arguments)]
 fn run_direct_step(
     stream: &mut TcpStream,
-    worker: u64,
     ctx: &mut DirectCtx,
     shared: &Mutex<WorkerState>,
     plane: &DataPlane,
@@ -693,11 +619,11 @@ fn run_direct_step(
     pids: &[u64],
     seq: &mut u64,
 ) -> io::Result<()> {
+    let worker = ctx.worker;
     let (program, n) = {
         let state = shared.lock();
-        let program = state.program.clone().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "step dispatch before LoadProgram")
-        })?;
+        let program =
+            state.program.clone().ok_or_else(|| invalid("step dispatch before LoadProgram"))?;
         (program, state.n)
     };
     for link in &mut ctx.links {
@@ -706,18 +632,14 @@ fn run_direct_step(
     let mut outcomes = Vec::with_capacity(pids.len());
     let empty: Vec<Msg> = Vec::new();
     for &pid in pids {
-        let rows = shared.lock().adjacency.get(&pid).cloned().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("step for partition {pid} not owned by this worker"),
-            )
-        })?;
-        let state = ctx.state.get(&pid).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("step for partition {pid} with no cached state"),
-            )
-        })?;
+        let rows =
+            shared.lock().adjacency.get(&pid).cloned().ok_or_else(|| {
+                invalid(format!("step for partition {pid} not owned by this worker"))
+            })?;
+        let state = ctx
+            .state
+            .get(&pid)
+            .ok_or_else(|| invalid(format!("step for partition {pid} with no cached state")))?;
         let inb = inbound.get(pid as usize).unwrap_or(&empty);
         let compute_start = Instant::now();
         let out = if mode.full_send {
@@ -809,10 +731,12 @@ mod tests {
     /// A data-plane context for `members` workers with one unconnected link
     /// per peer: enough to route and fill frames, which is all that happens
     /// before a frame is written.
-    fn routing_ctx(worker: u64, members: u64, parallelism: u64, assignment: &[u64]) -> DirectCtx {
-        let links = (0..members)
-            .filter(|&peer| peer != worker)
-            .map(|peer| PeerLink {
+    fn routing_ctx(worker: u64, members: u64, assignment: &[u64]) -> DirectCtx {
+        let linked: Vec<(u64, u64)> =
+            (0..members).filter(|&peer| peer != worker).map(|peer| (peer, 0)).collect();
+        let links = linked
+            .iter()
+            .map(|&(peer, _)| PeerLink {
                 peer,
                 stream: None,
                 frame: ShuffleFrameBuf::default(),
@@ -820,37 +744,31 @@ mod tests {
                 frames: 0,
             })
             .collect();
-        let mut ctx = DirectCtx {
+        DirectCtx {
+            worker,
             epoch: 4,
-            parallelism,
             data_timeout: Duration::ZERO,
-            members,
             links,
-            routes: Vec::new(),
+            routes: resolve_routes(worker, &linked, assignment).unwrap(),
             state: HashMap::new(),
             reply: Vec::new(),
-        };
-        ctx.install_routes(worker, assignment);
-        ctx
+        }
     }
 
     proptest! {
         #[test]
         fn fused_route_and_encode_equals_batching_then_encoding_the_message(
             outbound in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..80),
-            shape in (1u64..5, 1u64..7),
+            members in 1u64..5,
             worker in 0u64..4,
-            assignment in prop::collection::vec(0u64..6, 0..7),
+            owners in prop::collection::vec(any::<u64>(), 1..7),
         ) {
-            // Owners named by a placement map may be absent from the
-            // membership (index >= members): their messages go nowhere.
-            let (members, parallelism) = shape;
+            // Any placement of any number of partitions over the members,
+            // balanced or not: the assignment alone says where a message goes.
             let worker = worker % members;
-            let mut ctx = routing_ctx(worker, members, parallelism, &assignment);
-            let owner_of = |msg: &Msg| {
-                let pid = msg.1 % parallelism;
-                assignment.get(pid as usize).copied().unwrap_or(pid % members)
-            };
+            let assignment: Vec<u64> = owners.iter().map(|owner| owner % members).collect();
+            let mut ctx = routing_ctx(worker, members, &assignment);
+            let owner_of = |msg: &Msg| assignment[(msg.1 % assignment.len() as u64) as usize];
 
             // Twice through the same context: the second pass runs on the
             // buffers the first one left behind.
@@ -872,6 +790,44 @@ mod tests {
                     prop_assert!(link.frame.is_empty());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_placement_that_is_empty_or_names_a_non_member_is_invalid_data() {
+        let peers = [(0u64, 40_001u64), (1, 40_002)];
+        assert_eq!(
+            resolve_routes(1, &peers[..1], &[0, 0, 0, 1]).unwrap(),
+            [Route::Link(0), Route::Link(0), Route::Link(0), Route::Own]
+        );
+        for (assignment, complaint) in [(&[][..], "no partition"), (&[0, 2][..], "non-member 2")] {
+            let err = resolve_routes(0, &peers[1..], assignment).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(complaint), "{err}");
+
+            // ... and what the connection that carried it ends with, unacked.
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let served = thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                serve(stream, Arc::default(), Arc::default())
+            });
+            let mut conn = TcpStream::connect(addr).unwrap();
+            write_frame(&mut conn, &Message::Hello { worker: 0 }, None).unwrap();
+            let membership = Message::Membership {
+                epoch: 1,
+                data_timeout_ms: 2_000,
+                peers: peers.to_vec(),
+                assignment: assignment.to_vec(),
+            };
+            write_frame(&mut conn, &membership, None).unwrap();
+            let err = served.join().unwrap().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(complaint), "{err}");
+            assert_eq!(
+                read_frame(&mut conn, None).unwrap_err().kind(),
+                io::ErrorKind::UnexpectedEof
+            );
         }
     }
 
@@ -914,67 +870,76 @@ mod tests {
         }
     }
 
+    /// Partition `pid`'s rows of the `n`-vertex path graph cut into
+    /// `parallelism` partitions by `v % parallelism`.
+    fn path_rows(n: u64, parallelism: u64, pid: u64) -> AdjRows {
+        let neighbours =
+            |v: u64| (v.saturating_sub(1)..=(v + 1).min(n - 1)).filter(move |&u| u != v);
+        (pid..n).step_by(parallelism as usize).map(|v| (v, neighbours(v).collect())).collect()
+    }
+
+    /// The whole handshake, on a fresh control connection to the worker at
+    /// `addr`: `Hello`, `LoadProgram` of "cc" over `adjacency` and its ack,
+    /// `Membership` and its ack — three frames down, two up, and the worker
+    /// is ready for its first dispatch.
+    fn handshake(
+        addr: std::net::SocketAddr,
+        worker: u64,
+        n: u64,
+        adjacency: Vec<(u64, AdjRows)>,
+        peers: Vec<(u64, u64)>,
+        assignment: Vec<u64>,
+    ) -> TcpStream {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        write_frame(&mut conn, &Message::Hello { worker }, None).unwrap();
+        let load = Message::LoadProgram { program: "cc".into(), n, adjacency };
+        write_frame(&mut conn, &load, None).unwrap();
+        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        let membership =
+            Message::Membership { epoch: 1, data_timeout_ms: 2_000, peers, assignment };
+        write_frame(&mut conn, &membership, None).unwrap();
+        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        conn
+    }
+
     /// A control connection to a fresh single-member worker that owns both
     /// partitions of the `n`-vertex path graph under "cc": every shuffle
     /// message is a self-delivery through the local inbox, so the full
     /// StepReset → StepGo cycle runs without a second process.
     fn single_member_cc_worker(n: u64) -> TcpStream {
-        let neighbours =
-            |v: u64| (v.saturating_sub(1)..=(v + 1).min(n - 1)).filter(move |&u| u != v);
-        let rows = |pid: u64| -> AdjRows {
-            (pid..n).step_by(2).map(|v| (v, neighbours(v).collect())).collect()
-        };
         let addr = spawn_local_worker();
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write_frame(&mut conn, &Message::Hello { worker: 0 }, None).unwrap();
-        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
-        write_frame(
-            &mut conn,
-            &Message::LoadProgram {
-                program: "cc".into(),
-                n,
-                adjacency: vec![(0, rows(0)), (1, rows(1))],
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
-        write_frame(
-            &mut conn,
-            &Message::Membership {
-                epoch: 1,
-                parallelism: 2,
-                data_timeout_ms: 2_000,
-                peers: vec![(0, u64::from(addr.port()))],
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
-        conn
+        let adjacency = vec![(0, path_rows(n, 2, 0)), (1, path_rows(n, 2, 1))];
+        handshake(addr, 0, n, adjacency, vec![(0, u64::from(addr.port()))], vec![0, 0])
     }
 
-    /// The first superstep of the `n`-vertex path graph: every vertex's
-    /// state pushed as its own label, logical step 0.
-    fn first_superstep(n: u64, superstep: u32, stage_outbound: bool) -> Message {
-        let part = |pid: u64| (pid, (pid..n).step_by(2).map(|v| (v, v)).collect());
+    /// The first superstep of the `n`-vertex path graph over `pids` of
+    /// `parallelism` partitions: every vertex's state pushed as its own
+    /// label, logical step 0.
+    fn first_superstep_of(n: u64, parallelism: u64, pids: &[u64], stage_outbound: bool) -> Message {
+        let part =
+            |&pid: &u64| (pid, (pid..n).step_by(parallelism as usize).map(|v| (v, v)).collect());
         Message::StepReset {
-            superstep,
+            superstep: 1,
             step: 0,
-            inbound_superstep: NO_INBOUND,
-            use_wire_inbound: 0,
             stage_outbound,
-            parts: vec![part(0), part(1)],
-            inboxes: vec![],
+            parts: pids.iter().map(part).collect(),
+            inbound: Inbound::Empty,
         }
+    }
+
+    fn first_superstep(n: u64, stage_outbound: bool) -> Message {
+        first_superstep_of(n, 2, &[0, 1], stage_outbound)
     }
 
     #[test]
     fn direct_mode_runs_supersteps_from_cached_state_and_self_delivery() {
         let mut conn = single_member_cc_worker(2);
 
-        // Superstep 1 seeds state and message flow (step 0 semantics).
-        write_frame(&mut conn, &first_superstep(2, 1, false), None).unwrap();
+        // Superstep 1 seeds state and message flow (step 0 semantics). Its
+        // replies are the next frames up: the handshake left none behind — a
+        // `Hello` is not acknowledged, and no map frame follows the
+        // membership.
+        write_frame(&mut conn, &first_superstep(2, false), None).unwrap();
         let (pid, superstep, state, _) = expect_step_done(&mut conn);
         assert_eq!((pid, superstep, state), (0, 1, vec![(0, 0)]));
         let (pid, _, state, _) = expect_step_done(&mut conn);
@@ -987,8 +952,8 @@ mod tests {
             &Message::StepGo {
                 superstep: 2,
                 step: 1,
-                inbound_superstep: 1,
                 stage_outbound: false,
+                inbound: Some(1),
                 pids: vec![0, 1],
             },
             None,
@@ -998,6 +963,108 @@ mod tests {
         assert_eq!((pid, state, changed), (0, vec![(0, 0)], 0));
         let (pid, _, state, changed) = expect_step_done(&mut conn);
         assert_eq!((pid, state, changed), (1, vec![(1, 0)], 1), "label propagated via data plane");
+    }
+
+    /// A stand-in for peer worker 1: the listener a membership names, the
+    /// frames worker 0 sends it, and a link back into worker 0's data plane.
+    struct FakePeer {
+        listener: TcpListener,
+    }
+
+    impl FakePeer {
+        fn bind() -> (FakePeer, u64) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let port = u64::from(listener.local_addr().unwrap().port());
+            (FakePeer { listener }, port)
+        }
+
+        /// Everything worker 0 shuffled to this peer for one superstep: the
+        /// messages of its frames, up to the flush.
+        fn received(&self) -> Vec<Msg> {
+            let (mut link, _) = self.listener.accept().unwrap();
+            let hello = read_frame(&mut link, None).unwrap();
+            assert_eq!(hello, Message::PeerHello { from_worker: 0, epoch: 1 });
+            let mut received = Vec::new();
+            loop {
+                match read_frame(&mut link, None).unwrap() {
+                    Message::ShuffleFrame { msgs, .. } => received.extend(msgs),
+                    Message::ShuffleFlush { .. } => return received,
+                    other => panic!("expected shuffle traffic, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_first_frame_after_the_membership_ack_is_routed_by_the_assignment() {
+        // Worker 0 of two owns partitions 0, 1 and 2 of four; `pid % members`
+        // would send partition 1's messages to worker 1, where nobody folds
+        // them in. The membership carries the assignment, so there is no
+        // window in which a worker routes by anything else.
+        let n = 8;
+        let addr = spawn_local_worker();
+        let (peer, peer_port) = FakePeer::bind();
+        let owned = [0u64, 1, 2];
+        let mut conn = handshake(
+            addr,
+            0,
+            n,
+            owned.iter().map(|&pid| (pid, path_rows(n, 4, pid))).collect(),
+            vec![(0, u64::from(addr.port())), (1, peer_port)],
+            vec![0, 0, 0, 1],
+        );
+        write_frame(&mut conn, &first_superstep_of(n, 4, &owned, false), None).unwrap();
+        // At step 0 every label travels to the larger neighbour: 2 → 3 and
+        // 6 → 7 are the two that leave for partition 3, and the only two.
+        assert_eq!(peer.received(), vec![(2, 3, 2), (6, 7, 6)]);
+        for pid in owned {
+            assert_eq!(expect_step_done(&mut conn).0, pid);
+        }
+
+        // The peer flushes its (empty) share of superstep 1; superstep 2
+        // then finds label 0 in partition 1's inbox — self-delivered.
+        let mut back = TcpStream::connect(addr).unwrap();
+        write_frame(&mut back, &Message::PeerHello { from_worker: 1, epoch: 1 }, None).unwrap();
+        let flush =
+            Message::ShuffleFlush { from_worker: 1, epoch: 1, superstep: 1, frames: 0, bytes: 0 };
+        write_frame(&mut back, &flush, None).unwrap();
+        let go = Message::StepGo {
+            superstep: 2,
+            step: 1,
+            stage_outbound: false,
+            inbound: Some(1),
+            pids: owned.to_vec(),
+        };
+        write_frame(&mut conn, &go, None).unwrap();
+        // (Vertex 4 keeps its label: its smaller neighbour lives on the peer.)
+        assert_eq!(expect_step_done(&mut conn).2, vec![(0, 0), (4, 4)]);
+        assert_eq!(expect_step_done(&mut conn).2, vec![(1, 0), (5, 4)]);
+        assert_eq!(expect_step_done(&mut conn).2, vec![(2, 1), (6, 5)]);
+    }
+
+    #[test]
+    fn a_worker_that_cannot_reach_a_peer_acks_the_membership_with_that_link_lost() {
+        // Nobody listens where the membership says worker 1 does: worker 1
+        // is the one that died, and the coordinator learns it from worker
+        // 1's own silence. Worker 0 acknowledges (`handshake` reads the ack)
+        // and runs its superstep, discarding what it has for the dead peer.
+        let n = 8;
+        let addr = spawn_local_worker();
+        let (gone, gone_port) = FakePeer::bind();
+        drop(gone);
+        let owned = [0u64, 2];
+        let mut conn = handshake(
+            addr,
+            0,
+            n,
+            owned.iter().map(|&pid| (pid, path_rows(n, 4, pid))).collect(),
+            vec![(0, u64::from(addr.port())), (1, gone_port)],
+            vec![0, 1, 0, 1],
+        );
+        write_frame(&mut conn, &first_superstep_of(n, 4, &owned, false), None).unwrap();
+        for pid in owned {
+            assert_eq!(expect_step_done(&mut conn).0, pid);
+        }
     }
 
     /// Every `StepDone`'s `(pid, outbound, shuffled)` of one dispatch over
@@ -1028,14 +1095,13 @@ mod tests {
             let go = Message::StepGo {
                 superstep: 2,
                 step: 1,
-                inbound_superstep: 1,
                 // The flag is per dispatch, whichever kind: each superstep
                 // decides anew, and the messages are delivered either way.
                 stage_outbound: !stage_first,
+                inbound: Some(1),
                 pids: vec![0, 1],
             };
-            let dispatches =
-                [(first_superstep(6, 1, stage_first), stage_first), (go, !stage_first)];
+            let dispatches = [(first_superstep(6, stage_first), stage_first), (go, !stage_first)];
             for ((dispatch, staged), sent) in dispatches.iter().zip(&sent) {
                 let replies = outbound_of(&mut conn, dispatch);
                 for ((pid, outbound, shuffled), (sent_pid, sent)) in replies.iter().zip(sent) {
@@ -1098,8 +1164,8 @@ mod tests {
             &Message::StepGo {
                 superstep: 0,
                 step: 0,
-                inbound_superstep: NO_INBOUND,
                 stage_outbound: false,
+                inbound: None,
                 pids: vec![0],
             },
             None,

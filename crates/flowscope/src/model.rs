@@ -284,6 +284,9 @@ impl RunModel {
         let mut model = RunModel::default();
         // Events waiting for a row that has not completed yet.
         let mut pending: Vec<(Attach, ListOf, &JournalEvent)> = Vec::new();
+        // A failure in the very first superstep has no completed row behind
+        // it: what it journals waits for the first row that does complete.
+        let mut before_first_row: Vec<&JournalEvent> = Vec::new();
         for event in events {
             if let E::MutationBatch { epoch, .. } | E::Reconverge { epoch, .. } = event {
                 model.epochs = model.epochs.max(*epoch);
@@ -310,20 +313,19 @@ impl RunModel {
                             list(&mut row).push(waiting.clone());
                         }
                     }
+                    before_first_row.drain(..).for_each(|waiting| row.absorb(waiting));
                     model.rows.push(row);
                 }
                 _ => match placement(event) {
-                    Some((Attach::Last, list)) => {
-                        if let Some(row) = model.rows.last_mut() {
-                            list(row).push(event.clone());
-                        }
-                    }
+                    Some((Attach::Last, list)) => match model.rows.last_mut() {
+                        Some(row) => list(row).push(event.clone()),
+                        None => pending.push((Attach::Next, list, event)),
+                    },
                     Some((attach, list)) => pending.push((attach, list, event)),
-                    None => {
-                        if let Some(row) = model.rows.last_mut() {
-                            row.absorb(event);
-                        }
-                    }
+                    None => match model.rows.last_mut() {
+                        Some(row) => row.absorb(event),
+                        None => before_first_row.push(event),
+                    },
                 },
             }
         }
@@ -523,6 +525,49 @@ mod tests {
             label(model.rows[0].failure.as_ref().unwrap()).unwrap(),
             "FAIL p[1, 3] (-6 records)"
         );
+    }
+
+    #[test]
+    fn a_loss_in_the_very_first_superstep_is_carried_by_the_first_row_to_complete() {
+        // Superstep 0 never completes, so there is no row behind its failure
+        // to attach to; dropping it would report a run with a kill at
+        // superstep 0 as failure-free.
+        let lost = JournalEvent::WorkerLost {
+            superstep: 0,
+            iteration: 0,
+            worker: 1,
+            lost_partitions: vec![1, 3],
+        };
+        let rejoined =
+            JournalEvent::WorkerRejoined { superstep: 1, worker: 1, reconnect_attempts: 1 };
+        let cost = JournalEvent::RecoveryCost {
+            superstep: 1,
+            worker: 1,
+            detection: "read_error".into(),
+            detect_ns: 5,
+            respawn_ns: 7,
+            reshipped_bytes: 340,
+        };
+        let events = vec![
+            lost.clone(),
+            JournalEvent::FailureInjected {
+                superstep: 0,
+                iteration: 0,
+                lost_partitions: vec![1, 3],
+                lost_records: 8,
+            },
+            JournalEvent::Restarted,
+            rejoined.clone(),
+            cost.clone(),
+            step(1, 0),
+            step(2, 1),
+        ];
+        let model = RunModel::from_events(&events);
+        assert_eq!(model.failure_supersteps(), vec![1]);
+        assert_eq!(model.rows[0].worker_events, vec![lost, rejoined]);
+        assert_eq!(model.rows[0].recovery_costs, vec![cost]);
+        assert_eq!(model.rows[0].recovery, vec![RecoveryAction::Restart]);
+        assert!(model.rows[1].failure.is_none() && model.rows[1].worker_events.is_empty());
     }
 
     #[test]

@@ -305,9 +305,7 @@ impl Snapshot {
             }
             Solution::Ranks(ranks) => {
                 let mut entries: Vec<Rank> = ranks.clone();
-                entries.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1).expect("ranks are finite").then(a.0.cmp(&b.0))
-                });
+                entries.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 entries.into_iter().take(n).map(|(id, score)| TopEntry { id, score }).collect()
             }
         }

@@ -406,7 +406,7 @@ journal_events! {
         superstep: u32,
         /// Partitions whose owner changed.
         moved_partitions: usize,
-        /// Bytes written while rescaling (spawn loads, drains, reloads) —
+        /// Bytes written while rescaling (spawn loads, shutdowns, reloads) —
         /// dominated by the `LoadProgram` reships of moved partitions.
         reshipped_bytes: u64,
     },

@@ -397,8 +397,8 @@ OPTIONS:
                           is in flight (repeatable; composes with --chaos)
     --scale <S:N>         with --cluster: planned rescale to N workers at
                           superstep S (repeatable) — joiners are spawned and
-                          loaded live, leavers drain gracefully, and moved
-                          partitions re-ship over the recovery path
+                          loaded live, leavers are shut down at the barrier,
+                          and moved partitions re-ship over the recovery path
     --chaos <SPEC>        with --cluster: schedule failure injections.
                           SPEC is `;`-separated scenarios, or @PATH to read
                           them from a file (one per line, # comments):
