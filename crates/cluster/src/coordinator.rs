@@ -5,7 +5,7 @@
 //!
 //! * The coordinator owns the dataflow plan, the iteration driver, the
 //!   telemetry sink, and — crucially for recovery — the authoritative copy
-//!   of the iteration state and the per-partition message inboxes.
+//!   of the iteration state. It never holds a message.
 //! * Workers own the loop-invariant adjacency for their partitions and
 //!   execute [`crate::program::ClusterProgram::step`]. The coordinator is
 //!   a pure control plane: it sends every worker the membership (epoch,
@@ -17,11 +17,10 @@
 //! * Recovery authority never moves: state flows up in every `StepDone`,
 //!   so the coordinator can compensate/rollback and re-push authoritative
 //!   state in a `StepReset` although the messages travelled peer to peer.
-//!   A rollback strategy also needs the messages in flight at its cuts:
-//!   the supersteps it cuts after — and only those — are dispatched with
-//!   `stage_outbound`, their `StepDone`s carry the outbound, and the
-//!   coordinator keeps those runs as they arrived until a restore reads
-//!   them (DESIGN.md, "Where a cut's channel state lives").
+//!   A rollback strategy's cut is that state alone: a restore pushes it
+//!   down as [`Inbound::Regenerate`], and the workers regenerate the
+//!   messages in flight from it over their data plane
+//!   ([`ClusterProgram::emit`]; DESIGN.md, "A cut is the state alone").
 //! * Failure is detected at the network level: a dead worker surfaces as a
 //!   connection reset / EOF / read timeout on the control connection, or as
 //!   a heartbeat timeout on the dedicated heartbeat connection. Either
@@ -56,7 +55,7 @@ use dataflow::stats::RunStats;
 use graphs::Graph;
 use recovery::compensation::Named;
 use recovery::{
-    cut_due, AsyncSnapshotHandler, BarrierEvent, BarrierProbe, CheckpointHandler, MemoryStore,
+    AsyncSnapshotHandler, BarrierEvent, BarrierProbe, CheckpointHandler, MemoryStore,
     OptimisticHandler,
 };
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
@@ -67,8 +66,8 @@ use crate::placement::{PartitionMap, Rebalancer};
 use crate::program::{lookup, partition_rows, ClusterProgram};
 use crate::protocol::{
     encode_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
-    AdjRows, Inbound, Message, Msg, Record, SpanRow, MSG_BYTES, SPAN_PHASE_COMPUTE,
-    SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
+    AdjRows, Inbound, Message, Msg, Record, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
+    SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 use crate::worker::LISTENING_MARKER;
 
@@ -203,10 +202,10 @@ pub enum ClusterStrategy {
     /// Optimistic recovery: the program's compensation function rebuilds
     /// lost partitions (no failure-free overhead).
     Optimistic,
-    /// Synchronous checkpoints every `interval` supersteps: the driver
-    /// state, the message inboxes, and the logical step counter are
-    /// captured together; recovery rolls all three back to the last
-    /// checkpointed superstep.
+    /// Synchronous checkpoints every `interval` supersteps: the driver state
+    /// is captured with its logical iteration; recovery rolls both back to
+    /// the last checkpointed superstep, and the workers regenerate the
+    /// messages in flight from the restored state.
     Checkpoint {
         /// Supersteps between checkpoints.
         interval: u32,
@@ -226,21 +225,9 @@ pub enum ClusterStrategy {
 impl ClusterStrategy {
     /// Whether recovery rolls back to a captured cut (checkpoint /
     /// async-snapshot) rather than recomputing forward: a restore pushes the
-    /// cut's inboxes down with its state.
+    /// cut's state down, and the workers regenerate its messages.
     fn is_rollback(self) -> bool {
         matches!(self, ClusterStrategy::Checkpoint { .. } | ClusterStrategy::AsyncSnapshot { .. })
-    }
-
-    /// Whether the strategy's handler may cut after logical iteration
-    /// `iteration` — the handlers' own schedule ([`recovery::cut_due`]). The
-    /// superstep of such an iteration is dispatched with `stage_outbound`,
-    /// so the cut finds the messages in flight at its barrier.
-    fn cuts_after(self, iteration: u32) -> bool {
-        match self {
-            ClusterStrategy::Checkpoint { interval }
-            | ClusterStrategy::AsyncSnapshot { interval } => cut_due(interval, iteration),
-            ClusterStrategy::Optimistic | ClusterStrategy::Restart => false,
-        }
     }
 }
 
@@ -400,7 +387,8 @@ pub struct ClusterRun {
 /// One partition's input to a superstep. The state is borrowed from the
 /// driver's dataset — a steady-state [`Message::StepGo`] never ships it, so
 /// only a dispatch that does copies it. The inbound messages are not part of
-/// the job: a backend that needs them assembles them from the [`Channel`].
+/// the job: each backend keeps what the last committed superstep sent where
+/// that superstep ran.
 struct StepJob<'a> {
     pid: usize,
     state: &'a [Record],
@@ -410,60 +398,17 @@ struct StepJob<'a> {
 struct StepResult {
     pid: usize,
     state: Vec<Record>,
-    /// The partition's outbound, born sorted — `None` when the superstep was
-    /// not staged: the messages went peer to peer and nowhere else.
-    outbound: Option<Vec<Msg>>,
     changed: u64,
-    /// Messages the partition produced, counted *before* routing, so the
-    /// shuffle statistic is right whether or not `outbound` came along.
+    /// Messages the partition produced for the next superstep.
     shuffled: u64,
 }
 
-/// The messages in flight at a superstep barrier: the outbound of the last
-/// committed superstep, one born-sorted run per source partition, kept as
-/// the runs arrived — nothing is routed or merged until something reads an
-/// inbox ([`assemble_inboxes`]). `None` when that superstep was not staged:
-/// its messages exist in the workers' data plane only, and nothing at the
-/// coordinator may read or capture them.
-type Channel = Option<Arc<Vec<Vec<Msg>>>>;
-
-/// The runs of a staged channel; reading an unstaged one is a recovery
-/// error, never an empty inbox.
-fn staged_runs(channel: &Channel) -> Result<&[Vec<Msg>]> {
-    channel.as_deref().map(Vec::as_slice).ok_or_else(|| {
-        EngineError::Recovery(
-            "the messages of the last committed superstep were not staged at the coordinator"
-                .into(),
-        )
-    })
-}
-
-/// Route and merge a channel's runs into per-partition inboxes, each in
-/// canonical `(src, dst, bits)` order. Every run is born sorted, so routing
-/// it by destination yields one sorted run per (source, destination) pair
-/// and merging a destination's runs *is* sorting its inbox. The canonical
-/// order fixes the fold order of floating-point sums, making every superstep
-/// bitwise deterministic regardless of which worker answered first.
-fn assemble_inboxes(
-    runs: &[Vec<Msg>],
-    parallelism: usize,
-    ctx: &ExecContext,
-) -> Result<Vec<Vec<Msg>>> {
-    let routed = runs.iter().map(Vec::len).sum();
-    let buckets: Vec<Vec<Vec<Msg>>> =
-        map_partition_refs(runs, ctx, |_, msgs| bucket_by_pid(msgs, parallelism))?;
-    par_map((0..parallelism).collect(), ctx, routed, |_, pid: usize| {
-        let runs: Vec<&[Msg]> = buckets.iter().map(|from| from[pid].as_slice()).collect();
-        merge_runs(&runs, 1).pop().unwrap_or_default()
-    })
-}
-
 /// Where a superstep's partition work actually runs: in-process (the
-/// baseline) or on worker processes over TCP. The channel bookkeeping lives
-/// *above* this trait, and whichever backend hands a partition its inbound
-/// routes and merges it with the same [`assemble_inboxes`] (the workers'
-/// data plane with the same `merge_runs`), so both backends execute
-/// bit-identical supersteps in failure-free runs.
+/// baseline) or on worker processes over TCP. Each keeps what the last
+/// committed superstep sent where it ran — the local backend as the runs
+/// its partitions returned, the cluster's workers in their data planes —
+/// and both merge an inbox with the same `merge_runs`, so both backends
+/// execute bit-identical supersteps in failure-free runs.
 ///
 /// `Send` because the engine may dispatch the step operator onto its
 /// worker pool; the `Arc<Mutex<…>>` wrapper then crosses threads.
@@ -475,15 +420,13 @@ trait StepBackend: Send {
         Ok(())
     }
 
-    /// Run one superstep over `jobs`. `channel` holds what the last
-    /// committed superstep sent; a backend reads it only when it has to hand
-    /// a partition its inbound itself.
+    /// Run logical step `step` over `jobs` as chronological superstep
+    /// `superstep`. Returning `Ok` commits it.
     fn run_step(
         &mut self,
         superstep: u32,
         step: u64,
         jobs: Vec<StepJob<'_>>,
-        channel: &Channel,
         ctx: &ExecContext,
     ) -> Result<Vec<StepResult>>;
 
@@ -502,6 +445,10 @@ struct LocalBackend {
     program: Arc<dyn ClusterProgram>,
     adjacency: Arc<Vec<AdjRows>>,
     n: u64,
+    /// What the last committed superstep sent: one born-sorted run per
+    /// partition, kept as the runs arrived. Replaced only by a commit, so
+    /// the retry after a failed attempt reads the exact same messages.
+    committed: Vec<Vec<Msg>>,
     /// Whether the previous attempt failed (a partition panicked), so this
     /// one runs on compensated state: the local counterpart of
     /// [`ClusterBackend::push_state`], with the same two consequences — the
@@ -510,22 +457,42 @@ struct LocalBackend {
     retrying: bool,
 }
 
+impl LocalBackend {
+    fn new(program: Arc<dyn ClusterProgram>, adjacency: Arc<Vec<AdjRows>>, n: u64) -> Self {
+        LocalBackend { program, adjacency, n, committed: Vec::new(), retrying: false }
+    }
+
+    /// Route and merge the committed runs into per-partition inboxes, each
+    /// in canonical `(src, dst, bits)` order. Every run is born sorted, so
+    /// routing it by destination yields one sorted run per (source,
+    /// destination) pair and merging a destination's runs *is* sorting its
+    /// inbox. The canonical order fixes the fold order of floating-point
+    /// sums, making every superstep bitwise deterministic.
+    fn inboxes(&self, ctx: &ExecContext) -> Result<Vec<Vec<Msg>>> {
+        let (runs, parallelism) = (&self.committed, self.adjacency.len());
+        let routed = runs.iter().map(Vec::len).sum();
+        let buckets: Vec<Vec<Vec<Msg>>> =
+            map_partition_refs(runs, ctx, |_, msgs| bucket_by_pid(msgs, parallelism))?;
+        par_map((0..parallelism).collect(), ctx, routed, |_, pid: usize| {
+            let runs: Vec<&[Msg]> = buckets.iter().map(|from| from[pid].as_slice()).collect();
+            merge_runs(&runs, 1).pop().unwrap_or_default()
+        })
+    }
+}
+
 impl StepBackend for LocalBackend {
     fn run_step(
         &mut self,
         _superstep: u32,
         step: u64,
         jobs: Vec<StepJob<'_>>,
-        channel: &Channel,
         ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
         // Stays set if this attempt fails too.
         let retrying = std::mem::replace(&mut self.retrying, true);
-        // The partitions step in this process, so every superstep reads
-        // every inbox.
-        let inboxes = assemble_inboxes(staged_runs(channel)?, self.adjacency.len(), ctx)?;
+        let inboxes = self.inboxes(ctx)?;
         let work = jobs.iter().map(|job| job.state.len() + inboxes[job.pid].len()).sum();
-        let mut results = par_map(jobs, ctx, work, |_, job| {
+        let outputs = par_map(jobs, ctx, work, |_, job| {
             let (rows, inbound) = (&self.adjacency[job.pid], &inboxes[job.pid]);
             let out = if retrying {
                 self.program.full_send_step(step, job.state, inbound, rows, self.n)
@@ -533,14 +500,12 @@ impl StepBackend for LocalBackend {
                 self.program.step(step, job.state, inbound, rows, self.n)
             };
             let shuffled = out.outbound.len() as u64;
-            StepResult {
-                pid: job.pid,
-                state: out.state,
-                outbound: Some(out.outbound),
-                changed: out.changed,
-                shuffled,
-            }
+            let result =
+                StepResult { pid: job.pid, state: out.state, changed: out.changed, shuffled };
+            (result, out.outbound)
         })?;
+        let (mut results, sent): (Vec<StepResult>, Vec<Vec<Msg>>) = outputs.into_iter().unzip();
+        self.committed = sent;
         self.retrying = false;
         if retrying {
             keep_running(&mut results);
@@ -590,6 +555,8 @@ struct LoadingWorker {
     port: u16,
     /// Connect attempts the control connection needed.
     attempts: u32,
+    /// Bytes of the greeting and the program shipped to it.
+    shipped: u64,
 }
 
 /// A live worker process: child handle, control connection, and the
@@ -599,8 +566,7 @@ struct WorkerHandle {
     child: WorkerProcess,
     stream: TcpStream,
     /// Receive buffer of the control connection, kept across frames: a
-    /// `StepDone` carries a partition's whole state (and, on a staged
-    /// superstep, its outbound).
+    /// `StepDone` carries a partition's whole state.
     payload: Vec<u8>,
     /// Loopback port the worker listens on — published to peers in
     /// [`Message::Membership`] so they can open data-plane links.
@@ -704,8 +670,9 @@ struct ClusterBackend {
     /// a rescale, cleared on commit. Under a non-rollback strategy these are
     /// exactly the supersteps whose inbound history is not exact, so a
     /// worker runs such a `StepReset` as a full-send superstep
-    /// ([`ClusterProgram::full_send_step`]); a rollback strategy pushes the
-    /// cut's inboxes along, which makes the history exact again.
+    /// ([`ClusterProgram::full_send_step`]); under a rollback strategy the
+    /// workers regenerate the pushed state's messages, which makes the
+    /// history exact again.
     push_state: bool,
     /// Workers respawned since the last commit: their data plane holds no
     /// slots, so an optimistic retry hands them [`Inbound::Empty`]
@@ -784,9 +751,10 @@ impl ClusterBackend {
     /// waited for, and every [`Message::LoadProgram`] is on the wire before
     /// any acknowledgement is awaited, so one worker decodes its partitions
     /// while the next one's are being encoded. Returns each worker's handle
-    /// with the number of connect attempts its control connection needed; on
-    /// failure every process spawned here is killed and reaped.
-    fn bring_up(&self, workers: &[usize]) -> Result<Vec<(WorkerHandle, u32)>> {
+    /// with the number of connect attempts its control connection needed and
+    /// the bytes shipped to it; on failure every process spawned here is
+    /// killed and reaped.
+    fn bring_up(&self, workers: &[usize]) -> Result<Vec<(WorkerHandle, u32, u64)>> {
         let failed = |worker: usize, e: io::Error| {
             EngineError::Io(io::Error::other(format!("failed to bring up worker {worker}: {e}")))
         };
@@ -800,15 +768,15 @@ impl ClusterBackend {
         }
         let mut handles = Vec::with_capacity(workers.len());
         for ((&worker, process), loading) in workers.iter().zip(processes).zip(loading) {
-            let attempts = loading.attempts;
+            let (attempts, shipped) = (loading.attempts, loading.shipped);
             let handle = self.finish_load(process, loading).map_err(|e| failed(worker, e))?;
-            handles.push((handle, attempts));
+            handles.push((handle, attempts, shipped));
         }
         Ok(handles)
     }
 
     /// [`Self::bring_up`] for one worker: the respawn path.
-    fn spawn_and_load(&self, worker: usize) -> Result<(WorkerHandle, u32)> {
+    fn spawn_and_load(&self, worker: usize) -> Result<(WorkerHandle, u32, u64)> {
         Ok(self.bring_up(&[worker])?.remove(0))
     }
 
@@ -850,13 +818,13 @@ impl ClusterBackend {
         let (mut stream, attempts) = connect_with_backoff(&loopback(port), &self.cfg)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(self.cfg.step_timeout))?;
-        write_frame(&mut stream, &Message::Hello { worker: worker as u64 }, Some(&self.bytes_out))?;
-        write_encoded_frame(
-            &mut stream,
-            &self.load_program_payload(worker),
-            Some(&self.bytes_out),
-        )?;
-        Ok(LoadingWorker { stream, port, attempts })
+        let mut shipped = 0;
+        let hello = encode_to_vec(&Message::Hello { worker: worker as u64 });
+        for frame in [hello, self.load_program_payload(worker)] {
+            write_encoded_frame(&mut stream, &frame, Some(&self.bytes_out))?;
+            shipped += frame_bytes(&frame);
+        }
+        Ok(LoadingWorker { stream, port, attempts, shipped })
     }
 
     /// Await the [`Message::LoadProgram`] acknowledgement, open the
@@ -923,11 +891,9 @@ impl ClusterBackend {
                 return Err(self.fail(worker, superstep, "heartbeat timed out".to_string()));
             }
             if self.slots[worker].is_none() {
-                let bytes_before = self.bytes_out.get();
                 let respawn_started = Instant::now();
-                let (handle, attempts) = self.spawn_and_load(worker)?;
+                let (handle, attempts, reshipped) = self.spawn_and_load(worker)?;
                 let respawn_ns = respawn_started.elapsed().as_nanos() as u64;
-                let reshipped = self.bytes_out.get().saturating_sub(bytes_before);
                 self.slots[worker] = Some(handle);
                 // The replacement listens on a fresh port and holds no
                 // data-plane state: the whole cluster needs a new membership
@@ -1005,14 +971,15 @@ impl ClusterBackend {
             from_workers: current,
             to_workers: target,
         });
-        let bytes_before = self.bytes_out.get();
         let outcome = Rebalancer::rebalance(&self.map, target);
         let moved = outcome.moved;
         self.map = outcome.map;
         // Scale-up: the joiners come up with the new map already installed,
         // so each is shipped exactly the partitions the rebalance gave it.
         let joiners: Vec<usize> = (current..target).collect();
-        for (worker, (handle, _attempts)) in joiners.iter().zip(self.bring_up(&joiners)?) {
+        let mut reshipped = 0;
+        for (worker, (handle, _attempts, shipped)) in joiners.iter().zip(self.bring_up(&joiners)?) {
+            reshipped += shipped;
             self.slots.push(Some(handle));
             self.telemetry.emit(|| JournalEvent::WorkerJoined { superstep, worker: *worker });
         }
@@ -1036,7 +1003,7 @@ impl ClusterBackend {
         gainers.dedup();
         for worker in gainers {
             let payload = self.load_program_payload(worker);
-            self.send_to(worker, superstep, "rebalance reship", &payload)?;
+            reshipped += self.send_to(worker, superstep, "rebalance reship", &payload)?;
             self.await_ack(worker, superstep, "rebalance reship", welcome)?;
         }
         // The epilogue mirrors an unplanned loss: the membership, new map
@@ -1049,13 +1016,13 @@ impl ClusterBackend {
         // why the post-scale superstep — a `StepReset` dispatch — is a
         // full-send one: every vertex re-sends its label, and
         // `force_changed` buys the superstep that folds the re-sent labels
-        // in. Rollback strategies push exact inboxes instead: the superstep
-        // before a due scale event is always a staged one (see `run_step`).
+        // in. Rollback strategies regenerate the messages from the pushed
+        // state instead ([`Inbound::Regenerate`]), which keeps the history
+        // exact and the post-scale superstep change-driven.
         self.membership_current = false;
         self.push_state = true;
         self.force_changed = true;
         self.respawned_since_commit = vec![true; target];
-        let reshipped = self.bytes_out.get().saturating_sub(bytes_before);
         self.rebalance_reshipped_bytes.add(reshipped);
         let moved_partitions = moved.len();
         self.telemetry.emit(|| JournalEvent::RebalanceCompleted {
@@ -1066,15 +1033,17 @@ impl ClusterBackend {
         Ok(())
     }
 
-    /// Write one encoded frame to `worker`'s control connection. With
-    /// [`Self::await_ack`], the one way the coordinator talks to a member:
-    /// the two own the slot lookup, the byte counters and the conversion of
-    /// whatever goes wrong into the loss of that worker.
-    fn send_to(&mut self, worker: usize, superstep: u32, what: &str, frame: &[u8]) -> Result<()> {
+    /// Write one encoded frame to `worker`'s control connection, returning
+    /// the bytes written. With [`Self::await_ack`], the one way the
+    /// coordinator talks to a member: the two own the slot lookup, the byte
+    /// counters and the conversion of whatever goes wrong into the loss of
+    /// that worker.
+    fn send_to(&mut self, worker: usize, superstep: u32, what: &str, frame: &[u8]) -> Result<u64> {
         handle_of(&mut self.slots, worker)
             .and_then(|handle| {
                 write_encoded_frame(&mut handle.stream, frame, Some(&self.bytes_out))
             })
+            .map(|()| frame_bytes(frame))
             .map_err(|e| self.fail(worker, superstep, format!("sending {what} failed: {e}")))
     }
 
@@ -1307,15 +1276,13 @@ impl ClusterBackend {
     /// is `StepGo` (compute the named pids from cached state, consuming the
     /// last committed superstep's data-plane slot); after a failure,
     /// rollback, or at the start it is `StepReset`, which pushes
-    /// authoritative state — and, for rollback strategies, the inboxes of
-    /// the cut — down the control connection.
+    /// authoritative state down the control connection — under a rollback
+    /// strategy with the order to regenerate what that state sends.
     fn dispatch(
         &mut self,
         superstep: u32,
         step: u64,
-        stage_outbound: bool,
         jobs: Vec<StepJob<'_>>,
-        mut inboxes: Vec<Vec<Msg>>,
         send_delay: &[Option<Duration>],
     ) -> Result<()> {
         self.ensure_membership(superstep)?;
@@ -1332,24 +1299,26 @@ impl ClusterBackend {
             if let Some(delay) = send_delay[worker] {
                 thread::sleep(delay);
             }
-            let pids = wjobs.iter().map(|job| job.pid as u64);
             let msg = if self.push_state {
-                let inbound = match (rollback, self.respawned_since_commit[worker], committed) {
-                    (true, _, _) => Inbound::Cut(
-                        pids.map(|pid| (pid, std::mem::take(&mut inboxes[pid as usize]))).collect(),
-                    ),
-                    (false, false, Some(slot)) => Inbound::Slot(slot),
+                let inbound = match (committed, rollback, self.respawned_since_commit[worker]) {
+                    (None, _, _) => Inbound::Empty,
+                    // The pushed state is a cut, or the last commit's state
+                    // after a rescale: either way exactly what the next
+                    // superstep folds in, once the workers regenerate what
+                    // it sends.
+                    (Some(_), true, _) => Inbound::Regenerate,
+                    (Some(slot), false, false) => Inbound::Slot(slot),
                     // A worker respawned since the last commit holds no
                     // data-plane slots: under optimistic recovery it computes
                     // from an empty inbound (compensation absorbs the gap)
                     // instead of stalling on a slot it can never complete.
-                    (false, true, _) | (false, false, None) => Inbound::Empty,
+                    (Some(_), false, true) => Inbound::Empty,
                 };
                 let parts = wjobs.iter().map(|job| (job.pid as u64, job.state.to_vec())).collect();
-                Message::StepReset { superstep, step, stage_outbound, parts, inbound }
+                Message::StepReset { superstep, step, parts, inbound }
             } else {
-                let (inbound, pids) = (committed, pids.collect());
-                Message::StepGo { superstep, step, stage_outbound, inbound, pids }
+                let pids = wjobs.iter().map(|job| job.pid as u64).collect();
+                Message::StepGo { superstep, step, inbound: committed, pids }
             };
             self.send_to(worker, superstep, "step dispatch", &encode_to_vec(&msg))?;
         }
@@ -1367,7 +1336,6 @@ impl ClusterBackend {
     fn collect_step_results(
         &mut self,
         superstep: u32,
-        staged: bool,
         order: &[usize],
         mut recv_delay: Vec<Option<Duration>>,
     ) -> Result<Vec<StepResult>> {
@@ -1393,7 +1361,6 @@ impl ClusterBackend {
                         pid: rpid,
                         superstep: rss,
                         state,
-                        outbound,
                         changed,
                         shuffled,
                     }) => {
@@ -1401,8 +1368,7 @@ impl ClusterBackend {
                             continue;
                         }
                         if rss == superstep && rpid == pid as u64 {
-                            let outbound = staged.then_some(outbound);
-                            results.push(StepResult { pid, state, outbound, changed, shuffled });
+                            results.push(StepResult { pid, state, changed, shuffled });
                             break;
                         }
                         return Err(self.fail(
@@ -1468,7 +1434,7 @@ impl ClusterBackend {
 impl StepBackend for ClusterBackend {
     fn start(&mut self) -> Result<()> {
         let workers: Vec<usize> = (0..self.cfg.workers).collect();
-        for (worker, (handle, _attempts)) in workers.iter().zip(self.bring_up(&workers)?) {
+        for (worker, (handle, ..)) in workers.iter().zip(self.bring_up(&workers)?) {
             self.slots[*worker] = Some(handle);
         }
         Ok(())
@@ -1479,8 +1445,7 @@ impl StepBackend for ClusterBackend {
         superstep: u32,
         step: u64,
         jobs: Vec<StepJob<'_>>,
-        channel: &Channel,
-        ctx: &ExecContext,
+        _ctx: &ExecContext,
     ) -> Result<Vec<StepResult>> {
         if let Some(lost) = self.lost_between_supersteps.take() {
             return Err(lost);
@@ -1491,43 +1456,10 @@ impl StepBackend for ClusterBackend {
         let order: Vec<usize> = jobs.iter().map(|job| job.pid).collect();
         self.step_started = Some(Instant::now());
 
-        // A rollback strategy pays for a cut only at the cut: the workers
-        // ship their outbound up on the supersteps whose messages a restore
-        // can ever read — the ones the handler cuts after, and the one before
-        // a planned rescale, which pushes inboxes like a restore does. Every
-        // other superstep is dispatched, answered and committed exactly like
-        // an optimistic one.
-        let strategy = self.cfg.strategy;
-        let stage = strategy.is_rollback()
-            && (strategy.cuts_after(step as u32)
-                || self.scale.iter().any(|event| event.superstep <= superstep + 1));
-
-        // The one place a cluster run assembles inboxes: a dispatch that
-        // pushes state under a rollback strategy pushes the cut's inbound
-        // with it.
-        let inboxes = if self.push_state && strategy.is_rollback() {
-            assemble_inboxes(staged_runs(channel)?, self.cfg.parallelism, ctx)?
-        } else {
-            Vec::new()
-        };
-
         // Send phase: every frame goes out before any reply is awaited, so
         // workers compute their partitions concurrently.
-        self.dispatch(superstep, step, stage, jobs, inboxes, &send_delay)?;
-        let mut results = self.collect_step_results(superstep, stage, &order, recv_delay)?;
-        if stage {
-            let msgs: u64 = results
-                .iter()
-                .flat_map(|result| &result.outbound)
-                .map(|run| run.len() as u64)
-                .sum();
-            self.telemetry.emit(|| JournalEvent::ChannelStaged {
-                superstep,
-                iteration: step as u32,
-                msgs,
-                bytes: msgs * MSG_BYTES as u64,
-            });
-        }
+        self.dispatch(superstep, step, jobs, &send_delay)?;
+        let mut results = self.collect_step_results(superstep, &order, recv_delay)?;
 
         // Returning `Ok` *is* the commit: nothing in the step operator can
         // fail past this point, so the bookkeeping that distinguishes a
@@ -1550,7 +1482,7 @@ impl StepBackend for ClusterBackend {
         // Await the ack so epoch completion implies worker-side durability.
         let staged = self
             .send_to(worker, superstep, "SnapshotBarrier", &frame)
-            .and_then(|()| self.await_ack(worker, superstep, "SnapshotBarrier", |msg| *msg == ack));
+            .and_then(|_| self.await_ack(worker, superstep, "SnapshotBarrier", |msg| *msg == ack));
         // The coordinator's stable store keeps the authoritative chunk, so a
         // worker found dead here costs the snapshot nothing; its loss is the
         // next superstep's to report.
@@ -1608,6 +1540,11 @@ fn read_ack(
             }
         }
     }
+}
+
+/// Bytes a frame of `payload` takes on the wire: its length prefix and itself.
+fn frame_bytes(payload: &[u8]) -> u64 {
+    4 + payload.len() as u64
 }
 
 /// A worker's listener address: workers are loopback processes.
@@ -1669,31 +1606,12 @@ fn heartbeat_loop(
     }
 }
 
-/// The superstep context shared between the step operator and the recovery
-/// handler: a restore must rewind not just the partition state (which the
-/// driver hands back) but also the messages in flight and the logical step
-/// counter — the parts of the cut the driver does not manage.
-struct SharedStepState {
-    /// What the last committed superstep sent, with snapshot/commit
-    /// semantics: it is only replaced when a superstep *commits*, so the
-    /// re-run after a failed attempt reads the exact same messages. The runs
-    /// are immutable behind their `Arc` — a snapshot capture clones the
-    /// pointer, never a message.
-    channel: parking_lot::Mutex<Channel>,
-    /// Logical step index: the number of committed supersteps.
-    steps_committed: AtomicU64,
-}
-
-/// The channel before the first superstep and after a restart: staged, with
-/// nothing in flight.
-fn empty_channel() -> Channel {
-    Some(Arc::new(Vec::new()))
-}
-
 /// The distributed-superstep operator injected into the iteration body.
 struct ClusterStepOp {
     backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
-    shared: Arc<SharedStepState>,
+    /// Logical step index: the number of committed supersteps, shared with
+    /// the recovery handler, which rewinds it with the state.
+    steps: Arc<AtomicU64>,
     changed: Arc<AtomicU64>,
 }
 
@@ -1703,25 +1621,19 @@ impl DynOp for ClusterStepOp {
         let state: &Partitions<Record> = inputs[0].downcast("ClusterStep(state)")?;
 
         let jobs: Vec<StepJob> = state.iter().map(|(pid, state)| StepJob { pid, state }).collect();
-        let channel = self.shared.channel.lock().clone();
-        let step = self.shared.steps_committed.load(Ordering::SeqCst);
-        let results = self.backend.lock().run_step(superstep, step, jobs, &channel, ctx)?;
+        let step = self.steps.load(Ordering::SeqCst);
+        let results = self.backend.lock().run_step(superstep, step, jobs, ctx)?;
 
-        // Commit: new state, the runs in flight, published convergence count.
+        // Commit: new state and the published convergence count.
         let mut parts: Vec<Vec<Record>> = vec![Vec::new(); state.num_partitions()];
-        let mut runs: Vec<Option<Vec<Msg>>> = Vec::with_capacity(results.len());
         let mut changed_total = 0u64;
         let mut shuffled = 0u64;
         for result in results {
             changed_total += result.changed;
             shuffled += result.shuffled;
             parts[result.pid] = result.state;
-            runs.push(result.outbound);
         }
-        // The runs stay as they arrived; one partition without its outbound
-        // makes the whole superstep an unstaged one.
-        *self.shared.channel.lock() = runs.into_iter().collect::<Option<Vec<_>>>().map(Arc::new);
-        self.shared.steps_committed.fetch_add(1, Ordering::SeqCst);
+        self.steps.fetch_add(1, Ordering::SeqCst);
         self.changed.store(changed_total, Ordering::SeqCst);
         ctx.add_shuffled(shuffled);
         Ok(Erased::new(Partitions::from_parts(parts)))
@@ -1732,74 +1644,32 @@ impl DynOp for ClusterStepOp {
     }
 }
 
-/// One captured channel cut: `(epoch, the runs in flight, committed steps)`.
-type ChannelCapture = (u32, Arc<Vec<Vec<Msg>>>, u64);
-
-/// The coordinator-side channel half of a snapshot: the runs in flight (and
-/// the step counter) captured when a barrier fired, held until the epoch
-/// completes. State after superstep `E` plus the messages produced *by*
-/// superstep `E` form the consistent cut — the superstep boundary plays the
-/// role of Chandy–Lamport's channel drain.
-#[derive(Default)]
-struct StagedChannels {
-    in_flight: Option<ChannelCapture>,
-    complete: Option<ChannelCapture>,
-    /// The epoch of a barrier that fired on a superstep whose channel was
-    /// not staged: [`ChannelCut::after_superstep`] fails the run with it.
-    unstaged: Option<u32>,
-}
-
-/// A recovery handler wrapped with the cluster's extra restore obligations:
-/// whatever the inner strategy does to the partition state, the shared
-/// channel state and the step counter follow. The wrapper watches the inner
-/// handler's barriers — an asynchronous snapshot's, or a synchronous
-/// checkpoint's, which starts and completes within one call — to capture the
-/// channel state when one starts and promote it when it completes; a
-/// rollback rewinds to the promoted capture, a restart clears the channels,
-/// and every persisted chunk is shipped to its owning worker through the
-/// backend. A capture is a handle on the runs the cut superstep staged; a
-/// barrier that fires on an unstaged superstep is an
-/// [`EngineError::Recovery`], never a capture of nothing.
+/// A recovery handler wrapped with the cluster's extra restore obligations.
+/// A cut is the partition state alone, which the driver restores; the
+/// messages in flight at it are regenerated from that state by the workers
+/// ([`Inbound::Regenerate`]). What the driver does not manage is the
+/// logical step counter, so the wrapper sets it where the driver resumes —
+/// one past a restored iteration, zero after a restart — and ships every
+/// persisted snapshot chunk to its owning worker through the backend.
 struct ChannelCut<H> {
     inner: H,
-    shared: Arc<SharedStepState>,
-    staged: Arc<parking_lot::Mutex<StagedChannels>>,
+    steps: Arc<AtomicU64>,
 }
 
 impl<H> ChannelCut<H> {
-    /// Wrap the handler `build` makes around the probe that keeps the cut
-    /// of the run's channel state, shipping chunks through its backend.
+    /// Wrap the handler `build` makes around the probe that ships its
+    /// persisted chunks through `backend`.
     fn new(
-        shared: Arc<SharedStepState>,
+        steps: Arc<AtomicU64>,
         backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
         build: impl FnOnce(BarrierProbe) -> Result<H>,
     ) -> Result<Self> {
-        let staged: Arc<parking_lot::Mutex<StagedChannels>> = Arc::default();
-        let probe = {
-            let staged = staged.clone();
-            let shared = shared.clone();
-            Box::new(move |event: BarrierEvent<'_>| match event {
-                BarrierEvent::Started { epoch, .. } => {
-                    let step = shared.steps_committed.load(Ordering::SeqCst);
-                    let mut staged = staged.lock();
-                    match shared.channel.lock().clone() {
-                        Some(runs) => staged.in_flight = Some((epoch, runs, step)),
-                        None => staged.unstaged = Some(epoch),
-                    }
-                }
-                BarrierEvent::ChunkPersisted { epoch, pid, chunk } => {
-                    backend.lock().stage_snapshot(epoch, pid, chunk);
-                }
-                BarrierEvent::Completed { epoch } => {
-                    let mut staged = staged.lock();
-                    if let Some(capture) = staged.in_flight.take_if(|c| c.0 == epoch) {
-                        staged.complete = Some(capture);
-                    }
-                }
-                BarrierEvent::Aborted { .. } => staged.lock().in_flight = None,
-            })
-        };
-        Ok(ChannelCut { inner: build(probe)?, shared, staged })
+        let probe = Box::new(move |event: BarrierEvent<'_>| {
+            if let BarrierEvent::ChunkPersisted { epoch, pid, chunk } = event {
+                backend.lock().stage_snapshot(epoch, pid, chunk);
+            }
+        });
+        Ok(ChannelCut { inner: build(probe)?, steps })
     }
 }
 
@@ -1809,13 +1679,7 @@ impl<H: FaultHandler<Partitions<Record>>> FaultHandler<Partitions<Record>> for C
         iteration: u32,
         state: &Partitions<Record>,
     ) -> Result<Option<CheckpointCost>> {
-        let cost = self.inner.after_superstep(iteration, state)?;
-        if let Some(epoch) = self.staged.lock().unstaged.take() {
-            return Err(EngineError::Recovery(format!(
-                "iteration {epoch} was cut, but the channel state of its superstep was not staged"
-            )));
-        }
-        Ok(cost)
+        self.inner.after_superstep(iteration, state)
     }
 
     fn on_failure(
@@ -1826,21 +1690,10 @@ impl<H: FaultHandler<Partitions<Record>>> FaultHandler<Partitions<Record>> for C
     ) -> Result<RecoveryAction<Partitions<Record>>> {
         let action = self.inner.on_failure(iteration, lost, state)?;
         match &action {
-            RecoveryAction::Restored { iteration: epoch, .. } => {
-                let staged = self.staged.lock();
-                let (_, runs, step) =
-                    staged.complete.as_ref().filter(|c| c.0 == *epoch).ok_or_else(|| {
-                        EngineError::Recovery(format!(
-                            "snapshot of iteration {epoch} has no captured channel state"
-                        ))
-                    })?;
-                *self.shared.channel.lock() = Some(runs.clone());
-                self.shared.steps_committed.store(*step, Ordering::SeqCst);
+            RecoveryAction::Restored { iteration, .. } => {
+                self.steps.store(u64::from(*iteration) + 1, Ordering::SeqCst);
             }
-            RecoveryAction::Restart => {
-                *self.shared.channel.lock() = empty_channel();
-                self.shared.steps_committed.store(0, Ordering::SeqCst);
-            }
+            RecoveryAction::Restart => self.steps.store(0, Ordering::SeqCst),
             RecoveryAction::Compensated | RecoveryAction::Ignore => {}
         }
         Ok(action)
@@ -1958,8 +1811,7 @@ fn run_local_in(
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
     let adjacency = Arc::new(partition_rows(graph, env.parallelism));
-    let backend =
-        LocalBackend { program: program.clone(), adjacency: adjacency.clone(), n, retrying: false };
+    let backend = LocalBackend::new(program.clone(), adjacency.clone(), n);
     run_with_backend(
         program,
         Box::new(backend),
@@ -2016,13 +1868,10 @@ fn run_with_backend(
 
     let backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>> =
         Arc::new(parking_lot::Mutex::new(backend));
-    let shared = Arc::new(SharedStepState {
-        channel: parking_lot::Mutex::new(empty_channel()),
-        steps_committed: AtomicU64::new(0),
-    });
+    let steps = Arc::new(AtomicU64::new(0));
 
     let mut iteration = BulkIteration::new(&initial, max_iterations);
-    // Rollback and restart rewind the channels with the state; optimistic
+    // Rollback and restart rewind the step counter with the state; optimistic
     // recovery recomputes forward and needs no cut. A zero interval is
     // rejected here, by the handlers' constructors.
     match strategy {
@@ -2043,22 +1892,20 @@ fn run_with_backend(
             iteration
                 .set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
         }
-        ClusterStrategy::Checkpoint { interval } => iteration.set_fault_handler(ChannelCut::new(
-            shared.clone(),
-            backend.clone(),
-            |probe| {
+        ClusterStrategy::Checkpoint { interval } => {
+            iteration.set_fault_handler(ChannelCut::new(steps.clone(), backend.clone(), |probe| {
                 let handler = CheckpointHandler::new(MemoryStore::new(), interval)?;
                 Ok(handler.with_telemetry(telemetry).with_probe(probe))
-            },
-        )?),
-        ClusterStrategy::AsyncSnapshot { interval } => iteration.set_fault_handler(
-            ChannelCut::new(shared.clone(), backend.clone(), |probe| {
+            })?)
+        }
+        ClusterStrategy::AsyncSnapshot { interval } => {
+            iteration.set_fault_handler(ChannelCut::new(steps.clone(), backend.clone(), |probe| {
                 let handler = AsyncSnapshotHandler::new(MemoryStore::new(), interval)?;
                 Ok(handler.with_telemetry(telemetry).with_probe(probe))
-            })?,
-        ),
+            })?)
+        }
         ClusterStrategy::Restart => iteration.set_fault_handler(ChannelCut::new(
-            shared.clone(),
+            steps.clone(),
             backend.clone(),
             |_probe| Ok(RestartHandler),
         )?),
@@ -2085,7 +1932,7 @@ fn run_with_backend(
     let step = body.custom_node::<Record>(
         "cluster-step",
         vec![state.node_id()],
-        Box::new(ClusterStepOp { backend: backend.clone(), shared, changed: changed.clone() }),
+        Box::new(ClusterStepOp { backend: backend.clone(), steps, changed: changed.clone() }),
     );
     let probe = body.custom_node::<u8>(
         "changed-probe",
@@ -2229,12 +2076,7 @@ mod tests {
             let program: Arc<dyn ClusterProgram> =
                 Arc::new(PanicsOnce { at, fired: AtomicBool::new(false) });
             let adjacency = Arc::new(partition_rows(&graph, 4));
-            let backend = LocalBackend {
-                program: program.clone(),
-                adjacency: adjacency.clone(),
-                n,
-                retrying: false,
-            };
+            let backend = LocalBackend::new(program.clone(), adjacency.clone(), n);
             let run = run_with_backend(
                 program,
                 Box::new(backend),
@@ -2388,67 +2230,40 @@ mod tests {
     }
 
     #[test]
-    fn rollback_strategies_stage_outbound_on_their_cut_supersteps_only() {
+    fn the_rollback_strategies_are_the_two_that_restore_a_cut() {
         assert!(!ClusterStrategy::Optimistic.is_rollback());
         assert!(!ClusterStrategy::Restart.is_rollback());
         assert!(ClusterStrategy::Checkpoint { interval: 2 }.is_rollback());
         assert!(ClusterStrategy::AsyncSnapshot { interval: 2 }.is_rollback());
-        let cuts = |strategy: ClusterStrategy| -> Vec<u32> {
-            (0..7).filter(|&iteration| strategy.cuts_after(iteration)).collect()
-        };
-        assert_eq!(cuts(ClusterStrategy::Optimistic), Vec::<u32>::new());
-        assert_eq!(cuts(ClusterStrategy::Restart), Vec::<u32>::new());
-        assert_eq!(cuts(ClusterStrategy::Checkpoint { interval: 1 }), vec![0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(cuts(ClusterStrategy::Checkpoint { interval: 2 }), vec![0, 2, 4, 6]);
-        assert_eq!(cuts(ClusterStrategy::Checkpoint { interval: 3 }), vec![0, 3, 6]);
-        assert_eq!(cuts(ClusterStrategy::AsyncSnapshot { interval: 2 }), vec![0, 2, 4, 6]);
-    }
-
-    /// A channel cut around a checkpoint-every-iteration handler, over
-    /// `shared`; nothing is ever shipped through its backend.
-    fn checkpoint_cut(
-        shared: &Arc<SharedStepState>,
-    ) -> ChannelCut<CheckpointHandler<Partitions<Record>, MemoryStore>> {
-        let backend: Box<dyn StepBackend> = Box::new(LocalBackend {
-            program: resolve("cc").unwrap(),
-            adjacency: Arc::new(Vec::new()),
-            n: 0,
-            retrying: false,
-        });
-        let backend = Arc::new(parking_lot::Mutex::new(backend));
-        ChannelCut::new(shared.clone(), backend, |probe| {
-            Ok(CheckpointHandler::new(MemoryStore::new(), 1)?.with_probe(probe))
-        })
-        .unwrap()
-    }
-
-    fn shared_state(channel: Channel, steps_committed: u64) -> Arc<SharedStepState> {
-        Arc::new(SharedStepState {
-            channel: parking_lot::Mutex::new(channel),
-            steps_committed: AtomicU64::new(steps_committed),
-        })
     }
 
     #[test]
-    fn a_cut_of_an_unstaged_superstep_is_a_recovery_error_not_an_empty_channel() {
+    fn a_restore_resumes_the_step_counter_one_past_the_cut_and_a_restart_at_zero() {
+        let backend: Box<dyn StepBackend> =
+            Box::new(LocalBackend::new(resolve("cc").unwrap(), Arc::new(Vec::new()), 0));
+        let backend = Arc::new(parking_lot::Mutex::new(backend));
+        let steps = Arc::new(AtomicU64::new(0));
+        let mut cut = ChannelCut::new(steps.clone(), backend, |probe| {
+            Ok(CheckpointHandler::new(MemoryStore::new(), 2)?.with_probe(probe))
+        })
+        .unwrap();
         let state = Partitions::from_parts(vec![vec![(0u64, 0u64)], vec![(1, 1)]]);
-        let shared = shared_state(None, 1);
-        let err = checkpoint_cut(&shared).after_superstep(0, &state).unwrap_err();
-        assert!(matches!(&err, EngineError::Recovery(m) if m.contains("not staged")), "{err}");
-        // Nor can anything read inboxes out of it.
-        let err = staged_runs(&None).unwrap_err();
-        assert!(matches!(&err, EngineError::Recovery(m) if m.contains("not staged")), "{err}");
 
-        // The same cut over a staged superstep — even one that sent nothing —
-        // is taken and restored.
-        let shared = shared_state(empty_channel(), 1);
-        let mut cut = checkpoint_cut(&shared);
-        cut.after_superstep(0, &state).unwrap();
-        *shared.channel.lock() = None;
-        let mut broken = state.clone();
-        let action = cut.on_failure(1, &[1], &mut broken).unwrap();
-        assert!(matches!(action, RecoveryAction::Restored { iteration: 0, .. }));
-        assert_eq!(staged_runs(&shared.channel.lock()).unwrap().len(), 0);
+        // Nothing cut yet: the failure restarts the run at logical step 0.
+        steps.store(1, Ordering::SeqCst);
+        let action = cut.on_failure(1, &[1], &mut state.clone()).unwrap();
+        assert!(matches!(action, RecoveryAction::Restart));
+        assert_eq!(steps.load(Ordering::SeqCst), 0);
+
+        // Cut after iterations 0, 2 and 4; step 6 fails: the restore resumes
+        // where the driver does, one past the last cut.
+        for iteration in 0..6 {
+            cut.after_superstep(iteration, &state).unwrap();
+        }
+        steps.store(6, Ordering::SeqCst);
+        let action = cut.on_failure(6, &[0], &mut state.clone()).unwrap();
+        assert!(matches!(action, RecoveryAction::Restored { iteration: 4, .. }));
+        assert_eq!(steps.load(Ordering::SeqCst), 5);
     }
 
     mod properties {
@@ -2466,10 +2281,9 @@ mod tests {
 
         proptest! {
             #[test]
-            fn assembly_on_read_equals_the_eager_commit_whenever_the_capture_was_taken(
+            fn local_assembly_equals_the_eager_commit(
                 runs in born_sorted_runs(),
                 parallelism in (0usize..3).prop_map(|i| [1, 3, 4][i]),
-                capture_first in any::<bool>(),
             ) {
                 // What every commit used to do: bucket each partition's
                 // outbound, merge every destination's buckets.
@@ -2484,30 +2298,10 @@ mod tests {
                     })
                     .collect();
                 let ctx = ExecContext::new(EnvConfig::new(parallelism));
-                let read = |channel: &Channel| {
-                    assemble_inboxes(staged_runs(channel).unwrap(), parallelism, &ctx).unwrap()
-                };
-
-                let shared = shared_state(Some(Arc::new(runs)), 3);
-                let mut cut = checkpoint_cut(&shared);
-                let state = Partitions::from_parts(vec![vec![(0u64, 0u64)]; parallelism]);
-                if !capture_first {
-                    prop_assert_eq!(&read(&shared.channel.lock()), &eager);
-                }
-                cut.after_superstep(2, &state).unwrap();
-                if capture_first {
-                    prop_assert_eq!(&read(&shared.channel.lock()), &eager);
-                }
-
-                // The run moves on over unstaged supersteps, then fails: the
-                // restore reads the cut's inboxes out of the capture.
-                *shared.channel.lock() = None;
-                shared.steps_committed.store(5, Ordering::SeqCst);
-                let mut broken = state.clone();
-                let action = cut.on_failure(4, &[0], &mut broken).unwrap();
-                prop_assert!(matches!(action, RecoveryAction::Restored { iteration: 2, .. }));
-                prop_assert_eq!(shared.steps_committed.load(Ordering::SeqCst), 3);
-                prop_assert_eq!(&read(&shared.channel.lock()), &eager);
+                let adjacency = Arc::new(vec![AdjRows::new(); parallelism]);
+                let mut local = LocalBackend::new(resolve("cc").unwrap(), adjacency, 24);
+                local.committed = runs;
+                prop_assert_eq!(local.inboxes(&ctx).unwrap(), eager);
             }
 
             #[test]

@@ -16,6 +16,14 @@
 //! frames from any epoch other than the current one. A straggler that the
 //! coordinator already replaced can therefore not double-deliver into a
 //! survivor's inbox, no matter how late its frames surface.
+//!
+//! A slot also remembers the epoch it was filled under, and the first
+//! deposit or flush of a newer epoch finds it empty. That is what lets a
+//! restore regenerate its messages into the slot of the previous
+//! chronological superstep ([`crate::protocol::Inbound::Regenerate`]): such
+//! a dispatch always follows a respawn or a rescale, which bump the epoch,
+//! so neither a failed attempt's leftovers nor the old placement's run can
+//! mix into what is regenerated.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::iter::Peekable;
@@ -136,6 +144,8 @@ pub fn bucket_by_pid(msgs: &[Msg], parallelism: usize) -> Vec<Vec<Msg>> {
 /// One superstep's worth of collected peer messages.
 #[derive(Debug, Default)]
 struct Slot {
+    /// The membership epoch the slot was filled under.
+    epoch: u64,
     /// Deposited runs, in arrival order (merged by the consumer). Each is
     /// the decoded frame or self-delivered vector itself, moved in; the
     /// handle is shared so a consumer merges it outside the inbox lock.
@@ -167,6 +177,17 @@ struct Inbox {
 }
 
 impl Inbox {
+    /// `superstep`'s slot, for a deposit or flush of the current epoch: one
+    /// filled under an older epoch starts over empty.
+    fn filling(&mut self, superstep: u32) -> &mut Slot {
+        let epoch = self.epoch;
+        let slot = self.slots.entry(superstep).or_default();
+        if slot.epoch != epoch {
+            *slot = Slot { epoch, ..Slot::default() };
+        }
+        slot
+    }
+
     fn slot_complete(&self, superstep: u32) -> bool {
         self.slots
             .get(&superstep)
@@ -190,12 +211,12 @@ pub struct DataPlane {
 // the inbox, and passing that panic on is the one thing left to do with it.
 #[allow(clippy::unwrap_used)]
 impl DataPlane {
-    /// Install a new membership epoch. Existing slots are *retained*:
-    /// chronological supersteps are never reused across epochs, so data
+    /// Install a new membership epoch. Existing slots are *retained*: data
     /// legitimately deposited under the old epoch (in particular the
     /// last-committed superstep's slot, which optimistic recovery re-reads
-    /// on survivors) stays consumable, while frames still in flight from
-    /// the old epoch are rejected at arrival time by the epoch check.
+    /// on survivors) stays consumable until the new epoch deposits into or
+    /// flushes that slot, while frames still in flight from the old epoch
+    /// are rejected at arrival time by the epoch check.
     pub fn install_membership(&self, epoch: u64, members: impl IntoIterator<Item = u64>) {
         let mut inbox = self.inbox.lock().unwrap();
         inbox.epoch = epoch;
@@ -229,7 +250,7 @@ impl DataPlane {
             inbox.dropped += 1;
             return;
         }
-        let slot = inbox.slots.entry(superstep).or_default();
+        let slot = inbox.filling(superstep);
         if !run.is_empty() {
             slot.runs.push(Arc::new(run));
         }
@@ -249,7 +270,7 @@ impl DataPlane {
             inbox.dropped += 1;
             return;
         }
-        inbox.slots.entry(superstep).or_default().flushed.insert(from_worker);
+        inbox.filling(superstep).flushed.insert(from_worker);
         let done = inbox.slot_complete(superstep);
         drop(inbox);
         if done {
@@ -535,6 +556,49 @@ mod tests {
         plane.flush(2, 8, 1);
         plane.wait_complete(8, Duration::from_millis(100)).unwrap();
         assert_eq!(plane.take_sorted(8), vec![(9, 0, 4)]);
+    }
+
+    #[test]
+    fn a_newer_epoch_refills_a_slot_from_empty() {
+        // Superstep 4 committed under epoch 1 with both flushes in; a respawn
+        // or a rescale installs epoch 2.
+        let filled = || {
+            let plane = DataPlane::default();
+            plane.install_membership(1, [0, 1]);
+            plane.deposit(1, 4, &[(3, 0, 2)]);
+            plane.flush(1, 4, 0);
+            plane.flush(1, 4, 1);
+            plane.install_membership(2, [0, 1]);
+            plane
+        };
+
+        // Re-consumed under epoch 2 with nothing new deposited — an
+        // optimistic retry on a survivor — the slot keeps its runs.
+        let plane = filled();
+        plane.wait_complete(4, Duration::from_millis(100)).unwrap();
+        assert_eq!(plane.take_sorted(4), vec![(3, 0, 2)]);
+        assert_eq!(plane.take_sorted(4), vec![(3, 0, 2)]);
+
+        // The first epoch-2 deposit finds it empty: a regenerated superstep
+        // holds what was regenerated and nothing of the old placement's run.
+        let plane = filled();
+        plane.deposit(2, 4, &[(5, 1, 1)]);
+        assert!(plane.wait_complete(4, Duration::from_millis(1)).is_err(), "no epoch-2 flush yet");
+        plane.flush(2, 4, 0);
+        plane.flush(2, 4, 1);
+        plane.wait_complete(4, Duration::from_millis(100)).unwrap();
+        assert_eq!(plane.take_sorted(4), vec![(5, 1, 1)]);
+
+        // ... and so does the first epoch-2 flush, from a worker that
+        // regenerated nothing for this one: the old flushes count no more.
+        let plane = filled();
+        plane.flush(2, 4, 1);
+        assert_eq!(plane.wait_complete(4, Duration::from_millis(1)), Err(vec![0]));
+        plane.deposit(2, 4, &[(6, 0, 0)]);
+        plane.flush(2, 4, 0);
+        plane.wait_complete(4, Duration::from_millis(100)).unwrap();
+        assert_eq!(plane.take_sorted(4), vec![(6, 0, 0)]);
+        assert_eq!(plane.dropped(), 0);
     }
 
     #[test]

@@ -122,6 +122,21 @@ pub trait ClusterProgram: Send + Sync {
     ) -> StepOutput {
         self.step(step, state, inbound, rows, n)
     }
+
+    /// The messages `state` sends, as a restore regenerates them: a cut is
+    /// the state alone. Contract: whenever [`Self::step`] returned `state`,
+    /// folding what this returns gives every vertex what folding what that
+    /// step sent gives it, so the superstep after the cut steps from either
+    /// to the same result. Born sorted like [`Self::step`]'s outbound.
+    ///
+    /// The default sends what logical step 0 sends, which folds nothing in:
+    /// PageRank's outbound is exactly `rank / degree` of the state it leaves,
+    /// and CC's full send is a superset of what it sent with the same
+    /// minimum per vertex — a vertex whose label did not change already sent
+    /// it to every neighbour it could lower.
+    fn emit(&self, state: &[Record], rows: &[(u64, Vec<u64>)], n: u64) -> Vec<Msg> {
+        self.full_send_step(0, state, &[], rows, n).outbound
+    }
 }
 
 /// Slot arithmetic over one partition's strided state (see
@@ -674,6 +689,60 @@ mod tests {
             prop_assert_eq!(&recovered.labels, &exact, "lost {:?}", lost);
             for (_, dst, bits) in failure_free.sent.iter().chain(&recovered.sent) {
                 prop_assert!(bits < dst, "label {} cannot lower vertex {}", bits, dst);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn stepping_from_what_a_state_emits_is_stepping_from_what_it_sent(
+            shape in (0u8..3, 2usize..60, any::<u64>()),
+            parallelism in 0usize..3,
+            stop in 0u64..10,
+        ) {
+            // A failure-free run stopped after step `stop`: the superstep
+            // after it folds what that step sent, or — on a restore of the
+            // cut there — what the state it left emits. For CC that is a
+            // superset; the fold, the labels adopted and the sources they
+            // were adopted from (the send prune) must all come out the same.
+            let (kind, size, seed) = shape;
+            let parallelism = [1, 3, 4][parallelism];
+            let graph = match kind {
+                0 => graphs::generators::ring(size + 1),
+                1 => graphs::generators::random_components(1 + size % 5, 1..12, 0.2, seed),
+                _ => graphs::generators::preferential_attachment(size + 3, 3, seed),
+            };
+            let n = graph.num_vertices() as u64;
+            let rows = partition_rows(&graph, parallelism);
+            let merged = |runs: &[Vec<Msg>]| {
+                let runs: Vec<&[Msg]> = runs.iter().map(Vec::as_slice).collect();
+                crate::exchange::merge_runs(&runs, parallelism)
+            };
+            for name in program_names() {
+                let program = lookup(name).unwrap();
+                let mut state: Vec<Vec<Record>> =
+                    rows.iter().map(|r| program.init_partition(r, n)).collect();
+                let mut inbound: Vec<Vec<Msg>> = vec![Vec::new(); parallelism];
+                for step in 0..=stop {
+                    let outs: Vec<StepOutput> = (0..parallelism)
+                        .map(|pid| program.step(step, &state[pid], &inbound[pid], &rows[pid], n))
+                        .collect();
+                    let sent: Vec<Vec<Msg>> = outs.iter().map(|out| out.outbound.clone()).collect();
+                    inbound = merged(&sent);
+                    state = outs.into_iter().map(|out| out.state).collect();
+                }
+                let emitted: Vec<Vec<Msg>> =
+                    (0..parallelism).map(|pid| program.emit(&state[pid], &rows[pid], n)).collect();
+                prop_assert!(emitted.iter().all(|run| run.is_sorted()), "{} born sorted", name);
+                let regenerated = merged(&emitted);
+                for pid in 0..parallelism {
+                    let (state, rows) = (&state[pid], &rows[pid]);
+                    let from_sent = program.step(stop + 1, state, &inbound[pid], rows, n);
+                    let from_emitted = program.step(stop + 1, state, &regenerated[pid], rows, n);
+                    prop_assert_eq!(
+                        from_emitted, from_sent, "{} P={} stopped at {} pid {}", name, parallelism, stop, pid
+                    );
+                }
             }
         }
     }

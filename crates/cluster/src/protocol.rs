@@ -66,7 +66,8 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 const SMALL_FRAME_BYTES: usize = 1020;
 
 /// What a [`Message::StepReset`] computes its superstep from. One strict
-/// tag byte (`0`, `1`, `2`) ahead of the variant's field.
+/// tag byte (`0`, `1`, `3`) ahead of the variant's field; tag 2 (the pushed
+/// inboxes of a cut) is retired and never reused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Inbound {
     /// Nothing: the logical first step, a restart from scratch, or a worker
@@ -76,10 +77,13 @@ pub enum Inbound {
     /// Whatever the worker's data-plane slot of this chronological superstep
     /// holds: an optimistic retry on a survivor.
     Slot(u32),
-    /// The pushed inboxes of a cut, `(pid, msgs)` per owned partition: with
-    /// the pushed state an exact capture, so the superstep is change-driven
-    /// like any other.
-    Cut(Vec<(u64, Vec<Msg>)>),
+    /// The messages the pushed state sends
+    /// ([`crate::program::ClusterProgram::emit`]): every worker emits from
+    /// its partitions, exchanges the result as the slot of the previous
+    /// chronological superstep, and steps from that slot. A restored cut is
+    /// its state alone, and this is how its messages come back — the
+    /// superstep is change-driven like any other.
+    Regenerate,
 }
 
 impl Codec for Inbound {
@@ -90,10 +94,7 @@ impl Codec for Inbound {
                 out.push(1);
                 superstep.encode(out);
             }
-            Inbound::Cut(inboxes) => {
-                out.push(2);
-                inboxes.encode(out);
-            }
+            Inbound::Regenerate => out.push(3),
         }
     }
 
@@ -101,7 +102,7 @@ impl Codec for Inbound {
         match u8::decode(input)? {
             0 => Ok(Inbound::Empty),
             1 => Ok(Inbound::Slot(u32::decode(input)?)),
-            2 => Ok(Inbound::Cut(Vec::decode(input)?)),
+            3 => Ok(Inbound::Regenerate),
             other => Err(EngineError::Codec(format!("invalid Inbound tag {other}"))),
         }
     }
@@ -145,18 +146,11 @@ pub enum Message {
         superstep: u32,
         /// The partition's new state, same vertex order as the request.
         state: Vec<Record>,
-        /// Messages produced for the *next* superstep (any destination), in
-        /// the order the step produced them — empty unless the dispatch set
-        /// `stage_outbound` (a rollback strategy is about to cut after this
-        /// superstep and stages its channel state at the coordinator). The
-        /// messages themselves always travel peer-to-peer as
-        /// [`Message::ShuffleFrame`]s.
-        outbound: Vec<Msg>,
         /// Records considered changed by the program's convergence test.
         changed: u64,
-        /// Messages produced by this partition (counted before any
-        /// data-plane routing), so shuffle statistics survive an empty
-        /// `outbound`.
+        /// Messages this partition produced for the next superstep (counted
+        /// before any data-plane routing). The messages themselves travel
+        /// peer to peer as [`Message::ShuffleFrame`]s, never up here.
         shuffled: u64,
     },
     /// Coordinator → worker: liveness probe (dedicated connection).
@@ -281,11 +275,6 @@ pub enum Message {
         superstep: u32,
         /// Logical step index (committed supersteps so far).
         step: u64,
-        /// Whether every [`Message::StepDone`] of this superstep carries the
-        /// partition's outbound: set on the supersteps a rollback strategy
-        /// cuts after (and the one before a planned rescale), never
-        /// otherwise.
-        stage_outbound: bool,
         /// Chronological superstep whose complete data-plane slot to
         /// consume; `None` for an empty inbound.
         inbound: Option<u32>,
@@ -297,17 +286,15 @@ pub enum Message {
     /// authoritative partition state first — the recovery/retry dispatch
     /// (first superstep, post-failure retries, rollback restores, the
     /// superstep after a rescale, and with it what tells a joiner where the
-    /// run stands). Unless `inbound` is an [`Inbound::Cut`] the inbound
+    /// run stands). Unless `inbound` is [`Inbound::Regenerate`] the inbound
     /// history is not exact, so the worker runs the superstep as a full-send
-    /// one ([`crate::program::ClusterProgram::full_send_step`]); a cut's
-    /// superstep is change-driven like any other, logical step 0 excepted.
+    /// one ([`crate::program::ClusterProgram::full_send_step`]); a
+    /// regenerated superstep is change-driven like any other.
     StepReset {
         /// Chronological superstep.
         superstep: u32,
         /// Logical step index.
         step: u64,
-        /// As in [`Message::StepGo`].
-        stage_outbound: bool,
         /// Authoritative state per owned partition: `(pid, records)`.
         parts: Vec<(u64, Vec<Record>)>,
         /// What the superstep computes from.
@@ -337,12 +324,11 @@ impl Codec for Message {
                     adjacency.iter().map(|(pid, rows)| (*pid, rows)).collect();
                 encode_load_program(out, program, *n, &parts);
             }
-            Message::StepDone { pid, superstep, state, outbound, changed, shuffled } => {
+            Message::StepDone { pid, superstep, state, changed, shuffled } => {
                 out.push(4);
                 pid.encode(out);
                 superstep.encode(out);
                 state.encode(out);
-                outbound.encode(out);
                 changed.encode(out);
                 shuffled.encode(out);
             }
@@ -401,19 +387,17 @@ impl Codec for Message {
                 frames.encode(out);
                 bytes.encode(out);
             }
-            Message::StepGo { superstep, step, stage_outbound, inbound, pids } => {
+            Message::StepGo { superstep, step, inbound, pids } => {
                 out.push(15);
                 superstep.encode(out);
                 step.encode(out);
-                stage_outbound.encode(out);
                 inbound.encode(out);
                 pids.encode(out);
             }
-            Message::StepReset { superstep, step, stage_outbound, parts, inbound } => {
+            Message::StepReset { superstep, step, parts, inbound } => {
                 out.push(16);
                 superstep.encode(out);
                 step.encode(out);
-                stage_outbound.encode(out);
                 parts.encode(out);
                 inbound.encode(out);
             }
@@ -442,7 +426,6 @@ impl Codec for Message {
                 pid: u64::decode(input)?,
                 superstep: u32::decode(input)?,
                 state: Vec::decode(input)?,
-                outbound: Vec::decode(input)?,
                 changed: u64::decode(input)?,
                 shuffled: u64::decode(input)?,
             },
@@ -490,14 +473,12 @@ impl Codec for Message {
             15 => Message::StepGo {
                 superstep: u32::decode(input)?,
                 step: u64::decode(input)?,
-                stage_outbound: bool::decode(input)?,
                 inbound: Option::decode(input)?,
                 pids: Vec::decode(input)?,
             },
             16 => Message::StepReset {
                 superstep: u32::decode(input)?,
                 step: u64::decode(input)?,
-                stage_outbound: bool::decode(input)?,
                 parts: Vec::decode(input)?,
                 inbound: Inbound::decode(input)?,
             },
@@ -540,7 +521,7 @@ const SHUFFLE_FRAME_TAG: u8 = 13;
 const SHUFFLE_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 4 + 8;
 
 /// Encoded size of one [`Msg`].
-pub(crate) const MSG_BYTES: usize = match <Msg as Codec>::WIDTH {
+const MSG_BYTES: usize = match <Msg as Codec>::WIDTH {
     Some(width) => width,
     None => panic!("Msg is a tuple of fixed-width scalars"),
 };
@@ -718,7 +699,6 @@ mod tests {
             pid: 1,
             superstep: 4,
             state: vec![(1, 0)],
-            outbound: vec![(1, 0, 0)],
             changed: 1,
             shuffled: 7,
         });
@@ -753,26 +733,16 @@ mod tests {
             frames: 2,
             bytes: 96,
         });
-        for stage_outbound in [false, true] {
-            for inbound in [None, Some(8)] {
-                round_trip(Message::StepGo {
-                    superstep: 9,
-                    step: 8,
-                    stage_outbound,
-                    inbound,
-                    pids: vec![1, 3],
-                });
-            }
-            let cut = Inbound::Cut(vec![(1, vec![(1, 1, 0)]), (3, vec![])]);
-            for inbound in [Inbound::Empty, Inbound::Slot(8), cut] {
-                round_trip(Message::StepReset {
-                    superstep: 10,
-                    step: 8,
-                    stage_outbound,
-                    parts: vec![(1, vec![(1, 1), (5, 1)]), (3, vec![(3, 3)])],
-                    inbound,
-                });
-            }
+        for inbound in [None, Some(8)] {
+            round_trip(Message::StepGo { superstep: 9, step: 8, inbound, pids: vec![1, 3] });
+        }
+        for inbound in [Inbound::Empty, Inbound::Slot(8), Inbound::Regenerate] {
+            round_trip(Message::StepReset {
+                superstep: 10,
+                step: 8,
+                parts: vec![(1, vec![(1, 1), (5, 1)]), (3, vec![(3, 3)])],
+                inbound,
+            });
         }
         round_trip(Message::StepFailed { superstep: 10, waiting_on: vec![0, 2] });
     }
@@ -838,43 +808,34 @@ mod tests {
     }
 
     #[test]
-    fn a_dispatch_is_its_superstep_the_staging_flag_and_one_typed_inbound() {
-        let go = Message::StepGo {
-            superstep: 9,
-            step: 8,
-            stage_outbound: true,
-            inbound: Some(7),
-            pids: vec![1, 3],
-        };
+    fn a_dispatch_is_its_superstep_and_one_typed_inbound() {
+        let go = Message::StepGo { superstep: 9, step: 8, inbound: Some(7), pids: vec![1, 3] };
         let mut expected = vec![15u8];
-        (9u32, 8u64, true, 1u8, 7u32, vec![1u64, 3]).encode(&mut expected);
+        (9u32, 8u64, 1u8, 7u32, vec![1u64, 3]).encode(&mut expected);
         assert_eq!(encode_to_vec(&go), expected);
         let reset = |inbound: Inbound| Message::StepReset {
             superstep: 9,
             step: 8,
-            stage_outbound: false,
             parts: vec![(1, vec![(1, 1)])],
             inbound,
         };
         let mut head = vec![16u8];
-        (9u32, 8u64, false, vec![(1u64, vec![(1u64, 1u64)])]).encode(&mut head);
+        (9u32, 8u64, vec![(1u64, vec![(1u64, 1u64)])]).encode(&mut head);
         let tail = |tag: u8, field: Vec<u8>| [head.clone(), vec![tag], field].concat();
         assert_eq!(encode_to_vec(&reset(Inbound::Empty)), tail(0, vec![]));
         assert_eq!(encode_to_vec(&reset(Inbound::Slot(7))), tail(1, encode_to_vec(&7u32)));
-        let inboxes = vec![(1u64, vec![(0u64, 1u64, 0u64)])];
-        let cut = encode_to_vec(&reset(Inbound::Cut(inboxes.clone())));
-        assert_eq!(cut, tail(2, encode_to_vec(&inboxes)));
-        // A flag or tag byte outside its range is corruption, not "true" or
-        // "some inbound": both dispatches keep the flag at one offset.
-        let flag_at = 1 + 4 + 8;
-        for (payload, at, complaint) in [
-            (encode_to_vec(&go), flag_at, "invalid bool"),
-            (cut.clone(), flag_at, "invalid bool"),
-            (encode_to_vec(&go), flag_at + 1, "invalid Option tag"),
-            (cut, head.len(), "invalid Inbound tag"),
+        let regenerate = encode_to_vec(&reset(Inbound::Regenerate));
+        assert_eq!(regenerate, tail(3, vec![]));
+        // A tag byte outside its range is corruption, not "some inbound" —
+        // and 2, the retired pushed inboxes of a cut, is outside it, with or
+        // without the inboxes it used to carry behind it.
+        let inboxes = encode_to_vec(&vec![(1u64, vec![(0u64, 1u64, 0u64)])]);
+        for (payload, complaint) in [
+            ([encode_to_vec(&go)[..1 + 4 + 8].to_vec(), vec![3]].concat(), "invalid Option tag"),
+            (tail(2, vec![]), "invalid Inbound tag 2"),
+            (tail(2, inboxes), "invalid Inbound tag 2"),
+            (tail(4, vec![]), "invalid Inbound tag 4"),
         ] {
-            let mut payload = payload;
-            payload[at] = 3;
             let err = decode_exact::<Message>(&payload).unwrap_err();
             assert!(err.to_string().contains(complaint), "{err}");
         }
@@ -882,9 +843,8 @@ mod tests {
 
     #[test]
     fn membership_is_the_epoch_the_members_and_the_placement() {
-        // No partition count (it is the assignment's length), no map version
-        // (every map change bumps the epoch), no staging policy (a
-        // per-superstep decision of the dispatch).
+        // No partition count (it is the assignment's length) and no map
+        // version (every map change bumps the epoch).
         let peers = vec![(0u64, 40_001u64), (1, 40_002)];
         let membership = Message::Membership {
             epoch: 3,
@@ -938,13 +898,14 @@ mod tests {
         let spans: Vec<SpanRow> = msgs.iter().map(|&(a, b, c)| (a, b, c, a ^ b)).collect();
         let pids: Vec<u64> = msgs.iter().map(|msg| msg.1).collect();
         let state = records.clone();
-        let reset = frame_of(&Message::StepReset {
-            superstep: 9,
-            step: 8,
-            stage_outbound: true,
-            parts: vec![(2, state.clone())],
-            inbound: Inbound::Cut(vec![(2, msgs.clone())]),
-        });
+        let reset = |inbound: Inbound| {
+            frame_of(&Message::StepReset {
+                superstep: 9,
+                step: 8,
+                parts: vec![(2, state.clone())],
+                inbound,
+            })
+        };
         let membership = frame_of(&Message::Membership {
             epoch: 3,
             data_timeout_ms: 2_500,
@@ -960,7 +921,6 @@ mod tests {
                     pid: 2,
                     superstep: 9,
                     state: records,
-                    outbound: msgs,
                     changed: 1,
                     shuffled: 4,
                 }),
@@ -974,25 +934,23 @@ mod tests {
                 frame_of(&Message::StepGo {
                     superstep: 9,
                     step: 8,
-                    stage_outbound: true,
                     inbound: Some(8),
                     pids: pids.clone(),
                 }),
                 DISPATCH_HEAD + 1 + 4,
             ),
-            (reset.clone(), DISPATCH_HEAD),
-            // ... and the count of the cut's inboxes, behind the one
-            // partition's state and the inbound's tag.
-            (reset, DISPATCH_HEAD + 8 + 8 + 8 + state.len() * 16 + 1),
+            (reset(Inbound::Regenerate), DISPATCH_HEAD),
+            // ... and the count of the one partition's state, behind its pid.
+            (reset(Inbound::Slot(8)), DISPATCH_HEAD + 8 + 8),
             (membership.clone(), 4 + 1 + 8 + 8),
             // ... and the assignment's, behind the peers.
             (membership, 4 + 1 + 8 + 8 + 8 + pids.len() * 16),
         ]
     }
 
-    /// Bytes of a dispatch frame ahead of what follows its staging flag: the
-    /// length prefix, the tag, `superstep`, `step` and the flag.
-    const DISPATCH_HEAD: usize = 4 + 1 + 4 + 8 + 1;
+    /// Bytes of a dispatch frame ahead of what follows its logical step: the
+    /// length prefix, the tag, `superstep` and `step`.
+    const DISPATCH_HEAD: usize = 4 + 1 + 4 + 8;
 
     proptest! {
         #[test]

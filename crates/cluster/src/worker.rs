@@ -17,7 +17,10 @@
 //! then runs whole supersteps from [`Message::StepGo`] / [`Message::StepReset`]
 //! against cached partition state, shipping outbound messages directly to
 //! peers (one frame per partition and peer, overlapped with the remaining
-//! partitions' compute); they never pass through the coordinator.
+//! partitions' compute); they never pass through the coordinator. Not even
+//! on a restore: a restored cut is its state alone, and the workers
+//! regenerate its messages from that state over the same data plane
+//! ([`Inbound::Regenerate`]).
 //! A cross-worker message is copied once on each side: encoded from the
 //! step's outbound into the frame buffer the socket write reads, and decoded
 //! from the connection's receive buffer into the vector the inbox keeps as a
@@ -184,6 +187,37 @@ impl DirectCtx {
         }
         own
     }
+
+    /// Hand one partition's outbound to the data plane as part of
+    /// `superstep`'s slot: this worker's own run deposited, the frames worth
+    /// shipping shipped — overlapping the remaining partitions' compute.
+    fn send(&mut self, plane: &DataPlane, superstep: u32, outbound: &[Msg]) {
+        let own = self.route(outbound);
+        plane.deposit_run(self.epoch, superstep, own);
+        for link in &mut self.links {
+            if link.frame.len() >= SHUFFLE_BATCH_MSGS {
+                link.ship(self.worker, self.epoch, superstep);
+            }
+        }
+    }
+
+    /// Close `superstep`'s slot: ship what is left, then the end-of-superstep
+    /// marker to every peer and to this worker's own inbox.
+    fn end(&mut self, plane: &DataPlane, superstep: u32) {
+        for link in &mut self.links {
+            link.ship(self.worker, self.epoch, superstep);
+        }
+        for link in &mut self.links {
+            link.flush(self.worker, self.epoch, superstep);
+        }
+        plane.flush(self.epoch, superstep, self.worker);
+    }
+
+    /// The cached state of `pid`.
+    fn state_of(&self, pid: u64) -> io::Result<&Vec<Record>> {
+        let missing = || invalid(format!("step for partition {pid} with no cached state"));
+        self.state.get(&pid).ok_or_else(missing)
+    }
 }
 
 /// One outgoing data-plane link and the frame being filled for it.
@@ -195,10 +229,14 @@ struct PeerLink {
     /// The next [`Message::ShuffleFrame`] for this peer, kept across frames
     /// and supersteps.
     frame: ShuffleFrameBuf,
-    /// Wire bytes (length prefixes included) shipped this superstep.
+    /// Wire bytes (length prefixes included) shipped for the slot being
+    /// filled; its [`Message::ShuffleFlush`] reports them.
     bytes: u64,
-    /// Data frames shipped this superstep.
+    /// Data frames shipped for the slot being filled.
     frames: u64,
+    /// `(bytes, frames)` of the slots flushed since the last report: what a
+    /// dispatch shipped this peer, a regenerate round included.
+    shipped: (u64, u64),
 }
 
 impl PeerLink {
@@ -207,8 +245,14 @@ impl PeerLink {
     /// write produces — and not this worker's failure: the coordinator,
     /// reading the peer's own acknowledgement, is the one to declare it dead.
     fn open(worker: u64, epoch: u64, peer: u64, port: u64) -> PeerLink {
-        let mut link =
-            PeerLink { peer, stream: None, frame: ShuffleFrameBuf::default(), bytes: 0, frames: 0 };
+        let mut link = PeerLink {
+            peer,
+            stream: None,
+            frame: ShuffleFrameBuf::default(),
+            bytes: 0,
+            frames: 0,
+            shipped: (0, 0),
+        };
         let connected = connect_peer(port).and_then(|mut stream| {
             stream.set_nodelay(true).ok();
             write_frame(&mut stream, &Message::PeerHello { from_worker: worker, epoch }, None)?;
@@ -243,16 +287,13 @@ impl PeerLink {
         self.frame.clear();
     }
 
-    /// Write the end-of-superstep marker.
+    /// Write the end-of-superstep marker, and start counting the next slot.
     fn flush(&mut self, worker: u64, epoch: u64, superstep: u32) {
+        let (bytes, frames) = (std::mem::take(&mut self.bytes), std::mem::take(&mut self.frames));
+        self.shipped.0 += bytes;
+        self.shipped.1 += frames;
         let Some(stream) = &mut self.stream else { return };
-        let flush = Message::ShuffleFlush {
-            from_worker: worker,
-            epoch,
-            superstep,
-            frames: self.frames,
-            bytes: self.bytes,
-        };
+        let flush = Message::ShuffleFlush { from_worker: worker, epoch, superstep, frames, bytes };
         if let Err(e) = write_frame(stream, &flush, None) {
             self.lost(worker, Some(superstep), &e);
         }
@@ -274,7 +315,6 @@ impl PeerLink {
 /// whose `StepDone` the coordinator already counted).
 struct StepOutcome {
     pid: u64,
-    outbound: Vec<Msg>,
     changed: u64,
     shuffled: u64,
     compute_ns: u64,
@@ -392,42 +432,17 @@ fn serve(
                     });
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
-                Message::StepGo { superstep, step, stage_outbound, inbound, pids } => {
+                Message::StepGo { superstep, step, inbound, pids } => {
                     let direct = ctx.as_mut().ok_or_else(|| invalid("StepGo before Membership"))?;
                     if superstep != telemetry_superstep {
                         telemetry_superstep = superstep;
                         seq = 0;
-                        wlog(
-                            worker,
-                            Some(superstep),
-                            "step_go",
-                            &format!("pids={pids:?} stage_outbound={stage_outbound}"),
-                        );
+                        wlog(worker, Some(superstep), "step_go", &format!("pids={pids:?}"));
                     }
-                    let inbound = match inbound {
-                        None => Vec::new(),
-                        Some(slot) => match plane.wait_complete(slot, direct.data_timeout) {
-                            Ok(()) => plane.take_inboxes(slot, direct.routes.len()),
-                            Err(waiting_on) => {
-                                // Compute nothing: the coordinator treats the
-                                // missing peer as lost and resolves the
-                                // superstep through recovery.
-                                wlog(
-                                    worker,
-                                    Some(superstep),
-                                    "data_wait_timeout",
-                                    &format!("waiting_on={waiting_on:?}"),
-                                );
-                                write_frame(
-                                    &mut stream,
-                                    &Message::StepFailed { superstep, waiting_on },
-                                    None,
-                                )?;
-                                continue;
-                            }
-                        },
+                    let source = match inbound {
+                        None => Source::Inboxes(Vec::new()),
+                        Some(slot) => Source::Slot { slot, regenerate: false },
                     };
-                    let mode = StepMode { full_send: false, stage_outbound };
                     run_direct_step(
                         &mut stream,
                         direct,
@@ -435,13 +450,13 @@ fn serve(
                         &plane,
                         superstep,
                         step,
-                        mode,
-                        inbound,
+                        false,
+                        source,
                         &pids,
                         &mut seq,
                     )?;
                 }
-                Message::StepReset { superstep, step, stage_outbound, parts, inbound } => {
+                Message::StepReset { superstep, step, parts, inbound } => {
                     let direct =
                         ctx.as_mut().ok_or_else(|| invalid("StepReset before Membership"))?;
                     if superstep != telemetry_superstep {
@@ -451,28 +466,25 @@ fn serve(
                     let described = match &inbound {
                         Inbound::Empty => "empty".to_string(),
                         Inbound::Slot(slot) => format!("slot:{slot}"),
-                        Inbound::Cut(inboxes) => format!("cut:{}", inboxes.len()),
+                        Inbound::Regenerate => "regenerate".to_string(),
                     };
                     wlog(
                         worker,
                         Some(superstep),
                         "step_reset",
-                        &format!(
-                            "parts={} inbound={described} stage_outbound={stage_outbound}",
-                            parts.len()
-                        ),
+                        &format!("parts={} inbound={described}", parts.len()),
                     );
                     let pids: Vec<u64> = parts.iter().map(|&(pid, _)| pid).collect();
                     for (pid, records) in parts {
                         direct.state.insert(pid, records);
                     }
-                    // Anything but pushed inboxes marks an inbound history
-                    // that is not exact: its superstep is a full-send one.
-                    // Pushed state and inboxes are an exact cut, so their
-                    // superstep sends what any other would.
-                    let full_send = !matches!(inbound, Inbound::Cut(_)) || step == 0;
-                    let inbound: Vec<Vec<Msg>> = match inbound {
-                        Inbound::Empty => Vec::new(),
+                    // Anything but regenerated messages marks an inbound
+                    // history that is not exact: its superstep is a full-send
+                    // one. Pushed state and what it sends are an exact cut,
+                    // so their superstep sends what any other would.
+                    let full_send = inbound != Inbound::Regenerate;
+                    let source = match inbound {
+                        Inbound::Empty => Source::Inboxes(Vec::new()),
                         Inbound::Slot(slot) => {
                             // Optimistic retry: the named slot is the committed
                             // superstep, complete on survivors modulo in-flight
@@ -486,19 +498,15 @@ fn serve(
                                     &format!("inbound_superstep={slot}"),
                                 );
                             }
-                            plane.take_inboxes(slot, direct.routes.len())
+                            Source::Inboxes(plane.take_inboxes(slot, direct.routes.len()))
                         }
-                        Inbound::Cut(inboxes) => {
-                            let mut by_pid = vec![Vec::new(); direct.routes.len()];
-                            for (pid, msgs) in inboxes {
-                                *by_pid.get_mut(pid as usize).ok_or_else(|| {
-                                    invalid(format!("StepReset inbox for unknown partition {pid}"))
-                                })? = msgs;
-                            }
-                            by_pid
+                        Inbound::Regenerate => {
+                            let slot = superstep
+                                .checked_sub(1)
+                                .ok_or_else(|| invalid("Regenerate at superstep 0"))?;
+                            Source::Slot { slot, regenerate: true }
                         }
                     };
-                    let mode = StepMode { full_send, stage_outbound };
                     run_direct_step(
                         &mut stream,
                         direct,
@@ -506,8 +514,8 @@ fn serve(
                         &plane,
                         superstep,
                         step,
-                        mode,
-                        inbound,
+                        full_send,
+                        source,
                         &pids,
                         &mut seq,
                     )?;
@@ -586,26 +594,29 @@ fn connect_peer(port: u64) -> io::Result<TcpStream> {
     TcpStream::connect(&addr)
 }
 
-/// How a dispatch wants its superstep run.
-#[derive(Debug, Clone, Copy)]
-struct StepMode {
-    /// Every vertex re-sends ([`ClusterProgram::full_send_step`]): the
-    /// inbound history is not exact.
-    full_send: bool,
-    /// Every `StepDone` carries its partition's outbound: the coordinator
-    /// stages this superstep's channel state for a cut.
-    stage_outbound: bool,
+/// What a superstep computes from, as its worker resolves it.
+enum Source {
+    /// These inboxes, indexed by pid (none at all: nothing).
+    Inboxes(Vec<Vec<Msg>>),
+    /// The complete data-plane slot of chronological superstep `slot` —
+    /// under `regenerate` filled first with what the partitions' pushed
+    /// state sends ([`ClusterProgram::emit`]).
+    Slot { slot: u32, regenerate: bool },
 }
 
 /// Run one whole superstep over this worker's partitions:
-/// compute each partition against its resolved inbound (with
-/// [`ClusterProgram::full_send_step`] when `mode.full_send`), route its outbound
+/// resolve the inbound (regenerating it first if the dispatch says so),
+/// compute each partition against it (with
+/// [`ClusterProgram::full_send_step`] when `full_send`), route its outbound
 /// through the destination table — peers' messages straight into the frames
 /// they leave in, this worker's own into a run moved into the local inbox —
 /// ship every frame worth shipping (overlapping the remaining compute),
 /// flush every peer, and only then report per-partition
 /// [`Message::StepDone`]s — so by the time the coordinator can commit the
 /// superstep, every data-plane flush is already written.
+///
+/// A regenerate round is a restore cost: billed to the partitions' exchange
+/// spans and to the peer bytes, never to `shuffled`.
 #[allow(clippy::too_many_arguments)]
 fn run_direct_step(
     stream: &mut TcpStream,
@@ -614,84 +625,95 @@ fn run_direct_step(
     plane: &DataPlane,
     superstep: u32,
     step: u64,
-    mode: StepMode,
-    inbound: Vec<Vec<Msg>>,
+    full_send: bool,
+    source: Source,
     pids: &[u64],
     seq: &mut u64,
 ) -> io::Result<()> {
     let worker = ctx.worker;
-    let (program, n) = {
+    let (program, n, rows) = {
         let state = shared.lock();
         let program =
             state.program.clone().ok_or_else(|| invalid("step dispatch before LoadProgram"))?;
-        (program, state.n)
+        let rows_of = |pid: &u64| {
+            state.adjacency.get(pid).cloned().ok_or_else(|| {
+                invalid(format!("step for partition {pid} not owned by this worker"))
+            })
+        };
+        let rows: Vec<Arc<AdjRows>> = pids.iter().map(rows_of).collect::<io::Result<_>>()?;
+        (program, state.n, rows)
     };
-    for link in &mut ctx.links {
-        (link.bytes, link.frames) = (0, 0);
-    }
+    let mut restore_ns = vec![0u64; pids.len()];
+    let inbound = match source {
+        Source::Inboxes(inboxes) => inboxes,
+        Source::Slot { slot, regenerate } => {
+            if regenerate {
+                for ((&pid, rows), spent) in pids.iter().zip(&rows).zip(&mut restore_ns) {
+                    let started = Instant::now();
+                    let msgs = program.emit(ctx.state_of(pid)?, rows, n);
+                    ctx.send(plane, slot, &msgs);
+                    *spent = started.elapsed().as_nanos() as u64;
+                }
+                ctx.end(plane, slot);
+            }
+            match plane.wait_complete(slot, ctx.data_timeout) {
+                Ok(()) => plane.take_inboxes(slot, ctx.routes.len()),
+                Err(waiting_on) => {
+                    // Compute nothing: the coordinator treats the missing
+                    // peer as lost and resolves the superstep through
+                    // recovery.
+                    let detail = format!("waiting_on={waiting_on:?}");
+                    wlog(Some(worker), Some(superstep), "data_wait_timeout", &detail);
+                    write_frame(stream, &Message::StepFailed { superstep, waiting_on }, None)?;
+                    return Ok(());
+                }
+            }
+        }
+    };
+
     let mut outcomes = Vec::with_capacity(pids.len());
     let empty: Vec<Msg> = Vec::new();
-    for &pid in pids {
-        let rows =
-            shared.lock().adjacency.get(&pid).cloned().ok_or_else(|| {
-                invalid(format!("step for partition {pid} not owned by this worker"))
-            })?;
-        let state = ctx
-            .state
-            .get(&pid)
-            .ok_or_else(|| invalid(format!("step for partition {pid} with no cached state")))?;
+    for ((&pid, rows), restore_ns) in pids.iter().zip(&rows).zip(restore_ns) {
+        let state = ctx.state_of(pid)?;
         let inb = inbound.get(pid as usize).unwrap_or(&empty);
         let compute_start = Instant::now();
-        let out = if mode.full_send {
-            program.full_send_step(step, state, inb, &rows, n)
+        let out = if full_send {
+            program.full_send_step(step, state, inb, rows, n)
         } else {
-            program.step(step, state, inb, &rows, n)
+            program.step(step, state, inb, rows, n)
         };
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
 
         let exchange_start = Instant::now();
         let shuffled = out.outbound.len() as u64;
         // Self-delivery participates in the same completeness protocol.
-        let own = ctx.route(&out.outbound);
-        plane.deposit_run(ctx.epoch, superstep, own);
-        // Pipelining: frames worth shipping go now, overlapping the
-        // remaining partitions' compute with this superstep's shuffle.
-        for link in &mut ctx.links {
-            if link.frame.len() >= SHUFFLE_BATCH_MSGS {
-                link.ship(worker, ctx.epoch, superstep);
-            }
-        }
-        let exchange_ns = exchange_start.elapsed().as_nanos() as u64;
+        ctx.send(plane, superstep, &out.outbound);
+        let exchange_ns = restore_ns + exchange_start.elapsed().as_nanos() as u64;
         ctx.state.insert(pid, out.state);
-        outcomes.push(StepOutcome {
-            pid,
-            outbound: if mode.stage_outbound { out.outbound } else { Vec::new() },
-            changed: out.changed,
-            shuffled,
-            compute_ns,
-            exchange_ns,
-        });
+        outcomes.push(StepOutcome { pid, changed: out.changed, shuffled, compute_ns, exchange_ns });
     }
 
-    // Final flush: ship what is left, then the end-of-superstep marker to
-    // every peer — before any StepDone, so a committed superstep implies
+    // Final flush before any StepDone, so a committed superstep implies
     // every flush is already written to the peer sockets.
-    for link in &mut ctx.links {
-        link.ship(worker, ctx.epoch, superstep);
-    }
-    for link in &mut ctx.links {
-        link.flush(worker, ctx.epoch, superstep);
-    }
-    plane.flush(ctx.epoch, superstep, worker);
+    ctx.end(plane, superstep);
+    // Per-peer data-plane byte accounting rides the last partition's
+    // telemetry frame, once per dispatch.
+    let peer_bytes: Vec<SpanRow> = ctx
+        .links
+        .iter_mut()
+        .map(|link| (link.peer, std::mem::take(&mut link.shipped)))
+        .filter(|&(_, (_, frames))| frames > 0)
+        .map(|(peer, (bytes, frames))| (peer, SPAN_PHASE_PEER_BYTES, bytes, frames))
+        .collect();
 
     let last = outcomes.len().saturating_sub(1);
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let StepOutcome { pid, outbound, changed, shuffled, compute_ns, exchange_ns } = outcome;
+        let StepOutcome { pid, changed, shuffled, compute_ns, exchange_ns } = outcome;
         // The cached state is the only copy: lend it to the reply for
         // encoding, then put it back for the next superstep.
         let state = ctx.state.remove(&pid).unwrap_or_default();
         let records = state.len() as u64 + shuffled;
-        let reply = Message::StepDone { pid, superstep, state, outbound, changed, shuffled };
+        let reply = Message::StepDone { pid, superstep, state, changed, shuffled };
         let shuffle_start = Instant::now();
         ctx.reply.clear();
         reply.encode(&mut ctx.reply);
@@ -705,11 +727,7 @@ fn run_direct_step(
             (pid, SPAN_PHASE_EXCHANGE, shuffled, exchange_ns),
         ];
         if i == last {
-            // Per-peer data-plane byte accounting rides the last partition's
-            // telemetry frame, once per superstep.
-            for link in ctx.links.iter().filter(|link| link.frames > 0) {
-                spans.push((link.peer, SPAN_PHASE_PEER_BYTES, link.bytes, link.frames));
-            }
+            spans.extend_from_slice(&peer_bytes);
         }
         write_frame(
             stream,
@@ -742,6 +760,7 @@ mod tests {
                 frame: ShuffleFrameBuf::default(),
                 bytes: 0,
                 frames: 0,
+                shipped: (0, 0),
             })
             .collect();
         DirectCtx {
@@ -915,20 +934,19 @@ mod tests {
     /// The first superstep of the `n`-vertex path graph over `pids` of
     /// `parallelism` partitions: every vertex's state pushed as its own
     /// label, logical step 0.
-    fn first_superstep_of(n: u64, parallelism: u64, pids: &[u64], stage_outbound: bool) -> Message {
+    fn first_superstep_of(n: u64, parallelism: u64, pids: &[u64]) -> Message {
         let part =
             |&pid: &u64| (pid, (pid..n).step_by(parallelism as usize).map(|v| (v, v)).collect());
         Message::StepReset {
             superstep: 1,
             step: 0,
-            stage_outbound,
             parts: pids.iter().map(part).collect(),
             inbound: Inbound::Empty,
         }
     }
 
-    fn first_superstep(n: u64, stage_outbound: bool) -> Message {
-        first_superstep_of(n, 2, &[0, 1], stage_outbound)
+    fn first_superstep(n: u64) -> Message {
+        first_superstep_of(n, 2, &[0, 1])
     }
 
     #[test]
@@ -939,7 +957,7 @@ mod tests {
         // replies are the next frames up: the handshake left none behind — a
         // `Hello` is not acknowledged, and no map frame follows the
         // membership.
-        write_frame(&mut conn, &first_superstep(2, false), None).unwrap();
+        write_frame(&mut conn, &first_superstep(2), None).unwrap();
         let (pid, superstep, state, _) = expect_step_done(&mut conn);
         assert_eq!((pid, superstep, state), (0, 1, vec![(0, 0)]));
         let (pid, _, state, _) = expect_step_done(&mut conn);
@@ -949,13 +967,7 @@ mod tests {
         // 0 reaches vertex 1 without any state travelling down the wire.
         write_frame(
             &mut conn,
-            &Message::StepGo {
-                superstep: 2,
-                step: 1,
-                stage_outbound: false,
-                inbound: Some(1),
-                pids: vec![0, 1],
-            },
+            &Message::StepGo { superstep: 2, step: 1, inbound: Some(1), pids: vec![0, 1] },
             None,
         )
         .unwrap();
@@ -1013,7 +1025,7 @@ mod tests {
             vec![(0, u64::from(addr.port())), (1, peer_port)],
             vec![0, 0, 0, 1],
         );
-        write_frame(&mut conn, &first_superstep_of(n, 4, &owned, false), None).unwrap();
+        write_frame(&mut conn, &first_superstep_of(n, 4, &owned), None).unwrap();
         // At step 0 every label travels to the larger neighbour: 2 → 3 and
         // 6 → 7 are the two that leave for partition 3, and the only two.
         assert_eq!(peer.received(), vec![(2, 3, 2), (6, 7, 6)]);
@@ -1028,13 +1040,7 @@ mod tests {
         let flush =
             Message::ShuffleFlush { from_worker: 1, epoch: 1, superstep: 1, frames: 0, bytes: 0 };
         write_frame(&mut back, &flush, None).unwrap();
-        let go = Message::StepGo {
-            superstep: 2,
-            step: 1,
-            stage_outbound: false,
-            inbound: Some(1),
-            pids: owned.to_vec(),
-        };
+        let go = Message::StepGo { superstep: 2, step: 1, inbound: Some(1), pids: owned.to_vec() };
         write_frame(&mut conn, &go, None).unwrap();
         // (Vertex 4 keeps its label: its smaller neighbour lives on the peer.)
         assert_eq!(expect_step_done(&mut conn).2, vec![(0, 0), (4, 4)]);
@@ -1061,61 +1067,61 @@ mod tests {
             vec![(0, u64::from(addr.port())), (1, gone_port)],
             vec![0, 1, 0, 1],
         );
-        write_frame(&mut conn, &first_superstep_of(n, 4, &owned, false), None).unwrap();
+        write_frame(&mut conn, &first_superstep_of(n, 4, &owned), None).unwrap();
         for pid in owned {
             assert_eq!(expect_step_done(&mut conn).0, pid);
         }
     }
 
-    /// Every `StepDone`'s `(pid, outbound, shuffled)` of one dispatch over
-    /// both partitions.
-    fn outbound_of(conn: &mut TcpStream, dispatch: &Message) -> Vec<(u64, Vec<Msg>, u64)> {
+    /// Every `StepDone` of one dispatch over both partitions, as
+    /// `(pid, state, changed, shuffled)`.
+    fn replies_to(conn: &mut TcpStream, dispatch: &Message) -> Vec<(u64, Vec<Record>, u64, u64)> {
         write_frame(conn, dispatch, None).unwrap();
         let reply = |conn: &mut TcpStream| match next_step_done(conn) {
-            Message::StepDone { pid, outbound, shuffled, .. } => (pid, outbound, shuffled),
+            Message::StepDone { pid, state, changed, shuffled, .. } => {
+                (pid, state, changed, shuffled)
+            }
             _ => unreachable!(),
         };
         vec![reply(conn), reply(conn)]
     }
 
     #[test]
-    fn a_step_done_carries_its_outbound_only_when_the_dispatch_stages_it() {
-        // The path 0-1-2-3-4-5 over two partitions (even and odd vertices).
-        // At logical step 0 every label travels to the larger neighbour;
-        // at step 1 the labels just adopted travel on, never back.
-        let sent = [
-            vec![
-                (0, vec![(0u64, 1u64, 0u64), (2, 3, 2), (4, 5, 4)]),
-                (1, vec![(1, 2, 1), (3, 4, 3)]),
-            ],
-            vec![(0, vec![(2, 3, 1), (4, 5, 3)]), (1, vec![(1, 2, 0), (3, 4, 2)])],
-        ];
-        for stage_first in [false, true] {
-            let mut conn = single_member_cc_worker(6);
-            let go = Message::StepGo {
-                superstep: 2,
-                step: 1,
-                // The flag is per dispatch, whichever kind: each superstep
-                // decides anew, and the messages are delivered either way.
-                stage_outbound: !stage_first,
-                inbound: Some(1),
-                pids: vec![0, 1],
-            };
-            let dispatches = [(first_superstep(6, stage_first), stage_first), (go, !stage_first)];
-            for ((dispatch, staged), sent) in dispatches.iter().zip(&sent) {
-                let replies = outbound_of(&mut conn, dispatch);
-                for ((pid, outbound, shuffled), (sent_pid, sent)) in replies.iter().zip(sent) {
-                    assert_eq!(pid, sent_pid);
-                    assert_eq!(*shuffled, sent.len() as u64, "counted whether staged or not");
-                    if *staged {
-                        assert_eq!(outbound, sent, "the whole outbound, in the order it was born");
-                        assert!(outbound.is_sorted());
-                    } else {
-                        assert!(outbound.is_empty(), "an unstaged superstep ships no messages up");
-                    }
-                }
-            }
-        }
+    fn a_regenerated_superstep_is_the_failure_free_one() {
+        // The path 0-1-..-7 over two partitions (even and odd vertices):
+        // logical steps 0, 1 and 2, failure-free.
+        let mut conn = single_member_cc_worker(8);
+        let go = |superstep: u32, step: u64| Message::StepGo {
+            superstep,
+            step,
+            inbound: Some(superstep - 1),
+            pids: vec![0, 1],
+        };
+        replies_to(&mut conn, &first_superstep(8));
+        let cut = replies_to(&mut conn, &go(2, 1));
+        let failure_free = replies_to(&mut conn, &go(3, 2));
+        assert!(failure_free.iter().any(|&(_, _, changed, _)| changed > 0), "labels still move");
+
+        // A restore of the cut after step 1: a new epoch, the cut's state
+        // pushed, and nothing else — the worker regenerates what that state
+        // sends into the slot of superstep 4 (still holding nothing of epoch
+        // 2), then steps from it as step 2 did, sending the same messages.
+        let addr = conn.peer_addr().unwrap();
+        let membership = Message::Membership {
+            epoch: 2,
+            data_timeout_ms: 2_000,
+            peers: vec![(0, u64::from(addr.port()))],
+            assignment: vec![0, 0],
+        };
+        write_frame(&mut conn, &membership, None).unwrap();
+        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        let restore = Message::StepReset {
+            superstep: 5,
+            step: 2,
+            parts: cut.iter().map(|(pid, state, ..)| (*pid, state.clone())).collect(),
+            inbound: Inbound::Regenerate,
+        };
+        assert_eq!(replies_to(&mut conn, &restore), failure_free);
     }
 
     #[test]
@@ -1161,13 +1167,7 @@ mod tests {
         let mut conn = TcpStream::connect(addr).unwrap();
         write_frame(
             &mut conn,
-            &Message::StepGo {
-                superstep: 0,
-                step: 0,
-                stage_outbound: false,
-                inbound: None,
-                pids: vec![0],
-            },
+            &Message::StepGo { superstep: 0, step: 0, inbound: None, pids: vec![0] },
             None,
         )
         .unwrap();

@@ -5,9 +5,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use cluster::protocol::{encode_load_program, AdjRows};
 use cluster::{
-    run_cluster, run_local, ClusterConfig, ClusterStrategy, KillPlan, LinkPlan, ScaleEvent,
-    StragglerPlan,
+    run_cluster, run_local, ClusterConfig, ClusterStrategy, KillPlan, LinkPlan, PartitionMap,
+    Rebalancer, ScaleEvent, StragglerPlan,
 };
 use graphs::GraphBuilder;
 use telemetry::{JournalEvent, MemorySink, SinkHandle};
@@ -541,17 +542,6 @@ fn frames_delivered_by_a_worker_declared_dead_do_not_double_deliver() {
     assert!(journal.contains("\"event\":\"CompensationInvoked\""), "journal:\n{journal}");
 }
 
-/// The journal's `ChannelStaged` entries as `(iteration, bytes)`.
-fn staged_cuts(sink: &MemorySink) -> Vec<(u32, u64)> {
-    sink.events()
-        .iter()
-        .filter_map(|event| match event {
-            JournalEvent::ChannelStaged { iteration, bytes, .. } => Some((*iteration, *bytes)),
-            _ => None,
-        })
-        .collect()
-}
-
 #[test]
 fn a_kill_at_any_superstep_under_any_rollback_strategy_redoes_what_the_parent_redid() {
     // Supersteps beyond the failure-free run's, by the superstep the kill
@@ -633,7 +623,50 @@ fn the_retry_of_a_restored_cut_sends_what_the_failure_free_superstep_sent() {
 }
 
 #[test]
-fn a_rollback_strategy_stages_its_cut_supersteps_and_ships_nothing_up_on_the_others() {
+fn a_second_kill_on_the_regenerating_superstep_restores_the_cut_again() {
+    // The first kill restores a cut; the second lands on the superstep that
+    // regenerates its messages, so the regenerate round meets a dead peer and
+    // the cut is restored once more. Under `Checkpoint{2}` that is 3:1 then
+    // 4:0. Under `AsyncSnapshot{2}` a kill at 3 finds no complete epoch and
+    // restarts, so 5:1 then 6:0 is its regenerating pair.
+    let schedules = [
+        (ClusterStrategy::Checkpoint { interval: 2 }, [3, 4], 2),
+        (ClusterStrategy::AsyncSnapshot { interval: 2 }, [3, 4], 0),
+        (ClusterStrategy::AsyncSnapshot { interval: 2 }, [5, 6], 2),
+    ];
+    for program in ["cc", "pagerank"] {
+        let graph = if program == "cc" { cc_graph() } else { pagerank_graph() };
+        let baseline = run_local(program, &graph, 4, 300, SinkHandle::disabled()).unwrap();
+        for (strategy, [first, second], restores) in schedules {
+            let cfg = test_config(2, 4, 300)
+                .with_strategy(strategy)
+                .with_kill(KillPlan { superstep: first, worker: 1 })
+                .with_kill(KillPlan { superstep: second, worker: 0 });
+            let sink = Arc::new(MemorySink::new());
+            let run = run_cluster(program, &graph, cfg, SinkHandle::new(sink.clone())).unwrap();
+            let case = format!("{program} under {strategy:?}, killed at {first} and {second}");
+            assert!(run.stats.converged, "{case}");
+            assert_eq!(run.stats.failures().count(), 2, "{case}");
+            let restored = sink
+                .events()
+                .iter()
+                .filter(|event| matches!(event, JournalEvent::CheckpointRestored { .. }))
+                .count();
+            assert_eq!(restored, restores, "{case}");
+            if program == "cc" {
+                assert_eq!(run.values, baseline.values, "{case}");
+            } else {
+                for (&(v, a), &(_, b)) in run.values.iter().zip(&baseline.values) {
+                    let (a, b) = (f64::from_bits(a), f64::from_bits(b));
+                    assert!((a - b).abs() < 1e-6, "{case}: vertex {v}: {a} vs {b}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_failure_free_rollback_run_ships_what_an_optimistic_one_does() {
     // One heartbeat probe per worker (the first, at connect time), so the
     // control connections carry the same bytes in every run of a strategy.
     let quiet = |strategy: ClusterStrategy| {
@@ -650,35 +683,95 @@ fn a_rollback_strategy_stages_its_cut_supersteps_and_ships_nothing_up_on_the_oth
         let bytes = (metrics.counter("net/bytes_in").get(), metrics.counter("net/bytes_out").get());
         (run, sink, bytes)
     };
-    let (optimistic, journal, (optimistic_in, optimistic_out)) =
-        traced(ClusterStrategy::Optimistic);
-    assert_eq!(staged_cuts(&journal), vec![], "optimistic recovery stages nothing");
+    let (optimistic, _, optimistic_bytes) = traced(ClusterStrategy::Optimistic);
 
-    let (checkpointed, journal, (bytes_in, bytes_out)) =
-        traced(ClusterStrategy::Checkpoint { interval: 2 });
+    // A cut is the state the coordinator holds anyway: nothing more crosses
+    // a control connection, either way, to the byte.
+    let (checkpointed, journal, bytes) = traced(ClusterStrategy::Checkpoint { interval: 2 });
     assert_eq!(checkpointed.values, optimistic.values);
     assert_eq!(checkpointed.stats.supersteps(), optimistic.stats.supersteps());
-    let cuts = staged_cuts(&journal);
-    let cut_iterations: Vec<u32> = cuts.iter().map(|&(iteration, _)| iteration).collect();
-    let even: Vec<u32> = (0..checkpointed.stats.logical_iterations()).step_by(2).collect();
-    assert_eq!(cut_iterations, even, "staged on the cut iterations, and on those only");
-    // What the workers sent up beyond an optimistic run's bytes is the staged
-    // messages, to the byte: on every other superstep a `StepDone` is what
-    // it is under optimistic recovery. The dispatches are the same size but
-    // for the first, which carries each of 2 workers a cut — a count, and an
-    // (empty) inbox for each of its partitions, 4 in all — where the
-    // optimistic run's says "empty" in its tag alone.
-    let staged: u64 = cuts.iter().map(|&(_, bytes)| bytes).sum();
-    assert!(staged > 0);
-    assert_eq!(bytes_in - optimistic_in, staged);
-    assert_eq!(bytes_out - optimistic_out, 2 * 8 + 4 * (8 + 8));
-    // ... and the staged messages are the ones those supersteps shuffled.
-    let shuffled: u64 = checkpointed
-        .stats
-        .iterations
+    let writes = journal
+        .events()
         .iter()
-        .filter(|it| it.iteration % 2 == 0)
-        .map(|it| it.records_shuffled)
+        .filter(|event| matches!(event, JournalEvent::CheckpointWritten { .. }))
+        .count();
+    assert_eq!(writes as u32, checkpointed.stats.logical_iterations().div_ceil(2));
+    assert_eq!(bytes, optimistic_bytes);
+
+    // An asynchronous snapshot adds its barrier frames alone: down, a
+    // 25-byte `SnapshotBarrier` head and the chunk; up, a 25-byte ack.
+    let (snapshotted, journal, (bytes_in, bytes_out)) =
+        traced(ClusterStrategy::AsyncSnapshot { interval: 2 });
+    assert_eq!(snapshotted.values, optimistic.values);
+    let chunk_bytes: u64 = journal
+        .events()
+        .iter()
+        .filter_map(|event| match event {
+            JournalEvent::CheckpointWritten { bytes, .. } => Some(*bytes),
+            _ => None,
+        })
         .sum();
-    assert_eq!(staged, shuffled * 24);
+    let acks = bytes_in - optimistic_bytes.0;
+    assert!(acks > 0 && acks % 25 == 0, "{acks} bytes of acknowledgements");
+    assert_eq!(bytes_out - optimistic_bytes.1, acks + chunk_bytes);
+}
+
+/// The bytes of the `Hello` and `LoadProgram` frames that bring up `worker`
+/// of a CC cluster placed by `map`.
+fn load_bytes(graph: &graphs::Graph, map: &PartitionMap, worker: usize) -> u64 {
+    let rows = cluster::program::partition_rows(graph, map.parallelism());
+    let owned: Vec<(u64, &AdjRows)> =
+        map.pids_of(worker).into_iter().map(|pid| (pid as u64, &rows[pid])).collect();
+    let mut payload = Vec::new();
+    encode_load_program(&mut payload, "cc", graph.num_vertices() as u64, &owned);
+    (4 + 1 + 8) + 4 + payload.len() as u64
+}
+
+#[test]
+fn a_reshipped_bill_counts_the_frames_shipped_and_no_heartbeat() {
+    // Heartbeat probes every millisecond write the same byte counter the
+    // reships do; the bills must not move with them.
+    let busy = |cfg: ClusterConfig| cfg.with_heartbeat_interval(Duration::from_millis(1));
+    let graph = cc_graph();
+    for worker in [0, 1] {
+        let cfg = busy(test_config(2, 4, 60)).with_kill(KillPlan { superstep: 2, worker });
+        let sink = Arc::new(MemorySink::new());
+        run_cluster("cc", &graph, cfg, SinkHandle::new(sink.clone())).unwrap();
+        let bills: Vec<(usize, u64)> = sink
+            .events()
+            .iter()
+            .filter_map(|event| match event {
+                JournalEvent::RecoveryCost { worker, reshipped_bytes, .. } => {
+                    Some((*worker, *reshipped_bytes))
+                }
+                _ => None,
+            })
+            .collect();
+        let map = PartitionMap::initial(4, 2);
+        assert_eq!(bills, vec![(worker, load_bytes(&graph, &map, worker))]);
+    }
+
+    let rescale_bills = || {
+        let cfg = busy(test_config(2, 4, 60))
+            .with_scale_event(ScaleEvent { superstep: 2, workers: 4 })
+            .with_scale_event(ScaleEvent { superstep: 4, workers: 2 });
+        let sink = Arc::new(MemorySink::new());
+        run_cluster("cc", &graph, cfg, SinkHandle::new(sink.clone())).unwrap();
+        sink.events()
+            .iter()
+            .filter_map(|event| match event {
+                JournalEvent::RebalanceCompleted { reshipped_bytes, .. } => Some(*reshipped_bytes),
+                _ => None,
+            })
+            .collect::<Vec<u64>>()
+    };
+    let first = rescale_bills();
+    assert_eq!(first.len(), 2);
+    // Growing, the bill is the two joiners' bring-up, to the byte.
+    let grown = Rebalancer::rebalance(&PartitionMap::initial(4, 2), 4).map;
+    let joiners: u64 = (2..4).map(|worker| load_bytes(&graph, &grown, worker)).sum();
+    assert_eq!(first[0], joiners);
+    for _ in 0..2 {
+        assert_eq!(rescale_bills(), first);
+    }
 }

@@ -25,8 +25,9 @@
 //!
 //! The cluster coordinator observes barrier life-cycle points through a
 //! [`BarrierProbe`] to ship chunks to the owning workers (the barrier
-//! marker flowing through the topology) and to snapshot its in-flight
-//! channel state alongside.
+//! marker flowing through the topology). A snapshot is the state alone: the
+//! messages in flight at its barrier are regenerated from that state on a
+//! restore.
 
 use std::marker::PhantomData;
 use std::time::Instant;
@@ -261,7 +262,7 @@ impl<S: Snapshot, Store: StableStore> AsyncSnapshotHandler<S, Store> {
     }
 
     /// Observe barrier life-cycle points (the cluster coordinator ships
-    /// chunks to workers and captures channel state from here).
+    /// chunks to workers from here).
     pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
         self.core.probe = Some(probe);
         self

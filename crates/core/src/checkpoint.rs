@@ -263,10 +263,8 @@ pub(crate) fn positive_interval(strategy: &str, interval: u32) -> Result<u32> {
 /// with `interval` cuts after logical iteration `iteration` — iterations
 /// `0, interval, 2·interval, ...`. [`CheckpointHandler`] cuts at exactly
 /// these; [`crate::AsyncSnapshotHandler`] at these unless an earlier epoch is
-/// still in flight. Whoever has to prepare a cut before it happens (the
-/// cluster coordinator stages the channel state of a cut superstep) asks here
-/// — preparing for a cut that is then skipped is safe, missing one is not.
-pub fn cut_due(interval: u32, iteration: u32) -> bool {
+/// still in flight.
+pub(crate) fn cut_due(interval: u32, iteration: u32) -> bool {
     iteration.is_multiple_of(interval)
 }
 
@@ -303,7 +301,7 @@ impl<S, Store: StableStore> CheckpointHandler<S, Store> {
     }
 
     /// Observe checkpoints as barriers that start and complete within one
-    /// call (the cluster coordinator captures its channel state from here).
+    /// call.
     pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
         self.probe = Some(probe);
         self

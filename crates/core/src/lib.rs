@@ -55,7 +55,7 @@ pub mod scenario;
 pub mod strategy;
 
 pub use async_snapshot::{AsyncSnapshotHandler, BarrierEvent, BarrierProbe};
-pub use checkpoint::{cut_due, CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
+pub use checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
 pub use compensation::Compensation;
 pub use ignore::IgnoreHandler;
 pub use incremental::IncrementalDeltaHandler;

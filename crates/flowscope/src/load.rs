@@ -144,6 +144,21 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_event_kind_is_counted_not_fatal() {
+        // Rollback runs once journaled the channel state they staged; a
+        // journal written then still loads, with that line skipped.
+        let text = "{\"event\":\"ChannelStaged\",\"superstep\":4,\"iteration\":2,\
+                    \"msgs\":998403,\"bytes\":23961672}\n\
+                    {\"event\":\"CheckpointWritten\",\"iteration\":2,\"bytes\":10}\n";
+        let journal = parse_journal(text).unwrap();
+        assert_eq!(journal.skipped, 1);
+        assert_eq!(
+            journal.events,
+            vec![JournalEvent::CheckpointWritten { iteration: 2, bytes: 10 }]
+        );
+    }
+
+    #[test]
     fn malformed_lines_are_errors_naming_line_and_key() {
         let err = |text: &str| parse_journal(text).unwrap_err().0;
         assert_eq!(

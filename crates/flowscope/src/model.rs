@@ -84,7 +84,6 @@ pub fn label(event: &JournalEvent) -> Option<String> {
         E::SnapshotBarrierCompleted { epoch, bytes, .. } => {
             format!("barrier e{epoch} complete ({bytes}B)")
         }
-        E::ChannelStaged { msgs, bytes, .. } => format!("staged {msgs} msgs ({bytes}B)"),
         E::ChaosInjected { worker, kind, param, .. } if *param > 0 => {
             format!("chaos {kind} w{worker} +{param}ms")
         }
@@ -140,9 +139,6 @@ pub struct SuperstepRow {
     pub snapshots: Vec<JournalEvent>,
     /// `ChaosInjected` during this superstep (chaos-plane runs only).
     pub chaos: Vec<JournalEvent>,
-    /// `ChannelStaged` for this superstep: the channel state a rollback
-    /// strategy had shipped up for a cut (cluster runs only).
-    pub staged: Vec<JournalEvent>,
     /// Bytes checkpointed after this superstep (0 = no checkpoint).
     pub checkpoint_bytes: Option<u64>,
 }
@@ -156,10 +152,9 @@ enum Attach {
     /// superstep is still open, and rescales (with the joins they cause)
     /// fire at the barrier before a superstep's dispatch.
     Next,
-    /// The row of the named superstep: worker spans and staged channel
-    /// state are journaled before the `SuperstepCompleted` they describe,
-    /// and those of a superstep that never completes (a mid-step failure)
-    /// are dropped.
+    /// The row of the named superstep: worker spans are journaled before
+    /// the `SuperstepCompleted` they describe, and those of a superstep that
+    /// never completes (a mid-step failure) are dropped.
     Named(u32),
 }
 
@@ -174,7 +169,6 @@ fn placement(event: &JournalEvent) -> Option<(Attach, ListOf)> {
         E::WorkerLost { .. } | E::WorkerRejoined { .. } => (Attach::Last, |r| &mut r.worker_events),
         E::WorkerJoined { .. } => (Attach::Next, |r| &mut r.worker_events),
         E::WorkerSpan { superstep, .. } => (Attach::Named(*superstep), |r| &mut r.worker_spans),
-        E::ChannelStaged { superstep, .. } => (Attach::Named(*superstep), |r| &mut r.staged),
         E::RecoveryCost { .. } => (Attach::Last, |r| &mut r.recovery_costs),
         E::RebalanceStarted { .. } | E::RebalanceCompleted { .. } => {
             (Attach::Next, |r| &mut r.rebalances)
@@ -696,25 +690,6 @@ mod tests {
             ["bill[w1 heartbeat: detect 500ns respawn 2.0us reship 64B]"]
         );
         assert_eq!(model.span_workers(), vec![0, 1]);
-    }
-
-    #[test]
-    fn staged_channel_state_attaches_to_the_superstep_that_shipped_it() {
-        // Journaled before its SuperstepCompleted, like the worker spans; a
-        // staged superstep that then failed has no row to attach to.
-        let staged = |superstep: u32, msgs: u64| JournalEvent::ChannelStaged {
-            superstep,
-            iteration: superstep,
-            msgs,
-            bytes: msgs * 24,
-        };
-        let events = vec![staged(0, 10), step(0, 0), step(1, 1), staged(2, 4), staged(3, 4)];
-        let events: Vec<_> = events.into_iter().chain([step(3, 2)]).collect();
-        let model = RunModel::from_events(&events);
-        assert_eq!(model.rows[0].staged, vec![staged(0, 10)]);
-        assert!(model.rows[1].staged.is_empty());
-        assert_eq!(model.rows[2].staged, vec![staged(3, 4)], "superstep 2 never completed");
-        assert_eq!(labels(&model.rows[0].staged), ["staged 10 msgs (240B)"]);
     }
 
     #[test]

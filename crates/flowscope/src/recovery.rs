@@ -83,13 +83,13 @@ pub struct RecoveryReport {
     pub snapshot_epochs: u32,
     /// Total bytes the completed snapshot epochs persisted.
     pub snapshot_bytes: u64,
-    /// What rollback cost the failure-free path: state writes and, on a
-    /// cluster, the channel state staged for the cuts.
+    /// What rollback cost the failure-free path: its state writes.
     pub cuts: CutCosts,
 }
 
-/// The failure-free cost of a rollback strategy, summed over a run: the
-/// `CheckpointWritten` entries beside the `ChannelStaged` ones.
+/// The failure-free cost of a rollback strategy, summed over a run: its
+/// `CheckpointWritten` entries. A cut is the state alone — its messages are
+/// regenerated from that state on a restore — so nothing else is billed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CutCosts {
     /// State writes to stable storage (whole checkpoints, or the chunks of
@@ -97,12 +97,6 @@ pub struct CutCosts {
     pub writes: u32,
     /// Bytes of state those writes persisted.
     pub written_bytes: u64,
-    /// Supersteps whose channel state was staged at the coordinator.
-    pub staged_supersteps: u32,
-    /// Messages staged across them.
-    pub staged_msgs: u64,
-    /// Their bytes on the control connections.
-    pub staged_bytes: u64,
 }
 
 impl RecoveryReport {
@@ -192,13 +186,6 @@ pub fn build_recovery_report(model: &RunModel, report: Option<&RunReport>) -> Re
             out.cuts.writes += 1;
             out.cuts.written_bytes += bytes;
         }
-        for staged in &row.staged {
-            if let JournalEvent::ChannelStaged { msgs, bytes, .. } = staged {
-                out.cuts.staged_supersteps += 1;
-                out.cuts.staged_msgs += msgs;
-                out.cuts.staged_bytes += bytes;
-            }
-        }
         for snapshot in &row.snapshots {
             if let JournalEvent::SnapshotBarrierCompleted { bytes, .. } = snapshot {
                 out.snapshot_epochs += 1;
@@ -270,13 +257,8 @@ pub fn render_recovery(report: &RecoveryReport) -> String {
     if report.cuts != CutCosts::default() {
         let cuts = &report.cuts;
         out.push_str(&format!(
-            "rollback cuts: {} state write(s), {}B written; channel state staged on {} \
-             superstep(s), {} msgs, {}B\n",
-            cuts.writes,
-            cuts.written_bytes,
-            cuts.staged_supersteps,
-            cuts.staged_msgs,
-            cuts.staged_bytes,
+            "rollback cuts: {} state write(s), {}B written\n",
+            cuts.writes, cuts.written_bytes,
         ));
     }
     if !report.rebalances.is_empty() {
@@ -439,37 +421,16 @@ mod tests {
     }
 
     #[test]
-    fn state_writes_and_staged_channels_are_listed_side_by_side() {
+    fn a_rollback_strategy_is_billed_its_state_writes() {
         let mut model = cluster_model();
-        for (row, msgs) in [(0usize, 600u64), (2, 40)] {
+        for row in [0usize, 2] {
             model.rows[row].checkpoint_bytes = Some(296);
-            model.rows[row].staged = vec![JournalEvent::ChannelStaged {
-                superstep: row as u32,
-                iteration: row as u32,
-                msgs,
-                bytes: msgs * 24,
-            }];
         }
         let report = build_recovery_report(&model, None);
-        assert_eq!(
-            report.cuts,
-            CutCosts {
-                writes: 2,
-                written_bytes: 592,
-                staged_supersteps: 2,
-                staged_msgs: 640,
-                staged_bytes: 15_360,
-            }
-        );
+        assert_eq!(report.cuts, CutCosts { writes: 2, written_bytes: 592 });
         let text = render_recovery(&report);
-        assert!(
-            text.contains(
-                "rollback cuts: 2 state write(s), 592B written; channel state staged on 2 \
-                 superstep(s), 640 msgs, 15360B"
-            ),
-            "{text}"
-        );
-        // An optimistic run pays neither and says nothing about them.
+        assert!(text.contains("rollback cuts: 2 state write(s), 592B written\n"), "{text}");
+        // An optimistic run pays none and says nothing about them.
         let text = render_recovery(&build_recovery_report(&cluster_model(), None));
         assert!(!text.contains("rollback cuts"), "{text}");
     }

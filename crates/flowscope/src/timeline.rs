@@ -80,7 +80,6 @@ fn annotations(row: &SuperstepRow) -> String {
         &row.rebalances,
         &row.chaos,
         &row.snapshots,
-        &row.staged,
         &row.recovery_costs,
     ] {
         notes.extend(events(list));

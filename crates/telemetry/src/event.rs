@@ -251,23 +251,6 @@ journal_events! {
         /// Serialized size of the checkpoint.
         bytes: u64,
     },
-    /// A cluster run under a rollback strategy staged the channel state of a
-    /// superstep at the coordinator: the workers shipped the superstep's
-    /// outbound messages up with their results, because the strategy may cut
-    /// after this iteration (or a planned rescale follows) and a restore
-    /// must find the messages in flight at that barrier. Journaled before
-    /// the superstep's [`JournalEvent::SuperstepCompleted`], on staged
-    /// supersteps only — every other superstep ships no message up.
-    ChannelStaged {
-        /// Chronological superstep whose outbound was staged.
-        superstep: u32,
-        /// Logical iteration that superstep computed.
-        iteration: u32,
-        /// Messages staged, across all partitions.
-        msgs: u64,
-        /// Their encoded size on the control connections.
-        bytes: u64,
-    },
     /// An asynchronous snapshot barrier fired: every partition's chunk was
     /// captured locally; the stable-storage writes spread over the
     /// following supersteps (one [`JournalEvent::CheckpointWritten`] entry

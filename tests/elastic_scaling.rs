@@ -104,14 +104,13 @@ fn pagerank_rescale_stays_within_tolerance_of_the_static_run() {
 }
 
 #[test]
-fn pagerank_grown_under_a_rollback_strategy_gets_its_inbound_from_a_staged_superstep() {
+fn pagerank_grown_under_a_rollback_strategy_regenerates_its_inbound() {
     // Under a rollback strategy the superstep after a rescale is pushed the
-    // inboxes of the barrier it fires at. An interval of 2 stages the even
-    // iterations for the strategy's own cuts; a rescale at superstep 4 needs what the odd
-    // superstep 3 sent, so that one is staged too, for the plan's sake.
-    // PageRank folds whatever inbox it is given — an empty one would cost it
-    // rank mass and supersteps — so equal bits in equal supersteps say the
-    // pushed inboxes were the exact ones.
+    // state of the barrier it fires at, and the workers regenerate what that
+    // state sends: on an iteration the strategy cuts after (4) and on one it
+    // does not (3). PageRank folds whatever inbox it is given — an empty one
+    // would cost it rank mass and supersteps — so equal bits in equal
+    // supersteps say the regenerated inboxes were the exact ones.
     let graph = pagerank_graph();
     let baseline = run_local("pagerank", &graph, 4, 300, SinkHandle::disabled()).unwrap();
     let strategies = [
@@ -123,23 +122,12 @@ fn pagerank_grown_under_a_rollback_strategy_gets_its_inbound_from_a_staged_super
         let cfg = optirec_config(2, 4, 300)
             .with_strategy(strategy)
             .with_scale_event(ScaleEvent { superstep: at, workers: 4 });
-        let sink = Arc::new(MemorySink::new());
-        let elastic = run_cluster("pagerank", &graph, cfg, SinkHandle::new(sink.clone())).unwrap();
+        let elastic = run_cluster("pagerank", &graph, cfg, SinkHandle::disabled()).unwrap();
         assert!(elastic.stats.converged);
         assert_eq!(elastic.stats.failures().count(), 0);
         let case = format!("{strategy:?}, rescale at {at}");
         assert_eq!(elastic.stats.supersteps(), baseline.stats.supersteps(), "{case}");
         assert_eq!(elastic.values, baseline.values, "{case}");
-        let staged: Vec<u32> = sink
-            .events()
-            .iter()
-            .filter_map(|event| match event {
-                JournalEvent::ChannelStaged { iteration, .. } => Some(*iteration),
-                _ => None,
-            })
-            .collect();
-        let odd: Vec<u32> = staged.iter().copied().filter(|iteration| iteration % 2 == 1).collect();
-        assert_eq!(odd, if at == 4 { vec![3] } else { vec![] }, "{case}: {staged:?}");
     }
 }
 
