@@ -47,7 +47,7 @@ use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
 use dataflow::exec::{map_partition_refs, par_map, ExecContext};
-use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, RestartHandler};
+use dataflow::ft::RestartHandler;
 use dataflow::iterate::{BulkIteration, ConvergenceMeasure};
 use dataflow::partition::PartitionId;
 use dataflow::plan::DynOp;
@@ -1606,22 +1606,21 @@ fn heartbeat_loop(
     }
 }
 
-/// The distributed-superstep operator injected into the iteration body.
+/// The distributed-superstep operator injected into the iteration body. It
+/// runs the logical step the driver computes: the count of committed
+/// supersteps, rewound with the state on a restore or a restart.
 struct ClusterStepOp {
     backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
-    /// Logical step index: the number of committed supersteps, shared with
-    /// the recovery handler, which rewinds it with the state.
-    steps: Arc<AtomicU64>,
     changed: Arc<AtomicU64>,
 }
 
 impl DynOp for ClusterStepOp {
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
         let superstep = ctx.superstep().unwrap_or(0);
+        let step = u64::from(ctx.iteration().unwrap_or(0));
         let state: &Partitions<Record> = inputs[0].downcast("ClusterStep(state)")?;
 
         let jobs: Vec<StepJob> = state.iter().map(|(pid, state)| StepJob { pid, state }).collect();
-        let step = self.steps.load(Ordering::SeqCst);
         let results = self.backend.lock().run_step(superstep, step, jobs, ctx)?;
 
         // Commit: new state and the published convergence count.
@@ -1633,7 +1632,6 @@ impl DynOp for ClusterStepOp {
             shuffled += result.shuffled;
             parts[result.pid] = result.state;
         }
-        self.steps.fetch_add(1, Ordering::SeqCst);
         self.changed.store(changed_total, Ordering::SeqCst);
         ctx.add_shuffled(shuffled);
         Ok(Erased::new(Partitions::from_parts(parts)))
@@ -1641,62 +1639,6 @@ impl DynOp for ClusterStepOp {
 
     fn kind(&self) -> &'static str {
         "ClusterStep"
-    }
-}
-
-/// A recovery handler wrapped with the cluster's extra restore obligations.
-/// A cut is the partition state alone, which the driver restores; the
-/// messages in flight at it are regenerated from that state by the workers
-/// ([`Inbound::Regenerate`]). What the driver does not manage is the
-/// logical step counter, so the wrapper sets it where the driver resumes —
-/// one past a restored iteration, zero after a restart — and ships every
-/// persisted snapshot chunk to its owning worker through the backend.
-struct ChannelCut<H> {
-    inner: H,
-    steps: Arc<AtomicU64>,
-}
-
-impl<H> ChannelCut<H> {
-    /// Wrap the handler `build` makes around the probe that ships its
-    /// persisted chunks through `backend`.
-    fn new(
-        steps: Arc<AtomicU64>,
-        backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
-        build: impl FnOnce(BarrierProbe) -> Result<H>,
-    ) -> Result<Self> {
-        let probe = Box::new(move |event: BarrierEvent<'_>| {
-            if let BarrierEvent::ChunkPersisted { epoch, pid, chunk } = event {
-                backend.lock().stage_snapshot(epoch, pid, chunk);
-            }
-        });
-        Ok(ChannelCut { inner: build(probe)?, steps })
-    }
-}
-
-impl<H: FaultHandler<Partitions<Record>>> FaultHandler<Partitions<Record>> for ChannelCut<H> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<Record>,
-    ) -> Result<Option<CheckpointCost>> {
-        self.inner.after_superstep(iteration, state)
-    }
-
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        state: &mut Partitions<Record>,
-    ) -> Result<RecoveryAction<Partitions<Record>>> {
-        let action = self.inner.on_failure(iteration, lost, state)?;
-        match &action {
-            RecoveryAction::Restored { iteration, .. } => {
-                self.steps.store(u64::from(*iteration) + 1, Ordering::SeqCst);
-            }
-            RecoveryAction::Restart => self.steps.store(0, Ordering::SeqCst),
-            RecoveryAction::Compensated | RecoveryAction::Ignore => {}
-        }
-        Ok(action)
     }
 }
 
@@ -1868,12 +1810,22 @@ fn run_with_backend(
 
     let backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>> =
         Arc::new(parking_lot::Mutex::new(backend));
-    let steps = Arc::new(AtomicU64::new(0));
+    // A rollback handler ships every snapshot chunk it persists to the
+    // owning worker through the backend.
+    let ship_chunks = || -> BarrierProbe {
+        let backend = backend.clone();
+        Box::new(move |event: BarrierEvent<'_>| {
+            if let BarrierEvent::ChunkPersisted { epoch, pid, chunk } = event {
+                backend.lock().stage_snapshot(epoch, pid, chunk);
+            }
+        })
+    };
 
     let mut iteration = BulkIteration::new(&initial, max_iterations);
-    // Rollback and restart rewind the step counter with the state; optimistic
-    // recovery recomputes forward and needs no cut. A zero interval is
-    // rejected here, by the handlers' constructors.
+    // Rollback and restart rewind the driver's logical iteration, which is
+    // the step the backend runs, with the state; optimistic recovery
+    // recomputes forward and needs no cut. A zero interval is rejected here,
+    // by the handlers' constructors.
     match strategy {
         ClusterStrategy::Optimistic => {
             // The program's compensation function rebuilds each lost
@@ -1892,23 +1844,17 @@ fn run_with_backend(
             iteration
                 .set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
         }
-        ClusterStrategy::Checkpoint { interval } => {
-            iteration.set_fault_handler(ChannelCut::new(steps.clone(), backend.clone(), |probe| {
-                let handler = CheckpointHandler::new(MemoryStore::new(), interval)?;
-                Ok(handler.with_telemetry(telemetry).with_probe(probe))
-            })?)
-        }
-        ClusterStrategy::AsyncSnapshot { interval } => {
-            iteration.set_fault_handler(ChannelCut::new(steps.clone(), backend.clone(), |probe| {
-                let handler = AsyncSnapshotHandler::new(MemoryStore::new(), interval)?;
-                Ok(handler.with_telemetry(telemetry).with_probe(probe))
-            })?)
-        }
-        ClusterStrategy::Restart => iteration.set_fault_handler(ChannelCut::new(
-            steps.clone(),
-            backend.clone(),
-            |_probe| Ok(RestartHandler),
-        )?),
+        ClusterStrategy::Checkpoint { interval } => iteration.set_fault_handler(
+            CheckpointHandler::new(MemoryStore::new(), interval)?
+                .with_telemetry(telemetry)
+                .with_probe(ship_chunks()),
+        ),
+        ClusterStrategy::AsyncSnapshot { interval } => iteration.set_fault_handler(
+            AsyncSnapshotHandler::new(MemoryStore::new(), interval)?
+                .with_telemetry(telemetry)
+                .with_probe(ship_chunks()),
+        ),
+        ClusterStrategy::Restart => iteration.set_fault_handler(RestartHandler),
     }
     iteration.set_convergence_probe(|prev: &Partitions<Record>, next: &Partitions<Record>| {
         let changed_per_partition = prev
@@ -1932,7 +1878,7 @@ fn run_with_backend(
     let step = body.custom_node::<Record>(
         "cluster-step",
         vec![state.node_id()],
-        Box::new(ClusterStepOp { backend: backend.clone(), steps, changed: changed.clone() }),
+        Box::new(ClusterStepOp { backend: backend.clone(), changed: changed.clone() }),
     );
     let probe = body.custom_node::<u8>(
         "changed-probe",
@@ -2237,33 +2183,59 @@ mod tests {
         assert!(ClusterStrategy::AsyncSnapshot { interval: 2 }.is_rollback());
     }
 
-    #[test]
-    fn a_restore_resumes_the_step_counter_one_past_the_cut_and_a_restart_at_zero() {
-        let backend: Box<dyn StepBackend> =
-            Box::new(LocalBackend::new(resolve("cc").unwrap(), Arc::new(Vec::new()), 0));
-        let backend = Arc::new(parking_lot::Mutex::new(backend));
-        let steps = Arc::new(AtomicU64::new(0));
-        let mut cut = ChannelCut::new(steps.clone(), backend, |probe| {
-            Ok(CheckpointHandler::new(MemoryStore::new(), 2)?.with_probe(probe))
-        })
-        .unwrap();
-        let state = Partitions::from_parts(vec![vec![(0u64, 0u64)], vec![(1, 1)]]);
+    /// Hands every partition its state back as changed, records the logical
+    /// step it is asked to run, and loses worker 1 at superstep `lose_at`.
+    struct RecordsSteps {
+        steps: Arc<parking_lot::Mutex<Vec<u64>>>,
+        lose_at: u32,
+    }
 
-        // Nothing cut yet: the failure restarts the run at logical step 0.
-        steps.store(1, Ordering::SeqCst);
-        let action = cut.on_failure(1, &[1], &mut state.clone()).unwrap();
-        assert!(matches!(action, RecoveryAction::Restart));
-        assert_eq!(steps.load(Ordering::SeqCst), 0);
-
-        // Cut after iterations 0, 2 and 4; step 6 fails: the restore resumes
-        // where the driver does, one past the last cut.
-        for iteration in 0..6 {
-            cut.after_superstep(iteration, &state).unwrap();
+    impl StepBackend for RecordsSteps {
+        fn run_step(
+            &mut self,
+            superstep: u32,
+            step: u64,
+            jobs: Vec<StepJob<'_>>,
+            _ctx: &ExecContext,
+        ) -> Result<Vec<StepResult>> {
+            self.steps.lock().push(step);
+            if superstep == self.lose_at {
+                return Err(EngineError::WorkerLost {
+                    worker: 1,
+                    pids: vec![1],
+                    superstep: Some(superstep),
+                    message: "killed".into(),
+                });
+            }
+            let result = |job: &StepJob| StepResult {
+                pid: job.pid,
+                state: job.state.to_vec(),
+                changed: 1,
+                shuffled: 0,
+            };
+            Ok(jobs.iter().map(result).collect())
         }
-        steps.store(6, Ordering::SeqCst);
-        let action = cut.on_failure(6, &[0], &mut state.clone()).unwrap();
-        assert!(matches!(action, RecoveryAction::Restored { iteration: 4, .. }));
-        assert_eq!(steps.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
+    fn a_backend_runs_step_one_past_a_restored_cut_and_step_zero_after_a_restart() {
+        let steps_handed = |strategy, lose_at| {
+            let graph = GraphBuilder::undirected(4).build();
+            let adjacency = Arc::new(partition_rows(&graph, 2));
+            let steps = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let backend = Box::new(RecordsSteps { steps: steps.clone(), lose_at });
+            let program = resolve("cc").unwrap();
+            let config = EnvConfig::new(2);
+            run_with_backend(program, backend, adjacency, 4, 8, config, strategy, None).unwrap();
+            let handed = steps.lock().clone();
+            handed
+        };
+        // Cuts after iterations 0, 2 and 4; superstep 6 loses a worker, and
+        // its retry restores the cut at 4 and runs step 5.
+        let checkpoint = ClusterStrategy::Checkpoint { interval: 2 };
+        assert_eq!(steps_handed(checkpoint, 6), [0, 1, 2, 3, 4, 5, 6, 5, 6, 7]);
+        // A restart runs step 0 again.
+        assert_eq!(steps_handed(ClusterStrategy::Restart, 3), [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
     mod properties {

@@ -47,6 +47,9 @@ pub struct ExecContext {
     /// iteration. Partition panics captured under this context carry it, so
     /// the resulting failure records are attributed to the right superstep.
     superstep: Option<u32>,
+    /// Logical iteration that superstep computes: it moves back on rollback
+    /// and restart, where the superstep never repeats.
+    iteration: Option<u32>,
 }
 
 impl ExecContext {
@@ -76,20 +79,28 @@ impl ExecContext {
             queue_hist,
             op_hists: Mutex::new(Vec::new()),
             superstep: None,
+            iteration: None,
         }
     }
 
     /// Attribute work executed under this context to a chronological
-    /// superstep (used by the iteration drivers, so captured partition
-    /// panics name the superstep they happened in).
-    pub fn at_superstep(mut self, superstep: u32) -> Self {
+    /// superstep and the logical iteration it computes (used by the
+    /// iteration driver, so captured partition panics name the superstep
+    /// they happened in).
+    pub fn at_superstep(mut self, superstep: u32, iteration: u32) -> Self {
         self.superstep = Some(superstep);
+        self.iteration = Some(iteration);
         self
     }
 
     /// The superstep this context is attributed to, if any.
     pub fn superstep(&self) -> Option<u32> {
         self.superstep
+    }
+
+    /// The logical iteration this context computes, if any.
+    pub fn iteration(&self) -> Option<u32> {
+        self.iteration
     }
 
     /// Add to a named record counter (e.g. `"messages"`).
@@ -473,7 +484,7 @@ mod tests {
     #[test]
     fn panicking_task_surfaces_as_typed_error_in_every_dispatch_mode() {
         for cfg in dispatch_configs() {
-            let ctx = ExecContext::new(cfg).at_superstep(6);
+            let ctx = ExecContext::new(cfg).at_superstep(6, 4);
             let parts: Vec<Vec<u64>> = (0..4).map(|p| vec![p as u64; 4]).collect();
             let err = par_map(parts, &ctx, 16, |pid, p: Vec<u64>| {
                 assert!(pid != 2, "partition 2 exploded");

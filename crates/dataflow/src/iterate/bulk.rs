@@ -1,18 +1,16 @@
 //! Bulk iterations: the whole state dataset is recomputed every superstep.
 
-use std::rc::Rc;
-
-use telemetry::{IterationMode, JournalEvent, Norm, SpanKind, SpanRecord};
+use telemetry::IterationMode;
 
 use crate::api::{DataSet, Environment};
 use crate::dataset::{Data, Erased, Partitions};
-use crate::error::{EngineError, Result};
-use crate::exec::{self, ExecContext, PlanCache};
-use crate::ft::{FailureSource, FaultHandler, NoFailures, RestartHandler};
-use crate::iterate::{ConvergenceMeasure, Failure, Recovery, StatsHandle};
+use crate::error::Result;
+use crate::exec::ExecContext;
+use crate::ft::{FailureSource, FaultHandler};
+use crate::iterate::{reclaim, ConvergenceMeasure, Driver, StatsHandle, Step, Stepped};
 use crate::operators::{InjectedSource, SourceSlot};
 use crate::plan::{DynOp, NodeId};
-use crate::stats::{IterationStats, RunStats};
+use crate::stats::IterationStats;
 
 /// Observer callback invoked after every superstep with the (possibly
 /// recovered) state; may record gauges/counters into the superstep's stats.
@@ -24,10 +22,9 @@ pub type BulkObserverFn<T> = Box<dyn FnMut(u32, &Partitions<T>, &mut IterationSt
 pub type BulkConvergenceProbe<T> =
     Box<dyn FnMut(&Partitions<T>, &Partitions<T>) -> ConvergenceMeasure>;
 
-/// Termination criterion: the body node to probe plus a closure measuring
-/// its (type-erased) cardinality.
+/// Termination criterion: a closure measuring the (type-erased) cardinality
+/// of the body node it probes.
 type CardinalityProbe = Box<dyn Fn(&Erased) -> Result<usize>>;
-type TerminationProbe = (NodeId, CardinalityProbe);
 
 /// Builder for a bulk iteration, Flink-style: the loop body is a nested
 /// dataflow whose head is the current state; closing the loop yields a
@@ -50,19 +47,10 @@ type TerminationProbe = (NodeId, CardinalityProbe);
 /// ```
 pub struct BulkIteration<T: Data> {
     outer: Environment,
-    body: Environment,
     initial_id: NodeId,
-    state_slot: SourceSlot,
     head: DataSet<T>,
-    head_id: NodeId,
-    import_ids: Vec<NodeId>,
-    import_slots: Vec<SourceSlot>,
-    max_iterations: u32,
-    superstep_limit: u32,
-    handler: Box<dyn FaultHandler<Partitions<T>>>,
-    failures: Box<dyn FailureSource>,
-    observer: Option<BulkObserverFn<T>>,
-    convergence: Option<BulkConvergenceProbe<T>>,
+    driver: Driver<Partitions<T>>,
+    step: BulkStep<T>,
 }
 
 impl<T: Data> BulkIteration<T> {
@@ -72,34 +60,14 @@ impl<T: Data> BulkIteration<T> {
     /// # Panics
     /// Panics when `max_iterations` is zero.
     pub fn new(initial: &DataSet<T>, max_iterations: u32) -> Self {
-        assert!(max_iterations > 0, "an iteration needs at least one iteration");
         let outer = initial.environment();
-        let body = Environment::with_config(outer.config());
-        let state_slot = SourceSlot::new();
-        let head = body.add_node(
-            "iteration-head",
-            vec![],
-            Box::new(InjectedSource::new(state_slot.clone())),
-        );
-        let head_id = head.node_id();
-        BulkIteration {
-            outer,
-            body,
-            initial_id: initial.node_id(),
-            state_slot,
-            head,
-            head_id,
-            import_ids: Vec::new(),
-            import_slots: Vec::new(),
-            max_iterations,
-            // Generous default: rollbacks and restarts re-execute supersteps,
-            // but runaway recovery loops should fail loudly.
-            superstep_limit: max_iterations.saturating_mul(4).saturating_add(16),
-            handler: Box::new(RestartHandler),
-            failures: Box::new(NoFailures),
-            observer: None,
-            convergence: None,
-        }
+        let mut driver = Driver::new(&outer, max_iterations);
+        let step = BulkStep { state_slot: SourceSlot::new(), termination: None, convergence: None };
+        let head = step.state_slot.clone();
+        let head =
+            driver.body.add_node("iteration-head", vec![], Box::new(InjectedSource::new(head)));
+        driver.heads.push(head.node_id());
+        BulkIteration { outer, initial_id: initial.node_id(), head, driver, step }
     }
 
     /// The loop-body handle onto the current iteration state.
@@ -109,32 +77,24 @@ impl<T: Data> BulkIteration<T> {
 
     /// The loop-body environment (for constructing body-local datasets).
     pub fn body_environment(&self) -> Environment {
-        self.body.clone()
+        self.driver.body.clone()
     }
 
     /// Make an outer dataset visible inside the loop body (a loop-invariant
     /// input, like the `links`/`graph` datasets of the paper's Figure 1).
     pub fn import<A: Data>(&mut self, outer: &DataSet<A>) -> DataSet<A> {
-        assert!(
-            Rc::ptr_eq(&outer.environment().inner, &self.outer.inner),
-            "import source must come from the enclosing environment"
-        );
-        let slot = SourceSlot::new();
-        let inner =
-            self.body.add_node("import", vec![], Box::new(InjectedSource::new(slot.clone())));
-        self.import_ids.push(outer.node_id());
-        self.import_slots.push(slot);
-        inner
+        let slot = self.driver.import(&self.outer, &outer.environment(), outer.node_id());
+        self.driver.body.add_node("import", vec![], Box::new(InjectedSource::new(slot)))
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
     pub fn set_fault_handler(&mut self, handler: impl FaultHandler<Partitions<T>> + 'static) {
-        self.handler = Box::new(handler);
+        self.driver.handler = Box::new(handler);
     }
 
     /// Install a failure source (defaults to no failures).
     pub fn set_failure_source(&mut self, failures: impl FailureSource + 'static) {
-        self.failures = Box::new(failures);
+        self.driver.failures = Box::new(failures);
     }
 
     /// Install a per-superstep observer.
@@ -142,7 +102,8 @@ impl<T: Data> BulkIteration<T> {
         &mut self,
         observer: impl FnMut(u32, &Partitions<T>, &mut IterationStats) + 'static,
     ) {
-        self.observer = Some(Box::new(observer));
+        let observer: BulkObserverFn<T> = Box::new(observer);
+        self.driver.observer = Some(observer);
     }
 
     /// Install a convergence probe: called after every superstep with the
@@ -153,13 +114,13 @@ impl<T: Data> BulkIteration<T> {
         &mut self,
         probe: impl FnMut(&Partitions<T>, &Partitions<T>) -> ConvergenceMeasure + 'static,
     ) {
-        self.convergence = Some(Box::new(probe));
+        self.step.convergence = Some(Box::new(probe));
     }
 
     /// Override the chronological superstep budget (safety net against
     /// recovery live-lock; defaults to `4 * max_iterations + 16`).
     pub fn set_superstep_limit(&mut self, limit: u32) {
-        self.superstep_limit = limit;
+        self.driver.superstep_limit = limit;
     }
 
     /// Close the loop without a termination criterion: the iteration runs
@@ -178,294 +139,101 @@ impl<T: Data> BulkIteration<T> {
         termination: DataSet<C>,
     ) -> (DataSet<T>, StatsHandle) {
         let term_id = termination.node_id();
-        assert!(
-            Rc::ptr_eq(&termination.environment().inner, &self.body.inner),
-            "termination criterion must be built inside the loop body"
-        );
+        self.driver.assert_in_body(&termination.environment(), "termination criterion");
         let probe: CardinalityProbe =
             Box::new(|e| Ok(e.downcast::<C>("termination criterion")?.total_len()));
         self.finish(next_state, Some((term_id, probe)))
     }
 
     fn finish(
-        self,
+        mut self,
         next_state: DataSet<T>,
-        termination: Option<TerminationProbe>,
+        termination: Option<(NodeId, CardinalityProbe)>,
     ) -> (DataSet<T>, StatsHandle) {
-        assert!(
-            Rc::ptr_eq(&next_state.environment().inner, &self.body.inner),
-            "next state must be built inside the loop body"
-        );
-        let stats = StatsHandle::new();
-        let op = IterateBulkOp {
-            body: self.body,
-            head_id: self.head_id,
-            state_slot: self.state_slot,
-            import_slots: self.import_slots,
-            next_id: next_state.node_id(),
-            termination,
-            max_iterations: self.max_iterations,
-            superstep_limit: self.superstep_limit,
-            handler: self.handler,
-            failures: self.failures,
-            observer: self.observer,
-            convergence: self.convergence,
-            stats: stats.clone(),
-        };
+        self.driver.assert_in_body(&next_state.environment(), "next state");
+        self.driver.targets.push(next_state.node_id());
+        if let Some((term_id, probe)) = termination {
+            self.driver.targets.push(term_id);
+            self.step.termination = Some(probe);
+        }
         let mut inputs = vec![self.initial_id];
-        inputs.extend(&self.import_ids);
+        inputs.extend(&self.driver.import_ids);
+        let stats = StatsHandle::default();
+        let op = IterateBulkOp { driver: self.driver, step: self.step, stats: stats.clone() };
         let result = self.outer.add_node("bulk-iteration", inputs, Box::new(op));
         (result, stats)
     }
 }
 
-struct IterateBulkOp<T: Data> {
-    body: Environment,
-    head_id: NodeId,
+/// A bulk iteration's share of the loop: the state goes into the head slot,
+/// the body yields `[next, termination]`, and the run stops on an empty
+/// termination set.
+struct BulkStep<T: Data> {
     state_slot: SourceSlot,
-    import_slots: Vec<SourceSlot>,
-    next_id: NodeId,
-    termination: Option<TerminationProbe>,
-    max_iterations: u32,
-    superstep_limit: u32,
-    handler: Box<dyn FaultHandler<Partitions<T>>>,
-    failures: Box<dyn FailureSource>,
-    observer: Option<BulkObserverFn<T>>,
+    termination: Option<CardinalityProbe>,
     convergence: Option<BulkConvergenceProbe<T>>,
+}
+
+impl<T: Data> Step<Partitions<T>> for BulkStep<T> {
+    const MODE: IterationMode = IterationMode::Bulk;
+
+    fn lend(&mut self, state: Partitions<T>) {
+        self.state_slot.fill(Erased::new(state));
+    }
+
+    fn reclaim(&mut self) -> Result<Partitions<T>> {
+        reclaim(&self.state_slot, "BulkIteration(pre-superstep state)")
+    }
+
+    fn finish(
+        &mut self,
+        mut outputs: Vec<Erased>,
+        measure: bool,
+    ) -> Result<Stepped<Partitions<T>>> {
+        let done = match &self.termination {
+            Some(probe) => probe(&outputs[1])? == 0,
+            None => false,
+        };
+        // The next state is moved out of the outputs and the rest of them
+        // dropped, so the one handle left gives the partitions back without
+        // copying them.
+        let next = outputs.swap_remove(0);
+        drop(outputs);
+        let next: Partitions<T> = next.take("BulkIteration(next)")?;
+        // The head slot still holds the state the superstep started from:
+        // the convergence probe reads it there, and it is dropped after.
+        let prev = self.state_slot.take();
+        let measure = match (&mut self.convergence, prev) {
+            _ if !measure => None,
+            (Some(probe), Some(prev)) => {
+                Some(probe(prev.downcast("BulkIteration(previous state)")?, &next))
+            }
+            // Bulk recomputes the whole state: without a probe, every record
+            // counts as changed.
+            _ => Some(ConvergenceMeasure {
+                changed_per_partition: next.partition_sizes().iter().map(|&n| n as u64).collect(),
+                delta_norm: None,
+            }),
+        };
+        Ok(Stepped { state: next, measure, done, updates: None })
+    }
+
+    fn converged_at_budget(&self) -> bool {
+        self.termination.is_none()
+    }
+}
+
+struct IterateBulkOp<T: Data> {
+    driver: Driver<Partitions<T>>,
+    step: BulkStep<T>,
     stats: StatsHandle,
 }
 
 impl<T: Data> DynOp for IterateBulkOp<T> {
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let parallelism = ctx.config.parallelism;
-        let initial: Partitions<T> = inputs[0].clone().take("BulkIteration(initial)")?;
-        for (slot, input) in self.import_slots.iter().zip(&inputs[1..]) {
-            slot.fill(input.clone());
-        }
-
-        // Loop-invariant caching: body nodes that never read the iteration
-        // state run once and are reused in every superstep.
-        let volatile = {
-            let inner = self.body.inner.borrow();
-            if ctx.config.loop_invariant_caching {
-                inner.graph.volatility(&[self.head_id])
-            } else {
-                vec![true; inner.graph.len()]
-            }
-        };
-        let mut invariant_cache = PlanCache::new();
-
-        let mut run = RunStats::default();
-        let mut state = initial.clone();
-        let mut iteration: u32 = 0;
-        let mut superstep: u32 = 0;
-        let mut converged = false;
-        let telemetry = ctx.config.telemetry.clone();
-        telemetry.emit(|| JournalEvent::RunStarted {
-            mode: IterationMode::Bulk,
-            parallelism,
-            max_iterations: self.max_iterations,
-        });
-        let run_timer = telemetry.timer(SpanKind::Run, None, None);
-        let recovery = Recovery { telemetry: &telemetry, initial: &initial };
-
-        while iteration < self.max_iterations {
-            if superstep >= self.superstep_limit {
-                return Err(EngineError::Iteration(format!(
-                    "superstep budget of {} exhausted at logical iteration {iteration} \
-                     (likely a recovery live-lock)",
-                    self.superstep_limit
-                )));
-            }
-
-            // 1. Execute the loop body over the current state.
-            let step_timer = telemetry.timer(SpanKind::Superstep, Some(superstep), Some(iteration));
-            let step_ctx = ExecContext::new(ctx.config.clone()).at_superstep(superstep);
-            // The convergence probe compares against the pre-superstep
-            // state, which the injection slot is about to consume.
-            let probe_prev: Option<Partitions<T>> =
-                (telemetry.enabled() && self.convergence.is_some()).then(|| state.clone());
-            self.state_slot.fill(Erased::new(state));
-            let compute_timer =
-                telemetry.timer(SpanKind::Compute, Some(superstep), Some(iteration));
-            let mut targets = vec![self.next_id];
-            if let Some((term_id, _)) = &self.termination {
-                targets.push(*term_id);
-            }
-            let body_result = {
-                let mut inner = self.body.inner.borrow_mut();
-                exec::execute_cached(
-                    &mut inner.graph,
-                    &targets,
-                    &step_ctx,
-                    &volatile,
-                    &mut invariant_cache,
-                )
-            };
-            let mut outputs = match body_result {
-                Ok(outputs) => outputs,
-                Err(error) => {
-                    // A UDF panicked — or a cluster worker process died —
-                    // mid-superstep: the step's outputs never materialised,
-                    // so recover the pre-superstep state from the injection
-                    // slot (which still holds it), treat the affected
-                    // partitions as failed, and redo the logical iteration.
-                    // Partial counters and shuffle bookkeeping of the
-                    // aborted step are discarded — no SuperstepCompleted
-                    // entry exists for it.
-                    let failure = Failure::of_aborted_step(error)?;
-                    let duration = compute_timer.finish();
-                    let _ = step_ctx.drain();
-                    let _ = step_ctx.take_shuffle_time();
-                    let mut recovered: Partitions<T> = self
-                        .state_slot
-                        .get()
-                        .ok_or_else(|| {
-                            EngineError::Iteration(
-                                "pre-superstep state lost after partition panic".into(),
-                            )
-                        })?
-                        .take("BulkIteration(panic recovery)")?;
-                    let (failure, next_iteration) = recovery.run(
-                        &mut *self.handler,
-                        (superstep, iteration),
-                        failure,
-                        &mut recovered,
-                        iteration,
-                    )?;
-                    let mut istats = IterationStats {
-                        superstep,
-                        iteration,
-                        duration,
-                        records_shuffled: 0,
-                        failure: Some(failure),
-                        ..Default::default()
-                    };
-                    if let Some(observer) = &mut self.observer {
-                        observer(iteration, &recovered, &mut istats);
-                    }
-                    run.iterations.push(istats);
-                    let _ = step_timer.finish();
-                    superstep += 1;
-                    state = recovered;
-                    iteration = next_iteration;
-                    continue;
-                }
-            };
-            let term_empty = match &self.termination {
-                Some((_, probe)) => probe(&outputs[1])? == 0,
-                None => false,
-            };
-            // The next state is moved out of the outputs and the rest of them
-            // dropped, so the one handle left gives the partitions back
-            // without copying them.
-            let next = outputs.swap_remove(0);
-            drop(outputs);
-            let mut next: Partitions<T> = next.take("BulkIteration(next)")?;
-            let duration = compute_timer.finish();
-
-            // 2. Superstep statistics.
-            let (counters, shuffled) = step_ctx.drain();
-            let shuffle_time = step_ctx.take_shuffle_time();
-            if shuffle_time > std::time::Duration::ZERO {
-                telemetry.span(&SpanRecord {
-                    kind: SpanKind::Shuffle,
-                    superstep: Some(superstep),
-                    iteration: Some(iteration),
-                    duration: shuffle_time,
-                });
-            }
-            telemetry.emit(|| JournalEvent::SuperstepCompleted {
-                superstep,
-                iteration,
-                records_shuffled: shuffled,
-                workset_size: None,
-            });
-            if telemetry.enabled() {
-                let measure = match (&mut self.convergence, &probe_prev) {
-                    (Some(probe), Some(prev)) => probe(prev, &next),
-                    // Bulk recomputes the whole state: without a probe,
-                    // every record counts as changed.
-                    _ => ConvergenceMeasure {
-                        changed_per_partition: next
-                            .partition_sizes()
-                            .iter()
-                            .map(|&n| n as u64)
-                            .collect(),
-                        delta_norm: None,
-                    },
-                };
-                telemetry.emit(|| JournalEvent::ConvergenceSample {
-                    superstep,
-                    iteration,
-                    changed: measure.changed(),
-                    changed_per_partition: measure.changed_per_partition,
-                    delta_norm: measure.delta_norm.map(Norm),
-                    workset_per_partition: None,
-                });
-            }
-            let mut istats = IterationStats {
-                superstep,
-                iteration,
-                duration,
-                counters,
-                records_shuffled: shuffled,
-                ..Default::default()
-            };
-
-            // 3. Fault-tolerance hook (checkpointing).
-            if let Some(cost) = self.handler.after_superstep(iteration, &next)? {
-                telemetry.emit(|| JournalEvent::CheckpointWritten { iteration, bytes: cost.bytes });
-                telemetry.span(&SpanRecord {
-                    kind: SpanKind::Checkpoint,
-                    superstep: Some(superstep),
-                    iteration: Some(iteration),
-                    duration: cost.duration,
-                });
-                istats.checkpoint_bytes = Some(cost.bytes);
-                istats.checkpoint_duration = Some(cost.duration);
-            }
-
-            // 4. Failure injection and recovery.
-            let mut failed = false;
-            let mut next_iteration = iteration + 1;
-            let lost = self.failures.poll(superstep, parallelism).filter(|lost| !lost.is_empty());
-            if let Some(lost) = lost {
-                failed = true;
-                let (failure, resumed) = recovery.run(
-                    &mut *self.handler,
-                    (superstep, iteration),
-                    Failure::injected(lost),
-                    &mut next,
-                    iteration + 1,
-                )?;
-                next_iteration = resumed;
-                istats.failure = Some(failure);
-            }
-
-            // 5. Observe, record, decide termination.
-            if let Some(observer) = &mut self.observer {
-                observer(iteration, &next, &mut istats);
-            }
-            run.iterations.push(istats);
-            let _ = step_timer.finish();
-            superstep += 1;
-            state = next;
-            if term_empty && !failed {
-                converged = true;
-                break;
-            }
-            iteration = next_iteration;
-        }
-
-        run.converged = converged || self.termination.is_none();
-        run.total_duration = run_timer.finish();
-        telemetry.emit(|| JournalEvent::RunCompleted {
-            supersteps: run.supersteps(),
-            iterations: run.logical_iterations(),
-            converged: run.converged,
-        });
-        self.stats.set(run);
+        let initial = inputs[0].downcast::<T>("BulkIteration(initial)")?;
+        let (state, stats) = self.driver.run(&mut self.step, initial, &inputs[1..], ctx)?;
+        self.stats.set(stats);
         Ok(Erased::new(state))
     }
 
@@ -474,11 +242,11 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
     }
 
     fn body_explain(&self) -> Option<String> {
-        let inner = self.body.inner.borrow();
-        let mut text = inner.graph.explain(self.next_id);
-        if let Some((term_id, _)) = &self.termination {
+        let inner = self.driver.body.inner.borrow();
+        let mut text = inner.graph.explain(self.driver.targets[0]);
+        if let Some(&term_id) = self.driver.targets.get(1) {
             text.push_str("(termination criterion:)\n");
-            text.push_str(&inner.graph.explain(*term_id));
+            text.push_str(&inner.graph.explain(term_id));
         }
         Some(text)
     }
@@ -658,21 +426,41 @@ mod tests {
             }
         }
 
-        // Telemetry is off (the convergence probe's copy of the previous
-        // state is its own, journaled cost). What a run clones then — the
-        // initial dataset, the result — does not depend on its length.
-        let clones_of = |iterations: u32| {
+        // What a run clones — the initial dataset, the result — does not
+        // depend on its length: not untraced, and not traced with a
+        // convergence probe, which reads the state the superstep started
+        // from where the head slot still holds it.
+        let clones_of = |iterations: u32, traced: bool| {
             let before = CLONES.load(Ordering::Relaxed);
-            let env = Environment::new(2);
+            let mut config = crate::config::EnvConfig::new(2);
+            if traced {
+                let sink = std::sync::Arc::new(telemetry::MemorySink::new());
+                config = config.with_telemetry(telemetry::SinkHandle::new(sink));
+            }
+            let env = Environment::with_config(config);
             let initial = env.from_vec((0..8).map(Counted).collect());
-            let it = BulkIteration::new(&initial, iterations);
+            let mut it = BulkIteration::new(&initial, iterations);
+            it.set_convergence_probe(|prev: &Partitions<Counted>, next: &Partitions<Counted>| {
+                let changed = prev.as_parts().iter().zip(next.as_parts());
+                let changed_per_partition = changed
+                    .map(|(before, after)| before.iter().zip(after).filter(|(b, a)| b.0 != a.0))
+                    .map(|moved| moved.count() as u64)
+                    .collect();
+                ConvergenceMeasure { changed_per_partition, delta_norm: None }
+            });
             let next = it.state().map("inc", |c: &Counted| Counted(c.0 + 1));
             let (result, _) = it.close(next);
             let out = result.collect().unwrap();
             assert_eq!(out.iter().map(|c| c.0).sum::<u64>(), 28 + 8 * u64::from(iterations));
             CLONES.load(Ordering::Relaxed) - before
         };
-        assert_eq!(clones_of(9), clones_of(3), "six more supersteps, not one more clone");
+        for traced in [false, true] {
+            assert_eq!(
+                clones_of(9, traced),
+                clones_of(3, traced),
+                "six more supersteps, not one more clone (traced: {traced})"
+            );
+        }
     }
 
     #[test]

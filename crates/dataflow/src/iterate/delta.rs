@@ -2,20 +2,16 @@
 //! working set carries the records that still change (paper §2.1).
 
 use std::hash::Hash;
-use std::rc::Rc;
 
-use telemetry::{IterationMode, JournalEvent, Norm, SpanKind, SpanRecord};
+use telemetry::IterationMode;
 
 use crate::api::{DataSet, Environment, Shared, SolutionHandle};
 use crate::dataset::{Data, Erased, Partitions};
 use crate::error::{EngineError, Result};
-use crate::exec::{self, ExecContext, PlanCache};
-use crate::ft::{
-    solution_sets, DeltaState, FailureSource, FaultHandler, NoFailures, RestartHandler,
-    SolutionSets,
-};
+use crate::exec::{self, ExecContext};
+use crate::ft::{solution_sets, DeltaState, FailureSource, FaultHandler, SolutionSets};
 use crate::hash::fx_hash;
-use crate::iterate::{Failure, Recovery, StatsHandle};
+use crate::iterate::{reclaim, ConvergenceMeasure, Driver, StatsHandle, Step, Stepped};
 use crate::operators::{InjectedSource, SourceSlot};
 use crate::partition::hash_partition;
 use crate::plan::{DynOp, NodeId};
@@ -78,22 +74,13 @@ impl<K: Data + Hash + Eq> SolutionKey for K {}
 /// ```
 pub struct DeltaIteration<K: SolutionKey, V: Data, W: Data> {
     outer: Environment,
-    body: Environment,
     /// The plan nodes of the initial solution set and workset; `None` for
     /// an iteration that runs from state the caller keeps ([`Self::over`]).
     initial: Option<(NodeId, NodeId)>,
-    solution_slot: SourceSlot,
-    workset_slot: SourceSlot,
     solution_head: SolutionHandle<K, V>,
     workset_head: DataSet<W>,
-    import_ids: Vec<NodeId>,
-    import_slots: Vec<SourceSlot>,
-    max_iterations: u32,
-    superstep_limit: u32,
-    handler: Box<dyn FaultHandler<DeltaState<K, V, W>>>,
-    failures: Box<dyn FailureSource>,
-    observer: Option<DeltaObserverFn<K, V, W>>,
-    norm_probe: Option<DeltaNormProbe<K, V>>,
+    driver: Driver<DeltaState<K, V, W>>,
+    step: DeltaStep<K, V>,
 }
 
 impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
@@ -109,7 +96,7 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
     ) -> Self {
         let outer = initial_solution.environment();
         assert!(
-            Rc::ptr_eq(&initial_workset.environment().inner, &outer.inner),
+            std::rc::Rc::ptr_eq(&initial_workset.environment().inner, &outer.inner),
             "solution set and workset must come from the same environment"
         );
         let mut iteration = Self::over(&outer, max_iterations);
@@ -125,34 +112,27 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
     /// # Panics
     /// Panics when `max_iterations` is zero.
     pub fn over(env: &Environment, max_iterations: u32) -> Self {
-        assert!(max_iterations > 0, "an iteration needs at least one iteration");
-        let outer = env.clone();
-        let body = Environment::with_config(outer.config());
-        let solution_slot = SourceSlot::new();
-        let workset_slot = SourceSlot::new();
-        let solution_head_id = body.inner.borrow_mut().graph.add(
-            "solution-set",
-            vec![],
-            Box::new(InjectedSource::new(solution_slot.clone())),
-        );
-        let workset_head =
-            body.add_node("workset", vec![], Box::new(InjectedSource::new(workset_slot.clone())));
-        DeltaIteration {
-            solution_head: Shared::new(body.clone(), solution_head_id),
-            outer,
-            body,
-            initial: None,
-            solution_slot,
-            workset_slot,
-            workset_head,
-            import_ids: Vec::new(),
-            import_slots: Vec::new(),
-            max_iterations,
-            superstep_limit: max_iterations.saturating_mul(4).saturating_add(16),
-            handler: Box::new(RestartHandler),
-            failures: Box::new(NoFailures),
-            observer: None,
+        let mut driver = Driver::new(env, max_iterations);
+        let step = DeltaStep {
+            solution_slot: SourceSlot::new(),
+            workset_slot: SourceSlot::new(),
             norm_probe: None,
+            upserted: None,
+        };
+        let body = &driver.body;
+        let head = Box::new(InjectedSource::new(step.solution_slot.clone()));
+        let solution_head_id = body.inner.borrow_mut().graph.add("solution-set", vec![], head);
+        let head = Box::new(InjectedSource::new(step.workset_slot.clone()));
+        let workset_head = body.add_node("workset", vec![], head);
+        let solution_head = Shared::new(body.clone(), solution_head_id);
+        driver.heads = vec![solution_head_id, workset_head.node_id()];
+        DeltaIteration {
+            outer: env.clone(),
+            initial: None,
+            solution_head,
+            workset_head,
+            driver,
+            step,
         }
     }
 
@@ -169,45 +149,32 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
 
     /// The loop-body environment.
     pub fn body_environment(&self) -> Environment {
-        self.body.clone()
+        self.driver.body.clone()
     }
 
     /// Make an outer dataset visible inside the loop body.
     pub fn import<A: Data>(&mut self, outer: &DataSet<A>) -> DataSet<A> {
-        let slot = self.import_slot(&outer.environment(), outer.node_id());
-        self.body.add_node("import", vec![], Box::new(InjectedSource::new(slot)))
+        let slot = self.driver.import(&self.outer, &outer.environment(), outer.node_id());
+        self.driver.body.add_node("import", vec![], Box::new(InjectedSource::new(slot)))
     }
 
     /// Make an outer shared value (a keyed index) visible inside the loop
     /// body.
     pub fn import_shared<T>(&mut self, outer: &Shared<T>) -> Shared<T> {
-        let slot = self.import_slot(&outer.environment(), outer.node_id());
+        let slot = self.driver.import(&self.outer, &outer.environment(), outer.node_id());
         let head = Box::new(InjectedSource::new(slot));
-        let id = self.body.inner.borrow_mut().graph.add("import", vec![], head);
-        Shared::new(self.body.clone(), id)
-    }
-
-    /// Register outer node `id` as an import; the returned slot receives
-    /// its output when the iteration runs.
-    fn import_slot(&mut self, from: &Environment, id: NodeId) -> SourceSlot {
-        assert!(
-            Rc::ptr_eq(&from.inner, &self.outer.inner),
-            "import source must come from the enclosing environment"
-        );
-        let slot = SourceSlot::new();
-        self.import_ids.push(id);
-        self.import_slots.push(slot.clone());
-        slot
+        let id = self.driver.body.inner.borrow_mut().graph.add("import", vec![], head);
+        Shared::new(self.driver.body.clone(), id)
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
     pub fn set_fault_handler(&mut self, handler: impl FaultHandler<DeltaState<K, V, W>> + 'static) {
-        self.handler = Box::new(handler);
+        self.driver.handler = Box::new(handler);
     }
 
     /// Install a failure source (defaults to no failures).
     pub fn set_failure_source(&mut self, failures: impl FailureSource + 'static) {
-        self.failures = Box::new(failures);
+        self.driver.failures = Box::new(failures);
     }
 
     /// Install a per-superstep observer.
@@ -215,7 +182,11 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         &mut self,
         observer: impl FnMut(u32, &SolutionSets<K, V>, &Partitions<W>, &mut IterationStats) + 'static,
     ) {
-        self.observer = Some(Box::new(observer));
+        let mut observer: DeltaObserverFn<K, V, W> = Box::new(observer);
+        self.driver.observer =
+            Some(Box::new(move |iteration, state: &DeltaState<K, V, W>, stats| {
+                observer(iteration, &state.solution, &state.workset, stats)
+            }));
     }
 
     /// Install a delta-norm probe: called before each delta is applied,
@@ -227,12 +198,12 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         &mut self,
         probe: impl FnMut(&SolutionSets<K, V>, &Partitions<(K, V)>) -> Option<f64> + 'static,
     ) {
-        self.norm_probe = Some(Box::new(probe));
+        self.step.norm_probe = Some(Box::new(probe));
     }
 
     /// Override the chronological superstep budget.
     pub fn set_superstep_limit(&mut self, limit: u32) {
-        self.superstep_limit = limit;
+        self.driver.superstep_limit = limit;
     }
 
     /// Close the loop. `delta` contains solution-set upserts; `next_workset`
@@ -241,6 +212,10 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
     /// # Panics
     /// Panics on an iteration built with [`Self::over`], which has no
     /// initial datasets to start from (close it with [`Self::run_from`]).
+    // Closing an iteration over caller-kept state into a dataset is a
+    // misuse of the builder, not a failure of the run: it panics like the
+    // builder's other plan-shape assertions.
+    #[allow(clippy::expect_used)]
     pub fn close(
         self,
         delta: DataSet<(K, V)>,
@@ -250,12 +225,11 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
             .initial
             .expect("an iteration over caller-kept state is closed with run_from, not close");
         let outer = self.outer.clone();
-        let (op, import_ids) = self.into_op(delta, next_workset);
-        let stats = op.stats.clone();
+        let op = self.close_loop(delta, next_workset);
         let mut inputs = vec![initial_solution_id, initial_workset_id];
-        inputs.extend(import_ids);
-        let result = outer.add_node("delta-iteration", inputs, Box::new(op));
-        (result, stats)
+        inputs.extend(&op.driver.import_ids);
+        let stats = op.stats.clone();
+        (outer.add_node("delta-iteration", inputs, Box::new(op)), stats)
     }
 
     /// Close the loop and run it now from `initial`, state the caller keeps
@@ -272,46 +246,23 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         initial: &DeltaState<K, V, W>,
     ) -> Result<ResidentRun<K, V, W>> {
         let outer = self.outer.clone();
-        let (mut op, import_ids) = self.into_op(delta, next_workset);
+        let IterateDeltaOp { mut driver, mut step, .. } = self.close_loop(delta, next_workset);
         let ctx = ExecContext::new(outer.config());
-        let imports = exec::execute(&mut outer.inner.borrow_mut().graph, &import_ids, &ctx)?;
-        let mut upserted = Vec::new();
-        let state = op.run(initial, &imports, &ctx, Some(&mut upserted))?;
-        let stats = op.stats.take().expect("a finished run publishes its statistics");
-        Ok(ResidentRun { state, upserted, stats })
+        let imports = exec::execute(&mut outer.inner.borrow_mut().graph, &driver.import_ids, &ctx)?;
+        step.upserted = Some(Vec::new());
+        let (state, stats) = driver.run(&mut step, initial, &imports, &ctx)?;
+        Ok(ResidentRun { state, upserted: step.upserted.unwrap_or_default(), stats })
     }
 
-    fn into_op(
-        self,
+    fn close_loop(
+        mut self,
         delta: DataSet<(K, V)>,
         next_workset: DataSet<W>,
-    ) -> (IterateDeltaOp<K, V, W>, Vec<NodeId>) {
-        assert!(
-            Rc::ptr_eq(&delta.environment().inner, &self.body.inner),
-            "delta must be built inside the loop body"
-        );
-        assert!(
-            Rc::ptr_eq(&next_workset.environment().inner, &self.body.inner),
-            "next workset must be built inside the loop body"
-        );
-        let op = IterateDeltaOp {
-            body: self.body,
-            solution_head_id: self.solution_head.node_id(),
-            workset_head_id: self.workset_head.node_id(),
-            solution_slot: self.solution_slot,
-            workset_slot: self.workset_slot,
-            import_slots: self.import_slots,
-            delta_id: delta.node_id(),
-            next_workset_id: next_workset.node_id(),
-            max_iterations: self.max_iterations,
-            superstep_limit: self.superstep_limit,
-            handler: self.handler,
-            failures: self.failures,
-            observer: self.observer,
-            norm_probe: self.norm_probe,
-            stats: StatsHandle::new(),
-        };
-        (op, self.import_ids)
+    ) -> IterateDeltaOp<K, V, W> {
+        self.driver.assert_in_body(&delta.environment(), "delta");
+        self.driver.assert_in_body(&next_workset.environment(), "next workset");
+        self.driver.targets = vec![delta.node_id(), next_workset.node_id()];
+        IterateDeltaOp { driver: self.driver, step: self.step, stats: StatsHandle::default() }
     }
 }
 
@@ -328,21 +279,92 @@ pub struct ResidentRun<K, V, W> {
     pub stats: RunStats,
 }
 
-struct IterateDeltaOp<K: SolutionKey, V: Data, W: Data> {
-    body: Environment,
-    solution_head_id: NodeId,
-    workset_head_id: NodeId,
+/// A delta iteration's share of the loop: the solution maps and the workset
+/// are lent to the body, the delta it yields is applied to the maps, and the
+/// run stops when the workset is empty before a superstep.
+struct DeltaStep<K: SolutionKey, V: Data> {
     solution_slot: SourceSlot,
     workset_slot: SourceSlot,
-    import_slots: Vec<SourceSlot>,
-    delta_id: NodeId,
-    next_workset_id: NodeId,
-    max_iterations: u32,
-    superstep_limit: u32,
-    handler: Box<dyn FaultHandler<DeltaState<K, V, W>>>,
-    failures: Box<dyn FailureSource>,
-    observer: Option<DeltaObserverFn<K, V, W>>,
     norm_probe: Option<DeltaNormProbe<K, V>>,
+    /// The key of every applied delta entry, when the run collects them.
+    upserted: Option<Vec<K>>,
+}
+
+impl<K: SolutionKey, V: Data, W: Data> Step<DeltaState<K, V, W>> for DeltaStep<K, V> {
+    const MODE: IterationMode = IterationMode::Delta;
+
+    /// Both parts move into their slots for the step and come back out of
+    /// them right after it, whatever became of the step.
+    fn lend(&mut self, state: DeltaState<K, V, W>) {
+        self.solution_slot.fill(Erased::of(state.solution));
+        self.workset_slot.fill(Erased::new(state.workset));
+    }
+
+    /// The body only reads the solution sets (upserts happen after it), so
+    /// an aborted step gives them back untouched, with its workset.
+    fn reclaim(&mut self) -> Result<DeltaState<K, V, W>> {
+        Ok(DeltaState {
+            solution: reclaim(&self.solution_slot, "DeltaIteration(solution sets)")?,
+            workset: reclaim(&self.workset_slot, "DeltaIteration(pre-superstep workset)")?,
+        })
+    }
+
+    fn finish(
+        &mut self,
+        outputs: Vec<Erased>,
+        measure: bool,
+    ) -> Result<Stepped<DeltaState<K, V, W>>> {
+        let mut solution: SolutionSets<K, V> =
+            reclaim(&self.solution_slot, "DeltaIteration(solution sets)")?;
+        self.workset_slot.take();
+        // Taken one after the other so that each handle is the last one
+        // when its turn comes: a body that closes one dataset as both delta
+        // and next workset pays one copy, not two.
+        let mut outputs = outputs.into_iter();
+        let (Some(delta), Some(next_workset)) = (outputs.next(), outputs.next()) else {
+            return Err(EngineError::Iteration("a delta step yields two outputs".into()));
+        };
+        let delta: Partitions<(K, V)> = delta.take("DeltaIteration(delta)")?;
+        let workset = next_workset.take("DeltaIteration(next workset)")?;
+
+        // Apply the delta: upsert each entry into its key's partition. The
+        // norm probe observes the solution *before* the apply loop consumes
+        // the delta.
+        let updates = delta.total_len() as u64;
+        let delta_norm = if measure {
+            self.norm_probe.as_mut().and_then(|probe| probe(&solution, &delta))
+        } else {
+            None
+        };
+        let mut changed_per_partition = vec![0u64; solution.len()];
+        for (k, v) in delta.into_vec() {
+            let pid = hash_partition(&k, solution.len());
+            changed_per_partition[pid] += 1;
+            if let Some(keys) = &mut self.upserted {
+                keys.push(k.clone());
+            }
+            solution[pid].insert(k, v);
+        }
+        Ok(Stepped {
+            state: DeltaState { solution, workset },
+            measure: measure.then_some(ConvergenceMeasure { changed_per_partition, delta_norm }),
+            done: false,
+            updates: Some(updates),
+        })
+    }
+
+    fn converged(&self, state: &DeltaState<K, V, W>) -> bool {
+        state.workset.is_empty()
+    }
+
+    fn workset(state: &DeltaState<K, V, W>) -> Option<Vec<u64>> {
+        Some(state.workset.partition_sizes().iter().map(|&n| n as u64).collect())
+    }
+}
+
+struct IterateDeltaOp<K: SolutionKey, V: Data, W: Data> {
+    driver: Driver<DeltaState<K, V, W>>,
+    step: DeltaStep<K, V>,
     stats: StatsHandle,
 }
 
@@ -363,265 +385,6 @@ fn materialize_solution<K: SolutionKey, V: Data>(sets: &SolutionSets<K, V>) -> P
     Partitions::from_parts(parts)
 }
 
-impl<K: SolutionKey, V: Data, W: Data> IterateDeltaOp<K, V, W> {
-    /// The state lent to the body for a step, back out of its slot. The
-    /// body's node outputs are dropped by now, so the slot holds the only
-    /// handle and nothing is copied.
-    fn reclaim<T: Clone + Send + Sync + 'static>(slot: &SourceSlot, what: &str) -> Result<T> {
-        slot.take()
-            .ok_or_else(|| EngineError::Iteration(format!("{what} lent to the loop body lost")))?
-            .into_inner(what)
-    }
-
-    /// Run the loop from `initial` to its final state. `upserted`, when
-    /// asked for, collects the key of every applied delta entry.
-    fn run(
-        &mut self,
-        initial: &DeltaState<K, V, W>,
-        imports: &[Erased],
-        ctx: &ExecContext,
-        mut upserted: Option<&mut Vec<K>>,
-    ) -> Result<DeltaState<K, V, W>> {
-        let parallelism = ctx.config.parallelism;
-        for (slot, input) in self.import_slots.iter().zip(imports) {
-            slot.fill(input.clone());
-        }
-
-        // Loop-invariant caching over the body plan.
-        let volatile = {
-            let inner = self.body.inner.borrow();
-            if ctx.config.loop_invariant_caching {
-                inner.graph.volatility(&[self.solution_head_id, self.workset_head_id])
-            } else {
-                vec![true; inner.graph.len()]
-            }
-        };
-        let mut invariant_cache = PlanCache::new();
-
-        let mut state = initial.clone();
-
-        let mut run = RunStats::default();
-        let mut iteration: u32 = 0;
-        let mut superstep: u32 = 0;
-        let mut converged = false;
-        let telemetry = ctx.config.telemetry.clone();
-        telemetry.emit(|| JournalEvent::RunStarted {
-            mode: IterationMode::Delta,
-            parallelism,
-            max_iterations: self.max_iterations,
-        });
-        let run_timer = telemetry.timer(SpanKind::Run, None, None);
-        let recovery = Recovery { telemetry: &telemetry, initial };
-
-        loop {
-            if state.workset.is_empty() {
-                converged = true;
-                break;
-            }
-            if iteration >= self.max_iterations {
-                break;
-            }
-            if superstep >= self.superstep_limit {
-                return Err(EngineError::Iteration(format!(
-                    "superstep budget of {} exhausted at logical iteration {iteration} \
-                     (likely a recovery live-lock)",
-                    self.superstep_limit
-                )));
-            }
-
-            // 1. Execute the loop body over solution sets + workset. Both
-            // move into their injection slots for the step and come back
-            // out of them right after it, whatever became of the step.
-            let step_timer = telemetry.timer(SpanKind::Superstep, Some(superstep), Some(iteration));
-            let step_ctx = ExecContext::new(ctx.config.clone()).at_superstep(superstep);
-            self.solution_slot.fill(Erased::of(std::mem::take(&mut state.solution)));
-            let workset = std::mem::replace(&mut state.workset, Partitions::empty(parallelism));
-            self.workset_slot.fill(Erased::new(workset));
-            let compute_timer =
-                telemetry.timer(SpanKind::Compute, Some(superstep), Some(iteration));
-            let body_result = {
-                let mut inner = self.body.inner.borrow_mut();
-                exec::execute_cached(
-                    &mut inner.graph,
-                    &[self.delta_id, self.next_workset_id],
-                    &step_ctx,
-                    &volatile,
-                    &mut invariant_cache,
-                )
-            };
-            state.solution = Self::reclaim(&self.solution_slot, "DeltaIteration(solution sets)")?;
-            let outputs = match body_result {
-                Ok(outputs) => {
-                    self.workset_slot.take();
-                    outputs
-                }
-                Err(error) => {
-                    // A UDF panicked — or a cluster worker process died —
-                    // mid-superstep: neither the delta nor the next workset
-                    // materialised, and the solution sets have not been
-                    // touched (the body only reads them; upserts happen
-                    // after it). Recover the pre-superstep workset from its
-                    // slot as well, treat the affected partitions as failed
-                    // workers (losing their solution and workset
-                    // partitions), and redo the logical iteration. Partial
-                    // counters of the aborted step are discarded — no
-                    // SuperstepCompleted entry exists for it.
-                    let failure = Failure::of_aborted_step(error)?;
-                    let duration = compute_timer.finish();
-                    let _ = step_ctx.drain();
-                    let _ = step_ctx.take_shuffle_time();
-                    state.workset = Self::reclaim::<Partitions<W>>(
-                        &self.workset_slot,
-                        "DeltaIteration(pre-superstep workset)",
-                    )?;
-                    let (failure, next_iteration) = recovery.run(
-                        &mut *self.handler,
-                        (superstep, iteration),
-                        failure,
-                        &mut state,
-                        iteration,
-                    )?;
-                    let mut istats = IterationStats {
-                        superstep,
-                        iteration,
-                        duration,
-                        records_shuffled: 0,
-                        workset_size: Some(state.workset.total_len() as u64),
-                        failure: Some(failure),
-                        ..Default::default()
-                    };
-                    if let Some(observer) = &mut self.observer {
-                        observer(iteration, &state.solution, &state.workset, &mut istats);
-                    }
-                    run.iterations.push(istats);
-                    let _ = step_timer.finish();
-                    superstep += 1;
-                    iteration = next_iteration;
-                    continue;
-                }
-            };
-            // Taken one after the other so that each handle is the last one
-            // when its turn comes: a body that closes one dataset as both
-            // delta and next workset pays one copy, not two.
-            let mut outputs = outputs.into_iter();
-            let (delta, next_workset) = match (outputs.next(), outputs.next()) {
-                (Some(delta), Some(next_workset)) => (delta, next_workset),
-                _ => unreachable!("two targets requested"),
-            };
-            let delta: Partitions<(K, V)> = delta.take("DeltaIteration(delta)")?;
-            state.workset = next_workset.take("DeltaIteration(next workset)")?;
-
-            // 2. Apply the delta: upsert each entry into its key's partition.
-            // The norm probe must observe the solution *before* the apply
-            // loop consumes the delta.
-            let delta_size = delta.total_len() as u64;
-            let delta_norm = if telemetry.enabled() {
-                self.norm_probe.as_mut().and_then(|probe| probe(&state.solution, &delta))
-            } else {
-                None
-            };
-            let mut changed_per_partition = vec![0u64; parallelism];
-            for (k, v) in delta.into_vec() {
-                let pid = hash_partition(&k, parallelism);
-                changed_per_partition[pid] += 1;
-                if let Some(keys) = upserted.as_deref_mut() {
-                    keys.push(k.clone());
-                }
-                state.solution[pid].insert(k, v);
-            }
-            let duration = compute_timer.finish();
-
-            // 3. Superstep statistics.
-            let (counters, shuffled) = step_ctx.drain();
-            let shuffle_time = step_ctx.take_shuffle_time();
-            if shuffle_time > std::time::Duration::ZERO {
-                telemetry.span(&SpanRecord {
-                    kind: SpanKind::Shuffle,
-                    superstep: Some(superstep),
-                    iteration: Some(iteration),
-                    duration: shuffle_time,
-                });
-            }
-            telemetry.emit(|| JournalEvent::SuperstepCompleted {
-                superstep,
-                iteration,
-                records_shuffled: shuffled,
-                workset_size: Some(state.workset.total_len() as u64),
-            });
-            if telemetry.enabled() {
-                let workset_per_partition: Vec<u64> =
-                    state.workset.partition_sizes().iter().map(|&n| n as u64).collect();
-                telemetry.emit(|| JournalEvent::ConvergenceSample {
-                    superstep,
-                    iteration,
-                    changed: delta_size,
-                    changed_per_partition,
-                    delta_norm: delta_norm.map(Norm),
-                    workset_per_partition: Some(workset_per_partition),
-                });
-            }
-            let mut istats = IterationStats {
-                superstep,
-                iteration,
-                duration,
-                counters,
-                records_shuffled: shuffled,
-                workset_size: Some(state.workset.total_len() as u64),
-                ..Default::default()
-            };
-            istats.counters.insert("delta_updates".into(), delta_size);
-
-            // 4. Fault-tolerance hook (checkpointing).
-            if let Some(cost) = self.handler.after_superstep(iteration, &state)? {
-                telemetry.emit(|| JournalEvent::CheckpointWritten { iteration, bytes: cost.bytes });
-                telemetry.span(&SpanRecord {
-                    kind: SpanKind::Checkpoint,
-                    superstep: Some(superstep),
-                    iteration: Some(iteration),
-                    duration: cost.duration,
-                });
-                istats.checkpoint_bytes = Some(cost.bytes);
-                istats.checkpoint_duration = Some(cost.duration);
-            }
-
-            // 5. Failure injection and recovery.
-            let mut next_iteration = iteration + 1;
-            let lost = self.failures.poll(superstep, parallelism).filter(|lost| !lost.is_empty());
-            if let Some(lost) = lost {
-                let (failure, resumed) = recovery.run(
-                    &mut *self.handler,
-                    (superstep, iteration),
-                    Failure::injected(lost),
-                    &mut state,
-                    iteration + 1,
-                )?;
-                next_iteration = resumed;
-                istats.workset_size = Some(state.workset.total_len() as u64);
-                istats.failure = Some(failure);
-            }
-
-            // 6. Observe and record.
-            if let Some(observer) = &mut self.observer {
-                observer(iteration, &state.solution, &state.workset, &mut istats);
-            }
-            run.iterations.push(istats);
-            let _ = step_timer.finish();
-            superstep += 1;
-            iteration = next_iteration;
-        }
-
-        run.converged = converged;
-        run.total_duration = run_timer.finish();
-        telemetry.emit(|| JournalEvent::RunCompleted {
-            supersteps: run.supersteps(),
-            iterations: run.logical_iterations(),
-            converged: run.converged,
-        });
-        self.stats.set(run);
-        Ok(state)
-    }
-}
-
 impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
         let solution = inputs[0].downcast::<(K, V)>("DeltaIteration(solution)")?;
@@ -629,7 +392,8 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
             solution: solution_sets(solution.iter_records().cloned(), ctx.config.parallelism),
             workset: inputs[1].clone().take("DeltaIteration(workset)")?,
         };
-        let state = self.run(&initial, &inputs[2..], ctx, None)?;
+        let (state, stats) = self.driver.run(&mut self.step, &initial, &inputs[2..], ctx)?;
+        self.stats.set(stats);
         Ok(Erased::new(materialize_solution(&state.solution)))
     }
 
@@ -638,11 +402,11 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
     }
 
     fn body_explain(&self) -> Option<String> {
-        let inner = self.body.inner.borrow();
+        let inner = self.driver.body.inner.borrow();
         let mut text = String::from("(delta:)\n");
-        text.push_str(&inner.graph.explain(self.delta_id));
+        text.push_str(&inner.graph.explain(self.driver.targets[0]));
         text.push_str("(next workset:)\n");
-        text.push_str(&inner.graph.explain(self.next_workset_id));
+        text.push_str(&inner.graph.explain(self.driver.targets[1]));
         Some(text)
     }
 }
@@ -768,6 +532,7 @@ mod tests {
     #[test]
     fn a_body_panic_gives_the_solution_maps_back_untouched() {
         use std::cell::RefCell;
+        use std::rc::Rc;
         use std::sync::atomic::{AtomicU32, Ordering};
         use std::sync::Arc;
 

@@ -13,6 +13,7 @@ use dataflow::error::EngineError;
 use dataflow::exec::ExecContext;
 use dataflow::plan::DynOp;
 use dataflow::prelude::*;
+use dataflow::stats::RecoveryKind;
 use recovery::compensation::Named;
 use recovery::optimistic::OptimisticHandler;
 use recovery::scenario::FailureScenario;
@@ -158,12 +159,19 @@ fn spans_cover_the_superstep_hierarchy() {
     assert!(hist.count > 0);
 }
 
-/// How the countdown run below loses partition 1 at superstep 2.
-#[derive(Clone, Copy, PartialEq)]
+/// How the countdown runs below lose partition 1 at superstep 2.
+#[derive(Clone, Copy, PartialEq, Debug)]
 enum Cause {
     Injected,
     UdfPanic,
     WorkerLoss,
+}
+
+/// Which iteration kind runs the countdown.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Kind {
+    Bulk,
+    Delta,
 }
 
 /// Passes its input through, except once at superstep 2, where it reports
@@ -189,14 +197,38 @@ impl DynOp for LoseWorkerOnce {
     }
 }
 
-/// The journal lines from the cause of the failure at superstep 2 through
-/// the engine's verdict on it.
+/// The journal lines from the cause of the bulk countdown's failure at
+/// superstep 2 through the engine's verdict on it.
 fn recovery_window(cause: Cause) -> Vec<String> {
+    recovery_run(Kind::Bulk, cause).0
+}
+
+/// The journal lines from the cause of the failure at superstep 2 through
+/// the engine's verdict on it, and the failed superstep's `RunStats` row.
+fn recovery_run(kind: Kind, cause: Cause) -> (Vec<String>, IterationStats) {
     let sink = Arc::new(MemorySink::new());
     let telemetry = SinkHandle::new(sink.clone());
     let env = Environment::with_config(
         dataflow::config::EnvConfig::new(2).with_telemetry(telemetry.clone()),
     );
+    let stats = match kind {
+        Kind::Bulk => bulk_countdown(&env, telemetry, cause),
+        Kind::Delta => delta_countdown(&env, telemetry, cause),
+    };
+
+    let lines: Vec<String> = sink.events().iter().map(JournalEvent::to_json).collect();
+    let end = lines.iter().position(|l| l.contains("\"CompensationApplied\"")).expect("verdict");
+    let start = (0..end)
+        .rev()
+        .take_while(|&i| !lines[i].contains("\"ConvergenceSample\""))
+        .last()
+        .expect("a failure precedes the verdict");
+    let row = stats.iterations.into_iter().find(|row| row.failure.is_some()).expect("a failure");
+    (lines[start..=end].to_vec(), row)
+}
+
+/// Counts every value down to zero, one per superstep.
+fn bulk_countdown(env: &Environment, telemetry: SinkHandle, cause: Cause) -> RunStats {
     // Partition 1 holds 110, 130, 150 and 170.
     let initial = env.from_vec((10u64..18).map(|v| v * 10).collect());
     let mut iteration = BulkIteration::new(&initial, 400);
@@ -231,17 +263,59 @@ fn recovery_window(cause: Cause) -> Vec<String> {
         n.saturating_sub(1)
     });
     let moving = next.filter("positive", |&n| n > 0);
-    let (result, _stats) = iteration.close_with_termination(next, moving);
+    let (result, stats) = iteration.close_with_termination(next, moving);
     assert!(result.collect().expect("the run recovers").iter().all(|&n| n == 0));
+    stats.take().expect("a finished run")
+}
 
-    let lines: Vec<String> = sink.events().iter().map(JournalEvent::to_json).collect();
-    let end = lines.iter().position(|l| l.contains("\"CompensationApplied\"")).expect("verdict");
-    let start = (0..end)
-        .rev()
-        .take_while(|&i| !lines[i].contains("\"ConvergenceSample\""))
-        .last()
-        .expect("a failure precedes the verdict");
-    lines[start..=end].to_vec()
+/// The same countdown as a delta iteration: each value is a key whose
+/// solution entry counts down, and the workset carries the counts still
+/// above zero.
+fn delta_countdown(env: &Environment, telemetry: SinkHandle, cause: Cause) -> RunStats {
+    let keys: Vec<u64> = (10u64..18).map(|v| v * 10).collect();
+    let counts: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+    let solution = env.from_keyed_vec(counts.clone(), |c| c.0);
+    let workset = env.from_keyed_vec(counts, |c| c.0);
+    let mut iteration = DeltaIteration::new(&solution, &workset, 400);
+    // A lost key comes back at zero, with nothing left to count.
+    let compensation = Named::new(
+        "FixComponents",
+        move |state: &mut DeltaState<u64, u64, (u64, u64)>, lost: &[usize], _iteration: u32| {
+            for &pid in lost {
+                for &key in keys.iter().filter(|&k| hash_partition(k, 2) == pid) {
+                    state.solution[pid].insert(key, 0);
+                }
+            }
+        },
+    );
+    iteration.set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
+    if cause == Cause::Injected {
+        iteration.set_failure_source(FailureScenario::none().fail_at(2, &[1]).to_source());
+    }
+    let fired = std::sync::atomic::AtomicBool::new(cause != Cause::UdfPanic);
+    let trigger = (10u64..18).map(|v| v * 10).find(|k| hash_partition(k, 2) == 1).expect("a key");
+    let counting = iteration.workset();
+    let counting = if cause == Cause::WorkerLoss {
+        iteration.body_environment().custom_node::<(u64, u64)>(
+            "lose-worker",
+            vec![counting.node_id()],
+            Box::new(LoseWorkerOnce(false)),
+        )
+    } else {
+        counting
+    };
+    let next = counting.map("dec", move |&(key, n): &(u64, u64)| {
+        // The trigger's count enters superstep 2 two below its start.
+        if key == trigger && n == key - 2 && !fired.swap(true, std::sync::atomic::Ordering::SeqCst)
+        {
+            panic!("injected UDF panic");
+        }
+        (key, n - 1)
+    });
+    let moving = next.filter("positive", |c| c.1 > 0);
+    let (result, stats) = iteration.close(next, moving);
+    assert!(result.collect().expect("the run recovers").iter().all(|c| c.1 == 0));
+    stats.take().expect("a finished run")
 }
 
 fn event_kinds(lines: &[String]) -> Vec<String> {
@@ -294,5 +368,50 @@ fn every_failure_cause_journals_the_baseline_recovery_sequence() {
         assert_eq!(window[0], first);
         assert_eq!(event_kinds(&window[1..]), sequence);
         assert_eq!(window[1], injected[0], "the same loss is journaled");
+    }
+}
+
+#[test]
+fn both_iteration_kinds_journal_and_tally_every_failure_cause() {
+    // A delta countdown's workset after recovery: the keys of partition 0.
+    let survivors = (10u64..18).filter(|v| hash_partition(&(v * 10), 2) == 0).count() as u64;
+    for kind in [Kind::Bulk, Kind::Delta] {
+        let (injected, _) = recovery_run(kind, Cause::Injected);
+        for cause in [Cause::Injected, Cause::UdfPanic, Cause::WorkerLoss] {
+            let (window, row) = recovery_run(kind, cause);
+            let aborted = cause != Cause::Injected;
+            // An aborted step names its cause first; then both kinds journal
+            // the loss the injected failure does, and the same verdict.
+            let loss = &window[usize::from(aborted)];
+            assert_eq!(loss, &injected[0], "{kind:?} {cause:?}");
+            assert_eq!(
+                event_kinds(&window[usize::from(aborted)..]),
+                ["FailureInjected", "CompensationInvoked", "CompensationApplied"],
+                "{kind:?} {cause:?}"
+            );
+
+            // The failed superstep's row says what the journal says.
+            assert_eq!((row.superstep, row.iteration), (2, 2), "{kind:?} {cause:?}");
+            let Some(JournalEvent::FailureInjected { lost_records, .. }) =
+                JournalEvent::from_json(loss).expect("a journal line")
+            else {
+                panic!("{kind:?} {cause:?}: not a failure: {loss}");
+            };
+            let failure = row.failure.as_ref().expect("a failure record");
+            assert_eq!(failure.lost_partitions, [1], "{kind:?} {cause:?}");
+            assert_eq!(failure.lost_records, lost_records, "{kind:?} {cause:?}");
+            assert_eq!(failure.recovery, RecoveryKind::Compensated, "{kind:?} {cause:?}");
+            // An aborted step left no output, so it shuffled nothing and
+            // counted nothing; a completed delta step counts its upserts.
+            if aborted {
+                assert_eq!(row.records_shuffled, 0, "{kind:?} {cause:?}");
+                assert!(row.counters.is_empty(), "{kind:?} {cause:?}: {:?}", row.counters);
+            } else if kind == Kind::Delta {
+                assert_eq!(row.counters.get("delta_updates"), Some(&8), "{kind:?} {cause:?}");
+            }
+            // The workset row is the one recovery left behind.
+            let workset = (kind == Kind::Delta).then_some(survivors);
+            assert_eq!(row.workset_size, workset, "{kind:?} {cause:?}");
+        }
     }
 }
