@@ -46,7 +46,7 @@ use dataflow::codec::encode_to_vec;
 use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
-use dataflow::exec::{map_partition_refs, par_map, ExecContext};
+use dataflow::exec::{par_map, ExecContext};
 use dataflow::ft::RestartHandler;
 use dataflow::iterate::{BulkIteration, ConvergenceMeasure};
 use dataflow::partition::PartitionId;
@@ -61,9 +61,8 @@ use recovery::{
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
 use telemetry::{JournalEvent, SinkHandle};
 
-use crate::exchange::{bucket_by_pid, merge_runs};
 use crate::placement::{PartitionMap, Rebalancer};
-use crate::program::{lookup, partition_rows, ClusterProgram};
+use crate::program::{lookup, partition_rows, ClusterProgram, StepBuffers};
 use crate::protocol::{
     encode_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
     AdjRows, Inbound, Message, Msg, Record, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
@@ -268,7 +267,8 @@ pub struct ClusterConfig {
     /// Optional warm-start state, sorted or not: `(vertex, value-bits)`
     /// records that replace the program's `init_partition` output. Used by
     /// serving mode to re-converge from the previous epoch's fixpoint
-    /// instead of from scratch. The records must satisfy the program's
+    /// instead of from scratch. There must be one record per vertex of the
+    /// graph (anything else is a plan error), satisfying the program's
     /// state invariant (CC: `label <= vertex`, which its send rule relies
     /// on).
     pub initial_state: Option<Vec<Record>>,
@@ -406,8 +406,9 @@ struct StepResult {
 /// Where a superstep's partition work actually runs: in-process (the
 /// baseline) or on worker processes over TCP. Each keeps what the last
 /// committed superstep sent where it ran — the local backend as the runs
-/// its partitions returned, the cluster's workers in their data planes —
-/// and both merge an inbox with the same `merge_runs`, so both backends
+/// its partitions routed, the cluster's workers in their data planes — and
+/// both fold a partition's inbound in canonical `(src, dst, bits)` order
+/// (merged from the runs, or from an inbox `merge_runs` built), so both
 /// execute bit-identical supersteps in failure-free runs.
 ///
 /// `Send` because the engine may dispatch the step operator onto its
@@ -445,10 +446,12 @@ struct LocalBackend {
     program: Arc<dyn ClusterProgram>,
     adjacency: Arc<Vec<AdjRows>>,
     n: u64,
-    /// What the last committed superstep sent: one born-sorted run per
-    /// partition, kept as the runs arrived. Replaced only by a commit, so
-    /// the retry after a failed attempt reads the exact same messages.
-    committed: Vec<Vec<Msg>>,
+    /// `sent[p][q]`: the run partition `p` routed to `q` in the last
+    /// committed superstep. Only a commit replaces it: a retry reads the same.
+    sent: Vec<Vec<Vec<Msg>>>,
+    /// Each partition's kept output buffers: partition `p`'s task writes
+    /// `spare[p]` alone, and a commit swaps its runs into `sent[p]`.
+    spare: Vec<StepBuffers>,
     /// Whether the previous attempt failed (a partition panicked), so this
     /// one runs on compensated state: the local counterpart of
     /// [`ClusterBackend::push_state`], with the same two consequences — the
@@ -459,24 +462,9 @@ struct LocalBackend {
 
 impl LocalBackend {
     fn new(program: Arc<dyn ClusterProgram>, adjacency: Arc<Vec<AdjRows>>, n: u64) -> Self {
-        LocalBackend { program, adjacency, n, committed: Vec::new(), retrying: false }
-    }
-
-    /// Route and merge the committed runs into per-partition inboxes, each
-    /// in canonical `(src, dst, bits)` order. Every run is born sorted, so
-    /// routing it by destination yields one sorted run per (source,
-    /// destination) pair and merging a destination's runs *is* sorting its
-    /// inbox. The canonical order fixes the fold order of floating-point
-    /// sums, making every superstep bitwise deterministic.
-    fn inboxes(&self, ctx: &ExecContext) -> Result<Vec<Vec<Msg>>> {
-        let (runs, parallelism) = (&self.committed, self.adjacency.len());
-        let routed = runs.iter().map(Vec::len).sum();
-        let buckets: Vec<Vec<Vec<Msg>>> =
-            map_partition_refs(runs, ctx, |_, msgs| bucket_by_pid(msgs, parallelism))?;
-        par_map((0..parallelism).collect(), ctx, routed, |_, pid: usize| {
-            let runs: Vec<&[Msg]> = buckets.iter().map(|from| from[pid].as_slice()).collect();
-            merge_runs(&runs, 1).pop().unwrap_or_default()
-        })
+        let p = adjacency.len();
+        let (sent, spare) = (vec![vec![Vec::new(); p]; p], vec![StepBuffers::routing_to(p); p]);
+        LocalBackend { program, adjacency, n, sent, spare, retrying: false }
     }
 }
 
@@ -490,22 +478,23 @@ impl StepBackend for LocalBackend {
     ) -> Result<Vec<StepResult>> {
         // Stays set if this attempt fails too.
         let retrying = std::mem::replace(&mut self.retrying, true);
-        let inboxes = self.inboxes(ctx)?;
-        let work = jobs.iter().map(|job| job.state.len() + inboxes[job.pid].len()).sum();
-        let outputs = par_map(jobs, ctx, work, |_, job| {
-            let (rows, inbound) = (&self.adjacency[job.pid], &inboxes[job.pid]);
-            let out = if retrying {
-                self.program.full_send_step(step, job.state, inbound, rows, self.n)
-            } else {
-                self.program.step(step, job.state, inbound, rows, self.n)
-            };
-            let shuffled = out.outbound.len() as u64;
-            let result =
-                StepResult { pid: job.pid, state: out.state, changed: out.changed, shuffled };
-            (result, out.outbound)
+        let (program, adjacency, n, sent) = (&self.program, &self.adjacency, self.n, &self.sent);
+        // Every partition steps, in pid order, writing its own buffers.
+        debug_assert!(jobs.iter().enumerate().all(|(pid, job)| job.pid == pid));
+        let work: usize =
+            jobs.iter().map(|job| job.state.len()).chain(sent.iter().flatten().map(Vec::len)).sum();
+        let tasks: Vec<_> = jobs.into_iter().zip(&mut self.spare).collect();
+        let mut results = par_map(tasks, ctx, work, |_, (job, out)| {
+            let runs = sent.iter().map(|row| row[job.pid].as_slice());
+            let inbound: Vec<&[Msg]> = runs.filter(|run| !run.is_empty()).collect();
+            let rows = &adjacency[job.pid];
+            let changed = program.fold_and_send(step, retrying, job.state, &inbound, rows, n, out);
+            let shuffled = out.runs.iter().map(Vec::len).sum::<usize>() as u64;
+            StepResult { pid: job.pid, state: std::mem::take(&mut out.state), changed, shuffled }
         })?;
-        let (mut results, sent): (Vec<StepResult>, Vec<Vec<Msg>>) = outputs.into_iter().unzip();
-        self.committed = sent;
+        for (sent, spare) in self.sent.iter_mut().zip(&mut self.spare) {
+            std::mem::swap(sent, &mut spare.runs);
+        }
         self.retrying = false;
         if retrying {
             keep_running(&mut results);
@@ -1728,7 +1717,8 @@ pub fn run_local(
 }
 
 /// [`run_local`], optionally warm-started from a previous fixpoint instead
-/// of the program's `init_partition` output.
+/// of the program's `init_partition` output: one record per vertex, or the
+/// run is a plan error.
 pub fn run_local_warm(
     program_name: &str,
     graph: &Graph,
@@ -1797,8 +1787,9 @@ fn run_with_backend(
             for record in state {
                 parts[(record.0 % parallelism as u64) as usize].push(record);
             }
-            for part in &mut parts {
+            for (part, rows) in parts.iter_mut().zip(adjacency.iter()) {
                 part.sort_unstable_by_key(|record| record.0);
+                check_warm_start(part, rows)?;
             }
             Partitions::from_parts(parts)
         }
@@ -1895,6 +1886,18 @@ fn run_with_backend(
     Ok(ClusterRun { values, stats })
 }
 
+/// A warm start's sorted partition must hold one record per vertex of its
+/// rows, or a step would panic and compensation paper over it: the first
+/// vertex without a record, or with an extra one, is a plan error.
+fn check_warm_start(part: &[Record], rows: &AdjRows) -> Result<()> {
+    let at = |i: usize| (part.get(i).map(|record| record.0), rows.get(i).map(|row| row.0));
+    let mut slots = (0..part.len().max(rows.len())).map(at);
+    let Some((got, want)) = slots.find(|(got, want)| got != want) else { return Ok(()) };
+    let v = got.into_iter().chain(want).min().unwrap_or_default();
+    let problem = if want == Some(v) { "no record" } else { "an extra record" };
+    Err(EngineError::Plan(format!("warm-start state has {problem} for vertex {v}")))
+}
+
 /// The run's result: the partitions' states, each ascending by vertex (a
 /// program keeps its partition's vertex order, warm starts are sorted per
 /// partition), merged into one vector ascending by vertex.
@@ -1965,47 +1968,83 @@ mod tests {
         assert_eq!(inline.stats.supersteps(), pooled.stats.supersteps());
     }
 
-    /// CC whose partition 1 panics the first time it is stepped at logical
-    /// step `at`: the one failure the in-process backend can meet.
+    /// A shipped program whose partition 1 panics the first time it is
+    /// stepped at logical step `at` — the one failure the in-process backend
+    /// can meet. With `partial`, it first writes half of the state and of
+    /// every run it would have routed.
     struct PanicsOnce {
+        inner: Arc<dyn ClusterProgram>,
         at: u64,
+        partial: bool,
         fired: AtomicBool,
+    }
+
+    impl PanicsOnce {
+        fn wrapping(name: &str, at: u64, partial: bool) -> Arc<dyn ClusterProgram> {
+            let inner = resolve(name).unwrap();
+            Arc::new(PanicsOnce { inner, at, partial, fired: AtomicBool::new(false) })
+        }
     }
 
     impl ClusterProgram for PanicsOnce {
         fn name(&self) -> &'static str {
-            "cc"
+            self.inner.name()
         }
 
         fn init_partition(&self, rows: &[(u64, Vec<u64>)], n: u64) -> Vec<Record> {
-            crate::program::CcProgram.init_partition(rows, n)
+            self.inner.init_partition(rows, n)
         }
 
-        fn step(
+        fn fold_and_send(
             &self,
             step: u64,
+            full_send: bool,
             state: &[Record],
-            inbound: &[Msg],
+            inbound: &[&[Msg]],
             rows: &[(u64, Vec<u64>)],
             n: u64,
-        ) -> crate::StepOutput {
+            out: &mut StepBuffers,
+        ) -> u64 {
             let hit = step == self.at && state.first().is_some_and(|record| record.0 == 1);
             if hit && !self.fired.swap(true, Ordering::SeqCst) {
+                if self.partial {
+                    self.inner.fold_and_send(step, full_send, state, inbound, rows, n, out);
+                    out.state.truncate(out.state.len() / 2);
+                    out.runs.iter_mut().for_each(|run| run.truncate(run.len() / 2));
+                }
                 panic!("injected partition panic at step {step}");
             }
-            crate::program::CcProgram.step(step, state, inbound, rows, n)
+            self.inner.fold_and_send(step, full_send, state, inbound, rows, n, out)
         }
+    }
 
-        fn full_send_step(
-            &self,
-            step: u64,
-            state: &[Record],
-            inbound: &[Msg],
-            rows: &[(u64, Vec<u64>)],
-            n: u64,
-        ) -> crate::StepOutput {
-            crate::program::CcProgram.full_send_step(step, state, inbound, rows, n)
-        }
+    /// Run `program` in process on the backend `backend` builds.
+    fn run_on<B: StepBackend + 'static>(
+        backend: impl FnOnce(Arc<dyn ClusterProgram>, Arc<Vec<AdjRows>>, u64) -> B,
+        program: Arc<dyn ClusterProgram>,
+        graph: &Graph,
+        parallelism: usize,
+    ) -> ClusterRun {
+        let n = graph.num_vertices() as u64;
+        let adjacency = Arc::new(partition_rows(graph, parallelism));
+        let backend = Box::new(backend(program.clone(), adjacency.clone(), n));
+        let (config, strategy) = (EnvConfig::new(parallelism), ClusterStrategy::Optimistic);
+        run_with_backend(program, backend, adjacency, n, 200, config, strategy, None).unwrap()
+    }
+
+    /// A run's statistics without their durations: what must not move.
+    fn account(stats: &RunStats) -> Vec<String> {
+        let failure = |f: &telemetry::FailureRecord| {
+            format!("{:?} {} {:?}", f.lost_partitions, f.lost_records, f.recovery)
+        };
+        let superstep = |it: &dataflow::stats::IterationStats| {
+            let fail = it.failure.as_ref().map(failure);
+            format!(
+                "{} {} {} {:?} {fail:?}",
+                it.superstep, it.iteration, it.records_shuffled, it.counters
+            )
+        };
+        stats.iterations.iter().map(superstep).chain([format!("{}", stats.converged)]).collect()
     }
 
     #[test]
@@ -2013,30 +2052,50 @@ mod tests {
         // Compensation resets the panicked partition; its neighbours stopped
         // sending supersteps ago, so only a retry in which every vertex
         // re-sends — and which may not end the run — reaches the true labels.
+        // PageRank's retry folds the committed runs again: its result is the
+        // parent assembly's for the same panic, bit for bit.
         let graph = graphs::generators::demo_components();
-        let n = graph.num_vertices() as u64;
         let exact = graphs::exact_components(&graph);
-        let failure_free = run_local("cc", &graph, 4, 50, SinkHandle::disabled()).unwrap();
-        let last = u64::from(failure_free.stats.supersteps()) - 1;
-        for at in [2, last] {
-            let program: Arc<dyn ClusterProgram> =
-                Arc::new(PanicsOnce { at, fired: AtomicBool::new(false) });
-            let adjacency = Arc::new(partition_rows(&graph, 4));
-            let backend = LocalBackend::new(program.clone(), adjacency.clone(), n);
-            let run = run_with_backend(
-                program,
-                Box::new(backend),
-                adjacency,
-                n,
-                50,
-                EnvConfig::new(4),
-                ClusterStrategy::Optimistic,
-                None,
-            )
-            .unwrap();
-            assert_eq!(run.stats.failures().count(), 1, "panic at step {at}");
-            let labels: Vec<u64> = run.values.iter().map(|&(_, l)| l).collect();
-            assert_eq!(labels, exact, "panic at step {at}");
+        for name in ["cc", "pagerank"] {
+            let failure_free = run_local(name, &graph, 4, 200, SinkHandle::disabled()).unwrap();
+            let last = u64::from(failure_free.stats.supersteps()) - 1;
+            for at in [2, last] {
+                let panics = || PanicsOnce::wrapping(name, at, false);
+                let run = run_on(LocalBackend::new, panics(), &graph, 4);
+                assert_eq!(run.stats.failures().count(), 1, "{name}: panic at step {at}");
+                let reference = run_on(InboxAssembly::new, panics(), &graph, 4);
+                assert_eq!(run.values, reference.values, "{name}: panic at step {at}");
+                assert_eq!(account(&run.stats), account(&reference.stats));
+                if name == "cc" {
+                    let labels: Vec<u64> = run.values.iter().map(|&(_, l)| l).collect();
+                    assert_eq!(labels, exact, "panic at step {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_local_failed_attempt_cannot_leak_into_its_retry() {
+        // An attempt that wrote half its output before panicking is the
+        // attempt that wrote nothing: the retry reads the committed runs, so
+        // its superstep shuffles what a clean full-send superstep does, and
+        // the run — labels and every superstep's account — is the same.
+        let graph = graphs::generators::preferential_attachment(400, 3, 9);
+        let exact = graphs::exact_components(&graph);
+        for name in ["cc", "pagerank"] {
+            for at in [1, 3] {
+                let partial =
+                    run_on(LocalBackend::new, PanicsOnce::wrapping(name, at, true), &graph, 4);
+                let clean =
+                    run_on(LocalBackend::new, PanicsOnce::wrapping(name, at, false), &graph, 4);
+                assert_eq!(partial.stats.failures().count(), 1, "{name}: panic at step {at}");
+                assert_eq!(partial.values, clean.values, "{name}: panic at step {at}");
+                assert_eq!(account(&partial.stats), account(&clean.stats), "{name}: {at}");
+                if name == "cc" {
+                    let labels: Vec<u64> = partial.values.iter().map(|&(_, l)| l).collect();
+                    assert_eq!(labels, exact, "panic at step {at}");
+                }
+            }
         }
     }
 
@@ -2238,42 +2297,105 @@ mod tests {
         assert_eq!(steps_handed(ClusterStrategy::Restart, 3), [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
+    /// The in-process step assembly before partitions routed their output,
+    /// kept as the oracle of the routed one: a commit keeps each partition's
+    /// outbound as one run, and every superstep buckets the runs by
+    /// destination, merges each destination's buckets into an inbox and
+    /// steps it through the one-run wrappers.
+    struct InboxAssembly {
+        program: Arc<dyn ClusterProgram>,
+        adjacency: Arc<Vec<AdjRows>>,
+        n: u64,
+        committed: Vec<Vec<Msg>>,
+        retrying: bool,
+    }
 
-        fn born_sorted_runs() -> impl Strategy<Value = Vec<Vec<Msg>>> {
-            let run =
-                prop::collection::vec((0u64..24, 0u64..24, 0u64..3), 0..40).prop_map(|mut run| {
-                    run.sort_unstable();
-                    run
-                });
-            prop::collection::vec(run, 0..5)
+    impl InboxAssembly {
+        fn new(program: Arc<dyn ClusterProgram>, adjacency: Arc<Vec<AdjRows>>, n: u64) -> Self {
+            InboxAssembly { program, adjacency, n, committed: Vec::new(), retrying: false }
         }
 
+        fn inbox(&self, pid: usize) -> Vec<Msg> {
+            let parallelism = self.adjacency.len() as u64;
+            let to_pid = |msg: &Msg| msg.1 % parallelism == pid as u64;
+            let buckets: Vec<Vec<Msg>> = self
+                .committed
+                .iter()
+                .map(|run| run.iter().copied().filter(to_pid).collect())
+                .collect();
+            let buckets: Vec<&[Msg]> = buckets.iter().map(Vec::as_slice).collect();
+            crate::exchange::merge_runs(&buckets, 1).pop().unwrap()
+        }
+    }
+
+    impl StepBackend for InboxAssembly {
+        fn run_step(
+            &mut self,
+            _superstep: u32,
+            step: u64,
+            jobs: Vec<StepJob<'_>>,
+            ctx: &ExecContext,
+        ) -> Result<Vec<StepResult>> {
+            let retrying = std::mem::replace(&mut self.retrying, true);
+            let this = &*self;
+            let outputs = par_map(jobs, ctx, 0, |_, job| {
+                let (rows, inbound, n) = (&this.adjacency[job.pid], this.inbox(job.pid), this.n);
+                let out = if retrying {
+                    this.program.full_send_step(step, job.state, &inbound, rows, n)
+                } else {
+                    this.program.step(step, job.state, &inbound, rows, n)
+                };
+                let shuffled = out.outbound.len() as u64;
+                let result =
+                    StepResult { pid: job.pid, state: out.state, changed: out.changed, shuffled };
+                (result, out.outbound)
+            })?;
+            let (mut results, sent): (Vec<StepResult>, Vec<Vec<Msg>>) = outputs.into_iter().unzip();
+            self.committed = sent;
+            self.retrying = false;
+            if retrying {
+                keep_running(&mut results);
+            }
+            Ok(results)
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use crate::program::directed;
+        use proptest::prelude::*;
+
         proptest! {
+            #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
             #[test]
-            fn local_assembly_equals_the_eager_commit(
-                runs in born_sorted_runs(),
-                parallelism in (0usize..3).prop_map(|i| [1, 3, 4][i]),
+            fn run_local_equals_the_inbox_assembly(
+                shape in (any::<bool>(), 3usize..120, any::<u64>()),
+                parallelism in (0usize..5).prop_map(|i| [1, 3, 4, 5, 8][i]),
+                panic_at in 0u64..6,
             ) {
-                // What every commit used to do: bucket each partition's
-                // outbound, merge every destination's buckets.
-                let eager: Vec<Vec<Msg>> = (0..parallelism)
-                    .map(|pid| {
-                        let buckets: Vec<Vec<Msg>> = runs
-                            .iter()
-                            .map(|run| bucket_by_pid(run, parallelism).swap_remove(pid))
-                            .collect();
-                        let buckets: Vec<&[Msg]> = buckets.iter().map(Vec::as_slice).collect();
-                        merge_runs(&buckets, 1).pop().unwrap()
-                    })
-                    .collect();
-                let ctx = ExecContext::new(EnvConfig::new(parallelism));
-                let adjacency = Arc::new(vec![AdjRows::new(); parallelism]);
-                let mut local = LocalBackend::new(resolve("cc").unwrap(), adjacency, 24);
-                local.committed = runs;
-                prop_assert_eq!(local.inboxes(&ctx).unwrap(), eager);
+                // Whole runs, failure-free (`panic_at == 0`) and with a
+                // panicked partition: the routed assembly is the inbox
+                // assembly, bit for bit and superstep by superstep.
+                let (is_directed, size, seed) = shape;
+                let graph = if is_directed {
+                    directed(size as u64, seed)
+                } else {
+                    graphs::generators::preferential_attachment(size, 3, seed)
+                };
+                for name in crate::program_names() {
+                    let program = || match panic_at {
+                        0 => resolve(name).unwrap(),
+                        at => PanicsOnce::wrapping(name, at, false),
+                    };
+                    let routed = match panic_at {
+                        0 => run_local(name, &graph, parallelism, 200, SinkHandle::disabled())
+                            .unwrap(),
+                        _ => run_on(LocalBackend::new, program(), &graph, parallelism),
+                    };
+                    let reference = run_on(InboxAssembly::new, program(), &graph, parallelism);
+                    prop_assert_eq!(&routed.values, &reference.values, "{} P={}", name, parallelism);
+                    prop_assert_eq!(account(&routed.stats), account(&reference.stats));
+                }
             }
 
             #[test]
@@ -2282,8 +2404,10 @@ mod tests {
                 parallelism in (0usize..3).prop_map(|i| [1, 3, 4][i]),
                 strided in any::<bool>(),
             ) {
-                // A cold state holds every vertex of its stride; a warm
-                // start, whatever vertices the previous fixpoint had.
+                // A run's state holds every vertex of its stride, cold or
+                // warm (a warm start that does not is a plan error); the
+                // merge relies only on each partition being ascending, so
+                // arbitrary vertex sets check that too.
                 let vertices: std::collections::BTreeSet<u64> = if strided {
                     (0..vertices.len() as u64).collect()
                 } else {
@@ -2315,5 +2439,48 @@ mod tests {
             warm.stats.supersteps(),
             cold.stats.supersteps()
         );
+    }
+
+    /// A converged CC fixpoint of a 2 000-vertex graph, broken three ways:
+    /// vertex 5 missing, vertex 7 twice, and a vertex past the graph's end.
+    fn malformed_warm_starts() -> (Graph, Vec<(Vec<Record>, &'static str)>) {
+        let graph = graphs::generators::preferential_attachment(2_000, 3, 5);
+        let fixpoint = run_local("cc", &graph, 4, 200, SinkHandle::disabled()).unwrap().values;
+        let without_5: Vec<Record> = fixpoint.iter().copied().filter(|r| r.0 != 5).collect();
+        let mut twice_7 = fixpoint.clone();
+        twice_7.push(fixpoint[7]);
+        let mut beyond = fixpoint.clone();
+        beyond.push((2_003, 0));
+        let cases = vec![
+            (without_5, "no record for vertex 5"),
+            (twice_7, "an extra record for vertex 7"),
+            (beyond, "an extra record for vertex 2003"),
+        ];
+        (graph, cases)
+    }
+
+    #[test]
+    fn a_malformed_local_warm_start_is_a_plan_error() {
+        let (graph, cases) = malformed_warm_starts();
+        for (state, problem) in cases {
+            let err = run_local_warm("cc", &graph, 4, 200, SinkHandle::disabled(), Some(state))
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Plan(_)), "{err}");
+            assert!(err.to_string().contains(problem), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_malformed_cluster_warm_start_is_refused_before_anything_is_spawned() {
+        // The worker command names no binary: spawning anything would fail
+        // with a different error than the plan's.
+        let (graph, cases) = malformed_warm_starts();
+        for (state, problem) in cases {
+            let mut cfg = ClusterConfig::new(2, 4, 200).with_initial_state(state);
+            cfg.worker_cmd = vec!["no-such-worker-binary".into()];
+            let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
+            assert!(matches!(err, EngineError::Plan(_)), "{err}");
+            assert!(err.to_string().contains(problem), "{err}");
+        }
     }
 }

@@ -26,7 +26,6 @@
 //! mix into what is regenerated.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::iter::Peekable;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -34,8 +33,8 @@ use crate::protocol::Msg;
 
 /// Sort the concatenation of `chunks` into canonical `(src, dst, bits)`
 /// order and route the result into per-partition inboxes by
-/// `dst % parallelism` — the one step-assembly sort, shared by the
-/// coordinator's commit, [`DataPlane::take_inboxes`] and the program tests.
+/// `dst % parallelism` — the worker's inbox assembly
+/// ([`DataPlane::take_inboxes`]), and the oracle of [`for_each_merged`].
 ///
 /// Every partition's outbound is born sorted (see DESIGN.md, "Step
 /// assembly"), so the input is a handful of long ascending runs: they are
@@ -90,21 +89,36 @@ pub fn merge_runs(chunks: &[&[Msg]], parallelism: usize) -> Vec<Vec<Msg>> {
     inboxes
 }
 
+/// Visit the messages of born-sorted `runs` in canonical `(src, dst, bits)`
+/// order — the order [`merge_runs`] would put them in — without building
+/// the merged vector: one run is a plain slice walk, up to four are a
+/// `Merge2` tree. More runs than that fall back to [`merge_runs`].
+pub fn for_each_merged(runs: &[&[Msg]], visit: impl FnMut(Msg)) {
+    match runs {
+        [] => {}
+        [run] => run.iter().copied().for_each(visit),
+        _ if runs.len() <= 4 => merge4(runs).for_each(visit),
+        _ => merge_runs(runs, 1).iter().flatten().copied().for_each(visit),
+    }
+}
+
 /// The ascending merge of up to four ascending runs.
 fn merge4<'a>(runs: &[&'a [Msg]]) -> impl Iterator<Item = Msg> + 'a {
     let run = |i: usize| runs.get(i).copied().unwrap_or_default().iter().copied();
     Merge2::of(Merge2::of(run(0), run(1)), Merge2::of(run(2), run(3)))
 }
 
-/// The ascending merge of two ascending streams.
+/// The ascending merge of two ascending streams, each head held by value.
 struct Merge2<A: Iterator<Item = Msg>, B: Iterator<Item = Msg>> {
-    left: Peekable<A>,
-    right: Peekable<B>,
+    left: A,
+    right: B,
+    head: (Option<Msg>, Option<Msg>),
 }
 
 impl<A: Iterator<Item = Msg>, B: Iterator<Item = Msg>> Merge2<A, B> {
-    fn of(left: A, right: B) -> Self {
-        Merge2 { left: left.peekable(), right: right.peekable() }
+    fn of(mut left: A, mut right: B) -> Self {
+        let head = (left.next(), right.next());
+        Merge2 { left, right, head }
     }
 }
 
@@ -112,33 +126,16 @@ impl<A: Iterator<Item = Msg>, B: Iterator<Item = Msg>> Iterator for Merge2<A, B>
     type Item = Msg;
 
     fn next(&mut self) -> Option<Msg> {
-        match (self.left.peek(), self.right.peek()) {
-            (Some(l), Some(r)) => {
-                if r < l {
-                    self.right.next()
-                } else {
-                    self.left.next()
-                }
-            }
-            (Some(_), None) => self.left.next(),
-            (None, _) => self.right.next(),
+        let take_right = match &self.head {
+            (Some(l), Some(r)) => r < l,
+            (left, _) => left.is_none(),
+        };
+        if take_right {
+            std::mem::replace(&mut self.head.1, self.right.next())
+        } else {
+            std::mem::replace(&mut self.head.0, self.left.next())
         }
     }
-}
-
-/// Route `msgs` into per-partition buckets by `dst % parallelism`. A bucket
-/// is a subsequence of `msgs`, so sorted input yields sorted buckets.
-pub fn bucket_by_pid(msgs: &[Msg], parallelism: usize) -> Vec<Vec<Msg>> {
-    // Destinations spread evenly over partitions (`v % P`), so a little
-    // headroom over the mean spares the buckets a regrowth copy — which, at
-    // megabytes per bucket, costs more than the routing itself.
-    let expected = msgs.len() / parallelism;
-    let mut buckets: Vec<Vec<Msg>> =
-        (0..parallelism).map(|_| Vec::with_capacity(expected + expected / 8)).collect();
-    for msg in msgs {
-        buckets[(msg.1 % parallelism as u64) as usize].push(*msg);
-    }
-    buckets
 }
 
 /// One superstep's worth of collected peer messages.
@@ -389,17 +386,21 @@ mod tests {
 
             let slices: Vec<&[Msg]> = chunks.iter().map(Vec::as_slice).collect();
             prop_assert_eq!(&merge_runs(&slices, parallelism), &expected);
-            let routed: Vec<Vec<Msg>> = (0..parallelism)
-                .map(|pid| {
-                    let runs: Vec<Vec<Msg>> = chunks
-                        .iter()
-                        .map(|chunk| bucket_by_pid(chunk, parallelism).swap_remove(pid))
-                        .collect();
-                    let runs: Vec<&[Msg]> = runs.iter().map(Vec::as_slice).collect();
-                    merge_runs(&runs, 1).pop().unwrap()
-                })
-                .collect();
-            prop_assert_eq!(&routed, &expected);
+            // Routing born-sorted runs by destination and merging each
+            // destination's runs — by vector or by visit — is the same sort.
+            let mut born_sorted = chunks.clone();
+            born_sorted.iter_mut().for_each(|chunk| chunk.sort_unstable());
+            for pid in 0..parallelism as u64 {
+                let routed: Vec<Vec<Msg>> = born_sorted
+                    .iter()
+                    .map(|chunk| chunk.iter().copied().filter(|msg| msg.1 % parallelism as u64 == pid).collect())
+                    .collect();
+                let runs: Vec<&[Msg]> = routed.iter().map(Vec::as_slice).collect();
+                let mut visited = Vec::new();
+                for_each_merged(&runs, |msg| visited.push(msg));
+                prop_assert_eq!(&visited, &expected[pid as usize], "{} runs", runs.len());
+                prop_assert_eq!(&merge_runs(&runs, 1)[0], &visited);
+            }
 
             let plane = DataPlane::default();
             plane.install_membership(1, [0]);

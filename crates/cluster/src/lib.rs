@@ -52,5 +52,5 @@ pub use coordinator::{
     ClusterRun, ClusterStrategy, KillPlan, LinkPlan, ScaleEvent, StragglerPlan,
 };
 pub use placement::{PartitionMap, Rebalance, Rebalancer};
-pub use program::{lookup, program_names, ClusterProgram, StepOutput};
+pub use program::{lookup, program_names, ClusterProgram, StepBuffers, StepOutput};
 pub use protocol::{Message, Msg, Record};

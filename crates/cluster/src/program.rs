@@ -49,6 +49,48 @@ pub struct StepOutput {
     pub changed: u64,
 }
 
+/// Caller-owned buffers one partition's [`ClusterProgram::fold_and_send`]
+/// writes into, cleared by the program with their capacity kept: a caller
+/// that keeps them across supersteps stops allocating once they have grown.
+#[derive(Debug, Clone)]
+pub struct StepBuffers {
+    /// The new partition state, in the same vertex order as the input.
+    pub state: Vec<Record>,
+    /// One born-sorted run per destination partition (at least one): a
+    /// message to vertex `dst` goes to `runs[dst % runs.len()]`.
+    pub runs: Vec<Vec<Msg>>,
+    /// Fold scratch per slot: PageRank's sums, CC's labels and their sources.
+    sums: Vec<f64>,
+    best: Vec<u64>,
+    adopted_from: Vec<u64>,
+}
+
+impl StepBuffers {
+    /// Buffers routing to `runs` destination partitions, at least one.
+    pub fn routing_to(runs: usize) -> Self {
+        let (state, sums, best, adopted_from) = (vec![], vec![], vec![], vec![]);
+        StepBuffers { state, runs: vec![vec![]; runs], sums, best, adopted_from }
+    }
+
+    /// Clear the output of `vertices` that send at most `messages`, with
+    /// room for them (over several runs a little headroom over the even
+    /// `v % P` share spares a regrowth), and return where a message to `dst`
+    /// goes: `dst % runs`, a mask when that is a power of two.
+    fn clear_for(&mut self, vertices: usize, messages: usize) -> impl Fn(u64) -> usize {
+        self.state.clear();
+        self.state.reserve(vertices);
+        let count = self.runs.len();
+        let expected = messages / count;
+        let reserve = if count == 1 { messages } else { expected + expected / 8 };
+        self.runs.iter_mut().for_each(|run| {
+            run.clear();
+            run.reserve(reserve);
+        });
+        let mask = count.is_power_of_two().then(|| count as u64 - 1);
+        move |dst| mask.map_or_else(|| dst % count as u64, |mask| dst & mask) as usize
+    }
+}
+
 /// A distributed iterative vertex program.
 ///
 /// Invariants shared by all methods:
@@ -61,9 +103,11 @@ pub struct StepOutput {
 ///   plain arithmetic and a superstep folds its inbound into a vector
 ///   aligned with `state` — no per-superstep hash map.
 ///
-/// [`Self::init_partition`] establishes both, [`Self::step`] asserts the
-/// layout once per call, and [`Self::step`] and
-/// [`Self::compensate_partition`] preserve it.
+/// [`Self::init_partition`] establishes both, [`Self::fold_and_send`]
+/// asserts the layout once per call, and it and
+/// [`Self::compensate_partition`] preserve it. [`Self::step`],
+/// [`Self::full_send_step`] and [`Self::emit`] are provided wrappers over
+/// that one body (one run in, one out): the workers call them.
 pub trait ClusterProgram: Send + Sync {
     /// Registry name, also used in telemetry (`"cc"`, `"pagerank"`).
     fn name(&self) -> &'static str;
@@ -79,20 +123,45 @@ pub trait ClusterProgram: Send + Sync {
         self.init_partition(rows, n)
     }
 
-    /// Execute one partition's share of a superstep.
+    /// The one required body, one partition's share of a superstep: write
+    /// the new state to `out.state`, route what it sends into `out.runs`, and
+    /// return the number of records the convergence test considers changed
+    /// (the iteration terminates once the global sum reaches zero).
     ///
     /// `step` is the *logical* step index — the number of previously
     /// committed supersteps — and is `0` exactly once even across failure
-    /// retries. `inbound` arrives sorted by `(src, dst, bits)` so floating
-    /// point folds are deterministic; messages addressed to a vertex the
-    /// partition does not hold are ignored. The returned `outbound` is born
-    /// sorted the same way — state is walked in ascending vertex order and
-    /// neighbour lists are sorted and duplicate-free — which is what lets
-    /// step assembly merge runs instead of sorting
-    /// ([`crate::exchange::merge_runs`]).
+    /// retries. `inbound` is born-sorted runs, folded in their merged
+    /// `(src, dst, bits)` order ([`crate::exchange::for_each_merged`]) so
+    /// floating point folds are deterministic; messages addressed to a
+    /// vertex the partition does not hold are ignored. Every outbound run is
+    /// born sorted the same way — state is walked in ascending vertex order
+    /// and neighbour lists are sorted and duplicate-free.
+    ///
+    /// With `full_send` every vertex re-sends its value, changed or not:
+    /// same state and `changed`, a superset of the messages. The drivers set
+    /// it on every superstep whose inbound history is not exact — the retry
+    /// after a failure, the superstep after a rescale — because a
+    /// change-driven program converges to a wrong fixpoint from there
+    /// otherwise. What was sent is only *consumed* one superstep later, so
+    /// such a superstep must not be the last even when it reports
+    /// `changed == 0`; the drivers see to that as well.
     ///
     /// # Panics
     /// Panics if `state` is not in the strided-slot layout.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_and_send(
+        &self,
+        step: u64,
+        full_send: bool,
+        state: &[Record],
+        inbound: &[&[Msg]],
+        rows: &[(u64, Vec<u64>)],
+        n: u64,
+        out: &mut StepBuffers,
+    ) -> u64;
+
+    /// [`Self::fold_and_send`] from one inbound run, sorted by
+    /// `(src, dst, bits)`, into one born-sorted outbound run.
     fn step(
         &self,
         step: u64,
@@ -100,18 +169,13 @@ pub trait ClusterProgram: Send + Sync {
         inbound: &[Msg],
         rows: &[(u64, Vec<u64>)],
         n: u64,
-    ) -> StepOutput;
+    ) -> StepOutput {
+        let mut out = StepBuffers::routing_to(1);
+        let changed = self.fold_and_send(step, false, state, &[inbound], rows, n, &mut out);
+        StepOutput { state: out.state, outbound: out.runs.swap_remove(0), changed }
+    }
 
-    /// [`Self::step`] with every vertex re-sending its value, whether or not
-    /// this superstep changed it: same `state` and `changed`, and an
-    /// `outbound` that contains [`Self::step`]'s. The drivers run it on every
-    /// superstep whose inbound history is not exact — the retry after a
-    /// failure, the superstep after a rescale — because a change-driven
-    /// program converges to a wrong fixpoint from there otherwise. What was
-    /// sent is only *consumed* one superstep later, so such a superstep must
-    /// not be the last even when it reports `changed == 0`; the drivers see
-    /// to that as well. The default suits a program whose `step` already
-    /// sends everything every time (PageRank).
+    /// [`Self::step`] with `full_send`.
     fn full_send_step(
         &self,
         step: u64,
@@ -120,7 +184,9 @@ pub trait ClusterProgram: Send + Sync {
         rows: &[(u64, Vec<u64>)],
         n: u64,
     ) -> StepOutput {
-        self.step(step, state, inbound, rows, n)
+        let mut out = StepBuffers::routing_to(1);
+        let changed = self.fold_and_send(step, true, state, &[inbound], rows, n, &mut out);
+        StepOutput { state: out.state, outbound: out.runs.swap_remove(0), changed }
     }
 
     /// The messages `state` sends, as a restore regenerates them: a cut is
@@ -170,16 +236,6 @@ impl Slots {
     }
 }
 
-/// An empty [`StepOutput`] for a partition that sends along every edge
-/// every superstep: `outbound` is allocated once, for exactly that.
-fn sized_output(rows: &[(u64, Vec<u64>)]) -> StepOutput {
-    StepOutput {
-        state: Vec::with_capacity(rows.len()),
-        outbound: Vec::with_capacity(rows.iter().map(|(_, targets)| targets.len()).sum()),
-        changed: 0,
-    }
-}
-
 /// Connected Components by change-driven min-label propagation.
 ///
 /// State: `(v, label)` with the invariant `label <= v`: labels only ever
@@ -206,59 +262,6 @@ fn sized_output(rows: &[(u64, Vec<u64>)]) -> StepOutput {
 /// the module doc.
 pub struct CcProgram;
 
-impl CcProgram {
-    fn fold_and_send(
-        full_send: bool,
-        step: u64,
-        state: &[Record],
-        inbound: &[Msg],
-        rows: &[(u64, Vec<u64>)],
-    ) -> StepOutput {
-        // No messages have flowed before the first step: everything sends.
-        let full_send = full_send || step == 0;
-        let slots = Slots::of(state, rows);
-        let mut best: Vec<u64> = state.iter().map(|&(_, label)| label).collect();
-        // The source each lowered label was adopted from; unread elsewhere.
-        let mut adopted_from = vec![0u64; state.len()];
-        for &(src, dst, bits) in inbound {
-            if let Some(slot) = slots.of_vertex(dst) {
-                if bits < best[slot] {
-                    best[slot] = bits;
-                    adopted_from[slot] = src;
-                }
-            }
-        }
-        let sends = |slot: usize| full_send || best[slot] != state[slot].1;
-        // Reserve for what the senders can send (the two prunes are the only
-        // slack): degrees are read from the row headers, so sizing costs no
-        // second walk over the neighbour lists.
-        let senders = (0..state.len()).filter(|&slot| sends(slot));
-        let mut outbound = Vec::with_capacity(senders.map(|slot| rows[slot].1.len()).sum());
-        let mut next = Vec::with_capacity(state.len());
-        let mut changed = 0;
-        for (slot, &(v, label)) in state.iter().enumerate() {
-            let new = best[slot];
-            debug_assert!(new <= v, "vertex {v} holds label {new}, above its own id");
-            next.push((v, new));
-            changed += u64::from(new != label);
-            if sends(slot) {
-                let skip = (!full_send).then_some(adopted_from[slot]);
-                for &u in &rows[slot].1 {
-                    if new < u && Some(u) != skip {
-                        outbound.push((v, u, new));
-                    }
-                }
-            }
-        }
-        if step == 0 {
-            // Force at least one more superstep so neighbours see each
-            // other's labels before termination.
-            changed = state.len() as u64;
-        }
-        StepOutput { state: next, outbound, changed }
-    }
-}
-
 impl ClusterProgram for CcProgram {
     fn name(&self) -> &'static str {
         "cc"
@@ -268,26 +271,57 @@ impl ClusterProgram for CcProgram {
         rows.iter().map(|(v, _)| (*v, *v)).collect()
     }
 
-    fn step(
+    fn fold_and_send(
         &self,
         step: u64,
+        full_send: bool,
         state: &[Record],
-        inbound: &[Msg],
+        inbound: &[&[Msg]],
         rows: &[(u64, Vec<u64>)],
         _n: u64,
-    ) -> StepOutput {
-        Self::fold_and_send(false, step, state, inbound, rows)
-    }
-
-    fn full_send_step(
-        &self,
-        step: u64,
-        state: &[Record],
-        inbound: &[Msg],
-        rows: &[(u64, Vec<u64>)],
-        _n: u64,
-    ) -> StepOutput {
-        Self::fold_and_send(true, step, state, inbound, rows)
+        out: &mut StepBuffers,
+    ) -> u64 {
+        // No messages have flowed before the first step: everything sends.
+        let full_send = full_send || step == 0;
+        let slots = Slots::of(state, rows);
+        // Lowest labels, and a source for each label this superstep lowered.
+        out.best.clear();
+        out.best.extend(state.iter().map(|&(_, label)| label));
+        out.adopted_from.resize(state.len(), 0);
+        crate::exchange::for_each_merged(inbound, |(src, dst, bits)| {
+            if let Some(slot) = slots.of_vertex(dst) {
+                if bits < out.best[slot] {
+                    out.best[slot] = bits;
+                    out.adopted_from[slot] = src;
+                }
+            }
+        });
+        // Room for what the senders can send, from their rows' degrees.
+        let sends = |slot: usize| full_send || out.best[slot] != state[slot].1;
+        let senders = (0..state.len()).filter(|&slot| sends(slot));
+        let route = out.clear_for(state.len(), senders.map(|slot| rows[slot].1.len()).sum());
+        let StepBuffers { state: next, runs, best, adopted_from, .. } = out;
+        let mut changed = 0;
+        for (slot, &(v, label)) in state.iter().enumerate() {
+            let new = best[slot];
+            debug_assert!(new <= v, "vertex {v} holds label {new}, above its own id");
+            next.push((v, new));
+            changed += u64::from(new != label);
+            if full_send || new != label {
+                let skip = (!full_send).then(|| adopted_from[slot]);
+                for &u in &rows[slot].1 {
+                    if new < u && Some(u) != skip {
+                        runs[route(u)].push((v, u, new));
+                    }
+                }
+            }
+        }
+        if step == 0 {
+            // Force at least one more superstep so neighbours see each
+            // other's labels before termination.
+            changed = state.len() as u64;
+        }
+        changed
     }
 }
 
@@ -312,26 +346,32 @@ impl ClusterProgram for PageRankProgram {
         rows.iter().map(|(v, _)| (*v, uniform)).collect()
     }
 
-    fn step(
+    fn fold_and_send(
         &self,
         step: u64,
+        _full_send: bool,
         state: &[Record],
-        inbound: &[Msg],
+        inbound: &[&[Msg]],
         rows: &[(u64, Vec<u64>)],
         n: u64,
-    ) -> StepOutput {
-        // Accumulate per destination in slice order: inbound is sorted by
-        // (src, dst, bits), so each vertex's float sum folds in a fixed
-        // order and the result is bitwise deterministic.
+        out: &mut StepBuffers,
+    ) -> u64 {
+        // Accumulate per destination in merged order: (src, dst, bits), so
+        // each vertex's float sum folds in a fixed order and the result is
+        // bitwise deterministic.
         let slots = Slots::of(state, rows);
-        let mut sums: Vec<f64> = vec![0.0; state.len()];
-        for &(_, dst, bits) in inbound {
+        let edges = rows.iter().map(|(_, targets)| targets.len()).sum();
+        let route = out.clear_for(state.len(), edges);
+        let StepBuffers { state: next, runs, sums, .. } = out;
+        sums.clear();
+        sums.resize(state.len(), 0.0);
+        crate::exchange::for_each_merged(inbound, |(_, dst, bits)| {
             if let Some(slot) = slots.of_vertex(dst) {
                 sums[slot] += f64::from_bits(bits);
             }
-        }
+        });
         let teleport = (1.0 - PAGERANK_DAMPING) / n as f64;
-        let mut out = sized_output(rows);
+        let mut changed = 0;
         for (i, &(v, bits)) in state.iter().enumerate() {
             let old = f64::from_bits(bits);
             let new = if step == 0 {
@@ -342,18 +382,18 @@ impl ClusterProgram for PageRankProgram {
                 teleport + PAGERANK_DAMPING * sums[i]
             };
             if step == 0 || (new - old).abs() > PAGERANK_EPSILON {
-                out.changed += 1;
+                changed += 1;
             }
-            out.state.push((v, new.to_bits()));
+            next.push((v, new.to_bits()));
             let targets = &rows[i].1;
             if !targets.is_empty() {
                 let share = (new / targets.len() as f64).to_bits();
                 for &u in targets {
-                    out.outbound.push((v, u, share));
+                    runs[route(u)].push((v, u, share));
                 }
             }
         }
-        out
+        changed
     }
 }
 
@@ -383,6 +423,19 @@ pub fn partition_rows(graph: &Graph, parallelism: usize) -> Vec<AdjRows> {
         parts[(v as usize) % parallelism].push((v, targets));
     }
     parts
+}
+
+#[cfg(test)]
+/// A directed graph of `size` vertices, each with up to three out-edges
+/// drawn from `seed`: the tests' shape beside the undirected generators.
+pub(crate) fn directed(size: u64, seed: u64) -> Graph {
+    let mut builder = graphs::GraphBuilder::directed(size as usize);
+    let mut draw = seed | 1;
+    for v in 0..size * 3 {
+        draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        builder.add_edge(v / 3, (draw >> 33) % size);
+    }
+    builder.build()
 }
 
 #[cfg(test)]
@@ -742,6 +795,66 @@ mod tests {
                     prop_assert_eq!(
                         from_emitted, from_sent, "{} P={} stopped at {} pid {}", name, parallelism, stop, pid
                     );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        #[test]
+        fn the_routed_body_is_the_pinned_step_over_the_merged_inbox(
+            shape in (any::<bool>(), 3usize..80, any::<u64>()),
+            parallelism in (0usize..5).prop_map(|i| [1, 3, 4, 5, 8][i]),
+            lost in (1u64..8, 0usize..8),
+        ) {
+            // A run through the routed body over kept, double-buffered
+            // runs, every superstep against the pinned wrapper over the
+            // merged inbox, split by destination: change-driven supersteps,
+            // and a full-send one on a compensated partition at `lost.0`.
+            let (is_directed, size, seed) = shape;
+            let graph = if is_directed {
+                directed(size as u64, seed)
+            } else {
+                graphs::generators::preferential_attachment(size, 3, seed)
+            };
+            let n = graph.num_vertices() as u64;
+            let rows = partition_rows(&graph, parallelism);
+            let to = |d: usize| move |msg: &Msg| msg.1 % parallelism as u64 == d as u64;
+            for name in program_names() {
+                let program = lookup(name).unwrap();
+                let mut state: Vec<Vec<Record>> =
+                    rows.iter().map(|r| program.init_partition(r, n)).collect();
+                let mut sent = vec![vec![Vec::new(); parallelism]; parallelism];
+                let mut kept = vec![StepBuffers::routing_to(parallelism); parallelism];
+                for step in 0..12 {
+                    let full_send = step == lost.0;
+                    if full_send {
+                        let pid = lost.1 % parallelism;
+                        state[pid] = program.compensate_partition(&rows[pid], n);
+                    }
+                    for (q, out) in kept.iter_mut().enumerate() {
+                        let runs: Vec<&[Msg]> = sent.iter().map(|row| row[q].as_slice()).collect();
+                        let (state, rows) = (&state[q], &rows[q]);
+                        let changed = program.fold_and_send(step, full_send, state, &runs, rows, n, out);
+                        let inbox = crate::exchange::merge_runs(&runs, 1).pop().unwrap();
+                        let pinned = if full_send {
+                            program.full_send_step(step, state, &inbox, rows, n)
+                        } else {
+                            program.step(step, state, &inbox, rows, n)
+                        };
+                        let at = format!("{name} P={parallelism} step {step} pid {q}");
+                        prop_assert_eq!(&out.state, &pinned.state, "{}", at);
+                        prop_assert_eq!(changed, pinned.changed, "{}", at);
+                        let split: Vec<Vec<Msg>> = (0..parallelism)
+                            .map(|d| pinned.outbound.iter().copied().filter(to(d)).collect())
+                            .collect();
+                        prop_assert_eq!(&out.runs, &split, "{}", at);
+                    }
+                    for (q, out) in kept.iter_mut().enumerate() {
+                        state[q] = std::mem::take(&mut out.state);
+                        std::mem::swap(&mut sent[q], &mut out.runs);
+                    }
                 }
             }
         }

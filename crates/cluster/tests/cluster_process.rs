@@ -79,9 +79,9 @@ fn failure_free_cluster_pagerank_is_bitwise_identical_to_local() {
 
 #[test]
 fn pooled_local_pagerank_is_bitwise_identical_to_a_two_worker_cluster() {
-    // Past the engine's thread threshold, so `run_local` steps, buckets and
-    // merges on the worker pool while the cluster merges in its workers'
-    // exchange inboxes: three assembly paths, one canonical order.
+    // Past the engine's thread threshold, so `run_local` folds the runs its
+    // partitions routed on the worker pool while the cluster merges in its
+    // workers' exchange inboxes: two assembly paths, one canonical order.
     let graph = graphs::generators::preferential_attachment(3_000, 3, 17);
     let local = run_local("pagerank", &graph, 4, 200, SinkHandle::disabled()).unwrap();
     let cluster =
