@@ -4,23 +4,28 @@
 //! Architecture (see DESIGN.md, "Cluster architecture"):
 //!
 //! * The coordinator owns the dataflow plan, the iteration driver, the
-//!   telemetry sink, and — crucially for recovery — the authoritative copy
-//!   of the iteration state. It never holds a message.
-//! * Workers own the loop-invariant adjacency for their partitions and
-//!   execute [`crate::program::ClusterProgram::step`]. The coordinator is
-//!   a pure control plane: it sends every worker the membership (epoch,
-//!   peer addresses, placement), dispatches supersteps as thin `StepGo`
-//!   frames, and receives
-//!   state + convergence counts in `StepDone`s — while the shuffled
-//!   messages flow directly between workers as batched peer frames, never
-//!   touching the coordinator.
-//! * Recovery authority never moves: state flows up in every `StepDone`,
-//!   so the coordinator can compensate/rollback and re-push authoritative
-//!   state in a `StepReset` although the messages travelled peer to peer.
-//!   A rollback strategy's cut is that state alone: a restore pushes it
-//!   down as [`Inbound::Regenerate`], and the workers regenerate the
-//!   messages in flight from it over their data plane
-//!   ([`ClusterProgram::emit`]; DESIGN.md, "A cut is the state alone").
+//!   telemetry sink and the recovery handler. It never holds a message, and
+//!   between supersteps it holds no partition state either: the process
+//!   that computes a partition holds the only copy of it (`ClusterState`).
+//! * Workers own the loop-invariant adjacency and the state of their
+//!   partitions and execute [`crate::program::ClusterProgram::step`]. The
+//!   coordinator is a pure control plane: it sends every worker the
+//!   membership (epoch, peer addresses, placement), dispatches supersteps as
+//!   thin `StepGo` frames, and receives counts in `StepDone`s — while the
+//!   shuffled messages flow directly between workers as batched peer
+//!   frames, never touching the coordinator.
+//! * State moves only where something reads it: up on a rollback
+//!   strategy's cut (the cut's dispatch says so, and the `PartState`s ride
+//!   ahead of the `StepDone`s), once at the end of the run for the values,
+//!   and out of the old owner of a partition a rescale moves; down for a
+//!   rollback restore, a warm start and the new owner of a moved partition.
+//!   Optimistic recovery moves none: a worker keeps its state
+//!   double-buffered as committed and tentative, so a retry rolls survivors
+//!   back to committed without a push, and a lost partition is rebuilt by
+//!   its new owner from the program's compensation function. A restored cut
+//!   is its state alone: the workers regenerate the messages in flight from
+//!   it over their data plane ([`Inbound::Regenerate`],
+//!   [`ClusterProgram::emit`]; DESIGN.md, "A cut is the state alone").
 //! * Failure is detected at the network level: a dead worker surfaces as a
 //!   connection reset / EOF / read timeout on the control connection, or as
 //!   a heartbeat timeout on the dedicated heartbeat connection. Either
@@ -33,31 +38,30 @@
 //!   exponential backoff, re-ships the program and adjacency (partition
 //!   redistribution), and emits [`JournalEvent::WorkerRejoined`].
 
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dataflow::api::Environment;
-use dataflow::codec::encode_to_vec;
+use dataflow::codec::{decode_exact, encode_slice, encode_to_vec, Codec};
 use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
 use dataflow::exec::{par_map, ExecContext};
-use dataflow::ft::RestartHandler;
-use dataflow::iterate::{BulkIteration, ConvergenceMeasure};
+use dataflow::ft::{IterationState, RestartHandler, Snapshot};
+use dataflow::iterate::{BulkIteration, BulkState, ConvergenceMeasure};
+use dataflow::operators::source::{InjectedSource, SourceSlot};
 use dataflow::partition::PartitionId;
 use dataflow::plan::DynOp;
 use dataflow::stats::RunStats;
 use graphs::Graph;
 use recovery::compensation::Named;
-use recovery::{
-    AsyncSnapshotHandler, BarrierEvent, BarrierProbe, CheckpointHandler, MemoryStore,
-    OptimisticHandler,
-};
+use recovery::{cut_due, AsyncSnapshotHandler, CheckpointHandler, MemoryStore, OptimisticHandler};
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
 use telemetry::{JournalEvent, SinkHandle};
 
@@ -65,7 +69,7 @@ use crate::placement::{PartitionMap, Rebalancer};
 use crate::program::{lookup, partition_rows, ClusterProgram, StepBuffers};
 use crate::protocol::{
     encode_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
-    AdjRows, Inbound, Message, Msg, Record, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
+    AdjRows, Inbound, Message, Msg, Record, Seed, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
     SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 use crate::worker::LISTENING_MARKER;
@@ -384,32 +388,143 @@ pub struct ClusterRun {
     pub stats: RunStats,
 }
 
-/// One partition's input to a superstep. The state is borrowed from the
-/// driver's dataset — a steady-state [`Message::StepGo`] never ships it, so
-/// only a dispatch that does copies it. The inbound messages are not part of
-/// the job: each backend keeps what the last committed superstep sent where
-/// that superstep ran.
-struct StepJob<'a> {
-    pid: usize,
-    state: &'a [Record],
+/// One partition of the cluster's iteration state, as the coordinator holds
+/// it.
+#[derive(Debug, Clone)]
+enum Part {
+    /// Held by the process that computes it alone: its vertex count.
+    Resident(u64),
+    /// Came up on a cut: the owner's committed state is the same.
+    Pulled(Vec<Record>),
+    /// Goes down with the next dispatch: a restored cut or a warm start.
+    Pushed(Vec<Record>),
+    /// Lost with its process, and rebuilt by its new owner with the
+    /// program's compensation function: its vertex count.
+    Compensated(u64),
 }
 
-/// One partition's output from a superstep.
+impl Part {
+    fn vertices(&self) -> u64 {
+        match self {
+            Part::Resident(vertices) | Part::Compensated(vertices) => *vertices,
+            Part::Pulled(records) | Part::Pushed(records) => records.len() as u64,
+        }
+    }
+
+    fn records(&self) -> &[Record] {
+        match self {
+            Part::Resident(_) | Part::Compensated(_) => &[],
+            Part::Pulled(records) | Part::Pushed(records) => records,
+        }
+    }
+}
+
+/// The iteration state of a cluster run as the bulk driver and the recovery
+/// handlers see it: one [`Part`] per partition, which between supersteps is
+/// [`Part::Resident`] — the coordinator holds no record — and carries
+/// records only where something reads or restores them, plus what each
+/// partition's last superstep changed. Its encoding, whole or a partition at
+/// a time, is that of the `Partitions<Record>` it stands for, so a cut
+/// writes the same bytes a coordinator-held state did; decoding one yields
+/// records to push down.
+#[derive(Debug, Clone)]
+struct ClusterState {
+    parts: Vec<Part>,
+    /// Records each partition's last superstep counted as changed.
+    changed: Vec<u64>,
+}
+
+impl ClusterState {
+    fn of(parts: Vec<Part>) -> Self {
+        let changed = vec![0; parts.len()];
+        ClusterState { parts, changed }
+    }
+
+    fn pushed(parts: Vec<Vec<Record>>) -> Self {
+        Self::of(parts.into_iter().map(Part::Pushed).collect())
+    }
+
+    /// Where partition `pid`'s state comes from in logical step `step`:
+    /// records pushed down, a rebuild by compensation, the program's init at
+    /// the first step, or else what its owner committed.
+    fn seed(&self, pid: usize, step: u64) -> Seed {
+        match &self.parts[pid] {
+            Part::Pushed(records) => Seed::Pushed(records.clone()),
+            Part::Compensated(_) => Seed::Compensate,
+            _ if step == 0 => Seed::Init,
+            _ => Seed::Committed,
+        }
+    }
+}
+
+impl IterationState for ClusterState {
+    fn num_partitions(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// The partition's records are gone with its process: the coordinator
+    /// holds nothing of it, and recovery says how its owner rebuilds it.
+    fn clear_partition(&mut self, pid: PartitionId) -> u64 {
+        let lost = self.parts[pid].vertices();
+        self.parts[pid] = Part::Resident(lost);
+        lost
+    }
+}
+
+impl BulkState for ClusterState {
+    fn records_per_partition(&self) -> Vec<u64> {
+        self.parts.iter().map(Part::vertices).collect()
+    }
+}
+
+/// Encoded only on a cut, where every partition came up.
+impl Codec for ClusterState {
+    fn encode(&self, out: &mut Vec<u8>) {
+        debug_assert!(self.parts.iter().all(|part| !matches!(part, Part::Resident(_))));
+        (self.parts.len() as u64).encode(out);
+        for part in &self.parts {
+            encode_slice(part.records(), out);
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self> {
+        Ok(Self::pushed(Vec::decode(input)?))
+    }
+}
+
+impl Snapshot for ClusterState {
+    const KIND: &'static str = "bulk";
+
+    fn encode_partition(&self, pid: PartitionId, out: &mut Vec<u8>) {
+        encode_slice(self.parts[pid].records(), out)
+    }
+
+    fn from_chunks(chunks: &[Vec<u8>]) -> Result<Self> {
+        let parts = chunks.iter().map(|chunk| decode_exact::<Vec<Record>>(chunk));
+        Ok(Self::pushed(parts.collect::<Result<_>>()?))
+    }
+}
+
+/// One partition's account of a superstep.
 struct StepResult {
     pid: usize,
-    state: Vec<Record>,
     changed: u64,
     /// Messages the partition produced for the next superstep.
     shuffled: u64,
 }
 
+/// What a backend made of one superstep: every partition's account, and on
+/// a cut every partition's new state, in pid order.
+type Stepped = (Vec<StepResult>, Option<Vec<Vec<Record>>>);
+
 /// Where a superstep's partition work actually runs: in-process (the
-/// baseline) or on worker processes over TCP. Each keeps what the last
-/// committed superstep sent where it ran — the local backend as the runs
-/// its partitions routed, the cluster's workers in their data planes — and
-/// both fold a partition's inbound in canonical `(src, dst, bits)` order
-/// (merged from the runs, or from an inbox `merge_runs` built), so both
-/// execute bit-identical supersteps in failure-free runs.
+/// baseline) or on worker processes over TCP. Each holds the only copy of
+/// the partitions' state — the local backend in itself, the cluster's in its
+/// workers — double-buffered as committed and tentative, and what the last
+/// committed superstep sent where it ran. Both fold a partition's inbound in
+/// canonical `(src, dst, bits)` order (merged from the runs, or from an
+/// inbox `merge_runs` built), so both execute bit-identical supersteps in
+/// failure-free runs.
 ///
 /// `Send` because the engine may dispatch the step operator onto its
 /// worker pool; the `Arc<Mutex<…>>` wrapper then crosses threads.
@@ -421,22 +536,22 @@ trait StepBackend: Send {
         Ok(())
     }
 
-    /// Run logical step `step` over `jobs` as chronological superstep
-    /// `superstep`. Returning `Ok` commits it.
+    /// Run logical step `step` as chronological superstep `superstep` over
+    /// every partition of `state`, each seeded as [`ClusterState::seed`]
+    /// says. Returning `Ok` commits it; on a `cut` the new state comes back
+    /// as well.
     fn run_step(
         &mut self,
         superstep: u32,
         step: u64,
-        jobs: Vec<StepJob<'_>>,
+        state: &ClusterState,
+        cut: bool,
         ctx: &ExecContext,
-    ) -> Result<Vec<StepResult>>;
+    ) -> Result<Stepped>;
 
-    /// Ship one persisted async-snapshot chunk to the partition's owning
-    /// worker (the barrier marker crossing the wire). Best-effort: the
-    /// coordinator's stable store holds the authoritative copy, so a worker
-    /// that cannot be shipped to costs the snapshot nothing. Default: no-op
-    /// (local baseline has no workers to ship to).
-    fn stage_snapshot(&mut self, _epoch: u32, _pid: usize, _chunk: &[u8]) {}
+    /// Every partition's committed state, in pid order: the run's values,
+    /// taken once at its end.
+    fn pull(&mut self) -> Result<Vec<Vec<Record>>>;
 }
 
 /// In-process execution of the same named program — the single-process
@@ -446,17 +561,20 @@ struct LocalBackend {
     program: Arc<dyn ClusterProgram>,
     adjacency: Arc<Vec<AdjRows>>,
     n: u64,
+    /// Each partition's state as the last committed superstep left it.
+    committed: Vec<Vec<Record>>,
     /// `sent[p][q]`: the run partition `p` routed to `q` in the last
-    /// committed superstep. Only a commit replaces it: a retry reads the same.
+    /// committed superstep.
     sent: Vec<Vec<Vec<Msg>>>,
-    /// Each partition's kept output buffers: partition `p`'s task writes
-    /// `spare[p]` alone, and a commit swaps its runs into `sent[p]`.
+    /// Each partition's kept output buffers, its tentative state and runs:
+    /// partition `p`'s task writes `spare[p]` alone, and only a commit swaps
+    /// them into `committed[p]` and `sent[p]`, so a retry reads what the
+    /// failed attempt read.
     spare: Vec<StepBuffers>,
     /// Whether the previous attempt failed (a partition panicked), so this
-    /// one runs on compensated state: the local counterpart of
-    /// [`ClusterBackend::push_state`], with the same two consequences — the
-    /// retry is a full-send superstep, and its commit may not terminate the
-    /// run (see [`ClusterBackend::force_changed`]).
+    /// one runs on compensated state: the retry is a full-send superstep,
+    /// and its commit may not terminate the run (see
+    /// [`ClusterBackend::force_changed`]).
     retrying: bool,
 }
 
@@ -464,7 +582,8 @@ impl LocalBackend {
     fn new(program: Arc<dyn ClusterProgram>, adjacency: Arc<Vec<AdjRows>>, n: u64) -> Self {
         let p = adjacency.len();
         let (sent, spare) = (vec![vec![Vec::new(); p]; p], vec![StepBuffers::routing_to(p); p]);
-        LocalBackend { program, adjacency, n, sent, spare, retrying: false }
+        let committed = vec![Vec::new(); p];
+        LocalBackend { program, adjacency, n, committed, sent, spare, retrying: false }
     }
 }
 
@@ -473,33 +592,47 @@ impl StepBackend for LocalBackend {
         &mut self,
         _superstep: u32,
         step: u64,
-        jobs: Vec<StepJob<'_>>,
+        state: &ClusterState,
+        cut: bool,
         ctx: &ExecContext,
-    ) -> Result<Vec<StepResult>> {
+    ) -> Result<Stepped> {
         // Stays set if this attempt fails too.
         let retrying = std::mem::replace(&mut self.retrying, true);
-        let (program, adjacency, n, sent) = (&self.program, &self.adjacency, self.n, &self.sent);
+        let (program, adjacency, n) = (&self.program, &self.adjacency, self.n);
+        let (committed, sent) = (&self.committed, &self.sent);
         // Every partition steps, in pid order, writing its own buffers.
-        debug_assert!(jobs.iter().enumerate().all(|(pid, job)| job.pid == pid));
         let work: usize =
-            jobs.iter().map(|job| job.state.len()).chain(sent.iter().flatten().map(Vec::len)).sum();
-        let tasks: Vec<_> = jobs.into_iter().zip(&mut self.spare).collect();
-        let mut results = par_map(tasks, ctx, work, |_, (job, out)| {
-            let runs = sent.iter().map(|row| row[job.pid].as_slice());
+            committed.iter().map(Vec::len).chain(sent.iter().flatten().map(Vec::len)).sum();
+        let tasks: Vec<_> = self.spare.iter_mut().enumerate().collect();
+        let mut results = par_map(tasks, ctx, work, |_, (pid, out)| {
+            let rows = &adjacency[pid];
+            let seeded = match state.seed(pid, step) {
+                Seed::Committed => None,
+                Seed::Init => Some(program.init_partition(rows, n)),
+                Seed::Compensate => Some(program.compensate_partition(rows, n)),
+                Seed::Pushed(records) => Some(records),
+            };
+            let input = seeded.as_deref().unwrap_or(&committed[pid]);
+            let runs = sent.iter().map(|row| row[pid].as_slice());
             let inbound: Vec<&[Msg]> = runs.filter(|run| !run.is_empty()).collect();
-            let rows = &adjacency[job.pid];
-            let changed = program.fold_and_send(step, retrying, job.state, &inbound, rows, n, out);
+            let changed = program.fold_and_send(step, retrying, input, &inbound, rows, n, out);
             let shuffled = out.runs.iter().map(Vec::len).sum::<usize>() as u64;
-            StepResult { pid: job.pid, state: std::mem::take(&mut out.state), changed, shuffled }
+            StepResult { pid, changed, shuffled }
         })?;
-        for (sent, spare) in self.sent.iter_mut().zip(&mut self.spare) {
+        let committed = self.committed.iter_mut().zip(&mut self.sent);
+        for ((state, sent), spare) in committed.zip(&mut self.spare) {
+            std::mem::swap(state, &mut spare.state);
             std::mem::swap(sent, &mut spare.runs);
         }
         self.retrying = false;
         if retrying {
             keep_running(&mut results);
         }
-        Ok(results)
+        Ok((results, cut.then(|| self.committed.clone())))
+    }
+
+    fn pull(&mut self) -> Result<Vec<Vec<Record>>> {
+        Ok(std::mem::take(&mut self.committed))
     }
 }
 
@@ -555,7 +688,7 @@ struct WorkerHandle {
     child: WorkerProcess,
     stream: TcpStream,
     /// Receive buffer of the control connection, kept across frames: a
-    /// `StepDone` carries a partition's whole state.
+    /// `PartState` carries a partition's whole state.
     payload: Vec<u8>,
     /// Loopback port the worker listens on — published to peers in
     /// [`Message::Membership`] so they can open data-plane links.
@@ -631,18 +764,14 @@ struct ClusterBackend {
     /// Planned membership changes still to fire; drained like chaos kills.
     scale: Vec<ScaleEvent>,
     /// The single source of truth for partition → worker ownership. Every
-    /// lookup — dispatch, result collection, snapshot staging, reships,
-    /// `WorkerLost` blame — routes through here; rebalances replace it.
+    /// lookup — dispatch, result collection, pulls, reships, `WorkerLost`
+    /// blame — routes through here; rebalances replace it.
     map: PartitionMap,
     /// When the current superstep's frames started going out — the baseline
     /// for failure-detection latency.
     step_started: Option<Instant>,
     /// Losses detected but not yet re-billed against a respawn.
     pending_recovery: Vec<PendingRecovery>,
-    /// A loss found between supersteps, shipping a snapshot chunk: the
-    /// driver hears of a failure only from a superstep, so the next one
-    /// reports it before doing anything else.
-    lost_between_supersteps: Option<EngineError>,
     /// Membership epoch: bumped every time the membership is sent out, so
     /// workers can reject data-plane frames from replaced incarnations and
     /// from before a placement change.
@@ -654,15 +783,19 @@ struct ClusterBackend {
     /// Chronological superstep of the last committed superstep — the slot
     /// name steady-state `StepGo` dispatches tell workers to consume.
     last_committed: Option<u32>,
-    /// Whether the next dispatch must push authoritative state
-    /// (`StepReset`): set initially, after every failure or rollback and by
-    /// a rescale, cleared on commit. Under a non-rollback strategy these are
-    /// exactly the supersteps whose inbound history is not exact, so a
-    /// worker runs such a `StepReset` as a full-send superstep
-    /// ([`ClusterProgram::full_send_step`]); under a rollback strategy the
-    /// workers regenerate the pushed state's messages, which makes the
-    /// history exact again.
-    push_state: bool,
+    /// Whether the next dispatch is a `StepReset`, which says where each
+    /// partition's state comes from: set initially, after every failure or
+    /// rollback and by a rescale, cleared on commit. Under a non-rollback
+    /// strategy these are exactly the supersteps whose inbound history is
+    /// not exact, so a worker runs such a `StepReset` as a full-send
+    /// superstep ([`ClusterProgram::full_send_step`]); under a rollback
+    /// strategy the workers regenerate the messages of the state they step
+    /// from, which makes the history exact again.
+    reset: bool,
+    /// The committed state of partitions a rescale moved, pulled from their
+    /// old owners and pushed to the new ones by the next dispatch; cleared
+    /// on commit.
+    moved: BTreeMap<usize, Vec<Record>>,
     /// Workers respawned since the last commit: their data plane holds no
     /// slots, so an optimistic retry hands them [`Inbound::Empty`]
     /// (compensation absorbs the gap) while survivors re-consume the
@@ -716,11 +849,11 @@ impl ClusterBackend {
             rebalance_reshipped_bytes: metrics.counter("rebalance/reshipped_bytes"),
             step_started: None,
             pending_recovery: Vec::new(),
-            lost_between_supersteps: None,
             epoch: 0,
             membership_current: false,
             last_committed: None,
-            push_state: true,
+            reset: true,
+            moved: BTreeMap::new(),
             respawned_since_commit: vec![false; cfg.workers],
             force_changed: false,
             cfg,
@@ -924,7 +1057,12 @@ impl ClusterBackend {
     /// Fire every scale event due at `superstep` (drained from the plan
     /// like chaos kills, so a post-failure retry of the same chronological
     /// superstep cannot rescale twice).
-    fn apply_scale_events(&mut self, superstep: u32) -> Result<()> {
+    fn apply_scale_events(
+        &mut self,
+        superstep: u32,
+        step: u64,
+        state: &ClusterState,
+    ) -> Result<()> {
         if self.scale.is_empty() {
             return Ok(());
         }
@@ -933,7 +1071,7 @@ impl ClusterBackend {
             .partition(|event| event.superstep <= superstep);
         self.scale = rest;
         for event in due {
-            self.rescale(superstep, event.workers)?;
+            self.rescale(superstep, event.workers, step, state)?;
         }
         Ok(())
     }
@@ -950,7 +1088,13 @@ impl ClusterBackend {
     /// frame a rejoin uses. The membership — and with it the new map — goes
     /// out under a bumped epoch before the next dispatch, so any in-flight
     /// frames addressed by the old ownership stay dropped.
-    fn rescale(&mut self, superstep: u32, target: usize) -> Result<()> {
+    fn rescale(
+        &mut self,
+        superstep: u32,
+        target: usize,
+        step: u64,
+        state: &ClusterState,
+    ) -> Result<()> {
         let current = self.slots.len();
         if target == current {
             return Ok(());
@@ -961,6 +1105,21 @@ impl ClusterBackend {
             to_workers: target,
         });
         let outcome = Rebalancer::rebalance(&self.map, target);
+        // What the moved partitions committed comes up from their old
+        // owners — a leaver, or a survivor handing a partition to a joiner —
+        // before anything changes hands; the next dispatch pushes it down.
+        // A partition the next superstep seeds otherwise (init, compensation,
+        // a restore) stays where it is: its old owner may hold none of it.
+        if let Some(committed) = self.last_committed {
+            let mut from: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for m in &outcome.moved {
+                if state.seed(m.pid, step) == Seed::Committed {
+                    from.entry(m.from).or_default().push(m.pid);
+                }
+            }
+            let states = self.pull_states(superstep, committed, from)?;
+            self.moved.extend(states);
+        }
         let moved = outcome.moved;
         self.map = outcome.map;
         // Scale-up: the joiners come up with the new map already installed,
@@ -974,8 +1133,8 @@ impl ClusterBackend {
         }
         // Scale-down: a planned WorkerLost. At a barrier nothing a leaver
         // sent is still in flight, its partitions are already reassigned and
-        // the coordinator holds the authoritative state, so it is told to go
-        // and reaped — a leaver that dies first is not a loss.
+        // their state pulled, so it is told to go and reaped — a leaver that
+        // dies first is not a loss.
         for mut leaver in self.slots.drain(target..).flatten() {
             leaver.dismiss(Some(&self.bytes_out));
         }
@@ -996,20 +1155,20 @@ impl ClusterBackend {
             self.await_ack(worker, superstep, "rebalance reship", welcome)?;
         }
         // The epilogue mirrors an unplanned loss: the membership, new map
-        // included, goes out under a bumped epoch, authoritative state is
-        // pushed in the next dispatch, and — because moved partitions'
-        // in-flight messages live in old owners' data-plane slots — every
-        // worker computes the post-scale superstep from an empty inbound
-        // under non-rollback strategies (`respawned_since_commit` forces
+        // included, goes out under a bumped epoch, the moved state is pushed
+        // in the next dispatch, and — because moved partitions' in-flight
+        // messages live in old owners' data-plane slots — every worker
+        // computes the post-scale superstep from an empty inbound under
+        // non-rollback strategies (`respawned_since_commit` forces
         // [`Inbound::Empty`] per worker). Those messages are lost, which is
         // why the post-scale superstep — a `StepReset` dispatch — is a
         // full-send one: every vertex re-sends its label, and
         // `force_changed` buys the superstep that folds the re-sent labels
-        // in. Rollback strategies regenerate the messages from the pushed
-        // state instead ([`Inbound::Regenerate`]), which keeps the history
-        // exact and the post-scale superstep change-driven.
+        // in. Rollback strategies regenerate the messages from the state
+        // instead ([`Inbound::Regenerate`]), which keeps the history exact
+        // and the post-scale superstep change-driven.
         self.membership_current = false;
-        self.push_state = true;
+        self.reset = true;
         self.force_changed = true;
         self.respawned_since_commit = vec![true; target];
         self.rebalance_reshipped_bytes.add(reshipped);
@@ -1045,7 +1204,7 @@ impl ClusterBackend {
         superstep: u32,
         what: &str,
         accepts: impl Fn(&Message) -> bool,
-    ) -> Result<()> {
+    ) -> Result<Message> {
         handle_of(&mut self.slots, worker)
             .and_then(|handle| read_ack(&mut handle.stream, &self.bytes_in, accepts))
             .map_err(|e| self.fail(worker, superstep, format!("{what} ack failed: {e}")))
@@ -1061,10 +1220,11 @@ impl ClusterBackend {
         // Declared lost ⇒ actually dead: dropping the handle SIGKILLs even a
         // merely-slow worker, so its late data-plane frames stop at the
         // epoch check and its late control frames at the superstep echo.
-        // The retry must re-push authoritative state (survivor caches hold
-        // the failed attempt's results), and the first post-failure commit
-        // must not be allowed to terminate the run (see `force_changed`).
-        self.push_state = true;
+        // The retry is a `StepReset` (survivors drop the failed attempt's
+        // tentative state and step from their committed one), and the first
+        // post-failure commit must not be allowed to terminate the run (see
+        // `force_changed`).
+        self.reset = true;
         self.force_changed = true;
         let detection = if message.starts_with("heartbeat") { "heartbeat" } else { "read_error" };
         let detect_ns =
@@ -1261,40 +1421,37 @@ impl ClusterBackend {
         Ok(())
     }
 
-    /// The dispatch: one thin frame per *worker*. Steady state
-    /// is `StepGo` (compute the named pids from cached state, consuming the
-    /// last committed superstep's data-plane slot); after a failure,
-    /// rollback, or at the start it is `StepReset`, which pushes
-    /// authoritative state down the control connection — under a rollback
-    /// strategy with the order to regenerate what that state sends.
+    /// The dispatch: one thin frame per *worker*. Steady state is `StepGo`
+    /// (compute the named pids from what the last superstep left, consuming
+    /// its data-plane slot); after a failure, rollback or rescale, and at the
+    /// start, it is `StepReset`, which says where each partition's state
+    /// comes from — pushed down only for a restore, a warm start or a moved
+    /// partition — and under a rollback strategy orders the messages of that
+    /// state regenerated. On a `cut` the new state comes up with the replies.
     fn dispatch(
         &mut self,
         superstep: u32,
         step: u64,
-        jobs: Vec<StepJob<'_>>,
+        state: &ClusterState,
+        cut: bool,
         send_delay: &[Option<Duration>],
     ) -> Result<()> {
         self.ensure_membership(superstep)?;
-        let workers = self.slots.len();
-        let mut per_worker: Vec<Vec<StepJob<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-        for job in jobs {
-            per_worker[self.map.worker_of(job.pid)].push(job);
-        }
         // The slot steady-state dispatches consume: the messages produced by
         // the last committed superstep. The logical first step has none.
         let committed = self.last_committed.filter(|_| step > 0);
         let rollback = self.cfg.strategy.is_rollback();
-        for (worker, wjobs) in per_worker.into_iter().enumerate() {
-            if let Some(delay) = send_delay[worker] {
-                thread::sleep(delay);
+        for (worker, delay) in send_delay.iter().enumerate() {
+            if let Some(delay) = delay {
+                thread::sleep(*delay);
             }
-            let msg = if self.push_state {
+            let pids = self.pids_of(worker);
+            let msg = if self.reset {
                 let inbound = match (committed, rollback, self.respawned_since_commit[worker]) {
                     (None, _, _) => Inbound::Empty,
-                    // The pushed state is a cut, or the last commit's state
-                    // after a rescale: either way exactly what the next
-                    // superstep folds in, once the workers regenerate what
-                    // it sends.
+                    // A restored cut, or what the last commit left after a
+                    // rescale: either way exactly what the next superstep
+                    // folds in, once the workers regenerate what it sends.
                     (Some(_), true, _) => Inbound::Regenerate,
                     (Some(slot), false, false) => Inbound::Slot(slot),
                     // A worker respawned since the last commit holds no
@@ -1303,34 +1460,75 @@ impl ClusterBackend {
                     // instead of stalling on a slot it can never complete.
                     (Some(_), false, true) => Inbound::Empty,
                 };
-                let parts = wjobs.iter().map(|job| (job.pid as u64, job.state.to_vec())).collect();
-                Message::StepReset { superstep, step, parts, inbound }
+                let seed = |pid: usize| match state.seed(pid, step) {
+                    Seed::Committed => {
+                        self.moved.get(&pid).cloned().map_or(Seed::Committed, Seed::Pushed)
+                    }
+                    seed => seed,
+                };
+                let parts = pids.iter().map(|&pid| (pid as u64, seed(pid))).collect();
+                let committed = self.last_committed;
+                Message::StepReset { superstep, step, committed, parts, inbound, cut }
             } else {
-                let pids = wjobs.iter().map(|job| job.pid as u64).collect();
-                Message::StepGo { superstep, step, inbound: committed, pids }
+                let pids = pids.iter().map(|&pid| pid as u64).collect();
+                Message::StepGo { superstep, step, inbound: committed, pids, cut }
             };
             self.send_to(worker, superstep, "step dispatch", &encode_to_vec(&msg))?;
         }
         Ok(())
     }
 
+    /// Pull the committed state of `from`'s partitions (`worker → pids`) up:
+    /// every `Pull` goes out before any reply is read, and each worker
+    /// answers in pid order. `committed` is the last committed superstep.
+    fn pull_states(
+        &mut self,
+        superstep: u32,
+        committed: u32,
+        from: BTreeMap<usize, Vec<usize>>,
+    ) -> Result<Vec<(usize, Vec<Record>)>> {
+        for (&worker, pids) in &from {
+            let pids = pids.iter().map(|&pid| pid as u64).collect();
+            let frame = encode_to_vec(&Message::Pull { committed, pids });
+            self.send_to(worker, superstep, "Pull", &frame)?;
+        }
+        let mut states = Vec::new();
+        for (worker, pids) in from {
+            for pid in pids {
+                let state_of = |msg: &Message| {
+                    matches!(msg, Message::PartState { pid: p, superstep: s, .. }
+                        if *p == pid as u64 && *s == committed)
+                };
+                if let Message::PartState { state, .. } =
+                    self.await_ack(worker, superstep, "Pull", state_of)?
+                {
+                    states.push((pid, state));
+                }
+            }
+        }
+        Ok(states)
+    }
+
     /// Receive phase. Replies on one
     /// connection arrive in send order; frames tagged with an older
     /// superstep are leftovers of a superstep that failed after this worker
-    /// had already answered — skip them. Workers write each telemetry frame
-    /// *before* its StepDone, so by the time every StepDone is in, so is
-    /// every telemetry frame for this superstep. Frames of a superstep that
-    /// fails are dropped with the local stash, keeping the journal free of
-    /// half-superstep data.
+    /// had already answered — skip them. Workers write each telemetry frame,
+    /// and on a `cut` each partition's state, *before* its StepDone, so by
+    /// the time every StepDone is in, so is everything else this superstep
+    /// sends up. Frames of a superstep that fails are dropped with the local
+    /// stash, keeping the journal free of half-superstep data.
     fn collect_step_results(
         &mut self,
         superstep: u32,
-        order: &[usize],
+        cut: bool,
         mut recv_delay: Vec<Option<Duration>>,
-    ) -> Result<Vec<StepResult>> {
-        let mut results = Vec::with_capacity(order.len());
+    ) -> Result<Stepped> {
+        let parallelism = self.map.parallelism();
+        let mut results = Vec::with_capacity(parallelism);
+        let mut states = Vec::with_capacity(if cut { parallelism } else { 0 });
         let mut pending_spans: Vec<(usize, u64, Vec<SpanRow>)> = Vec::new();
-        for &pid in order {
+        for pid in 0..parallelism {
+            let mut pulled = None;
             let worker = self.map.worker_of(pid);
             // Straggler injection: the first read of this worker's replies
             // stalls, as if its compute ran slow. One stall per superstep.
@@ -1346,24 +1544,33 @@ impl ClusterBackend {
                     )
                 });
                 match frame {
-                    Ok(Message::StepDone {
-                        pid: rpid,
-                        superstep: rss,
-                        state,
-                        changed,
-                        shuffled,
-                    }) => {
+                    Ok(Message::StepDone { pid: rpid, superstep: rss, changed, shuffled }) => {
                         if rss < superstep {
                             continue;
                         }
-                        if rss == superstep && rpid == pid as u64 {
-                            results.push(StepResult { pid, state, changed, shuffled });
+                        if rss == superstep && rpid == pid as u64 && cut == pulled.is_some() {
+                            results.push(StepResult { pid, changed, shuffled });
+                            states.extend(pulled);
                             break;
                         }
                         return Err(self.fail(
                             worker,
                             superstep,
                             format!("protocol violation: StepDone for pid {rpid} superstep {rss}"),
+                        ));
+                    }
+                    Ok(Message::PartState { pid: rpid, superstep: rss, state }) => {
+                        if rss < superstep {
+                            continue;
+                        }
+                        if rss == superstep && rpid == pid as u64 && cut {
+                            pulled = Some(state);
+                            continue;
+                        }
+                        return Err(self.fail(
+                            worker,
+                            superstep,
+                            format!("protocol violation: PartState for pid {rpid} superstep {rss}"),
                         ));
                     }
                     Ok(Message::TelemetryFrame { superstep: rss, seq, spans, .. }) => {
@@ -1416,7 +1623,7 @@ impl ClusterBackend {
             }
         }
         self.merge_telemetry(superstep, pending_spans);
-        Ok(results)
+        Ok((results, cut.then_some(states)))
     }
 }
 
@@ -1433,22 +1640,19 @@ impl StepBackend for ClusterBackend {
         &mut self,
         superstep: u32,
         step: u64,
-        jobs: Vec<StepJob<'_>>,
+        state: &ClusterState,
+        cut: bool,
         _ctx: &ExecContext,
-    ) -> Result<Vec<StepResult>> {
-        if let Some(lost) = self.lost_between_supersteps.take() {
-            return Err(lost);
-        }
+    ) -> Result<Stepped> {
         self.ensure_workers(superstep)?;
-        self.apply_scale_events(superstep)?;
+        self.apply_scale_events(superstep, step, state)?;
         let (send_delay, recv_delay) = self.inject_chaos(superstep);
-        let order: Vec<usize> = jobs.iter().map(|job| job.pid).collect();
         self.step_started = Some(Instant::now());
 
         // Send phase: every frame goes out before any reply is awaited, so
         // workers compute their partitions concurrently.
-        self.dispatch(superstep, step, jobs, &send_delay)?;
-        let mut results = self.collect_step_results(superstep, &order, recv_delay)?;
+        self.dispatch(superstep, step, state, cut, &send_delay)?;
+        let (mut results, states) = self.collect_step_results(superstep, cut, recv_delay)?;
 
         // Returning `Ok` *is* the commit: nothing in the step operator can
         // fail past this point, so the bookkeeping that distinguishes a
@@ -1457,27 +1661,22 @@ impl StepBackend for ClusterBackend {
             keep_running(&mut results);
         }
         self.last_committed = Some(superstep);
-        self.push_state = false;
+        self.reset = false;
+        self.moved.clear();
         self.respawned_since_commit.iter_mut().for_each(|flag| *flag = false);
-        Ok(results)
+        Ok((results, states))
     }
 
-    fn stage_snapshot(&mut self, epoch: u32, pid: usize, chunk: &[u8]) {
-        let worker = self.map.worker_of(pid);
-        let superstep = self.last_committed.unwrap_or(0);
-        let pid = pid as u64;
-        let ack = Message::SnapshotAck { epoch, pid, bytes: chunk.len() as u64 };
-        let frame = encode_to_vec(&Message::SnapshotBarrier { epoch, pid, chunk: chunk.to_vec() });
-        // Await the ack so epoch completion implies worker-side durability.
-        let staged = self
-            .send_to(worker, superstep, "SnapshotBarrier", &frame)
-            .and_then(|_| self.await_ack(worker, superstep, "SnapshotBarrier", |msg| *msg == ack));
-        // The coordinator's stable store keeps the authoritative chunk, so a
-        // worker found dead here costs the snapshot nothing; its loss is the
-        // next superstep's to report.
-        if let Err(lost) = staged {
-            self.lost_between_supersteps.get_or_insert(lost);
+    fn pull(&mut self) -> Result<Vec<Vec<Record>>> {
+        let committed = self.last_committed.ok_or_else(|| {
+            EngineError::Iteration("no superstep committed: no state to pull".into())
+        })?;
+        let from = (0..self.slots.len()).map(|worker| (worker, self.pids_of(worker))).collect();
+        let mut parts = vec![Vec::new(); self.map.parallelism()];
+        for (pid, state) in self.pull_states(committed, committed, from)? {
+            parts[pid] = state;
         }
+        Ok(parts)
     }
 }
 
@@ -1505,22 +1704,22 @@ fn welcome(msg: &Message) -> bool {
 }
 
 /// The one reader of acknowledgements: consume `stream` up to the frame
-/// `accepts` recognises. What a worker may still be pushing up the control
-/// connection from a superstep that failed — its `StepDone`s,
-/// `TelemetryFrame`s and `StepFailed`, or the `SnapshotAck` of a barrier
-/// nobody waited out — is skipped; any other frame is a protocol violation.
+/// `accepts` recognises, and return it. What a worker may still be pushing
+/// up the control connection from a superstep that failed — its
+/// `StepDone`s, `TelemetryFrame`s, `PartState`s and `StepFailed` — is
+/// skipped; any other frame is a protocol violation.
 fn read_ack(
     stream: &mut TcpStream,
     bytes_in: &Counter,
     accepts: impl Fn(&Message) -> bool,
-) -> io::Result<()> {
+) -> io::Result<Message> {
     loop {
         match read_frame(stream, Some(bytes_in))? {
-            msg if accepts(&msg) => return Ok(()),
+            msg if accepts(&msg) => return Ok(msg),
             Message::StepDone { .. }
             | Message::TelemetryFrame { .. }
             | Message::StepFailed { .. }
-            | Message::SnapshotAck { .. } => continue,
+            | Message::PartState { .. } => continue,
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -1595,35 +1794,42 @@ fn heartbeat_loop(
     }
 }
 
+/// The backend a run's operators and its compensation share.
+type SharedBackend = Arc<parking_lot::Mutex<Box<dyn StepBackend>>>;
+
 /// The distributed-superstep operator injected into the iteration body. It
 /// runs the logical step the driver computes: the count of committed
 /// supersteps, rewound with the state on a restore or a restart.
 struct ClusterStepOp {
-    backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
-    changed: Arc<AtomicU64>,
+    backend: SharedBackend,
+    /// The cut interval of a rollback strategy: a superstep whose logical
+    /// step [`cut_due`] names brings the partitions' state up for the
+    /// handler to write.
+    cuts: Option<u32>,
 }
 
 impl DynOp for ClusterStepOp {
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
         let superstep = ctx.superstep().unwrap_or(0);
-        let step = u64::from(ctx.iteration().unwrap_or(0));
-        let state: &Partitions<Record> = inputs[0].downcast("ClusterStep(state)")?;
+        let iteration = ctx.iteration().unwrap_or(0);
+        let state: &ClusterState = inputs[0].downcast_ref("ClusterStep(state)")?;
+        let cut = self.cuts.is_some_and(|interval| cut_due(interval, iteration));
+        let step = u64::from(iteration);
+        let (results, states) = self.backend.lock().run_step(superstep, step, state, cut, ctx)?;
 
-        let jobs: Vec<StepJob> = state.iter().map(|(pid, state)| StepJob { pid, state }).collect();
-        let results = self.backend.lock().run_step(superstep, step, jobs, ctx)?;
-
-        // Commit: new state and the published convergence count.
-        let mut parts: Vec<Vec<Record>> = vec![Vec::new(); state.num_partitions()];
-        let mut changed_total = 0u64;
+        // Commit: the convergence counts, and the state if it came up.
+        let parts = match states {
+            Some(states) => states.into_iter().map(Part::Pulled).collect(),
+            None => state.parts.iter().map(|part| Part::Resident(part.vertices())).collect(),
+        };
+        let mut next = ClusterState::of(parts);
         let mut shuffled = 0u64;
         for result in results {
-            changed_total += result.changed;
+            next.changed[result.pid] = result.changed;
             shuffled += result.shuffled;
-            parts[result.pid] = result.state;
         }
-        self.changed.store(changed_total, Ordering::SeqCst);
         ctx.add_shuffled(shuffled);
-        Ok(Erased::new(Partitions::from_parts(parts)))
+        Ok(Erased::of(next))
     }
 
     fn kind(&self) -> &'static str {
@@ -1634,14 +1840,14 @@ impl DynOp for ClusterStepOp {
 /// Termination probe: empty once the step operator saw zero changed records,
 /// feeding the bulk driver's standard empty-termination-set convention.
 struct ChangedProbeOp {
-    changed: Arc<AtomicU64>,
     parallelism: usize,
 }
 
 impl DynOp for ChangedProbeOp {
-    fn execute(&mut self, _inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+        let state: &ClusterState = inputs[0].downcast_ref("ClusterChangedProbe(state)")?;
         let mut parts = Partitions::<u8>::empty(self.parallelism);
-        if self.changed.load(Ordering::SeqCst) > 0 {
+        if state.changed.iter().any(|&changed| changed > 0) {
             parts.partition_mut(0).push(1);
         }
         Ok(Erased::new(parts))
@@ -1649,6 +1855,22 @@ impl DynOp for ChangedProbeOp {
 
     fn kind(&self) -> &'static str {
         "ClusterChangedProbe"
+    }
+}
+
+/// The run's values: every partition's committed state, pulled from the
+/// backend once the iteration is done.
+struct ValuesOp {
+    backend: SharedBackend,
+}
+
+impl DynOp for ValuesOp {
+    fn execute(&mut self, _inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+        Ok(Erased::new(Partitions::from_parts(self.backend.lock().pull()?)))
+    }
+
+    fn kind(&self) -> &'static str {
+        "ClusterValues"
     }
 }
 
@@ -1695,7 +1917,6 @@ pub fn run_cluster(
         program,
         Box::new(backend),
         adjacency,
-        n,
         max_iterations,
         env,
         strategy,
@@ -1744,14 +1965,14 @@ fn run_local_in(
     let n = graph.num_vertices() as u64;
     let adjacency = Arc::new(partition_rows(graph, env.parallelism));
     let backend = LocalBackend::new(program.clone(), adjacency.clone(), n);
+    let strategy = ClusterStrategy::Optimistic;
     run_with_backend(
         program,
         Box::new(backend),
         adjacency,
-        n,
         max_iterations,
         env,
-        ClusterStrategy::Optimistic,
+        strategy,
         initial_state,
     )
 }
@@ -1770,7 +1991,6 @@ fn run_with_backend(
     program: Arc<dyn ClusterProgram>,
     backend: Box<dyn StepBackend>,
     adjacency: Arc<Vec<AdjRows>>,
-    n: u64,
     max_iterations: u32,
     config: EnvConfig,
     strategy: ClusterStrategy,
@@ -1779,7 +1999,7 @@ fn run_with_backend(
     let parallelism = config.parallelism;
     let telemetry = config.telemetry.clone();
     let env = Environment::with_config(config);
-    let initial_parts = match initial_state {
+    let initial = match initial_state {
         Some(state) => {
             // Warm start: route the previous fixpoint's records to the same
             // partitions `partition_rows` uses (`vertex % parallelism`).
@@ -1791,95 +2011,83 @@ fn run_with_backend(
                 part.sort_unstable_by_key(|record| record.0);
                 check_warm_start(part, rows)?;
             }
-            Partitions::from_parts(parts)
+            ClusterState::pushed(parts)
         }
-        None => Partitions::from_parts(
-            adjacency.iter().map(|rows| program.init_partition(rows, n)).collect(),
+        // Cold start: each partition's owner initialises it at step 0.
+        None => ClusterState::of(
+            adjacency.iter().map(|rows| Part::Resident(rows.len() as u64)).collect(),
         ),
     };
-    let initial = env.from_partitions(initial_parts);
+    let slot = SourceSlot::new();
+    slot.fill(Erased::of(initial));
+    let initial =
+        env.custom_node::<Record>("cluster-state", vec![], Box::new(InjectedSource::new(slot)));
 
-    let backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>> =
-        Arc::new(parking_lot::Mutex::new(backend));
-    // A rollback handler ships every snapshot chunk it persists to the
-    // owning worker through the backend.
-    let ship_chunks = || -> BarrierProbe {
-        let backend = backend.clone();
-        Box::new(move |event: BarrierEvent<'_>| {
-            if let BarrierEvent::ChunkPersisted { epoch, pid, chunk } = event {
-                backend.lock().stage_snapshot(epoch, pid, chunk);
-            }
-        })
-    };
-
-    let mut iteration = BulkIteration::new(&initial, max_iterations);
+    let backend: SharedBackend = Arc::new(parking_lot::Mutex::new(backend));
+    let mut iteration = BulkIteration::<Record, ClusterState>::over(&initial, max_iterations);
     // Rollback and restart rewind the driver's logical iteration, which is
     // the step the backend runs, with the state; optimistic recovery
     // recomputes forward and needs no cut. A zero interval is rejected here,
     // by the handlers' constructors.
-    match strategy {
+    let cuts = match strategy {
         ClusterStrategy::Optimistic => {
-            // The program's compensation function rebuilds each lost
-            // partition from the (loop-invariant) adjacency.
-            let program = program.clone();
-            let adjacency = adjacency.clone();
+            // The owners of the lost partitions rebuild them from the
+            // (loop-invariant) adjacency with the program's compensation
+            // function: the coordinator only says which.
             let compensation = Named::new(
                 format!("{}-compensation", program.name()),
-                move |state: &mut Partitions<Record>, lost: &[PartitionId], _iteration: u32| {
+                |state: &mut ClusterState, lost: &[PartitionId], _iteration: u32| {
                     for &pid in lost {
-                        *state.partition_mut(pid) =
-                            program.compensate_partition(&adjacency[pid], n);
+                        state.parts[pid] = Part::Compensated(state.parts[pid].vertices());
                     }
                 },
             );
             iteration
                 .set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
+            None
         }
-        ClusterStrategy::Checkpoint { interval } => iteration.set_fault_handler(
-            CheckpointHandler::new(MemoryStore::new(), interval)?
-                .with_telemetry(telemetry)
-                .with_probe(ship_chunks()),
-        ),
-        ClusterStrategy::AsyncSnapshot { interval } => iteration.set_fault_handler(
-            AsyncSnapshotHandler::new(MemoryStore::new(), interval)?
-                .with_telemetry(telemetry)
-                .with_probe(ship_chunks()),
-        ),
-        ClusterStrategy::Restart => iteration.set_fault_handler(RestartHandler),
-    }
-    iteration.set_convergence_probe(|prev: &Partitions<Record>, next: &Partitions<Record>| {
-        let changed_per_partition = prev
-            .as_parts()
-            .iter()
-            .zip(next.as_parts())
-            .map(|(before, after)| {
-                if before.len() != after.len() {
-                    after.len() as u64
-                } else {
-                    before.iter().zip(after).filter(|(b, a)| b != a).count() as u64
-                }
-            })
-            .collect();
-        ConvergenceMeasure { changed_per_partition, delta_norm: None }
+        ClusterStrategy::Checkpoint { interval } => {
+            let handler = CheckpointHandler::new(MemoryStore::new(), interval)?;
+            iteration.set_fault_handler(handler.with_telemetry(telemetry));
+            Some(interval)
+        }
+        ClusterStrategy::AsyncSnapshot { interval } => {
+            let handler = AsyncSnapshotHandler::new(MemoryStore::new(), interval)?;
+            iteration.set_fault_handler(handler.with_telemetry(telemetry));
+            Some(interval)
+        }
+        ClusterStrategy::Restart => {
+            iteration.set_fault_handler(RestartHandler);
+            None
+        }
+    };
+    // What changed is what the partitions' programs counted.
+    iteration.set_convergence_probe(|_: &ClusterState, next: &ClusterState| ConvergenceMeasure {
+        changed_per_partition: next.changed.clone(),
+        delta_norm: None,
     });
 
-    let changed = Arc::new(AtomicU64::new(0));
     let state = iteration.state();
     let body = iteration.body_environment();
     let step = body.custom_node::<Record>(
         "cluster-step",
         vec![state.node_id()],
-        Box::new(ClusterStepOp { backend: backend.clone(), changed: changed.clone() }),
+        Box::new(ClusterStepOp { backend: backend.clone(), cuts }),
     );
     let probe = body.custom_node::<u8>(
         "changed-probe",
         vec![step.node_id()],
-        Box::new(ChangedProbeOp { changed, parallelism }),
+        Box::new(ChangedProbeOp { parallelism }),
     );
 
     let (result, stats) = iteration.close_with_termination(step, probe);
+    let values = env.custom_node::<Record>(
+        "cluster-values",
+        vec![result.node_id()],
+        Box::new(ValuesOp { backend: backend.clone() }),
+    );
     backend.lock().start()?;
-    let values = merge_by_vertex(result.collect_partitions()?.as_parts());
+    let values = merge_by_vertex(values.collect_partitions()?.as_parts());
     let stats = stats
         .take()
         .ok_or_else(|| EngineError::Iteration("cluster run produced no statistics".into()))?;
@@ -2029,7 +2237,7 @@ mod tests {
         let adjacency = Arc::new(partition_rows(graph, parallelism));
         let backend = Box::new(backend(program.clone(), adjacency.clone(), n));
         let (config, strategy) = (EnvConfig::new(parallelism), ClusterStrategy::Optimistic);
-        run_with_backend(program, backend, adjacency, n, 200, config, strategy, None).unwrap()
+        run_with_backend(program, backend, adjacency, 200, config, strategy, None).unwrap()
     }
 
     /// A run's statistics without their durations: what must not move.
@@ -2242,8 +2450,9 @@ mod tests {
         assert!(ClusterStrategy::AsyncSnapshot { interval: 2 }.is_rollback());
     }
 
-    /// Hands every partition its state back as changed, records the logical
-    /// step it is asked to run, and loses worker 1 at superstep `lose_at`.
+    /// Counts every partition as changed, records the logical step it is
+    /// asked to run, and loses worker 1 at superstep `lose_at`. It holds no
+    /// state: a cut brings up empty partitions.
     struct RecordsSteps {
         steps: Arc<parking_lot::Mutex<Vec<u64>>>,
         lose_at: u32,
@@ -2254,9 +2463,10 @@ mod tests {
             &mut self,
             superstep: u32,
             step: u64,
-            jobs: Vec<StepJob<'_>>,
+            state: &ClusterState,
+            cut: bool,
             _ctx: &ExecContext,
-        ) -> Result<Vec<StepResult>> {
+        ) -> Result<Stepped> {
             self.steps.lock().push(step);
             if superstep == self.lose_at {
                 return Err(EngineError::WorkerLost {
@@ -2266,13 +2476,13 @@ mod tests {
                     message: "killed".into(),
                 });
             }
-            let result = |job: &StepJob| StepResult {
-                pid: job.pid,
-                state: job.state.to_vec(),
-                changed: 1,
-                shuffled: 0,
-            };
-            Ok(jobs.iter().map(result).collect())
+            let partitions = state.num_partitions();
+            let result = |pid| StepResult { pid, changed: 1, shuffled: 0 };
+            Ok(((0..partitions).map(result).collect(), cut.then(|| vec![vec![]; partitions])))
+        }
+
+        fn pull(&mut self) -> Result<Vec<Vec<Record>>> {
+            Ok(vec![vec![]; 2])
         }
     }
 
@@ -2285,7 +2495,7 @@ mod tests {
             let backend = Box::new(RecordsSteps { steps: steps.clone(), lose_at });
             let program = resolve("cc").unwrap();
             let config = EnvConfig::new(2);
-            run_with_backend(program, backend, adjacency, 4, 8, config, strategy, None).unwrap();
+            run_with_backend(program, backend, adjacency, 8, config, strategy, None).unwrap();
             let handed = steps.lock().clone();
             handed
         };
@@ -2299,30 +2509,29 @@ mod tests {
 
     /// The in-process step assembly before partitions routed their output,
     /// kept as the oracle of the routed one: a commit keeps each partition's
-    /// outbound as one run, and every superstep buckets the runs by
-    /// destination, merges each destination's buckets into an inbox and
-    /// steps it through the one-run wrappers.
+    /// state and its outbound as one run, and every superstep buckets the
+    /// runs by destination, merges each destination's buckets into an inbox
+    /// and steps it through the one-run wrappers.
     struct InboxAssembly {
         program: Arc<dyn ClusterProgram>,
         adjacency: Arc<Vec<AdjRows>>,
         n: u64,
-        committed: Vec<Vec<Msg>>,
+        committed: Vec<Vec<Record>>,
+        sent: Vec<Vec<Msg>>,
         retrying: bool,
     }
 
     impl InboxAssembly {
         fn new(program: Arc<dyn ClusterProgram>, adjacency: Arc<Vec<AdjRows>>, n: u64) -> Self {
-            InboxAssembly { program, adjacency, n, committed: Vec::new(), retrying: false }
+            let (committed, sent) = (Vec::new(), Vec::new());
+            InboxAssembly { program, adjacency, n, committed, sent, retrying: false }
         }
 
         fn inbox(&self, pid: usize) -> Vec<Msg> {
             let parallelism = self.adjacency.len() as u64;
             let to_pid = |msg: &Msg| msg.1 % parallelism == pid as u64;
-            let buckets: Vec<Vec<Msg>> = self
-                .committed
-                .iter()
-                .map(|run| run.iter().copied().filter(to_pid).collect())
-                .collect();
+            let buckets: Vec<Vec<Msg>> =
+                self.sent.iter().map(|run| run.iter().copied().filter(to_pid).collect()).collect();
             let buckets: Vec<&[Msg]> = buckets.iter().map(Vec::as_slice).collect();
             crate::exchange::merge_runs(&buckets, 1).pop().unwrap()
         }
@@ -2333,30 +2542,109 @@ mod tests {
             &mut self,
             _superstep: u32,
             step: u64,
-            jobs: Vec<StepJob<'_>>,
+            state: &ClusterState,
+            _cut: bool,
             ctx: &ExecContext,
-        ) -> Result<Vec<StepResult>> {
+        ) -> Result<Stepped> {
             let retrying = std::mem::replace(&mut self.retrying, true);
             let this = &*self;
-            let outputs = par_map(jobs, ctx, 0, |_, job| {
-                let (rows, inbound, n) = (&this.adjacency[job.pid], this.inbox(job.pid), this.n);
+            let pids: Vec<usize> = (0..this.adjacency.len()).collect();
+            let outputs = par_map(pids, ctx, 0, |_, pid| {
+                let (rows, inbound, n) = (&this.adjacency[pid], this.inbox(pid), this.n);
+                let input = match state.seed(pid, step) {
+                    Seed::Committed => this.committed[pid].clone(),
+                    Seed::Init => this.program.init_partition(rows, n),
+                    Seed::Compensate => this.program.compensate_partition(rows, n),
+                    Seed::Pushed(records) => records,
+                };
                 let out = if retrying {
-                    this.program.full_send_step(step, job.state, &inbound, rows, n)
+                    this.program.full_send_step(step, &input, &inbound, rows, n)
                 } else {
-                    this.program.step(step, job.state, &inbound, rows, n)
+                    this.program.step(step, &input, &inbound, rows, n)
                 };
                 let shuffled = out.outbound.len() as u64;
-                let result =
-                    StepResult { pid: job.pid, state: out.state, changed: out.changed, shuffled };
-                (result, out.outbound)
+                (StepResult { pid, changed: out.changed, shuffled }, out.state, out.outbound)
             })?;
-            let (mut results, sent): (Vec<StepResult>, Vec<Vec<Msg>>) = outputs.into_iter().unzip();
-            self.committed = sent;
+            let mut results = Vec::new();
+            (self.committed, self.sent) = (Vec::new(), Vec::new());
+            for (result, state, sent) in outputs {
+                results.push(result);
+                self.committed.push(state);
+                self.sent.push(sent);
+            }
             self.retrying = false;
             if retrying {
                 keep_running(&mut results);
             }
-            Ok(results)
+            Ok((results, None))
+        }
+
+        fn pull(&mut self) -> Result<Vec<Vec<Record>>> {
+            Ok(std::mem::take(&mut self.committed))
+        }
+    }
+
+    /// [`LocalBackend`], recording the records the coordinator's state holds
+    /// at the start of every superstep, and losing worker 1 — partition 1 —
+    /// at superstep `lose_at`.
+    struct RecordsHeld {
+        inner: LocalBackend,
+        held: Arc<parking_lot::Mutex<Vec<usize>>>,
+        lose_at: Option<u32>,
+    }
+
+    impl StepBackend for RecordsHeld {
+        fn run_step(
+            &mut self,
+            superstep: u32,
+            step: u64,
+            state: &ClusterState,
+            cut: bool,
+            ctx: &ExecContext,
+        ) -> Result<Stepped> {
+            let held = state.parts.iter().map(|part| part.records().len()).sum();
+            self.held.lock().push(held);
+            if self.lose_at == Some(superstep) {
+                return Err(EngineError::WorkerLost {
+                    worker: 1,
+                    pids: vec![1],
+                    superstep: Some(superstep),
+                    message: "killed".into(),
+                });
+            }
+            self.inner.run_step(superstep, step, state, cut, ctx)
+        }
+
+        fn pull(&mut self) -> Result<Vec<Vec<Record>>> {
+            self.inner.pull()
+        }
+    }
+
+    #[test]
+    fn between_optimistic_supersteps_the_coordinator_holds_no_record() {
+        // Failure-free and with a worker lost mid-run: the state the driver
+        // hands every superstep is counts alone, the lost partition is
+        // rebuilt by its owner, and its loss is still billed by its vertex
+        // count.
+        let graph = graphs::generators::preferential_attachment(400, 3, 9);
+        let adjacency = Arc::new(partition_rows(&graph, 4));
+        for lose_at in [None, Some(3)] {
+            let held = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let program = resolve("cc").unwrap();
+            let inner = LocalBackend::new(program.clone(), adjacency.clone(), 400);
+            let backend = Box::new(RecordsHeld { inner, held: held.clone(), lose_at });
+            let (config, strategy) = (EnvConfig::new(4), ClusterStrategy::Optimistic);
+            let run =
+                run_with_backend(program, backend, adjacency.clone(), 200, config, strategy, None)
+                    .unwrap();
+            let labels: Vec<u64> = run.values.iter().map(|&(_, l)| l).collect();
+            assert_eq!(labels, graphs::exact_components(&graph), "lost at {lose_at:?}");
+            let held = held.lock().clone();
+            assert_eq!(held.len() as u32, run.stats.supersteps());
+            assert!(held.iter().all(|&records| records == 0), "{held:?}");
+            let lost: Vec<u64> = run.stats.failures().map(|(_, f)| f.lost_records).collect();
+            let expected = lose_at.map(|_| adjacency[1].len() as u64);
+            assert_eq!(lost, expected.into_iter().collect::<Vec<_>>());
         }
     }
 

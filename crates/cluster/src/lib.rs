@@ -28,10 +28,10 @@
 //!   it on elastic scale events.
 //! * [`worker`] — the worker process: partition execution behind an accept
 //!   loop, plus the direct data plane (peer links, batched shuffle,
-//!   superstep execution from cached state).
+//!   superstep execution from the partition state it alone holds).
 //! * [`coordinator`] — worker lifecycle (spawn / heartbeat / kill /
 //!   respawn-with-backoff), the distributed superstep operator, the
-//!   channel-cut wrapper around the recovery handlers, and the
+//!   iteration state the recovery handlers see, and the
 //!   [`coordinator::run_cluster`] /
 //!   [`coordinator::run_local`] entry points.
 

@@ -108,12 +108,56 @@ impl Codec for Inbound {
     }
 }
 
+/// Where a partition's state comes from in a [`Message::StepReset`]. One
+/// strict tag byte (`0`–`3`) ahead of the variant's field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Seed {
+    /// What the worker committed: its state as the last committed superstep
+    /// left it.
+    Committed,
+    /// The program's initial state ([`crate::program::ClusterProgram::init_partition`]):
+    /// the logical first step of a cold start or a restart.
+    Init,
+    /// Rebuilt by the program's compensation function
+    /// ([`crate::program::ClusterProgram::compensate_partition`]): optimistic
+    /// recovery of a partition lost with its process.
+    Compensate,
+    /// These records: a restored cut, a warm start, or a partition a rescale
+    /// moved here.
+    Pushed(Vec<Record>),
+}
+
+impl Codec for Seed {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Seed::Committed => out.push(0),
+            Seed::Init => out.push(1),
+            Seed::Compensate => out.push(2),
+            Seed::Pushed(records) => {
+                out.push(3);
+                records.encode(out);
+            }
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self> {
+        match u8::decode(input)? {
+            0 => Ok(Seed::Committed),
+            1 => Ok(Seed::Init),
+            2 => Ok(Seed::Compensate),
+            3 => Ok(Seed::Pushed(Vec::decode(input)?)),
+            other => Err(EngineError::Codec(format!("invalid Seed tag {other}"))),
+        }
+    }
+}
+
 /// A protocol message. Tags are part of the wire format — append new
 /// variants, never renumber. A frame is acknowledged only where the
 /// coordinator has to wait for its effect: [`Message::LoadProgram`]
 /// (installed) and [`Message::Membership`] (peer links up) with
-/// [`Message::Welcome`], [`Message::SnapshotBarrier`] (chunk staged) with
-/// [`Message::SnapshotAck`].
+/// [`Message::Welcome`]. Partition state comes up only where something reads
+/// it, as [`Message::PartState`]s: on a dispatch's `cut` and on a
+/// [`Message::Pull`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
     /// Coordinator → worker: first frame on the control connection. Not
@@ -144,8 +188,6 @@ pub enum Message {
         pid: u64,
         /// Echo of the request's chronological superstep.
         superstep: u32,
-        /// The partition's new state, same vertex order as the request.
-        state: Vec<Record>,
         /// Records considered changed by the program's convergence test.
         changed: u64,
         /// Messages this partition produced for the next superstep (counted
@@ -183,29 +225,6 @@ pub enum Message {
         seq: u64,
         /// Timed phases, in worker-local execution order.
         spans: Vec<SpanRow>,
-    },
-    /// Coordinator → worker: the asynchronous-snapshot barrier marker
-    /// carrying one partition chunk for the worker to stage locally. The
-    /// worker keeps chunks per epoch so a coordinator restart can pull the
-    /// last complete snapshot back; staging replaces any chunk previously
-    /// held for the same `(epoch, pid)`.
-    SnapshotBarrier {
-        /// The snapshot epoch (the barrier's iteration).
-        epoch: u32,
-        /// Partition the chunk captures.
-        pid: u64,
-        /// The encoded partition chunk.
-        chunk: Vec<u8>,
-    },
-    /// Worker → coordinator: acknowledges one staged [`Message::SnapshotBarrier`]
-    /// chunk, confirming durability before the epoch counts as complete.
-    SnapshotAck {
-        /// Echo of the barrier's epoch.
-        epoch: u32,
-        /// Echo of the chunk's partition.
-        pid: u64,
-        /// Bytes staged for this chunk.
-        bytes: u64,
     },
     /// Coordinator → worker: the cluster's current membership and placement
     /// — who is in it, where they listen and who owns which partition, one
@@ -267,9 +286,9 @@ pub enum Message {
         bytes: u64,
     },
     /// Coordinator → worker: run one superstep over all of the worker's
-    /// partitions from its cached state. The cheap steady-state dispatch of
-    /// the direct data plane — state travels down only in
-    /// [`Message::StepReset`].
+    /// partitions from the state the previous superstep — committed by this
+    /// dispatch — left them. The steady-state dispatch: no state travels
+    /// down.
     StepGo {
         /// Chronological superstep.
         superstep: u32,
@@ -281,24 +300,35 @@ pub enum Message {
         /// The worker's partitions, ascending; replies come back in this
         /// order.
         pids: Vec<u64>,
+        /// Whether the superstep is a rollback strategy's cut: each
+        /// partition's new state comes up as a [`Message::PartState`] ahead
+        /// of its [`Message::StepDone`].
+        cut: bool,
     },
-    /// Coordinator → worker: like [`Message::StepGo`], but pushes
-    /// authoritative partition state first — the recovery/retry dispatch
-    /// (first superstep, post-failure retries, rollback restores, the
-    /// superstep after a rescale, and with it what tells a joiner where the
-    /// run stands). Unless `inbound` is [`Inbound::Regenerate`] the inbound
-    /// history is not exact, so the worker runs the superstep as a full-send
-    /// one ([`crate::program::ClusterProgram::full_send_step`]); a
-    /// regenerated superstep is change-driven like any other.
+    /// Coordinator → worker: like [`Message::StepGo`], but says where each
+    /// partition's state comes from — the dispatch of the first superstep,
+    /// of post-failure retries and rollback restores, of the superstep after
+    /// a rescale, and with it what tells a joiner where the run stands. The
+    /// worker first keeps what its previous superstep left only if that was
+    /// `committed`, and otherwise rolls back to its committed state. Unless
+    /// `inbound` is [`Inbound::Regenerate`] the inbound history is not
+    /// exact, so the worker runs the superstep as a full-send one
+    /// ([`crate::program::ClusterProgram::full_send_step`]); a regenerated
+    /// superstep is change-driven like any other.
     StepReset {
         /// Chronological superstep.
         superstep: u32,
         /// Logical step index.
         step: u64,
-        /// Authoritative state per owned partition: `(pid, records)`.
-        parts: Vec<(u64, Vec<Record>)>,
+        /// The last committed chronological superstep, if any.
+        committed: Option<u32>,
+        /// Every partition the worker owns, ascending, and where its state
+        /// comes from; replies come back in this order.
+        parts: Vec<(u64, Seed)>,
         /// What the superstep computes from.
         inbound: Inbound,
+        /// As in [`Message::StepGo`].
+        cut: bool,
     },
     /// Worker → coordinator: the worker timed out waiting for data-plane
     /// completeness and computed nothing for `superstep`. The coordinator
@@ -308,6 +338,27 @@ pub enum Message {
         superstep: u32,
         /// Members whose [`Message::ShuffleFlush`] never arrived.
         waiting_on: Vec<u64>,
+    },
+    /// Coordinator → worker: send up the committed state of `pids` — the
+    /// run's values at its end, or the partitions a rescale moves off this
+    /// worker. Answered with one [`Message::PartState`] per pid, in order.
+    Pull {
+        /// The last committed chronological superstep: the worker keeps what
+        /// its previous superstep left only if that was this one.
+        committed: u32,
+        /// Partitions to send, each owned by the worker.
+        pids: Vec<u64>,
+    },
+    /// Worker → coordinator: one partition's state, as chronological
+    /// superstep `superstep` left it.
+    PartState {
+        /// The partition.
+        pid: u64,
+        /// The superstep whose state this is; frames of a superstep that
+        /// failed are skipped like its `StepDone`s.
+        superstep: u32,
+        /// The records, ascending by vertex.
+        state: Vec<Record>,
     },
 }
 
@@ -324,11 +375,10 @@ impl Codec for Message {
                     adjacency.iter().map(|(pid, rows)| (*pid, rows)).collect();
                 encode_load_program(out, program, *n, &parts);
             }
-            Message::StepDone { pid, superstep, state, changed, shuffled } => {
+            Message::StepDone { pid, superstep, changed, shuffled } => {
                 out.push(4);
                 pid.encode(out);
                 superstep.encode(out);
-                state.encode(out);
                 changed.encode(out);
                 shuffled.encode(out);
             }
@@ -347,18 +397,6 @@ impl Codec for Message {
                 superstep.encode(out);
                 seq.encode(out);
                 spans.encode(out);
-            }
-            Message::SnapshotBarrier { epoch, pid, chunk } => {
-                out.push(9);
-                epoch.encode(out);
-                pid.encode(out);
-                chunk.encode(out);
-            }
-            Message::SnapshotAck { epoch, pid, bytes } => {
-                out.push(10);
-                epoch.encode(out);
-                pid.encode(out);
-                bytes.encode(out);
             }
             Message::Membership { epoch, data_timeout_ms, peers, assignment } => {
                 out.push(11);
@@ -387,24 +425,35 @@ impl Codec for Message {
                 frames.encode(out);
                 bytes.encode(out);
             }
-            Message::StepGo { superstep, step, inbound, pids } => {
+            Message::StepGo { superstep, step, inbound, pids, cut } => {
                 out.push(15);
                 superstep.encode(out);
                 step.encode(out);
                 inbound.encode(out);
                 pids.encode(out);
+                cut.encode(out);
             }
-            Message::StepReset { superstep, step, parts, inbound } => {
+            Message::StepReset { superstep, step, committed, parts, inbound, cut } => {
                 out.push(16);
                 superstep.encode(out);
                 step.encode(out);
+                committed.encode(out);
                 parts.encode(out);
                 inbound.encode(out);
+                cut.encode(out);
             }
             Message::StepFailed { superstep, waiting_on } => {
                 out.push(17);
                 superstep.encode(out);
                 waiting_on.encode(out);
+            }
+            Message::Pull { committed, pids } => {
+                out.push(21);
+                committed.encode(out);
+                pids.encode(out);
+            }
+            Message::PartState { pid, superstep, state } => {
+                encode_part_state(out, *pid, *superstep, state)
             }
         }
     }
@@ -419,13 +468,13 @@ impl Codec for Message {
                 n: u64::decode(input)?,
                 adjacency: Vec::decode(input)?,
             },
-            // Retired tags — 3 (the coordinator-routed dispatch), 18
-            // (`WorkerJoin`), 19 (`Drain`) and 20 (`MapUpdate`) — decode to
-            // the unknown-tag error below and are not reused.
+            // Retired tags — 3 (the coordinator-routed dispatch), 9 and 10
+            // (`SnapshotBarrier` and its ack), 18 (`WorkerJoin`), 19
+            // (`Drain`) and 20 (`MapUpdate`) — decode to the unknown-tag
+            // error below and are not reused.
             4 => Message::StepDone {
                 pid: u64::decode(input)?,
                 superstep: u32::decode(input)?,
-                state: Vec::decode(input)?,
                 changed: u64::decode(input)?,
                 shuffled: u64::decode(input)?,
             },
@@ -437,16 +486,6 @@ impl Codec for Message {
                 superstep: u32::decode(input)?,
                 seq: u64::decode(input)?,
                 spans: Vec::decode(input)?,
-            },
-            9 => Message::SnapshotBarrier {
-                epoch: u32::decode(input)?,
-                pid: u64::decode(input)?,
-                chunk: Vec::decode(input)?,
-            },
-            10 => Message::SnapshotAck {
-                epoch: u32::decode(input)?,
-                pid: u64::decode(input)?,
-                bytes: u64::decode(input)?,
             },
             11 => Message::Membership {
                 epoch: u64::decode(input)?,
@@ -475,16 +514,25 @@ impl Codec for Message {
                 step: u64::decode(input)?,
                 inbound: Option::decode(input)?,
                 pids: Vec::decode(input)?,
+                cut: bool::decode(input)?,
             },
             16 => Message::StepReset {
                 superstep: u32::decode(input)?,
                 step: u64::decode(input)?,
+                committed: Option::decode(input)?,
                 parts: Vec::decode(input)?,
                 inbound: Inbound::decode(input)?,
+                cut: bool::decode(input)?,
             },
             17 => Message::StepFailed {
                 superstep: u32::decode(input)?,
                 waiting_on: Vec::decode(input)?,
+            },
+            21 => Message::Pull { committed: u32::decode(input)?, pids: Vec::decode(input)? },
+            22 => Message::PartState {
+                pid: u64::decode(input)?,
+                superstep: u32::decode(input)?,
+                state: Vec::decode(input)?,
             },
             other => {
                 return Err(EngineError::Codec(format!("unknown cluster message tag {other}")))
@@ -510,6 +558,16 @@ pub fn encode_load_program(
         pid.encode(out);
         encode_slice(rows, out);
     }
+}
+
+/// Encode a [`Message::PartState`] from records the caller keeps: the bytes
+/// [`Codec::encode`] produces for the owned message (it calls this), without
+/// first moving the state into one.
+pub fn encode_part_state(out: &mut Vec<u8>, pid: u64, superstep: u32, state: &[Record]) {
+    out.push(22);
+    pid.encode(out);
+    superstep.encode(out);
+    encode_slice(state, out);
 }
 
 /// Wire tag of [`Message::ShuffleFrame`].
@@ -695,13 +753,7 @@ mod tests {
             n: 10,
             adjacency: vec![(0, vec![(0, vec![1, 2]), (2, vec![0])]), (1, vec![(1, vec![0])])],
         });
-        round_trip(Message::StepDone {
-            pid: 1,
-            superstep: 4,
-            state: vec![(1, 0)],
-            changed: 1,
-            shuffled: 7,
-        });
+        round_trip(Message::StepDone { pid: 1, superstep: 4, changed: 1, shuffled: 7 });
         round_trip(Message::Heartbeat { nonce: 42 });
         round_trip(Message::HeartbeatAck { nonce: 42 });
         round_trip(Message::Shutdown);
@@ -711,8 +763,6 @@ mod tests {
             seq: 2,
             spans: vec![(1, SPAN_PHASE_COMPUTE, 12, 1_500), (1, SPAN_PHASE_SHUFFLE, 12, 900)],
         });
-        round_trip(Message::SnapshotBarrier { epoch: 6, pid: 2, chunk: vec![1, 2, 3, 255] });
-        round_trip(Message::SnapshotAck { epoch: 6, pid: 2, bytes: 4 });
         round_trip(Message::Membership {
             epoch: 3,
             data_timeout_ms: 2_500,
@@ -733,18 +783,27 @@ mod tests {
             frames: 2,
             bytes: 96,
         });
-        for inbound in [None, Some(8)] {
-            round_trip(Message::StepGo { superstep: 9, step: 8, inbound, pids: vec![1, 3] });
+        for (inbound, cut) in [(None, false), (Some(8), true)] {
+            round_trip(Message::StepGo { superstep: 9, step: 8, inbound, pids: vec![1, 3], cut });
         }
         for inbound in [Inbound::Empty, Inbound::Slot(8), Inbound::Regenerate] {
             round_trip(Message::StepReset {
                 superstep: 10,
                 step: 8,
-                parts: vec![(1, vec![(1, 1), (5, 1)]), (3, vec![(3, 3)])],
+                committed: Some(8),
+                parts: vec![
+                    (1, Seed::Pushed(vec![(1, 1), (5, 1)])),
+                    (3, Seed::Committed),
+                    (5, Seed::Init),
+                    (7, Seed::Compensate),
+                ],
                 inbound,
+                cut: false,
             });
         }
         round_trip(Message::StepFailed { superstep: 10, waiting_on: vec![0, 2] });
+        round_trip(Message::Pull { committed: 9, pids: vec![1, 3] });
+        round_trip(Message::PartState { pid: 3, superstep: 9, state: vec![(3, 0), (7, 1)] });
     }
 
     #[test]
@@ -794,9 +853,10 @@ mod tests {
 
     #[test]
     fn unknown_and_retired_tags_are_decode_errors() {
-        // Retired: 3 (coordinator-routed dispatch), 18 (`WorkerJoin`), 19
-        // (`Drain`), 20 (`MapUpdate`) — with the fields they used to carry.
-        for tag in [99u8, 3, 18, 19, 20] {
+        // Retired: 3 (coordinator-routed dispatch), 9 and 10
+        // (`SnapshotBarrier` and its ack), 18 (`WorkerJoin`), 19 (`Drain`),
+        // 20 (`MapUpdate`) — with the fields they used to carry.
+        for tag in [99u8, 3, 9, 10, 18, 19, 20] {
             let mut payload = vec![tag];
             (2u64, 11u32).encode(&mut payload);
             let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
@@ -809,19 +869,28 @@ mod tests {
 
     #[test]
     fn a_dispatch_is_its_superstep_and_one_typed_inbound() {
-        let go = Message::StepGo { superstep: 9, step: 8, inbound: Some(7), pids: vec![1, 3] };
+        let go = Message::StepGo {
+            superstep: 9,
+            step: 8,
+            inbound: Some(7),
+            pids: vec![1, 3],
+            cut: true,
+        };
         let mut expected = vec![15u8];
-        (9u32, 8u64, 1u8, 7u32, vec![1u64, 3]).encode(&mut expected);
+        (9u32, 8u64, 1u8, 7u32, vec![1u64, 3], 1u8).encode(&mut expected);
         assert_eq!(encode_to_vec(&go), expected);
         let reset = |inbound: Inbound| Message::StepReset {
             superstep: 9,
             step: 8,
-            parts: vec![(1, vec![(1, 1)])],
+            committed: Some(7),
+            parts: vec![(1, Seed::Pushed(vec![(1, 1)])), (3, Seed::Compensate)],
             inbound,
+            cut: false,
         };
         let mut head = vec![16u8];
-        (9u32, 8u64, vec![(1u64, vec![(1u64, 1u64)])]).encode(&mut head);
-        let tail = |tag: u8, field: Vec<u8>| [head.clone(), vec![tag], field].concat();
+        (9u32, 8u64, 1u8, 7u32).encode(&mut head);
+        (2u64, 1u64, 3u8, vec![(1u64, 1u64)], 3u64, 2u8).encode(&mut head);
+        let tail = |tag: u8, field: Vec<u8>| [head.clone(), vec![tag], field, vec![0]].concat();
         assert_eq!(encode_to_vec(&reset(Inbound::Empty)), tail(0, vec![]));
         assert_eq!(encode_to_vec(&reset(Inbound::Slot(7))), tail(1, encode_to_vec(&7u32)));
         let regenerate = encode_to_vec(&reset(Inbound::Regenerate));
@@ -902,8 +971,10 @@ mod tests {
             frame_of(&Message::StepReset {
                 superstep: 9,
                 step: 8,
-                parts: vec![(2, state.clone())],
+                committed: None,
+                parts: vec![(2, Seed::Pushed(state.clone()))],
                 inbound,
+                cut: false,
             })
         };
         let membership = frame_of(&Message::Membership {
@@ -916,16 +987,7 @@ mod tests {
         msgs.iter().for_each(|msg| fused.push(msg));
         vec![
             (fused.finish(1, 3, 9).unwrap().to_vec(), SHUFFLE_HEADER_BYTES - 8),
-            (
-                frame_of(&Message::StepDone {
-                    pid: 2,
-                    superstep: 9,
-                    state: records,
-                    changed: 1,
-                    shuffled: 4,
-                }),
-                4 + 1 + 8 + 4,
-            ),
+            (frame_of(&Message::PartState { pid: 2, superstep: 9, state: records }), 4 + 1 + 8 + 4),
             (
                 frame_of(&Message::TelemetryFrame { worker: 1, superstep: 9, seq: 0, spans }),
                 4 + 1 + 8 + 4 + 8,
@@ -936,12 +998,14 @@ mod tests {
                     step: 8,
                     inbound: Some(8),
                     pids: pids.clone(),
+                    cut: false,
                 }),
                 DISPATCH_HEAD + 1 + 4,
             ),
-            (reset(Inbound::Regenerate), DISPATCH_HEAD),
-            // ... and the count of the one partition's state, behind its pid.
-            (reset(Inbound::Slot(8)), DISPATCH_HEAD + 8 + 8),
+            (reset(Inbound::Regenerate), DISPATCH_HEAD + 1),
+            // ... and the count of the one partition's pushed state, behind
+            // its pid and seed tag.
+            (reset(Inbound::Slot(8)), DISPATCH_HEAD + 1 + 8 + 8 + 1),
             (membership.clone(), 4 + 1 + 8 + 8),
             // ... and the assignment's, behind the peers.
             (membership, 4 + 1 + 8 + 8 + 8 + pids.len() * 16),

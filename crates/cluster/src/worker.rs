@@ -1,5 +1,6 @@
-//! The worker process: owns partition state execution for its share of the
-//! graph and speaks the frame protocol over loopback TCP.
+//! The worker process: holds and computes the partition state of its share
+//! of the graph — the only copy of that state anywhere — and speaks the
+//! frame protocol over loopback TCP.
 //!
 //! A worker binds an ephemeral (or explicitly requested) port, announces it
 //! on stdout as `OPTIREC_WORKER_LISTENING <port>` — the coordinator reads
@@ -15,12 +16,24 @@
 //! connection installs peer links and routes from [`Message::Membership`]
 //! — the only frame besides [`Message::LoadProgram`] it acknowledges —
 //! then runs whole supersteps from [`Message::StepGo`] / [`Message::StepReset`]
-//! against cached partition state, shipping outbound messages directly to
-//! peers (one frame per partition and peer, overlapped with the remaining
+//! against the partition state it holds, shipping outbound messages directly
+//! to peers (one frame per partition and peer, overlapped with the remaining
 //! partitions' compute); they never pass through the coordinator. Not even
 //! on a restore: a restored cut is its state alone, and the workers
 //! regenerate its messages from that state over the same data plane
 //! ([`Inbound::Regenerate`]).
+//!
+//! The state is double-buffered. A superstep computes from the committed
+//! state and leaves its output tentative; the next dispatch names the last
+//! committed superstep, and the tentative state becomes the committed one
+//! only if it is that superstep's — otherwise (the superstep failed
+//! elsewhere) it is dropped, so a retry computes from what the failed
+//! attempt started from without anything being pushed. A [`Message::StepReset`]
+//! says where else a partition's state comes from ([`Seed`]: the program's
+//! init or compensation, or pushed records), and the state travels up only
+//! when the coordinator reads it: on a cut dispatch and on a
+//! [`Message::Pull`].
+//!
 //! A cross-worker message is copied once on each side: encoded from the
 //! step's outbound into the frame buffer the socket write reads, and decoded
 //! from the connection's receive buffer into the vector the inbox keeps as a
@@ -46,15 +59,15 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dataflow::codec::Codec;
+use dataflow::codec::encode_to_vec;
 use parking_lot::Mutex;
 
 use crate::exchange::DataPlane;
 use crate::program::{lookup, ClusterProgram};
 use crate::protocol::{
-    read_frame_buffered, write_encoded_frame, write_frame, AdjRows, Inbound, Message, Msg, Record,
-    ShuffleFrameBuf, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES,
-    SPAN_PHASE_SHUFFLE,
+    encode_part_state, read_frame_buffered, write_encoded_frame, write_frame, AdjRows, Inbound,
+    Message, Msg, Record, Seed, ShuffleFrameBuf, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
+    SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 
 /// Marker line a worker prints to stdout once its listener is bound; the
@@ -99,10 +112,6 @@ struct WorkerState {
     program: Option<Arc<dyn ClusterProgram>>,
     n: u64,
     adjacency: HashMap<u64, Arc<AdjRows>>,
-    /// Asynchronous-snapshot chunks staged per epoch: `epoch → pid → chunk`.
-    /// The barrier marker ([`Message::SnapshotBarrier`]) deposits chunks
-    /// here; they are retained until a `LoadProgram` resets the worker.
-    snapshots: HashMap<u32, HashMap<u64, Vec<u8>>>,
 }
 
 /// Direct-data-plane context of the control connection, rebuilt from every
@@ -122,12 +131,41 @@ struct DirectCtx {
     /// so routing a message is one table read. Its length is the partition
     /// count.
     routes: Vec<Route>,
-    /// Cached per-partition state, carried across supersteps so steady-state
-    /// dispatches ([`Message::StepGo`]) need not re-ship state down.
-    state: HashMap<u64, Vec<Record>>,
-    /// Encode buffer of the [`Message::StepDone`] replies, kept across
+    /// The partitions' state, double-buffered across membership changes.
+    state: PartitionStates,
+    /// Encode buffer of the [`Message::PartState`] replies, kept across
     /// supersteps.
     reply: Vec<u8>,
+}
+
+/// The state of the partitions a worker owns: the only copy there is.
+#[derive(Default)]
+struct PartitionStates {
+    /// Each partition's state as the last committed superstep left it.
+    committed: HashMap<u64, Vec<Record>>,
+    /// What the latest superstep left, until a frame from the coordinator
+    /// says whether that superstep committed: its chronological superstep
+    /// and each partition's new state.
+    tentative: Option<(u32, HashMap<u64, Vec<Record>>)>,
+}
+
+impl PartitionStates {
+    /// Keep the tentative state if its superstep is `committed`, the last
+    /// committed superstep; drop it otherwise (the superstep it came from
+    /// failed somewhere), leaving the committed state as it was.
+    fn settle(&mut self, committed: Option<u32>) {
+        if let Some((superstep, states)) = self.tentative.take() {
+            if Some(superstep) == committed {
+                self.committed.extend(states);
+            }
+        }
+    }
+
+    /// The committed state of `pid`.
+    fn committed(&self, pid: u64) -> io::Result<&Vec<Record>> {
+        let missing = || invalid(format!("partition {pid} has no committed state here"));
+        self.committed.get(&pid).ok_or_else(missing)
+    }
 }
 
 /// Where the messages addressed to one partition go.
@@ -211,12 +249,6 @@ impl DirectCtx {
             link.flush(self.worker, self.epoch, superstep);
         }
         plane.flush(self.epoch, superstep, self.worker);
-    }
-
-    /// The cached state of `pid`.
-    fn state_of(&self, pid: u64) -> io::Result<&Vec<Record>> {
-        let missing = || invalid(format!("step for partition {pid} with no cached state"));
-        self.state.get(&pid).ok_or_else(missing)
     }
 }
 
@@ -317,6 +349,8 @@ struct StepOutcome {
     pid: u64,
     changed: u64,
     shuffled: u64,
+    /// Records the partition's step touched: its state and what it sent.
+    records: u64,
     compute_ns: u64,
     exchange_ns: u64,
 }
@@ -394,7 +428,6 @@ fn serve(
                     // again; stale assignments from before a redistribution are
                     // dropped rather than merged.
                     state.adjacency.clear();
-                    state.snapshots.clear();
                     for (pid, rows) in adjacency {
                         state.adjacency.insert(pid, Arc::new(rows));
                     }
@@ -417,9 +450,8 @@ fn serve(
                         "membership",
                         &format!("epoch={epoch} members={} pids={}", peers.len(), assignment.len()),
                     );
-                    // Survivors keep their cached state across a membership
-                    // change; the coordinator pushes authoritative state in
-                    // the StepReset that follows one anyway.
+                    // Survivors keep their state across a membership change:
+                    // it is the only copy.
                     let (state, reply) = ctx.take().map(|c| (c.state, c.reply)).unwrap_or_default();
                     ctx = Some(DirectCtx {
                         worker: my,
@@ -432,31 +464,26 @@ fn serve(
                     });
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
-                Message::StepGo { superstep, step, inbound, pids } => {
+                Message::StepGo { superstep, step, inbound, pids, cut } => {
                     let direct = ctx.as_mut().ok_or_else(|| invalid("StepGo before Membership"))?;
                     if superstep != telemetry_superstep {
                         telemetry_superstep = superstep;
                         seq = 0;
                         wlog(worker, Some(superstep), "step_go", &format!("pids={pids:?}"));
                     }
+                    // A steady-state dispatch follows a commit: the slot it
+                    // consumes is the committed superstep.
+                    direct.state.settle(inbound);
                     let source = match inbound {
                         None => Source::Inboxes(Vec::new()),
                         Some(slot) => Source::Slot { slot, regenerate: false },
                     };
-                    run_direct_step(
-                        &mut stream,
-                        direct,
-                        &shared,
-                        &plane,
-                        superstep,
-                        step,
-                        false,
-                        source,
-                        &pids,
-                        &mut seq,
-                    )?;
+                    let parts = pids.into_iter().map(|pid| (pid, Seed::Committed)).collect();
+                    let dispatch =
+                        Dispatch { superstep, step, full_send: false, cut, source, parts };
+                    run_direct_step(&mut stream, direct, &shared, &plane, dispatch, &mut seq)?;
                 }
-                Message::StepReset { superstep, step, parts, inbound } => {
+                Message::StepReset { superstep, step, committed, parts, inbound, cut } => {
                     let direct =
                         ctx.as_mut().ok_or_else(|| invalid("StepReset before Membership"))?;
                     if superstep != telemetry_superstep {
@@ -468,20 +495,14 @@ fn serve(
                         Inbound::Slot(slot) => format!("slot:{slot}"),
                         Inbound::Regenerate => "regenerate".to_string(),
                     };
-                    wlog(
-                        worker,
-                        Some(superstep),
-                        "step_reset",
-                        &format!("parts={} inbound={described}", parts.len()),
-                    );
-                    let pids: Vec<u64> = parts.iter().map(|&(pid, _)| pid).collect();
-                    for (pid, records) in parts {
-                        direct.state.insert(pid, records);
-                    }
+                    let pushed = parts.iter().filter(|(_, seed)| matches!(seed, Seed::Pushed(_)));
+                    let detail = format!("pushed={} inbound={described}", pushed.count());
+                    wlog(worker, Some(superstep), "step_reset", &detail);
+                    direct.state.settle(committed);
                     // Anything but regenerated messages marks an inbound
                     // history that is not exact: its superstep is a full-send
-                    // one. Pushed state and what it sends are an exact cut,
-                    // so their superstep sends what any other would.
+                    // one. A cut's state and what it sends are exact, so
+                    // their superstep sends what any other would.
                     let full_send = inbound != Inbound::Regenerate;
                     let source = match inbound {
                         Inbound::Empty => Source::Inboxes(Vec::new()),
@@ -507,18 +528,23 @@ fn serve(
                             Source::Slot { slot, regenerate: true }
                         }
                     };
-                    run_direct_step(
-                        &mut stream,
-                        direct,
-                        &shared,
-                        &plane,
-                        superstep,
-                        step,
-                        full_send,
-                        source,
-                        &pids,
-                        &mut seq,
-                    )?;
+                    let dispatch = Dispatch { superstep, step, full_send, cut, source, parts };
+                    run_direct_step(&mut stream, direct, &shared, &plane, dispatch, &mut seq)?;
+                }
+                Message::Pull { committed, pids } => {
+                    let direct = ctx.as_mut().ok_or_else(|| invalid("Pull before Membership"))?;
+                    direct.state.settle(Some(committed));
+                    wlog(worker, Some(committed), "pull", &format!("pids={pids:?}"));
+                    for pid in pids {
+                        direct.reply.clear();
+                        encode_part_state(
+                            &mut direct.reply,
+                            pid,
+                            committed,
+                            direct.state.committed(pid)?,
+                        );
+                        write_encoded_frame(&mut stream, &direct.reply, None)?;
+                    }
                 }
                 Message::PeerHello { from_worker, epoch } => {
                     peer_identity = Some((epoch, from_worker));
@@ -529,17 +555,6 @@ fn serve(
                 }
                 Message::ShuffleFlush { from_worker, epoch, superstep, .. } => {
                     plane.flush(epoch, superstep, from_worker);
-                }
-                Message::SnapshotBarrier { epoch, pid, chunk } => {
-                    let bytes = chunk.len() as u64;
-                    shared.lock().snapshots.entry(epoch).or_default().insert(pid, chunk);
-                    wlog(
-                        worker,
-                        None,
-                        "snapshot_chunk",
-                        &format!("epoch={epoch} pid={pid} bytes={bytes}"),
-                    );
-                    write_frame(&mut stream, &Message::SnapshotAck { epoch, pid, bytes }, None)?;
                 }
                 Message::Heartbeat { nonce } => {
                     write_frame(&mut stream, &Message::HeartbeatAck { nonce }, None)?
@@ -553,7 +568,7 @@ fn serve(
                 | Message::StepFailed { .. }
                 | Message::HeartbeatAck { .. }
                 | Message::TelemetryFrame { .. }
-                | Message::SnapshotAck { .. }) => {
+                | Message::PartState { .. }) => {
                     return Err(invalid(format!(
                         "coordinator sent a worker-only message: {unexpected:?}"
                     )));
@@ -599,38 +614,50 @@ enum Source {
     /// These inboxes, indexed by pid (none at all: nothing).
     Inboxes(Vec<Vec<Msg>>),
     /// The complete data-plane slot of chronological superstep `slot` —
-    /// under `regenerate` filled first with what the partitions' pushed
-    /// state sends ([`ClusterProgram::emit`]).
+    /// under `regenerate` filled first with what the partitions' state sends
+    /// ([`ClusterProgram::emit`]).
     Slot { slot: u32, regenerate: bool },
 }
 
-/// Run one whole superstep over this worker's partitions:
-/// resolve the inbound (regenerating it first if the dispatch says so),
-/// compute each partition against it (with
-/// [`ClusterProgram::full_send_step`] when `full_send`), route its outbound
-/// through the destination table — peers' messages straight into the frames
-/// they leave in, this worker's own into a run moved into the local inbox —
-/// ship every frame worth shipping (overlapping the remaining compute),
-/// flush every peer, and only then report per-partition
-/// [`Message::StepDone`]s — so by the time the coordinator can commit the
-/// superstep, every data-plane flush is already written.
+/// One superstep as a dispatch frame orders it.
+struct Dispatch {
+    superstep: u32,
+    step: u64,
+    /// Run it as a full-send superstep ([`ClusterProgram::full_send_step`]).
+    full_send: bool,
+    /// Send each partition's new state up ahead of its `StepDone`.
+    cut: bool,
+    source: Source,
+    /// Every partition the worker owns, ascending, and where its state
+    /// comes from.
+    parts: Vec<(u64, Seed)>,
+}
+
+/// Run one whole superstep over this worker's partitions: seed each
+/// partition's committed state as the dispatch says, resolve the inbound
+/// (regenerating it first if the dispatch says so), compute each partition
+/// against it into the tentative state, route its outbound through the
+/// destination table — peers' messages straight into the frames they leave
+/// in, this worker's own into a run moved into the local inbox — ship every
+/// frame worth shipping (overlapping the remaining compute), flush every
+/// peer, and only then report per-partition [`Message::StepDone`]s (on a cut,
+/// each behind the partition's [`Message::PartState`]) — so by the time the
+/// coordinator can commit the superstep, every data-plane flush is already
+/// written.
 ///
 /// A regenerate round is a restore cost: billed to the partitions' exchange
 /// spans and to the peer bytes, never to `shuffled`.
-#[allow(clippy::too_many_arguments)]
 fn run_direct_step(
     stream: &mut TcpStream,
     ctx: &mut DirectCtx,
     shared: &Mutex<WorkerState>,
     plane: &DataPlane,
-    superstep: u32,
-    step: u64,
-    full_send: bool,
-    source: Source,
-    pids: &[u64],
+    dispatch: Dispatch,
     seq: &mut u64,
 ) -> io::Result<()> {
+    let Dispatch { superstep, step, full_send, cut, source, parts } = dispatch;
     let worker = ctx.worker;
+    let pids: Vec<u64> = parts.iter().map(|&(pid, _)| pid).collect();
     let (program, n, rows) = {
         let state = shared.lock();
         let program =
@@ -643,6 +670,17 @@ fn run_direct_step(
         let rows: Vec<Arc<AdjRows>> = pids.iter().map(rows_of).collect::<io::Result<_>>()?;
         (program, state.n, rows)
     };
+    // The worker holds exactly the partitions it is dispatched.
+    ctx.state.committed.retain(|pid, _| pids.contains(pid));
+    for ((pid, seed), rows) in parts.into_iter().zip(&rows) {
+        let records = match seed {
+            Seed::Committed => continue,
+            Seed::Init => program.init_partition(rows, n),
+            Seed::Compensate => program.compensate_partition(rows, n),
+            Seed::Pushed(records) => records,
+        };
+        ctx.state.committed.insert(pid, records);
+    }
     let mut restore_ns = vec![0u64; pids.len()];
     let inbound = match source {
         Source::Inboxes(inboxes) => inboxes,
@@ -650,7 +688,7 @@ fn run_direct_step(
             if regenerate {
                 for ((&pid, rows), spent) in pids.iter().zip(&rows).zip(&mut restore_ns) {
                     let started = Instant::now();
-                    let msgs = program.emit(ctx.state_of(pid)?, rows, n);
+                    let msgs = program.emit(ctx.state.committed(pid)?, rows, n);
                     ctx.send(plane, slot, &msgs);
                     *spent = started.elapsed().as_nanos() as u64;
                 }
@@ -672,9 +710,10 @@ fn run_direct_step(
     };
 
     let mut outcomes = Vec::with_capacity(pids.len());
+    let mut tentative = HashMap::with_capacity(pids.len());
     let empty: Vec<Msg> = Vec::new();
     for ((&pid, rows), restore_ns) in pids.iter().zip(&rows).zip(restore_ns) {
-        let state = ctx.state_of(pid)?;
+        let state = ctx.state.committed(pid)?;
         let inb = inbound.get(pid as usize).unwrap_or(&empty);
         let compute_start = Instant::now();
         let out = if full_send {
@@ -689,9 +728,12 @@ fn run_direct_step(
         // Self-delivery participates in the same completeness protocol.
         ctx.send(plane, superstep, &out.outbound);
         let exchange_ns = restore_ns + exchange_start.elapsed().as_nanos() as u64;
-        ctx.state.insert(pid, out.state);
-        outcomes.push(StepOutcome { pid, changed: out.changed, shuffled, compute_ns, exchange_ns });
+        let records = out.state.len() as u64 + shuffled;
+        tentative.insert(pid, out.state);
+        let changed = out.changed;
+        outcomes.push(StepOutcome { pid, changed, shuffled, records, compute_ns, exchange_ns });
     }
+    ctx.state.tentative = Some((superstep, tentative));
 
     // Final flush before any StepDone, so a committed superstep implies
     // every flush is already written to the peer sockets.
@@ -707,20 +749,18 @@ fn run_direct_step(
         .collect();
 
     let last = outcomes.len().saturating_sub(1);
+    let DirectCtx { state, reply, .. } = ctx;
+    let left = state.tentative.as_ref().map(|(_, states)| states);
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let StepOutcome { pid, changed, shuffled, compute_ns, exchange_ns } = outcome;
-        // The cached state is the only copy: lend it to the reply for
-        // encoding, then put it back for the next superstep.
-        let state = ctx.state.remove(&pid).unwrap_or_default();
-        let records = state.len() as u64 + shuffled;
-        let reply = Message::StepDone { pid, superstep, state, changed, shuffled };
+        let StepOutcome { pid, changed, shuffled, records, compute_ns, exchange_ns } = outcome;
         let shuffle_start = Instant::now();
-        ctx.reply.clear();
-        reply.encode(&mut ctx.reply);
-        let shuffle_ns = shuffle_start.elapsed().as_nanos() as u64;
-        if let Message::StepDone { state, .. } = reply {
-            ctx.state.insert(pid, state);
+        reply.clear();
+        if cut {
+            let new = left.and_then(|states| states.get(&pid)).map_or(&[][..], Vec::as_slice);
+            encode_part_state(reply, pid, superstep, new);
         }
+        let done = encode_to_vec(&Message::StepDone { pid, superstep, changed, shuffled });
+        let shuffle_ns = shuffle_start.elapsed().as_nanos() as u64;
         let mut spans: Vec<SpanRow> = vec![
             (pid, SPAN_PHASE_COMPUTE, records, compute_ns),
             (pid, SPAN_PHASE_SHUFFLE, records, shuffle_ns),
@@ -735,7 +775,10 @@ fn run_direct_step(
             None,
         )?;
         *seq += 1;
-        write_encoded_frame(stream, &ctx.reply, None)?;
+        if cut {
+            write_encoded_frame(stream, reply, None)?;
+        }
+        write_encoded_frame(stream, &done, None)?;
     }
     Ok(())
 }
@@ -769,7 +812,7 @@ mod tests {
             data_timeout: Duration::ZERO,
             links,
             routes: resolve_routes(worker, &linked, assignment).unwrap(),
-            state: HashMap::new(),
+            state: PartitionStates::default(),
             reply: Vec::new(),
         }
     }
@@ -880,13 +923,25 @@ mod tests {
         }
     }
 
-    fn expect_step_done(conn: &mut TcpStream) -> (u64, u32, Vec<Record>, u64) {
+    fn expect_step_done(conn: &mut TcpStream) -> (u64, u32, u64) {
         match next_step_done(conn) {
-            Message::StepDone { pid, superstep, state, changed, .. } => {
-                (pid, superstep, state, changed)
-            }
+            Message::StepDone { pid, superstep, changed, .. } => (pid, superstep, changed),
             _ => unreachable!(),
         }
+    }
+
+    /// The state of `pids` as committed superstep `committed` left it, pulled
+    /// up the control connection.
+    fn pull(conn: &mut TcpStream, committed: u32, pids: &[u64]) -> Vec<Vec<Record>> {
+        write_frame(conn, &Message::Pull { committed, pids: pids.to_vec() }, None).unwrap();
+        let state = |&pid: &u64| match read_frame(conn, None).unwrap() {
+            Message::PartState { pid: got, superstep, state } => {
+                assert_eq!((got, superstep), (pid, committed));
+                state
+            }
+            other => panic!("expected PartState, got {other:?}"),
+        };
+        pids.iter().map(state).collect()
     }
 
     /// Partition `pid`'s rows of the `n`-vertex path graph cut into
@@ -931,22 +986,27 @@ mod tests {
         handshake(addr, 0, n, adjacency, vec![(0, u64::from(addr.port()))], vec![0, 0])
     }
 
-    /// The first superstep of the `n`-vertex path graph over `pids` of
-    /// `parallelism` partitions: every vertex's state pushed as its own
-    /// label, logical step 0.
-    fn first_superstep_of(n: u64, parallelism: u64, pids: &[u64]) -> Message {
-        let part =
-            |&pid: &u64| (pid, (pid..n).step_by(parallelism as usize).map(|v| (v, v)).collect());
+    /// The first superstep over `pids`: logical step 0, every partition
+    /// initialised by the worker itself (each vertex its own label).
+    fn first_superstep_of(pids: &[u64]) -> Message {
         Message::StepReset {
             superstep: 1,
             step: 0,
-            parts: pids.iter().map(part).collect(),
+            committed: None,
+            parts: pids.iter().map(|&pid| (pid, Seed::Init)).collect(),
             inbound: Inbound::Empty,
+            cut: false,
         }
     }
 
-    fn first_superstep(n: u64) -> Message {
-        first_superstep_of(n, 2, &[0, 1])
+    fn first_superstep() -> Message {
+        first_superstep_of(&[0, 1])
+    }
+
+    /// The steady-state dispatch of both partitions at `superstep`.
+    fn go(superstep: u32, step: u64) -> Message {
+        let inbound = Some(superstep - 1);
+        Message::StepGo { superstep, step, inbound, pids: vec![0, 1], cut: false }
     }
 
     #[test]
@@ -957,24 +1017,17 @@ mod tests {
         // replies are the next frames up: the handshake left none behind — a
         // `Hello` is not acknowledged, and no map frame follows the
         // membership.
-        write_frame(&mut conn, &first_superstep(2), None).unwrap();
-        let (pid, superstep, state, _) = expect_step_done(&mut conn);
-        assert_eq!((pid, superstep, state), (0, 1, vec![(0, 0)]));
-        let (pid, _, state, _) = expect_step_done(&mut conn);
-        assert_eq!((pid, state), (1, vec![(1, 1)]));
+        write_frame(&mut conn, &first_superstep(), None).unwrap();
+        assert_eq!(expect_step_done(&mut conn).0, 0);
+        assert_eq!(expect_step_done(&mut conn).0, 1);
 
         // Superstep 2 consumes superstep 1's self-delivered messages: label
         // 0 reaches vertex 1 without any state travelling down the wire.
-        write_frame(
-            &mut conn,
-            &Message::StepGo { superstep: 2, step: 1, inbound: Some(1), pids: vec![0, 1] },
-            None,
-        )
-        .unwrap();
-        let (pid, _, state, changed) = expect_step_done(&mut conn);
-        assert_eq!((pid, state, changed), (0, vec![(0, 0)], 0));
-        let (pid, _, state, changed) = expect_step_done(&mut conn);
-        assert_eq!((pid, state, changed), (1, vec![(1, 0)], 1), "label propagated via data plane");
+        write_frame(&mut conn, &go(2, 1), None).unwrap();
+        assert_eq!(expect_step_done(&mut conn), (0, 2, 0));
+        assert_eq!(expect_step_done(&mut conn), (1, 2, 1), "label propagated via data plane");
+        // The state comes up only when pulled.
+        assert_eq!(pull(&mut conn, 2, &[0, 1]), [vec![(0, 0)], vec![(1, 0)]]);
     }
 
     /// A stand-in for peer worker 1: the listener a membership names, the
@@ -1025,7 +1078,7 @@ mod tests {
             vec![(0, u64::from(addr.port())), (1, peer_port)],
             vec![0, 0, 0, 1],
         );
-        write_frame(&mut conn, &first_superstep_of(n, 4, &owned), None).unwrap();
+        write_frame(&mut conn, &first_superstep_of(&owned), None).unwrap();
         // At step 0 every label travels to the larger neighbour: 2 → 3 and
         // 6 → 7 are the two that leave for partition 3, and the only two.
         assert_eq!(peer.received(), vec![(2, 3, 2), (6, 7, 6)]);
@@ -1040,12 +1093,15 @@ mod tests {
         let flush =
             Message::ShuffleFlush { from_worker: 1, epoch: 1, superstep: 1, frames: 0, bytes: 0 };
         write_frame(&mut back, &flush, None).unwrap();
-        let go = Message::StepGo { superstep: 2, step: 1, inbound: Some(1), pids: owned.to_vec() };
+        let pids = owned.to_vec();
+        let go = Message::StepGo { superstep: 2, step: 1, inbound: Some(1), pids, cut: false };
         write_frame(&mut conn, &go, None).unwrap();
+        for pid in owned {
+            assert_eq!(expect_step_done(&mut conn).0, pid);
+        }
         // (Vertex 4 keeps its label: its smaller neighbour lives on the peer.)
-        assert_eq!(expect_step_done(&mut conn).2, vec![(0, 0), (4, 4)]);
-        assert_eq!(expect_step_done(&mut conn).2, vec![(1, 0), (5, 4)]);
-        assert_eq!(expect_step_done(&mut conn).2, vec![(2, 1), (6, 5)]);
+        let states = pull(&mut conn, 2, &owned);
+        assert_eq!(states, [vec![(0, 0), (4, 4)], vec![(1, 0), (5, 4)], vec![(2, 1), (6, 5)]]);
     }
 
     #[test]
@@ -1067,20 +1123,18 @@ mod tests {
             vec![(0, u64::from(addr.port())), (1, gone_port)],
             vec![0, 1, 0, 1],
         );
-        write_frame(&mut conn, &first_superstep_of(n, 4, &owned), None).unwrap();
+        write_frame(&mut conn, &first_superstep_of(&owned), None).unwrap();
         for pid in owned {
             assert_eq!(expect_step_done(&mut conn).0, pid);
         }
     }
 
     /// Every `StepDone` of one dispatch over both partitions, as
-    /// `(pid, state, changed, shuffled)`.
-    fn replies_to(conn: &mut TcpStream, dispatch: &Message) -> Vec<(u64, Vec<Record>, u64, u64)> {
+    /// `(pid, changed, shuffled)`.
+    fn replies_to(conn: &mut TcpStream, dispatch: &Message) -> Vec<(u64, u64, u64)> {
         write_frame(conn, dispatch, None).unwrap();
         let reply = |conn: &mut TcpStream| match next_step_done(conn) {
-            Message::StepDone { pid, state, changed, shuffled, .. } => {
-                (pid, state, changed, shuffled)
-            }
+            Message::StepDone { pid, changed, shuffled, .. } => (pid, changed, shuffled),
             _ => unreachable!(),
         };
         vec![reply(conn), reply(conn)]
@@ -1089,18 +1143,15 @@ mod tests {
     #[test]
     fn a_regenerated_superstep_is_the_failure_free_one() {
         // The path 0-1-..-7 over two partitions (even and odd vertices):
-        // logical steps 0, 1 and 2, failure-free.
+        // logical steps 0, 1 and 2, failure-free, with the cut after step 1
+        // pulled as a rollback strategy's cut brings it up.
         let mut conn = single_member_cc_worker(8);
-        let go = |superstep: u32, step: u64| Message::StepGo {
-            superstep,
-            step,
-            inbound: Some(superstep - 1),
-            pids: vec![0, 1],
-        };
-        replies_to(&mut conn, &first_superstep(8));
-        let cut = replies_to(&mut conn, &go(2, 1));
+        replies_to(&mut conn, &first_superstep());
+        replies_to(&mut conn, &go(2, 1));
+        let cut = pull(&mut conn, 2, &[0, 1]);
         let failure_free = replies_to(&mut conn, &go(3, 2));
-        assert!(failure_free.iter().any(|&(_, _, changed, _)| changed > 0), "labels still move");
+        assert!(failure_free.iter().any(|&(_, changed, _)| changed > 0), "labels still move");
+        let failure_free_state = pull(&mut conn, 3, &[0, 1]);
 
         // A restore of the cut after step 1: a new epoch, the cut's state
         // pushed, and nothing else — the worker regenerates what that state
@@ -1118,37 +1169,57 @@ mod tests {
         let restore = Message::StepReset {
             superstep: 5,
             step: 2,
-            parts: cut.iter().map(|(pid, state, ..)| (*pid, state.clone())).collect(),
+            committed: Some(3),
+            parts: cut
+                .into_iter()
+                .enumerate()
+                .map(|(pid, s)| (pid as u64, Seed::Pushed(s)))
+                .collect(),
             inbound: Inbound::Regenerate,
+            cut: false,
         };
         assert_eq!(replies_to(&mut conn, &restore), failure_free);
+        assert_eq!(pull(&mut conn, 5, &[0, 1]), failure_free_state);
     }
 
     #[test]
-    fn snapshot_barriers_are_staged_and_acked() {
-        let addr = spawn_local_worker();
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write_frame(
-            &mut conn,
-            &Message::SnapshotBarrier { epoch: 4, pid: 1, chunk: vec![9, 9, 9] },
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            read_frame(&mut conn, None).unwrap(),
-            Message::SnapshotAck { epoch: 4, pid: 1, bytes: 3 }
-        );
-        // Restaging the same (epoch, pid) replaces the chunk.
-        write_frame(
-            &mut conn,
-            &Message::SnapshotBarrier { epoch: 4, pid: 1, chunk: vec![7] },
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            read_frame(&mut conn, None).unwrap(),
-            Message::SnapshotAck { epoch: 4, pid: 1, bytes: 1 }
-        );
+    fn a_failed_attempt_cannot_leak_into_its_retry_on_a_survivor() {
+        // The path 0-1-..-7 over two partitions. Superstep 2 runs logical
+        // step 1, and then a peer is declared lost: superstep 2 never
+        // commits. The retry — superstep 3, step 1 again, a StepReset that
+        // pushes nothing — computes from what superstep 1 committed and the
+        // slot it sent, so it lowers the labels the attempt lowered and
+        // leaves the state the attempt left. Computing from the attempt's
+        // output would lower nothing.
+        let mut conn = single_member_cc_worker(8);
+        replies_to(&mut conn, &first_superstep());
+        let attempt = replies_to(&mut conn, &go(2, 1));
+        assert!(attempt.iter().all(|&(_, changed, _)| changed > 0), "{attempt:?}");
+        let addr = conn.peer_addr().unwrap();
+        let membership = Message::Membership {
+            epoch: 2,
+            data_timeout_ms: 2_000,
+            peers: vec![(0, u64::from(addr.port()))],
+            assignment: vec![0, 0],
+        };
+        write_frame(&mut conn, &membership, None).unwrap();
+        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        let retry = Message::StepReset {
+            superstep: 3,
+            step: 1,
+            committed: Some(1),
+            parts: vec![(0, Seed::Committed), (1, Seed::Committed)],
+            inbound: Inbound::Slot(1),
+            cut: false,
+        };
+        let retried = replies_to(&mut conn, &retry);
+        let changed = |replies: &[(u64, u64, u64)]| -> Vec<u64> {
+            replies.iter().map(|&(_, changed, _)| changed).collect()
+        };
+        assert_eq!(changed(&retried), changed(&attempt));
+        let after_one_step =
+            [vec![(0, 0), (2, 1), (4, 3), (6, 5)], vec![(1, 0), (3, 2), (5, 4), (7, 6)]];
+        assert_eq!(pull(&mut conn, 3, &[0, 1]), after_one_step);
     }
 
     #[test]
@@ -1167,7 +1238,7 @@ mod tests {
         let mut conn = TcpStream::connect(addr).unwrap();
         write_frame(
             &mut conn,
-            &Message::StepGo { superstep: 0, step: 0, inbound: None, pids: vec![0] },
+            &Message::StepGo { superstep: 0, step: 0, inbound: None, pids: vec![0], cut: false },
             None,
         )
         .unwrap();

@@ -176,6 +176,37 @@ fn a_kill_right_after_a_scale_event_still_ends_at_the_exact_components() {
 }
 
 #[test]
+fn a_rescale_on_the_retry_of_a_kill_moves_only_what_was_committed() {
+    // Worker 1 dies in superstep 2, and the rescale 2 → 4 fires as its retry
+    // starts: the replacement holds nothing of its partitions yet. What a
+    // rescale moves comes up from the old owners only where they committed
+    // it; a partition the recovery rebuilds or restores goes to its new
+    // owner that way instead.
+    let graph = cc_graph();
+    for strategy in [
+        ClusterStrategy::Optimistic,
+        ClusterStrategy::Checkpoint { interval: 2 },
+        ClusterStrategy::AsyncSnapshot { interval: 2 },
+        ClusterStrategy::Restart,
+    ] {
+        let cfg = test_config(2, 4, 60)
+            .with_strategy(strategy)
+            .with_kill(KillPlan { superstep: 2, worker: 1 })
+            .with_scale_event(ScaleEvent { superstep: 3, workers: 4 });
+        let sink = Arc::new(MemorySink::new());
+        let run = run_cluster("cc", &graph, cfg, SinkHandle::new(sink.clone())).unwrap();
+        assert!(run.stats.converged, "{strategy:?}");
+        assert_eq!(run.stats.failures().count(), 1, "{strategy:?}: exactly the injected kill");
+        assert_eq!(labels(&run), graphs::exact_components(&graph), "{strategy:?}");
+        let rescaled = sink
+            .events()
+            .iter()
+            .any(|event| matches!(event, JournalEvent::RebalanceCompleted { .. }));
+        assert!(rescaled, "{strategy:?}: the rescale happened");
+    }
+}
+
+#[test]
 fn failure_free_cc_sends_with_the_set_of_vertices_still_changing() {
     // Bulk CC sends 2|E| messages every superstep. Change-driven CC sends
     // |E| at step 0 (a label never travels to a smaller vertex id) and from
@@ -684,36 +715,45 @@ fn a_failure_free_rollback_run_ships_what_an_optimistic_one_does() {
         (run, sink, bytes)
     };
     let (optimistic, _, optimistic_bytes) = traced(ClusterStrategy::Optimistic);
+    // A cut brings every partition's state up as one `PartState` frame: the
+    // length prefix, the tag, the pid, the superstep and the record count
+    // (25 bytes), then 16 bytes a record — 2 000 vertices over 4 partitions.
+    let pulled_per_cut = 4 * 25 + 16 * 2_000;
+    // A cut is due after every even logical iteration the run commits.
+    let cuts = |run: &cluster::ClusterRun| {
+        run.stats.iterations.iter().filter(|it| it.iteration % 2 == 0).count() as u64
+    };
 
-    // A cut is the state the coordinator holds anyway: nothing more crosses
-    // a control connection, either way, to the byte.
-    let (checkpointed, journal, bytes) = traced(ClusterStrategy::Checkpoint { interval: 2 });
+    // Down, a rollback run ships what an optimistic one does — the cut rides
+    // the dispatch — and up, it ships its cuts' state besides, to the byte.
+    let (checkpointed, journal, (bytes_in, bytes_out)) =
+        traced(ClusterStrategy::Checkpoint { interval: 2 });
     assert_eq!(checkpointed.values, optimistic.values);
     assert_eq!(checkpointed.stats.supersteps(), optimistic.stats.supersteps());
-    let writes = journal
-        .events()
-        .iter()
-        .filter(|event| matches!(event, JournalEvent::CheckpointWritten { .. }))
-        .count();
-    assert_eq!(writes as u32, checkpointed.stats.logical_iterations().div_ceil(2));
-    assert_eq!(bytes, optimistic_bytes);
-
-    // An asynchronous snapshot adds its barrier frames alone: down, a
-    // 25-byte `SnapshotBarrier` head and the chunk; up, a 25-byte ack.
-    let (snapshotted, journal, (bytes_in, bytes_out)) =
-        traced(ClusterStrategy::AsyncSnapshot { interval: 2 });
-    assert_eq!(snapshotted.values, optimistic.values);
-    let chunk_bytes: u64 = journal
+    let written: Vec<u64> = journal
         .events()
         .iter()
         .filter_map(|event| match event {
             JournalEvent::CheckpointWritten { bytes, .. } => Some(*bytes),
             _ => None,
         })
-        .sum();
-    let acks = bytes_in - optimistic_bytes.0;
-    assert!(acks > 0 && acks % 25 == 0, "{acks} bytes of acknowledgements");
-    assert_eq!(bytes_out - optimistic_bytes.1, acks + chunk_bytes);
+        .collect();
+    assert_eq!(written.len() as u32, checkpointed.stats.logical_iterations().div_ceil(2));
+    assert_eq!(written.len() as u64, cuts(&checkpointed));
+    // What a checkpoint writes is the state that came up: the same records
+    // under one partition count instead of four frame heads.
+    assert!(written.iter().all(|&bytes| bytes + 4 * 17 - 8 == pulled_per_cut));
+    assert_eq!(bytes_out, optimistic_bytes.1);
+    assert_eq!(bytes_in - optimistic_bytes.0, cuts(&checkpointed) * pulled_per_cut);
+
+    // An asynchronous snapshot pulls at the same cuts — also where a barrier
+    // is skipped because the previous epoch is still being written — and
+    // ships nothing else: no barrier frame goes down, no ack comes up.
+    let (snapshotted, _, (bytes_in, bytes_out)) =
+        traced(ClusterStrategy::AsyncSnapshot { interval: 2 });
+    assert_eq!(snapshotted.values, optimistic.values);
+    assert_eq!(bytes_out, optimistic_bytes.1);
+    assert_eq!(bytes_in - optimistic_bytes.0, cuts(&snapshotted) * pulled_per_cut);
 }
 
 /// The bytes of the `Hello` and `LoadProgram` frames that bring up `worker`

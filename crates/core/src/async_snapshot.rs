@@ -23,11 +23,10 @@
 //! the in-flight barrier, rolls back to the previous complete epoch (or
 //! restarts when none exists), and a fresh barrier fires on recomputation.
 //!
-//! The cluster coordinator observes barrier life-cycle points through a
-//! [`BarrierProbe`] to ship chunks to the owning workers (the barrier
-//! marker flowing through the topology). A snapshot is the state alone: the
-//! messages in flight at its barrier are regenerated from that state on a
-//! restore.
+//! A snapshot is the state alone: the messages in flight at its barrier are
+//! regenerated from that state on a restore. The barrier's life cycle is
+//! journaled (`SnapshotBarrierStarted` / `SnapshotBarrierCompleted`) and its
+//! chunks are the store's keys; nothing else observes it.
 
 use std::marker::PhantomData;
 use std::time::Instant;
@@ -38,40 +37,6 @@ use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
 use crate::checkpoint::{cut_due, positive_interval, StableStore};
-
-/// Barrier life-cycle notification delivered to a [`BarrierProbe`].
-#[derive(Debug)]
-pub enum BarrierEvent<'a> {
-    /// A barrier fired: every partition's chunk was captured locally.
-    Started {
-        /// The iteration the snapshot belongs to.
-        epoch: u32,
-        /// Number of partition chunks captured.
-        partitions: usize,
-    },
-    /// One staged chunk reached stable storage.
-    ChunkPersisted {
-        /// The epoch the chunk belongs to.
-        epoch: u32,
-        /// The partition the chunk captures.
-        pid: PartitionId,
-        /// The encoded chunk (for shipping to the owning worker).
-        chunk: &'a [u8],
-    },
-    /// Every chunk of the epoch is durable; it is now the restore point.
-    Completed {
-        /// The completed epoch.
-        epoch: u32,
-    },
-    /// A failure struck mid-flight; the partial epoch was discarded.
-    Aborted {
-        /// The discarded epoch.
-        epoch: u32,
-    },
-}
-
-/// Observer of barrier life-cycle points (chunk shipping, channel capture).
-pub type BarrierProbe = Box<dyn FnMut(BarrierEvent<'_>)>;
 
 /// One barrier whose chunks are still being written to stable storage.
 struct InFlight {
@@ -101,7 +66,6 @@ struct BarrierCore<S> {
     /// [`Snapshot::KIND`] of the state, part of every chunk's store key.
     kind: &'static str,
     telemetry: SinkHandle,
-    probe: Option<BarrierProbe>,
     in_flight: Option<InFlight>,
     complete: Option<Complete>,
 }
@@ -113,16 +77,9 @@ impl<S: StableStore> BarrierCore<S> {
             interval: positive_interval("async-snapshot", interval)?,
             kind,
             telemetry: SinkHandle::disabled(),
-            probe: None,
             in_flight: None,
             complete: None,
         })
-    }
-
-    fn notify(&mut self, event: BarrierEvent<'_>) {
-        if let Some(probe) = &mut self.probe {
-            probe(event);
-        }
     }
 
     /// Persist the next pending chunk, completing the epoch when it was the
@@ -146,7 +103,6 @@ impl<S: StableStore> BarrierCore<S> {
             };
             self.store.put(&chunk_key(self.kind, epoch, pid), &chunk)?;
             persisted += chunk.len() as u64;
-            self.notify(BarrierEvent::ChunkPersisted { epoch, pid, chunk: &chunk });
             self.in_flight.as_mut().expect("in-flight barrier present").chunks[pid] = chunk;
             if is_last {
                 let done = self.in_flight.take().expect("in-flight barrier present");
@@ -163,7 +119,6 @@ impl<S: StableStore> BarrierCore<S> {
                     partitions: count,
                     bytes,
                 });
-                self.notify(BarrierEvent::Completed { epoch });
             }
         }
         // A barrier due while one is still in flight is skipped (the next
@@ -174,11 +129,9 @@ impl<S: StableStore> BarrierCore<S> {
             let chunks: Vec<Vec<u8>> = (0..partitions).map(&capture).collect();
             self.telemetry
                 .emit(|| JournalEvent::SnapshotBarrierStarted { epoch: iteration, partitions });
-            self.notify(BarrierEvent::Started { epoch: iteration, partitions });
             let first = &chunks[0];
             self.store.put(&chunk_key(self.kind, iteration, 0), first)?;
             persisted += first.len() as u64;
-            self.notify(BarrierEvent::ChunkPersisted { epoch: iteration, pid: 0, chunk: first });
             if partitions == 1 {
                 // Degenerate single-partition case: durable immediately.
                 let bytes = first.len() as u64;
@@ -193,7 +146,6 @@ impl<S: StableStore> BarrierCore<S> {
                     partitions,
                     bytes,
                 });
-                self.notify(BarrierEvent::Completed { epoch: iteration });
             } else {
                 self.in_flight = Some(InFlight { epoch: iteration, chunks, next: 1 });
             }
@@ -211,7 +163,6 @@ impl<S: StableStore> BarrierCore<S> {
             for pid in 0..in_flight.next {
                 self.store.remove(&chunk_key(self.kind, in_flight.epoch, pid))?;
             }
-            self.notify(BarrierEvent::Aborted { epoch: in_flight.epoch });
         }
         Ok(())
     }
@@ -261,13 +212,6 @@ impl<S: Snapshot, Store: StableStore> AsyncSnapshotHandler<S, Store> {
         self
     }
 
-    /// Observe barrier life-cycle points (the cluster coordinator ships
-    /// chunks to workers from here).
-    pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
-        self.core.probe = Some(probe);
-        self
-    }
-
     /// The epoch of the last complete (restorable) snapshot, if any.
     pub fn latest_complete(&self) -> Option<u32> {
         self.core.complete.map(|c| c.epoch)
@@ -311,13 +255,13 @@ impl<S: Snapshot, Store: StableStore> FaultHandler<S> for AsyncSnapshotHandler<S
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     use super::*;
     use crate::checkpoint::MemoryStore;
     use crate::test_states::{bulk, delta, same_delta};
     use dataflow::dataset::Partitions;
+    use telemetry::MemorySink;
 
     type Handler<S> = AsyncSnapshotHandler<S, MemoryStore>;
 
@@ -435,81 +379,98 @@ mod tests {
         assert_eq!(handler.in_flight_epoch(), Some(4));
     }
 
-    #[test]
-    fn barriers_fire_only_where_the_cut_schedule_says_one_is_due() {
-        // Four partitions, interval 2: barriers fire at 0, 4, 8 — a subset of
-        // the due iterations 0, 2, 4, 6, 8, never an iteration outside them.
-        let fired: Rc<RefCell<Vec<u32>>> = Rc::default();
-        let log = fired.clone();
-        let mut handler =
-            Handler::new(MemoryStore::new(), 2).unwrap().with_probe(Box::new(move |event| {
-                if let BarrierEvent::Started { epoch, .. } = event {
-                    log.borrow_mut().push(epoch);
-                }
-            }));
-        for iteration in 0..10 {
-            handler.after_superstep(iteration, &bulk(iteration)).unwrap();
-        }
-        assert_eq!(*fired.borrow(), vec![0, 4, 8]);
-        assert!(fired.borrow().iter().all(|&epoch| cut_due(2, epoch)));
-    }
-
-    /// The probe's view of five supersteps and a failure at interval =
-    /// partition count.
-    fn probe_log<S: Snapshot>(partitions: u32, states: impl Fn(u32) -> S) -> Vec<String> {
-        let seen: Rc<RefCell<Vec<String>>> = Rc::default();
-        let log = seen.clone();
-        let mut handler = Handler::<S>::new(MemoryStore::new(), partitions).unwrap().with_probe(
-            Box::new(move |event| {
-                log.borrow_mut().push(match event {
-                    BarrierEvent::Started { epoch, partitions } => {
+    /// What each of supersteps `0..=partitions` and then a failure leave
+    /// behind at interval = partition count: the barrier rows journaled and
+    /// the chunks in the store.
+    fn barrier_log<S: Snapshot>(partitions: u32, states: impl Fn(u32) -> S) -> Vec<String> {
+        let sink = Arc::new(MemorySink::new());
+        let mut handler = Handler::<S>::new(MemoryStore::new(), partitions)
+            .unwrap()
+            .with_telemetry(SinkHandle::new(sink.clone()));
+        let mut log = Vec::new();
+        let mut seen = 0;
+        let mut record = |handler: &Handler<S>, log: &mut Vec<String>| {
+            let events = sink.events();
+            for event in &events[seen..] {
+                log.push(match event {
+                    JournalEvent::SnapshotBarrierStarted { epoch, partitions } => {
                         format!("start:{epoch}:{partitions}")
                     }
-                    BarrierEvent::ChunkPersisted { epoch, pid, .. } => {
-                        format!("chunk:{epoch}:{pid}")
+                    JournalEvent::SnapshotBarrierCompleted { epoch, .. } => format!("done:{epoch}"),
+                    JournalEvent::CheckpointRestored { iteration } => {
+                        format!("restore:{iteration}")
                     }
-                    BarrierEvent::Completed { epoch } => format!("done:{epoch}"),
-                    BarrierEvent::Aborted { epoch } => format!("abort:{epoch}"),
+                    other => format!("{other:?}"),
                 });
-            }),
-        );
+            }
+            seen = events.len();
+            log.push(format!("chunks:{}", handler.store().len()));
+        };
         for iteration in 0..=partitions {
             handler.after_superstep(iteration, &states(iteration)).unwrap();
+            record(&handler, &mut log);
         }
         fail(&mut handler, partitions + 1, &states);
-        let log = seen.borrow().clone();
+        record(&handler, &mut log);
         log
     }
 
     #[test]
-    fn probe_sees_the_barrier_life_cycle_in_order() {
+    fn the_journal_and_the_store_see_the_barrier_life_cycle_in_order() {
+        // A chunk a superstep, completion after the final chunk, and a
+        // failure mid-flight discards the partial epoch: its chunk leaves the
+        // store and the complete epoch is restored.
         assert_eq!(
-            probe_log(4, bulk),
-            vec![
+            barrier_log(4, bulk),
+            [
                 "start:0:4",
-                "chunk:0:0",
-                "chunk:0:1",
-                "chunk:0:2",
-                "chunk:0:3",
+                "chunks:1",
+                "chunks:2",
+                "chunks:3",
                 "done:0",
+                "chunks:4",
                 "start:4:4",
-                "chunk:4:0",
-                "abort:4",
-            ],
-            "every chunk is reported, completion after the final chunk, partials via Aborted"
-        );
-        assert_eq!(
-            probe_log(2, delta),
-            vec![
-                "start:0:2",
-                "chunk:0:0",
-                "chunk:0:1",
-                "done:0",
-                "start:2:2",
-                "chunk:2:0",
-                "abort:2"
+                "chunks:5",
+                "restore:0",
+                "chunks:4"
             ]
         );
+        assert_eq!(
+            barrier_log(2, delta),
+            [
+                "start:0:2",
+                "chunks:1",
+                "done:0",
+                "chunks:2",
+                "start:2:2",
+                "chunks:3",
+                "restore:0",
+                "chunks:2"
+            ]
+        );
+    }
+
+    #[test]
+    fn barriers_fire_only_where_the_cut_schedule_says_one_is_due() {
+        // Four partitions, interval 2: barriers fire at 0, 4, 8 — a subset of
+        // the due iterations 0, 2, 4, 6, 8, never an iteration outside them.
+        let sink = Arc::new(MemorySink::new());
+        let mut handler = Handler::new(MemoryStore::new(), 2)
+            .unwrap()
+            .with_telemetry(SinkHandle::new(sink.clone()));
+        for iteration in 0..10 {
+            handler.after_superstep(iteration, &bulk(iteration)).unwrap();
+        }
+        let fired: Vec<u32> = sink
+            .events()
+            .iter()
+            .filter_map(|event| match event {
+                JournalEvent::SnapshotBarrierStarted { epoch, .. } => Some(*epoch),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fired, vec![0, 4, 8]);
+        assert!(fired.iter().all(|&epoch| cut_due(2, epoch)));
     }
 
     #[test]

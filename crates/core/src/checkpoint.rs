@@ -17,8 +17,6 @@ use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, Snapshot};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
-use crate::async_snapshot::{BarrierEvent, BarrierProbe};
-
 /// Latency/throughput model of the stable storage behind a checkpoint store.
 ///
 /// Local laptop memory is orders of magnitude faster than the replicated
@@ -263,8 +261,9 @@ pub(crate) fn positive_interval(strategy: &str, interval: u32) -> Result<u32> {
 /// with `interval` cuts after logical iteration `iteration` — iterations
 /// `0, interval, 2·interval, ...`. [`CheckpointHandler`] cuts at exactly
 /// these; [`crate::AsyncSnapshotHandler`] at these unless an earlier epoch is
-/// still in flight.
-pub(crate) fn cut_due(interval: u32, iteration: u32) -> bool {
+/// still in flight. The cluster pulls partition state up exactly where this
+/// says a cut is due.
+pub fn cut_due(interval: u32, iteration: u32) -> bool {
     iteration.is_multiple_of(interval)
 }
 
@@ -276,7 +275,6 @@ pub struct CheckpointHandler<S, Store> {
     interval: u32,
     latest: Option<(u32, String)>,
     telemetry: SinkHandle,
-    probe: Option<BarrierProbe>,
     _state: PhantomData<fn(S)>,
 }
 
@@ -289,7 +287,6 @@ impl<S, Store: StableStore> CheckpointHandler<S, Store> {
             interval: positive_interval("checkpoint", interval)?,
             latest: None,
             telemetry: SinkHandle::disabled(),
-            probe: None,
             _state: PhantomData,
         })
     }
@@ -297,13 +294,6 @@ impl<S, Store: StableStore> CheckpointHandler<S, Store> {
     /// Report checkpoint restores to the given telemetry sink.
     pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Observe checkpoints as barriers that start and complete within one
-    /// call.
-    pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
-        self.probe = Some(probe);
         self
     }
 
@@ -316,12 +306,6 @@ impl<S, Store: StableStore> CheckpointHandler<S, Store> {
     pub fn store(&self) -> &Store {
         &self.store
     }
-
-    fn notify(&mut self, event: BarrierEvent<'_>) {
-        if let Some(probe) = &mut self.probe {
-            probe(event);
-        }
-    }
 }
 
 impl<S: Snapshot, Store: StableStore> FaultHandler<S> for CheckpointHandler<S, Store> {
@@ -332,12 +316,10 @@ impl<S: Snapshot, Store: StableStore> FaultHandler<S> for CheckpointHandler<S, S
         let start = Instant::now();
         let bytes = encode_to_vec(state);
         let key = format!("{}-{iteration}", S::KIND);
-        self.notify(BarrierEvent::Started { epoch: iteration, partitions: state.num_partitions() });
         self.store.put(&key, &bytes)?;
         if let Some((_, old_key)) = self.latest.replace((iteration, key)) {
             self.store.remove(&old_key)?;
         }
-        self.notify(BarrierEvent::Completed { epoch: iteration });
         Ok(Some(CheckpointCost { bytes: bytes.len() as u64, duration: start.elapsed() }))
     }
 
@@ -476,23 +458,18 @@ mod tests {
 
     #[test]
     fn a_checkpoint_is_a_barrier_that_starts_and_completes_in_one_call() {
-        let seen: std::rc::Rc<std::cell::RefCell<Vec<String>>> = Default::default();
-        let log = seen.clone();
-        let mut handler = CheckpointHandler::new(MemoryStore::new(), 2)
-            .unwrap()
-            .with_probe(Box::new(move |event| log.borrow_mut().push(format!("{event:?}"))));
-        for iteration in 0..3 {
+        // Each cut is written and its predecessor dropped inside the call
+        // that takes it: the store holds exactly the latest cut in between.
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 2).unwrap();
+        let mut held = Vec::new();
+        for iteration in 0..5 {
             handler.after_superstep(iteration, &crate::test_states::bulk(iteration)).unwrap();
+            let latest = (0..=iteration)
+                .rev()
+                .find(|&cut| handler.store().get(&format!("bulk-{cut}")).unwrap().is_some());
+            held.push((handler.store().len(), latest));
         }
-        assert_eq!(
-            *seen.borrow(),
-            vec![
-                "Started { epoch: 0, partitions: 4 }",
-                "Completed { epoch: 0 }",
-                "Started { epoch: 2, partitions: 4 }",
-                "Completed { epoch: 2 }",
-            ]
-        );
+        assert_eq!(held, [(1, Some(0)), (1, Some(0)), (1, Some(2)), (1, Some(2)), (1, Some(4))]);
     }
 
     #[test]

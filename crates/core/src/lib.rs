@@ -54,8 +54,8 @@ pub mod optimistic;
 pub mod scenario;
 pub mod strategy;
 
-pub use async_snapshot::{AsyncSnapshotHandler, BarrierEvent, BarrierProbe};
-pub use checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
+pub use async_snapshot::AsyncSnapshotHandler;
+pub use checkpoint::{cut_due, CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
 pub use compensation::Compensation;
 pub use ignore::IgnoreHandler;
 pub use incremental::IncrementalDeltaHandler;

@@ -6,21 +6,36 @@ use crate::api::{DataSet, Environment};
 use crate::dataset::{Data, Erased, Partitions};
 use crate::error::Result;
 use crate::exec::ExecContext;
-use crate::ft::{FailureSource, FaultHandler};
+use crate::ft::{FailureSource, FaultHandler, IterationState};
 use crate::iterate::{reclaim, ConvergenceMeasure, Driver, StatsHandle, Step, Stepped};
 use crate::operators::{InjectedSource, SourceSlot};
 use crate::plan::{DynOp, NodeId};
 use crate::stats::IterationStats;
 
+/// The state of a bulk iteration: the [`Partitions`] of its records, or a
+/// state kept elsewhere that the loop body reads as a whole with
+/// [`Erased::downcast_ref`] (the cluster's, whose partitions stay on the
+/// processes that compute them).
+pub trait BulkState: IterationState + Send + Sync + 'static {
+    /// Records per partition: what a superstep changed when no convergence
+    /// probe measures it.
+    fn records_per_partition(&self) -> Vec<u64>;
+}
+
+impl<T: Data> BulkState for Partitions<T> {
+    fn records_per_partition(&self) -> Vec<u64> {
+        self.partition_sizes().iter().map(|&n| n as u64).collect()
+    }
+}
+
 /// Observer callback invoked after every superstep with the (possibly
 /// recovered) state; may record gauges/counters into the superstep's stats.
-pub type BulkObserverFn<T> = Box<dyn FnMut(u32, &Partitions<T>, &mut IterationStats)>;
+type BulkObserverFn<S> = Box<dyn FnMut(u32, &S, &mut IterationStats)>;
 
 /// Convergence probe for bulk iterations: called with the previous and the
 /// freshly computed state after every superstep (telemetry-enabled runs
 /// only); the measurement feeds the `ConvergenceSample` journal event.
-pub type BulkConvergenceProbe<T> =
-    Box<dyn FnMut(&Partitions<T>, &Partitions<T>) -> ConvergenceMeasure>;
+type BulkConvergenceProbe<S> = Box<dyn FnMut(&S, &S) -> ConvergenceMeasure>;
 
 /// Termination criterion: a closure measuring the (type-erased) cardinality
 /// of the body node it probes.
@@ -29,6 +44,10 @@ type CardinalityProbe = Box<dyn Fn(&Erased) -> Result<usize>>;
 /// Builder for a bulk iteration, Flink-style: the loop body is a nested
 /// dataflow whose head is the current state; closing the loop yields a
 /// dataset holding the final state.
+///
+/// The state is the head's [`Partitions<T>`] unless the iteration was built
+/// [`BulkIteration::over`] another [`BulkState`] `S`: then the head and the
+/// result carry an `S`, which only nodes that read it as one may consume.
 ///
 /// ```
 /// use dataflow::prelude::*;
@@ -45,12 +64,12 @@ type CardinalityProbe = Box<dyn Fn(&Erased) -> Result<usize>>;
 /// assert_eq!(out.iter().sum::<u64>(), 0);
 /// assert!(stats.take().unwrap().converged);
 /// ```
-pub struct BulkIteration<T: Data> {
+pub struct BulkIteration<T: Data, S: BulkState = Partitions<T>> {
     outer: Environment,
     initial_id: NodeId,
     head: DataSet<T>,
-    driver: Driver<Partitions<T>>,
-    step: BulkStep<T>,
+    driver: Driver<S>,
+    step: BulkStep<S>,
 }
 
 impl<T: Data> BulkIteration<T> {
@@ -60,6 +79,17 @@ impl<T: Data> BulkIteration<T> {
     /// # Panics
     /// Panics when `max_iterations` is zero.
     pub fn new(initial: &DataSet<T>, max_iterations: u32) -> Self {
+        Self::over(initial, max_iterations)
+    }
+}
+
+impl<T: Data, S: BulkState> BulkIteration<T, S> {
+    /// [`BulkIteration::new`] over the state `S` that `initial`'s node
+    /// produces.
+    ///
+    /// # Panics
+    /// Panics when `max_iterations` is zero.
+    pub fn over(initial: &DataSet<T>, max_iterations: u32) -> Self {
         let outer = initial.environment();
         let mut driver = Driver::new(&outer, max_iterations);
         let step = BulkStep { state_slot: SourceSlot::new(), termination: None, convergence: None };
@@ -88,7 +118,7 @@ impl<T: Data> BulkIteration<T> {
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
-    pub fn set_fault_handler(&mut self, handler: impl FaultHandler<Partitions<T>> + 'static) {
+    pub fn set_fault_handler(&mut self, handler: impl FaultHandler<S> + 'static) {
         self.driver.handler = Box::new(handler);
     }
 
@@ -98,11 +128,8 @@ impl<T: Data> BulkIteration<T> {
     }
 
     /// Install a per-superstep observer.
-    pub fn set_observer(
-        &mut self,
-        observer: impl FnMut(u32, &Partitions<T>, &mut IterationStats) + 'static,
-    ) {
-        let observer: BulkObserverFn<T> = Box::new(observer);
+    pub fn set_observer(&mut self, observer: impl FnMut(u32, &S, &mut IterationStats) + 'static) {
+        let observer: BulkObserverFn<S> = Box::new(observer);
         self.driver.observer = Some(observer);
     }
 
@@ -112,7 +139,7 @@ impl<T: Data> BulkIteration<T> {
     /// changed — bulk iterations recompute everything each superstep.
     pub fn set_convergence_probe(
         &mut self,
-        probe: impl FnMut(&Partitions<T>, &Partitions<T>) -> ConvergenceMeasure + 'static,
+        probe: impl FnMut(&S, &S) -> ConvergenceMeasure + 'static,
     ) {
         self.step.convergence = Some(Box::new(probe));
     }
@@ -168,50 +195,46 @@ impl<T: Data> BulkIteration<T> {
 /// A bulk iteration's share of the loop: the state goes into the head slot,
 /// the body yields `[next, termination]`, and the run stops on an empty
 /// termination set.
-struct BulkStep<T: Data> {
+struct BulkStep<S> {
     state_slot: SourceSlot,
     termination: Option<CardinalityProbe>,
-    convergence: Option<BulkConvergenceProbe<T>>,
+    convergence: Option<BulkConvergenceProbe<S>>,
 }
 
-impl<T: Data> Step<Partitions<T>> for BulkStep<T> {
+impl<S: BulkState> Step<S> for BulkStep<S> {
     const MODE: IterationMode = IterationMode::Bulk;
 
-    fn lend(&mut self, state: Partitions<T>) {
-        self.state_slot.fill(Erased::new(state));
+    fn lend(&mut self, state: S) {
+        self.state_slot.fill(Erased::of(state));
     }
 
-    fn reclaim(&mut self) -> Result<Partitions<T>> {
+    fn reclaim(&mut self) -> Result<S> {
         reclaim(&self.state_slot, "BulkIteration(pre-superstep state)")
     }
 
-    fn finish(
-        &mut self,
-        mut outputs: Vec<Erased>,
-        measure: bool,
-    ) -> Result<Stepped<Partitions<T>>> {
+    fn finish(&mut self, mut outputs: Vec<Erased>, measure: bool) -> Result<Stepped<S>> {
         let done = match &self.termination {
             Some(probe) => probe(&outputs[1])? == 0,
             None => false,
         };
         // The next state is moved out of the outputs and the rest of them
-        // dropped, so the one handle left gives the partitions back without
-        // copying them.
+        // dropped, so the one handle left gives the state back without
+        // copying it.
         let next = outputs.swap_remove(0);
         drop(outputs);
-        let next: Partitions<T> = next.take("BulkIteration(next)")?;
+        let next: S = next.into_inner("BulkIteration(next)")?;
         // The head slot still holds the state the superstep started from:
         // the convergence probe reads it there, and it is dropped after.
         let prev = self.state_slot.take();
         let measure = match (&mut self.convergence, prev) {
             _ if !measure => None,
             (Some(probe), Some(prev)) => {
-                Some(probe(prev.downcast("BulkIteration(previous state)")?, &next))
+                Some(probe(prev.downcast_ref("BulkIteration(previous state)")?, &next))
             }
             // Bulk recomputes the whole state: without a probe, every record
             // counts as changed.
             _ => Some(ConvergenceMeasure {
-                changed_per_partition: next.partition_sizes().iter().map(|&n| n as u64).collect(),
+                changed_per_partition: next.records_per_partition(),
                 delta_norm: None,
             }),
         };
@@ -223,18 +246,18 @@ impl<T: Data> Step<Partitions<T>> for BulkStep<T> {
     }
 }
 
-struct IterateBulkOp<T: Data> {
-    driver: Driver<Partitions<T>>,
-    step: BulkStep<T>,
+struct IterateBulkOp<S: BulkState> {
+    driver: Driver<S>,
+    step: BulkStep<S>,
     stats: StatsHandle,
 }
 
-impl<T: Data> DynOp for IterateBulkOp<T> {
+impl<S: BulkState> DynOp for IterateBulkOp<S> {
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let initial = inputs[0].downcast::<T>("BulkIteration(initial)")?;
+        let initial = inputs[0].downcast_ref::<S>("BulkIteration(initial)")?;
         let (state, stats) = self.driver.run(&mut self.step, initial, &inputs[1..], ctx)?;
         self.stats.set(stats);
-        Ok(Erased::new(state))
+        Ok(Erased::of(state))
     }
 
     fn kind(&self) -> &'static str {

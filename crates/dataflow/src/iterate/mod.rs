@@ -1,8 +1,8 @@
 //! Iterative execution: bulk and delta iterations.
 //!
-//! Both iteration kinds run through one superstep loop, [`Driver::run`],
+//! Both iteration kinds run through one superstep loop, `Driver::run`,
 //! generic over the iteration state. A kind supplies two hooks, its
-//! [`Step`]: the step itself (lend the state to the loop body, make the next
+//! `Step`: the step itself (lend the state to the loop body, make the next
 //! state of the body's outputs, or take the lent state back when the body
 //! aborted) and its termination rule (checked before a superstep, after one,
 //! and at the iteration budget). Each superstep the loop
@@ -29,7 +29,7 @@
 mod bulk;
 mod delta;
 
-pub use bulk::BulkIteration;
+pub use bulk::{BulkIteration, BulkState};
 pub use delta::{DeltaIteration, ResidentRun};
 
 use std::cell::RefCell;
