@@ -8,8 +8,9 @@
 //!   between supersteps it holds no partition state either: the process
 //!   that computes a partition holds the only copy of it (`ClusterState`).
 //! * Workers own the loop-invariant adjacency and the state of their
-//!   partitions and execute [`crate::program::ClusterProgram::step`]. The
-//!   coordinator is a pure control plane: it sends every worker the
+//!   partitions and execute [`crate::program::ClusterProgram::step`]; the
+//!   coordinator keeps the adjacency only as the bytes it ships. It is a
+//!   pure control plane: it sends every worker the
 //!   membership (epoch, peer addresses, placement), dispatches supersteps as
 //!   thin `StepGo` frames, and receives counts in `StepDone`s — while the
 //!   shuffled messages flow directly between workers as batched peer
@@ -35,8 +36,8 @@
 //!   lost partitions and the superstep is redone.
 //! * Replacement: the slot of a lost worker is cleared immediately; at the
 //!   next superstep the coordinator re-spawns the process, reconnects with
-//!   exponential backoff, re-ships the program and adjacency (partition
-//!   redistribution), and emits [`JournalEvent::WorkerRejoined`].
+//!   exponential backoff, re-ships the program and the kept encoded
+//!   adjacency, and emits [`JournalEvent::WorkerRejoined`].
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader};
@@ -66,9 +67,9 @@ use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
 use telemetry::{JournalEvent, SinkHandle};
 
 use crate::placement::{PartitionMap, Rebalancer};
-use crate::program::{lookup, partition_rows, ClusterProgram, StepBuffers};
+use crate::program::{lookup, partition_len, partition_rows, ClusterProgram, StepBuffers};
 use crate::protocol::{
-    encode_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
+    assemble_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
     AdjRows, Inbound, Message, Msg, Record, Seed, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
     SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
@@ -529,10 +530,10 @@ type Stepped = (Vec<StepResult>, Option<Vec<Vec<Record>>>);
 /// `Send` because the engine may dispatch the step operator onto its
 /// worker pool; the `Arc<Mutex<…>>` wrapper then crosses threads.
 trait StepBackend: Send {
-    /// Acquire what the backend runs on. Called once, after the run's
-    /// recovery handler has been built — a plan that is rejected there has
-    /// spawned nothing. Default: nothing to acquire.
-    fn start(&mut self) -> Result<()> {
+    /// Acquire what the backend runs `graph` on. Called once, after the
+    /// run's recovery handler has been built — a plan that is rejected there
+    /// has spawned nothing. Default: nothing to acquire.
+    fn start(&mut self, _graph: &Graph) -> Result<()> {
         Ok(())
     }
 
@@ -739,7 +740,8 @@ struct ClusterBackend {
     cfg: ClusterConfig,
     program_name: String,
     n: u64,
-    adjacency: Arc<Vec<AdjRows>>,
+    /// Each partition's rows as [`Message::LoadProgram`] carries them, encoded once.
+    rows: Vec<Vec<u8>>,
     /// The live worker processes by coordinator-side index; `None` between
     /// a worker's loss and its respawn.
     slots: Vec<Option<WorkerHandle>>,
@@ -816,13 +818,7 @@ struct ClusterBackend {
 impl ClusterBackend {
     /// A backend with every worker slot empty; [`StepBackend::start`]
     /// brings the processes up.
-    fn new(
-        cfg: ClusterConfig,
-        program_name: &str,
-        n: u64,
-        adjacency: Arc<Vec<AdjRows>>,
-        telemetry: SinkHandle,
-    ) -> Self {
+    fn new(cfg: ClusterConfig, program_name: &str, n: u64, telemetry: SinkHandle) -> Self {
         let metrics = telemetry.metrics();
         // Per-worker instruments are sized for the largest membership the
         // scale plan can reach, not the starting count — a track must exist
@@ -859,7 +855,7 @@ impl ClusterBackend {
             cfg,
             program_name: program_name.to_string(),
             n,
-            adjacency,
+            rows: Vec::new(),
             telemetry,
         }
     }
@@ -869,82 +865,75 @@ impl ClusterBackend {
         self.map.pids_of(worker)
     }
 
-    /// Bring `workers` up together. Every process is spawned before any is
-    /// waited for, and every [`Message::LoadProgram`] is on the wire before
-    /// any acknowledgement is awaited, so one worker decodes its partitions
-    /// while the next one's are being encoded. Returns each worker's handle
-    /// with the number of connect attempts its control connection needed and
-    /// the bytes shipped to it; on failure every process spawned here is
-    /// killed and reaped.
-    fn bring_up(&self, workers: &[usize]) -> Result<Vec<(WorkerHandle, u32, u64)>> {
+    /// Bring `workers` up for chronological superstep `superstep`: spawn
+    /// them, encode the rows from `graph` while they boot (the run's first
+    /// bring-up), and put every [`Message::LoadProgram`] on the wire before
+    /// any ack is awaited; one [`JournalEvent::BringUp`] bills the phases.
+    /// Returns each handle with its connect attempts and the bytes shipped to
+    /// it; on failure every process spawned here is reaped.
+    fn bring_up(
+        &mut self,
+        superstep: u32,
+        workers: &[usize],
+        graph: Option<&Graph>,
+    ) -> Result<Vec<(WorkerHandle, u32, u64)>> {
+        if workers.is_empty() {
+            return Ok(Vec::new());
+        }
         let failed = |worker: usize, e: io::Error| {
             EngineError::Io(io::Error::other(format!("failed to bring up worker {worker}: {e}")))
         };
+        let (spawned, cmd) = (Instant::now(), &self.cfg.worker_cmd);
         let mut processes = Vec::with_capacity(workers.len());
         for &worker in workers {
-            processes.push(self.spawn_process().map_err(|e| failed(worker, e))?);
+            let mut command = Command::new(&cmd[0]);
+            let child = command.args(&cmd[1..]).stdin(Stdio::null()).stdout(Stdio::piped()).spawn();
+            processes.push(child.map(WorkerProcess).map_err(|e| failed(worker, e))?);
         }
-        let mut loading = Vec::with_capacity(workers.len());
+        let encoding = Instant::now();
+        if let Some(graph) = graph {
+            self.rows = crate::program::encode_partitions(graph, self.map.parallelism());
+        }
+        let encoded = Instant::now();
+        let mut ports = Vec::with_capacity(workers.len());
         for (&worker, process) in workers.iter().zip(&mut processes) {
-            loading.push(self.connect_and_ship(worker, process).map_err(|e| failed(worker, e))?);
+            ports.push(announced_port(process).map_err(|e| failed(worker, e))?);
         }
-        let mut handles = Vec::with_capacity(workers.len());
+        let (booted, mut loading) = (Instant::now(), Vec::with_capacity(workers.len()));
+        for (&worker, port) in workers.iter().zip(ports) {
+            let loaded = self.connect_and_ship(worker, port, &self.load_program_payload(worker));
+            loading.push(loaded.map_err(|e| failed(worker, e))?);
+        }
+        let (acking, mut handles) = (Instant::now(), Vec::with_capacity(workers.len()));
         for ((&worker, process), loading) in workers.iter().zip(processes).zip(loading) {
             let (attempts, shipped) = (loading.attempts, loading.shipped);
             let handle = self.finish_load(process, loading).map_err(|e| failed(worker, e))?;
             handles.push((handle, attempts, shipped));
         }
+        self.telemetry.emit(|| JournalEvent::BringUp {
+            superstep,
+            workers: workers.len(),
+            bytes: handles.iter().map(|handle| handle.2).sum(),
+            encode_ns: (encoded - encoding).as_nanos() as u64,
+            boot_ns: (booted - spawned).as_nanos() as u64,
+            ship_ns: (acking - booted).as_nanos() as u64,
+            ack_ns: acking.elapsed().as_nanos() as u64,
+        });
         Ok(handles)
     }
 
-    /// [`Self::bring_up`] for one worker: the respawn path.
-    fn spawn_and_load(&self, worker: usize) -> Result<(WorkerHandle, u32, u64)> {
-        Ok(self.bring_up(&[worker])?.remove(0))
-    }
-
-    fn spawn_process(&self) -> io::Result<WorkerProcess> {
-        let cmd = &self.cfg.worker_cmd;
-        Command::new(&cmd[0])
-            .args(&cmd[1..])
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .spawn()
-            .map(WorkerProcess)
-    }
-
-    /// Wait for the process's port announcement, connect the control
-    /// connection with exponential backoff, and send the greeting, the
-    /// program and this worker's adjacency without waiting for the one
-    /// acknowledgement that covers them.
-    fn connect_and_ship(
-        &self,
-        worker: usize,
-        process: &mut WorkerProcess,
-    ) -> io::Result<LoadingWorker> {
-        let stdout = process.0.stdout.take().ok_or_else(|| io::Error::other("no stdout pipe"))?;
-        let mut lines = BufReader::new(stdout);
-        let port = loop {
-            let mut line = String::new();
-            if lines.read_line(&mut line)? == 0 {
-                return Err(io::Error::other("worker exited before announcing its port"));
-            }
-            if let Some(rest) = line.trim().strip_prefix(LISTENING_MARKER) {
-                break rest.trim().parse::<u16>().map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad port announcement: {e}"),
-                    )
-                })?;
-            }
-        };
+    /// Connect to the worker listening on `port` with exponential backoff,
+    /// and send the greeting and its [`Message::LoadProgram`] `load` without
+    /// waiting for the one acknowledgement that covers them.
+    fn connect_and_ship(&self, worker: usize, port: u16, load: &[u8]) -> io::Result<LoadingWorker> {
         let (mut stream, attempts) = connect_with_backoff(&loopback(port), &self.cfg)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(self.cfg.step_timeout))?;
         let mut shipped = 0;
         let hello = encode_to_vec(&Message::Hello { worker: worker as u64 });
-        for frame in [hello, self.load_program_payload(worker)] {
-            write_encoded_frame(&mut stream, &frame, Some(&self.bytes_out))?;
-            shipped += frame_bytes(&frame);
+        for frame in [&hello, load] {
+            write_encoded_frame(&mut stream, frame, Some(&self.bytes_out))?;
+            shipped += frame_bytes(frame);
         }
         Ok(LoadingWorker { stream, port, attempts, shipped })
     }
@@ -988,15 +977,12 @@ impl ClusterBackend {
 
     /// The [`Message::LoadProgram`] payload for `worker`: the program name
     /// and the adjacency of the partitions the placement map gives it,
-    /// encoded from the rows the coordinator keeps.
+    /// assembled from the encoded rows the coordinator keeps.
     fn load_program_payload(&self, worker: usize) -> Vec<u8> {
-        let adjacency: Vec<(u64, &AdjRows)> = self
-            .pids_of(worker)
-            .into_iter()
-            .map(|pid| (pid as u64, &self.adjacency[pid]))
-            .collect();
+        let pids = self.pids_of(worker).into_iter();
+        let parts: Vec<(u64, &[u8])> = pids.map(|pid| (pid as u64, &self.rows[pid][..])).collect();
         let mut payload = Vec::new();
-        encode_load_program(&mut payload, &self.program_name, self.n, &adjacency);
+        assemble_load_program(&mut payload, &self.program_name, self.n, &parts);
         payload
     }
 
@@ -1014,7 +1000,8 @@ impl ClusterBackend {
             }
             if self.slots[worker].is_none() {
                 let respawn_started = Instant::now();
-                let (handle, attempts, reshipped) = self.spawn_and_load(worker)?;
+                let (handle, attempts, reshipped) =
+                    self.bring_up(superstep, &[worker], None)?.remove(0);
                 let respawn_ns = respawn_started.elapsed().as_nanos() as u64;
                 self.slots[worker] = Some(handle);
                 // The replacement listens on a fresh port and holds no
@@ -1126,7 +1113,9 @@ impl ClusterBackend {
         // so each is shipped exactly the partitions the rebalance gave it.
         let joiners: Vec<usize> = (current..target).collect();
         let mut reshipped = 0;
-        for (worker, (handle, _attempts, shipped)) in joiners.iter().zip(self.bring_up(&joiners)?) {
+        for (worker, (handle, _attempts, shipped)) in
+            joiners.iter().zip(self.bring_up(superstep, &joiners, None)?)
+        {
             reshipped += shipped;
             self.slots.push(Some(handle));
             self.telemetry.emit(|| JournalEvent::WorkerJoined { superstep, worker: *worker });
@@ -1628,9 +1617,9 @@ impl ClusterBackend {
 }
 
 impl StepBackend for ClusterBackend {
-    fn start(&mut self) -> Result<()> {
+    fn start(&mut self, graph: &Graph) -> Result<()> {
         let workers: Vec<usize> = (0..self.cfg.workers).collect();
-        for (worker, (handle, ..)) in workers.iter().zip(self.bring_up(&workers)?) {
+        for (worker, (handle, ..)) in workers.iter().zip(self.bring_up(0, &workers, Some(graph))?) {
             self.slots[*worker] = Some(handle);
         }
         Ok(())
@@ -1728,6 +1717,18 @@ fn read_ack(
             }
         }
     }
+}
+
+/// Read a spawned worker's stdout up to its port announcement.
+fn announced_port(process: &mut WorkerProcess) -> io::Result<u16> {
+    let stdout = process.0.stdout.take().ok_or_else(|| io::Error::other("no stdout pipe"))?;
+    for line in BufReader::new(stdout).lines() {
+        if let Some(rest) = line?.trim().strip_prefix(LISTENING_MARKER) {
+            let bad = |e| io::Error::new(io::ErrorKind::InvalidData, format!("bad port: {e}"));
+            return rest.trim().parse::<u16>().map_err(bad);
+        }
+    }
+    Err(io::Error::other("worker exited before announcing its port"))
 }
 
 /// Bytes a frame of `payload` takes on the wire: its length prefix and itself.
@@ -1907,16 +1908,15 @@ pub fn run_cluster(
     }
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
-    let adjacency = Arc::new(partition_rows(graph, cfg.parallelism));
     let env = EnvConfig::new(cfg.parallelism).with_telemetry(telemetry.clone());
     let max_iterations = cfg.max_iterations;
     let strategy = cfg.strategy;
     let initial_state = cfg.initial_state.take();
-    let backend = ClusterBackend::new(cfg, program_name, n, adjacency.clone(), telemetry);
+    let backend = ClusterBackend::new(cfg, program_name, n, telemetry);
     run_with_backend(
         program,
         Box::new(backend),
-        adjacency,
+        graph,
         max_iterations,
         env,
         strategy,
@@ -1964,12 +1964,12 @@ fn run_local_in(
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
     let adjacency = Arc::new(partition_rows(graph, env.parallelism));
-    let backend = LocalBackend::new(program.clone(), adjacency.clone(), n);
+    let backend = LocalBackend::new(program.clone(), adjacency, n);
     let strategy = ClusterStrategy::Optimistic;
     run_with_backend(
         program,
         Box::new(backend),
-        adjacency,
+        graph,
         max_iterations,
         env,
         strategy,
@@ -1990,13 +1990,13 @@ fn resolve(program_name: &str) -> Result<Arc<dyn ClusterProgram>> {
 fn run_with_backend(
     program: Arc<dyn ClusterProgram>,
     backend: Box<dyn StepBackend>,
-    adjacency: Arc<Vec<AdjRows>>,
+    graph: &Graph,
     max_iterations: u32,
     config: EnvConfig,
     strategy: ClusterStrategy,
     initial_state: Option<Vec<Record>>,
 ) -> Result<ClusterRun> {
-    let parallelism = config.parallelism;
+    let (parallelism, n) = (config.parallelism, graph.num_vertices() as u64);
     let telemetry = config.telemetry.clone();
     let env = Environment::with_config(config);
     let initial = match initial_state {
@@ -2007,15 +2007,18 @@ fn run_with_backend(
             for record in state {
                 parts[(record.0 % parallelism as u64) as usize].push(record);
             }
-            for (part, rows) in parts.iter_mut().zip(adjacency.iter()) {
+            for (pid, part) in parts.iter_mut().enumerate() {
                 part.sort_unstable_by_key(|record| record.0);
-                check_warm_start(part, rows)?;
+                let refuse = |problem| EngineError::Plan(format!("warm-start state has {problem}"));
+                misfit(part, pid, parallelism, n).map(refuse).map_or(Ok(()), Err)?;
             }
             ClusterState::pushed(parts)
         }
         // Cold start: each partition's owner initialises it at step 0.
         None => ClusterState::of(
-            adjacency.iter().map(|rows| Part::Resident(rows.len() as u64)).collect(),
+            (0..parallelism)
+                .map(|pid| Part::Resident(partition_len(n, parallelism, pid)))
+                .collect(),
         ),
     };
     let slot = SourceSlot::new();
@@ -2086,42 +2089,35 @@ fn run_with_backend(
         vec![result.node_id()],
         Box::new(ValuesOp { backend: backend.clone() }),
     );
-    backend.lock().start()?;
-    let values = merge_by_vertex(values.collect_partitions()?.as_parts());
+    backend.lock().start(graph)?;
+    let values = merge_by_vertex(values.collect_partitions()?.as_parts(), n)?;
     let stats = stats
         .take()
         .ok_or_else(|| EngineError::Iteration("cluster run produced no statistics".into()))?;
     Ok(ClusterRun { values, stats })
 }
 
-/// A warm start's sorted partition must hold one record per vertex of its
-/// rows, or a step would panic and compensation paper over it: the first
-/// vertex without a record, or with an extra one, is a plan error.
-fn check_warm_start(part: &[Record], rows: &AdjRows) -> Result<()> {
-    let at = |i: usize| (part.get(i).map(|record| record.0), rows.get(i).map(|row| row.0));
-    let mut slots = (0..part.len().max(rows.len())).map(at);
-    let Some((got, want)) = slots.find(|(got, want)| got != want) else { return Ok(()) };
+/// The first vertex without a record, or with an extra one, where `part`
+/// breaks partition `pid`'s strided layout (`pid`, `pid + parallelism`, … < `n`).
+fn misfit(part: &[Record], pid: usize, parallelism: usize, n: u64) -> Option<String> {
+    let len = partition_len(n, parallelism, pid);
+    let vertex = |i: u64| (i < len).then(|| pid as u64 + i * parallelism as u64);
+    let at = |i: u64| (part.get(i as usize).map(|record| record.0), vertex(i));
+    let (got, want) = (0..len.max(part.len() as u64)).map(at).find(|(got, want)| got != want)?;
     let v = got.into_iter().chain(want).min().unwrap_or_default();
     let problem = if want == Some(v) { "no record" } else { "an extra record" };
-    Err(EngineError::Plan(format!("warm-start state has {problem} for vertex {v}")))
+    Some(format!("{problem} for vertex {v}"))
 }
 
-/// The run's result: the partitions' states, each ascending by vertex (a
-/// program keeps its partition's vertex order, warm starts are sorted per
-/// partition), merged into one vector ascending by vertex.
-fn merge_by_vertex(parts: &[Vec<Record>]) -> Vec<Record> {
-    debug_assert!(parts.iter().all(|part| part.is_sorted_by_key(|record| record.0)));
-    let mut merged = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    let mut cursors = vec![0usize; parts.len()];
-    // A handful of partitions: the smallest head is found by looking at all.
-    while let Some(pid) = (0..parts.len())
-        .filter(|&pid| cursors[pid] < parts[pid].len())
-        .min_by_key(|&pid| parts[pid][cursors[pid]].0)
-    {
-        merged.push(parts[pid][cursors[pid]]);
-        cursors[pid] += 1;
+/// The run's values, `parts[v % P][v / P]` at `v < n`: a part pulled from a
+/// worker that breaks that layout is an error, not a misordered result.
+fn merge_by_vertex(parts: &[Vec<Record>], n: u64) -> Result<Vec<Record>> {
+    let stride = parts.len();
+    for (pid, part) in parts.iter().enumerate() {
+        let refuse = |problem| EngineError::Iteration(format!("the pulled state has {problem}"));
+        misfit(part, pid, stride, n).map(refuse).map_or(Ok(()), Err)?;
     }
-    merged
+    Ok((0..n as usize).map(|v| parts[v % stride][v / stride]).collect())
 }
 
 #[cfg(test)]
@@ -2235,9 +2231,9 @@ mod tests {
     ) -> ClusterRun {
         let n = graph.num_vertices() as u64;
         let adjacency = Arc::new(partition_rows(graph, parallelism));
-        let backend = Box::new(backend(program.clone(), adjacency.clone(), n));
+        let backend = Box::new(backend(program.clone(), adjacency, n));
         let (config, strategy) = (EnvConfig::new(parallelism), ClusterStrategy::Optimistic);
-        run_with_backend(program, backend, adjacency, 200, config, strategy, None).unwrap()
+        run_with_backend(program, backend, graph, 200, config, strategy, None).unwrap()
     }
 
     /// A run's statistics without their durations: what must not move.
@@ -2452,7 +2448,8 @@ mod tests {
 
     /// Counts every partition as changed, records the logical step it is
     /// asked to run, and loses worker 1 at superstep `lose_at`. It holds no
-    /// state: a cut brings up empty partitions.
+    /// state: a cut brings up empty partitions, and the values of a
+    /// four-vertex graph are zeros.
     struct RecordsSteps {
         steps: Arc<parking_lot::Mutex<Vec<u64>>>,
         lose_at: u32,
@@ -2482,7 +2479,7 @@ mod tests {
         }
 
         fn pull(&mut self) -> Result<Vec<Vec<Record>>> {
-            Ok(vec![vec![]; 2])
+            Ok(vec![vec![(0, 0), (2, 0)], vec![(1, 0), (3, 0)]])
         }
     }
 
@@ -2490,12 +2487,11 @@ mod tests {
     fn a_backend_runs_step_one_past_a_restored_cut_and_step_zero_after_a_restart() {
         let steps_handed = |strategy, lose_at| {
             let graph = GraphBuilder::undirected(4).build();
-            let adjacency = Arc::new(partition_rows(&graph, 2));
             let steps = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let backend = Box::new(RecordsSteps { steps: steps.clone(), lose_at });
             let program = resolve("cc").unwrap();
             let config = EnvConfig::new(2);
-            run_with_backend(program, backend, adjacency, 8, config, strategy, None).unwrap();
+            run_with_backend(program, backend, &graph, 8, config, strategy, None).unwrap();
             let handed = steps.lock().clone();
             handed
         };
@@ -2635,8 +2631,7 @@ mod tests {
             let backend = Box::new(RecordsHeld { inner, held: held.clone(), lose_at });
             let (config, strategy) = (EnvConfig::new(4), ClusterStrategy::Optimistic);
             let run =
-                run_with_backend(program, backend, adjacency.clone(), 200, config, strategy, None)
-                    .unwrap();
+                run_with_backend(program, backend, &graph, 200, config, strategy, None).unwrap();
             let labels: Vec<u64> = run.values.iter().map(|&(_, l)| l).collect();
             assert_eq!(labels, graphs::exact_components(&graph), "lost at {lose_at:?}");
             let held = held.lock().clone();
@@ -2693,21 +2688,34 @@ mod tests {
                 strided in any::<bool>(),
             ) {
                 // A run's state holds every vertex of its stride, cold or
-                // warm (a warm start that does not is a plan error); the
-                // merge relies only on each partition being ascending, so
-                // arbitrary vertex sets check that too.
-                let vertices: std::collections::BTreeSet<u64> = if strided {
-                    (0..vertices.len() as u64).collect()
+                // warm (a warm start that does not is a plan error): then the
+                // merge is the sorted result. Any other vertex set — a vertex
+                // missing, one past the graph, one in the wrong partition or
+                // out of order — is an error, never a misordered result.
+                let n = vertices.len() as u64;
+                let vertices: Vec<u64> = if strided {
+                    (0..n).collect()
                 } else {
                     vertices.into_iter().collect()
                 };
                 let mut parts = vec![Vec::new(); parallelism];
-                for v in vertices {
+                for &v in &vertices {
                     parts[(v % parallelism as u64) as usize].push((v, v.wrapping_mul(31)));
                 }
-                let mut sorted: Vec<Record> = parts.concat();
-                sorted.sort_unstable_by_key(|record| record.0);
-                prop_assert_eq!(merge_by_vertex(&parts), sorted);
+                let merged = merge_by_vertex(&parts, n);
+                if vertices == (0..n).collect::<Vec<_>>() {
+                    let mut sorted: Vec<Record> = parts.concat();
+                    sorted.sort_unstable_by_key(|record| record.0);
+                    prop_assert_eq!(merged.unwrap(), sorted);
+                    // The same records under the wrong pids, or out of order.
+                    parts.rotate_left(1);
+                    prop_assert!(parallelism == 1 || n == 0 || merge_by_vertex(&parts, n).is_err());
+                    parts.rotate_right(1);
+                    parts[0].reverse();
+                    prop_assert!(parts[0].len() < 2 || merge_by_vertex(&parts, n).is_err());
+                } else {
+                    prop_assert!(merged.is_err());
+                }
             }
         }
     }
@@ -2729,9 +2737,11 @@ mod tests {
         );
     }
 
-    /// A converged CC fixpoint of a 2 000-vertex graph, broken three ways:
-    /// vertex 5 missing, vertex 7 twice, and a vertex past the graph's end.
-    fn malformed_warm_starts() -> (Graph, Vec<(Vec<Record>, &'static str)>) {
+    /// A converged CC fixpoint of a 2 000-vertex graph, broken four ways:
+    /// vertex 5 missing, vertex 7 twice, a vertex past the graph's end, and
+    /// vertex 1 999 renamed past it; and a graph of fewer vertices than the
+    /// four partitions, given a record for a vertex it does not have.
+    fn malformed_warm_starts() -> Vec<(Graph, Vec<Record>, &'static str)> {
         let graph = graphs::generators::preferential_attachment(2_000, 3, 5);
         let fixpoint = run_local("cc", &graph, 4, 200, SinkHandle::disabled()).unwrap().values;
         let without_5: Vec<Record> = fixpoint.iter().copied().filter(|r| r.0 != 5).collect();
@@ -2739,18 +2749,23 @@ mod tests {
         twice_7.push(fixpoint[7]);
         let mut beyond = fixpoint.clone();
         beyond.push((2_003, 0));
+        let mut renamed = fixpoint.clone();
+        renamed[1_999].0 = u64::MAX;
+        let small = GraphBuilder::undirected(3).build();
         let cases = vec![
             (without_5, "no record for vertex 5"),
             (twice_7, "an extra record for vertex 7"),
             (beyond, "an extra record for vertex 2003"),
+            (renamed, "no record for vertex 1999"),
         ];
-        (graph, cases)
+        let mut cases: Vec<_> = cases.into_iter().map(|(s, p)| (graph.clone(), s, p)).collect();
+        cases.push((small, vec![(0, 0), (1, 1), (2, 2), (3, 3)], "an extra record for vertex 3"));
+        cases
     }
 
     #[test]
     fn a_malformed_local_warm_start_is_a_plan_error() {
-        let (graph, cases) = malformed_warm_starts();
-        for (state, problem) in cases {
+        for (graph, state, problem) in malformed_warm_starts() {
             let err = run_local_warm("cc", &graph, 4, 200, SinkHandle::disabled(), Some(state))
                 .unwrap_err();
             assert!(matches!(err, EngineError::Plan(_)), "{err}");
@@ -2762,8 +2777,7 @@ mod tests {
     fn a_malformed_cluster_warm_start_is_refused_before_anything_is_spawned() {
         // The worker command names no binary: spawning anything would fail
         // with a different error than the plan's.
-        let (graph, cases) = malformed_warm_starts();
-        for (state, problem) in cases {
+        for (graph, state, problem) in malformed_warm_starts() {
             let mut cfg = ClusterConfig::new(2, 4, 200).with_initial_state(state);
             cfg.worker_cmd = vec!["no-such-worker-binary".into()];
             let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();

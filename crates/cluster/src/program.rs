@@ -425,6 +425,38 @@ pub fn partition_rows(graph: &Graph, parallelism: usize) -> Vec<AdjRows> {
     parts
 }
 
+/// How many vertices partition `pid` holds: `pid`, `pid + parallelism`, … below `n`.
+pub fn partition_len(n: u64, parallelism: usize, pid: usize) -> u64 {
+    n.saturating_sub(pid as u64).div_ceil(parallelism as u64)
+}
+
+/// Every partition's rows encoded straight from `graph`, without copying a
+/// row: partition `pid`'s bytes are those `encode_slice` writes for
+/// `partition_rows(graph, parallelism)[pid]`. Each buffer is presized on the
+/// calling thread, so freeing it returns the memory to the caller's
+/// allocator, and filled in one pass on a scoped thread of its own.
+pub fn encode_partitions(graph: &Graph, parallelism: usize) -> Vec<Vec<u8>> {
+    let n = graph.num_vertices() as u64;
+    let vertices = |pid: usize| (pid as u64..n).step_by(parallelism);
+    let size = |pid| 8 + vertices(pid).map(|v| 16 + 8 * graph.degree(v)).sum::<usize>();
+    let mut parts: Vec<Vec<u8>> =
+        (0..parallelism).map(|pid| Vec::with_capacity(size(pid))).collect();
+    std::thread::scope(|scope| {
+        for (pid, out) in parts.iter_mut().enumerate() {
+            scope.spawn(move || {
+                out.extend_from_slice(&partition_len(n, parallelism, pid).to_le_bytes());
+                for v in vertices(pid) {
+                    let targets = graph.neighbors(v);
+                    for word in [v, targets.len() as u64].iter().chain(targets) {
+                        out.extend_from_slice(&word.to_le_bytes());
+                    }
+                }
+            });
+        }
+    });
+    parts
+}
+
 #[cfg(test)]
 /// A directed graph of `size` vertices, each with up to three out-edges
 /// drawn from `seed`: the tests' shape beside the undirected generators.

@@ -560,6 +560,20 @@ pub fn encode_load_program(
     }
 }
 
+/// [`encode_load_program`]'s bytes over rows encoded beforehand (by
+/// [`crate::program::encode_partitions`]): copied, not encoded again.
+pub fn assemble_load_program(out: &mut Vec<u8>, program: &str, n: u64, parts: &[(u64, &[u8])]) {
+    out.reserve(1 + 8 + program.len() + 16 + parts.iter().map(|p| 8 + p.1.len()).sum::<usize>());
+    out.push(2);
+    encode_str(program, out);
+    n.encode(out);
+    (parts.len() as u64).encode(out);
+    for (pid, rows) in parts {
+        pid.encode(out);
+        out.extend_from_slice(rows);
+    }
+}
+
 /// Encode a [`Message::PartState`] from records the caller keeps: the bytes
 /// [`Codec::encode`] produces for the owned message (it calls this), without
 /// first moving the state into one.
@@ -957,6 +971,54 @@ mod tests {
         (String::from("cc"), 6u64, adjacency).encode(&mut fields);
         assert_eq!(payload, fields);
         assert_eq!(decode_exact::<Message>(&payload).unwrap(), owned);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        #[test]
+        fn load_program_from_rows_encoded_off_the_graph_is_the_owned_message(
+            kind in 0u8..3,
+            size in 0u64..40,
+            seed in any::<u64>(),
+            parallelism in (0usize..6).prop_map(|i| [1, 2, 3, 4, 5, 8][i]),
+            workers in 1usize..9,
+            target in 1usize..9,
+        ) {
+            // Directed, undirected and sparse graphs (isolated vertices), as
+            // small as no vertex at all and fewer vertices than partitions.
+            use crate::placement::{PartitionMap, Rebalancer};
+            use crate::program::{directed, encode_partitions, partition_rows};
+            let graph = match kind {
+                0 => directed(size.max(1), seed),
+                1 => graphs::generators::erdos_renyi(size as usize, 0.3, seed),
+                _ => graphs::generators::erdos_renyi(size as usize, 0.02, seed),
+            };
+            let n = graph.num_vertices() as u64;
+            let rows = partition_rows(&graph, parallelism);
+            let kept = encode_partitions(&graph, parallelism);
+            for (pid, bytes) in kept.iter().enumerate() {
+                let mut expected = Vec::new();
+                encode_slice(&rows[pid], &mut expected);
+                prop_assert_eq!(bytes, &expected, "P={} pid={}", parallelism, pid);
+            }
+            // Every worker's frame, as placed at the start and after a
+            // rebalance, is the frame encoded from the copied rows.
+            let initial = PartitionMap::initial(parallelism, workers.min(parallelism));
+            let rescaled = Rebalancer::rebalance(&initial, target.min(parallelism)).map;
+            for map in [initial, rescaled] {
+                for worker in 0..map.workers() {
+                    let pids = map.pids_of(worker);
+                    let owned: Vec<(u64, &AdjRows)> =
+                        pids.iter().map(|&pid| (pid as u64, &rows[pid])).collect();
+                    let encoded: Vec<(u64, &[u8])> =
+                        pids.iter().map(|&pid| (pid as u64, &kept[pid][..])).collect();
+                    let (mut expected, mut assembled) = (Vec::new(), Vec::new());
+                    encode_load_program(&mut expected, "pagerank", n, &owned);
+                    assemble_load_program(&mut assembled, "pagerank", n, &encoded);
+                    prop_assert_eq!(assembled, expected, "worker {}", worker);
+                }
+            }
+        }
     }
 
     /// Frames with a counted `Vec` (of fixed-width elements, or — the

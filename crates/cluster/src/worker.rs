@@ -415,12 +415,10 @@ fn serve(
                 Message::LoadProgram { program, n, adjacency } => {
                     let resolved = lookup(&program)
                         .ok_or_else(|| invalid(format!("unknown cluster program `{program}`")))?;
-                    wlog(
-                        worker,
-                        None,
-                        "load_program",
-                        &format!("program={program} partitions={} n={n}", adjacency.len()),
-                    );
+                    let (partitions, bytes) = (adjacency.len(), payload.len());
+                    let detail =
+                        format!("program={program} partitions={partitions} n={n} bytes={bytes}");
+                    wlog(worker, None, "load_program", &detail);
                     let mut state = shared.lock();
                     state.program = Some(resolved);
                     state.n = n;

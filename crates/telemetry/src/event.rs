@@ -8,9 +8,10 @@
 //! scraping log strings. Timings live in [`crate::span`] and
 //! [`crate::metrics`] instead.
 //!
-//! The two cluster-telemetry variants — [`JournalEvent::WorkerSpan`] and
-//! [`JournalEvent::RecoveryCost`] — are the deliberate exception: measuring
-//! per-worker compute/shuffle time and per-failure recovery cost is their
+//! The three cluster-telemetry variants — [`JournalEvent::WorkerSpan`],
+//! [`JournalEvent::RecoveryCost`] and [`JournalEvent::BringUp`] — are the
+//! deliberate exception: measuring per-worker compute/shuffle time,
+//! per-failure recovery cost and what bringing workers up costs is their
 //! whole point, so they carry `*_ns` durations. Everything *around* the
 //! durations stays deterministic (ordering, worker/seq keys, byte counts),
 //! and determinism tests compare journals with `*_ns` values normalised.
@@ -417,6 +418,30 @@ journal_events! {
         /// Bytes written to the replacement during respawn (dominated by the
         /// `LoadProgram` adjacency re-ship).
         reshipped_bytes: u64,
+    },
+    /// The cluster coordinator brought worker processes up — at the run's
+    /// start, for a respawn, or for the joiners of a rescale — and this is
+    /// what each phase of it took. Its `*_ns` fields are wall-clock like
+    /// [`JournalEvent::RecoveryCost`]'s.
+    BringUp {
+        /// Chronological superstep the workers come up for (0 at the start).
+        superstep: u32,
+        /// Worker processes brought up together.
+        workers: usize,
+        /// Bytes written to them: greetings and `LoadProgram` frames.
+        bytes: u64,
+        /// Nanoseconds encoding the partitions' rows from the graph, while
+        /// the processes boot: the run's first bring-up only, 0 otherwise.
+        encode_ns: u64,
+        /// Nanoseconds from the first spawn to the last port announcement
+        /// read, the encode included where it ran in between.
+        boot_ns: u64,
+        /// Nanoseconds assembling each `LoadProgram` from the kept rows,
+        /// connecting, and writing the greetings and frames.
+        ship_ns: u64,
+        /// Nanoseconds awaiting the acknowledgements and opening the
+        /// heartbeat connections.
+        ack_ns: u64,
     },
     /// A failure was injected, destroying partition state.
     FailureInjected {
