@@ -8,7 +8,7 @@
 //!   between supersteps it holds no partition state either: the process
 //!   that computes a partition holds the only copy of it (`ClusterState`).
 //! * Workers own the loop-invariant adjacency and the state of their
-//!   partitions and execute [`crate::program::ClusterProgram::step`]; the
+//!   partitions in a `PartitionStore` and step them through it; the
 //!   coordinator keeps the adjacency only as the bytes it ships. It is a
 //!   pure control plane: it sends every worker the
 //!   membership (epoch, peer addresses, placement), dispatches supersteps as
@@ -62,15 +62,15 @@ use dataflow::plan::DynOp;
 use dataflow::stats::RunStats;
 use graphs::Graph;
 use recovery::compensation::Named;
-use recovery::{cut_due, AsyncSnapshotHandler, CheckpointHandler, MemoryStore, OptimisticHandler};
+use recovery::{AsyncSnapshotHandler, CheckpointHandler, MemoryStore, OptimisticHandler};
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
 use telemetry::{JournalEvent, SinkHandle};
 
 use crate::placement::{PartitionMap, Rebalancer};
-use crate::program::{lookup, partition_len, partition_rows, ClusterProgram, StepBuffers};
+use crate::program::{lookup, partition_len, partition_rows, ClusterProgram, PartitionStore};
 use crate::protocol::{
     assemble_load_program, read_frame, read_frame_buffered, write_encoded_frame, write_frame,
-    AdjRows, Inbound, Message, Msg, Record, Seed, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
+    AdjRows, Inbound, Message, Record, Seed, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
     SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 use crate::worker::LISTENING_MARKER;
@@ -520,12 +520,12 @@ type Stepped = (Vec<StepResult>, Option<Vec<Vec<Record>>>);
 
 /// Where a superstep's partition work actually runs: in-process (the
 /// baseline) or on worker processes over TCP. Each holds the only copy of
-/// the partitions' state — the local backend in itself, the cluster's in its
-/// workers — double-buffered as committed and tentative, and what the last
-/// committed superstep sent where it ran. Both fold a partition's inbound in
-/// canonical `(src, dst, bits)` order (merged from the runs, or from an
-/// inbox `merge_runs` built), so both execute bit-identical supersteps in
-/// failure-free runs.
+/// the partitions' state in a [`PartitionStore`] — the local backend one
+/// over every partition, the cluster's workers one over their share each —
+/// and what the last committed superstep sent where it ran. Both fold a
+/// partition's inbound in canonical `(src, dst, bits)` order (merged from
+/// the runs, or from an inbox `merge_runs` built), so both execute
+/// bit-identical supersteps in failure-free runs.
 ///
 /// `Send` because the engine may dispatch the step operator onto its
 /// worker pool; the `Arc<Mutex<…>>` wrapper then crosses threads.
@@ -557,21 +557,10 @@ trait StepBackend: Send {
 
 /// In-process execution of the same named program — the single-process
 /// baseline that cluster results are diffed against. Partitions step in
-/// parallel on the engine's worker pool.
+/// parallel on the engine's worker pool, each from its committed side into
+/// its own buffers, which the store swaps in once the superstep succeeds.
 struct LocalBackend {
-    program: Arc<dyn ClusterProgram>,
-    adjacency: Arc<Vec<AdjRows>>,
-    n: u64,
-    /// Each partition's state as the last committed superstep left it.
-    committed: Vec<Vec<Record>>,
-    /// `sent[p][q]`: the run partition `p` routed to `q` in the last
-    /// committed superstep.
-    sent: Vec<Vec<Vec<Msg>>>,
-    /// Each partition's kept output buffers, its tentative state and runs:
-    /// partition `p`'s task writes `spare[p]` alone, and only a commit swaps
-    /// them into `committed[p]` and `sent[p]`, so a retry reads what the
-    /// failed attempt read.
-    spare: Vec<StepBuffers>,
+    store: PartitionStore,
     /// Whether the previous attempt failed (a partition panicked), so this
     /// one runs on compensated state: the retry is a full-send superstep,
     /// and its commit may not terminate the run (see
@@ -581,17 +570,17 @@ struct LocalBackend {
 
 impl LocalBackend {
     fn new(program: Arc<dyn ClusterProgram>, adjacency: Arc<Vec<AdjRows>>, n: u64) -> Self {
-        let p = adjacency.len();
-        let (sent, spare) = (vec![vec![Vec::new(); p]; p], vec![StepBuffers::routing_to(p); p]);
-        let committed = vec![Vec::new(); p];
-        LocalBackend { program, adjacency, n, committed, sent, spare, retrying: false }
+        let mut store = PartitionStore::new(program, n, adjacency.len());
+        let parts = Arc::unwrap_or_clone(adjacency).into_iter().zip(0..);
+        store.load(parts.map(|(rows, pid)| (pid, rows)).collect());
+        LocalBackend { store, retrying: false }
     }
 }
 
 impl StepBackend for LocalBackend {
     fn run_step(
         &mut self,
-        _superstep: u32,
+        superstep: u32,
         step: u64,
         state: &ClusterState,
         cut: bool,
@@ -599,41 +588,26 @@ impl StepBackend for LocalBackend {
     ) -> Result<Stepped> {
         // Stays set if this attempt fails too.
         let retrying = std::mem::replace(&mut self.retrying, true);
-        let (program, adjacency, n) = (&self.program, &self.adjacency, self.n);
-        let (committed, sent) = (&self.committed, &self.sent);
+        let parts = (0..state.num_partitions()).map(|pid| (pid as u64, state.seed(pid, step)));
+        self.store.seed(parts.collect())?;
         // Every partition steps, in pid order, writing its own buffers.
-        let work: usize =
-            committed.iter().map(Vec::len).chain(sent.iter().flatten().map(Vec::len)).sum();
-        let tasks: Vec<_> = self.spare.iter_mut().enumerate().collect();
-        let mut results = par_map(tasks, ctx, work, |_, (pid, out)| {
-            let rows = &adjacency[pid];
-            let seeded = match state.seed(pid, step) {
-                Seed::Committed => None,
-                Seed::Init => Some(program.init_partition(rows, n)),
-                Seed::Compensate => Some(program.compensate_partition(rows, n)),
-                Seed::Pushed(records) => Some(records),
-            };
-            let input = seeded.as_deref().unwrap_or(&committed[pid]);
-            let runs = sent.iter().map(|row| row[pid].as_slice());
-            let inbound: Vec<&[Msg]> = runs.filter(|run| !run.is_empty()).collect();
-            let changed = program.fold_and_send(step, retrying, input, &inbound, rows, n, out);
+        let (from, outs) = self.store.begin(superstep);
+        let mut results = par_map(outs, ctx, from.work(), |pid, (_, out)| {
+            let changed = from.step(pid, step, retrying, &from.sent_to(pid), out);
             let shuffled = out.runs.iter().map(Vec::len).sum::<usize>() as u64;
             StepResult { pid, changed, shuffled }
         })?;
-        let committed = self.committed.iter_mut().zip(&mut self.sent);
-        for ((state, sent), spare) in committed.zip(&mut self.spare) {
-            std::mem::swap(state, &mut spare.state);
-            std::mem::swap(sent, &mut spare.runs);
-        }
+        self.store.commit();
         self.retrying = false;
         if retrying {
             keep_running(&mut results);
         }
-        Ok((results, cut.then(|| self.committed.clone())))
+        let states = || self.store.committed().map(|(_, state)| state.to_vec()).collect();
+        Ok((results, cut.then(states)))
     }
 
     fn pull(&mut self) -> Result<Vec<Vec<Record>>> {
-        Ok(std::mem::take(&mut self.committed))
+        Ok(self.store.committed().map(|(_, state)| state.to_vec()).collect())
     }
 }
 
@@ -790,7 +764,7 @@ struct ClusterBackend {
     /// rollback and by a rescale, cleared on commit. Under a non-rollback
     /// strategy these are exactly the supersteps whose inbound history is
     /// not exact, so a worker runs such a `StepReset` as a full-send
-    /// superstep ([`ClusterProgram::full_send_step`]); under a rollback
+    /// superstep ([`ClusterProgram::fold_and_send`]); under a rollback
     /// strategy the workers regenerate the messages of the state they step
     /// from, which makes the history exact again.
     reset: bool,
@@ -1017,17 +991,13 @@ impl ClusterBackend {
                     worker,
                     reconnect_attempts: attempts,
                 });
-                let (detection, detect_ns) =
-                    match self.pending_recovery.iter().position(|p| p.worker == worker) {
-                        Some(i) => {
-                            let pending = self.pending_recovery.remove(i);
-                            (pending.detection, pending.detect_ns)
-                        }
-                        // A slot can be empty without a recorded loss only on
-                        // paths that never got to fail() — bill it as unknown
-                        // rather than dropping the respawn cost.
-                        None => ("unknown", 0),
-                    };
+                let pending = self.pending_recovery.iter().position(|p| p.worker == worker);
+                let pending = pending.map(|i| self.pending_recovery.remove(i));
+                // A slot can be empty without a recorded loss only on paths
+                // that never got to fail() — bill it as unknown rather than
+                // dropping the respawn cost.
+                let (detection, detect_ns) = pending
+                    .map_or(("unknown", 0), |pending| (pending.detection, pending.detect_ns));
                 self.telemetry.emit(|| JournalEvent::RecoveryCost {
                     superstep,
                     worker,
@@ -1243,32 +1213,22 @@ impl ClusterBackend {
         frames.sort_unstable_by_key(|&(worker, seq, _)| (worker, seq));
         for (worker, seq, spans) in frames {
             for (pid, phase, records, duration_ns) in spans {
-                let (label, histogram) = match phase {
-                    SPAN_PHASE_COMPUTE => ("compute", &self.worker_compute),
-                    SPAN_PHASE_SHUFFLE => ("shuffle", &self.worker_shuffle),
-                    SPAN_PHASE_EXCHANGE => ("exchange", &self.worker_exchange),
+                let (label, histogram, observed) = match phase {
+                    SPAN_PHASE_COMPUTE => ("compute", &self.worker_compute, duration_ns),
+                    SPAN_PHASE_SHUFFLE => ("shuffle", &self.worker_shuffle, duration_ns),
+                    SPAN_PHASE_EXCHANGE => ("exchange", &self.worker_exchange, duration_ns),
+                    // Data-plane byte accounting: `pid` is the peer the bytes
+                    // went to, `records` the bytes, `duration_ns` the frame
+                    // count. Billed to the *sending* worker (the connection
+                    // the row arrived on) and kept out of the duration
+                    // histograms.
                     SPAN_PHASE_PEER_BYTES => {
-                        // Data-plane byte accounting: `pid` is the peer the
-                        // bytes went to, `records` the bytes, `duration_ns`
-                        // the frame count. Billed to the *sending* worker
-                        // (the connection the row arrived on) and kept out
-                        // of the duration histograms.
                         self.data_bytes_out.add(records);
-                        self.peer_bytes.observe(worker, records);
-                        self.telemetry.emit(|| JournalEvent::WorkerSpan {
-                            superstep,
-                            worker,
-                            seq,
-                            pid: pid as usize,
-                            span: "peer_bytes".to_string(),
-                            records,
-                            duration_ns,
-                        });
-                        continue;
+                        ("peer_bytes", &self.peer_bytes, records)
                     }
                     _ => continue,
                 };
-                histogram.observe(worker, duration_ns);
+                histogram.observe(worker, observed);
                 self.telemetry.emit(|| JournalEvent::WorkerSpan {
                     superstep,
                     worker,
@@ -1303,6 +1263,11 @@ impl ClusterBackend {
         if self.chaos.is_empty() {
             return (send_delay, recv_delay);
         }
+        let telemetry = self.telemetry.clone();
+        let injected = |worker, kind: &str, param| {
+            let kind = kind.to_string();
+            telemetry.emit(|| JournalEvent::ChaosInjected { superstep, worker, kind, param });
+        };
 
         // Kills drain from the plan: each fires exactly once even though
         // the superstep is re-attempted after the failure. Several kills on
@@ -1319,12 +1284,7 @@ impl ClusterBackend {
                 continue;
             }
             self.kill_worker(plan.worker);
-            self.telemetry.emit(|| JournalEvent::ChaosInjected {
-                superstep,
-                worker: plan.worker,
-                kind: "kill".to_string(),
-                param: 0,
-            });
+            injected(plan.worker, "kill", 0);
         }
 
         for link in self.chaos.links.clone() {
@@ -1333,12 +1293,7 @@ impl ClusterBackend {
             }
             if !link.delay.is_zero() {
                 send_delay[link.worker] = Some(link.delay);
-                self.telemetry.emit(|| JournalEvent::ChaosInjected {
-                    superstep,
-                    worker: link.worker,
-                    kind: "link_delay".to_string(),
-                    param: link.delay.as_millis() as u64,
-                });
+                injected(link.worker, "link_delay", link.delay.as_millis() as u64);
             }
             if link.drop_probability > 0.0
                 && chaos_coin(link.seed, superstep, link.worker) < link.drop_probability
@@ -1350,12 +1305,7 @@ impl ClusterBackend {
                 if let Some(handle) = self.slots[link.worker].as_ref() {
                     let _ = handle.stream.shutdown(std::net::Shutdown::Both);
                 }
-                self.telemetry.emit(|| JournalEvent::ChaosInjected {
-                    superstep,
-                    worker: link.worker,
-                    kind: "link_drop".to_string(),
-                    param: 0,
-                });
+                injected(link.worker, "link_drop", 0);
             }
         }
 
@@ -1364,12 +1314,7 @@ impl ClusterBackend {
                 continue;
             }
             recv_delay[straggler.worker] = Some(straggler.delay);
-            self.telemetry.emit(|| JournalEvent::ChaosInjected {
-                superstep,
-                worker: straggler.worker,
-                kind: "straggler".to_string(),
-                param: straggler.delay.as_millis() as u64,
-            });
+            injected(straggler.worker, "straggler", straggler.delay.as_millis() as u64);
         }
         (send_delay, recv_delay)
     }
@@ -1532,35 +1477,32 @@ impl ClusterBackend {
                         Some(&self.bytes_in),
                     )
                 });
-                match frame {
+                let (lost, violation) = match frame {
+                    Ok(
+                        Message::StepDone { superstep: rss, .. }
+                        | Message::PartState { superstep: rss, .. }
+                        | Message::StepFailed { superstep: rss, .. },
+                    ) if rss < superstep => continue,
                     Ok(Message::StepDone { pid: rpid, superstep: rss, changed, shuffled }) => {
-                        if rss < superstep {
-                            continue;
-                        }
                         if rss == superstep && rpid == pid as u64 && cut == pulled.is_some() {
                             results.push(StepResult { pid, changed, shuffled });
                             states.extend(pulled);
                             break;
                         }
-                        return Err(self.fail(
+                        (
                             worker,
-                            superstep,
                             format!("protocol violation: StepDone for pid {rpid} superstep {rss}"),
-                        ));
+                        )
                     }
                     Ok(Message::PartState { pid: rpid, superstep: rss, state }) => {
-                        if rss < superstep {
-                            continue;
-                        }
                         if rss == superstep && rpid == pid as u64 && cut {
                             pulled = Some(state);
                             continue;
                         }
-                        return Err(self.fail(
+                        (
                             worker,
-                            superstep,
                             format!("protocol violation: PartState for pid {rpid} superstep {rss}"),
-                        ));
+                        )
                     }
                     Ok(Message::TelemetryFrame { superstep: rss, seq, spans, .. }) => {
                         // Attribution by connection (the slot index), not by
@@ -1568,47 +1510,32 @@ impl ClusterBackend {
                         if rss == superstep {
                             pending_spans.push((worker, seq, spans));
                         }
+                        continue;
                     }
-                    Ok(Message::StepFailed { superstep: rss, waiting_on }) => {
-                        if rss < superstep {
-                            continue;
-                        }
-                        // A worker gave up waiting for peer data: the peer it
-                        // names is the loss; this worker computed nothing and
-                        // is intact. Declaring the peer lost SIGKILLs it (see
-                        // `fail`), so a slow-but-alive straggler cannot leak
-                        // frames into the retry either.
-                        // A blamed peer index can be stale after a scale-down
-                        // (the worker waited on a member that since left);
-                        // out-of-range blame falls back to the reporter.
-                        let lost = waiting_on
-                            .first()
-                            .map(|&w| w as usize)
-                            .filter(|&w| w < self.slots.len())
-                            .unwrap_or(worker);
-                        return Err(self.fail(
+                    // A worker gave up waiting for peer data: the peer it
+                    // names is the loss; this worker computed nothing and is
+                    // intact. Declaring the peer lost SIGKILLs it (see
+                    // `fail`), so a slow-but-alive straggler cannot leak
+                    // frames into the retry either. A blamed peer index can
+                    // be stale after a scale-down (the worker waited on a
+                    // member that since left); out-of-range blame falls back
+                    // to the reporter.
+                    Ok(Message::StepFailed { waiting_on, .. }) => {
+                        let blamed = waiting_on.first().map(|&w| w as usize);
+                        let lost = blamed.filter(|&w| w < self.slots.len()).unwrap_or(worker);
+                        (
                             lost,
-                            superstep,
                             format!(
                                 "worker {worker} timed out waiting for data from {waiting_on:?}"
                             ),
-                        ));
+                        )
                     }
                     Ok(other) => {
-                        return Err(self.fail(
-                            worker,
-                            superstep,
-                            format!("protocol violation: expected StepDone, got {other:?}"),
-                        ));
+                        (worker, format!("protocol violation: expected StepDone, got {other:?}"))
                     }
-                    Err(e) => {
-                        return Err(self.fail(
-                            worker,
-                            superstep,
-                            format!("reading StepDone failed: {e}"),
-                        ));
-                    }
-                }
+                    Err(e) => (worker, format!("reading StepDone failed: {e}")),
+                };
+                return Err(self.fail(lost, superstep, violation));
             }
         }
         self.merge_telemetry(superstep, pending_spans);
@@ -1800,13 +1727,11 @@ type SharedBackend = Arc<parking_lot::Mutex<Box<dyn StepBackend>>>;
 
 /// The distributed-superstep operator injected into the iteration body. It
 /// runs the logical step the driver computes: the count of committed
-/// supersteps, rewound with the state on a restore or a restart.
+/// supersteps, rewound with the state on a restore or a restart. A
+/// superstep after which the recovery handler reads the state
+/// ([`ExecContext::reads_state`]) brings the partitions' state up.
 struct ClusterStepOp {
     backend: SharedBackend,
-    /// The cut interval of a rollback strategy: a superstep whose logical
-    /// step [`cut_due`] names brings the partitions' state up for the
-    /// handler to write.
-    cuts: Option<u32>,
 }
 
 impl DynOp for ClusterStepOp {
@@ -1814,8 +1739,8 @@ impl DynOp for ClusterStepOp {
         let superstep = ctx.superstep().unwrap_or(0);
         let iteration = ctx.iteration().unwrap_or(0);
         let state: &ClusterState = inputs[0].downcast_ref("ClusterStep(state)")?;
-        let cut = self.cuts.is_some_and(|interval| cut_due(interval, iteration));
         let step = u64::from(iteration);
+        let cut = ctx.reads_state();
         let (results, states) = self.backend.lock().run_step(superstep, step, state, cut, ctx)?;
 
         // Commit: the convergence counts, and the state if it came up.
@@ -2032,7 +1957,7 @@ fn run_with_backend(
     // the step the backend runs, with the state; optimistic recovery
     // recomputes forward and needs no cut. A zero interval is rejected here,
     // by the handlers' constructors.
-    let cuts = match strategy {
+    match strategy {
         ClusterStrategy::Optimistic => {
             // The owners of the lost partitions rebuild them from the
             // (loop-invariant) adjacency with the program's compensation
@@ -2047,23 +1972,17 @@ fn run_with_backend(
             );
             iteration
                 .set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
-            None
         }
         ClusterStrategy::Checkpoint { interval } => {
             let handler = CheckpointHandler::new(MemoryStore::new(), interval)?;
             iteration.set_fault_handler(handler.with_telemetry(telemetry));
-            Some(interval)
         }
         ClusterStrategy::AsyncSnapshot { interval } => {
             let handler = AsyncSnapshotHandler::new(MemoryStore::new(), interval)?;
             iteration.set_fault_handler(handler.with_telemetry(telemetry));
-            Some(interval)
         }
-        ClusterStrategy::Restart => {
-            iteration.set_fault_handler(RestartHandler);
-            None
-        }
-    };
+        ClusterStrategy::Restart => iteration.set_fault_handler(RestartHandler),
+    }
     // What changed is what the partitions' programs counted.
     iteration.set_convergence_probe(|_: &ClusterState, next: &ClusterState| ConvergenceMeasure {
         changed_per_partition: next.changed.clone(),
@@ -2075,7 +1994,7 @@ fn run_with_backend(
     let step = body.custom_node::<Record>(
         "cluster-step",
         vec![state.node_id()],
-        Box::new(ClusterStepOp { backend: backend.clone(), cuts }),
+        Box::new(ClusterStepOp { backend: backend.clone() }),
     );
     let probe = body.custom_node::<u8>(
         "changed-probe",
@@ -2123,6 +2042,8 @@ fn merge_by_vertex(parts: &[Vec<Record>], n: u64) -> Result<Vec<Record>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::StepBuffers;
+    use crate::protocol::Msg;
     use graphs::GraphBuilder;
 
     #[test]

@@ -24,11 +24,13 @@
 //! neighbours. After it every vertex has again been sent all its neighbours'
 //! current values, and change-only sending is exact from there on.
 
+use std::collections::BTreeMap;
+use std::io;
 use std::sync::Arc;
 
 use graphs::Graph;
 
-use crate::protocol::{AdjRows, Msg, Record};
+use crate::protocol::{AdjRows, Msg, Record, Seed};
 
 /// PageRank damping factor (the paper's standard 0.85).
 pub const PAGERANK_DAMPING: f64 = 0.85;
@@ -91,6 +93,177 @@ impl StepBuffers {
     }
 }
 
+/// The partitions one process steps, and the only copy of their state: per
+/// partition its rows, what the last committed superstep left it — its state
+/// and the runs it routed — and the kept buffers the next superstep writes.
+/// A superstep steps every partition from its committed side into its
+/// buffers; only [`Self::commit`] swaps the two, so an attempt that fails
+/// leaves what its retry steps from untouched. The in-process backend holds
+/// one over every partition and commits each superstep that succeeds; a
+/// worker holds one over its share and [`Self::settle`]s it once the next
+/// frame names the last committed superstep.
+pub(crate) struct PartitionStore {
+    program: Arc<dyn ClusterProgram>,
+    n: u64,
+    /// Runs each partition routes to: the partition count in process, one
+    /// on a worker, whose data plane routes further.
+    runs: usize,
+    /// The held partitions, ascending by pid.
+    held: Vec<Held>,
+    /// The chronological superstep the buffers hold, from [`Self::begin`]
+    /// until it is settled.
+    pending: Option<u32>,
+}
+
+struct Held {
+    pid: u64,
+    rows: AdjRows,
+    committed: StepBuffers,
+    tentative: StepBuffers,
+}
+
+/// One superstep over a [`PartitionStore`]: what every held partition steps
+/// from, in pid order and shared by all — so the partitions may step in
+/// parallel, each into its own buffers.
+pub(crate) struct Superstep<'a> {
+    program: &'a dyn ClusterProgram,
+    n: u64,
+    from: Vec<(&'a AdjRows, &'a StepBuffers)>,
+}
+
+impl Superstep<'_> {
+    /// Step the `i`-th held partition from its committed state and `inbound`
+    /// into `out`, its own buffers: [`ClusterProgram::fold_and_send`].
+    pub(crate) fn step(
+        &self,
+        i: usize,
+        step: u64,
+        full: bool,
+        inbound: &[&[Msg]],
+        out: &mut StepBuffers,
+    ) -> u64 {
+        let (rows, committed) = self.from[i];
+        self.program.fold_and_send(step, full, &committed.state, inbound, rows, self.n, out)
+    }
+
+    /// The non-empty runs the committed superstep routed to the `i`-th
+    /// partition: its whole inbound where every partition is held here and
+    /// routes to every other.
+    pub(crate) fn sent_to(&self, i: usize) -> Vec<&[Msg]> {
+        let runs = self.from.iter().map(|(_, committed)| committed.runs[i].as_slice());
+        runs.filter(|run| !run.is_empty()).collect()
+    }
+
+    /// The records the committed sides hold, states and runs: the work.
+    pub(crate) fn work(&self) -> usize {
+        let held =
+            |from: &StepBuffers| from.state.len() + from.runs.iter().map(Vec::len).sum::<usize>();
+        self.from.iter().map(|(_, committed)| held(committed)).sum()
+    }
+}
+
+impl PartitionStore {
+    /// An empty store of `program` over `n` vertices whose partitions each
+    /// route to `runs` runs.
+    pub(crate) fn new(program: Arc<dyn ClusterProgram>, n: u64, runs: usize) -> Self {
+        PartitionStore { program, n, runs, held: Vec::new(), pending: None }
+    }
+
+    /// Hold the partitions `parts` gives the rows of: one held already keeps
+    /// its committed and tentative sides, a new one starts empty, and any
+    /// other is dropped.
+    pub(crate) fn load(&mut self, mut parts: Vec<(u64, AdjRows)>) {
+        parts.sort_unstable_by_key(|&(pid, _)| pid);
+        let mut held = std::mem::take(&mut self.held).into_iter().peekable();
+        for (pid, rows) in parts {
+            while held.next_if(|part| part.pid < pid).is_some() {}
+            let fresh = || (StepBuffers::routing_to(self.runs), StepBuffers::routing_to(self.runs));
+            let (committed, tentative) = held
+                .next_if(|part| part.pid == pid)
+                .map_or_else(fresh, |part| (part.committed, part.tentative));
+            self.held.push(Held { pid, rows, committed, tentative });
+        }
+    }
+
+    /// Hold exactly the partitions `parts` names, dropping the rest, and
+    /// seed each as it says: [`Seed::Committed`] keeps its committed state,
+    /// any other replaces it. Fails on a partition without rows here, or one
+    /// left with a committed state its rows do not align with.
+    pub(crate) fn seed(&mut self, parts: Vec<(u64, Seed)>) -> io::Result<()> {
+        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
+        let mut seeds: BTreeMap<u64, Seed> = parts.into_iter().collect();
+        if let Some(pid) = seeds.keys().find(|&&pid| self.held.iter().all(|part| part.pid != pid)) {
+            return Err(invalid(format!("partition {pid} has no rows here")));
+        }
+        let (program, n) = (&self.program, self.n);
+        self.held.retain_mut(|Held { pid, rows, committed, .. }| {
+            committed.state = match seeds.remove(pid) {
+                None => return false,
+                Some(Seed::Committed) => return true,
+                Some(Seed::Init) => program.init_partition(rows, n),
+                Some(Seed::Compensate) => program.compensate_partition(rows, n),
+                Some(Seed::Pushed(records)) => records,
+            };
+            true
+        });
+        match self.held.iter().find(|part| part.committed.state.len() != part.rows.len()) {
+            Some(part) => {
+                Err(invalid(format!("partition {} has no committed state here", part.pid)))
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// The messages the `i`-th held partition's committed state sends:
+    /// [`ClusterProgram::emit`].
+    pub(crate) fn emit(&self, i: usize) -> Vec<Msg> {
+        let part = &self.held[i];
+        self.program.emit(&part.committed.state, &part.rows, self.n)
+    }
+
+    /// Start chronological superstep `superstep`: what the partitions step
+    /// from, and each held partition's pid and buffers, in pid order.
+    pub(crate) fn begin(
+        &mut self,
+        superstep: u32,
+    ) -> (Superstep<'_>, Vec<(u64, &mut StepBuffers)>) {
+        self.pending = Some(superstep);
+        let parts = self.held.iter_mut();
+        let (from, outs) = parts
+            .map(|part| ((&part.rows, &part.committed), (part.pid, &mut part.tentative)))
+            .unzip();
+        (Superstep { program: &*self.program, n: self.n, from }, outs)
+    }
+
+    /// The state the `i`-th held partition's latest superstep left.
+    pub(crate) fn tentative(&self, i: usize) -> &[Record] {
+        &self.held[i].tentative.state
+    }
+
+    /// Each held partition's pid and committed state, in pid order.
+    pub(crate) fn committed(&self) -> impl Iterator<Item = (u64, &[Record])> {
+        self.held.iter().map(|part| (part.pid, part.committed.state.as_slice()))
+    }
+
+    /// Make what the latest superstep wrote the committed sides, keeping
+    /// what they held as the next superstep's buffers.
+    pub(crate) fn commit(&mut self) {
+        for part in &mut self.held {
+            std::mem::swap(&mut part.committed, &mut part.tentative);
+        }
+        self.pending = None;
+    }
+
+    /// Commit the latest superstep if it is `committed`, the last committed
+    /// superstep; otherwise it failed somewhere, and what it wrote is left
+    /// to be overwritten.
+    pub(crate) fn settle(&mut self, committed: Option<u32>) {
+        if self.pending.take().is_some_and(|superstep| Some(superstep) == committed) {
+            self.commit();
+        }
+    }
+}
+
 /// A distributed iterative vertex program.
 ///
 /// Invariants shared by all methods:
@@ -107,7 +280,8 @@ impl StepBuffers {
 /// asserts the layout once per call, and it and
 /// [`Self::compensate_partition`] preserve it. [`Self::step`],
 /// [`Self::full_send_step`] and [`Self::emit`] are provided wrappers over
-/// that one body (one run in, one out): the workers call them.
+/// that one body (one run in, one out) for tests and the harness; both
+/// backends step through a `PartitionStore`, and a restore emits.
 pub trait ClusterProgram: Send + Sync {
     /// Registry name, also used in telemetry (`"cc"`, `"pagerank"`).
     fn name(&self) -> &'static str;
@@ -969,5 +1143,140 @@ mod tests {
                 program.init_partition(&rows[1], 6),
             );
         }
+    }
+
+    /// CC whose compensation sets every label to 0, so a compensated
+    /// partition is told apart from an initialised one.
+    struct ZeroCompensation;
+
+    impl ClusterProgram for ZeroCompensation {
+        fn name(&self) -> &'static str {
+            "cc"
+        }
+
+        fn init_partition(&self, rows: &[(u64, Vec<u64>)], n: u64) -> Vec<Record> {
+            CcProgram.init_partition(rows, n)
+        }
+
+        fn compensate_partition(&self, rows: &[(u64, Vec<u64>)], _n: u64) -> Vec<Record> {
+            rows.iter().map(|&(v, _)| (v, 0)).collect()
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn fold_and_send(
+            &self,
+            step: u64,
+            full_send: bool,
+            state: &[Record],
+            inbound: &[&[Msg]],
+            rows: &[(u64, Vec<u64>)],
+            n: u64,
+            out: &mut StepBuffers,
+        ) -> u64 {
+            CcProgram.fold_and_send(step, full_send, state, inbound, rows, n, out)
+        }
+    }
+
+    /// A store of `program` over the 40-vertex test graph's partitions
+    /// `pids` of four, routing to one run.
+    fn store_of(program: Arc<dyn ClusterProgram>, pids: &[u64]) -> PartitionStore {
+        let mut store = PartitionStore::new(program, 40, 1);
+        store.load(held_rows(pids));
+        store
+    }
+
+    fn held_rows(pids: &[u64]) -> Vec<(u64, AdjRows)> {
+        let rows = partition_rows(&graphs::generators::preferential_attachment(40, 3, 5), 4);
+        pids.iter().map(|&pid| (pid, rows[pid as usize].clone())).collect()
+    }
+
+    /// Arbitrary records aligned with partition `pid`'s rows.
+    fn records_of(pid: u64, salt: u64) -> Vec<Record> {
+        let rows = &held_rows(&[pid])[0].1;
+        rows.iter().map(|&(v, _)| (v, (v ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15))).collect()
+    }
+
+    fn committed_of(store: &PartitionStore) -> Vec<(u64, Vec<Record>)> {
+        store.committed().map(|(pid, state)| (pid, state.to_vec())).collect()
+    }
+
+    /// Step every held partition of `store` as PageRank's logical step 1
+    /// from an empty inbound, as chronological superstep `superstep`.
+    fn step_all(store: &mut PartitionStore, superstep: u32) {
+        let (from, outs) = store.begin(superstep);
+        for (i, (_, out)) in outs.into_iter().enumerate() {
+            from.step(i, 1, false, &[], out);
+        }
+    }
+
+    #[test]
+    fn a_store_seeds_each_partition_as_its_seed_says() {
+        let program: Arc<dyn ClusterProgram> = Arc::new(ZeroCompensation);
+        let mut store = store_of(program.clone(), &[0, 1, 2, 3]);
+        let init = |pid: u64| program.init_partition(&held_rows(&[pid])[0].1, 40);
+        let zeroed = |pid: u64| program.compensate_partition(&held_rows(&[pid])[0].1, 40);
+        assert_ne!(init(1), zeroed(1));
+        let pushed = |pid: u64| Seed::Pushed(records_of(pid, 1));
+        store
+            .seed(vec![(0, pushed(0)), (1, Seed::Init), (2, Seed::Init), (3, Seed::Init)])
+            .unwrap();
+        let seeds = vec![(0, Seed::Committed), (1, Seed::Compensate), (3, Seed::Init)];
+        store.seed(seeds).unwrap();
+        // Partition 2 is not named: it is dropped with its rows.
+        assert_eq!(committed_of(&store), [(0, records_of(0, 1)), (1, zeroed(1)), (3, init(3))]);
+        let err = store.seed(vec![(2, Seed::Init)]).unwrap_err();
+        assert!(err.to_string().contains("partition 2 has no rows here"), "{err}");
+        // Records that do not cover a partition's rows leave it no state.
+        let short = Seed::Pushed(records_of(1, 2)[1..].to_vec());
+        let err = store.seed(vec![(0, Seed::Committed), (1, short)]).unwrap_err();
+        assert!(err.to_string().contains("partition 1 has no committed state"), "{err}");
+    }
+
+    #[test]
+    fn settling_commits_only_the_superstep_it_names() {
+        let mut store = store_of(lookup("pagerank").unwrap(), &[0, 1, 2]);
+        let pushed = |pid: u64| (pid, Seed::Pushed(records_of(pid, 3)));
+        store.seed(vec![pushed(0), pushed(1), pushed(2)]).unwrap();
+        let before = committed_of(&store);
+        // Superstep 5 steps; a frame naming 4, or no superstep, as the last
+        // committed one drops it, and nothing is left to settle after that.
+        for named in [Some(4), None] {
+            step_all(&mut store, 5);
+            let stepped: Vec<Vec<Record>> = (0..3).map(|i| store.tentative(i).to_vec()).collect();
+            assert!(stepped.iter().zip(&before).all(|(new, (_, old))| new != old));
+            store.settle(named);
+            assert_eq!(committed_of(&store), before, "{named:?}");
+            store.settle(Some(5));
+            assert_eq!(committed_of(&store), before, "{named:?}");
+        }
+        step_all(&mut store, 6);
+        let stepped: Vec<Vec<Record>> = (0..3).map(|i| store.tentative(i).to_vec()).collect();
+        store.settle(Some(6));
+        let committed: Vec<Vec<Record>> = committed_of(&store).into_iter().map(|c| c.1).collect();
+        assert_eq!(committed, stepped);
+    }
+
+    #[test]
+    fn a_reload_keeps_what_it_retains_bitwise_and_drops_the_rest() {
+        // Committed state pushed, tentative state stepped and not yet
+        // settled: a reload to a subset, then to a superset, keeps both
+        // sides of partitions 0 and 2, and the pending superstep with them.
+        let mut store = store_of(lookup("pagerank").unwrap(), &[0, 1, 2]);
+        let pushed = |pid: u64| (pid, Seed::Pushed(records_of(pid, 4)));
+        store.seed(vec![pushed(0), pushed(1), pushed(2)]).unwrap();
+        step_all(&mut store, 7);
+        let sides = |store: &PartitionStore| -> Vec<(u64, Vec<Record>, Vec<Record>)> {
+            let committed = committed_of(store).into_iter().enumerate();
+            committed.map(|(i, (pid, c))| (pid, c, store.tentative(i).to_vec())).collect()
+        };
+        let before = sides(&store);
+        store.load(held_rows(&[2, 0]));
+        assert_eq!(sides(&store), [before[0].clone(), before[2].clone()]);
+        store.load(held_rows(&[0, 1, 2, 3]));
+        let empty = |pid| (pid, vec![], vec![]);
+        assert_eq!(sides(&store), [before[0].clone(), empty(1), before[2].clone(), empty(3)]);
+        store.settle(Some(7));
+        let committed: Vec<Vec<Record>> = committed_of(&store).into_iter().map(|c| c.1).collect();
+        assert_eq!(committed, [before[0].2.clone(), vec![], before[2].2.clone(), vec![]]);
     }
 }

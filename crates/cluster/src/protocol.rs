@@ -313,7 +313,7 @@ pub enum Message {
     /// `committed`, and otherwise rolls back to its committed state. Unless
     /// `inbound` is [`Inbound::Regenerate`] the inbound history is not
     /// exact, so the worker runs the superstep as a full-send one
-    /// ([`crate::program::ClusterProgram::full_send_step`]); a regenerated
+    /// ([`crate::program::ClusterProgram::fold_and_send`]); a regenerated
     /// superstep is change-driven like any other.
     StepReset {
         /// Chronological superstep.

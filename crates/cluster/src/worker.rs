@@ -5,9 +5,9 @@
 //! A worker binds an ephemeral (or explicitly requested) port, announces it
 //! on stdout as `OPTIREC_WORKER_LISTENING <port>` — the coordinator reads
 //! that line from the child's pipe — and then serves connections forever.
-//! Each connection gets its own thread over one shared `WorkerState`, so
-//! heartbeat probes (which never touch the state) are answered even while a
-//! superstep is being computed on the control connection.
+//! Each connection gets its own thread, so heartbeat probes are answered even
+//! while a superstep is being computed on the control connection, which
+//! alone holds the partitions (in a `PartitionStore`).
 //!
 //! The same listener serves both planes: the coordinator's control
 //! connection, and incoming peer connections carrying
@@ -24,15 +24,15 @@
 //! ([`Inbound::Regenerate`]).
 //!
 //! The state is double-buffered. A superstep computes from the committed
-//! state and leaves its output tentative; the next dispatch names the last
+//! state and leaves its output tentative; the next frame names the last
 //! committed superstep, and the tentative state becomes the committed one
-//! only if it is that superstep's — otherwise (the superstep failed
-//! elsewhere) it is dropped, so a retry computes from what the failed
-//! attempt started from without anything being pushed. A [`Message::StepReset`]
-//! says where else a partition's state comes from ([`Seed`]: the program's
-//! init or compensation, or pushed records), and the state travels up only
-//! when the coordinator reads it: on a cut dispatch and on a
-//! [`Message::Pull`].
+//! only if it is that superstep's (`PartitionStore::settle`) — otherwise
+//! (the superstep failed elsewhere) it is dropped, so a retry computes from
+//! what the failed attempt started from without anything being pushed. A
+//! [`Message::StepReset`] says where else a partition's state comes from
+//! ([`crate::protocol::Seed`]: the program's init or compensation, or pushed
+//! records), and the state travels up only when the coordinator reads it: on
+//! a cut dispatch and on a [`Message::Pull`].
 //!
 //! A cross-worker message is copied once on each side: encoded from the
 //! step's outbound into the frame buffer the socket write reads, and decoded
@@ -52,7 +52,6 @@
 //! `optirec-worker worker=<id> …` lines so a kill-storm is debuggable from
 //! the process logs alone.
 
-use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -60,13 +59,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use dataflow::codec::encode_to_vec;
-use parking_lot::Mutex;
 
 use crate::exchange::DataPlane;
-use crate::program::{lookup, ClusterProgram};
+use crate::program::{lookup, PartitionStore};
 use crate::protocol::{
-    encode_part_state, read_frame_buffered, write_encoded_frame, write_frame, AdjRows, Inbound,
-    Message, Msg, Record, Seed, ShuffleFrameBuf, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
+    encode_part_state, read_frame_buffered, write_encoded_frame, write_frame, Inbound, Message,
+    Msg, Seed, ShuffleFrameBuf, SpanRow, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE,
     SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 
@@ -90,28 +88,10 @@ pub const SHUFFLE_BATCH_MSGS: usize = 8192;
 /// the control connection's `Hello`; lines logged before it arrives say
 /// `worker=?`.
 fn wlog(worker: Option<u64>, superstep: Option<u32>, event: &str, detail: &str) {
-    let mut line = String::from("optirec-worker worker=");
-    match worker {
-        Some(id) => line.push_str(&id.to_string()),
-        None => line.push('?'),
-    }
-    if let Some(s) = superstep {
-        line.push_str(&format!(" superstep={s}"));
-    }
-    line.push_str(&format!(" event={event}"));
-    if !detail.is_empty() {
-        line.push(' ');
-        line.push_str(detail);
-    }
-    eprintln!("{line}");
-}
-
-/// Program + adjacency installed by `LoadProgram`, shared across connections.
-#[derive(Default)]
-struct WorkerState {
-    program: Option<Arc<dyn ClusterProgram>>,
-    n: u64,
-    adjacency: HashMap<u64, Arc<AdjRows>>,
+    let worker = worker.map_or_else(|| "?".to_string(), |id| id.to_string());
+    let superstep = superstep.map(|s| format!(" superstep={s}")).unwrap_or_default();
+    let detail = if detail.is_empty() { String::new() } else { format!(" {detail}") };
+    eprintln!("optirec-worker worker={worker}{superstep} event={event}{detail}");
 }
 
 /// Direct-data-plane context of the control connection, rebuilt from every
@@ -131,41 +111,9 @@ struct DirectCtx {
     /// so routing a message is one table read. Its length is the partition
     /// count.
     routes: Vec<Route>,
-    /// The partitions' state, double-buffered across membership changes.
-    state: PartitionStates,
     /// Encode buffer of the [`Message::PartState`] replies, kept across
     /// supersteps.
     reply: Vec<u8>,
-}
-
-/// The state of the partitions a worker owns: the only copy there is.
-#[derive(Default)]
-struct PartitionStates {
-    /// Each partition's state as the last committed superstep left it.
-    committed: HashMap<u64, Vec<Record>>,
-    /// What the latest superstep left, until a frame from the coordinator
-    /// says whether that superstep committed: its chronological superstep
-    /// and each partition's new state.
-    tentative: Option<(u32, HashMap<u64, Vec<Record>>)>,
-}
-
-impl PartitionStates {
-    /// Keep the tentative state if its superstep is `committed`, the last
-    /// committed superstep; drop it otherwise (the superstep it came from
-    /// failed somewhere), leaving the committed state as it was.
-    fn settle(&mut self, committed: Option<u32>) {
-        if let Some((superstep, states)) = self.tentative.take() {
-            if Some(superstep) == committed {
-                self.committed.extend(states);
-            }
-        }
-    }
-
-    /// The committed state of `pid`.
-    fn committed(&self, pid: u64) -> io::Result<&Vec<Record>> {
-        let missing = || invalid(format!("partition {pid} has no committed state here"));
-        self.committed.get(&pid).ok_or_else(missing)
-    }
 }
 
 /// Where the messages addressed to one partition go.
@@ -364,35 +312,33 @@ pub fn run(listen: &str) -> io::Result<()> {
     println!("{LISTENING_MARKER} {port}");
     io::stdout().flush()?;
 
-    let shared = Arc::new(Mutex::new(WorkerState::default()));
     let plane = Arc::new(DataPlane::default());
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
-        let shared = shared.clone();
         let plane = plane.clone();
         thread::spawn(move || {
             // Connection teardown is the coordinator's problem: a worker
             // neither logs nor propagates per-connection errors.
-            let _ = serve(stream, shared, plane);
+            let _ = serve(stream, plane);
         });
     }
     Ok(())
 }
 
-fn serve(
-    mut stream: TcpStream,
-    shared: Arc<Mutex<WorkerState>>,
-    plane: Arc<DataPlane>,
-) -> io::Result<()> {
+fn serve(mut stream: TcpStream, plane: Arc<DataPlane>) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     // Telemetry coordinates are per control connection: the coordinator
     // sends every step dispatch of a superstep down one connection, so a
     // connection-local (superstep, seq) pair is a deterministic merge key
     // even though the process serves several connections.
     let mut worker: Option<u64> = None;
-    let mut telemetry_superstep: u32 = 0;
-    let mut seq: u64 = 0;
+    // The superstep being reported and the sequence number of its next
+    // telemetry frame.
+    let mut telemetry: (u32, u64) = (0, 0);
     let mut ctx: Option<DirectCtx> = None;
+    // The partitions `LoadProgram` gives this worker, held across
+    // membership changes: the only copy of their state.
+    let mut store: Option<PartitionStore> = None;
     // Set once this connection identifies itself as a peer data-plane link
     // (via `PeerHello`), so teardown can tell the inbox the peer is gone.
     let mut peer_identity: Option<(u64, u64)> = None;
@@ -419,17 +365,12 @@ fn serve(
                     let detail =
                         format!("program={program} partitions={partitions} n={n} bytes={bytes}");
                     wlog(worker, None, "load_program", &detail);
-                    let mut state = shared.lock();
-                    state.program = Some(resolved);
-                    state.n = n;
-                    // A rejoining replacement receives its full partition set
-                    // again; stale assignments from before a redistribution are
-                    // dropped rather than merged.
-                    state.adjacency.clear();
-                    for (pid, rows) in adjacency {
-                        state.adjacency.insert(pid, Arc::new(rows));
-                    }
-                    drop(state);
+                    // A survivor a rescale reassigns receives its full new
+                    // set and keeps the state of what it still owns (a
+                    // connection serves one run: one program over one graph).
+                    store
+                        .get_or_insert_with(|| PartitionStore::new(resolved, n, 1))
+                        .load(adjacency);
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
                 Message::Membership { epoch, data_timeout_ms, peers, assignment } => {
@@ -448,77 +389,50 @@ fn serve(
                         "membership",
                         &format!("epoch={epoch} members={} pids={}", peers.len(), assignment.len()),
                     );
-                    // Survivors keep their state across a membership change:
-                    // it is the only copy.
-                    let (state, reply) = ctx.take().map(|c| (c.state, c.reply)).unwrap_or_default();
+                    let reply = ctx.take().map(|c| c.reply).unwrap_or_default();
                     ctx = Some(DirectCtx {
                         worker: my,
                         epoch,
                         data_timeout: Duration::from_millis(data_timeout_ms),
                         links,
                         routes,
-                        state,
                         reply,
                     });
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
                 Message::StepGo { superstep, step, inbound, pids, cut } => {
-                    let direct = ctx.as_mut().ok_or_else(|| invalid("StepGo before Membership"))?;
-                    if superstep != telemetry_superstep {
-                        telemetry_superstep = superstep;
-                        seq = 0;
-                        wlog(worker, Some(superstep), "step_go", &format!("pids={pids:?}"));
+                    if superstep != telemetry.0 {
+                        let detail = format!("pids={pids:?} cut={cut}");
+                        wlog(worker, Some(superstep), "step_go", &detail);
                     }
                     // A steady-state dispatch follows a commit: the slot it
                     // consumes is the committed superstep.
-                    direct.state.settle(inbound);
-                    let source = match inbound {
-                        None => Source::Inboxes(Vec::new()),
-                        Some(slot) => Source::Slot { slot, regenerate: false },
-                    };
+                    let source = inbound
+                        .map_or(Source::Empty, |slot| Source::Slot { slot, regenerate: false });
                     let parts = pids.into_iter().map(|pid| (pid, Seed::Committed)).collect();
+                    let (committed, full_send) = (inbound, false);
                     let dispatch =
-                        Dispatch { superstep, step, full_send: false, cut, source, parts };
-                    run_direct_step(&mut stream, direct, &shared, &plane, dispatch, &mut seq)?;
+                        Dispatch { superstep, step, committed, full_send, cut, source, parts };
+                    let (ctx, store) = (ctx.as_mut(), store.as_mut());
+                    run_direct_step(&mut stream, ctx, store, &plane, dispatch, &mut telemetry)?;
                 }
                 Message::StepReset { superstep, step, committed, parts, inbound, cut } => {
-                    let direct =
-                        ctx.as_mut().ok_or_else(|| invalid("StepReset before Membership"))?;
-                    if superstep != telemetry_superstep {
-                        telemetry_superstep = superstep;
-                        seq = 0;
-                    }
                     let described = match &inbound {
                         Inbound::Empty => "empty".to_string(),
                         Inbound::Slot(slot) => format!("slot:{slot}"),
                         Inbound::Regenerate => "regenerate".to_string(),
                     };
                     let pushed = parts.iter().filter(|(_, seed)| matches!(seed, Seed::Pushed(_)));
-                    let detail = format!("pushed={} inbound={described}", pushed.count());
+                    let detail = format!("pushed={} inbound={described} cut={cut}", pushed.count());
                     wlog(worker, Some(superstep), "step_reset", &detail);
-                    direct.state.settle(committed);
                     // Anything but regenerated messages marks an inbound
                     // history that is not exact: its superstep is a full-send
                     // one. A cut's state and what it sends are exact, so
                     // their superstep sends what any other would.
                     let full_send = inbound != Inbound::Regenerate;
                     let source = match inbound {
-                        Inbound::Empty => Source::Inboxes(Vec::new()),
-                        Inbound::Slot(slot) => {
-                            // Optimistic retry: the named slot is the committed
-                            // superstep, complete on survivors modulo in-flight
-                            // flushes. Wait briefly, then proceed with whatever
-                            // arrived — compensation absorbs any shortfall.
-                            if plane.wait_complete(slot, direct.data_timeout).is_err() {
-                                wlog(
-                                    worker,
-                                    Some(superstep),
-                                    "reset_slot_incomplete",
-                                    &format!("inbound_superstep={slot}"),
-                                );
-                            }
-                            Source::Inboxes(plane.take_inboxes(slot, direct.routes.len()))
-                        }
+                        Inbound::Empty => Source::Empty,
+                        Inbound::Slot(slot) => Source::Arrived(slot),
                         Inbound::Regenerate => {
                             let slot = superstep
                                 .checked_sub(1)
@@ -526,22 +440,22 @@ fn serve(
                             Source::Slot { slot, regenerate: true }
                         }
                     };
-                    let dispatch = Dispatch { superstep, step, full_send, cut, source, parts };
-                    run_direct_step(&mut stream, direct, &shared, &plane, dispatch, &mut seq)?;
+                    let dispatch =
+                        Dispatch { superstep, step, committed, full_send, cut, source, parts };
+                    let (ctx, store) = (ctx.as_mut(), store.as_mut());
+                    run_direct_step(&mut stream, ctx, store, &plane, dispatch, &mut telemetry)?;
                 }
                 Message::Pull { committed, pids } => {
-                    let direct = ctx.as_mut().ok_or_else(|| invalid("Pull before Membership"))?;
-                    direct.state.settle(Some(committed));
+                    let store = store.as_mut().ok_or_else(|| invalid("Pull before LoadProgram"))?;
+                    store.settle(Some(committed));
                     wlog(worker, Some(committed), "pull", &format!("pids={pids:?}"));
+                    let mut reply = Vec::new();
                     for pid in pids {
-                        direct.reply.clear();
-                        encode_part_state(
-                            &mut direct.reply,
-                            pid,
-                            committed,
-                            direct.state.committed(pid)?,
-                        );
-                        write_encoded_frame(&mut stream, &direct.reply, None)?;
+                        let state = store.committed().find(|&(held, _)| held == pid);
+                        let missing = || invalid(format!("partition {pid} is not held here"));
+                        reply.clear();
+                        encode_part_state(&mut reply, pid, committed, state.ok_or_else(missing)?.1);
+                        write_encoded_frame(&mut stream, &reply, None)?;
                     }
                 }
                 Message::PeerHello { from_worker, epoch } => {
@@ -609,19 +523,27 @@ fn connect_peer(port: u64) -> io::Result<TcpStream> {
 
 /// What a superstep computes from, as its worker resolves it.
 enum Source {
-    /// These inboxes, indexed by pid (none at all: nothing).
-    Inboxes(Vec<Vec<Msg>>),
+    /// Nothing.
+    Empty,
     /// The complete data-plane slot of chronological superstep `slot` —
     /// under `regenerate` filled first with what the partitions' state sends
-    /// ([`ClusterProgram::emit`]).
+    /// ([`crate::program::ClusterProgram::emit`]). A slot that does not
+    /// complete fails the superstep.
     Slot { slot: u32, regenerate: bool },
+    /// What arrives of a slot within the data timeout: the optimistic retry,
+    /// whose slot is the committed superstep, complete on survivors modulo
+    /// in-flight flushes — compensation absorbs any shortfall.
+    Arrived(u32),
 }
 
 /// One superstep as a dispatch frame orders it.
 struct Dispatch {
     superstep: u32,
     step: u64,
-    /// Run it as a full-send superstep ([`ClusterProgram::full_send_step`]).
+    /// The last committed superstep, which settles the partitions' state.
+    committed: Option<u32>,
+    /// Run it as a full-send superstep (see
+    /// [`crate::program::ClusterProgram::fold_and_send`]).
     full_send: bool,
     /// Send each partition's new state up ahead of its `StepDone`.
     cut: bool,
@@ -631,10 +553,10 @@ struct Dispatch {
     parts: Vec<(u64, Seed)>,
 }
 
-/// Run one whole superstep over this worker's partitions: seed each
-/// partition's committed state as the dispatch says, resolve the inbound
-/// (regenerating it first if the dispatch says so), compute each partition
-/// against it into the tentative state, route its outbound through the
+/// Run one whole superstep over this worker's partitions: settle and seed
+/// each partition's committed state as the dispatch says, resolve the inbound
+/// (regenerating it first if the dispatch says so), step each partition
+/// against it into its kept buffers, route its outbound through the
 /// destination table — peers' messages straight into the frames they leave
 /// in, this worker's own into a run moved into the local inbox — ship every
 /// frame worth shipping (overlapping the remaining compute), flush every
@@ -647,48 +569,38 @@ struct Dispatch {
 /// spans and to the peer bytes, never to `shuffled`.
 fn run_direct_step(
     stream: &mut TcpStream,
-    ctx: &mut DirectCtx,
-    shared: &Mutex<WorkerState>,
+    ctx: Option<&mut DirectCtx>,
+    store: Option<&mut PartitionStore>,
     plane: &DataPlane,
     dispatch: Dispatch,
-    seq: &mut u64,
+    (telemetry_superstep, seq): &mut (u32, u64),
 ) -> io::Result<()> {
-    let Dispatch { superstep, step, full_send, cut, source, parts } = dispatch;
-    let worker = ctx.worker;
-    let pids: Vec<u64> = parts.iter().map(|&(pid, _)| pid).collect();
-    let (program, n, rows) = {
-        let state = shared.lock();
-        let program =
-            state.program.clone().ok_or_else(|| invalid("step dispatch before LoadProgram"))?;
-        let rows_of = |pid: &u64| {
-            state.adjacency.get(pid).cloned().ok_or_else(|| {
-                invalid(format!("step for partition {pid} not owned by this worker"))
-            })
-        };
-        let rows: Vec<Arc<AdjRows>> = pids.iter().map(rows_of).collect::<io::Result<_>>()?;
-        (program, state.n, rows)
-    };
-    // The worker holds exactly the partitions it is dispatched.
-    ctx.state.committed.retain(|pid, _| pids.contains(pid));
-    for ((pid, seed), rows) in parts.into_iter().zip(&rows) {
-        let records = match seed {
-            Seed::Committed => continue,
-            Seed::Init => program.init_partition(rows, n),
-            Seed::Compensate => program.compensate_partition(rows, n),
-            Seed::Pushed(records) => records,
-        };
-        ctx.state.committed.insert(pid, records);
+    let ctx = ctx.ok_or_else(|| invalid("step dispatch before Membership"))?;
+    let store = store.ok_or_else(|| invalid("step dispatch before LoadProgram"))?;
+    let Dispatch { superstep, step, committed, full_send, cut, source, parts } = dispatch;
+    if superstep != *telemetry_superstep {
+        (*telemetry_superstep, *seq) = (superstep, 0);
     }
-    let mut restore_ns = vec![0u64; pids.len()];
+    let worker = ctx.worker;
+    store.settle(committed);
+    // The worker holds exactly the partitions it is dispatched.
+    store.seed(parts)?;
+    let mut restore_ns = Vec::new();
     let inbound = match source {
-        Source::Inboxes(inboxes) => inboxes,
+        Source::Empty => Vec::new(),
+        Source::Arrived(slot) => {
+            if plane.wait_complete(slot, ctx.data_timeout).is_err() {
+                let detail = format!("inbound_superstep={slot}");
+                wlog(Some(worker), Some(superstep), "reset_slot_incomplete", &detail);
+            }
+            plane.take_inboxes(slot, ctx.routes.len())
+        }
         Source::Slot { slot, regenerate } => {
             if regenerate {
-                for ((&pid, rows), spent) in pids.iter().zip(&rows).zip(&mut restore_ns) {
+                for i in 0..store.committed().count() {
                     let started = Instant::now();
-                    let msgs = program.emit(ctx.state.committed(pid)?, rows, n);
-                    ctx.send(plane, slot, &msgs);
-                    *spent = started.elapsed().as_nanos() as u64;
+                    ctx.send(plane, slot, &store.emit(i));
+                    restore_ns.push(started.elapsed().as_nanos() as u64);
                 }
                 ctx.end(plane, slot);
             }
@@ -707,31 +619,26 @@ fn run_direct_step(
         }
     };
 
-    let mut outcomes = Vec::with_capacity(pids.len());
-    let mut tentative = HashMap::with_capacity(pids.len());
+    let (from, outs) = store.begin(superstep);
+    let mut outcomes = Vec::with_capacity(outs.len());
     let empty: Vec<Msg> = Vec::new();
-    for ((&pid, rows), restore_ns) in pids.iter().zip(&rows).zip(restore_ns) {
-        let state = ctx.state.committed(pid)?;
+    for (i, (pid, out)) in outs.into_iter().enumerate() {
         let inb = inbound.get(pid as usize).unwrap_or(&empty);
         let compute_start = Instant::now();
-        let out = if full_send {
-            program.full_send_step(step, state, inb, rows, n)
-        } else {
-            program.step(step, state, inb, rows, n)
-        };
+        let changed = from.step(i, step, full_send, &[inb.as_slice()], out);
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
 
         let exchange_start = Instant::now();
-        let shuffled = out.outbound.len() as u64;
-        // Self-delivery participates in the same completeness protocol.
-        ctx.send(plane, superstep, &out.outbound);
+        let shuffled = out.runs[0].len() as u64;
+        // Self-delivery participates in the same completeness protocol. The
+        // shipped run is freed: nothing on a worker reads it again, and one
+        // kept on both buffer sides raised a worker's page faults by half.
+        ctx.send(plane, superstep, &std::mem::take(&mut out.runs[0]));
+        let restore_ns = restore_ns.get(i).copied().unwrap_or(0);
         let exchange_ns = restore_ns + exchange_start.elapsed().as_nanos() as u64;
         let records = out.state.len() as u64 + shuffled;
-        tentative.insert(pid, out.state);
-        let changed = out.changed;
         outcomes.push(StepOutcome { pid, changed, shuffled, records, compute_ns, exchange_ns });
     }
-    ctx.state.tentative = Some((superstep, tentative));
 
     // Final flush before any StepDone, so a committed superstep implies
     // every flush is already written to the peer sockets.
@@ -747,15 +654,13 @@ fn run_direct_step(
         .collect();
 
     let last = outcomes.len().saturating_sub(1);
-    let DirectCtx { state, reply, .. } = ctx;
-    let left = state.tentative.as_ref().map(|(_, states)| states);
+    let reply = &mut ctx.reply;
     for (i, outcome) in outcomes.into_iter().enumerate() {
         let StepOutcome { pid, changed, shuffled, records, compute_ns, exchange_ns } = outcome;
         let shuffle_start = Instant::now();
         reply.clear();
         if cut {
-            let new = left.and_then(|states| states.get(&pid)).map_or(&[][..], Vec::as_slice);
-            encode_part_state(reply, pid, superstep, new);
+            encode_part_state(reply, pid, superstep, store.tentative(i));
         }
         let done = encode_to_vec(&Message::StepDone { pid, superstep, changed, shuffled });
         let shuffle_ns = shuffle_start.elapsed().as_nanos() as u64;
@@ -784,7 +689,7 @@ fn run_direct_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::read_frame;
+    use crate::protocol::{read_frame, AdjRows, Record};
     use proptest::prelude::*;
 
     /// A data-plane context for `members` workers with one unconnected link
@@ -810,7 +715,6 @@ mod tests {
             data_timeout: Duration::ZERO,
             links,
             routes: resolve_routes(worker, &linked, assignment).unwrap(),
-            state: PartitionStates::default(),
             reply: Vec::new(),
         }
     }
@@ -870,7 +774,7 @@ mod tests {
             let addr = listener.local_addr().unwrap();
             let served = thread::spawn(move || {
                 let (stream, _) = listener.accept().unwrap();
-                serve(stream, Arc::default(), Arc::default())
+                serve(stream, Arc::default())
             });
             let mut conn = TcpStream::connect(addr).unwrap();
             write_frame(&mut conn, &Message::Hello { worker: 0 }, None).unwrap();
@@ -897,13 +801,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         thread::spawn(move || {
-            let shared = Arc::new(Mutex::new(WorkerState::default()));
             let plane = Arc::new(DataPlane::default());
             for stream in listener.incoming().flatten() {
-                let shared = shared.clone();
                 let plane = plane.clone();
                 thread::spawn(move || {
-                    let _ = serve(stream, shared, plane);
+                    let _ = serve(stream, plane);
                 });
             }
         });

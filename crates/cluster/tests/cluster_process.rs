@@ -746,14 +746,21 @@ fn a_failure_free_rollback_run_ships_what_an_optimistic_one_does() {
     assert_eq!(bytes_out, optimistic_bytes.1);
     assert_eq!(bytes_in - optimistic_bytes.0, cuts(&checkpointed) * pulled_per_cut);
 
-    // An asynchronous snapshot pulls at the same cuts — also where a barrier
-    // is skipped because the previous epoch is still being written — and
-    // ships nothing else: no barrier frame goes down, no ack comes up.
-    let (snapshotted, _, (bytes_in, bytes_out)) =
+    // An asynchronous snapshot pulls exactly where a barrier fires — not
+    // where one is skipped because the previous epoch is still being
+    // written — and ships nothing else: no barrier frame goes down, no ack
+    // comes up.
+    let (snapshotted, journal, (bytes_in, bytes_out)) =
         traced(ClusterStrategy::AsyncSnapshot { interval: 2 });
     assert_eq!(snapshotted.values, optimistic.values);
+    let barriers = journal
+        .events()
+        .iter()
+        .filter(|event| matches!(event, JournalEvent::SnapshotBarrierStarted { .. }))
+        .count() as u64;
+    assert!(barriers > 0 && barriers < cuts(&snapshotted), "{barriers} barriers");
     assert_eq!(bytes_out, optimistic_bytes.1);
-    assert_eq!(bytes_in - optimistic_bytes.0, cuts(&snapshotted) * pulled_per_cut);
+    assert_eq!(bytes_in - optimistic_bytes.0, barriers * pulled_per_cut);
 }
 
 /// The bytes of the `Hello` and `LoadProgram` frames that bring up `worker`

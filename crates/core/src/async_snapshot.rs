@@ -82,9 +82,19 @@ impl<S: StableStore> BarrierCore<S> {
         })
     }
 
+    /// Whether [`Self::advance`] after `iteration` fires a barrier: one is
+    /// due, and none will still be in flight once this superstep's chunk is
+    /// persisted. A barrier due while one is in flight is skipped (the next
+    /// multiple of `interval` after completion fires instead) — one snapshot
+    /// at a time, like Flink's default concurrent-checkpoint limit of 1.
+    fn fires(&self, iteration: u32) -> bool {
+        let lands = |in_flight: &InFlight| in_flight.next + 1 == in_flight.chunks.len();
+        cut_due(self.interval, iteration) && self.in_flight.as_ref().is_none_or(lands)
+    }
+
     /// Persist the next pending chunk, completing the epoch when it was the
-    /// last one; then fire a new barrier if `iteration` is due and no
-    /// barrier is in flight. `capture` encodes one partition's chunk.
+    /// last one; then fire a new barrier if [`Self::fires`] says so.
+    /// `capture` encodes one partition's chunk.
     fn advance(
         &mut self,
         iteration: u32,
@@ -92,40 +102,21 @@ impl<S: StableStore> BarrierCore<S> {
         capture: impl Fn(usize) -> Vec<u8>,
     ) -> Result<Option<CheckpointCost>> {
         let start = Instant::now();
+        let fires = self.fires(iteration);
         let mut persisted = 0u64;
-        if self.in_flight.is_some() {
-            let (epoch, pid, chunk, is_last) = {
-                let in_flight = self.in_flight.as_mut().expect("in-flight barrier present");
-                let pid = in_flight.next;
-                let chunk = std::mem::take(&mut in_flight.chunks[pid]);
-                in_flight.next += 1;
-                (in_flight.epoch, pid, chunk, in_flight.next == in_flight.chunks.len())
-            };
-            self.store.put(&chunk_key(self.kind, epoch, pid), &chunk)?;
-            persisted += chunk.len() as u64;
-            self.in_flight.as_mut().expect("in-flight barrier present").chunks[pid] = chunk;
-            if is_last {
-                let done = self.in_flight.take().expect("in-flight barrier present");
-                let bytes: u64 = done.chunks.iter().map(|c| c.len() as u64).sum();
-                let count = done.chunks.len();
-                // The new restore point supersedes the previous epoch.
-                if let Some(old) = self.complete.replace(Complete { epoch, partitions: count }) {
-                    for old_pid in 0..old.partitions {
-                        self.store.remove(&chunk_key(self.kind, old.epoch, old_pid))?;
-                    }
-                }
-                self.telemetry.emit(|| JournalEvent::SnapshotBarrierCompleted {
-                    epoch,
-                    partitions: count,
-                    bytes,
-                });
+        if let Some(in_flight) = &mut self.in_flight {
+            let (epoch, pid) = (in_flight.epoch, in_flight.next);
+            self.store.put(&chunk_key(self.kind, epoch, pid), &in_flight.chunks[pid])?;
+            persisted += in_flight.chunks[pid].len() as u64;
+            in_flight.next += 1;
+            if in_flight.next == in_flight.chunks.len() {
+                let bytes = in_flight.chunks.iter().map(|c| c.len() as u64).sum();
+                let count = in_flight.chunks.len();
+                self.in_flight = None;
+                self.complete(epoch, count, bytes)?;
             }
         }
-        // A barrier due while one is still in flight is skipped (the next
-        // multiple of `interval` after completion fires instead) — one
-        // snapshot at a time, like Flink's default concurrent-checkpoint
-        // limit of 1.
-        if self.in_flight.is_none() && cut_due(self.interval, iteration) {
+        if fires {
             let chunks: Vec<Vec<u8>> = (0..partitions).map(&capture).collect();
             self.telemetry
                 .emit(|| JournalEvent::SnapshotBarrierStarted { epoch: iteration, partitions });
@@ -134,18 +125,7 @@ impl<S: StableStore> BarrierCore<S> {
             persisted += first.len() as u64;
             if partitions == 1 {
                 // Degenerate single-partition case: durable immediately.
-                let bytes = first.len() as u64;
-                if let Some(old) = self.complete.replace(Complete { epoch: iteration, partitions })
-                {
-                    for old_pid in 0..old.partitions {
-                        self.store.remove(&chunk_key(self.kind, old.epoch, old_pid))?;
-                    }
-                }
-                self.telemetry.emit(|| JournalEvent::SnapshotBarrierCompleted {
-                    epoch: iteration,
-                    partitions,
-                    bytes,
-                });
+                self.complete(iteration, partitions, first.len() as u64)?;
             } else {
                 self.in_flight = Some(InFlight { epoch: iteration, chunks, next: 1 });
             }
@@ -154,6 +134,18 @@ impl<S: StableStore> BarrierCore<S> {
             return Ok(None);
         }
         Ok(Some(CheckpointCost { bytes: persisted, duration: start.elapsed() }))
+    }
+
+    /// Make `epoch`, every chunk of it durable, the restore point: it
+    /// supersedes the previous epoch, whose chunks are removed.
+    fn complete(&mut self, epoch: u32, partitions: usize, bytes: u64) -> Result<()> {
+        if let Some(old) = self.complete.replace(Complete { epoch, partitions }) {
+            for old_pid in 0..old.partitions {
+                self.store.remove(&chunk_key(self.kind, old.epoch, old_pid))?;
+            }
+        }
+        self.telemetry.emit(|| JournalEvent::SnapshotBarrierCompleted { epoch, partitions, bytes });
+        Ok(())
     }
 
     /// Discard a partial in-flight epoch (failure mid-snapshot): recovery
@@ -229,6 +221,10 @@ impl<S: Snapshot, Store: StableStore> AsyncSnapshotHandler<S, Store> {
 }
 
 impl<S: Snapshot, Store: StableStore> FaultHandler<S> for AsyncSnapshotHandler<S, Store> {
+    fn reads_state(&self, iteration: u32) -> bool {
+        self.core.fires(iteration)
+    }
+
     fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
         self.core.advance(iteration, state.num_partitions(), |pid| {
             let mut out = Vec::new();
@@ -258,7 +254,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::checkpoint::MemoryStore;
+    use crate::checkpoint::{CheckpointHandler, MemoryStore};
     use crate::test_states::{bulk, delta, same_delta};
     use dataflow::dataset::Partitions;
     use telemetry::MemorySink;
@@ -471,6 +467,57 @@ mod tests {
             .collect();
         assert_eq!(fired, vec![0, 4, 8]);
         assert!(fired.iter().all(|&epoch| cut_due(2, epoch)));
+    }
+
+    #[test]
+    fn reads_state_names_exactly_the_iterations_a_cut_is_taken() {
+        // Asked before each superstep, `reads_state` names the iterations a
+        // checkpoint is written after and a barrier starts at — skipped
+        // barriers, the single-partition case and a failure mid-flight
+        // included (superstep 9 fails and rolls the snapshot back).
+        for interval in 1..=3 {
+            for partitions in [1, 2, 4, 5] {
+                let state = |iteration: u32| {
+                    let records = (0..10).map(|v| v + u64::from(iteration)).collect();
+                    Partitions::round_robin(records, partitions)
+                };
+                let sink = Arc::new(MemorySink::new());
+                let mut snapshot = Handler::new(MemoryStore::new(), interval)
+                    .unwrap()
+                    .with_telemetry(SinkHandle::new(sink.clone()));
+                let mut checkpoint = CheckpointHandler::new(MemoryStore::new(), interval).unwrap();
+                let (mut named, mut written, mut iteration) = ((vec![], vec![]), vec![], 0);
+                for superstep in 0..24 {
+                    if superstep == 9 {
+                        iteration =
+                            fail(&mut snapshot, iteration, &state).map_or(0, |(e, _)| e + 1);
+                        continue;
+                    }
+                    if snapshot.reads_state(iteration) {
+                        named.0.push(iteration);
+                    }
+                    if checkpoint.reads_state(iteration) {
+                        named.1.push(iteration);
+                    }
+                    snapshot.after_superstep(iteration, &state(iteration)).unwrap();
+                    if checkpoint.after_superstep(iteration, &state(iteration)).unwrap().is_some() {
+                        written.push(iteration);
+                    }
+                    iteration += 1;
+                }
+                let started: Vec<u32> = sink
+                    .events()
+                    .iter()
+                    .filter_map(|event| match event {
+                        JournalEvent::SnapshotBarrierStarted { epoch, .. } => Some(*epoch),
+                        _ => None,
+                    })
+                    .collect();
+                let at = format!("interval {interval}, {partitions} partitions");
+                assert_eq!(named.0, started, "{at}");
+                assert_eq!(named.1, written, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -261,8 +261,8 @@ pub(crate) fn positive_interval(strategy: &str, interval: u32) -> Result<u32> {
 /// with `interval` cuts after logical iteration `iteration` — iterations
 /// `0, interval, 2·interval, ...`. [`CheckpointHandler`] cuts at exactly
 /// these; [`crate::AsyncSnapshotHandler`] at these unless an earlier epoch is
-/// still in flight. The cluster pulls partition state up exactly where this
-/// says a cut is due.
+/// still in flight. Each says where it cuts through
+/// [`FaultHandler::reads_state`].
 pub fn cut_due(interval: u32, iteration: u32) -> bool {
     iteration.is_multiple_of(interval)
 }
@@ -309,8 +309,12 @@ impl<S, Store: StableStore> CheckpointHandler<S, Store> {
 }
 
 impl<S: Snapshot, Store: StableStore> FaultHandler<S> for CheckpointHandler<S, Store> {
+    fn reads_state(&self, iteration: u32) -> bool {
+        cut_due(self.interval, iteration)
+    }
+
     fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
-        if !cut_due(self.interval, iteration) {
+        if !self.reads_state(iteration) {
             return Ok(None);
         }
         let start = Instant::now();

@@ -85,6 +85,11 @@ where
     W: Data + Codec,
     S: StableStore,
 {
+    /// Every superstep writes a base snapshot or a diff.
+    fn reads_state(&self, _iteration: u32) -> bool {
+        true
+    }
+
     fn after_superstep(
         &mut self,
         iteration: u32,

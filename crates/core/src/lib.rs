@@ -44,6 +44,8 @@
 //! * [`strategy`] — experiment-facing strategy descriptors.
 
 #![warn(missing_docs)]
+// No panicking lookup on a recovery path: CI's clippy step denies warnings.
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod async_snapshot;
 pub mod checkpoint;

@@ -50,6 +50,8 @@ pub struct ExecContext {
     /// Logical iteration that superstep computes: it moves back on rollback
     /// and restart, where the superstep never repeats.
     iteration: Option<u32>,
+    /// Whether the fault handler reads the state this superstep leaves.
+    reads_state: bool,
 }
 
 impl ExecContext {
@@ -80,17 +82,25 @@ impl ExecContext {
             op_hists: Mutex::new(Vec::new()),
             superstep: None,
             iteration: None,
+            reads_state: false,
         }
     }
 
     /// Attribute work executed under this context to a chronological
     /// superstep and the logical iteration it computes (used by the
     /// iteration driver, so captured partition panics name the superstep
-    /// they happened in).
-    pub fn at_superstep(mut self, superstep: u32, iteration: u32) -> Self {
-        self.superstep = Some(superstep);
-        self.iteration = Some(iteration);
+    /// they happened in), saying whether the fault handler reads the state
+    /// it leaves.
+    pub fn at_superstep(mut self, superstep: u32, iteration: u32, reads_state: bool) -> Self {
+        (self.superstep, self.iteration, self.reads_state) =
+            (Some(superstep), Some(iteration), reads_state);
         self
+    }
+
+    /// Whether the fault handler reads the state this superstep leaves
+    /// ([`crate::ft::FaultHandler::reads_state`]).
+    pub fn reads_state(&self) -> bool {
+        self.reads_state
     }
 
     /// The superstep this context is attributed to, if any.
@@ -484,7 +494,7 @@ mod tests {
     #[test]
     fn panicking_task_surfaces_as_typed_error_in_every_dispatch_mode() {
         for cfg in dispatch_configs() {
-            let ctx = ExecContext::new(cfg).at_superstep(6, 4);
+            let ctx = ExecContext::new(cfg).at_superstep(6, 4, false);
             let parts: Vec<Vec<u64>> = (0..4).map(|p| vec![p as u64; 4]).collect();
             let err = par_map(parts, &ctx, 16, |pid, p: Vec<u64>| {
                 assert!(pid != 2, "partition 2 exploded");

@@ -378,6 +378,12 @@ pub trait FaultHandler<S> {
         Ok(None)
     }
 
+    /// Whether [`Self::after_superstep`] reads the state after `iteration`
+    /// (a cut), asked before the superstep runs. Default: never.
+    fn reads_state(&self, _iteration: u32) -> bool {
+        false
+    }
+
     /// Called when partitions `lost` of `state` have been cleared by a
     /// failure. Repair `state` in place or return replacement state.
     fn on_failure(
@@ -399,6 +405,10 @@ impl FailureSource for Box<dyn FailureSource> {
 impl<S> FaultHandler<S> for Box<dyn FaultHandler<S>> {
     fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
         (**self).after_superstep(iteration, state)
+    }
+
+    fn reads_state(&self, iteration: u32) -> bool {
+        (**self).reads_state(iteration)
     }
 
     fn on_failure(

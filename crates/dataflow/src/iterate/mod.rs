@@ -260,7 +260,9 @@ impl<S: IterationState + 'static> Driver<S> {
 
             // 1. Execute the loop body over the state the step lends it.
             let step_timer = telemetry.timer(SpanKind::Superstep, Some(superstep), Some(iteration));
-            let step_ctx = ExecContext::new(ctx.config.clone()).at_superstep(superstep, iteration);
+            let cut = self.handler.reads_state(iteration);
+            let step_ctx =
+                ExecContext::new(ctx.config.clone()).at_superstep(superstep, iteration, cut);
             let compute_timer =
                 telemetry.timer(SpanKind::Compute, Some(superstep), Some(iteration));
             step.lend(state);
