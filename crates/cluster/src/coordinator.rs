@@ -26,7 +26,7 @@
 //!   its new owner from the program's compensation function. A restored cut
 //!   is its state alone: the workers regenerate the messages in flight from
 //!   it over their data plane ([`Inbound::Regenerate`],
-//!   [`ClusterProgram::emit`]; DESIGN.md, "A cut is the state alone").
+//!   the program's `emit`; DESIGN.md, "A cut is the state alone").
 //! * Failure is detected at the network level: a dead worker surfaces as a
 //!   connection reset / EOF / read timeout on the control connection, or as
 //!   a heartbeat timeout on the dedicated heartbeat connection. Either

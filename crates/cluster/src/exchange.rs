@@ -10,6 +10,11 @@
 //! slot explicitly, so output of failed attempts is never consumed — it is
 //! simply never named and is garbage-collected once a later slot is.
 //!
+//! A slot keeps what lands as born-sorted single-destination segments: an
+//! own run is one and is moved in whole, a peer frame is cut where it lands,
+//! without a copy. Each partition folds its segments through
+//! [`for_each_merged`]; no inbox is built ([`DataPlane::take`]).
+//!
 //! Epoch filtering is the data-plane half of the "declared dead" protocol
 //! (the coordinator's superstep-echo skip is the control-plane half): every
 //! peer frame carries the producer's membership epoch, and the inbox drops
@@ -26,6 +31,7 @@
 //! mix into what is regenerated.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -33,8 +39,8 @@ use crate::protocol::Msg;
 
 /// Sort the concatenation of `chunks` into canonical `(src, dst, bits)`
 /// order and route the result into per-partition inboxes by
-/// `dst % parallelism` — the worker's inbox assembly
-/// ([`DataPlane::take_inboxes`]), and the oracle of [`for_each_merged`].
+/// `dst % parallelism`: [`DataPlane::take_sorted`] with one partition, and
+/// the oracle of [`for_each_merged`] and of a slot's segments.
 ///
 /// Every partition's outbound is born sorted (see DESIGN.md, "Step
 /// assembly"), so the input is a handful of long ascending runs: they are
@@ -138,15 +144,32 @@ impl<A: Iterator<Item = Msg>, B: Iterator<Item = Msg>> Iterator for Merge2<A, B>
     }
 }
 
-/// One superstep's worth of collected peer messages.
+/// A born-sorted stretch of a deposited run, all for one partition.
+type Segment = (Arc<Vec<Msg>>, Range<usize>);
+
+/// Cut `run` where its destination (`dst % partitions`) changes or the order
+/// descends: its born-sorted single-destination segments and their pids.
+fn cut(run: &[Msg], partitions: usize) -> Vec<(usize, Range<usize>)> {
+    let mask = partitions.is_power_of_two().then(|| partitions as u64 - 1);
+    let pid_of = |msg: &Msg| mask.map_or_else(|| msg.1 % partitions as u64, |m| msg.1 & m) as usize;
+    let (mut segments, mut start) = (Vec::new(), 0);
+    for (end, pair) in (1..).zip(run.windows(2)) {
+        if pid_of(&pair[1]) != pid_of(&pair[0]) || pair[1] < pair[0] {
+            segments.push((pid_of(&pair[0]), std::mem::replace(&mut start, end)..end));
+        }
+    }
+    segments.extend(run.last().map(|last| (pid_of(last), start..run.len())));
+    segments
+}
+
+/// One superstep's worth of collected messages.
 #[derive(Debug, Default)]
 struct Slot {
     /// The membership epoch the slot was filled under.
     epoch: u64,
-    /// Deposited runs, in arrival order (merged by the consumer). Each is
-    /// the decoded frame or self-delivered vector itself, moved in; the
-    /// handle is shared so a consumer merges it outside the inbox lock.
-    runs: Vec<Arc<Vec<Msg>>>,
+    /// Deposited segments and their pids, each a range of a decoded frame or
+    /// an own run moved in, shared so a consumer folds outside the lock.
+    segments: Vec<(usize, Segment)>,
     /// Members whose [`crate::protocol::Message::ShuffleFlush`] arrived.
     flushed: BTreeSet<u64>,
 }
@@ -159,6 +182,8 @@ struct Inbox {
     /// Current members (including this worker) — a slot is complete once
     /// every member has flushed it.
     members: BTreeSet<u64>,
+    /// Destination partitions a deposit is cut for; zero counts as one.
+    partitions: usize,
     /// Per-superstep slots. Retained until GC'd by a later consume.
     slots: BTreeMap<u32, Slot>,
     /// Supersteps below this have been garbage-collected; late frames for
@@ -215,9 +240,20 @@ impl DataPlane {
     /// flushes that slot, while frames still in flight from the old epoch
     /// are rejected at arrival time by the epoch check.
     pub fn install_membership(&self, epoch: u64, members: impl IntoIterator<Item = u64>) {
+        self.install_placement(epoch, members, 1);
+    }
+
+    /// [`Self::install_membership`], cutting deposits for `partitions`.
+    pub fn install_placement(
+        &self,
+        epoch: u64,
+        members: impl IntoIterator<Item = u64>,
+        partitions: usize,
+    ) {
         let mut inbox = self.inbox.lock().unwrap();
         inbox.epoch = epoch;
         inbox.members = members.into_iter().collect();
+        inbox.partitions = partitions;
         inbox.gone.clear();
         drop(inbox);
         self.complete.notify_all();
@@ -237,25 +273,44 @@ impl DataPlane {
         self.complete.notify_all();
     }
 
-    /// Deposit one peer frame's messages into `superstep`'s slot as a run:
-    /// the vector is moved in, not copied. Frames from a stale epoch or below
-    /// the GC floor are dropped (counted, not stored) — this is the
-    /// satellite-3 double-delivery guard.
+    /// Deposit one peer frame's messages into `superstep`'s slot: the vector
+    /// is moved in, not copied, and cut into its single-destination segments
+    /// outside the inbox lock. Frames from a stale epoch or below the GC
+    /// floor are dropped (counted, not stored) — the double-delivery guard.
     pub fn deposit_run(&self, epoch: u64, superstep: u32, run: Vec<Msg>) {
-        let mut inbox = self.inbox.lock().unwrap();
-        if epoch != inbox.epoch || superstep < inbox.floor {
-            inbox.dropped += 1;
-            return;
-        }
-        let slot = inbox.filling(superstep);
-        if !run.is_empty() {
-            slot.runs.push(Arc::new(run));
-        }
+        let partitions = self.inbox.lock().unwrap().partitions.max(1);
+        let run = Arc::new(run);
+        let cuts = cut(&run, partitions).into_iter();
+        self.fill(epoch, superstep, cuts.map(|(pid, range)| (pid, (run.clone(), range))));
     }
 
     /// [`Self::deposit_run`] for a caller that keeps its messages.
     pub fn deposit(&self, epoch: u64, superstep: u32, msgs: &[Msg]) {
         self.deposit_run(epoch, superstep, msgs.to_vec());
+    }
+
+    /// Deposit a born-sorted run whose messages all go to partition `pid`
+    /// into `superstep`'s slot as one segment, moved in whole: a worker's
+    /// own run. Stale like [`Self::deposit_run`].
+    pub fn deposit_to(&self, epoch: u64, superstep: u32, pid: usize, run: Vec<Msg>) {
+        debug_assert!(run.is_sorted(), "a run deposited whole is born sorted");
+        let len = run.len();
+        self.fill(epoch, superstep, (len > 0).then(|| (pid, (Arc::new(run), 0..len))));
+    }
+
+    /// Add `segments` to `superstep`'s slot, or drop them if stale.
+    fn fill(
+        &self,
+        epoch: u64,
+        superstep: u32,
+        segments: impl IntoIterator<Item = (usize, Segment)>,
+    ) {
+        let mut inbox = self.inbox.lock().unwrap();
+        if epoch != inbox.epoch || superstep < inbox.floor {
+            inbox.dropped += 1;
+            return;
+        }
+        inbox.filling(superstep).segments.extend(segments);
     }
 
     /// Record a member's end-of-superstep flush. Stale-epoch / below-floor
@@ -301,35 +356,34 @@ impl DataPlane {
         }
     }
 
-    /// Take `superstep`'s collected messages as per-partition inboxes
-    /// (indexed by `dst % parallelism`), each in canonical `(src, dst, bits)`
-    /// order — the same order the coordinator's own step assembly produces,
-    /// so cluster and local runs are bitwise-comparable — and garbage-collect
-    /// every *older* slot. The inbox lock is held only to take handles on the slot's runs;
-    /// they are merged straight into the inboxes outside it, so a peer thread
-    /// depositing the *next* superstep's frames never waits on a merge. The
+    /// Take `superstep`'s collected messages as each destination partition's
+    /// segments and garbage-collect every *older* slot. The inbox lock is
+    /// held only to take handles on the slot's segments, so a peer thread
+    /// depositing the *next* superstep's frames never waits on a fold. The
     /// consumed slot itself is retained intact so a post-failure retry under
     /// optimistic recovery can re-consume it.
-    pub fn take_inboxes(&self, superstep: u32, parallelism: usize) -> Vec<Vec<Msg>> {
-        let (runs, collected) = {
+    pub fn take(&self, superstep: u32) -> Segments {
+        let (segments, collected) = {
             let mut inbox = self.inbox.lock().unwrap();
             inbox.floor = superstep;
             let kept = inbox.slots.split_off(&superstep);
             let collected = std::mem::replace(&mut inbox.slots, kept);
-            let runs =
-                inbox.slots.get(&superstep).map(|slot| slot.runs.clone()).unwrap_or_default();
-            (runs, collected)
+            let segments =
+                inbox.slots.get(&superstep).map(|slot| slot.segments.clone()).unwrap_or_default();
+            (segments, collected)
         };
         // Megabytes of older runs are freed here, not under the lock.
         drop(collected);
-        let runs: Vec<&[Msg]> = runs.iter().map(|run| run.as_slice()).collect();
-        merge_runs(&runs, parallelism)
+        Segments(segments)
     }
 
-    /// [`Self::take_inboxes`] for a single partition: the whole slot in
-    /// canonical order.
+    /// [`Self::take`], merged: the whole slot in canonical `(src, dst, bits)`
+    /// order.
     pub fn take_sorted(&self, superstep: u32) -> Vec<Msg> {
-        self.take_inboxes(superstep, 1).pop().unwrap_or_default()
+        let taken = self.take(superstep);
+        let runs: Vec<&[Msg]> =
+            taken.0.iter().map(|(_, (run, range))| &run[range.clone()]).collect();
+        merge_runs(&runs, 1).pop().unwrap_or_default()
     }
 
     /// Current membership epoch (what outgoing frames must be tagged with).
@@ -340,6 +394,24 @@ impl DataPlane {
     /// Count of frames/flushes dropped as stale (tests, logs).
     pub fn dropped(&self) -> u64 {
         self.inbox.lock().unwrap().dropped
+    }
+}
+
+/// A taken slot: its segments, each with its destination partition.
+#[derive(Debug, Default)]
+pub struct Segments(Vec<(usize, Segment)>);
+
+impl Segments {
+    /// The born-sorted segments addressed to partition `pid`: what its fold
+    /// merges ([`for_each_merged`]) into [`merge_runs`]'s order.
+    pub fn to(&self, pid: usize) -> Vec<&[Msg]> {
+        let to_pid = self.0.iter().filter(|(to, _)| *to == pid);
+        to_pid.map(|(_, (run, range))| &run[range.clone()]).collect()
+    }
+
+    /// The most segments addressed to any one partition.
+    pub fn most(&self) -> usize {
+        self.0.iter().map(|&(pid, _)| self.to(pid).len()).max().unwrap_or(0)
     }
 }
 
@@ -365,6 +437,18 @@ mod tests {
             chunks.iter_mut().for_each(|chunk| chunk.sort_unstable());
         }
         chunks
+    }
+
+    /// Each of `partitions` inboxes as its fold reads the taken slot
+    /// `superstep`: its segments, merged.
+    fn inboxes(plane: &DataPlane, superstep: u32, partitions: usize) -> Vec<Vec<Msg>> {
+        let taken = plane.take(superstep);
+        let inbox = |pid| {
+            let mut inbox = Vec::new();
+            for_each_merged(&taken.to(pid), |msg| inbox.push(msg));
+            inbox
+        };
+        (0..partitions).map(inbox).collect()
     }
 
     proptest! {
@@ -403,11 +487,11 @@ mod tests {
             }
 
             let plane = DataPlane::default();
-            plane.install_membership(1, [0]);
+            plane.install_placement(1, [0], parallelism);
             for chunk in &chunks {
                 plane.deposit(1, 7, chunk);
             }
-            prop_assert_eq!(&plane.take_inboxes(7, parallelism), &expected);
+            prop_assert_eq!(&inboxes(&plane, 7, parallelism), &expected);
             prop_assert_eq!(plane.take_sorted(7), sorted);
         }
     }
@@ -453,7 +537,7 @@ mod tests {
             parallelism in 1usize..5,
         ) {
             let plane = DataPlane::default();
-            plane.install_membership(1, [0, 1, 2]);
+            plane.install_placement(1, [0, 1, 2], parallelism);
             let mut model = ConcatInbox::default();
             for (i, ((source, offset), (stale, take), mut msgs)) in
                 deposits.into_iter().enumerate()
@@ -462,7 +546,7 @@ mod tests {
                 if take == 0 {
                     let superstep = 5 + offset;
                     prop_assert_eq!(
-                        plane.take_inboxes(superstep, parallelism),
+                        inboxes(&plane, superstep, parallelism),
                         model.take_inboxes(superstep, parallelism)
                     );
                 }
@@ -480,11 +564,67 @@ mod tests {
             prop_assert_eq!(plane.dropped(), model.dropped);
             for superstep in 5..8 {
                 let expected = model.take_inboxes(superstep, parallelism);
-                prop_assert_eq!(&plane.take_inboxes(superstep, parallelism), &expected);
+                prop_assert_eq!(&inboxes(&plane, superstep, parallelism), &expected);
                 // The consumed slot is still there for an optimistic retry.
-                prop_assert_eq!(&plane.take_inboxes(superstep, parallelism), &expected);
+                prop_assert_eq!(&inboxes(&plane, superstep, parallelism), &expected);
             }
             prop_assert_eq!(plane.dropped(), model.dropped);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn a_slot_cut_into_segments_folds_to_the_merged_inbox(
+            // Per source partition: its messages, and whether it is this
+            // worker's own (moved in run by run) or a peer's (framed).
+            sources in prop::collection::vec(
+                (prop::collection::vec((0u64..30, 0u64..30, 0u64..3), 0..40), any::<bool>()),
+                0..7,
+            ),
+            // Where a peer's frame ends: below the floor, one frame carries
+            // several source partitions' shares.
+            frame_ends in prop::collection::vec(any::<bool>(), 7..8),
+            partitions in 1usize..6,
+        ) {
+            let to = |d: usize| move |msg: &&Msg| msg.1 % partitions as u64 == d as u64;
+            // Each source routes born-sorted runs, one per destination.
+            let routed: Vec<(Vec<Vec<Msg>>, bool)> = sources
+                .into_iter()
+                .map(|(mut msgs, own)| {
+                    msgs.sort_unstable();
+                    let runs = (0..partitions).map(|d| msgs.iter().filter(to(d)).copied().collect());
+                    (runs.collect(), own)
+                })
+                .collect();
+            let plane = DataPlane::default();
+            plane.install_placement(1, [0, 1], partitions);
+            let mut frame = Vec::new();
+            for (i, (runs, own)) in routed.iter().enumerate() {
+                if *own {
+                    for (d, run) in runs.iter().enumerate() {
+                        plane.deposit_to(1, 3, d, run.clone());
+                    }
+                    continue;
+                }
+                // A peer's frame: its runs concatenated in pid order.
+                runs.iter().for_each(|run| frame.extend_from_slice(run));
+                if frame_ends[i] {
+                    plane.deposit_run(1, 3, std::mem::take(&mut frame));
+                }
+            }
+            plane.deposit_run(1, 3, frame);
+
+            let all: Vec<&[Msg]> = routed.iter().flat_map(|(runs, _)| runs).map(Vec::as_slice).collect();
+            let expected = merge_runs(&all, partitions);
+            prop_assert_eq!(&inboxes(&plane, 3, partitions), &expected);
+            let taken = plane.take(3);
+            for (pid, inbox) in expected.iter().enumerate() {
+                let addressed = routed.iter().filter(|(runs, _)| !runs[pid].is_empty()).count();
+                prop_assert!(taken.to(pid).len() <= addressed, "pid {}: {:?}", pid, taken.to(pid));
+                prop_assert!(taken.to(pid).iter().all(|segment| segment.is_sorted() && !segment.is_empty()));
+                prop_assert_eq!(taken.to(pid).iter().map(|s| s.len()).sum::<usize>(), inbox.len());
+            }
+            prop_assert!(taken.most() <= routed.len());
         }
     }
 

@@ -97,16 +97,16 @@ impl StepBuffers {
 /// partition its rows, what the last committed superstep left it — its state
 /// and the runs it routed — and the kept buffers the next superstep writes.
 /// A superstep steps every partition from its committed side into its
-/// buffers; only [`Self::commit`] swaps the two, so an attempt that fails
-/// leaves what its retry steps from untouched. The in-process backend holds
-/// one over every partition and commits each superstep that succeeds; a
-/// worker holds one over its share and [`Self::settle`]s it once the next
-/// frame names the last committed superstep.
+/// buffers, one run per destination partition; only [`Self::commit`] swaps
+/// the two, so an attempt that fails leaves what its retry steps from
+/// untouched. The in-process backend holds one over every partition and
+/// commits each superstep that succeeds; a worker holds one over its share
+/// and [`Self::settle`]s it once the next frame names the last committed
+/// superstep.
 pub(crate) struct PartitionStore {
     program: Arc<dyn ClusterProgram>,
     n: u64,
-    /// Runs each partition routes to: the partition count in process, one
-    /// on a worker, whose data plane routes further.
+    /// Runs each partition routes to: the partition count.
     runs: usize,
     /// The held partitions, ascending by pid.
     held: Vec<Held>,
@@ -169,6 +169,15 @@ impl PartitionStore {
         PartitionStore { program, n, runs, held: Vec::new(), pending: None }
     }
 
+    /// Route to `runs` runs: a worker learns the count from its membership.
+    pub(crate) fn route_to(&mut self, runs: usize) {
+        self.runs = runs;
+        for part in &mut self.held {
+            part.committed.runs.resize_with(runs, Vec::new);
+            part.tentative.runs.resize_with(runs, Vec::new);
+        }
+    }
+
     /// Hold the partitions `parts` gives the rows of: one held already keeps
     /// its committed and tentative sides, a new one starts empty, and any
     /// other is dropped.
@@ -212,13 +221,6 @@ impl PartitionStore {
             }
             None => Ok(()),
         }
-    }
-
-    /// The messages the `i`-th held partition's committed state sends:
-    /// [`ClusterProgram::emit`].
-    pub(crate) fn emit(&self, i: usize) -> Vec<Msg> {
-        let part = &self.held[i];
-        self.program.emit(&part.committed.state, &part.rows, self.n)
     }
 
     /// Start chronological superstep `superstep`: what the partitions step
@@ -278,10 +280,10 @@ impl PartitionStore {
 ///
 /// [`Self::init_partition`] establishes both, [`Self::fold_and_send`]
 /// asserts the layout once per call, and it and
-/// [`Self::compensate_partition`] preserve it. [`Self::step`],
-/// [`Self::full_send_step`] and [`Self::emit`] are provided wrappers over
-/// that one body (one run in, one out) for tests and the harness; both
-/// backends step through a `PartitionStore`, and a restore emits.
+/// [`Self::compensate_partition`] preserve it. [`Self::step`] and
+/// [`Self::full_send_step`] are provided wrappers over that one body (one
+/// run in, one out) for tests and the harness, and so is `emit`, what a
+/// restore sends; both backends step through a `PartitionStore`.
 pub trait ClusterProgram: Send + Sync {
     /// Registry name, also used in telemetry (`"cc"`, `"pagerank"`).
     fn name(&self) -> &'static str;
@@ -362,19 +364,22 @@ pub trait ClusterProgram: Send + Sync {
         let changed = self.fold_and_send(step, true, state, &[inbound], rows, n, &mut out);
         StepOutput { state: out.state, outbound: out.runs.swap_remove(0), changed }
     }
+}
 
+impl dyn ClusterProgram {
     /// The messages `state` sends, as a restore regenerates them: a cut is
-    /// the state alone. Contract: whenever [`Self::step`] returned `state`,
-    /// folding what this returns gives every vertex what folding what that
-    /// step sent gives it, so the superstep after the cut steps from either
-    /// to the same result. Born sorted like [`Self::step`]'s outbound.
+    /// the state alone. Contract: whenever [`ClusterProgram::step`] returned
+    /// `state`, folding what this returns gives every vertex what folding
+    /// what that step sent gives it, so the superstep after the cut steps
+    /// from either to the same result. Born sorted like its outbound.
     ///
-    /// The default sends what logical step 0 sends, which folds nothing in:
-    /// PageRank's outbound is exactly `rank / degree` of the state it leaves,
-    /// and CC's full send is a superset of what it sent with the same
-    /// minimum per vertex — a vertex whose label did not change already sent
-    /// it to every neighbour it could lower.
-    fn emit(&self, state: &[Record], rows: &[(u64, Vec<u64>)], n: u64) -> Vec<Msg> {
+    /// It is what logical step 0 sends, which folds nothing in — a worker's
+    /// restore routes exactly this send (`fold_and_send(0, true, state, &[],
+    /// …)`): PageRank's outbound is exactly `rank / degree` of the state it
+    /// leaves, and CC's full send is a superset of what it sent with the
+    /// same minimum per vertex — a vertex whose label did not change already
+    /// sent it to every neighbour it could lower.
+    pub fn emit(&self, state: &[Record], rows: &[(u64, Vec<u64>)], n: u64) -> Vec<Msg> {
         self.full_send_step(0, state, &[], rows, n).outbound
     }
 }

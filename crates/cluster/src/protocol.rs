@@ -78,7 +78,7 @@ pub enum Inbound {
     /// holds: an optimistic retry on a survivor.
     Slot(u32),
     /// The messages the pushed state sends
-    /// ([`crate::program::ClusterProgram::emit`]): every worker emits from
+    /// (the program's `emit`): every worker emits from
     /// its partitions, exchanges the result as the slot of the previous
     /// chronological superstep, and steps from that slot. A restored cut is
     /// its state alone, and this is how its messages come back — the

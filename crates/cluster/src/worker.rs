@@ -34,10 +34,13 @@
 //! records), and the state travels up only when the coordinator reads it: on
 //! a cut dispatch and on a [`Message::Pull`].
 //!
-//! A cross-worker message is copied once on each side: encoded from the
-//! step's outbound into the frame buffer the socket write reads, and decoded
-//! from the connection's receive buffer into the vector the inbox keeps as a
-//! run (DESIGN.md, "Shuffle path").
+//! A partition routes into one run per destination partition and folds the
+//! slot's segments addressed to it: no inbox is built. An own run is moved
+//! into the slot, never copied; a cross-worker message is copied once on each
+//! side: encoded from its run into the frame buffer the socket write reads,
+//! and decoded from the receive buffer into the vector the slot keeps, cut
+//! where it lands into single-destination segments (DESIGN.md, "Shuffle
+//! path").
 //!
 //! Workers are deliberately crash-only: `Shutdown` exits the process, and
 //! every other termination path is an abrupt connection loss that the
@@ -79,19 +82,23 @@ pub const LISTENING_MARKER: &str = "OPTIREC_WORKER_LISTENING";
 /// benchmark graph) — or, below the floor, the shares of several small
 /// partitions, shipped together at the end of the superstep. Shipping between
 /// computes overlaps this superstep's shuffle with its remaining compute,
-/// and keeps every frame a single born-sorted run per source partition, so
-/// the receiver's merge never sees more runs than partitions.
+/// and keeps every frame whole runs: per source partition, its runs for the
+/// peer's partitions in pid order. The receiver cuts a frame into at most
+/// one segment per source and destination partition, so no partition folds
+/// more segments than there are partitions.
 pub const SHUFFLE_BATCH_MSGS: usize = 8192;
 
 /// Structured worker-side stderr log line: `optirec-worker worker=<id>
-/// [superstep=<s>] event=<event> [detail…]`. The worker id is learned from
-/// the control connection's `Hello`; lines logged before it arrives say
+/// [superstep=<s>] event=<event> [detail…]`, written in one call so workers
+/// sharing a pipe never split each other's lines. The worker id is learned
+/// from the control connection's `Hello`; lines logged before it arrives say
 /// `worker=?`.
 fn wlog(worker: Option<u64>, superstep: Option<u32>, event: &str, detail: &str) {
     let worker = worker.map_or_else(|| "?".to_string(), |id| id.to_string());
     let superstep = superstep.map(|s| format!(" superstep={s}")).unwrap_or_default();
     let detail = if detail.is_empty() { String::new() } else { format!(" {detail}") };
-    eprintln!("optirec-worker worker={worker}{superstep} event={event}{detail}");
+    let line = format!("optirec-worker worker={worker}{superstep} event={event}{detail}\n");
+    let _ = io::stderr().write_all(line.as_bytes());
 }
 
 /// Direct-data-plane context of the control connection, rebuilt from every
@@ -156,30 +163,21 @@ fn invalid(what: impl Into<String>) -> io::Error {
 }
 
 impl DirectCtx {
-    /// Route one partition's outbound: messages for peers are encoded
-    /// straight into the frame they leave in, the rest are returned as the
-    /// self-delivered run. Both keep `outbound`'s order, so a born-sorted
-    /// outbound yields born-sorted frames and a born-sorted run.
-    fn route(&mut self, outbound: &[Msg]) -> Vec<Msg> {
-        // Destinations spread evenly over partitions (`v % P`), so the run
-        // that stays here is about this worker's share of them.
-        let owned = self.routes.iter().filter(|route| **route == Route::Own).count();
-        let mut own = Vec::with_capacity((outbound.len() * owned).div_ceil(self.routes.len()));
-        for msg in outbound {
-            match self.routes[(msg.1 % self.routes.len() as u64) as usize] {
-                Route::Own => own.push(*msg),
-                Route::Link(i) => self.links[i].frame.push(msg),
+    /// Hand one partition's runs, one per destination partition, to
+    /// `superstep`'s slot: an own partition's run is moved in whole, a peer's
+    /// encoded into that peer's frame (its runs in pid order), and the frames
+    /// worth shipping are shipped, overlapping the remaining compute. Runs are
+    /// left empty: kept on both buffer sides they raised a worker's page
+    /// faults by half.
+    fn deliver(&mut self, plane: &DataPlane, superstep: u32, runs: &mut [Vec<Msg>]) {
+        debug_assert_eq!(runs.len(), self.routes.len(), "one run per partition");
+        for (pid, (route, run)) in self.routes.iter().zip(runs).enumerate() {
+            let run = std::mem::take(run);
+            match *route {
+                Route::Own => plane.deposit_to(self.epoch, superstep, pid, run),
+                Route::Link(i) => run.iter().for_each(|msg| self.links[i].frame.push(msg)),
             }
         }
-        own
-    }
-
-    /// Hand one partition's outbound to the data plane as part of
-    /// `superstep`'s slot: this worker's own run deposited, the frames worth
-    /// shipping shipped — overlapping the remaining partitions' compute.
-    fn send(&mut self, plane: &DataPlane, superstep: u32, outbound: &[Msg]) {
-        let own = self.route(outbound);
-        plane.deposit_run(self.epoch, superstep, own);
         for link in &mut self.links {
             if link.frame.len() >= SHUFFLE_BATCH_MSGS {
                 link.ship(self.worker, self.epoch, superstep);
@@ -382,7 +380,7 @@ fn serve(mut stream: TcpStream, plane: Arc<DataPlane>) -> io::Result<()> {
                         .iter()
                         .map(|&(peer, port)| PeerLink::open(my, epoch, peer, port))
                         .collect();
-                    plane.install_membership(epoch, peers.iter().map(|&(w, _)| w));
+                    plane.install_placement(epoch, peers.iter().map(|&(w, _)| w), routes.len());
                     wlog(
                         worker,
                         None,
@@ -401,10 +399,8 @@ fn serve(mut stream: TcpStream, plane: Arc<DataPlane>) -> io::Result<()> {
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
                 Message::StepGo { superstep, step, inbound, pids, cut } => {
-                    if superstep != telemetry.0 {
-                        let detail = format!("pids={pids:?} cut={cut}");
-                        wlog(worker, Some(superstep), "step_go", &detail);
-                    }
+                    let log = (superstep != telemetry.0)
+                        .then(|| ("step_go", format!("pids={pids:?} cut={cut}")));
                     // A steady-state dispatch follows a commit: the slot it
                     // consumes is the committed superstep.
                     let source = inbound
@@ -412,7 +408,7 @@ fn serve(mut stream: TcpStream, plane: Arc<DataPlane>) -> io::Result<()> {
                     let parts = pids.into_iter().map(|pid| (pid, Seed::Committed)).collect();
                     let (committed, full_send) = (inbound, false);
                     let dispatch =
-                        Dispatch { superstep, step, committed, full_send, cut, source, parts };
+                        Dispatch { superstep, step, committed, full_send, cut, source, parts, log };
                     let (ctx, store) = (ctx.as_mut(), store.as_mut());
                     run_direct_step(&mut stream, ctx, store, &plane, dispatch, &mut telemetry)?;
                 }
@@ -424,7 +420,7 @@ fn serve(mut stream: TcpStream, plane: Arc<DataPlane>) -> io::Result<()> {
                     };
                     let pushed = parts.iter().filter(|(_, seed)| matches!(seed, Seed::Pushed(_)));
                     let detail = format!("pushed={} inbound={described} cut={cut}", pushed.count());
-                    wlog(worker, Some(superstep), "step_reset", &detail);
+                    let log = Some(("step_reset", detail));
                     // Anything but regenerated messages marks an inbound
                     // history that is not exact: its superstep is a full-send
                     // one. A cut's state and what it sends are exact, so
@@ -441,7 +437,7 @@ fn serve(mut stream: TcpStream, plane: Arc<DataPlane>) -> io::Result<()> {
                         }
                     };
                     let dispatch =
-                        Dispatch { superstep, step, committed, full_send, cut, source, parts };
+                        Dispatch { superstep, step, committed, full_send, cut, source, parts, log };
                     let (ctx, store) = (ctx.as_mut(), store.as_mut());
                     run_direct_step(&mut stream, ctx, store, &plane, dispatch, &mut telemetry)?;
                 }
@@ -526,9 +522,9 @@ enum Source {
     /// Nothing.
     Empty,
     /// The complete data-plane slot of chronological superstep `slot` —
-    /// under `regenerate` filled first with what the partitions' state sends
-    /// ([`crate::program::ClusterProgram::emit`]). A slot that does not
-    /// complete fails the superstep.
+    /// under `regenerate` filled first with what the partitions' state sends,
+    /// routed like any superstep's output (the program's `emit`). A slot
+    /// that does not complete fails the superstep.
     Slot { slot: u32, regenerate: bool },
     /// What arrives of a slot within the data timeout: the optimistic retry,
     /// whose slot is the committed superstep, complete on survivors modulo
@@ -551,17 +547,19 @@ struct Dispatch {
     /// Every partition the worker owns, ascending, and where its state
     /// comes from.
     parts: Vec<(u64, Seed)>,
+    /// The dispatch's log line, written with `segments=` once resolved.
+    log: Option<(&'static str, String)>,
 }
 
 /// Run one whole superstep over this worker's partitions: settle and seed
 /// each partition's committed state as the dispatch says, resolve the inbound
 /// (regenerating it first if the dispatch says so), step each partition
-/// against it into its kept buffers, route its outbound through the
-/// destination table — peers' messages straight into the frames they leave
-/// in, this worker's own into a run moved into the local inbox — ship every
-/// frame worth shipping (overlapping the remaining compute), flush every
-/// peer, and only then report per-partition [`Message::StepDone`]s (on a cut,
-/// each behind the partition's [`Message::PartState`]) — so by the time the
+/// against the slot's segments addressed to it into its kept buffers, hand
+/// each run it routed to the data plane — a peer's straight into the frame
+/// it leaves in, this worker's own moved into the slot — ship every frame
+/// worth shipping (overlapping the remaining compute), flush every peer, and
+/// only then report per-partition [`Message::StepDone`]s (on a cut, each
+/// behind the partition's [`Message::PartState`]) — so by the time the
 /// coordinator can commit the superstep, every data-plane flush is already
 /// written.
 ///
@@ -577,63 +575,68 @@ fn run_direct_step(
 ) -> io::Result<()> {
     let ctx = ctx.ok_or_else(|| invalid("step dispatch before Membership"))?;
     let store = store.ok_or_else(|| invalid("step dispatch before LoadProgram"))?;
-    let Dispatch { superstep, step, committed, full_send, cut, source, parts } = dispatch;
+    let Dispatch { superstep, step, committed, full_send, cut, source, parts, log } = dispatch;
     if superstep != *telemetry_superstep {
         (*telemetry_superstep, *seq) = (superstep, 0);
     }
     let worker = ctx.worker;
+    let report = |segments: usize| {
+        if let Some((event, detail)) = &log {
+            wlog(Some(worker), Some(superstep), event, &format!("{detail} segments={segments}"));
+        }
+    };
     store.settle(committed);
-    // The worker holds exactly the partitions it is dispatched.
+    // The worker holds exactly the partitions it is dispatched, and routes
+    // to every partition its membership places.
     store.seed(parts)?;
+    store.route_to(ctx.routes.len());
+    let (from, mut outs) = store.begin(superstep);
     let mut restore_ns = Vec::new();
-    let inbound = match source {
-        Source::Empty => Vec::new(),
+    let slot = match source {
+        Source::Empty => None,
         Source::Arrived(slot) => {
             if plane.wait_complete(slot, ctx.data_timeout).is_err() {
                 let detail = format!("inbound_superstep={slot}");
                 wlog(Some(worker), Some(superstep), "reset_slot_incomplete", &detail);
             }
-            plane.take_inboxes(slot, ctx.routes.len())
+            Some(slot)
         }
         Source::Slot { slot, regenerate } => {
             if regenerate {
-                for i in 0..store.committed().count() {
+                for (i, (_, out)) in outs.iter_mut().enumerate() {
                     let started = Instant::now();
-                    ctx.send(plane, slot, &store.emit(i));
+                    // What the state sends: logical step 0's full send.
+                    from.step(i, 0, true, &[], out);
+                    ctx.deliver(plane, slot, &mut out.runs);
                     restore_ns.push(started.elapsed().as_nanos() as u64);
                 }
                 ctx.end(plane, slot);
             }
-            match plane.wait_complete(slot, ctx.data_timeout) {
-                Ok(()) => plane.take_inboxes(slot, ctx.routes.len()),
-                Err(waiting_on) => {
-                    // Compute nothing: the coordinator treats the missing
-                    // peer as lost and resolves the superstep through
-                    // recovery.
-                    let detail = format!("waiting_on={waiting_on:?}");
-                    wlog(Some(worker), Some(superstep), "data_wait_timeout", &detail);
-                    write_frame(stream, &Message::StepFailed { superstep, waiting_on }, None)?;
-                    return Ok(());
-                }
+            if let Err(waiting_on) = plane.wait_complete(slot, ctx.data_timeout) {
+                // Compute nothing: the coordinator treats the missing peer
+                // as lost and resolves the superstep through recovery.
+                report(0);
+                let detail = format!("waiting_on={waiting_on:?}");
+                wlog(Some(worker), Some(superstep), "data_wait_timeout", &detail);
+                write_frame(stream, &Message::StepFailed { superstep, waiting_on }, None)?;
+                return Ok(());
             }
+            Some(slot)
         }
     };
+    let inbound = slot.map(|slot| plane.take(slot)).unwrap_or_default();
+    report(inbound.most());
 
-    let (from, outs) = store.begin(superstep);
     let mut outcomes = Vec::with_capacity(outs.len());
-    let empty: Vec<Msg> = Vec::new();
     for (i, (pid, out)) in outs.into_iter().enumerate() {
-        let inb = inbound.get(pid as usize).unwrap_or(&empty);
         let compute_start = Instant::now();
-        let changed = from.step(i, step, full_send, &[inb.as_slice()], out);
+        let changed = from.step(i, step, full_send, &inbound.to(pid as usize), out);
         let compute_ns = compute_start.elapsed().as_nanos() as u64;
 
         let exchange_start = Instant::now();
-        let shuffled = out.runs[0].len() as u64;
-        // Self-delivery participates in the same completeness protocol. The
-        // shipped run is freed: nothing on a worker reads it again, and one
-        // kept on both buffer sides raised a worker's page faults by half.
-        ctx.send(plane, superstep, &std::mem::take(&mut out.runs[0]));
+        let shuffled = out.runs.iter().map(Vec::len).sum::<usize>() as u64;
+        // Self-delivery participates in the same completeness protocol.
+        ctx.deliver(plane, superstep, &mut out.runs);
         let restore_ns = restore_ns.get(i).copied().unwrap_or(0);
         let exchange_ns = restore_ns + exchange_start.elapsed().as_nanos() as u64;
         let records = out.state.len() as u64 + shuffled;
@@ -728,22 +731,45 @@ mod tests {
             owners in prop::collection::vec(any::<u64>(), 1..7),
         ) {
             // Any placement of any number of partitions over the members,
-            // balanced or not: the assignment alone says where a message goes.
+            // balanced or not: the assignment alone says where a run goes.
             let worker = worker % members;
             let assignment: Vec<u64> = owners.iter().map(|owner| owner % members).collect();
+            let partitions = assignment.len();
             let mut ctx = routing_ctx(worker, members, &assignment);
-            let owner_of = |msg: &Msg| assignment[(msg.1 % assignment.len() as u64) as usize];
+            let plane = DataPlane::default();
+            plane.install_placement(4, 0..members, partitions);
+            // One partition's outbound as it routes it: one born-sorted run
+            // per destination partition.
+            let mut sorted = outbound;
+            sorted.sort_unstable();
+            let to = |d: usize| move |msg: &&Msg| msg.1 % partitions as u64 == d as u64;
+            let runs: Vec<Vec<Msg>> =
+                (0..partitions).map(|d| sorted.iter().filter(to(d)).copied().collect()).collect();
 
             // Twice through the same context: the second pass runs on the
             // buffers the first one left behind.
             for superstep in [7u32, 8] {
-                let own = ctx.route(&outbound);
-                let expected: Vec<Msg> =
-                    outbound.iter().copied().filter(|msg| owner_of(msg) == worker).collect();
-                prop_assert_eq!(own, expected);
+                let mut routed = runs.clone();
+                let buffers: Vec<*const Msg> = routed.iter().map(|run| run.as_ptr()).collect();
+                ctx.deliver(&plane, superstep, &mut routed);
+                prop_assert!(routed.iter().all(Vec::is_empty));
+                // An own run reaches the slot by move: its very buffer.
+                let taken = plane.take(superstep);
+                for (d, run) in runs.iter().enumerate() {
+                    let landed = taken.to(d);
+                    if assignment[d] == worker && !run.is_empty() {
+                        prop_assert_eq!(&landed, &[run.as_slice()]);
+                        prop_assert_eq!(landed[0].as_ptr(), buffers[d]);
+                    } else {
+                        prop_assert!(landed.is_empty());
+                    }
+                }
+                // A peer's frame is its runs concatenated in pid order.
                 for link in &mut ctx.links {
-                    let msgs: Vec<Msg> =
-                        outbound.iter().copied().filter(|msg| owner_of(msg) == link.peer).collect();
+                    let msgs: Vec<Msg> = (0..partitions)
+                        .filter(|&d| assignment[d] == link.peer)
+                        .flat_map(|d| runs[d].iter().copied())
+                        .collect();
                     prop_assert_eq!(link.frame.len(), msgs.len());
                     let frame =
                         Message::ShuffleFrame { from_worker: worker, epoch: 4, superstep, msgs };
@@ -798,10 +824,14 @@ mod tests {
     /// Serve a single in-process worker on an ephemeral port (tests only —
     /// production workers are separate OS processes).
     fn spawn_local_worker() -> std::net::SocketAddr {
+        spawn_local_worker_on(Arc::default())
+    }
+
+    /// [`spawn_local_worker`] over `plane`, which the test can read.
+    fn spawn_local_worker_on(plane: Arc<DataPlane>) -> std::net::SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         thread::spawn(move || {
-            let plane = Arc::new(DataPlane::default());
             for stream in listener.incoming().flatten() {
                 let plane = plane.clone();
                 thread::spawn(move || {
@@ -1080,6 +1110,55 @@ mod tests {
         };
         assert_eq!(replies_to(&mut conn, &restore), failure_free);
         assert_eq!(pull(&mut conn, 5, &[0, 1]), failure_free_state);
+    }
+
+    #[test]
+    fn a_regenerate_round_routes_per_destination_like_any_superstep() {
+        // The complete graph on 16 vertices, four partitions, all on one
+        // worker. A restored state of every vertex its own label sends each
+        // label to every larger vertex, so one partition's send as one mixed
+        // run changes destination at nearly every message: cut where it
+        // lands, it would hand each partition a dozen near-singleton
+        // segments. Routed per destination, each source partition is one.
+        let (n, partitions) = (16u64, 4usize);
+        let plane = Arc::new(DataPlane::default());
+        let addr = spawn_local_worker_on(plane.clone());
+        let complete = |pid: u64| -> AdjRows {
+            let neighbours = |v: u64| (0..n).filter(move |&u| u != v).collect();
+            (pid..n).step_by(partitions).map(|v| (v, neighbours(v))).collect()
+        };
+        let pids: Vec<u64> = (0..partitions as u64).collect();
+        let adjacency = pids.iter().map(|&pid| (pid, complete(pid))).collect();
+        let peers = vec![(0, u64::from(addr.port()))];
+        let mut conn = handshake(addr, 0, n, adjacency, peers, vec![0; partitions]);
+        let own_labels =
+            |pid: u64| (pid..n).step_by(partitions).map(|v| (v, v)).collect::<Vec<Record>>();
+        let restore = Message::StepReset {
+            superstep: 2,
+            step: 1,
+            committed: None,
+            parts: pids.iter().map(|&pid| (pid, Seed::Pushed(own_labels(pid)))).collect(),
+            inbound: Inbound::Regenerate,
+            cut: false,
+        };
+        write_frame(&mut conn, &restore, None).unwrap();
+        for &pid in &pids {
+            assert_eq!(expect_step_done(&mut conn).0, pid);
+        }
+        // Slot 1 is what the round regenerated: vertex 4 hears from all
+        // four partitions, each one segment. Slot 2 is what the step sent.
+        assert_eq!(plane.take(1).most(), partitions);
+        let sent = plane.take(2);
+        assert!((1..=partitions).contains(&sent.most()), "{sent:?}");
+
+        // ... and the next superstep folds it: every label is 0.
+        let go = Message::StepGo { superstep: 3, step: 2, inbound: Some(2), pids, cut: false };
+        write_frame(&mut conn, &go, None).unwrap();
+        for pid in 0..partitions as u64 {
+            assert_eq!(expect_step_done(&mut conn).0, pid);
+        }
+        let labels = pull(&mut conn, 3, &[0, 1, 2, 3]);
+        assert!(labels.iter().flatten().all(|&(_, label)| label == 0), "{labels:?}");
     }
 
     #[test]
