@@ -10,15 +10,17 @@ use dataflow::ft::{DeltaState, FaultHandler, RestartHandler, Snapshot, SolutionS
 use dataflow::hash::FxHashMap;
 use dataflow::iterate::ConvergenceMeasure;
 use dataflow::partition::hash_partition;
+use dataflow::stats::IterationStats;
+use graphs::VertexId;
 use recovery::async_snapshot::AsyncSnapshotHandler;
 use recovery::checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
-use recovery::compensation::Compensation;
+use recovery::compensation::{lost_keys, Compensation};
 use recovery::ignore::IgnoreHandler;
 use recovery::incremental::IncrementalDeltaHandler;
 use recovery::optimistic::OptimisticHandler;
 use recovery::scenario::FailureScenario;
 use recovery::strategy::Strategy;
-use telemetry::SinkHandle;
+use telemetry::{JournalEvent, Norm, SinkHandle};
 
 /// Fault-tolerance configuration of one algorithm run.
 #[derive(Debug, Clone)]
@@ -255,6 +257,73 @@ pub const DISTINCT_LABELS: &str = "distinct_labels";
 pub const L1_DIFF: &str = "l1_diff";
 /// Gauge: sum of all ranks (the invariant `FixRanks` maintains).
 pub const RANK_SUM: &str = "rank_sum";
+
+/// Runs over at most this many vertices journal a
+/// [`JournalEvent::StateSample`] after every superstep, when telemetry is
+/// on and the run tracks the truth: the demo's screens and plots. The demo
+/// graphs have 16 and 10 vertices; a benchmark graph journals none.
+pub const SAMPLE_MAX_VERTICES: usize = 64;
+
+/// What a demo-sized run journals after each superstep: the whole state,
+/// the vertices a failure took, and the series the paper plots.
+pub(crate) struct Sampler {
+    telemetry: SinkHandle,
+    algorithm: &'static str,
+    num_vertices: usize,
+    parallelism: usize,
+    series: &'static [&'static str],
+}
+
+impl Sampler {
+    /// The sampler of a run of `algorithm` over `num_vertices` vertices, or
+    /// `None` when the run journals no samples. `series` names the gauges
+    /// and counters a sample carries.
+    pub(crate) fn of(
+        ft: &FtConfig,
+        track_truth: bool,
+        algorithm: &'static str,
+        num_vertices: usize,
+        parallelism: usize,
+        series: &'static [&'static str],
+    ) -> Option<Sampler> {
+        let telemetry = &ft.telemetry;
+        (telemetry.enabled() && track_truth && num_vertices <= SAMPLE_MAX_VERTICES).then(|| {
+            let telemetry = telemetry.clone();
+            Sampler { telemetry, algorithm, num_vertices, parallelism, series }
+        })
+    }
+
+    /// Journal the state `values` (`(vertex, value)` pairs) after the
+    /// superstep `stats` accounts for.
+    pub(crate) fn sample(
+        &self,
+        stats: &IterationStats,
+        values: impl IntoIterator<Item = (VertexId, f64)>,
+    ) {
+        let mut state = vec![Norm(f64::NAN); self.num_vertices];
+        for (v, value) in values {
+            state[v as usize] = Norm(value);
+        }
+        let lost_vertices = stats.failure.as_ref().map_or_else(Vec::new, |failure| {
+            lost_keys(self.num_vertices as u64, self.parallelism, &failure.lost_partitions)
+                .map(|(v, _)| v)
+                .collect()
+        });
+        let series = self.series.iter().filter_map(|&name| {
+            let value =
+                stats.gauge(name).or_else(|| stats.counters.get(name).map(|&c| c as f64))?;
+            Some((name.to_owned(), Norm(value)))
+        });
+        self.telemetry.emit(|| JournalEvent::StateSample {
+            superstep: stats.superstep,
+            iteration: stats.iteration,
+            algorithm: self.algorithm.to_owned(),
+            state,
+            lost_vertices,
+            series: series.collect(),
+        });
+    }
+}
 
 #[cfg(test)]
 mod tests {

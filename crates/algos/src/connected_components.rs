@@ -16,8 +16,6 @@
 //! re-seeds the working set; that extra propagation is the message spike the
 //! demo GUI shows in the iterations after a failure.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -51,11 +49,10 @@ pub struct CcConfig {
     /// Recovery strategy and failure scenario.
     pub ft: FtConfig,
     /// Precompute the exact components and record the per-iteration
-    /// `converged` / `distinct_labels` gauges the demo GUI plots.
+    /// `converged` / `distinct_labels` gauges the demo GUI plots. A run
+    /// over a demo-sized graph with telemetry on also journals its state
+    /// after every superstep ([`common::SAMPLE_MAX_VERTICES`]).
     pub track_truth: bool,
-    /// Record a full `(vertex, label)` snapshot after every superstep —
-    /// the data behind the GUI's per-iteration colouring (Figure 3).
-    pub capture_history: bool,
     /// Panic exactly once inside the delta body at this chronological
     /// superstep — the serving engine's UDF-failure injector. The unwind is
     /// caught by the executor and converted into a partition failure handled
@@ -70,7 +67,6 @@ impl Default for CcConfig {
             max_iterations: 200,
             ft: FtConfig::default(),
             track_truth: true,
-            capture_history: false,
             panic_at: None,
         }
     }
@@ -116,9 +112,6 @@ pub struct CcResult {
     /// `Some(true)` when the labels match the exact reference
     /// (only computed when [`CcConfig::track_truth`] is set).
     pub correct: Option<bool>,
-    /// One `(vertex, label)` snapshot per superstep, sorted by vertex
-    /// (only recorded when [`CcConfig::capture_history`] is set).
-    pub history: Option<Vec<Vec<Label>>>,
     /// Per-superstep engine statistics.
     pub stats: RunStats,
 }
@@ -188,7 +181,6 @@ pub fn run(graph: &Graph, config: &CcConfig) -> Result<CcResult> {
     let mut labels = built.result.collect()?;
     labels.sort_unstable();
     let stats = built.stats.take().expect("iteration executed");
-    let history = built.history.map(|h| h.borrow_mut().split_off(0));
 
     let mut distinct: Vec<VertexId> = labels.iter().map(|&(_, l)| l).collect();
     distinct.sort_unstable();
@@ -197,18 +189,16 @@ pub fn run(graph: &Graph, config: &CcConfig) -> Result<CcResult> {
         let truth = exact_components(graph);
         labels.len() == truth.len() && labels.iter().all(|&(v, l)| truth[v as usize] == l)
     });
-    Ok(CcResult { labels, num_components: distinct.len(), correct, history, stats })
+    Ok(CcResult { labels, num_components: distinct.len(), correct, stats })
 }
 
-/// The dataflow pieces [`build`] returns: the (lazy) result dataset, the
-/// statistics handle, and the optional state-history buffer.
+/// The dataflow pieces [`build`] returns: the (lazy) result dataset and the
+/// statistics handle.
 pub struct BuiltCc {
     /// Final solution-set dataset; `collect()` triggers execution.
     pub result: dataflow::api::DataSet<Label>,
     /// Filled with [`RunStats`] once the plan executes.
     pub stats: dataflow::prelude::StatsHandle,
-    /// Per-superstep label snapshots (when capturing history).
-    pub history: Option<Rc<RefCell<Vec<Vec<Label>>>>>,
 }
 
 /// Build the CC dataflow inside `env` without executing it. Exposed so
@@ -220,10 +210,10 @@ pub fn build(env: &Environment, graph: &Graph, config: &CcConfig) -> Result<Buil
     let iteration = DeltaIteration::new(&solution, &workset, config.max_iterations);
     let truth = config.track_truth.then(|| exact_components(graph));
     let adjacency = Arc::new(adjacency_of(graph));
-    let Plan { iteration, updates, history } =
+    let Plan { iteration, updates } =
         plan(iteration, env, &adjacency, graph.num_vertices(), truth, config)?;
     let (result, stats) = iteration.close(updates.clone(), updates);
-    Ok(BuiltCc { result, stats, history })
+    Ok(BuiltCc { result, stats })
 }
 
 /// Run the CC dataflow from `state`, which the caller keeps between runs,
@@ -244,8 +234,7 @@ pub fn run_resident(
 ) -> Result<ResidentRun<VertexId, VertexId, Label>> {
     let env = crate::common::environment(config.parallelism, &config.ft);
     let iteration = DeltaIteration::over(&env, config.max_iterations);
-    let Plan { iteration, updates, .. } =
-        plan(iteration, &env, adjacency, num_vertices, None, config)?;
+    let Plan { iteration, updates } = plan(iteration, &env, adjacency, num_vertices, None, config)?;
     iteration.run_from(updates.clone(), updates, state)
 }
 
@@ -254,7 +243,6 @@ struct Plan {
     iteration: DeltaIteration<VertexId, VertexId, Label>,
     /// Both the delta and the next workset.
     updates: DataSet<Label>,
-    history: Option<Rc<RefCell<Vec<Vec<Label>>>>>,
 }
 
 /// The one constructor of the CC plan (Figure 1a): recovery strategy,
@@ -279,14 +267,19 @@ fn plan(
         old.map_or(0.0, |&o| o.saturating_sub(*new) as f64)
     }));
 
-    let history: Option<Rc<RefCell<Vec<Vec<Label>>>>> =
-        if config.capture_history { Some(Rc::new(RefCell::new(Vec::new()))) } else { None };
-    let history_sink = history.clone();
+    let sampler = common::Sampler::of(
+        &config.ft,
+        truth.is_some(),
+        "cc",
+        num_vertices,
+        config.parallelism,
+        &[common::MESSAGES, common::CONVERGED, common::DISTINCT_LABELS],
+    );
     // The panic injector needs to know which superstep the body is
     // executing; the observer publishes it after each completed superstep.
     let superstep_cell = config.panic_at.map(|_| Arc::new(AtomicU32::new(0)));
     let observer_cell = superstep_cell.clone();
-    if truth.is_some() || history_sink.is_some() || observer_cell.is_some() {
+    if truth.is_some() || observer_cell.is_some() {
         iteration.set_observer(
             move |iter, solution: &SolutionSets<VertexId, VertexId>, _ws, stats| {
                 if let Some(cell) = &observer_cell {
@@ -306,11 +299,9 @@ fn plan(
                     stats.gauges.insert(common::CONVERGED.into(), converged as f64);
                     stats.gauges.insert(common::DISTINCT_LABELS.into(), distinct.len() as f64);
                 }
-                if let Some(history) = &history_sink {
-                    let mut snapshot: Vec<Label> =
-                        solution.iter().flat_map(|set| set.iter().map(|(&v, &l)| (v, l))).collect();
-                    snapshot.sort_unstable();
-                    history.borrow_mut().push(snapshot);
+                if let Some(sampler) = &sampler {
+                    let labels = solution.iter().flatten().map(|(&v, &l)| (v, l as f64));
+                    sampler.sample(stats, labels);
                 }
             },
         );
@@ -345,7 +336,7 @@ fn plan(
             |c, label: &VertexId| if c.1 < *label { Some((c.0, c.1)) } else { None },
         )
         .flat_map("updated-labels", |u: &Option<Label>| u.iter().copied().collect());
-    Ok(Plan { iteration, updates, history })
+    Ok(Plan { iteration, updates })
 }
 
 /// Textual rendering of the Figure 1a dataflow, compensation included.
@@ -428,7 +419,7 @@ pub fn run_bulk(graph: &Graph, config: &CcConfig) -> Result<CcResult> {
         let truth = exact_components(graph);
         labels.len() == truth.len() && labels.iter().all(|&(v, l)| truth[v as usize] == l)
     });
-    Ok(CcResult { labels, num_components: distinct.len(), correct, history: None, stats })
+    Ok(CcResult { labels, num_components: distinct.len(), correct, stats })
 }
 
 #[cfg(test)]

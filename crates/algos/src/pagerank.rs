@@ -15,8 +15,6 @@
 //! the fixpoint than the destroyed ones were — visible as the spike in the
 //! L1-difference plot of the demo GUI.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -49,14 +47,13 @@ pub struct PrConfig {
     /// Recovery strategy and failure scenario.
     pub ft: FtConfig,
     /// Precompute exact ranks and record the `converged` gauge (vertices
-    /// within tolerance of their true rank) plus the `l1_diff` gauge.
+    /// within tolerance of their true rank) plus the `l1_diff` gauge. A run
+    /// over a demo-sized graph with telemetry on also journals its state
+    /// after every superstep ([`common::SAMPLE_MAX_VERTICES`]).
     pub track_truth: bool,
     /// "Converged to the true rank" tolerance, as a fraction of the uniform
     /// rank `1/n` (the demo GUI's plot (i)).
     pub truth_tolerance: f64,
-    /// Record a full `(vertex, rank)` snapshot after every superstep —
-    /// the data behind the GUI's vertex sizing (Figure 5).
-    pub capture_history: bool,
     /// Panic exactly once inside the rank-propagation body at this
     /// chronological superstep — the serving engine's UDF-failure injector.
     /// The unwind is caught by the executor and converted into a partition
@@ -74,7 +71,6 @@ impl Default for PrConfig {
             ft: FtConfig::default(),
             track_truth: true,
             truth_tolerance: 0.01,
-            capture_history: false,
             panic_at: None,
         }
     }
@@ -91,9 +87,6 @@ pub struct PrResult {
     /// L1 distance to the exact power-iteration reference
     /// (only computed when [`PrConfig::track_truth`] is set).
     pub l1_to_exact: Option<f64>,
-    /// One `(vertex, rank)` snapshot per superstep, sorted by vertex
-    /// (only recorded when [`PrConfig::capture_history`] is set).
-    pub history: Option<Vec<Vec<Rank>>>,
     /// Per-superstep engine statistics.
     pub stats: RunStats,
 }
@@ -140,7 +133,6 @@ pub fn run(graph: &Graph, config: &PrConfig) -> Result<PrResult> {
     let mut ranks = built.result.collect()?;
     ranks.sort_by_key(|a| a.0);
     let stats = built.stats.take().expect("iteration executed");
-    let history = built.history.map(|h| h.borrow_mut().split_off(0));
     let rank_sum = ranks.iter().map(|&(_, r)| r).sum();
     let truth_ref = built.truth;
     let l1_to_exact = config.track_truth.then(|| {
@@ -158,7 +150,7 @@ pub fn run(graph: &Graph, config: &PrConfig) -> Result<PrResult> {
             .sum();
         covered + missing
     });
-    Ok(PrResult { ranks, rank_sum, l1_to_exact, history, stats })
+    Ok(PrResult { ranks, rank_sum, l1_to_exact, stats })
 }
 
 fn exact_truth(graph: &Graph, config: &PrConfig) -> Vec<f64> {
@@ -174,8 +166,6 @@ pub struct BuiltPr {
     pub result: dataflow::api::DataSet<Rank>,
     /// Filled with [`RunStats`] once the plan executes.
     pub stats: dataflow::prelude::StatsHandle,
-    /// Per-superstep rank snapshots (when capturing history).
-    pub history: Option<Rc<RefCell<Vec<Vec<Rank>>>>>,
     /// The exact power-iteration reference, computed once (when tracking
     /// truth) and shared between the observer and the final report.
     pub truth: Option<Arc<Vec<f64>>>,
@@ -239,9 +229,14 @@ pub fn build_warm(
     let truth = if config.track_truth { Some(Arc::new(exact_truth(graph, config))) } else { None };
     let truth_ret = truth.clone();
     let tolerance = config.truth_tolerance * uniform;
-    let history: Option<Rc<RefCell<Vec<Vec<Rank>>>>> =
-        if config.capture_history { Some(Rc::new(RefCell::new(Vec::new()))) } else { None };
-    let history_sink = history.clone();
+    let sampler = common::Sampler::of(
+        &config.ft,
+        truth.is_some(),
+        "pagerank",
+        n,
+        config.parallelism,
+        &[common::L1_DIFF, common::RANK_SUM, common::CONVERGED],
+    );
     // The panic injector needs to know which superstep the body is
     // executing; the observer publishes it after each completed superstep.
     let superstep_cell = config.panic_at.map(|_| Arc::new(AtomicU32::new(0)));
@@ -255,11 +250,6 @@ pub fn build_warm(
         for &(v, r) in state.iter_records() {
             current[v as usize] = r;
         }
-        if let Some(history) = &history_sink {
-            let mut snapshot: Vec<Rank> = state.iter_records().copied().collect();
-            snapshot.sort_by_key(|r| r.0);
-            history.borrow_mut().push(snapshot);
-        }
         let sum: f64 = current.iter().sum();
         let l1: f64 = current.iter().zip(&previous).map(|(c, p)| (c - p).abs()).sum();
         stats.gauges.insert(common::RANK_SUM.into(), sum);
@@ -271,6 +261,9 @@ pub fn build_warm(
                 .filter(|(c, t)| (**c - **t).abs() <= tolerance)
                 .count();
             stats.gauges.insert(common::CONVERGED.into(), converged as f64);
+        }
+        if let Some(sampler) = &sampler {
+            sampler.sample(stats, state.iter_records().copied());
         }
         previous = current;
     });
@@ -350,7 +343,7 @@ pub fn build_warm(
         )
         .filter("still-moving", move |delta| *delta > epsilon);
     let (result, stats) = iteration.close_with_termination(new_ranks, still_moving);
-    Ok(BuiltPr { result, stats, history, truth: truth_ret })
+    Ok(BuiltPr { result, stats, truth: truth_ret })
 }
 
 /// Textual rendering of the Figure 1b dataflow, compensation included.

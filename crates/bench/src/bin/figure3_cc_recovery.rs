@@ -1,10 +1,11 @@
 //! Regenerates **Figures 2–3** of the paper: the Connected Components demo
 //! under optimistic recovery.
 //!
-//! Small hand-crafted graph (visualised per iteration like the GUI) and the
-//! Twitter-like graph (statistics only), with failures at supersteps 1 and
-//! 3 — producing the plummet in the converged-vertices plot at the failure
-//! iteration and the elevated message counts in iterations 2 and 4 (§3.2).
+//! Small hand-crafted graph (visualised per iteration like the GUI, from
+//! the run's journal) and the Twitter-like graph (statistics only), with
+//! failures at supersteps 1 and 3 — producing the plummet in the
+//! converged-vertices plot at the failure iteration and the elevated
+//! message counts in iterations 2 and 4 (§3.2).
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin figure3_cc_recovery
@@ -16,12 +17,10 @@ use algos::connected_components::{self, CcConfig};
 use algos::FtConfig;
 use flowviz::chart::{ascii_chart, ChartOptions};
 use flowviz::csv::write_run_stats_csv;
-use flowviz::render::render_components;
 use flowviz::table::{run_stats_table, run_summary};
-use graphs::VertexId;
 use recovery::scenario::FailureScenario;
 use std::sync::Arc;
-use telemetry::{MemorySink, SinkHandle};
+use telemetry::{MemorySink, Norm, SinkHandle};
 
 fn main() {
     let results = bench_suite::results_dir();
@@ -33,26 +32,25 @@ fn main() {
     let sink = Arc::new(MemorySink::new());
     let handle = SinkHandle::new(sink.clone());
     let config = CcConfig {
-        capture_history: true,
         ft: FtConfig::optimistic(scenario.clone()).with_telemetry(handle.clone()),
         ..Default::default()
     };
     let result = connected_components::run(&graph, &config).expect("run");
-    let history = result.history.as_ref().expect("history captured");
+    let events = sink.events();
+    let frames = flowscope::demo::frames(&events);
 
     // The GUI's four screenshots: initial, before failure, after
-    // compensation, converged (Figure 3 a–d).
-    let initial: Vec<(VertexId, VertexId)> = graph.vertices().map(|v| (v, v)).collect();
+    // compensation, converged (Figure 3 a–d), drawn from the journal.
+    let initial: Vec<Norm> = graph.vertices().map(|v| Norm(v as f64)).collect();
     bench_suite::subsection("(a) initial state");
-    print!("{}", render_components(&initial, &[]));
+    print!("{}", flowscope::render_screen("cc", &initial, &[]));
     let failure_superstep = 3usize;
-    let lost: Vec<VertexId> = lost_vertices(&result.stats, failure_superstep, config.parallelism);
     bench_suite::subsection("(b) state right before the failure (superstep 2)");
-    print!("{}", render_components(&history[failure_superstep - 1], &[]));
+    print!("{}", frames[failure_superstep - 1].screen());
     bench_suite::subsection("(c) after the failure + compensation (superstep 3; [v!] restored)");
-    print!("{}", render_components(&history[failure_superstep], &lost));
+    print!("{}", frames[failure_superstep].screen());
     bench_suite::subsection("(d) converged state");
-    print!("{}", render_components(result.history.as_ref().unwrap().last().unwrap(), &[]));
+    print!("{}", frames.last().expect("a sampled run").screen());
 
     report("small demo graph", &result.stats);
     write_run_stats_csv(&result.stats, &results.join("figure3_cc_small.csv")).expect("write csv");
@@ -80,24 +78,6 @@ fn main() {
     report("twitter-like graph", &result.stats);
     write_run_stats_csv(&result.stats, &results.join("figure3_cc_twitter.csv")).expect("write csv");
     println!("\nCSV series written to {}/figure3_*.csv", results.display());
-}
-
-/// Vertices lost at the given superstep, reconstructed from the failure
-/// record and the deterministic hash partitioning.
-fn lost_vertices(
-    stats: &dataflow::stats::RunStats,
-    superstep: usize,
-    parallelism: usize,
-) -> Vec<VertexId> {
-    let Some(failure) = &stats.iterations[superstep].failure else {
-        return Vec::new();
-    };
-    let snapshot_len = 16u64; // demo graph size
-    (0..snapshot_len)
-        .filter(|v| {
-            failure.lost_partitions.contains(&dataflow::partition::hash_partition(v, parallelism))
-        })
-        .collect()
 }
 
 fn report(label: &str, stats: &dataflow::stats::RunStats) {

@@ -2,10 +2,10 @@
 //! optimistic recovery.
 //!
 //! Small hand-crafted graph (rank-proportional vertex bars, like the GUI's
-//! vertex sizes) and the Twitter-like graph (statistics only), with a
-//! failure at superstep 5 — producing the plummet in the
-//! converged-to-true-rank plot and the spike in the L1 plot at iteration 6
-//! (§3.3).
+//! vertex sizes, drawn from the run's journal) and the Twitter-like graph
+//! (statistics only), with a failure at superstep 5 — producing the
+//! plummet in the converged-to-true-rank plot and the spike in the L1 plot
+//! at iteration 6 (§3.3).
 //!
 //! ```text
 //! cargo run --release -p bench-suite --bin figure5_pagerank_recovery
@@ -17,12 +17,10 @@ use algos::pagerank::{self, PrConfig};
 use algos::FtConfig;
 use flowviz::chart::{ascii_chart, ChartOptions};
 use flowviz::csv::write_run_stats_csv;
-use flowviz::render::render_ranks;
 use flowviz::table::{run_stats_table, run_summary};
-use graphs::VertexId;
 use recovery::scenario::FailureScenario;
 use std::sync::Arc;
-use telemetry::{MemorySink, SinkHandle};
+use telemetry::{MemorySink, Norm, SinkHandle};
 
 const FAILURE_SUPERSTEP: u32 = 5;
 
@@ -36,29 +34,28 @@ fn main() {
     let sink = Arc::new(MemorySink::new());
     let handle = SinkHandle::new(sink.clone());
     let config = PrConfig {
-        capture_history: true,
         ft: FtConfig::optimistic(scenario.clone()).with_telemetry(handle.clone()),
         ..Default::default()
     };
     let result = pagerank::run(&graph, &config).expect("run");
-    let history = result.history.as_ref().expect("history captured");
+    let events = sink.events();
+    let frames = flowscope::demo::frames(&events);
     assert!(
-        history.len() > FAILURE_SUPERSTEP as usize + 1,
+        frames.len() > FAILURE_SUPERSTEP as usize + 1,
         "demo run converged before the scheduled failure (superstep {FAILURE_SUPERSTEP}); \
          lower PrConfig::epsilon or move the failure earlier"
     );
 
-    let n = graph.num_vertices() as u64;
-    let uniform: Vec<(VertexId, f64)> = (0..n).map(|v| (v, 1.0 / n as f64)).collect();
-    let lost: Vec<VertexId> = lost_vertices(&result.stats, n, config.parallelism);
+    let n = graph.num_vertices();
+    let uniform = vec![Norm(1.0 / n as f64); n];
     bench_suite::subsection("(a) initial state: uniform ranks");
-    print!("{}", render_ranks(&uniform, &[], 40));
+    print!("{}", flowscope::render_screen("pagerank", &uniform, &[]));
     bench_suite::subsection("(b) state right before the failure");
-    print!("{}", render_ranks(&history[FAILURE_SUPERSTEP as usize - 1], &[], 40));
+    print!("{}", frames[FAILURE_SUPERSTEP as usize - 1].screen());
     bench_suite::subsection("(c) after the failure + compensation (! = restored by FixRanks)");
-    print!("{}", render_ranks(&history[FAILURE_SUPERSTEP as usize], &lost, 40));
+    print!("{}", frames[FAILURE_SUPERSTEP as usize].screen());
     bench_suite::subsection("(d) converged state");
-    print!("{}", render_ranks(history.last().unwrap(), &[], 40));
+    print!("{}", frames.last().expect("a sampled run").screen());
 
     report("small demo graph", &result.stats);
     write_run_stats_csv(&result.stats, &results.join("figure5_pagerank_small.csv"))
@@ -91,17 +88,6 @@ fn main() {
     write_run_stats_csv(&result.stats, &results.join("figure5_pagerank_twitter.csv"))
         .expect("write csv");
     println!("\nCSV series written to {}/figure5_*.csv", results.display());
-}
-
-fn lost_vertices(stats: &dataflow::stats::RunStats, n: u64, parallelism: usize) -> Vec<VertexId> {
-    let Some(failure) = &stats.iterations[FAILURE_SUPERSTEP as usize].failure else {
-        return Vec::new();
-    };
-    (0..n)
-        .filter(|v| {
-            failure.lost_partitions.contains(&dataflow::partition::hash_partition(v, parallelism))
-        })
-        .collect()
 }
 
 fn report(label: &str, stats: &dataflow::stats::RunStats) {

@@ -14,6 +14,8 @@
 //!   superstep-count, wall-clock, and recovery-overhead regressions.
 //! - [`recovery`] — what each failure cost: detection latency, respawn
 //!   time, re-shipped bytes, and recomputed supersteps per worker outage.
+//! - [`demo`] — the paper's GUI: the small graph's state per superstep,
+//!   lost vertices marked, and the two statistics plots per algorithm.
 //!
 //! Everything is file-driven (`inspect` runs long after the run finished),
 //! and nothing here knows the file format: the journal, span and report
@@ -27,6 +29,7 @@
 
 pub mod capture;
 pub mod convergence;
+pub mod demo;
 pub mod diff;
 pub mod load;
 pub mod model;
@@ -36,6 +39,7 @@ pub mod timeline;
 
 pub use capture::{capture_paths, save_run, CapturePaths};
 pub use convergence::{render_convergence, write_convergence_csv, write_convergence_html};
+pub use demo::{render_demo, render_screen};
 pub use diff::{diff_runs, render_diff, DiffOptions, DiffReport, RunFacts};
 pub use load::{load_journal, load_report, load_spans, Journal, LoadError};
 pub use model::RunModel;

@@ -1,80 +1,5 @@
-//! Multi-series comparison rendering: overlay charts, sparklines, and
-//! histograms — used by the strategy-comparison experiments to put e.g.
-//! optimistic and rollback convergence curves side by side.
-
-/// Unicode block-character sparkline of a series (one character per point,
-/// `·` for missing values).
-pub fn sparkline(series: &[f64]) -> String {
-    const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let finite: Vec<f64> = series.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.is_empty() {
-        return String::new();
-    }
-    let (lo, hi) = finite
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    let span = (hi - lo).max(f64::MIN_POSITIVE);
-    series
-        .iter()
-        .map(|v| {
-            if !v.is_finite() {
-                return '·';
-            }
-            let idx = (((v - lo) / span) * (LEVELS.len() - 1) as f64).round() as usize;
-            LEVELS[idx.min(LEVELS.len() - 1)]
-        })
-        .collect()
-}
-
-/// Render several labelled series as aligned sparklines with their ranges —
-/// a compact visual diff of runs.
-pub fn sparkline_board(series: &[(&str, Vec<f64>)]) -> String {
-    let width = series.iter().map(|(label, _)| label.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (label, values) in series {
-        let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-        let (lo, hi) = finite
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        if finite.is_empty() {
-            out.push_str(&format!("{label:>width$}  (no data)\n"));
-        } else {
-            out.push_str(&format!(
-                "{label:>width$}  {}  [{lo:.3} .. {hi:.3}]\n",
-                sparkline(values)
-            ));
-        }
-    }
-    out
-}
-
-/// Histogram of values into `buckets` equal-width bins, rendered as
-/// horizontal bars. Used e.g. for degree distributions of the Twitter-like
-/// graph (heavy tail at a glance).
-pub fn histogram(values: &[f64], buckets: usize, bar_width: usize) -> String {
-    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.is_empty() || buckets == 0 {
-        return "  (no data)\n".to_string();
-    }
-    let (lo, hi) = finite
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    let span = (hi - lo).max(f64::MIN_POSITIVE);
-    let mut counts = vec![0usize; buckets];
-    for v in &finite {
-        let idx = (((v - lo) / span) * buckets as f64) as usize;
-        counts[idx.min(buckets - 1)] += 1;
-    }
-    let max_count = counts.iter().copied().max().unwrap_or(1).max(1);
-    let mut out = String::new();
-    for (i, count) in counts.iter().enumerate() {
-        let bucket_lo = lo + span * i as f64 / buckets as f64;
-        let bucket_hi = lo + span * (i + 1) as f64 / buckets as f64;
-        let bar = "#".repeat(count * bar_width / max_count);
-        out.push_str(&format!("  [{bucket_lo:>10.1}, {bucket_hi:>10.1})  {bar} {count}\n"));
-    }
-    out
-}
+//! Distribution rendering: a log-scale histogram for heavy-tailed data
+//! such as the Twitter-like graph's vertex degrees.
 
 /// Log-scale histogram (base-2 buckets) for heavy-tailed integer data such
 /// as vertex degrees.
@@ -101,52 +26,6 @@ pub fn log2_histogram(values: &[u64], bar_width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sparkline_maps_extremes() {
-        let line = sparkline(&[0.0, 0.5, 1.0]);
-        let chars: Vec<char> = line.chars().collect();
-        assert_eq!(chars[0], '▁');
-        assert_eq!(chars[2], '█');
-        assert_eq!(chars.len(), 3);
-    }
-
-    #[test]
-    fn sparkline_handles_nan_and_empty() {
-        assert_eq!(sparkline(&[]), "");
-        assert_eq!(sparkline(&[f64::NAN]), "");
-        let line = sparkline(&[1.0, f64::NAN, 2.0]);
-        assert!(line.contains('·'));
-    }
-
-    #[test]
-    fn sparkline_board_aligns_labels() {
-        let board = sparkline_board(&[
-            ("optimistic", vec![1.0, 2.0, 3.0]),
-            ("checkpoint(1)", vec![1.0, 1.5]),
-        ]);
-        assert!(board.contains("optimistic"));
-        assert!(board.contains("[1.000 .. 3.000]"));
-        assert_eq!(board.lines().count(), 2);
-    }
-
-    #[test]
-    fn histogram_buckets_cover_range() {
-        let text = histogram(&[0.0, 1.0, 1.0, 2.0, 9.9], 5, 20);
-        assert_eq!(text.lines().count(), 5);
-        assert!(text.contains('#'));
-        // Total count preserved.
-        let total: usize =
-            text.lines().map(|l| l.rsplit(' ').next().unwrap().parse::<usize>().unwrap()).sum();
-        assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn histogram_handles_constant_and_empty() {
-        assert!(histogram(&[], 4, 10).contains("no data"));
-        let text = histogram(&[5.0; 10], 4, 10);
-        assert!(text.contains("10"));
-    }
 
     #[test]
     fn log2_histogram_buckets_by_power_of_two() {

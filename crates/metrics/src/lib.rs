@@ -4,14 +4,14 @@
 //! The GUI's information content is (a) the per-iteration state of the
 //! small demo graph (component colouring for Connected Components,
 //! rank-proportional vertex sizes for PageRank) and (b) four statistics
-//! plots (converged vertices, messages, and the PageRank L1 series). This
-//! crate renders the same content in a terminal:
+//! plots (converged vertices, messages, and the PageRank L1 series).
+//! `flowscope::demo` draws (a) from the run's journal; this crate renders
+//! the statistics in a terminal:
 //!
 //! * [`chart`] — ASCII line charts with failure markers.
-//! * [`compare`] — sparkline boards, histograms (multi-run comparisons).
+//! * [`compare`] — log-scale histograms (degree distributions).
 //! * [`table`] — per-superstep statistics tables.
 //! * [`csv`] — CSV export of every series for external plotting.
-//! * [`render`] — graph-state renderers (the "screenshots" of Figs. 3/5).
 //! * [`report`] — telemetry [`RunReport`](telemetry::RunReport) tables and
 //!   reconciliation against the engine's legacy `RunStats`.
 
@@ -20,12 +20,11 @@
 pub mod chart;
 pub mod compare;
 pub mod csv;
-pub mod render;
 pub mod report;
 pub mod table;
 
 pub use chart::{ascii_chart, ChartOptions};
-pub use compare::{histogram, log2_histogram, sparkline, sparkline_board};
+pub use compare::log2_histogram;
 pub use csv::run_stats_csv;
 pub use report::{reconcile, run_report_table};
 pub use table::run_stats_table;

@@ -689,7 +689,6 @@ impl ServeEngine {
                     max_iterations: self.config.max_iterations,
                     ft,
                     track_truth: false,
-                    capture_history: false,
                     panic_at,
                 };
                 self.converge_cc(seed, &config)
@@ -701,7 +700,6 @@ impl ServeEngine {
                     epsilon: self.config.epsilon,
                     ft,
                     track_truth: false,
-                    capture_history: false,
                     panic_at,
                     ..Default::default()
                 };

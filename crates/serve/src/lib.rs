@@ -20,6 +20,7 @@
 //!   from a shared snapshot while commits re-converge.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod daemon;
 pub mod engine;

@@ -86,9 +86,12 @@ impl LiveGraph {
         let Err(at) = row.binary_search(&v) else { return false };
         row.insert(at, v);
         if !self.directed && u != v {
+            // An undirected edge sits in both rows: absent from `u`'s, it is
+            // absent from `v`'s too.
             let row = adjacency.row_mut(v);
-            let at = row.binary_search(&u).expect_err("an undirected edge sits in both rows");
-            row.insert(at, u);
+            if let Err(at) = row.binary_search(&u) {
+                row.insert(at, u);
+            }
         }
         self.num_edges += 1;
         true
@@ -102,8 +105,11 @@ impl LiveGraph {
         }
         let adjacency = Arc::make_mut(&mut self.adjacency);
         let mut unlink = |from: VertexId, to: VertexId| {
+            // An undirected edge sits in both rows, so `to` is found.
             let row = adjacency.row_mut(from);
-            row.remove(row.binary_search(&to).expect("an undirected edge sits in both rows"));
+            if let Ok(at) = row.binary_search(&to) {
+                row.remove(at);
+            }
             if row.is_empty() {
                 adjacency.remove_row(&from);
             }

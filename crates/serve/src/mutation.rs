@@ -64,12 +64,9 @@ impl Command {
 /// Parse one protocol line. Returns `Ok(None)` for blank lines and
 /// comments.
 pub fn parse_line(raw: &str) -> Result<Option<Command>, String> {
-    let line = raw.split('#').next().unwrap_or("").trim();
-    if line.is_empty() {
-        return Ok(None);
-    }
+    let line = raw.split('#').next().unwrap_or("");
     let mut words = line.split_whitespace();
-    let head = words.next().expect("non-empty line has a first word");
+    let Some(head) = words.next() else { return Ok(None) };
     let mut vertex = |name: &str| -> Result<VertexId, String> {
         let word = words.next().ok_or_else(|| format!("`{head}` needs {name}"))?;
         word.parse().map_err(|_| format!("invalid {name} {word:?}"))

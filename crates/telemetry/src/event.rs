@@ -21,6 +21,7 @@
 //! `stats` module, so there is exactly one definition of "what the fault
 //! handler did" across the workspace.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::json::{self, Fields, Json, Obj, ReadError, Value};
@@ -492,6 +493,29 @@ journal_events! {
     FailureIgnored {
         /// Logical iteration during which the failure was ignored.
         iteration: u32,
+    },
+    /// The whole state of a demo-sized run after a superstep, failure and
+    /// recovery included: what the paper's GUI draws per iteration. Only
+    /// runs over a handful of vertices journal it (see
+    /// `algos::common::SAMPLE_MAX_VERTICES`); `optirec inspect demo` draws
+    /// the screens and plots from it.
+    StateSample {
+        /// Chronological superstep the sample follows.
+        superstep: u32,
+        /// Logical iteration the superstep computed.
+        iteration: u32,
+        /// The algorithm whose state this is: `"cc"` (labels) or
+        /// `"pagerank"` (ranks).
+        algorithm: String,
+        /// Per vertex, by id: its label or rank; `null` where the vertex
+        /// holds no state (lost and not restored).
+        state: Vec<Norm>,
+        /// Vertices of the partitions lost during the superstep, ascending
+        /// (restored by the recovery the journal records before this line).
+        lost_vertices: Vec<u64>,
+        /// The plotted series at this superstep, by name (`messages`,
+        /// `converged`, `distinct_labels`, `l1_diff`, `rank_sum`).
+        series: BTreeMap<String, Norm>,
     },
     /// The run finished.
     RunCompleted {

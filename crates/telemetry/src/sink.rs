@@ -183,15 +183,16 @@ const EVENT_BATCH_CAPACITY: usize = 32;
 
 /// Whether an event may sit in the handle's batch buffer. Only the
 /// high-frequency per-superstep events qualify — superstep/convergence
-/// markers plus the per-partition worker spans a cluster superstep fans out
-/// — while everything rarer (failures, recovery, run lifecycle, serve
-/// epochs) flushes the buffer immediately so the sink's view is current
-/// whenever anything noteworthy happens.
+/// markers and demo state samples, plus the per-partition worker spans a
+/// cluster superstep fans out — while everything rarer (failures, recovery,
+/// run lifecycle, serve epochs) flushes the buffer immediately so the
+/// sink's view is current whenever anything noteworthy happens.
 fn batchable(event: &JournalEvent) -> bool {
     matches!(
         event,
         JournalEvent::SuperstepCompleted { .. }
             | JournalEvent::ConvergenceSample { .. }
+            | JournalEvent::StateSample { .. }
             | JournalEvent::WorkerSpan { .. }
     )
 }

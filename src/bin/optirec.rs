@@ -154,6 +154,10 @@ fn inspect(command: &InspectCommand) -> Result<i32, String> {
             print!("{}", flowscope::render_recovery(&recovery));
             Ok(0)
         }
+        InspectCommand::Demo { journal } => {
+            print!("{}", flowscope::render_demo(&load(journal)?.events));
+            Ok(0)
+        }
         InspectCommand::Diff { baseline, journal, baseline_report, report, options } => {
             let facts = |journal: &Path, report: &Option<PathBuf>| -> Result<_, String> {
                 let mut facts = flowscope::RunFacts::from_journal(&load(journal)?);
@@ -316,7 +320,7 @@ fn run(invocation: &Invocation) -> Result<(), String> {
             };
             let result = algos::kmeans::run(&points, &config).map_err(|e| e.to_string())?;
             println!("objective: {:.2}", result.objective);
-            print!("{}", flowviz::render::render_centroids(&result.centroids));
+            print!("{}", flowscope::demo::render_centroids(&result.centroids));
             result.stats
         }
         Algorithm::Als => {

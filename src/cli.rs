@@ -374,7 +374,7 @@ pub fn usage() -> &'static str {
 USAGE:
     optirec <ALGORITHM> [OPTIONS]
     optirec serve <cc|pagerank> [OPTIONS]      (see `optirec serve --help`)
-    optirec inspect <timeline|profile|convergence|recovery|diff> [OPTIONS]
+    optirec inspect <timeline|profile|convergence|recovery|demo|diff> [OPTIONS]
     optirec top (--report <PATH> | --connect <ADDR>) [--once] [--interval-ms <MS>]
     optirec worker [--listen ADDR]
 
@@ -417,6 +417,8 @@ OPTIONS:
 
 EXAMPLES:
     optirec cc --fail 3:1 --fail 5:0,2
+    optirec cc --fail 3:1,2 --journal results/cc_journal.jsonl      # §3.2 demo
+    optirec pagerank --fail 5:1 --journal results/pr_journal.jsonl  # §3.3 demo
     optirec pagerank --graph twitter:50000 --strategy checkpoint:2 --parallelism 8
     optirec cc --journal results/cc_journal.jsonl
     optirec cc --cluster 2 --kill 2:1 --journal results/cluster_journal.jsonl
@@ -424,6 +426,7 @@ EXAMPLES:
     optirec cc --cluster 3 --strategy async-snapshot:2 --chaos 'kill@2:0,1;slow@3-5:2:50'
     optirec inspect convergence --journal results/cc_journal.jsonl
     optirec inspect recovery --journal results/cluster_journal.jsonl
+    optirec inspect demo --journal results/cc_journal.jsonl
     optirec inspect diff --baseline results/base_journal.jsonl --journal results/cc_journal.jsonl
     optirec top --once --report results/cluster_report.json
 
@@ -447,6 +450,7 @@ USAGE:
     optirec inspect profile     --report <PATH> [--straggler-factor <F>]
     optirec inspect convergence --journal <PATH> [--csv <PATH>] [--html <PATH>]
     optirec inspect recovery    --journal <PATH> [--report <PATH>]
+    optirec inspect demo        --journal <PATH>
     optirec inspect diff        --baseline <PATH> --journal <PATH>
                                 [--baseline-report <PATH>] [--report <PATH>]
                                 [--superstep-pct <P>] [--wall-pct <P>]
@@ -456,9 +460,11 @@ Paths point at JSONL journals written with --journal (or by the figure
 binaries); spans and report sidecars are found automatically next to the
 journal when present. `recovery` attributes, per worker outage, the
 detection latency, respawn cost, re-shipped bytes, and recomputed
-supersteps. `diff` exits nonzero when the current run regresses beyond the
-thresholds (defaults: supersteps +0%, wall +20%, redundant supersteps +0,
-recovery wall +25%).
+supersteps. `demo` draws the paper's demo from a cc or pagerank run over a
+demo-sized graph: each superstep's graph state, lost vertices marked, then
+the algorithm's two plots. `diff` exits nonzero when the current run
+regresses beyond the thresholds (defaults: supersteps +0%, wall +20%,
+redundant supersteps +0, recovery wall +25%).
 "
 }
 
@@ -496,6 +502,11 @@ pub enum InspectCommand {
         /// Explicit report sidecar for the recovery span total
         /// (auto-derived from the journal otherwise).
         report: Option<PathBuf>,
+    },
+    /// The paper's demo screens and plots.
+    Demo {
+        /// Event journal holding the run's state samples.
+        journal: PathBuf,
     },
     /// Compare two runs and flag regressions.
     Diff {
@@ -577,6 +588,13 @@ pub fn parse_inspect(args: &[String]) -> Result<InspectCommand, String> {
             }
             InspectCommand::Recovery { journal, report }
         }
+        "demo" => {
+            let journal = require(take(&mut flags, "--journal"), "--journal")?;
+            if let Some((flag, _)) = flags.first() {
+                return Err(unknown_flag(flag, &["--journal"]));
+            }
+            InspectCommand::Demo { journal }
+        }
         "diff" => {
             let valid = [
                 "--baseline",
@@ -615,7 +633,7 @@ pub fn parse_inspect(args: &[String]) -> Result<InspectCommand, String> {
         other => {
             return Err(format!(
                 "unknown inspect subcommand {other:?}; expected timeline | profile | \
-                 convergence | recovery | diff\n\n{}",
+                 convergence | recovery | demo | diff\n\n{}",
                 inspect_usage()
             ))
         }
@@ -1255,6 +1273,14 @@ mod tests {
         assert!(parse_inspect(&args(&["recovery"])).is_err());
         let err = parse_inspect(&args(&["recovery", "--journal", "j", "--wat", "1"])).unwrap_err();
         assert!(err.contains("--report"), "{err}");
+    }
+
+    #[test]
+    fn inspect_demo_parses() {
+        let cmd = parse_inspect(&args(&["demo", "--journal", "j.jsonl"])).unwrap();
+        assert_eq!(cmd, InspectCommand::Demo { journal: PathBuf::from("j.jsonl") });
+        assert!(parse_inspect(&args(&["demo"])).is_err());
+        assert!(parse_inspect(&args(&["demo", "--journal", "j", "--csv", "c"])).is_err());
     }
 
     #[test]
