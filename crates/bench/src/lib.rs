@@ -1,12 +1,12 @@
-//! Shared helpers for the benchmark suite and the figure-regeneration
-//! binaries (`src/bin/*`). Every figure and claim of the paper maps to one
-//! binary; see `EXPERIMENTS.md` at the repository root for the index.
+//! Shared helpers for the criterion benches and the two guard binaries
+//! (`src/bin/*`). Every figure and claim of the paper regenerates through
+//! `optirec` runs instead; see `EXPERIMENTS.md` at the repository root.
 
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
 
-/// Directory the regeneration binaries write their CSV series into:
+/// Directory the guard binaries write their verdicts into:
 /// `$OPTIREC_RESULTS` or `./results`.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("OPTIREC_RESULTS")
@@ -19,40 +19,6 @@ pub fn section(title: &str) {
     println!("\n{}", "=".repeat(title.len() + 4));
     println!("| {title} |");
     println!("{}", "=".repeat(title.len() + 4));
-}
-
-/// Print a sub-header.
-pub fn subsection(title: &str) {
-    println!("\n--- {title} ---");
-}
-
-/// Serialize a run's captured telemetry next to the CSV series, in the
-/// layout `optirec inspect` consumes: the JSONL event journal as
-/// `<stem>_journal.jsonl`, wall-clock spans as `<stem>_spans.jsonl`, and the
-/// aggregated [`telemetry::RunReport`] (wrapped together with the metrics
-/// snapshot) as `<stem>_report.json`. Also prints the report table and
-/// cross-checks the journal against the engine's legacy `RunStats`
-/// (panicking on any discrepancy — the journal must faithfully describe the
-/// run it came from).
-pub fn write_telemetry(
-    sink: &telemetry::MemorySink,
-    metrics: &telemetry::MetricRegistry,
-    stats: &dataflow::stats::RunStats,
-    stem: &str,
-) -> telemetry::RunReport {
-    let results = results_dir();
-    let paths = flowscope::save_run(sink, metrics, &results.join(format!("{stem}_journal.jsonl")))
-        .expect("write telemetry sidecars");
-    let report = telemetry::RunReport::from_sink(sink);
-    let diffs = flowviz::report::reconcile(&report, stats);
-    assert!(diffs.is_empty(), "journal does not reconcile with RunStats: {diffs:#?}");
-    subsection(&format!("telemetry report ({stem})"));
-    print!("{}", flowviz::report::run_report_table(&report));
-    println!(
-        "journal + spans + report written to {}/{stem}_{{journal.jsonl,spans.jsonl,report.json}}",
-        paths.journal.parent().unwrap_or(&results).display()
-    );
-    report
 }
 
 /// The Twitter-scale substitute used by the large-graph runs: a

@@ -5,8 +5,8 @@
 //! rank — with the vertices of failed partitions highlighted, and two
 //! statistics plots per algorithm. A demo-sized run journals all of it as
 //! `StateSample` events. This module draws them: one screen per superstep
-//! ([`render_screen`], which the figure binaries draw their screens with
-//! too) and the two plots with the failures marked ([`render_demo`]).
+//! ([`Frame::screen`]) and the two plots with the failures marked
+//! ([`render_demo`]).
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -153,7 +153,7 @@ pub fn render_demo(events: &[JournalEvent]) -> String {
 /// vertex holds none), the vertices in `lost` marked. Connected Components
 /// groups the vertices by label, one group per GUI colour; PageRank draws
 /// one bar per vertex, proportional to its rank (the GUI's vertex sizes).
-pub fn render_screen(algorithm: &str, state: &[Norm], lost: &[u64]) -> String {
+fn render_screen(algorithm: &str, state: &[Norm], lost: &[u64]) -> String {
     let present = (0u64..).zip(state).filter(|(_, x)| !x.0.is_nan()).map(|(v, x)| (v, x.0));
     let lost: BTreeSet<u64> = lost.iter().copied().collect();
     match algorithm {

@@ -39,7 +39,7 @@ pub mod timeline;
 
 pub use capture::{capture_paths, save_run, CapturePaths};
 pub use convergence::{render_convergence, write_convergence_csv, write_convergence_html};
-pub use demo::{render_demo, render_screen};
+pub use demo::render_demo;
 pub use diff::{diff_runs, render_diff, DiffOptions, DiffReport, RunFacts};
 pub use load::{load_journal, load_report, load_spans, Journal, LoadError};
 pub use model::RunModel;

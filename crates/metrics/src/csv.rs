@@ -1,99 +1,10 @@
-//! CSV export of run statistics, for plotting outside the terminal.
+//! CSV export, for plotting outside the terminal.
 
-use std::collections::BTreeSet;
-use std::io::Write;
 use std::path::Path;
 
-use dataflow::stats::{RecoveryKind, RunStats};
-
-/// Serialise a run's per-superstep statistics as CSV. Counters and gauges
-/// become one column each; the failure columns record lost partitions and
-/// the recovery kind.
-pub fn run_stats_csv(stats: &RunStats) -> String {
-    let counters: BTreeSet<&str> =
-        stats.iterations.iter().flat_map(|i| i.counters.keys().map(String::as_str)).collect();
-    let gauges: BTreeSet<&str> =
-        stats.iterations.iter().flat_map(|i| i.gauges.keys().map(String::as_str)).collect();
-
-    let mut out = String::new();
-    let mut header = vec![
-        "superstep".to_string(),
-        "iteration".to_string(),
-        "duration_us".to_string(),
-        "records_shuffled".to_string(),
-        "workset_size".to_string(),
-    ];
-    header.extend(counters.iter().map(|c| format!("counter_{c}")));
-    header.extend(gauges.iter().map(|g| format!("gauge_{g}")));
-    header.extend(
-        [
-            "checkpoint_bytes",
-            "checkpoint_us",
-            "failed",
-            "lost_partitions",
-            "recovery",
-            "recovery_us",
-        ]
-        .map(String::from),
-    );
-    out.push_str(&header.join(","));
-    out.push('\n');
-
-    for i in &stats.iterations {
-        let mut row = vec![
-            i.superstep.to_string(),
-            i.iteration.to_string(),
-            i.duration.as_micros().to_string(),
-            i.records_shuffled.to_string(),
-            opt_u64(i.workset_size),
-        ];
-        for c in &counters {
-            row.push(i.counter(c).to_string());
-        }
-        for g in &gauges {
-            row.push(i.gauge(g).map_or(String::new(), |v| format!("{v}")));
-        }
-        row.push(opt_u64(i.checkpoint_bytes));
-        row.push(i.checkpoint_duration.map_or(String::new(), |d| d.as_micros().to_string()));
-        match &i.failure {
-            None => row.extend([String::from("0"), String::new(), String::new(), String::new()]),
-            Some(f) => {
-                row.push("1".to_string());
-                let partitions: Vec<String> =
-                    f.lost_partitions.iter().map(|p| p.to_string()).collect();
-                row.push(partitions.join("|"));
-                row.push(match &f.recovery {
-                    RecoveryKind::Compensated => "compensated".to_string(),
-                    RecoveryKind::RolledBack { to_iteration } => format!("rollback:{to_iteration}"),
-                    RecoveryKind::Restarted => "restart".to_string(),
-                    RecoveryKind::Ignored => "ignored".to_string(),
-                });
-                row.push(f.recovery_duration.as_micros().to_string());
-            }
-        }
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
-fn opt_u64(value: Option<u64>) -> String {
-    value.map_or(String::new(), |v| v.to_string())
-}
-
-/// Write a run's statistics as a CSV file, creating parent directories.
-pub fn write_run_stats_csv(stats: &RunStats, path: &Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(run_stats_csv(stats).as_bytes())?;
-    Ok(())
-}
-
 /// Write a generic table (header + rows) as CSV, creating parent
-/// directories. Used by the figure-regeneration binaries for series that
-/// combine several runs.
+/// directories. `optirec inspect convergence --csv` exports its series
+/// through it.
 pub fn write_table_csv(header: &[&str], rows: &[Vec<String>], path: &Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
@@ -111,60 +22,6 @@ pub fn write_table_csv(header: &[&str], rows: &[Vec<String>], path: &Path) -> st
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataflow::stats::{FailureRecord, IterationStats};
-    use std::time::Duration;
-
-    fn sample() -> RunStats {
-        let mut stats = RunStats::default();
-        let mut s = IterationStats {
-            superstep: 0,
-            iteration: 0,
-            duration: Duration::from_micros(1500),
-            workset_size: Some(7),
-            ..Default::default()
-        };
-        s.counters.insert("messages".into(), 10);
-        s.gauges.insert("l1_diff".into(), 0.25);
-        s.failure = Some(FailureRecord {
-            lost_partitions: vec![1, 3],
-            lost_records: 4,
-            recovery: RecoveryKind::RolledBack { to_iteration: 0 },
-            recovery_duration: Duration::from_micros(99),
-        });
-        stats.iterations.push(s);
-        stats
-    }
-
-    #[test]
-    fn csv_has_header_and_values() {
-        let csv = run_stats_csv(&sample());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("superstep,iteration,duration_us"));
-        assert!(lines[0].contains("counter_messages"));
-        assert!(lines[0].contains("gauge_l1_diff"));
-        assert!(lines[1].contains("1500"));
-        assert!(lines[1].contains("0.25"));
-        assert!(lines[1].contains("1|3"));
-        assert!(lines[1].contains("rollback:0"));
-    }
-
-    #[test]
-    fn rows_have_as_many_fields_as_the_header() {
-        let csv = run_stats_csv(&sample());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0].split(',').count(), lines[1].split(',').count());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("optirec-csv-test");
-        let path = dir.join("run.csv");
-        write_run_stats_csv(&sample(), &path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("superstep"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn generic_table_csv() {

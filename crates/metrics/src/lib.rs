@@ -11,9 +11,10 @@
 //! * [`chart`] — ASCII line charts with failure markers.
 //! * [`compare`] — log-scale histograms (degree distributions).
 //! * [`table`] — per-superstep statistics tables.
-//! * [`csv`] — CSV export of every series for external plotting.
-//! * [`report`] — telemetry [`RunReport`](telemetry::RunReport) tables and
-//!   reconciliation against the engine's legacy `RunStats`.
+//! * [`csv`] — CSV export for external plotting.
+//! * [`report`] — reconciliation of a telemetry
+//!   [`RunReport`](telemetry::RunReport) against the engine's legacy
+//!   `RunStats`.
 
 #![warn(missing_docs)]
 
@@ -25,6 +26,5 @@ pub mod table;
 
 pub use chart::{ascii_chart, ChartOptions};
 pub use compare::log2_histogram;
-pub use csv::run_stats_csv;
-pub use report::{reconcile, run_report_table};
+pub use report::reconcile;
 pub use table::run_stats_table;

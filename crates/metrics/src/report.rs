@@ -1,4 +1,4 @@
-//! Rendering and cross-checking of telemetry [`RunReport`]s.
+//! Cross-checking of telemetry [`RunReport`]s.
 //!
 //! The report is derived purely from the event journal; the engine's legacy
 //! [`RunStats`] is filled independently by the iteration driver. [`reconcile`]
@@ -7,38 +7,6 @@
 
 use dataflow::stats::{RecoveryKind, RunStats};
 use telemetry::RunReport;
-
-use crate::table::render_aligned;
-
-/// Render a [`RunReport`] as an aligned two-column text table: run totals,
-/// then per-kind event counts, then per-kind span wall-clock totals.
-pub fn run_report_table(report: &RunReport) -> String {
-    let mut rows: Vec<Vec<String>> = vec![vec!["metric".into(), "value".into()]];
-    let totals: [(&str, String); 12] = [
-        ("supersteps", report.supersteps.to_string()),
-        ("logical_iterations", report.logical_iterations.to_string()),
-        ("converged", report.converged.to_string()),
-        ("records_shuffled", report.records_shuffled.to_string()),
-        ("failures", report.failures.to_string()),
-        ("lost_records", report.lost_records.to_string()),
-        ("compensations", report.compensations.to_string()),
-        ("rollbacks", report.rollbacks.to_string()),
-        ("restarts", report.restarts.to_string()),
-        ("ignored", report.ignored.to_string()),
-        ("checkpoints", report.checkpoints.to_string()),
-        ("checkpoint_bytes", report.checkpoint_bytes.to_string()),
-    ];
-    for (name, value) in totals {
-        rows.push(vec![name.into(), value]);
-    }
-    for (kind, count) in &report.event_counts {
-        rows.push(vec![format!("event/{kind}"), count.to_string()]);
-    }
-    for (label, duration) in &report.span_totals {
-        rows.push(vec![format!("span/{label}"), format!("{:.3} ms", duration.as_secs_f64() * 1e3)]);
-    }
-    render_aligned(&rows)
-}
 
 /// Cross-check a journal-derived [`RunReport`] against the engine's legacy
 /// [`RunStats`] for the same run. Returns one human-readable line per
@@ -101,7 +69,7 @@ mod tests {
     use super::*;
     use dataflow::stats::{FailureRecord, IterationStats};
     use std::time::Duration;
-    use telemetry::{IterationMode, JournalEvent, SpanKind, SpanRecord};
+    use telemetry::{IterationMode, JournalEvent};
 
     fn matching_pair() -> (RunReport, RunStats) {
         let events = vec![
@@ -162,27 +130,5 @@ mod tests {
         let diffs = reconcile(&report, &stats);
         assert!(diffs.iter().any(|d| d.starts_with("records_shuffled:")), "{diffs:?}");
         assert!(diffs.iter().any(|d| d.starts_with("converged:")), "{diffs:?}");
-    }
-
-    #[test]
-    fn report_table_lists_events_and_spans() {
-        let (report, _) = matching_pair();
-        let spans = vec![SpanRecord {
-            kind: SpanKind::Compute,
-            superstep: Some(0),
-            iteration: Some(0),
-            duration: Duration::from_millis(3),
-        }];
-        let mut report = report;
-        for span in &spans {
-            *report.span_totals.entry(span.kind.label().to_owned()).or_insert(Duration::ZERO) +=
-                span.duration;
-        }
-        let table = run_report_table(&report);
-        for needle in
-            ["supersteps", "event/CompensationApplied", "span/compute", "records_shuffled", "15"]
-        {
-            assert!(table.contains(needle), "missing {needle}:\n{table}");
-        }
     }
 }

@@ -62,10 +62,13 @@ impl GraphSpec {
             return Ok(GraphSpec::Demo);
         }
         if let Some(n) = raw.strip_prefix("twitter:") {
-            return n
-                .parse()
-                .map(GraphSpec::Twitter)
-                .map_err(|_| format!("invalid twitter size {n:?}"));
+            // Each new vertex attaches to 3 earlier ones, so the smallest
+            // graph has 4 vertices.
+            return match n.parse() {
+                Ok(n) if n >= 4 => Ok(GraphSpec::Twitter(n)),
+                Ok(_) => Err(format!("twitter size {n:?} is below the smallest graph, 4")),
+                Err(_) => Err(format!("invalid twitter size {n:?}")),
+            };
         }
         if let Some(dims) = raw.strip_prefix("grid:") {
             let (w, h) = dims
@@ -199,6 +202,18 @@ pub fn parse_failure(raw: &str) -> Result<(u32, Vec<usize>), String> {
         return Err("failure spec needs at least one partition".into());
     }
     Ok((superstep, partitions))
+}
+
+/// Parse `--parallelism` or `--max-iterations`: a count of at least one.
+fn parse_count<T: std::str::FromStr + Default + PartialEq>(
+    raw: &str,
+    what: &str,
+) -> Result<T, String> {
+    match raw.parse() {
+        Ok(count) if count != T::default() => Ok(count),
+        Ok(_) => Err(format!("{what} must be at least 1")),
+        Err(_) => Err(format!("invalid {what} {raw:?}")),
+    }
 }
 
 /// Parse a planned rescale for `--scale`: `SUPERSTEP:WORKERS`.
@@ -671,13 +686,9 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
                 let (superstep, partitions) = parse_failure(&value()?)?;
                 invocation.scenario = invocation.scenario.fail_at(superstep, &partitions);
             }
-            "--parallelism" => {
-                invocation.parallelism =
-                    value()?.parse().map_err(|_| "invalid parallelism".to_string())?;
-            }
+            "--parallelism" => invocation.parallelism = parse_count(&value()?, "parallelism")?,
             "--max-iterations" => {
-                invocation.max_iterations =
-                    value()?.parse().map_err(|_| "invalid iteration cap".to_string())?;
+                invocation.max_iterations = parse_count(&value()?, "iteration cap")?;
             }
             "--explain" => invocation.explain_only = true,
             "--journal" => invocation.journal = Some(PathBuf::from(value()?)),
@@ -709,6 +720,15 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
             }
             other => return Err(format!("{}\n\n{}", unknown_flag(other, RUN_FLAGS), usage())),
         }
+    }
+    // After the loop, so `--parallelism` may come after `--fail`.
+    let partitions = invocation.scenario.events().iter().flat_map(|(_, lost)| lost);
+    if let Some(&pid) = partitions.max().filter(|&&pid| pid >= invocation.parallelism) {
+        return Err(format!(
+            "--fail targets partition {pid}, but --parallelism {} has partitions 0..={}",
+            invocation.parallelism,
+            invocation.parallelism - 1
+        ));
     }
     if !invocation.chaos.is_empty() && invocation.cluster.is_none() {
         return Err("--kill/--chaos need --cluster: they disturb real worker processes".into());
@@ -928,13 +948,9 @@ pub fn parse_serve(args: &[String]) -> Result<ServeInvocation, String> {
         let mut value = || iter.next().ok_or_else(|| format!("flag {flag} needs a value")).cloned();
         match flag.as_str() {
             "--graph" => invocation.graph = GraphSpec::parse(&value()?)?,
-            "--parallelism" => {
-                invocation.parallelism =
-                    value()?.parse().map_err(|_| "invalid parallelism".to_string())?;
-            }
+            "--parallelism" => invocation.parallelism = parse_count(&value()?, "parallelism")?,
             "--max-iterations" => {
-                invocation.max_iterations =
-                    value()?.parse().map_err(|_| "invalid iteration cap".to_string())?;
+                invocation.max_iterations = parse_count(&value()?, "iteration cap")?;
             }
             "--replay" => invocation.replay = Some(PathBuf::from(value()?)),
             "--listen" => invocation.listen = Some(value()?),
@@ -1172,6 +1188,52 @@ mod tests {
             assert_eq!(err, format!("invalid {name} interval \"0\""));
             assert!(parse_strategy(&format!("{name}:1")).is_ok());
         }
+    }
+
+    #[test]
+    fn failures_beyond_the_parallelism_are_parse_errors() {
+        // Flag order does not matter: the check runs after every flag.
+        for raw in [&["cc", "--fail", "3:9"][..], &["cc", "--fail", "3:1,8", "--parallelism", "8"]]
+        {
+            let err = parse_args(&args(raw)).unwrap_err();
+            assert!(err.starts_with("--fail targets partition"), "{err}");
+        }
+        let err = parse_args(&args(&["cc", "--fail", "3:4"])).unwrap_err();
+        assert_eq!(err, "--fail targets partition 4, but --parallelism 4 has partitions 0..=3");
+        assert!(parse_args(&args(&["cc", "--fail", "3:9", "--parallelism", "10"])).is_ok());
+        assert!(parse_args(&args(&["cc", "--parallelism", "8", "--fail", "3:7"])).is_ok());
+    }
+
+    #[test]
+    fn zero_parallelism_and_iteration_caps_are_parse_errors() {
+        let replay = ["cc", "--replay", "m.txt"];
+        for (flag, message) in [
+            ("--parallelism", "parallelism must be at least 1"),
+            ("--max-iterations", "iteration cap must be at least 1"),
+        ] {
+            assert_eq!(parse_args(&args(&["cc", flag, "0"])).unwrap_err(), message);
+            let serve = [&replay[..], &[flag, "0"]].concat();
+            assert_eq!(parse_serve(&args(&serve)).unwrap_err(), message);
+            assert!(parse_args(&args(&["cc", flag, "1"])).is_ok());
+            assert!(parse_serve(&args(&[&replay[..], &[flag, "1"]].concat())).is_ok());
+        }
+        assert_eq!(
+            parse_args(&args(&["cc", "--parallelism", "-1"])).unwrap_err(),
+            "invalid parallelism \"-1\""
+        );
+    }
+
+    #[test]
+    fn twitter_graphs_below_four_vertices_are_parse_errors() {
+        for n in 0..4 {
+            let err = GraphSpec::parse(&format!("twitter:{n}")).unwrap_err();
+            assert_eq!(err, format!("twitter size \"{n}\" is below the smallest graph, 4"));
+        }
+        assert_eq!(GraphSpec::parse("twitter:4").unwrap(), GraphSpec::Twitter(4));
+        assert_eq!(
+            GraphSpec::Twitter(4).build(Algorithm::ConnectedComponents).unwrap().num_vertices(),
+            4
+        );
     }
 
     #[test]

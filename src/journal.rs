@@ -34,7 +34,7 @@ impl JournalCapture {
     }
 
     /// A fresh capture writing to `path`.
-    pub fn to_path(path: PathBuf) -> JournalCapture {
+    fn to_path(path: PathBuf) -> JournalCapture {
         let sink = Arc::new(MemorySink::new());
         let handle = SinkHandle::new(sink.clone());
         JournalCapture { sink, handle, path }
@@ -53,11 +53,6 @@ impl JournalCapture {
             format!("{name}_{tag}")
         };
         JournalCapture::to_path(self.path.with_file_name(new_name))
-    }
-
-    /// The journal destination.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
     }
 
     /// The telemetry handle to install into the run's `FtConfig`.

@@ -141,8 +141,6 @@ fn renderers_work_on_real_run_data() {
 
     let table = flowviz::table::run_stats_table(&result.stats);
     assert!(table.contains("compensated"));
-    let csv = flowviz::csv::run_stats_csv(&result.stats);
-    assert!(csv.contains("compensated"));
     let chart = flowviz::chart::ascii_chart(
         &result.stats.gauge_series(CONVERGED),
         &flowviz::chart::ChartOptions::titled("converged"),

@@ -31,6 +31,18 @@ fn cc_run(ft: FtConfig) -> (Arc<MemorySink>, dataflow::stats::RunStats) {
     (sink, result.stats)
 }
 
+fn pr_run(ft: FtConfig) -> (Arc<MemorySink>, dataflow::stats::RunStats) {
+    let sink = Arc::new(MemorySink::new());
+    let config = PrConfig {
+        parallelism: 4,
+        ft: ft.with_telemetry(SinkHandle::new(sink.clone())),
+        ..Default::default()
+    };
+    let graph = graphs::generators::demo_pagerank();
+    let result = pagerank::run(&graph, &config).expect("pagerank run");
+    (sink, result.stats)
+}
+
 /// Positions of each event kind, in journal order.
 fn kind_positions(events: &[JournalEvent], kind: &str) -> Vec<usize> {
     events.iter().enumerate().filter(|(_, e)| e.kind() == kind).map(|(i, _)| i).collect()
@@ -112,15 +124,21 @@ fn deterministic_scenario_replays_to_byte_identical_journal() {
 
 #[test]
 fn run_report_reconciles_with_legacy_stats() {
-    for ft in [
+    let cc = [
         FtConfig::optimistic(FailureScenario::none().fail_at(1, &[1])),
         FtConfig::checkpoint(2, FailureScenario::none().fail_at(3, &[1])),
         FtConfig::restart(FailureScenario::none().fail_at(2, &[0])),
         FtConfig::ignore(FailureScenario::none().fail_at(1, &[3])),
-    ] {
-        let label = ft.label();
-        let (sink, stats) = cc_run(ft);
+        // Figure 3's schedule.
+        FtConfig::optimistic(FailureScenario::none().fail_at(1, &[1]).fail_at(3, &[2])),
+    ]
+    .map(|ft| (format!("cc {}", ft.label()), cc_run(ft)));
+    // Figure 5's schedule.
+    let figure5 = FtConfig::optimistic(FailureScenario::none().fail_at(5, &[1]));
+    let pagerank = (format!("pagerank {}", figure5.label()), pr_run(figure5));
+    for (label, (sink, stats)) in cc.into_iter().chain([pagerank]) {
         let report = RunReport::from_sink(&sink);
+        assert!(report.failures > 0, "{label}: the run ended before its failure");
         let diffs = flowviz::reconcile(&report, &stats);
         assert!(diffs.is_empty(), "{label}: journal disagrees with RunStats: {diffs:#?}");
     }
