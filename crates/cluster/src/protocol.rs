@@ -65,506 +65,338 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 /// copied behind their length prefix and leave in a single write.
 const SMALL_FRAME_BYTES: usize = 1020;
 
-/// What a [`Message::StepReset`] computes its superstep from. One strict
-/// tag byte (`0`, `1`, `3`) ahead of the variant's field; tag 2 (the pushed
-/// inboxes of a cut) is retired and never reused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inbound {
-    /// Nothing: the logical first step, a restart from scratch, or a worker
-    /// respawned since the last commit, whose data plane holds no slot
-    /// (compensation absorbs the gap).
-    Empty,
-    /// Whatever the worker's data-plane slot of this chronological superstep
-    /// holds: an optimistic retry on a survivor.
-    Slot(u32),
-    /// The messages the pushed state sends
-    /// (the program's `emit`): every worker emits from
-    /// its partitions, exchanges the result as the slot of the previous
-    /// chronological superstep, and steps from that slot. A restored cut is
-    /// its state alone, and this is how its messages come back — the
-    /// superstep is change-driven like any other.
-    Regenerate,
-}
-
-impl Codec for Inbound {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Inbound::Empty => out.push(0),
-            Inbound::Slot(superstep) => {
-                out.push(1);
-                superstep.encode(out);
-            }
-            Inbound::Regenerate => out.push(3),
+/// The wire schema: every enum that crosses the wire, declared once.
+///
+/// From this one table come each enum, its tag constants (`mod $tags`, read
+/// by the writers that encode borrowed bytes without copying them), its
+/// [`RETIRED_TAGS`](Message::RETIRED_TAGS) and its [`Codec`] impl: a `u8`
+/// tag, then the variant's fields in declaration order, each through its own
+/// [`Codec`]. A tag the table does not declare decodes to the `unknown` error.
+/// **To add a message, add a row with a fresh tag**: tags are part of the
+/// wire format, so a row is never renumbered, and a retired tag stays
+/// retired — a frame of an older build must not decode as something else.
+macro_rules! wire_enums {
+    ($(
+        $(#[$meta:meta])*
+        pub enum $name:ident (
+            tags $tags:ident, unknown $unknown:literal, retired [$($retired:literal $was:ident),*]
+        ) {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident
+                    $({ $( $(#[$fmeta:meta])* $field:ident: $fty:ty, )* })?
+                    $(( $one:ident: $oty:ty ))?,
+            )*
         }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self> {
-        match u8::decode(input)? {
-            0 => Ok(Inbound::Empty),
-            1 => Ok(Inbound::Slot(u32::decode(input)?)),
-            3 => Ok(Inbound::Regenerate),
-            other => Err(EngineError::Codec(format!("invalid Inbound tag {other}"))),
+    )*) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum $name {
+            $( $(#[$vmeta])* $variant $({ $( $(#[$fmeta])* $field: $fty, )* })? $(($oty))?, )*
         }
-    }
-}
 
-/// Where a partition's state comes from in a [`Message::StepReset`]. One
-/// strict tag byte (`0`–`3`) ahead of the variant's field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Seed {
-    /// What the worker committed: its state as the last committed superstep
-    /// left it.
-    Committed,
-    /// The program's initial state ([`crate::program::ClusterProgram::init_partition`]):
-    /// the logical first step of a cold start or a restart.
-    Init,
-    /// Rebuilt by the program's compensation function
-    /// ([`crate::program::ClusterProgram::compensate_partition`]): optimistic
-    /// recovery of a partition lost with its process.
-    Compensate,
-    /// These records: a restored cut, a warm start, or a partition a rescale
-    /// moved here.
-    Pushed(Vec<Record>),
-}
+        #[allow(non_upper_case_globals)]
+        mod $tags {
+            $( pub(super) const $variant: u8 = $tag; )*
+        }
 
-impl Codec for Seed {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Seed::Committed => out.push(0),
-            Seed::Init => out.push(1),
-            Seed::Compensate => out.push(2),
-            Seed::Pushed(records) => {
-                out.push(3);
-                records.encode(out);
+        impl $name {
+            /// Tags of variants this build no longer has; they decode to the
+            /// unknown-tag error and are never reused.
+            #[doc = concat!($("\n- ", $retired, ": `", stringify!($was), "`",)*)]
+            pub const RETIRED_TAGS: &'static [u8] = &[$($retired),*];
+
+            /// One value of every variant, each field drawn by its type's
+            /// generator — the property tests' input, so a row added to the
+            /// table is covered without editing a test.
+            #[cfg(test)]
+            pub(crate) fn arbitrary_each(runner: &mut proptest::test_runner::TestRunner) -> Vec<Self> {
+                use tests::Arb;
+                vec![$( $name::$variant
+                    $({ $( $field: Arb::arb(runner), )* })? $((<$oty>::arb(runner)))?, )*]
             }
         }
-    }
 
-    fn decode(input: &mut &[u8]) -> Result<Self> {
-        match u8::decode(input)? {
-            0 => Ok(Seed::Committed),
-            1 => Ok(Seed::Init),
-            2 => Ok(Seed::Compensate),
-            3 => Ok(Seed::Pushed(Vec::decode(input)?)),
-            other => Err(EngineError::Codec(format!("invalid Seed tag {other}"))),
-        }
-    }
-}
+        impl Codec for $name {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( $name::$variant $({ $($field),* })? $(($one))? => {
+                        out.push($tags::$variant);
+                        $($( $field.encode(out); )*)?
+                        $( $one.encode(out); )?
+                    } )*
+                }
+            }
 
-/// A protocol message. Tags are part of the wire format — append new
-/// variants, never renumber. A frame is acknowledged only where the
-/// coordinator has to wait for its effect: [`Message::LoadProgram`]
-/// (installed) and [`Message::Membership`] (peer links up) with
-/// [`Message::Welcome`]. Partition state comes up only where something reads
-/// it, as [`Message::PartState`]s: on a dispatch's `cut` and on a
-/// [`Message::Pull`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
-    /// Coordinator → worker: first frame on the control connection. Not
-    /// acknowledged — the [`Message::LoadProgram`] behind it is.
-    Hello {
-        /// Coordinator-side index of the worker being greeted.
-        worker: u64,
-    },
-    /// Worker → coordinator: the effect of a [`Message::LoadProgram`] or a
-    /// [`Message::Membership`] has happened.
-    Welcome,
-    /// Coordinator → worker: install a named [`crate::program::ClusterProgram`]
-    /// together with the loop-invariant adjacency of the partitions this
-    /// worker owns. Re-sent in full when a replacement worker rejoins —
-    /// this is the partition redistribution step of recovery.
-    LoadProgram {
-        /// Registry name of the program (`"cc"`, `"pagerank"`).
-        program: String,
-        /// Total number of vertices across all partitions.
-        n: u64,
-        /// Adjacency rows per owned partition: `(pid, rows)`.
-        adjacency: Vec<(u64, AdjRows)>,
-    },
-    /// Worker → coordinator: the result of one partition inside a
-    /// [`Message::StepGo`] / [`Message::StepReset`].
-    StepDone {
-        /// Partition that was stepped.
-        pid: u64,
-        /// Echo of the request's chronological superstep.
-        superstep: u32,
-        /// Records considered changed by the program's convergence test.
-        changed: u64,
-        /// Messages this partition produced for the next superstep (counted
-        /// before any data-plane routing). The messages themselves travel
-        /// peer to peer as [`Message::ShuffleFrame`]s, never up here.
-        shuffled: u64,
-    },
-    /// Coordinator → worker: liveness probe (dedicated connection).
-    Heartbeat {
-        /// Echo token matching probes to acks.
-        nonce: u64,
-    },
-    /// Worker → coordinator: reply to [`Message::Heartbeat`].
-    HeartbeatAck {
-        /// The probe's nonce.
-        nonce: u64,
-    },
-    /// Coordinator → worker: exit cleanly.
-    Shutdown,
-    /// Worker → coordinator: the worker-side telemetry batch for one
-    /// superstep, written on the control connection immediately
-    /// *before* the matching [`Message::StepDone`] — so once the
-    /// coordinator has collected every `StepDone` of a superstep, TCP
-    /// ordering guarantees it has already seen every telemetry frame, and
-    /// the frames can be merged into the journal in causal
-    /// `(superstep, worker, seq)` order with no extra drain round.
-    TelemetryFrame {
-        /// The worker's coordinator-side index (from [`Message::Hello`]).
-        worker: u64,
-        /// Echo of the request's chronological superstep; stale frames from
-        /// a failed superstep are discarded like stale `StepDone`s.
-        superstep: u32,
-        /// Emission sequence within this `(worker, superstep)`, restarting
-        /// at zero each superstep — the deterministic merge key.
-        seq: u64,
-        /// Timed phases, in worker-local execution order.
-        spans: Vec<SpanRow>,
-    },
-    /// Coordinator → worker: the cluster's current membership and placement
-    /// — who is in it, where they listen and who owns which partition, one
-    /// fact under one epoch. Sent again with a bumped `epoch` after every
-    /// respawn and rescale; each worker (re)connects its outgoing peer
-    /// links, routes by the new assignment and drops data-plane frames
-    /// tagged with any other epoch. Acked with [`Message::Welcome`] once the
-    /// worker's peer links are up; a peer it cannot reach is a lost link,
-    /// not a reason to withhold the ack.
-    Membership {
-        /// Membership epoch; bumped on every send, so on every map change.
-        epoch: u64,
-        /// How long a worker waits for data-plane completeness before
-        /// reporting [`Message::StepFailed`], in milliseconds.
-        data_timeout_ms: u64,
-        /// Listener address of every member: `(worker, port)`, loopback.
-        peers: Vec<(u64, u64)>,
-        /// `assignment[pid]` = owning worker, one entry per partition: a
-        /// message for vertex `dst` goes to
-        /// `assignment[dst % assignment.len()]`. Every owner is a member.
-        assignment: Vec<u64>,
-    },
-    /// Worker → worker: the first frame on an outgoing peer connection,
-    /// identifying the sender and its membership epoch.
-    PeerHello {
-        /// Coordinator-side index of the connecting worker.
-        from_worker: u64,
-        /// The sender's membership epoch at connect time.
-        epoch: u64,
-    },
-    /// Worker → worker: one batch of shuffle messages produced during
-    /// `superstep`, destined to partitions the receiving worker owns.
-    ShuffleFrame {
-        /// Producing worker.
-        from_worker: u64,
-        /// The producer's membership epoch; receivers drop frames from any
-        /// other epoch (a straggler declared dead cannot double-deliver).
-        epoch: u64,
-        /// Chronological superstep that *produced* these messages. The
-        /// consuming step names this tag explicitly, so output of failed
-        /// attempts is never consumed.
-        superstep: u32,
-        /// The messages.
-        msgs: Vec<Msg>,
-    },
-    /// Worker → worker: end-of-superstep marker on the data plane — the
-    /// producer has no more [`Message::ShuffleFrame`]s for `superstep`. A
-    /// receiver's inbox slot is complete once every current member flushed.
-    ShuffleFlush {
-        /// Producing worker.
-        from_worker: u64,
-        /// The producer's membership epoch.
-        epoch: u64,
-        /// Chronological superstep being flushed.
-        superstep: u32,
-        /// Data frames this producer sent to this peer for `superstep`.
-        frames: u64,
-        /// Wire bytes (including length prefixes) behind those frames.
-        bytes: u64,
-    },
-    /// Coordinator → worker: run one superstep over all of the worker's
-    /// partitions from the state the previous superstep — committed by this
-    /// dispatch — left them. The steady-state dispatch: no state travels
-    /// down.
-    StepGo {
-        /// Chronological superstep.
-        superstep: u32,
-        /// Logical step index (committed supersteps so far).
-        step: u64,
-        /// Chronological superstep whose complete data-plane slot to
-        /// consume; `None` for an empty inbound.
-        inbound: Option<u32>,
-        /// The worker's partitions, ascending; replies come back in this
-        /// order.
-        pids: Vec<u64>,
-        /// Whether the superstep is a rollback strategy's cut: each
-        /// partition's new state comes up as a [`Message::PartState`] ahead
-        /// of its [`Message::StepDone`].
-        cut: bool,
-    },
-    /// Coordinator → worker: like [`Message::StepGo`], but says where each
-    /// partition's state comes from — the dispatch of the first superstep,
-    /// of post-failure retries and rollback restores, of the superstep after
-    /// a rescale, and with it what tells a joiner where the run stands. The
-    /// worker first keeps what its previous superstep left only if that was
-    /// `committed`, and otherwise rolls back to its committed state. Unless
-    /// `inbound` is [`Inbound::Regenerate`] the inbound history is not
-    /// exact, so the worker runs the superstep as a full-send one
-    /// ([`crate::program::ClusterProgram::fold_and_send`]); a regenerated
-    /// superstep is change-driven like any other.
-    StepReset {
-        /// Chronological superstep.
-        superstep: u32,
-        /// Logical step index.
-        step: u64,
-        /// The last committed chronological superstep, if any.
-        committed: Option<u32>,
-        /// Every partition the worker owns, ascending, and where its state
-        /// comes from; replies come back in this order.
-        parts: Vec<(u64, Seed)>,
-        /// What the superstep computes from.
-        inbound: Inbound,
-        /// As in [`Message::StepGo`].
-        cut: bool,
-    },
-    /// Worker → coordinator: the worker timed out waiting for data-plane
-    /// completeness and computed nothing for `superstep`. The coordinator
-    /// treats the first peer in `waiting_on` as lost.
-    StepFailed {
-        /// Chronological superstep that could not start.
-        superstep: u32,
-        /// Members whose [`Message::ShuffleFlush`] never arrived.
-        waiting_on: Vec<u64>,
-    },
-    /// Coordinator → worker: send up the committed state of `pids` — the
-    /// run's values at its end, or the partitions a rescale moves off this
-    /// worker. Answered with one [`Message::PartState`] per pid, in order.
-    Pull {
-        /// The last committed chronological superstep: the worker keeps what
-        /// its previous superstep left only if that was this one.
-        committed: u32,
-        /// Partitions to send, each owned by the worker.
-        pids: Vec<u64>,
-    },
-    /// Worker → coordinator: one partition's state, as chronological
-    /// superstep `superstep` left it.
-    PartState {
-        /// The partition.
-        pid: u64,
-        /// The superstep whose state this is; frames of a superstep that
-        /// failed are skipped like its `StepDone`s.
-        superstep: u32,
-        /// The records, ascending by vertex.
-        state: Vec<Record>,
-    },
-}
-
-impl Codec for Message {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Message::Hello { worker } => {
-                out.push(0);
-                worker.encode(out);
-            }
-            Message::Welcome => out.push(1),
-            Message::LoadProgram { program, n, adjacency } => {
-                let parts: Vec<(u64, &AdjRows)> =
-                    adjacency.iter().map(|(pid, rows)| (*pid, rows)).collect();
-                encode_load_program(out, program, *n, &parts);
-            }
-            Message::StepDone { pid, superstep, changed, shuffled } => {
-                out.push(4);
-                pid.encode(out);
-                superstep.encode(out);
-                changed.encode(out);
-                shuffled.encode(out);
-            }
-            Message::Heartbeat { nonce } => {
-                out.push(5);
-                nonce.encode(out);
-            }
-            Message::HeartbeatAck { nonce } => {
-                out.push(6);
-                nonce.encode(out);
-            }
-            Message::Shutdown => out.push(7),
-            Message::TelemetryFrame { worker, superstep, seq, spans } => {
-                out.push(8);
-                worker.encode(out);
-                superstep.encode(out);
-                seq.encode(out);
-                spans.encode(out);
-            }
-            Message::Membership { epoch, data_timeout_ms, peers, assignment } => {
-                out.push(11);
-                epoch.encode(out);
-                data_timeout_ms.encode(out);
-                peers.encode(out);
-                assignment.encode(out);
-            }
-            Message::PeerHello { from_worker, epoch } => {
-                out.push(12);
-                from_worker.encode(out);
-                epoch.encode(out);
-            }
-            Message::ShuffleFrame { from_worker, epoch, superstep, msgs } => {
-                out.push(SHUFFLE_FRAME_TAG);
-                from_worker.encode(out);
-                epoch.encode(out);
-                superstep.encode(out);
-                msgs.encode(out);
-            }
-            Message::ShuffleFlush { from_worker, epoch, superstep, frames, bytes } => {
-                out.push(14);
-                from_worker.encode(out);
-                epoch.encode(out);
-                superstep.encode(out);
-                frames.encode(out);
-                bytes.encode(out);
-            }
-            Message::StepGo { superstep, step, inbound, pids, cut } => {
-                out.push(15);
-                superstep.encode(out);
-                step.encode(out);
-                inbound.encode(out);
-                pids.encode(out);
-                cut.encode(out);
-            }
-            Message::StepReset { superstep, step, committed, parts, inbound, cut } => {
-                out.push(16);
-                superstep.encode(out);
-                step.encode(out);
-                committed.encode(out);
-                parts.encode(out);
-                inbound.encode(out);
-                cut.encode(out);
-            }
-            Message::StepFailed { superstep, waiting_on } => {
-                out.push(17);
-                superstep.encode(out);
-                waiting_on.encode(out);
-            }
-            Message::Pull { committed, pids } => {
-                out.push(21);
-                committed.encode(out);
-                pids.encode(out);
-            }
-            Message::PartState { pid, superstep, state } => {
-                encode_part_state(out, *pid, *superstep, state)
+            fn decode(input: &mut &[u8]) -> Result<Self> {
+                Ok(match u8::decode(input)? {
+                    $( $tags::$variant => $name::$variant
+                        $({ $( $field: Codec::decode(input)?, )* })? $((<$oty>::decode(input)?))?, )*
+                    other => {
+                        return Err(EngineError::Codec(format!(concat!($unknown, " {}"), other)))
+                    }
+                })
             }
         }
+    )*};
+}
+
+wire_enums! {
+    /// What a [`Message::StepReset`] computes its superstep from.
+    pub enum Inbound (tags inbound_tag, unknown "invalid Inbound tag", retired [2 Cut]) {
+        /// Nothing: the logical first step, a restart from scratch, or a worker
+        /// respawned since the last commit, whose data plane holds no slot
+        /// (compensation absorbs the gap).
+        0 => Empty,
+        /// Whatever the worker's data-plane slot of this chronological superstep
+        /// holds: an optimistic retry on a survivor.
+        1 => Slot(superstep: u32),
+        /// The messages the pushed state sends
+        /// (the program's `emit`): every worker emits from
+        /// its partitions, exchanges the result as the slot of the previous
+        /// chronological superstep, and steps from that slot. A restored cut is
+        /// its state alone, and this is how its messages come back — the
+        /// superstep is change-driven like any other.
+        3 => Regenerate,
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self> {
-        let tag = u8::decode(input)?;
-        Ok(match tag {
-            0 => Message::Hello { worker: u64::decode(input)? },
-            1 => Message::Welcome,
-            2 => Message::LoadProgram {
-                program: String::decode(input)?,
-                n: u64::decode(input)?,
-                adjacency: Vec::decode(input)?,
-            },
-            // Retired tags — 3 (the coordinator-routed dispatch), 9 and 10
-            // (`SnapshotBarrier` and its ack), 18 (`WorkerJoin`), 19
-            // (`Drain`) and 20 (`MapUpdate`) — decode to the unknown-tag
-            // error below and are not reused.
-            4 => Message::StepDone {
-                pid: u64::decode(input)?,
-                superstep: u32::decode(input)?,
-                changed: u64::decode(input)?,
-                shuffled: u64::decode(input)?,
-            },
-            5 => Message::Heartbeat { nonce: u64::decode(input)? },
-            6 => Message::HeartbeatAck { nonce: u64::decode(input)? },
-            7 => Message::Shutdown,
-            8 => Message::TelemetryFrame {
-                worker: u64::decode(input)?,
-                superstep: u32::decode(input)?,
-                seq: u64::decode(input)?,
-                spans: Vec::decode(input)?,
-            },
-            11 => Message::Membership {
-                epoch: u64::decode(input)?,
-                data_timeout_ms: u64::decode(input)?,
-                peers: Vec::decode(input)?,
-                assignment: Vec::decode(input)?,
-            },
-            12 => {
-                Message::PeerHello { from_worker: u64::decode(input)?, epoch: u64::decode(input)? }
-            }
-            SHUFFLE_FRAME_TAG => Message::ShuffleFrame {
-                from_worker: u64::decode(input)?,
-                epoch: u64::decode(input)?,
-                superstep: u32::decode(input)?,
-                msgs: Vec::decode(input)?,
-            },
-            14 => Message::ShuffleFlush {
-                from_worker: u64::decode(input)?,
-                epoch: u64::decode(input)?,
-                superstep: u32::decode(input)?,
-                frames: u64::decode(input)?,
-                bytes: u64::decode(input)?,
-            },
-            15 => Message::StepGo {
-                superstep: u32::decode(input)?,
-                step: u64::decode(input)?,
-                inbound: Option::decode(input)?,
-                pids: Vec::decode(input)?,
-                cut: bool::decode(input)?,
-            },
-            16 => Message::StepReset {
-                superstep: u32::decode(input)?,
-                step: u64::decode(input)?,
-                committed: Option::decode(input)?,
-                parts: Vec::decode(input)?,
-                inbound: Inbound::decode(input)?,
-                cut: bool::decode(input)?,
-            },
-            17 => Message::StepFailed {
-                superstep: u32::decode(input)?,
-                waiting_on: Vec::decode(input)?,
-            },
-            21 => Message::Pull { committed: u32::decode(input)?, pids: Vec::decode(input)? },
-            22 => Message::PartState {
-                pid: u64::decode(input)?,
-                superstep: u32::decode(input)?,
-                state: Vec::decode(input)?,
-            },
-            other => {
-                return Err(EngineError::Codec(format!("unknown cluster message tag {other}")))
-            }
-        })
+    /// Where a partition's state comes from in a [`Message::StepReset`].
+    pub enum Seed (tags seed_tag, unknown "invalid Seed tag", retired []) {
+        /// What the worker committed: its state as the last committed superstep
+        /// left it.
+        0 => Committed,
+        /// The program's initial state ([`crate::program::ClusterProgram::init_partition`]):
+        /// the logical first step of a cold start or a restart.
+        1 => Init,
+        /// Rebuilt by the program's compensation function
+        /// ([`crate::program::ClusterProgram::compensate_partition`]): optimistic
+        /// recovery of a partition lost with its process.
+        2 => Compensate,
+        /// These records: a restored cut, a warm start, or a partition a rescale
+        /// moved here.
+        3 => Pushed(records: Vec<Record>),
+    }
+
+    /// A protocol message. A frame is acknowledged only where the
+    /// coordinator has to wait for its effect: [`Message::LoadProgram`]
+    /// (installed) and [`Message::Membership`] (peer links up) with
+    /// [`Message::Welcome`]. Partition state comes up only where something reads
+    /// it, as [`Message::PartState`]s: on a dispatch's `cut` and on a
+    /// [`Message::Pull`].
+    pub enum Message (
+        tags message_tag,
+        unknown "unknown cluster message tag",
+        retired [3 RunStep, 9 SnapshotBarrier, 10 SnapshotAck, 18 WorkerJoin, 19 Drain, 20 MapUpdate]
+    ) {
+        /// Coordinator → worker: first frame on the control connection. Not
+        /// acknowledged — the [`Message::LoadProgram`] behind it is.
+        0 => Hello {
+            /// Coordinator-side index of the worker being greeted.
+            worker: u64,
+        },
+        /// Worker → coordinator: the effect of a [`Message::LoadProgram`] or a
+        /// [`Message::Membership`] has happened.
+        1 => Welcome,
+        /// Coordinator → worker: install a named [`crate::program::ClusterProgram`]
+        /// together with the loop-invariant adjacency of the partitions this
+        /// worker owns. Re-sent in full when a replacement worker rejoins —
+        /// this is the partition redistribution step of recovery.
+        2 => LoadProgram {
+            /// Registry name of the program (`"cc"`, `"pagerank"`).
+            program: String,
+            /// Total number of vertices across all partitions.
+            n: u64,
+            /// Adjacency rows per owned partition: `(pid, rows)`.
+            adjacency: Vec<(u64, AdjRows)>,
+        },
+        /// Worker → coordinator: the result of one partition inside a
+        /// [`Message::StepGo`] / [`Message::StepReset`].
+        4 => StepDone {
+            /// Partition that was stepped.
+            pid: u64,
+            /// Echo of the request's chronological superstep.
+            superstep: u32,
+            /// Records considered changed by the program's convergence test.
+            changed: u64,
+            /// Messages this partition produced for the next superstep (counted
+            /// before any data-plane routing). The messages themselves travel
+            /// peer to peer as [`Message::ShuffleFrame`]s, never up here.
+            shuffled: u64,
+        },
+        /// Coordinator → worker: liveness probe (dedicated connection).
+        5 => Heartbeat {
+            /// Echo token matching probes to acks.
+            nonce: u64,
+        },
+        /// Worker → coordinator: reply to [`Message::Heartbeat`].
+        6 => HeartbeatAck {
+            /// The probe's nonce.
+            nonce: u64,
+        },
+        /// Coordinator → worker: exit cleanly.
+        7 => Shutdown,
+        /// Worker → coordinator: the worker-side telemetry batch for one
+        /// superstep, written on the control connection immediately
+        /// *before* the matching [`Message::StepDone`] — so once the
+        /// coordinator has collected every `StepDone` of a superstep, TCP
+        /// ordering guarantees it has already seen every telemetry frame, and
+        /// the frames can be merged into the journal in causal
+        /// `(superstep, worker, seq)` order with no extra drain round.
+        8 => TelemetryFrame {
+            /// The worker's coordinator-side index (from [`Message::Hello`]).
+            worker: u64,
+            /// Echo of the request's chronological superstep; stale frames from
+            /// a failed superstep are discarded like stale `StepDone`s.
+            superstep: u32,
+            /// Emission sequence within this `(worker, superstep)`, restarting
+            /// at zero each superstep — the deterministic merge key.
+            seq: u64,
+            /// Timed phases, in worker-local execution order.
+            spans: Vec<SpanRow>,
+        },
+        /// Coordinator → worker: the cluster's current membership and placement
+        /// — who is in it, where they listen and who owns which partition, one
+        /// fact under one epoch. Sent again with a bumped `epoch` after every
+        /// respawn and rescale; each worker (re)connects its outgoing peer
+        /// links, routes by the new assignment and drops data-plane frames
+        /// tagged with any other epoch. Acked with [`Message::Welcome`] once the
+        /// worker's peer links are up; a peer it cannot reach is a lost link,
+        /// not a reason to withhold the ack.
+        11 => Membership {
+            /// Membership epoch; bumped on every send, so on every map change.
+            epoch: u64,
+            /// How long a worker waits for data-plane completeness before
+            /// reporting [`Message::StepFailed`], in milliseconds.
+            data_timeout_ms: u64,
+            /// Listener address of every member: `(worker, port)`, loopback.
+            peers: Vec<(u64, u64)>,
+            /// `assignment[pid]` = owning worker, one entry per partition: a
+            /// message for vertex `dst` goes to
+            /// `assignment[dst % assignment.len()]`. Every owner is a member.
+            assignment: Vec<u64>,
+        },
+        /// Worker → worker: the first frame on an outgoing peer connection,
+        /// identifying the sender and its membership epoch.
+        12 => PeerHello {
+            /// Coordinator-side index of the connecting worker.
+            from_worker: u64,
+            /// The sender's membership epoch at connect time.
+            epoch: u64,
+        },
+        /// Worker → worker: one batch of shuffle messages produced during
+        /// `superstep`, destined to partitions the receiving worker owns.
+        13 => ShuffleFrame {
+            /// Producing worker.
+            from_worker: u64,
+            /// The producer's membership epoch; receivers drop frames from any
+            /// other epoch (a straggler declared dead cannot double-deliver).
+            epoch: u64,
+            /// Chronological superstep that *produced* these messages. The
+            /// consuming step names this tag explicitly, so output of failed
+            /// attempts is never consumed.
+            superstep: u32,
+            /// The messages.
+            msgs: Vec<Msg>,
+        },
+        /// Worker → worker: end-of-superstep marker on the data plane — the
+        /// producer has no more [`Message::ShuffleFrame`]s for `superstep`. A
+        /// receiver's inbox slot is complete once every current member flushed.
+        14 => ShuffleFlush {
+            /// Producing worker.
+            from_worker: u64,
+            /// The producer's membership epoch.
+            epoch: u64,
+            /// Chronological superstep being flushed.
+            superstep: u32,
+            /// Data frames this producer sent to this peer for `superstep`.
+            frames: u64,
+            /// Wire bytes (including length prefixes) behind those frames.
+            bytes: u64,
+        },
+        /// Coordinator → worker: run one superstep over all of the worker's
+        /// partitions from the state the previous superstep — committed by this
+        /// dispatch — left them. The steady-state dispatch: no state travels
+        /// down.
+        15 => StepGo {
+            /// Chronological superstep.
+            superstep: u32,
+            /// Logical step index (committed supersteps so far).
+            step: u64,
+            /// Chronological superstep whose complete data-plane slot to
+            /// consume; `None` for an empty inbound.
+            inbound: Option<u32>,
+            /// The worker's partitions, ascending; replies come back in this
+            /// order.
+            pids: Vec<u64>,
+            /// Whether the superstep is a rollback strategy's cut: each
+            /// partition's new state comes up as a [`Message::PartState`] ahead
+            /// of its [`Message::StepDone`].
+            cut: bool,
+        },
+        /// Coordinator → worker: like [`Message::StepGo`], but says where each
+        /// partition's state comes from — the dispatch of the first superstep,
+        /// of post-failure retries and rollback restores, of the superstep after
+        /// a rescale, and with it what tells a joiner where the run stands. The
+        /// worker first keeps what its previous superstep left only if that was
+        /// `committed`, and otherwise rolls back to its committed state. Unless
+        /// `inbound` is [`Inbound::Regenerate`] the inbound history is not
+        /// exact, so the worker runs the superstep as a full-send one
+        /// ([`crate::program::ClusterProgram::fold_and_send`]); a regenerated
+        /// superstep is change-driven like any other.
+        16 => StepReset {
+            /// Chronological superstep.
+            superstep: u32,
+            /// Logical step index.
+            step: u64,
+            /// The last committed chronological superstep, if any.
+            committed: Option<u32>,
+            /// Every partition the worker owns, ascending, and where its state
+            /// comes from; replies come back in this order.
+            parts: Vec<(u64, Seed)>,
+            /// What the superstep computes from.
+            inbound: Inbound,
+            /// As in [`Message::StepGo`].
+            cut: bool,
+        },
+        /// Worker → coordinator: the worker timed out waiting for data-plane
+        /// completeness and computed nothing for `superstep`. The coordinator
+        /// treats the first peer in `waiting_on` as lost.
+        17 => StepFailed {
+            /// Chronological superstep that could not start.
+            superstep: u32,
+            /// Members whose [`Message::ShuffleFlush`] never arrived.
+            waiting_on: Vec<u64>,
+        },
+        /// Coordinator → worker: send up the committed state of `pids` — the
+        /// run's values at its end, or the partitions a rescale moves off this
+        /// worker. Answered with one [`Message::PartState`] per pid, in order.
+        21 => Pull {
+            /// The last committed chronological superstep: the worker keeps what
+            /// its previous superstep left only if that was this one.
+            committed: u32,
+            /// Partitions to send, each owned by the worker.
+            pids: Vec<u64>,
+        },
+        /// Worker → coordinator: one partition's state, as chronological
+        /// superstep `superstep` left it.
+        22 => PartState {
+            /// The partition.
+            pid: u64,
+            /// The superstep whose state this is; frames of a superstep that
+            /// failed are skipped like its `StepDone`s.
+            superstep: u32,
+            /// The records, ascending by vertex.
+            state: Vec<Record>,
+        },
     }
 }
 
-/// Encode a [`Message::LoadProgram`] from adjacency rows the caller keeps:
-/// the bytes [`Codec::encode`] produces for the owned message (it calls
-/// this), without first cloning every partition's rows into one.
-pub fn encode_load_program(
-    out: &mut Vec<u8>,
-    program: &str,
-    n: u64,
-    adjacency: &[(u64, &AdjRows)],
-) {
-    out.push(2);
-    encode_str(program, out);
-    n.encode(out);
-    (adjacency.len() as u64).encode(out);
-    for (pid, rows) in adjacency {
-        pid.encode(out);
-        encode_slice(rows, out);
-    }
-}
-
-/// [`encode_load_program`]'s bytes over rows encoded beforehand (by
-/// [`crate::program::encode_partitions`]): copied, not encoded again.
+/// The bytes [`Codec::encode`] produces for a [`Message::LoadProgram`], over
+/// rows encoded beforehand (by [`crate::program::encode_partitions`]): copied,
+/// not encoded again.
 pub fn assemble_load_program(out: &mut Vec<u8>, program: &str, n: u64, parts: &[(u64, &[u8])]) {
     out.reserve(1 + 8 + program.len() + 16 + parts.iter().map(|p| 8 + p.1.len()).sum::<usize>());
-    out.push(2);
+    out.push(message_tag::LoadProgram);
     encode_str(program, out);
     n.encode(out);
     (parts.len() as u64).encode(out);
@@ -575,17 +407,14 @@ pub fn assemble_load_program(out: &mut Vec<u8>, program: &str, n: u64, parts: &[
 }
 
 /// Encode a [`Message::PartState`] from records the caller keeps: the bytes
-/// [`Codec::encode`] produces for the owned message (it calls this), without
-/// first moving the state into one.
+/// [`Codec::encode`] produces for the owned message, without first moving the
+/// state into one.
 pub fn encode_part_state(out: &mut Vec<u8>, pid: u64, superstep: u32, state: &[Record]) {
-    out.push(22);
+    out.push(message_tag::PartState);
     pid.encode(out);
     superstep.encode(out);
     encode_slice(state, out);
 }
-
-/// Wire tag of [`Message::ShuffleFrame`].
-const SHUFFLE_FRAME_TAG: u8 = 13;
 
 /// Bytes of a [`Message::ShuffleFrame`] ahead of its messages: the frame's
 /// length prefix, the tag, `from_worker`, `epoch`, `superstep` and the
@@ -642,7 +471,7 @@ impl ShuffleFrameBuf {
         let count = self.len() as u64;
         let header = &mut self.bytes[..SHUFFLE_HEADER_BYTES];
         header[..4].copy_from_slice(&payload_len.to_le_bytes());
-        header[4] = SHUFFLE_FRAME_TAG;
+        header[4] = message_tag::ShuffleFrame;
         header[5..13].copy_from_slice(&from_worker.to_le_bytes());
         header[13..21].copy_from_slice(&epoch.to_le_bytes());
         header[21..25].copy_from_slice(&superstep.to_le_bytes());
@@ -750,74 +579,174 @@ pub fn read_frame_buffered(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestRunner;
 
-    fn round_trip(msg: Message) {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg, None).unwrap();
-        let decoded = read_frame(&mut buf.as_slice(), None).unwrap();
-        assert_eq!(decoded, msg);
+    /// A type with a test-value generator: what the table's `arbitrary_each`
+    /// draws each field with.
+    pub(super) trait Arb {
+        fn arb(runner: &mut TestRunner) -> Self;
+    }
+
+    macro_rules! arb_any {
+        ($($ty:ty),*) => {$(
+            impl Arb for $ty {
+                fn arb(runner: &mut TestRunner) -> Self {
+                    any::<$ty>().generate(runner)
+                }
+            }
+        )*};
+    }
+    arb_any!(bool, u32, u64);
+
+    macro_rules! arb_tuple {
+        ($(($($t:ident),+))*) => {$(
+            impl<$($t: Arb),+> Arb for ($($t,)+) {
+                fn arb(runner: &mut TestRunner) -> Self {
+                    ($($t::arb(runner),)+)
+                }
+            }
+        )*};
+    }
+    arb_tuple!((A, B)(A, B, C)(A, B, C, D));
+
+    /// Short strings, multi-byte UTF-8 included.
+    impl Arb for String {
+        fn arb(runner: &mut TestRunner) -> Self {
+            const ALPHABET: [char; 4] = ['c', 'Z', 'é', '𝄞'];
+            (0..(0..9usize).generate(runner))
+                .map(|_| ALPHABET[(0..4usize).generate(runner)])
+                .collect()
+        }
+    }
+
+    impl<T: Arb> Arb for Vec<T> {
+        fn arb(runner: &mut TestRunner) -> Self {
+            (0..(0..5usize).generate(runner)).map(|_| T::arb(runner)).collect()
+        }
+    }
+
+    impl<T: Arb> Arb for Option<T> {
+        fn arb(runner: &mut TestRunner) -> Self {
+            bool::arb(runner).then(|| T::arb(runner))
+        }
+    }
+
+    /// One variant, picked uniformly, of the table's generator.
+    fn one_of<T>(runner: &mut TestRunner, each: fn(&mut TestRunner) -> Vec<T>) -> T {
+        let mut each = each(runner);
+        each.swap_remove((0..each.len()).generate(runner))
+    }
+
+    impl Arb for Inbound {
+        fn arb(runner: &mut TestRunner) -> Self {
+            one_of(runner, Inbound::arbitrary_each)
+        }
+    }
+
+    impl Arb for Seed {
+        fn arb(runner: &mut TestRunner) -> Self {
+            one_of(runner, Seed::arbitrary_each)
+        }
+    }
+
+    /// A table's `arbitrary_each` as the strategy of a `proptest!` argument.
+    struct Each<T>(fn(&mut TestRunner) -> Vec<T>);
+
+    impl<T> Strategy for Each<T> {
+        type Value = Vec<T>;
+        fn generate(&self, runner: &mut TestRunner) -> Vec<T> {
+            (self.0)(runner)
+        }
+    }
+
+    const MESSAGES: Each<Message> = Each(Message::arbitrary_each);
+
+    fn frame_of(msg: &Message) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, msg, None).unwrap();
+        frame
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        #[test]
+        fn every_variant_round_trips(
+            msgs in MESSAGES,
+            inbounds in Each(Inbound::arbitrary_each),
+            seeds in Each(Seed::arbitrary_each),
+        ) {
+            for msg in msgs {
+                prop_assert_eq!(read_frame(&mut frame_of(&msg).as_slice(), None).unwrap(), msg);
+            }
+            for inbound in inbounds {
+                prop_assert_eq!(decode_exact::<Inbound>(&encode_to_vec(&inbound)).unwrap(), inbound);
+            }
+            for seed in seeds {
+                prop_assert_eq!(decode_exact::<Seed>(&encode_to_vec(&seed)).unwrap(), seed);
+            }
+        }
+
+        #[test]
+        fn every_strict_prefix_of_a_frame_is_an_error(msgs in MESSAGES) {
+            for msg in msgs {
+                let frame = frame_of(&msg);
+                for cut in 0..frame.len() {
+                    prop_assert!(read_frame(&mut &frame[..cut], None).is_err(), "{:?} cut at {}", msg, cut);
+                    prop_assert!(decode_exact::<Message>(&frame[4..cut.max(4)]).is_err());
+                }
+            }
+        }
+
+        /// The writers that encode borrowed bytes write what the table
+        /// encodes for the owned message.
+        #[test]
+        fn the_zero_copy_writers_write_the_owned_message(msgs in MESSAGES) {
+            for msg in msgs {
+                let mut payload = Vec::new();
+                match &msg {
+                    Message::LoadProgram { program, n, adjacency } => {
+                        let rows: Vec<(u64, Vec<u8>)> = adjacency
+                            .iter()
+                            .map(|(pid, rows)| (*pid, encode_to_vec(rows)))
+                            .collect();
+                        let parts: Vec<(u64, &[u8])> =
+                            rows.iter().map(|(pid, rows)| (*pid, &rows[..])).collect();
+                        assemble_load_program(&mut payload, program, *n, &parts);
+                    }
+                    Message::PartState { pid, superstep, state } => {
+                        encode_part_state(&mut payload, *pid, *superstep, state);
+                    }
+                    Message::ShuffleFrame { from_worker, epoch, superstep, msgs } => {
+                        let mut fused = ShuffleFrameBuf::default();
+                        msgs.iter().for_each(|msg| fused.push(msg));
+                        let frame = fused.finish(*from_worker, *epoch, *superstep).unwrap();
+                        prop_assert_eq!(frame, frame_of(&msg).as_slice());
+                        continue;
+                    }
+                    _ => continue,
+                }
+                prop_assert_eq!(payload, encode_to_vec(&msg));
+            }
+        }
     }
 
     #[test]
-    fn every_variant_round_trips() {
-        round_trip(Message::Hello { worker: 3 });
-        round_trip(Message::Welcome);
-        round_trip(Message::LoadProgram {
-            program: "cc".into(),
-            n: 10,
-            adjacency: vec![(0, vec![(0, vec![1, 2]), (2, vec![0])]), (1, vec![(1, vec![0])])],
-        });
-        round_trip(Message::StepDone { pid: 1, superstep: 4, changed: 1, shuffled: 7 });
-        round_trip(Message::Heartbeat { nonce: 42 });
-        round_trip(Message::HeartbeatAck { nonce: 42 });
-        round_trip(Message::Shutdown);
-        round_trip(Message::TelemetryFrame {
-            worker: 1,
-            superstep: 4,
-            seq: 2,
-            spans: vec![(1, SPAN_PHASE_COMPUTE, 12, 1_500), (1, SPAN_PHASE_SHUFFLE, 12, 900)],
-        });
-        round_trip(Message::Membership {
-            epoch: 3,
-            data_timeout_ms: 2_500,
-            peers: vec![(0, 40_001), (1, 40_002), (2, 40_003)],
-            assignment: vec![0, 1, 2, 0, 0, 1, 2, 1],
-        });
-        round_trip(Message::PeerHello { from_worker: 2, epoch: 3 });
-        round_trip(Message::ShuffleFrame {
-            from_worker: 1,
-            epoch: 3,
-            superstep: 9,
-            msgs: vec![(0, 4, 17), (1, 6, 2)],
-        });
-        round_trip(Message::ShuffleFlush {
-            from_worker: 1,
-            epoch: 3,
-            superstep: 9,
-            frames: 2,
-            bytes: 96,
-        });
-        for (inbound, cut) in [(None, false), (Some(8), true)] {
-            round_trip(Message::StepGo { superstep: 9, step: 8, inbound, pids: vec![1, 3], cut });
+    fn no_live_tag_reuses_a_retired_one() {
+        fn tags<T: Codec>(each: Vec<T>) -> Vec<u8> {
+            each.iter().map(|value| encode_to_vec(value)[0]).collect()
         }
-        for inbound in [Inbound::Empty, Inbound::Slot(8), Inbound::Regenerate] {
-            round_trip(Message::StepReset {
-                superstep: 10,
-                step: 8,
-                committed: Some(8),
-                parts: vec![
-                    (1, Seed::Pushed(vec![(1, 1), (5, 1)])),
-                    (3, Seed::Committed),
-                    (5, Seed::Init),
-                    (7, Seed::Compensate),
-                ],
-                inbound,
-                cut: false,
-            });
+        let runner = &mut TestRunner::deterministic("tags", 0);
+        for (live, retired) in [
+            (tags(Message::arbitrary_each(runner)), Message::RETIRED_TAGS),
+            (tags(Inbound::arbitrary_each(runner)), Inbound::RETIRED_TAGS),
+            (tags(Seed::arbitrary_each(runner)), Seed::RETIRED_TAGS),
+        ] {
+            let mut distinct = live.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), live.len(), "two rows share a tag: {live:?}");
+            assert!(live.iter().all(|tag| !retired.contains(tag)), "{live:?} vs {retired:?}");
         }
-        round_trip(Message::StepFailed { superstep: 10, waiting_on: vec![0, 2] });
-        round_trip(Message::Pull { committed: 9, pids: vec![1, 3] });
-        round_trip(Message::PartState { pid: 3, superstep: 9, state: vec![(3, 0), (7, 1)] });
     }
 
     #[test]
@@ -867,10 +796,8 @@ mod tests {
 
     #[test]
     fn unknown_and_retired_tags_are_decode_errors() {
-        // Retired: 3 (coordinator-routed dispatch), 9 and 10
-        // (`SnapshotBarrier` and its ack), 18 (`WorkerJoin`), 19 (`Drain`),
-        // 20 (`MapUpdate`) — with the fields they used to carry.
-        for tag in [99u8, 3, 9, 10, 18, 19, 20] {
+        // An undeclared tag and every retired one, each with fields behind it.
+        for &tag in [99u8].iter().chain(Message::RETIRED_TAGS) {
             let mut payload = vec![tag];
             (2u64, 11u32).encode(&mut payload);
             let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
@@ -948,31 +875,6 @@ mod tests {
         assert!(decode_exact::<Message>(&old).is_err());
     }
 
-    fn frame_of(msg: &Message) -> Vec<u8> {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, msg, None).unwrap();
-        frame
-    }
-
-    #[test]
-    fn load_program_from_borrowed_rows_is_the_owned_message() {
-        let adjacency: Vec<(u64, AdjRows)> =
-            vec![(1, vec![(1, vec![0, 2, 5]), (3, vec![]), (5, vec![1])]), (3, vec![])];
-        let owned =
-            Message::LoadProgram { program: "cc".into(), n: 6, adjacency: adjacency.clone() };
-        let borrowed: Vec<(u64, &AdjRows)> =
-            adjacency.iter().map(|(pid, rows)| (*pid, rows)).collect();
-        let mut payload = Vec::new();
-        encode_load_program(&mut payload, "cc", 6, &borrowed);
-        assert_eq!(payload, encode_to_vec(&owned));
-        // ... which is the tag and then the fields as the generic tuple and
-        // `Vec` codec lay them out: the format every earlier worker decodes.
-        let mut fields = vec![2u8];
-        (String::from("cc"), 6u64, adjacency).encode(&mut fields);
-        assert_eq!(payload, fields);
-        assert_eq!(decode_exact::<Message>(&payload).unwrap(), owned);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
         #[test]
@@ -1008,14 +910,14 @@ mod tests {
             for map in [initial, rescaled] {
                 for worker in 0..map.workers() {
                     let pids = map.pids_of(worker);
-                    let owned: Vec<(u64, &AdjRows)> =
-                        pids.iter().map(|&pid| (pid as u64, &rows[pid])).collect();
+                    let adjacency: Vec<(u64, AdjRows)> =
+                        pids.iter().map(|&pid| (pid as u64, rows[pid].clone())).collect();
                     let encoded: Vec<(u64, &[u8])> =
                         pids.iter().map(|&pid| (pid as u64, &kept[pid][..])).collect();
-                    let (mut expected, mut assembled) = (Vec::new(), Vec::new());
-                    encode_load_program(&mut expected, "pagerank", n, &owned);
+                    let owned = Message::LoadProgram { program: "pagerank".into(), n, adjacency };
+                    let mut assembled = Vec::new();
                     assemble_load_program(&mut assembled, "pagerank", n, &encoded);
-                    prop_assert_eq!(assembled, expected, "worker {}", worker);
+                    prop_assert_eq!(assembled, encode_to_vec(&owned), "worker {}", worker);
                 }
             }
         }
@@ -1094,9 +996,6 @@ mod tests {
             }
             for (frame, count_at) in counted_frames(msgs) {
                 prop_assert!(read_frame(&mut frame.as_slice(), None).is_ok());
-                for cut in 0..frame.len() {
-                    prop_assert!(read_frame(&mut &frame[..cut], None).is_err(), "cut at {}", cut);
-                }
                 if prefix.to_le_bytes() != frame[..4] {
                     let mut corrupt = frame.clone();
                     corrupt[..4].copy_from_slice(&prefix.to_le_bytes());

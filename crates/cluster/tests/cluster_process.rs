@@ -5,11 +5,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cluster::protocol::{encode_load_program, AdjRows};
+use cluster::protocol::{AdjRows, Message};
 use cluster::{
     run_cluster, run_local, ClusterConfig, ClusterStrategy, KillPlan, LinkPlan, PartitionMap,
     Rebalancer, ScaleEvent, StragglerPlan,
 };
+use dataflow::codec::encode_to_vec;
 use graphs::GraphBuilder;
 use telemetry::{JournalEvent, MemorySink, SinkHandle};
 
@@ -767,11 +768,11 @@ fn a_failure_free_rollback_run_ships_what_an_optimistic_one_does() {
 /// of a CC cluster placed by `map`.
 fn load_bytes(graph: &graphs::Graph, map: &PartitionMap, worker: usize) -> u64 {
     let rows = cluster::program::partition_rows(graph, map.parallelism());
-    let owned: Vec<(u64, &AdjRows)> =
-        map.pids_of(worker).into_iter().map(|pid| (pid as u64, &rows[pid])).collect();
-    let mut payload = Vec::new();
-    encode_load_program(&mut payload, "cc", graph.num_vertices() as u64, &owned);
-    (4 + 1 + 8) + 4 + payload.len() as u64
+    let adjacency: Vec<(u64, AdjRows)> =
+        map.pids_of(worker).into_iter().map(|pid| (pid as u64, rows[pid].clone())).collect();
+    let load =
+        Message::LoadProgram { program: "cc".into(), n: graph.num_vertices() as u64, adjacency };
+    (4 + 1 + 8) + 4 + encode_to_vec(&load).len() as u64
 }
 
 #[test]

@@ -57,21 +57,6 @@ impl Strategy {
             Strategy::Ignore => "ignore".to_string(),
         }
     }
-
-    /// Whether the strategy guarantees convergence to the correct result.
-    pub fn is_correct(&self) -> bool {
-        !matches!(self, Strategy::Ignore)
-    }
-
-    /// Whether the strategy adds failure-free overhead.
-    pub fn has_failure_free_overhead(&self) -> bool {
-        matches!(
-            self,
-            Strategy::Checkpoint { .. }
-                | Strategy::IncrementalCheckpoint { .. }
-                | Strategy::AsyncSnapshot { .. }
-        )
-    }
 }
 
 impl std::fmt::Display for Strategy {
@@ -92,18 +77,5 @@ mod tests {
         assert_eq!(Strategy::IncrementalCheckpoint { full_interval: 4 }.label(), "incremental(4)");
         assert_eq!(Strategy::AsyncSnapshot { interval: 2 }.label(), "async-snapshot(2)");
         assert_eq!(Strategy::Ignore.to_string(), "ignore");
-    }
-
-    #[test]
-    fn properties() {
-        assert!(Strategy::Optimistic.is_correct());
-        assert!(!Strategy::Ignore.is_correct());
-        assert!(Strategy::Checkpoint { interval: 1 }.has_failure_free_overhead());
-        assert!(Strategy::IncrementalCheckpoint { full_interval: 9 }.has_failure_free_overhead());
-        assert!(Strategy::IncrementalCheckpoint { full_interval: 9 }.is_correct());
-        assert!(Strategy::AsyncSnapshot { interval: 2 }.has_failure_free_overhead());
-        assert!(Strategy::AsyncSnapshot { interval: 2 }.is_correct());
-        assert!(!Strategy::Optimistic.has_failure_free_overhead());
-        assert!(!Strategy::Restart.has_failure_free_overhead());
     }
 }

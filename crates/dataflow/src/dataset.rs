@@ -121,11 +121,6 @@ impl<T> Partitions<T> {
         &self.parts
     }
 
-    /// Mutably borrow the raw per-partition vectors.
-    pub fn as_parts_mut(&mut self) -> &mut [Vec<T>] {
-        &mut self.parts
-    }
-
     /// Sizes of all partitions.
     pub fn partition_sizes(&self) -> Vec<usize> {
         self.parts.iter().map(Vec::len).collect()

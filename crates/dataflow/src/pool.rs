@@ -74,9 +74,6 @@ struct Worker {
 /// A fixed-size pool of long-lived worker threads executing partition tasks.
 pub struct WorkerPool {
     workers: Vec<Worker>,
-    /// Per-worker task-latency histogram (`pool/worker_task_ns`), tracked by
-    /// worker id; `None` when telemetry is disabled at spawn time.
-    task_hist: Option<Arc<PartitionedHistogram>>,
 }
 
 fn worker_loop(
@@ -132,7 +129,7 @@ impl WorkerPool {
                 }
             })
             .collect();
-        WorkerPool { workers, task_hist }
+        WorkerPool { workers }
     }
 
     /// Number of worker threads.
@@ -215,12 +212,6 @@ impl WorkerPool {
                 break;
             }
         }
-    }
-
-    /// The per-worker task-latency histogram, when telemetry was enabled at
-    /// spawn time.
-    pub fn task_histogram(&self) -> Option<&Arc<PartitionedHistogram>> {
-        self.task_hist.as_ref()
     }
 
     /// Tear the pool down: close every task queue and join the worker

@@ -92,19 +92,6 @@ impl RunFacts {
         self.recovery_ns = total(SpanKind::Recovery);
         self
     }
-
-    /// Facts from a report alone (no journal).
-    pub fn from_report(report: &RunReport) -> RunFacts {
-        RunFacts {
-            supersteps: report.supersteps,
-            logical_iterations: report.logical_iterations,
-            converged: report.converged,
-            failures: report.failures,
-            redundant_supersteps: report.supersteps.saturating_sub(report.logical_iterations),
-            ..Default::default()
-        }
-        .with_report(report)
-    }
 }
 
 /// Regression thresholds. Each is the allowed increase of current over

@@ -3,17 +3,18 @@
 //! run recover. Run `optirec --help` for usage.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use algos::common::{CONVERGED, L1_DIFF, MESSAGES, RANK_SUM};
 use flowviz::chart::{ascii_chart, ChartOptions};
 use flowviz::table::{run_stats_table, run_summary};
 use optimistic_recovery::cli::{self, Algorithm, InspectCommand, Invocation};
+use optimistic_recovery::journal::JournalCapture;
+use optimistic_recovery::{out, outln};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || (args[0] != "serve" && args.iter().any(|a| a == "--help" || a == "-h")) {
-        print!("{}", cli::usage());
+        out!("{}", cli::usage());
         return;
     }
     if args[0] == "worker" {
@@ -32,7 +33,7 @@ fn main() {
     }
     if args[0] == "serve" {
         if args[1..].iter().any(|a| a == "--help" || a == "-h") {
-            print!("{}", cli::serve_usage());
+            out!("{}", cli::serve_usage());
             return;
         }
         let invocation = match cli::parse_serve(&args[1..]) {
@@ -122,25 +123,25 @@ fn inspect(command: &InspectCommand) -> Result<i32, String> {
                 Some(path) => Some(flowscope::load_spans(path).map_err(|e| e.to_string())?),
                 None => None,
             };
-            print!("{}", flowscope::render_timeline(&model, spans.as_deref()));
+            out!("{}", flowscope::render_timeline(&model, spans.as_deref()));
             Ok(0)
         }
         InspectCommand::Profile { report, straggler_factor } => {
             let (summary, metrics) = flowscope::load_report(report).map_err(|e| e.to_string())?;
             let profile = flowscope::build_profile(&summary, &metrics, *straggler_factor);
-            print!("{}", flowscope::render_profile(&profile));
+            out!("{}", flowscope::render_profile(&profile));
             Ok(0)
         }
         InspectCommand::Convergence { journal, csv, html } => {
             let model = load_model(journal)?;
-            print!("{}", flowscope::render_convergence(&model));
+            out!("{}", flowscope::render_convergence(&model));
             if let Some(path) = csv {
                 flowscope::write_convergence_csv(&model, path).map_err(|e| e.to_string())?;
-                println!("csv written to {}", path.display());
+                outln!("csv written to {}", path.display());
             }
             if let Some(path) = html {
                 flowscope::write_convergence_html(&model, path).map_err(|e| e.to_string())?;
-                println!("html written to {}", path.display());
+                outln!("html written to {}", path.display());
             }
             Ok(0)
         }
@@ -151,11 +152,11 @@ fn inspect(command: &InspectCommand) -> Result<i32, String> {
                 None => None,
             };
             let recovery = flowscope::build_recovery_report(&model, summary.as_ref());
-            print!("{}", flowscope::render_recovery(&recovery));
+            out!("{}", flowscope::render_recovery(&recovery));
             Ok(0)
         }
         InspectCommand::Demo { journal } => {
-            print!("{}", flowscope::render_demo(&load(journal)?.events));
+            out!("{}", flowscope::render_demo(&load(journal)?.events));
             Ok(0)
         }
         InspectCommand::Diff { baseline, journal, baseline_report, report, options } => {
@@ -170,7 +171,7 @@ fn inspect(command: &InspectCommand) -> Result<i32, String> {
             let baseline = facts(baseline, baseline_report)?;
             let current = facts(journal, report)?;
             let diff = flowscope::diff_runs(&baseline, &current, options);
-            print!("{}", flowscope::render_diff(&diff));
+            out!("{}", flowscope::render_diff(&diff));
             Ok(if diff.has_regressions() { 1 } else { 0 })
         }
     }
@@ -203,12 +204,12 @@ fn run_top(invocation: &cli::TopInvocation) -> Result<(), String> {
         // Report snapshots are static; polling one would print the same
         // text forever, so --report always behaves like --once.
         let (summary, metrics) = flowscope::load_report(report).map_err(|e| e.to_string())?;
-        print!("{}", flowscope::render_metrics_top(&summary, &metrics));
+        out!("{}", flowscope::render_metrics_top(&summary, &metrics));
         return Ok(());
     }
     let addr = invocation.connect.as_deref().expect("parse_top guarantees a source");
     loop {
-        println!("{}", stats_over_tcp(addr)?);
+        outln!("{}", stats_over_tcp(addr)?);
         if invocation.once {
             return Ok(());
         }
@@ -225,7 +226,7 @@ fn run(invocation: &Invocation) -> Result<(), String> {
             Algorithm::PageRank => algos::pagerank::plan_text(invocation.parallelism),
             _ => return Err("--explain supports cc and pagerank".into()),
         };
-        print!("{text}");
+        out!("{text}");
         return Ok(());
     }
     if let Some(workers) = invocation.cluster {
@@ -233,15 +234,11 @@ fn run(invocation: &Invocation) -> Result<(), String> {
     }
 
     let mut ft = cli::ft_config(invocation);
-    let capture = invocation.journal.as_ref().map(|path| {
-        let sink = Arc::new(telemetry::MemorySink::new());
-        let handle = telemetry::SinkHandle::new(sink.clone());
-        (sink, handle, path.clone())
-    });
-    if let Some((_, handle, _)) = &capture {
-        ft.telemetry = handle.clone();
+    let capture = invocation.journal.clone().map(JournalCapture::to_path);
+    if let Some(capture) = &capture {
+        ft.telemetry = capture.handle();
     }
-    println!(
+    outln!(
         "running {:?} on {:?} with {} (parallelism {})",
         invocation.algorithm,
         invocation.graph,
@@ -260,7 +257,7 @@ fn run(invocation: &Invocation) -> Result<(), String> {
             };
             let result =
                 algos::connected_components::run(&graph, &config).map_err(|e| e.to_string())?;
-            println!("components: {}  correct: {:?}", result.num_components, result.correct);
+            outln!("components: {}  correct: {:?}", result.num_components, result.correct);
             plot(&result.stats, &[(CONVERGED, "vertices at final component")]);
             plot_counter(&result.stats, MESSAGES, "messages per iteration");
             result.stats
@@ -275,7 +272,7 @@ fn run(invocation: &Invocation) -> Result<(), String> {
                 ..Default::default()
             };
             let result = algos::pagerank::run(&graph, &config).map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "rank sum: {:.9}  L1 to exact: {:.2e}",
                 result.rank_sum,
                 result.l1_to_exact.unwrap_or(f64::NAN)
@@ -294,7 +291,7 @@ fn run(invocation: &Invocation) -> Result<(), String> {
             let result = algos::sssp::run(&graph, &config).map_err(|e| e.to_string())?;
             let reachable =
                 result.distances.iter().filter(|&&(_, d)| d != algos::sssp::UNREACHABLE).count();
-            println!("reachable from 0: {reachable}  correct: {:?}", result.correct);
+            outln!("reachable from 0: {reachable}  correct: {:?}", result.correct);
             plot(&result.stats, &[(CONVERGED, "vertices at final distance")]);
             result.stats
         }
@@ -307,7 +304,7 @@ fn run(invocation: &Invocation) -> Result<(), String> {
                 ..Default::default()
             };
             let result = algos::reachability::run(&graph, &config).map_err(|e| e.to_string())?;
-            println!("reached: {}  correct: {:?}", result.num_reached, result.correct);
+            outln!("reached: {}  correct: {:?}", result.num_reached, result.correct);
             result.stats
         }
         Algorithm::KMeans => {
@@ -319,8 +316,8 @@ fn run(invocation: &Invocation) -> Result<(), String> {
                 ..Default::default()
             };
             let result = algos::kmeans::run(&points, &config).map_err(|e| e.to_string())?;
-            println!("objective: {:.2}", result.objective);
-            print!("{}", flowscope::demo::render_centroids(&result.centroids));
+            outln!("objective: {:.2}", result.objective);
+            out!("{}", flowscope::demo::render_centroids(&result.centroids));
             result.stats
         }
         Algorithm::Als => {
@@ -332,7 +329,7 @@ fn run(invocation: &Invocation) -> Result<(), String> {
                 ..Default::default()
             };
             let result = algos::als::run(&ratings, &config).map_err(|e| e.to_string())?;
-            println!("training rmse: {:.4}", result.rmse);
+            outln!("training rmse: {:.4}", result.rmse);
             plot(
                 &result.stats,
                 &[("rmse", "training RMSE per sweep"), ("objective", "regularised objective")],
@@ -348,28 +345,17 @@ fn run(invocation: &Invocation) -> Result<(), String> {
                 ..Default::default()
             };
             let result = algos::jacobi::run(&system, &config).map_err(|e| e.to_string())?;
-            println!("residual: {:.2e}", result.residual);
+            outln!("residual: {:.2e}", result.residual);
             result.stats
         }
     };
 
-    println!("\nper-iteration statistics:");
-    print!("{}", run_stats_table(&stats));
-    println!("{}", run_summary(&stats));
+    outln!("\nper-iteration statistics:");
+    out!("{}", run_stats_table(&stats));
+    outln!("{}", run_summary(&stats));
 
-    if let Some((sink, handle, path)) = &capture {
-        let paths = flowscope::save_run(sink, handle.metrics(), path)
-            .map_err(|e| format!("cannot write telemetry to {}: {e}", path.display()))?;
-        println!(
-            "telemetry written: {} (spans: {}, report: {})",
-            paths.journal.display(),
-            paths.spans.display(),
-            paths.report.display()
-        );
-        println!(
-            "inspect it with: optirec inspect convergence --journal {}",
-            paths.journal.display()
-        );
+    if let Some(capture) = capture {
+        capture.finish_or_exit();
     }
     Ok(())
 }
@@ -384,15 +370,8 @@ fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
         other => return Err(format!("serve supports cc and pagerank, not {other:?}")),
     };
     let graph = invocation.graph.build(invocation.algorithm)?;
-    let capture = invocation.journal.as_ref().map(|path| {
-        let sink = Arc::new(telemetry::MemorySink::new());
-        let handle = telemetry::SinkHandle::new(sink.clone());
-        (sink, handle, path.clone())
-    });
-    let telemetry = match &capture {
-        Some((_, handle, _)) => handle.clone(),
-        None => telemetry::SinkHandle::disabled(),
-    };
+    let capture = invocation.journal.clone().map(JournalCapture::to_path);
+    let telemetry = capture.as_ref().map_or_else(telemetry::SinkHandle::disabled, |c| c.handle());
     let config = serve::ServeConfig {
         algorithm,
         parallelism: invocation.parallelism,
@@ -402,21 +381,24 @@ fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
         elastic: invocation.elastic,
         ..Default::default()
     };
-    println!(
+    outln!(
         "serve {:?} on {:?} (parallelism {})",
-        invocation.algorithm, invocation.graph, invocation.parallelism
+        invocation.algorithm,
+        invocation.graph,
+        invocation.parallelism
     );
     if let Some(range) = invocation.elastic {
-        println!(
+        outln!(
             "elastic: epochs run on {}..={} worker processes (scale verb sets the target)",
-            range.min_workers, range.max_workers
+            range.min_workers,
+            range.max_workers
         );
     }
     if let Some(inject) = &invocation.inject {
-        println!("will inject {:?} into epoch {}", inject.kind, inject.epoch);
+        outln!("will inject {:?} into epoch {}", inject.kind, inject.epoch);
     }
     let (mut engine, report) = serve::ServeEngine::bootstrap(config, &graph)?;
-    println!(
+    outln!(
         "bootstrap: converged over {} vertices in {} supersteps",
         graph.num_vertices(),
         report.supersteps
@@ -424,11 +406,11 @@ fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
 
     if let Some(path) = &invocation.replay {
         let commands = serve::load_replay(path)?;
-        println!("replaying {} commands from {}", commands.len(), path.display());
+        outln!("replaying {} commands from {}", commands.len(), path.display());
         for command in &commands {
             let (response, quit) = serve::apply_command(&mut engine, command);
-            println!("> {}", command.to_line());
-            println!("{response}");
+            outln!("> {}", command.to_line());
+            outln!("{response}");
             if quit {
                 break;
             }
@@ -437,12 +419,12 @@ fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
 
     if let Some(listen) = &invocation.listen {
         let daemon = serve::spawn(engine, listen).map_err(|e| e.to_string())?;
-        println!("serving on {} (line protocol; `quit` ends a session)", daemon.addr());
+        outln!("serving on {} (line protocol; `quit` ends a session)", daemon.addr());
         match invocation.serve_seconds {
             Some(seconds) => {
                 std::thread::sleep(std::time::Duration::from_secs(seconds));
                 daemon.stop();
-                println!("serve window of {seconds}s elapsed, shutting down");
+                outln!("serve window of {seconds}s elapsed, shutting down");
             }
             None => loop {
                 std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -450,17 +432,8 @@ fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
         }
     }
 
-    if let Some((sink, handle, path)) = &capture {
-        handle.flush();
-        let paths = flowscope::save_run(sink, handle.metrics(), path)
-            .map_err(|e| format!("cannot write telemetry to {}: {e}", path.display()))?;
-        println!(
-            "telemetry written: {} (spans: {}, report: {})",
-            paths.journal.display(),
-            paths.spans.display(),
-            paths.report.display()
-        );
-        println!("inspect it with: optirec inspect timeline --journal {}", paths.journal.display());
+    if let Some(capture) = capture {
+        capture.finish_or_exit();
     }
     Ok(())
 }
@@ -480,30 +453,25 @@ fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<(), String>
     let graph = invocation.graph.build(invocation.algorithm)?;
     let cfg = cli::cluster_config(invocation, workers);
 
-    let capture = invocation.journal.as_ref().map(|path| {
-        let sink = Arc::new(telemetry::MemorySink::new());
-        let handle = telemetry::SinkHandle::new(sink.clone());
-        (sink, handle, path.clone())
-    });
-    let telemetry = match &capture {
-        Some((_, handle, _)) => handle.clone(),
-        None => telemetry::SinkHandle::disabled(),
-    };
-    println!(
+    let capture = invocation.journal.clone().map(JournalCapture::to_path);
+    let telemetry = capture.as_ref().map_or_else(telemetry::SinkHandle::disabled, |c| c.handle());
+    outln!(
         "running {:?} on {:?} with {workers} worker processes (parallelism {})",
-        invocation.algorithm, invocation.graph, invocation.parallelism
+        invocation.algorithm,
+        invocation.graph,
+        invocation.parallelism
     );
     if let recovery::Strategy::AsyncSnapshot { interval } = invocation.strategy {
-        println!("recovery: asynchronous barrier snapshots every {interval} superstep(s)");
+        outln!("recovery: asynchronous barrier snapshots every {interval} superstep(s)");
     }
     for event in &invocation.scale {
-        println!("planned rescale: to {} workers at superstep {}", event.workers, event.superstep);
+        outln!("planned rescale: to {} workers at superstep {}", event.workers, event.superstep);
     }
     for kill in &invocation.chaos.kills {
-        println!("will SIGKILL worker {} during superstep {}", kill.worker, kill.superstep);
+        outln!("will SIGKILL worker {} during superstep {}", kill.worker, kill.superstep);
     }
     for straggler in &invocation.chaos.stragglers {
-        println!(
+        outln!(
             "straggler: worker {} lags {}ms during supersteps {}..={}",
             straggler.worker,
             straggler.delay.as_millis(),
@@ -513,7 +481,7 @@ fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<(), String>
     }
     for link in &invocation.chaos.links {
         if !link.delay.is_zero() {
-            println!(
+            outln!(
                 "link delay: worker {} frames +{}ms during supersteps {}..={}",
                 link.worker,
                 link.delay.as_millis(),
@@ -522,9 +490,13 @@ fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<(), String>
             );
         }
         if link.drop_probability > 0.0 {
-            println!(
+            outln!(
                 "lossy link: worker {} drops with p={} (seed {}) during supersteps {}..={}",
-                link.worker, link.drop_probability, link.seed, link.from, link.to
+                link.worker,
+                link.drop_probability,
+                link.seed,
+                link.from,
+                link.to
             );
         }
     }
@@ -535,29 +507,21 @@ fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<(), String>
             let mut labels: Vec<u64> = run.values.iter().map(|&(_, label)| label).collect();
             labels.sort_unstable();
             labels.dedup();
-            println!("components: {}", labels.len());
+            outln!("components: {}", labels.len());
         }
         Algorithm::PageRank => {
             let sum: f64 = run.values.iter().map(|&(_, bits)| f64::from_bits(bits)).sum();
-            println!("rank sum: {sum:.9}");
+            outln!("rank sum: {sum:.9}");
         }
         _ => unreachable!("rejected above"),
     }
 
-    println!("\nper-iteration statistics:");
-    print!("{}", run_stats_table(&run.stats));
-    println!("{}", run_summary(&run.stats));
+    outln!("\nper-iteration statistics:");
+    out!("{}", run_stats_table(&run.stats));
+    outln!("{}", run_summary(&run.stats));
 
-    if let Some((sink, handle, path)) = &capture {
-        let paths = flowscope::save_run(sink, handle.metrics(), path)
-            .map_err(|e| format!("cannot write telemetry to {}: {e}", path.display()))?;
-        println!(
-            "telemetry written: {} (spans: {}, report: {})",
-            paths.journal.display(),
-            paths.spans.display(),
-            paths.report.display()
-        );
-        println!("inspect it with: optirec inspect timeline --journal {}", paths.journal.display());
+    if let Some(capture) = capture {
+        capture.finish_or_exit();
     }
     Ok(())
 }
@@ -567,7 +531,7 @@ fn plot(stats: &dataflow::stats::RunStats, gauges: &[(&str, &str)]) {
     for (gauge, title) in gauges {
         let series = stats.gauge_series(gauge);
         if series.iter().any(|v| v.is_finite()) {
-            println!(
+            outln!(
                 "{}",
                 ascii_chart(&series, &ChartOptions::titled(*title).with_markers(markers.clone()))
             );
@@ -578,5 +542,5 @@ fn plot(stats: &dataflow::stats::RunStats, gauges: &[(&str, &str)]) {
 fn plot_counter(stats: &dataflow::stats::RunStats, counter: &str, title: &str) {
     let markers: Vec<u32> = stats.failures().map(|(s, _)| s).collect();
     let series: Vec<f64> = stats.counter_series(counter).iter().map(|&v| v as f64).collect();
-    println!("{}", ascii_chart(&series, &ChartOptions::titled(title).with_markers(markers)));
+    outln!("{}", ascii_chart(&series, &ChartOptions::titled(title).with_markers(markers)));
 }

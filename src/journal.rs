@@ -1,6 +1,6 @@
-//! `--journal <path>` support shared by the example binaries: capture the
-//! run's telemetry and write the journal plus spans/report sidecars, in the
-//! layout `optirec inspect` expects.
+//! `--journal <path>` support shared by `optirec` and the example binaries:
+//! capture the run's telemetry and write the journal plus spans/report
+//! sidecars, in the layout `optirec inspect` expects.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -34,7 +34,7 @@ impl JournalCapture {
     }
 
     /// A fresh capture writing to `path`.
-    fn to_path(path: PathBuf) -> JournalCapture {
+    pub fn to_path(path: PathBuf) -> JournalCapture {
         let sink = Arc::new(MemorySink::new());
         let handle = SinkHandle::new(sink.clone());
         JournalCapture { sink, handle, path }
@@ -64,20 +64,20 @@ impl JournalCapture {
     pub fn finish(self) -> std::io::Result<CapturePaths> {
         self.handle.flush();
         let paths = flowscope::save_run(&self.sink, self.handle.metrics(), &self.path)?;
-        println!(
+        crate::outln!(
             "\ntelemetry written: {} (spans: {}, report: {})",
             paths.journal.display(),
             paths.spans.display(),
             paths.report.display()
         );
-        println!(
+        crate::outln!(
             "inspect it with: optirec inspect convergence --journal {}",
             paths.journal.display()
         );
         Ok(paths)
     }
 
-    /// [`finish`](Self::finish) for example binaries: an unwritable journal
+    /// [`finish`](Self::finish) for binaries: an unwritable journal
     /// destination becomes a clear CLI error naming the path, not a panic
     /// with a backtrace.
     pub fn finish_or_exit(self) {

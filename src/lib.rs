@@ -20,6 +20,7 @@
 
 pub mod cli;
 pub mod journal;
+pub mod stdout;
 
 pub use algos;
 pub use dataflow;
