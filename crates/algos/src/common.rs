@@ -1,25 +1,25 @@
-//! Shared experiment plumbing: fault-tolerance configuration and the
-//! translation from a [`Strategy`] descriptor to concrete engine handlers.
+//! Shared experiment plumbing: fault-tolerance configuration, the bulk and
+//! delta entries to the strategy → handler table ([`Strategy::handler`]),
+//! and the compensation the min-propagation algorithms share.
 
 use std::hash::Hash;
+use std::sync::Arc;
 
 use dataflow::codec::Codec;
 use dataflow::dataset::{Data, Partitions};
 use dataflow::error::Result;
-use dataflow::ft::{DeltaState, FaultHandler, RestartHandler, Snapshot, SolutionSets};
-use dataflow::hash::FxHashMap;
+use dataflow::ft::{DeltaState, SolutionSets};
+use dataflow::hash::{FxHashMap, FxHashSet};
+use dataflow::index::KeyedIndex;
 use dataflow::iterate::ConvergenceMeasure;
-use dataflow::partition::hash_partition;
+use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::stats::IterationStats;
-use graphs::VertexId;
-use recovery::async_snapshot::AsyncSnapshotHandler;
-use recovery::checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
+use graphs::{Graph, VertexId};
+use recovery::checkpoint::{CostModel, DiskStore, MemoryStore, StableStore};
 use recovery::compensation::{lost_keys, Compensation};
-use recovery::ignore::IgnoreHandler;
 use recovery::incremental::IncrementalDeltaHandler;
-use recovery::optimistic::OptimisticHandler;
 use recovery::scenario::FailureScenario;
-use recovery::strategy::Strategy;
+use recovery::strategy::{Handler, Strategy};
 use telemetry::{JournalEvent, Norm, SinkHandle};
 
 /// Fault-tolerance configuration of one algorithm run.
@@ -106,45 +106,12 @@ pub fn environment(parallelism: usize, ft: &FtConfig) -> dataflow::api::Environm
     )
 }
 
-/// A handler of the configured strategy over the iteration state `S`.
-type Handler<S> = Box<dyn FaultHandler<S>>;
-
 /// The stable store the configuration asks for.
 fn stable_store(ft: &FtConfig) -> Result<Box<dyn StableStore>> {
     Ok(if ft.checkpoint_on_disk {
         Box::new(DiskStore::temp()?.with_cost_model(ft.checkpoint_cost))
     } else {
         Box::new(MemoryStore::with_cost_model(ft.checkpoint_cost))
-    })
-}
-
-/// The strategy → handler table, for either iteration state. `incremental`
-/// builds the one strategy that is not generic over the state.
-fn handler<S, C>(
-    ft: &FtConfig,
-    compensation: C,
-    incremental: impl FnOnce(Box<dyn StableStore>, u32) -> Result<Handler<S>>,
-) -> Result<Handler<S>>
-where
-    S: Snapshot + 'static,
-    C: Compensation<S> + 'static,
-{
-    let telemetry = ft.telemetry.clone();
-    Ok(match ft.strategy {
-        Strategy::Optimistic => {
-            Box::new(OptimisticHandler::new(compensation).with_telemetry(telemetry))
-        }
-        Strategy::Checkpoint { interval } => {
-            Box::new(CheckpointHandler::new(stable_store(ft)?, interval)?.with_telemetry(telemetry))
-        }
-        Strategy::IncrementalCheckpoint { full_interval } => {
-            incremental(stable_store(ft)?, full_interval)?
-        }
-        Strategy::AsyncSnapshot { interval } => Box::new(
-            AsyncSnapshotHandler::new(stable_store(ft)?, interval)?.with_telemetry(telemetry),
-        ),
-        Strategy::Restart => Box::new(RestartHandler),
-        Strategy::Ignore => Box::new(IgnoreHandler),
     })
 }
 
@@ -155,13 +122,14 @@ where
     T: Data + Codec,
     C: Compensation<Partitions<T>> + 'static,
 {
-    handler(ft, compensation, |_, _| {
+    let delta_only = |_: Box<dyn StableStore>, _| {
         Err(dataflow::error::EngineError::Recovery(
             "incremental checkpointing requires a delta iteration; use a bulk-capable \
              strategy (optimistic / checkpoint / restart) here"
                 .into(),
         ))
-    })
+    };
+    ft.strategy.handler(compensation, || stable_store(ft), &ft.telemetry, delta_only)
 }
 
 /// Build the delta-iteration fault handler for a strategy.
@@ -175,10 +143,98 @@ where
     W: Data + Codec,
     C: Compensation<DeltaState<K, V, W>> + 'static,
 {
-    handler(ft, compensation, |store, full_interval| {
+    let incremental = |store: Box<dyn StableStore>, full_interval| {
         let handler = IncrementalDeltaHandler::<K, V, W, _>::new(store, full_interval)?;
-        Ok(Box::new(handler.with_telemetry(ft.telemetry.clone())))
-    })
+        Ok(Box::new(handler.with_telemetry(ft.telemetry.clone())) as Handler<_>)
+    };
+    ft.strategy.handler(compensation, || stable_store(ft), &ft.telemetry, incremental)
+}
+
+/// Out-neighbours by vertex (ascending; both directions of every
+/// undirected edge): the build side of CC's *label-to-neighbors* join and
+/// what [`FixPropagation`] walks — one index, shared by both.
+pub type Adjacency = KeyedIndex<VertexId, VertexId>;
+
+/// The adjacency index of `graph`; isolated vertices have no row.
+pub fn adjacency_of(graph: &Graph) -> Adjacency {
+    graph
+        .vertices()
+        .filter(|&v| graph.degree(v) > 0)
+        .map(|v| (v, graph.neighbors(v).to_vec()))
+        .collect()
+}
+
+/// The compensation of the monotone min-propagation class (Connected
+/// Components, SSSP, reachability): the fixpoint is reached from any state
+/// no further along than the initial one, so the lost vertices are reset to
+/// their initial values, and propagation is re-seeded from them and from
+/// their surviving neighbours, which hold correct values but stopped
+/// sending. Only *active* values are worth propagating (SSSP: a finite
+/// distance; reachability: reached). The algorithms differ only in those
+/// two functions and the journaled name; each builds its instance from a
+/// constructor (`connected_components::fix_components`,
+/// `sssp::fix_distances`, `reachability::fix_reachability`).
+pub struct FixPropagation<V> {
+    name: &'static str,
+    adjacency: Arc<Adjacency>,
+    num_vertices: u64,
+    parallelism: usize,
+    initial: Box<dyn Fn(VertexId) -> V>,
+    active: fn(&V) -> bool,
+}
+
+impl<V> FixPropagation<V> {
+    /// The compensation `name` over a graph of `num_vertices` vertices with
+    /// the given adjacency index (shared, not copied): vertex `v` starts at
+    /// `initial(v)`, and a value `x` re-propagates when `active(&x)`.
+    pub(crate) fn new(
+        name: &'static str,
+        adjacency: Arc<Adjacency>,
+        num_vertices: usize,
+        parallelism: usize,
+        initial: impl Fn(VertexId) -> V + 'static,
+        active: fn(&V) -> bool,
+    ) -> Self {
+        let (num_vertices, initial) = (num_vertices as u64, Box::new(initial));
+        FixPropagation { name, adjacency, num_vertices, parallelism, initial, active }
+    }
+}
+
+impl<V: Copy> Compensation<DeltaState<VertexId, V, (VertexId, V)>> for FixPropagation<V> {
+    fn compensate(
+        &mut self,
+        state: &mut DeltaState<VertexId, V, (VertexId, V)>,
+        lost: &[PartitionId],
+        _iteration: u32,
+    ) {
+        let DeltaState { solution, workset } = state;
+        let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
+        let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
+        for (v, pid) in lost_keys(self.num_vertices, self.parallelism, lost) {
+            let initial = (self.initial)(v);
+            solution[pid].insert(v, initial);
+            if (self.active)(&initial) {
+                workset.partition_mut(pid).push((v, initial));
+            }
+            for &u in self.adjacency.get(&v) {
+                if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
+                    resenders.insert(u);
+                }
+            }
+        }
+        let mut resenders: Vec<VertexId> = resenders.into_iter().collect();
+        resenders.sort_unstable();
+        for u in resenders {
+            let pid = hash_partition(&u, self.parallelism);
+            if let Some(&value) = solution[pid].get(&u).filter(|value| (self.active)(value)) {
+                workset.partition_mut(pid).push((u, value));
+            }
+        }
+    }
+
+    fn name(&self) -> &str {
+        self.name
+    }
 }
 
 /// Build a convergence probe for bulk iterations over keyed records.

@@ -24,15 +24,14 @@ use dataflow::dataset::Partitions;
 use dataflow::error::Result;
 use dataflow::ft::{solution_sets, DeltaState, SolutionSets};
 use dataflow::hash::FxHashSet;
-use dataflow::index::KeyedIndex;
 use dataflow::iterate::ResidentRun;
-use dataflow::partition::{hash_partition, PartitionId};
+use dataflow::partition::PartitionId;
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
 use graphs::{exact_components, Graph, VertexId};
-use recovery::compensation::{lost_keys, Compensation};
+use recovery::compensation::lost_keys;
 
-use crate::common::{self, FtConfig};
+use crate::common::{self, FixPropagation, FtConfig};
 
 /// A `(vertex, label)` record — both the solution-set entry and the workset
 /// message type of the dataflow.
@@ -72,19 +71,7 @@ impl Default for CcConfig {
     }
 }
 
-/// Out-neighbours by vertex (ascending; both directions of every
-/// undirected edge): the build side of the *label-to-neighbors* join and
-/// what [`FixComponents`] walks — one index, shared by both.
-pub type Adjacency = KeyedIndex<VertexId, VertexId>;
-
-/// The adjacency index of `graph`; isolated vertices have no row.
-pub fn adjacency_of(graph: &Graph) -> Adjacency {
-    graph
-        .vertices()
-        .filter(|&v| graph.degree(v) > 0)
-        .map(|v| (v, graph.neighbors(v).to_vec()))
-        .collect()
-}
+pub use crate::common::{adjacency_of, Adjacency};
 
 /// The state of a CC delta iteration: per-partition `vertex -> label` maps
 /// plus the workset of labels still to propagate. A caller that keeps it
@@ -116,57 +103,14 @@ pub struct CcResult {
     pub stats: RunStats,
 }
 
-/// The paper's `FixComponents` compensation function.
-pub struct FixComponents {
+/// The paper's `FixComponents` compensation function: lost vertices restart
+/// from their own ids, and every label is worth propagating.
+pub fn fix_components(
     adjacency: Arc<Adjacency>,
-    num_vertices: u64,
+    num_vertices: usize,
     parallelism: usize,
-}
-
-impl FixComponents {
-    /// Compensation over a graph of `num_vertices` vertices with the given
-    /// adjacency index (shared with the iteration's join, not copied).
-    pub fn new(adjacency: Arc<Adjacency>, num_vertices: usize, parallelism: usize) -> Self {
-        FixComponents { adjacency, num_vertices: num_vertices as u64, parallelism }
-    }
-}
-
-impl Compensation<DeltaState<VertexId, VertexId, Label>> for FixComponents {
-    fn compensate(
-        &mut self,
-        state: &mut DeltaState<VertexId, VertexId, Label>,
-        lost: &[PartitionId],
-        _iteration: u32,
-    ) {
-        let DeltaState { solution, workset } = state;
-        let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
-        // Surviving neighbours of lost vertices: they hold correct labels
-        // but stopped propagating, so they must re-enter the working set.
-        let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
-        for (v, pid) in lost_keys(self.num_vertices, self.parallelism, lost) {
-            // Re-initialise the lost vertex to its initial (unique) label...
-            solution[pid].insert(v, v);
-            // ...and let it propagate again.
-            workset.partition_mut(pid).push((v, v));
-            for &u in self.adjacency.get(&v) {
-                if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
-                    resenders.insert(u);
-                }
-            }
-        }
-        let mut resenders: Vec<VertexId> = resenders.into_iter().collect();
-        resenders.sort_unstable();
-        for u in resenders {
-            let pid = hash_partition(&u, self.parallelism);
-            if let Some(&label) = solution[pid].get(&u) {
-                workset.partition_mut(pid).push((u, label));
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "FixComponents"
-    }
+) -> FixPropagation<VertexId> {
+    FixPropagation::new("FixComponents", adjacency, num_vertices, parallelism, |v| v, |_| true)
 }
 
 /// Run Connected Components over an undirected graph.
@@ -258,7 +202,7 @@ fn plan(
 ) -> Result<Plan> {
     iteration.set_fault_handler(common::delta_handler(
         &config.ft,
-        FixComponents::new(adjacency.clone(), num_vertices, config.parallelism),
+        fix_components(adjacency.clone(), num_vertices, config.parallelism),
     )?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: total label decrease per superstep (labels only

@@ -6,7 +6,8 @@
 //! * [`connected_components`] — delta iteration (paper Figure 1a): the
 //!   minimum label of each component diffuses along edges; the
 //!   `FixComponents` compensation resets lost vertices to their initial
-//!   labels and re-seeds propagation.
+//!   labels and re-seeds propagation from them and their surviving
+//!   neighbours.
 //! * [`pagerank`] — bulk iteration (paper Figure 1b): ranks are recomputed
 //!   from neighbour contributions every superstep; the `FixRanks`
 //!   compensation uniformly redistributes the lost probability mass so all
@@ -16,9 +17,18 @@
 //! the "large class of fixpoint algorithms" the paper appeals to:
 //!
 //! * [`sssp`] — single-source shortest paths (delta iteration; monotone
-//!   min-distance fixpoint, compensation resets to the initial +∞ state).
+//!   min-distance fixpoint; the `FixDistances` compensation resets lost
+//!   vertices to the initial +∞ / 0-at-source state).
 //! * [`reachability`] — multi-source reachability (delta iteration; a
-//!   monotone boolean fixpoint, the simplest member of the class).
+//!   monotone boolean fixpoint, the simplest member of the class; the
+//!   `FixReachability` compensation resets lost vertices to their seed
+//!   status).
+//!
+//! `FixComponents`, `FixDistances` and `FixReachability` are one type,
+//! [`common::FixPropagation`], instantiated three times: the three
+//! algorithms are the monotone min-propagation class, and differ only in
+//! the initial value of a vertex and in which values are worth
+//! re-propagating.
 //! * [`kmeans`] — k-means clustering (bulk iteration; compensation re-seeds
 //!   lost centroids near the global point mean).
 //! * [`jacobi`] — Jacobi iteration for diagonally dominant linear systems
@@ -30,7 +40,9 @@
 //!   vectors and the sweep-monotone objective keeps decreasing).
 //!
 //! Every `run` function takes a [`common::FtConfig`] choosing the recovery
-//! strategy (optimistic / checkpoint / restart / ignore) and a failure
+//! strategy (optimistic / checkpoint / incremental / async-snapshot /
+//! restart / ignore; the handler comes from the one table,
+//! [`recovery::Strategy::handler`]) and a failure
 //! scenario, and returns the algorithm output together with the engine's
 //! per-superstep [`dataflow::stats::RunStats`] — the raw material for all of
 //! the paper's plots.

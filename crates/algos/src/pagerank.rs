@@ -24,7 +24,7 @@ use dataflow::error::Result;
 use dataflow::partition::PartitionId;
 use dataflow::prelude::BulkIteration;
 use dataflow::stats::RunStats;
-use graphs::{exact_pagerank, Graph, PageRankParams, VertexId};
+use graphs::{exact_pagerank, Graph, PageRankParams, VertexId, PAGERANK_DAMPING};
 use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
@@ -39,8 +39,6 @@ pub struct PrConfig {
     pub parallelism: usize,
     /// Iteration cap.
     pub max_iterations: u32,
-    /// Damping factor `d` (teleport probability `1 - d`).
-    pub damping: f64,
     /// Termination threshold: stop once no single rank moves by more than
     /// `epsilon` between consecutive iterations.
     pub epsilon: f64,
@@ -66,7 +64,6 @@ impl Default for PrConfig {
         PrConfig {
             parallelism: 4,
             max_iterations: 100,
-            damping: 0.85,
             epsilon: 1e-7,
             ft: FtConfig::default(),
             track_truth: true,
@@ -153,10 +150,10 @@ pub fn run(graph: &Graph, config: &PrConfig) -> Result<PrResult> {
     Ok(PrResult { ranks, rank_sum, l1_to_exact, stats })
 }
 
-fn exact_truth(graph: &Graph, config: &PrConfig) -> Vec<f64> {
+fn exact_truth(graph: &Graph) -> Vec<f64> {
     exact_pagerank(
         graph,
-        PageRankParams { damping: config.damping, epsilon: 1e-12, max_iterations: 1000 },
+        PageRankParams { epsilon: 1e-12, max_iterations: 1000, ..PageRankParams::default() },
     )
 }
 
@@ -226,7 +223,7 @@ pub fn build_warm(
 
     // Observer: rank-sum invariant, L1 between consecutive estimates, and
     // (optionally) the converged-to-true-rank count.
-    let truth = if config.track_truth { Some(Arc::new(exact_truth(graph, config))) } else { None };
+    let truth = if config.track_truth { Some(Arc::new(exact_truth(graph))) } else { None };
     let truth_ret = truth.clone();
     let tolerance = config.truth_tolerance * uniform;
     let sampler = common::Sampler::of(
@@ -322,7 +319,7 @@ pub fn build_warm(
         |&v, _old, sums| vec![(v, sums.first().map_or(0.0, |s| s.1))],
     );
     // ...and apply damping, teleport, and the dangling mass.
-    let damping = config.damping;
+    let damping = PAGERANK_DAMPING;
     let new_ranks = collected.map_with_broadcast(
         "apply-teleport",
         &dangling_mass,

@@ -11,15 +11,13 @@
 use std::sync::Arc;
 
 use dataflow::error::Result;
-use dataflow::ft::{DeltaState, SolutionSets};
+use dataflow::ft::SolutionSets;
 use dataflow::hash::FxHashSet;
-use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
 use graphs::{Graph, VertexId};
-use recovery::compensation::{lost_keys, Compensation};
 
-use crate::common::{self, FtConfig};
+use crate::common::{self, adjacency_of, Adjacency, FixPropagation, FtConfig};
 
 /// A `(vertex, reached)` record.
 pub type Reach = (VertexId, bool);
@@ -82,60 +80,19 @@ pub fn bfs_reachability(graph: &Graph, seeds: &[VertexId]) -> Vec<bool> {
     reached
 }
 
-/// Compensation for reachability: reset lost vertices to their seed status
-/// and let the reached survivors on the boundary re-propagate.
-pub struct FixReachability {
-    adjacency: Arc<Vec<Vec<VertexId>>>,
-    seeds: FxHashSet<VertexId>,
+/// Compensation for reachability (`FixReachability`): lost vertices restart
+/// from their seed status, and only a reached vertex is worth
+/// re-propagating.
+pub fn fix_reachability(
+    adjacency: Arc<Adjacency>,
+    num_vertices: usize,
+    seeds: &[VertexId],
     parallelism: usize,
-}
-
-impl FixReachability {
-    /// Compensation over the given graph and seed set.
-    pub fn new(graph: &Graph, seeds: &[VertexId], parallelism: usize) -> Self {
-        FixReachability {
-            adjacency: Arc::new(graph.adjacency_rows().into_iter().map(|(_, ns)| ns).collect()),
-            seeds: seeds.iter().copied().collect(),
-            parallelism,
-        }
-    }
-}
-
-impl Compensation<DeltaState<VertexId, bool, Reach>> for FixReachability {
-    fn compensate(
-        &mut self,
-        state: &mut DeltaState<VertexId, bool, Reach>,
-        lost: &[PartitionId],
-        _iteration: u32,
-    ) {
-        let DeltaState { solution, workset } = state;
-        let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
-        let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
-        for (v, pid) in lost_keys(self.adjacency.len() as u64, self.parallelism, lost) {
-            let initially_reached = self.seeds.contains(&v);
-            solution[pid].insert(v, initially_reached);
-            if initially_reached {
-                workset.partition_mut(pid).push((v, true));
-            }
-            for &u in &self.adjacency[v as usize] {
-                if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
-                    resenders.insert(u);
-                }
-            }
-        }
-        let mut resenders: Vec<VertexId> = resenders.into_iter().collect();
-        resenders.sort_unstable();
-        for u in resenders {
-            let pid = hash_partition(&u, self.parallelism);
-            if solution[pid].get(&u) == Some(&true) {
-                workset.partition_mut(pid).push((u, true));
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "FixReachability"
-    }
+) -> FixPropagation<bool> {
+    let seeds: FxHashSet<VertexId> = seeds.iter().copied().collect();
+    let initial = move |v| seeds.contains(&v);
+    let reached = |reached: &bool| *reached;
+    FixPropagation::new("FixReachability", adjacency, num_vertices, parallelism, initial, reached)
 }
 
 /// Run multi-source reachability over an undirected graph.
@@ -158,7 +115,12 @@ pub fn run(graph: &Graph, config: &ReachConfig) -> Result<ReachResult> {
     let mut iteration = DeltaIteration::new(&solution, &workset, config.max_iterations);
     iteration.set_fault_handler(common::delta_handler(
         &config.ft,
-        FixReachability::new(graph, &config.seeds, config.parallelism),
+        fix_reachability(
+            Arc::new(adjacency_of(graph)),
+            graph.num_vertices(),
+            &config.seeds,
+            config.parallelism,
+        ),
     )?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: vertices flipped to reached this superstep (each

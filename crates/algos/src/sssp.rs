@@ -11,15 +11,12 @@
 use std::sync::Arc;
 
 use dataflow::error::Result;
-use dataflow::ft::{DeltaState, SolutionSets};
-use dataflow::hash::FxHashSet;
-use dataflow::partition::{hash_partition, PartitionId};
+use dataflow::ft::SolutionSets;
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
 use graphs::{Graph, VertexId};
-use recovery::compensation::{lost_keys, Compensation};
 
-use crate::common::{self, FtConfig};
+use crate::common::{self, adjacency_of, Adjacency, FixPropagation, FtConfig};
 
 /// Distance value for unreachable vertices.
 pub const UNREACHABLE: u64 = u64::MAX;
@@ -85,63 +82,17 @@ pub fn bfs_distances(graph: &Graph, source: VertexId) -> Vec<u64> {
     dist
 }
 
-/// Compensation for SSSP: reset lost vertices to their initial distances
-/// and re-seed propagation from them and their surviving neighbours.
-pub struct FixDistances {
-    adjacency: Arc<Vec<Vec<VertexId>>>,
+/// Compensation for SSSP (`FixDistances`): lost vertices restart from their
+/// initial distances, and only a finite distance is worth re-propagating.
+pub fn fix_distances(
+    adjacency: Arc<Adjacency>,
+    num_vertices: usize,
     source: VertexId,
     parallelism: usize,
-}
-
-impl FixDistances {
-    /// Compensation over the given graph.
-    pub fn new(graph: &Graph, source: VertexId, parallelism: usize) -> Self {
-        FixDistances {
-            adjacency: Arc::new(graph.adjacency_rows().into_iter().map(|(_, ns)| ns).collect()),
-            source,
-            parallelism,
-        }
-    }
-}
-
-impl Compensation<DeltaState<VertexId, u64, Distance>> for FixDistances {
-    fn compensate(
-        &mut self,
-        state: &mut DeltaState<VertexId, u64, Distance>,
-        lost: &[PartitionId],
-        _iteration: u32,
-    ) {
-        let DeltaState { solution, workset } = state;
-        let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
-        let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
-        for (v, pid) in lost_keys(self.adjacency.len() as u64, self.parallelism, lost) {
-            let initial = if v == self.source { 0 } else { UNREACHABLE };
-            solution[pid].insert(v, initial);
-            if v == self.source {
-                // Only a finite distance is worth re-propagating.
-                workset.partition_mut(pid).push((v, 0));
-            }
-            for &u in &self.adjacency[v as usize] {
-                if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
-                    resenders.insert(u);
-                }
-            }
-        }
-        let mut resenders: Vec<VertexId> = resenders.into_iter().collect();
-        resenders.sort_unstable();
-        for u in resenders {
-            let pid = hash_partition(&u, self.parallelism);
-            if let Some(&d) = solution[pid].get(&u) {
-                if d != UNREACHABLE {
-                    workset.partition_mut(pid).push((u, d));
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "FixDistances"
-    }
+) -> FixPropagation<u64> {
+    let initial = move |v| if v == source { 0 } else { UNREACHABLE };
+    let finite = |d: &u64| *d != UNREACHABLE;
+    FixPropagation::new("FixDistances", adjacency, num_vertices, parallelism, initial, finite)
 }
 
 /// Run single-source shortest paths over an undirected graph.
@@ -163,7 +114,12 @@ pub fn run(graph: &Graph, config: &SsspConfig) -> Result<SsspResult> {
     let mut iteration = DeltaIteration::new(&solution, &workset, config.max_iterations);
     iteration.set_fault_handler(common::delta_handler(
         &config.ft,
-        FixDistances::new(graph, source, config.parallelism),
+        fix_distances(
+            Arc::new(adjacency_of(graph)),
+            graph.num_vertices(),
+            source,
+            config.parallelism,
+        ),
     )?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: summed distance improvement; a vertex leaving

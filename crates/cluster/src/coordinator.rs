@@ -54,7 +54,7 @@ use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
 use dataflow::exec::{par_map, ExecContext};
-use dataflow::ft::{IterationState, RestartHandler, Snapshot};
+use dataflow::ft::{IterationState, Snapshot};
 use dataflow::iterate::{BulkIteration, BulkState, ConvergenceMeasure};
 use dataflow::operators::source::{InjectedSource, SourceSlot};
 use dataflow::partition::PartitionId;
@@ -62,7 +62,7 @@ use dataflow::plan::DynOp;
 use dataflow::stats::RunStats;
 use graphs::Graph;
 use recovery::compensation::Named;
-use recovery::{AsyncSnapshotHandler, CheckpointHandler, MemoryStore, OptimisticHandler};
+use recovery::{MemoryStore, StableStore, Strategy};
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
 use telemetry::{JournalEvent, SinkHandle};
 
@@ -200,40 +200,13 @@ fn chaos_coin(seed: u64, superstep: u32, worker: usize) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// How a cluster run recovers from worker loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterStrategy {
-    /// Optimistic recovery: the program's compensation function rebuilds
-    /// lost partitions (no failure-free overhead).
-    Optimistic,
-    /// Synchronous checkpoints every `interval` supersteps: the driver state
-    /// is captured with its logical iteration; recovery rolls both back to
-    /// the last checkpointed superstep, and the workers regenerate the
-    /// messages in flight from the restored state.
-    Checkpoint {
-        /// Supersteps between checkpoints.
-        interval: u32,
-    },
-    /// Asynchronous barrier snapshots every `interval` supersteps
-    /// (Chandy–Lamport / Flink style): chunks ship to the owning workers in
-    /// the background and recovery rolls back to the last complete epoch.
-    AsyncSnapshot {
-        /// Supersteps between barrier injections.
-        interval: u32,
-    },
-    /// The lineage baseline: any failure restarts the iteration from the
-    /// initial input at logical step 0.
-    Restart,
-}
-
-impl ClusterStrategy {
-    /// Whether recovery rolls back to a captured cut (checkpoint /
-    /// async-snapshot) rather than recomputing forward: a restore pushes the
-    /// cut's state down, and the workers regenerate its messages.
-    fn is_rollback(self) -> bool {
-        matches!(self, ClusterStrategy::Checkpoint { .. } | ClusterStrategy::AsyncSnapshot { .. })
-    }
-}
+/// Maximum TCP connect attempts per (re)connect.
+const CONNECT_ATTEMPTS: u32 = 10;
+/// Initial reconnect delay; doubled after every failed attempt, up to
+/// [`CONNECT_BACKOFF_CAP`].
+const CONNECT_BACKOFF: Duration = Duration::from_millis(25);
+/// The longest wait between two connect attempts.
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Configuration of a cluster run.
 #[derive(Debug, Clone)]
@@ -255,17 +228,15 @@ pub struct ClusterConfig {
     pub chaos: ChaosPlan,
     /// Planned membership changes, applied at superstep barriers in order.
     pub scale: Vec<ScaleEvent>,
-    /// How the run recovers from worker loss.
-    pub strategy: ClusterStrategy,
+    /// How the run recovers from worker loss: optimistic compensation,
+    /// checkpoints, async snapshots or restart. [`run_cluster`] refuses the
+    /// in-process-only strategies before it spawns anything.
+    pub strategy: Strategy,
     /// Delay between heartbeat probes.
     pub heartbeat_interval: Duration,
     /// Read timeout on the heartbeat connection; exceeding it marks the
     /// worker dead.
     pub heartbeat_timeout: Duration,
-    /// Maximum TCP connect attempts per (re)connect.
-    pub connect_attempts: u32,
-    /// Initial reconnect delay; doubled after every failed attempt.
-    pub connect_backoff: Duration,
     /// Read timeout on the control connection while waiting for `StepDone`
     /// (the backstop when a worker wedges without dropping the connection).
     pub step_timeout: Duration,
@@ -289,11 +260,9 @@ impl ClusterConfig {
             worker_cmd: default_worker_cmd(),
             chaos: ChaosPlan::default(),
             scale: Vec::new(),
-            strategy: ClusterStrategy::Optimistic,
+            strategy: Strategy::Optimistic,
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_secs(3),
-            connect_attempts: 10,
-            connect_backoff: Duration::from_millis(25),
             step_timeout: Duration::from_secs(30),
             initial_state: None,
         }
@@ -314,7 +283,7 @@ impl ClusterConfig {
     }
 
     /// Override the recovery strategy.
-    pub fn with_strategy(mut self, strategy: ClusterStrategy) -> Self {
+    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self
     }
@@ -900,7 +869,7 @@ impl ClusterBackend {
     /// and send the greeting and its [`Message::LoadProgram`] `load` without
     /// waiting for the one acknowledgement that covers them.
     fn connect_and_ship(&self, worker: usize, port: u16, load: &[u8]) -> io::Result<LoadingWorker> {
-        let (mut stream, attempts) = connect_with_backoff(&loopback(port), &self.cfg)?;
+        let (mut stream, attempts) = connect_with_backoff(&loopback(port))?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(self.cfg.step_timeout))?;
         let mut shipped = 0;
@@ -921,7 +890,7 @@ impl ClusterBackend {
     ) -> io::Result<WorkerHandle> {
         let LoadingWorker { mut stream, port, .. } = loading;
         read_ack(&mut stream, &self.bytes_in, welcome)?;
-        let (hb_stream, _) = connect_with_backoff(&loopback(port), &self.cfg)?;
+        let (hb_stream, _) = connect_with_backoff(&loopback(port))?;
         hb_stream.set_nodelay(true).ok();
         hb_stream.set_read_timeout(Some(self.cfg.heartbeat_timeout))?;
 
@@ -1668,16 +1637,16 @@ fn loopback(port: u16) -> String {
     format!("127.0.0.1:{port}")
 }
 
-fn connect_with_backoff(addr: &str, cfg: &ClusterConfig) -> io::Result<(TcpStream, u32)> {
-    let mut delay = cfg.connect_backoff;
+fn connect_with_backoff(addr: &str) -> io::Result<(TcpStream, u32)> {
+    let mut delay = CONNECT_BACKOFF;
     let mut last = io::Error::other("no connect attempts configured");
-    for attempt in 1..=cfg.connect_attempts.max(1) {
+    for attempt in 1..=CONNECT_ATTEMPTS {
         match TcpStream::connect(addr) {
             Ok(stream) => return Ok((stream, attempt)),
             Err(e) => last = e,
         }
         thread::sleep(delay);
-        delay = (delay * 2).min(Duration::from_secs(2));
+        delay = (delay * 2).min(CONNECT_BACKOFF_CAP);
     }
     Err(last)
 }
@@ -1800,6 +1769,18 @@ impl DynOp for ValuesOp {
     }
 }
 
+/// Why a cluster run cannot recover with `strategy`, if it cannot: `ignore`
+/// is the in-process ablation, and incremental checkpoints log solution-set
+/// diffs that only a delta iteration has.
+pub fn unsupported_strategy(strategy: Strategy) -> Option<String> {
+    matches!(strategy, Strategy::Ignore | Strategy::IncrementalCheckpoint { .. }).then(|| {
+        format!(
+            "a cluster recovers by optimistic compensation, checkpoints, async snapshots or \
+             restart; {strategy} is in-process only"
+        )
+    })
+}
+
 /// Run `program_name` on a cluster of worker processes.
 pub fn run_cluster(
     program_name: &str,
@@ -1830,6 +1811,9 @@ pub fn run_cluster(
         return Err(EngineError::Plan(format!(
             "chaos plan targets worker {worker}, but the cluster never has more than {max_workers} workers"
         )));
+    }
+    if let Some(reason) = unsupported_strategy(cfg.strategy) {
+        return Err(EngineError::Plan(reason));
     }
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
@@ -1890,7 +1874,7 @@ fn run_local_in(
     let n = graph.num_vertices() as u64;
     let adjacency = Arc::new(partition_rows(graph, env.parallelism));
     let backend = LocalBackend::new(program.clone(), adjacency, n);
-    let strategy = ClusterStrategy::Optimistic;
+    let strategy = Strategy::Optimistic;
     run_with_backend(
         program,
         Box::new(backend),
@@ -1918,7 +1902,7 @@ fn run_with_backend(
     graph: &Graph,
     max_iterations: u32,
     config: EnvConfig,
-    strategy: ClusterStrategy,
+    strategy: Strategy,
     initial_state: Option<Vec<Record>>,
 ) -> Result<ClusterRun> {
     let (parallelism, n) = (config.parallelism, graph.num_vertices() as u64);
@@ -1955,34 +1939,21 @@ fn run_with_backend(
     let mut iteration = BulkIteration::<Record, ClusterState>::over(&initial, max_iterations);
     // Rollback and restart rewind the driver's logical iteration, which is
     // the step the backend runs, with the state; optimistic recovery
-    // recomputes forward and needs no cut. A zero interval is rejected here,
-    // by the handlers' constructors.
-    match strategy {
-        ClusterStrategy::Optimistic => {
-            // The owners of the lost partitions rebuild them from the
-            // (loop-invariant) adjacency with the program's compensation
-            // function: the coordinator only says which.
-            let compensation = Named::new(
-                format!("{}-compensation", program.name()),
-                |state: &mut ClusterState, lost: &[PartitionId], _iteration: u32| {
-                    for &pid in lost {
-                        state.parts[pid] = Part::Compensated(state.parts[pid].vertices());
-                    }
-                },
-            );
-            iteration
-                .set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
-        }
-        ClusterStrategy::Checkpoint { interval } => {
-            let handler = CheckpointHandler::new(MemoryStore::new(), interval)?;
-            iteration.set_fault_handler(handler.with_telemetry(telemetry));
-        }
-        ClusterStrategy::AsyncSnapshot { interval } => {
-            let handler = AsyncSnapshotHandler::new(MemoryStore::new(), interval)?;
-            iteration.set_fault_handler(handler.with_telemetry(telemetry));
-        }
-        ClusterStrategy::Restart => iteration.set_fault_handler(RestartHandler),
-    }
+    // recomputes forward and needs no cut. The owners of the lost partitions
+    // rebuild them from the (loop-invariant) adjacency with the program's
+    // compensation function: the coordinator only says which.
+    let compensation = Named::new(
+        format!("{}-compensation", program.name()),
+        |state: &mut ClusterState, lost: &[PartitionId], _iteration: u32| {
+            for &pid in lost {
+                state.parts[pid] = Part::Compensated(state.parts[pid].vertices());
+            }
+        },
+    );
+    let store = || Ok(Box::new(MemoryStore::new()) as Box<dyn StableStore>);
+    iteration.set_fault_handler(strategy.handler(compensation, store, &telemetry, |_, _| {
+        Err(EngineError::Plan("a cluster run has no incremental checkpoints".into()))
+    })?);
     // What changed is what the partitions' programs counted.
     iteration.set_convergence_probe(|_: &ClusterState, next: &ClusterState| ConvergenceMeasure {
         changed_per_partition: next.changed.clone(),
@@ -2153,7 +2124,7 @@ mod tests {
         let n = graph.num_vertices() as u64;
         let adjacency = Arc::new(partition_rows(graph, parallelism));
         let backend = Box::new(backend(program.clone(), adjacency, n));
-        let (config, strategy) = (EnvConfig::new(parallelism), ClusterStrategy::Optimistic);
+        let (config, strategy) = (EnvConfig::new(parallelism), Strategy::Optimistic);
         run_with_backend(program, backend, graph, 200, config, strategy, None).unwrap()
     }
 
@@ -2301,9 +2272,9 @@ mod tests {
             .with_kill(KillPlan { superstep: 2, worker: 0 })
             .with_kill(KillPlan { superstep: 2, worker: 1 });
         assert_eq!(cfg.chaos.kills.len(), 2);
-        assert_eq!(cfg.strategy, ClusterStrategy::Optimistic, "default strategy");
-        let cfg = cfg.with_strategy(ClusterStrategy::AsyncSnapshot { interval: 3 });
-        assert_eq!(cfg.strategy, ClusterStrategy::AsyncSnapshot { interval: 3 });
+        assert_eq!(cfg.strategy, Strategy::Optimistic, "default strategy");
+        let cfg = cfg.with_strategy(Strategy::AsyncSnapshot { interval: 3 });
+        assert_eq!(cfg.strategy, Strategy::AsyncSnapshot { interval: 3 });
     }
 
     #[test]
@@ -2344,8 +2315,8 @@ mod tests {
     #[test]
     fn zero_interval_async_snapshots_are_plan_errors() {
         let graph = GraphBuilder::undirected(4).build();
-        let cfg = ClusterConfig::new(2, 4, 10)
-            .with_strategy(ClusterStrategy::AsyncSnapshot { interval: 0 });
+        let cfg =
+            ClusterConfig::new(2, 4, 10).with_strategy(Strategy::AsyncSnapshot { interval: 0 });
         let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
         assert!(err.to_string().contains("interval"), "{err}");
     }
@@ -2353,18 +2324,9 @@ mod tests {
     #[test]
     fn zero_interval_checkpoints_are_plan_errors() {
         let graph = GraphBuilder::undirected(4).build();
-        let cfg =
-            ClusterConfig::new(2, 4, 10).with_strategy(ClusterStrategy::Checkpoint { interval: 0 });
+        let cfg = ClusterConfig::new(2, 4, 10).with_strategy(Strategy::Checkpoint { interval: 0 });
         let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
         assert!(err.to_string().contains("interval"), "{err}");
-    }
-
-    #[test]
-    fn the_rollback_strategies_are_the_two_that_restore_a_cut() {
-        assert!(!ClusterStrategy::Optimistic.is_rollback());
-        assert!(!ClusterStrategy::Restart.is_rollback());
-        assert!(ClusterStrategy::Checkpoint { interval: 2 }.is_rollback());
-        assert!(ClusterStrategy::AsyncSnapshot { interval: 2 }.is_rollback());
     }
 
     /// Counts every partition as changed, records the logical step it is
@@ -2418,10 +2380,10 @@ mod tests {
         };
         // Cuts after iterations 0, 2 and 4; superstep 6 loses a worker, and
         // its retry restores the cut at 4 and runs step 5.
-        let checkpoint = ClusterStrategy::Checkpoint { interval: 2 };
+        let checkpoint = Strategy::Checkpoint { interval: 2 };
         assert_eq!(steps_handed(checkpoint, 6), [0, 1, 2, 3, 4, 5, 6, 5, 6, 7]);
         // A restart runs step 0 again.
-        assert_eq!(steps_handed(ClusterStrategy::Restart, 3), [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(steps_handed(Strategy::Restart, 3), [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7]);
     }
 
     /// The in-process step assembly before partitions routed their output,
@@ -2550,7 +2512,7 @@ mod tests {
             let program = resolve("cc").unwrap();
             let inner = LocalBackend::new(program.clone(), adjacency.clone(), 400);
             let backend = Box::new(RecordsHeld { inner, held: held.clone(), lose_at });
-            let (config, strategy) = (EnvConfig::new(4), ClusterStrategy::Optimistic);
+            let (config, strategy) = (EnvConfig::new(4), Strategy::Optimistic);
             let run =
                 run_with_backend(program, backend, &graph, 200, config, strategy, None).unwrap();
             let labels: Vec<u64> = run.values.iter().map(|&(_, l)| l).collect();
@@ -2568,6 +2530,7 @@ mod tests {
         use super::*;
         use crate::program::directed;
         use proptest::prelude::*;
+        use proptest::strategy::Strategy as _;
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -2704,6 +2667,19 @@ mod tests {
             let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
             assert!(matches!(err, EngineError::Plan(_)), "{err}");
             assert!(err.to_string().contains(problem), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_in_process_only_strategy_is_refused_before_anything_is_spawned() {
+        // As above: a spawn would fail with a different error than the plan's.
+        let graph = GraphBuilder::undirected(4).build();
+        for strategy in [Strategy::Ignore, Strategy::IncrementalCheckpoint { full_interval: 2 }] {
+            let mut cfg = ClusterConfig::new(2, 4, 10).with_strategy(strategy);
+            cfg.worker_cmd = vec!["no-such-worker-binary".into()];
+            let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
+            assert!(matches!(err, EngineError::Plan(_)), "{strategy}: {err}");
+            assert!(err.to_string().contains("in-process only"), "{strategy}: {err}");
         }
     }
 }

@@ -10,8 +10,9 @@
 //! engine detects it — connection reset, EOF, read timeout, or heartbeat
 //! timeout. Detection converts into
 //! [`dataflow::error::EngineError::WorkerLost`], which flows through the
-//! *unchanged* bulk-iteration recovery machinery: the installed
-//! [`recovery::OptimisticHandler`] compensates the lost partitions and
+//! *unchanged* bulk-iteration recovery machinery: the handler the run's
+//! strategy builds through the one table, [`recovery::Strategy::handler`],
+//! compensates the lost partitions (or restores a cut, or restarts) and
 //! the superstep is redone, while the coordinator re-spawns the worker and
 //! re-ships its partitions in the background.
 //!
@@ -48,9 +49,12 @@ pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{
-    default_worker_cmd, run_cluster, run_local, run_local_warm, ChaosPlan, ClusterConfig,
-    ClusterRun, ClusterStrategy, KillPlan, LinkPlan, ScaleEvent, StragglerPlan,
+    default_worker_cmd, run_cluster, run_local, run_local_warm, unsupported_strategy, ChaosPlan,
+    ClusterConfig, ClusterRun, KillPlan, LinkPlan, ScaleEvent, StragglerPlan,
 };
 pub use placement::{PartitionMap, Rebalance, Rebalancer};
 pub use program::{lookup, program_names, ClusterProgram, StepBuffers, StepOutput};
 pub use protocol::{Message, Msg, Record};
+/// The one strategy type, [`recovery::Strategy`], under the name the
+/// `benchmark/` package imports it by.
+pub use recovery::Strategy as ClusterStrategy;

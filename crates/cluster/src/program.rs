@@ -32,8 +32,9 @@ use graphs::Graph;
 
 use crate::protocol::{AdjRows, Msg, Record, Seed};
 
-/// PageRank damping factor (the paper's standard 0.85).
-pub const PAGERANK_DAMPING: f64 = 0.85;
+/// PageRank damping factor: [`graphs::PAGERANK_DAMPING`], under the name
+/// the `benchmark/` package reads it by.
+pub const PAGERANK_DAMPING: f64 = graphs::PAGERANK_DAMPING;
 
 /// PageRank termination threshold: a vertex counts as changed while its rank
 /// moves by more than this per superstep.

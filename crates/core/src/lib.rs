@@ -23,8 +23,7 @@
 //! This crate implements the strategies on top of the `dataflow` engine's
 //! one recovery contract, [`dataflow::ft::FaultHandler`], which is generic
 //! over the iteration state — so every strategy below is a single type that
-//! serves bulk iterations, delta iterations and (wrapped with the
-//! coordinator's channel cut) the cluster:
+//! serves bulk iterations, delta iterations and the cluster's coordinator:
 //!
 //! * [`compensation`] — the compensation-function trait with its closure
 //!   adapter.
@@ -41,7 +40,9 @@
 //!   for delta iterations.
 //! * [`ignore`] — the do-nothing "handler" used by the ablation study.
 //! * [`scenario`] — failure schedules (deterministic and random/MTBF).
-//! * [`strategy`] — experiment-facing strategy descriptors.
+//! * [`strategy`] — experiment-facing strategy descriptors and the one
+//!   strategy → handler table ([`Strategy::handler`]) every run builds its
+//!   handler through.
 
 #![warn(missing_docs)]
 // No panicking lookup on a recovery path: CI's clippy step denies warnings.
@@ -63,7 +64,7 @@ pub use ignore::IgnoreHandler;
 pub use incremental::IncrementalDeltaHandler;
 pub use optimistic::OptimisticHandler;
 pub use scenario::{FailureScenario, RandomFailures};
-pub use strategy::Strategy;
+pub use strategy::{Handler, Strategy};
 
 /// One fixed state per shape, as of an iteration: the inputs the strategy
 /// tests run the contract over.

@@ -40,6 +40,10 @@ pub fn num_components(graph: &Graph) -> usize {
     distinct.len()
 }
 
+/// The PageRank damping factor `d` (teleport probability `1 - d`): the
+/// paper's standard 0.85, declared once for every PageRank in the repo.
+pub const PAGERANK_DAMPING: f64 = 0.85;
+
 /// PageRank parameters shared by the exact solver and the dataflow
 /// implementation, so "converged to the true rank" is well-defined.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +58,7 @@ pub struct PageRankParams {
 
 impl Default for PageRankParams {
     fn default() -> Self {
-        PageRankParams { damping: 0.85, epsilon: 1e-9, max_iterations: 200 }
+        PageRankParams { damping: PAGERANK_DAMPING, epsilon: 1e-9, max_iterations: 200 }
     }
 }
 

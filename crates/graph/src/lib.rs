@@ -22,6 +22,6 @@ pub mod graph;
 pub mod io;
 pub mod unionfind;
 
-pub use exact::{exact_components, exact_pagerank, PageRankParams};
+pub use exact::{exact_components, exact_pagerank, PageRankParams, PAGERANK_DAMPING};
 pub use graph::{Graph, GraphBuilder, VertexId};
 pub use unionfind::UnionFind;

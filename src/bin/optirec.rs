@@ -440,8 +440,9 @@ fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
 
 /// The `--cluster` path: real worker processes over loopback TCP. Failure
 /// injection here disturbs live processes and connections (`--kill` /
-/// `--chaos`), and recovery is either optimistic compensation (default) or
-/// asynchronous barrier snapshots (`--strategy async-snapshot`) — the
+/// `--chaos`), and recovery is optimistic compensation (default),
+/// checkpoints (`--strategy checkpoint:K`), asynchronous barrier snapshots
+/// (`--strategy async-snapshot`) or restart (`--strategy restart`) — the
 /// coordinator detects each loss at the network level and the re-spawned
 /// worker rejoins mid-run.
 fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<(), String> {

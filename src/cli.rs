@@ -744,16 +744,8 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
         return Err("heartbeat/step timeouts only apply to --cluster runs".into());
     }
     if let Some(workers) = invocation.cluster {
-        match invocation.strategy {
-            Strategy::Optimistic
-            | Strategy::AsyncSnapshot { .. }
-            | Strategy::Checkpoint { .. }
-            | Strategy::Restart => {}
-            _ => {
-                return Err("--cluster recovers via optimistic compensation, checkpoint:K, \
-                     async-snapshot, or restart; other strategies are in-process only"
-                    .into())
-            }
+        if let Some(reason) = cluster::unsupported_strategy(invocation.strategy) {
+            return Err(format!("--cluster: {reason}"));
         }
         if !invocation.scenario.is_failure_free() {
             return Err(
@@ -1083,16 +1075,7 @@ pub fn cluster_config(invocation: &Invocation, workers: usize) -> cluster::Clust
     }
     cfg.chaos = invocation.chaos.clone();
     cfg.scale = invocation.scale.clone();
-    match invocation.strategy {
-        Strategy::AsyncSnapshot { interval } => {
-            cfg.strategy = cluster::ClusterStrategy::AsyncSnapshot { interval };
-        }
-        Strategy::Checkpoint { interval } => {
-            cfg.strategy = cluster::ClusterStrategy::Checkpoint { interval };
-        }
-        Strategy::Restart => cfg.strategy = cluster::ClusterStrategy::Restart,
-        _ => {}
-    }
+    cfg.strategy = invocation.strategy;
     cfg
 }
 
@@ -1447,21 +1430,21 @@ mod tests {
         assert!(err.contains("worker 2"), "{err}");
         assert!(err.contains("0..=1"), "{err}");
 
-        // Rollback strategies also run on the cluster and map onto the
-        // cluster-side strategy enum.
+        // Rollback strategies also run on the cluster, passed through as
+        // they parse.
         let invocation =
             parse_args(&args(&["cc", "--cluster", "2", "--strategy", "async-snapshot:3"])).unwrap();
         assert_eq!(invocation.strategy, Strategy::AsyncSnapshot { interval: 3 });
         let cfg = cluster_config(&invocation, 2);
-        assert_eq!(cfg.strategy, cluster::ClusterStrategy::AsyncSnapshot { interval: 3 });
+        assert_eq!(cfg.strategy, Strategy::AsyncSnapshot { interval: 3 });
         let invocation =
             parse_args(&args(&["cc", "--cluster", "2", "--strategy", "checkpoint:2"])).unwrap();
         let cfg = cluster_config(&invocation, 2);
-        assert_eq!(cfg.strategy, cluster::ClusterStrategy::Checkpoint { interval: 2 });
+        assert_eq!(cfg.strategy, Strategy::Checkpoint { interval: 2 });
         let invocation =
             parse_args(&args(&["cc", "--cluster", "2", "--strategy", "restart"])).unwrap();
         let cfg = cluster_config(&invocation, 2);
-        assert_eq!(cfg.strategy, cluster::ClusterStrategy::Restart);
+        assert_eq!(cfg.strategy, Strategy::Restart);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use algos::common::{self, FtConfig};
-use algos::connected_components::{self as cc, adjacency_of, CcConfig, FixComponents, Label};
+use algos::connected_components::{self as cc, adjacency_of, fix_components, CcConfig, Label};
 use dataflow::api::DataSet;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::Result;
@@ -158,7 +158,7 @@ fn hand_built(graph: &Graph, parallelism: usize, ft: &FtConfig, oracle: bool) ->
 
     let mut it = DeltaIteration::new(&solution, &workset, 200);
     let compensation =
-        FixComponents::new(Arc::new(adjacency_of(graph)), graph.num_vertices(), parallelism);
+        fix_components(Arc::new(adjacency_of(graph)), graph.num_vertices(), parallelism);
     it.set_fault_handler(common::delta_handler(&ft, compensation).unwrap());
     it.set_failure_source(ft.scenario.to_source());
     it.set_norm_probe(common::delta_norm_probe(|old: Option<&VertexId>, new| {
