@@ -492,9 +492,9 @@ type Stepped = (Vec<StepResult>, Option<Vec<Vec<Record>>>);
 /// the partitions' state in a [`PartitionStore`] — the local backend one
 /// over every partition, the cluster's workers one over their share each —
 /// and what the last committed superstep sent where it ran. Both fold a
-/// partition's inbound in canonical `(src, dst, bits)` order, merged
-/// straight from the runs addressed to it (neither builds an inbox), so
-/// both execute bit-identical supersteps in failure-free runs.
+/// partition's inbound straight from the runs addressed to it, one per
+/// source partition in source order (neither builds an inbox or merges
+/// one), so both execute bit-identical supersteps in failure-free runs.
 ///
 /// `Send` because the engine may dispatch the step operator onto its
 /// worker pool; the `Arc<Mutex<…>>` wrapper then crosses threads.

@@ -10,10 +10,13 @@
 //! slot explicitly, so output of failed attempts is never consumed — it is
 //! simply never named and is garbage-collected once a later slot is.
 //!
-//! A slot keeps what lands as born-sorted single-destination segments: an
-//! own run is one and is moved in whole, a peer frame is cut where it lands,
-//! without a copy. Each partition folds its segments through
-//! [`for_each_merged`]; no inbox is built ([`DataPlane::take`]).
+//! A slot keeps what lands as born-sorted segments, each from one source
+//! partition to one destination: an own run is one and is moved in whole, a
+//! peer frame is cut where it lands, without a copy. Each partition folds
+//! its segments ([`Segments::to`], ordered by source partition) as its
+//! program's update needs — CC in arrival order, PageRank one source
+//! partition at a time, merging only segments of one source partition
+//! ([`for_each_merged`]); no inbox is built ([`DataPlane::take`]).
 //!
 //! Epoch filtering is the data-plane half of the "declared dead" protocol
 //! (the coordinator's superstep-echo skip is the control-plane half): every
@@ -147,18 +150,21 @@ impl<A: Iterator<Item = Msg>, B: Iterator<Item = Msg>> Iterator for Merge2<A, B>
 /// A born-sorted stretch of a deposited run, all for one partition.
 type Segment = (Arc<Vec<Msg>>, Range<usize>);
 
-/// Cut `run` where its destination (`dst % partitions`) changes or the order
-/// descends: its born-sorted single-destination segments and their pids.
+/// Cut `run` where its destination (`dst % partitions`) or its source
+/// partition (`src % partitions`) changes, or the order descends: its
+/// born-sorted segments, each from one source partition to one destination,
+/// and their destination pids.
 fn cut(run: &[Msg], partitions: usize) -> Vec<(usize, Range<usize>)> {
     let mask = partitions.is_power_of_two().then(|| partitions as u64 - 1);
-    let pid_of = |msg: &Msg| mask.map_or_else(|| msg.1 % partitions as u64, |m| msg.1 & m) as usize;
+    let pid_of = |v: u64| mask.map_or_else(|| v % partitions as u64, |m| v & m) as usize;
     let (mut segments, mut start) = (Vec::new(), 0);
     for (end, pair) in (1..).zip(run.windows(2)) {
-        if pid_of(&pair[1]) != pid_of(&pair[0]) || pair[1] < pair[0] {
-            segments.push((pid_of(&pair[0]), std::mem::replace(&mut start, end)..end));
+        let [(src, dst, _), (next_src, next_dst, _)] = [pair[0], pair[1]];
+        if pid_of(next_dst) != pid_of(dst) || pid_of(next_src) != pid_of(src) || pair[1] < pair[0] {
+            segments.push((pid_of(dst), std::mem::replace(&mut start, end)..end));
         }
     }
-    segments.extend(run.last().map(|last| (pid_of(last), start..run.len())));
+    segments.extend(run.last().map(|last| (pid_of(last.1), start..run.len())));
     segments
 }
 
@@ -363,18 +369,18 @@ impl DataPlane {
     /// consumed slot itself is retained intact so a post-failure retry under
     /// optimistic recovery can re-consume it.
     pub fn take(&self, superstep: u32) -> Segments {
-        let (segments, collected) = {
+        let (segments, collected, partitions) = {
             let mut inbox = self.inbox.lock().unwrap();
             inbox.floor = superstep;
             let kept = inbox.slots.split_off(&superstep);
             let collected = std::mem::replace(&mut inbox.slots, kept);
             let segments =
                 inbox.slots.get(&superstep).map(|slot| slot.segments.clone()).unwrap_or_default();
-            (segments, collected)
+            (segments, collected, inbox.partitions.max(1))
         };
         // Megabytes of older runs are freed here, not under the lock.
         drop(collected);
-        Segments(segments)
+        Segments { segments, partitions }
     }
 
     /// [`Self::take`], merged: the whole slot in canonical `(src, dst, bits)`
@@ -382,7 +388,7 @@ impl DataPlane {
     pub fn take_sorted(&self, superstep: u32) -> Vec<Msg> {
         let taken = self.take(superstep);
         let runs: Vec<&[Msg]> =
-            taken.0.iter().map(|(_, (run, range))| &run[range.clone()]).collect();
+            taken.segments.iter().map(|(_, (run, range))| &run[range.clone()]).collect();
         merge_runs(&runs, 1).pop().unwrap_or_default()
     }
 
@@ -397,21 +403,33 @@ impl DataPlane {
     }
 }
 
-/// A taken slot: its segments, each with its destination partition.
+/// A taken slot: its segments, each with its destination partition, and the
+/// partition count they were cut for.
 #[derive(Debug, Default)]
-pub struct Segments(Vec<(usize, Segment)>);
+pub struct Segments {
+    segments: Vec<(usize, Segment)>,
+    partitions: usize,
+}
 
 impl Segments {
-    /// The born-sorted segments addressed to partition `pid`: what its fold
-    /// merges ([`for_each_merged`]) into [`merge_runs`]'s order.
+    /// The born-sorted segments addressed to partition `pid`, each from one
+    /// source partition, ordered by `(src % partitions, first message)`: by
+    /// source partition, in the order the in-process backend passes its
+    /// routed runs, whatever order they were deposited in. A fold merging
+    /// them all ([`for_each_merged`]) reads [`merge_runs`]' order.
     pub fn to(&self, pid: usize) -> Vec<&[Msg]> {
-        let to_pid = self.0.iter().filter(|(to, _)| *to == pid);
-        to_pid.map(|(_, (run, range))| &run[range.clone()]).collect()
+        let to_pid = self.segments.iter().filter(|(to, _)| *to == pid);
+        let mut segments: Vec<&[Msg]> =
+            to_pid.map(|(_, (run, range))| &run[range.clone()]).collect();
+        let partitions = self.partitions as u64;
+        segments.sort_unstable_by_key(|segment| (segment[0].0 % partitions, segment[0]));
+        segments
     }
 
     /// The most segments addressed to any one partition.
     pub fn most(&self) -> usize {
-        self.0.iter().map(|&(pid, _)| self.to(pid).len()).max().unwrap_or(0)
+        let addressed = |pid: usize| self.segments.iter().filter(|(to, _)| *to == pid).count();
+        self.segments.iter().map(|&(pid, _)| addressed(pid)).max().unwrap_or(0)
     }
 }
 
@@ -587,10 +605,15 @@ mod tests {
             partitions in 1usize..6,
         ) {
             let to = |d: usize| move |msg: &&Msg| msg.1 % partitions as u64 == d as u64;
-            // Each source routes born-sorted runs, one per destination.
+            // Source `q` sends only from vertices `src ≡ q (mod partitions)`,
+            // as `partition_rows` places them, and routes born-sorted runs,
+            // one per destination.
             let routed: Vec<(Vec<Vec<Msg>>, bool)> = sources
                 .into_iter()
-                .map(|(mut msgs, own)| {
+                .enumerate()
+                .map(|(q, (mut msgs, own))| {
+                    let q = (q % partitions) as u64;
+                    msgs.iter_mut().for_each(|msg| msg.0 = msg.0 * partitions as u64 + q);
                     msgs.sort_unstable();
                     let runs = (0..partitions).map(|d| msgs.iter().filter(to(d)).copied().collect());
                     (runs.collect(), own)
@@ -625,6 +648,31 @@ mod tests {
                 prop_assert_eq!(taken.to(pid).iter().map(|s| s.len()).sum::<usize>(), inbox.len());
             }
             prop_assert!(taken.most() <= routed.len());
+        }
+    }
+
+    #[test]
+    fn a_frame_is_cut_where_its_source_partition_changes() {
+        // P = 4: source partition 1's run to partition 0, then source
+        // partition 2's. Back to back in one frame they ascend, yet they are
+        // two segments, which partition 0 gets by source partition whatever
+        // order they landed in: one frame, or one frame each either way.
+        let (from_1, from_2): (Msg, Msg) = ((5, 4, 7), (6, 8, 9));
+        let deposits = [
+            vec![vec![from_1, from_2]],
+            vec![vec![from_2, from_1]],
+            vec![vec![from_1], vec![from_2]],
+            vec![vec![from_2], vec![from_1]],
+        ];
+        for frames in deposits {
+            let plane = DataPlane::default();
+            plane.install_placement(1, [0, 1], 4);
+            for frame in &frames {
+                plane.deposit(1, 2, frame);
+            }
+            let taken = plane.take(2);
+            assert_eq!(taken.to(0), [&[from_1][..], &[from_2][..]], "{frames:?}");
+            assert_eq!(taken.most(), 2, "{frames:?}");
         }
     }
 

@@ -283,8 +283,9 @@ impl PartitionStore {
 /// asserts the layout once per call, and it and
 /// [`Self::compensate_partition`] preserve it. [`Self::step`] and
 /// [`Self::full_send_step`] are provided wrappers over that one body (one
-/// run in, one out) for tests and the harness, and so is `emit`, what a
-/// restore sends; both backends step through a `PartitionStore`.
+/// merged run in, split by source class; one run out) for tests and the
+/// harness, and so is `emit`, what a restore sends; both
+/// backends step through a `PartitionStore`.
 pub trait ClusterProgram: Send + Sync {
     /// Registry name, also used in telemetry (`"cc"`, `"pagerank"`).
     fn name(&self) -> &'static str;
@@ -307,12 +308,17 @@ pub trait ClusterProgram: Send + Sync {
     ///
     /// `step` is the *logical* step index — the number of previously
     /// committed supersteps — and is `0` exactly once even across failure
-    /// retries. `inbound` is born-sorted runs, folded in their merged
-    /// `(src, dst, bits)` order ([`crate::exchange::for_each_merged`]) so
-    /// floating point folds are deterministic; messages addressed to a
-    /// vertex the partition does not hold are ignored. Every outbound run is
-    /// born sorted the same way — state is walked in ascending vertex order
-    /// and neighbour lists are sorted and duplicate-free.
+    /// retries. `inbound` is born-sorted `(src, dst, bits)` runs in any
+    /// order, each from one source partition: the runs the partitions
+    /// routed, a worker's slot segments, or the one-run wrappers' split of
+    /// their inbox by source class. Nothing merges them for the fold, which folds
+    /// in the order its update needs: a commutative one (CC's minimum) in
+    /// arrival order, a floating point one (PageRank's sums) one source
+    /// class at a time — see [`PageRankProgram`] — so the result is
+    /// deterministic however the runs arrive. Messages addressed to a vertex
+    /// the partition does not hold are ignored. Every outbound run is born
+    /// sorted — state is walked in ascending vertex order and neighbour
+    /// lists are sorted and duplicate-free.
     ///
     /// With `full_send` every vertex re-sends its value, changed or not:
     /// same state and `changed`, a superset of the messages. The drivers set
@@ -347,9 +353,7 @@ pub trait ClusterProgram: Send + Sync {
         rows: &[(u64, Vec<u64>)],
         n: u64,
     ) -> StepOutput {
-        let mut out = StepBuffers::routing_to(1);
-        let changed = self.fold_and_send(step, false, state, &[inbound], rows, n, &mut out);
-        StepOutput { state: out.state, outbound: out.runs.swap_remove(0), changed }
+        step_one_run(self, step, false, state, inbound, rows, n)
     }
 
     /// [`Self::step`] with `full_send`.
@@ -361,10 +365,45 @@ pub trait ClusterProgram: Send + Sync {
         rows: &[(u64, Vec<u64>)],
         n: u64,
     ) -> StepOutput {
-        let mut out = StepBuffers::routing_to(1);
-        let changed = self.fold_and_send(step, true, state, &[inbound], rows, n, &mut out);
-        StepOutput { state: out.state, outbound: out.runs.swap_remove(0), changed }
+        step_one_run(self, step, true, state, inbound, rows, n)
     }
+}
+
+/// The one-run wrappers' body: `inbound` is split into one sorted run per
+/// source class `src % stride`, so a fold that groups its runs by source
+/// class folds what it folds from the routed runs of every source partition.
+fn step_one_run<P: ClusterProgram + ?Sized>(
+    program: &P,
+    step: u64,
+    full_send: bool,
+    state: &[Record],
+    inbound: &[Msg],
+    rows: &[(u64, Vec<u64>)],
+    n: u64,
+) -> StepOutput {
+    let stride = Slots::of(state, rows).stride;
+    let mut classes: Vec<Vec<Msg>> = Vec::new();
+    if stride > 1 {
+        for from_one_source in inbound.chunk_by(|a, b| a.0 == b.0) {
+            let class = (from_one_source[0].0 % stride) as usize;
+            if class >= classes.len() {
+                classes.resize_with(class + 1, Vec::new);
+            }
+            let class = &mut classes[class];
+            if class.is_empty() {
+                // About an even share of the inbox, so a class rarely regrows.
+                class.reserve(inbound.len() / stride as usize + 1);
+            }
+            class.extend_from_slice(from_one_source);
+        }
+    }
+    let runs: Vec<&[Msg]> = match stride {
+        1 => vec![inbound],
+        _ => classes.iter().map(Vec::as_slice).collect(),
+    };
+    let mut out = StepBuffers::routing_to(1);
+    let changed = program.fold_and_send(step, full_send, state, &runs, rows, n, &mut out);
+    StepOutput { state: out.state, outbound: out.runs.swap_remove(0), changed }
 }
 
 impl dyn ClusterProgram {
@@ -406,6 +445,20 @@ impl Slots {
             "partition state is not in the strided `v % P` layout (first {first}, stride {stride})"
         );
         slots
+    }
+
+    /// The source class of a non-empty run: its first message's
+    /// `src % stride`.
+    fn class(&self, run: &[Msg]) -> u64 {
+        run[0].0 % self.stride
+    }
+
+    /// The non-empty runs of `inbound`, grouped by source class in ascending
+    /// class order, each group in its given order.
+    fn by_class<'a>(&self, inbound: &[&'a [Msg]]) -> Vec<&'a [Msg]> {
+        let mut runs: Vec<&[Msg]> = inbound.iter().copied().filter(|run| !run.is_empty()).collect();
+        runs.sort_by_key(|run| self.class(run));
+        runs
     }
 
     /// The slot holding vertex `v`, if this partition holds it.
@@ -464,18 +517,23 @@ impl ClusterProgram for CcProgram {
         // No messages have flowed before the first step: everything sends.
         let full_send = full_send || step == 0;
         let slots = Slots::of(state, rows);
-        // Lowest labels, and a source for each label this superstep lowered.
+        // Lowest labels, and the lowest source of each label this superstep
+        // lowered, folded in arrival order: the minimum is commutative, and
+        // the tie-break makes the adopted source what a merged fold adopts.
         out.best.clear();
         out.best.extend(state.iter().map(|&(_, label)| label));
         out.adopted_from.resize(state.len(), 0);
-        crate::exchange::for_each_merged(inbound, |(src, dst, bits)| {
+        let StepBuffers { best, adopted_from, .. } = &mut *out;
+        for &(src, dst, bits) in inbound.iter().copied().flatten() {
             if let Some(slot) = slots.of_vertex(dst) {
-                if bits < out.best[slot] {
-                    out.best[slot] = bits;
-                    out.adopted_from[slot] = src;
+                let lowered = bits < best[slot];
+                let tied = bits == best[slot] && bits < state[slot].1 && src < adopted_from[slot];
+                if lowered || tied {
+                    best[slot] = bits;
+                    adopted_from[slot] = src;
                 }
             }
-        });
+        }
         // Room for what the senders can send, from their rows' degrees.
         let sends = |slot: usize| full_send || out.best[slot] != state[slot].1;
         let senders = (0..state.len()).filter(|&slot| sends(slot));
@@ -514,6 +572,17 @@ impl ClusterProgram for CcProgram {
 /// mass uniformly"). Vertices without outgoing edges let their mass leak —
 /// acceptable here because correctness is judged against a single-process
 /// run of the *same* program, which leaks identically.
+///
+/// **Fold order.** Floating point addition is not associative, so a vertex's
+/// sum needs one order however its inbound arrives: `(src % S, src)`, where
+/// `S` is the partition's slot stride — `P` for a partition of two or more
+/// vertices, whose class `src % P` is the source partition. The fold groups
+/// its runs by the class of their first message, visits the classes in
+/// ascending order and walks each class: one run as it is, several in
+/// merged `(src, dst, bits)` order ([`crate::exchange::for_each_merged`]).
+/// A class is one routed run — one slot segment on a worker — so no
+/// superstep merges anything; a single-vertex partition (`S = 1`) has one
+/// class and folds in merged order.
 pub struct PageRankProgram;
 
 impl ClusterProgram for PageRankProgram {
@@ -536,20 +605,27 @@ impl ClusterProgram for PageRankProgram {
         n: u64,
         out: &mut StepBuffers,
     ) -> u64 {
-        // Accumulate per destination in merged order: (src, dst, bits), so
-        // each vertex's float sum folds in a fixed order and the result is
-        // bitwise deterministic.
+        // Accumulate per destination one source class at a time, so each
+        // vertex's float sum folds in `(src % stride, src)` order and the
+        // result is bitwise deterministic.
         let slots = Slots::of(state, rows);
         let edges = rows.iter().map(|(_, targets)| targets.len()).sum();
         let route = out.clear_for(state.len(), edges);
         let StepBuffers { state: next, runs, sums, .. } = out;
         sums.clear();
         sums.resize(state.len(), 0.0);
-        crate::exchange::for_each_merged(inbound, |(_, dst, bits)| {
+        let mut add = |(_, dst, bits): Msg| {
             if let Some(slot) = slots.of_vertex(dst) {
                 sums[slot] += f64::from_bits(bits);
             }
-        });
+        };
+        let grouped = slots.by_class(inbound);
+        for class in grouped.chunk_by(|a, b| slots.class(a) == slots.class(b)) {
+            match class {
+                [run] => run.iter().copied().for_each(&mut add),
+                _ => crate::exchange::for_each_merged(class, &mut add),
+            }
+        }
         let teleport = (1.0 - PAGERANK_DAMPING) / n as f64;
         let mut changed = 0;
         for (i, &(v, bits)) in state.iter().enumerate() {
@@ -779,7 +855,8 @@ mod tests {
         out
     }
 
-    /// `PageRankProgram::step` before slots were indexed; see
+    /// `PageRankProgram::step` before slots were indexed, summing each
+    /// vertex's contributions in `(src % parallelism, src)` order; see
     /// [`cc_map_fold_step`].
     fn pagerank_map_fold_step(
         step: u64,
@@ -787,9 +864,12 @@ mod tests {
         inbound: &[Msg],
         rows: &[(u64, Vec<u64>)],
         n: u64,
+        parallelism: u64,
     ) -> StepOutput {
+        let mut ordered = inbound.to_vec();
+        ordered.sort_by_key(|&(src, _, _)| (src % parallelism, src));
         let mut sums: BTreeMap<u64, f64> = BTreeMap::new();
-        for &(_, dst, bits) in inbound {
+        for (_, dst, bits) in ordered {
             *sums.entry(dst).or_insert(0.0) += f64::from_bits(bits);
         }
         let teleport = (1.0 - PAGERANK_DAMPING) / n as f64;
@@ -857,8 +937,9 @@ mod tests {
                                 );
                                 assert!(out.outbound.len() < oracle.outbound.len(), "{at}");
                             } else {
+                                let classes = parallelism as u64;
                                 let reference =
-                                    pagerank_map_fold_step(step, state, inbound, rows, n);
+                                    pagerank_map_fold_step(step, state, inbound, rows, n, classes);
                                 assert_eq!(out, reference, "{at}");
                             }
                             out
@@ -1067,6 +1148,86 @@ mod tests {
                         state[q] = std::mem::take(&mut out.state);
                         std::mem::swap(&mut sent[q], &mut out.runs);
                     }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+        #[test]
+        fn cc_folds_its_runs_in_any_order_and_cut_anywhere_as_the_merged_inbox(
+            shape in (any::<bool>(), 4usize..80, any::<u64>()),
+            parallelism in (0usize..5).prop_map(|i| [1, 3, 4, 5, 8][i]),
+            lost in (1u64..8, 0usize..8),
+            seed in any::<u64>(),
+        ) {
+            // Every superstep, each partition's routed runs are cut at
+            // arbitrary points and the pieces folded in a shuffled order:
+            // state, `changed` and every run routed equal the pinned wrapper
+            // over the merged inbox — the lowest label, adopted from the
+            // lowest source that sent it, whatever arrived first.
+            let (is_directed, size, graph_seed) = shape;
+            let graph = if is_directed {
+                directed(size as u64, graph_seed)
+            } else {
+                graphs::generators::preferential_attachment(size, 3, graph_seed)
+            };
+            let n = graph.num_vertices() as u64;
+            let rows = partition_rows(&graph, parallelism);
+            let to = |d: usize| move |msg: &&Msg| msg.1 % parallelism as u64 == d as u64;
+            let mut draw = seed | 1;
+            let mut below = move |bound: usize| {
+                draw ^= draw << 13;
+                draw ^= draw >> 7;
+                draw ^= draw << 17;
+                (draw % bound.max(1) as u64) as usize
+            };
+            let mut state: Vec<Vec<Record>> =
+                rows.iter().map(|r| CcProgram.init_partition(r, n)).collect();
+            let mut sent: Vec<Vec<Msg>> = vec![Vec::new(); parallelism];
+            for step in 0..12 {
+                let full_send = step == lost.0;
+                if full_send {
+                    let pid = lost.1 % parallelism;
+                    state[pid] = CcProgram.compensate_partition(&rows[pid], n);
+                }
+                let mut pinned_out = Vec::new();
+                for q in 0..parallelism {
+                    let routed: Vec<Vec<Msg>> =
+                        sent.iter().map(|run| run.iter().filter(to(q)).copied().collect()).collect();
+                    let mut pieces: Vec<&[Msg]> = Vec::new();
+                    for run in &routed {
+                        let mut cuts: Vec<usize> = (0..below(4)).map(|_| below(run.len() + 1)).collect();
+                        cuts.extend([0, run.len()]);
+                        cuts.sort_unstable();
+                        pieces.extend(cuts.windows(2).map(|cut| &run[cut[0]..cut[1]]));
+                    }
+                    for i in (1..pieces.len()).rev() {
+                        pieces.swap(i, below(i + 1));
+                    }
+                    let (state, rows) = (&state[q], &rows[q]);
+                    let mut out = StepBuffers::routing_to(parallelism);
+                    let changed = CcProgram.fold_and_send(step, full_send, state, &pieces, rows, n, &mut out);
+                    let runs: Vec<&[Msg]> = routed.iter().map(Vec::as_slice).collect();
+                    let inbox = crate::exchange::merge_runs(&runs, 1).pop().unwrap();
+                    let pinned = if full_send {
+                        CcProgram.full_send_step(step, state, &inbox, rows, n)
+                    } else {
+                        CcProgram.step(step, state, &inbox, rows, n)
+                    };
+                    let at = format!("P={parallelism} step {step} pid {q}");
+                    prop_assert_eq!(&out.state, &pinned.state, "{}", at);
+                    prop_assert_eq!(changed, pinned.changed, "{}", at);
+                    let split: Vec<Vec<Msg>> = (0..parallelism)
+                        .map(|d| pinned.outbound.iter().filter(to(d)).copied().collect())
+                        .collect();
+                    prop_assert_eq!(&out.runs, &split, "{}", at);
+                    pinned_out.push(pinned);
+                }
+                for (q, pinned) in pinned_out.into_iter().enumerate() {
+                    state[q] = pinned.state;
+                    sent[q] = pinned.outbound;
                 }
             }
         }

@@ -394,30 +394,11 @@ pub trait FaultHandler<S> {
     ) -> Result<RecoveryAction<S>>;
 }
 
-// Boxed trait objects forward, so callers can pick handlers at runtime
-// (e.g. from a strategy enum) and still use the `set_*` builder methods.
+// A boxed failure source forwards, so callers can pick one at runtime and
+// still use the `set_failure_source` builder methods.
 impl FailureSource for Box<dyn FailureSource> {
     fn poll(&mut self, superstep: u32, parallelism: usize) -> Option<Vec<PartitionId>> {
         (**self).poll(superstep, parallelism)
-    }
-}
-
-impl<S> FaultHandler<S> for Box<dyn FaultHandler<S>> {
-    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
-        (**self).after_superstep(iteration, state)
-    }
-
-    fn reads_state(&self, iteration: u32) -> bool {
-        (**self).reads_state(iteration)
-    }
-
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        state: &mut S,
-    ) -> Result<RecoveryAction<S>> {
-        (**self).on_failure(iteration, lost, state)
     }
 }
 

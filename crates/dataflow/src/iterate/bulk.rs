@@ -118,8 +118,8 @@ impl<T: Data, S: BulkState> BulkIteration<T, S> {
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
-    pub fn set_fault_handler(&mut self, handler: impl FaultHandler<S> + 'static) {
-        self.driver.handler = Box::new(handler);
+    pub fn set_fault_handler(&mut self, handler: Box<dyn FaultHandler<S>>) {
+        self.driver.handler = handler;
     }
 
     /// Install a failure source (defaults to no failures).

@@ -168,8 +168,8 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
-    pub fn set_fault_handler(&mut self, handler: impl FaultHandler<DeltaState<K, V, W>> + 'static) {
-        self.driver.handler = Box::new(handler);
+    pub fn set_fault_handler(&mut self, handler: Box<dyn FaultHandler<DeltaState<K, V, W>>>) {
+        self.driver.handler = handler;
     }
 
     /// Install a failure source (defaults to no failures).
@@ -553,7 +553,7 @@ mod tests {
         let labels: Vec<Label> = (0..n).map(|v| (v, v)).collect();
         let initial = resident_state(&labels, &labels, 3);
         let mut it = DeltaIteration::over(&env, 200);
-        it.set_fault_handler(IgnoreAll);
+        it.set_fault_handler(Box::new(IgnoreAll));
         // Every superstep's view of the solution sets, as the observer gets
         // it: after the step's upserts, or after the failed partitions were
         // cleared.
@@ -658,7 +658,7 @@ mod tests {
             }
         }
         let (labels, stats) = min_label_run(16, 4, |it| {
-            it.set_fault_handler(IgnoreAll);
+            it.set_fault_handler(Box::new(IgnoreAll));
             it.set_failure_source(DeterministicFailures::new().fail_at(3, &[0, 1]));
         });
         // The run "converges", but vertices were lost outright — this is the

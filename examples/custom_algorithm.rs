@@ -98,7 +98,7 @@ fn main() {
     if let Some(capture) = &capture {
         handler = handler.with_telemetry(capture.handle());
     }
-    iteration.set_fault_handler(handler);
+    iteration.set_fault_handler(Box::new(handler));
     match mtbf {
         Some(mean) => {
             iteration.set_failure_source(MtbfFailures::new(mean, 0xd1f_f05e).with_min_superstep(1))

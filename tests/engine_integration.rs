@@ -56,7 +56,7 @@ fn iterative_job_with_custom_compensation_converges() {
     let moving = next.filter("not-done", |&(k, x)| x > k);
 
     let start = initial.clone();
-    iteration.set_fault_handler(OptimisticHandler::new(
+    iteration.set_fault_handler(Box::new(OptimisticHandler::new(
         move |state: &mut Partitions<(u64, u64)>, lost: &[usize], _i: u32| {
             for &(k, x0) in &start {
                 let pid = hash_partition(&k, parallelism);
@@ -65,7 +65,7 @@ fn iterative_job_with_custom_compensation_converges() {
                 }
             }
         },
-    ));
+    )));
     iteration.set_failure_source(
         FailureScenario::none().fail_at(20, &[1]).fail_at(60, &[2]).to_source(),
     );
@@ -86,7 +86,7 @@ fn checkpoint_handler_with_engine_iteration_rolls_back() {
     let mut iteration = BulkIteration::new(&state0, 10);
     let state = iteration.state();
     let next = state.map("inc", |&(k, x): &(u64, u64)| (k, x + 1));
-    iteration.set_fault_handler(CheckpointHandler::new(MemoryStore::new(), 2).unwrap());
+    iteration.set_fault_handler(Box::new(CheckpointHandler::new(MemoryStore::new(), 2).unwrap()));
     iteration.set_failure_source(FailureScenario::none().fail_at(5, &[0]).to_source());
     let (result, stats) = iteration.close(next);
     let mut out = result.collect().unwrap();

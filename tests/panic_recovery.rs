@@ -48,7 +48,7 @@ fn bulk_iteration_survives_a_udf_panic_on_the_pool() {
     // determines the partition the panic is attributed to.
     let trigger = 5u64;
     let start = initial.clone();
-    iteration.set_fault_handler(OptimisticHandler::new(
+    iteration.set_fault_handler(Box::new(OptimisticHandler::new(
         move |state: &mut Partitions<KV>, lost: &[usize], _i: u32| {
             for &(k, v) in &start {
                 if lost.contains(&hash_partition(&k, parallelism)) {
@@ -56,7 +56,7 @@ fn bulk_iteration_survives_a_udf_panic_on_the_pool() {
                 }
             }
         },
-    ));
+    )));
     let state = iteration.state();
     let next = state.map("decay", panic_once_on(trigger));
     let moving = next.filter("not-done", |&(_, v)| v > 0);
@@ -124,7 +124,7 @@ fn delta_iteration_survives_a_udf_panic() {
 
     let mut it = DeltaIteration::new(&solution, &workset, 200);
     let start = labels.clone();
-    it.set_fault_handler(OptimisticHandler::new(
+    it.set_fault_handler(Box::new(OptimisticHandler::new(
         move |state: &mut DeltaState<u64, u64, KV>, lost: &[usize], _i: u32| {
             let DeltaState { solution: sets, workset } = state;
             // Restore lost vertices to their initial labels and let them
@@ -147,7 +147,7 @@ fn delta_iteration_survives_a_udf_panic() {
                 }
             }
         },
-    ));
+    )));
     let fired = Arc::new(AtomicBool::new(false));
     let edges_in = it.import(&edges_ds);
     let candidates = it
@@ -205,7 +205,7 @@ fn inline_execution_survives_a_udf_panic_too() {
 
     let mut iteration = BulkIteration::new(&state0, 50);
     let start = initial.clone();
-    iteration.set_fault_handler(OptimisticHandler::new(
+    iteration.set_fault_handler(Box::new(OptimisticHandler::new(
         move |state: &mut Partitions<KV>, lost: &[usize], _i: u32| {
             for &(k, v) in &start {
                 if lost.contains(&hash_partition(&k, parallelism)) {
@@ -213,7 +213,7 @@ fn inline_execution_survives_a_udf_panic_too() {
                 }
             }
         },
-    ));
+    )));
     let state = iteration.state();
     let next = state.map("decay", panic_once_on(2));
     let moving = next.filter("not-done", |&(_, v)| v > 0);

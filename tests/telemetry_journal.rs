@@ -258,7 +258,9 @@ fn bulk_countdown(env: &Environment, telemetry: SinkHandle, cause: Cause) -> Run
             }
         },
     );
-    iteration.set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
+    iteration.set_fault_handler(Box::new(
+        OptimisticHandler::new(compensation).with_telemetry(telemetry),
+    ));
     if cause == Cause::Injected {
         iteration.set_failure_source(FailureScenario::none().fail_at(2, &[1]).to_source());
     }
@@ -306,7 +308,9 @@ fn delta_countdown(env: &Environment, telemetry: SinkHandle, cause: Cause) -> Ru
             }
         },
     );
-    iteration.set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
+    iteration.set_fault_handler(Box::new(
+        OptimisticHandler::new(compensation).with_telemetry(telemetry),
+    ));
     if cause == Cause::Injected {
         iteration.set_failure_source(FailureScenario::none().fail_at(2, &[1]).to_source());
     }
