@@ -164,8 +164,9 @@ pub fn build(env: &Environment, graph: &Graph, config: &CcConfig) -> Result<Buil
 /// over an adjacency index it keeps too: the serving engine's incremental
 /// re-convergence, and — from [`initial_state`] — its bootstrap. The same
 /// plan as [`build`], closed over resident state instead of datasets:
-/// nothing of the size of the graph is built, copied or sorted except the
-/// driver's one copy of `state` (its restart origin). The final state comes
+/// nothing of the size of the graph is built, copied or sorted — `state` is
+/// stepped in place, and copied only as the restart origin of a strategy
+/// that restarts (optimistic recovery does not). The final state comes
 /// back with the vertices whose labels the run changed. `state` must hold a
 /// label for every vertex below `num_vertices`;
 /// [`CcConfig::track_truth`] has no graph to compare against here and is
@@ -173,7 +174,7 @@ pub fn build(env: &Environment, graph: &Graph, config: &CcConfig) -> Result<Buil
 pub fn run_resident(
     adjacency: &Arc<Adjacency>,
     num_vertices: usize,
-    state: &CcState,
+    state: CcState,
     config: &CcConfig,
 ) -> Result<ResidentRun<VertexId, VertexId, Label>> {
     let env = crate::common::environment(config.parallelism, &config.ft);
@@ -542,7 +543,7 @@ mod tests {
             workset: Partitions::keyed(vec![(15, 0), (16, 16)], config.parallelism, |w| w.0),
         };
         let adjacency = Arc::new(adjacency_of(&mutated));
-        let warm = run_resident(&adjacency, 32, &state, &config).unwrap();
+        let warm = run_resident(&adjacency, 32, state, &config).unwrap();
         let mut labels: Vec<Label> =
             warm.state.solution.iter().flatten().map(|(&v, &l)| (v, l)).collect();
         labels.sort_unstable();

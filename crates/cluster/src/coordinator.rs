@@ -56,7 +56,6 @@ use dataflow::error::{EngineError, Result};
 use dataflow::exec::{par_map, ExecContext};
 use dataflow::ft::{IterationState, Snapshot};
 use dataflow::iterate::{BulkIteration, BulkState, ConvergenceMeasure};
-use dataflow::operators::source::{InjectedSource, SourceSlot};
 use dataflow::partition::PartitionId;
 use dataflow::plan::DynOp;
 use dataflow::stats::RunStats;
@@ -1704,7 +1703,7 @@ struct ClusterStepOp {
 }
 
 impl DynOp for ClusterStepOp {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let superstep = ctx.superstep().unwrap_or(0);
         let iteration = ctx.iteration().unwrap_or(0);
         let state: &ClusterState = inputs[0].downcast_ref("ClusterStep(state)")?;
@@ -1739,7 +1738,7 @@ struct ChangedProbeOp {
 }
 
 impl DynOp for ChangedProbeOp {
-    fn execute(&mut self, inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
         let state: &ClusterState = inputs[0].downcast_ref("ClusterChangedProbe(state)")?;
         let mut parts = Partitions::<u8>::empty(self.parallelism);
         if state.changed.iter().any(|&changed| changed > 0) {
@@ -1753,6 +1752,23 @@ impl DynOp for ChangedProbeOp {
     }
 }
 
+/// The run's initial state, handed to the iteration as it is: the outer plan
+/// runs once, and nothing else reads the state, so nothing copies it.
+struct InitialStateOp(Option<ClusterState>);
+
+impl DynOp for InitialStateOp {
+    fn execute(&mut self, _inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
+        let state = self.0.take().ok_or_else(|| {
+            EngineError::Plan("the cluster state was already handed to its iteration".into())
+        })?;
+        Ok(Erased::of(state))
+    }
+
+    fn kind(&self) -> &'static str {
+        "ClusterState"
+    }
+}
+
 /// The run's values: every partition's committed state, pulled from the
 /// backend once the iteration is done.
 struct ValuesOp {
@@ -1760,7 +1776,7 @@ struct ValuesOp {
 }
 
 impl DynOp for ValuesOp {
-    fn execute(&mut self, _inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, _inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
         Ok(Erased::new(Partitions::from_parts(self.backend.lock().pull()?)))
     }
 
@@ -1930,10 +1946,8 @@ fn run_with_backend(
                 .collect(),
         ),
     };
-    let slot = SourceSlot::new();
-    slot.fill(Erased::of(initial));
     let initial =
-        env.custom_node::<Record>("cluster-state", vec![], Box::new(InjectedSource::new(slot)));
+        env.custom_node::<Record>("cluster-state", vec![], Box::new(InitialStateOp(Some(initial))));
 
     let backend: SharedBackend = Arc::new(parking_lot::Mutex::new(backend));
     let mut iteration = BulkIteration::<Record, ClusterState>::over(&initial, max_iterations);

@@ -519,19 +519,18 @@ impl ClusterProgram for CcProgram {
         let slots = Slots::of(state, rows);
         // Lowest labels, and the lowest source of each label this superstep
         // lowered, folded in arrival order: the minimum is commutative, and
-        // the tie-break makes the adopted source what a merged fold adopts.
+        // taking the lexicographic minimum of `(label, source)` makes the
+        // adopted source what a merged fold adopts. A tie at the label's own
+        // level only rewrites `adopted_from`, which is read only for a label
+        // that changed.
         out.best.clear();
         out.best.extend(state.iter().map(|&(_, label)| label));
         out.adopted_from.resize(state.len(), 0);
         let StepBuffers { best, adopted_from, .. } = &mut *out;
         for &(src, dst, bits) in inbound.iter().copied().flatten() {
             if let Some(slot) = slots.of_vertex(dst) {
-                let lowered = bits < best[slot];
-                let tied = bits == best[slot] && bits < state[slot].1 && src < adopted_from[slot];
-                if lowered || tied {
-                    best[slot] = bits;
-                    adopted_from[slot] = src;
-                }
+                (best[slot], adopted_from[slot]) =
+                    (bits, src).min((best[slot], adopted_from[slot]));
             }
         }
         // Room for what the senders can send, from their rows' degrees.
@@ -1097,7 +1096,7 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
         #[test]
         fn the_routed_body_is_the_pinned_step_over_the_merged_inbox(
-            shape in (any::<bool>(), 3usize..80, any::<u64>()),
+            shape in (any::<bool>(), 4usize..80, any::<u64>()),
             parallelism in (0usize..5).prop_map(|i| [1, 3, 4, 5, 8][i]),
             lost in (1u64..8, 0usize..8),
         ) {

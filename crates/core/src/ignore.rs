@@ -15,6 +15,10 @@ use dataflow::partition::PartitionId;
 pub struct IgnoreHandler;
 
 impl<S> FaultHandler<S> for IgnoreHandler {
+    fn restarts(&self) -> bool {
+        false
+    }
+
     fn on_failure(
         &mut self,
         _iteration: u32,

@@ -40,8 +40,13 @@ impl<C> OptimisticHandler<C> {
 }
 
 // `after_superstep` is the trait's default: no checkpoint, no lineage
-// tracking.
+// tracking. A compensation never restarts, so the driver keeps no copy of
+// the initial state either.
 impl<S, C: Compensation<S>> FaultHandler<S> for OptimisticHandler<C> {
+    fn restarts(&self) -> bool {
+        false
+    }
+
     fn on_failure(
         &mut self,
         iteration: u32,

@@ -395,6 +395,11 @@ pub fn execute(
 /// Execute the plan up to `targets`, reusing cached outputs for nodes that
 /// are not marked `volatile`. Non-volatile node outputs are stored into
 /// `cache` for subsequent calls.
+///
+/// A fresh output is handed to its last reader (or last target) as the
+/// executor's own handle, not a clone of it: a node that reads an input
+/// nobody reads after it holds the only handle and can take the value
+/// without copying it ([`Erased::take`], [`Erased::into_inner`]).
 pub fn execute_cached(
     graph: &mut PlanGraph,
     targets: &[NodeId],
@@ -405,26 +410,39 @@ pub fn execute_cached(
     debug_assert_eq!(volatile.len(), graph.len());
     let order = graph.schedule(targets)?;
     cache.values.resize(graph.len(), None);
+    let runs = |cache: &PlanCache, id: NodeId| volatile[id] || cache.values[id].is_none();
+    // Reads of each output still ahead, targets included.
+    let mut reads = vec![0usize; graph.len()];
+    for &id in order.iter().filter(|&&id| runs(cache, id)) {
+        for &input in &graph.node(id).inputs {
+            reads[input] += 1;
+        }
+    }
+    for &target in targets {
+        reads[target] += 1;
+    }
     let mut fresh: Vec<Option<Erased>> = (0..graph.len()).map(|_| None).collect();
-    let value_of = |fresh: &[Option<Erased>], cache: &PlanCache, id: NodeId| -> Erased {
-        fresh[id].clone().or_else(|| cache.values[id].clone()).expect("topological order violated")
+    let mut read = |fresh: &mut [Option<Erased>], cache: &PlanCache, id: NodeId| -> Erased {
+        reads[id] -= 1;
+        let value = if reads[id] == 0 { fresh[id].take() } else { fresh[id].clone() };
+        value.or_else(|| cache.values[id].clone()).expect("topological order violated")
     };
     for id in order {
-        if !volatile[id] && cache.values[id].is_some() {
+        if !runs(cache, id) {
             continue;
         }
         let inputs: Vec<Erased> =
-            graph.node(id).inputs.iter().map(|&i| value_of(&fresh, cache, i)).collect();
+            graph.node(id).inputs.iter().map(|&i| read(&mut fresh, cache, i)).collect();
         let node = graph.node_mut(id);
         let out = if ctx.config.telemetry.enabled() {
             let kind = node.op.kind();
             let shuffled_before = ctx.shuffled();
             let start = Instant::now();
-            let out = node.op.execute(&inputs, ctx)?;
+            let out = node.op.execute(inputs, ctx)?;
             ctx.record_node(kind, start.elapsed(), ctx.shuffled() - shuffled_before);
             out
         } else {
-            node.op.execute(&inputs, ctx)?
+            node.op.execute(inputs, ctx)?
         };
         if volatile[id] {
             fresh[id] = Some(out);
@@ -432,7 +450,7 @@ pub fn execute_cached(
             cache.values[id] = Some(out);
         }
     }
-    Ok(targets.iter().map(|&t| value_of(&fresh, cache, t)).collect())
+    Ok(targets.iter().map(|&t| read(&mut fresh, cache, t)).collect())
 }
 
 #[cfg(test)]
@@ -567,7 +585,7 @@ mod tests {
 
     struct EmitOp(Vec<u64>);
     impl DynOp for EmitOp {
-        fn execute(&mut self, _: &[Erased], _: &ExecContext) -> Result<Erased> {
+        fn execute(&mut self, _: Vec<Erased>, _: &ExecContext) -> Result<Erased> {
             Ok(Erased::new(Partitions::round_robin(self.0.clone(), 2)))
         }
         fn kind(&self) -> &'static str {
@@ -577,7 +595,7 @@ mod tests {
 
     struct ConcatOp;
     impl DynOp for ConcatOp {
-        fn execute(&mut self, inputs: &[Erased], _: &ExecContext) -> Result<Erased> {
+        fn execute(&mut self, inputs: Vec<Erased>, _: &ExecContext) -> Result<Erased> {
             let mut all = Vec::new();
             for input in inputs {
                 all.extend(input.downcast::<u64>("concat")?.iter_records().copied());

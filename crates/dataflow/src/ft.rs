@@ -384,6 +384,14 @@ pub trait FaultHandler<S> {
         false
     }
 
+    /// Whether [`Self::on_failure`] may answer [`RecoveryAction::Restart`].
+    /// Only then does the driver keep a copy of the initial state to restart
+    /// from; a handler that declares `false` and restarts anyway fails the
+    /// run. Default: it may.
+    fn restarts(&self) -> bool {
+        true
+    }
+
     /// Called when partitions `lost` of `state` have been cleared by a
     /// failure. Repair `state` in place or return replacement state.
     fn on_failure(

@@ -253,9 +253,9 @@ struct IterateBulkOp<S: BulkState> {
 }
 
 impl<S: BulkState> DynOp for IterateBulkOp<S> {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let initial = inputs[0].downcast_ref::<S>("BulkIteration(initial)")?;
-        let (state, stats) = self.driver.run(&mut self.step, initial, &inputs[1..], ctx)?;
+    fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
+        let initial = inputs.remove(0);
+        let (state, stats) = self.driver.run(&mut self.step, initial, &inputs, ctx)?;
         self.stats.set(stats);
         Ok(Erased::of(state))
     }

@@ -21,6 +21,11 @@
 //! 5. builds the superstep's [`IterationStats`] once, runs the user
 //!    observer on it and decides termination.
 //!
+//! The loop takes the initial state as an owned handle. Only for a handler
+//! that may restart ([`FaultHandler::restarts`]) does it keep the handle as
+//! the origin a restart resets to and step a copy: under optimistic
+//! recovery a run steps the state it was handed and copies nothing of it.
+//!
 //! Logical iteration numbers move backwards on rollback and restart;
 //! chronological superstep numbers never repeat. The difference between the
 //! two is exactly the redundant work a recovery strategy pays.
@@ -153,7 +158,7 @@ pub(crate) struct Driver<S> {
     pub(crate) observer: Option<Observer<S>>,
 }
 
-impl<S: IterationState + 'static> Driver<S> {
+impl<S: IterationState + Send + Sync + 'static> Driver<S> {
     /// A loop over a fresh body environment configured like `outer`,
     /// running at most `max_iterations` logical iterations.
     ///
@@ -204,13 +209,16 @@ impl<S: IterationState + 'static> Driver<S> {
         );
     }
 
-    /// Run the loop from `initial`, with `imports` (the outputs of the
-    /// import nodes) in the import slots. Returns the final state
-    /// and the run's account.
+    /// Run the loop from `initial`, a handle on an `S`, with `imports` (the
+    /// outputs of the import nodes) in the import slots. Returns the final
+    /// state and the run's account. For a handler that
+    /// [restarts](FaultHandler::restarts) the handle is kept as the restart
+    /// origin and the loop steps a copy; otherwise the loop steps the state
+    /// itself, copied only if another holder shares the handle.
     pub(crate) fn run<M: Step<S>>(
         &mut self,
         step: &mut M,
-        initial: &S,
+        initial: Erased,
         imports: &[Erased],
         ctx: &ExecContext,
     ) -> Result<(S, RunStats)> {
@@ -238,9 +246,10 @@ impl<S: IterationState + 'static> Driver<S> {
             max_iterations: self.max_iterations,
         });
         let run_timer = telemetry.timer(SpanKind::Run, None, None);
-        let recovery = Recovery { telemetry: &telemetry, initial };
+        let origin = self.handler.restarts().then(|| initial.clone());
+        let recovery = Recovery { telemetry: &telemetry, origin: origin.as_ref() };
         let mut run = RunStats::default();
-        let mut state = initial.clone();
+        let mut state: S = initial.into_inner("iteration (initial state)")?;
         let (mut iteration, mut superstep) = (0u32, 0u32);
 
         run.converged = loop {
@@ -429,13 +438,14 @@ impl Failure {
 }
 
 /// The loop's recovery step.
-struct Recovery<'a, S> {
+struct Recovery<'a> {
     telemetry: &'a SinkHandle,
-    /// The iteration's input: where a restart resumes from.
-    initial: &'a S,
+    /// The iteration's input, where a restart resumes from; kept only when
+    /// the handler restarts.
+    origin: Option<&'a Erased>,
 }
 
-impl<S: IterationState> Recovery<'_, S> {
+impl Recovery<'_> {
     /// Lose the failed partitions of `state`, journal the failure, let the
     /// handler recover and apply its verdict to `state`. `resume_at` is the
     /// logical iteration that runs next when the state was repaired in place
@@ -444,7 +454,7 @@ impl<S: IterationState> Recovery<'_, S> {
     /// step left no output and `iteration` itself is redone. A restored
     /// checkpoint resumes after its own iteration, a restart at zero.
     /// Returns the failure's record and the iteration to run next.
-    fn run(
+    fn run<S: IterationState + 'static>(
         &self,
         handler: &mut dyn FaultHandler<S>,
         (superstep, iteration): (u32, u32),
@@ -452,7 +462,7 @@ impl<S: IterationState> Recovery<'_, S> {
         state: &mut S,
         resume_at: u32,
     ) -> Result<(FailureRecord, u32)> {
-        let Recovery { telemetry, initial } = *self;
+        let Recovery { telemetry, origin } = *self;
         let Failure { cause, lost } = failure;
         let lost_records = lost.iter().map(|&pid| state.clear_partition(pid)).sum();
         match cause {
@@ -481,7 +491,14 @@ impl<S: IterationState> Recovery<'_, S> {
                 (RecoveryKind::RolledBack { to_iteration: restored }, restored + 1)
             }
             RecoveryAction::Restart => {
-                *state = initial.clone();
+                let origin = origin.ok_or_else(|| {
+                    EngineError::Recovery(
+                        "the fault handler restarted but declared it never restarts, \
+                         so no restart origin was kept"
+                            .into(),
+                    )
+                })?;
+                *state = origin.downcast_ref::<S>("iteration (restart origin)")?.clone();
                 (RecoveryKind::Restarted, 0)
             }
             RecoveryAction::Ignore => (RecoveryKind::Ignored, resume_at),

@@ -35,7 +35,7 @@ where
     FF: Fn(&mut A, &T) + Send + Sync + 'static,
     CF: Fn(&mut A, A) + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs[0].downcast::<T>("GlobalFold")?;
         let fold = &*self.fold;
         let init = &self.init;
@@ -82,7 +82,7 @@ impl<T> Default for CountOp<T> {
 }
 
 impl<T: Data> DynOp for CountOp<T> {
-    fn execute(&mut self, inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
         let input = inputs[0].downcast::<T>("Count")?;
         let mut parts = Partitions::empty(input.num_partitions());
         parts.partition_mut(0).push(input.total_len() as u64);
@@ -111,7 +111,7 @@ mod tests {
             |acc: &mut u64, v: &u64| *acc += v,
             |acc: &mut u64, p| *acc += p,
         );
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         let parts = out.take::<u64>("t").unwrap();
         assert_eq!(parts.total_len(), 1);
         assert_eq!(parts.partition(0), &[5050]);
@@ -125,7 +125,7 @@ mod tests {
             |_: &mut u64, _: &u64| {},
             |acc: &mut u64, p| *acc = (*acc).max(p),
         );
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         assert_eq!(out.take::<u64>("t").unwrap().partition(0), &[7]);
     }
 
@@ -133,7 +133,7 @@ mod tests {
     fn count_counts() {
         let input = Erased::new(Partitions::round_robin(vec!['x'; 17], 4));
         let mut op = CountOp::<char>::new();
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         assert_eq!(out.take::<u64>("t").unwrap().partition(0), &[17]);
     }
 }

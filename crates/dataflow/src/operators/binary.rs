@@ -112,7 +112,7 @@ where
     O: Data,
     F: Fn(&L, &R) -> O + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let left = inputs[0].downcast::<L>("Join(left)")?;
         let kept = ctx.config.loop_invariant_caching
             && self.build.as_ref().is_some_and(|build| build.source.is(&inputs[1]));
@@ -175,7 +175,7 @@ where
     O: Data,
     F: Fn(&L, &R) -> O + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let left = inputs[0].downcast::<L>("Join(left)")?;
         let index = inputs[1].downcast_ref::<Arc<KeyedIndex<K, R>>>("Join(index)")?;
         let parallelism = left.num_partitions();
@@ -217,7 +217,7 @@ where
     O: Data,
     F: Fn(&L, &V) -> O + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let left = inputs[0].downcast::<L>("Join(left)")?;
         let sets = inputs[1].downcast_ref::<SolutionSets<K, V>>("Join(solution set)")?;
         let f = &*self.f;
@@ -262,9 +262,9 @@ where
     O: Data,
     F: Fn(&K, &[L], &[R]) -> Vec<O> + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let left = inputs[0].clone().take::<L>("CoGroup(left)")?;
-        let right = inputs[1].clone().take::<R>("CoGroup(right)")?;
+    fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
+        let right = inputs.swap_remove(1).take::<R>("CoGroup(right)")?;
+        let left = inputs.swap_remove(0).take::<L>("CoGroup(left)")?;
         let shuffled_left = ctx.time_shuffle(|| shuffle_by_key(left, &*self.key_left));
         let shuffled_right = ctx.time_shuffle(|| shuffle_by_key(right, &*self.key_right));
         ctx.add_shuffled(shuffled_left.moved + shuffled_right.moved);
@@ -326,7 +326,7 @@ where
     O: Data,
     F: Fn(&L, &R) -> O + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let left = inputs[0].downcast::<L>("Cross(left)")?;
         let right = inputs[1].downcast::<R>("Cross(right)")?;
         let replicated = ctx.time_shuffle(|| broadcast(right, left.num_partitions()));
@@ -374,7 +374,7 @@ where
     U: Data,
     F: Fn(&T, &[B]) -> U + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let main = inputs[0].downcast::<T>("BroadcastMap(main)")?;
         let side = inputs[1].downcast::<B>("BroadcastMap(side)")?;
         let side_records: Vec<B> = side.iter_records().cloned().collect();
@@ -415,9 +415,9 @@ impl<T> Default for UnionOp<T> {
 }
 
 impl<T: Data> DynOp for UnionOp<T> {
-    fn execute(&mut self, inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
-        let left = inputs[0].clone().take::<T>("Union(left)")?;
-        let mut right = inputs[1].clone().take::<T>("Union(right)")?;
+    fn execute(&mut self, mut inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
+        let mut right = inputs.swap_remove(1).take::<T>("Union(right)")?;
+        let left = inputs.swap_remove(0).take::<T>("Union(left)")?;
         let mut parts = left.into_parts();
         for (pid, part) in parts.iter_mut().enumerate() {
             part.append(right.partition_mut(pid));
@@ -453,7 +453,7 @@ mod tests {
             |l: &(u64, char), r: &(u64, u64)| (l.0, l.1, r.1),
         );
         let mut v = op
-            .execute(&[left, right], &ctx())
+            .execute(vec![left, right], &ctx())
             .unwrap()
             .take::<(u64, char, u64)>("t")
             .unwrap()
@@ -492,7 +492,7 @@ mod tests {
     }
 
     fn joined(op: &mut impl DynOp, left: &Erased, right: &Erased, c: &ExecContext) -> Vec<u64> {
-        let out = op.execute(&[left.clone(), right.clone()], c).unwrap();
+        let out = op.execute(vec![left.clone(), right.clone()], c).unwrap();
         let mut v: Vec<u64> =
             out.downcast::<(u64, char, u64)>("t").unwrap().iter_records().map(|r| r.2).collect();
         v.sort_unstable();
@@ -572,7 +572,7 @@ mod tests {
             |r: &(u64, u64)| r.0,
             |l: &(u64, u64), _r: &(u64, u64)| *l,
         );
-        let out = op.execute(&[left, right], &ctx()).unwrap();
+        let out = op.execute(vec![left, right], &ctx()).unwrap();
         assert_eq!(out.downcast::<(u64, u64)>("t").unwrap().total_len(), 0);
     }
 
@@ -588,7 +588,7 @@ mod tests {
             },
         );
         let mut v = op
-            .execute(&[left, right], &ctx())
+            .execute(vec![left, right], &ctx())
             .unwrap()
             .take::<(u64, u64, u64)>("t")
             .unwrap()
@@ -603,7 +603,7 @@ mod tests {
         let right = erased(vec![10u64, 20], 2);
         let mut op = CrossOp::new(|l: &u64, r: &u64| l * r);
         let mut v =
-            op.execute(&[left, right], &ctx()).unwrap().take::<u64>("t").unwrap().into_vec();
+            op.execute(vec![left, right], &ctx()).unwrap().take::<u64>("t").unwrap().into_vec();
         v.sort_unstable();
         assert_eq!(v, vec![10, 20, 20, 40]);
     }
@@ -614,7 +614,7 @@ mod tests {
         let main = erased(vec![1.0f64, 2.0, 3.0], 4);
         let side = erased(vec![10.0f64], 4);
         let mut op = BroadcastMapOp::new(|t: &f64, side: &[f64]| t + side[0]);
-        let mut v = op.execute(&[main, side], &c).unwrap().take::<f64>("t").unwrap().into_vec();
+        let mut v = op.execute(vec![main, side], &c).unwrap().take::<f64>("t").unwrap().into_vec();
         v.sort_by(f64::total_cmp);
         assert_eq!(v, vec![11.0, 12.0, 13.0]);
         let (_, shuffled) = c.drain();
@@ -626,7 +626,7 @@ mod tests {
         let left = erased(vec![1u64, 2], 2);
         let right = erased(vec![3u64], 2);
         let mut op = UnionOp::<u64>::new();
-        let out = op.execute(&[left, right], &ctx()).unwrap();
+        let out = op.execute(vec![left, right], &ctx()).unwrap();
         let parts = out.take::<u64>("t").unwrap();
         assert_eq!(parts.total_len(), 3);
         assert_eq!(parts.num_partitions(), 2);

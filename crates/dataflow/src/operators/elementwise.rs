@@ -28,7 +28,7 @@ where
     U: Data,
     F: Fn(&T) -> U + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs[0].downcast::<T>("Map")?;
         let f = &*self.f;
         let out = map_partition_refs(input.as_parts(), ctx, |_, records| {
@@ -60,7 +60,7 @@ where
     T: Data,
     F: Fn(&T) -> bool + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs[0].downcast::<T>("Filter")?;
         let f = &*self.f;
         let out = map_partition_refs(input.as_parts(), ctx, |_, records| {
@@ -93,7 +93,7 @@ where
     U: Data,
     F: Fn(&T) -> Vec<U> + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs[0].downcast::<T>("FlatMap")?;
         let f = &*self.f;
         let out = map_partition_refs(input.as_parts(), ctx, |_, records| {
@@ -127,7 +127,7 @@ where
     U: Data,
     F: Fn(usize, &[T]) -> Vec<U> + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs[0].downcast::<T>("MapPartition")?;
         let f = &*self.f;
         let out = map_partition_refs(input.as_parts(), ctx, |pid, records| f(pid, records))?;
@@ -157,10 +157,10 @@ impl<T> MeasuredOp<T> {
 }
 
 impl<T: Data> DynOp for MeasuredOp<T> {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let input = inputs[0].downcast::<T>("Measured")?;
-        ctx.add_counter(&self.counter, input.total_len() as u64);
-        Ok(inputs[0].clone())
+    fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
+        let input = inputs.swap_remove(0);
+        ctx.add_counter(&self.counter, input.downcast::<T>("Measured")?.total_len() as u64);
+        Ok(input)
     }
 
     fn kind(&self) -> &'static str {
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn map_transforms_all_records() {
         let mut op = MapOp::new(|n: &u64| n + 100);
-        let out = op.execute(&[input()], &ctx()).unwrap();
+        let out = op.execute(vec![input()], &ctx()).unwrap();
         let mut v = out.take::<u64>("t").unwrap().into_vec();
         v.sort_unstable();
         assert_eq!(v, (100..110).collect::<Vec<u64>>());
@@ -193,14 +193,14 @@ mod tests {
     #[test]
     fn filter_keeps_matching() {
         let mut op = FilterOp::new(|n: &u64| n.is_multiple_of(2));
-        let out = op.execute(&[input()], &ctx()).unwrap();
+        let out = op.execute(vec![input()], &ctx()).unwrap();
         assert_eq!(out.downcast::<u64>("t").unwrap().total_len(), 5);
     }
 
     #[test]
     fn flat_map_can_shrink_and_grow() {
         let mut op = FlatMapOp::new(|n: &u64| if *n < 2 { vec![*n, *n] } else { vec![] });
-        let out = op.execute(&[input()], &ctx()).unwrap();
+        let out = op.execute(vec![input()], &ctx()).unwrap();
         let mut v = out.take::<u64>("t").unwrap().into_vec();
         v.sort_unstable();
         assert_eq!(v, vec![0, 0, 1, 1]);
@@ -211,7 +211,7 @@ mod tests {
         let mut op = MapPartitionOp::new(|pid: usize, records: &[u64]| {
             vec![(pid as u64, records.len() as u64)]
         });
-        let out = op.execute(&[input()], &ctx()).unwrap();
+        let out = op.execute(vec![input()], &ctx()).unwrap();
         let mut v = out.take::<(u64, u64)>("t").unwrap().into_vec();
         v.sort_unstable();
         assert_eq!(v, vec![(0, 4), (1, 3), (2, 3)]);
@@ -222,7 +222,7 @@ mod tests {
         let c = ctx();
         let mut op = MeasuredOp::<u64>::new("messages");
         let i = input();
-        let out = op.execute(std::slice::from_ref(&i), &c).unwrap();
+        let out = op.execute(vec![i], &c).unwrap();
         assert_eq!(out.downcast::<u64>("t").unwrap().total_len(), 10);
         let (counters, _) = c.drain();
         assert_eq!(counters.get("messages"), Some(&10));
@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn map_preserves_partition_structure() {
         let mut op = MapOp::new(|n: &u64| *n);
-        let out = op.execute(&[input()], &ctx()).unwrap();
+        let out = op.execute(vec![input()], &ctx()).unwrap();
         let parts = out.take::<u64>("t").unwrap();
         assert_eq!(parts.partition_sizes(), vec![4, 3, 3]);
     }

@@ -37,8 +37,8 @@ where
     KF: Fn(&T) -> K + Send + Sync + 'static,
     F: Fn(T, T) -> T + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let input = inputs[0].clone().take::<T>("ReduceByKey")?;
+    fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
+        let input = inputs.swap_remove(0).take::<T>("ReduceByKey")?;
         let key_of = &*self.key_of;
         let shuffled = ctx.time_shuffle(|| shuffle_by_key(input, key_of));
         ctx.add_shuffled(shuffled.moved);
@@ -93,8 +93,8 @@ where
     K: KeyData,
     KF: Fn(&T) -> K + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let input = inputs[0].clone().take::<T>("Distinct")?;
+    fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
+        let input = inputs.swap_remove(0).take::<T>("Distinct")?;
         let key_of = &*self.key_of;
         let shuffled = ctx.time_shuffle(|| shuffle_by_key(input, key_of));
         ctx.add_shuffled(shuffled.moved);
@@ -137,8 +137,8 @@ where
     K: KeyData,
     KF: Fn(&T) -> K + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let input = inputs[0].clone().take::<T>("PartitionBy")?;
+    fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
+        let input = inputs.swap_remove(0).take::<T>("PartitionBy")?;
         let shuffled = ctx.time_shuffle(|| shuffle_by_key(input, &*self.key_of));
         ctx.add_shuffled(shuffled.moved);
         Ok(Erased::new(shuffled.parts))
@@ -167,7 +167,7 @@ mod tests {
             |r: &(u64, u64)| r.0,
             |a: (u64, u64), b: (u64, u64)| (a.0, a.1 + b.1),
         );
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         let mut v = out.take::<(u64, u64)>("t").unwrap().into_vec();
         v.sort_unstable();
         assert_eq!(v, vec![(0, 5), (1, 5), (2, 5), (3, 5)]);
@@ -177,7 +177,7 @@ mod tests {
     fn reduce_output_lands_in_key_partition() {
         let input = Erased::new(Partitions::round_robin((0u64..32).collect(), 4));
         let mut op = ReduceByKeyOp::new(|v: &u64| *v % 8, |a, _b| a);
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         let parts = out.take::<u64>("t").unwrap();
         for (pid, records) in parts.iter() {
             for r in records {
@@ -196,7 +196,7 @@ mod tests {
                 |r: &(u64, u64)| r.0,
                 |a: (u64, u64), b: (u64, u64)| if a.1 <= b.1 { a } else { b },
             );
-            op.execute(&[input], &ctx()).unwrap().take::<(u64, u64)>("t").unwrap().into_vec()
+            op.execute(vec![input], &ctx()).unwrap().take::<(u64, u64)>("t").unwrap().into_vec()
         };
         assert_eq!(run(), run());
     }
@@ -208,7 +208,7 @@ mod tests {
             2,
         ));
         let mut op = DistinctByOp::new(|r: &(u64, char)| r.0);
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         let v = out.take::<(u64, char)>("t").unwrap().into_vec();
         let mut keys: Vec<u64> = v.iter().map(|r| r.0).collect();
         keys.sort_unstable();
@@ -220,7 +220,7 @@ mod tests {
         let c = ctx();
         let input = Erased::new(Partitions::round_robin((0u64..100).collect(), 4));
         let mut op = PartitionByOp::new(|v: &u64| *v);
-        let out = op.execute(&[input], &c).unwrap();
+        let out = op.execute(vec![input], &c).unwrap();
         let parts = out.take::<u64>("t").unwrap();
         for (pid, records) in parts.iter() {
             for r in records {
@@ -232,7 +232,7 @@ mod tests {
 
         // Re-partitioning co-partitioned data is free.
         let mut op2 = PartitionByOp::new(|v: &u64| *v);
-        let out2 = op2.execute(&[Erased::new(parts)], &c).unwrap();
+        let out2 = op2.execute(vec![Erased::new(parts)], &c).unwrap();
         assert_eq!(out2.downcast::<u64>("t").unwrap().total_len(), 100);
         let (_, shuffled2) = c.drain();
         assert_eq!(shuffled2, 0);

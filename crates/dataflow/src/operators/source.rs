@@ -31,7 +31,7 @@ impl VecSource {
 }
 
 impl DynOp for VecSource {
-    fn execute(&mut self, _inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, _inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
         Ok(self.data.clone())
     }
 
@@ -87,7 +87,7 @@ impl InjectedSource {
 }
 
 impl DynOp for InjectedSource {
-    fn execute(&mut self, _inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, _inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
         self.slot.get().ok_or_else(|| {
             EngineError::Plan(
                 "iteration head executed outside its iteration (slot is empty)".into(),
@@ -110,7 +110,7 @@ mod tests {
         let ctx = ExecContext::new(EnvConfig::new(2));
         let mut src = VecSource::new(Partitions::round_robin(vec![1u32, 2, 3], 2));
         for _ in 0..3 {
-            let out = src.execute(&[], &ctx).unwrap();
+            let out = src.execute(vec![], &ctx).unwrap();
             assert_eq!(out.downcast::<u32>("t").unwrap().total_len(), 3);
         }
     }
@@ -120,9 +120,9 @@ mod tests {
         let ctx = ExecContext::new(EnvConfig::new(1));
         let slot = SourceSlot::new();
         let mut head = InjectedSource::new(slot.clone());
-        assert!(head.execute(&[], &ctx).is_err());
+        assert!(head.execute(vec![], &ctx).is_err());
         slot.fill(Erased::new(Partitions::round_robin(vec![7u8], 1)));
-        let out = head.execute(&[], &ctx).unwrap();
+        let out = head.execute(vec![], &ctx).unwrap();
         assert_eq!(out.downcast::<u8>("t").unwrap().total_len(), 1);
     }
 

@@ -30,7 +30,7 @@ where
     K: PartialOrd + Send,
     KF: Fn(&T) -> K + Send + Sync + 'static,
 {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs[0].downcast::<T>("TopN")?;
         let key_of = &*self.key_of;
         let n = self.n;
@@ -71,7 +71,7 @@ mod tests {
     fn keeps_the_n_largest_in_order() {
         let input = Erased::new(Partitions::round_robin((0u64..100).collect(), 4));
         let mut op = TopNOp::new(3, |v: &u64| *v);
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         assert_eq!(out.take::<u64>("t").unwrap().into_vec(), vec![99, 98, 97]);
     }
 
@@ -79,7 +79,7 @@ mod tests {
     fn n_larger_than_input_returns_everything() {
         let input = Erased::new(Partitions::round_robin(vec![3u64, 1, 2], 4));
         let mut op = TopNOp::new(10, |v: &u64| *v);
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         assert_eq!(out.take::<u64>("t").unwrap().into_vec(), vec![3, 2, 1]);
     }
 
@@ -88,7 +88,7 @@ mod tests {
         let input =
             Erased::new(Partitions::round_robin(vec![(1u64, 0.5f64), (2, 0.9), (3, 0.1)], 2));
         let mut op = TopNOp::new(2, |r: &(u64, f64)| r.1);
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         let v = out.take::<(u64, f64)>("t").unwrap().into_vec();
         assert_eq!(v[0].0, 2);
         assert_eq!(v[1].0, 1);
@@ -98,7 +98,7 @@ mod tests {
     fn empty_input_is_empty() {
         let input = Erased::new(Partitions::<u64>::empty(3));
         let mut op = TopNOp::new(5, |v: &u64| *v);
-        let out = op.execute(&[input], &ctx()).unwrap();
+        let out = op.execute(vec![input], &ctx()).unwrap();
         assert!(out.take::<u64>("t").unwrap().is_empty());
     }
 }

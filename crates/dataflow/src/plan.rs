@@ -16,8 +16,10 @@ pub type NodeId = usize;
 pub trait DynOp {
     /// Execute over the (already computed) inputs, producing the output
     /// dataset. Takes `&mut self` because stateful nodes (iterations with
-    /// fault handlers) update internal state.
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased>;
+    /// fault handlers) update internal state. The inputs are the node's
+    /// own handles: an input no later node reads is handed over unshared,
+    /// so taking it moves the value instead of copying it.
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased>;
 
     /// Operator kind, e.g. `"Map"`, `"Join"`, `"DeltaIteration"` — used by
     /// [`PlanGraph::explain`] to render dataflows like the paper's Figure 1.
@@ -167,7 +169,7 @@ mod tests {
 
     struct ConstOp(u64);
     impl DynOp for ConstOp {
-        fn execute(&mut self, _inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+        fn execute(&mut self, _inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
             Ok(Erased::new(Partitions::round_robin(vec![self.0], 1)))
         }
         fn kind(&self) -> &'static str {

@@ -4,9 +4,12 @@
 //! Concurrency model: the engine (and with it every epoch's dataflow) lives
 //! behind a mutex that only mutations and commits take; point and top-N
 //! queries read a shared [`Snapshot`] behind an `RwLock` that is swapped
-//! after every successful commit. Queries therefore keep answering from the
-//! pre-batch solution set while a commit re-converges — and keep answering
-//! while a mid-re-convergence failure is being compensated.
+//! after every successful commit. A snapshot shares the engine's solution
+//! chunk by chunk, so publishing one copies no solution entry, and the
+//! commit after it copies the chunks it writes instead of writing into the
+//! published ones. Queries therefore keep answering from the pre-batch
+//! solution set while a commit re-converges — and keep answering while a
+//! mid-re-convergence failure is being compensated.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -311,13 +314,15 @@ fn dispatch(command: &Command, shared: &Shared) -> (String, bool) {
         Command::Stats => {
             // Stats reads the engine for the staged-batch size, so it
             // queues behind an in-flight commit — the answer it returns is
-            // never mid-batch.
+            // never mid-batch. Epoch and size come from the published
+            // snapshot, which under the engine lock is the last commit's.
             let result = shared.engine.lock().map_err(lock_poisoned).map(|engine| {
                 let queries = shared.telemetry.metrics().counter("serve/queries").get();
+                let snapshot = shared.read_snapshot();
                 format_stats(
                     shared.algorithm,
-                    engine.epoch(),
-                    shared.read_snapshot().vertices(),
+                    snapshot.epoch,
+                    snapshot.vertices(),
                     engine.staged(),
                     queries,
                 )
@@ -409,6 +414,39 @@ mod tests {
         assert!(reader_responses[3].starts_with("err "), "{}", reader_responses[3]);
         assert_eq!(reader_responses[4], "ok bye");
 
+        daemon.stop();
+    }
+
+    #[test]
+    fn a_connection_opened_before_a_commit_reads_the_epoch_it_published() {
+        let daemon = spawn(bootstrap_cc(), "127.0.0.1:0").unwrap();
+        let connect = || {
+            let stream = TcpStream::connect(daemon.addr()).unwrap();
+            let writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut greeting = String::new();
+            reader.read_line(&mut greeting).unwrap();
+            (writer, reader, greeting)
+        };
+        let ask = |(writer, reader): (&mut TcpStream, &mut BufReader<TcpStream>), line: &str| {
+            writeln!(writer, "{line}").unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            response.trim_end().to_string()
+        };
+
+        let (mut early, mut early_reader, greeting) = connect();
+        assert_eq!(greeting, "hello cc epoch 0\n");
+        assert_eq!(ask((&mut early, &mut early_reader), "get 9"), "ok label 0");
+
+        let (mut mutator, mut mutator_reader, _) = connect();
+        assert_eq!(ask((&mut mutator, &mut mutator_reader), "- 5 6"), "ok staged");
+        let committed = ask((&mut mutator, &mut mutator_reader), "commit");
+        assert!(committed.starts_with("ok epoch 1 "), "{committed}");
+
+        assert_eq!(ask((&mut early, &mut early_reader), "get 9"), "ok label 6");
+        let stats = ask((&mut early, &mut early_reader), "stats");
+        assert!(stats.starts_with("ok stats algo cc epoch 1 vertices 12 staged 0"), "{stats}");
         daemon.stop();
     }
 

@@ -8,9 +8,14 @@
 //! state resident: the solution maps the last epoch handed back are seeded
 //! in place (delete-touched components reset to their initial labels,
 //! mirroring `FixComponents`; the workset is the mutated vertices), the one
-//! CC plan runs over the live graph's own adjacency index, and the served
-//! vector is patched at the entries the run changed — so an insert commit
-//! costs what its workset touches, not what the graph holds. PageRank
+//! CC plan steps them in place over the live graph's own adjacency index
+//! (optimistic recovery keeps no restart origin, so nothing copies them),
+//! and the served vector is patched at the entries the run changed. The
+//! served vector is copy-on-write in fixed chunks ([`ChunkedVec`]): a
+//! snapshot shares every chunk, and a patch copies only the chunks it
+//! writes that a snapshot still holds — so an insert commit, publish
+//! included, costs what its workset and its patch touch, not what the
+//! graph holds. PageRank
 //! rebuilds the graph and warm-starts the power iteration from the previous
 //! fixpoint renormalised over the new vertex set. Both re-converge in far
 //! fewer supersteps than a cold run.
@@ -39,6 +44,7 @@ use graphs::{Graph, VertexId};
 use recovery::scenario::FailureScenario;
 use telemetry::{JournalEvent, SinkHandle};
 
+use crate::chunked::ChunkedVec;
 use crate::live_graph::LiveGraph;
 
 /// Which iterative algorithm the engine maintains.
@@ -225,13 +231,14 @@ impl ElasticController {
     }
 }
 
-/// The maintained solution set, sorted by vertex id.
+/// The maintained solution set, dense by vertex: entry `v` is vertex `v`'s.
+/// Clones share the storage chunk by chunk ([`ChunkedVec`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Solution {
-    /// `(vertex, component label)` per vertex.
-    Components(Vec<Label>),
-    /// `(vertex, rank)` per vertex.
-    Ranks(Vec<Rank>),
+    /// The component label of every vertex.
+    Components(ChunkedVec<VertexId>),
+    /// The rank of every vertex.
+    Ranks(ChunkedVec<f64>),
 }
 
 /// A point-query answer.
@@ -253,8 +260,10 @@ pub struct TopEntry {
     pub score: f64,
 }
 
-/// An immutable view of the maintained solution, cheap to clone out of the
-/// engine and query concurrently while the next batch re-converges.
+/// An immutable view of the maintained solution, to query concurrently
+/// while the next batch re-converges. A clone copies chunk handles only, and
+/// a later commit copies the chunks it writes instead of writing into the
+/// clone's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// The epoch this solution belongs to.
@@ -275,13 +284,8 @@ impl Snapshot {
     /// Point query: the vertex's label/rank, `None` for unknown vertices.
     pub fn point(&self, v: VertexId) -> Option<PointAnswer> {
         match &self.solution {
-            Solution::Components(labels) => labels
-                .binary_search_by_key(&v, |r| r.0)
-                .ok()
-                .map(|i| PointAnswer::Label(labels[i].1)),
-            Solution::Ranks(ranks) => {
-                ranks.binary_search_by_key(&v, |r| r.0).ok().map(|i| PointAnswer::Rank(ranks[i].1))
-            }
+            Solution::Components(labels) => labels.get(v).map(|&label| PointAnswer::Label(label)),
+            Solution::Ranks(ranks) => ranks.get(v).map(|&rank| PointAnswer::Rank(rank)),
         }
     }
 
@@ -292,7 +296,7 @@ impl Snapshot {
             Solution::Components(labels) => {
                 let mut sizes: std::collections::BTreeMap<VertexId, u64> =
                     std::collections::BTreeMap::new();
-                for &(_, label) in labels {
+                for &label in labels.iter() {
                     *sizes.entry(label).or_insert(0) += 1;
                 }
                 let mut entries: Vec<(VertexId, u64)> = sizes.into_iter().collect();
@@ -304,7 +308,7 @@ impl Snapshot {
                     .collect()
             }
             Solution::Ranks(ranks) => {
-                let mut entries: Vec<Rank> = ranks.clone();
+                let mut entries: Vec<Rank> = ranks.entries().collect();
                 entries.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 entries.into_iter().take(n).map(|(id, score)| TopEntry { id, score }).collect()
             }
@@ -333,8 +337,8 @@ pub struct EpochReport {
 pub struct ServeEngine {
     config: ServeConfig,
     live: LiveGraph,
-    /// The last committed epoch and its solution, sorted by vertex: what
-    /// queries read and [`ServeEngine::snapshot`] copies out.
+    /// The last committed epoch and its solution, dense by vertex: what
+    /// queries read and [`ServeEngine::snapshot`] shares out.
     served: Snapshot,
     /// CC only: the iteration's own solution maps, kept between epochs so a
     /// commit resumes from them. `None` when they have to be rebuilt from
@@ -376,8 +380,8 @@ impl ServeEngine {
             None => None,
         };
         let solution = match config.algorithm {
-            ServeAlgorithm::ConnectedComponents => Solution::Components(Vec::new()),
-            ServeAlgorithm::PageRank => Solution::Ranks(Vec::new()),
+            ServeAlgorithm::ConnectedComponents => Solution::Components(ChunkedVec::default()),
+            ServeAlgorithm::PageRank => Solution::Ranks(ChunkedVec::default()),
         };
         let mut engine = ServeEngine {
             config,
@@ -458,8 +462,11 @@ impl ServeEngine {
         }
     }
 
-    /// An immutable copy of the maintained solution, for readers that
-    /// outlive the next commit (the daemon publishes one per epoch).
+    /// The maintained solution, for readers that outlive the next commit
+    /// (the daemon publishes one per epoch). It shares the engine's chunks,
+    /// O(n / [`crate::chunked::CHUNK`]) handles: a later commit copies a
+    /// chunk before writing to one a snapshot still holds, so the snapshot
+    /// keeps answering for its own epoch.
     pub fn snapshot(&self) -> Snapshot {
         self.served.clone()
     }
@@ -518,9 +525,10 @@ impl ServeEngine {
     /// re-converge from the previous fixpoint. The live graph already holds
     /// the batch's edges (staging applies them); a CC epoch seeds the
     /// resident solution maps in place and runs over the live adjacency, so
-    /// an insert-only commit costs what its workset touches plus one copy
-    /// of the maps (the run's restart origin). The served solution is
-    /// replaced — patched, for CC — only when the run succeeds.
+    /// an insert-only commit costs what its workset touches and the chunks
+    /// its patch writes: optimistic recovery keeps no restart origin, and
+    /// no copy of the maps or of the served vector is made. The served
+    /// solution is replaced — patched, for CC — only when the run succeeds.
     ///
     /// On a convergence error the engine serves what it served before the
     /// call — the batch stays staged and the epoch is not advanced — so a
@@ -595,7 +603,7 @@ impl ServeEngine {
         match &self.served.solution {
             Solution::Components(prev) => {
                 // Served labels, with (v, v) for vertices the batch named.
-                let label = |v: VertexId| prev.get(v as usize).map_or(v, |&(_, label)| label);
+                let label = |v: VertexId| prev.get(v).copied().unwrap_or(v);
                 let affected: BTreeSet<VertexId> =
                     self.staged_deletes.iter().flat_map(|&(u, v)| [label(u), label(v)]).collect();
                 let reset: BTreeSet<VertexId> = if affected.is_empty() {
@@ -623,8 +631,8 @@ impl ServeEngine {
             Solution::Ranks(prev) => {
                 let uniform = 1.0 / n as f64;
                 let mut dist = vec![uniform; n];
-                for &(v, r) in prev {
-                    dist[v as usize] = r;
+                for (v, &r) in prev.iter().enumerate() {
+                    dist[v] = r;
                 }
                 let sum: f64 = dist.iter().sum();
                 for r in &mut dist {
@@ -711,10 +719,12 @@ impl ServeEngine {
                 let env = algos::common::environment(config.parallelism, &config.ft);
                 let built = pr::build_warm(&env, &self.live.build(), &config, warm)
                     .map_err(|e| e.to_string())?;
-                let mut ranks = built.result.collect().map_err(|e| e.to_string())?;
-                ranks.sort_by_key(|r| r.0);
+                let mut ranks = vec![0.0; self.live.num_vertices()];
+                for (v, rank) in built.result.collect().map_err(|e| e.to_string())? {
+                    ranks[v as usize] = rank;
+                }
                 let stats = built.stats.take().ok_or("pagerank run produced no statistics")?;
-                self.served.solution = Solution::Ranks(ranks);
+                self.served.solution = Solution::Ranks(ranks.into_iter().collect());
                 Ok(stats)
             }
         }
@@ -722,10 +732,12 @@ impl ServeEngine {
 
     /// The in-process CC epoch: the one CC plan, run from the resident
     /// solution maps over the live adjacency index. The seed is applied to
-    /// the maps in place, the run hands the maps back, and the served
-    /// vector is patched at the seeded and upserted vertices only — unless
-    /// a failure fired, whose compensation rewrote entries no delta lists,
-    /// or the run was cold: then it is re-materialised whole.
+    /// the maps in place, the run steps them and hands them back, and the
+    /// served vector is patched at the seeded and upserted vertices whose
+    /// label moved — copying only the chunks a published snapshot still
+    /// shares — unless a failure fired, whose compensation rewrote entries
+    /// no delta lists, or the run was cold: then it is re-materialised
+    /// whole.
     fn converge_cc(
         &mut self,
         seed: Option<EpochSeed>,
@@ -739,10 +751,8 @@ impl ServeEngine {
         let (state, patch) = match seed {
             None => (cc::initial_state(n, p), None),
             Some(EpochSeed::Cc { patch, workset }) => {
-                let mut solution = self
-                    .resident
-                    .take()
-                    .unwrap_or_else(|| solution_sets(served.iter().copied(), p));
+                let mut solution =
+                    self.resident.take().unwrap_or_else(|| solution_sets(served.entries(), p));
                 for &(v, label) in &patch {
                     solution[hash_partition(&v, p)].insert(v, label);
                 }
@@ -753,20 +763,27 @@ impl ServeEngine {
         };
         // An error leaves `resident` empty: these maps were seeded for a
         // batch that did not commit, so the retry starts from `served`.
-        let run = cc::run_resident(self.live.adjacency(), n, &state, config)
-            .map_err(|e| e.to_string())?;
+        let run =
+            cc::run_resident(self.live.adjacency(), n, state, config).map_err(|e| e.to_string())?;
         let label_of = |v: VertexId| run.state.solution[hash_partition(&v, p)][&v];
         match patch {
             Some(patch) if run.stats.failures().next().is_none() => {
-                served.extend((served.len() as VertexId..n as VertexId).map(|v| (v, v)));
+                for v in served.len() as VertexId..n as VertexId {
+                    served.push(v);
+                }
                 for v in patch.iter().map(|&(v, _)| v).chain(run.upserted) {
-                    debug_assert_eq!(served[v as usize].0, v, "served labels are dense by vertex");
-                    served[v as usize].1 = label_of(v);
+                    let label = label_of(v);
+                    if served.get(v) != Some(&label) {
+                        served.set(v, label);
+                    }
                 }
             }
             _ => {
-                *served = run.state.solution.iter().flatten().map(|(&v, &l)| (v, l)).collect();
-                served.sort_unstable();
+                let mut labels: Vec<VertexId> = (0..n as VertexId).collect();
+                for (&v, &label) in run.state.solution.iter().flatten() {
+                    labels[v as usize] = label;
+                }
+                *served = labels.into_iter().collect();
             }
         }
         self.resident = Some(run.state.solution);
@@ -802,7 +819,7 @@ impl ServeEngine {
         };
         match (seed, &self.served.solution) {
             (Some(EpochSeed::Cc { patch, .. }), Solution::Components(served)) => {
-                let mut records: Vec<(u64, u64)> = served.clone();
+                let mut records: Vec<(u64, u64)> = served.entries().collect();
                 for (v, label) in patch {
                     match records.get_mut(v as usize) {
                         Some(record) => record.1 = label,
@@ -823,11 +840,14 @@ impl ServeEngine {
         let graph = self.live.build();
         let run = cluster::run_cluster(program, &graph, cfg, self.config.telemetry.clone())
             .map_err(|e| e.to_string())?;
+        let values = run.values.iter();
         self.served.solution = match self.config.algorithm {
-            ServeAlgorithm::ConnectedComponents => Solution::Components(run.values),
-            ServeAlgorithm::PageRank => Solution::Ranks(
-                run.values.iter().map(|&(v, bits)| (v, f64::from_bits(bits))).collect(),
-            ),
+            ServeAlgorithm::ConnectedComponents => {
+                Solution::Components(values.map(|&(_, label)| label).collect())
+            }
+            ServeAlgorithm::PageRank => {
+                Solution::Ranks(values.map(|&(_, bits)| f64::from_bits(bits)).collect())
+            }
         };
         self.resident = None;
         Ok(run.stats)
@@ -855,7 +875,7 @@ mod tests {
 
     fn labels_of(engine: &ServeEngine) -> Vec<Label> {
         match &engine.snapshot().solution {
-            Solution::Components(labels) => labels.clone(),
+            Solution::Components(labels) => labels.entries().collect(),
             other => panic!("expected components, got {other:?}"),
         }
     }
@@ -903,6 +923,53 @@ mod tests {
         }
         expected.add_edge(7, 8);
         assert_eq!(labels_of(&engine), cold_cc(&expected.build()));
+    }
+
+    #[test]
+    fn an_insert_commit_leaves_earlier_snapshots_as_they_were_and_copies_only_what_it_writes() {
+        use crate::chunked::CHUNK;
+        use std::sync::Arc;
+
+        // Components of two, (2k, 2k + 1), over three full chunks and part
+        // of a fourth.
+        let n = 3 * CHUNK as u64 + 10;
+        let mut b = GraphBuilder::undirected(n as usize);
+        for v in (0..n).step_by(2) {
+            b.add_edge(v, v + 1);
+        }
+        let (mut engine, _) = cc_engine(&b.build());
+        let before = engine.snapshot();
+        let answers: Vec<_> = (0..n).map(|v| before.point(v)).collect();
+
+        // Vertex CHUNK + 2's pair joins component 0; new vertex n joins 4.
+        let far = CHUNK as u64 + 2;
+        assert!(engine.stage_insert(1, far));
+        assert!(engine.stage_insert(5, n));
+        engine.commit().unwrap();
+        let after = engine.snapshot();
+
+        assert_eq!((before.epoch, after.epoch), (0, 1));
+        for v in 0..n {
+            assert_eq!(before.point(v), answers[v as usize], "vertex {v} moved under a snapshot");
+        }
+        assert_eq!(before.point(n), None);
+        assert_eq!(after.point(far + 1), Some(PointAnswer::Label(0)));
+        assert_eq!(after.point(n), Some(PointAnswer::Label(4)));
+        assert_eq!(after.point(n + 1), None, "a vertex past the last one is unknown");
+        assert_eq!(after.point(u64::MAX), None);
+
+        // Only the chunk the relabelled pair lives in and the chunk the new
+        // vertex was appended to were copied; the first chunk, whose named
+        // vertices 1 and 5 kept their labels, is still shared.
+        let (Solution::Components(old), Solution::Components(new)) =
+            (&before.solution, &after.solution)
+        else {
+            panic!("a CC engine serves components")
+        };
+        let shared: Vec<bool> =
+            new.chunks().iter().zip(old.chunks()).map(|(a, b)| Arc::ptr_eq(a, b)).collect();
+        assert_eq!(shared, [true, false, true, false]);
+        assert_eq!(new.chunks().len(), old.chunks().len());
     }
 
     #[test]
@@ -955,7 +1022,7 @@ mod tests {
         match &engine.snapshot().solution {
             Solution::Ranks(ranks) => {
                 assert_eq!(ranks.len(), cold.ranks.len());
-                for (&(v, warm), &(_, exact)) in ranks.iter().zip(&cold.ranks) {
+                for ((v, warm), &(_, exact)) in ranks.entries().zip(&cold.ranks) {
                     assert!((warm - exact).abs() < 1e-6, "vertex {v}: {warm} vs {exact}");
                 }
             }

@@ -12,6 +12,8 @@
 //! * [`live_graph`] — the mutable adjacency index CC epochs iterate over
 //!   in place; immutable [`graphs::Graph`]s are rebuilt from it only for
 //!   PageRank and cluster-backed epochs.
+//! * [`chunked`] — the copy-on-write chunked vector the served solution is
+//!   kept in, so a snapshot shares it and a commit copies what it writes.
 //! * [`engine`] — epoch lifecycle: bootstrap convergence, workset-seeded
 //!   (CC) / warm-started (PageRank) re-convergence per committed batch,
 //!   and the failure injectors (UDF panic, deterministic loss, MTBF,
@@ -22,11 +24,13 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod chunked;
 pub mod daemon;
 pub mod engine;
 pub mod live_graph;
 pub mod mutation;
 
+pub use chunked::ChunkedVec;
 pub use daemon::{apply_command, replay, spawn, DaemonHandle};
 pub use engine::{
     ElasticController, ElasticRange, EpochInjection, EpochReport, InjectionKind, PointAnswer,

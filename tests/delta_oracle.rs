@@ -41,7 +41,7 @@ struct RebuildJoin<R, O> {
 }
 
 impl<R: Data, O: Data> DynOp for RebuildJoin<R, O> {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let (key_right, f) = (self.key_right, self.f);
         let left = inputs[0].clone().take::<Label>("oracle(left)")?;
         let right = inputs[1].clone().take::<R>("oracle(right)")?;
@@ -77,7 +77,7 @@ impl<R: Data, O: Data> DynOp for RebuildJoin<R, O> {
 struct MaterializeSolution;
 
 impl DynOp for MaterializeSolution {
-    fn execute(&mut self, inputs: &[Erased], _ctx: &ExecContext) -> Result<Erased> {
+    fn execute(&mut self, inputs: Vec<Erased>, _ctx: &ExecContext) -> Result<Erased> {
         let sets =
             inputs[0].downcast_ref::<SolutionSets<VertexId, VertexId>>("oracle(solution)")?;
         let parts = sets

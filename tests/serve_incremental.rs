@@ -457,6 +457,7 @@ proptest! {
             let Solution::Components(served) = engine.snapshot().solution else {
                 panic!("a CC engine serves components")
             };
+            let served: Vec<(u64, u64)> = served.entries().collect();
             prop_assert_eq!(&served, &cold.labels, "epoch {} against the cold run", index + 1);
             prop_assert!(served.iter().all(|&(v, label)| exact[v as usize] == label));
             prop_assert_eq!(engine.vertices(), rebuilt.num_vertices());
@@ -484,7 +485,7 @@ proptest! {
         match (incremental, cold) {
             (Solution::Ranks(warm), Solution::Ranks(exact)) => {
                 prop_assert_eq!(warm.len(), exact.len());
-                for (&(v, w), &(u, e)) in warm.iter().zip(&exact) {
+                for ((v, w), (u, e)) in warm.entries().zip(exact.entries()) {
                     prop_assert_eq!(v, u);
                     prop_assert!((w - e).abs() < 1e-6, "vertex {}: {} vs {}", v, w, e);
                 }

@@ -198,7 +198,11 @@ enum Kind {
 struct LoseWorkerOnce(bool);
 
 impl DynOp for LoseWorkerOnce {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> dataflow::error::Result<Erased> {
+    fn execute(
+        &mut self,
+        inputs: Vec<Erased>,
+        ctx: &ExecContext,
+    ) -> dataflow::error::Result<Erased> {
         if ctx.superstep() == Some(2) && !std::mem::replace(&mut self.0, true) {
             return Err(EngineError::WorkerLost {
                 worker: 1,
