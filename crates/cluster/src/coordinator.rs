@@ -2101,8 +2101,12 @@ mod tests {
             self.inner.name()
         }
 
-        fn init_partition(&self, rows: &[(u64, Vec<u64>)], n: u64) -> Vec<Record> {
+        fn init_partition(&self, rows: &AdjRows, n: u64) -> Vec<Record> {
             self.inner.init_partition(rows, n)
+        }
+
+        fn folds_by_source_class(&self) -> bool {
+            self.inner.folds_by_source_class()
         }
 
         fn fold_and_send(
@@ -2111,7 +2115,7 @@ mod tests {
             full_send: bool,
             state: &[Record],
             inbound: &[&[Msg]],
-            rows: &[(u64, Vec<u64>)],
+            rows: &AdjRows,
             n: u64,
             out: &mut StepBuffers,
         ) -> u64 {

@@ -879,7 +879,10 @@ mod tests {
     fn path_rows(n: u64, parallelism: u64, pid: u64) -> AdjRows {
         let neighbours =
             |v: u64| (v.saturating_sub(1)..=(v + 1).min(n - 1)).filter(move |&u| u != v);
-        (pid..n).step_by(parallelism as usize).map(|v| (v, neighbours(v).collect())).collect()
+        (pid..n)
+            .step_by(parallelism as usize)
+            .map(|v| (v, neighbours(v).collect::<Vec<_>>()))
+            .collect()
     }
 
     /// The whole handshake, on a fresh control connection to the worker at
@@ -1124,7 +1127,7 @@ mod tests {
         let plane = Arc::new(DataPlane::default());
         let addr = spawn_local_worker_on(plane.clone());
         let complete = |pid: u64| -> AdjRows {
-            let neighbours = |v: u64| (0..n).filter(move |&u| u != v).collect();
+            let neighbours = |v: u64| (0..n).filter(move |&u| u != v).collect::<Vec<_>>();
             (pid..n).step_by(partitions).map(|v| (v, neighbours(v))).collect()
         };
         let pids: Vec<u64> = (0..partitions as u64).collect();

@@ -8,7 +8,7 @@
 //! wire format: a worker of one build no longer talks to a coordinator of
 //! another.
 
-use cluster::protocol::{Inbound, Message, Seed};
+use cluster::protocol::{AdjRows, Inbound, Message, Seed};
 use dataflow::codec::{decode_exact, encode_to_vec};
 
 fn samples() -> Vec<Message> {
@@ -33,9 +33,9 @@ fn samples() -> Vec<Message> {
             program: "pagerank·".into(),
             n: 0x1234,
             adjacency: vec![
-                (2, vec![(2, vec![3, 4, 5]), (6, vec![])]),
-                (4, vec![]),
-                (9, vec![(9, vec![0])]),
+                (2, vec![(2, vec![3, 4, 5]), (6, vec![])].into()),
+                (4, AdjRows::default()),
+                (9, vec![(9, vec![0])].into()),
             ],
         },
         Message::LoadProgram { program: String::new(), n: 0, adjacency: vec![] },
