@@ -280,7 +280,7 @@ fn plan(
             |c| c.0,
             |c, label: &VertexId| if c.1 < *label { Some((c.0, c.1)) } else { None },
         )
-        .flat_map("updated-labels", |u: &Option<Label>| u.iter().copied().collect());
+        .flat_map("updated-labels", |u: &Option<Label>| *u);
     Ok(Plan { iteration, updates })
 }
 

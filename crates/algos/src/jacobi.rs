@@ -187,7 +187,7 @@ pub fn run(system: &LinearSystem, config: &JacobiConfig) -> Result<JacobiResult>
 
     // Scatter the matrix entries, pair each with the current x_j...
     let entries = rows_in.flat_map("matrix-entries", |(i, _, _, offs): &Row| {
-        offs.iter().map(|&(j, a)| (*i, j, a)).collect()
+        offs.iter().map(|&(j, a)| (*i, j, a)).collect::<Vec<_>>()
     });
     let products = entries
         .join(

@@ -292,7 +292,7 @@ pub fn build_warm(
     let contributions = with_links
         .flat_map("contribute", |&(_, rank, ref neighbors): &(VertexId, f64, Vec<VertexId>)| {
             let share = rank / neighbors.len().max(1) as f64;
-            neighbors.iter().map(|&w| (w, share)).collect()
+            neighbors.iter().map(|&w| (w, share)).collect::<Vec<_>>()
         })
         .measured(common::MESSAGES);
     // Dangling vertices have nowhere to send their rank; collect that mass

@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use dataflow::api::Environment;
 use dataflow::error::Result;
 use dataflow::ft::SolutionSets;
 use dataflow::hash::FxHashSet;
@@ -100,10 +101,15 @@ pub fn fix_reachability(
 /// # Panics
 /// Panics when a seed vertex is out of range.
 pub fn run(graph: &Graph, config: &ReachConfig) -> Result<ReachResult> {
+    run_in(&crate::common::environment(config.parallelism, &config.ft), graph, config)
+}
+
+/// [`run`] inside `env`, whose configuration (threading included) the run
+/// uses; its telemetry should be `config.ft`'s.
+pub fn run_in(env: &Environment, graph: &Graph, config: &ReachConfig) -> Result<ReachResult> {
     for &s in &config.seeds {
         assert!((s as usize) < graph.num_vertices(), "seed {s} out of range");
     }
-    let env = crate::common::environment(config.parallelism, &config.ft);
     let seeds: FxHashSet<VertexId> = config.seeds.iter().copied().collect();
     let initial: Vec<Reach> = graph.vertices().map(|v| (v, seeds.contains(&v))).collect();
     let workset0: Vec<Reach> = config.seeds.iter().map(|&s| (s, true)).collect();
@@ -155,7 +161,7 @@ pub fn run(graph: &Graph, config: &ReachConfig) -> Result<ReachResult> {
             |c| c.0,
             |c, reached: &bool| if !*reached { Some((c.0, true)) } else { None },
         )
-        .flat_map("newly-reached", |u: &Option<Reach>| u.iter().copied().collect());
+        .flat_map("newly-reached", |u: &Option<Reach>| *u);
     let (result, handle) = iteration.close(updates.clone(), updates);
 
     let mut reached = result.collect()?;

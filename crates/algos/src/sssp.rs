@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use dataflow::api::Environment;
 use dataflow::error::Result;
 use dataflow::ft::SolutionSets;
 use dataflow::prelude::DeltaIteration;
@@ -97,12 +98,17 @@ pub fn fix_distances(
 
 /// Run single-source shortest paths over an undirected graph.
 pub fn run(graph: &Graph, config: &SsspConfig) -> Result<SsspResult> {
+    run_in(&crate::common::environment(config.parallelism, &config.ft), graph, config)
+}
+
+/// [`run`] inside `env`, whose configuration (threading included) the run
+/// uses; its telemetry should be `config.ft`'s.
+pub fn run_in(env: &Environment, graph: &Graph, config: &SsspConfig) -> Result<SsspResult> {
     assert!(
         (config.source as usize) < graph.num_vertices(),
         "source vertex {} out of range",
         config.source
     );
-    let env = crate::common::environment(config.parallelism, &config.ft);
     let source = config.source;
     let initial: Vec<Distance> =
         graph.vertices().map(|v| (v, if v == source { 0 } else { UNREACHABLE })).collect();
@@ -160,7 +166,7 @@ pub fn run(graph: &Graph, config: &SsspConfig) -> Result<SsspResult> {
             |c| c.0,
             |c, known: &u64| if c.1 < *known { Some((c.0, c.1)) } else { None },
         )
-        .flat_map("updated-distances", |u: &Option<Distance>| u.iter().copied().collect());
+        .flat_map("updated-distances", |u: &Option<Distance>| *u);
     let (result, handle) = iteration.close(updates.clone(), updates);
 
     let mut distances = result.collect()?;

@@ -40,7 +40,7 @@ fn cc_delta(graph: &Graph, parallelism: usize) -> usize {
             |c| c.0,
             |c, label: &VertexId| if c.1 < *label { Some((c.0, c.1)) } else { None },
         )
-        .flat_map("updated", |u: &Option<Label>| u.iter().copied().collect());
+        .flat_map("updated", |u: &Option<Label>| *u);
     let (result, _) = iteration.close(updates.clone(), updates);
     result.collect().expect("run").len()
 }

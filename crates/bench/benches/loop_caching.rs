@@ -23,7 +23,7 @@ fn jacobi_fixed(system: &[Row], supersteps: u32, caching: bool) -> f64 {
     let x = iteration.state();
     // Loop-invariant: scattering the matrix entries.
     let entries = rows_in.flat_map("matrix-entries", |(i, _, _, offs): &Row| {
-        offs.iter().map(|&(j, a)| (*i, j, a)).collect()
+        offs.iter().map(|&(j, a)| (*i, j, a)).collect::<Vec<_>>()
     });
     let products = entries.join(
         "multiply",

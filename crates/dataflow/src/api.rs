@@ -244,11 +244,15 @@ impl<T: Data> DataSet<T> {
         self.unary(name, Box::new(FilterOp::new(f)))
     }
 
-    /// Expand every record into zero or more outputs.
-    pub fn flat_map<U, F>(&self, name: impl Into<String>, f: F) -> DataSet<U>
+    /// Expand every record into zero or more outputs: `f` returns anything
+    /// iterable — an `Option` for at most one output, a `Vec`, an array, an
+    /// iterator — and its items are appended in order. Returning an
+    /// `Option` or an iterator allocates nothing per record.
+    pub fn flat_map<U, I, F>(&self, name: impl Into<String>, f: F) -> DataSet<U>
     where
         U: Data,
-        F: Fn(&T) -> Vec<U> + Send + Sync + 'static,
+        I: IntoIterator<Item = U>,
+        F: Fn(&T) -> I + Send + Sync + 'static,
     {
         self.unary(name, Box::new(FlatMapOp::new(f)))
     }
@@ -473,7 +477,7 @@ mod tests {
         ]);
         let counts = lines
             .flat_map("tokenize", |line: &String| {
-                line.split_whitespace().map(|w| (w.to_string(), 1u64)).collect()
+                line.split_whitespace().map(|w| (w.to_string(), 1u64)).collect::<Vec<_>>()
             })
             .reduce_by_key("count", |r| r.0.clone(), |a, b| (a.0, a.1 + b.1));
         let mut out = counts.collect().unwrap();

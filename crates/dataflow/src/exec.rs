@@ -146,9 +146,10 @@ impl ExecContext {
     }
 
     /// Run one partition's task, recording its latency into the
-    /// per-partition histogram when telemetry is enabled.
-    fn time_partition_task<U>(&self, pid: usize, f: impl FnOnce() -> U) -> U {
-        match &self.task_hist {
+    /// per-partition histogram when telemetry is enabled and the task is
+    /// `timed` (an exchange's tasks are not: a shuffle times itself).
+    fn time_partition_task<U>(&self, pid: usize, timed: bool, f: impl FnOnce() -> U) -> U {
+        match self.task_hist.as_ref().filter(|_| timed) {
             Some(hist) => {
                 let start = Instant::now();
                 let out = f();
@@ -164,13 +165,13 @@ impl ExecContext {
     /// received. This is the per-partition shuffle analogue of the
     /// `partition_task_ns` compute histogram: together they let a profile
     /// view show where each partition's superstep time went.
-    pub fn time_shuffle<T>(&self, f: impl FnOnce() -> Shuffled<T>) -> Shuffled<T> {
+    pub fn time_shuffle<T>(&self, f: impl FnOnce() -> Result<Shuffled<T>>) -> Result<Shuffled<T>> {
         match &self.shuffle_hist {
             Some(hist) => {
                 let start = Instant::now();
-                let shuffled = f();
+                let shuffled = f()?;
                 let nanos = start.elapsed().as_nanos() as u64;
-                let sizes = shuffled.parts.partition_sizes();
+                let sizes = shuffled.partition_sizes();
                 let total: u64 = sizes.iter().map(|&n| n as u64).sum();
                 for (pid, &n) in sizes.iter().enumerate() {
                     if n > 0 {
@@ -179,7 +180,7 @@ impl ExecContext {
                         }
                     }
                 }
-                shuffled
+                Ok(shuffled)
             }
             None => f(),
         }
@@ -255,13 +256,14 @@ fn assemble<U>(slots: Vec<Option<TaskResult<U>>>, ctx: &ExecContext) -> Result<V
 /// Sequential fallback: run every task on the calling thread, still
 /// capturing unwinds so a panicking UDF surfaces identically to the
 /// threaded paths.
-fn run_inline<I, U, F>(items: Vec<I>, ctx: &ExecContext, f: &F) -> Result<Vec<U>>
+fn run_inline<I, U, F>(items: Vec<I>, ctx: &ExecContext, timed: bool, f: &F) -> Result<Vec<U>>
 where
     F: Fn(usize, I) -> U,
 {
     let mut out = Vec::with_capacity(items.len());
     for (pid, item) in items.into_iter().enumerate() {
-        match catch_unwind(AssertUnwindSafe(|| ctx.time_partition_task(pid, || f(pid, item)))) {
+        let task = || ctx.time_partition_task(pid, timed, || f(pid, item));
+        match catch_unwind(AssertUnwindSafe(task)) {
             Ok(value) => out.push(value),
             Err(payload) => {
                 return Err(EngineError::PartitionPanic {
@@ -279,7 +281,7 @@ where
 /// cluster run dispatches here too: generic closure operators cannot cross
 /// process boundaries, so their partition work stays on the coordinator's
 /// pool while the iteration *step* is distributed by a dedicated operator.
-fn run_threaded<I, U, F>(items: Vec<I>, ctx: &ExecContext, f: &F) -> Result<Vec<U>>
+fn run_threaded<I, U, F>(items: Vec<I>, ctx: &ExecContext, timed: bool, f: &F) -> Result<Vec<U>>
 where
     I: Send,
     U: Send,
@@ -297,7 +299,7 @@ where
             let slot = &slots[pid];
             let task = move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    ctx.time_partition_task(pid, || f(pid, item))
+                    ctx.time_partition_task(pid, timed, || f(pid, item))
                 }));
                 *slot.lock() = Some(outcome);
             };
@@ -321,10 +323,45 @@ where
     U: Send,
     F: Fn(usize, I) -> U + Sync,
 {
-    if !ctx.should_thread(items.len(), work) {
-        return run_inline(items, ctx, &f);
+    dispatch(items, ctx, work, true, &f)
+}
+
+/// [`par_map`] for work that is not a partition task of its own: the keyed
+/// exchange's scatter (timed by [`ExecContext::time_shuffle`] around it) and
+/// the delta apply. Its tasks stay out of `partition_task_ns`.
+pub(crate) fn par_map_untimed<I, U, F>(
+    items: Vec<I>,
+    ctx: &ExecContext,
+    work: usize,
+    f: F,
+) -> Result<Vec<U>>
+where
+    I: Send,
+    U: Send,
+    F: Fn(usize, I) -> U + Sync,
+{
+    dispatch(items, ctx, work, false, &f)
+}
+
+/// Run the tasks on the pool or inline, by the threading rule; `timed`
+/// tasks record their latency into `partition_task_ns`.
+fn dispatch<I, U, F>(
+    items: Vec<I>,
+    ctx: &ExecContext,
+    work: usize,
+    timed: bool,
+    f: &F,
+) -> Result<Vec<U>>
+where
+    I: Send,
+    U: Send,
+    F: Fn(usize, I) -> U + Sync,
+{
+    if ctx.should_thread(items.len(), work) {
+        run_threaded(items, ctx, timed, f)
+    } else {
+        run_inline(items, ctx, timed, f)
     }
-    run_threaded(items, ctx, &f)
 }
 
 /// Borrowing variant of [`par_map`] for operators that read their input
@@ -337,11 +374,7 @@ where
 {
     let total: usize = parts.iter().map(Vec::len).sum();
     let g = |pid: usize, part: &Vec<T>| f(pid, part.as_slice());
-    let items: Vec<&Vec<T>> = parts.iter().collect();
-    if !ctx.should_thread(items.len(), total) {
-        return run_inline(items, ctx, &g);
-    }
-    run_threaded(items, ctx, &g)
+    dispatch(parts.iter().collect(), ctx, total, true, &g)
 }
 
 /// Cross-superstep cache holding the outputs of loop-invariant plan nodes.

@@ -212,7 +212,12 @@ impl<S: BulkState> Step<S> for BulkStep<S> {
         reclaim(&self.state_slot, "BulkIteration(pre-superstep state)")
     }
 
-    fn finish(&mut self, mut outputs: Vec<Erased>, measure: bool) -> Result<Stepped<S>> {
+    fn finish(
+        &mut self,
+        mut outputs: Vec<Erased>,
+        measure: bool,
+        _ctx: &ExecContext,
+    ) -> Result<Stepped<S>> {
         let done = match &self.termination {
             Some(probe) => probe(&outputs[1])? == 0,
             None => false,

@@ -8,12 +8,12 @@ use telemetry::IterationMode;
 use crate::api::{DataSet, Environment, Shared, SolutionHandle};
 use crate::dataset::{Data, Erased, Partitions};
 use crate::error::{EngineError, Result};
-use crate::exec::{self, ExecContext};
+use crate::exec::{self, par_map_untimed, ExecContext};
 use crate::ft::{solution_sets, DeltaState, FailureSource, FaultHandler, SolutionSets};
 use crate::hash::fx_hash;
 use crate::iterate::{reclaim, ConvergenceMeasure, Driver, StatsHandle, Step, Stepped};
 use crate::operators::{InjectedSource, SourceSlot};
-use crate::partition::hash_partition;
+use crate::partition::exchange;
 use crate::plan::{DynOp, NodeId};
 use crate::stats::{IterationStats, RunStats};
 
@@ -66,7 +66,7 @@ impl<K: Data + Hash + Eq> SolutionKey for K {}
 ///     &iteration.solution_set(),
 ///     |c| c.0,
 ///     |c, label: &u64| if c.1 < *label { Some((c.0, c.1)) } else { None },
-/// ).flat_map("updated-only", |u| u.iter().copied().collect());
+/// ).flat_map("updated-only", |u| *u);
 /// let (result, stats) = iteration.close(updates.clone(), updates);
 /// let labels = result.collect().unwrap();
 /// assert!(labels.iter().all(|&(_, l)| l == 0));
@@ -314,8 +314,9 @@ impl<K: SolutionKey, V: Data, W: Data> Step<DeltaState<K, V, W>> for DeltaStep<K
         &mut self,
         outputs: Vec<Erased>,
         measure: bool,
+        ctx: &ExecContext,
     ) -> Result<Stepped<DeltaState<K, V, W>>> {
-        let mut solution: SolutionSets<K, V> =
+        let solution: SolutionSets<K, V> =
             reclaim(&self.solution_slot, "DeltaIteration(solution sets)")?;
         self.workset_slot.take();
         // Taken one after the other so that each handle is the last one
@@ -328,24 +329,30 @@ impl<K: SolutionKey, V: Data, W: Data> Step<DeltaState<K, V, W>> for DeltaStep<K
         let delta: Partitions<(K, V)> = delta.take("DeltaIteration(delta)")?;
         let workset = next_workset.take("DeltaIteration(next workset)")?;
 
-        // Apply the delta: upsert each entry into its key's partition. The
-        // norm probe observes the solution *before* the apply loop consumes
-        // the delta.
+        // Apply the delta: route each entry to its key's partition, then
+        // upsert every partition's entries into its map, in delta order, one
+        // task per partition. The norm probe observes the solution *before*
+        // the apply consumes the delta.
         let updates = delta.total_len() as u64;
         let delta_norm = if measure {
             self.norm_probe.as_mut().and_then(|probe| probe(&solution, &delta))
         } else {
             None
         };
-        let mut changed_per_partition = vec![0u64; solution.len()];
-        for (k, v) in delta.into_vec() {
-            let pid = hash_partition(&k, solution.len());
-            changed_per_partition[pid] += 1;
-            if let Some(keys) = &mut self.upserted {
-                keys.push(k.clone());
-            }
-            solution[pid].insert(k, v);
+        if let Some(keys) = &mut self.upserted {
+            keys.extend(delta.iter_records().map(|(k, _)| k.clone()));
         }
+        let p = solution.len();
+        let routed = exchange(delta.into_parts(), p, ctx, |(k, _): &(K, V)| k.clone())?;
+        let changed_per_partition =
+            routed.partition_sizes().into_iter().map(|n| n as u64).collect();
+        let maps = solution.into_iter().zip(routed.buckets).collect();
+        let solution = par_map_untimed(maps, ctx, updates as usize, |_, (mut set, entries)| {
+            for (k, v) in entries.into_iter().flatten() {
+                set.insert(k, v);
+            }
+            set
+        })?;
         Ok(Stepped {
             state: DeltaState { solution, workset },
             measure: measure.then_some(ConvergenceMeasure { changed_per_partition, delta_norm }),
@@ -379,7 +386,7 @@ fn materialize_solution<K: SolutionKey, V: Data>(sets: &SolutionSets<K, V>) -> P
         .map(|set| {
             let mut records: Vec<(K, V)> =
                 set.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            records.sort_by_key(|(k, _)| fx_hash(k));
+            records.sort_by_cached_key(|(k, _)| fx_hash(k));
             records
         })
         .collect();
@@ -455,7 +462,7 @@ mod tests {
                 |c| c.0,
                 |c, label: &u64| if c.1 < *label { Some((c.0, c.1)) } else { None },
             )
-            .flat_map("updated-only", |u: &Option<Label>| u.iter().copied().collect());
+            .flat_map("updated-only", |u: &Option<Label>| *u);
         let (result, stats) = it.close(updates.clone(), updates);
         let mut labels = result.collect().unwrap();
         labels.sort_unstable();
@@ -485,7 +492,7 @@ mod tests {
                 |c| c.0,
                 |c, label: &u64| (c.1 < *label).then_some((c.0, c.1)),
             )
-            .flat_map("updated-only", |u: &Option<Label>| u.iter().copied().collect())
+            .flat_map("updated-only", |u: &Option<Label>| *u)
     }
 
     fn resident_state(labels: &[Label], seeds: &[Label], p: usize) -> DeltaState<u64, u64, Label> {

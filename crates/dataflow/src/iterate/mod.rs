@@ -109,8 +109,14 @@ pub(crate) trait Step<S> {
     fn reclaim(&mut self) -> Result<S>;
 
     /// The next state, made from the body's outputs and the state lent to
-    /// it; measured when `measure` is set.
-    fn finish(&mut self, outputs: Vec<Erased>, measure: bool) -> Result<Stepped<S>>;
+    /// it (on `ctx`'s pool, where the kind has per-partition work); measured
+    /// when `measure` is set.
+    fn finish(
+        &mut self,
+        outputs: Vec<Erased>,
+        measure: bool,
+        ctx: &ExecContext,
+    ) -> Result<Stepped<S>>;
 
     /// Whether the run has converged at `state`, checked before each
     /// superstep.
@@ -288,7 +294,7 @@ impl<S: IterationState + Send + Sync + 'static> Driver<S> {
             // A UDF panic or a lost worker process aborts the superstep: its
             // outputs never materialised. Any other error is the run's.
             let stepped = match body_result {
-                Ok(outputs) => Ok(step.finish(outputs, telemetry.enabled())?),
+                Ok(outputs) => Ok(step.finish(outputs, telemetry.enabled(), &step_ctx)?),
                 Err(error) => Err(Failure::of_aborted_step(error)?),
             };
             let mut istats = IterationStats {

@@ -11,26 +11,19 @@ use crate::exec::{par_map, ExecContext};
 use crate::ft::SolutionSets;
 use crate::hash::FxHashMap;
 use crate::index::KeyedIndex;
-use crate::operators::keyed::KeyData;
-use crate::partition::{broadcast, hash_partition, shuffle_by_key, Shuffled};
+use crate::operators::keyed::{shuffle, KeyData};
+use crate::partition::{broadcast, exchange, Shuffled};
 use crate::plan::DynOp;
 
-/// Route `input` to its keys' partitions by reference: the same placement
-/// and traffic count as [`shuffle_by_key`], without copying a record.
-fn route_by_key<T, K: Hash>(input: &Partitions<T>, key_of: impl Fn(&T) -> K) -> Shuffled<&T> {
+/// Route `input` to its keys' partitions by reference, timed as a shuffle:
+/// the keyed exchange without copying a record.
+fn route<'a, T: Data, K: Hash>(
+    input: &'a Partitions<T>,
+    ctx: &ExecContext,
+    key_of: &(impl Fn(&T) -> K + Sync),
+) -> Result<Shuffled<&'a T>> {
     let p = input.num_partitions();
-    let mut out: Vec<Vec<&T>> = (0..p).map(|_| Vec::new()).collect();
-    let mut moved = 0u64;
-    for (source_pid, records) in input.iter() {
-        for record in records {
-            let target = hash_partition(&key_of(record), p);
-            if target != source_pid {
-                moved += 1;
-            }
-            out[target].push(record);
-        }
-    }
-    Shuffled { parts: Partitions::from_parts(out), moved }
+    ctx.time_shuffle(|| exchange(input.as_parts().iter().collect(), p, ctx, key_of))
 }
 
 /// The probe half of a hash join: route `left` to its keys' partitions,
@@ -50,12 +43,12 @@ where
     K: KeyData,
     O: Data,
 {
-    let routed = ctx.time_shuffle(|| route_by_key(left, key_left));
+    let routed = route(left, ctx, key_left)?;
     ctx.add_shuffled(routed.moved + build_moved);
-    let work = routed.parts.total_len();
-    let out = par_map(routed.parts.into_parts(), ctx, work, |pid, lefts| {
+    let work = routed.total_len();
+    let out = par_map(routed.buckets, ctx, work, |pid, lefts| {
         let mut out = Vec::new();
-        for l in lefts {
+        for l in lefts.into_iter().flatten() {
             emit(pid, l, &key_left(l), &mut out);
         }
         out
@@ -120,11 +113,11 @@ where
             self.build = None;
             let right = inputs[1].downcast::<R>("Join(right)")?;
             let key_right = &*self.key_right;
-            let routed = ctx.time_shuffle(|| route_by_key(right, key_right));
-            let work = routed.parts.total_len();
-            let shards = par_map(routed.parts.into_parts(), ctx, work, |_, rights| {
+            let routed = route(right, ctx, key_right)?;
+            let work = routed.total_len();
+            let shards = par_map(routed.buckets, ctx, work, |_, rights| {
                 let mut table: FxHashMap<K, Vec<R>> = FxHashMap::default();
-                for r in rights {
+                for r in rights.into_iter().flatten() {
                     table.entry(key_right(r)).or_default().push(r.clone());
                 }
                 table
@@ -265,26 +258,21 @@ where
     fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let right = inputs.swap_remove(1).take::<R>("CoGroup(right)")?;
         let left = inputs.swap_remove(0).take::<L>("CoGroup(left)")?;
-        let shuffled_left = ctx.time_shuffle(|| shuffle_by_key(left, &*self.key_left));
-        let shuffled_right = ctx.time_shuffle(|| shuffle_by_key(right, &*self.key_right));
-        ctx.add_shuffled(shuffled_left.moved + shuffled_right.moved);
+        let shuffled_left = shuffle(left, ctx, &*self.key_left)?;
+        let shuffled_right = shuffle(right, ctx, &*self.key_right)?;
 
         let key_left = &*self.key_left;
         let key_right = &*self.key_right;
         let f = &*self.f;
-        let work = shuffled_left.parts.total_len() + shuffled_right.parts.total_len();
-        let zipped: Vec<(Vec<L>, Vec<R>)> = shuffled_left
-            .parts
-            .into_parts()
-            .into_iter()
-            .zip(shuffled_right.parts.into_parts())
-            .collect();
+        let work = shuffled_left.total_len() + shuffled_right.total_len();
+        let zipped: Vec<_> =
+            shuffled_left.buckets.into_iter().zip(shuffled_right.buckets).collect();
         let out = par_map(zipped, ctx, work, |_, (lefts, rights)| {
             let mut groups: FxHashMap<K, (Vec<L>, Vec<R>)> = FxHashMap::default();
-            for l in lefts {
+            for l in lefts.into_iter().flatten() {
                 groups.entry(key_left(&l)).or_default().0.push(l);
             }
-            for r in rights {
+            for r in rights.into_iter().flatten() {
                 groups.entry(key_right(&r)).or_default().1.push(r);
             }
             // Sort keys for deterministic output order.
@@ -329,11 +317,11 @@ where
     fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let left = inputs[0].downcast::<L>("Cross(left)")?;
         let right = inputs[1].downcast::<R>("Cross(right)")?;
-        let replicated = ctx.time_shuffle(|| broadcast(right, left.num_partitions()));
+        let replicated = ctx.time_shuffle(|| Ok(broadcast(right, left.num_partitions())))?;
         ctx.add_shuffled(replicated.moved);
         let f = &*self.f;
-        let rights: Vec<Vec<R>> = replicated.parts.into_parts();
         let work = left.total_len() + replicated.moved as usize;
+        let rights: Vec<Vec<R>> = replicated.into_partitions().into_parts();
         let zipped: Vec<(&Vec<L>, Vec<R>)> = left.as_parts().iter().zip(rights).collect();
         let out = par_map(zipped, ctx, work, |_, (lefts, rs)| {
             let mut out = Vec::with_capacity(lefts.len() * rs.len());

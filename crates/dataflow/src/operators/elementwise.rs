@@ -87,11 +87,12 @@ impl<T, U, F> FlatMapOp<T, U, F> {
     }
 }
 
-impl<T, U, F> DynOp for FlatMapOp<T, U, F>
+impl<T, U, I, F> DynOp for FlatMapOp<T, U, F>
 where
     T: Data,
     U: Data,
-    F: Fn(&T) -> Vec<U> + Send + Sync + 'static,
+    I: IntoIterator<Item = U>,
+    F: Fn(&T) -> I + Send + Sync + 'static,
 {
     fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs[0].downcast::<T>("FlatMap")?;

@@ -1,5 +1,6 @@
 //! Keyed operators: shuffle by key, then work per partition.
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -7,16 +8,38 @@ use std::sync::Arc;
 use crate::dataset::{Data, Erased, Partitions};
 use crate::error::Result;
 use crate::exec::{par_map, ExecContext};
-use crate::hash::FxHashMap;
-use crate::partition::shuffle_by_key;
+use crate::hash::{fx_hash, FxHashMap};
+use crate::partition::{exchange, Shuffled};
 use crate::plan::DynOp;
 
 /// Bound for operator key types.
 pub trait KeyData: Data + Hash + Eq {}
 impl<K: Data + Hash + Eq> KeyData for K {}
 
+/// Run the keyed exchange over `input`'s partitions, timed as a shuffle and
+/// accounted as shuffled traffic.
+pub(crate) fn shuffle<T: Data, K: Hash>(
+    input: Partitions<T>,
+    ctx: &ExecContext,
+    key_of: &(impl Fn(&T) -> K + Sync),
+) -> Result<Shuffled<T>> {
+    let p = input.num_partitions();
+    let shuffled = ctx.time_shuffle(|| exchange(input.into_parts(), p, ctx, key_of))?;
+    ctx.add_shuffled(shuffled.moved);
+    Ok(shuffled)
+}
+
 /// Combine all records sharing a key into one, Flink's `reduce`:
 /// `f(a, b)` must be associative and commutative.
+///
+/// After the exchange, each partition folds its records in arrival order,
+/// one hash-map `entry` per record: a key's first record opens its group,
+/// every later one is folded in as `f(group, record)`. So a float fold adds
+/// in exactly the order the exchange delivered. The groups leave sorted by
+/// their key's [`fx_hash`], computed once per group, so the output order
+/// does not depend on the map's layout (the sort is stable: only distinct
+/// keys with equal hashes, which `u64` keys never have, keep the map's
+/// order).
 pub struct ReduceByKeyOp<T, K, KF, F> {
     key_of: Arc<KF>,
     f: Arc<F>,
@@ -40,29 +63,24 @@ where
     fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs.swap_remove(0).take::<T>("ReduceByKey")?;
         let key_of = &*self.key_of;
-        let shuffled = ctx.time_shuffle(|| shuffle_by_key(input, key_of));
-        ctx.add_shuffled(shuffled.moved);
+        let shuffled = shuffle(input, ctx, key_of)?;
         let f = &*self.f;
-        let work = shuffled.parts.total_len();
-        let out = par_map(shuffled.parts.into_parts(), ctx, work, |_, records| {
-            let mut acc: FxHashMap<K, T> = FxHashMap::default();
-            for record in records {
-                let key = key_of(&record);
-                match acc.remove(&key) {
-                    Some(prev) => {
-                        acc.insert(key, f(prev, record));
+        let work = shuffled.total_len();
+        let out = par_map(shuffled.buckets, ctx, work, |_, buckets| {
+            let mut groups: FxHashMap<K, Option<T>> = FxHashMap::default();
+            for record in buckets.into_iter().flatten() {
+                match groups.entry(key_of(&record)) {
+                    Entry::Occupied(group) => {
+                        let group = group.into_mut();
+                        *group = group.take().map(|prev| f(prev, record));
                     }
-                    None => {
-                        acc.insert(key, record);
+                    Entry::Vacant(group) => {
+                        group.insert(Some(record));
                     }
                 }
             }
-            let mut values: Vec<T> = acc.into_values().collect();
-            // A deterministic output order keeps runs reproducible even
-            // though the hash map iterates in arbitrary order.
-            values.sort_by(|a, b| {
-                crate::hash::fx_hash(&key_of(a)).cmp(&crate::hash::fx_hash(&key_of(b)))
-            });
+            let mut values: Vec<T> = groups.into_values().flatten().collect();
+            values.sort_by_cached_key(|value| fx_hash(&key_of(value)));
             values
         })?;
         Ok(Erased::new(Partitions::from_parts(out)))
@@ -96,13 +114,12 @@ where
     fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs.swap_remove(0).take::<T>("Distinct")?;
         let key_of = &*self.key_of;
-        let shuffled = ctx.time_shuffle(|| shuffle_by_key(input, key_of));
-        ctx.add_shuffled(shuffled.moved);
-        let work = shuffled.parts.total_len();
-        let out = par_map(shuffled.parts.into_parts(), ctx, work, |_, records| {
+        let shuffled = shuffle(input, ctx, key_of)?;
+        let work = shuffled.total_len();
+        let out = par_map(shuffled.buckets, ctx, work, |_, buckets| {
             let mut seen: FxHashMap<K, ()> = FxHashMap::default();
             let mut kept = Vec::new();
-            for record in records {
+            for record in buckets.into_iter().flatten() {
                 if seen.insert(key_of(&record), ()).is_none() {
                     kept.push(record);
                 }
@@ -139,9 +156,7 @@ where
 {
     fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let input = inputs.swap_remove(0).take::<T>("PartitionBy")?;
-        let shuffled = ctx.time_shuffle(|| shuffle_by_key(input, &*self.key_of));
-        ctx.add_shuffled(shuffled.moved);
-        Ok(Erased::new(shuffled.parts))
+        Ok(Erased::new(shuffle(input, ctx, &*self.key_of)?.into_partitions()))
     }
 
     fn kind(&self) -> &'static str {

@@ -7,7 +7,12 @@ use std::collections::BTreeMap;
 
 use dataflow::codec::{decode_exact, encode_to_vec};
 use dataflow::config::EnvConfig;
-use dataflow::partition::{hash_partition, shuffle_by_key};
+use dataflow::dataset::Erased;
+use dataflow::exec::ExecContext;
+use dataflow::hash::fx_hash;
+use dataflow::operators::ReduceByKeyOp;
+use dataflow::partition::{exchange, hash_partition};
+use dataflow::plan::DynOp;
 use dataflow::prelude::*;
 use dataflow::stats::RunStats;
 use proptest::prelude::*;
@@ -23,6 +28,100 @@ fn env(parallelism: usize, threaded: bool) -> Environment {
 /// (threshold 0 forces dispatch).
 fn dispatch_envs(parallelism: usize) -> Vec<Environment> {
     vec![env(parallelism, false), env(parallelism, true)]
+}
+
+/// The inline and the pooled (threshold 0) execution contexts.
+fn dispatch_contexts(parallelism: usize) -> Vec<ExecContext> {
+    [false, true]
+        .into_iter()
+        .map(|threaded| {
+            let config = EnvConfig::new(parallelism).with_threaded(threaded);
+            ExecContext::new(config.with_thread_threshold(0))
+        })
+        .collect()
+}
+
+/// The keyed shuffle as it was before the exchange: one sequential loop that
+/// pushes every record onto its key's partition, source partition by source
+/// partition. It is the exchange's reference for placement, record order,
+/// per-destination sizes and `moved`.
+fn sequential_shuffle<T, K: std::hash::Hash>(
+    input: Partitions<T>,
+    key_of: impl Fn(&T) -> K,
+) -> (Partitions<T>, u64) {
+    let p = input.num_partitions();
+    let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+    let mut moved = 0u64;
+    for (source_pid, records) in input.into_iter().enumerate() {
+        for record in records {
+            let target = hash_partition(&key_of(&record), p);
+            if target != source_pid {
+                moved += 1;
+            }
+            out[target].push(record);
+        }
+    }
+    (Partitions::from_parts(out), moved)
+}
+
+/// `reduce_by_key` as it was: the sequential shuffle, then per partition a
+/// `remove` and an `insert` per record, and the groups sorted by a
+/// comparison that hashes both keys.
+fn reference_reduce<T, K: std::hash::Hash + Eq>(
+    input: Partitions<T>,
+    key_of: impl Fn(&T) -> K,
+    f: impl Fn(T, T) -> T,
+) -> (Vec<Vec<T>>, u64) {
+    let (shuffled, moved) = sequential_shuffle(input, &key_of);
+    let parts = shuffled
+        .into_parts()
+        .into_iter()
+        .map(|records| {
+            let mut acc: FxHashMap<K, T> = FxHashMap::default();
+            for record in records {
+                let key = key_of(&record);
+                let value = match acc.remove(&key) {
+                    Some(prev) => f(prev, record),
+                    None => record,
+                };
+                acc.insert(key, value);
+            }
+            let mut values: Vec<T> = acc.into_values().collect();
+            values.sort_by_key(|a| fx_hash(&key_of(a)));
+            values
+        })
+        .collect();
+    (parts, moved)
+}
+
+/// Partitions of `(key, value)` records with skew: a size class per
+/// partition makes it empty (class 0), a handful of records (class 1) or
+/// everything drawn (classes 2 and 3).
+fn skewed(drawn: Vec<(u64, Vec<(u64, f64)>)>) -> Partitions<(u64, f64)> {
+    let parts = drawn
+        .into_iter()
+        .map(|(class, mut records)| {
+            records.truncate(match class {
+                0 => 0,
+                1 => 3,
+                _ => records.len(),
+            });
+            records
+        })
+        .collect();
+    Partitions::from_parts(parts)
+}
+
+fn skewed_partitions() -> impl Strategy<Value = Vec<(u64, Vec<(u64, f64)>)>> {
+    proptest::collection::vec(
+        (0u64..4, proptest::collection::vec((0u64..40, -1e3f64..1e3), 0..300)),
+        1..8,
+    )
+}
+
+/// Records as bit patterns, so float comparisons are bitwise.
+fn bits(parts: &[Vec<(u64, f64)>]) -> Vec<Vec<(u64, u64)>> {
+    parts.iter().map(|part| part.iter().map(|&(k, v)| (k, v.to_bits())).collect()).collect()
 }
 
 /// One superstep of the fingerprint: (superstep, iteration,
@@ -61,19 +160,93 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
     #[test]
+    fn exchange_places_records_like_the_sequential_loop(drawn in skewed_partitions()) {
+        let input = skewed(drawn);
+        let p = input.num_partitions();
+        let key = |r: &(u64, f64)| r.0;
+        let (expected, expected_moved) = sequential_shuffle(input.clone(), key);
+        let expected = bits(expected.as_parts());
+        for ctx in dispatch_contexts(p) {
+            let owned = exchange(input.clone().into_parts(), p, &ctx, key).unwrap();
+            prop_assert_eq!(owned.moved, expected_moved);
+            prop_assert_eq!(owned.partition_sizes(), expected.iter().map(Vec::len).collect::<Vec<_>>());
+            prop_assert_eq!(bits(owned.into_partitions().as_parts()), expected.clone());
+            let routed = exchange(input.as_parts().iter().collect(), p, &ctx, key).unwrap();
+            prop_assert_eq!(routed.moved, expected_moved);
+            let routed: Vec<Vec<(u64, f64)>> = routed
+                .buckets
+                .iter()
+                .map(|buckets| buckets.iter().flatten().map(|&&r| r).collect())
+                .collect();
+            prop_assert_eq!(bits(&routed), expected.clone());
+        }
+    }
+
+    #[test]
+    fn reduce_by_key_sums_floats_like_the_remove_insert_reference(drawn in skewed_partitions()) {
+        let input = skewed(drawn);
+        let p = input.num_partitions();
+        let key = |r: &(u64, f64)| r.0;
+        let sum = |a: (u64, f64), b: (u64, f64)| (a.0, a.1 + b.1);
+        let (expected, expected_moved) = reference_reduce(input.clone(), key, sum);
+        for ctx in dispatch_contexts(p) {
+            let mut op = ReduceByKeyOp::new(key, sum);
+            let out = op.execute(vec![Erased::new(input.clone())], &ctx).unwrap();
+            let out = out.take::<(u64, f64)>("reduced").unwrap();
+            prop_assert_eq!(bits(out.as_parts()), bits(&expected));
+            prop_assert_eq!(ctx.drain().1, expected_moved);
+        }
+    }
+
+    #[test]
+    fn delta_apply_leaves_the_maps_and_upserts_of_the_sequential_apply(
+        drawn in skewed_partitions(),
+        resident in proptest::collection::vec((0u64..60, -1e3f64..1e3), 0..80),
+    ) {
+        let delta = skewed(drawn);
+        let p = delta.num_partitions();
+        // The apply as it was: every delta entry in delta order, upserted
+        // into its key's map.
+        let mut expected = dataflow::ft::solution_sets(resident.iter().copied(), p);
+        let mut expected_upserted = Vec::new();
+        for (k, v) in delta.clone().into_vec() {
+            expected_upserted.push(k);
+            expected[hash_partition(&k, p)].insert(k, v);
+        }
+        let layout = |sets: &[FxHashMap<u64, f64>]| -> Vec<Vec<(u64, u64)>> {
+            sets.iter().map(|set| set.iter().map(|(&k, v)| (k, v.to_bits())).collect()).collect()
+        };
+        for threaded in [false, true] {
+            let environment = env(p, threaded);
+            let mut it = DeltaIteration::over(&environment, 1);
+            let delta_in = it.import(&environment.from_partitions(delta.clone()));
+            let drained = it.workset().filter("drained", |_: &u64| false);
+            let initial = DeltaState {
+                solution: dataflow::ft::solution_sets(resident.iter().copied(), p),
+                workset: Partitions::round_robin(vec![0u64], p),
+            };
+            let run = it.run_from(delta_in, drained, initial).unwrap();
+            prop_assert_eq!(layout(&run.state.solution), layout(&expected), "threaded: {}", threaded);
+            prop_assert_eq!(&run.upserted, &expected_upserted);
+        }
+    }
+
+    #[test]
     fn shuffle_conserves_records(
         records in proptest::collection::vec(0u64..1000, 0..300),
         parallelism in 1usize..9,
     ) {
         let input = Partitions::round_robin(records.clone(), parallelism);
-        let shuffled = shuffle_by_key(input, |v| *v);
-        let mut out = shuffled.parts.clone().into_vec();
+        let ctx = ExecContext::new(EnvConfig::new(parallelism));
+        let shuffled = exchange(input.into_parts(), parallelism, &ctx, |v: &u64| *v).unwrap();
+        let shuffled = shuffled.into_partitions();
+        let mut out = shuffled.clone().into_vec();
         out.sort_unstable();
         let mut expected = records;
         expected.sort_unstable();
         prop_assert_eq!(out, expected);
         // Every record sits in its key's partition.
-        for (pid, part) in shuffled.parts.iter() {
+        for (pid, part) in shuffled.iter() {
             for r in part {
                 prop_assert_eq!(hash_partition(r, parallelism), pid);
             }
@@ -315,7 +488,7 @@ proptest! {
                     .join_solution("u", &it.solution_set(), |c| c.0, |c, label: &u64| {
                         if c.1 < *label { Some((c.0, c.1)) } else { None }
                     })
-                    .flat_map("flat", |u: &Option<(u64, u64)>| u.iter().copied().collect());
+                    .flat_map("flat", |u: &Option<(u64, u64)>| *u);
                 let (result, stats) = it.close(updates.clone(), updates);
                 let mut labels = result.collect().unwrap();
                 labels.sort_unstable();
@@ -352,7 +525,7 @@ proptest! {
             .join_solution("u", &it.solution_set(), |c| c.0, |c, label: &u64| {
                 if c.1 < *label { Some((c.0, c.1)) } else { None }
             })
-            .flat_map("flat", |u: &Option<(u64, u64)>| u.iter().copied().collect());
+            .flat_map("flat", |u: &Option<(u64, u64)>| *u);
         let (result, _) = it.close(updates.clone(), updates);
         let mut labels = result.collect().unwrap();
         labels.sort_unstable();

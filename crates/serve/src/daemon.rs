@@ -12,7 +12,7 @@
 //! mid-re-convergence failure is being compensated.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
@@ -183,10 +183,23 @@ impl DaemonHandle {
 
     /// Stop accepting connections and join the accept loop. In-flight
     /// connection handlers finish on their own.
+    ///
+    /// The loop blocks in `accept`; a connection of our own to the
+    /// listener wakes it to see the flag. Should that connection fail, the
+    /// loop is left blocked rather than joined.
     pub fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.accept_thread.take() {
-            let _ = thread.join();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+            if let Some(thread) = self.accept_thread.take() {
+                let _ = thread.join();
+            }
         }
     }
 }
@@ -196,7 +209,6 @@ impl DaemonHandle {
 pub fn spawn(engine: ServeEngine, listen: &str) -> std::io::Result<DaemonHandle> {
     let listener = TcpListener::bind(listen)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let algorithm = engine.algorithm();
     let shared = Arc::new(Shared {
         snapshot: RwLock::new(engine.snapshot()),
@@ -207,19 +219,15 @@ pub fn spawn(engine: ServeEngine, listen: &str) -> std::io::Result<DaemonHandle>
     let shutdown = Arc::new(AtomicBool::new(false));
     let accept_shutdown = shutdown.clone();
     let accept_thread = std::thread::spawn(move || {
-        while !accept_shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = shared.clone();
-                    std::thread::spawn(move || {
-                        let _ = handle_connection(stream, &shared);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => break,
+        for stream in listener.incoming() {
+            if accept_shutdown.load(Ordering::SeqCst) {
+                break;
             }
+            let Ok(stream) = stream else { break };
+            let shared = shared.clone();
+            std::thread::spawn(move || {
+                let _ = handle_connection(stream, &shared);
+            });
         }
     });
     Ok(DaemonHandle { addr, shutdown, accept_thread: Some(accept_thread) })
@@ -448,6 +456,30 @@ mod tests {
         let stats = ask((&mut early, &mut early_reader), "stats");
         assert!(stats.starts_with("ok stats algo cc epoch 1 vertices 12 staged 0"), "{stats}");
         daemon.stop();
+    }
+
+    #[test]
+    fn a_connection_after_an_idle_spell_is_greeted_without_waiting_out_a_poll() {
+        // The accept loop used to poll a non-blocking listener and sleep
+        // 20 ms on every empty poll, so a client arriving after an idle
+        // spell waited for the rest of that sleep before its `hello`. Twenty
+        // such clients waited ~300 ms in all; a loop blocked in `accept`
+        // greets each at once. The bound is a quarter of one poll per client.
+        let daemon = spawn(bootstrap_cc(), "127.0.0.1:0").unwrap();
+        let mut waited = Duration::ZERO;
+        for _ in 0..20 {
+            std::thread::sleep(Duration::from_millis(25));
+            let started = std::time::Instant::now();
+            let mut reader = BufReader::new(TcpStream::connect(daemon.addr()).unwrap());
+            let mut hello = String::new();
+            reader.read_line(&mut hello).unwrap();
+            waited += started.elapsed();
+            assert!(hello.starts_with("hello cc epoch "), "{hello}");
+        }
+        assert!(waited < Duration::from_millis(100), "20 greetings took {waited:?}");
+        let addr = daemon.addr();
+        daemon.stop();
+        assert!(TcpStream::connect(addr).is_err(), "the listener outlived stop");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use dataflow::error::Result;
 use dataflow::exec::{par_map, ExecContext};
 use dataflow::ft::SolutionSets;
 use dataflow::hash::{fx_hash, FxHashMap};
-use dataflow::partition::shuffle_by_key;
+use dataflow::partition::exchange;
 use dataflow::plan::DynOp;
 use dataflow::prelude::*;
 use dataflow::stats::RecoveryKind;
@@ -45,12 +45,17 @@ impl<R: Data, O: Data> DynOp for RebuildJoin<R, O> {
         let (key_right, f) = (self.key_right, self.f);
         let left = inputs[0].clone().take::<Label>("oracle(left)")?;
         let right = inputs[1].clone().take::<R>("oracle(right)")?;
-        let left = ctx.time_shuffle(|| shuffle_by_key(left, |l| l.0));
-        let right = ctx.time_shuffle(|| shuffle_by_key(right, key_right));
+        let p = left.num_partitions();
+        let left = ctx.time_shuffle(|| exchange(left.into_parts(), p, ctx, |l: &Label| l.0))?;
+        let right = ctx.time_shuffle(|| exchange(right.into_parts(), p, ctx, key_right))?;
         ctx.add_shuffled(left.moved + right.moved);
-        let work = left.parts.total_len() + right.parts.total_len();
-        let zipped: Vec<(Vec<Label>, Vec<R>)> =
-            left.parts.into_parts().into_iter().zip(right.parts.into_parts()).collect();
+        let work = left.total_len() + right.total_len();
+        let zipped: Vec<(Vec<Label>, Vec<R>)> = left
+            .into_partitions()
+            .into_parts()
+            .into_iter()
+            .zip(right.into_partitions().into_parts())
+            .collect();
         let out = par_map(zipped, ctx, work, |_, (lefts, rights)| {
             let mut table: FxHashMap<VertexId, Vec<R>> = FxHashMap::default();
             for r in rights {
@@ -205,8 +210,7 @@ fn hand_built(graph: &Graph, parallelism: usize, ft: &FtConfig, oracle: bool) ->
             |c, label| (c.1 < *label).then_some((c.0, c.1)),
         )
     };
-    let updates =
-        updated.flat_map("updated-labels", |u: &Option<Label>| u.iter().copied().collect());
+    let updates = updated.flat_map("updated-labels", |u: &Option<Label>| *u);
     let (result, stats) = it.close(updates.clone(), updates);
     let labels = result.collect().unwrap();
     outcome(labels, &stats.take().unwrap(), &sink)

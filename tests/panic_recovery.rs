@@ -169,7 +169,7 @@ fn delta_iteration_survives_a_udf_panic() {
             |c| c.0,
             |c, label: &u64| if c.1 < *label { Some((c.0, c.1)) } else { None },
         )
-        .flat_map("updated-only", |u: &Option<KV>| u.iter().copied().collect());
+        .flat_map("updated-only", |u: &Option<KV>| *u);
     let (result, stats) = it.close(updates.clone(), updates);
 
     let mut out = result.collect().expect("run survives the UDF panic");
