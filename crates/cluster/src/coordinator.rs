@@ -1831,6 +1831,16 @@ pub fn run_cluster(
     if let Some(reason) = unsupported_strategy(cfg.strategy) {
         return Err(EngineError::Plan(reason));
     }
+    // A zero read timeout is refused by the socket, and a zero interval
+    // probes back to back.
+    let timing = [
+        ("heartbeat interval", cfg.heartbeat_interval),
+        ("heartbeat timeout", cfg.heartbeat_timeout),
+        ("step timeout", cfg.step_timeout),
+    ];
+    if let Some((name, _)) = timing.iter().find(|(_, duration)| duration.is_zero()) {
+        return Err(EngineError::Plan(format!("the {name} must be positive, got 0")));
+    }
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
     let env = EnvConfig::new(cfg.parallelism).with_telemetry(telemetry.clone());
@@ -2345,6 +2355,25 @@ mod tests {
         let cfg = ClusterConfig::new(2, 4, 10).with_strategy(Strategy::Checkpoint { interval: 0 });
         let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
         assert!(err.to_string().contains("interval"), "{err}");
+    }
+
+    #[test]
+    fn zero_timing_is_a_plan_error_before_anything_is_spawned() {
+        // The worker command names no binary: spawning anything would fail
+        // with a different error than the plan's.
+        let graph = GraphBuilder::undirected(4).build();
+        let zero = Duration::ZERO;
+        let cases = [
+            (ClusterConfig::new(2, 4, 10).with_heartbeat_interval(zero), "heartbeat interval"),
+            (ClusterConfig::new(2, 4, 10).with_heartbeat_timeout(zero), "heartbeat timeout"),
+            (ClusterConfig::new(2, 4, 10).with_step_timeout(zero), "step timeout"),
+        ];
+        for (mut cfg, name) in cases {
+            cfg.worker_cmd = vec!["no-such-worker-binary".into()];
+            let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
+            assert!(matches!(err, EngineError::Plan(_)), "{name}: {err}");
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     /// Counts every partition as changed, records the logical step it is

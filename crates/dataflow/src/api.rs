@@ -19,7 +19,7 @@ use crate::index::KeyedIndex;
 use crate::operators::{
     BroadcastMapOp, CoGroupOp, CountOp, CrossOp, DistinctByOp, FilterOp, FlatMapOp, GlobalFoldOp,
     IndexJoinOp, JoinOp, MapOp, MapPartitionOp, MeasuredOp, PartitionByOp, ReduceByKeyOp,
-    SolutionJoinOp, TopNOp, UnionOp, VecSource,
+    SolutionJoinOp, UnionOp, VecSource,
 };
 use crate::plan::{DynOp, NodeId, PlanGraph};
 
@@ -437,16 +437,6 @@ impl<T: Data> DataSet<T> {
         self.unary(name, Box::new(CountOp::<T>::new()))
     }
 
-    /// The `n` records with the largest keys, sorted descending (output in
-    /// partition 0).
-    pub fn top_n<K, KF>(&self, name: impl Into<String>, n: usize, key_of: KF) -> DataSet<T>
-    where
-        K: PartialOrd + Send + 'static,
-        KF: Fn(&T) -> K + Send + Sync + 'static,
-    {
-        self.unary(name, Box::new(TopNOp::new(n, key_of)))
-    }
-
     /// Execute the plan and return this dataset's records.
     pub fn collect(&self) -> Result<Vec<T>> {
         self.env.collect(self)
@@ -546,16 +536,6 @@ mod tests {
         assert_eq!(ds.count("n").collect().unwrap(), vec![10]);
         let sum = ds.global_fold("sum", 0u64, |a, v| *a += v, |a, p| *a += p);
         assert_eq!(sum.collect().unwrap(), vec![55]);
-    }
-
-    #[test]
-    fn top_n_through_the_fluent_api() {
-        let env = Environment::new(4);
-        let ds = env.from_vec((0u64..50).map(|v| (v, v * 3 % 17)).collect());
-        let top = ds.top_n("top", 2, |r: &(u64, u64)| r.1).collect().unwrap();
-        assert_eq!(top.len(), 2);
-        assert!(top[0].1 >= top[1].1);
-        assert_eq!(top[0].1, 16);
     }
 
     #[test]

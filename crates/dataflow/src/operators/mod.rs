@@ -7,11 +7,9 @@
 
 pub mod aggregate;
 pub mod binary;
-pub mod convenience;
 pub mod elementwise;
 pub mod keyed;
 pub mod source;
-pub mod topn;
 
 pub use aggregate::{CountOp, GlobalFoldOp};
 pub use binary::{
@@ -20,4 +18,3 @@ pub use binary::{
 pub use elementwise::{FilterOp, FlatMapOp, MapOp, MapPartitionOp, MeasuredOp};
 pub use keyed::{DistinctByOp, PartitionByOp, ReduceByKeyOp};
 pub use source::{InjectedSource, SourceSlot, VecSource};
-pub use topn::TopNOp;

@@ -3,6 +3,7 @@
 //! run recover. Run `optirec --help` for usage.
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 use algos::common::{CONVERGED, L1_DIFF, MESSAGES, RANK_SUM};
 use flowviz::chart::{ascii_chart, ChartOptions};
@@ -11,85 +12,48 @@ use optimistic_recovery::cli::{self, Algorithm, InspectCommand, Invocation};
 use optimistic_recovery::journal::JournalCapture;
 use optimistic_recovery::{out, outln};
 
-fn main() {
+/// A subcommand's name, its usage text, and its entry, which parses the
+/// arguments after the name, runs them and returns the exit status.
+type Subcommand = (&'static str, fn() -> String, fn(&[String]) -> u8);
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    ("serve", cli::serve_usage, |args| exit_status(cli::parse_serve(args), run_serve)),
+    ("inspect", cli::inspect_usage, |args| exit_status(cli::parse_inspect(args), inspect)),
+    ("top", cli::top_usage, |args| exit_status(cli::parse_top(args), run_top)),
+    ("worker", cli::worker_usage, |args| {
+        exit_status(cli::parse_worker(args), |listen| {
+            cluster::worker::run(listen).map(|()| 0).map_err(|e| format!("worker: {e}"))
+        })
+    }),
+];
+
+/// `optirec <ALGORITHM>`: any first argument that names no subcommand.
+const RUN: Subcommand = ("<ALGORITHM>", cli::usage, |args| exit_status(cli::parse_args(args), run));
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || (args[0] != "serve" && args.iter().any(|a| a == "--help" || a == "-h")) {
-        out!("{}", cli::usage());
-        return;
-    }
-    if args[0] == "worker" {
-        let listen = match cli::parse_worker(&args[1..]) {
-            Ok(listen) => listen,
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
-        };
-        if let Err(e) = cluster::worker::run(&listen) {
-            eprintln!("error: worker: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args[0] == "serve" {
-        if args[1..].iter().any(|a| a == "--help" || a == "-h") {
-            out!("{}", cli::serve_usage());
-            return;
-        }
-        let invocation = match cli::parse_serve(&args[1..]) {
-            Ok(invocation) => invocation,
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
-        };
-        if let Err(message) = run_serve(&invocation) {
-            eprintln!("error: {message}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args[0] == "top" {
-        let invocation = match cli::parse_top(&args[1..]) {
-            Ok(invocation) => invocation,
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
-        };
-        if let Err(message) = run_top(&invocation) {
-            eprintln!("error: {message}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args[0] == "inspect" {
-        let command = match cli::parse_inspect(&args[1..]) {
-            Ok(command) => command,
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
-        };
-        match inspect(&command) {
-            Ok(code) => std::process::exit(code),
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let invocation = match cli::parse_args(&args) {
-        Ok(invocation) => invocation,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
+    let named = SUBCOMMANDS.iter().find(|(name, ..)| args.first().is_some_and(|a| a == name));
+    let ((_, usage, entry), rest) = match named {
+        Some(subcommand) => (subcommand, &args[1..]),
+        None => (&RUN, &args[..]),
     };
-    if let Err(message) = run(&invocation) {
-        eprintln!("error: {message}");
-        std::process::exit(1);
+    if args.is_empty() || rest.iter().any(|a| a == "--help" || a == "-h") {
+        out!("{}", usage());
+        return ExitCode::SUCCESS;
     }
+    ExitCode::from(entry(rest))
+}
+
+/// Exit status 2 for a usage error and 1 for a failed run; otherwise the
+/// run's own (`inspect diff` exits 1 on a regression).
+fn exit_status<T>(parsed: Result<T, String>, run: impl FnOnce(&T) -> Result<u8, String>) -> u8 {
+    let (status, message) = match parsed.map(|parsed| run(&parsed)) {
+        Ok(Ok(status)) => return status,
+        Ok(Err(message)) => (1, message),
+        Err(message) => (2, message),
+    };
+    eprintln!("error: {message}");
+    status
 }
 
 /// Spans sidecar next to the journal, when the capture wrote one.
@@ -104,7 +68,7 @@ fn derived_report(journal: &Path) -> Option<PathBuf> {
     path.exists().then_some(path)
 }
 
-fn inspect(command: &InspectCommand) -> Result<i32, String> {
+fn inspect(command: &InspectCommand) -> Result<u8, String> {
     let load = |journal: &Path| -> Result<flowscope::Journal, String> {
         let loaded = flowscope::load_journal(journal).map_err(|e| e.to_string())?;
         if loaded.skipped > 0 {
@@ -199,35 +163,35 @@ fn stats_over_tcp(addr: &str) -> Result<String, String> {
     Ok(response.trim_end().to_string())
 }
 
-fn run_top(invocation: &cli::TopInvocation) -> Result<(), String> {
+fn run_top(invocation: &cli::TopInvocation) -> Result<u8, String> {
     if let Some(report) = &invocation.report {
         // Report snapshots are static; polling one would print the same
         // text forever, so --report always behaves like --once.
         let (summary, metrics) = flowscope::load_report(report).map_err(|e| e.to_string())?;
         out!("{}", flowscope::render_metrics_top(&summary, &metrics));
-        return Ok(());
+        return Ok(0);
     }
     let addr = invocation.connect.as_deref().expect("parse_top guarantees a source");
     loop {
         outln!("{}", stats_over_tcp(addr)?);
         if invocation.once {
-            return Ok(());
+            return Ok(0);
         }
         std::thread::sleep(std::time::Duration::from_millis(invocation.interval_ms));
     }
 }
 
-fn run(invocation: &Invocation) -> Result<(), String> {
+fn run(invocation: &Invocation) -> Result<u8, String> {
     if invocation.explain_only {
         let text = match invocation.algorithm {
             Algorithm::ConnectedComponents => {
                 algos::connected_components::plan_text(invocation.parallelism)
             }
             Algorithm::PageRank => algos::pagerank::plan_text(invocation.parallelism),
-            _ => return Err("--explain supports cc and pagerank".into()),
+            other => unreachable!("parse_args admits --explain for cc and pagerank, not {other:?}"),
         };
         out!("{text}");
-        return Ok(());
+        return Ok(0);
     }
     if let Some(workers) = invocation.cluster {
         return run_on_cluster(invocation, workers);
@@ -357,17 +321,17 @@ fn run(invocation: &Invocation) -> Result<(), String> {
     if let Some(capture) = capture {
         capture.finish_or_exit();
     }
-    Ok(())
+    Ok(0)
 }
 
 /// The `serve` subcommand: bootstrap the incremental serving engine, replay
 /// a mutation file, and/or serve the line protocol over TCP. The journal
 /// (when requested) spans the bootstrap convergence and every epoch.
-fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
+fn run_serve(invocation: &cli::ServeInvocation) -> Result<u8, String> {
     let algorithm = match invocation.algorithm {
         Algorithm::ConnectedComponents => serve::ServeAlgorithm::ConnectedComponents,
         Algorithm::PageRank => serve::ServeAlgorithm::PageRank,
-        other => return Err(format!("serve supports cc and pagerank, not {other:?}")),
+        other => unreachable!("parse_serve admits cc and pagerank, not {other:?}"),
     };
     let graph = invocation.graph.build(invocation.algorithm)?;
     let capture = invocation.journal.clone().map(JournalCapture::to_path);
@@ -435,7 +399,7 @@ fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
     if let Some(capture) = capture {
         capture.finish_or_exit();
     }
-    Ok(())
+    Ok(0)
 }
 
 /// The `--cluster` path: real worker processes over loopback TCP. Failure
@@ -445,12 +409,9 @@ fn run_serve(invocation: &cli::ServeInvocation) -> Result<(), String> {
 /// (`--strategy async-snapshot`) or restart (`--strategy restart`) — the
 /// coordinator detects each loss at the network level and the re-spawned
 /// worker rejoins mid-run.
-fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<(), String> {
-    let program = match invocation.algorithm {
-        Algorithm::ConnectedComponents => "cc",
-        Algorithm::PageRank => "pagerank",
-        other => return Err(format!("--cluster supports cc and pagerank, not {other:?}")),
-    };
+fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<u8, String> {
+    let program =
+        invocation.algorithm.program().expect("parse_args admits --cluster for cc and pagerank");
     let graph = invocation.graph.build(invocation.algorithm)?;
     let cfg = cli::cluster_config(invocation, workers);
 
@@ -514,7 +475,7 @@ fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<(), String>
             let sum: f64 = run.values.iter().map(|&(_, bits)| f64::from_bits(bits)).sum();
             outln!("rank sum: {sum:.9}");
         }
-        _ => unreachable!("rejected above"),
+        _ => unreachable!("parse_args admits --cluster for cc and pagerank"),
     }
 
     outln!("\nper-iteration statistics:");
@@ -524,7 +485,7 @@ fn run_on_cluster(invocation: &Invocation, workers: usize) -> Result<(), String>
     if let Some(capture) = capture {
         capture.finish_or_exit();
     }
-    Ok(())
+    Ok(0)
 }
 
 fn plot(stats: &dataflow::stats::RunStats, gauges: &[(&str, &str)]) {

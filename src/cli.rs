@@ -3,8 +3,14 @@
 //! an algorithm, an input graph, the partitions to fail and the iterations
 //! to fail them in.
 //!
-//! Hand-rolled argument parsing (no CLI dependency): subcommand + `--key
-//! value` options.
+//! Each subcommand declares its flags once, in a table of `Flag` rows:
+//! the flag, its value's name, its help lines, how often it may be given
+//! and a setter that calls the flag's value parser. The one parse loop
+//! (`parse_flags`), the unknown-flag list and each usage text's flag
+//! section are read from the table. A flag that repeats (`--fail`,
+//! `--kill`, `--scale`, `--chaos`) adds each value; any other takes its
+//! last. The checks across flags run after parsing, one function per
+//! subcommand.
 
 use std::path::PathBuf;
 
@@ -12,6 +18,7 @@ use flowscope::DiffOptions;
 use recovery::checkpoint::CostModel;
 use recovery::scenario::FailureScenario;
 use recovery::strategy::Strategy;
+use Occurs::{Once, Repeats, Required};
 
 /// Which demo to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +44,17 @@ impl Algorithm {
             "jacobi" => Ok(Algorithm::Jacobi),
             "als" => Ok(Algorithm::Als),
             other => Err(format!("unknown algorithm {other:?}")),
+        }
+    }
+
+    /// The worker program of an algorithm compiled into `optirec worker`
+    /// (cc and pagerank): the algorithms `--cluster`, `--explain` and
+    /// `serve` take.
+    pub fn program(self) -> Option<&'static str> {
+        match self {
+            Algorithm::ConnectedComponents => Some("cc"),
+            Algorithm::PageRank => Some("pagerank"),
+            _ => None,
         }
     }
 }
@@ -204,7 +222,8 @@ pub fn parse_failure(raw: &str) -> Result<(u32, Vec<usize>), String> {
     Ok((superstep, partitions))
 }
 
-/// Parse `--parallelism` or `--max-iterations`: a count of at least one.
+/// Parse a count of at least one: a parallelism, an iteration cap, a
+/// worker count or a time in milliseconds.
 fn parse_count<T: std::str::FromStr + Default + PartialEq>(
     raw: &str,
     what: &str,
@@ -364,32 +383,193 @@ fn split_fields(rest: &str) -> Option<[&str; 3]> {
     }
 }
 
-/// Valid flags of the run subcommand, listed in unknown-flag errors.
-pub const RUN_FLAGS: &[&str] = &[
-    "--graph",
-    "--strategy",
-    "--fail",
-    "--parallelism",
-    "--max-iterations",
-    "--explain",
-    "--journal",
-    "--cluster",
-    "--kill",
-    "--chaos",
-    "--scale",
-    "--heartbeat-interval-ms",
-    "--heartbeat-timeout-ms",
-    "--step-timeout-ms",
+/// One row of a subcommand's flag table.
+struct Flag<T> {
+    name: &'static str,
+    /// The value's name in the usage text; empty for a switch, which takes
+    /// no value.
+    metavar: &'static str,
+    /// Help lines: the first beside the flag, the rest under it.
+    help: &'static [&'static str],
+    occurs: Occurs,
+    /// Parse the value into the invocation.
+    set: fn(&mut T, &str) -> Result<(), String>,
+}
+
+/// How often a flag may be given.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Occurs {
+    /// At most once: a repeat replaces the earlier value.
+    Once,
+    /// As [`Occurs::Once`], and the subcommand needs it.
+    Required,
+    /// Each occurrence adds to the earlier ones.
+    Repeats,
+}
+
+/// The one parse loop. Each flag is looked up in `table`; one that does not
+/// repeat keeps only its last value. Once every flag is known and every
+/// required one given, the kept values are parsed in the order given.
+/// `command` names the subcommand in a missing-flag error.
+fn parse_flags<T>(
+    command: &str,
+    table: &[Flag<T>],
+    args: &[String],
+    target: &mut T,
+) -> Result<(), String> {
+    let mut given: Vec<(&Flag<T>, &str)> = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(name) = args.next() {
+        let Some(flag) = table.iter().find(|flag| flag.name == name) else {
+            let valid: Vec<&str> = table.iter().map(|flag| flag.name).collect();
+            return Err(format!("unknown flag {name:?}; valid flags: {}", valid.join(", ")));
+        };
+        let value = match flag.metavar {
+            "" => "",
+            _ => args.next().ok_or_else(|| format!("flag {name} needs a value"))?,
+        };
+        if flag.occurs != Repeats {
+            given.retain(|(kept, _)| kept.name != name);
+        }
+        given.push((flag, value));
+    }
+    let given_name = |name| given.iter().any(|(kept, _)| kept.name == name);
+    if let Some(flag) = table.iter().find(|f| f.occurs == Required && !given_name(f.name)) {
+        return Err(format!("{command} requires {} <{}>", flag.name, flag.metavar));
+    }
+    given.into_iter().try_for_each(|(flag, value)| (flag.set)(target, value))
+}
+
+/// A flag as the usage text shows it: `--graph <SPEC>`, or a bare switch.
+fn flag_head<T>(flag: &Flag<T>) -> String {
+    match flag.metavar {
+        "" => flag.name.to_string(),
+        metavar => format!("{} <{metavar}>", flag.name),
+    }
+}
+
+/// A usage text's flag section: each flag beside its first help line, the
+/// rest of its help lines under that one. A flag too wide for the help
+/// column lines up with the other wide ones.
+fn flag_lines<T>(table: &[Flag<T>]) -> String {
+    let mut text = String::new();
+    for flag in table {
+        let mut head = flag_head(flag);
+        let mut width = if head.len() > 20 { 28 } else { 20 };
+        for line in flag.help {
+            text += &format!("    {head:<width$}  {line}\n");
+            head.clear();
+            width = 20;
+        }
+    }
+    text
+}
+
+/// A value taken as given: a path or an address.
+fn verbatim(raw: &str) -> Result<String, String> {
+    Ok(raw.to_string())
+}
+
+/// Parse the number given to `flag`.
+fn number<N: std::str::FromStr>(raw: &str, flag: &str) -> Result<N, String> {
+    raw.parse().map_err(|_| format!("invalid value for {flag}: {raw:?}"))
+}
+
+/// Refuse a failure of a partition the run does not have.
+fn check_partitions<'a>(
+    flag: &str,
+    partitions: impl IntoIterator<Item = &'a usize>,
+    parallelism: usize,
+) -> Result<(), String> {
+    match partitions.into_iter().max().filter(|&&pid| pid >= parallelism) {
+        Some(pid) => Err(format!(
+            "{flag} targets partition {pid}, but --parallelism {parallelism} has partitions 0..={}",
+            parallelism - 1
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The flags of `optirec <ALGORITHM>`.
+#[rustfmt::skip]
+const RUN: &[Flag<Invocation>] = &[
+    Flag { name: "--graph", metavar: "SPEC", occurs: Once,
+        help: &["demo | twitter:N | grid:WxH | path:N | file:PATH   [demo]"],
+        set: |run, v| GraphSpec::parse(v).map(|graph| run.graph = graph) },
+    Flag { name: "--strategy", metavar: "SPEC", occurs: Once,
+        help: &["optimistic | checkpoint:K | incremental:K |",
+                "async-snapshot[:K] | restart | ignore   [optimistic]"],
+        set: |run, v| parse_strategy(v).map(|strategy| run.strategy = strategy) },
+    Flag { name: "--fail", metavar: "S:P1,P2", occurs: Repeats,
+        help: &["fail partitions P1,P2 at superstep S (repeatable)"],
+        set: |run, v| parse_failure(v).map(|(superstep, partitions)| {
+            run.scenario = std::mem::take(&mut run.scenario).fail_at(superstep, &partitions)
+        }) },
+    Flag { name: "--parallelism", metavar: "N", occurs: Once,
+        help: &["number of partitions / simulated workers   [4]"],
+        set: |run, v| parse_count(v, "parallelism").map(|n| run.parallelism = n) },
+    Flag { name: "--max-iterations", metavar: "N", occurs: Once,
+        help: &["iteration cap   [200]"],
+        set: |run, v| parse_count(v, "iteration cap").map(|n| run.max_iterations = n) },
+    Flag { name: "--explain", metavar: "", occurs: Once,
+        help: &["print the dataflow plan instead of running"],
+        set: |run, _| { run.explain_only = true; Ok(()) } },
+    Flag { name: "--journal", metavar: "PATH", occurs: Once,
+        help: &["capture telemetry: write the event journal there,",
+                "plus spans and report sidecars (inspect reads them)"],
+        set: |run, v| verbatim(v).map(|path| run.journal = Some(path.into())) },
+    Flag { name: "--cluster", metavar: "N", occurs: Once,
+        help: &["run on N real worker processes over loopback TCP",
+                "(cc and pagerank only; spawns `optirec worker`)"],
+        set: |run, v| parse_count(v, "worker count").map(|n| run.cluster = Some(n)) },
+    Flag { name: "--kill", metavar: "S:W", occurs: Repeats,
+        help: &["with --cluster: SIGKILL worker W while superstep S",
+                "is in flight (repeatable; composes with --chaos)"],
+        set: |run, v| parse_kill(v).map(|(superstep, worker)| {
+            run.chaos.kills.push(cluster::KillPlan { superstep, worker })
+        }) },
+    Flag { name: "--scale", metavar: "S:N", occurs: Repeats,
+        help: &["with --cluster: planned rescale to N workers at",
+                "superstep S (repeatable) — joiners are spawned and",
+                "loaded live, leavers are shut down at the barrier,",
+                "and moved partitions re-ship over the recovery path"],
+        set: |run, v| parse_scale(v).map(|event| run.scale.push(event)) },
+    Flag { name: "--chaos", metavar: "SPEC", occurs: Repeats,
+        help: &["with --cluster: schedule failure injections.",
+                "SPEC is `;`-separated scenarios, or @PATH to read",
+                "them from a file (one per line, # comments):",
+                "  kill@S:W1,W2     SIGKILL workers at superstep S",
+                "  slow@S-T:W:MS    straggler: worker W lags MS ms",
+                "  delay@S-T:W:MS   link delay on frames to W",
+                "  drop@S-T:W:P:SEED  lossy link: sever W's",
+                "                   connection with probability P,",
+                "                   deterministic from SEED"],
+        set: |run, v| parse_chaos(v, &mut run.chaos) },
+    Flag { name: "--heartbeat-interval-ms", metavar: "MS", occurs: Once,
+        help: &["with --cluster: delay between heartbeat",
+                "probes   [100; env OPTIREC_HEARTBEAT_INTERVAL_MS]"],
+        set: |run, v| parse_count(v, "heartbeat interval")
+            .map(|ms| run.heartbeat_interval_ms = Some(ms)) },
+    Flag { name: "--heartbeat-timeout-ms", metavar: "MS", occurs: Once,
+        help: &["with --cluster: silence before a worker is",
+                "declared dead   [3000; env OPTIREC_HEARTBEAT_TIMEOUT_MS]"],
+        set: |run, v| parse_count(v, "heartbeat timeout")
+            .map(|ms| run.heartbeat_timeout_ms = Some(ms)) },
+    Flag { name: "--step-timeout-ms", metavar: "MS", occurs: Once,
+        help: &["with --cluster: per-superstep control read",
+                "timeout   [30000; env OPTIREC_STEP_TIMEOUT_MS]"],
+        set: |run, v| parse_count(v, "step timeout").map(|ms| run.step_timeout_ms = Some(ms)) },
 ];
 
 /// Usage text.
-pub fn usage() -> &'static str {
-    "optirec — optimistic recovery for iterative dataflows, demo launcher
+pub fn usage() -> String {
+    format!(
+        "optirec — optimistic recovery for iterative dataflows, demo launcher
 
 USAGE:
     optirec <ALGORITHM> [OPTIONS]
     optirec serve <cc|pagerank> [OPTIONS]      (see `optirec serve --help`)
-    optirec inspect <timeline|profile|convergence|recovery|demo|diff> [OPTIONS]
+    optirec inspect <{views}> [OPTIONS]
     optirec top (--report <PATH> | --connect <ADDR>) [--once] [--interval-ms <MS>]
     optirec worker [--listen ADDR]
 
@@ -397,39 +577,7 @@ ALGORITHMS:
     cc | pagerank | sssp | reachability | kmeans | jacobi | als
 
 OPTIONS:
-    --graph <SPEC>        demo | twitter:N | grid:WxH | path:N | file:PATH   [demo]
-    --strategy <SPEC>     optimistic | checkpoint:K | incremental:K |
-                          async-snapshot[:K] | restart | ignore   [optimistic]
-    --fail <S:P1,P2>      fail partitions P1,P2 at superstep S (repeatable)
-    --parallelism <N>     number of partitions / simulated workers   [4]
-    --max-iterations <N>  iteration cap   [200]
-    --explain             print the dataflow plan instead of running
-    --journal <PATH>      capture telemetry: write the event journal there,
-                          plus spans and report sidecars (inspect reads them)
-    --cluster <N>         run on N real worker processes over loopback TCP
-                          (cc and pagerank only; spawns `optirec worker`)
-    --kill <S:W>          with --cluster: SIGKILL worker W while superstep S
-                          is in flight (repeatable; composes with --chaos)
-    --scale <S:N>         with --cluster: planned rescale to N workers at
-                          superstep S (repeatable) — joiners are spawned and
-                          loaded live, leavers are shut down at the barrier,
-                          and moved partitions re-ship over the recovery path
-    --chaos <SPEC>        with --cluster: schedule failure injections.
-                          SPEC is `;`-separated scenarios, or @PATH to read
-                          them from a file (one per line, # comments):
-                            kill@S:W1,W2     SIGKILL workers at superstep S
-                            slow@S-T:W:MS    straggler: worker W lags MS ms
-                            delay@S-T:W:MS   link delay on frames to W
-                            drop@S-T:W:P:SEED  lossy link: sever W's
-                                             connection with probability P,
-                                             deterministic from SEED
-    --heartbeat-interval-ms <MS>  with --cluster: delay between heartbeat
-                          probes   [100; env OPTIREC_HEARTBEAT_INTERVAL_MS]
-    --heartbeat-timeout-ms <MS>   with --cluster: silence before a worker is
-                          declared dead   [3000; env OPTIREC_HEARTBEAT_TIMEOUT_MS]
-    --step-timeout-ms <MS>        with --cluster: per-superstep control read
-                          timeout   [30000; env OPTIREC_STEP_TIMEOUT_MS]
-
+{options}
 EXAMPLES:
     optirec cc --fail 3:1 --fail 5:0,2
     optirec cc --fail 3:1,2 --journal results/cc_journal.jsonl      # §3.2 demo
@@ -445,42 +593,96 @@ EXAMPLES:
     optirec inspect diff --baseline results/base_journal.jsonl --journal results/cc_journal.jsonl
     optirec top --once --report results/cluster_report.json
 
-`optirec top` renders a plain-text metrics snapshot: from a saved report
-sidecar (--report), or live from a serve daemon's `stats` command
-(--connect; repeats every --interval-ms [2000] unless --once).
-
-The `worker` subcommand starts a cluster worker process: it binds ADDR
-(default 127.0.0.1:0), prints `OPTIREC_WORKER_LISTENING <port>`, and serves
-coordinator connections until killed. `--cluster` spawns its own workers;
-start workers manually only to watch the two-terminal demo from README.md.
-"
+Each subcommand prints its own usage with --help: `optirec serve --help`,
+`optirec inspect --help`, `optirec top --help`, `optirec worker --help`.
+",
+        views = view_names("|"),
+        options = flag_lines(RUN),
+    )
 }
 
-/// Usage text of the `inspect` subcommands.
-pub fn inspect_usage() -> &'static str {
-    "optirec inspect — analyse a captured run
+/// Parse a full argument list (without the program name).
+pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
+    let (name, flags) =
+        args.split_first().ok_or_else(|| format!("missing algorithm\n\n{}", usage()))?;
+    let mut invocation = Invocation {
+        algorithm: Algorithm::parse(name)?,
+        graph: GraphSpec::Demo,
+        strategy: Strategy::Optimistic,
+        scenario: FailureScenario::none(),
+        parallelism: 4,
+        max_iterations: 200,
+        explain_only: false,
+        journal: None,
+        cluster: None,
+        chaos: cluster::ChaosPlan::default(),
+        scale: Vec::new(),
+        heartbeat_interval_ms: None,
+        heartbeat_timeout_ms: None,
+        step_timeout_ms: None,
+    };
+    parse_flags(name, RUN, flags, &mut invocation)?;
+    check_run(&invocation)?;
+    Ok(invocation)
+}
 
-USAGE:
-    optirec inspect timeline    --journal <PATH> [--spans <PATH>]
-    optirec inspect profile     --report <PATH> [--straggler-factor <F>]
-    optirec inspect convergence --journal <PATH> [--csv <PATH>] [--html <PATH>]
-    optirec inspect recovery    --journal <PATH> [--report <PATH>]
-    optirec inspect demo        --journal <PATH>
-    optirec inspect diff        --baseline <PATH> --journal <PATH>
-                                [--baseline-report <PATH>] [--report <PATH>]
-                                [--superstep-pct <P>] [--wall-pct <P>]
-                                [--redundant-steps <N>] [--recovery-pct <P>]
-
-Paths point at JSONL journals written with --journal (or by the figure
-binaries); spans and report sidecars are found automatically next to the
-journal when present. `recovery` attributes, per worker outage, the
-detection latency, respawn cost, re-shipped bytes, and recomputed
-supersteps. `demo` draws the paper's demo from a cc or pagerank run over a
-demo-sized graph: each superstep's graph state, lost vertices marked, then
-the algorithm's two plots. `diff` exits nonzero when the current run
-regresses beyond the thresholds (defaults: supersteps +0%, wall +20%,
-redundant supersteps +0, recovery wall +25%).
-"
+/// The checks across a run's flags.
+fn check_run(invocation: &Invocation) -> Result<(), String> {
+    let algorithm = invocation.algorithm;
+    if invocation.explain_only && algorithm.program().is_none() {
+        return Err("--explain supports cc and pagerank".into());
+    }
+    let partitions = invocation.scenario.events().iter().flat_map(|(_, lost)| lost);
+    check_partitions("--fail", partitions, invocation.parallelism)?;
+    if !invocation.chaos.is_empty() && invocation.cluster.is_none() {
+        return Err("--kill/--chaos need --cluster: they disturb real worker processes".into());
+    }
+    if !invocation.scale.is_empty() && invocation.cluster.is_none() {
+        return Err("--scale needs --cluster: it resizes real worker processes".into());
+    }
+    if invocation.cluster.is_none()
+        && (invocation.heartbeat_interval_ms.is_some()
+            || invocation.heartbeat_timeout_ms.is_some()
+            || invocation.step_timeout_ms.is_some())
+    {
+        return Err("heartbeat/step timeouts only apply to --cluster runs".into());
+    }
+    if let Some(workers) = invocation.cluster {
+        if algorithm.program().is_none() {
+            return Err(format!("--cluster supports cc and pagerank, not {algorithm:?}"));
+        }
+        if let Some(reason) = cluster::unsupported_strategy(invocation.strategy) {
+            return Err(format!("--cluster: {reason}"));
+        }
+        if !invocation.scenario.is_failure_free() {
+            return Err(
+                "--fail simulates partition loss in-process; use --kill/--chaos with --cluster"
+                    .into(),
+            );
+        }
+        if let Some(event) =
+            invocation.scale.iter().find(|event| event.workers > invocation.parallelism)
+        {
+            return Err(format!(
+                "--scale {}:{} targets more workers than --parallelism {} partitions",
+                event.superstep, event.workers, invocation.parallelism
+            ));
+        }
+        // Parse-time worker validation: a kill aimed past the cluster used
+        // to be silently clamped to the last worker — fail loudly instead.
+        // Chaos may target any worker index the cluster ever has, including
+        // ones a planned scale-up adds.
+        let max_workers =
+            invocation.scale.iter().map(|event| event.workers).chain([workers]).max().unwrap_or(1);
+        if let Some(worker) = invocation.chaos.max_worker().filter(|&w| w >= max_workers) {
+            return Err(format!(
+                "chaos/kill spec targets worker {worker}, but this run never has more than \
+                 {max_workers} workers (indices 0..={})",
+                max_workers - 1
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One `optirec inspect` invocation.
@@ -538,244 +740,198 @@ pub enum InspectCommand {
     },
 }
 
-fn unknown_flag(flag: &str, valid: &[&str]) -> String {
-    format!("unknown flag {flag:?}; valid flags: {}", valid.join(", "))
+/// The flags of every `inspect` view; a view builds its command from them.
+#[derive(Default)]
+struct InspectArgs {
+    journal: Option<PathBuf>,
+    spans: Option<PathBuf>,
+    report: Option<PathBuf>,
+    straggler_factor: Option<f64>,
+    csv: Option<PathBuf>,
+    html: Option<PathBuf>,
+    baseline: Option<PathBuf>,
+    baseline_report: Option<PathBuf>,
+    options: DiffOptions,
+}
+
+/// A required flag's value: [`parse_flags`] refuses a view without it.
+fn given(path: Option<PathBuf>) -> PathBuf {
+    path.expect("parse_flags refuses a view without its required flags")
+}
+
+/// A flag of an `inspect` view. The inspect usage shows each view's flags
+/// as a synopsis, so the row has no help lines.
+const fn inspect_flag(
+    name: &'static str,
+    metavar: &'static str,
+    occurs: Occurs,
+    set: fn(&mut InspectArgs, &str) -> Result<(), String>,
+) -> Flag<InspectArgs> {
+    Flag { name, metavar, help: &[], occurs, set }
+}
+
+const JOURNAL: Flag<InspectArgs> = inspect_flag("--journal", "PATH", Required, |args, v| {
+    verbatim(v).map(|path| args.journal = Some(path.into()))
+});
+const SPANS: Flag<InspectArgs> = inspect_flag("--spans", "PATH", Once, |args, v| {
+    verbatim(v).map(|path| args.spans = Some(path.into()))
+});
+const REPORT: Flag<InspectArgs> = inspect_flag("--report", "PATH", Once, |args, v| {
+    verbatim(v).map(|path| args.report = Some(path.into()))
+});
+const STRAGGLER_FACTOR: Flag<InspectArgs> =
+    inspect_flag("--straggler-factor", "F", Once, |args, v| {
+        number(v, "--straggler-factor").map(|f| args.straggler_factor = Some(f))
+    });
+const CSV: Flag<InspectArgs> = inspect_flag("--csv", "PATH", Once, |args, v| {
+    verbatim(v).map(|path| args.csv = Some(path.into()))
+});
+const HTML: Flag<InspectArgs> = inspect_flag("--html", "PATH", Once, |args, v| {
+    verbatim(v).map(|path| args.html = Some(path.into()))
+});
+const BASELINE: Flag<InspectArgs> = inspect_flag("--baseline", "PATH", Required, |args, v| {
+    verbatim(v).map(|path| args.baseline = Some(path.into()))
+});
+const BASELINE_REPORT: Flag<InspectArgs> =
+    inspect_flag("--baseline-report", "PATH", Once, |args, v| {
+        verbatim(v).map(|path| args.baseline_report = Some(path.into()))
+    });
+const SUPERSTEP_PCT: Flag<InspectArgs> = inspect_flag("--superstep-pct", "P", Once, |args, v| {
+    number(v, "--superstep-pct").map(|pct| args.options.superstep_pct = pct)
+});
+const WALL_PCT: Flag<InspectArgs> = inspect_flag("--wall-pct", "P", Once, |args, v| {
+    number(v, "--wall-pct").map(|pct| args.options.wall_pct = pct)
+});
+const REDUNDANT_STEPS: Flag<InspectArgs> =
+    inspect_flag("--redundant-steps", "N", Once, |args, v| {
+        number(v, "--redundant-steps").map(|n| args.options.redundant_steps = n)
+    });
+const RECOVERY_PCT: Flag<InspectArgs> = inspect_flag("--recovery-pct", "P", Once, |args, v| {
+    number(v, "--recovery-pct").map(|pct| args.options.recovery_pct = pct)
+});
+
+/// One `inspect` view: its flags, and its command built from them.
+struct View {
+    name: &'static str,
+    flags: &'static [Flag<InspectArgs>],
+    build: fn(InspectArgs) -> InspectCommand,
+}
+
+/// The `inspect` views.
+const VIEWS: &[View] = &[
+    View {
+        name: "timeline",
+        flags: &[JOURNAL, SPANS],
+        build: |args| InspectCommand::Timeline { journal: given(args.journal), spans: args.spans },
+    },
+    View {
+        name: "profile",
+        flags: &[Flag { occurs: Required, ..REPORT }, STRAGGLER_FACTOR],
+        build: |args| InspectCommand::Profile {
+            report: given(args.report),
+            straggler_factor: args.straggler_factor.unwrap_or(2.0),
+        },
+    },
+    View {
+        name: "convergence",
+        flags: &[JOURNAL, CSV, HTML],
+        build: |args| InspectCommand::Convergence {
+            journal: given(args.journal),
+            csv: args.csv,
+            html: args.html,
+        },
+    },
+    View {
+        name: "recovery",
+        flags: &[JOURNAL, REPORT],
+        build: |args| InspectCommand::Recovery {
+            journal: given(args.journal),
+            report: args.report,
+        },
+    },
+    View {
+        name: "demo",
+        flags: &[JOURNAL],
+        build: |args| InspectCommand::Demo { journal: given(args.journal) },
+    },
+    View {
+        name: "diff",
+        flags: &[
+            BASELINE,
+            JOURNAL,
+            BASELINE_REPORT,
+            REPORT,
+            SUPERSTEP_PCT,
+            WALL_PCT,
+            REDUNDANT_STEPS,
+            RECOVERY_PCT,
+        ],
+        build: |args| InspectCommand::Diff {
+            baseline: given(args.baseline),
+            journal: given(args.journal),
+            baseline_report: args.baseline_report,
+            report: args.report,
+            options: args.options,
+        },
+    },
+];
+
+/// The views' names, joined by `separator`.
+fn view_names(separator: &str) -> String {
+    VIEWS.iter().map(|view| view.name).collect::<Vec<_>>().join(separator)
+}
+
+/// Usage text of the `inspect` subcommands: a synopsis line per view,
+/// wrapped at 80 columns, with its optional flags in brackets.
+pub fn inspect_usage() -> String {
+    let mut text = String::from("optirec inspect — analyse a captured run\n\nUSAGE:\n");
+    for view in VIEWS {
+        let mut line = format!("    optirec inspect {:<11}", view.name);
+        let indent = line.len();
+        for flag in view.flags {
+            let word = match flag.occurs {
+                Required => flag_head(flag),
+                _ => format!("[{}]", flag_head(flag)),
+            };
+            if line.len() > indent && line.len() + 1 + word.len() > 80 {
+                text += &line;
+                text.push('\n');
+                line = " ".repeat(indent);
+            }
+            line += " ";
+            line += &word;
+        }
+        text += &line;
+        text.push('\n');
+    }
+    text + "
+Paths point at JSONL journals written with --journal (or by the figure
+binaries); spans and report sidecars are found automatically next to the
+journal when present. `recovery` attributes, per worker outage, the
+detection latency, respawn cost, re-shipped bytes, and recomputed
+supersteps. `demo` draws the paper's demo from a cc or pagerank run over a
+demo-sized graph: each superstep's graph state, lost vertices marked, then
+the algorithm's two plots. `diff` exits nonzero when the current run
+regresses beyond the thresholds (defaults: supersteps +0%, wall +20%,
+redundant supersteps +0, recovery wall +25%).
+"
 }
 
 /// Parse the arguments following `inspect`.
 pub fn parse_inspect(args: &[String]) -> Result<InspectCommand, String> {
-    let mut iter = args.iter();
-    let view =
-        iter.next().ok_or_else(|| format!("missing inspect subcommand\n\n{}", inspect_usage()))?;
-    let mut flags: Vec<(String, String)> = Vec::new();
-    while let Some(flag) = iter.next() {
-        let value = iter.next().ok_or_else(|| format!("flag {flag} needs a value"))?;
-        flags.push((flag.clone(), value.clone()));
-    }
-    let take = |flags: &mut Vec<(String, String)>, name: &str| -> Option<String> {
-        flags.iter().position(|(f, _)| f == name).map(|i| flags.remove(i).1)
-    };
-    let require = |value: Option<String>, name: &str| -> Result<PathBuf, String> {
-        value.map(PathBuf::from).ok_or_else(|| format!("inspect {view} requires {name} <PATH>"))
-    };
-    let parse_f64 = |raw: String, name: &str| -> Result<f64, String> {
-        raw.parse().map_err(|_| format!("invalid value for {name}: {raw:?}"))
-    };
-
-    let command = match view.as_str() {
-        "timeline" => {
-            let valid = ["--journal", "--spans"];
-            let journal = require(take(&mut flags, "--journal"), "--journal")?;
-            let spans = take(&mut flags, "--spans").map(PathBuf::from);
-            if let Some((flag, _)) = flags.first() {
-                return Err(unknown_flag(flag, &valid));
-            }
-            InspectCommand::Timeline { journal, spans }
-        }
-        "profile" => {
-            let valid = ["--report", "--straggler-factor"];
-            let report = require(take(&mut flags, "--report"), "--report")?;
-            let straggler_factor = match take(&mut flags, "--straggler-factor") {
-                Some(raw) => parse_f64(raw, "--straggler-factor")?,
-                None => 2.0,
-            };
-            if let Some((flag, _)) = flags.first() {
-                return Err(unknown_flag(flag, &valid));
-            }
-            InspectCommand::Profile { report, straggler_factor }
-        }
-        "convergence" => {
-            let valid = ["--journal", "--csv", "--html"];
-            let journal = require(take(&mut flags, "--journal"), "--journal")?;
-            let csv = take(&mut flags, "--csv").map(PathBuf::from);
-            let html = take(&mut flags, "--html").map(PathBuf::from);
-            if let Some((flag, _)) = flags.first() {
-                return Err(unknown_flag(flag, &valid));
-            }
-            InspectCommand::Convergence { journal, csv, html }
-        }
-        "recovery" => {
-            let valid = ["--journal", "--report"];
-            let journal = require(take(&mut flags, "--journal"), "--journal")?;
-            let report = take(&mut flags, "--report").map(PathBuf::from);
-            if let Some((flag, _)) = flags.first() {
-                return Err(unknown_flag(flag, &valid));
-            }
-            InspectCommand::Recovery { journal, report }
-        }
-        "demo" => {
-            let journal = require(take(&mut flags, "--journal"), "--journal")?;
-            if let Some((flag, _)) = flags.first() {
-                return Err(unknown_flag(flag, &["--journal"]));
-            }
-            InspectCommand::Demo { journal }
-        }
-        "diff" => {
-            let valid = [
-                "--baseline",
-                "--journal",
-                "--baseline-report",
-                "--report",
-                "--superstep-pct",
-                "--wall-pct",
-                "--redundant-steps",
-                "--recovery-pct",
-            ];
-            let baseline = require(take(&mut flags, "--baseline"), "--baseline")?;
-            let journal = require(take(&mut flags, "--journal"), "--journal")?;
-            let baseline_report = take(&mut flags, "--baseline-report").map(PathBuf::from);
-            let report = take(&mut flags, "--report").map(PathBuf::from);
-            let mut options = DiffOptions::default();
-            if let Some(raw) = take(&mut flags, "--superstep-pct") {
-                options.superstep_pct = parse_f64(raw, "--superstep-pct")?;
-            }
-            if let Some(raw) = take(&mut flags, "--wall-pct") {
-                options.wall_pct = parse_f64(raw, "--wall-pct")?;
-            }
-            if let Some(raw) = take(&mut flags, "--redundant-steps") {
-                options.redundant_steps = raw
-                    .parse()
-                    .map_err(|_| format!("invalid value for --redundant-steps: {raw:?}"))?;
-            }
-            if let Some(raw) = take(&mut flags, "--recovery-pct") {
-                options.recovery_pct = parse_f64(raw, "--recovery-pct")?;
-            }
-            if let Some((flag, _)) = flags.first() {
-                return Err(unknown_flag(flag, &valid));
-            }
-            InspectCommand::Diff { baseline, journal, baseline_report, report, options }
-        }
-        other => {
-            return Err(format!(
-                "unknown inspect subcommand {other:?}; expected timeline | profile | \
-                 convergence | recovery | demo | diff\n\n{}",
-                inspect_usage()
-            ))
-        }
-    };
-    Ok(command)
-}
-
-/// Parse a full argument list (without the program name).
-pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
-    let mut iter = args.iter();
-    let algorithm =
-        Algorithm::parse(iter.next().ok_or_else(|| format!("missing algorithm\n\n{}", usage()))?)?;
-    let mut invocation = Invocation {
-        algorithm,
-        graph: GraphSpec::Demo,
-        strategy: Strategy::Optimistic,
-        scenario: FailureScenario::none(),
-        parallelism: 4,
-        max_iterations: 200,
-        explain_only: false,
-        journal: None,
-        cluster: None,
-        chaos: cluster::ChaosPlan::default(),
-        scale: Vec::new(),
-        heartbeat_interval_ms: None,
-        heartbeat_timeout_ms: None,
-        step_timeout_ms: None,
-    };
-    while let Some(flag) = iter.next() {
-        let mut value = || iter.next().ok_or_else(|| format!("flag {flag} needs a value")).cloned();
-        match flag.as_str() {
-            "--graph" => invocation.graph = GraphSpec::parse(&value()?)?,
-            "--strategy" => invocation.strategy = parse_strategy(&value()?)?,
-            "--fail" => {
-                let (superstep, partitions) = parse_failure(&value()?)?;
-                invocation.scenario = invocation.scenario.fail_at(superstep, &partitions);
-            }
-            "--parallelism" => invocation.parallelism = parse_count(&value()?, "parallelism")?,
-            "--max-iterations" => {
-                invocation.max_iterations = parse_count(&value()?, "iteration cap")?;
-            }
-            "--explain" => invocation.explain_only = true,
-            "--journal" => invocation.journal = Some(PathBuf::from(value()?)),
-            "--cluster" => {
-                let workers: usize =
-                    value()?.parse().map_err(|_| "invalid worker count".to_string())?;
-                if workers == 0 {
-                    return Err("--cluster needs at least one worker".into());
-                }
-                invocation.cluster = Some(workers);
-            }
-            "--kill" => {
-                let (superstep, worker) = parse_kill(&value()?)?;
-                invocation.chaos.kills.push(cluster::KillPlan { superstep, worker });
-            }
-            "--chaos" => parse_chaos(&value()?, &mut invocation.chaos)?,
-            "--scale" => invocation.scale.push(parse_scale(&value()?)?),
-            "--heartbeat-interval-ms" => {
-                invocation.heartbeat_interval_ms =
-                    Some(value()?.parse().map_err(|_| "invalid heartbeat interval".to_string())?);
-            }
-            "--heartbeat-timeout-ms" => {
-                invocation.heartbeat_timeout_ms =
-                    Some(value()?.parse().map_err(|_| "invalid heartbeat timeout".to_string())?);
-            }
-            "--step-timeout-ms" => {
-                invocation.step_timeout_ms =
-                    Some(value()?.parse().map_err(|_| "invalid step timeout".to_string())?);
-            }
-            other => return Err(format!("{}\n\n{}", unknown_flag(other, RUN_FLAGS), usage())),
-        }
-    }
-    // After the loop, so `--parallelism` may come after `--fail`.
-    let partitions = invocation.scenario.events().iter().flat_map(|(_, lost)| lost);
-    if let Some(&pid) = partitions.max().filter(|&&pid| pid >= invocation.parallelism) {
-        return Err(format!(
-            "--fail targets partition {pid}, but --parallelism {} has partitions 0..={}",
-            invocation.parallelism,
-            invocation.parallelism - 1
-        ));
-    }
-    if !invocation.chaos.is_empty() && invocation.cluster.is_none() {
-        return Err("--kill/--chaos need --cluster: they disturb real worker processes".into());
-    }
-    if !invocation.scale.is_empty() && invocation.cluster.is_none() {
-        return Err("--scale needs --cluster: it resizes real worker processes".into());
-    }
-    if invocation.cluster.is_none()
-        && (invocation.heartbeat_interval_ms.is_some()
-            || invocation.heartbeat_timeout_ms.is_some()
-            || invocation.step_timeout_ms.is_some())
-    {
-        return Err("heartbeat/step timeouts only apply to --cluster runs".into());
-    }
-    if let Some(workers) = invocation.cluster {
-        if let Some(reason) = cluster::unsupported_strategy(invocation.strategy) {
-            return Err(format!("--cluster: {reason}"));
-        }
-        if !invocation.scenario.is_failure_free() {
-            return Err(
-                "--fail simulates partition loss in-process; use --kill/--chaos with --cluster"
-                    .into(),
-            );
-        }
-        if let Some(event) =
-            invocation.scale.iter().find(|event| event.workers > invocation.parallelism)
-        {
-            return Err(format!(
-                "--scale {}:{} targets more workers than --parallelism {} partitions",
-                event.superstep, event.workers, invocation.parallelism
-            ));
-        }
-        // Parse-time worker validation: a kill aimed past the cluster used
-        // to be silently clamped to the last worker — fail loudly instead.
-        // Chaos may target any worker index the cluster ever has, including
-        // ones a planned scale-up adds.
-        let max_workers =
-            invocation.scale.iter().map(|event| event.workers).chain([workers]).max().unwrap_or(1);
-        if let Some(worker) = invocation.chaos.max_worker().filter(|&w| w >= max_workers) {
-            return Err(format!(
-                "chaos/kill spec targets worker {worker}, but this run never has more than \
-                 {max_workers} workers (indices 0..={})",
-                max_workers - 1
-            ));
-        }
-    }
-    Ok(invocation)
+    let (name, flags) = args
+        .split_first()
+        .ok_or_else(|| format!("missing inspect subcommand\n\n{}", inspect_usage()))?;
+    let view = VIEWS.iter().find(|view| view.name == name).ok_or_else(|| {
+        format!(
+            "unknown inspect subcommand {name:?}; expected {}\n\n{}",
+            view_names(" | "),
+            inspect_usage()
+        )
+    })?;
+    let mut parsed = InspectArgs::default();
+    parse_flags(&format!("inspect {name}"), view.flags, flags, &mut parsed)?;
+    Ok((view.build)(parsed))
 }
 
 /// One `optirec serve` invocation.
@@ -806,44 +962,78 @@ pub struct ServeInvocation {
     pub elastic: Option<serve::ElasticRange>,
 }
 
+/// The flags of `optirec serve`: the invocation, and the elastic range's
+/// two bounds, which [`check_serve`] pairs.
+struct ServeArgs {
+    serve: ServeInvocation,
+    min_workers: Option<usize>,
+    max_workers: Option<usize>,
+}
+
+/// The flags of `optirec serve`.
+#[rustfmt::skip]
+const SERVE: &[Flag<ServeArgs>] = &[
+    Flag { name: "--graph", metavar: "SPEC", occurs: Once,
+        help: &["demo | twitter:N | grid:WxH | path:N | file:PATH   [demo]"],
+        set: |args, v| GraphSpec::parse(v).map(|graph| args.serve.graph = graph) },
+    Flag { name: "--parallelism", metavar: "N", occurs: Once,
+        help: &["partitions per epoch run   [4]"],
+        set: |args, v| parse_count(v, "parallelism").map(|n| args.serve.parallelism = n) },
+    Flag { name: "--max-iterations", metavar: "N", occurs: Once,
+        help: &["superstep cap per epoch run   [200]"],
+        set: |args, v| parse_count(v, "iteration cap").map(|n| args.serve.max_iterations = n) },
+    Flag { name: "--replay", metavar: "PATH", occurs: Once,
+        help: &["replay a mutation file after the bootstrap",
+                "convergence (the line protocol, one command per line)"],
+        set: |args, v| verbatim(v).map(|path| args.serve.replay = Some(path.into())) },
+    Flag { name: "--listen", metavar: "ADDR", occurs: Once,
+        help: &["serve the line protocol over TCP (e.g. 127.0.0.1:7878;",
+                "port 0 picks a free port)"],
+        set: |args, v| verbatim(v).map(|addr| args.serve.listen = Some(addr)) },
+    Flag { name: "--serve-seconds", metavar: "N", occurs: Once,
+        help: &["with --listen: stop after N seconds   [forever]"],
+        set: |args, v| number(v, "--serve-seconds").map(|s| args.serve.serve_seconds = Some(s)) },
+    Flag { name: "--journal", metavar: "PATH", occurs: Once,
+        help: &["capture telemetry across all epochs; written on exit",
+                "(with --listen this requires --serve-seconds, since",
+                "an unbounded run never exits)"],
+        set: |args, v| verbatim(v).map(|path| args.serve.journal = Some(path.into())) },
+    Flag { name: "--inject", metavar: "SPEC", occurs: Once,
+        help: &["fail one epoch's (re-)convergence:",
+                "  panic:E:S          UDF panic at superstep S of epoch E",
+                "  fail:E:S:P1,P2     destroy partitions at superstep S",
+                "  mtbf:E:PROB:SEED   seeded random failures all epoch",
+                "  kill:E:S:W:N       run epoch E on N worker processes,",
+                "                     SIGKILL worker W at superstep S"],
+        set: |args, v| parse_inject(v).map(|inject| args.serve.inject = Some(inject)) },
+    Flag { name: "--min-workers", metavar: "N", occurs: Once,
+        help: &["with --max-workers: run every epoch on worker",
+                "processes, elastically sized between N and the",
+                "maximum — the controller grows the cluster under",
+                "epoch-latency pressure and shrinks it when idle;",
+                "`scale N` sets the target explicitly"],
+        set: |args, v| number(v, "--min-workers").map(|n| args.min_workers = Some(n)) },
+    Flag { name: "--max-workers", metavar: "N", occurs: Once,
+        help: &["upper bound of the elastic range (at most",
+                "--parallelism)"],
+        set: |args, v| number(v, "--max-workers").map(|n| args.max_workers = Some(n)) },
+];
+
 /// Usage text of the `serve` subcommand.
-pub fn serve_usage() -> &'static str {
-    "optirec serve — incremental serving engine with live graph mutations
+pub fn serve_usage() -> String {
+    format!(
+        "optirec serve — incremental serving engine with live graph mutations
 
 USAGE:
     optirec serve <cc|pagerank> [OPTIONS]
 
 OPTIONS:
-    --graph <SPEC>        demo | twitter:N | grid:WxH | path:N | file:PATH   [demo]
-    --parallelism <N>     partitions per epoch run   [4]
-    --max-iterations <N>  superstep cap per epoch run   [200]
-    --replay <PATH>       replay a mutation file after the bootstrap
-                          convergence (the line protocol, one command per line)
-    --listen <ADDR>       serve the line protocol over TCP (e.g. 127.0.0.1:7878;
-                          port 0 picks a free port)
-    --serve-seconds <N>   with --listen: stop after N seconds   [forever]
-    --journal <PATH>      capture telemetry across all epochs; written on exit
-                          (with --listen this requires --serve-seconds, since
-                          an unbounded run never exits)
-    --inject <SPEC>       fail one epoch's (re-)convergence:
-                            panic:E:S          UDF panic at superstep S of epoch E
-                            fail:E:S:P1,P2     destroy partitions at superstep S
-                            mtbf:E:PROB:SEED   seeded random failures all epoch
-                            kill:E:S:W:N       run epoch E on N worker processes,
-                                               SIGKILL worker W at superstep S
-    --min-workers <N>     with --max-workers: run every epoch on worker
-                          processes, elastically sized between N and the
-                          maximum — the controller grows the cluster under
-                          epoch-latency pressure and shrinks it when idle;
-                          `scale N` sets the target explicitly
-    --max-workers <N>     upper bound of the elastic range (at most
-                          --parallelism)
-
+{}
 LINE PROTOCOL (TCP and replay files):
     + u v    stage an edge insert        get v    point query
     - u v    stage an edge delete        top n    largest components / top ranks
     commit   apply the batch: incremental re-convergence
-    scale n  set the elastic worker target (needs --min/--max-workers;
+    scale n  set the elastic worker target (needs --min-workers/--max-workers;
              the rescale fires at the next commit's first barrier)
     stats    one-line introspection snapshot (epoch, staged batch, queries);
              `optirec top --connect ADDR` polls it for you
@@ -854,75 +1044,53 @@ EXAMPLES:
     optirec serve cc --listen 127.0.0.1:7878
     optirec serve cc --min-workers 2 --max-workers 4 --replay m.txt --journal results/j.jsonl
     optirec serve pagerank --replay m.txt --inject panic:1:2
-"
+",
+        flag_lines(SERVE)
+    )
 }
 
-/// Parse an injection spec (see [`serve_usage`]).
+/// Parse an injection spec (see [`serve_usage`]). A `fail:` spec's
+/// `S:P1,P2` is [`parse_failure`]'s grammar, a `kill:` spec's `S:W`
+/// [`parse_kill`]'s.
 pub fn parse_inject(raw: &str) -> Result<serve::EpochInjection, String> {
     let bad = || format!("invalid inject spec {raw:?}; see `optirec serve --help`");
-    let mut parts = raw.split(':');
-    let kind = parts.next().ok_or_else(bad)?;
-    let fields: Vec<&str> = parts.collect();
-    let num = |s: &str| -> Result<u64, String> { s.parse().map_err(|_| bad()) };
-    let (epoch, kind) = match (kind, fields.as_slice()) {
-        ("panic", [epoch, superstep]) => {
-            (num(epoch)?, serve::InjectionKind::Panic { superstep: num(superstep)? as u32 })
+    let (kind, rest) = raw.split_once(':').ok_or_else(bad)?;
+    let (epoch, rest) = rest.split_once(':').ok_or_else(bad)?;
+    let kind = match kind {
+        "panic" => serve::InjectionKind::Panic { superstep: rest.parse().map_err(|_| bad())? },
+        "fail" => {
+            let (superstep, partitions) = parse_failure(rest)?;
+            serve::InjectionKind::Fail { superstep, partitions }
         }
-        ("fail", [epoch, superstep, partitions]) => {
-            let partitions: Result<Vec<usize>, String> =
-                partitions.split(',').map(|p| num(p).map(|v| v as usize)).collect();
-            (
-                num(epoch)?,
-                serve::InjectionKind::Fail {
-                    superstep: num(superstep)? as u32,
-                    partitions: partitions?,
-                },
-            )
-        }
-        ("mtbf", [epoch, probability, seed]) => {
+        "mtbf" => {
+            let (probability, seed) = rest.split_once(':').ok_or_else(bad)?;
             let probability: f64 = probability.parse().map_err(|_| bad())?;
             if !(0.0..=1.0).contains(&probability) {
                 return Err(bad());
             }
-            (num(epoch)?, serve::InjectionKind::Mtbf { probability, seed: num(seed)? })
+            serve::InjectionKind::Mtbf { probability, seed: seed.parse().map_err(|_| bad())? }
         }
-        ("kill", [epoch, superstep, worker, workers]) => (
-            num(epoch)?,
-            serve::InjectionKind::ClusterKill {
-                workers: num(workers)? as usize,
-                superstep: num(superstep)? as u32,
-                worker: num(worker)? as usize,
-            },
-        ),
+        "kill" => {
+            let (kill, workers) = rest.rsplit_once(':').ok_or_else(bad)?;
+            let (superstep, worker) = parse_kill(kill)?;
+            let workers = workers.parse().map_err(|_| bad())?;
+            serve::InjectionKind::ClusterKill { workers, superstep, worker }
+        }
         _ => return Err(bad()),
     };
-    Ok(serve::EpochInjection { epoch: epoch as u32, kind })
+    Ok(serve::EpochInjection { epoch: epoch.parse().map_err(|_| bad())?, kind })
 }
-
-/// Valid flags of the serve subcommand.
-pub const SERVE_FLAGS: &[&str] = &[
-    "--graph",
-    "--parallelism",
-    "--max-iterations",
-    "--replay",
-    "--listen",
-    "--serve-seconds",
-    "--journal",
-    "--inject",
-    "--min-workers",
-    "--max-workers",
-];
 
 /// Parse the arguments following `serve`.
 pub fn parse_serve(args: &[String]) -> Result<ServeInvocation, String> {
-    let mut iter = args.iter();
-    let algorithm = Algorithm::parse(
-        iter.next().ok_or_else(|| format!("missing serve algorithm\n\n{}", serve_usage()))?,
-    )?;
-    if !matches!(algorithm, Algorithm::ConnectedComponents | Algorithm::PageRank) {
+    let (name, flags) = args
+        .split_first()
+        .ok_or_else(|| format!("missing serve algorithm\n\n{}", serve_usage()))?;
+    let algorithm = Algorithm::parse(name)?;
+    if algorithm.program().is_none() {
         return Err(format!("serve supports cc and pagerank, not {algorithm:?}"));
     }
-    let mut invocation = ServeInvocation {
+    let serve = ServeInvocation {
         algorithm,
         graph: GraphSpec::Demo,
         parallelism: 4,
@@ -934,38 +1102,15 @@ pub fn parse_serve(args: &[String]) -> Result<ServeInvocation, String> {
         inject: None,
         elastic: None,
     };
-    let mut min_workers: Option<usize> = None;
-    let mut max_workers: Option<usize> = None;
-    while let Some(flag) = iter.next() {
-        let mut value = || iter.next().ok_or_else(|| format!("flag {flag} needs a value")).cloned();
-        match flag.as_str() {
-            "--graph" => invocation.graph = GraphSpec::parse(&value()?)?,
-            "--parallelism" => invocation.parallelism = parse_count(&value()?, "parallelism")?,
-            "--max-iterations" => {
-                invocation.max_iterations = parse_count(&value()?, "iteration cap")?;
-            }
-            "--replay" => invocation.replay = Some(PathBuf::from(value()?)),
-            "--listen" => invocation.listen = Some(value()?),
-            "--serve-seconds" => {
-                invocation.serve_seconds =
-                    Some(value()?.parse().map_err(|_| "invalid serve duration".to_string())?);
-            }
-            "--journal" => invocation.journal = Some(PathBuf::from(value()?)),
-            "--inject" => invocation.inject = Some(parse_inject(&value()?)?),
-            "--min-workers" => {
-                min_workers =
-                    Some(value()?.parse().map_err(|_| "invalid minimum worker count".to_string())?);
-            }
-            "--max-workers" => {
-                max_workers =
-                    Some(value()?.parse().map_err(|_| "invalid maximum worker count".to_string())?);
-            }
-            other => {
-                return Err(format!("{}\n\n{}", unknown_flag(other, SERVE_FLAGS), serve_usage()))
-            }
-        }
-    }
-    invocation.elastic = match (min_workers, max_workers) {
+    let mut parsed = ServeArgs { serve, min_workers: None, max_workers: None };
+    parse_flags("serve", SERVE, flags, &mut parsed)?;
+    check_serve(parsed)
+}
+
+/// The checks across serve's flags; they pair the elastic range's bounds.
+fn check_serve(args: ServeArgs) -> Result<ServeInvocation, String> {
+    let ServeArgs { mut serve, min_workers, max_workers } = args;
+    serve.elastic = match (min_workers, max_workers) {
         (Some(min_workers), Some(max_workers)) => {
             if min_workers > max_workers {
                 return Err(format!(
@@ -982,21 +1127,40 @@ pub fn parse_serve(args: &[String]) -> Result<ServeInvocation, String> {
             )
         }
     };
-    if invocation.replay.is_none() && invocation.listen.is_none() {
+    if serve.replay.is_none() && serve.listen.is_none() {
         return Err("serve needs --replay and/or --listen (otherwise it converges once and exits \
                     with nothing to do)"
             .into());
     }
-    if invocation.journal.is_some()
-        && invocation.listen.is_some()
-        && invocation.serve_seconds.is_none()
-    {
+    if serve.journal.is_some() && serve.listen.is_some() && serve.serve_seconds.is_none() {
         return Err("--journal is written on exit, which an unbounded --listen run never reaches \
                     (killing the daemon would discard the captured telemetry); add \
                     --serve-seconds <N> to bound the run"
             .into());
     }
-    Ok(invocation)
+    let parallelism = serve.parallelism;
+    match serve.inject.as_ref().map(|inject| &inject.kind) {
+        Some(serve::InjectionKind::Fail { partitions, .. }) => {
+            check_partitions("--inject", partitions, parallelism)?;
+        }
+        Some(&serve::InjectionKind::ClusterKill { workers, worker, .. }) => {
+            if !(1..=parallelism).contains(&workers) {
+                return Err(format!(
+                    "--inject runs the epoch on {workers} workers, but --parallelism \
+                     {parallelism} allows 1..={parallelism}"
+                ));
+            }
+            if worker >= workers {
+                return Err(format!(
+                    "--inject kills worker {worker}, but the epoch's {workers} workers are \
+                     0..={}",
+                    workers - 1
+                ));
+            }
+        }
+        _ => {}
+    }
+    Ok(serve)
 }
 
 /// One `optirec top` invocation: render a plain-text metrics snapshot.
@@ -1012,48 +1176,84 @@ pub struct TopInvocation {
     pub interval_ms: u64,
 }
 
-/// Valid flags of the top subcommand.
-pub const TOP_FLAGS: &[&str] = &["--report", "--connect", "--once", "--interval-ms"];
+/// The flags of `optirec top`.
+#[rustfmt::skip]
+const TOP: &[Flag<TopInvocation>] = &[
+    Flag { name: "--report", metavar: "PATH", occurs: Once,
+        help: &["render a saved report sidecar (once)"],
+        set: |top, v| verbatim(v).map(|path| top.report = Some(path.into())) },
+    Flag { name: "--connect", metavar: "ADDR", occurs: Once,
+        help: &["poll a live serve daemon's `stats` command"],
+        set: |top, v| verbatim(v).map(|addr| top.connect = Some(addr)) },
+    Flag { name: "--once", metavar: "", occurs: Once,
+        help: &["with --connect: render once and exit"],
+        set: |top, _| { top.once = true; Ok(()) } },
+    Flag { name: "--interval-ms", metavar: "MS", occurs: Once,
+        help: &["with --connect: delay between polls   [2000]"],
+        set: |top, v| parse_count(v, "refresh interval").map(|ms| top.interval_ms = ms) },
+];
+
+/// Usage text of the `top` subcommand.
+pub fn top_usage() -> String {
+    format!(
+        "optirec top — a plain-text metrics snapshot
+
+USAGE:
+    optirec top (--report <PATH> | --connect <ADDR>) [--once] [--interval-ms <MS>]
+
+OPTIONS:
+{}
+EXAMPLES:
+    optirec top --once --report results/cluster_report.json
+    optirec top --connect 127.0.0.1:7878 --interval-ms 500
+",
+        flag_lines(TOP)
+    )
+}
 
 /// Parse the arguments following `top`.
 pub fn parse_top(args: &[String]) -> Result<TopInvocation, String> {
-    let mut invocation =
-        TopInvocation { report: None, connect: None, once: false, interval_ms: 2000 };
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        let mut value = || iter.next().ok_or_else(|| format!("flag {flag} needs a value")).cloned();
-        match flag.as_str() {
-            "--report" => invocation.report = Some(PathBuf::from(value()?)),
-            "--connect" => invocation.connect = Some(value()?),
-            "--once" => invocation.once = true,
-            "--interval-ms" => {
-                invocation.interval_ms =
-                    value()?.parse().map_err(|_| "invalid refresh interval".to_string())?;
-            }
-            other => return Err(unknown_flag(other, TOP_FLAGS)),
-        }
-    }
-    if invocation.report.is_some() == invocation.connect.is_some() {
+    let mut top = TopInvocation { report: None, connect: None, once: false, interval_ms: 2000 };
+    parse_flags("top", TOP, args, &mut top)?;
+    if top.report.is_some() == top.connect.is_some() {
         return Err("top needs exactly one source: --report <PATH> (a saved sidecar) or \
              --connect <ADDR> (a live serve daemon)"
             .into());
     }
-    Ok(invocation)
+    Ok(top)
+}
+
+/// The flags of `optirec worker`: its listen address.
+#[rustfmt::skip]
+const WORKER: &[Flag<String>] = &[
+    Flag { name: "--listen", metavar: "ADDR", occurs: Once,
+        help: &["the address to bind   [127.0.0.1:0]"],
+        set: |listen, v| verbatim(v).map(|addr| *listen = addr) },
+];
+
+/// Usage text of the `worker` subcommand.
+pub fn worker_usage() -> String {
+    format!(
+        "optirec worker — a cluster worker process
+
+USAGE:
+    optirec worker [--listen ADDR]
+
+OPTIONS:
+{}
+The worker prints `OPTIREC_WORKER_LISTENING <port>` once bound and serves
+coordinator connections until killed. `optirec cc --cluster N` spawns its
+own workers; start workers by hand only to watch the two-terminal demo from
+README.md.
+",
+        flag_lines(WORKER)
+    )
 }
 
 /// Parse the arguments following `worker`; returns the listen address.
 pub fn parse_worker(args: &[String]) -> Result<String, String> {
     let mut listen = "127.0.0.1:0".to_string();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--listen" => {
-                listen =
-                    iter.next().ok_or_else(|| "flag --listen needs a value".to_string())?.clone();
-            }
-            other => return Err(unknown_flag(other, &["--listen"])),
-        }
-    }
+    parse_flags("worker", WORKER, args, &mut listen)?;
     Ok(listen)
 }
 
@@ -1686,5 +1886,224 @@ mod tests {
         let graph = GraphSpec::Twitter(200).build(Algorithm::ConnectedComponents).unwrap();
         assert_eq!(graph.num_vertices(), 200);
         assert!(!graph.is_directed());
+    }
+
+    #[test]
+    fn usage_texts_match_their_goldens() {
+        for (text, golden) in [
+            (usage(), include_str!("../tests/golden/usage/usage.txt")),
+            (serve_usage(), include_str!("../tests/golden/usage/serve_usage.txt")),
+            (inspect_usage(), include_str!("../tests/golden/usage/inspect_usage.txt")),
+            (top_usage(), include_str!("../tests/golden/usage/top_usage.txt")),
+            (worker_usage(), include_str!("../tests/golden/usage/worker_usage.txt")),
+        ] {
+            assert_eq!(text, golden);
+        }
+    }
+
+    /// The `--flag` words of `text`.
+    fn flags_in(text: &str) -> Vec<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|word| word.len() > 2 && word.starts_with("--"))
+            .collect()
+    }
+
+    /// Parse `words` as `optirec` would: `["serve", "cc", …]`,
+    /// `["inspect", "demo", …]`, `["top", …]`, `["worker", …]` or
+    /// `["cc", …]`.
+    fn parse_command(words: &[String]) -> Result<(), String> {
+        match words[0].as_str() {
+            "serve" => parse_serve(&words[1..]).map(drop),
+            "inspect" => parse_inspect(&words[1..]).map(drop),
+            "top" => parse_top(&words[1..]).map(drop),
+            "worker" => parse_worker(&words[1..]).map(drop),
+            _ => parse_args(words).map(drop),
+        }
+    }
+
+    /// Whether the parser of `command` knows `flag`: given it, it does not
+    /// call it unknown.
+    fn knows(command: &[&str], flag: &str) -> bool {
+        let words = args(&[command, &[flag, "1"]].concat());
+        !parse_command(&words).is_err_and(|err| err.starts_with(&format!("unknown flag {flag:?}")))
+    }
+
+    /// The command `text` shows, if it shows one.
+    fn command_of(text: &str) -> Option<Vec<&str>> {
+        let words: Vec<&str> = text.strip_prefix("optirec ")?.split(' ').collect();
+        Some(match words[0] {
+            "serve" => vec!["serve", "cc"],
+            "inspect" => vec!["inspect", words[1]],
+            "top" | "worker" => vec![words[0]],
+            _ => vec!["cc"],
+        })
+    }
+
+    #[test]
+    fn every_flag_a_usage_names_parses_and_every_flag_is_named() {
+        let views: Vec<Vec<&str>> = VIEWS.iter().map(|view| vec!["inspect", view.name]).collect();
+        let (usage, serve, inspect, top, worker) =
+            (usage(), serve_usage(), inspect_usage(), top_usage(), worker_usage());
+        let texts = [
+            (&usage, vec![vec!["cc"]]),
+            (&serve, vec![vec!["serve", "cc"]]),
+            (&inspect, views.clone()),
+            (&top, vec![vec!["top"]]),
+            (&worker, vec![vec!["worker"]]),
+        ];
+        // Each flag a usage names, with the commands it belongs to: a line
+        // that shows a command, and the lines that continue it, belong to
+        // that command, as do the flags quoted with a command in backticks;
+        // anything else belongs to the usage's own commands.
+        let mut named: Vec<(usize, Vec<Vec<&str>>, &str)> = Vec::new();
+        for (index, (text, own)) in texts.iter().enumerate() {
+            let mut current = own.clone();
+            for line in text.lines() {
+                if let Some(command) = line.strip_prefix("    ").and_then(command_of) {
+                    current = vec![command];
+                    // An example is a whole command line: it parses.
+                    if !line.contains(['<', '[']) {
+                        let line = line.split(" #").next().unwrap().replace('\'', "");
+                        let words: Vec<&str> = line.split_whitespace().skip(1).collect();
+                        assert_eq!(parse_command(&args(&words)), Ok(()), "{line}");
+                    }
+                } else if line.is_empty() {
+                    current = own.clone();
+                }
+                for (i, part) in line.split('`').enumerate() {
+                    let owner = match command_of(part) {
+                        Some(command) if i % 2 == 1 => vec![command],
+                        _ => current.clone(),
+                    };
+                    named.extend(
+                        flags_in(part).into_iter().map(|flag| (index, owner.clone(), flag)),
+                    );
+                }
+            }
+        }
+        for (_, commands, flag) in &named {
+            // `optirec` answers `--help` before any parser sees it.
+            let known = *flag == "--help" || commands.iter().any(|command| knows(command, flag));
+            assert!(known, "{flag} in {commands:?}");
+        }
+
+        // Every row has its line in its usage's flag section…
+        let tables: [(&String, Vec<&str>); 4] = [
+            (&usage, RUN.iter().map(|flag| flag.name).collect()),
+            (&serve, SERVE.iter().map(|flag| flag.name).collect()),
+            (&top, TOP.iter().map(|flag| flag.name).collect()),
+            (&worker, WORKER.iter().map(|flag| flag.name).collect()),
+        ];
+        for (text, flags) in tables {
+            for flag in flags {
+                let head = |line: &str| {
+                    line.strip_prefix("    ")
+                        .is_some_and(|rest| rest.split(' ').next() == Some(flag))
+                };
+                let listed = text.lines().any(head);
+                assert!(listed, "{flag} has no line in {}", text.lines().next().unwrap());
+            }
+        }
+        // …and every view's rows are on its synopsis.
+        for view in VIEWS {
+            for flag in view.flags {
+                let command = vec![vec!["inspect", view.name]];
+                let on_synopsis = named.iter().any(|(text, commands, named)| {
+                    *text == 2 && *named == flag.name && *commands == command
+                });
+                assert!(on_synopsis, "{} is not on {command:?}'s synopsis", flag.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_flag_adds_only_where_its_row_repeats() {
+        let cmd = parse_inspect(&args(&["demo", "--journal", "a", "--journal", "b"])).unwrap();
+        assert_eq!(cmd, InspectCommand::Demo { journal: PathBuf::from("b") });
+        // The value a later one replaces is not even parsed.
+        let invocation = parse_args(&args(&[
+            "cc",
+            "--graph",
+            "torus:9",
+            "--parallelism",
+            "2",
+            "--fail",
+            "1:0",
+            "--parallelism",
+            "8",
+            "--fail",
+            "2:7",
+            "--graph",
+            "path:8",
+        ]))
+        .unwrap();
+        assert_eq!((invocation.parallelism, invocation.graph), (8, GraphSpec::Path(8)));
+        assert_eq!(invocation.scenario.events(), &[(1, vec![0]), (2, vec![7])]);
+    }
+
+    #[test]
+    fn cluster_and_explain_take_cc_and_pagerank_only() {
+        for flags in [&["--cluster", "2"][..], &["--explain"]] {
+            for algorithm in ["cc", "pagerank"] {
+                assert!(parse_args(&args(&[&[algorithm], flags].concat())).is_ok());
+            }
+            let err = parse_args(&args(&[&["sssp"], flags].concat())).unwrap_err();
+            assert!(err.contains("supports cc and pagerank"), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_timing_flags_are_parse_errors() {
+        for (flag, what) in [
+            ("--heartbeat-interval-ms", "heartbeat interval"),
+            ("--heartbeat-timeout-ms", "heartbeat timeout"),
+            ("--step-timeout-ms", "step timeout"),
+        ] {
+            let err = parse_args(&args(&["cc", "--cluster", "2", flag, "0"])).unwrap_err();
+            assert_eq!(err, format!("{what} must be at least 1"));
+            assert!(parse_args(&args(&["cc", "--cluster", "2", flag, "1"])).is_ok());
+        }
+        let top = |ms| parse_top(&args(&["--connect", "127.0.0.1:7878", "--interval-ms", ms]));
+        assert_eq!(top("0").unwrap_err(), "refresh interval must be at least 1");
+        assert!(top("1").is_ok());
+    }
+
+    #[test]
+    fn injections_outside_the_parallelism_are_parse_errors() {
+        let serve = |inject: &str, parallelism: &str| {
+            parse_serve(&args(&[
+                "cc",
+                "--graph",
+                "path:16",
+                "--replay",
+                "m.txt",
+                "--inject",
+                inject,
+                "--parallelism",
+                parallelism,
+            ]))
+        };
+        for (inject, err) in [
+            (
+                "fail:1:0:9",
+                "--inject targets partition 9, but --parallelism 4 has partitions 0..=3",
+            ),
+            (
+                "kill:1:0:0:0",
+                "--inject runs the epoch on 0 workers, but --parallelism 4 allows 1..=4",
+            ),
+            (
+                "kill:1:0:0:9",
+                "--inject runs the epoch on 9 workers, but --parallelism 4 allows 1..=4",
+            ),
+            ("kill:1:0:2:2", "--inject kills worker 2, but the epoch's 2 workers are 0..=1"),
+        ] {
+            assert_eq!(serve(inject, "4").unwrap_err(), err);
+        }
+        for inject in ["fail:1:0:3", "kill:1:0:1:2", "kill:1:0:3:4", "panic:1:2", "mtbf:1:0.5:7"] {
+            assert!(serve(inject, "4").is_ok(), "{inject}");
+        }
+        assert!(serve("fail:1:0:9", "10").is_ok());
+        assert!(serve("kill:1:0:8:9", "10").is_ok());
     }
 }
