@@ -10,7 +10,6 @@ use dataflow::dataset::{Data, Partitions};
 use dataflow::error::Result;
 use dataflow::ft::{DeltaState, SolutionSets};
 use dataflow::hash::{FxHashMap, FxHashSet};
-use dataflow::index::KeyedIndex;
 use dataflow::iterate::ConvergenceMeasure;
 use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::stats::IterationStats;
@@ -150,20 +149,6 @@ where
     ft.strategy.handler(compensation, || stable_store(ft), &ft.telemetry, incremental)
 }
 
-/// Out-neighbours by vertex (ascending; both directions of every
-/// undirected edge): the build side of CC's *label-to-neighbors* join and
-/// what [`FixPropagation`] walks — one index, shared by both.
-pub type Adjacency = KeyedIndex<VertexId, VertexId>;
-
-/// The adjacency index of `graph`; isolated vertices have no row.
-pub fn adjacency_of(graph: &Graph) -> Adjacency {
-    graph
-        .vertices()
-        .filter(|&v| graph.degree(v) > 0)
-        .map(|v| (v, graph.neighbors(v).to_vec()))
-        .collect()
-}
-
 /// The compensation of the monotone min-propagation class (Connected
 /// Components, SSSP, reachability): the fixpoint is reached from any state
 /// no further along than the initial one, so the lost vertices are reset to
@@ -176,27 +161,25 @@ pub fn adjacency_of(graph: &Graph) -> Adjacency {
 /// `sssp::fix_distances`, `reachability::fix_reachability`).
 pub struct FixPropagation<V> {
     name: &'static str,
-    adjacency: Arc<Adjacency>,
-    num_vertices: u64,
+    graph: Arc<Graph>,
     parallelism: usize,
     initial: Box<dyn Fn(VertexId) -> V>,
     active: fn(&V) -> bool,
 }
 
 impl<V> FixPropagation<V> {
-    /// The compensation `name` over a graph of `num_vertices` vertices with
-    /// the given adjacency index (shared, not copied): vertex `v` starts at
-    /// `initial(v)`, and a value `x` re-propagates when `active(&x)`.
+    /// The compensation `name` over `graph` (shared, not copied; the
+    /// neighbours it re-seeds are read from it by vertex id): vertex `v`
+    /// starts at `initial(v)`, and a value `x` re-propagates when
+    /// `active(&x)`.
     pub(crate) fn new(
         name: &'static str,
-        adjacency: Arc<Adjacency>,
-        num_vertices: usize,
+        graph: Arc<Graph>,
         parallelism: usize,
         initial: impl Fn(VertexId) -> V + 'static,
         active: fn(&V) -> bool,
     ) -> Self {
-        let (num_vertices, initial) = (num_vertices as u64, Box::new(initial));
-        FixPropagation { name, adjacency, num_vertices, parallelism, initial, active }
+        FixPropagation { name, graph, parallelism, initial: Box::new(initial), active }
     }
 }
 
@@ -210,13 +193,14 @@ impl<V: Copy> Compensation<DeltaState<VertexId, V, (VertexId, V)>> for FixPropag
         let DeltaState { solution, workset } = state;
         let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
         let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
-        for (v, pid) in lost_keys(self.num_vertices, self.parallelism, lost) {
+        let num_vertices = self.graph.num_vertices() as u64;
+        for (v, pid) in lost_keys(num_vertices, self.parallelism, lost) {
             let initial = (self.initial)(v);
             solution[pid].insert(v, initial);
             if (self.active)(&initial) {
                 workset.partition_mut(pid).push((v, initial));
             }
-            for &u in self.adjacency.get(&v) {
+            for &u in self.graph.neighbors(v) {
                 if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
                     resenders.insert(u);
                 }

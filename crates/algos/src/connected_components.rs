@@ -71,8 +71,6 @@ impl Default for CcConfig {
     }
 }
 
-pub use crate::common::{adjacency_of, Adjacency};
-
 /// The state of a CC delta iteration: per-partition `vertex -> label` maps
 /// plus the workset of labels still to propagate. A caller that keeps it
 /// between runs ([`run_resident`]) re-converges from where the last run
@@ -103,14 +101,11 @@ pub struct CcResult {
     pub stats: RunStats,
 }
 
-/// The paper's `FixComponents` compensation function: lost vertices restart
-/// from their own ids, and every label is worth propagating.
-pub fn fix_components(
-    adjacency: Arc<Adjacency>,
-    num_vertices: usize,
-    parallelism: usize,
-) -> FixPropagation<VertexId> {
-    FixPropagation::new("FixComponents", adjacency, num_vertices, parallelism, |v| v, |_| true)
+/// The paper's `FixComponents` compensation function over `graph`: lost
+/// vertices restart from their own ids, and every label is worth
+/// propagating.
+pub fn fix_components(graph: Arc<Graph>, parallelism: usize) -> FixPropagation<VertexId> {
+    FixPropagation::new("FixComponents", graph, parallelism, |v| v, |_| true)
 }
 
 /// Run Connected Components over an undirected graph.
@@ -153,33 +148,30 @@ pub fn build(env: &Environment, graph: &Graph, config: &CcConfig) -> Result<Buil
     let workset = env.from_keyed_vec(initial, |r| r.0);
     let iteration = DeltaIteration::new(&solution, &workset, config.max_iterations);
     let truth = config.track_truth.then(|| exact_components(graph));
-    let adjacency = Arc::new(adjacency_of(graph));
     let Plan { iteration, updates } =
-        plan(iteration, env, &adjacency, graph.num_vertices(), truth, config)?;
+        plan(iteration, env, &Arc::new(graph.clone()), truth, config)?;
     let (result, stats) = iteration.close(updates.clone(), updates);
     Ok(BuiltCc { result, stats })
 }
 
 /// Run the CC dataflow from `state`, which the caller keeps between runs,
-/// over an adjacency index it keeps too: the serving engine's incremental
+/// over a graph it keeps too: the serving engine's incremental
 /// re-convergence, and — from [`initial_state`] — its bootstrap. The same
 /// plan as [`build`], closed over resident state instead of datasets:
-/// nothing of the size of the graph is built, copied or sorted — `state` is
-/// stepped in place, and copied only as the restart origin of a strategy
-/// that restarts (optimistic recovery does not). The final state comes
-/// back with the vertices whose labels the run changed. `state` must hold a
-/// label for every vertex below `num_vertices`;
-/// [`CcConfig::track_truth`] has no graph to compare against here and is
-/// ignored.
+/// nothing of the size of the graph is built, copied or sorted — the plan
+/// joins against `graph` itself, and `state` is stepped in place, copied
+/// only as the restart origin of a strategy that restarts (optimistic
+/// recovery does not). The final state comes back with the vertices whose
+/// labels the run changed. `state` must hold a label for every vertex of
+/// `graph`; [`CcConfig::track_truth`] is ignored.
 pub fn run_resident(
-    adjacency: &Arc<Adjacency>,
-    num_vertices: usize,
+    graph: &Arc<Graph>,
     state: CcState,
     config: &CcConfig,
 ) -> Result<ResidentRun<VertexId, VertexId, Label>> {
     let env = crate::common::environment(config.parallelism, &config.ft);
     let iteration = DeltaIteration::over(&env, config.max_iterations);
-    let Plan { iteration, updates } = plan(iteration, &env, adjacency, num_vertices, None, config)?;
+    let Plan { iteration, updates } = plan(iteration, &env, graph, None, config)?;
     iteration.run_from(updates.clone(), updates, state)
 }
 
@@ -196,14 +188,13 @@ struct Plan {
 fn plan(
     mut iteration: DeltaIteration<VertexId, VertexId, Label>,
     env: &Environment,
-    adjacency: &Arc<Adjacency>,
-    num_vertices: usize,
+    graph: &Arc<Graph>,
     truth: Option<Vec<VertexId>>,
     config: &CcConfig,
 ) -> Result<Plan> {
     iteration.set_fault_handler(common::delta_handler(
         &config.ft,
-        fix_components(adjacency.clone(), num_vertices, config.parallelism),
+        fix_components(graph.clone(), config.parallelism),
     )?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: total label decrease per superstep (labels only
@@ -216,7 +207,7 @@ fn plan(
         &config.ft,
         truth.is_some(),
         "cc",
-        num_vertices,
+        graph.num_vertices(),
         config.parallelism,
         &[common::MESSAGES, common::CONVERGED, common::DISTINCT_LABELS],
     );
@@ -252,7 +243,8 @@ fn plan(
         );
     }
 
-    let neighbours = iteration.import_shared(&env.from_index(adjacency.clone()));
+    // The graph is the build side: its rows are read by vertex id.
+    let neighbours = iteration.import_shared(&env.from_index(graph.clone()));
     let workset_in = iteration.workset();
     let workset_in = match (config.panic_at, superstep_cell) {
         (Some(target), Some(cell)) => {
@@ -542,8 +534,7 @@ mod tests {
             solution: solution_sets(fixpoint, config.parallelism),
             workset: Partitions::keyed(vec![(15, 0), (16, 16)], config.parallelism, |w| w.0),
         };
-        let adjacency = Arc::new(adjacency_of(&mutated));
-        let warm = run_resident(&adjacency, 32, state, &config).unwrap();
+        let warm = run_resident(&Arc::new(mutated), state, &config).unwrap();
         let mut labels: Vec<Label> =
             warm.state.solution.iter().flatten().map(|(&v, &l)| (v, l)).collect();
         labels.sort_unstable();

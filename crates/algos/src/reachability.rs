@@ -18,7 +18,7 @@ use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
 use graphs::{Graph, VertexId};
 
-use crate::common::{self, adjacency_of, Adjacency, FixPropagation, FtConfig};
+use crate::common::{self, FixPropagation, FtConfig};
 
 /// A `(vertex, reached)` record.
 pub type Reach = (VertexId, bool);
@@ -81,19 +81,18 @@ pub fn bfs_reachability(graph: &Graph, seeds: &[VertexId]) -> Vec<bool> {
     reached
 }
 
-/// Compensation for reachability (`FixReachability`): lost vertices restart
-/// from their seed status, and only a reached vertex is worth
-/// re-propagating.
+/// Compensation for reachability (`FixReachability`) over `graph`: lost
+/// vertices restart from their seed status, and only a reached vertex is
+/// worth re-propagating.
 pub fn fix_reachability(
-    adjacency: Arc<Adjacency>,
-    num_vertices: usize,
+    graph: Arc<Graph>,
     seeds: &[VertexId],
     parallelism: usize,
 ) -> FixPropagation<bool> {
     let seeds: FxHashSet<VertexId> = seeds.iter().copied().collect();
     let initial = move |v| seeds.contains(&v);
     let reached = |reached: &bool| *reached;
-    FixPropagation::new("FixReachability", adjacency, num_vertices, parallelism, initial, reached)
+    FixPropagation::new("FixReachability", graph, parallelism, initial, reached)
 }
 
 /// Run multi-source reachability over an undirected graph.
@@ -121,12 +120,7 @@ pub fn run_in(env: &Environment, graph: &Graph, config: &ReachConfig) -> Result<
     let mut iteration = DeltaIteration::new(&solution, &workset, config.max_iterations);
     iteration.set_fault_handler(common::delta_handler(
         &config.ft,
-        fix_reachability(
-            Arc::new(adjacency_of(graph)),
-            graph.num_vertices(),
-            &config.seeds,
-            config.parallelism,
-        ),
+        fix_reachability(Arc::new(graph.clone()), &config.seeds, config.parallelism),
     )?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: vertices flipped to reached this superstep (each

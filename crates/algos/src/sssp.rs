@@ -17,7 +17,7 @@ use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
 use graphs::{Graph, VertexId};
 
-use crate::common::{self, adjacency_of, Adjacency, FixPropagation, FtConfig};
+use crate::common::{self, FixPropagation, FtConfig};
 
 /// Distance value for unreachable vertices.
 pub const UNREACHABLE: u64 = u64::MAX;
@@ -83,17 +83,17 @@ pub fn bfs_distances(graph: &Graph, source: VertexId) -> Vec<u64> {
     dist
 }
 
-/// Compensation for SSSP (`FixDistances`): lost vertices restart from their
-/// initial distances, and only a finite distance is worth re-propagating.
+/// Compensation for SSSP (`FixDistances`) over `graph`: lost vertices
+/// restart from their initial distances, and only a finite distance is
+/// worth re-propagating.
 pub fn fix_distances(
-    adjacency: Arc<Adjacency>,
-    num_vertices: usize,
+    graph: Arc<Graph>,
     source: VertexId,
     parallelism: usize,
 ) -> FixPropagation<u64> {
     let initial = move |v| if v == source { 0 } else { UNREACHABLE };
     let finite = |d: &u64| *d != UNREACHABLE;
-    FixPropagation::new("FixDistances", adjacency, num_vertices, parallelism, initial, finite)
+    FixPropagation::new("FixDistances", graph, parallelism, initial, finite)
 }
 
 /// Run single-source shortest paths over an undirected graph.
@@ -120,12 +120,7 @@ pub fn run_in(env: &Environment, graph: &Graph, config: &SsspConfig) -> Result<S
     let mut iteration = DeltaIteration::new(&solution, &workset, config.max_iterations);
     iteration.set_fault_handler(common::delta_handler(
         &config.ft,
-        fix_distances(
-            Arc::new(adjacency_of(graph)),
-            graph.num_vertices(),
-            source,
-            config.parallelism,
-        ),
+        fix_distances(Arc::new(graph.clone()), source, config.parallelism),
     )?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: summed distance improvement; a vertex leaving

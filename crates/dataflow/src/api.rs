@@ -7,6 +7,7 @@
 use std::cell::RefCell;
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::ops::Index;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -15,11 +16,10 @@ use crate::dataset::{Data, Erased, Partitions};
 use crate::error::Result;
 use crate::exec::{self, ExecContext};
 use crate::ft::SolutionSets;
-use crate::index::KeyedIndex;
 use crate::operators::{
     BroadcastMapOp, CoGroupOp, CountOp, CrossOp, DistinctByOp, FilterOp, FlatMapOp, GlobalFoldOp,
-    IndexJoinOp, JoinOp, MapOp, MapPartitionOp, MeasuredOp, PartitionByOp, ReduceByKeyOp,
-    SolutionJoinOp, UnionOp, VecSource,
+    IndexJoinOp, JoinOp, MapOp, MapPartitionOp, MeasuredOp, ReduceByKeyOp, SolutionJoinOp, UnionOp,
+    VecSource,
 };
 use crate::plan::{DynOp, NodeId, PlanGraph};
 
@@ -93,14 +93,11 @@ impl Environment {
         self.add_node("source", vec![], Box::new(VecSource::new(parts)))
     }
 
-    /// Source over a keyed index the caller already maintains, to be the
-    /// build side of [`DataSet::join_index`]. The index is shared, not
-    /// copied.
-    pub fn from_index<K, R>(&self, index: Arc<KeyedIndex<K, R>>) -> IndexHandle<K, R>
-    where
-        K: Data,
-        R: Data,
-    {
+    /// Source over an index the caller already maintains — anything that
+    /// hands out the records under a key as `index[key]`, such as a graph's
+    /// rows by vertex id — to be the build side of [`DataSet::join_index`].
+    /// The index is shared, not copied.
+    pub fn from_index<I: Send + Sync + 'static>(&self, index: Arc<I>) -> IndexHandle<I> {
         let op = Box::new(VecSource::erased(Erased::of(index)));
         let id = self.inner.borrow_mut().graph.add("index", vec![], op);
         Shared::new(self.clone(), id)
@@ -161,8 +158,8 @@ pub struct Shared<T> {
     _type: PhantomData<fn() -> T>,
 }
 
-/// Handle onto a [`KeyedIndex`] in the plan (see [`Environment::from_index`]).
-pub type IndexHandle<K, R> = Shared<Arc<KeyedIndex<K, R>>>;
+/// Handle onto a shared index in the plan (see [`Environment::from_index`]).
+pub type IndexHandle<I> = Shared<Arc<I>>;
 
 /// Handle onto the solution sets of a delta iteration, inside its loop body
 /// (see [`crate::iterate::DeltaIteration::solution_set`]).
@@ -292,15 +289,6 @@ impl<T: Data> DataSet<T> {
         self.unary(name, Box::new(DistinctByOp::new(key_of)))
     }
 
-    /// Hash-repartition by key.
-    pub fn partition_by<K, KF>(&self, name: impl Into<String>, key_of: KF) -> DataSet<T>
-    where
-        K: Data + Hash + Eq,
-        KF: Fn(&T) -> K + Send + Sync + 'static,
-    {
-        self.unary(name, Box::new(PartitionByOp::new(key_of)))
-    }
-
     /// Equi-join with `other`; `f` runs for every pair with equal keys.
     pub fn join<R, K, KL, KR, O, F>(
         &self,
@@ -322,24 +310,26 @@ impl<T: Data> DataSet<T> {
     }
 
     /// Equi-join with an already-built index as the build side: `f` runs
-    /// for every record of this dataset paired with every record the index
-    /// holds under the same key, in this dataset's (routed) order. Nothing
-    /// is built and the index is not copied.
-    pub fn join_index<R, K, KL, O, F>(
+    /// for every record of this dataset paired with every record of
+    /// `index[key]`, in this dataset's (routed) order. Nothing is built and
+    /// the index is not copied; every key this dataset carries must be one
+    /// the index answers for.
+    pub fn join_index<I, R, K, KL, O, F>(
         &self,
         name: impl Into<String>,
-        index: &IndexHandle<K, R>,
+        index: &IndexHandle<I>,
         key_left: KL,
         f: F,
     ) -> DataSet<O>
     where
+        I: Index<K, Output = [R]> + Send + Sync + 'static,
         R: Data,
         K: Data + Hash + Eq,
         KL: Fn(&T) -> K + Send + Sync + 'static,
         O: Data,
         F: Fn(&T, &R) -> O + Send + Sync + 'static,
     {
-        self.binary(name, index.id, Box::new(IndexJoinOp::<T, R, K, KL, O, F>::new(key_left, f)))
+        self.binary(name, index.id, Box::new(IndexJoinOp::<T, I, K, KL, O, F>::new(key_left, f)))
     }
 
     /// Join with the solution set of the enclosing delta iteration: `f`

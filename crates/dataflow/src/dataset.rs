@@ -138,7 +138,8 @@ impl<T> IntoIterator for Partitions<T> {
 
 /// A type-erased, cheaply clonable handle to a [`Partitions<T>`] — or, for
 /// the few plan edges that carry something else (the solution sets a delta
-/// iteration lends its body, a [`crate::index::KeyedIndex`]), to any
+/// iteration lends its body, an index [`crate::api::DataSet::join_index`]
+/// probes), to any
 /// shareable value ([`Erased::of`]).
 ///
 /// Plan edges may fan out to several consumers, so executor results are

@@ -480,9 +480,10 @@ mod tests {
     ) -> DataSet<Label> {
         let rows = (0..n).map(|v| {
             let neighbours = [v.checked_sub(1), (v + 1 < n).then_some(v + 1)];
-            (v, neighbours.into_iter().flatten().collect::<Vec<u64>>())
+            neighbours.into_iter().flatten().collect()
         });
-        let edges = it.import_shared(&env.from_index(std::sync::Arc::new(rows.collect())));
+        let rows = crate::index::tests::DenseRows(rows.collect());
+        let edges = it.import_shared(&env.from_index(std::sync::Arc::new(rows)));
         workset
             .join_index("to-neighbors", &edges, |w: &Label| w.0, |w, &u| (u, w.1))
             .reduce_by_key("min-candidate", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b })

@@ -57,7 +57,7 @@ pub mod error;
 pub mod exec;
 pub mod ft;
 pub mod hash;
-pub mod index;
+mod index;
 pub mod iterate;
 pub mod operators;
 pub mod partition;

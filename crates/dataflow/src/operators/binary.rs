@@ -1,8 +1,9 @@
-//! Two-input operators: join (rebuilt, against a kept index, against the
-//! solution set), co-group, cross, union, broadcast-map.
+//! Two-input operators: join (rebuilt, against a caller's index, against
+//! the solution set), co-group, cross, union, broadcast-map.
 
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::ops::Index;
 use std::sync::Arc;
 
 use crate::dataset::{Data, Erased, ErasedId, Partitions};
@@ -141,27 +142,27 @@ where
     }
 }
 
-/// Equi-join against a build side that is already a [`KeyedIndex`] (second
-/// input: an `Arc<KeyedIndex<K, R>>` from
-/// [`crate::api::Environment::from_index`]): the probe of [`JoinOp`] with
-/// nothing to build. An index is in place by construction, so it accounts
-/// no shuffle traffic.
-pub struct IndexJoinOp<L, R, K, KL, O, F> {
+/// Equi-join against a build side that is indexed by key already (second
+/// input: an `Arc<I>` from [`crate::api::Environment::from_index`], read as
+/// `index[key]`): the probe of [`JoinOp`] with nothing to build. An index is
+/// in place by construction, so it accounts no shuffle traffic.
+pub struct IndexJoinOp<L, I, K, KL, O, F> {
     key_left: Arc<KL>,
     f: Arc<F>,
-    _types: PhantomData<fn(L, R, K) -> O>,
+    _types: PhantomData<fn(L, I, K) -> O>,
 }
 
-impl<L, R, K, KL, O, F> IndexJoinOp<L, R, K, KL, O, F> {
+impl<L, I, K, KL, O, F> IndexJoinOp<L, I, K, KL, O, F> {
     /// Operator over the given user function(s).
     pub fn new(key_left: KL, f: F) -> Self {
         IndexJoinOp { key_left: Arc::new(key_left), f: Arc::new(f), _types: PhantomData }
     }
 }
 
-impl<L, R, K, KL, O, F> DynOp for IndexJoinOp<L, R, K, KL, O, F>
+impl<L, I, R, K, KL, O, F> DynOp for IndexJoinOp<L, I, K, KL, O, F>
 where
     L: Data,
+    I: Index<K, Output = [R]> + Send + Sync + 'static,
     R: Data,
     K: KeyData,
     KL: Fn(&L) -> K + Send + Sync + 'static,
@@ -170,11 +171,10 @@ where
 {
     fn execute(&mut self, inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
         let left = inputs[0].downcast::<L>("Join(left)")?;
-        let index = inputs[1].downcast_ref::<Arc<KeyedIndex<K, R>>>("Join(index)")?;
-        let parallelism = left.num_partitions();
+        let index = inputs[1].downcast_ref::<Arc<I>>("Join(index)")?;
         let f = &*self.f;
-        probe(left, &*self.key_left, ctx, 0, |pid, l, key, out| {
-            out.extend(index.get_in(pid, parallelism, key).iter().map(|r| f(l, r)));
+        probe(left, &*self.key_left, ctx, 0, |_, l, key, out| {
+            out.extend(index[key.clone()].iter().map(|r| f(l, r)));
         })
     }
 
@@ -422,6 +422,7 @@ impl<T: Data> DynOp for UnionOp<T> {
 mod tests {
     use super::*;
     use crate::config::EnvConfig;
+    use crate::index::tests::DenseRows;
 
     fn ctx() -> ExecContext {
         ExecContext::new(EnvConfig::new(4).with_thread_threshold(0))
@@ -533,12 +534,28 @@ mod tests {
     fn index_and_solution_joins_probe_in_place() {
         let c = ctx();
         let left = erased(vec![(1u64, 'a'), (2, 'b'), (3, 'c')], 4);
-        let index: KeyedIndex<u64, u64> =
-            [(1u64, vec![10u64, 11]), (3, vec![30])].into_iter().collect();
-        let mut op =
-            IndexJoinOp::new(|l: &(u64, char)| l.0, |l: &(u64, char), r: &u64| (l.0, l.1, *r));
-        let index = Erased::of(Arc::new(index));
+        // Rows by dense id, a graph's layout: keys 0 and 2 have none.
+        let rows = DenseRows(vec![vec![], vec![10, 11], vec![], vec![30]]);
+        let mut op = IndexJoinOp::<_, DenseRows, _, _, _, _>::new(
+            |l: &(u64, char)| l.0,
+            |l: &(u64, char), r: &u64| (l.0, l.1, *r),
+        );
+        let index = Erased::of(Arc::new(rows));
         assert_eq!(joined(&mut op, &left, &index, &c), vec![10, 11, 30]);
+        // In the probe side's routed order: what a join that builds the
+        // same rows emits, record for record.
+        let records = erased(vec![(1u64, 10u64), (1, 11), (3, 30)], 4);
+        let mut rebuilt = JoinOp::new(
+            |l: &(u64, char)| l.0,
+            |r: &(u64, u64)| r.0,
+            |l: &(u64, char), r: &(u64, u64)| (l.0, l.1, r.1),
+        );
+        let other = ctx();
+        let in_order = |op: &mut dyn DynOp, right: Erased| {
+            let out = op.execute(vec![left.clone(), right], &other).unwrap();
+            out.take::<(u64, char, u64)>("t").unwrap().into_vec()
+        };
+        assert_eq!(in_order(&mut op, index), in_order(&mut rebuilt, records));
 
         let sets = crate::ft::solution_sets([(1u64, 100u64), (2, 200)], 4);
         let mut op =

@@ -134,36 +134,6 @@ where
     }
 }
 
-/// Explicit hash repartition by key — used to co-partition a dataset once so
-/// later keyed operators shuffle for free.
-pub struct PartitionByOp<T, K, KF> {
-    key_of: Arc<KF>,
-    _types: PhantomData<fn(T) -> K>,
-}
-
-impl<T, K, KF> PartitionByOp<T, K, KF> {
-    /// Operator over the given user function(s).
-    pub fn new(key_of: KF) -> Self {
-        PartitionByOp { key_of: Arc::new(key_of), _types: PhantomData }
-    }
-}
-
-impl<T, K, KF> DynOp for PartitionByOp<T, K, KF>
-where
-    T: Data,
-    K: KeyData,
-    KF: Fn(&T) -> K + Send + Sync + 'static,
-{
-    fn execute(&mut self, mut inputs: Vec<Erased>, ctx: &ExecContext) -> Result<Erased> {
-        let input = inputs.swap_remove(0).take::<T>("PartitionBy")?;
-        Ok(Erased::new(shuffle(input, ctx, &*self.key_of)?.into_partitions()))
-    }
-
-    fn kind(&self) -> &'static str {
-        "PartitionBy"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,28 +198,5 @@ mod tests {
         let mut keys: Vec<u64> = v.iter().map(|r| r.0).collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn partition_by_groups_keys_and_counts_traffic() {
-        let c = ctx();
-        let input = Erased::new(Partitions::round_robin((0u64..100).collect(), 4));
-        let mut op = PartitionByOp::new(|v: &u64| *v);
-        let out = op.execute(vec![input], &c).unwrap();
-        let parts = out.take::<u64>("t").unwrap();
-        for (pid, records) in parts.iter() {
-            for r in records {
-                assert_eq!(hash_partition(r, 4), pid);
-            }
-        }
-        let (_, shuffled) = c.drain();
-        assert!(shuffled > 0);
-
-        // Re-partitioning co-partitioned data is free.
-        let mut op2 = PartitionByOp::new(|v: &u64| *v);
-        let out2 = op2.execute(vec![Erased::new(parts)], &c).unwrap();
-        assert_eq!(out2.downcast::<u64>("t").unwrap().total_len(), 100);
-        let (_, shuffled2) = c.drain();
-        assert_eq!(shuffled2, 0);
     }
 }

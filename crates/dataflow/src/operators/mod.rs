@@ -16,5 +16,5 @@ pub use binary::{
     BroadcastMapOp, CoGroupOp, CrossOp, IndexJoinOp, JoinOp, SolutionJoinOp, UnionOp,
 };
 pub use elementwise::{FilterOp, FlatMapOp, MapOp, MapPartitionOp, MeasuredOp};
-pub use keyed::{DistinctByOp, PartitionByOp, ReduceByKeyOp};
+pub use keyed::{DistinctByOp, ReduceByKeyOp};
 pub use source::{InjectedSource, SourceSlot, VecSource};

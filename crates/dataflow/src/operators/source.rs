@@ -23,8 +23,8 @@ impl VecSource {
         VecSource { data: Erased::new(parts) }
     }
 
-    /// Source over an already-erased value (e.g. a shared
-    /// [`crate::index::KeyedIndex`]).
+    /// Source over an already-erased value (e.g. a shared index,
+    /// [`crate::api::Environment::from_index`]).
     pub fn erased(data: Erased) -> Self {
         VecSource { data }
     }

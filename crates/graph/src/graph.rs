@@ -1,4 +1,9 @@
 //! Adjacency-list graphs over contiguous vertex ids.
+//!
+//! A [`Graph`] is the one adjacency everything reads by vertex id: the
+//! generators build it, the dataflow joins probe it (it indexes by
+//! [`VertexId`]), the compensations walk it and the serving engine edits it
+//! in place ([`Graph::insert_edge`], [`Graph::remove_edge`]).
 
 /// Vertex identifier. Graphs use contiguous ids `0..num_vertices`;
 /// [`crate::io`] remaps arbitrary external ids on load.
@@ -7,8 +12,9 @@ pub type VertexId = u64;
 /// A graph stored as adjacency lists.
 ///
 /// Undirected graphs store every edge in both endpoint lists; directed
-/// graphs store out-edges only. Self-loops are allowed, parallel edges are
-/// collapsed at build time.
+/// graphs store out-edges only. Self-loops are allowed (in their vertex's
+/// list once), parallel edges are collapsed, and every list is ascending —
+/// at build time and after every edit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     adjacency: Vec<Vec<VertexId>>,
@@ -47,9 +53,56 @@ impl Graph {
         self.adjacency[v as usize].len()
     }
 
-    /// True when the edge `u -> v` exists (`u - v` for undirected graphs).
+    /// True when the edge `u -> v` exists (`u - v` for undirected graphs);
+    /// false when `u` is not a vertex.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.adjacency[u as usize].binary_search(&v).is_ok()
+        self.adjacency.get(u as usize).is_some_and(|ns| ns.binary_search(&v).is_ok())
+    }
+
+    /// Insert the edge `u -> v` (`u - v` for undirected graphs), growing
+    /// the vertex set to cover both endpoints. Returns `false` when the
+    /// edge was already present (the vertex set still grows: naming a
+    /// vertex brings it into existence), and when an endpoint is
+    /// `VertexId::MAX`, which no vertex set of contiguous ids can hold.
+    /// Touches the endpoints' lists only, `O(degree)`.
+    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        let Some(needed) = usize::try_from(u.max(v)).ok().and_then(|top| top.checked_add(1)) else {
+            return false;
+        };
+        if needed > self.adjacency.len() {
+            self.adjacency.resize(needed, Vec::new());
+        }
+        let row = &mut self.adjacency[u as usize];
+        let Err(at) = row.binary_search(&v) else { return false };
+        row.insert(at, v);
+        if !self.directed && u != v {
+            // An undirected edge sits in both lists: absent from `u`'s, it
+            // is absent from `v`'s too.
+            let row = &mut self.adjacency[v as usize];
+            if let Err(at) = row.binary_search(&u) {
+                row.insert(at, u);
+            }
+        }
+        self.num_edges += 1;
+        true
+    }
+
+    /// Remove the edge `u -> v` (`u - v` for undirected graphs). Returns
+    /// `false` when it was not present. The vertex set never shrinks: a
+    /// vertex whose last edge goes stays as an isolate.
+    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        let Some(Ok(at)) = self.adjacency.get(u as usize).map(|ns| ns.binary_search(&v)) else {
+            return false;
+        };
+        self.adjacency[u as usize].remove(at);
+        if !self.directed && u != v {
+            let row = &mut self.adjacency[v as usize];
+            if let Ok(at) = row.binary_search(&u) {
+                row.remove(at);
+            }
+        }
+        self.num_edges -= 1;
+        true
     }
 
     /// Iterate over directed edges; undirected edges appear in both
@@ -84,6 +137,16 @@ impl Graph {
     /// Total number of directed edge entries (2·|E| for undirected graphs).
     pub fn num_directed_edges(&self) -> usize {
         self.adjacency.iter().map(Vec::len).sum()
+    }
+}
+
+/// A graph indexes by vertex id: `graph[v]` is [`Graph::neighbors`], so a
+/// dataflow join can take it as its build side.
+impl std::ops::Index<VertexId> for Graph {
+    type Output = [VertexId];
+
+    fn index(&self, v: VertexId) -> &[VertexId] {
+        self.neighbors(v)
     }
 }
 
@@ -215,6 +278,95 @@ mod tests {
         let rows = g.adjacency_rows();
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[4], (4, vec![]));
+    }
+
+    /// `graph` equals a fresh build of `edges` over its vertex set: rows,
+    /// direction and `num_edges` alike.
+    fn assert_built(graph: &Graph, edges: &[(VertexId, VertexId)]) {
+        let n = graph.num_vertices();
+        let mut b = if graph.is_directed() {
+            GraphBuilder::directed(n)
+        } else {
+            GraphBuilder::undirected(n)
+        };
+        for &(u, v) in edges {
+            b.add_edge(u, v);
+        }
+        assert_eq!(graph, &b.build());
+    }
+
+    #[test]
+    fn edits_of_an_undirected_graph_match_a_fresh_build() {
+        let mut edges = vec![(0, 1), (1, 2), (2, 3)];
+        let mut b = GraphBuilder::undirected(4);
+        for &(u, v) in &edges {
+            b.add_edge(u, v);
+        }
+        let mut graph = b.build();
+        assert!(!graph.insert_edge(2, 1), "present, from the other end");
+        assert_built(&graph, &edges);
+        assert!(graph.insert_edge(3, 0));
+        edges.push((3, 0));
+        assert_built(&graph, &edges);
+        assert!(graph.has_edge(0, 3), "undirected edges keep both directions");
+        assert_eq!(graph.num_edges(), 4);
+    }
+
+    #[test]
+    fn inserts_grow_the_vertex_set_and_deletes_do_not_shrink_it() {
+        let mut graph = GraphBuilder::undirected(2).build();
+        assert!(graph.insert_edge(0, 5));
+        assert_eq!(graph.num_vertices(), 6);
+        assert_built(&graph, &[(0, 5)]);
+        assert!(!graph.insert_edge(5, 0), "same undirected edge, other direction");
+        assert_built(&graph, &[(0, 5)]);
+        assert!(graph.remove_edge(0, 5));
+        assert_built(&graph, &[]);
+        assert!(!graph.remove_edge(0, 5), "double delete is a no-op");
+        assert!(!graph.remove_edge(9, 0), "so is one from a vertex that does not exist");
+        assert!(!graph.insert_edge(0, VertexId::MAX), "no vertex set holds the last id");
+        assert_eq!(graph.num_vertices(), 6, "vertex 5 survives as an isolate");
+        assert_built(&graph, &[]);
+    }
+
+    #[test]
+    fn rows_stay_sorted_through_edits() {
+        let mut graph = GraphBuilder::undirected(6).build();
+        let mut edges = Vec::new();
+        for (u, v) in [(3, 5), (3, 1), (3, 4), (3, 3), (0, 3)] {
+            assert!(graph.insert_edge(u, v));
+            edges.push((u, v));
+            assert_built(&graph, &edges);
+        }
+        assert!(!graph.insert_edge(3, 3), "the self-loop is there once");
+        assert_eq!(graph.neighbors(3), &[0, 1, 3, 4, 5], "ascending, the self-loop once");
+        assert_eq!(graph.num_edges(), 5);
+        assert!(graph.remove_edge(1, 3), "an undirected edge goes by either direction");
+        assert!(graph.remove_edge(3, 3));
+        edges.retain(|&e| e != (3, 1) && e != (3, 3));
+        assert_built(&graph, &edges);
+        assert_eq!(graph.neighbors(3), &[0, 4, 5]);
+        assert!(graph.neighbors(1).is_empty());
+        assert_eq!(&graph[3], graph.neighbors(3), "indexing by id reads the same row");
+        assert_eq!(graph.num_edges(), 3);
+    }
+
+    #[test]
+    fn directed_edits_keep_their_direction() {
+        let mut graph = GraphBuilder::directed(3).build();
+        assert!(graph.insert_edge(2, 1));
+        assert!(graph.has_edge(2, 1));
+        assert!(!graph.has_edge(1, 2));
+        assert_built(&graph, &[(2, 1)]);
+        assert!(graph.insert_edge(1, 2), "reverse direction is a distinct edge");
+        assert!(graph.insert_edge(2, 2));
+        assert_built(&graph, &[(2, 1), (1, 2), (2, 2)]);
+        assert!(!graph.remove_edge(0, 2), "absent");
+        assert!(graph.remove_edge(2, 1));
+        assert!(graph.has_edge(1, 2), "the reverse edge stays");
+        assert_built(&graph, &[(1, 2), (2, 2)]);
+        assert!(graph.insert_edge(4, 0), "a fresh source id grows the vertex set");
+        assert_built(&graph, &[(1, 2), (2, 2), (4, 0)]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! state resident: the solution maps the last epoch handed back are seeded
 //! in place (delete-touched components reset to their initial labels,
 //! mirroring `FixComponents`; the workset is the mutated vertices), the one
-//! CC plan steps them in place over the live graph's own adjacency index
+//! CC plan steps them in place, joining against the live graph itself
 //! (optimistic recovery keeps no restart origin, so nothing copies them),
 //! and the served vector is patched at the entries the run changed. The
 //! served vector is copy-on-write in fixed chunks ([`ChunkedVec`]): a
@@ -16,7 +16,7 @@
 //! writes that a snapshot still holds — so an insert commit, publish
 //! included, costs what its workset and its patch touch, not what the
 //! graph holds. PageRank
-//! rebuilds the graph and warm-starts the power iteration from the previous
+//! warm-starts the power iteration over the live graph from the previous
 //! fixpoint renormalised over the new vertex set. Both re-converge in far
 //! fewer supersteps than a cold run.
 //!
@@ -524,7 +524,7 @@ impl ServeEngine {
     /// Apply the staged batch: open a new epoch and incrementally
     /// re-converge from the previous fixpoint. The live graph already holds
     /// the batch's edges (staging applies them); a CC epoch seeds the
-    /// resident solution maps in place and runs over the live adjacency, so
+    /// resident solution maps in place and runs over the live graph, so
     /// an insert-only commit costs what its workset touches and the chunks
     /// its patch writes: optimistic recovery keeps no restart origin, and
     /// no copy of the maps or of the served vector is made. The served
@@ -717,8 +717,8 @@ impl ServeEngine {
                     None => None,
                 };
                 let env = algos::common::environment(config.parallelism, &config.ft);
-                let built = pr::build_warm(&env, &self.live.build(), &config, warm)
-                    .map_err(|e| e.to_string())?;
+                let built =
+                    pr::build_warm(&env, &self.live, &config, warm).map_err(|e| e.to_string())?;
                 let mut ranks = vec![0.0; self.live.num_vertices()];
                 for (v, rank) in built.result.collect().map_err(|e| e.to_string())? {
                     ranks[v as usize] = rank;
@@ -731,7 +731,7 @@ impl ServeEngine {
     }
 
     /// The in-process CC epoch: the one CC plan, run from the resident
-    /// solution maps over the live adjacency index. The seed is applied to
+    /// solution maps over the live graph. The seed is applied to
     /// the maps in place, the run steps them and hands them back, and the
     /// served vector is patched at the seeded and upserted vertices whose
     /// label moved — copying only the chunks a published snapshot still
@@ -763,8 +763,7 @@ impl ServeEngine {
         };
         // An error leaves `resident` empty: these maps were seeded for a
         // batch that did not commit, so the retry starts from `served`.
-        let run =
-            cc::run_resident(self.live.adjacency(), n, state, config).map_err(|e| e.to_string())?;
+        let run = cc::run_resident(self.live.graph(), state, config).map_err(|e| e.to_string())?;
         let label_of = |v: VertexId| run.state.solution[hash_partition(&v, p)][&v];
         match patch {
             Some(patch) if run.stats.failures().next().is_none() => {
@@ -837,8 +836,7 @@ impl ServeEngine {
             }
             (None, _) => {}
         }
-        let graph = self.live.build();
-        let run = cluster::run_cluster(program, &graph, cfg, self.config.telemetry.clone())
+        let run = cluster::run_cluster(program, &self.live, cfg, self.config.telemetry.clone())
             .map_err(|e| e.to_string())?;
         let values = run.values.iter();
         self.served.solution = match self.config.algorithm {
@@ -942,6 +940,9 @@ mod tests {
         let answers: Vec<_> = (0..n).map(|v| before.point(v)).collect();
 
         // Vertex CHUNK + 2's pair joins component 0; new vertex n joins 4.
+        // An epoch's plan lets go of the live graph when it ends, so staging
+        // edits the graph in place, not a copy of it.
+        let graph = Arc::as_ptr(engine.live.graph());
         let far = CHUNK as u64 + 2;
         assert!(engine.stage_insert(1, far));
         assert!(engine.stage_insert(5, n));
@@ -970,6 +971,9 @@ mod tests {
             new.chunks().iter().zip(old.chunks()).map(|(a, b)| Arc::ptr_eq(a, b)).collect();
         assert_eq!(shared, [true, false, true, false]);
         assert_eq!(new.chunks().len(), old.chunks().len());
+
+        assert!(engine.stage_insert(0, 2));
+        assert_eq!(Arc::as_ptr(engine.live.graph()), graph, "a staged edit copied the graph");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * [`mutation`] — the line protocol (`+ u v`, `- u v`, `commit`,
 //!   `get v`, `top n`, `quit`), shared verbatim between TCP sessions and
 //!   replay files.
-//! * [`live_graph`] — the mutable adjacency index CC epochs iterate over
-//!   in place; immutable [`graphs::Graph`]s are rebuilt from it only for
-//!   PageRank and cluster-backed epochs.
+//! * [`live_graph`] — the copy-on-write [`graphs::Graph`] that staging
+//!   edits in place and every epoch (CC, PageRank, cluster-backed) runs
+//!   over without a copy.
 //! * [`chunked`] — the copy-on-write chunked vector the served solution is
 //!   kept in, so a snapshot shares it and a commit copies what it writes.
 //! * [`engine`] — epoch lifecycle: bootstrap convergence, workset-seeded

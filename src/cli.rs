@@ -1112,9 +1112,19 @@ fn check_serve(args: ServeArgs) -> Result<ServeInvocation, String> {
     let ServeArgs { mut serve, min_workers, max_workers } = args;
     serve.elastic = match (min_workers, max_workers) {
         (Some(min_workers), Some(max_workers)) => {
+            if min_workers == 0 {
+                return Err("--min-workers 0: an elastic epoch runs on at least one worker".into());
+            }
             if min_workers > max_workers {
                 return Err(format!(
                     "--min-workers {min_workers} exceeds --max-workers {max_workers}"
+                ));
+            }
+            if max_workers > serve.parallelism {
+                return Err(format!(
+                    "--max-workers {max_workers} exceeds --parallelism {}: a worker holds at \
+                     least one partition",
+                    serve.parallelism
                 ));
             }
             Some(serve::ElasticRange { min_workers, max_workers })
@@ -1718,6 +1728,51 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("--min-workers 4 exceeds --max-workers 2"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_an_elastic_range_without_a_worker() {
+        let err = parse_serve(&args(&[
+            "cc",
+            "--replay",
+            "m.txt",
+            "--min-workers",
+            "0",
+            "--max-workers",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--min-workers 0"), "{err}");
+    }
+
+    #[test]
+    fn serve_refuses_more_workers_than_partitions() {
+        let err = parse_serve(&args(&[
+            "cc",
+            "--replay",
+            "m.txt",
+            "--parallelism",
+            "2",
+            "--min-workers",
+            "1",
+            "--max-workers",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--max-workers 3 exceeds --parallelism 2"), "{err}");
+        // The flags may come in any order: the range is checked once all
+        // of them are read.
+        let err = parse_serve(&args(&[
+            "cc",
+            "--max-workers",
+            "5",
+            "--min-workers",
+            "1",
+            "--replay",
+            "m.txt",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--max-workers 5 exceeds --parallelism 4"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use algos::common::{self, FtConfig};
-use algos::connected_components::{self as cc, adjacency_of, fix_components, CcConfig, Label};
+use algos::connected_components::{self as cc, fix_components, CcConfig, Label};
 use dataflow::api::DataSet;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::Result;
@@ -162,8 +162,7 @@ fn hand_built(graph: &Graph, parallelism: usize, ft: &FtConfig, oracle: bool) ->
     let edges_ds = env.from_keyed_vec(graph.directed_edges().collect::<Vec<Edge>>(), |e| e.0);
 
     let mut it = DeltaIteration::new(&solution, &workset, 200);
-    let compensation =
-        fix_components(Arc::new(adjacency_of(graph)), graph.num_vertices(), parallelism);
+    let compensation = fix_components(Arc::new(graph.clone()), parallelism);
     it.set_fault_handler(common::delta_handler(&ft, compensation).unwrap());
     it.set_failure_source(ft.scenario.to_source());
     it.set_norm_probe(common::delta_norm_probe(|old: Option<&VertexId>, new| {
